@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt bench bench-smoke bench-experiments determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,30 @@ vet:
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The "same behaviour" oracle: sha256 of the four deterministic report
+# surfaces at seed 42, against the pinned values. A change that moves any
+# of them changed simulated behaviour, not just code.
+#   all        serial trace, every paper experiment
+#   mutscale   lane trace: steals, work/crit cycles
+#   pausecurve incremental marking state machine, pause histograms (the
+#              threaded table is schedule-dependent and is cut first)
+#   latency    baton KV latency quantiles
+digest:
+	@$(GO) build -o .digest-wearbench ./cmd/wearbench
+	@rc=0; check() { want=$$1; name=$$2; shift 2; \
+		got=$$("$$@" | sha256sum | cut -d' ' -f1); \
+		if [ "$$got" = "$$want" ]; then echo "digest $$name ok"; \
+		else echo "digest $$name MOVED: got $$got want $$want"; rc=1; fi; }; \
+	check 507aed0ecb6e669dce373c9a0a8de5ddadfe7fde247128ba9694d4f285e6d045 all \
+		./.digest-wearbench -exp all -quick -seed 42 2>/dev/null; \
+	check 60ff3970768ee787c493f5e331bf2a64951aa14be0c08514db1a848cda3a8bb8 mutscale \
+		./.digest-wearbench -exp mutscale -quick -seed 42 2>/dev/null; \
+	check 06316f6f2765f7b0a89f5fad52c9f94bc8cfb718f7620b2ae21834254f07e206 pausecurve \
+		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
+	check 487e7fee546b8e24d24649b987c57458d74feb457860d170dd1374d5fa9d7f7a latency \
+		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
+	rm -f .digest-wearbench; exit $$rc
 
 # Core hot-path microbenchmarks (bitset vs retained []bool reference).
 bench:

@@ -240,9 +240,9 @@ type Config struct {
 	// default 0.08.
 	NurseryYield float64
 	// TraceWorkers sets the number of parallel trace lanes for the mark
-	// phase. 0 or 1 selects the serial trace; higher values split the
-	// gray work across deterministic work-stealing lanes whose cycles
-	// merge back as a critical path.
+	// phase. 0 or 1 is the serial trace (one lane on the plan's clock);
+	// higher values split the gray work across deterministic work-stealing
+	// lanes whose cycles merge back as a critical path.
 	TraceWorkers int
 	// Threaded selects the threaded execution engine: mutator contexts are
 	// driven by real goroutines, so the allocator charges per-context clock
@@ -255,11 +255,11 @@ type Config struct {
 	// timing.
 	WallClock bool
 	// MaxPauseWork bounds the marking work of one GC pause, in simulated
-	// clock cycles. 0 keeps collections fully stop-the-world (the default,
-	// byte-identical to the historical behaviour). On the baton engine a
-	// positive budget turns full Immix collections into a resumable
-	// incremental mark: a short STW initial mark, then bounded increments
-	// interleaved with mutator turns, then an STW final mark and sweep.
+	// clock cycles. 0 keeps collections fully stop-the-world (the default).
+	// On the baton engine a positive budget turns full Immix collections
+	// into a resumable incremental mark: a short STW initial mark, then
+	// bounded increments interleaved with mutator turns, then an STW final
+	// mark and sweep.
 	// Requires Generational (the sticky write barrier is the SATB deletion
 	// barrier's logging channel).
 	MaxPauseWork int

@@ -51,12 +51,12 @@ type Immix struct {
 
 	// muts holds the attached allocation contexts; muts[0] always exists
 	// and serves the plain Alloc entry point, so a single-mutator plan
-	// behaves exactly as before the contexts were split out.
+	// needs no other.
 	muts []*MutatorContext
 
 	gc bumpCtx // evacuation allocator, active during collection
-	// evacMu serializes the threaded trace workers' shared evacuation
-	// allocator (gcAllocThreaded). The baton engine never locks it.
+	// evacMu serializes the CAS-claim trace workers' use of the shared
+	// evacuation allocator. The baton engine never locks it.
 	evacMu sync.Mutex
 
 	epoch      uint16
@@ -64,15 +64,18 @@ type Immix struct {
 	probe      probe.Hook
 	degraded   error       // sticky; set once, never cleared (§ graceful degradation)
 	modbuf     []heap.Addr // logged objects (sticky write barrier)
-	gray       []heap.Addr // mark stack, reused across collections
-	scanbuf    []heap.Addr // per-object ref-slot buffer, reused across scans
+	// tr is the plan's own plain-claim tracer: the single lane of a serial
+	// stop-the-world trace and the tracer of every marking cycle's STW
+	// phases and increments. Its gray stack and scan buffer are reused
+	// across collections.
+	tr tracer
 
-	// marking is true while an incremental (baton) or concurrent (threaded)
-	// marking window is open: mutators are running against a partially
-	// marked heap, the SATB deletion barrier is armed, and new objects are
-	// allocated black. It is the only marking-state field mutator fast
-	// paths read, so it is atomic; everything below is touched only under
-	// stop-the-world, under concMu, or by the single baton mutator.
+	// marking is true while a marking window is open: mutators are running
+	// against a partially marked heap, the SATB deletion barrier is armed,
+	// and new objects are allocated black. It is the only marking-state
+	// field mutator fast paths read, so it is atomic; everything below is
+	// touched only under stop-the-world, under markMu, or by the single
+	// baton mutator.
 	marking atomic.Bool
 	// satb is the baton engine's SATB buffer: overwritten referents shaded
 	// by the deletion barrier, drained at every increment. (Threaded
@@ -84,26 +87,16 @@ type Immix struct {
 	// re-scanned and un-logged at the final mark.
 	rescan []heap.Addr
 	// partialObj/partialSlot are the increment resume cursor inside one
-	// object: a bounded increment that hits its deadline mid-scan of a
-	// large object (a KV backing array, say) records where to pick up, so
-	// MaxPauseWork bounds pauses at slot granularity, not object
-	// granularity. Nothing moves while a marking window is open, so the
+	// object: where a bounded increment that hit its deadline mid-scan
+	// picks up. Nothing moves while a marking window is open, so the
 	// address stays valid across increments.
 	partialObj  heap.Addr
 	partialSlot int
-
-	// Concurrent marking state (threaded engine). concMu guards the shared
-	// gray queue and the stats fields mutators may bump mid-window; the
-	// marker goroutines are joined through markWG before any serial phase
-	// touches their shards.
-	concMu       sync.Mutex
-	concGray     []heap.Addr
-	concIdle     int32
-	concWorkers  int
-	markDone     atomic.Bool
-	markers      []*markWorker
-	markerPanics []any
-	markWG       sync.WaitGroup
+	// markers is the marker-goroutine driver of the open marking cycle, nil
+	// when the cycle is driven by MarkIncrement. markMu guards rescan and
+	// the stats fields threaded mutators may bump mid-window.
+	markers *casTrace
+	markMu  sync.Mutex
 	// pinnedLeft records live pinned objects that evacuation had to leave
 	// inside defragmentation candidates during the last collection; the
 	// runtime consults it to decide OS page remaps for failed lines that
@@ -155,6 +148,7 @@ func NewImmix(cfg Config) *Immix {
 		epoch: 1,
 		probe: cfg.Probe,
 	}
+	ix.tr = tracer{ix: ix, clock: cfg.Clock}
 	ix.blocks.init(cfg.BlockSize)
 	ix.los = newLOS(cfg.Mem, cfg.Model, cfg.Clock, cfg.FailureAware)
 	ix.muts = []*MutatorContext{{clock: cfg.Clock}}
@@ -500,22 +494,23 @@ func (ix *Immix) BarrierOn(mc *MutatorContext, obj heap.Addr) {
 		if ix.marking.Load() && len(mc.modbuf) >= ix.cfg.ModbufCap {
 			// Same cap policy as the baton barrier, against the context's
 			// private buffer; the transfer crosses into shared collector
-			// state and takes the concurrent-mark lock.
-			ix.concMu.Lock()
+			// state and takes the marking lock.
+			ix.markMu.Lock()
 			ix.rescan = append(ix.rescan, mc.modbuf...)
 			ix.gcstats.ForcedModbufDrains++
 			if ix.cfg.ModbufCap > ix.gcstats.ModbufHighWater {
 				ix.gcstats.ModbufHighWater = ix.cfg.ModbufCap
 			}
-			ix.concMu.Unlock()
+			ix.markMu.Unlock()
 			mc.modbuf = mc.modbuf[:0]
 		}
 	}
 }
 
 // drainContextModbufs folds every context's barrier log into the shared
-// modified-object buffer, in context order. Runs at collection start on the
-// threaded engine, under stop-the-world, before any tracing.
+// modified-object buffer, in context order. Runs at collection start, under
+// stop-the-world, before any tracing (only the threaded engine's barrier
+// fills the per-context logs).
 func (ix *Immix) drainContextModbufs() {
 	for _, mc := range ix.muts {
 		if n := len(mc.modbuf); n > ix.gcstats.ModbufHighWater {
@@ -545,7 +540,7 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 		// the in-flight cycle first — marking state is never abandoned —
 		// then let a demanded full collection run its normal evacuating
 		// pass on the now-consistent heap.
-		ix.finishMarkingCycle(roots)
+		ix.CompleteMark(roots)
 		if !full || ix.degraded != nil {
 			return // the completed cycle is the collection
 		}
@@ -554,9 +549,7 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 	if ix.cfg.WallClock {
 		wallStart = time.Now()
 	}
-	if ix.cfg.Threaded {
-		ix.drainContextModbufs()
-	}
+	ix.drainContextModbufs()
 	start := ix.clock.Now()
 	ix.clock.Charge1(stats.EvGCCycle)
 	ix.collecting = true
@@ -583,15 +576,16 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 	if !nursery {
 		ix.pinnedLeft = ix.pinnedLeft[:0]
 	}
-	threaded := ix.cfg.Threaded && ix.cfg.TraceWorkers > 1
-	switch {
-	case threaded:
+	// One lane is the serial trace; more lanes are deterministic simulated
+	// lanes on the baton engine and real worker goroutines on the threaded
+	// one, which then also fans the block sweep out.
+	lanes, sweepers := max(ix.cfg.TraceWorkers, 1), 1
+	if ix.cfg.Threaded && lanes > 1 {
+		sweepers = lanes
 		ix.ensureEvacHeadroom()
-		ix.traceThreaded(roots, nursery, ix.cfg.TraceWorkers)
-	case ix.cfg.TraceWorkers > 1:
-		ix.traceParallel(roots, nursery, ix.cfg.TraceWorkers)
-	default:
-		ix.trace(roots, nursery)
+		ix.traceThreaded(roots, nursery, lanes)
+	} else {
+		ix.trace(roots, nursery, lanes)
 	}
 	var wallTrace time.Time
 	if ix.cfg.WallClock {
@@ -600,12 +594,7 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 	}
 	traceEnd := ix.clock.Now()
 	ix.gcstats.TraceCycles += traceEnd - start
-	var freed int
-	if threaded {
-		freed = ix.sweepThreaded(nursery, ix.cfg.TraceWorkers)
-	} else {
-		freed = ix.sweep(nursery)
-	}
+	freed := ix.sweep(nursery, sweepers)
 	ix.gcstats.SweepCycles += ix.clock.Now() - traceEnd
 	ix.gcstats.BytesReclaimed += uint64(freed)
 	ix.gcstats.LinesReclaimed += uint64(freed / ix.cfg.LineSize)
@@ -690,177 +679,14 @@ func (ix *Immix) selectDefragCandidates() {
 	}
 }
 
-func (ix *Immix) trace(roots *RootSet, nursery bool) {
-	ix.gray = ix.gray[:0]
-	roots.Each(func(slot *heap.Addr) {
-		ix.clock.Charge1(stats.EvRootScan)
-		if *slot != 0 {
-			*slot = ix.markObject(*slot, nursery)
-		}
-	})
-	if nursery {
-		// Logged (mutated) old objects are nursery roots [8].
-		for _, obj := range ix.modbuf {
-			if fwd, ok := ix.model.Forwarded(obj); ok {
-				obj = fwd
-			}
-			ix.scanObject(obj, nursery)
-		}
-	}
-	for len(ix.gray) > 0 {
-		obj := ix.gray[len(ix.gray)-1]
-		ix.gray = ix.gray[:len(ix.gray)-1]
-		ix.scanObject(obj, nursery)
-	}
-	// The modified-object buffer is consumed by any collection.
-	for _, obj := range ix.modbuf {
-		if fwd, ok := ix.model.Forwarded(obj); ok {
-			obj = fwd
-		}
-		ix.model.SetLogged(obj, false)
-	}
-	ix.modbuf = ix.modbuf[:0]
-}
-
-// scanObject visits the object's reference slots through the closure-free
-// RefSlots walker (differential-tested against heap.Model.EachRef), marking
-// children and rewriting slots whose referents moved. The slot buffer is
-// reused across objects and collections.
-func (ix *Immix) scanObject(obj heap.Addr, nursery bool) {
-	slots := ix.model.RefSlots(obj, ix.scanbuf[:0])
-	for _, slot := range slots {
-		ix.clock.Charge1(stats.EvObjectScan)
-		child := heap.Addr(ix.model.S.Load64(slot))
-		if child == 0 {
-			continue
-		}
-		if moved := ix.markObject(child, nursery); moved != child {
-			ix.model.S.Store64(slot, uint64(moved))
-		}
-	}
-	ix.scanbuf = slots[:0]
-}
-
-// markObject marks the object at a, possibly evacuating it, and returns
-// its (possibly new) address.
-func (ix *Immix) markObject(a heap.Addr, nursery bool) heap.Addr {
-	if fwd, ok := ix.model.Forwarded(a); ok {
-		return fwd
-	}
-	if ix.model.Epoch(a) == ix.epoch {
-		return a // already marked (or old, during a nursery pass)
-	}
-	b := ix.blockOf(a)
-	if b == nil {
-		// Large object: stamp and scan; never moved.
-		if !ix.los.contains(a) {
-			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
-		}
-		ix.markInPlace(a, nil)
-		return a
-	}
-	if b.evacuate && !ix.model.Pinned(a) {
-		if to, ok := ix.evacuateObject(a); ok {
-			return to
-		}
-	}
-	if b.evacuate && ix.model.Pinned(a) {
-		ix.gcstats.PinnedSkips++
-		ix.pinnedLeft = append(ix.pinnedLeft, a)
-	}
-	ix.markInPlace(a, b)
-	return a
-}
-
-func (ix *Immix) markInPlace(a heap.Addr, b *block) {
-	if ix.probe != nil {
-		ix.probe(probe.GCTraceMark, uint64(a))
-	}
-	ty, size := ix.model.Stamp(a, ix.epoch)
-	ix.clock.Charge1(stats.EvObjectMark)
-	ix.gcstats.ObjectsMarked++
-	ix.gcstats.BytesMarkedLive += uint64(size)
-	if b != nil {
-		b.markLines(b.mem.Base, a, size, ix.cfg.LineSize, ix.epoch)
-	}
-	if ix.model.RefCountOf(ty, a) > 0 {
-		ix.gray = append(ix.gray, a)
-	}
-}
-
-// evacuateObject copies a live object out of a defragmentation candidate.
-// It is opportunistic: when no space can be found the object is marked in
-// place instead.
-func (ix *Immix) evacuateObject(a heap.Addr) (heap.Addr, bool) {
-	size := ix.model.SizeOf(a)
-	to, ok := ix.gcAlloc(size)
-	if !ok {
-		return 0, false
-	}
-	if ix.probe != nil {
-		ix.probe(probe.GCEvacuate, uint64(a))
-	}
-	ix.model.S.Copy(to, a, size)
-	ix.model.Forward(a, to)
-	ty, _ := ix.model.Stamp(to, ix.epoch)
-	nb := ix.blockOf(to)
-	nb.markLines(nb.mem.Base, to, size, ix.cfg.LineSize, ix.epoch)
-	ix.clock.Charge(stats.EvBytesCopied, uint64(size))
-	ix.clock.Charge1(stats.EvObjectMark)
-	ix.gcstats.ObjectsMarked++
-	ix.gcstats.ObjectsEvacuated++
-	ix.gcstats.BytesEvacuated += uint64(size)
-	ix.gcstats.BytesMarkedLive += uint64(size)
-	if ix.model.RefCountOf(ty, to) > 0 {
-		ix.gray = append(ix.gray, to)
-	}
-	return to, true
-}
-
-// gcAlloc bump-allocates evacuation space from the headroom and any other
-// free or recycled non-candidate block.
-func (ix *Immix) gcAlloc(size int) (heap.Addr, bool) {
-	if ix.gc.fits(size) {
-		return ix.gc.bump(size), true
-	}
-	for {
-		if ix.gc.b != nil && ix.advanceHole(ix.clock, &ix.gc, size) {
-			return ix.gc.bump(size), true
-		}
-		b := ix.popFree(true)
-		if b == nil {
-			b = ix.popRecycledNonCandidate()
-		}
-		if b == nil {
-			// Try fresh memory; failing that, evacuation stops.
-			nb, err := ix.acquireBlock(ix.clock, false)
-			if err != nil {
-				return 0, false
-			}
-			b = nb
-		}
-		ix.gc.install(b)
-	}
-}
-
-func (ix *Immix) popRecycledNonCandidate() *block {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for i, b := range ix.recycled {
-		if !b.evacuate && b.freeLines > 0 {
-			ix.recycled = append(ix.recycled[:i], ix.recycled[i+1:]...)
-			b.inRecycle = false
-			return b
-		}
-	}
-	return nil
-}
-
 // sweep recycles blocks from the line marks (§4.1): full blocks drop off
 // the lists, partially free blocks join the recycled list, completely free
 // blocks return to the global pool (retaining the defrag headroom
-// locally). It returns the number of freed bytes.
-func (ix *Immix) sweep(nursery bool) int {
+// locally). With workers > 1 the per-block recomputation fans out across
+// goroutines; the classification, the releases and the LOS sweep are always
+// serial — they mutate shared lists and the block index. It returns the
+// number of freed bytes.
+func (ix *Immix) sweep(nursery bool, workers int) int {
 	// Every context's claim dies with the sweep: the line marks are the
 	// ground truth and all blocks get reclassified below. Sweep runs
 	// stop-the-world, so the allocation seam is quiescent and no lock is
@@ -875,23 +701,19 @@ func (ix *Immix) sweep(nursery bool) int {
 	ix.free = ix.free[:0]
 
 	freed := 0
+	if workers > 1 {
+		freed = ix.sweepBlocksThreaded(workers)
+	} else {
+		for _, b := range ix.blocks.all {
+			if ix.probe != nil {
+				ix.probe(probe.GCSweepBlock, uint64(b.mem.Base))
+			}
+			freed += ix.sweepBlock(ix.clock, b)
+		}
+	}
 	var releases []*block
 	for _, b := range ix.blocks.all {
-		if ix.probe != nil {
-			ix.probe(probe.GCSweepBlock, uint64(b.mem.Base))
-		}
-		ix.clock.Charge1(stats.EvBlockSweep)
-		ix.clock.Charge(stats.EvLineSweep, uint64(b.lines))
-		// Yield is the *newly* reclaimed space: lines available now that
-		// were not before the collection (freeLines tracks unclaimed
-		// availability, so the difference is what this sweep gained).
-		before := b.freeLines
-		avail := b.sweep(ix.epoch)
-		if avail > before {
-			freed += (avail - before) * ix.cfg.LineSize
-		}
-		b.inRecycle = false
-		b.inFree = false
+		avail := b.freeLines
 		switch {
 		case !b.usable():
 			// Every line failed: the block is dead weight; return it so
@@ -923,6 +745,23 @@ func (ix *Immix) sweep(nursery bool) int {
 	}
 	ix.los.sweep(ix.epoch, !nursery)
 	return freed
+}
+
+// sweepBlock recomputes one block's availability from its line marks,
+// charging clk, and returns the bytes the sweep *newly* reclaimed: lines
+// available now that were not before the collection (freeLines tracks
+// unclaimed availability, so the difference is what this sweep gained).
+func (ix *Immix) sweepBlock(clk *stats.Clock, b *block) int {
+	clk.Charge1(stats.EvBlockSweep)
+	clk.Charge(stats.EvLineSweep, uint64(b.lines))
+	before := b.freeLines
+	avail := b.sweep(ix.epoch)
+	b.inRecycle = false
+	b.inFree = false
+	if avail > before {
+		return (avail - before) * ix.cfg.LineSize
+	}
+	return 0
 }
 
 func sortBlocks(bs []*block) {

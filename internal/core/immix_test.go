@@ -45,6 +45,10 @@ type envOpts struct {
 	marksweep    bool
 	headroom     int
 	traceWorkers int // 0 = serial trace
+	threaded     bool
+	pauseWork    int // > 0: bounded marking increments (needs generational)
+	concMark     int // > 0: concurrent markers (needs generational + threaded)
+	modbufCap    int
 }
 
 func newEnv(t *testing.T, o envOpts) *testEnv {
@@ -57,12 +61,16 @@ func newEnv(t *testing.T, o envOpts) *testEnv {
 		budget = -1
 	}
 	cfg := Config{
-		Clock:        clock,
-		Model:        model,
-		LineSize:     o.lineSize,
-		FailureAware: o.failureAware,
-		Generational: o.generational,
-		TraceWorkers: o.traceWorkers,
+		Clock:          clock,
+		Model:          model,
+		LineSize:       o.lineSize,
+		FailureAware:   o.failureAware,
+		Generational:   o.generational,
+		TraceWorkers:   o.traceWorkers,
+		Threaded:       o.threaded,
+		MaxPauseWork:   o.pauseWork,
+		ConcurrentMark: o.concMark,
+		ModbufCap:      o.modbufCap,
 		HeadroomBlocks: func() int {
 			if o.headroom != 0 {
 				return o.headroom

@@ -8,95 +8,97 @@ import (
 	"wearmem/internal/stats"
 )
 
-// Parallel trace: the mark/evacuate phase split across N lanes with
-// deterministic work-stealing gray stacks.
+// The plain-claim tracer: every walk of the object graph that runs in one
+// goroutine — so object claims are plain header stores — goes through it.
 //
-// The repo's time model is a single-owner integer clock, so the lanes are
-// a *logical* simulation of a parallel trace rather than real threads:
-// they run interleaved in the collector goroutine, each charging its own
-// private clock, and when the drain terminates the lane counts merge into
-// the main clock while simulated time advances by the critical path (the
-// slowest lane). Same seed and worker count therefore always produce the
-// same marking order, the same evacuation destinations, and the same
-// cycle totals — the determinism the multi-mutator harness mode depends
-// on. Evacuation *space* (gcAlloc, block acquisition) stays on the main
-// clock: it is the serialized allocation seam a real parallel collector
-// would also contend on.
+//   - The stop-the-world trace is N tracers ("lanes") drained round-robin
+//     with deterministic work stealing. One lane is the serial collector:
+//     its clock is the plan's clock and nothing is merged. With more lanes
+//     each charges a private clock, and when the drain terminates the
+//     counts merge into the main clock while simulated time advances by the
+//     critical path (the slowest lane) — a logical simulation of a parallel
+//     trace, so the same seed and lane count always produce the same
+//     marking order, evacuation destinations and cycle totals. Evacuation
+//     space (gcAlloc, block acquisition) stays on the main clock: it is the
+//     serialized allocation seam a real parallel collector also contends on.
+//   - A marking cycle (marking.go) runs the plan's own tracer with
+//     evacuation off: the initial root scan, the bounded increments (which
+//     arm the slot-granular deadline) and the final mark of both drivers.
 
 // traceQuantum is how many gray objects a lane drains per scheduling
 // round before the next lane runs; small enough to interleave lanes,
 // large enough to amortize the round-robin sweep.
 const traceQuantum = 64
 
-type traceLane struct {
-	id      int
+type tracer struct {
+	ix      *Immix
 	clock   *stats.Clock
-	gray    []heap.Addr
-	scanbuf []heap.Addr
+	gray    []heap.Addr // mark stack
+	scanbuf []heap.Addr // per-object ref-slot buffer, reused across scans
+	// evacuate lets mark move objects out of defragmentation candidates.
+	// Marking cycles turn it off: mutators hold addresses across increments.
+	evacuate bool
+	// deadline, when nonzero, interrupts scan between two slots once the
+	// tracer's clock reaches it.
+	deadline stats.Cycles
 }
 
-func (ix *Immix) traceParallel(roots *RootSet, nursery bool, workers int) {
-	lanes := make([]*traceLane, workers)
-	for i := range lanes {
-		lanes[i] = &traceLane{id: i, clock: stats.NewClock(ix.clock.Costs())}
+// trace is the stop-the-world mark/evacuate phase over the given number of
+// lanes.
+func (ix *Immix) trace(roots *RootSet, nursery bool, workers int) {
+	ix.tr.gray = ix.tr.gray[:0]
+	ix.tr.evacuate, ix.tr.deadline = true, 0
+	lanes := []*tracer{&ix.tr}
+	if workers > 1 {
+		lanes = make([]*tracer, workers)
+		for i := range lanes {
+			lanes[i] = &tracer{ix: ix, clock: stats.NewClock(ix.clock.Costs()), evacuate: true}
+		}
 	}
 	// Deterministic work-splitting: root i seeds lane i mod workers, and
 	// during a nursery pass the logged objects round-robin the same way.
-	n := 0
-	roots.Each(func(slot *heap.Addr) {
-		ln := lanes[n%workers]
-		n++
-		ln.clock.Charge1(stats.EvRootScan)
+	for i, slot := range roots.slots {
+		t := lanes[i%len(lanes)]
+		t.clock.Charge1(stats.EvRootScan)
 		if *slot != 0 {
-			*slot = ix.markObjectLane(ln, *slot, nursery)
+			*slot = t.mark(*slot)
 		}
-	})
+	}
 	if nursery {
+		// Logged (mutated) old objects are nursery roots [8].
 		for i, obj := range ix.modbuf {
 			if fwd, ok := ix.model.Forwarded(obj); ok {
 				obj = fwd
 			}
-			ix.scanObjectLane(lanes[i%workers], obj, nursery)
+			lanes[i%len(lanes)].scan(obj, 0)
 		}
 	}
 	// Drain: round-robin over lanes, a quantum of objects each. An empty
 	// lane steals the bottom half of the richest lane's gray stack (ties
-	// broken by lane id), so load balances without any nondeterminism.
-	for {
-		progressed := false
-		for _, ln := range lanes {
-			if len(ln.gray) == 0 && !ix.stealInto(ln, lanes) {
+	// broken by lane order), so load balances without any nondeterminism.
+	for progressed := true; progressed; {
+		progressed = false
+		for _, t := range lanes {
+			if len(t.gray) == 0 && !ix.stealInto(t, lanes) {
 				continue
 			}
-			for q := 0; q < traceQuantum && len(ln.gray) > 0; q++ {
-				obj := ln.gray[len(ln.gray)-1]
-				ln.gray = ln.gray[:len(ln.gray)-1]
-				ix.scanObjectLane(ln, obj, nursery)
+			for q := 0; q < traceQuantum && len(t.gray) > 0; q++ {
+				t.scan(t.pop(), 0)
 			}
 			progressed = true
 		}
-		if !progressed {
-			break
-		}
 	}
-	// The modified-object buffer is consumed by any collection.
-	for _, obj := range ix.modbuf {
-		if fwd, ok := ix.model.Forwarded(obj); ok {
-			obj = fwd
-		}
-		ix.model.SetLogged(obj, false)
+	ix.consumeModbuf()
+	if len(lanes) == 1 {
+		return
 	}
-	ix.modbuf = ix.modbuf[:0]
-
-	// Merge lanes in id order: event counts sum (the activity breakdown
-	// stays complete), time advances by the critical path.
+	// Merge lanes in order: event counts sum (the activity breakdown stays
+	// complete), time advances by the critical path.
 	var crit, work stats.Cycles
-	for _, ln := range lanes {
-		ix.clock.Merge(ln.clock)
-		if ln.clock.Now() > crit {
-			crit = ln.clock.Now()
-		}
-		work += ln.clock.Now()
+	for _, t := range lanes {
+		ix.clock.Merge(t.clock)
+		crit = max(crit, t.clock.Now())
+		work += t.clock.Now()
 	}
 	ix.clock.Advance(crit)
 	ix.gcstats.TraceWorkCycles += work
@@ -105,13 +107,13 @@ func (ix *Immix) traceParallel(roots *RootSet, nursery bool, workers int) {
 }
 
 // stealInto moves the bottom half of the richest lane's gray stack into
-// the empty lane ln. Stealing from the bottom takes the oldest (widest)
+// the empty lane t. Stealing from the bottom takes the oldest (widest)
 // work, the classic work-stealing heuristic. Reports whether anything
 // moved.
-func (ix *Immix) stealInto(ln *traceLane, lanes []*traceLane) bool {
-	var victim *traceLane
+func (ix *Immix) stealInto(t *tracer, lanes []*tracer) bool {
+	var victim *tracer
 	for _, v := range lanes {
-		if v == ln || len(v.gray) < 2 {
+		if v == t || len(v.gray) < 2 {
 			continue
 		}
 		if victim == nil || len(v.gray) > len(victim.gray) {
@@ -122,81 +124,123 @@ func (ix *Immix) stealInto(ln *traceLane, lanes []*traceLane) bool {
 		return false
 	}
 	half := len(victim.gray) / 2
-	ln.gray = append(ln.gray, victim.gray[:half]...)
+	t.gray = append(t.gray, victim.gray[:half]...)
 	victim.gray = append(victim.gray[:0], victim.gray[half:]...)
 	ix.gcstats.TraceSteals++
 	return true
 }
 
-// The functions below mirror trace/scanObject/markObject/markInPlace/
-// evacuateObject exactly, parameterized by the lane whose clock and gray
-// stack they use. The serial path is deliberately left untouched so the
-// single-mutator configuration stays byte-identical; keep the two in sync
-// (TestTraceParallelMatchesSerial enforces the observable equivalence).
+// consumeModbuf un-logs and drops the modified-object buffer; every
+// collection and every marking cycle consumes it.
+func (ix *Immix) consumeModbuf() {
+	for _, obj := range ix.modbuf {
+		if fwd, ok := ix.model.Forwarded(obj); ok {
+			obj = fwd
+		}
+		ix.model.SetLogged(obj, false)
+	}
+	ix.modbuf = ix.modbuf[:0]
+}
 
-func (ix *Immix) scanObjectLane(ln *traceLane, obj heap.Addr, nursery bool) {
-	slots := ix.model.RefSlots(obj, ln.scanbuf[:0])
-	for _, slot := range slots {
-		ln.clock.Charge1(stats.EvObjectScan)
-		child := heap.Addr(ix.model.S.Load64(slot))
+func (t *tracer) pop() heap.Addr {
+	obj := t.gray[len(t.gray)-1]
+	t.gray = t.gray[:len(t.gray)-1]
+	return obj
+}
+
+// drain scans gray objects until the stack is empty.
+func (t *tracer) drain() {
+	for len(t.gray) > 0 {
+		t.scan(t.pop(), 0)
+	}
+}
+
+// scan visits obj's reference slots from index from through the
+// closure-free RefSlots walker (differential-tested against
+// heap.Model.EachRef), marking children and rewriting slots whose referents
+// moved. It returns -1 when the scan completed, or the slot index to resume
+// from when the deadline interrupted it.
+func (t *tracer) scan(obj heap.Addr, from int) int {
+	s, clock, deadline := t.ix.model.S, t.clock, t.deadline
+	slots := t.ix.model.RefSlots(obj, t.scanbuf[:0])
+	t.scanbuf = slots[:0]
+	for i := from; i < len(slots); i++ {
+		if deadline != 0 && clock.Now() >= deadline {
+			return i
+		}
+		clock.Charge1(stats.EvObjectScan)
+		child := heap.Addr(s.Load64(slots[i]))
 		if child == 0 {
 			continue
 		}
-		if moved := ix.markObjectLane(ln, child, nursery); moved != child {
-			ix.model.S.Store64(slot, uint64(moved))
+		if moved := t.mark(child); moved != child {
+			s.Store64(slots[i], uint64(moved))
 		}
 	}
-	ln.scanbuf = slots[:0]
+	return -1
 }
 
-func (ix *Immix) markObjectLane(ln *traceLane, a heap.Addr, nursery bool) heap.Addr {
+// mark marks the object at a — evacuating it when it sits on a
+// defragmentation candidate and the tracer may move objects, in place
+// otherwise — and returns its current address.
+func (t *tracer) mark(a heap.Addr) heap.Addr {
+	ix := t.ix
 	if fwd, ok := ix.model.Forwarded(a); ok {
-		return fwd
+		a = fwd
 	}
 	if ix.model.Epoch(a) == ix.epoch {
 		return a // already marked (or old, during a nursery pass)
 	}
 	b := ix.blockOf(a)
 	if b == nil {
-		// Large object: stamp and scan; never moved.
+		// Large object: stamped in place, never moved.
 		if !ix.los.contains(a) {
 			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
 		}
-		ix.markInPlaceLane(ln, a, nil)
-		return a
-	}
-	if b.evacuate && !ix.model.Pinned(a) {
-		if to, ok := ix.evacuateObjectLane(ln, a); ok {
-			return to
+	} else if b.evacuate && t.evacuate {
+		if !ix.model.Pinned(a) {
+			// Opportunistic: when no space can be found the object is
+			// marked in place instead.
+			if to, ok := t.evacuateObject(a); ok {
+				return to
+			}
+		} else {
+			ix.gcstats.PinnedSkips++
+			ix.pinnedLeft = append(ix.pinnedLeft, a)
 		}
 	}
-	if b.evacuate && ix.model.Pinned(a) {
-		ix.gcstats.PinnedSkips++
-		ix.pinnedLeft = append(ix.pinnedLeft, a)
-	}
-	ix.markInPlaceLane(ln, a, b)
-	return a
-}
-
-func (ix *Immix) markInPlaceLane(ln *traceLane, a heap.Addr, b *block) {
 	if ix.probe != nil {
 		ix.probe(probe.GCTraceMark, uint64(a))
 	}
+	t.markInPlace(a, b)
+	return a
+}
+
+// markInPlace stamps the object and its lines at the current epoch and
+// pushes it gray when it has reference slots. It fires no probe: the SATB
+// barrier blackens through it at the buffer cap, and marking work the
+// write barrier performs must not give fault-injection hooks a re-entry
+// point mid-store.
+func (t *tracer) markInPlace(a heap.Addr, b *block) {
+	ix := t.ix
 	ty, size := ix.model.Stamp(a, ix.epoch)
-	ln.clock.Charge1(stats.EvObjectMark)
+	t.clock.Charge1(stats.EvObjectMark)
 	ix.gcstats.ObjectsMarked++
 	ix.gcstats.BytesMarkedLive += uint64(size)
 	if b != nil {
 		b.markLines(b.mem.Base, a, size, ix.cfg.LineSize, ix.epoch)
 	}
 	if ix.model.RefCountOf(ty, a) > 0 {
-		ln.gray = append(ln.gray, a)
+		t.gray = append(t.gray, a)
 	}
 }
 
-func (ix *Immix) evacuateObjectLane(ln *traceLane, a heap.Addr) (heap.Addr, bool) {
+// evacuateObject copies a live object out of a defragmentation candidate,
+// reporting false when no destination space is left.
+func (t *tracer) evacuateObject(a heap.Addr) (heap.Addr, bool) {
+	ix := t.ix
 	size := ix.model.SizeOf(a)
-	to, ok := ix.gcAlloc(size)
+	to, ok := ix.gcAlloc(size, true)
 	if !ok {
 		return 0, false
 	}
@@ -208,14 +252,56 @@ func (ix *Immix) evacuateObjectLane(ln *traceLane, a heap.Addr) (heap.Addr, bool
 	ty, _ := ix.model.Stamp(to, ix.epoch)
 	nb := ix.blockOf(to)
 	nb.markLines(nb.mem.Base, to, size, ix.cfg.LineSize, ix.epoch)
-	ln.clock.Charge(stats.EvBytesCopied, uint64(size))
-	ln.clock.Charge1(stats.EvObjectMark)
+	t.clock.Charge(stats.EvBytesCopied, uint64(size))
+	t.clock.Charge1(stats.EvObjectMark)
 	ix.gcstats.ObjectsMarked++
 	ix.gcstats.ObjectsEvacuated++
 	ix.gcstats.BytesEvacuated += uint64(size)
 	ix.gcstats.BytesMarkedLive += uint64(size)
 	if ix.model.RefCountOf(ty, to) > 0 {
-		ln.gray = append(ln.gray, to)
+		t.gray = append(t.gray, to)
 	}
 	return to, true
+}
+
+// gcAlloc bump-allocates evacuation space from the headroom and any other
+// free or recycled non-candidate block, and — when grow is set — from fresh
+// memory; failing that, evacuation stops.
+func (ix *Immix) gcAlloc(size int, grow bool) (heap.Addr, bool) {
+	if ix.gc.fits(size) {
+		return ix.gc.bump(size), true
+	}
+	for {
+		if ix.gc.b != nil && ix.advanceHole(ix.clock, &ix.gc, size) {
+			return ix.gc.bump(size), true
+		}
+		b := ix.popFree(true)
+		if b == nil {
+			b = ix.popRecycledNonCandidate()
+		}
+		if b == nil {
+			if !grow {
+				return 0, false
+			}
+			nb, err := ix.acquireBlock(ix.clock, false)
+			if err != nil {
+				return 0, false
+			}
+			b = nb
+		}
+		ix.gc.install(b)
+	}
+}
+
+func (ix *Immix) popRecycledNonCandidate() *block {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for i, b := range ix.recycled {
+		if !b.evacuate && b.freeLines > 0 {
+			ix.recycled = append(ix.recycled[:i], ix.recycled[i+1:]...)
+			b.inRecycle = false
+			return b
+		}
+	}
+	return nil
 }

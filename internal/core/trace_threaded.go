@@ -11,10 +11,10 @@ import (
 	"wearmem/internal/stats"
 )
 
-// Threaded trace: the mark/evacuate phase on real worker goroutines.
-//
-// Where traceParallel simulates parallel lanes inside one goroutine, this
-// path spawns N workers that race each other for the object graph. The
+// The CAS-claim trace worker: every walk of the object graph that runs on
+// real goroutines racing each other (and, inside a marking window, the
+// mutators) goes through it — the threaded engine's stop-the-world trace
+// and the concurrent markers of a marking cycle (marking.go). The
 // synchronization story:
 //
 //   - Object claims go through the header word with CAS. An unmarked object
@@ -28,20 +28,24 @@ import (
 //     prestampBlocks before any worker starts, because a concurrent lazy
 //     clear would race the atomic ORs.
 //   - Evacuation space comes from the shared gc bump context under evacMu.
-//     Unlike the serial path it never acquires fresh blocks: blockIndex
+//     Unlike the plain tracer it never acquires fresh blocks: blockIndex
 //     inserts would race the lock-free containment lookups every worker
 //     depends on, so evacuation simply stops when the free and recycled
 //     pools run dry (the object is marked in place instead, which the
-//     serial path also does when space runs out).
+//     plain tracer also does when space runs out). Inside a marking window
+//     evacuation is off altogether, so no header is ever busy.
 //   - Each worker owns a mutexed deque: the owner pushes and pops at the
 //     bottom (newest, depth-first), thieves take the oldest half from the
-//     top. Only owners push, which makes the termination detector sound: a
-//     worker goes idle only with an empty deque, an idle worker's deque
-//     cannot refill, so idle == workers implies no work exists anywhere.
+//     top. Only owners push during a stop-the-world trace, which makes the
+//     termination detector sound: a worker goes idle only with an empty
+//     deque, an idle worker's deque cannot refill, so idle == workers
+//     implies no work exists anywhere. Inside a marking window a mutator's
+//     shade-at-cap may push after the markers exited; FinishMark re-drains.
 //   - Workers charge private clock shards and private stat shards, merged
-//     in worker order after the join; simulated time advances by the
-//     critical path exactly like the deterministic lanes. Wall-clock
-//     parallelism is real; simulated cycles stay comparable.
+//     in worker order after the join; after a stop-the-world trace
+//     simulated time advances by the critical path exactly like the
+//     deterministic lanes. Wall-clock parallelism is real; simulated cycles
+//     stay comparable.
 //
 // The marking order — and therefore evacuation destinations, heap layout
 // and order-dependent counters — is scheduling-dependent. The engine
@@ -49,9 +53,10 @@ import (
 // failure outcomes and verifier cleanliness (see internal/harness's
 // engine differential test).
 
-// traceWorker is one concurrent trace worker: a deque of gray objects plus
+// traceWorker is one CAS-claim trace worker: a deque of gray objects plus
 // private clock and statistic shards.
 type traceWorker struct {
+	t       *casTrace
 	id      int
 	clock   *stats.Clock
 	scanbuf []heap.Addr
@@ -112,14 +117,84 @@ func (w *traceWorker) stealFrom(v *traceWorker) bool {
 	return true
 }
 
-// thrTrace is the shared state of one threaded collection's trace phase.
-type thrTrace struct {
-	ix      *Immix
-	nursery bool
-	workers []*traceWorker
-	idle    int32
-	probeMu sync.Mutex // probe hooks are not required to be thread-safe
+// foldStats adds the worker's statistic shards to g.
+func (w *traceWorker) foldStats(g *GCStats) {
+	g.TraceSteals += w.steals
+	g.ObjectsMarked += w.objectsMarked
+	g.BytesMarkedLive += w.bytesMarked
+	g.ObjectsEvacuated += w.objectsEvacuated
+	g.BytesEvacuated += w.bytesEvacuated
+	g.PinnedSkips += w.pinnedSkips
 }
+
+// casTrace is the shared state of one set of CAS-claim workers.
+type casTrace struct {
+	ix      *Immix
+	workers []*traceWorker
+	// stw is set for the stop-the-world trace, whose workers evacuate
+	// defragmentation candidates and fire probe hooks. Markers racing the
+	// mutators do neither: addresses must stay valid, and hooks are not
+	// thread-safe against mutator-side probes (injection points for that
+	// mode are the STW boundaries, which is also where the chaos layer
+	// defers threaded injections anyway).
+	stw     bool
+	nidle   atomic.Int32
+	probeMu sync.Mutex // probe hooks are not required to be thread-safe
+	wg      sync.WaitGroup
+	panics  []any
+}
+
+func (ix *Immix) newCASTrace(workers int, stw bool) *casTrace {
+	t := &casTrace{ix: ix, stw: stw, workers: make([]*traceWorker, workers), panics: make([]any, workers)}
+	for i := range t.workers {
+		t.workers[i] = &traceWorker{t: t, id: i, clock: stats.NewClock(ix.clock.Costs())}
+	}
+	return t
+}
+
+// spawn starts one goroutine per worker running run; join waits for them.
+func (t *casTrace) spawn(run func(w *traceWorker)) {
+	for _, w := range t.workers {
+		t.wg.Add(1)
+		go func(w *traceWorker) {
+			defer t.wg.Done()
+			defer func() { t.panics[w.id] = recover() }()
+			run(w)
+		}(w)
+	}
+}
+
+// join waits for the workers, re-raises the first worker panic, and merges
+// the shards in id order: counts always sum; simulated time advances by the
+// critical path (the slowest worker) only after a stop-the-world trace —
+// markers run on spare cores while simulated time advances with the
+// mutators.
+func (t *casTrace) join() {
+	t.wg.Wait()
+	for _, p := range t.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	ix := t.ix
+	var crit, work stats.Cycles
+	for _, w := range t.workers {
+		ix.clock.Merge(w.clock)
+		crit = max(crit, w.clock.Now())
+		work += w.clock.Now()
+		w.foldStats(&ix.gcstats)
+		ix.pinnedLeft = append(ix.pinnedLeft, w.pinnedLeft...)
+	}
+	ix.gcstats.TraceWorkCycles += work
+	ix.gcstats.TraceCritCycles += crit
+	if t.stw {
+		ix.clock.Advance(crit)
+		ix.gcstats.ParallelTraces++
+	}
+}
+
+// idle reports whether every worker is simultaneously out of work.
+func (t *casTrace) idle() bool { return int(t.nidle.Load()) == len(t.workers) }
 
 // prestampBlocks stamps every block's mark bitmap at the current epoch
 // before concurrent workers touch them. Stamping eagerly is semantically
@@ -131,15 +206,14 @@ func (ix *Immix) prestampBlocks() {
 	}
 }
 
+// traceThreaded is the stop-the-world mark/evacuate phase on real worker
+// goroutines.
 func (ix *Immix) traceThreaded(roots *RootSet, nursery bool, workers int) {
 	ix.prestampBlocks()
 
-	rootSlots := make([]*heap.Addr, 0, roots.Len())
-	roots.Each(func(slot *heap.Addr) { rootSlots = append(rootSlots, slot) })
-
 	// Nursery pre-partition of the modified-object buffer, single-threaded
 	// before any worker runs. Old logged objects (epoch == current under
-	// sticky marking) must be rescanned unconditionally — markObject would
+	// sticky marking) must be rescanned unconditionally — mark would
 	// early-return on their epoch — and are each scanned by exactly one
 	// worker (the logged bit guarantees uniqueness in the buffer). Young
 	// logged objects go through the ordinary claim protocol: the threaded
@@ -157,101 +231,47 @@ func (ix *Immix) traceThreaded(roots *RootSet, nursery bool, workers int) {
 		}
 	}
 
-	t := &thrTrace{ix: ix, nursery: nursery, workers: make([]*traceWorker, workers)}
-	for i := range t.workers {
-		t.workers[i] = &traceWorker{id: i, clock: stats.NewClock(ix.clock.Costs())}
-	}
-
-	var wg sync.WaitGroup
-	panics := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		w := t.workers[i]
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			t.run(w, rootSlots, rescan, markOnly)
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
+	t := ix.newCASTrace(workers, true)
+	// Each worker takes a static share of the roots and nursery buffers
+	// (dealt round-robin by index), then joins the cooperative drain.
+	t.spawn(func(w *traceWorker) {
+		for j := w.id; j < len(roots.slots); j += workers {
+			w.clock.Charge1(stats.EvRootScan)
+			if slot := roots.slots[j]; *slot != 0 {
+				*slot = w.mark(*slot)
+			}
 		}
-	}
-
-	// The modified-object buffer is consumed by any collection.
-	for _, obj := range ix.modbuf {
-		if fwd, ok := ix.model.Forwarded(obj); ok {
-			obj = fwd
+		for j := w.id; j < len(rescan); j += workers {
+			w.scan(rescan[j])
 		}
-		ix.model.SetLogged(obj, false)
-	}
-	ix.modbuf = ix.modbuf[:0]
-
-	// Merge worker shards in id order: counts sum, simulated time advances
-	// by the critical path (the slowest worker).
-	var crit, work stats.Cycles
-	for _, w := range t.workers {
-		ix.clock.Merge(w.clock)
-		if w.clock.Now() > crit {
-			crit = w.clock.Now()
+		for j := w.id; j < len(markOnly); j += workers {
+			w.mark(markOnly[j])
 		}
-		work += w.clock.Now()
-		ix.gcstats.TraceSteals += w.steals
-		ix.gcstats.ObjectsMarked += w.objectsMarked
-		ix.gcstats.BytesMarkedLive += w.bytesMarked
-		ix.gcstats.ObjectsEvacuated += w.objectsEvacuated
-		ix.gcstats.BytesEvacuated += w.bytesEvacuated
-		ix.gcstats.PinnedSkips += w.pinnedSkips
-		ix.pinnedLeft = append(ix.pinnedLeft, w.pinnedLeft...)
-	}
-	ix.clock.Advance(crit)
-	ix.gcstats.TraceWorkCycles += work
-	ix.gcstats.TraceCritCycles += crit
-	ix.gcstats.ParallelTraces++
-}
-
-// run is one worker's trace: a static share of the roots and nursery
-// buffers (dealt round-robin by index), then the cooperative drain.
-func (t *thrTrace) run(w *traceWorker, rootSlots []*heap.Addr, rescan, markOnly []heap.Addr) {
-	n := len(t.workers)
-	for j := w.id; j < len(rootSlots); j += n {
-		w.clock.Charge1(stats.EvRootScan)
-		slot := rootSlots[j]
-		if *slot != 0 {
-			*slot = t.markObject(w, *slot)
-		}
-	}
-	for j := w.id; j < len(rescan); j += n {
-		t.scanObject(w, rescan[j])
-	}
-	for j := w.id; j < len(markOnly); j += n {
-		t.markObject(w, markOnly[j])
-	}
-	t.drain(w)
+		t.drain(w)
+	})
+	t.join()
+	ix.consumeModbuf()
 }
 
 // drain processes the worker's deque, stealing when empty, until every
 // worker is simultaneously idle. See the invariant note atop the file for
-// why idle == workers is a sound termination condition.
-func (t *thrTrace) drain(w *traceWorker) {
-	n := int32(len(t.workers))
+// why that is a sound termination condition.
+func (t *casTrace) drain(w *traceWorker) {
 	for {
 		if a, ok := w.pop(); ok {
-			t.scanObject(w, a)
+			w.scan(a)
 			continue
 		}
 		if t.steal(w) {
 			continue
 		}
-		atomic.AddInt32(&t.idle, 1)
+		t.nidle.Add(1)
 		for {
-			if atomic.LoadInt32(&t.idle) == n {
+			if t.idle() {
 				return
 			}
 			if t.victimHasWork(w) {
-				atomic.AddInt32(&t.idle, -1)
+				t.nidle.Add(-1)
 				break
 			}
 			runtime.Gosched()
@@ -259,7 +279,7 @@ func (t *thrTrace) drain(w *traceWorker) {
 	}
 }
 
-func (t *thrTrace) steal(w *traceWorker) bool {
+func (t *casTrace) steal(w *traceWorker) bool {
 	n := len(t.workers)
 	for i := 1; i < n; i++ {
 		v := t.workers[(w.id+i)%n]
@@ -271,7 +291,7 @@ func (t *thrTrace) steal(w *traceWorker) bool {
 	return false
 }
 
-func (t *thrTrace) victimHasWork(w *traceWorker) bool {
+func (t *casTrace) victimHasWork(w *traceWorker) bool {
 	for _, v := range t.workers {
 		if v != w && v.size() > 0 {
 			return true
@@ -280,8 +300,8 @@ func (t *thrTrace) victimHasWork(w *traceWorker) bool {
 	return false
 }
 
-func (t *thrTrace) probe(kind probe.Point, addr uint64) {
-	if t.ix.probe == nil {
+func (t *casTrace) probe(kind probe.Point, addr uint64) {
+	if t.ix.probe == nil || !t.stw {
 		return
 	}
 	t.probeMu.Lock()
@@ -289,37 +309,37 @@ func (t *thrTrace) probe(kind probe.Point, addr uint64) {
 	t.probeMu.Unlock()
 }
 
-// scanObject visits the claimed object's reference slots, marking children
-// and rewriting slots whose referents moved. The object belongs to exactly
-// one worker (claim protocol or unique rescan entry), so its header and
-// slots have a single scanner.
-func (t *thrTrace) scanObject(w *traceWorker, obj heap.Addr) {
-	ix := t.ix
-	h := ix.model.Header(obj)
-	ty := ix.model.TypeFromHeader(h)
-	slots := ix.model.RefSlotsOf(ty, obj, w.scanbuf[:0])
+// scan visits the claimed object's reference slots, marking children and
+// rewriting slots whose referents moved. The object belongs to exactly one
+// worker (claim protocol or unique rescan entry), so its header and slots
+// have a single scanner. Slot loads are atomic: inside a marking window the
+// mutators store references atomically into the same slots.
+func (w *traceWorker) scan(obj heap.Addr) {
+	t, m := w.t, w.t.ix.model
+	ty := m.TypeFromHeader(m.Header(obj))
+	slots := m.RefSlotsOf(ty, obj, w.scanbuf[:0])
+	w.scanbuf = slots[:0]
 	for _, slot := range slots {
 		w.clock.Charge1(stats.EvObjectScan)
-		child := heap.Addr(ix.model.S.Load64(slot))
+		child := heap.Addr(m.S.AtomicLoad64(slot))
 		if child == 0 {
 			continue
 		}
-		if moved := t.markObject(w, child); moved != child {
-			ix.model.S.Store64(slot, uint64(moved))
+		if moved := w.mark(child); moved != child && t.stw {
+			m.S.Store64(slot, uint64(moved))
 		}
 	}
-	w.scanbuf = slots[:0]
 }
 
-// markObject is the concurrent claim protocol. Every exit returns the
-// object's current address; exactly one worker wins each object and pushes
-// it gray.
-func (t *thrTrace) markObject(w *traceWorker, a heap.Addr) heap.Addr {
-	ix := t.ix
+// mark is the concurrent claim protocol. It returns the object's current
+// address; exactly one worker wins each object and pushes it gray.
+func (w *traceWorker) mark(a heap.Addr) heap.Addr {
+	t, ix := w.t, w.t.ix
 	for {
 		h := ix.model.Header(a)
 		if fwd, ok := heap.HeaderForwarded(h); ok {
-			return fwd
+			a = fwd // published after the copy's current-epoch header
+			continue
 		}
 		if heap.HeaderBusy(h) {
 			// Another worker is mid-evacuation; its result (a forwarding
@@ -331,54 +351,41 @@ func (t *thrTrace) markObject(w *traceWorker, a heap.Addr) heap.Addr {
 			return a // already marked (or old, during a nursery pass)
 		}
 		b := ix.blockOf(a)
-		if b == nil {
-			// Large object: restamp in place; never moved.
-			if !ix.los.contains(a) {
-				panic(fmt.Sprintf("core: reference %#x outside managed space", a))
-			}
-			if ix.model.CasHeader(a, h, heap.HeaderWithEpoch(h, ix.epoch)) {
-				t.noteMarked(w, a, nil, h)
-				return a
-			}
-			continue
+		if b == nil && !ix.los.contains(a) {
+			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
 		}
-		if b.evacuate && !heap.HeaderPinned(h) {
+		candidate := b != nil && b.evacuate && t.stw
+		if candidate && !heap.HeaderPinned(h) {
 			if !ix.model.CasHeader(a, h, h|heap.FlagClaimBusy) {
 				continue
 			}
-			if to, ok := t.evacuateObject(w, a, h); ok {
+			if to, ok := w.evacuateObject(a, h); ok {
 				return to
 			}
 			// No evacuation space: fall back to marking in place. The store
 			// both restamps and clears the busy bit, releasing spinners.
 			ix.model.StoreHeader(a, heap.HeaderWithEpoch(h, ix.epoch))
-			t.noteMarked(w, a, b, h)
+			w.noteMarked(a, b, h)
 			return a
 		}
-		if b.evacuate { // pinned on an evacuation candidate
-			if ix.model.CasHeader(a, h, heap.HeaderWithEpoch(h, ix.epoch)) {
-				w.pinnedSkips++
-				w.pinnedLeft = append(w.pinnedLeft, a)
-				t.noteMarked(w, a, b, h)
-				return a
-			}
+		if !ix.model.CasHeader(a, h, heap.HeaderWithEpoch(h, ix.epoch)) {
 			continue
 		}
-		if ix.model.CasHeader(a, h, heap.HeaderWithEpoch(h, ix.epoch)) {
-			t.noteMarked(w, a, b, h)
-			return a
+		if candidate { // pinned on an evacuation candidate
+			w.pinnedSkips++
+			w.pinnedLeft = append(w.pinnedLeft, a)
 		}
+		w.noteMarked(a, b, h)
+		return a
 	}
 }
 
 // noteMarked records a successful in-place claim: charges, stat shards,
 // atomic line marks, and the gray push when the object has reference slots.
-// h is the object's pre-claim header (the current one may be concurrently
-// unreadable only for other objects; ours is stable — but the type and size
-// bits never change either way).
-func (t *thrTrace) noteMarked(w *traceWorker, a heap.Addr, b *block, h uint64) {
-	ix := t.ix
-	t.probe(probe.GCTraceMark, uint64(a))
+// h is the object's pre-claim header (the type and size bits never change).
+func (w *traceWorker) noteMarked(a heap.Addr, b *block, h uint64) {
+	ix := w.t.ix
+	w.t.probe(probe.GCTraceMark, uint64(a))
 	size := heap.SizeFromHeader(h)
 	w.clock.Charge1(stats.EvObjectMark)
 	w.objectsMarked++
@@ -386,8 +393,7 @@ func (t *thrTrace) noteMarked(w *traceWorker, a heap.Addr, b *block, h uint64) {
 	if b != nil {
 		b.markLinesAtomic(b.mem.Base, a, size, ix.cfg.LineSize)
 	}
-	ty := ix.model.TypeFromHeader(h)
-	if ix.model.RefCountOf(ty, a) > 0 {
+	if ix.model.RefCountOf(ix.model.TypeFromHeader(h), a) > 0 {
 		w.push(a)
 	}
 }
@@ -396,14 +402,16 @@ func (t *thrTrace) noteMarked(w *traceWorker, a heap.Addr, b *block, h uint64) {
 // success the new copy's header is published before the forwarding header
 // (release ordering through the atomic stores), so a racer that observes
 // the forward also observes the finished copy.
-func (t *thrTrace) evacuateObject(w *traceWorker, a heap.Addr, h uint64) (heap.Addr, bool) {
-	ix := t.ix
+func (w *traceWorker) evacuateObject(a heap.Addr, h uint64) (heap.Addr, bool) {
+	ix := w.t.ix
 	size := heap.SizeFromHeader(h)
-	to, ok := ix.gcAllocThreaded(size)
+	ix.evacMu.Lock()
+	to, ok := ix.gcAlloc(size, false)
+	ix.evacMu.Unlock()
 	if !ok {
 		return 0, false
 	}
-	t.probe(probe.GCEvacuate, uint64(a))
+	w.t.probe(probe.GCEvacuate, uint64(a))
 	ix.model.S.Copy(to, a, size)
 	ix.model.StoreHeader(to, heap.HeaderWithEpoch(h, ix.epoch))
 	ix.model.StoreHeader(a, heap.ForwardHeader(to))
@@ -415,18 +423,17 @@ func (t *thrTrace) evacuateObject(w *traceWorker, a heap.Addr, h uint64) (heap.A
 	w.bytesMarked += uint64(size)
 	w.objectsEvacuated++
 	w.bytesEvacuated += uint64(size)
-	ty := ix.model.TypeFromHeader(h)
-	if ix.model.RefCountOf(ty, to) > 0 {
+	if ix.model.RefCountOf(ix.model.TypeFromHeader(h), to) > 0 {
 		w.push(to)
 	}
 	return to, true
 }
 
 // ensureEvacHeadroom tops up the free pool before a threaded trace starts.
-// gcAllocThreaded cannot acquire fresh blocks once workers run (the block
+// CAS-claim workers cannot acquire fresh blocks once they run (the block
 // index insert would race their lock-free containment lookups), so the
 // acquisition happens here, while the world is stopped and this goroutine
-// is alone — restoring the serial collector's acquire-on-demand guarantee.
+// is alone — restoring the plain tracer's acquire-on-demand guarantee.
 // One fresh block per evacuation candidate bounds the worst case: a
 // candidate's live data always fits inside one block. Acquisition failures
 // (pool budget exhausted) leave the shortfall to in-place marking and, for
@@ -460,127 +467,44 @@ func (ix *Immix) ensureEvacHeadroom() {
 	}
 }
 
-// gcAllocThreaded bump-allocates evacuation space under evacMu. It never
-// acquires fresh blocks — a blockIndex insert would race every worker's
-// lock-free containment lookups — so evacuation degrades to in-place
-// marking once the pre-trace headroom and recycled pools are exhausted.
-func (ix *Immix) gcAllocThreaded(size int) (heap.Addr, bool) {
-	ix.evacMu.Lock()
-	defer ix.evacMu.Unlock()
-	if ix.gc.fits(size) {
-		return ix.gc.bump(size), true
-	}
-	for {
-		if ix.gc.b != nil && ix.advanceHole(ix.clock, &ix.gc, size) {
-			return ix.gc.bump(size), true
-		}
-		b := ix.popFree(true)
-		if b == nil {
-			b = ix.popRecycledNonCandidate()
-		}
-		if b == nil {
-			return 0, false
-		}
-		ix.gc.install(b)
-	}
-}
-
-// sweepThreaded is the sweep phase with the per-block bitmap recomputation
-// fanned out across workers. Block sweeping is embarrassingly parallel
-// (block.sweep touches only the block's own state and blocks partition by
-// index); the classification into free/recycled lists, the releases and
-// the LOS sweep stay serial — they mutate shared lists and the block index.
-func (ix *Immix) sweepThreaded(nursery bool, workers int) int {
-	for _, mc := range ix.muts {
-		mc.cur.reset()
-		mc.over.reset()
-		mc.recycled = mc.recycled[:0]
-	}
-	ix.gc.reset()
-	ix.recycled = ix.recycled[:0]
-	ix.free = ix.free[:0]
-
+// sweepBlocksThreaded fans the per-block bitmap recomputation out across
+// workers. Block sweeping is embarrassingly parallel (block.sweep touches
+// only the block's own state and blocks partition by index); workers charge
+// private clock shards, merged by critical path like the trace.
+func (ix *Immix) sweepBlocksThreaded(workers int) int {
 	blocks := ix.blocks.all
-	type sweepShard struct {
-		clock *stats.Clock
-		freed int
-	}
-	shards := make([]*sweepShard, workers)
-	var probeMu sync.Mutex
-	var wg sync.WaitGroup
+	clocks := make([]*stats.Clock, workers)
+	freed := make([]int, workers)
 	panics := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		sh := &sweepShard{clock: stats.NewClock(ix.clock.Costs())}
-		shards[i] = sh
+	var probeMu sync.Mutex // probe hooks are not required to be thread-safe
+	var wg sync.WaitGroup
+	for i := range clocks {
+		clocks[i] = stats.NewClock(ix.clock.Costs())
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			defer func() { panics[id] = recover() }()
 			for j := id; j < len(blocks); j += workers {
-				b := blocks[j]
 				if ix.probe != nil {
 					probeMu.Lock()
-					ix.probe(probe.GCSweepBlock, uint64(b.mem.Base))
+					ix.probe(probe.GCSweepBlock, uint64(blocks[j].mem.Base))
 					probeMu.Unlock()
 				}
-				sh.clock.Charge1(stats.EvBlockSweep)
-				sh.clock.Charge(stats.EvLineSweep, uint64(b.lines))
-				before := b.freeLines
-				avail := b.sweep(ix.epoch)
-				if avail > before {
-					sh.freed += (avail - before) * ix.cfg.LineSize
-				}
-				b.inRecycle = false
-				b.inFree = false
+				freed[id] += ix.sweepBlock(clocks[id], blocks[j])
 			}
 		}(i)
 	}
 	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-
-	freed := 0
+	total := 0
 	var crit stats.Cycles
-	for _, sh := range shards {
-		freed += sh.freed
-		ix.clock.Merge(sh.clock)
-		if sh.clock.Now() > crit {
-			crit = sh.clock.Now()
+	for i, c := range clocks {
+		if panics[i] != nil {
+			panic(panics[i])
 		}
+		total += freed[i]
+		ix.clock.Merge(c)
+		crit = max(crit, c.Now())
 	}
 	ix.clock.Advance(crit)
-
-	var releases []*block
-	for _, b := range blocks {
-		avail := b.freeLines
-		switch {
-		case !b.usable():
-			releases = append(releases, b)
-		case avail == 0:
-			// Fully occupied: off the lists until something dies.
-		case avail == b.lines-b.failedLines:
-			b.inFree = true
-			ix.free = append(ix.free, b)
-		default:
-			b.inRecycle = true
-			ix.recycled = append(ix.recycled, b)
-		}
-	}
-	sortBlocks(ix.recycled)
-	sortBlocks(ix.free)
-	for len(ix.free) > ix.cfg.HeadroomBlocks {
-		b := ix.free[len(ix.free)-1]
-		ix.free = ix.free[:len(ix.free)-1]
-		b.inFree = false
-		releases = append(releases, b)
-	}
-	for _, b := range releases {
-		ix.blocks.remove(b.mem.Base)
-		ix.mem.ReleaseBlock(b.mem)
-	}
-	ix.los.sweep(ix.epoch, !nursery)
-	return freed
+	return total
 }

@@ -147,9 +147,9 @@ func (v *VM) RunThreads(fns ...func() error) error {
 	}
 	err := sched.Parallel(wrapped...)
 	if v.immix != nil && v.immix.Marking() {
-		// The batch ended mid-cycle; finalize with no tasks left to stop so
+		// The batch ended mid-cycle; finish it with no tasks left to stop so
 		// verification and reporting never observe a half-marked heap.
-		v.immix.FinalizeConcurrentMark(v.roots)
+		v.immix.CompleteMark(v.roots)
 	}
 	v.mergeMutatorClocks()
 	v.drainPendingFails()
@@ -171,9 +171,9 @@ func (v *VM) concMarkStep(size int) {
 		defer v.world.start()
 		defer v.drainPendingFails()
 		// Recheck under the stopped world: another mutator may have won the
-		// race and finalized (or even begun the next cycle) while we waited.
+		// race and finished (or even begun the next cycle) while we waited.
 		if ix.Marking() && ix.MarkDone() {
-			ix.FinalizeConcurrentMark(v.roots)
+			ix.FinishMark(v.roots)
 		}
 		return
 	}
@@ -185,7 +185,7 @@ func (v *VM) concMarkStep(size int) {
 	defer v.drainPendingFails()
 	if !ix.Marking() && v.allocSinceMark.Load() >= int64(v.markTriggerBytes) {
 		v.allocSinceMark.Store(0)
-		ix.BeginConcurrentMark(v.roots, v.concMark)
+		ix.BeginMark(v.roots, v.concMark)
 	}
 }
 
@@ -277,10 +277,10 @@ func (v *VM) allocSlowThreaded(m *Mutator, ty *heap.Type, size, n int) (heap.Add
 	if v.immix != nil && v.immix.Marking() {
 		// The block index must not grow under the markers' lock-free lookups
 		// (acquireBlock returns ErrMarkInProgress while a cycle is active), so
-		// the cycle finalizes here — under the stopped world — and the
+		// the cycle completes here — under the stopped world — and the
 		// allocation retries against the freshly swept heap before any
 		// further collection escalates.
-		v.immix.FinalizeConcurrentMark(v.roots)
+		v.immix.CompleteMark(v.roots)
 		v.drainPendingFails()
 		if a, err = v.allocGuarded(m, ty, size, n); err == nil {
 			return a, nil

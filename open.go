@@ -42,9 +42,6 @@ type openConfig struct {
 	poolPages    int
 	heapBytes    int
 	collector    CollectorKind
-	lineSize     int
-	failureAware bool
-	compensate   *bool
 	failureRate  float64
 	clusterPages int
 	inject       *FailureMap
@@ -76,12 +73,9 @@ func WithHeapBytes(n int) Option { return func(c *openConfig) { c.heapBytes = n 
 // WithCollector selects the collector (default StickyImmix).
 func WithCollector(k CollectorKind) Option { return func(c *openConfig) { c.collector = k } }
 
-// WithLineSize sets the Immix line size in bytes (default 256, §6.3).
-func WithLineSize(n int) Option { return func(c *openConfig) { c.lineSize = n } }
-
 // WithFailureRate statically injects uniform line failures at rate f into
 // the pool before the runtime boots and enables the §6.2 heap
-// compensation (override with WithCompensation).
+// compensation.
 func WithFailureRate(f float64) Option { return func(c *openConfig) { c.failureRate = f } }
 
 // WithClusterPages models §3.1.2 failure-clustering hardware with regions
@@ -95,14 +89,6 @@ func WithInject(m *FailureMap) Option { return func(c *openConfig) { c.inject = 
 // WithSeed drives failure-map generation and device endurance variation
 // (default 42).
 func WithSeed(seed int64) Option { return func(c *openConfig) { c.seed = seed } }
-
-// WithCompensation pins the §6.2 heap compensation on or off; the default
-// compensates exactly when a failure rate is configured.
-func WithCompensation(on bool) Option { return func(c *openConfig) { c.compensate = &on } }
-
-// WithFailureAware toggles failure awareness in the collector (default
-// true — the paper's subject; turn off for baseline comparisons).
-func WithFailureAware(on bool) Option { return func(c *openConfig) { c.failureAware = on } }
 
 // WithEngine selects the execution engine: "baton" (default — the
 // deterministic cooperative scheduler) or "threaded" (real mutator
@@ -191,8 +177,7 @@ func WithRemapPolicy(name string) Option { return func(c *openConfig) { c.remap 
 
 // Open assembles a simulation stack from functional options: the clock,
 // an optional wearing device, the kernel over the PCM pool, and the
-// failure-aware runtime. It replaces the manual NewDevice / NewKernel /
-// NewVM wiring:
+// failure-aware runtime, wired in the only valid order:
 //
 //	rt, err := wearmem.Open(
 //	    wearmem.WithPoolPages(4096),
@@ -203,12 +188,11 @@ func WithRemapPolicy(name string) Option { return func(c *openConfig) { c.remap 
 //	node := rt.VM.RegisterType(...)
 func Open(opts ...Option) (*Runtime, error) {
 	c := openConfig{
-		poolPages:    4096,
-		heapBytes:    2 << 20,
-		collector:    StickyImmix,
-		failureAware: true,
-		seed:         42,
-		mutators:     1,
+		poolPages: 4096,
+		heapBytes: 2 << 20,
+		collector: StickyImmix,
+		seed:      42,
+		mutators:  1,
 	}
 	for _, opt := range opts {
 		opt(&c)
@@ -324,21 +308,16 @@ func Open(opts ...Option) (*Runtime, error) {
 		recovery = &st
 	}
 
-	compensate := c.failureRate > 0
-	if c.compensate != nil {
-		compensate = *c.compensate
-	}
 	traceWorkers := 0
 	if threaded {
 		traceWorkers = c.mutators
 	}
 	v := vm.New(vm.Config{
 		HeapBytes:      c.heapBytes,
-		Compensate:     compensate,
+		Compensate:     c.failureRate > 0,
 		FailureRate:    c.failureRate,
 		Collector:      c.collector,
-		LineSize:       c.lineSize,
-		FailureAware:   c.failureAware,
+		FailureAware:   true,
 		Threaded:       threaded,
 		TraceWorkers:   traceWorkers,
 		PauseBudget:    c.pauseBudget,

@@ -79,13 +79,6 @@ type (
 	WearLeveling = pcm.WearLeveling
 )
 
-// NewDevice builds a PCM module.
-//
-// Deprecated: use Open with WithWearingDevice (and WithDeviceTuning for
-// the remaining DeviceConfig fields); it wires the device into the kernel
-// and clock in the only valid order.
-func NewDevice(cfg DeviceConfig, clock *Clock) *Device { return pcm.NewDevice(cfg, clock) }
-
 // Wear-leveling policies.
 const (
 	NoWearLeveling = pcm.NoWearLeveling
@@ -130,12 +123,6 @@ type (
 	KernelConfig = kernel.Config
 )
 
-// NewKernel builds the OS over the configured physical memory.
-//
-// Deprecated: use Open, which builds the kernel over the pool, the
-// injected failure map and the optional wearing device for you.
-func NewKernel(cfg KernelConfig) *Kernel { return kernel.New(cfg) }
-
 // The managed runtime (internal/vm) and its object model (internal/heap).
 type (
 	// VM is a failure-aware managed runtime instance.
@@ -147,12 +134,6 @@ type (
 	// Type describes a class of heap objects.
 	Type = heap.Type
 )
-
-// NewVM builds a runtime over a kernel.
-//
-// Deprecated: use Open, which assembles clock, device, kernel and VM with
-// consistent failure-rate, compensation and engine settings.
-func NewVM(cfg VMConfig) *VM { return vm.New(cfg) }
 
 // CollectorKind selects the collection algorithm (Fig. 3).
 type CollectorKind = vm.CollectorKind

@@ -1,51 +1,6 @@
 package wearmem
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// TestPublicAPIEndToEnd drives the facade the way the README quickstart
-// does: worn pool → clustering → OS → failure-aware runtime → allocation
-// around holes → collection.
-func TestPublicAPIEndToEnd(t *testing.T) {
-	const poolPages = 2048
-	inject := NewFailureMap(poolPages * PageSize)
-	GenerateUniform(inject, 0.25, rand.New(rand.NewSource(42)))
-	inject = ClusterHardware(inject, 2)
-	if inject.PerfectPages() == 0 {
-		t.Fatal("clustering produced no perfect pages at 25%")
-	}
-
-	clock := NewClock()
-	kern := NewKernel(KernelConfig{PCMPages: poolPages, Inject: inject, Clock: clock})
-	v := NewVM(VMConfig{
-		HeapBytes: 1 << 20, Compensate: true, FailureRate: 0.25,
-		Collector: StickyImmix, FailureAware: true,
-		Kernel: kern, Clock: clock,
-	})
-
-	node := v.RegisterType(&Type{Name: "node", Kind: KindFixed, Size: 24, RefOffsets: []int{8}})
-	var head Addr
-	v.AddRoot(&head)
-	for i := 0; i < 5000; i++ {
-		n := v.MustNew(node)
-		v.WriteWord(n, 16, uint64(i))
-		v.WriteRef(n, 8, head)
-		head = n
-	}
-	v.Collect(true)
-	count := 0
-	for a := head; a != 0; a = v.ReadRef(a, 8) {
-		count++
-	}
-	if count != 5000 {
-		t.Fatalf("list has %d nodes after collection, want 5000", count)
-	}
-	if clock.Now() == 0 {
-		t.Fatal("no simulated time elapsed")
-	}
-}
+import "testing"
 
 func TestPublicRegistries(t *testing.T) {
 	if len(Benchmarks()) != 12 {
@@ -62,15 +17,23 @@ func TestPublicRegistries(t *testing.T) {
 	}
 }
 
+// The device behind an opened runtime is the raw PCM module wired to the
+// OS: writes wear it, and a line's failure record is drained from the
+// device's failure buffer into the kernel's failure table.
 func TestPublicDevice(t *testing.T) {
-	d := NewDevice(DeviceConfig{Size: 4 * PageSize, Endurance: 2, TrackData: true}, NewClock())
+	rt := MustOpen(
+		WithPoolPages(4),
+		WithHeapBytes(4*PageSize),
+		WithWearingDevice(2, 0),
+	)
+	d := rt.Device
 	buf := make([]byte, LineSize)
 	d.Write(9, buf)
 	d.Write(9, buf) // endurance 2: second write fails the line
 	if d.FailedLines() != 1 {
 		t.Fatalf("failed lines = %d", d.FailedLines())
 	}
-	if _, ok := d.Drain(); !ok {
-		t.Fatal("failure record not queued")
+	if rt.Kernel.FrameFailedLines(0)&(1<<9) == 0 {
+		t.Fatal("failure record did not reach the OS failure table")
 	}
 }
