@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments perf perf-wearout determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,13 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the threaded execution engine: real-goroutine
-# mutators, concurrent trace/sweep, the engine differential and the
-# threaded torture campaigns (subset of "race"; faster signal).
+# mutators, concurrent trace/sweep, the engine differential, the threaded
+# torture campaigns and the device's lock-free status reads (subset of
+# "race"; faster signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
-		./internal/chaos/ ./internal/harness/ \
-		-run 'Threaded|RunThreads|World|EngineDifferential|MultiMutator'
+		./internal/chaos/ ./internal/harness/ ./internal/pcm/ \
+		-run 'Threaded|RunThreads|World|EngineDifferential|MultiMutator|LockFreeStatus'
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +58,17 @@ bench:
 # longer compile or crash without paying for stable timings (CI smoke job).
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The performance ledger (bench/README.md): every workload untraced and
+# traced, compared against bench/baseline.json. About four minutes.
+perf:
+	bash bench/run.sh
+
+# One ledger workload, the way BENCHMARK.json runs it: tab2's wear passes
+# and simulator runs. The last stdout line is the result JSON; the command
+# exits 1 when a report digest or pin moved ("correct":false).
+perf-wearout:
+	bash bench/run.sh --workload wearout --seed 42 --seconds 12 --trace 0
 
 # Full experiment benchmarks (quick configuration; takes minutes).
 bench-experiments:

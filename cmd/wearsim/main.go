@@ -124,6 +124,7 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	buf := make([]byte, failmap.LineSize)
+	block := make([]int, 512) // hammer's traffic draws
 	fmt.Printf("wearsim: %d pages, endurance ~%d writes/line, clustering %dp, start-gap %v\n",
 		*pages, *endurance, *cluster, *leveling)
 
@@ -157,16 +158,16 @@ func main() {
 			fmt.Printf("  line %d: unavailable=%v\n", line, dev.Unavailable(line))
 		case "hammer":
 			n := arg(1, 10000)
-			hot := dev.Lines() / 4
 			stalled := 0
-			for i := 0; i < n; i++ {
-				l := rng.Intn(hot)
-				if rng.Intn(10) == 0 {
-					l = rng.Intn(dev.Lines())
-				}
-				if dev.Write(l, buf) != nil {
-					stalled++
-					dev.Drain()
+			for i := 0; i < n; i += len(block) {
+				// Draw no further than n: rng carries over to the next command.
+				run := block[:min(len(block), n-i)]
+				dev.SkewedLines(rng, run)
+				for _, l := range run {
+					if dev.Write(l, buf) != nil {
+						stalled++
+						dev.Drain()
+					}
 				}
 			}
 			fmt.Printf("  %d writes (%d stalled), %d lines failed (%.2f%%)\n",
@@ -685,19 +686,19 @@ func wearPopulation(cfg pcm.Config, seed int64, n, writes, workers int) []popRes
 		go func() {
 			defer wg.Done()
 			buf := make([]byte, failmap.LineSize)
+			block := make([]int, 512)
 			for i := range idx {
 				c := cfg
 				c.Seed = seed + int64(i)
 				dev := pcm.NewDevice(c, nil)
 				rng := rand.New(rand.NewSource(c.Seed))
-				hot := dev.Lines() / 4
-				for j := 0; j < writes; j++ {
-					l := rng.Intn(hot)
-					if rng.Intn(10) == 0 {
-						l = rng.Intn(dev.Lines())
-					}
-					if dev.Write(l, buf) != nil {
-						dev.Drain()
+				for j := 0; j < writes; j += len(block) {
+					run := block[:min(len(block), writes-j)]
+					dev.SkewedLines(rng, run)
+					for _, l := range run {
+						if dev.Write(l, buf) != nil {
+							dev.Drain()
+						}
 					}
 				}
 				m := dev.FailMap()

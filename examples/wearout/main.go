@@ -27,16 +27,20 @@ func wearOut(policy wearmem.WearLeveling, target float64) (*wearmem.FailureMap, 
 	)
 	dev := rt.Device
 	rng := rand.New(rand.NewSource(13))
-	hot := dev.Lines() / 4
 	buf := make([]byte, wearmem.LineSize)
+	block := make([]int, 512)
+	next := block[:0] // drawn, not yet written
 	writes := uint64(0)
 	for dev.FailureRate() < target {
-		l := rng.Intn(hot) // 90% of traffic hits a quarter of the module
-		if rng.Intn(10) == 0 {
-			l = rng.Intn(dev.Lines())
+		if len(next) == 0 {
+			dev.SkewedLines(rng, block) // 90% of traffic hits a quarter of the module
+			next = block
 		}
-		dev.Write(l, buf)
-		writes++
+		// WriteRun applies the run under one device lock and returns at the
+		// first failure, after the OS has handled its interrupt.
+		n, _ := dev.WriteRun(next, buf)
+		next = next[n:]
+		writes += uint64(n)
 		for dev.BufferLen() > 0 {
 			dev.Drain()
 		}

@@ -572,15 +572,13 @@ func Tab2(o Options) *Report {
 	r.QuickDivisor = 0
 	rates := []float64{0.10, 0.25, 0.50}
 	policies := []pcm.WearLeveling{pcm.StartGap, pcm.NoWearLeveling}
-	// Wearing a device to each target rate is itself expensive; precompute
-	// the worn templates once so the parallel planning pass (which runs the
-	// report body twice) does not wear every device a second time.
-	worn := make(map[pcm.WearLeveling]map[float64]*failmap.Map)
+	// Wearing a device is itself expensive, so each policy's device is worn
+	// once, its failure map taken as it crosses each rate, and all of that
+	// happens before the report body (which the parallel planning pass runs
+	// twice).
+	worn := make(map[pcm.WearLeveling][]*failmap.Map) // per policy, one map per rate
 	for _, wl := range policies {
-		worn[wl] = make(map[float64]*failmap.Map)
-		for _, f := range rates {
-			worn[wl][f] = wornFailureMap(wl, f, o.Seed)
-		}
+		worn[wl] = wornFailureMaps(wl, wornTemplatePages, rates, o.Seed)
 	}
 	return r.Collect(func() *Report {
 		t := Table{
@@ -606,8 +604,8 @@ func Tab2(o Options) *Report {
 				label = "no leveling (concentrated)"
 			}
 			row := []Cell{Text(label)}
-			for _, f := range rates {
-				inject := worn[wl][f]
+			for i, f := range rates {
+				inject := worn[wl][i]
 				v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
 					return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
 							FailureAware: true, FailureRate: f,
@@ -626,36 +624,61 @@ func Tab2(o Options) *Report {
 	})
 }
 
-// wornFailureMap produces a failure map by simulating skewed write traffic
-// on a PCM device until the target failure rate, under the given policy.
-func wornFailureMap(wl pcm.WearLeveling, target float64, seed int64) *failmap.Map {
-	// A small module with low endurance: the resulting failure *pattern*
-	// is what matters (the runner tiles the template across the pool), and
-	// reaching a 50% rate through skewed traffic on a realistic module
-	// would take billions of simulated writes.
-	const pages = 512 // 2 MB template
+// wornTemplatePages sizes Tab2's worn devices (a 2 MB template): the
+// resulting failure *pattern* is what matters (the runner tiles the template
+// across the pool), and reaching a 50% rate through skewed traffic on a
+// realistic module would take billions of simulated writes.
+const wornTemplatePages = 512
+
+// wornFailureMaps wears one device of the given size under policy wl with
+// skewed write traffic and returns its failure map as each of the ascending
+// target rates is crossed. A lower target's run is an exact prefix of a
+// higher one's (same device seed, same traffic stream), so every map is
+// bit-for-bit the one a fresh device worn to that target alone would give.
+func wornFailureMaps(wl pcm.WearLeveling, pages int, targets []float64, seed int64) []*failmap.Map {
+	dev := wearDevice(wl, pages, seed)
+	maps := make([]*failmap.Map, 0, len(targets))
+	wearThrough(dev, rand.New(rand.NewSource(seed+7)), targets, func(int) {
+		maps = append(maps, dev.FailMap())
+	})
+	return maps
+}
+
+// wearDevice builds the low-endurance module the wear study drives.
+func wearDevice(wl pcm.WearLeveling, pages int, seed int64) *pcm.Device {
 	// GapInterval 1 keeps the start-gap rotation fast relative to the
 	// endurance so leveling genuinely uniformizes wear before the target
 	// rate is reached (slow rotation would merely smear the hot band).
-	dev := pcm.NewDevice(pcm.Config{
+	return pcm.NewDevice(pcm.Config{
 		Size: pages * failmap.PageSize, Endurance: 300, Variation: 0.15,
 		WearLeveling: wl, GapInterval: 1, Seed: seed,
 	}, nil)
-	rng := rand.New(rand.NewSource(seed + 7))
-	hot := dev.Lines() / 4
+}
+
+// wearThrough drives dev with the skewed traffic stream of rng, draining
+// every failure as the OS would, and calls reached(i) as the failure rate
+// crosses targets[i] (ascending). Line indices are drawn in blocks and fed
+// to WriteRun, which returns at every failure, so the rate is tested
+// wherever it can have changed; indices drawn past the last crossing are
+// never written, and rng is the caller's to discard.
+func wearThrough(dev *pcm.Device, rng *rand.Rand, targets []float64, reached func(i int)) {
 	buf := make([]byte, failmap.LineSize)
-	for dev.FailureRate() < target {
-		// 90% of writes hit the hot quarter of the module.
-		l := rng.Intn(hot)
-		if rng.Intn(10) == 0 {
-			l = rng.Intn(dev.Lines())
+	block := make([]int, 512)
+	next := block[:0] // drawn, not yet written
+	for i, target := range targets {
+		for dev.FailureRate() < target {
+			if len(next) == 0 {
+				dev.SkewedLines(rng, block)
+				next = block
+			}
+			n, _ := dev.WriteRun(next, buf) // never stalls: the buffer is empty on entry
+			next = next[n:]
+			for dev.BufferLen() > 0 {
+				dev.Drain()
+			}
 		}
-		dev.Write(l, buf)
-		for dev.BufferLen() > 0 {
-			dev.Drain()
-		}
+		reached(i)
 	}
-	return dev.FailMap()
 }
 
 // Tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.

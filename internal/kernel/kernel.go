@@ -17,6 +17,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"wearmem/internal/failmap"
@@ -468,20 +469,54 @@ func (k *Kernel) Translate(vaddr uint64) (frame, offset int, ok bool) {
 }
 
 func (k *Kernel) translateLocked(vaddr uint64) (frame, offset int, ok bool) {
-	for _, r := range k.regions {
-		if vaddr >= r.Base && vaddr < r.Base+uint64(r.Size()) {
-			page := int((vaddr - r.Base) / failmap.PageSize)
-			return r.frames[page], int((vaddr - r.Base) % failmap.PageSize), true
-		}
+	r := k.regionAtLocked(vaddr)
+	if r == nil {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	page := int((vaddr - r.Base) / failmap.PageSize)
+	return r.frames[page], int((vaddr - r.Base) % failmap.PageSize), true
 }
 
-// Release returns a region's PCM frames to the pool (used by runtimes that
-// shrink). DRAM frames simply vanish. The region must not be used again.
+// regionAtLocked returns the mapped region containing vaddr, or nil.
+func (k *Kernel) regionAtLocked(vaddr uint64) *Region {
+	i := k.regionIndexLocked(vaddr)
+	if i < 0 {
+		return nil
+	}
+	if r := k.regions[i]; vaddr < r.Base+uint64(r.Size()) {
+		return r
+	}
+	return nil
+}
+
+// regionIndexLocked returns the index of the last region based at or below
+// vaddr — the only one that can contain it — or -1. makeRegion hands out
+// ascending bases and Release cuts in place, so k.regions is ordered by
+// Base and the lookup is a binary search (open-coded: it runs under every
+// write-through store, and sort.Search's closure call shows there).
+func (k *Kernel) regionIndexLocked(vaddr uint64) int {
+	lo, hi := 0, len(k.regions)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); k.regions[mid].Base <= vaddr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// Release unmaps a region and returns its PCM frames to the pool (used by
+// runtimes that shrink). DRAM frames simply vanish. The region must not be
+// used again: its addresses no longer translate.
 func (k *Kernel) Release(r *Region) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	i := k.regionIndexLocked(r.Base)
+	if i < 0 || k.regions[i] != r {
+		panic(fmt.Sprintf("kernel: Release of unmapped region at %#x", r.Base))
+	}
+	k.regions = slices.Delete(k.regions, i, i+1)
 	for _, f := range r.frames {
 		delete(k.reverse, f)
 		if f >= k.pcmPages {

@@ -143,6 +143,82 @@ func TestReleaseRecyclesFrames(t *testing.T) {
 	}
 }
 
+// A released region's addresses must stop resolving: its frames are back in
+// the pool and may already back another mapping.
+func TestReleaseUnmapsAddresses(t *testing.T) {
+	dev := pcm.NewDevice(pcm.Config{Size: 8 * failmap.PageSize, TrackData: true}, nil)
+	k := New(Config{PCMPages: 8, Device: dev})
+	keep, _ := k.MmapRelaxed(2)
+	gone, _ := k.MmapRelaxed(2)
+	after, _ := k.MmapRelaxed(2)
+	k.Release(gone)
+
+	line := make([]byte, failmap.LineSize)
+	for _, vaddr := range []uint64{gone.Base, gone.Base + uint64(gone.Size()) - 1} {
+		if _, _, ok := k.Translate(vaddr); ok {
+			t.Errorf("Translate(%#x) resolves after Release", vaddr)
+		}
+		if k.RegionAt(vaddr) != nil {
+			t.Errorf("RegionAt(%#x) finds the released region", vaddr)
+		}
+		if err := k.WriteLine(vaddr&^uint64(failmap.LineSize-1), line); err == nil {
+			t.Errorf("WriteLine(%#x) succeeded on a released address", vaddr)
+		}
+	}
+	// The neighbours on either side are untouched.
+	for _, r := range []*Region{keep, after} {
+		if _, _, ok := k.Translate(r.Base); !ok {
+			t.Errorf("Translate(%#x) lost a live region", r.Base)
+		}
+		if err := k.WriteLine(r.Base, line); err != nil {
+			t.Errorf("WriteLine(%#x): %v", r.Base, err)
+		}
+	}
+}
+
+// The page-table walk is a binary search over Base-ordered regions; probe its
+// edges at the region count the benchmark ladder uses.
+func TestTranslateManyRegions(t *testing.T) {
+	const regions, pages = 256, 2
+	k := New(Config{PCMPages: regions * pages})
+	rs := make([]*Region, regions)
+	for i := range rs {
+		r, err := k.MmapRelaxed(pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
+	}
+	for _, i := range []int{0, regions / 2, regions - 1} {
+		r := rs[i]
+		for _, off := range []int{0, failmap.PageSize + 5, r.Size() - 1} {
+			frame, offset, ok := k.Translate(r.Base + uint64(off))
+			if !ok || frame != r.frames[off/failmap.PageSize] || offset != off%failmap.PageSize {
+				t.Errorf("region %d +%d: got frame %d offset %d ok=%v", i, off, frame, offset, ok)
+			}
+		}
+	}
+	last := rs[regions-1]
+	if _, _, ok := k.Translate(last.Base + uint64(last.Size())); ok {
+		t.Error("one past the last region resolves")
+	}
+	if rs[0].Base > 0 {
+		if _, _, ok := k.Translate(rs[0].Base - 1); ok {
+			t.Error("one before the first region resolves")
+		}
+	}
+	// Releasing from the middle keeps the order the search relies on.
+	k.Release(rs[regions/2])
+	if _, _, ok := k.Translate(rs[regions/2].Base); ok {
+		t.Error("released middle region resolves")
+	}
+	for _, i := range []int{regions/2 - 1, regions/2 + 1} {
+		if frame, _, ok := k.Translate(rs[i].Base); !ok || frame != rs[i].frames[0] {
+			t.Errorf("region %d lost after releasing its neighbour", i)
+		}
+	}
+}
+
 func TestTableSizes(t *testing.T) {
 	k := New(Config{PCMPages: 256, Inject: injected(256, 0.0, 1)})
 	if k.TableRawSize() != 256*8 {

@@ -130,12 +130,7 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 func (k *Kernel) RegionAt(vaddr uint64) *Region {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, r := range k.regions {
-		if vaddr >= r.Base && vaddr < r.Base+uint64(r.Size()) {
-			return r
-		}
-	}
-	return nil
+	return k.regionAtLocked(vaddr)
 }
 
 // RemapPageAt replaces the physical frame behind the virtual address with
@@ -144,14 +139,12 @@ func (k *Kernel) RegionAt(vaddr uint64) *Region {
 func (k *Kernel) RemapPageAt(vaddr uint64) (borrowed, ok bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, r := range k.regions {
-		if vaddr >= r.Base && vaddr < r.Base+uint64(r.Size()) {
-			page := int((vaddr - r.Base) / failmap.PageSize)
-			_, b := k.handleUnawareLocked(r, page)
-			return b, true
-		}
+	r := k.regionAtLocked(vaddr)
+	if r == nil {
+		return false, false
 	}
-	return false, false
+	_, b := k.handleUnawareLocked(r, int((vaddr-r.Base)/failmap.PageSize))
+	return b, true
 }
 
 // InjectRandomDynamicFailure marks a random line of a random mapped PCM

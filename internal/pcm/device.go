@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"wearmem/internal/cluster"
 	"wearmem/internal/failmap"
@@ -101,14 +102,23 @@ var ErrStalled = errors.New("pcm: write stalled, failure buffer full")
 
 // Device is a simulated PCM module.
 //
-// All mutable state sits behind mu so writes from any mutator — and the
-// failure interrupts they raise — are safe. The interrupt callbacks
-// (probe, OnFailure, OnBufferFull) are queued under the lock and invoked
-// after it is released, because the OS handler they reach drains the
-// buffer and re-enters the device; Go mutexes are not re-entrant. The
-// lock order through the stack is core.Immix.mu → kernel.Kernel.mu →
-// Device.mu. The clock is charged by whichever goroutine holds the
-// scheduler baton (it stays single-owner; pass nil for free-threaded use).
+// Every write to mutable state happens under mu, so writes from any
+// mutator — and the failure interrupts they raise — are safe. Three status
+// words (failedLines, live, stalled) are additionally atomics: they are
+// stored only under mu, but FailedLines, FailureRate, BufferLen and Stalled
+// load them without taking it, because pollers call those once per write.
+// A status read taken while a write is in flight on another goroutine is
+// therefore a momentary value, not ordered against that write; readers
+// that need a consistent picture read at a point where nothing is writing
+// (internal/verify runs at stop-the-world points) or take a Snapshot.
+//
+// The interrupt callbacks (probe, OnFailure, OnBufferFull) are queued under
+// the lock and invoked after it is released, because the OS handler they
+// reach drains the buffer and re-enters the device; Go mutexes are not
+// re-entrant. The lock order through the stack is core.Immix.mu →
+// kernel.Kernel.mu → Device.mu. The clock is charged by whichever goroutine
+// holds the scheduler baton (it stays single-owner; pass nil for
+// free-threaded use).
 type Device struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -143,13 +153,13 @@ type Device struct {
 	// same-address invalidation on push is O(1) instead of a scan plus a
 	// middle-of-slice delete. Dead space is compacted away amortized.
 	buffer    []FailureRecord
-	head      int         // first in-buffer position (FIFO drain cursor)
-	tombs     int         // tombstones in buffer[head:]
-	index     map[int]int // module line -> live entry position
-	live      int         // live (non-tombstone) entries
+	head      int          // first in-buffer position (FIFO drain cursor)
+	tombs     int          // tombstones in buffer[head:]
+	index     map[int]int  // module line -> live entry position
+	live      atomic.Int64 // live (non-tombstone) entries
 	onFailure func()
 	onFull    func()
-	stalled   bool
+	stalled   atomic.Bool
 	// calls holds interrupt callbacks queued by pushBuffer while mu is
 	// held; the public entry point that triggered them runs the queue
 	// after unlocking.
@@ -161,7 +171,7 @@ type Device struct {
 	invalidated uint64
 	drained     uint64
 
-	failedLines int
+	failedLines atomic.Int64
 
 	// osBlob is the reserved OS metadata area: a small durable byte blob
 	// the kernel persists its placement/remap policy state into. It
@@ -280,18 +290,10 @@ func (d *Device) OnBufferFull(fn func()) {
 }
 
 // Stalled reports whether the module is currently refusing writes.
-func (d *Device) Stalled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stalled
-}
+func (d *Device) Stalled() bool { return d.stalled.Load() }
 
 // BufferLen returns the number of pending failure buffer entries.
-func (d *Device) BufferLen() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.live
-}
+func (d *Device) BufferLen() int { return int(d.live.Load()) }
 
 // Watermark returns the buffer fill level at which writes stall.
 func (d *Device) Watermark() int { return d.cfg.BufferCap - d.cfg.BufferReserve }
@@ -310,7 +312,7 @@ func (d *Device) BufferAccounting() (pushed, invalidated, drained uint64) {
 func (d *Device) BufferedLines() []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]int, 0, d.live)
+	out := make([]int, 0, d.live.Load())
 	for i := d.head; i < len(d.buffer); i++ {
 		if d.buffer[i].Line >= 0 {
 			out = append(out, d.buffer[i].Line)
@@ -320,17 +322,11 @@ func (d *Device) BufferedLines() []int {
 }
 
 // FailedLines returns the number of permanently failed lines so far.
-func (d *Device) FailedLines() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failedLines
-}
+func (d *Device) FailedLines() int { return int(d.failedLines.Load()) }
 
 // FailureRate returns the fraction of module lines that have failed.
 func (d *Device) FailureRate() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return float64(d.failedLines) / float64(d.lines)
+	return float64(d.failedLines.Load()) / float64(d.lines)
 }
 
 // storageOf maps a module-visible line through clustering and wear leveling
@@ -392,42 +388,67 @@ func (d *Device) Read(line int, dst []byte) {
 
 // Write stores data (LineSize bytes) to the module-visible line, applying
 // wear. If the line's storage exhausts its endurance, the write is parked
-// in the failure buffer, the failure interrupt fires and Write reports the
-// failure via errored==false (the write itself succeeds from software's
-// point of view: the data is retained and forwarded). Write returns
-// ErrStalled when the buffer watermark has been reached.
+// in the failure buffer and the failure interrupt fires; Write still
+// returns nil, because from software's point of view the write succeeded
+// (the data is retained and forwarded to reads until the OS drains the
+// entry). Write returns ErrStalled, without writing, when the buffer
+// watermark has been reached.
 func (d *Device) Write(line int, data []byte) error {
-	if line < 0 || line >= d.lines {
-		panic(fmt.Sprintf("pcm: line %d out of range", line))
+	run := [1]int{line}
+	_, err := d.WriteRun(run[:], data)
+	return err
+}
+
+// WriteRun writes data to each of lines in order under one acquisition of
+// the device lock, exactly as that many calls to Write would, and returns
+// how many writes it applied. It stops early, with a nil error, after the
+// first write that leaves the failure buffer non-empty: that write's
+// interrupt callbacks then run (after the lock is released, in the order
+// Write would have run them) before the caller sees n, so a handler that
+// drains observes the same device state it would have under Write, and a
+// caller that drains itself does so before resuming with lines[n:]. A
+// write that finds the module stalled is not applied and ends the run with
+// ErrStalled; lines[n] is then the refused write.
+func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
+	for _, line := range lines {
+		if line < 0 || line >= d.lines {
+			panic(fmt.Sprintf("pcm: line %d out of range", line))
+		}
 	}
 	d.mu.Lock()
-	if d.stalled {
-		if d.clock != nil {
-			d.clock.Charge1(stats.EvFailBufStall)
+	for _, line := range lines {
+		if d.stalled.Load() {
+			if d.clock != nil {
+				d.clock.Charge1(stats.EvFailBufStall)
+			}
+			err = ErrStalled
+			break
 		}
-		d.mu.Unlock()
-		return ErrStalled
-	}
-	if d.clock != nil {
-		d.clock.Charge1(stats.EvPCMWrite)
-	}
-	// The gap may move the very line being written, so resolve the storage
-	// slot only after the wear-leveling step.
-	d.wearStep()
-	s := d.storageOf(line)
-	failedNow := d.wear(s)
-	if d.data != nil && !failedNow {
-		copy(d.data[s*failmap.LineSize:(s+1)*failmap.LineSize], data)
-	}
-	if failedNow {
-		d.reportFailure(line, data)
+		if d.clock != nil {
+			d.clock.Charge1(stats.EvPCMWrite)
+		}
+		// The gap may move the very line being written, so resolve the storage
+		// slot only after the wear-leveling step.
+		d.wearStep()
+		s := d.storageOf(line)
+		failedNow := d.wear(s)
+		if d.data != nil && !failedNow {
+			copy(d.data[s*failmap.LineSize:(s+1)*failmap.LineSize], data)
+		}
+		if failedNow {
+			d.reportFailure(line, data)
+		}
+		n++
+		if d.live.Load() > 0 {
+			break
+		}
 	}
 	calls := d.takeCalls()
 	d.mu.Unlock()
 	for _, fn := range calls {
 		fn()
 	}
-	return nil
+	return n, err
 }
 
 // takeCalls hands the queued interrupt callbacks to the caller, which must
@@ -471,7 +492,7 @@ func (d *Device) CorrectedBits() uint64 {
 // reportFailure surfaces a failure of module line `line` through the
 // clustering hardware, parks the data in the failure buffer and interrupts.
 func (d *Device) reportFailure(line int, data []byte) {
-	d.failedLines++
+	d.failedLines.Add(1)
 	if d.array == nil {
 		d.pushBuffer(FailureRecord{Line: line, Data: dup(data)})
 		return
@@ -504,12 +525,12 @@ func (d *Device) pushBuffer(rec FailureRecord) {
 	if i, ok := d.index[rec.Line]; ok {
 		d.buffer[i] = FailureRecord{Line: -1}
 		d.tombs++
-		d.live--
+		d.live.Add(-1)
 		d.invalidated++
 	}
 	d.buffer = append(d.buffer, rec)
 	d.index[rec.Line] = len(d.buffer) - 1
-	d.live++
+	live := d.live.Add(1)
 	d.pushed++
 	d.compact()
 	if d.clock != nil {
@@ -524,8 +545,8 @@ func (d *Device) pushBuffer(rec FailureRecord) {
 	if d.onFailure != nil {
 		d.calls = append(d.calls, d.onFailure)
 	}
-	if d.live >= d.cfg.BufferCap-d.cfg.BufferReserve {
-		d.stalled = true
+	if int(live) >= d.Watermark() {
+		d.stalled.Store(true)
 		if d.onFull != nil {
 			d.calls = append(d.calls, d.onFull)
 		}
@@ -550,11 +571,11 @@ func (d *Device) Drain() (FailureRecord, bool) {
 	rec := d.buffer[d.head]
 	d.head++
 	delete(d.index, rec.Line)
-	d.live--
+	live := d.live.Add(-1)
 	d.drained++
 	d.compact()
-	if d.live < d.cfg.BufferCap-d.cfg.BufferReserve {
-		d.stalled = false
+	if int(live) < d.Watermark() {
+		d.stalled.Store(false)
 	}
 	return rec, true
 }
@@ -667,8 +688,9 @@ func (d *Device) FailMap() *failmap.Map {
 	return m
 }
 
-// WriteCount returns the total writes absorbed by the storage slot backing
-// nothing in particular — it is indexed by storage slot, for wear studies.
+// WriteCount returns the lifetime writes absorbed by physical storage slot
+// `slot`, gap-movement carries included. Slots are not module lines: under
+// start-gap the line a slot backs changes as the gap rotates.
 func (d *Device) WriteCount(slot int) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -107,7 +107,7 @@ func (d *Device) Snapshot() *DeviceImage {
 		Writes:        append([]uint64(nil), d.writes...),
 		Broken:        append([]bool(nil), d.broken...),
 		CorrectedBits: d.correctedBits,
-		FailedLines:   d.failedLines,
+		FailedLines:   int(d.failedLines.Load()),
 		Gap:           d.gap,
 		SinceMove:     d.sinceMove,
 		GapCarries:    d.gapCarries,
@@ -190,11 +190,11 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		writes:        append([]uint64(nil), img.Writes...),
 		broken:        append([]bool(nil), img.Broken...),
 		correctedBits: img.CorrectedBits,
-		failedLines:   img.FailedLines,
 		gap:           img.Gap,
 		sinceMove:     img.SinceMove,
 		gapCarries:    img.GapCarries,
 	}
+	d.failedLines.Store(int64(img.FailedLines))
 	if img.EnduranceOf != nil {
 		d.endurance = append([]uint64(nil), img.EnduranceOf...)
 	}
@@ -240,11 +240,11 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 			Line: o.Line, Data: make([]byte, failmap.LineSize), Fake: o.Fake,
 		})
 		d.index[o.Line] = len(d.buffer) - 1
-		d.live++
+		d.live.Add(1)
 		d.pushed++
 	}
-	if d.live >= d.cfg.BufferCap-d.cfg.BufferReserve {
-		d.stalled = true
+	if d.BufferLen() >= d.Watermark() {
+		d.stalled.Store(true)
 	}
 	return d, nil
 }
