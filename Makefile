@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments perf perf-wearout determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments perf perf-wearout perf-figs determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,12 +13,13 @@ race:
 
 # Focused race pass over the threaded execution engine: real-goroutine
 # mutators, concurrent trace/sweep, the engine differential, the threaded
-# torture campaigns and the device's lock-free status reads (subset of
-# "race"; faster signal).
+# torture campaigns, the device's lock-free status reads and the
+# address-space free list under eight workers (subset of "race"; faster
+# signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
 		./internal/chaos/ ./internal/harness/ ./internal/pcm/ \
-		-run 'Threaded|RunThreads|World|EngineDifferential|MultiMutator|LockFreeStatus'
+		-run 'Threaded|RunThreads|World|EngineDifferential|MultiMutator|LockFreeStatus|Recycl'
 
 vet:
 	$(GO) vet ./...
@@ -69,6 +70,12 @@ perf:
 # exits 1 when a report digest or pin moved ("correct":false).
 perf-wearout:
 	bash bench/run.sh --workload wearout --seed 42 --seconds 12 --trace 0
+
+# The other half of the quick suite: the fifteen experiments with static
+# failure maps, ~375 simulator runs through one shared runner. Same result
+# line and exit status; at seed 42 the fifteen report pins are re-checked.
+perf-figs:
+	bash bench/run.sh --workload figs --seed 42 --seconds 12 --trace 0
 
 # Full experiment benchmarks (quick configuration; takes minutes).
 bench-experiments:

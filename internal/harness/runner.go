@@ -457,6 +457,9 @@ func execute(rc RunConfig) Result {
 		PauseBudget:    rc.PauseBudget,
 		ConcurrentMark: rc.Concurrent,
 	})
+	// The Result below copies everything it reports out of the heap, so the
+	// next run may have this one's address space — also when this one panics.
+	defer v.Close()
 
 	if rc.DynFailEvery > 0 {
 		frng := rand.New(rand.NewSource(rc.Seed + 99))

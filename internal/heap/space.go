@@ -12,6 +12,7 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Addr is a virtual address in the simulated heap. 0 is nil.
@@ -22,6 +23,11 @@ const WordSize = 8
 
 // Space is the simulated virtual address space. Pages are materialized on
 // demand as the kernel maps regions at increasing virtual addresses.
+//
+// A space has a lifecycle: NewSpace adopts the backing array a finished
+// run parked with Release, so back-to-back simulator runs reuse one
+// allocation instead of each growing, zeroing and copying its own. A space
+// that is never released is garbage-collected like any other value.
 type Space struct {
 	mem []byte
 	// frozen forbids further growth: the threaded engine pre-materializes
@@ -29,18 +35,91 @@ type Space struct {
 	// mutator loads would tear. Growth past the reservation panics with an
 	// actionable message instead of racing.
 	frozen bool
+	// mapped is the high-water mark of Ensure: nothing above it was ever
+	// mapped, so nothing above it was ever written, and Release clears no
+	// further. Reserve's tail beyond it is zero and stays untouched.
+	mapped Addr
+	// released marks a space whose backing went back to the free list;
+	// mem is nil from then on, so every accessor faults.
+	released bool
 }
 
-// NewSpace returns an empty address space.
-func NewSpace() *Space { return &Space{} }
+// parked is the free list of released backings. Every byte of a parked
+// backing's capacity is zero, and its length is zero. A backing enters
+// only through Release and leaves at the next NewSpace, so the list never
+// holds more entries than spaces were open at once — which bounds the
+// memory it retains without a size limit to tune.
+var parked struct {
+	sync.Mutex
+	backings [][]byte
+}
+
+// NewSpace returns an empty address space, backed by the largest parked
+// backing when there is one.
+func NewSpace() *Space {
+	parked.Lock()
+	defer parked.Unlock()
+	best := -1
+	for i, b := range parked.backings {
+		if best < 0 || cap(b) > cap(parked.backings[best]) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return &Space{}
+	}
+	mem := parked.backings[best]
+	last := len(parked.backings) - 1
+	parked.backings[best] = parked.backings[last]
+	parked.backings[last] = nil
+	parked.backings = parked.backings[:last]
+	return &Space{mem: mem}
+}
+
+// Parked returns the number of backings on the free list.
+func Parked() int {
+	parked.Lock()
+	defer parked.Unlock()
+	return len(parked.backings)
+}
+
+// Release ends the space's life and parks its backing for the next
+// NewSpace, cleared up to the mapped high-water mark. The caller must be
+// the only goroutine still holding the space. Afterwards every accessor
+// panics; releasing twice is harmless.
+func (s *Space) Release() {
+	if s.released {
+		return
+	}
+	mem := s.mem
+	s.mem, s.released = nil, true
+	if cap(mem) == 0 {
+		return
+	}
+	clear(mem[:s.mapped])
+	parked.Lock()
+	parked.backings = append(parked.backings, mem[:0])
+	parked.Unlock()
+}
 
 // Ensure grows the backing store to cover addresses below limit. Capacity
 // grows geometrically so that the kernel's page-at-a-time virtual growth
 // costs amortized O(1) per byte rather than a full reallocate-and-copy per
 // mapping; the extension is zeroed (fresh mappings read as zero).
 func (s *Space) Ensure(limit Addr) {
+	s.grow(limit)
+	if limit > s.mapped {
+		s.mapped = limit
+	}
+}
+
+// grow materializes addresses below limit without counting them as mapped.
+func (s *Space) grow(limit Addr) {
 	if uint64(limit) <= uint64(len(s.mem)) {
 		return
+	}
+	if s.released {
+		panic("heap: use of a released space")
 	}
 	if s.frozen {
 		panic(fmt.Sprintf(
@@ -48,8 +127,9 @@ func (s *Space) Ensure(limit Addr) {
 			len(s.mem), limit))
 	}
 	if uint64(limit) <= uint64(cap(s.mem)) {
-		// The backing array beyond len was allocated zeroed and has never
-		// been exposed, so reslicing materializes zero pages.
+		// The backing array beyond len is zero — fresh from make, or
+		// cleared by the Release that parked it — and has not been exposed
+		// since, so reslicing materializes zero pages.
 		s.mem = s.mem[:limit]
 		return
 	}
@@ -65,10 +145,12 @@ func (s *Space) Ensure(limit Addr) {
 // Reserve pre-materializes the space up to limit and freezes it there: any
 // later Ensure beyond the reservation panics instead of reallocating. The
 // threaded engine calls this once at startup so concurrent accessors never
-// observe the backing array move; the host OS lazily backs the (zeroed)
-// reservation, so over-reserving costs address space, not resident memory.
+// observe the backing array move. A reservation that fits an adopted
+// backing is a reslice; one that does not is a make of the whole
+// reservation, which the Go runtime clears — resident memory, not merely
+// address space, whenever the host heap hands back a reused span.
 func (s *Space) Reserve(limit Addr) {
-	s.Ensure(limit)
+	s.grow(limit)
 	s.frozen = true
 }
 
@@ -89,6 +171,9 @@ func (s *Space) slice(a Addr, n int) []byte {
 func (s *Space) fault(a Addr, n int) {
 	if a == 0 {
 		panic("heap: nil dereference")
+	}
+	if s.released {
+		panic("heap: use of a released space")
 	}
 	panic(fmt.Sprintf("heap: access [%#x,+%d) beyond space %#x", a, n, len(s.mem)))
 }

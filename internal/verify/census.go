@@ -1,11 +1,6 @@
 package verify
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-
-	"wearmem/internal/heap"
-)
+import "wearmem/internal/heap"
 
 // CensusReport is an engine-invariant summary of the roots-reachable heap.
 // Two runs of the same workload — whatever engine, interleaving, or object
@@ -25,94 +20,140 @@ type CensusReport struct {
 	Hash uint64 `json:"hash"`
 }
 
+// FNV-1a, 64 bit (hash/fnv's New64a), inlined: one digest per reachable
+// object made the hasher's allocation and per-word interface call the
+// largest cost of a census.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// fnvWord hashes v's eight little-endian bytes.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xFF) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// censusWalk is the traversal state: one visited bit per word of the
+// space (object bases are word-aligned) and the stack of objects found
+// but not yet digested.
+type censusWalk struct {
+	size    heap.Addr
+	visited []uint64
+	stack   []heap.Addr
+}
+
+func (w *censusWalk) push(a heap.Addr) {
+	if a == 0 || a%heap.WordSize != 0 || a > w.size-heap.HeaderSize {
+		return
+	}
+	i, bit := a/(64*heap.WordSize), uint64(1)<<(a/heap.WordSize%64)
+	if w.visited[i]&bit != 0 {
+		return
+	}
+	w.visited[i] |= bit
+	w.stack = append(w.stack, a)
+}
+
+// follow pushes the referent of a reference slot and returns 1 when the
+// slot is non-nil.
+func (w *censusWalk) follow(m *heap.Model, slot heap.Addr) int {
+	r := heap.Addr(m.S.Load64(slot))
+	if r == 0 {
+		return 0
+	}
+	w.push(r)
+	return 1
+}
+
 // Census walks the heap from the roots and returns its invariant summary.
 // It must run at a safe point (no collection in progress); malformed
-// objects are skipped rather than reported — run Heap for diagnostics.
+// objects — and references that are not word-aligned — are skipped rather
+// than reported: run Heap for diagnostics.
 func Census(m *heap.Model, roots Roots) CensusReport {
 	var rep CensusReport
 	size := m.S.Size()
-	visited := make(map[heap.Addr]bool)
-	var stack []heap.Addr
-	push := func(a heap.Addr) {
-		if a == 0 || visited[a] || a+heap.HeaderSize > size {
-			return
-		}
-		visited[a] = true
-		stack = append(stack, a)
+	if size < heap.HeaderSize {
+		return rep
 	}
-	roots.Each(func(slot *heap.Addr) { push(*slot) })
+	w := censusWalk{size: size, visited: make([]uint64, size/(64*heap.WordSize)+1)}
+	roots.Each(func(slot *heap.Addr) { w.push(*slot) })
 
-	var refbuf []heap.Addr
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, fwd := m.Forwarded(a); fwd {
+	for len(w.stack) > 0 {
+		a := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		h := m.S.Load64(a)
+		if _, fwd := heap.HeaderForwarded(h); fwd {
 			continue
 		}
-		h := m.S.Load64(a)
 		ty, ok := m.T.Lookup(uint16(h >> 24 & 0xFFFF))
 		if !ok {
 			continue
 		}
-		osize := int(h >> 40)
+		osize := heap.SizeFromHeader(h)
 		if osize < heap.HeaderSize || heap.Addr(osize) > size-a {
 			continue
 		}
 		rep.Objects++
 		rep.Bytes += osize
-		rep.Hash += objectDigest(m, a, ty, osize, &refbuf)
-		refbuf = m.RefSlots(a, refbuf[:0])
-		for _, slot := range refbuf {
-			push(heap.Addr(m.S.Load64(slot)))
-		}
+		rep.Hash += w.digest(m, a, ty, osize)
 	}
 	return rep
 }
 
-// objectDigest hashes one object's identity-free content. Reference slots
-// contribute only whether they are nil — their values are addresses, which
-// legitimately differ between engines and collections.
-func objectDigest(m *heap.Model, a heap.Addr, ty *heap.Type, osize int, refbuf *[]heap.Addr) uint64 {
-	d := fnv.New64a()
-	var w [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		d.Write(w[:])
+// digest hashes one object's identity-free content and pushes its
+// referents. Reference slots contribute only whether they are nil — their
+// values are addresses, which legitimately differ between engines and
+// collections.
+func (w *censusWalk) digest(m *heap.Model, a heap.Addr, ty *heap.Type, osize int) uint64 {
+	d := uint64(fnvOffset64)
+	for i := 0; i < len(ty.Name); i++ {
+		d = (d ^ uint64(ty.Name[i])) * fnvPrime64
 	}
-	d.Write([]byte(ty.Name))
-	word(uint64(ty.Kind))
-	word(uint64(osize))
+	d = fnvWord(d, uint64(ty.Kind))
+	d = fnvWord(d, uint64(osize))
+	// Out-degree: how many reference slots are non-nil (shape information
+	// that survives evacuation).
+	nonNil := 0
 	switch ty.Kind {
 	case heap.KindFixed:
 		// Scalar payload: every word past the header that is not a
-		// reference slot.
-		for off := heap.Addr(heap.HeaderSize); off+heap.WordSize <= heap.Addr(osize); off += heap.WordSize {
+		// reference slot, as it lies in memory.
+		body := m.S.Bytes(a, osize)
+		for off := heap.HeaderSize; off+heap.WordSize <= osize; off += heap.WordSize {
 			isRef := false
 			for _, ro := range ty.RefOffsets {
-				if heap.Addr(ro) == off {
+				if ro == off {
 					isRef = true
 					break
 				}
 			}
 			if !isRef {
-				word(m.S.Load64(a + off))
+				d = fnvBytes(d, body[off:off+heap.WordSize])
 			}
 		}
+		for _, ro := range ty.RefOffsets {
+			nonNil += w.follow(m, a+heap.Addr(ro))
+		}
 	case heap.KindScalarArray:
-		word(uint64(m.ArrayLen(a)))
-		d.Write(m.S.Bytes(a+heap.ArrayHeaderSize, osize-heap.ArrayHeaderSize))
+		d = fnvWord(d, uint64(m.ArrayLen(a)))
+		d = fnvBytes(d, m.S.Bytes(a+heap.ArrayHeaderSize, osize-heap.ArrayHeaderSize))
 	case heap.KindRefArray:
-		word(uint64(m.ArrayLen(a)))
-	}
-	// Out-degree: how many reference slots are non-nil (shape information
-	// that survives evacuation).
-	nonNil := 0
-	*refbuf = m.RefSlots(a, (*refbuf)[:0])
-	for _, slot := range *refbuf {
-		if m.S.Load64(slot) != 0 {
-			nonNil++
+		n := m.ArrayLen(a)
+		d = fnvWord(d, uint64(n))
+		for i := 0; i < n; i++ {
+			nonNil += w.follow(m, a+heap.ArrayHeaderSize+heap.Addr(i*heap.WordSize))
 		}
 	}
-	word(uint64(nonNil))
-	return d.Sum64()
+	return fnvWord(d, uint64(nonNil))
 }

@@ -136,6 +136,7 @@ func (v *VM) RunThreads(fns ...func() error) error {
 	if !v.threaded {
 		panic("vm: RunThreads requires Engine=threaded")
 	}
+	v.unjoined = true
 	v.world.setTotal(len(fns))
 	wrapped := make([]func() error, len(fns))
 	for i, fn := range fns {
@@ -153,6 +154,7 @@ func (v *VM) RunThreads(fns ...func() error) error {
 	}
 	v.mergeMutatorClocks()
 	v.drainPendingFails()
+	v.unjoined = err != nil
 	return err
 }
 

@@ -164,6 +164,10 @@ type VM struct {
 	// the threaded engine parks mutator tasks on.
 	threaded bool
 	world    world
+	// unjoined is set while a RunThreads batch is in flight and stays set
+	// when the batch ends in an error or a panic: marker goroutines may
+	// then still hold the address space, so Close must not recycle it.
+	unjoined bool
 	// failMu guards pendingFails and degraded on the threaded engine, where
 	// kernel up-calls can arrive on any mutator goroutine. The baton engine
 	// never locks it.
@@ -310,7 +314,9 @@ func New(cfg Config) *VM {
 		// address space, so total virtual use is bounded by the physical PCM
 		// pool (plus alignment waste and borrowed DRAM); reserve generously
 		// up front and freeze. Space.Ensure panics with a clear message if a
-		// run ever outgrows this.
+		// run ever outgrows this. The reservation is only free when the
+		// space adopted a backing that already covers it: a fresh make of
+		// this size is cleared, and so resident, in full.
 		space.Reserve(heap.Addr((3*cfg.Kernel.PCMPages() + 4096) * failmap.PageSize))
 	}
 
@@ -369,6 +375,18 @@ func New(cfg Config) *VM {
 		v.roots.Add(&v.newborn)
 	}
 	return v
+}
+
+// Close ends the runtime's life and hands its address space back for the
+// next runtime to adopt (heap.Space.Release). Call it once nothing will
+// read the heap again; any later heap access panics. A threaded runtime
+// whose last RunThreads batch failed keeps its space, which the host
+// garbage collector reclaims with the VM. Closing twice is harmless.
+func (v *VM) Close() {
+	if v.unjoined {
+		return
+	}
+	v.model.S.Release()
 }
 
 // Model exposes the object model (type registration and raw access).
