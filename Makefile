@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest bench bench-smoke bench-experiments perf perf-wearout perf-figs determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-wearout perf-figs determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -8,18 +8,20 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/chaos takes about seven minutes under the detector on a two-core
+# host, too close to the default ten-minute package timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 # Focused race pass over the threaded execution engine: real-goroutine
 # mutators, concurrent trace/sweep, the engine differential, the threaded
-# torture campaigns, the device's lock-free status reads and the
-# address-space free list under eight workers (subset of "race"; faster
-# signal).
+# torture campaigns, the batch driver both engines share, the device's
+# lock-free status reads and the address-space free list under eight workers
+# (subset of "race"; faster signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
 		./internal/chaos/ ./internal/harness/ ./internal/pcm/ \
-		-run 'Threaded|RunThreads|World|EngineDifferential|MultiMutator|LockFreeStatus|Recycl'
+		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFreeStatus|Recycl'
 
 vet:
 	$(GO) vet ./...
@@ -28,13 +30,16 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The "same behaviour" oracle: sha256 of the four deterministic report
-# surfaces at seed 42, against the pinned values. A change that moves any
-# of them changed simulated behaviour, not just code.
+# surfaces at seed 42, against the pinned values, then the pinned torture
+# campaign records. A change that moves any of them changed simulated
+# behaviour, not just code.
 #   all        serial trace, every paper experiment
 #   mutscale   lane trace: steals, work/crit cycles
 #   pausecurve incremental marking state machine, pause histograms (the
 #              threaded table is schedule-dependent and is cut first)
 #   latency    baton KV latency quantiles
+#   torture    baton campaign records (schedules, fired effects, GC and
+#              verification counts): serial, 4 mutators, pause budget 10000
 digest:
 	@$(GO) build -o .digest-wearbench ./cmd/wearbench
 	@rc=0; check() { want=$$1; name=$$2; shift 2; \
@@ -49,7 +54,20 @@ digest:
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
 	check 487e7fee546b8e24d24649b987c57458d74feb457860d170dd1374d5fa9d7f7a latency \
 		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
+	if $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned$$' -count=1 >/dev/null; \
+	then echo "digest torture ok"; \
+	else echo "digest torture MOVED: $(GO) test ./internal/chaos/ -run TestTortureRecordsPinned"; rc=1; fi; \
 	rm -f .digest-wearbench; exit $$rc
+
+# The size a simplicity change is measured by: non-blank, non-comment lines
+# of non-test Go, per internal package and in total.
+loc:
+	@count() { ls "$$@" | grep -v _test | xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'; }; \
+	for d in $$(find internal -type d | sort); do \
+		ls $$d/*.go >/dev/null 2>&1 || continue; \
+		printf '%-28s %6d\n' $$d $$(count $$d/*.go); \
+	done; \
+	printf '%-28s %6d\n' total $$(count $$(find internal -name '*.go'))
 
 # Core hot-path microbenchmarks (bitset vs retained []bool reference).
 bench:
@@ -170,7 +188,7 @@ policyzoo-smoke:
 # power-cut sweep with device-image persistence and kernel recovery) plus
 # the shadow randomized tests that drive the same verifier.
 torture-quick:
-	$(GO) test -race ./internal/chaos/ ./internal/verify/ ./internal/core/ ./internal/pcm/ ./internal/kernel/ \
+	$(GO) test -race -timeout 20m ./internal/chaos/ ./internal/verify/ ./internal/core/ ./internal/pcm/ ./internal/kernel/ \
 		-run 'Torture|Campaign|Break|Minimize|Event|Verify|Heap|Shadow|RandomizedGraph|Crash|Recover|Image|Snapshot'
 
 check: build vet fmt test

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -104,36 +105,44 @@ func main() {
 	}
 	defer stop()
 
-	clock := stats.NewClock(stats.DefaultCosts())
 	wl := pcm.NoWearLeveling
 	if *leveling {
 		wl = pcm.StartGap
 	}
-	dev := pcm.NewDevice(pcm.Config{
+	run(os.Stdin, os.Stdout, pcm.Config{
 		Size:         *pages * failmap.PageSize,
 		Endurance:    *endurance,
 		Variation:    *variation,
 		ClusterPages: *cluster,
 		WearLeveling: wl,
 		GapInterval:  16,
-		TrackData:    true,
 		Seed:         *seed,
-	}, clock)
-	dev.OnFailure(func() { fmt.Println("  ! failure interrupt") })
-	dev.OnBufferFull(func() { fmt.Println("  ! failure buffer watermark: writes stalled") })
+	}, *parallel)
+}
 
-	rng := rand.New(rand.NewSource(*seed))
+// run is the interactive simulator: it builds the device cfg describes,
+// reads commands from in until quit or end of input, and prints to out.
+// The population command wears fresh devices of the same configuration
+// across the given number of workers.
+func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
+	clock := stats.NewClock(stats.DefaultCosts())
+	devCfg := cfg
+	devCfg.TrackData = true
+	dev := pcm.NewDevice(devCfg, clock)
+	dev.OnFailure(func() { fmt.Fprintln(out, "  ! failure interrupt") })
+	dev.OnBufferFull(func() { fmt.Fprintln(out, "  ! failure buffer watermark: writes stalled") })
+
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	buf := make([]byte, failmap.LineSize)
-	block := make([]int, 512) // hammer's traffic draws
-	fmt.Printf("wearsim: %d pages, endurance ~%d writes/line, clustering %dp, start-gap %v\n",
-		*pages, *endurance, *cluster, *leveling)
+	fmt.Fprintf(out, "wearsim: %d pages, endurance ~%d writes/line, clustering %dp, start-gap %v\n",
+		cfg.Size/failmap.PageSize, cfg.Endurance, cfg.ClusterPages, cfg.WearLeveling == pcm.StartGap)
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(out, "> ")
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
-			fmt.Print("> ")
+			fmt.Fprint(out, "> ")
 			continue
 		}
 		arg := func(i, def int) int {
@@ -151,41 +160,30 @@ func main() {
 			for i := 0; i < n; i++ {
 				buf[0] = byte(i)
 				if err := dev.Write(line, buf); err != nil {
-					fmt.Printf("  write stalled after %d writes: %v\n", i, err)
+					fmt.Fprintf(out, "  write stalled after %d writes: %v\n", i, err)
 					break
 				}
 			}
-			fmt.Printf("  line %d: unavailable=%v\n", line, dev.Unavailable(line))
+			fmt.Fprintf(out, "  line %d: unavailable=%v\n", line, dev.Unavailable(line))
 		case "hammer":
 			n := arg(1, 10000)
-			stalled := 0
-			for i := 0; i < n; i += len(block) {
-				// Draw no further than n: rng carries over to the next command.
-				run := block[:min(len(block), n-i)]
-				dev.SkewedLines(rng, run)
-				for _, l := range run {
-					if dev.Write(l, buf) != nil {
-						stalled++
-						dev.Drain()
-					}
-				}
-			}
-			fmt.Printf("  %d writes (%d stalled), %d lines failed (%.2f%%)\n",
+			stalled := hammer(dev, cfg.ClusterPages > 0, rng, buf, n)
+			fmt.Fprintf(out, "  %d writes (%d stalled), %d lines failed (%.2f%%)\n",
 				n, stalled, dev.FailedLines(), dev.FailureRate()*100)
 		case "read", "r":
 			line := arg(1, 0)
-			out := make([]byte, failmap.LineSize)
-			dev.Read(line, out)
-			fmt.Printf("  line %d data[0..8]=%x buffered=%d\n", line, out[:8], dev.BufferLen())
+			data := make([]byte, failmap.LineSize)
+			dev.Read(line, data)
+			fmt.Fprintf(out, "  line %d data[0..8]=%x buffered=%d\n", line, data[:8], dev.BufferLen())
 		case "drain":
 			if rec, ok := dev.Drain(); ok {
-				fmt.Printf("  drained line %d fake=%v\n", rec.Line, rec.Fake)
+				fmt.Fprintf(out, "  drained line %d fake=%v\n", rec.Line, rec.Fake)
 			} else {
-				fmt.Println("  buffer empty")
+				fmt.Fprintln(out, "  buffer empty")
 			}
 		case "map":
 			m := dev.FailMap()
-			fmt.Printf("  failed %d/%d lines (%.2f%%), perfect pages %d/%d, longest free run %d lines\n",
+			fmt.Fprintf(out, "  failed %d/%d lines (%.2f%%), perfect pages %d/%d, longest free run %d lines\n",
 				m.FailedLines(), m.Lines(), m.Rate()*100, m.PerfectPages(), m.Pages(), m.LongestFreeRun())
 		case "page":
 			p := arg(1, 0)
@@ -197,36 +195,28 @@ func main() {
 					sb.WriteByte('.')
 				}
 			}
-			fmt.Printf("  page %4d |%s|\n", p, sb.String())
+			fmt.Fprintf(out, "  page %4d |%s|\n", p, sb.String())
 		case "population", "pop":
 			n := arg(1, 8)
 			writes := arg(2, 100000)
 			if n < 1 || writes < 0 {
-				fmt.Println("  usage: population <devices >= 1> <writes >= 0>")
+				fmt.Fprintln(out, "  usage: population <devices >= 1> <writes >= 0>")
 				break
 			}
-			cfg := pcm.Config{
-				Size:         *pages * failmap.PageSize,
-				Endurance:    *endurance,
-				Variation:    *variation,
-				ClusterPages: *cluster,
-				WearLeveling: wl,
-				GapInterval:  16,
-			}
-			rs := wearPopulation(cfg, *seed, n, writes, *parallel)
+			rs := wearPopulation(cfg, n, writes, workers)
 			var worst, sum float64
 			perfect := 0
 			for i, pr := range rs {
-				fmt.Printf("  dev %3d seed %4d: %5d failed (%5.2f%%), perfect pages %3d, longest run %4d\n",
-					i, *seed+int64(i), pr.failed, pr.rate*100, pr.perfectPages, pr.longestRun)
+				fmt.Fprintf(out, "  dev %3d seed %4d: %5d failed (%5.2f%%), perfect pages %3d, longest run %4d\n",
+					i, cfg.Seed+int64(i), pr.failed, pr.rate*100, pr.perfectPages, pr.longestRun)
 				sum += pr.rate
 				if pr.rate > worst {
 					worst = pr.rate
 				}
 				perfect += pr.perfectPages
 			}
-			fmt.Printf("  population: mean failure %.2f%%, worst %.2f%%, mean perfect pages %.1f (%d workers)\n",
-				sum/float64(n)*100, worst*100, float64(perfect)/float64(n), *parallel)
+			fmt.Fprintf(out, "  population: mean failure %.2f%%, worst %.2f%%, mean perfect pages %.1f (%d workers)\n",
+				sum/float64(n)*100, worst*100, float64(perfect)/float64(n), workers)
 		case "wear":
 			n := arg(1, 8)
 			if n < 1 {
@@ -244,29 +234,29 @@ func main() {
 				if maxSlots > 0 {
 					bar = strings.Repeat("#", b.Slots*40/maxSlots)
 				}
-				fmt.Printf("  [%7d,%7d) %6d slots %6d failed |%s\n",
+				fmt.Fprintf(out, "  [%7d,%7d) %6d slots %6d failed |%s\n",
 					b.Lo, b.Hi, b.Slots, b.Failed, bar)
 			}
-			fmt.Printf("  total writes %d across %d lines\n", dev.TotalWrites(), dev.Lines())
+			fmt.Fprintf(out, "  total writes %d across %d lines\n", dev.TotalWrites(), dev.Lines())
 		case "wearjson":
 			n := arg(1, 8)
 			if n < 1 {
 				n = 8
 			}
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(out)
 			if err := enc.Encode(dev.WearHistogram(n)); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		case "stats":
-			fmt.Printf("  failed=%d (%.2f%%) buffered=%d stalled=%v gapCarries=%d simCycles=%d\n",
+			fmt.Fprintf(out, "  failed=%d (%.2f%%) buffered=%d stalled=%v gapCarries=%d simCycles=%d\n",
 				dev.FailedLines(), dev.FailureRate()*100, dev.BufferLen(), dev.Stalled(),
 				dev.GapCarries(), clock.Now())
 		case "quit", "q", "exit":
 			return
 		default:
-			fmt.Println("  commands: write|hammer|read|drain|map|page|population|wear|wearjson|stats|quit")
+			fmt.Fprintln(out, "  commands: write|hammer|read|drain|map|page|population|wear|wearjson|stats|quit")
 		}
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 	}
 }
 
@@ -667,11 +657,36 @@ type popResult struct {
 	longestRun   int
 }
 
-// wearPopulation wears n independent device instances with the same skewed
-// traffic pattern as the hammer command, each seeded with seed+index so the
-// result for a given index is identical at any worker count; only the
-// wall-clock depends on -parallel.
-func wearPopulation(cfg pcm.Config, seed int64, n, writes, workers int) []popResult {
+// hammer applies n writes of the skewed traffic (90% to the hot quarter)
+// to dev and returns how many stalled, draining one failure-buffer entry
+// after each of those. It draws no further than n from rng, which carries
+// over to the caller's next command. Under clustering hardware (clustered)
+// it skips lines already surfaced as unavailable, as software that honours the
+// failure map does: the redirection logic panics when a line it has given
+// up fails a second time.
+func hammer(dev *pcm.Device, clustered bool, rng *rand.Rand, buf []byte, n int) (stalled int) {
+	block := make([]int, 512)
+	for i := 0; i < n; i += len(block) {
+		run := block[:min(len(block), n-i)]
+		dev.SkewedLines(rng, run)
+		for _, l := range run {
+			if clustered && dev.Unavailable(l) {
+				continue
+			}
+			if dev.Write(l, buf) != nil {
+				stalled++
+				dev.Drain()
+			}
+		}
+	}
+	return stalled
+}
+
+// wearPopulation wears n independent device instances with the hammer
+// command's traffic, each seeded with cfg.Seed+index so the result for a
+// given index is identical at any worker count; only the wall-clock
+// depends on -parallel.
+func wearPopulation(cfg pcm.Config, n, writes, workers int) []popResult {
 	if workers > n {
 		workers = n
 	}
@@ -686,21 +701,11 @@ func wearPopulation(cfg pcm.Config, seed int64, n, writes, workers int) []popRes
 		go func() {
 			defer wg.Done()
 			buf := make([]byte, failmap.LineSize)
-			block := make([]int, 512)
 			for i := range idx {
 				c := cfg
-				c.Seed = seed + int64(i)
+				c.Seed = cfg.Seed + int64(i)
 				dev := pcm.NewDevice(c, nil)
-				rng := rand.New(rand.NewSource(c.Seed))
-				for j := 0; j < writes; j += len(block) {
-					run := block[:min(len(block), writes-j)]
-					dev.SkewedLines(rng, run)
-					for _, l := range run {
-						if dev.Write(l, buf) != nil {
-							dev.Drain()
-						}
-					}
-				}
+				hammer(dev, c.ClusterPages > 0, rand.New(rand.NewSource(c.Seed)), buf, writes)
 				m := dev.FailMap()
 				out[i] = popResult{
 					failed:       dev.FailedLines(),

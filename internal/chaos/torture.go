@@ -545,14 +545,9 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 		}
 	}
 
-	switch {
-	case prof != nil:
+	if prof != nil {
 		run.workloadScenario(prof)
-	case cfg.Threaded:
-		run.workloadThreaded()
-	case cfg.Mutators > 1:
-		run.workloadMutators()
-	default:
+	} else {
 		run.workload()
 	}
 
@@ -631,113 +626,93 @@ const (
 	wlMaxDepth = 12
 )
 
-// workload is the deterministic mutator driven under injection: linked
-// chains with host-side mirrors, pattern-stamped byte arrays in a rooted
-// reference array, medium objects for overflow allocation, large objects
-// for the LOS, occasional pins, and periodic explicit collections. Every
-// iteration cross-checks one chain against its mirror; divergence is a
-// campaign failure.
+// tortureAPI is the handle the torture workload mutates through: the VM's
+// plain entry points on the serial campaign, one vm.Mutator per share on a
+// split one.
+type tortureAPI interface {
+	workload.MutAPI
+	Pin(a heap.Addr)
+}
+
+// tortureHeap is the torture workload's state: linked chains with
+// host-side mirrors and pattern-stamped byte arrays in a rooted reference
+// array. A split campaign partitions chains and slots round-robin; each
+// mutator writes only its own share, host-side entries included, so they
+// need no locks on either engine.
+type tortureHeap struct {
+	r                *campaignRun
+	node, blob, refs *heap.Type
+
+	heads   [wlChains]heap.Addr
+	mirrors [wlChains][]uint64
+	arr     heap.Addr
+	arrLen  [wlArrSlots]int
+	arrPat  [wlArrSlots]byte
+	// Fill provenance per slot, for corruption diagnostics: the filling
+	// iteration and the collection count at fill time.
+	arrFillIter [wlArrSlots]int
+	arrFillGC   [wlArrSlots]int
+}
+
+// workload is the mutator program driven under injection: chains, medium
+// objects for overflow allocation, large objects for the LOS, occasional
+// pins, and periodic explicit collections, every iteration cross-checking
+// one chain and one slot against the host mirrors; divergence is a campaign
+// failure. The serial campaign runs it on the VM's plain entry points. A
+// split campaign (cfg.Mutators > 1, or the threaded engine) runs one share
+// per mutator through vm.RunMutators — deterministic baton turns or real
+// goroutines — each with its own rng stream and private Immix context, so
+// injections land on whichever mutator is running when the probe fires,
+// including one that is only traversing: the hole-tolerance property under
+// test.
 func (r *campaignRun) workload() {
 	v := r.v
-	rec := r.rec
-	node := v.RegisterType(&heap.Type{
-		Name: "tnode", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{wlNodeNext},
-	})
-	blob := v.RegisterType(&heap.Type{Name: "tblob", Kind: heap.KindScalarArray, ElemSize: 1})
-	refs := v.RegisterType(&heap.Type{Name: "trefs", Kind: heap.KindRefArray})
-
-	rng := rand.New(rand.NewSource(r.camp.Seed*1000003 + 7))
-
-	var heads [wlChains]heap.Addr
-	var mirrors [wlChains][]uint64
-	for i := range heads {
-		v.AddRoot(&heads[i])
+	h := &tortureHeap{
+		r: r,
+		node: v.RegisterType(&heap.Type{
+			Name: "tnode", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{wlNodeNext},
+		}),
+		blob: v.RegisterType(&heap.Type{Name: "tblob", Kind: heap.KindScalarArray, ElemSize: 1}),
+		refs: v.RegisterType(&heap.Type{Name: "trefs", Kind: heap.KindRefArray}),
 	}
-	arr, err := v.NewArray(refs, wlArrSlots)
+	k := r.cfg.Mutators
+	if k < 1 {
+		k = 1
+	}
+	split := k > 1 || r.cfg.Threaded
+	if split {
+		// The mutators' allocation-site registers are roots, and the trace
+		// visits roots in registration order: attaching before the workload
+		// roots is part of what a pinned campaign record depends on.
+		v.Mutator0()
+		for v.Mutators() < k {
+			v.AttachMutator()
+		}
+	}
+	for i := range h.heads {
+		v.AddRoot(&h.heads[i])
+	}
+	arr, err := v.NewArray(h.refs, wlArrSlots)
 	if err != nil {
 		r.fail("alloc ref array: %v", err)
 		return
 	}
-	v.AddRoot(&arr)
-	var arrLen [wlArrSlots]int
-	var arrPat [wlArrSlots]byte
+	h.arr = arr
+	v.AddRoot(&h.arr)
 
-	checkChain := func(c int) bool {
-		a := heads[c]
-		for i, want := range mirrors[c] {
-			if a == 0 {
-				r.fail("chain %d truncated at %d/%d", c, i, len(mirrors[c]))
-				return false
-			}
-			if got := v.ReadWord(a, wlNodeVal); got != want {
-				r.fail("chain %d node %d: got %#x want %#x", c, i, got, want)
-				return false
-			}
-			a = v.ReadRef(a, wlNodeNext)
-		}
-		if a != 0 {
-			r.fail("chain %d longer than its mirror (%d)", c, len(mirrors[c]))
-			return false
-		}
-		return true
-	}
-	checkSlot := func(s int) bool {
-		if arrLen[s] == 0 {
-			return true
-		}
-		ba := v.ArrayRef(arr, s)
-		if ba == 0 {
-			r.fail("array slot %d lost its blob", s)
-			return false
-		}
-		for _, i := range []int{0, arrLen[s] / 2, arrLen[s] - 1} {
-			if got, want := v.ArrayByte(ba, i), arrPat[s]+byte(i); got != want {
-				r.fail("array slot %d byte %d: got %#x want %#x", s, i, got, want)
-				return false
-			}
-		}
-		return true
-	}
-
-	for i := 0; i < r.opt.Iters && rec.Failure == "" && !v.OOM(); i++ {
-		c := rng.Intn(wlChains)
-		if len(mirrors[c]) > wlMaxDepth {
-			heads[c] = 0 // whole chain becomes garbage
-			mirrors[c] = nil
-		}
-		a, err := v.New(node)
+	if split {
+		err := v.RunMutators(k, func(m *vm.Mutator, yield func()) error {
+			h.mutate(m, m.ID(), k, yield)
+			return nil
+		})
 		if err != nil {
-			r.fail("iter %d alloc node: %v", i, err)
-			break
+			r.fail("mutators: %v", err)
 		}
-		val := rng.Uint64()
-		v.WriteRef(a, wlNodeNext, heads[c])
-		v.WriteWord(a, wlNodeVal, val)
-		heads[c] = a
-		mirrors[c] = append([]uint64{val}, mirrors[c]...)
-
-		switch {
-		case i%41 == 40: // large object space
-			r.fillSlot(v, blob, &arr, rng.Intn(wlArrSlots), 12000, rng, &arrLen, &arrPat)
-		case i%23 == 22: // medium: overflow allocation on Immix
-			r.fillSlot(v, blob, &arr, rng.Intn(wlArrSlots), 600, rng, &arrLen, &arrPat)
-		}
-		if rec.Failure != "" {
-			break
-		}
-		if i%97 == 96 {
-			v.Pin(heads[c])
-		}
-		if i%113 == 112 {
-			v.Collect(i%226 == 225)
-		}
-		if !checkChain(rng.Intn(wlChains)) || !checkSlot(rng.Intn(wlArrSlots)) {
-			break
-		}
-		v.Work(5)
+	} else {
+		h.mutate(v, 0, 1, func() {})
 	}
 
-	if rec.Failure != "" {
+	if r.failed() {
 		return
 	}
 	if v.OOM() {
@@ -745,37 +720,149 @@ func (r *campaignRun) workload() {
 		return
 	}
 	v.Collect(true)
-	for c := 0; c < wlChains && rec.Failure == ""; c++ {
-		checkChain(c)
+	for c := 0; c < wlChains && !r.failed(); c++ {
+		h.checkChain(v, c)
 	}
-	for s := 0; s < wlArrSlots && rec.Failure == ""; s++ {
-		checkSlot(s)
+	for s := 0; s < wlArrSlots && !r.failed(); s++ {
+		h.checkSlot(v, s)
 	}
-	if rec.Failure == "" {
+	if !r.failed() {
 		if err := v.Degraded(); err != nil {
 			r.fail("runtime degraded: %v", err)
 		}
 	}
 }
 
+// mutate runs share mi of k of the campaign's iterations through api,
+// calling yield at the top of each.
+func (h *tortureHeap) mutate(api tortureAPI, mi, k int, yield func()) {
+	r, v := h.r, h.r.v
+	var chains, slots []int
+	for c := mi; c < wlChains; c += k {
+		chains = append(chains, c)
+	}
+	for s := mi; s < wlArrSlots; s += k {
+		slots = append(slots, s)
+	}
+	iters := workload.Share(r.opt.Iters, k, mi)
+	rng := rand.New(rand.NewSource(r.camp.Seed*1000003 + 7 + 1009*int64(mi)))
+	for i := 0; i < iters && !r.failed() && !v.OOM(); i++ {
+		yield()
+		c := chains[rng.Intn(len(chains))]
+		if len(h.mirrors[c]) > wlMaxDepth {
+			h.heads[c] = 0 // whole chain becomes garbage
+			h.mirrors[c] = nil
+		}
+		a, err := api.New(h.node)
+		if err != nil {
+			r.fail("mutator %d iter %d alloc node: %v", mi, i, err)
+			break
+		}
+		val := rng.Uint64()
+		api.WriteRef(a, wlNodeNext, h.heads[c])
+		api.WriteWord(a, wlNodeVal, val)
+		h.heads[c] = a
+		h.mirrors[c] = append([]uint64{val}, h.mirrors[c]...)
+
+		switch {
+		case i%41 == 40: // large object space
+			h.fillSlot(api, slots[rng.Intn(len(slots))], 12000, i, rng)
+		case i%23 == 22: // medium: overflow allocation on Immix
+			h.fillSlot(api, slots[rng.Intn(len(slots))], 600, i, rng)
+		}
+		if r.failed() {
+			break
+		}
+		if i%97 == 96 {
+			api.Pin(h.heads[c])
+		}
+		if i%113 == 112 {
+			v.Collect(i%226 == 225)
+		}
+		if !h.checkChain(api, chains[rng.Intn(len(chains))]) ||
+			!h.checkSlot(api, slots[rng.Intn(len(slots))]) {
+			break
+		}
+		api.Work(5)
+	}
+}
+
+func (h *tortureHeap) checkChain(api tortureAPI, c int) bool {
+	r := h.r
+	a := h.heads[c]
+	for i, want := range h.mirrors[c] {
+		if a == 0 {
+			r.fail("chain %d truncated at %d/%d", c, i, len(h.mirrors[c]))
+			return false
+		}
+		if got := api.ReadWord(a, wlNodeVal); got != want {
+			r.fail("chain %d node %d: got %#x want %#x", c, i, got, want)
+			return false
+		}
+		a = api.ReadRef(a, wlNodeNext)
+	}
+	if a != 0 {
+		r.fail("chain %d longer than its mirror (%d)", c, len(h.mirrors[c]))
+		return false
+	}
+	return true
+}
+
+func (h *tortureHeap) checkSlot(api tortureAPI, s int) bool {
+	r, v := h.r, h.r.v
+	if h.arrLen[s] == 0 {
+		return true
+	}
+	ba := api.ArrayRef(h.arr, s)
+	if ba == 0 {
+		r.fail("array slot %d lost its blob", s)
+		return false
+	}
+	for _, i := range []int{0, h.arrLen[s] / 2, h.arrLen[s] - 1} {
+		if got, want := api.ArrayByte(ba, i), h.arrPat[s]+byte(i); got != want {
+			// An intact but older blob here means a lost update, not memory
+			// corruption; the provenance tells the two apart.
+			md := v.Model()
+			hdr := md.Header(ba)
+			st := *v.GCStats()
+			line := "no immix plan"
+			if ix := v.Immix(); ix != nil {
+				line = ix.DebugLineState(ba)
+			}
+			r.fail("array slot %d byte %d: got %#x want %#x "+
+				"(blob %#x len %d hdr %#x epoch %d hdrsize %d modelLen %d; "+
+				"filled iter %d gc %d; now gc %d evac %d dynfail %d; %s; data[:16]=%x)",
+				s, i, got, want, ba, h.arrLen[s],
+				hdr, heap.HeaderEpoch(hdr), heap.SizeFromHeader(hdr), md.ArrayLen(ba),
+				h.arrFillIter[s], h.arrFillGC[s],
+				st.Collections, st.ObjectsEvacuated, st.DynamicFailures,
+				line, md.S.Bytes(ba+heap.ArrayHeaderSize, 16))
+			return false
+		}
+	}
+	return true
+}
+
 // fillSlot replaces array slot s with a fresh pattern-stamped blob of n
-// bytes, recording the pattern in the host-side mirror. arr points at the
-// workload's rooted variable, NOT a copy: NewArray can trigger a
-// collection that evacuates the ref array, and the collector fixes up
-// registered roots only — a by-value address captured before the
-// allocation would silently write the new blob into the dead old copy.
-func (r *campaignRun) fillSlot(v *vm.VM, blob *heap.Type, arr *heap.Addr, s, n int,
-	rng *rand.Rand, arrLen *[wlArrSlots]int, arrPat *[wlArrSlots]byte) {
-	ba, err := v.NewArray(blob, n)
+// bytes at iteration iter, recording the pattern in the host-side mirror.
+// h.arr is re-read after the allocation, never captured before it:
+// NewArray can trigger a collection that evacuates the ref array, and the
+// collector fixes up registered roots only — an address held by value
+// across the allocation would silently write the new blob into the dead
+// old copy ("objects only move at allocation points" means exactly this
+// re-read).
+func (h *tortureHeap) fillSlot(api tortureAPI, s, n, iter int, rng *rand.Rand) {
+	h.arrFillIter[s], h.arrFillGC[s] = iter, h.r.v.GCStats().Collections
+	ba, err := api.NewArray(h.blob, n)
 	if err != nil {
-		r.fail("alloc blob[%d]: %v", n, err)
+		h.r.fail("alloc blob[%d]: %v", n, err)
 		return
 	}
 	pat := byte(rng.Intn(256))
 	for i := 0; i < n; i++ {
-		v.SetArrayByte(ba, i, pat+byte(i))
+		api.SetArrayByte(ba, i, pat+byte(i))
 	}
-	v.SetArrayRef(*arr, s, ba)
-	arrLen[s] = n
-	arrPat[s] = pat
+	api.SetArrayRef(h.arr, s, ba)
+	h.arrLen[s] = n
+	h.arrPat[s] = pat
 }

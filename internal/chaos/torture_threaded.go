@@ -1,12 +1,9 @@
 package chaos
 
 import (
-	"math/rand"
 	"sync"
 
-	"wearmem/internal/heap"
 	"wearmem/internal/probe"
-	"wearmem/internal/vm"
 )
 
 // threadedHook builds the probe hook for a threaded campaign. Probes fire
@@ -80,194 +77,6 @@ func (r *campaignRun) threadedHook() probe.Hook {
 				// which on this engine would race with running mutators.
 				r.verifyContexts()
 			}
-		}
-	}
-}
-
-// workloadThreaded is the torture workload on real mutator goroutines: the
-// chains and array slots are partitioned across cfg.Mutators OS-scheduled
-// tasks, each with its own rng stream, polling a safepoint every iteration.
-// All heap access inside a task goes through that task's mutator handle
-// (per-mutator clock shard and barrier buffer); shared host-side state is
-// either partitioned by the same round-robin split or, for the failure
-// record, mutex-guarded. Cross-checks against the host mirrors match the
-// baton workloads; final verification runs after the tasks join.
-func (r *campaignRun) workloadThreaded() {
-	v := r.v
-	rec := r.rec
-	node := v.RegisterType(&heap.Type{
-		Name: "tnode", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{wlNodeNext},
-	})
-	blob := v.RegisterType(&heap.Type{Name: "tblob", Kind: heap.KindScalarArray, ElemSize: 1})
-	refs := v.RegisterType(&heap.Type{Name: "trefs", Kind: heap.KindRefArray})
-
-	k := r.cfg.Mutators
-	if k < 1 {
-		k = 1
-	}
-	muts := make([]*vm.Mutator, k)
-	muts[0] = v.Mutator0()
-	for i := 1; i < k; i++ {
-		muts[i] = v.AttachMutator()
-	}
-
-	var heads [wlChains]heap.Addr
-	var mirrors [wlChains][]uint64
-	for i := range heads {
-		v.AddRoot(&heads[i])
-	}
-	arr, err := v.NewArray(refs, wlArrSlots)
-	if err != nil {
-		r.fail("alloc ref array: %v", err)
-		return
-	}
-	v.AddRoot(&arr)
-	var arrLen [wlArrSlots]int
-	var arrPat [wlArrSlots]byte
-	// Fill provenance per slot, for corruption diagnostics: the filling
-	// iteration and the collection count at fill time (owner-written, like
-	// arrLen/arrPat).
-	var arrFillIter [wlArrSlots]int
-	var arrFillGC [wlArrSlots]int
-
-	// checkChain and checkSlot read through the owning mutator's handle;
-	// owners touch only their own partition, so the heads/mirrors/arr*
-	// entries need no locks.
-	checkChain := func(m *vm.Mutator, c int) bool {
-		a := heads[c]
-		for i, want := range mirrors[c] {
-			if a == 0 {
-				r.fail("chain %d truncated at %d/%d", c, i, len(mirrors[c]))
-				return false
-			}
-			if got := m.ReadWord(a, wlNodeVal); got != want {
-				r.fail("chain %d node %d: got %#x want %#x", c, i, got, want)
-				return false
-			}
-			a = m.ReadRef(a, wlNodeNext)
-		}
-		if a != 0 {
-			r.fail("chain %d longer than its mirror (%d)", c, len(mirrors[c]))
-			return false
-		}
-		return true
-	}
-	checkSlot := func(m *vm.Mutator, s int) bool {
-		if arrLen[s] == 0 {
-			return true
-		}
-		ba := m.ArrayRef(arr, s)
-		if ba == 0 {
-			r.fail("array slot %d lost its blob", s)
-			return false
-		}
-		for _, i := range []int{0, arrLen[s] / 2, arrLen[s] - 1} {
-			if got, want := m.ArrayByte(ba, i), arrPat[s]+byte(i); got != want {
-				md := v.Model()
-				h := md.Header(ba)
-				st := *v.GCStats()
-				line := "no immix plan"
-				if ix := v.Immix(); ix != nil {
-					line = ix.DebugLineState(ba)
-				}
-				r.fail("array slot %d byte %d: got %#x want %#x "+
-					"(blob %#x len %d hdr %#x epoch %d hdrsize %d modelLen %d; "+
-					"filled iter %d gc %d; now gc %d evac %d dynfail %d; %s; data[:16]=%x)",
-					s, i, got, want, ba, arrLen[s],
-					h, heap.HeaderEpoch(h), heap.SizeFromHeader(h), md.ArrayLen(ba),
-					arrFillIter[s], arrFillGC[s],
-					st.Collections, st.ObjectsEvacuated, st.DynamicFailures,
-					line, md.S.Bytes(ba+heap.ArrayHeaderSize, 16))
-				return false
-			}
-		}
-		return true
-	}
-
-	tasks := make([]func() error, k)
-	for mi := range tasks {
-		mi := mi
-		m := muts[mi]
-		var chains, slots []int
-		for c := mi; c < wlChains; c += k {
-			chains = append(chains, c)
-		}
-		for s := mi; s < wlArrSlots; s += k {
-			slots = append(slots, s)
-		}
-		iters := r.opt.Iters / k
-		if mi < r.opt.Iters%k {
-			iters++
-		}
-		rng := rand.New(rand.NewSource(r.camp.Seed*1000003 + 7 + 1009*int64(mi)))
-		tasks[mi] = func() error {
-			for i := 0; i < iters && !r.failed() && !v.OOM(); i++ {
-				m.Safepoint()
-				c := chains[rng.Intn(len(chains))]
-				if len(mirrors[c]) > wlMaxDepth {
-					heads[c] = 0 // whole chain becomes garbage
-					mirrors[c] = nil
-				}
-				a, err := m.New(node)
-				if err != nil {
-					r.fail("mutator %d iter %d alloc node: %v", mi, i, err)
-					break
-				}
-				val := rng.Uint64()
-				m.WriteRef(a, wlNodeNext, heads[c])
-				m.WriteWord(a, wlNodeVal, val)
-				heads[c] = a
-				mirrors[c] = append([]uint64{val}, mirrors[c]...)
-
-				switch {
-				case i%41 == 40: // large object space
-					s := slots[rng.Intn(len(slots))]
-					arrFillIter[s], arrFillGC[s] = i, v.GCStats().Collections
-					r.fillSlotOn(m, blob, &arr, s, 12000, rng, &arrLen, &arrPat)
-				case i%23 == 22: // medium: overflow allocation on Immix
-					s := slots[rng.Intn(len(slots))]
-					arrFillIter[s], arrFillGC[s] = i, v.GCStats().Collections
-					r.fillSlotOn(m, blob, &arr, s, 600, rng, &arrLen, &arrPat)
-				}
-				if r.failed() {
-					break
-				}
-				if i%97 == 96 {
-					m.Pin(heads[c])
-				}
-				if i%113 == 112 {
-					v.Collect(i%226 == 225)
-				}
-				if !checkChain(m, chains[rng.Intn(len(chains))]) ||
-					!checkSlot(m, slots[rng.Intn(len(slots))]) {
-					break
-				}
-				m.Work(5)
-			}
-			return nil
-		}
-	}
-	if err := v.RunThreads(tasks...); err != nil {
-		r.fail("threaded engine: %v", err)
-	}
-
-	if rec.Failure != "" {
-		return
-	}
-	if v.OOM() {
-		r.fail("heap exhausted (OOM) after %d GCs", v.GCStats().Collections)
-		return
-	}
-	v.Collect(true)
-	for c := 0; c < wlChains && rec.Failure == ""; c++ {
-		checkChain(muts[c%k], c)
-	}
-	for s := 0; s < wlArrSlots && rec.Failure == ""; s++ {
-		checkSlot(muts[s%k], s)
-	}
-	if rec.Failure == "" {
-		if err := v.Degraded(); err != nil {
-			r.fail("runtime degraded: %v", err)
 		}
 	}
 }

@@ -132,6 +132,7 @@ func policyZooCase(bench, engine, policy string, iters int, seed int64) zooResul
 		Threaded:     threaded,
 		TraceWorkers: traceWorkers,
 	})
+	defer v.Close()
 
 	lrec := stats.NewLatencyRecorder(zooMutators)
 	prof.Latency = lrec.Shard

@@ -174,6 +174,7 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 		Threaded:     threaded,
 		TraceWorkers: traceWorkers,
 	})
+	defer v.Close()
 
 	// The cut: at the Nth allocation the power fails and the device's
 	// durable state is captured mid-operation. The doomed run is then let
@@ -241,6 +242,7 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 		Threaded:     threaded,
 		TraceWorkers: traceWorkers,
 	})
+	defer v2.Close()
 	prof2 := workload.ByName(bench)
 	lrec := stats.NewLatencyRecorder(restartMutators)
 	prof2.Latency = lrec.Shard

@@ -656,13 +656,20 @@ func (d *Device) wearStep() {
 		// The copy writes the destination slot; its verify-after-write can
 		// fail like any other, surfacing a failure of the relocated line.
 		if d.wear(int(d.gap)) {
-			var data []byte
-			if d.data != nil {
-				data = d.data[d.gap*int32(failmap.LineSize) : (d.gap+1)*int32(failmap.LineSize)]
+			if d.array.Unavailable(int(l)) {
+				// The clustering hardware already took the relocated line
+				// from software (a surfaced failure or its own metadata):
+				// one more broken storage line, nothing left to surface.
+				d.failedLines.Add(1)
 			} else {
-				data = make([]byte, failmap.LineSize)
+				var data []byte
+				if d.data != nil {
+					data = d.data[d.gap*int32(failmap.LineSize) : (d.gap+1)*int32(failmap.LineSize)]
+				} else {
+					data = make([]byte, failmap.LineSize)
+				}
+				d.reportFailure(int(l), data)
 			}
-			d.reportFailure(int(l), data)
 		}
 	} else {
 		d.occupant[d.gap] = -1

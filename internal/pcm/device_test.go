@@ -360,6 +360,42 @@ func TestStartGapMoveFailuresAreReported(t *testing.T) {
 	}
 }
 
+// Under clustering the gap also carries lines software has already lost
+// (surfaced failures, redirection metadata). When such a copy breaks its
+// destination there is nothing left to surface: the storage counts as
+// failed and the clustering hardware is not told a second time (it panics
+// if it is). The driver skips unavailable lines, as failure-aware software
+// does.
+func TestStartGapCarriesUnavailableLinesUnderClustering(t *testing.T) {
+	d := NewDevice(Config{
+		Size: 8 * failmap.PageSize, Endurance: 30, Variation: 0.2,
+		ClusterPages: 2, WearLeveling: StartGap, GapInterval: 4,
+	}, nil)
+	buf := make([]byte, failmap.LineSize)
+	for i := 0; i < 60000; i++ {
+		l := i % d.Lines()
+		if d.Unavailable(l) {
+			continue
+		}
+		if d.Write(l, buf) != nil {
+			d.Drain()
+		}
+	}
+	unavailable := 0
+	for l := 0; l < d.Lines(); l++ {
+		if d.Unavailable(l) {
+			unavailable++
+		}
+	}
+	if unavailable == 0 || d.FailedLines() == 0 {
+		t.Fatalf("nothing wore out (%d unavailable, %d failed); the test is vacuous",
+			unavailable, d.FailedLines())
+	}
+	if got := d.FailMap().FailedLines(); got != unavailable {
+		t.Fatalf("failure map shows %d lines, device reports %d unavailable", got, unavailable)
+	}
+}
+
 func TestWearHistogramAccountsEverySlot(t *testing.T) {
 	d := NewDevice(Config{Size: failmap.PageSize, Endurance: 50, Variation: 0.2, Seed: 3}, nil)
 	buf := make([]byte, failmap.LineSize)

@@ -5,6 +5,7 @@ import (
 
 	"wearmem/internal/core"
 	"wearmem/internal/heap"
+	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 )
 
@@ -121,6 +122,48 @@ func (m *Mutator) Park() {
 	if m.v.running == m {
 		m.v.running = nil
 	}
+}
+
+// RunMutators runs body once on each of a batch of k mutators and returns
+// the first error. It is the one place that knows how the two engines run
+// a batch: on the baton engine the bodies take deterministic round-robin
+// turns under sched.Run, each Unparked while it holds the baton, and yield
+// parks the mutator at a safepoint, hands the baton over and unparks when
+// it comes back; on the threaded engine they are RunThreads tasks on real
+// goroutines and yield is the mutator's Safepoint poll. A body calls yield
+// wherever another mutator's collection may stop it — typically once per
+// iteration. Mutators attached earlier (Mutator0, AttachMutator) are
+// reused, the missing ones attached, so body sees ids 0..k-1.
+func (v *VM) RunMutators(k int, body func(m *Mutator, yield func()) error) error {
+	if k < 1 {
+		k = 1
+	}
+	v.Mutator0()
+	for len(v.muts) < k {
+		v.AttachMutator()
+	}
+	if v.threaded {
+		fns := make([]func() error, k)
+		for i := range fns {
+			m := v.muts[i]
+			fns[i] = func() error { return body(m, m.Safepoint) }
+		}
+		return v.RunThreads(fns...)
+	}
+	tasks := make([]sched.Func, k)
+	for i := range tasks {
+		m := v.muts[i]
+		tasks[i] = func(y sched.Yielder) error {
+			m.Unpark()
+			defer m.Park()
+			return body(m, func() {
+				m.Park()
+				y.Yield()
+				m.Unpark()
+			})
+		}
+	}
+	return sched.Run(tasks...)
 }
 
 // New allocates a fixed-size object from the mutator's context.

@@ -5,14 +5,10 @@
 package vm
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"wearmem/internal/core"
 	"wearmem/internal/heap"
-	"wearmem/internal/probe"
 	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 )
@@ -226,41 +222,12 @@ func (v *VM) drainPendingFails() {
 	}
 }
 
-// allocRetryThreaded is the threaded engine's allocation entry: a
-// safepoint poll, the lock-free fast path, and a stop-the-world slow path.
-func (v *VM) allocRetryThreaded(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
-	if v.oom.Load() {
-		return 0, ErrOutOfMemory
-	}
-	v.safepointPoll()
-	if v.concMark > 0 {
-		v.concMarkStep(size)
-	}
-	a, err := v.allocGuarded(m, ty, size, n)
-	if err != nil {
-		a, err = v.allocSlowThreaded(m, ty, size, n)
-		if err != nil {
-			return 0, err
-		}
-	}
-	newborn := &v.newborn
-	if m != nil {
-		newborn = &m.newborn
-	}
-	*newborn = a
-	if v.cfg.Probe != nil {
-		v.cfg.Probe(probe.AllocBump, uint64(a))
-	}
-	// The probe may have injected a failure whose recovery collection
-	// evacuated the fresh object; the newborn root was fixed up, the local
-	// was not.
-	return *newborn, nil
-}
-
-// allocSlowThreaded stops the world and walks the same collection
-// escalation ladder as the baton engine. The deferred start() releases the
-// world even when a collection panics, so parked mutators unwind instead
-// of deadlocking — torture-campaign minimization depends on that.
+// allocSlowThreaded is the threaded engine's prelude to the collection
+// ladder: stop the world, handle queued failures, close any marking cycle,
+// retrying the allocation after each, then escalate. The deferred start()
+// releases the world even when a collection panics, so parked mutators
+// unwind instead of deadlocking — torture-campaign minimization depends on
+// that.
 func (v *VM) allocSlowThreaded(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
 	v.world.stop()
 	defer v.world.start()
@@ -288,35 +255,5 @@ func (v *VM) allocSlowThreaded(m *Mutator, ty *heap.Type, size, n int) (heap.Add
 			return a, nil
 		}
 	}
-	if gcTrace != nil {
-		fmt.Fprintf(gcTrace, "GC trigger: alloc %s size=%d err=%v %s\n", ty.Name, size, err, v.MemoryDebug())
-	}
-	if errors.Is(err, core.ErrNeedFreeBlock) {
-		v.collectGuarded(true)
-		if a, err = v.allocGuarded(m, ty, size, n); err == nil {
-			return a, nil
-		}
-		if v.concMark > 0 {
-			if a, ok := v.retryFullCollections(m, ty, size, n); ok {
-				return a, nil
-			}
-		}
-		v.oom.Store(true)
-		return 0, ErrOutOfMemory
-	}
-	v.collectGuarded(false)
-	if a, err = v.allocGuarded(m, ty, size, n); err == nil {
-		return a, nil
-	}
-	v.collectGuarded(true)
-	if a, err = v.allocGuarded(m, ty, size, n); err == nil {
-		return a, nil
-	}
-	if v.concMark > 0 {
-		if a, ok := v.retryFullCollections(m, ty, size, n); ok {
-			return a, nil
-		}
-	}
-	v.oom.Store(true)
-	return 0, ErrOutOfMemory
+	return v.escalate(m, ty, size, n, err)
 }

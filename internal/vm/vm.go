@@ -637,27 +637,40 @@ func (v *VM) NewArray(ty *heap.Type, n int) (heap.Addr, error) {
 	return v.allocRetry(nil, ty, heap.ArraySize(ty, n), n)
 }
 
-// allocRetry is the shared allocation slow path. m selects the mutator
-// allocation context; nil uses the plan's primary context (the historical
-// single-mutator path, bit for bit).
+// allocRetry is the one allocation path. m selects the mutator allocation
+// context; nil uses the plan's primary context (the historical
+// single-mutator path, bit for bit). Only the prelude and the first
+// recourse know the engine: allocation is a GC point, so the baton engine
+// handles deferred failure batches and runs one bounded mark increment (or
+// a trigger check) before the bump, where the threaded engine polls the
+// stop-the-world flag and drives its concurrent marking cycle; and a failed
+// attempt walks the collection ladder directly on the baton engine, behind
+// a world stop on the threaded one.
 func (v *VM) allocRetry(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
-	if v.threaded {
-		return v.allocRetryThreaded(m, ty, size, n)
-	}
 	if v.oom.Load() {
 		return 0, ErrOutOfMemory
 	}
-	// Allocation is a GC point: deferred failure batches are processed
-	// here, before the allocator runs.
-	v.safepoint()
-	if v.pauseBudget > 0 {
-		// Allocation is also the incremental-marking point: one bounded mark
-		// increment (or a trigger check) interleaves before the bump.
-		v.incStep(size)
+	if v.threaded {
+		v.safepointPoll()
+		if v.concMark > 0 {
+			v.concMarkStep(size)
+		}
+	} else {
+		v.safepoint()
+		if v.pauseBudget > 0 {
+			v.incStep(size)
+		}
 	}
-	a, err := v.allocAttempts(m, ty, size, n)
+	a, err := v.allocGuarded(m, ty, size, n)
 	if err != nil {
-		return 0, err
+		if v.threaded {
+			a, err = v.allocSlowThreaded(m, ty, size, n)
+		} else {
+			a, err = v.escalate(m, ty, size, n, err)
+		}
+		if err != nil {
+			return 0, err
+		}
 	}
 	newborn := &v.newborn
 	if m != nil {
@@ -673,41 +686,31 @@ func (v *VM) allocRetry(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, erro
 	return *newborn, nil
 }
 
-func (v *VM) allocAttempts(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
-	a, err := v.allocGuarded(m, ty, size, n)
-	if err == nil {
-		return a, nil
-	}
+// escalate is the collection ladder behind an allocation attempt that
+// failed with err: collect, retry, collect harder, and declare the run out
+// of memory when nothing helps. The caller holds the collection right — the
+// baton, or the stopped world.
+func (v *VM) escalate(m *Mutator, ty *heap.Type, size, n int, err error) (heap.Addr, error) {
 	if gcTrace != nil {
 		fmt.Fprintf(gcTrace, "GC trigger: alloc %s size=%d err=%v %s\n", ty.Name, size, err, v.MemoryDebug())
 	}
 	// Allocations that need a completely free block (medium objects on
-	// overflow blocks) escalate straight to a full, defragmenting
-	// collection — nursery passes rarely produce whole free blocks.
-	if errors.Is(err, core.ErrNeedFreeBlock) {
-		v.collectGuarded(true)
-		if a, err = v.allocGuarded(m, ty, size, n); err == nil {
+	// overflow blocks) skip the first recourse, a (possibly nursery)
+	// collection: nursery passes rarely produce whole free blocks.
+	if !errors.Is(err, core.ErrNeedFreeBlock) {
+		v.collectGuarded(false)
+		if a, err := v.allocGuarded(m, ty, size, n); err == nil {
 			return a, nil
 		}
-		if v.pauseBudget > 0 {
-			if a, ok := v.retryFullCollections(m, ty, size, n); ok {
-				return a, nil
-			}
-		}
-		v.oom.Store(true)
-		return 0, ErrOutOfMemory
 	}
-	// First recourse: a (possibly nursery) collection.
-	v.collectGuarded(false)
-	if a, err = v.allocGuarded(m, ty, size, n); err == nil {
-		return a, nil
-	}
-	// Second recourse: a full collection.
+	// Second recourse: a full, defragmenting collection.
 	v.collectGuarded(true)
-	if a, err = v.allocGuarded(m, ty, size, n); err == nil {
+	if a, err := v.allocGuarded(m, ty, size, n); err == nil {
 		return a, nil
 	}
-	if v.pauseBudget > 0 {
+	// Marking cycles are on: baton increments under a pause budget, or the
+	// threaded engine's concurrent markers.
+	if v.concMark > 0 || (!v.threaded && v.pauseBudget > 0) {
 		if a, ok := v.retryFullCollections(m, ty, size, n); ok {
 			return a, nil
 		}

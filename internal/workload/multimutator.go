@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"wearmem/internal/sched"
 	"wearmem/internal/vm"
 )
 
@@ -24,180 +23,82 @@ func Share(n, k, i int) int {
 }
 
 // RunMutators executes the benchmark split across the given number of
-// mutators, driven by the deterministic baton scheduler: each mutator owns
-// a share of the live structures, a share of the iterations, and its own
-// rng stream, allocates through its private Immix context, and parks at a
-// safepoint before every yield so a collection (or failure up-call)
-// triggered by any mutator observes the stop-the-world condition. With
-// mutators <= 1 the run is exactly Run — the historical single-mutator
-// path, bit for bit. The first mutator to fail aborts the others; its
-// error is returned (vm.ErrOutOfMemory still reports a DNF through
-// errors.Is).
+// mutators on the VM's engine (vm.RunMutators): each mutator owns a share
+// of the live structures, a share of the iterations, and its own rng
+// stream, allocates through its private Immix context, and yields before
+// every iteration so a collection (or failure up-call) triggered by any
+// mutator finds it at a safepoint. On the baton engine the interleaving is
+// deterministic, and with mutators <= 1 the run is exactly Run — the
+// historical single-mutator path, bit for bit. On the threaded engine it
+// is whatever the host decides, so only engine-invariant outcomes (the
+// live census, failure outcomes, verifier cleanliness) match. The first
+// mutator to fail aborts the others; its error is returned
+// (vm.ErrOutOfMemory still reports a DNF through errors.Is).
 func (p *Profile) RunMutators(v *vm.VM, iterations, mutators int) error {
-	if v.Threaded() {
-		return p.runThreaded(v, iterations, mutators)
-	}
-	if mutators <= 1 {
+	if mutators <= 1 && !v.Threaded() {
 		return p.Run(v, iterations)
 	}
-	if iterations <= 0 {
-		iterations = p.Iterations
-	}
-	muts := make([]*vm.Mutator, mutators)
-	muts[0] = v.Mutator0()
-	for i := 1; i < mutators; i++ {
-		muts[i] = v.AttachMutator()
-	}
-	// The shared iteration counter orders IterHook calls (the harness's
-	// fault-injection schedule) across mutators; the baton serializes the
-	// increments, so the sequence is deterministic.
-	shared := 0
-	if p.Body != nil {
-		// Scenario profile: shared structures are built once on the VM,
-		// then each mutator runs the scenario body over its iteration
-		// share, yielding the baton (and firing IterHook) once per
-		// iteration through the callback.
-		if p.Prepare != nil {
-			if err := p.Prepare(v); err != nil {
-				return err
-			}
-		}
-		tasks := make([]sched.Func, mutators)
-		for i := range tasks {
-			m := muts[i]
-			mut := i
-			iters := Share(iterations, mutators, i)
-			tasks[i] = func(y sched.Yielder) error {
-				m.Unpark()
-				defer m.Park()
-				return p.Body(m, mut, mutators, iters, func() {
-					m.Park()
-					y.Yield()
-					m.Unpark()
-					if p.IterHook != nil {
-						p.IterHook(shared, v)
-						shared++
-					}
-				})
-			}
-		}
-		return sched.Run(tasks...)
-	}
-	ty := RegisterTypes(v)
-	tasks := make([]sched.Func, mutators)
-	for i := range tasks {
-		m := muts[i]
-		seed := int64(len(p.Name)) + 12345 + mutatorSeedStride*int64(i)
-		iters := Share(iterations, mutators, i)
-		listNodes := Share(p.LiveListNodes, mutators, i)
-		arrayBytes := Share(p.LiveArrayBytes, mutators, i)
-		regSlots := Share(p.RegistrySlots, mutators, i)
-		tasks[i] = func(y sched.Yielder) error {
-			m.Unpark()
-			defer m.Park()
-			st := &runState{rng: rand.New(rand.NewSource(seed))}
-			if err := p.setup(m, ty, st, listNodes, arrayBytes, regSlots); err != nil {
-				return err
-			}
-			for it := 0; it < iters; it++ {
-				// Yield between iterations: park at the safepoint, hand the
-				// baton over, unpark when it comes back.
-				m.Park()
-				y.Yield()
-				m.Unpark()
-				if err := p.iterate(m, ty, st); err != nil {
-					return err
-				}
-				if p.IterHook != nil {
-					p.IterHook(shared, v)
-					shared++
-				}
-			}
-			return nil
-		}
-	}
-	return sched.Run(tasks...)
-}
-
-// runThreaded executes the benchmark split across real OS-scheduled
-// mutator goroutines — the threaded engine's counterpart of the baton
-// loop above. Interleaving is whatever the host decides, so the run is
-// not byte-comparable to the baton engine; only engine-invariant outcomes
-// (the live census, failure outcomes, verifier cleanliness) match. Each
-// task polls a safepoint between iterations so stop-the-world requests
-// from any mutator's allocation slow path are honored promptly; IterHook
-// calls are serialized under a mutex (their global order is nondeterministic
-// by design).
-func (p *Profile) runThreaded(v *vm.VM, iterations, mutators int) error {
 	if iterations <= 0 {
 		iterations = p.Iterations
 	}
 	if mutators < 1 {
 		mutators = 1
 	}
-	muts := make([]*vm.Mutator, mutators)
-	muts[0] = v.Mutator0()
-	for i := 1; i < mutators; i++ {
-		muts[i] = v.AttachMutator()
-	}
+	// The shared iteration counter orders IterHook calls (the harness's
+	// fault-injection schedule) across mutators. The baton already
+	// serializes them, so there the sequence is deterministic and the lock
+	// uncontended; threaded mutators race for it.
 	var hookMu sync.Mutex
 	shared := 0
+	hook := func() {
+		if p.IterHook == nil {
+			return
+		}
+		hookMu.Lock()
+		defer hookMu.Unlock()
+		p.IterHook(shared, v)
+		shared++
+	}
 	if p.Body != nil {
-		// Scenario profile on real goroutines: shared structures are
-		// built single-threaded before the world starts; the yield
-		// callback polls the safepoint and serializes IterHook.
+		// Scenario profile: shared structures are built once on the VM,
+		// then each mutator runs the scenario body over its iteration
+		// share, yielding (and firing IterHook) once per iteration through
+		// the callback. The mutators attach before Prepare registers the
+		// scenario's roots: the trace visits roots in registration order,
+		// so that order is part of what a same-seed run reproduces.
+		v.Mutator0()
+		for v.Mutators() < mutators {
+			v.AttachMutator()
+		}
 		if p.Prepare != nil {
 			if err := p.Prepare(v); err != nil {
 				return err
 			}
 		}
-		tasks := make([]func() error, mutators)
-		for i := range tasks {
-			m := muts[i]
-			mut := i
-			iters := Share(iterations, mutators, i)
-			tasks[i] = func() error {
-				return p.Body(m, mut, mutators, iters, func() {
-					m.Safepoint()
-					if p.IterHook != nil {
-						hookMu.Lock()
-						p.IterHook(shared, v)
-						shared++
-						hookMu.Unlock()
-					}
-				})
-			}
-		}
-		return v.RunThreads(tasks...)
+		return v.RunMutators(mutators, func(m *vm.Mutator, yield func()) error {
+			iters := Share(iterations, mutators, m.ID())
+			return p.Body(m, m.ID(), mutators, iters, func() {
+				yield()
+				hook()
+			})
+		})
 	}
 	ty := RegisterTypes(v)
-	tasks := make([]func() error, mutators)
-	for i := range tasks {
-		m := muts[i]
-		seed := int64(len(p.Name)) + 12345 + mutatorSeedStride*int64(i)
-		iters := Share(iterations, mutators, i)
-		listNodes := Share(p.LiveListNodes, mutators, i)
-		arrayBytes := Share(p.LiveArrayBytes, mutators, i)
-		regSlots := Share(p.RegistrySlots, mutators, i)
-		tasks[i] = func() error {
-			st := &runState{rng: rand.New(rand.NewSource(seed))}
-			if err := p.setup(m, ty, st, listNodes, arrayBytes, regSlots); err != nil {
+	return v.RunMutators(mutators, func(m *vm.Mutator, yield func()) error {
+		i := m.ID()
+		st := &runState{rng: rand.New(rand.NewSource(int64(len(p.Name)) + 12345 + mutatorSeedStride*int64(i)))}
+		err := p.setup(m, ty, st, Share(p.LiveListNodes, mutators, i),
+			Share(p.LiveArrayBytes, mutators, i), Share(p.RegistrySlots, mutators, i))
+		if err != nil {
+			return err
+		}
+		for it := Share(iterations, mutators, i); it > 0; it-- {
+			yield()
+			if err := p.iterate(m, ty, st); err != nil {
 				return err
 			}
-			for it := 0; it < iters; it++ {
-				m.Safepoint()
-				if err := p.iterate(m, ty, st); err != nil {
-					return err
-				}
-				if p.IterHook != nil {
-					hookMu.Lock()
-					p.IterHook(shared, v)
-					shared++
-					hookMu.Unlock()
-				}
-			}
-			return nil
+			hook()
 		}
-	}
-	return v.RunThreads(tasks...)
+		return nil
+	})
 }
