@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-wearout perf-figs determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-wearout perf-figs perf-kv determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,12 @@ perf-wearout:
 # line and exit status; at seed 42 the fifteen report pins are re-checked.
 perf-figs:
 	bash bench/run.sh --workload figs --seed 42 --seconds 12 --trace 0
+
+# The baton engine's service workload: 95 % reads on four mutators, a
+# scheduler hand-off per 128-request iteration. Same result line and exit
+# status.
+perf-kv:
+	bash bench/run.sh --workload kv-read --seed 42 --seconds 12 --trace 0
 
 # Full experiment benchmarks (quick configuration; takes minutes).
 bench-experiments:

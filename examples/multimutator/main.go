@@ -69,51 +69,40 @@ func main() {
 		fmt.Printf("injected: line failure under reader node %d (vaddr %#x)\n", chainLen/2, uint64(a))
 	}
 
-	tasks := make([]wearmem.TaskFunc, 0, 3)
-	// The reader task never allocates: it only walks its chain and checks
-	// the values. Any collection it survives was triggered by someone else.
-	tasks = append(tasks, func(y wearmem.Yielder) error {
-		m := reader
-		m.Unpark()
-		defer m.Park()
-		for round := 0; round < rounds; round++ {
-			m.Park()
-			y.Yield()
-			m.Unpark()
-			a := head
-			for i := chainLen - 1; i >= 0; i-- {
-				if a == 0 {
-					return fmt.Errorf("round %d: chain truncated at node %d", round, i)
-				}
-				if got := m.ReadWord(a, nodeVal); got != uint64(i) {
-					return fmt.Errorf("round %d node %d: got %d", round, i, got)
-				}
-				a = m.ReadRef(a, nodeNext)
+	// The reader never allocates: it only walks its chain and checks the
+	// values. Any collection it survives was triggered by someone else.
+	walk := func(m *wearmem.Mutator, round int) error {
+		a := head
+		for i := chainLen - 1; i >= 0; i-- {
+			if a == 0 {
+				return fmt.Errorf("round %d: chain truncated at node %d", round, i)
 			}
+			if got := m.ReadWord(a, nodeVal); got != uint64(i) {
+				return fmt.Errorf("round %d node %d: got %d", round, i, got)
+			}
+			a = m.ReadRef(a, nodeNext)
+		}
+		return nil
+	}
+	err := v.RunMutators(3, func(m *wearmem.Mutator, yield func()) error {
+		for round := 0; round < rounds; round++ {
+			yield()
+			if m == reader {
+				if err := walk(m, round); err != nil {
+					return err
+				}
+				continue
+			}
+			if m == writers[0] && round == rounds/2 {
+				inject()
+			}
+			// Garbage churn through this mutator's private context;
+			// collections triggered here must not disturb the reader.
+			m.MustNewArray(blob, 256)
 		}
 		return nil
 	})
-	for wi, w := range writers {
-		wi, w := wi, w
-		tasks = append(tasks, func(y wearmem.Yielder) error {
-			m := w
-			m.Unpark()
-			defer m.Park()
-			for round := 0; round < rounds; round++ {
-				m.Park()
-				y.Yield()
-				m.Unpark()
-				if wi == 0 && round == rounds/2 {
-					inject()
-				}
-				// Garbage churn through this mutator's private context;
-				// collections triggered here must not disturb the reader.
-				m.MustNewArray(blob, 256)
-			}
-			return nil
-		})
-	}
-	if err := wearmem.RunTasks(tasks...); err != nil {
+	if err != nil {
 		panic(err)
 	}
 

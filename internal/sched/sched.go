@@ -1,15 +1,25 @@
 // Package sched provides the deterministic cooperative scheduler that
-// drives multi-mutator runs. Tasks are real goroutines, but a baton
-// guarantees exactly one is runnable at any moment: Run resumes the live
-// tasks in strict round-robin order by logical time step, and a running
-// task hands the baton back by calling Yield (or by returning). Same task
-// set ⇒ same interleaving, every run — which is what lets a multi-mutator
-// experiment produce byte-identical reports from the same seed — while the
-// channel handoffs give the race detector real happens-before edges to
-// check the runtime's synchronization seams against.
+// drives multi-mutator runs. Each task is a coroutine (an iter.Pull
+// sequence) and the baton is the thread of control itself: Run resumes the
+// live tasks in strict round-robin order, and a running task hands the
+// baton back by calling Yield (or by returning). Same task set ⇒ same
+// interleaving, every run — which is what lets a multi-mutator experiment
+// produce byte-identical reports from the same seed.
+//
+// Coroutines rather than a goroutine per task: a coroutine switch stays on
+// the running thread and never enters the Go scheduler, so a hand-off costs
+// the same at any GOMAXPROCS, where a channel hand-off parks one OS thread
+// and wakes another unless the run is pinned to one P — and GOMAXPROCS is
+// process-wide while the harness runs experiments in parallel. iter.Pull
+// does a race-detector release/acquire on every switch, so the hand-offs
+// still give the detector real happens-before edges to check the runtime's
+// synchronization seams against.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Yielder is the handle a task uses to cooperate. Calling Yield parks the
 // task until the scheduler's round-robin comes back around to it.
@@ -18,9 +28,6 @@ type Yielder interface {
 	// task is resumed, or panics internally (unwinding the task's stack)
 	// when the run was aborted by another task's error.
 	Yield()
-	// Step returns the scheduler's logical time: the number of resumes
-	// performed so far, a deterministic per-run ordering of task slices.
-	Step() uint64
 }
 
 // Func is one task's body. The error of the first task to fail — in
@@ -32,89 +39,63 @@ type Func func(y Yielder) error
 type abortSignal struct{}
 
 type task struct {
-	id     int
-	resume chan struct{} // scheduler → task: run until next yield
-	yield  chan struct{} // task → scheduler: parked or finished
-	done   bool
-	abort  bool // tear the task down at the next resume
-	err    error
-	pan    interface{} // re-thrown task panic, if any
+	next func() (struct{}, bool) // run until the next yield; false once finished
+	stop func()                  // tear down: a parked task unwinds, an unstarted one never runs
+	done bool
+	err  error
+	pan  interface{} // re-thrown task panic, if any
 }
 
-type scheduler struct {
-	tasks []*task
-	step  uint64
-}
-
-type yielder struct {
-	s *scheduler
-	t *task
-}
+// yielder is the sequence's yield function; it returns false once the
+// task has been stopped.
+type yielder func(struct{}) bool
 
 func (y yielder) Yield() {
-	y.t.yield <- struct{}{}
-	<-y.t.resume
-	if y.t.abort {
+	if !y(struct{}{}) {
 		panic(abortSignal{})
 	}
 }
 
-func (y yielder) Step() uint64 { return y.s.step }
-
 // Run executes the task functions to completion under the deterministic
 // round-robin policy and returns the first error (nil when every task
 // succeeded). A task panic is re-raised in the caller's goroutine once the
-// remaining tasks have been torn down, so no goroutines leak.
+// remaining tasks have been torn down, so no coroutines leak.
 func Run(fns ...Func) error {
-	if len(fns) == 0 {
-		return nil
-	}
-	s := &scheduler{}
-	for i := range fns {
-		t := &task{
-			id:     i,
-			resume: make(chan struct{}),
-			yield:  make(chan struct{}),
-		}
-		s.tasks = append(s.tasks, t)
-		go func(t *task, fn Func) {
+	tasks := make([]task, len(fns))
+	for i, fn := range fns {
+		t := &tasks[i]
+		t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(abortSignal); !ok {
 						t.pan = r
 					}
 				}
-				t.done = true
-				t.yield <- struct{}{}
 			}()
-			<-t.resume
-			if t.abort {
-				panic(abortSignal{})
-			}
-			t.err = fn(yielder{s, t})
-		}(t, fns[i])
+			t.err = fn(yielder(yield))
+		})
 	}
 
 	var firstErr error
 	var firstPan interface{}
-	live := len(s.tasks)
-	for live > 0 {
-		for _, t := range s.tasks {
+	for live := len(tasks); live > 0; {
+		for i := range tasks {
+			t := &tasks[i]
 			if t.done {
 				continue
 			}
-			s.step++
-			t.abort = firstErr != nil || firstPan != nil
-			t.resume <- struct{}{}
-			<-t.yield
-			if t.done {
-				live--
-				if t.err != nil && firstErr == nil {
-					firstErr = t.err
-				}
-				if t.pan != nil && firstPan == nil {
-					firstPan = t.pan
-				}
+			if firstErr != nil || firstPan != nil {
+				t.stop()
+			} else if _, parked := t.next(); parked {
+				continue
+			}
+			t.done = true
+			live--
+			if firstErr == nil {
+				firstErr = t.err
+			}
+			if firstPan == nil {
+				firstPan = t.pan
 			}
 		}
 	}

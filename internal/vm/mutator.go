@@ -155,6 +155,8 @@ func (v *VM) RunMutators(k int, body func(m *Mutator, yield func()) error) error
 		m := v.muts[i]
 		tasks[i] = func(y sched.Yielder) error {
 			m.Unpark()
+			// Deferred, not trailing: when another body fails, sched.Run
+			// unwinds this one's coroutine out of y.Yield.
 			defer m.Park()
 			return body(m, func() {
 				m.Park()

@@ -154,3 +154,39 @@ func TestRunMutatorsThreadedYieldIsSafepoint(t *testing.T) {
 		t.Fatalf("%d collections ran, want at least %d", got, collections)
 	}
 }
+
+// A body that fails mid-batch aborts the others at their next turn, and
+// the abort unwinds through the yield glue's deferred Park: afterwards no
+// mutator is left marked running, whether it was mid-yield, finished, or
+// never started.
+func TestRunMutatorsBatonErrorLeavesEveryMutatorParked(t *testing.T) {
+	tv := makeEngineVM(t, false)
+	boom := errors.New("boom")
+	const k = 4
+	started := make([]bool, k)
+	err := tv.RunMutators(k, func(m *Mutator, yield func()) error {
+		started[m.ID()] = true
+		if m.ID() == 2 {
+			return boom
+		}
+		for {
+			yield()
+		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("batch error = %v, want %v", err, boom)
+	}
+	if want := []bool{true, true, true, false}; !reflect.DeepEqual(started, want) {
+		t.Errorf("bodies started = %v, want %v", started, want)
+	}
+	for _, m := range tv.muts {
+		if !m.parked {
+			t.Errorf("mutator %d left unparked after the batch failed", m.ID())
+		}
+	}
+	if tv.running != nil {
+		t.Errorf("mutator %d still marked running after the batch failed", tv.running.ID())
+	}
+	// The VM is usable again: a collection's parked assertion holds.
+	tv.Collect(true)
+}
