@@ -60,14 +60,18 @@ digest:
 	rm -f .digest-wearbench; exit $$rc
 
 # The size a simplicity change is measured by: non-blank, non-comment lines
-# of non-test Go, per internal package and in total.
+# of non-test Go, per internal package and in total. The total is internal/
+# alone; the facade (the root package) and the CLIs are the two rows after
+# it, so a change that moves wiring out of them shows too.
 loc:
 	@count() { ls "$$@" | grep -v _test | xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'; }; \
 	for d in $$(find internal -type d | sort); do \
 		ls $$d/*.go >/dev/null 2>&1 || continue; \
 		printf '%-28s %6d\n' $$d $$(count $$d/*.go); \
 	done; \
-	printf '%-28s %6d\n' total $$(count $$(find internal -name '*.go'))
+	printf '%-28s %6d\n' total $$(count $$(find internal -name '*.go')); \
+	printf '%-28s %6d\n' '. (facade)' $$(count *.go); \
+	printf '%-28s %6d\n' cmd $$(count $$(find cmd -name '*.go'))
 
 # Core hot-path microbenchmarks (bitset vs retained []bool reference).
 bench:

@@ -32,7 +32,7 @@ import (
 	"wearmem/internal/harness/cliconfig"
 	"wearmem/internal/kernel"
 	"wearmem/internal/kv"
-	"wearmem/internal/stats"
+	"wearmem/internal/machine"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
 )
@@ -349,9 +349,10 @@ func runCalibration() {
 }
 
 func completes(p *workload.Profile, heapBytes int) bool {
-	clock := stats.NewClock(stats.DefaultCosts())
-	kern := kernel.New(kernel.Config{PCMPages: 8 * heapBytes / failmap.PageSize, Clock: clock})
-	v := vm.New(vm.Config{HeapBytes: heapBytes, Collector: vm.StickyImmix,
-		FailureAware: true, Kernel: kern, Clock: clock})
-	return p.Run(v, 0) == nil
+	m, _ := machine.Boot(machine.Spec{ // no image: nothing to restore or recover
+		Kernel: kernel.Config{PCMPages: 8 * heapBytes / failmap.PageSize},
+		VM:     vm.Config{HeapBytes: heapBytes, Collector: vm.StickyImmix, FailureAware: true},
+	})
+	defer m.Close()
+	return p.Run(m.VM, 0) == nil
 }

@@ -11,9 +11,9 @@ import (
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
+	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
-	"wearmem/internal/stats"
 	"wearmem/internal/verify"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
@@ -424,105 +424,77 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 		}
 	}
 
-	clock := stats.NewClock(stats.DefaultCosts())
-	// The injector needs the device and kernel, which need the probe hook
-	// at construction: a trampoline breaks the cycle.
-	var hook probe.Hook
-	tramp := func(p probe.Point, addr uint64) {
-		if hook != nil {
-			hook(p, addr)
-		}
-	}
-	var dev *pcm.Device
-	if img != nil {
-		d, err := pcm.NewDeviceFromImage(img, clock, tramp)
-		if err != nil {
-			rec.Failure = fmt.Sprintf("restore device: %v", err)
-			return rec, nil
-		}
-		dev = d
-	} else {
-		dev = pcm.NewDevice(pcm.Config{
-			Size:      torturePoolBytes,
+	m, err := machine.Boot(machine.Spec{
+		Kernel: kernel.Config{
+			PCMPages:     torturePoolBytes / failmap.PageSize,
+			RemapUnaware: true,
+			Placement:    cfg.Placement,
+			Remap:        cfg.Remap,
+		},
+		// A restart (img != nil) restores the device instead and rebuilds
+		// the OS view of it — drain the torn orphans, rescan, scrub, admit —
+		// before anything is mapped.
+		Device: &pcm.Config{
 			Endurance: tortureEndurance,
 			Variation: tortureVariation,
 			TrackData: true,
 			Seed:      camp.Seed,
-			Probe:     tramp,
-		}, clock)
-	}
-	kern := kernel.New(kernel.Config{
-		PCMPages:     torturePoolBytes / failmap.PageSize,
-		Device:       dev,
-		Clock:        clock,
-		RemapUnaware: true,
-		Probe:        tramp,
-		Placement:    cfg.Placement,
-		Remap:        cfg.Remap,
+		},
+		Image:     img,
+		MinFrames: 2 * heapBytes / failmap.PageSize,
+		Probe:     true,
+		VM: vm.Config{
+			HeapBytes:    heapBytes,
+			Collector:    cfg.Collector,
+			FailureAware: cfg.FailureAware,
+			WriteThrough: !cfg.NoWriteThrough,
+			StrictRemap:  true,
+			Threaded:     cfg.Threaded,
+			TraceWorkers: machine.ThreadedLanes(cfg.Threaded, cfg.Mutators),
+			PauseBudget:  cfg.PauseBudget,
+			StrictSATB:   cfg.PauseBudget > 0,
+			// The workload's explicit collections come every ~40 KB of
+			// allocation; a low trigger makes incremental cycles (and their
+			// increment-boundary injection points) actually run between them.
+			MarkTriggerBytes: 24 << 10,
+		},
 	})
+	if crash != nil && m != nil && m.Recovery != nil {
+		st := m.Recovery
+		crash.Orphans = st.Orphans
+		crash.Rediscovered = st.Rediscovered
+		crash.Scrubbed = st.Scrubbed
+		crash.ScrubFailures = st.ScrubFailures
+		crash.RecoveryRetries = st.Retries
+		crash.UsableFrames = st.UsableFrames
+		crash.RecoveryCycles = int64(st.Cycles)
+	}
+	if err != nil {
+		if errors.Is(err, kernel.ErrDeviceWornOut) && crash != nil {
+			crash.WornOut = true
+		} else {
+			rec.Failure = fmt.Sprintf("boot: %v", err)
+		}
+		return rec, nil
+	}
 	if img != nil {
-		// Restart: rebuild the OS view of the restored device — drain the
-		// torn orphans, rescan, scrub, admit — before anything is mapped,
-		// then cross-check the recovered state against device ground truth.
-		st, rerr := kern.Recover(kernel.RecoverOptions{
-			MinFrames: 2 * heapBytes / failmap.PageSize,
-		})
-		if crash != nil {
-			crash.Orphans = st.Orphans
-			crash.Rediscovered = st.Rediscovered
-			crash.Scrubbed = st.Scrubbed
-			crash.ScrubFailures = st.ScrubFailures
-			crash.RecoveryRetries = st.Retries
-			crash.UsableFrames = st.UsableFrames
-			crash.RecoveryCycles = int64(st.Cycles)
-		}
-		if rerr != nil {
-			if errors.Is(rerr, kernel.ErrDeviceWornOut) && crash != nil {
-				crash.WornOut = true
-				return rec, nil
-			}
-			rec.Failure = fmt.Sprintf("recover: %v", rerr)
-			return rec, nil
-		}
+		// Cross-check the recovered state against device ground truth.
 		if rep := verify.Recovered(verify.RecoveredTarget{
-			Pool: kern, Scan: dev, Clusters: dev,
+			Pool: m.Kernel, Scan: m.Device, Clusters: m.Device,
 		}); !rep.Ok() {
 			rec.Failure = fmt.Sprintf("recovered state: %v", rep.Err())
 			return rec, nil
 		}
 		rec.Verifications++
 	}
-	traceWorkers := 0
-	if cfg.Threaded {
-		traceWorkers = cfg.Mutators // parallel trace/sweep lanes
-	}
-	v := vm.New(vm.Config{
-		HeapBytes:    heapBytes,
-		Collector:    cfg.Collector,
-		FailureAware: cfg.FailureAware,
-		Kernel:       kern,
-		Clock:        clock,
-		Probe:        tramp,
-		WriteThrough: !cfg.NoWriteThrough,
-		StrictRemap:  true,
-		Threaded:     cfg.Threaded,
-		TraceWorkers: traceWorkers,
-		PauseBudget:  cfg.PauseBudget,
-		StrictSATB:   cfg.PauseBudget > 0,
-		// The workload's explicit collections come every ~40 KB of
-		// allocation; a low trigger makes incremental cycles (and their
-		// increment-boundary injection points) actually run between them.
-		MarkTriggerBytes: 24 << 10,
-	})
-	in := NewInjector(camp, dev, kern)
-	in.AttachVM(v)
+	in := NewInjector(camp, m.Device, m.Kernel, m.VM)
 	inj = in
 
-	run := &campaignRun{opt: opt, cfg: cfg, camp: camp, v: v, in: in, rec: &rec}
+	run := &campaignRun{opt: opt, cfg: cfg, camp: camp, v: m.VM, in: in, rec: &rec}
 	if cfg.Threaded {
-		hook = run.threadedHook()
+		m.SetProbe(run.threadedHook())
 	} else {
-		hook = func(p probe.Point, addr uint64) {
+		m.SetProbe(func(p probe.Point, addr uint64) {
 			in.Hook(p, addr)
 			if in.CutImage != nil {
 				// Power failed at this instant: soft-stop the campaign.
@@ -542,7 +514,7 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 				// context, so the check would be vacuous there.)
 				run.verifyContexts()
 			}
-		}
+		})
 	}
 
 	if prof != nil {
@@ -551,7 +523,7 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 		run.workload()
 	}
 
-	rec.GCs = v.GCStats().Collections
+	rec.GCs = m.VM.GCStats().Collections
 	for _, f := range in.Log {
 		rec.Fired = append(rec.Fired, f.Event.String()+" => "+f.Effect)
 	}

@@ -6,6 +6,7 @@ import (
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/kv"
+	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
@@ -105,65 +106,49 @@ func policyZooCase(bench, engine, policy string, iters int, seed int64) zooResul
 	// same headroom.
 	poolPages := 4 * heapBytes / failmap.PageSize
 	threaded := engine == "threaded"
-
-	clock := stats.NewClock(stats.DefaultCosts())
-	dev := pcm.NewDevice(pcm.Config{
-		Size:      poolPages * failmap.PageSize,
-		Endurance: zooEndurance,
-		Variation: zooVariation,
-		TrackData: true,
-		Seed:      seed + 7,
-	}, clock)
-	kern := kernel.New(kernel.Config{
-		PCMPages: poolPages, Device: dev, Clock: clock,
-		Placement: policy, Remap: policy,
+	m, _ := machine.Boot(machine.Spec{ // no image: nothing to restore or recover
+		Kernel: kernel.Config{PCMPages: poolPages, Placement: policy, Remap: policy},
+		Device: &pcm.Config{
+			Endurance: zooEndurance,
+			Variation: zooVariation,
+			TrackData: true,
+			Seed:      seed + 7,
+		},
+		VM: vm.Config{
+			HeapBytes:    heapBytes,
+			Collector:    vm.StickyImmix,
+			FailureAware: true,
+			WriteThrough: true,
+			Threaded:     threaded,
+			TraceWorkers: machine.ThreadedLanes(threaded, zooMutators),
+		},
 	})
-	traceWorkers := 0
-	if threaded {
-		traceWorkers = zooMutators
-	}
-	v := vm.New(vm.Config{
-		HeapBytes:    heapBytes,
-		Collector:    vm.StickyImmix,
-		FailureAware: true,
-		Kernel:       kern,
-		Clock:        clock,
-		WriteThrough: true,
-		Threaded:     threaded,
-		TraceWorkers: traceWorkers,
-	})
-	defer v.Close()
+	defer m.Close()
 
-	lrec := stats.NewLatencyRecorder(zooMutators)
-	prof.Latency = lrec.Shard
-	prof.IterHook = func(it int, _ *vm.VM) {
-		if !res.crossed && dev.FailureRate() >= zooFailedTarget {
+	// The crossing is sampled at iteration boundaries, then once more for
+	// one that happened during the last stretch of work.
+	poll := func() {
+		if !res.crossed && m.Device.FailureRate() >= zooFailedTarget {
 			res.crossed = true
-			res.crossCycle = clock.Now()
+			res.crossCycle = m.Clock.Now()
 		}
 	}
-	err := prof.RunMutators(v, iters, zooMutators)
-	prof.IterHook = nil
-	prof.Latency = nil
+	lrec := stats.NewLatencyRecorder(zooMutators)
+	prof.Latency = lrec.Shard
+	prof.IterHook = func(int, *vm.VM) { poll() }
+	err := prof.RunMutators(m.VM, iters, zooMutators)
 	if err == nil {
-		v.FinishMark()
+		m.VM.FinishMark()
 	}
-	// The hook samples at iteration boundaries; catch a crossing that
-	// happened during the last stretch of work.
-	if !res.crossed && dev.FailureRate() >= zooFailedTarget {
-		res.crossed = true
-		res.crossCycle = clock.Now()
-	}
+	poll()
 
 	res.dnf = err != nil
-	res.cycles = clock.Now()
-	res.failedLines = dev.FailedLines()
-	res.gcs = v.GCStats().Collections
-	res.remaps = kern.PolicyRemaps()
-	res.borrows = kern.Borrows()
-	if lr := lrec.Report(); lr.Ops > 0 {
-		res.lat = lr
-	}
+	res.cycles = m.Clock.Now()
+	res.failedLines = m.Device.FailedLines()
+	res.gcs = m.VM.GCStats().Collections
+	res.remaps = m.Kernel.PolicyRemaps()
+	res.borrows = m.Kernel.Borrows()
+	res.lat = lrec.Report()
 	return res
 }
 

@@ -9,6 +9,7 @@ import (
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/kv"
+	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
 	"wearmem/internal/stats"
@@ -115,25 +116,27 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 	var res restartResult
 	prof := workload.ByName(bench)
 	heapBytes := 4 * prof.MinHeap()
-	comp := 1.0
-	if rate > 0 {
-		comp = 1 / (1 - rate)
+	spec := machine.Spec{
+		Kernel:    kernel.Config{PCMPages: poolPagesFor(heapBytes, rate)},
+		MinFrames: heapBytes / failmap.PageSize,
+		VM: vm.Config{
+			HeapBytes:    heapBytes,
+			Compensate:   rate > 0,
+			FailureRate:  rate,
+			Collector:    vm.StickyImmix,
+			FailureAware: true,
+			WriteThrough: true,
+			Threaded:     engine == "threaded",
+			// One lane per mutator on either engine, as in every run that
+			// splits a benchmark (DESIGN §16).
+			TraceWorkers: restartMutators,
+		},
 	}
-	poolPages := int(1.25*comp*float64(heapBytes))/failmap.PageSize + 64
-	threaded := engine == "threaded"
 
 	// --- The doomed machine. ---
-	clock := stats.NewClock(stats.DefaultCosts())
-	var hook probe.Hook
-	tramp := func(p probe.Point, addr uint64) {
-		if hook != nil {
-			hook(p, addr)
-		}
-	}
-	dev := pcm.NewDevice(pcm.Config{
-		Size: poolPages * failmap.PageSize, TrackData: true, Seed: seed, Probe: tramp,
-	}, clock)
-
+	doomed := spec
+	doomed.Device = &pcm.Config{TrackData: true, Seed: seed}
+	doomed.Probe = true
 	// Prior-life wear: fail the target fraction of lines, each failure
 	// serviced (drained) long before this boot — the device a long-lived
 	// deployment restarts onto. Wear-out is spatially correlated (hot
@@ -142,39 +145,24 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 	// allocator can still use, which is also what keeps the KV scenario's
 	// medium values viable at 50% wear (uniform 64 B holes would shred
 	// every contiguous run long before that).
-	rng := rand.New(rand.NewSource(seed + 1))
-	const runLines = failmap.LinesPerPage / 2
-	halves := rng.Perm(dev.Lines() / runLines)
-	targetRuns := int(rate * float64(len(halves)))
-	for _, h := range halves[:targetRuns] {
-		for l := h * runLines; l < (h+1)*runLines; l++ {
-			if dev.ForceFail(l, nil) {
-				res.worn++
-				dev.Drain()
+	doomed.OnDevice = func(dev *pcm.Device) {
+		rng := rand.New(rand.NewSource(seed + 1))
+		const runLines = failmap.LinesPerPage / 2
+		halves := rng.Perm(dev.Lines() / runLines)
+		targetRuns := int(rate * float64(len(halves)))
+		for _, h := range halves[:targetRuns] {
+			for l := h * runLines; l < (h+1)*runLines; l++ {
+				if dev.ForceFail(l, nil) {
+					res.worn++
+					dev.Drain()
+				}
 			}
 		}
 	}
-
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Device: dev, Clock: clock})
-	kern.RediscoverFailures() // boot-time scan: the doomed OS knows its device
-	traceWorkers := 0
-	if restartMutators > 1 {
-		traceWorkers = restartMutators
-	}
-	v := vm.New(vm.Config{
-		HeapBytes:    heapBytes,
-		Compensate:   rate > 0,
-		FailureRate:  rate,
-		Collector:    vm.StickyImmix,
-		FailureAware: true,
-		Kernel:       kern,
-		Clock:        clock,
-		Probe:        tramp,
-		WriteThrough: true,
-		Threaded:     threaded,
-		TraceWorkers: traceWorkers,
-	})
-	defer v.Close()
+	// Boot-time scan: the doomed OS knows its device.
+	doomed.OnKernel = func(k *kernel.Kernel) { k.RediscoverFailures() }
+	m, _ := machine.Boot(doomed) // no image: nothing to restore or recover
+	defer m.Close()
 
 	// The cut: at the Nth allocation the power fails and the device's
 	// durable state is captured mid-operation. The doomed run is then let
@@ -182,47 +170,44 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 	var cutMu sync.Mutex
 	var bumps int
 	var img *pcm.DeviceImage
-	hook = func(p probe.Point, _ uint64) {
+	m.SetProbe(func(p probe.Point, _ uint64) {
 		if p != probe.AllocBump {
 			return
 		}
 		cutMu.Lock()
 		bumps++
 		if bumps == restartCutNthAlloc && img == nil {
-			img = dev.Snapshot()
+			img = m.Device.Snapshot()
 		}
 		cutMu.Unlock()
-	}
-	_ = prof.RunMutators(v, iters, restartMutators)
+	})
+	_ = prof.RunMutators(m.VM, iters, restartMutators)
 	if img != nil {
 		res.cutFired = true
 	} else {
 		// The load never reached the cut (tiny quick runs): power off at
 		// the end instead — still an unclean shutdown of a worn device.
-		img = dev.Snapshot()
+		img = m.Device.Snapshot()
 	}
 
 	// --- The recovered machine, on its own clock: the recovery bill and
 	// the resumed server's latency are measured clean. ---
-	clock2 := stats.NewClock(stats.DefaultCosts())
-	dev2, err := pcm.NewDeviceFromImage(img, clock2, nil)
+	spec.Image = img
+	m2, err := machine.Boot(spec)
+	if m2 != nil {
+		defer m2.Close()
+		res.rec = *m2.Recovery
+	}
+	if errors.Is(err, kernel.ErrDeviceWornOut) {
+		res.wornOut = true
+		return res
+	}
 	if err != nil {
 		res.recErr = err.Error()
 		return res
 	}
-	kern2 := kernel.New(kernel.Config{PCMPages: poolPages, Device: dev2, Clock: clock2})
-	st, rerr := kern2.Recover(kernel.RecoverOptions{MinFrames: heapBytes / failmap.PageSize})
-	res.rec = st
-	if rerr != nil {
-		if errors.Is(rerr, kernel.ErrDeviceWornOut) {
-			res.wornOut = true
-		} else {
-			res.recErr = rerr.Error()
-		}
-		return res
-	}
 	if rep := verify.Recovered(verify.RecoveredTarget{
-		Pool: kern2, Scan: dev2, Clusters: dev2,
+		Pool: m2.Kernel, Scan: m2.Device, Clusters: m2.Device,
 	}); rep.Ok() {
 		res.verified = true
 	} else {
@@ -230,32 +215,17 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 		return res
 	}
 
-	v2 := vm.New(vm.Config{
-		HeapBytes:    heapBytes,
-		Compensate:   rate > 0,
-		FailureRate:  rate,
-		Collector:    vm.StickyImmix,
-		FailureAware: true,
-		Kernel:       kern2,
-		Clock:        clock2,
-		WriteThrough: true,
-		Threaded:     threaded,
-		TraceWorkers: traceWorkers,
-	})
-	defer v2.Close()
 	prof2 := workload.ByName(bench)
 	lrec := stats.NewLatencyRecorder(restartMutators)
 	prof2.Latency = lrec.Shard
-	start := clock2.Now()
-	if err := prof2.RunMutators(v2, iters, restartMutators); err != nil {
+	start := m2.Clock.Now()
+	if err := prof2.RunMutators(m2.VM, iters, restartMutators); err != nil {
 		res.resumeDNF = true
 		return res
 	}
-	res.resumeCycles = clock2.Now() - start
-	res.resumeGCs = v2.GCStats().Collections
-	if lr := lrec.Report(); lr.Ops > 0 {
-		res.lat = lr
-	}
+	res.resumeCycles = m2.Clock.Now() - start
+	res.resumeGCs = m2.VM.GCStats().Collections
+	res.lat = lrec.Report()
 	return res
 }
 

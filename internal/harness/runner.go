@@ -14,6 +14,7 @@ import (
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
+	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/stats"
 	"wearmem/internal/verify"
@@ -376,18 +377,12 @@ func execute(rc RunConfig) Result {
 	}
 	heapBytes := int(rc.HeapMult * float64(p.MinHeap()))
 
-	clock := stats.NewClock(stats.DefaultCosts())
-
-	// The PCM pool is the memory the system grants this heap: the raw
-	// equivalent of the compensated heap plus modest slack. Perfect pages
-	// are therefore a *finite* resource — the supply Fig. 9(b)'s
-	// debit-credit accounting is about — and heavy perfect-page demand
-	// must eventually borrow DRAM and pay the penalty.
-	comp := 1.0
-	if rc.FailureRate > 0 && !rc.NoCompensate {
-		comp = 1 / (1 - rc.FailureRate)
+	// The failure rate the pool size and the heap budget make up for.
+	compRate := rc.FailureRate
+	if rc.NoCompensate {
+		compRate = 0
 	}
-	poolPages := int(1.25*comp*float64(heapBytes))/failmap.PageSize + 64
+	poolPages := poolPagesFor(heapBytes, compRate)
 
 	var inject *failmap.Map
 	switch {
@@ -406,15 +401,12 @@ func execute(rc RunConfig) Result {
 		}
 	}
 
-	mutators := rc.Mutators
-	if mutators < 1 {
-		mutators = 1
-	}
+	// One lane per mutator unless the configuration names a count; a lone
+	// mutator keeps the serial trace (DESIGN §16).
 	traceWorkers := rc.TraceWorkers
-	if traceWorkers == 0 && mutators > 1 {
-		traceWorkers = mutators
+	if traceWorkers == 0 && rc.Mutators > 1 {
+		traceWorkers = rc.Mutators
 	}
-	threaded := rc.Engine == "threaded"
 
 	// GOMAXPROCS is process-global: pinning it here is only meaningful
 	// (and only safe) when the runner executes serially, which corescale
@@ -424,42 +416,42 @@ func execute(rc RunConfig) Result {
 		defer runtime.GOMAXPROCS(prev)
 	}
 
+	spec := machine.Spec{
+		Kernel: kernel.Config{
+			PCMPages: poolPages, Inject: inject,
+			Placement: rc.Placement, Remap: rc.Remap,
+		},
+		VM: vm.Config{
+			HeapBytes:      heapBytes,
+			Compensate:     compRate > 0,
+			FailureRate:    rc.FailureRate,
+			Collector:      rc.Collector,
+			LineSize:       rc.LineSize,
+			FailureAware:   rc.FailureAware,
+			TraceWorkers:   traceWorkers,
+			Threaded:       rc.Engine == "threaded",
+			WallClock:      rc.RecordWall,
+			PauseBudget:    rc.PauseBudget,
+			ConcurrentMark: rc.Concurrent,
+		},
+	}
 	// A write-through run backs the pool with a live wearing device: the
 	// endurance is deliberately low (torture-suite scale) so standard-length
 	// runs reach wear-out, raise failure interrupts, and exercise the
 	// failure-buffer backpressure path under real heap traffic.
-	var dev *pcm.Device
 	if rc.WriteThrough {
-		dev = pcm.NewDevice(pcm.Config{
-			Size:      poolPages * failmap.PageSize,
+		spec.Device = &pcm.Config{
 			Endurance: 2048,
 			Variation: 0.25,
 			TrackData: true,
 			Seed:      rc.Seed + 7,
-		}, clock)
+		}
 	}
-	kern := kernel.New(kernel.Config{
-		PCMPages: poolPages, Inject: inject, Device: dev, Clock: clock,
-		Placement: rc.Placement, Remap: rc.Remap,
-	})
-	v := vm.New(vm.Config{
-		HeapBytes:      heapBytes,
-		Compensate:     rc.FailureRate > 0 && !rc.NoCompensate,
-		FailureRate:    rc.FailureRate,
-		Collector:      rc.Collector,
-		LineSize:       rc.LineSize,
-		FailureAware:   rc.FailureAware,
-		Kernel:         kern,
-		Clock:          clock,
-		TraceWorkers:   traceWorkers,
-		Threaded:       threaded,
-		WallClock:      rc.RecordWall,
-		PauseBudget:    rc.PauseBudget,
-		ConcurrentMark: rc.Concurrent,
-	})
+	m, _ := machine.Boot(spec) // no image: nothing to restore or recover
 	// The Result below copies everything it reports out of the heap, so the
 	// next run may have this one's address space — also when this one panics.
-	defer v.Close()
+	defer m.Close()
+	v, kern, clock := m.VM, m.Kernel, m.Clock
 
 	if rc.DynFailEvery > 0 {
 		frng := rand.New(rand.NewSource(rc.Seed + 99))
@@ -471,14 +463,14 @@ func execute(rc RunConfig) Result {
 	}
 	var rec *stats.LatencyRecorder
 	if rc.Latency {
-		rec = stats.NewLatencyRecorder(mutators)
+		rec = stats.NewLatencyRecorder(rc.Mutators)
 		p.Latency = rec.Shard
 	}
 	var wallStart time.Time
 	if rc.RecordWall {
 		wallStart = time.Now()
 	}
-	err := p.RunMutators(v, rc.Iterations, mutators)
+	err := p.RunMutators(v, rc.Iterations, rc.Mutators)
 	// A marking cycle may still be open at the end of the run; complete it
 	// so the census and the pause telemetry describe a fully marked heap.
 	if err == nil {
@@ -537,11 +529,7 @@ func execute(rc RunConfig) Result {
 		s := stats.Summarize(&gs.PauseFinalHist)
 		res.PauseFinal = &s
 	}
-	if rec != nil {
-		if lr := rec.Report(); lr.Ops > 0 {
-			res.Latency = lr
-		}
-	}
+	res.Latency = rec.Report()
 	if err == nil {
 		// Engine-invariant live census: only meaningful for runs that
 		// finished (engines abort at legitimately different points on DNF).
@@ -552,6 +540,16 @@ func execute(rc RunConfig) Result {
 		res.AvgFullGC = gs.TotalGCCycles / stats.Cycles(gs.Collections)
 	}
 	return res
+}
+
+// poolPagesFor sizes the PCM pool the system grants a heap at failure rate
+// f: the raw equivalent of the compensated heap, 1.25·h/(1−f), plus modest
+// slack. Perfect pages are therefore a *finite* resource — the supply
+// Fig. 9(b)'s debit-credit accounting is about — and heavy perfect-page
+// demand must eventually borrow DRAM and pay the penalty.
+func poolPagesFor(heapBytes int, f float64) int {
+	comp := 1 / (1 - f)
+	return int(1.25*comp*float64(heapBytes))/failmap.PageSize + 64
 }
 
 // tile repeats a failure-map template across a pool of the given size.

@@ -1,0 +1,147 @@
+package machine
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"wearmem/internal/failmap"
+	"wearmem/internal/kernel"
+	"wearmem/internal/pcm"
+	"wearmem/internal/probe"
+	"wearmem/internal/vm"
+	"wearmem/internal/workload"
+)
+
+// pmdSpec is a write-through machine sized for a short pmd run over a
+// device of the given endurance.
+func pmdSpec(endurance uint64) (*workload.Profile, Spec) {
+	p := workload.ByName("pmd")
+	heapBytes := 2 * p.MinHeap()
+	return p, Spec{
+		Kernel: kernel.Config{PCMPages: 4 * heapBytes / failmap.PageSize},
+		Device: &pcm.Config{Endurance: endurance, Variation: 0.25, TrackData: true, Seed: 1},
+		VM: vm.Config{
+			HeapBytes:    heapBytes,
+			Collector:    vm.StickyImmix,
+			FailureAware: true,
+			WriteThrough: true,
+		},
+	}
+}
+
+// TestLateHookSeesEveryLayer: the device, the kernel and the runtime are
+// built holding the machine's trampoline, so a hook installed after Boot —
+// the only time an injector can exist — still hears all three.
+func TestLateHookSeesEveryLayer(t *testing.T) {
+	p, spec := pmdSpec(48)
+	spec.Probe = true
+	m, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var seen [probe.NumPoints]int
+	m.SetProbe(func(pt probe.Point, _ uint64) { seen[pt]++ })
+	_ = p.Run(m.VM, 150) // may end in OOM on so fragile a device; the points fire first
+	for _, pt := range []probe.Point{
+		probe.PCMFailure, // device
+		probe.OSUpcall,   // kernel
+		probe.AllocBump,  // runtime
+		probe.GCBegin,    // collector, through the runtime
+	} {
+		if seen[pt] == 0 {
+			t.Errorf("%v never reached the hook (seen %v)", pt, seen)
+		}
+	}
+}
+
+// TestNewbornRootFollowsProbeAndWriteThrough: Boot passes a nil probe to an
+// unprobed machine, so vm.New's own rule — the newborn root exists only on
+// instrumented or write-through runtimes — decides, and the
+// statistical-wear experiments keep their root order.
+func TestNewbornRootFollowsProbeAndWriteThrough(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		probe, through bool
+		roots          int
+	}{
+		{"plain", false, false, 0},
+		{"probed", true, false, 1},
+		{"write-through", false, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, spec := pmdSpec(1 << 20)
+			spec.Probe, spec.VM.WriteThrough = tc.probe, tc.through
+			m, err := Boot(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if got := m.VM.Roots().Len(); got != tc.roots {
+				t.Errorf("%d roots after boot, want %d", got, tc.roots)
+			}
+		})
+	}
+}
+
+func TestImageThatDoesNotRestore(t *testing.T) {
+	_, spec := pmdSpec(1 << 20)
+	spec.Image = &pcm.DeviceImage{Size: failmap.PageSize + 1}
+	m, err := Boot(spec)
+	if m != nil || err == nil {
+		t.Fatalf("Boot = %v, %v; want no machine and an error", m, err)
+	}
+	if cause := errors.Unwrap(err); cause == nil || !strings.HasPrefix(cause.Error(), "pcm: image size") {
+		t.Errorf("error %q does not wrap the restore failure", err)
+	}
+}
+
+// TestWornOutImageKeepsRecoveryStats: a device with every line failed
+// restores, recovers into ErrDeviceWornOut, and Boot stops there — what
+// recovery found is on the machine, and no runtime was built over it.
+func TestWornOutImageKeepsRecoveryStats(t *testing.T) {
+	_, spec := pmdSpec(1 << 20)
+	dev := pcm.NewDevice(pcm.Config{Size: spec.Kernel.PCMPages * failmap.PageSize, TrackData: true}, nil)
+	for l := 0; l < dev.Lines(); l++ {
+		dev.ForceFail(l, nil)
+		dev.Drain()
+	}
+	spec.Image, spec.MinFrames = dev.Snapshot(), 1
+	m, err := Boot(spec)
+	if !errors.Is(err, kernel.ErrDeviceWornOut) {
+		t.Fatalf("Boot error = %v, want ErrDeviceWornOut", err)
+	}
+	if m == nil || m.Recovery == nil || m.Recovery.Rediscovered != dev.Lines() {
+		t.Fatalf("recovery stats lost: %+v", m)
+	}
+	if m.VM != nil {
+		t.Error("a runtime was booted over a worn-out device")
+	}
+	m.Close()
+}
+
+// TestQuiescentSnapshotReboots: the image of an idle fresh machine has no
+// torn lines, and the machine booted from it runs a benchmark through.
+func TestQuiescentSnapshotReboots(t *testing.T) {
+	p, spec := pmdSpec(1 << 20)
+	first, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Image, spec.MinFrames = first.Device.Snapshot(), spec.VM.HeapBytes/failmap.PageSize
+	first.Close()
+
+	m, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Recovery == nil || m.Recovery.Orphans != 0 {
+		t.Errorf("recovery of a quiescent image: %+v, want 0 orphans", m.Recovery)
+	}
+	if err := p.Run(m.VM, 100); err != nil {
+		t.Errorf("pmd on the rebooted machine: %v", err)
+	}
+	m.Close()
+	m.Close()
+}

@@ -259,8 +259,12 @@ type LatencyReport struct {
 }
 
 // Report merges the shards (in shard order — deterministic for any
-// interleaving, since merging is order-insensitive) and digests them.
+// interleaving, since merging is order-insensitive) and digests them. A
+// capture that was off (a nil recorder) or saw no operation has no report.
 func (r *LatencyRecorder) Report() *LatencyReport {
+	if r == nil {
+		return nil
+	}
 	var all, gc, stall Histogram
 	var gcCycles, stallCycles Cycles
 	for _, s := range r.shards {
@@ -269,6 +273,9 @@ func (r *LatencyRecorder) Report() *LatencyReport {
 		stall.Merge(&s.Stall)
 		gcCycles += s.GCCycles
 		stallCycles += s.StallCycles
+	}
+	if all.Count() == 0 {
+		return nil
 	}
 	return &LatencyReport{
 		Ops:              all.Count(),

@@ -6,16 +6,17 @@ import (
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
-	"wearmem/internal/pcm"
+	"wearmem/internal/machine"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 )
 
 // Runtime is an assembled simulation stack: the deterministic clock, an
 // optional wearing PCM device, the OS kernel over the PCM pool, and the
-// failure-aware managed runtime on top. Open wires the layers in the only
-// valid order (clock → device → kernel → VM) so callers cannot mis-stack
-// them.
+// failure-aware managed runtime on top. Open validates the options and
+// hands the stack to internal/machine.Boot, which wires the layers in the
+// only valid order (clock → device → kernel → VM) so callers cannot
+// mis-stack them.
 type Runtime struct {
 	// Clock is the shared simulated-time source every layer charges.
 	Clock *Clock
@@ -256,8 +257,6 @@ func Open(opts ...Option) (*Runtime, error) {
 		return nil, fmt.Errorf("wearmem: %w", err)
 	}
 
-	clock := stats.NewClock(stats.DefaultCosts())
-
 	inject := c.inject
 	if inject == nil && c.failureRate > 0 && c.image == nil {
 		inject = failmap.New(c.poolPages * PageSize)
@@ -267,14 +266,29 @@ func Open(opts ...Option) (*Runtime, error) {
 		inject = failmap.ClusterHardware(inject, c.clusterPages)
 	}
 
-	var dev *Device
-	if c.image != nil {
-		var err error
-		dev, err = pcm.NewDeviceFromImage(c.image, clock, nil)
-		if err != nil {
-			return nil, fmt.Errorf("wearmem: restoring device image: %w", err)
-		}
-	} else if c.wearing {
+	spec := machine.Spec{
+		Kernel: kernel.Config{
+			PCMPages:  c.poolPages,
+			Inject:    inject,
+			Placement: c.placement,
+			Remap:     c.remap,
+		},
+		Image:     c.image,
+		MinFrames: c.heapBytes / PageSize,
+		VM: vm.Config{
+			HeapBytes:      c.heapBytes,
+			Compensate:     c.failureRate > 0,
+			FailureRate:    c.failureRate,
+			Collector:      c.collector,
+			FailureAware:   true,
+			Threaded:       threaded,
+			TraceWorkers:   machine.ThreadedLanes(threaded, c.mutators),
+			PauseBudget:    c.pauseBudget,
+			ConcurrentMark: c.concMark,
+			WriteThrough:   c.writeThrough,
+		},
+	}
+	if c.wearing {
 		dc := DeviceConfig{
 			Size:      c.poolPages * PageSize,
 			Endurance: c.endurance,
@@ -285,55 +299,22 @@ func Open(opts ...Option) (*Runtime, error) {
 		if c.deviceTune != nil {
 			c.deviceTune(&dc)
 		}
-		dev = pcm.NewDevice(dc, clock)
+		spec.Device = &dc
 	} else if c.deviceTune != nil {
 		return nil, fmt.Errorf("wearmem: WithDeviceTuning requires WithWearingDevice")
 	}
 
-	kern := kernel.New(kernel.Config{
-		PCMPages:  c.poolPages,
-		Inject:    inject,
-		Device:    dev,
-		Clock:     clock,
-		Placement: c.placement,
-		Remap:     c.remap,
-	})
-
-	var recovery *RecoverStats
-	if c.image != nil {
-		st, err := kern.Recover(kernel.RecoverOptions{MinFrames: c.heapBytes / PageSize})
-		if err != nil {
-			return nil, fmt.Errorf("wearmem: device-state recovery: %w", err)
-		}
-		recovery = &st
+	m, err := machine.Boot(spec)
+	if err != nil {
+		return nil, fmt.Errorf("wearmem: %w", err)
 	}
-
-	traceWorkers := 0
-	if threaded {
-		traceWorkers = c.mutators
-	}
-	v := vm.New(vm.Config{
-		HeapBytes:      c.heapBytes,
-		Compensate:     c.failureRate > 0,
-		FailureRate:    c.failureRate,
-		Collector:      c.collector,
-		FailureAware:   true,
-		Threaded:       threaded,
-		TraceWorkers:   traceWorkers,
-		PauseBudget:    c.pauseBudget,
-		ConcurrentMark: c.concMark,
-		WriteThrough:   c.writeThrough,
-		Kernel:         kern,
-		Clock:          clock,
-	})
-
 	rt := &Runtime{
-		Clock:     clock,
-		Device:    dev,
-		Kernel:    kern,
-		VM:        v,
+		Clock:     m.Clock,
+		Device:    m.Device,
+		Kernel:    m.Kernel,
+		VM:        m.VM,
 		Inject:    inject,
-		Recovery:  recovery,
+		Recovery:  m.Recovery,
 		nMutators: c.mutators,
 	}
 	if c.latency {
@@ -401,11 +382,5 @@ func (rt *Runtime) Snapshot() (*DeviceImage, error) {
 // nil unless the runtime was opened WithLatencyCapture and a benchmark
 // recorded operations.
 func (rt *Runtime) LatencyReport() *LatencyReport {
-	if rt.rec == nil {
-		return nil
-	}
-	if lr := rt.rec.Report(); lr.Ops > 0 {
-		return lr
-	}
-	return nil
+	return rt.rec.Report()
 }
