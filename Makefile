@@ -52,7 +52,7 @@ digest:
 		./.digest-wearbench -exp mutscale -quick -seed 42 2>/dev/null; \
 	check 06316f6f2765f7b0a89f5fad52c9f94bc8cfb718f7620b2ae21834254f07e206 pausecurve \
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
-	check 487e7fee546b8e24d24649b987c57458d74feb457860d170dd1374d5fa9d7f7a latency \
+	check afe01c111aecb2251812eaee1b6be0ca73796b45b9fa1cf766c5c224619f5807 latency \
 		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
 	if $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned$$' -count=1 >/dev/null; \
 	then echo "digest torture ok"; \

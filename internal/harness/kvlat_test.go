@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wearmem/internal/kv"
 	"wearmem/internal/vm"
 )
 
@@ -103,6 +104,40 @@ func TestLatencyWriteThroughRuns(t *testing.T) {
 	}
 	if res.Latency == nil || res.Latency.Ops == 0 {
 		t.Fatal("write-through run lost latency capture")
+	}
+}
+
+// Ledger finding 1: a write-through run must write through. Until the
+// harness booted its machines through machine.Boot it built the wearing
+// device and never told the VM, so the device saw no write and the kvlat
+// write-through row measured the healthy row again.
+func TestWriteThroughReachesTheDevice(t *testing.T) {
+	r := NewRunner()
+	r.QuickDivisor = 10
+	res := r.Run(RunConfig{Bench: "pmd", HeapMult: 2, Collector: vm.StickyImmix,
+		FailureAware: true, WriteThrough: true, Seed: 42})
+	if res.DNF {
+		t.Fatalf("write-through pmd run DNF: %s", res.Panic)
+	}
+	for _, c := range res.Counters {
+		if c.Event == "hw.pcmwrite" && c.Count == 0 {
+			t.Error("write-through pmd run charged no hw.pcmwrite: the device saw no store")
+		}
+	}
+
+	// The kvlat row: the write-through regime against the same regime with
+	// the flag off (the healthy row differs from both by failure awareness
+	// alone, so it cannot tell).
+	reg := kvLatRegimes()[3]
+	through := kvLatConfig(kv.MustRegister(kv.Config{}), "", 4, 60, 42)
+	reg.mut(&through)
+	dry := through
+	dry.WriteThrough = false
+	if reg.label != "write-through" || !through.WriteThrough {
+		t.Fatalf("regime order changed: %q", reg.label)
+	}
+	if row := kvLatRow("", r.Run(through)); reflect.DeepEqual(row, kvLatRow("", r.Run(dry))) {
+		t.Errorf("baton write-through row is the row of the same run without a device: %v", row)
 	}
 }
 

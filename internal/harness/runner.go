@@ -433,6 +433,7 @@ func execute(rc RunConfig) Result {
 			WallClock:      rc.RecordWall,
 			PauseBudget:    rc.PauseBudget,
 			ConcurrentMark: rc.Concurrent,
+			WriteThrough:   rc.WriteThrough,
 		},
 	}
 	// A write-through run backs the pool with a live wearing device: the
