@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-wearout perf-figs perf-kv determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-kv determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,13 @@ race:
 # Focused race pass over the threaded execution engine: real-goroutine
 # mutators, concurrent trace/sweep, the engine differential, the threaded
 # torture campaigns, the batch driver both engines share, the device's
-# lock-free status reads and the address-space free list under eight workers
-# (subset of "race"; faster signal).
+# lock-free status reads, the kernel's lock-free page-table walk and the
+# address-space free list under eight workers (subset of "race"; faster
+# signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
-		./internal/chaos/ ./internal/harness/ ./internal/pcm/ \
-		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFreeStatus|Recycl'
+		./internal/chaos/ ./internal/harness/ ./internal/pcm/ ./internal/kernel/ \
+		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl'
 
 vet:
 	$(GO) vet ./...
@@ -87,23 +88,15 @@ bench-smoke:
 perf:
 	bash bench/run.sh
 
-# One ledger workload, the way BENCHMARK.json runs it: tab2's wear passes
-# and simulator runs. The last stdout line is the result JSON; the command
-# exits 1 when a report digest or pin moved ("correct":false).
-perf-wearout:
-	bash bench/run.sh --workload wearout --seed 42 --seconds 12 --trace 0
+# One ledger workload, the way BENCHMARK.json runs it: perf-figs, perf-wearout,
+# perf-kv-read, perf-kv-wear, perf-kv-threaded, perf-torture. The last stdout
+# line is the result JSON; the command exits 1 when a report digest or pin
+# moved ("correct":false).
+perf-%:
+	bash bench/run.sh --workload $* --seed 42 --seconds 12 --trace 0
 
-# The other half of the quick suite: the fifteen experiments with static
-# failure maps, ~375 simulator runs through one shared runner. Same result
-# line and exit status; at seed 42 the fifteen report pins are re-checked.
-perf-figs:
-	bash bench/run.sh --workload figs --seed 42 --seconds 12 --trace 0
-
-# The baton engine's service workload: 95 % reads on four mutators, a
-# scheduler hand-off per 128-request iteration. Same result line and exit
-# status.
-perf-kv:
-	bash bench/run.sh --workload kv-read --seed 42 --seconds 12 --trace 0
+# The name CI has for the baton engine's service workload.
+perf-kv: perf-kv-read
 
 # Full experiment benchmarks (quick configuration; takes minutes).
 bench-experiments:

@@ -17,8 +17,10 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
@@ -32,15 +34,25 @@ type Region struct {
 	Base uint64
 	// Pages is the region length in pages.
 	Pages int
-	// frames holds the physical frame behind each virtual page.
-	frames []int
+	// k owns the page table, the only record of the frame behind each page.
+	k *Kernel
 }
 
 // Size returns the region length in bytes.
 func (r *Region) Size() int { return r.Pages * failmap.PageSize }
 
-// Frame returns the physical frame behind virtual page i of the region.
-func (r *Region) Frame(i int) int { return r.frames[i] }
+// Frame returns the physical frame behind virtual page i of the region,
+// read from the kernel's page table. The region must still be mapped.
+func (r *Region) Frame(i int) int {
+	if i < 0 || i >= r.Pages {
+		panic(fmt.Sprintf("kernel: page %d outside the %d-page region at %#x", i, r.Pages, r.Base))
+	}
+	f, _, ok := r.k.Translate(r.Base + uint64(i)*failmap.PageSize)
+	if !ok {
+		panic(fmt.Sprintf("kernel: Frame of released region at %#x", r.Base))
+	}
+	return f
+}
 
 // LineFailure describes one dynamic failure delivered to the runtime
 // handler: the virtual address of the failed line and the data the program
@@ -93,15 +105,18 @@ type Config struct {
 
 // Kernel is the simulated operating system.
 //
-// The failure table, the frame pools, the page tables and the reverse map
-// sit behind mu, so a failure interrupt is safe to land regardless of
-// which mutator's write triggered it. The up-call into the runtime
-// handler is always delivered with mu released: the handler collects, the
-// collection acquires blocks, and block acquisition re-enters the kernel
-// through MmapRelaxed. The lock order through the stack is
-// core.Immix.mu → Kernel.mu → pcm.Device.mu, and the clock is charged by
-// whichever goroutine holds the baton (the clock itself stays
-// single-owner; pass a nil clock for free-threaded use).
+// The failure table, the frame pools and the reverse map sit behind mu, so
+// a failure interrupt is safe to land regardless of which mutator's write
+// triggered it. The forward page table is written under mu too, but read
+// without it: Translate, and so WriteLine's no-failure path, takes no
+// kernel lock. The up-call into the runtime handler is always delivered
+// with mu released: the handler collects, the collection acquires blocks,
+// and block acquisition re-enters the kernel through MmapRelaxed. Locks
+// are taken strictly downward through the stack, core.Immix.mu → Kernel.mu
+// → pcm.Device.mu; a store reaches Device.mu from the runtime without
+// passing through Kernel.mu. The clock is charged by whichever goroutine
+// holds the baton (the clock itself stays single-owner; pass a nil clock
+// for free-threaded use).
 type Kernel struct {
 	mu           sync.Mutex
 	clock        *stats.Clock
@@ -133,6 +148,13 @@ type Kernel struct {
 
 	vnext uint64 // virtual address bump pointer
 
+	// table is the forward page table, published whole so that Translate
+	// walks it without mu. Entries change only in setFrameLocked; makeRegion
+	// grows the table by copy. A reader still holding the previous table
+	// sees translations that were current when its call began — the window
+	// any caller already has between Translate returning and using the frame.
+	table atomic.Pointer[pageTable]
+
 	// reverse maps physical frame -> (region, page index) for interrupt
 	// handling; the paper's reverse address translation.
 	reverse map[int]reversed
@@ -151,6 +173,11 @@ type reversed struct {
 	region *Region
 	page   int
 }
+
+// pageTable is the forward page table: one entry per virtual page, indexed
+// by page number, holding the backing frame plus one so that the zero value
+// is an unmapped page.
+type pageTable struct{ pte []atomic.Uint64 }
 
 // New builds a kernel over the configured physical memory.
 func New(cfg Config) *Kernel {
@@ -185,6 +212,7 @@ func New(cfg Config) *Kernel {
 		reverse:      make(map[int]reversed),
 		vnext:        failmap.PageSize, // keep virtual page 0 unmapped
 	}
+	k.table.Store(new(pageTable))
 	for p := 0; p < cfg.PCMPages; p++ {
 		if cfg.Inject != nil {
 			k.bitmaps[p] = cfg.Inject.PageBitmap(p)
@@ -450,60 +478,62 @@ func (k *Kernel) nextPerfectFrame() (int, bool) {
 }
 
 func (k *Kernel) makeRegion(frames []int) *Region {
-	r := &Region{Base: k.vnext, Pages: len(frames), frames: frames}
+	r := &Region{Base: k.vnext, Pages: len(frames), k: k}
 	k.vnext += uint64(len(frames)) * failmap.PageSize
 	k.mapped += len(frames)
+	if old, need := k.table.Load().pte, int(k.vnext/failmap.PageSize); need > len(old) {
+		grown := make([]atomic.Uint64, max(need, 2*len(old)))
+		for i := range old {
+			grown[i].Store(old[i].Load())
+		}
+		k.table.Store(&pageTable{pte: grown})
+	}
 	for i, f := range frames {
-		k.reverse[f] = reversed{region: r, page: i}
+		k.setFrameLocked(r, i, f)
 	}
 	k.regions = append(k.regions, r)
 	return r
 }
 
-// Translate resolves a virtual address to its physical frame and the byte
-// offset within the page (the forward page-table walk).
-func (k *Kernel) Translate(vaddr uint64) (frame, offset int, ok bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.translateLocked(vaddr)
+// setFrameLocked is the one writer of a translation: it points virtual page
+// `page` of r at frame, or unmaps it when frame is -1, keeps the reverse map
+// in step and returns the frame the page was on (-1 when it was unmapped).
+// makeRegion grew the table over the region when it mapped it.
+func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
+	pte := &k.table.Load().pte[r.Base/failmap.PageSize+uint64(page)]
+	if old = int(pte.Load()) - 1; old >= 0 {
+		delete(k.reverse, old)
+	}
+	pte.Store(uint64(frame + 1))
+	if frame >= 0 {
+		k.reverse[frame] = reversed{region: r, page: page}
+	}
+	return old
 }
 
-func (k *Kernel) translateLocked(vaddr uint64) (frame, offset int, ok bool) {
-	r := k.regionAtLocked(vaddr)
-	if r == nil {
+// Translate resolves a virtual address to its physical frame and the byte
+// offset within the page (the forward page-table walk). It takes no lock.
+func (k *Kernel) Translate(vaddr uint64) (frame, offset int, ok bool) {
+	pte := k.table.Load().pte
+	vpn := vaddr / failmap.PageSize
+	if vpn >= uint64(len(pte)) {
 		return 0, 0, false
 	}
-	page := int((vaddr - r.Base) / failmap.PageSize)
-	return r.frames[page], int((vaddr - r.Base) % failmap.PageSize), true
+	e := pte[vpn].Load()
+	if e == 0 {
+		return 0, 0, false
+	}
+	return int(e - 1), int(vaddr % failmap.PageSize), true
 }
 
-// regionAtLocked returns the mapped region containing vaddr, or nil.
-func (k *Kernel) regionAtLocked(vaddr uint64) *Region {
-	i := k.regionIndexLocked(vaddr)
-	if i < 0 {
-		return nil
+// pageAtLocked resolves a virtual address to its region and page index
+// (forward walk, then the reverse map); the region is nil when unmapped.
+func (k *Kernel) pageAtLocked(vaddr uint64) reversed {
+	frame, _, ok := k.Translate(vaddr)
+	if !ok {
+		return reversed{}
 	}
-	if r := k.regions[i]; vaddr < r.Base+uint64(r.Size()) {
-		return r
-	}
-	return nil
-}
-
-// regionIndexLocked returns the index of the last region based at or below
-// vaddr — the only one that can contain it — or -1. makeRegion hands out
-// ascending bases and Release cuts in place, so k.regions is ordered by
-// Base and the lookup is a binary search (open-coded: it runs under every
-// write-through store, and sort.Search's closure call shows there).
-func (k *Kernel) regionIndexLocked(vaddr uint64) int {
-	lo, hi := 0, len(k.regions)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); k.regions[mid].Base <= vaddr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
+	return k.reverse[frame]
 }
 
 // Release unmaps a region and returns its PCM frames to the pool (used by
@@ -512,13 +542,13 @@ func (k *Kernel) regionIndexLocked(vaddr uint64) int {
 func (k *Kernel) Release(r *Region) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	i := k.regionIndexLocked(r.Base)
-	if i < 0 || k.regions[i] != r {
+	i := slices.Index(k.regions, r)
+	if i < 0 {
 		panic(fmt.Sprintf("kernel: Release of unmapped region at %#x", r.Base))
 	}
 	k.regions = slices.Delete(k.regions, i, i+1)
-	for _, f := range r.frames {
-		delete(k.reverse, f)
+	for p := 0; p < r.Pages; p++ {
+		f := k.setFrameLocked(r, p, -1)
 		if f >= k.pcmPages {
 			continue
 		}
@@ -535,8 +565,8 @@ func (k *Kernel) MapFailures(r *Region) *failmap.Map {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	m := failmap.New(r.Size())
-	for i, f := range r.frames {
-		bm := k.frameBitmap(f)
+	for i := 0; i < r.Pages; i++ {
+		bm := k.frameBitmap(r.Frame(i))
 		for l := 0; l < failmap.LinesPerPage; l++ {
 			if bm&(1<<uint(l)) != 0 {
 				m.SetLineFailed(i*failmap.LinesPerPage + l)
@@ -702,7 +732,7 @@ func (k *Kernel) InjectDynamicFailure(r *Region, page, lineInPage int, data []by
 		panic("kernel: InjectDynamicFailure out of range")
 	}
 	k.mu.Lock()
-	f := r.frames[page]
+	f := r.Frame(page)
 	if f < k.pcmPages {
 		k.bitmaps[f] |= 1 << uint(lineInPage)
 	}
@@ -729,12 +759,12 @@ func (k *Kernel) SwapInPlacement(srcBitmap uint64, clustered bool) (frame int, p
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if clustered {
-		need := popcount(srcBitmap)
+		need := bits.OnesCount64(srcBitmap)
 		for p := 0; p < k.pcmPages; p++ {
 			if k.taken[p] {
 				continue
 			}
-			if popcount(k.bitmaps[p]) <= need && clusteredAtEdge(k.bitmaps[p]) {
+			if bits.OnesCount64(k.bitmaps[p]) <= need && clusteredAtEdge(k.bitmaps[p]) {
 				k.takeFrameLocked(p)
 				return p, false, nil
 			}
@@ -757,14 +787,6 @@ func (k *Kernel) SwapInPlacement(srcBitmap uint64, clustered bool) (frame int, p
 		return f, true, nil
 	}
 	return 0, false, ErrOutOfMemory
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // clusteredAtEdge reports whether a page bitmap has all failures contiguous

@@ -101,7 +101,6 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 	if page < 0 || page >= r.Pages {
 		panic("kernel: HandleUnawareFailure page out of range")
 	}
-	old := r.frames[page]
 	f, ok := k.placement.NextPerfect(k)
 	if !ok {
 		// Borrow DRAM, as for any perfect request.
@@ -115,13 +114,10 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 		k.takeFrameLocked(f)
 	}
 	k.charge(stats.EvSwapIn) // the page copy
-	delete(k.reverse, old)
-	if old < k.pcmPages {
+	if old := k.setFrameLocked(r, page, f); old < k.pcmPages {
 		k.freeFrameLocked(old) // the imperfect frame returns to the pool
 		k.released = append(k.released, old)
 	}
-	r.frames[page] = f
-	k.reverse[f] = reversed{region: r, page: page}
 	return f, borrowed
 }
 
@@ -130,7 +126,7 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 func (k *Kernel) RegionAt(vaddr uint64) *Region {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.regionAtLocked(vaddr)
+	return k.pageAtLocked(vaddr).region
 }
 
 // RemapPageAt replaces the physical frame behind the virtual address with
@@ -139,11 +135,11 @@ func (k *Kernel) RegionAt(vaddr uint64) *Region {
 func (k *Kernel) RemapPageAt(vaddr uint64) (borrowed, ok bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	r := k.regionAtLocked(vaddr)
-	if r == nil {
+	rv := k.pageAtLocked(vaddr)
+	if rv.region == nil {
 		return false, false
 	}
-	_, b := k.handleUnawareLocked(r, int((vaddr-r.Base)/failmap.PageSize))
+	_, b := k.handleUnawareLocked(rv.region, rv.page)
 	return b, true
 }
 
@@ -167,11 +163,12 @@ func (k *Kernel) InjectRandomDynamicFailure(rng *rand.Rand) bool {
 		for attempt := 0; attempt < 32; attempt++ {
 			cr := k.regions[rng.Intn(len(k.regions))]
 			p := rng.Intn(cr.Pages)
-			if cr.frames[p] >= k.pcmPages {
+			f := cr.Frame(p)
+			if f >= k.pcmPages {
 				continue // DRAM: never fails
 			}
 			l := rng.Intn(failmap.LinesPerPage)
-			if k.bitmaps[cr.frames[p]]&(1<<uint(l)) != 0 {
+			if k.bitmaps[f]&(1<<uint(l)) != 0 {
 				continue // already failed
 			}
 			r, page, line = cr, p, l

@@ -308,9 +308,7 @@ func (k *Kernel) PolicyRemapFrame(src, dst int) bool {
 		return false
 	}
 	k.charge(stats.EvSwapIn)
-	delete(k.reverse, src)
-	rv.region.frames[rv.page] = dst
-	k.reverse[dst] = rv
+	k.setFrameLocked(rv.region, rv.page, dst)
 	k.freeFrameLocked(src)
 	k.released = append(k.released, src)
 	k.policyRemaps++
@@ -369,11 +367,9 @@ func (k *Kernel) PolicyPromoteFrame(src int) bool {
 	k.borrows++
 	k.charge(stats.EvPageBorrow)
 	k.charge(stats.EvSwapIn)
-	delete(k.reverse, src)
+	k.setFrameLocked(rv.region, rv.page, f)
 	k.freeFrameLocked(src)
 	k.released = append(k.released, src)
-	rv.region.frames[rv.page] = f
-	k.reverse[f] = rv
 	k.policyRemaps++
 	vaddr := rv.region.Base + uint64(rv.page)*failmap.PageSize
 	k.mu.Unlock()

@@ -194,14 +194,16 @@ func TestPolicyPromoteFrameAccountsAsBorrow(t *testing.T) {
 
 func TestRotatePlacementSpreadsAllocations(t *testing.T) {
 	_, k := policyDevice(t, "rotate", "rotate")
+	// A released region no longer translates: read the frames while mapped.
 	a, _ := k.MmapRelaxed(2)
+	a0, a1 := a.Frame(0), a.Frame(1)
 	k.Release(a)
 	b, _ := k.MmapRelaxed(2)
+	b0, b1 := b.Frame(0), b.Frame(1)
 	k.Release(b)
 	// Released frames are reused first, like the stock policy.
-	if b.Frame(0) != a.Frame(1) || b.Frame(1) != a.Frame(0) {
-		t.Fatalf("released frames not reused: %d,%d then %d,%d",
-			a.Frame(0), a.Frame(1), b.Frame(0), b.Frame(1))
+	if b0 != a1 || b1 != a0 {
+		t.Fatalf("released frames not reused: %d,%d then %d,%d", a0, a1, b0, b1)
 	}
 	// With the stack empty, the wrapping cursor keeps advancing instead of
 	// re-handing the low frames.
@@ -209,7 +211,7 @@ func TestRotatePlacementSpreadsAllocations(t *testing.T) {
 	k.released = nil
 	k.mu.Unlock()
 	c, _ := k.MmapRelaxed(2)
-	if c.Frame(0) == 0 || c.Frame(0) == a.Frame(0) {
+	if c.Frame(0) == 0 || c.Frame(0) == a0 {
 		t.Fatalf("rotate placement restarted at the low frames (frame %d)", c.Frame(0))
 	}
 }

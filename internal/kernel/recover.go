@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
@@ -132,7 +133,7 @@ func (k *Kernel) Recover(opt RecoverOptions) (RecoverStats, error) {
 		if k.bitmaps[p] != ^uint64(0) {
 			st.UsableFrames++
 		}
-		st.WorkingLines += failmap.LinesPerPage - popcount(k.bitmaps[p])
+		st.WorkingLines += failmap.LinesPerPage - bits.OnesCount64(k.bitmaps[p])
 	}
 	k.rebuildPerfectIndexLocked()
 

@@ -917,23 +917,24 @@ func (v *VM) setArrayByte(clk *stats.Clock, arr heap.Addr, i int, b byte) {
 // of panicking; host memory stays authoritative, so execution continues.
 func (v *VM) writeback(addr heap.Addr) {
 	line := addr &^ heap.Addr(failmap.LineSize-1)
-	if v.threaded {
-		// No busy counter (threaded up-calls always queue); degraded is
-		// guarded by failMu since any mutator goroutine may reach here.
-		err := v.kern.WriteLine(uint64(line), v.model.S.Bytes(line, failmap.LineSize))
-		if err != nil {
-			v.failMu.Lock()
-			if v.degraded == nil {
-				v.degraded = err
-			}
-			v.failMu.Unlock()
-		}
+	// No busy counter on the threaded engine (its up-calls always queue),
+	// and degraded is guarded by failMu there since any mutator goroutine
+	// may reach here.
+	if !v.threaded {
+		v.busy++
+	}
+	err := v.kern.WriteLine(uint64(line), v.model.S.Bytes(line, failmap.LineSize))
+	if !v.threaded {
+		v.busy--
+	}
+	if err == nil {
 		return
 	}
-	v.busy++
-	err := v.kern.WriteLine(uint64(line), v.model.S.Bytes(line, failmap.LineSize))
-	v.busy--
-	if err != nil && v.degraded == nil {
+	if v.threaded {
+		v.failMu.Lock()
+		defer v.failMu.Unlock()
+	}
+	if v.degraded == nil {
 		v.degraded = err
 	}
 }
