@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -165,5 +166,43 @@ func TestCrashEventRoundTrip(t *testing.T) {
 	got, err := ParseEvent(e.String())
 	if err != nil || got != e {
 		t.Fatalf("round trip: %v %v", got, err)
+	}
+}
+
+// crashCampaignBaton runs the campaign the allocation guards measure: baton
+// engine, write-through, power cut at the fourth collection — a device
+// built, snapshotted at the cut and restored, on a 16 MB pool.
+func crashCampaignBaton() CrashRecord {
+	camp := NewCampaign(42, 3)
+	camp.Events = append(camp.Events, Event{Point: probe.GCEnd, Nth: 4, Act: ActPowerCut})
+	return RunCrashCampaign(TortureConfig{Collector: vm.StickyImmix, FailureAware: true}, camp, quickOpts())
+}
+
+// TestCrashCampaignAllocation: what a campaign allocates follows what it
+// stores, not the pool it runs on. The wear arrays of the device, of its
+// image at the cut and of the restored device are 4.25 MB each and the
+// whole campaign about 15 MB; with line contents held densely those three
+// alone were 61 MB (20.25 MB each).
+func TestCrashCampaignAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := crashCampaignBaton()
+	runtime.ReadMemStats(&after)
+	if rec.Failure != "" || !rec.CutFired {
+		t.Fatalf("campaign did not cut and recover: fired=%v failure=%q", rec.CutFired, rec.Failure)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 35 {
+		t.Fatalf("one crash campaign allocated %.1f MB, want < 35", mb)
+	}
+}
+
+// BenchmarkCrashCampaign is the same campaign per op; B/op is the number
+// TestCrashCampaignAllocation bounds (make bench-smoke runs it once).
+func BenchmarkCrashCampaign(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if rec := crashCampaignBaton(); rec.Failure != "" {
+			b.Fatal(rec.Failure)
+		}
 	}
 }

@@ -477,6 +477,7 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 		}
 		return rec, nil
 	}
+	defer m.Close()
 	if img != nil {
 		// Cross-check the recovered state against device ground truth.
 		if rep := verify.Recovered(verify.RecoveredTarget{

@@ -144,7 +144,7 @@ type Device struct {
 	// Clustering hardware between module-visible lines and start-gap input.
 	array *cluster.Array
 
-	data []byte
+	data lineStore // nil unless cfg.TrackData
 
 	// Failure buffer. Entries live in buffer[head:]; invalidated entries
 	// (superseded by a newer failure of the same line) become tombstones
@@ -248,7 +248,7 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 		d.array = cluster.NewArray(cfg.Size, cfg.ClusterPages, cfg.ClusterCache, clock)
 	}
 	if cfg.TrackData {
-		d.data = make([]byte, slots*failmap.LineSize)
+		d.data = newLineStore(slots)
 	}
 	return d
 }
@@ -382,8 +382,7 @@ func (d *Device) Read(line int, dst []byte) {
 	if d.data == nil {
 		return
 	}
-	s := d.storageOf(line)
-	copy(dst, d.data[s*failmap.LineSize:(s+1)*failmap.LineSize])
+	d.data.read(d.storageOf(line), dst)
 }
 
 // Write stores data (LineSize bytes) to the module-visible line, applying
@@ -433,7 +432,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		s := d.storageOf(line)
 		failedNow := d.wear(s)
 		if d.data != nil && !failedNow {
-			copy(d.data[s*failmap.LineSize:(s+1)*failmap.LineSize], data)
+			copy(d.data.line(s), data)
 		}
 		if failedNow {
 			d.reportFailure(line, data)
@@ -506,8 +505,7 @@ func (d *Device) reportFailure(line int, data []byte) {
 		last := i == len(surfaced)-1
 		if last && l != line && d.data != nil {
 			// The data now lives at line's new storage.
-			s := d.storageOf(line)
-			copy(d.data[s*failmap.LineSize:(s+1)*failmap.LineSize], data)
+			copy(d.data.line(d.storageOf(line)), data)
 		}
 		d.pushBuffer(FailureRecord{Line: l, Data: dup(data), Fake: !last})
 	}
@@ -647,8 +645,7 @@ func (d *Device) wearStep() {
 	l := d.occupant[src]
 	if l >= 0 {
 		if d.data != nil {
-			copy(d.data[d.gap*int32(failmap.LineSize):(d.gap+1)*int32(failmap.LineSize)],
-				d.data[src*int32(failmap.LineSize):(src+1)*int32(failmap.LineSize)])
+			d.data.move(int(d.gap), int(src))
 		}
 		d.perm[l] = d.gap
 		d.occupant[d.gap] = l
@@ -662,11 +659,9 @@ func (d *Device) wearStep() {
 				// one more broken storage line, nothing left to surface.
 				d.failedLines.Add(1)
 			} else {
-				var data []byte
+				data := make([]byte, failmap.LineSize)
 				if d.data != nil {
-					data = d.data[d.gap*int32(failmap.LineSize) : (d.gap+1)*int32(failmap.LineSize)]
-				} else {
-					data = make([]byte, failmap.LineSize)
+					d.data.read(int(d.gap), data)
 				}
 				d.reportFailure(int(l), data)
 			}

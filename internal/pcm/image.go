@@ -68,8 +68,11 @@ type DeviceImage struct {
 	// Clustering redirection maps (instantiated regions only).
 	Regions []cluster.RegionImage `json:"regions,omitempty"`
 
-	// Line contents (when TrackData).
-	Data []byte `json:"data,omitempty"`
+	// Line contents (when TrackData): one entry per page of storage slots,
+	// PageSize bytes for a page that was stored to and empty for one that
+	// was not, which reads as zeros. EncodeImage writes it in this form, an
+	// absent page costing one byte.
+	Data [][]byte `json:"data,omitempty"`
 
 	// Orphans are the failure-buffer entries lost to the power cut, in
 	// FIFO order. Empty for a quiescent snapshot.
@@ -123,9 +126,7 @@ func (d *Device) Snapshot() *DeviceImage {
 		img.Perm = append([]int32(nil), d.perm...)
 		img.Occupant = append([]int32(nil), d.occupant...)
 	}
-	if d.data != nil {
-		img.Data = append([]byte(nil), d.data...)
-	}
+	img.Data = d.data.clone()
 	if len(d.osBlob) > 0 {
 		img.OSBlob = append([]byte(nil), d.osBlob...)
 	}
@@ -161,8 +162,18 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if img.EnduranceOf != nil && len(img.EnduranceOf) != slots {
 		return nil, fmt.Errorf("pcm: image endurance covers %d slots, want %d", len(img.EnduranceOf), slots)
 	}
-	if img.TrackData && len(img.Data) != slots*failmap.LineSize {
-		return nil, fmt.Errorf("pcm: image data is %d bytes, want %d", len(img.Data), slots*failmap.LineSize)
+	if img.TrackData {
+		if want := storePages(slots); len(img.Data) != want {
+			return nil, fmt.Errorf("pcm: image data covers %d pages, want %d", len(img.Data), want)
+		}
+		for i, p := range img.Data {
+			if len(p) != 0 && len(p) != failmap.PageSize {
+				return nil, fmt.Errorf("pcm: image data page %d is %d bytes, want 0 or %d", i, len(p), failmap.PageSize)
+			}
+		}
+	}
+	if img.FailedLines < 0 {
+		return nil, fmt.Errorf("pcm: image failed-line count %d negative", img.FailedLines)
 	}
 	if img.BufferCap <= 0 || img.BufferReserve <= 0 || img.BufferReserve >= img.BufferCap {
 		return nil, fmt.Errorf("pcm: image buffer sizing %d/%d invalid", img.BufferReserve, img.BufferCap)
@@ -209,6 +220,16 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 			return nil, fmt.Errorf("pcm: image start-gap maps cover %d/%d entries, want %d/%d",
 				len(img.Perm), len(img.Occupant), n, slots)
 		}
+		// Every write indexes these maps unchecked: the gap is a slot that
+		// backs no line, and every other slot backs the line that maps to it.
+		if img.Gap < 0 || int(img.Gap) >= slots || img.Occupant[img.Gap] != -1 {
+			return nil, fmt.Errorf("pcm: image start-gap slot %d is not an unoccupied slot", img.Gap)
+		}
+		for l, s := range img.Perm {
+			if s < 0 || int(s) >= slots || img.Occupant[s] != int32(l) {
+				return nil, fmt.Errorf("pcm: image start-gap maps disagree on line %d", l)
+			}
+		}
 		d.perm = append([]int32(nil), img.Perm...)
 		d.occupant = append([]int32(nil), img.Occupant...)
 	}
@@ -220,7 +241,7 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		d.array = a
 	}
 	if img.TrackData {
-		d.data = append([]byte(nil), img.Data...)
+		d.data = lineStore(img.Data).clone()
 	}
 	if len(img.OSBlob) > 0 {
 		d.osBlob = append([]byte(nil), img.OSBlob...)

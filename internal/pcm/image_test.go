@@ -153,22 +153,37 @@ func TestImageStallRestored(t *testing.T) {
 	}
 }
 
-// TestImageValidatesGeometry: corrupt images are rejected, not absorbed.
+// TestImageValidatesGeometry: corrupt images are rejected with an error, not
+// absorbed and not left to panic at the first write that indexes them.
 func TestImageValidatesGeometry(t *testing.T) {
-	d, clock := imageTestDevice(Config{Size: 1 << 20, TrackData: true, Seed: 1})
-	img := d.Snapshot()
-	img.Writes = img.Writes[:len(img.Writes)-1]
-	if _, err := NewDeviceFromImage(img, clock, nil); err == nil {
-		t.Fatal("truncated wear state accepted")
+	d, clock := imageTestDevice(Config{Size: 1 << 20, TrackData: true, Seed: 1,
+		WearLeveling: StartGap, GapInterval: 1})
+	driveWrites(d, 1, 100) // the gap has moved and some pages are resident
+	if _, err := NewDeviceFromImage(d.Snapshot(), clock, nil); err != nil {
+		t.Fatalf("intact image rejected: %v", err)
 	}
-	img = d.Snapshot()
-	img.Orphans = []OrphanLine{{Line: 1 << 30}}
-	if _, err := NewDeviceFromImage(img, clock, nil); err == nil {
-		t.Fatal("out-of-range orphan accepted")
-	}
-	img = d.Snapshot()
-	img.Orphans = []OrphanLine{{Line: 5}, {Line: 5}}
-	if _, err := NewDeviceFromImage(img, clock, nil); err == nil {
-		t.Fatal("duplicate orphan accepted")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(img *DeviceImage)
+	}{
+		{"truncated wear state", func(img *DeviceImage) { img.Writes = img.Writes[:len(img.Writes)-1] }},
+		{"out-of-range orphan", func(img *DeviceImage) { img.Orphans = []OrphanLine{{Line: 1 << 30}} }},
+		{"duplicate orphan", func(img *DeviceImage) { img.Orphans = []OrphanLine{{Line: 5}, {Line: 5}} }},
+		{"negative gap", func(img *DeviceImage) { img.Gap = -1 }},
+		{"gap past the last slot", func(img *DeviceImage) { img.Gap = int32(len(img.Occupant)) }},
+		{"gap on an occupied slot", func(img *DeviceImage) { img.Gap = img.Perm[0] }},
+		{"line mapped outside the module", func(img *DeviceImage) { img.Perm[7] = int32(len(img.Occupant)) }},
+		{"two lines mapped to one slot", func(img *DeviceImage) { img.Perm[7] = img.Perm[8] }},
+		{"occupant disagrees with its line", func(img *DeviceImage) { img.Occupant[img.Perm[7]] = 8 }},
+		{"negative failed-line count", func(img *DeviceImage) { img.FailedLines = -1 }},
+		{"page directory one short", func(img *DeviceImage) { img.Data = img.Data[:len(img.Data)-1] }},
+		{"page directory missing", func(img *DeviceImage) { img.Data = nil }},
+		{"page of half a page", func(img *DeviceImage) { img.Data[0] = make([]byte, failmap.PageSize/2) }},
+	} {
+		img := d.Snapshot()
+		tc.corrupt(img)
+		if _, err := NewDeviceFromImage(img, clock, nil); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
