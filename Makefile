@@ -17,13 +17,16 @@ race:
 # mutators, concurrent trace/sweep, the engine differential, the threaded
 # torture campaigns, the batch driver both engines share, the device's
 # lock-free status reads and its page store (an image read with no lock
-# while the device it was taken from keeps storing), the kernel's lock-free
-# page-table walk and the address-space free list under eight workers
-# (subset of "race"; faster signal).
+# while the device it was taken from keeps storing), the device's two
+# ownership modes (the single-owner/equipped differential, the hammer on an
+# equipped device, and the guard that a threaded boot equips the device it
+# runs on), the kernel's lock-free page-table walk and the address-space
+# free list under eight workers (subset of "race"; faster signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
 		./internal/chaos/ ./internal/harness/ ./internal/pcm/ ./internal/kernel/ \
-		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore'
+		./internal/machine/ \
+		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore|SingleOwner|ConcurrentDevice|Equip'
 
 vet:
 	$(GO) vet ./...

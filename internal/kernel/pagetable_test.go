@@ -215,6 +215,7 @@ func TestPageTableDifferential(t *testing.T) {
 func TestLockFreeTranslate(t *testing.T) {
 	const pages, readers, mappings, wantPasses = 16, 4, 120, 400
 	k := tableKernel(1024)
+	k.Device().SetConcurrent() // the readers below store through WriteLine
 	r, _ := k.MmapPerfect(pages)
 	held := make([]map[int]bool, pages) // written by the remapper alone, read after Wait
 	for p := range held {

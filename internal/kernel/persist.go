@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"wearmem/internal/failmap"
@@ -67,19 +68,16 @@ func (k *Kernel) RediscoverFailures() int {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	// One pass over the device for the whole map, then a table entry a
+	// frame of the pool, which may be smaller than the module.
+	m := k.device.FailMap()
+	frames := min(m.Pages(), k.pcmPages)
 	found := 0
-	for l := 0; l < k.device.Lines() && l < k.pcmPages*failmap.LinesPerPage; l++ {
-		if k.clock != nil && l%failmap.LinesPerPage == 0 {
-			k.clock.Charge1(stats.EvSwapIn) // page-scan granularity cost
-		}
-		if k.device.Unavailable(l) {
-			frame := l / failmap.LinesPerPage
-			bit := uint64(1) << uint(l%failmap.LinesPerPage)
-			if k.bitmaps[frame]&bit == 0 {
-				k.bitmaps[frame] |= bit
-				found++
-			}
-		}
+	for frame := 0; frame < frames; frame++ {
+		k.charge(stats.EvSwapIn) // page-scan granularity cost
+		fresh := m.PageBitmap(frame) &^ k.bitmaps[frame]
+		k.bitmaps[frame] |= fresh
+		found += bits.OnesCount64(fresh)
 	}
 	return found
 }

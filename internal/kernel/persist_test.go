@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
+	"wearmem/internal/stats"
 )
 
 func TestSaveRestoreFailureTable(t *testing.T) {
@@ -65,6 +67,113 @@ func TestRediscoverFailuresAfterAbnormalShutdown(t *testing.T) {
 		if !fm.LineFailed(l) {
 			t.Fatalf("line %d not rediscovered", l)
 		}
+	}
+}
+
+// rediscoverPerLine is the scan RediscoverFailures replaced, kept as its
+// reference: one Device.Unavailable a line, one page-scan charge a frame.
+func rediscoverPerLine(k *Kernel) int {
+	found := 0
+	for l := 0; l < k.device.Lines() && l < k.pcmPages*failmap.LinesPerPage; l++ {
+		if l%failmap.LinesPerPage == 0 {
+			k.charge(stats.EvSwapIn)
+		}
+		if k.device.Unavailable(l) {
+			frame := l / failmap.LinesPerPage
+			bit := uint64(1) << uint(l%failmap.LinesPerPage)
+			if k.bitmaps[frame]&bit == 0 {
+				k.bitmaps[frame] |= bit
+				found++
+			}
+		}
+	}
+	return found
+}
+
+// TestRediscoverFailuresMatchesPerLineScan: the one-pass scan finds what the
+// per-line scan found, leaves the same table and charges the same cycles, on
+// a plain worn device, under start-gap, under clustering (whose metadata
+// lines are unavailable without having failed) and with a pool smaller than
+// the module; some of the failures are already in the table (the injected
+// map), so found counts the new ones only.
+func TestRediscoverFailuresMatchesPerLineScan(t *testing.T) {
+	const pages = 32
+	for _, tc := range []struct {
+		name string
+		cfg  pcm.Config
+		pool int
+		// metadata: more lines must be unavailable than have failed. (Not
+		// asked of clustering under start-gap, where a carry can break a
+		// line clustering already took and the counts are not comparable.)
+		metadata bool
+	}{
+		{"plain", pcm.Config{}, pages, false},
+		{"start-gap", pcm.Config{WearLeveling: pcm.StartGap, GapInterval: 3}, pages, false},
+		{"clustered", pcm.Config{ClusterPages: 2}, pages, true},
+		{"clustered start-gap", pcm.Config{ClusterPages: 2, WearLeveling: pcm.StartGap, GapInterval: 5}, pages, false},
+		{"small pool", pcm.Config{}, pages - 12, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Size = pages * failmap.PageSize
+			tc.cfg.Endurance = 6
+			tc.cfg.Variation = 0.4
+			tc.cfg.Seed = 11
+			dev := pcm.NewDevice(tc.cfg, nil)
+			rng := rand.New(rand.NewSource(5))
+			buf := make([]byte, failmap.LineSize)
+			for i := 0; i < 6*dev.Lines(); i++ {
+				if l := rng.Intn(dev.Lines()); !dev.Unavailable(l) {
+					dev.Write(l, buf)
+				}
+				for dev.BufferLen() > 0 {
+					dev.Drain()
+				}
+			}
+			fm := dev.FailMap()
+			if fm.FailedLines() < dev.Lines()/20 {
+				t.Fatalf("only %d of %d lines unavailable: not a worn device", fm.FailedLines(), dev.Lines())
+			}
+			if tc.metadata && fm.FailedLines() <= dev.FailedLines() {
+				t.Fatalf("%d lines unavailable, %d failed: no clustering metadata among them", fm.FailedLines(), dev.FailedLines())
+			}
+			// The table already knows every third unavailable line.
+			known := failmap.New(tc.pool * failmap.PageSize)
+			for l, n := 0, 0; l < known.Lines(); l++ {
+				if fm.LineFailed(l) {
+					if n%3 == 0 {
+						known.SetLineFailed(l)
+					}
+					n++
+				}
+			}
+			boot := func() (*Kernel, *stats.Clock) {
+				clock := stats.NewClock(stats.DefaultCosts())
+				return New(Config{PCMPages: tc.pool, Inject: known, Device: dev, Clock: clock}), clock
+			}
+			got, gotClock := boot()
+			want, wantClock := boot()
+			gotFound, wantFound := got.RediscoverFailures(), rediscoverPerLine(want)
+			if gotFound != wantFound || gotFound == 0 {
+				t.Errorf("found %d, the per-line scan %d (want equal and above 0)", gotFound, wantFound)
+			}
+			if !slices.Equal(got.bitmaps, want.bitmaps) {
+				t.Error("failure tables differ")
+			}
+			for f, bm := range got.bitmaps {
+				if bm != fm.PageBitmap(f) {
+					t.Fatalf("frame %d: table %#x, device %#x", f, bm, fm.PageBitmap(f))
+				}
+			}
+			if g, w := gotClock.Count(stats.EvSwapIn), wantClock.Count(stats.EvSwapIn); g != w || g == 0 {
+				t.Errorf("page-scan charges %d, the per-line scan %d", g, w)
+			}
+			if gotClock.Now() != wantClock.Now() {
+				t.Errorf("cycles %d, the per-line scan %d", gotClock.Now(), wantClock.Now())
+			}
+			if again := got.RediscoverFailures(); again != 0 {
+				t.Errorf("a second scan found %d more", again)
+			}
+		})
 	}
 }
 

@@ -36,6 +36,7 @@ func TestConcurrentFailureInterrupts(t *testing.T) {
 		TrackData: true,
 		Seed:      1,
 	}, nil)
+	dev.SetConcurrent() // a bare device under goroutines; no threaded VM equips it
 	k := New(Config{PCMPages: 64, Device: dev})
 	h := &lockedHandler{}
 	k.RegisterFailureHandler(h)

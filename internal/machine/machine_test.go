@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
@@ -144,4 +145,59 @@ func TestQuiescentSnapshotReboots(t *testing.T) {
 	}
 	m.Close()
 	m.Close()
+}
+
+// TestThreadedBootEquipsDevice is the guard on vm.New's SetConcurrent call:
+// two real-goroutine mutators store through to the device while this
+// goroutine snapshots it and sums its wear, which nothing but the device's
+// own lock orders (the mutators' stores are serialised among themselves by
+// the runtime's write-through lock, and that is all). Under -race it fails
+// when a threaded runtime boots on a device it did not equip; without the
+// detector it still holds each sum to the image taken before it.
+func TestThreadedBootEquipsDevice(t *testing.T) {
+	_, spec := pmdSpec(1 << 20)
+	spec.VM.Threaded = true
+	m, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	blob := m.VM.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
+	const mutators, blobs, blobBytes = 2, 120, 256
+	done := make(chan error, 1)
+	go func() {
+		done <- m.VM.RunMutators(mutators, func(mu *vm.Mutator, yield func()) error {
+			for i := 0; i < blobs; i++ {
+				a, err := mu.NewArray(blob, blobBytes)
+				if err != nil {
+					return err
+				}
+				for j := 0; j < blobBytes; j++ {
+					mu.SetArrayByte(a, j, byte(i+j))
+				}
+				yield()
+			}
+			return nil
+		})
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("mutators: %v", err)
+			}
+			running = false // one more look, at the quiet device
+		default:
+		}
+		var before uint64
+		for _, w := range m.Device.Snapshot().Writes {
+			before += w
+		}
+		if after := m.Device.TotalWrites(); after < before {
+			t.Fatalf("TotalWrites() = %d after an image that already held %d", after, before)
+		}
+	}
+	if got := m.Device.TotalWrites(); got < mutators*blobs*blobBytes {
+		t.Fatalf("%d device writes for %d stores: the stores did not write through", got, mutators*blobs*blobBytes)
+	}
 }

@@ -102,25 +102,40 @@ var ErrStalled = errors.New("pcm: write stalled, failure buffer full")
 
 // Device is a simulated PCM module.
 //
-// Every write to mutable state happens under mu, so writes from any
-// mutator — and the failure interrupts they raise — are safe. Three status
-// words (failedLines, live, stalled) are additionally atomics: they are
-// stored only under mu, but FailedLines, FailureRate, BufferLen and Stalled
-// load them without taking it, because pollers call those once per write.
-// A status read taken while a write is in flight on another goroutine is
-// therefore a momentary value, not ordered against that write; readers
-// that need a consistent picture read at a point where nothing is writing
-// (internal/verify runs at stop-the-world points) or take a Snapshot.
+// A Device is single-owner until it is shared: a fresh or restored device
+// has no lock and is not safe for concurrent use, which is all the baton
+// engine, the wear studies and every bare device driven from one goroutine
+// need. SetConcurrent equips it with its lock; whoever is about to share
+// the device calls it first (vm.New does for a threaded runtime, on the
+// device of the kernel it boots on, so a restored device is equipped again
+// by the runtime that boots on it), and there is no way back, so one user
+// can never strip the safety another relies on. On an equipped device every
+// write to mutable state happens under mu, so writes from any mutator — and
+// the failure interrupts they raise — are safe.
 //
-// The interrupt callbacks (probe, OnFailure, OnBufferFull) are queued under
-// the lock and invoked after it is released, because the OS handler they
-// reach drains the buffer and re-enters the device; Go mutexes are not
-// re-entrant. The lock order through the stack is core.Immix.mu →
-// kernel.Kernel.mu → Device.mu. The clock is charged by whichever goroutine
+// Three status words (failedLines, live, stalled) are atomics in both
+// modes: they are stored only inside the critical section, but FailedLines,
+// FailureRate, BufferLen and Stalled load them without the lock, because
+// pollers call those once per write. A status read taken while a write is
+// in flight on another goroutine is therefore a momentary value, not
+// ordered against that write; readers that need a consistent picture read
+// at a point where nothing is writing (internal/verify runs at
+// stop-the-world points) or take a Snapshot. Those four, Lines, Size and
+// Watermark are all a poller may call on a device it does not own and that
+// has not been equipped.
+//
+// The interrupt callbacks (probe, OnFailure, OnBufferFull) are queued inside
+// the critical section and invoked after it ends, in both modes: the OS
+// handler they reach drains the buffer and re-enters the device (Go mutexes
+// are not re-entrant), and it must find the device as the finished write
+// left it, not part-way through one. The lock order through the stack is
+// core.Immix.mu → kernel.Kernel.mu → Device.mu; on a single-owner device
+// the chain ends at Kernel.mu. The clock is charged by whichever goroutine
 // holds the scheduler baton (it stays single-owner; pass nil for
 // free-threaded use).
 type Device struct {
-	mu    sync.Mutex
+	// mu is nil until SetConcurrent; only lock and unlock touch it.
+	mu    *sync.Mutex
 	cfg   Config
 	lines int
 	clock *stats.Clock // may be nil
@@ -160,9 +175,9 @@ type Device struct {
 	onFailure func()
 	onFull    func()
 	stalled   atomic.Bool
-	// calls holds interrupt callbacks queued by pushBuffer while mu is
-	// held; the public entry point that triggered them runs the queue
-	// after unlocking.
+	// calls holds interrupt callbacks queued by pushBuffer inside a
+	// critical section; the public entry point that triggered them runs
+	// the queue after unlock, on a single-owner device too.
 	calls []func()
 
 	// Lifetime failure-buffer accounting, exposed for the drain-accounting
@@ -268,6 +283,28 @@ func sampleEndurance(mean uint64, variation float64, rng *rand.Rand) uint64 {
 	return e
 }
 
+// SetConcurrent equips the device with its lock so concurrent goroutines
+// may use it. Enable before sharing; there is no way back.
+func (d *Device) SetConcurrent() {
+	if d.mu == nil {
+		d.mu = &sync.Mutex{}
+	}
+}
+
+// lock and unlock bracket every critical section. On a single-owner device
+// they are a nil check.
+func (d *Device) lock() {
+	if d.mu != nil {
+		d.mu.Lock()
+	}
+}
+
+func (d *Device) unlock() {
+	if d.mu != nil {
+		d.mu.Unlock()
+	}
+}
+
 // Lines returns the number of module-visible lines.
 func (d *Device) Lines() int { return d.lines }
 
@@ -277,16 +314,16 @@ func (d *Device) Size() int { return d.cfg.Size }
 // OnFailure registers the failure interrupt handler (the OS). It fires once
 // per new failure buffer entry.
 func (d *Device) OnFailure(fn func()) {
-	d.mu.Lock()
+	d.lock()
 	d.onFailure = fn
-	d.mu.Unlock()
+	d.unlock()
 }
 
 // OnBufferFull registers the watermark interrupt handler.
 func (d *Device) OnBufferFull(fn func()) {
-	d.mu.Lock()
+	d.lock()
 	d.onFull = fn
-	d.mu.Unlock()
+	d.unlock()
 }
 
 // Stalled reports whether the module is currently refusing writes.
@@ -302,16 +339,16 @@ func (d *Device) Watermark() int { return d.cfg.BufferCap - d.cfg.BufferReserve 
 // pushed, entries invalidated by a newer same-line failure, and entries
 // drained. BufferLen() == pushed - invalidated - drained at all times.
 func (d *Device) BufferAccounting() (pushed, invalidated, drained uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.pushed, d.invalidated, d.drained
 }
 
 // BufferedLines returns the module lines of the pending buffer entries in
 // FIFO order, including clustering-metadata reservations.
 func (d *Device) BufferedLines() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	out := make([]int, 0, d.live.Load())
 	for i := d.head; i < len(d.buffer); i++ {
 		if d.buffer[i].Line >= 0 {
@@ -345,8 +382,8 @@ func (d *Device) storageOf(line int) int {
 // Unavailable reports whether the module-visible line is unusable by
 // software (surfaced failure or clustering metadata).
 func (d *Device) Unavailable(line int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.unavailableLocked(line)
 }
 
@@ -368,8 +405,8 @@ func (d *Device) unavailableLocked(line int) bool {
 // location (§3.1.1); the check happens in parallel with the array access in
 // hardware, so it costs nothing extra in the model.
 func (d *Device) Read(line int, dst []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.clock != nil {
 		d.clock.Charge1(stats.EvFailBufSearch)
 	}
@@ -398,11 +435,12 @@ func (d *Device) Write(line int, data []byte) error {
 	return err
 }
 
-// WriteRun writes data to each of lines in order under one acquisition of
-// the device lock, exactly as that many calls to Write would, and returns
+// WriteRun writes data to each of lines in order in one critical section
+// (one acquisition of the lock on an equipped device, none on a
+// single-owner one), exactly as that many calls to Write would, and returns
 // how many writes it applied. It stops early, with a nil error, after the
 // first write that leaves the failure buffer non-empty: that write's
-// interrupt callbacks then run (after the lock is released, in the order
+// interrupt callbacks then run (after the critical section, in the order
 // Write would have run them) before the caller sees n, so a handler that
 // drains observes the same device state it would have under Write, and a
 // caller that drains itself does so before resuming with lines[n:]. A
@@ -414,7 +452,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 			panic(fmt.Sprintf("pcm: line %d out of range", line))
 		}
 	}
-	d.mu.Lock()
+	d.lock()
 	for _, line := range lines {
 		if d.stalled.Load() {
 			if d.clock != nil {
@@ -443,7 +481,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		}
 	}
 	calls := d.takeCalls()
-	d.mu.Unlock()
+	d.unlock()
 	for _, fn := range calls {
 		fn()
 	}
@@ -451,7 +489,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 }
 
 // takeCalls hands the queued interrupt callbacks to the caller, which must
-// invoke them after releasing mu.
+// invoke them after unlock.
 func (d *Device) takeCalls() []func() {
 	calls := d.calls
 	d.calls = nil
@@ -483,8 +521,8 @@ func (d *Device) wear(s int) bool {
 // CorrectedBits returns how many stuck bits the per-line error correction
 // has absorbed so far.
 func (d *Device) CorrectedBits() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.correctedBits
 }
 
@@ -534,8 +572,8 @@ func (d *Device) pushBuffer(rec FailureRecord) {
 	if d.clock != nil {
 		d.clock.Charge1(stats.EvInterrupt)
 	}
-	// The interrupt callbacks run after mu is released (the OS handler
-	// drains the buffer, re-entering the device); queue them here.
+	// The interrupt callbacks run after the critical section (the OS
+	// handler drains the buffer, re-entering the device); queue them here.
 	if d.cfg.Probe != nil {
 		line := rec.Line
 		d.calls = append(d.calls, func() { d.cfg.Probe(probe.PCMFailure, uint64(line)) })
@@ -555,8 +593,8 @@ func (d *Device) pushBuffer(rec FailureRecord) {
 // revoked access to the address before draining, because forwarding stops.
 // Draining below the watermark un-stalls writes.
 func (d *Device) Drain() (FailureRecord, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	for d.head < len(d.buffer) && d.buffer[d.head].Line < 0 {
 		d.head++ // skip invalidated entries
 		d.tombs--
@@ -607,9 +645,9 @@ func (d *Device) compact() {
 // reports false without effect when the line is already unavailable. A nil
 // data argument parks a zeroed line.
 func (d *Device) ForceFail(line int, data []byte) bool {
-	d.mu.Lock()
+	d.lock()
 	if d.unavailableLocked(line) {
-		d.mu.Unlock()
+		d.unlock()
 		return false
 	}
 	if data == nil {
@@ -622,7 +660,7 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 	}
 	d.reportFailure(line, data)
 	calls := d.takeCalls()
-	d.mu.Unlock()
+	d.unlock()
 	for _, fn := range calls {
 		fn()
 	}
@@ -676,8 +714,8 @@ func (d *Device) wearStep() {
 // FailMap renders the currently unavailable module-visible lines as a
 // failure map.
 func (d *Device) FailMap() *failmap.Map {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if d.array != nil {
 		return d.array.FailMap(d.cfg.Size)
 	}
@@ -694,24 +732,24 @@ func (d *Device) FailMap() *failmap.Map {
 // `slot`, gap-movement carries included. Slots are not module lines: under
 // start-gap the line a slot backs changes as the gap rotates.
 func (d *Device) WriteCount(slot int) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.writes[slot]
 }
 
 // GapCarries returns the number of extra line writes performed by start-gap
 // movement (its wear overhead).
 func (d *Device) GapCarries() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.gapCarries
 }
 
 // BrokenSlot reports whether physical storage slot s has failed
 // (diagnostic; slots differ from module lines under wear leveling).
 func (d *Device) BrokenSlot(s int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	return d.broken[s]
 }
 
@@ -731,8 +769,8 @@ type WearBucket struct {
 // concentrates mass in the first and last bins. With n < 1 a single
 // all-covering bucket is returned.
 func (d *Device) WearHistogram(n int) []WearBucket {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if n < 1 {
 		n = 1
 	}
@@ -761,8 +799,8 @@ func (d *Device) WearHistogram(n int) []WearBucket {
 // TotalWrites returns the lifetime write count summed over every storage
 // slot, including wear-leveling carries.
 func (d *Device) TotalWrites() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	var sum uint64
 	for _, w := range d.writes {
 		sum += w
@@ -775,8 +813,8 @@ func (d *Device) TotalWrites() uint64 {
 // sees when ranking pages hot to cold. (Under start-gap the slots behind a
 // page drift over time; this reports the present backing.)
 func (d *Device) PageWrites() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	out := make([]uint64, d.lines/failmap.LinesPerPage)
 	for l := 0; l < len(out)*failmap.LinesPerPage; l++ {
 		out[l/failmap.LinesPerPage] += d.writes[d.storageOf(l)]
@@ -786,15 +824,15 @@ func (d *Device) PageWrites() []uint64 {
 
 // SetOSBlob replaces the contents of the reserved OS metadata area.
 func (d *Device) SetOSBlob(b []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	d.osBlob = append(d.osBlob[:0], b...)
 }
 
 // OSBlob returns a copy of the reserved OS metadata area (nil when empty).
 func (d *Device) OSBlob() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if len(d.osBlob) == 0 {
 		return nil
 	}

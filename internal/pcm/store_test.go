@@ -218,6 +218,7 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 func TestStoreSnapshotUnderWriter(t *testing.T) {
 	d := NewDevice(Config{Size: 8 * failmap.PageSize, TrackData: true,
 		WearLeveling: StartGap, GapInterval: 1}, nil)
+	d.SetConcurrent() // shared with the writer below; no threaded VM equips it
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

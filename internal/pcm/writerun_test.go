@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -65,130 +66,161 @@ type runBlock struct {
 	data  []byte
 }
 
+// How a deviceScenario's driver empties the failure buffer.
+const (
+	drainOnStall = iota // nobody drains until a write is refused
+	drainEager          // the driver empties the buffer after every failure
+	drainHandler        // the OnFailure handler empties it, as the kernel does
+)
+
+// deviceScenario is one device configuration and drain discipline that
+// scenarioBlocks and driveScenario turn into a reproducible history.
+type deviceScenario struct {
+	name  string
+	cfg   Config
+	drain int
+}
+
+var deviceScenarios = []deviceScenario{
+	{"start-gap gap-move failures", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,
+		WearLeveling: StartGap, GapInterval: 2, TrackData: true}, drainEager},
+	{"clustering fake entries", Config{Size: 4 * failmap.PageSize, Endurance: 10, Variation: 0.2,
+		ClusterPages: 2, BufferCap: 64, TrackData: true}, drainEager},
+	{"ecc leases", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.2,
+		ECCEntries: 2, ECCLease: 3}, drainEager},
+	{"handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.3,
+		TrackData: true}, drainHandler},
+	{"start-gap handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,
+		WearLeveling: StartGap, GapInterval: 3}, drainHandler},
+	{"stalls mid-sequence", Config{Size: 2 * failmap.PageSize, Endurance: 8, Variation: 0.3,
+		BufferCap: 8, BufferReserve: 4, TrackData: true}, drainOnStall},
+	{"clustering stalls", Config{Size: 4 * failmap.PageSize, Endurance: 8, Variation: 0.2,
+		ClusterPages: 2, BufferCap: 8, BufferReserve: 3, TrackData: true}, drainOnStall},
+}
+
+// scenarioBlocks draws the op stream of one seed: about 6000 writes in
+// blocks of 1 to 60 random lines.
+func scenarioBlocks(cfg Config, seed int64) []runBlock {
+	rng := rand.New(rand.NewSource(seed * 977))
+	lines := cfg.Size / failmap.LineSize
+	var blocks []runBlock
+	for total := 0; total < 6000; {
+		b := runBlock{lines: make([]int, 1+rng.Intn(60)), data: make([]byte, failmap.LineSize)}
+		for i := range b.lines {
+			b.lines[i] = rng.Intn(lines)
+		}
+		rng.Read(b.data)
+		blocks = append(blocks, b)
+		total += len(b.lines)
+	}
+	return blocks
+}
+
+// deviceOutcome is everything a history leaves behind that software or a
+// power cut could observe.
+type deviceOutcome struct {
+	image                       *DeviceImage
+	pushed, invalidated, drains uint64
+	cycles                      stats.Cycles
+	applied, stalls, interrupts int
+	reads                       []byte
+}
+
+// driveScenario plays blocks into a fresh device built from sc.cfg —
+// equipped with its lock first when concurrent is set — draining as sc
+// says. write is the entry point under test: it applies run (no line of
+// which is gone) and reports how far it got.
+func driveScenario(t *testing.T, sc deviceScenario, blocks []runBlock, concurrent bool,
+	write func(d *Device, run []int, data []byte) (int, error)) deviceOutcome {
+	t.Helper()
+	// The clustering hardware panics when software keeps writing a line it
+	// has been told is gone; every driver skips those, as the OS would.
+	skipGone := sc.cfg.ClusterPages > 0
+	clock := stats.NewClock(stats.DefaultCosts())
+	d := NewDevice(sc.cfg, clock)
+	if concurrent {
+		d.SetConcurrent()
+	}
+	var o deviceOutcome
+	if sc.drain == drainHandler {
+		d.OnFailure(func() { o.interrupts++; drainAll(d) })
+	} else {
+		d.OnFailure(func() { o.interrupts++ })
+	}
+	for _, b := range blocks {
+		next := b.lines
+		for len(next) > 0 {
+			k := 0
+			for k < len(next) && !(skipGone && d.Unavailable(next[k])) {
+				k++
+			}
+			if k == 0 {
+				next = next[1:]
+				continue
+			}
+			n, err := write(d, next[:k], b.data)
+			next = next[n:]
+			o.applied += n
+			if err != nil {
+				if !errors.Is(err, ErrStalled) {
+					t.Fatalf("%s: %v", sc.name, err)
+				}
+				o.stalls++
+				drainAll(d)
+			}
+			if sc.drain == drainEager {
+				drainAll(d)
+			}
+		}
+	}
+	o.image = d.Snapshot()
+	o.pushed, o.invalidated, o.drains = d.BufferAccounting()
+	o.cycles = clock.Now()
+	o.reads = make([]byte, d.Size())
+	for l := 0; l < d.Lines(); l++ {
+		d.Read(l, o.reads[l*failmap.LineSize:(l+1)*failmap.LineSize])
+	}
+	return o
+}
+
+// diverged says where two outcomes that are not DeepEqual differ.
+func (o deviceOutcome) diverged(p deviceOutcome) string {
+	return fmt.Sprintf("applied %d vs %d, stalls %d vs %d, interrupts %d vs %d, pushed %d vs %d, cycles %d vs %d, images equal: %v",
+		o.applied, p.applied, o.stalls, p.stalls, o.interrupts, p.interrupts,
+		o.pushed, p.pushed, o.cycles, p.cycles, reflect.DeepEqual(o.image, p.image))
+}
+
+// reached fails the test when a history never got to the case its scenario
+// is named for.
+func (o deviceOutcome) reached(t *testing.T, sc deviceScenario, seed int64) {
+	t.Helper()
+	if o.image.FailedLines == 0 || (sc.drain == drainOnStall && o.stalls == 0) {
+		t.Fatalf("%s seed %d: scenario never reached its case (failed=%d stalls=%d)",
+			sc.name, seed, o.image.FailedLines, o.stalls)
+	}
+}
+
 // TestWriteRunMatchesWriteProperty: a sequence of writes leaves the device in
 // the same state — durable image, buffer accounting, simulated cycles,
 // interrupts delivered — whether it goes through WriteRun with
 // drain-and-resume or through Write one line at a time.
 func TestWriteRunMatchesWriteProperty(t *testing.T) {
-	const (
-		drainOnStall = iota // nobody drains until a write is refused
-		drainEager          // the driver empties the buffer after every failure
-		drainHandler        // the OnFailure handler empties it, as the kernel does
-	)
-	scenarios := []struct {
-		name  string
-		cfg   Config
-		drain int
-	}{
-		{"start-gap gap-move failures", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,
-			WearLeveling: StartGap, GapInterval: 2, TrackData: true}, drainEager},
-		{"clustering fake entries", Config{Size: 4 * failmap.PageSize, Endurance: 10, Variation: 0.2,
-			ClusterPages: 2, BufferCap: 64, TrackData: true}, drainEager},
-		{"ecc leases", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.2,
-			ECCEntries: 2, ECCLease: 3}, drainEager},
-		{"handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.3,
-			TrackData: true}, drainHandler},
-		{"start-gap handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,
-			WearLeveling: StartGap, GapInterval: 3}, drainHandler},
-		{"stalls mid-sequence", Config{Size: 2 * failmap.PageSize, Endurance: 8, Variation: 0.3,
-			BufferCap: 8, BufferReserve: 4, TrackData: true}, drainOnStall},
-		{"clustering stalls", Config{Size: 4 * failmap.PageSize, Endurance: 8, Variation: 0.2,
-			ClusterPages: 2, BufferCap: 8, BufferReserve: 3, TrackData: true}, drainOnStall},
+	oneWrite := func(d *Device, run []int, data []byte) (int, error) {
+		if err := d.Write(run[0], data); err != nil {
+			return 0, err
+		}
+		return 1, nil
 	}
-	for _, sc := range scenarios {
+	for _, sc := range deviceScenarios {
 		for seed := int64(1); seed <= 8; seed++ {
-			cfg := sc.cfg
-			cfg.Seed = seed
-			// The clustering hardware panics when software keeps writing a line
-			// it has been told is gone; both drivers skip those, as the OS would.
-			skipGone := cfg.ClusterPages > 0
-
-			rng := rand.New(rand.NewSource(seed * 977))
-			lines := cfg.Size / failmap.LineSize
-			var blocks []runBlock
-			for total := 0; total < 6000; {
-				b := runBlock{lines: make([]int, 1+rng.Intn(60)), data: make([]byte, failmap.LineSize)}
-				for i := range b.lines {
-					b.lines[i] = rng.Intn(lines)
-				}
-				rng.Read(b.data)
-				blocks = append(blocks, b)
-				total += len(b.lines)
-			}
-
-			type outcome struct {
-				image                       *DeviceImage
-				pushed, invalidated, drains uint64
-				cycles                      stats.Cycles
-				applied, stalls, interrupts int
-				reads                       []byte
-			}
-			drive := func(batched bool) outcome {
-				clock := stats.NewClock(stats.DefaultCosts())
-				d := NewDevice(cfg, clock)
-				var o outcome
-				if sc.drain == drainHandler {
-					d.OnFailure(func() { o.interrupts++; drainAll(d) })
-				} else {
-					d.OnFailure(func() { o.interrupts++ })
-				}
-				// write applies run (no line of which is gone) and reports
-				// how far it got, through the entry point under test.
-				write := func(run []int, data []byte) (int, error) {
-					if batched {
-						return d.WriteRun(run, data)
-					}
-					if err := d.Write(run[0], data); err != nil {
-						return 0, err
-					}
-					return 1, nil
-				}
-				for _, b := range blocks {
-					next := b.lines
-					for len(next) > 0 {
-						k := 0
-						for k < len(next) && !(skipGone && d.Unavailable(next[k])) {
-							k++
-						}
-						if k == 0 {
-							next = next[1:]
-							continue
-						}
-						n, err := write(next[:k], b.data)
-						next = next[n:]
-						o.applied += n
-						if err != nil {
-							if !errors.Is(err, ErrStalled) {
-								t.Fatalf("%s: %v", sc.name, err)
-							}
-							o.stalls++
-							drainAll(d)
-						}
-						if sc.drain == drainEager {
-							drainAll(d)
-						}
-					}
-				}
-				o.image = d.Snapshot()
-				o.pushed, o.invalidated, o.drains = d.BufferAccounting()
-				o.cycles = clock.Now()
-				o.reads = make([]byte, cfg.Size)
-				for l := 0; l < lines; l++ {
-					d.Read(l, o.reads[l*failmap.LineSize:(l+1)*failmap.LineSize])
-				}
-				return o
-			}
-			ref, got := drive(false), drive(true)
+			sc.cfg.Seed = seed
+			blocks := scenarioBlocks(sc.cfg, seed)
+			ref := driveScenario(t, sc, blocks, false, oneWrite)
+			got := driveScenario(t, sc, blocks, false, (*Device).WriteRun)
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s seed %d: WriteRun diverged from Write\n"+
-					" applied %d vs %d, stalls %d vs %d, interrupts %d vs %d, pushed %d vs %d, cycles %d vs %d, images equal: %v",
-					sc.name, seed, ref.applied, got.applied, ref.stalls, got.stalls, ref.interrupts, got.interrupts,
-					ref.pushed, got.pushed, ref.cycles, got.cycles, reflect.DeepEqual(ref.image, got.image))
+				t.Fatalf("%s seed %d: WriteRun diverged from Write\n %s", sc.name, seed, ref.diverged(got))
 			}
-			if ref.image.FailedLines == 0 || (sc.drain == drainOnStall && ref.stalls == 0) {
-				t.Fatalf("%s seed %d: scenario never reached its case (failed=%d stalls=%d)",
-					sc.name, seed, ref.image.FailedLines, ref.stalls)
-			}
+			ref.reached(t, sc, seed)
 		}
 	}
 }
@@ -297,9 +329,9 @@ func wearBenchDevice() (*Device, []int) {
 	return d, lines
 }
 
-// BenchmarkDeviceWrite is one op = 512 writes polled the way the wear loops
-// did before WriteRun: Write, then FailureRate and BufferLen, per line.
-func BenchmarkDeviceWrite(b *testing.B) {
+// BenchmarkDeviceWritePolled is one op = 512 writes polled the way the wear
+// loops did before WriteRun: Write, then FailureRate and BufferLen, per line.
+func BenchmarkDeviceWritePolled(b *testing.B) {
 	d, lines := wearBenchDevice()
 	buf := make([]byte, failmap.LineSize)
 	b.ResetTimer()

@@ -309,6 +309,11 @@ func New(cfg Config) *VM {
 		// The shared clock picks up charges from every mutator goroutine's
 		// slow paths (block fetches, kernel work); equip it to be shared.
 		cfg.Clock.SetConcurrent()
+		// So does the device, when there is one: mutators store through to
+		// it while others poll, snapshot or drain it.
+		if dev := cfg.Kernel.Device(); dev != nil {
+			dev.SetConcurrent()
+		}
 		// Concurrent mutators bump-allocate into the space lock-free, so it
 		// must never reallocate under them. The pool never returns virtual
 		// address space, so total virtual use is bounded by the physical PCM

@@ -22,6 +22,11 @@ type Runtime struct {
 	Clock *Clock
 	// Device is the live wearing PCM module backing the pool, or nil when
 	// the pool is plain memory with (at most) statically injected failures.
+	// It is single-owner unless the runtime was opened
+	// WithEngine("threaded"): on the baton engine call its methods from the
+	// goroutine that drives the runtime (another may read FailedLines,
+	// FailureRate, BufferLen and Stalled, nothing else); a threaded runtime
+	// equips it with its lock, and any goroutine may then call anything.
 	Device *Device
 	// Kernel is the OS model owning the PCM pool's page frames.
 	Kernel *Kernel
