@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"wearmem/internal/probe"
 	"wearmem/internal/vm"
@@ -161,11 +160,6 @@ func CrashSweep(opt Options) *CrashSummary {
 		opt.Configs = CrashConfigs()
 	}
 	opt = opt.withDefaults()
-	type job struct {
-		idx  int
-		cfg  TortureConfig
-		camp Campaign
-	}
 	var jobs []job
 	for _, cfg := range opt.Configs {
 		for p := probe.Point(0); p < probe.NumPoints; p++ {
@@ -173,49 +167,32 @@ func CrashSweep(opt Options) *CrashSummary {
 				seed := opt.SeedBase + int64(s)
 				camp := NewCampaign(seed, opt.Events)
 				camp.Events = append(camp.Events, Event{Point: p, Nth: cutNth(p), Act: ActPowerCut})
-				jobs = append(jobs, job{idx: len(jobs), cfg: cfg, camp: camp})
+				jobs = append(jobs, job{cfg, camp})
 			}
 		}
 	}
-	records := make([]CrashRecord, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.Workers)
-	for _, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer func() { <-sem; wg.Done() }()
-			rec := RunCrashCampaign(j.cfg, j.camp, opt)
-			if rec.Failure != "" && len(j.camp.Events) > 2 {
-				mcfg := j.cfg
-				if mcfg.Threaded {
-					mcfg.Threaded = false
-					if RunCrashCampaign(mcfg, j.camp, opt).Failure == "" {
-						mcfg.Threaded = true
-					}
-				}
-				if !mcfg.Threaded {
-					min := MinimizeCrash(mcfg, j.camp, opt)
-					rec.MinSchedule = min.Schedule()
-				}
+	records := sweep(jobs, opt.Workers, func(j job) CrashRecord {
+		rec := RunCrashCampaign(j.cfg, j.camp, opt)
+		if rec.Failure != "" && len(j.camp.Events) > 2 {
+			if min, ok := shrink(j.cfg, j.camp, crashFails(opt), keepCut); ok {
+				rec.MinSchedule = min.Schedule()
 			}
-			records[j.idx] = rec
-			if opt.Logf != nil {
-				status := "ok"
-				switch {
-				case rec.Failure != "":
-					status = "FAIL: " + rec.Failure
-				case rec.WornOut:
-					status = "worn out (graceful)"
-				case !rec.CutFired:
-					status = "cut not reached"
-				}
-				opt.Logf("crash %-22s seed=%-4d cut=%-24s rediscovered=%-4d resume-gcs=%-4d %s",
-					rec.Config, rec.Seed, rec.Cut, rec.Rediscovered, rec.ResumeGCs, status)
+		}
+		if opt.Logf != nil {
+			status := "ok"
+			switch {
+			case rec.Failure != "":
+				status = "FAIL: " + rec.Failure
+			case rec.WornOut:
+				status = "worn out (graceful)"
+			case !rec.CutFired:
+				status = "cut not reached"
 			}
-		}(j)
-	}
-	wg.Wait()
+			opt.Logf("crash %-22s seed=%-4d cut=%-24s rediscovered=%-4d resume-gcs=%-4d %s",
+				rec.Config, rec.Seed, rec.Cut, rec.Rediscovered, rec.ResumeGCs, status)
+		}
+		return rec
+	})
 	sum := &CrashSummary{
 		Seeds: opt.Seeds, Events: opt.Events, Iters: opt.Iters,
 		Campaigns: len(records), Records: records,
@@ -234,23 +211,17 @@ func CrashSweep(opt Options) *CrashSummary {
 	return sum
 }
 
+// crashFails is shrink's test for crash campaigns, and keepCut its rule
+// that the power cut itself is never dropped.
+func crashFails(opt Options) func(TortureConfig, Campaign) bool {
+	return func(cfg TortureConfig, camp Campaign) bool { return RunCrashCampaign(cfg, camp, opt).Failure != "" }
+}
+
+func keepCut(e Event) bool { return e.Act == ActPowerCut }
+
 // MinimizeCrash greedily drops preamble events while the crash campaign
 // still fails, never dropping the power cut itself.
 func MinimizeCrash(cfg TortureConfig, camp Campaign, opt Options) Campaign {
-	events := camp.Events
-	for i := 0; i < len(events); {
-		if events[i].Act == ActPowerCut {
-			i++
-			continue
-		}
-		trial := make([]Event, 0, len(events)-1)
-		trial = append(trial, events[:i]...)
-		trial = append(trial, events[i+1:]...)
-		if RunCrashCampaign(cfg, Campaign{Seed: camp.Seed, Events: trial}, opt).Failure != "" {
-			events = trial
-		} else {
-			i++
-		}
-	}
-	return Campaign{Seed: camp.Seed, Events: events}
+	min, _ := shrink(cfg, camp, crashFails(opt), keepCut)
+	return min
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"wearmem/internal/failmap"
@@ -236,15 +237,34 @@ func (s *Summary) Failures() []CampaignRecord {
 	return out
 }
 
+// job is one campaign of a sweep.
+type job struct {
+	cfg  TortureConfig
+	camp Campaign
+}
+
+// sweep runs one on every job, at most workers at a time, and returns the
+// results in job order.
+func sweep[R any](jobs []job, workers int, one func(job) R) []R {
+	out := make([]R, len(jobs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i, j := range jobs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			out[i] = one(j)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // Run executes Seeds campaigns on every configuration and shrinks the
 // schedule of each failure to a minimal reproduction.
 func Run(opt Options) *Summary {
 	opt = opt.withDefaults()
-	type job struct {
-		idx  int
-		cfg  TortureConfig
-		camp Campaign
-	}
 	var jobs []job
 	for _, cfg := range opt.Configs {
 		points := campaignPoints
@@ -261,47 +281,26 @@ func Run(opt Options) *Summary {
 			seed := opt.SeedBase + int64(s)
 			camp := NewCampaignFrom(seed, opt.Events, points)
 			camp.Events = append(camp.Events, breakEvents(opt.Break)...)
-			jobs = append(jobs, job{idx: len(jobs), cfg: cfg, camp: camp})
+			jobs = append(jobs, job{cfg, camp})
 		}
 	}
-	records := make([]CampaignRecord, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.Workers)
-	for _, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer func() { <-sem; wg.Done() }()
-			rec := RunCampaign(j.cfg, j.camp, opt)
-			if rec.Failure != "" && len(j.camp.Events) > 1 {
-				mcfg := j.cfg
-				if mcfg.Threaded {
-					// Threaded replays are nondeterministic, so shrinking
-					// there proves nothing. Minimize on the baton twin when
-					// the failure reproduces deterministically; an
-					// engine-specific failure keeps its full schedule.
-					mcfg.Threaded = false
-					if RunCampaign(mcfg, j.camp, opt).Failure == "" {
-						mcfg.Threaded = true
-					}
-				}
-				if !mcfg.Threaded {
-					min := Minimize(mcfg, j.camp, opt)
-					rec.MinSchedule = min.Schedule()
-				}
+	records := sweep(jobs, opt.Workers, func(j job) CampaignRecord {
+		rec := RunCampaign(j.cfg, j.camp, opt)
+		if rec.Failure != "" && len(j.camp.Events) > 1 {
+			if min, ok := shrink(j.cfg, j.camp, campaignFails(opt), nil); ok {
+				rec.MinSchedule = min.Schedule()
 			}
-			records[j.idx] = rec
-			if opt.Logf != nil {
-				status := "ok"
-				if rec.Failure != "" {
-					status = "FAIL: " + rec.Failure
-				}
-				opt.Logf("torture %-16s seed=%-4d gcs=%-4d verifies=%-4d %s",
-					rec.Config, rec.Seed, rec.GCs, rec.Verifications, status)
+		}
+		if opt.Logf != nil {
+			status := "ok"
+			if rec.Failure != "" {
+				status = "FAIL: " + rec.Failure
 			}
-		}(j)
-	}
-	wg.Wait()
+			opt.Logf("torture %-16s seed=%-4d gcs=%-4d verifies=%-4d %s",
+				rec.Config, rec.Seed, rec.GCs, rec.Verifications, status)
+		}
+		return rec
+	})
 	sum := &Summary{
 		Seeds: opt.Seeds, Events: opt.Events, Iters: opt.Iters,
 		Break: opt.Break, Campaigns: len(records), Records: records,
@@ -329,22 +328,45 @@ func breakEvents(mode string) []Event {
 	return nil
 }
 
-// Minimize greedily drops schedule events while the campaign still fails,
-// returning the smallest schedule found.
-func Minimize(cfg TortureConfig, camp Campaign, opt Options) Campaign {
+// shrink greedily drops schedule events, except those keep protects, while
+// fails still reports a failure, and returns the smallest schedule found.
+// Threaded replays are nondeterministic, so shrinking there proves nothing:
+// a threaded failure is shrunk on its baton twin (the same configuration
+// with Threaded off) when it reproduces there deterministically; an
+// engine-specific failure keeps its full schedule and shrink reports false.
+func shrink(cfg TortureConfig, camp Campaign, fails func(TortureConfig, Campaign) bool, keep func(Event) bool) (Campaign, bool) {
+	if cfg.Threaded {
+		cfg.Threaded = false
+		if !fails(cfg, camp) {
+			return camp, false
+		}
+	}
 	events := camp.Events
 	for i := 0; i < len(events); {
-		trial := make([]Event, 0, len(events)-1)
-		trial = append(trial, events[:i]...)
-		trial = append(trial, events[i+1:]...)
-		rec := RunCampaign(cfg, Campaign{Seed: camp.Seed, Events: trial}, opt)
-		if rec.Failure != "" {
+		if keep != nil && keep(events[i]) {
+			i++
+			continue
+		}
+		trial := slices.Delete(slices.Clone(events), i, i+1)
+		if fails(cfg, Campaign{Seed: camp.Seed, Events: trial}) {
 			events = trial
 		} else {
 			i++
 		}
 	}
-	return Campaign{Seed: camp.Seed, Events: events}
+	return Campaign{Seed: camp.Seed, Events: events}, true
+}
+
+// campaignFails is shrink's test for torture campaigns.
+func campaignFails(opt Options) func(TortureConfig, Campaign) bool {
+	return func(cfg TortureConfig, camp Campaign) bool { return RunCampaign(cfg, camp, opt).Failure != "" }
+}
+
+// Minimize greedily drops schedule events while the campaign still fails,
+// returning the smallest schedule found.
+func Minimize(cfg TortureConfig, camp Campaign, opt Options) Campaign {
+	min, _ := shrink(cfg, camp, campaignFails(opt), nil)
+	return min
 }
 
 // Sizing of one campaign: the PCM pool is 8x the heap so remapping always

@@ -254,21 +254,6 @@ type Config struct {
 	// GCStats. Off by default so deterministic outputs never depend on host
 	// timing.
 	WallClock bool
-	// MaxPauseWork bounds the marking work of one GC pause, in simulated
-	// clock cycles. 0 keeps collections fully stop-the-world (the default).
-	// On the baton engine a positive budget turns full Immix collections
-	// into a resumable incremental mark: a short STW initial mark, then
-	// bounded increments interleaved with mutator turns, then an STW final
-	// mark and sweep.
-	// Requires Generational (the sticky write barrier is the SATB deletion
-	// barrier's logging channel).
-	MaxPauseWork int
-	// ConcurrentMark sets the number of concurrent marker goroutines on
-	// the threaded engine: 0 keeps collections stop-the-world; N >= 1 runs
-	// full collections as a short STW initial mark, N markers racing the
-	// mutators, and an STW final mark and sweep. Ignored (forced STW) when
-	// the plan is not Threaded.
-	ConcurrentMark int
 	// ModbufCap bounds the modified-object buffer while marking is active:
 	// a barrier append reaching the cap transfers the buffer to the
 	// collector's rescan list instead of growing without bound (a write
@@ -310,9 +295,6 @@ func (c *Config) fill() {
 	}
 	if c.ModbufCap == 0 {
 		c.ModbufCap = 4096
-	}
-	if (c.MaxPauseWork > 0 || c.ConcurrentMark > 0) && !c.Generational {
-		panic("core: incremental/concurrent marking requires Generational (the sticky write barrier is the SATB logging channel)")
 	}
 	if c.BlockSize%failmap.PageSize != 0 {
 		panic(fmt.Sprintf("core: block size %d not page-aligned", c.BlockSize))

@@ -61,16 +61,14 @@ func newEnv(t *testing.T, o envOpts) *testEnv {
 		budget = -1
 	}
 	cfg := Config{
-		Clock:          clock,
-		Model:          model,
-		LineSize:       o.lineSize,
-		FailureAware:   o.failureAware,
-		Generational:   o.generational,
-		TraceWorkers:   o.traceWorkers,
-		Threaded:       o.threaded,
-		MaxPauseWork:   o.pauseWork,
-		ConcurrentMark: o.concMark,
-		ModbufCap:      o.modbufCap,
+		Clock:        clock,
+		Model:        model,
+		LineSize:     o.lineSize,
+		FailureAware: o.failureAware,
+		Generational: o.generational,
+		TraceWorkers: o.traceWorkers,
+		Threaded:     o.threaded,
+		ModbufCap:    o.modbufCap,
 		HeadroomBlocks: func() int {
 			if o.headroom != 0 {
 				return o.headroom

@@ -18,8 +18,8 @@ import (
 //	               barrier (marking = true); with markers > 0 also
 //	               pre-stamp the blocks and spawn the marker goroutines
 //	(window)       increments driver (baton engine): MarkIncrement drains
-//	               shaded refs and the gray stack for at most MaxPauseWork
-//	               simulated cycles, repeated between mutator turns
+//	               shaded refs and the gray stack for at most its budget
+//	               of simulated cycles, repeated between mutator turns
 //	               markers driver (threaded engine): CAS-claim trace
 //	               workers race the mutators on otherwise idle cores
 //	FinishMark     short STW: join the markers, root re-scan, drain the
@@ -82,6 +82,9 @@ func (ix *Immix) MarkDone() bool { return ix.markers != nil && ix.markers.idle()
 // world must be stopped around the call). Returns false when the plan is
 // degraded, already marking, or out of epochs.
 func (ix *Immix) BeginMark(roots *RootSet, markers int) bool {
+	if !ix.cfg.Generational {
+		panic("core: a marking cycle requires Generational (the sticky write barrier is the SATB logging channel)")
+	}
 	if ix.degraded != nil || ix.marking.Load() {
 		return false
 	}
@@ -192,7 +195,7 @@ func (ix *Immix) MarkIncrement(budget int) bool {
 			break
 		}
 		// A scan the deadline interrupts mid-object (a KV backing array,
-		// say) records where to pick up, so MaxPauseWork bounds pauses at
+		// say) records where to pick up, so the budget bounds pauses at
 		// slot granularity. Mutations to the already-scanned prefix are
 		// covered by the logged-object rescan at the final mark; deletions
 		// from the unscanned suffix are shaded.

@@ -10,7 +10,7 @@ import (
 // PauseCurve is the pause-vs-throughput study: the wear-aware KV scenario
 // run under a sweep of mark pause budgets — the historical stop-the-world
 // collector, then incremental (baton) or concurrent (threaded) marking at
-// progressively tighter MaxPauseWork bounds — reporting worst pause,
+// progressively tighter PauseBudget bounds — reporting worst pause,
 // per-phase pause quantiles and the request-latency tail they buy, plus
 // the throughput cost. It is a study of this implementation (the paper's
 // collectors are all stop-the-world), so it is reachable by id but

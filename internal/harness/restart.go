@@ -159,10 +159,11 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 			}
 		}
 	}
-	// Boot-time scan: the doomed OS knows its device.
-	doomed.OnKernel = func(k *kernel.Kernel) { k.RediscoverFailures() }
 	m, _ := machine.Boot(doomed) // no image: nothing to restore or recover
 	defer m.Close()
+	// Boot-time scan, before the runtime's first mapping request reads the
+	// table (vm.New maps nothing): the doomed OS knows its device.
+	m.Kernel.RediscoverFailures()
 
 	// The cut: at the Nth allocation the power fails and the device's
 	// durable state is captured mid-operation. The doomed run is then let

@@ -45,11 +45,8 @@ type Spec struct {
 	Probe bool
 
 	// OnDevice runs once the device exists and before the kernel scans it:
-	// the seam for prior-life wear. OnKernel runs once the kernel is up
-	// (and recovered) and before the runtime maps anything: the seam for a
-	// boot-time failure scan.
+	// the seam for prior-life wear.
 	OnDevice func(*pcm.Device)
-	OnKernel func(*kernel.Kernel)
 }
 
 // Machine is a booted stack. Device is nil for a plain-memory pool;
@@ -106,9 +103,6 @@ func Boot(s Spec) (*Machine, error) {
 		if err != nil {
 			return m, fmt.Errorf("device-state recovery: %w", err)
 		}
-	}
-	if s.OnKernel != nil {
-		s.OnKernel(m.Kernel)
 	}
 
 	vc := s.VM

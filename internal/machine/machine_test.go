@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,21 +148,18 @@ func TestQuiescentSnapshotReboots(t *testing.T) {
 	m.Close()
 }
 
-// TestThreadedBootEquipsDevice is the guard on vm.New's SetConcurrent call:
-// two real-goroutine mutators store through to the device while this
-// goroutine snapshots it and sums its wear, which nothing but the device's
-// own lock orders (the mutators' stores are serialised among themselves by
-// the runtime's write-through lock, and that is all). Under -race it fails
-// when a threaded runtime boots on a device it did not equip; without the
-// detector it still holds each sum to the image taken before it.
-func TestThreadedBootEquipsDevice(t *testing.T) {
-	_, spec := pmdSpec(1 << 20)
+// storeThrough boots spec on the threaded engine and has two real-goroutine
+// mutators store blobs through to the device; meanwhile runs on the calling
+// goroutine until they are done, and once more on the quiet device. It
+// returns the machine and the number of stores made.
+func storeThrough(t *testing.T, spec Spec, meanwhile func(*Machine)) (*Machine, int) {
+	t.Helper()
 	spec.VM.Threaded = true
 	m, err := Boot(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	t.Cleanup(m.Close)
 	blob := m.VM.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
 	const mutators, blobs, blobBytes = 2, 120, 256
 	done := make(chan error, 1)
@@ -186,9 +184,25 @@ func TestThreadedBootEquipsDevice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mutators: %v", err)
 			}
-			running = false // one more look, at the quiet device
+			running = false
 		default:
 		}
+		meanwhile(m)
+	}
+	return m, mutators * blobs * blobBytes
+}
+
+// TestThreadedBootEquipsDevice is the guard on the threaded engine's
+// SetConcurrent call: two real-goroutine mutators store through to the
+// device while this goroutine snapshots it and sums its wear, which nothing
+// but the device's own lock orders (the mutators' stores are serialised
+// among themselves by the runtime's write-through lock, and that is all).
+// Under -race it fails when a threaded runtime boots on a device it did not
+// equip; without the detector it still holds each sum to the image taken
+// before it.
+func TestThreadedBootEquipsDevice(t *testing.T) {
+	_, spec := pmdSpec(1 << 20)
+	m, stores := storeThrough(t, spec, func(m *Machine) {
 		var before uint64
 		for _, w := range m.Device.Snapshot().Writes {
 			before += w
@@ -196,8 +210,25 @@ func TestThreadedBootEquipsDevice(t *testing.T) {
 		if after := m.Device.TotalWrites(); after < before {
 			t.Fatalf("TotalWrites() = %d after an image that already held %d", after, before)
 		}
+	})
+	if got := m.Device.TotalWrites(); got < uint64(stores) {
+		t.Fatalf("%d device writes for %d stores: the stores did not write through", got, stores)
 	}
-	if got := m.Device.TotalWrites(); got < mutators*blobs*blobBytes {
-		t.Fatalf("%d device writes for %d stores: the stores did not write through", got, mutators*blobs*blobBytes)
+}
+
+// TestThreadedPolicyRotatesUnderStores runs the reader inside the OS: a
+// rotate remap policy ranks pages by Device.PageWrites every 2048 stores, on
+// whichever mutator's store came due, while the other mutator keeps storing
+// through. It is not a guard on SetConcurrent — the policy reads on the
+// storing mutator, inside the runtime's write-through lock, and the test
+// stays green under -race with the device unequipped — but it is the only
+// test of a non-stock policy on the threaded engine (run it under -race: the
+// policy's own counters are the kernel lock's to order).
+func TestThreadedPolicyRotatesUnderStores(t *testing.T) {
+	_, spec := pmdSpec(1 << 20)
+	spec.Kernel.Placement, spec.Kernel.Remap = "rotate", "rotate"
+	m, _ := storeThrough(t, spec, func(*Machine) { runtime.Gosched() })
+	if m.Kernel.PolicyRemaps() == 0 {
+		t.Fatal("no rotation happened: the policy never read the device's wear")
 	}
 }

@@ -14,12 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"wearmem/internal/cluster"
 	"wearmem/internal/failmap"
 	"wearmem/internal/probe"
+	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 )
 
@@ -102,16 +102,14 @@ var ErrStalled = errors.New("pcm: write stalled, failure buffer full")
 
 // Device is a simulated PCM module.
 //
-// A Device is single-owner until it is shared: a fresh or restored device
-// has no lock and is not safe for concurrent use, which is all the baton
-// engine, the wear studies and every bare device driven from one goroutine
-// need. SetConcurrent equips it with its lock; whoever is about to share
-// the device calls it first (vm.New does for a threaded runtime, on the
-// device of the kernel it boots on, so a restored device is equipped again
-// by the runtime that boots on it), and there is no way back, so one user
-// can never strip the safety another relies on. On an equipped device every
-// write to mutable state happens under mu, so writes from any mutator — and
-// the failure interrupts they raise — are safe.
+// A Device is single-owner until it is shared (the ownership rule is
+// sched.Lock's): a fresh or restored device is not safe for concurrent use,
+// which is all the baton engine, the wear studies and every bare device
+// driven from one goroutine need. SetConcurrent shares it; the threaded
+// engine's constructor does, on the device of the kernel it boots on, so a
+// restored device is equipped again by the runtime that boots on it. On an
+// equipped device every write to mutable state happens under mu, so writes
+// from any mutator — and the failure interrupts they raise — are safe.
 //
 // Three status words (failedLines, live, stalled) are atomics in both
 // modes: they are stored only inside the critical section, but FailedLines,
@@ -134,8 +132,7 @@ var ErrStalled = errors.New("pcm: write stalled, failure buffer full")
 // holds the scheduler baton (it stays single-owner; pass nil for
 // free-threaded use).
 type Device struct {
-	// mu is nil until SetConcurrent; only lock and unlock touch it.
-	mu    *sync.Mutex
+	mu    sched.Lock // unshared until SetConcurrent
 	cfg   Config
 	lines int
 	clock *stats.Clock // may be nil
@@ -285,25 +282,7 @@ func sampleEndurance(mean uint64, variation float64, rng *rand.Rand) uint64 {
 
 // SetConcurrent equips the device with its lock so concurrent goroutines
 // may use it. Enable before sharing; there is no way back.
-func (d *Device) SetConcurrent() {
-	if d.mu == nil {
-		d.mu = &sync.Mutex{}
-	}
-}
-
-// lock and unlock bracket every critical section. On a single-owner device
-// they are a nil check.
-func (d *Device) lock() {
-	if d.mu != nil {
-		d.mu.Lock()
-	}
-}
-
-func (d *Device) unlock() {
-	if d.mu != nil {
-		d.mu.Unlock()
-	}
-}
+func (d *Device) SetConcurrent() { d.mu.Share() }
 
 // Lines returns the number of module-visible lines.
 func (d *Device) Lines() int { return d.lines }
@@ -314,16 +293,16 @@ func (d *Device) Size() int { return d.cfg.Size }
 // OnFailure registers the failure interrupt handler (the OS). It fires once
 // per new failure buffer entry.
 func (d *Device) OnFailure(fn func()) {
-	d.lock()
+	d.mu.Lock()
 	d.onFailure = fn
-	d.unlock()
+	d.mu.Unlock()
 }
 
 // OnBufferFull registers the watermark interrupt handler.
 func (d *Device) OnBufferFull(fn func()) {
-	d.lock()
+	d.mu.Lock()
 	d.onFull = fn
-	d.unlock()
+	d.mu.Unlock()
 }
 
 // Stalled reports whether the module is currently refusing writes.
@@ -339,16 +318,16 @@ func (d *Device) Watermark() int { return d.cfg.BufferCap - d.cfg.BufferReserve 
 // pushed, entries invalidated by a newer same-line failure, and entries
 // drained. BufferLen() == pushed - invalidated - drained at all times.
 func (d *Device) BufferAccounting() (pushed, invalidated, drained uint64) {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.pushed, d.invalidated, d.drained
 }
 
 // BufferedLines returns the module lines of the pending buffer entries in
 // FIFO order, including clustering-metadata reservations.
 func (d *Device) BufferedLines() []int {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	out := make([]int, 0, d.live.Load())
 	for i := d.head; i < len(d.buffer); i++ {
 		if d.buffer[i].Line >= 0 {
@@ -382,8 +361,8 @@ func (d *Device) storageOf(line int) int {
 // Unavailable reports whether the module-visible line is unusable by
 // software (surfaced failure or clustering metadata).
 func (d *Device) Unavailable(line int) bool {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.unavailableLocked(line)
 }
 
@@ -405,8 +384,8 @@ func (d *Device) unavailableLocked(line int) bool {
 // location (§3.1.1); the check happens in parallel with the array access in
 // hardware, so it costs nothing extra in the model.
 func (d *Device) Read(line int, dst []byte) {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.clock != nil {
 		d.clock.Charge1(stats.EvFailBufSearch)
 	}
@@ -452,7 +431,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 			panic(fmt.Sprintf("pcm: line %d out of range", line))
 		}
 	}
-	d.lock()
+	d.mu.Lock()
 	for _, line := range lines {
 		if d.stalled.Load() {
 			if d.clock != nil {
@@ -481,7 +460,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		}
 	}
 	calls := d.takeCalls()
-	d.unlock()
+	d.mu.Unlock()
 	for _, fn := range calls {
 		fn()
 	}
@@ -521,8 +500,8 @@ func (d *Device) wear(s int) bool {
 // CorrectedBits returns how many stuck bits the per-line error correction
 // has absorbed so far.
 func (d *Device) CorrectedBits() uint64 {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.correctedBits
 }
 
@@ -593,8 +572,8 @@ func (d *Device) pushBuffer(rec FailureRecord) {
 // revoked access to the address before draining, because forwarding stops.
 // Draining below the watermark un-stalls writes.
 func (d *Device) Drain() (FailureRecord, bool) {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for d.head < len(d.buffer) && d.buffer[d.head].Line < 0 {
 		d.head++ // skip invalidated entries
 		d.tombs--
@@ -645,9 +624,9 @@ func (d *Device) compact() {
 // reports false without effect when the line is already unavailable. A nil
 // data argument parks a zeroed line.
 func (d *Device) ForceFail(line int, data []byte) bool {
-	d.lock()
+	d.mu.Lock()
 	if d.unavailableLocked(line) {
-		d.unlock()
+		d.mu.Unlock()
 		return false
 	}
 	if data == nil {
@@ -660,7 +639,7 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 	}
 	d.reportFailure(line, data)
 	calls := d.takeCalls()
-	d.unlock()
+	d.mu.Unlock()
 	for _, fn := range calls {
 		fn()
 	}
@@ -714,8 +693,8 @@ func (d *Device) wearStep() {
 // FailMap renders the currently unavailable module-visible lines as a
 // failure map.
 func (d *Device) FailMap() *failmap.Map {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.array != nil {
 		return d.array.FailMap(d.cfg.Size)
 	}
@@ -732,24 +711,24 @@ func (d *Device) FailMap() *failmap.Map {
 // `slot`, gap-movement carries included. Slots are not module lines: under
 // start-gap the line a slot backs changes as the gap rotates.
 func (d *Device) WriteCount(slot int) uint64 {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.writes[slot]
 }
 
 // GapCarries returns the number of extra line writes performed by start-gap
 // movement (its wear overhead).
 func (d *Device) GapCarries() uint64 {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.gapCarries
 }
 
 // BrokenSlot reports whether physical storage slot s has failed
 // (diagnostic; slots differ from module lines under wear leveling).
 func (d *Device) BrokenSlot(s int) bool {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.broken[s]
 }
 
@@ -769,8 +748,8 @@ type WearBucket struct {
 // concentrates mass in the first and last bins. With n < 1 a single
 // all-covering bucket is returned.
 func (d *Device) WearHistogram(n int) []WearBucket {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if n < 1 {
 		n = 1
 	}
@@ -799,8 +778,8 @@ func (d *Device) WearHistogram(n int) []WearBucket {
 // TotalWrites returns the lifetime write count summed over every storage
 // slot, including wear-leveling carries.
 func (d *Device) TotalWrites() uint64 {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var sum uint64
 	for _, w := range d.writes {
 		sum += w
@@ -813,8 +792,8 @@ func (d *Device) TotalWrites() uint64 {
 // sees when ranking pages hot to cold. (Under start-gap the slots behind a
 // page drift over time; this reports the present backing.)
 func (d *Device) PageWrites() []uint64 {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	out := make([]uint64, d.lines/failmap.LinesPerPage)
 	for l := 0; l < len(out)*failmap.LinesPerPage; l++ {
 		out[l/failmap.LinesPerPage] += d.writes[d.storageOf(l)]
@@ -824,15 +803,15 @@ func (d *Device) PageWrites() []uint64 {
 
 // SetOSBlob replaces the contents of the reserved OS metadata area.
 func (d *Device) SetOSBlob(b []byte) {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.osBlob = append(d.osBlob[:0], b...)
 }
 
 // OSBlob returns a copy of the reserved OS metadata area (nil when empty).
 func (d *Device) OSBlob() []byte {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if len(d.osBlob) == 0 {
 		return nil
 	}

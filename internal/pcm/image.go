@@ -90,8 +90,8 @@ type DeviceImage struct {
 // any probe point because the device queues interrupt callbacks instead of
 // holding its lock across them.
 func (d *Device) Snapshot() *DeviceImage {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	img := &DeviceImage{
 		Size:          d.cfg.Size,
 		Endurance:     d.cfg.Endurance,
@@ -274,8 +274,8 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 // (permutation, clustered-end contiguity); nil without clustering. The
 // recovered-state verifier calls it after a restore.
 func (d *Device) ValidateClusters() error {
-	d.lock()
-	defer d.unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.array.Validate()
 }
 

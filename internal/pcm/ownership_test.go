@@ -49,22 +49,6 @@ func TestSingleOwnerMatchesConcurrent(t *testing.T) {
 	}
 }
 
-// TestSetConcurrentIsOneWay: a fresh device has no lock, and equipping twice
-// keeps the first one (a second user must not swap the mutex out from under
-// the first). TestEquipFollowsTheEngine covers restored devices.
-func TestSetConcurrentIsOneWay(t *testing.T) {
-	d := NewDevice(Config{Size: failmap.PageSize}, nil)
-	if d.mu != nil {
-		t.Fatal("a fresh device came equipped")
-	}
-	d.SetConcurrent()
-	first := d.mu
-	d.SetConcurrent()
-	if d.mu != first || first == nil {
-		t.Fatal("a second SetConcurrent replaced the lock")
-	}
-}
-
 // TestConcurrentDeviceHammer shares one equipped, fast-wearing device
 // between four writers on the same lines, a drainer and a status poller
 // (run it under -race), then checks what only mutual exclusion keeps true:

@@ -11,7 +11,8 @@ package stats
 
 import (
 	"fmt"
-	"sync"
+
+	"wearmem/internal/sched"
 )
 
 // Cycles is the unit of simulated time.
@@ -148,19 +149,15 @@ func DefaultCosts() CostTable {
 	return t
 }
 
-// Clock accumulates simulated time and per-event counts. A Clock is not
-// safe for concurrent use unless SetConcurrent has equipped it with its
-// internal lock; each simulated system owns exactly one.
+// Clock accumulates simulated time and per-event counts. Each simulated
+// system owns exactly one, single-owner until SetConcurrent shares it (the
+// ownership rule is sched.Lock's): the threaded engine shares the
+// kernel/device clock, while hot mutator paths charge private unshared shards.
 type Clock struct {
 	costs  CostTable
 	now    Cycles
 	counts [numEvents]uint64
-	// mu, when non-nil, serializes every accumulating method. The baton
-	// engine leaves it nil (one runnable task, no contention, no overhead
-	// beyond a pointer check); the threaded engine enables it on clocks
-	// shared across goroutines (the kernel/device clock), while hot mutator
-	// paths charge private unshared shards instead.
-	mu *sync.Mutex
+	mu     sched.Lock // guards now and counts
 }
 
 // NewClock returns a Clock charging with the given cost table.
@@ -170,23 +167,14 @@ func NewClock(costs CostTable) *Clock {
 
 // SetConcurrent equips the clock with an internal lock so concurrent
 // goroutines may charge it. Enable before sharing; there is no way back.
-func (c *Clock) SetConcurrent() {
-	if c.mu == nil {
-		c.mu = &sync.Mutex{}
-	}
-}
+func (c *Clock) SetConcurrent() { c.mu.Share() }
 
 // Charge records n occurrences of event e and advances simulated time.
 func (c *Clock) Charge(e Event, n uint64) {
-	if c.mu != nil {
-		c.mu.Lock()
-		c.counts[e] += n
-		c.now += Cycles(n) * c.costs[e]
-		c.mu.Unlock()
-		return
-	}
+	c.mu.Lock()
 	c.counts[e] += n
 	c.now += Cycles(n) * c.costs[e]
+	c.mu.Unlock()
 }
 
 // Charge1 records a single occurrence of event e.
@@ -194,28 +182,24 @@ func (c *Clock) Charge1(e Event) { c.Charge(e, 1) }
 
 // Now returns the current simulated time.
 func (c *Clock) Now() Cycles {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	return c.now
+	c.mu.Lock()
+	now := c.now
+	c.mu.Unlock()
+	return now
 }
 
 // Count returns the number of recorded occurrences of event e.
 func (c *Clock) Count(e Event) uint64 {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	return c.counts[e]
+	c.mu.Lock()
+	n := c.counts[e]
+	c.mu.Unlock()
+	return n
 }
 
 // Reset zeroes the clock and all counters, keeping the cost table.
 func (c *Clock) Reset() {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.now = 0
 	c.counts = [numEvents]uint64{}
 }
@@ -232,10 +216,8 @@ func (c *Clock) Costs() CostTable { return c.costs }
 // while time advances by the critical path (Advance) instead of the sum of
 // all lanes' work.
 func (c *Clock) Merge(other *Clock) {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for e := Event(0); e < numEvents; e++ {
 		c.counts[e] += other.counts[e]
 	}
@@ -243,10 +225,8 @@ func (c *Clock) Merge(other *Clock) {
 
 // Advance moves simulated time forward by d without recording any event.
 func (c *Clock) Advance(d Cycles) {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.now += d
 }
 
@@ -262,10 +242,8 @@ type Counter struct {
 // (a counter that went to zero reads 0 instead of disappearing) and the
 // encoding is deterministic.
 func (c *Clock) Snapshot() []Counter {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]Counter, numEvents)
 	for e := Event(0); e < numEvents; e++ {
 		out[e] = Counter{Event: e.String(), Count: c.counts[e]}

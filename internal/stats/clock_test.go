@@ -160,3 +160,27 @@ func TestGeoMeanSelfNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var clockSink Cycles
+
+// BenchmarkClock prices the ownership rule on the clock: Charge and Now on a
+// single-owner clock (the baton engine's, and every mutator's private shard)
+// and on one SetConcurrent has shared.
+func BenchmarkClock(b *testing.B) {
+	for _, mode := range []string{"single-owner", "shared"} {
+		c := NewClock(DefaultCosts())
+		if mode == "shared" {
+			c.SetConcurrent()
+		}
+		b.Run(mode+"/Charge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.Charge(EvFieldRead, 1)
+			}
+		})
+		b.Run(mode+"/Now", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clockSink += c.Now()
+			}
+		})
+	}
+}

@@ -148,14 +148,12 @@ var stallEvents = [...]Event{
 // spent in allocation-stall events. Deltas of this value bracket an
 // operation's stall attribution.
 func (c *Clock) StallCycles() Cycles {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock() // no defer: latency capture calls this twice per operation
 	var t Cycles
 	for _, e := range stallEvents {
 		t += Cycles(c.counts[e]) * c.costs[e]
 	}
+	c.mu.Unlock()
 	return t
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"wearmem/internal/core"
 	"wearmem/internal/heap"
-	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 )
 
@@ -84,17 +83,7 @@ func (v *VM) AttachMutator() *Mutator {
 }
 
 func (v *VM) attach(m *Mutator) {
-	m.clk = v.clock
-	if v.threaded {
-		// A private shard keeps the hot accessor path lock-free; the Immix
-		// context charges the same shard so allocation-time costs
-		// (line skips, overflow searches) land on the owning mutator.
-		shard := stats.NewClock(v.clock.Costs())
-		m.clk = shard
-		if m.mc != nil {
-			m.mc.SetClock(shard)
-		}
-	}
+	v.eng.attach(m)
 	if v.cfg.Probe != nil || v.cfg.WriteThrough {
 		// Same guard as the VM's own newborn root: only instrumented or
 		// write-through runtimes can observe the window it protects, and
@@ -108,32 +97,14 @@ func (v *VM) attach(m *Mutator) {
 // AttachMutator is first used).
 func (v *VM) Mutators() int { return len(v.muts) }
 
-// Unpark marks the mutator as running; the scheduler glue calls it when
-// the mutator receives the baton.
-func (m *Mutator) Unpark() {
-	m.parked = false
-	m.v.running = m
-}
-
-// Park marks the mutator as stopped at a safepoint; the scheduler glue
-// calls it before yielding the baton.
-func (m *Mutator) Park() {
-	m.parked = true
-	if m.v.running == m {
-		m.v.running = nil
-	}
-}
-
 // RunMutators runs body once on each of a batch of k mutators and returns
-// the first error. It is the one place that knows how the two engines run
-// a batch: on the baton engine the bodies take deterministic round-robin
-// turns under sched.Run, each Unparked while it holds the baton, and yield
-// parks the mutator at a safepoint, hands the baton over and unparks when
-// it comes back; on the threaded engine they are RunThreads tasks on real
-// goroutines and yield is the mutator's Safepoint poll. A body calls yield
-// wherever another mutator's collection may stop it — typically once per
-// iteration. Mutators attached earlier (Mutator0, AttachMutator) are
-// reused, the missing ones attached, so body sees ids 0..k-1.
+// the first error. How a batch runs is the engine's: on the baton engine the
+// bodies take deterministic round-robin turns and yield hands the baton
+// over; on the threaded engine they are RunThreads tasks on real goroutines
+// and yield is the mutator's Safepoint poll. A body calls yield wherever
+// another mutator's collection may stop it — typically once per iteration.
+// Mutators attached earlier (Mutator0, AttachMutator) are reused, the
+// missing ones attached, so body sees ids 0..k-1.
 func (v *VM) RunMutators(k int, body func(m *Mutator, yield func()) error) error {
 	if k < 1 {
 		k = 1
@@ -142,30 +113,7 @@ func (v *VM) RunMutators(k int, body func(m *Mutator, yield func()) error) error
 	for len(v.muts) < k {
 		v.AttachMutator()
 	}
-	if v.threaded {
-		fns := make([]func() error, k)
-		for i := range fns {
-			m := v.muts[i]
-			fns[i] = func() error { return body(m, m.Safepoint) }
-		}
-		return v.RunThreads(fns...)
-	}
-	tasks := make([]sched.Func, k)
-	for i := range tasks {
-		m := v.muts[i]
-		tasks[i] = func(y sched.Yielder) error {
-			m.Unpark()
-			// Deferred, not trailing: when another body fails, sched.Run
-			// unwinds this one's coroutine out of y.Yield.
-			defer m.Park()
-			return body(m, func() {
-				m.Park()
-				y.Yield()
-				m.Unpark()
-			})
-		}
-	}
-	return sched.Run(tasks...)
+	return v.eng.run(k, body)
 }
 
 // New allocates a fixed-size object from the mutator's context.
@@ -244,12 +192,3 @@ func (m *Mutator) Pin(a heap.Addr) { m.v.Pin(a) }
 
 // Work charges n units of application compute to the cost model.
 func (m *Mutator) Work(n int) { m.clk.Charge(stats.EvMutatorOp, uint64(n)) }
-
-// Safepoint is the threaded engine's explicit poll: the mutator parks
-// here when another task has requested a stop-the-world. On the baton
-// engine it is a no-op — parking there is the scheduler glue's job.
-func (m *Mutator) Safepoint() {
-	if m.v.threaded {
-		m.v.safepointPoll()
-	}
-}

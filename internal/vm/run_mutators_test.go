@@ -184,8 +184,8 @@ func TestRunMutatorsBatonErrorLeavesEveryMutatorParked(t *testing.T) {
 			t.Errorf("mutator %d left unparked after the batch failed", m.ID())
 		}
 	}
-	if tv.running != nil {
-		t.Errorf("mutator %d still marked running after the batch failed", tv.running.ID())
+	if running := tv.eng.(*baton).running; running != nil {
+		t.Errorf("mutator %d still marked running after the batch failed", running.ID())
 	}
 	// The VM is usable again: a collection's parked assertion holds.
 	tv.Collect(true)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/sched"
 	"wearmem/internal/stats"
@@ -113,12 +114,198 @@ func (w *world) assertStopped() {
 	}
 }
 
+// threaded is the engine of real goroutines. The collection right is the
+// stopped world; up-calls can arrive on any mutator goroutine (write-through
+// stores, block fetches), where re-entering the collector would race against
+// whatever the other mutators are doing, so they always queue and drain at
+// the next stop-the-world point.
+type threaded struct {
+	v     *VM
+	world world
+	// unjoined is set while a RunThreads batch is in flight and stays set
+	// when the batch ends in an error or a panic: marker goroutines may
+	// then still hold the address space, so Close must not recycle it.
+	unjoined bool
+}
+
+// newThreaded equips v for real-goroutine mutators. It is the only code
+// that shares anything (sched.Lock): the clock, the device and the VM's own
+// three locks, all before a second goroutine exists.
+func newThreaded(v *VM) *threaded {
+	if v.cfg.Collector != Immix && v.cfg.Collector != StickyImmix {
+		panic("vm: Engine=threaded requires an Immix collector")
+	}
+	// The shared clock picks up charges from every mutator goroutine's
+	// slow paths (block fetches, kernel work).
+	v.clock.SetConcurrent()
+	// So does the device, when there is one: mutators store through to
+	// it while others poll, snapshot or drain it.
+	if dev := v.kern.Device(); dev != nil {
+		dev.SetConcurrent()
+	}
+	v.failMu.Share()
+	v.rootsMu.Share()
+	if v.cfg.WriteThrough {
+		v.wt.Share()
+	}
+	// Concurrent mutators bump-allocate into the space lock-free, so it
+	// must never reallocate under them. The pool never returns virtual
+	// address space, so total virtual use is bounded by the physical PCM
+	// pool (plus alignment waste and borrowed DRAM); reserve generously
+	// up front and freeze. Space.Ensure panics with a clear message if a
+	// run ever outgrows this. The reservation is only free when the
+	// space adopted a backing that already covers it: a fresh make of
+	// this size is cleared, and so resident, in full.
+	v.model.S.Reserve(heap.Addr((3*v.kern.PCMPages() + 4096) * failmap.PageSize))
+	t := &threaded{v: v}
+	t.world.init()
+	return t
+}
+
 // safepointPoll is the mutator-side half of the rendezvous: one atomic
 // load on the fast path, parking only when a stop is pending.
-func (v *VM) safepointPoll() {
-	if v.world.stopReq.Load() {
-		v.world.park()
+func (t *threaded) safepointPoll() {
+	if t.world.stopReq.Load() {
+		t.world.park()
 	}
+}
+
+// Safepoint is the threaded engine's explicit poll: the mutator parks
+// here when another task has requested a stop-the-world. On the baton
+// engine it is a no-op — parking there is the scheduler glue's job.
+func (m *Mutator) Safepoint() {
+	if m.v.threaded {
+		m.v.eng.(*threaded).safepointPoll()
+	}
+}
+
+func (t *threaded) poll(size int) {
+	t.safepointPoll()
+	if t.v.cfg.ConcurrentMark > 0 {
+		t.concMarkStep(size)
+	}
+}
+
+// concMarkStep drives the concurrent marking cycle from the allocation
+// safepoint. The fast path is one atomic add (allocation-volume accounting)
+// or two atomic loads (cycle active, markers still running); the world
+// stops only to start a cycle at the trigger threshold or to run the final
+// mark once the markers report an empty gray stack.
+func (t *threaded) concMarkStep(size int) {
+	v, ix := t.v, t.v.immix
+	if ix.Marking() {
+		if !ix.MarkDone() {
+			return
+		}
+		t.exclusive(func() {
+			// Recheck under the stopped world: another mutator may have won
+			// the race and finished (or even begun the next cycle) while we
+			// waited.
+			if ix.Marking() && ix.MarkDone() {
+				ix.FinishMark(v.roots)
+			}
+		})
+		return
+	}
+	if v.allocSinceMark.Add(int64(size)) < int64(v.markTriggerBytes) {
+		return
+	}
+	t.exclusive(func() {
+		if !ix.Marking() && v.allocSinceMark.Load() >= int64(v.markTriggerBytes) {
+			v.allocSinceMark.Store(0)
+			ix.BeginMark(v.roots, v.cfg.ConcurrentMark)
+		}
+	})
+}
+
+// exclusive stops the world around f. Failure batches already queued are
+// handled before f; those f queues (kernel up-calls from evacuation
+// write-through, or probe-injected at GC boundaries) are handled before the
+// world restarts, or mutators would run against failed lines the heap does
+// not know about and write-through stores would stale the failure-buffer
+// snapshots. The deferred start releases the world even when f panics, so
+// parked mutators unwind instead of deadlocking — torture-campaign
+// minimization depends on that.
+func (t *threaded) exclusive(f func()) {
+	t.world.stop()
+	defer t.world.start()
+	defer t.drain()
+	t.drain()
+	f()
+}
+
+// drain handles the queued failure batches under the stopped world. Markers
+// keep running while it is stopped, and handling a failure retires lines and
+// flags blocks they read, so an open marking cycle is completed — its
+// markers joined — before the first batch is handled.
+func (t *threaded) drain() {
+	v := t.v
+	if v.immix.Marking() && v.PendingRecovery() {
+		v.immix.CompleteMark(v.roots)
+	}
+	v.drainPendingFails()
+}
+
+// recourse retries before it collects: another mutator's collection may
+// have freed space while this one waited for the world, or the failure
+// handling exclusive runs first did.
+func (t *threaded) recourse(m *Mutator, ty *heap.Type, size, n int, err error) (a heap.Addr, _ error) {
+	v := t.v
+	t.exclusive(func() {
+		if a, err = v.allocGuarded(m, ty, size, n); err == nil {
+			return
+		}
+		if v.immix.Marking() {
+			// The block index must not grow under the markers' lock-free
+			// lookups (acquireBlock returns ErrMarkInProgress while a cycle is
+			// active), so the cycle completes here — under the stopped world —
+			// and the allocation retries against the freshly swept heap before
+			// any further collection escalates.
+			v.immix.CompleteMark(v.roots)
+			t.drain()
+			if a, err = v.allocGuarded(m, ty, size, n); err == nil {
+				return
+			}
+		}
+		a, err = v.escalate(m, ty, size, n, err)
+	})
+	return a, err
+}
+
+func (t *threaded) assertExclusive() { t.world.assertStopped() }
+
+func (t *threaded) masked() bool { return true }
+
+func (t *threaded) cycles() bool { return t.v.cfg.ConcurrentMark > 0 }
+
+// pin sets the bit atomically — running mutators CAS header bits (barrier
+// logging) — and inside the write-through transaction.
+func (t *threaded) pin(a heap.Addr) {
+	t.v.wt.Lock()
+	defer t.v.wt.Unlock()
+	t.v.model.SetPinnedAtomic(a)
+}
+
+// attach gives the mutator a private shard, which keeps the hot accessor
+// path lock-free; the Immix context charges the same shard so
+// allocation-time costs (line skips, overflow searches) land on the owning
+// mutator.
+func (t *threaded) attach(m *Mutator) {
+	m.clk = stats.NewClock(t.v.clock.Costs())
+	if m.mc != nil {
+		m.mc.SetClock(m.clk)
+	}
+}
+
+// run makes the bodies RunThreads tasks; yield is the mutator's Safepoint
+// poll.
+func (t *threaded) run(k int, body func(m *Mutator, yield func()) error) error {
+	fns := make([]func() error, k)
+	for i := range fns {
+		m := t.v.muts[i]
+		fns[i] = func() error { return body(m, m.Safepoint) }
+	}
+	return t.runThreads(fns)
 }
 
 // RunThreads executes the task functions on genuinely parallel goroutines
@@ -129,131 +316,47 @@ func (v *VM) safepointPoll() {
 // shard (the critical path) — and any failure batches still queued are
 // handled with no tasks left to stop.
 func (v *VM) RunThreads(fns ...func() error) error {
-	if !v.threaded {
+	t, ok := v.eng.(*threaded)
+	if !ok {
 		panic("vm: RunThreads requires Engine=threaded")
 	}
-	v.unjoined = true
-	v.world.setTotal(len(fns))
+	return t.runThreads(fns)
+}
+
+func (t *threaded) runThreads(fns []func() error) error {
+	v := t.v
+	t.unjoined = true
+	t.world.setTotal(len(fns))
 	wrapped := make([]func() error, len(fns))
 	for i, fn := range fns {
-		fn := fn
 		wrapped[i] = func() error {
-			defer v.world.retire()
+			defer t.world.retire()
 			return fn()
 		}
 	}
 	err := sched.Parallel(wrapped...)
-	if v.immix != nil && v.immix.Marking() {
+	if v.immix.Marking() {
 		// The batch ended mid-cycle; finish it with no tasks left to stop so
 		// verification and reporting never observe a half-marked heap.
 		v.immix.CompleteMark(v.roots)
 	}
-	v.mergeMutatorClocks()
-	v.drainPendingFails()
-	v.unjoined = err != nil
+	t.mergeMutatorClocks()
+	t.drain()
+	t.unjoined = err != nil
 	return err
-}
-
-// concMarkStep drives the concurrent marking cycle from the threaded
-// allocation safepoint. The fast path is one atomic add (allocation-volume
-// accounting) or two atomic loads (cycle active, markers still running);
-// the world stops only to start a cycle at the trigger threshold or to run
-// the final mark once the markers report an empty gray stack.
-func (v *VM) concMarkStep(size int) {
-	ix := v.immix
-	if ix.Marking() {
-		if !ix.MarkDone() {
-			return
-		}
-		v.world.stop()
-		defer v.world.start()
-		defer v.drainPendingFails()
-		// Recheck under the stopped world: another mutator may have won the
-		// race and finished (or even begun the next cycle) while we waited.
-		if ix.Marking() && ix.MarkDone() {
-			ix.FinishMark(v.roots)
-		}
-		return
-	}
-	if v.allocSinceMark.Add(int64(size)) < int64(v.markTriggerBytes) {
-		return
-	}
-	v.world.stop()
-	defer v.world.start()
-	defer v.drainPendingFails()
-	if !ix.Marking() && v.allocSinceMark.Load() >= int64(v.markTriggerBytes) {
-		v.allocSinceMark.Store(0)
-		ix.BeginMark(v.roots, v.concMark)
-	}
 }
 
 // mergeMutatorClocks folds every mutator's private shard into the shared
 // clock: counts summed for a complete activity breakdown, time advanced by
 // the slowest shard — parallel mutator work costs its critical path.
-func (v *VM) mergeMutatorClocks() {
+func (t *threaded) mergeMutatorClocks() {
 	var crit stats.Cycles
-	for _, m := range v.muts {
-		if m.clk == nil || m.clk == v.clock {
-			continue
-		}
+	for _, m := range t.v.muts {
 		if now := m.clk.Now(); now > crit {
 			crit = now
 		}
-		v.clock.Merge(m.clk)
+		t.v.clock.Merge(m.clk)
 		m.clk.Reset()
 	}
-	v.clock.Advance(crit)
-}
-
-// drainPendingFails handles queued failure batches until none remain. The
-// queue is taken under failMu but handled outside it, so the kernel may
-// deliver further up-calls from the handling itself (evacuating
-// collections write to PCM) without deadlocking.
-func (v *VM) drainPendingFails() {
-	for {
-		v.failMu.Lock()
-		batch := v.pendingFails
-		v.pendingFails = nil
-		v.failMu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		v.handleFailuresNow(batch)
-	}
-}
-
-// allocSlowThreaded is the threaded engine's prelude to the collection
-// ladder: stop the world, handle queued failures, close any marking cycle,
-// retrying the allocation after each, then escalate. The deferred start()
-// releases the world even when a collection panics, so parked mutators
-// unwind instead of deadlocking — torture-campaign minimization depends on
-// that.
-func (v *VM) allocSlowThreaded(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
-	v.world.stop()
-	defer v.world.start()
-	// Failure batches queued by the collections below (kernel up-calls from
-	// evacuation write-through, or probe-injected at GC boundaries) must be
-	// handled before the world restarts — run LIFO ahead of start().
-	defer v.drainPendingFails()
-	v.drainPendingFails()
-	// Another mutator's collection may have freed space while we waited
-	// for the world (or its failure handling above did); retry before
-	// collecting again.
-	a, err := v.allocGuarded(m, ty, size, n)
-	if err == nil {
-		return a, nil
-	}
-	if v.immix != nil && v.immix.Marking() {
-		// The block index must not grow under the markers' lock-free lookups
-		// (acquireBlock returns ErrMarkInProgress while a cycle is active), so
-		// the cycle completes here — under the stopped world — and the
-		// allocation retries against the freshly swept heap before any
-		// further collection escalates.
-		v.immix.CompleteMark(v.roots)
-		v.drainPendingFails()
-		if a, err = v.allocGuarded(m, ty, size, n); err == nil {
-			return a, nil
-		}
-	}
-	return v.escalate(m, ty, size, n, err)
+	t.v.clock.Advance(crit)
 }

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"wearmem/internal/core"
@@ -19,6 +17,7 @@ import (
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/probe"
+	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 )
 
@@ -140,13 +139,37 @@ type plan interface {
 
 // VM is a managed runtime instance.
 type VM struct {
-	cfg   Config
-	clock *stats.Clock
-	kern  *kernel.Kernel
+	cfg Config
+	// threaded caches which engine eng is, for the per-store and
+	// per-allocation leaves only (see engine); it leads the struct with the
+	// rest of what every store reads.
+	threaded bool
+	// busy counts nesting into plan.Alloc/plan.Collect (and write-through
+	// device writes): the baton engine queues failure up-calls arriving
+	// while busy in pendingFails — the software analogue of taking the
+	// interrupt with GC masked — and handles them at the next safepoint
+	// (allocation or an explicit Collect). Threaded mutators do not maintain
+	// it (it would race); their up-calls always queue.
+	busy int
+	// wt serializes write-through transactions once the threaded engine has
+	// shared it (sched.Lock; write-through runtimes only). The rule:
+	// whatever touches heap bytes a concurrent line writeback may snapshot
+	// holds the lock across the touch and its own writeback — a store
+	// (including the barrier's logged-bit CAS on the object header, since
+	// snapshots read whole lines with plain loads), a pin, and object
+	// initialization after a bump (fresh bytes can share a device line with
+	// an object another mutator is writing back). It models the single
+	// memory channel every PCM store funnels through. The store sites test
+	// Shared before they lock, so the performance configurations pay one
+	// branch and no defer.
+	wt    sched.Lock
 	model *heap.Model
+	kern  *kernel.Kernel
+	clock *stats.Clock
 	mem   *poolMemory
 	plan  plan
 	roots *core.RootSet
+	eng   engine
 
 	immix *core.Immix // non-nil for Immix kinds
 
@@ -157,50 +180,24 @@ type VM struct {
 	disc *discTypes // lazily registered discontiguous-array types
 
 	// oom is atomic because threaded mutators consult it lock-free on every
-	// allocation; the baton engine reads and writes it unconteded.
+	// allocation; the baton engine reads and writes it uncontended.
 	oom atomic.Bool
 
-	// threaded mirrors cfg.Threaded; world is the stop-the-world rendezvous
-	// the threaded engine parks mutator tasks on.
-	threaded bool
-	world    world
-	// unjoined is set while a RunThreads batch is in flight and stays set
-	// when the batch ends in an error or a panic: marker goroutines may
-	// then still hold the address space, so Close must not recycle it.
-	unjoined bool
-	// failMu guards pendingFails and degraded on the threaded engine, where
-	// kernel up-calls can arrive on any mutator goroutine. The baton engine
-	// never locks it.
-	failMu sync.Mutex
-	wt     wtLock
-	// rootsMu serializes root registration on the threaded engine (the
-	// trace only reads roots while the world is stopped).
-	rootsMu sync.Mutex
-
-	// busy counts nesting into plan.Alloc/plan.Collect (and write-through
-	// device writes): failure up-calls arriving while busy are queued in
-	// pendingFails — the software analogue of taking the interrupt with GC
-	// masked — and processed at the next safepoint (allocation or an
-	// explicit Collect). The threaded engine does not maintain it (it would
-	// race); threaded up-calls always queue and drain under stop-the-world.
-	busy         int
-	pendingFails []kernel.LineFailure
-	inRecovery   bool
-	// muts holds the attached mutators (Mutator0 plus AttachMutator) and
-	// running the one currently holding the scheduler baton; collections
-	// assert every other attached mutator is parked at a safepoint.
-	muts    []*Mutator
-	running *Mutator
-	// pauseBudget and concMark mirror the validated Config knobs;
+	// failMu guards pendingFails and degraded: kernel up-calls can arrive on
+	// any mutator goroutine. rootsMu serializes root registration (the trace
+	// only reads roots while the world is stopped). Both stay unshared on
+	// the baton engine.
+	failMu, rootsMu sched.Lock
+	pendingFails    []kernel.LineFailure
+	inRecovery      bool
+	// muts holds the attached mutators (Mutator0 plus AttachMutator).
+	muts []*Mutator
 	// markTriggerBytes is the allocation volume between incremental/
-	// concurrent mark cycles (a quarter of the heap, the classic
-	// "start marking well before exhaustion" heuristic). incSinceGC
-	// accumulates on the baton engine only; allocSinceMark is its atomic
-	// threaded counterpart, bumped lock-free by every mutator goroutine.
-	pauseBudget      int
-	concMark         int
+	// concurrent mark cycles (a quarter of the heap, the classic "start
+	// marking well before exhaustion" heuristic) and allocSinceMark the
+	// volume since the last collection, bumped lock-free by every threaded
+	// mutator goroutine.
 	markTriggerBytes int
-	incSinceGC       int
 	allocSinceMark   atomic.Int64
 	// newborn models the allocation-site register: the most recent
 	// allocation is a root until the next one replaces it, so a line
@@ -212,52 +209,14 @@ type VM struct {
 	degraded error
 }
 
-// wtLock serializes write-through transactions on the threaded engine.
-// The rule: whatever touches heap bytes a concurrent line writeback may
-// snapshot holds the lock across the touch and its own writeback — a store
-// (including the barrier's logged-bit CAS on the object header, since
-// snapshots read whole lines with plain loads), a pin, and object
-// initialization after a bump (fresh bytes can share a device line with an
-// object another mutator is writing back). It models the single memory
-// channel every PCM store funnels through. On the baton engine, or with
-// write-through off, enter takes nothing and reports false, so the
-// performance configurations pay one branch and no defer:
-//
-//	if v.wt.enter() {
-//		defer v.wt.leave()
-//	}
-type wtLock struct {
-	mu sync.Mutex
-	on bool
-}
-
-// enter returns early on the common off path: inlined into every store,
-// that layout measured 1 ns/store cheaper than locking under `if l.on`.
-func (l *wtLock) enter() bool {
-	if !l.on {
-		return false
-	}
-	l.mu.Lock()
-	return true
-}
-
-func (l *wtLock) leave() { l.mu.Unlock() }
-
 // ErrOutOfMemory reports that the workload does not fit the configured
 // heap (a DNF data point in the paper's graphs).
 var ErrOutOfMemory = errors.New("vm: out of memory")
 
 // gcTrace, when non-nil, receives a line per collection trigger. It is
-// enabled by the -gctrace flag of wearbench/wearsim (or the WEARMEM_GCTRACE
-// environment variable, for tests) and always writes to a side channel such
-// as stderr so report bytes are unaffected.
+// enabled by the -gctrace flag of wearbench/wearsim and always writes to a
+// side channel such as stderr so report bytes are unaffected.
 var gcTrace io.Writer
-
-func init() {
-	if os.Getenv("WEARMEM_GCTRACE") != "" {
-		gcTrace = os.Stderr
-	}
-}
 
 // SetGCTrace directs collection-trigger tracing to w (nil disables it).
 func SetGCTrace(w io.Writer) { gcTrace = w }
@@ -271,9 +230,7 @@ func New(cfg Config) *VM {
 		panic("vm: Kernel and Clock are required")
 	}
 	if cfg.FailureRate < 0 || cfg.FailureRate >= 1 {
-		if cfg.FailureRate != 0 {
-			panic("vm: failure rate must be in [0,1)")
-		}
+		panic("vm: failure rate must be in [0,1)")
 	}
 	if (cfg.PauseBudget > 0 || cfg.ConcurrentMark > 0) && cfg.Collector != StickyImmix {
 		panic("vm: PauseBudget/ConcurrentMark require Collector=StickyImmix (the sticky write barrier is the SATB channel)")
@@ -302,45 +259,20 @@ func New(cfg Config) *VM {
 		blockSize = 32 << 10
 	}
 	mem := newPoolMemory(cfg.Kernel, space, cfg.Clock, blockSize, cfg.HeapBytes, cfg.FailureAware, cfg.Compensate)
-	if cfg.Threaded {
-		if cfg.Collector != Immix && cfg.Collector != StickyImmix {
-			panic("vm: Engine=threaded requires an Immix collector")
-		}
-		// The shared clock picks up charges from every mutator goroutine's
-		// slow paths (block fetches, kernel work); equip it to be shared.
-		cfg.Clock.SetConcurrent()
-		// So does the device, when there is one: mutators store through to
-		// it while others poll, snapshot or drain it.
-		if dev := cfg.Kernel.Device(); dev != nil {
-			dev.SetConcurrent()
-		}
-		// Concurrent mutators bump-allocate into the space lock-free, so it
-		// must never reallocate under them. The pool never returns virtual
-		// address space, so total virtual use is bounded by the physical PCM
-		// pool (plus alignment waste and borrowed DRAM); reserve generously
-		// up front and freeze. Space.Ensure panics with a clear message if a
-		// run ever outgrows this. The reservation is only free when the
-		// space adopted a backing that already covers it: a fresh make of
-		// this size is cleared, and so resident, in full.
-		space.Reserve(heap.Addr((3*cfg.Kernel.PCMPages() + 4096) * failmap.PageSize))
-	}
-
 	ccfg := core.Config{
-		BlockSize:      blockSize,
-		LineSize:       cfg.LineSize,
-		LOSThreshold:   cfg.LOSThreshold,
-		FailureAware:   cfg.FailureAware,
-		Generational:   cfg.Collector == StickyImmix || cfg.Collector == StickyMarkSweep,
-		TraceWorkers:   cfg.TraceWorkers,
-		Threaded:       cfg.Threaded,
-		WallClock:      cfg.WallClock,
-		MaxPauseWork:   cfg.PauseBudget,
-		ConcurrentMark: cfg.ConcurrentMark,
-		StrictSATB:     cfg.StrictSATB,
-		Clock:          cfg.Clock,
-		Model:          model,
-		Mem:            mem,
-		Probe:          cfg.Probe,
+		BlockSize:    blockSize,
+		LineSize:     cfg.LineSize,
+		LOSThreshold: cfg.LOSThreshold,
+		FailureAware: cfg.FailureAware,
+		Generational: cfg.Collector == StickyImmix || cfg.Collector == StickyMarkSweep,
+		TraceWorkers: cfg.TraceWorkers,
+		Threaded:     cfg.Threaded,
+		WallClock:    cfg.WallClock,
+		StrictSATB:   cfg.StrictSATB,
+		Clock:        cfg.Clock,
+		Model:        model,
+		Mem:          mem,
+		Probe:        cfg.Probe,
 	}
 	v := &VM{
 		cfg:              cfg,
@@ -350,15 +282,16 @@ func New(cfg Config) *VM {
 		mem:              mem,
 		roots:            core.NewRootSet(),
 		threaded:         cfg.Threaded,
-		pauseBudget:      cfg.PauseBudget,
-		concMark:         cfg.ConcurrentMark,
 		markTriggerBytes: cfg.MarkTriggerBytes,
 	}
 	if v.markTriggerBytes <= 0 {
 		v.markTriggerBytes = cfg.HeapBytes / 4
 	}
-	v.world.init()
-	v.wt.on = cfg.Threaded && cfg.WriteThrough
+	if cfg.Threaded {
+		v.eng = newThreaded(v)
+	} else {
+		v.eng = &baton{v: v}
+	}
 	switch cfg.Collector {
 	case Immix, StickyImmix:
 		ix := core.NewImmix(ccfg)
@@ -388,7 +321,7 @@ func New(cfg Config) *VM {
 // whose last RunThreads batch failed keeps its space, which the host
 // garbage collector reclaims with the VM. Closing twice is harmless.
 func (v *VM) Close() {
-	if v.unjoined {
+	if t, ok := v.eng.(*threaded); ok && t.unjoined {
 		return
 	}
 	v.model.S.Release()
@@ -433,10 +366,8 @@ func (v *VM) Immix() *core.Immix { return v.immix }
 // failed-line overlap invariant in this window — the overlap is the very
 // condition the pending recovery exists to clear.
 func (v *VM) PendingRecovery() bool {
-	if v.threaded {
-		v.failMu.Lock()
-		defer v.failMu.Unlock()
-	}
+	v.failMu.Lock()
+	defer v.failMu.Unlock()
 	return v.inRecovery || len(v.pendingFails) > 0
 }
 
@@ -445,80 +376,47 @@ func (v *VM) PendingRecovery() bool {
 // (kernel.ErrWriteStalled) or a degraded collector plan
 // (core.ErrEpochExhausted and friends).
 func (v *VM) Degraded() error {
-	if v.threaded {
-		v.failMu.Lock()
-		deg := v.degraded
-		v.failMu.Unlock()
-		if deg != nil {
-			return deg
-		}
-		return v.plan.Degraded()
-	}
-	if v.degraded != nil {
-		return v.degraded
+	v.failMu.Lock()
+	deg := v.degraded
+	v.failMu.Unlock()
+	if deg != nil {
+		return deg
 	}
 	return v.plan.Degraded()
 }
 
-// safepoint processes failure batches that arrived while the runtime was
-// busy. Called where a collection is already permitted: at allocation
-// entry and explicit Collect entry.
-func (v *VM) safepoint() {
-	for len(v.pendingFails) > 0 {
+// drainPendingFails handles the failure batches that queued while up-calls
+// were masked, until none remain. Called where a collection is permitted:
+// by the engines' poll and exclusive. The queue is taken under failMu but
+// handled outside it, so the kernel may deliver further up-calls from the
+// handling itself (evacuating collections write to PCM) without
+// deadlocking.
+func (v *VM) drainPendingFails() {
+	for {
+		v.failMu.Lock()
 		batch := v.pendingFails
 		v.pendingFails = nil
+		v.failMu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
 		v.handleFailuresNow(batch)
 	}
 }
 
 // collectGuarded runs a collection with re-entrancy protection: failures
 // injected mid-collection queue for the next safepoint instead of
-// re-entering the collector. With mutators attached it first asserts the
-// stop-the-world condition: every mutator except the one holding the
-// baton must be parked at a scheduler yield point.
+// re-entering the collector. It first asserts the stop-the-world condition:
+// the caller holds the engine's collection right.
 func (v *VM) collectGuarded(full bool) {
-	if v.threaded {
-		v.world.assertStopped()
-	} else if len(v.muts) > 0 {
-		v.checkSafepoint()
-	}
+	v.eng.assertExclusive()
 	v.busy++
 	v.plan.Collect(full, v.roots)
 	v.busy--
 	// A completed collection restarts the incremental/concurrent trigger
 	// window: marking earns its bounded pauses only when a quarter-heap of
 	// fresh allocation separates it from the last cycle.
-	v.incSinceGC = 0
 	v.allocSinceMark.Store(0)
-}
-
-// incStep drives the baton engine's incremental marking state machine from
-// the allocation safepoint: while a cycle is active it runs one bounded
-// mark increment (finishing the cycle when the gray stack drains); between
-// cycles it accumulates allocation volume and starts the next cycle at the
-// trigger threshold. Runs under the busy guard so failure up-calls arriving
-// from probe injections at increment boundaries queue for the next
-// safepoint instead of re-entering the collector mid-mark.
-func (v *VM) incStep(size int) {
-	if v.immix == nil || v.inRecovery {
-		return
-	}
-	if len(v.muts) > 0 {
-		v.checkSafepoint()
-	}
-	v.busy++
-	defer func() { v.busy-- }()
-	if v.immix.Marking() {
-		if v.immix.MarkIncrement(v.pauseBudget) {
-			v.immix.FinishMark(v.roots)
-		}
-		return
-	}
-	v.incSinceGC += size
-	if v.incSinceGC >= v.markTriggerBytes {
-		v.incSinceGC = 0
-		v.immix.BeginMark(v.roots, 0)
-	}
 }
 
 // FinishMark completes any in-flight marking cycle — on the baton engine
@@ -532,29 +430,7 @@ func (v *VM) FinishMark() {
 	if v.immix == nil || !v.immix.Marking() {
 		return
 	}
-	if v.threaded {
-		v.world.stop()
-		defer v.world.start()
-		defer v.drainPendingFails()
-	} else {
-		v.safepoint()
-		v.busy++
-		defer func() { v.busy-- }()
-	}
-	v.immix.CompleteMark(v.roots)
-}
-
-// checkSafepoint panics when a collection would start while some attached
-// mutator is neither the running one nor parked — the cooperative
-// equivalent of a thread ignoring the stop-the-world handshake. Reaching
-// it means the scheduler glue around Park/Unpark is broken, which would
-// let the trace observe a half-initialized allocation.
-func (v *VM) checkSafepoint() {
-	for _, m := range v.muts {
-		if m != v.running && !m.parked {
-			panic(fmt.Sprintf("vm: collection started while mutator %d is not at a safepoint", m.id))
-		}
-	}
+	v.eng.exclusive(func() { v.immix.CompleteMark(v.roots) })
 }
 
 // allocGuarded runs one allocation attempt with re-entrancy protection. On
@@ -562,8 +438,9 @@ func (v *VM) checkSafepoint() {
 // engine keeps none (it would race across mutator goroutines) — it queues
 // every up-call unconditionally and drains the queue under stop-the-world.
 func (v *VM) allocGuarded(m *Mutator, ty *heap.Type, size, n int) (a heap.Addr, err error) {
-	if v.wt.enter() {
-		defer v.wt.leave()
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
 	}
 	if !v.threaded {
 		v.busy++
@@ -585,52 +462,25 @@ func (v *VM) RegisterType(ty *heap.Type) *heap.Type { return v.model.T.Register(
 // AddRoot registers a host-side root slot; the collector updates it when
 // the referenced object moves.
 func (v *VM) AddRoot(slot *heap.Addr) {
-	if v.threaded {
-		v.rootsMu.Lock()
-		defer v.rootsMu.Unlock()
-	}
+	v.rootsMu.Lock()
+	defer v.rootsMu.Unlock()
 	v.roots.Add(slot)
 }
 
 // RemoveRoot unregisters a root slot.
 func (v *VM) RemoveRoot(slot *heap.Addr) {
-	if v.threaded {
-		v.rootsMu.Lock()
-		defer v.rootsMu.Unlock()
-	}
+	v.rootsMu.Lock()
+	defer v.rootsMu.Unlock()
 	v.roots.Remove(slot)
 }
 
 // Collect forces a collection.
 func (v *VM) Collect(full bool) {
-	if v.threaded {
-		v.world.stop()
-		defer v.world.start()
-		v.drainPendingFails()
-		v.collectGuarded(full)
-		// Failures surfaced (or probe-injected) during the collection queued
-		// under failMu; handle them before the world restarts, or mutators
-		// would run against failed lines the heap does not know about and
-		// write-through stores would stale the failure-buffer snapshots.
-		v.drainPendingFails()
-		return
-	}
-	v.safepoint()
-	v.collectGuarded(full)
+	v.eng.exclusive(func() { v.collectGuarded(full) })
 }
 
 // Pin marks the object immovable.
-func (v *VM) Pin(a heap.Addr) {
-	if v.threaded {
-		// Running mutators CAS header bits (barrier logging): pin atomically.
-		if v.wt.enter() {
-			defer v.wt.leave()
-		}
-		v.model.SetPinnedAtomic(a)
-		return
-	}
-	v.plan.Pin(a)
-}
+func (v *VM) Pin(a heap.Addr) { v.eng.pin(a) }
 
 // New allocates a fixed-size object of the registered type.
 func (v *VM) New(ty *heap.Type) (heap.Addr, error) {
@@ -644,36 +494,17 @@ func (v *VM) NewArray(ty *heap.Type, n int) (heap.Addr, error) {
 
 // allocRetry is the one allocation path. m selects the mutator allocation
 // context; nil uses the plan's primary context (the historical
-// single-mutator path, bit for bit). Only the prelude and the first
-// recourse know the engine: allocation is a GC point, so the baton engine
-// handles deferred failure batches and runs one bounded mark increment (or
-// a trigger check) before the bump, where the threaded engine polls the
-// stop-the-world flag and drives its concurrent marking cycle; and a failed
-// attempt walks the collection ladder directly on the baton engine, behind
-// a world stop on the threaded one.
+// single-mutator path, bit for bit). Allocation is a GC point: the engine's
+// poll comes before the bump, and a failed attempt is the engine's to
+// answer.
 func (v *VM) allocRetry(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
 	if v.oom.Load() {
 		return 0, ErrOutOfMemory
 	}
-	if v.threaded {
-		v.safepointPoll()
-		if v.concMark > 0 {
-			v.concMarkStep(size)
-		}
-	} else {
-		v.safepoint()
-		if v.pauseBudget > 0 {
-			v.incStep(size)
-		}
-	}
+	v.eng.poll(size)
 	a, err := v.allocGuarded(m, ty, size, n)
 	if err != nil {
-		if v.threaded {
-			a, err = v.allocSlowThreaded(m, ty, size, n)
-		} else {
-			a, err = v.escalate(m, ty, size, n, err)
-		}
-		if err != nil {
+		if a, err = v.eng.recourse(m, ty, size, n, err); err != nil {
 			return 0, err
 		}
 	}
@@ -713,9 +544,7 @@ func (v *VM) escalate(m *Mutator, ty *heap.Type, size, n int, err error) (heap.A
 	if a, err := v.allocGuarded(m, ty, size, n); err == nil {
 		return a, nil
 	}
-	// Marking cycles are on: baton increments under a pause budget, or the
-	// threaded engine's concurrent markers.
-	if v.concMark > 0 || (!v.threaded && v.pauseBudget > 0) {
+	if v.eng.cycles() {
 		if a, ok := v.retryFullCollections(m, ty, size, n); ok {
 			return a, nil
 		}
@@ -825,8 +654,9 @@ func (v *VM) readRef(clk *stats.Clock, obj heap.Addr, off int) heap.Addr {
 
 func (v *VM) writeRef(clk *stats.Clock, mc *core.MutatorContext, obj heap.Addr, off int, val heap.Addr) {
 	clk.Charge1(stats.EvFieldWrite)
-	if v.wt.enter() {
-		defer v.wt.leave()
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
 	}
 	v.barrier(mc, obj)
 	v.refStore(mc, obj+heap.Addr(off), uint64(val))
@@ -868,8 +698,9 @@ func (v *VM) readWord(clk *stats.Clock, obj heap.Addr, off int) uint64 {
 
 func (v *VM) writeWord(clk *stats.Clock, obj heap.Addr, off int, val uint64) {
 	clk.Charge1(stats.EvFieldWrite)
-	if v.wt.enter() {
-		defer v.wt.leave()
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
 	}
 	v.model.S.Store64(obj+heap.Addr(off), val)
 	if v.cfg.WriteThrough {
@@ -886,8 +717,9 @@ func (v *VM) arrayRef(clk *stats.Clock, arr heap.Addr, i int) heap.Addr {
 func (v *VM) setArrayRef(clk *stats.Clock, mc *core.MutatorContext, arr heap.Addr, i int, val heap.Addr) {
 	clk.Charge1(stats.EvArrayAccess)
 	v.boundsCheck(arr, i)
-	if v.wt.enter() {
-		defer v.wt.leave()
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
 	}
 	v.barrier(mc, arr)
 	v.refStore(mc, arr+heap.ArrayHeaderSize+heap.Addr(i*heap.WordSize), uint64(val))
@@ -905,8 +737,9 @@ func (v *VM) arrayByte(clk *stats.Clock, arr heap.Addr, i int) byte {
 func (v *VM) setArrayByte(clk *stats.Clock, arr heap.Addr, i int, b byte) {
 	clk.Charge1(stats.EvArrayAccess)
 	v.boundsCheck(arr, i)
-	if v.wt.enter() {
-		defer v.wt.leave()
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
 	}
 	v.model.S.Store8(arr+heap.ArrayHeaderSize+heap.Addr(i), b)
 	if v.cfg.WriteThrough {
@@ -935,10 +768,8 @@ func (v *VM) writeback(addr heap.Addr) {
 	if err == nil {
 		return
 	}
-	if v.threaded {
-		v.failMu.Lock()
-		defer v.failMu.Unlock()
-	}
+	v.failMu.Lock()
+	defer v.failMu.Unlock()
 	if v.degraded == nil {
 		v.degraded = err
 	}
@@ -960,23 +791,15 @@ func (v *VM) Work(n int) { v.clock.Charge(stats.EvMutatorOp, uint64(n)) }
 // large-object pages (and any failure the collector cannot vacate) fall
 // back to OS page replacement.
 func (v *VM) HandleFailures(fails []kernel.LineFailure) {
-	if v.threaded {
-		// Up-calls can arrive on any mutator goroutine (write-through
-		// stores, block fetches); re-entering the collector from here would
-		// race against whatever the other mutators are doing. Always queue;
-		// the batch drains at the next stop-the-world point.
+	if v.eng.masked() {
+		// The failure interrupted the runtime where re-entering the
+		// collector would corrupt its in-flight state, so — like an
+		// interrupt arriving with GC masked — the batch queues for the next
+		// safepoint. The data stays readable through the failure buffer
+		// meanwhile.
 		v.failMu.Lock()
 		v.pendingFails = append(v.pendingFails, fails...)
 		v.failMu.Unlock()
-		return
-	}
-	if v.busy > 0 {
-		// The failure interrupted the runtime inside allocation or
-		// collection. Re-entering the collector here would corrupt its
-		// in-flight state, so — like an interrupt arriving with GC masked —
-		// the batch queues for the next safepoint. The data stays readable
-		// through the failure buffer meanwhile.
-		v.pendingFails = append(v.pendingFails, fails...)
 		return
 	}
 	v.handleFailuresNow(fails)

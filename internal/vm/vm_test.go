@@ -282,7 +282,7 @@ func physicalLineOf(t *testing.T, kern *kernel.Kernel, v *VM, a heap.Addr) int {
 }
 
 func TestGCTraceWritesSideChannel(t *testing.T) {
-	// -gctrace / WEARMEM_GCTRACE route collection-trigger lines to a side
+	// -gctrace routes collection-trigger lines to a side
 	// writer (stderr in the binaries); report bytes must stay unaffected.
 	var buf bytes.Buffer
 	SetGCTrace(&buf)

@@ -3,6 +3,7 @@ package wearmem
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"wearmem/internal/kv"
@@ -260,6 +261,48 @@ func TestOpenThreadedEngine(t *testing.T) {
 	}
 	if lr := rt.LatencyReport(); lr == nil || lr.Ops != 30*128 {
 		t.Fatalf("latency report: %+v", lr)
+	}
+}
+
+// Runtime.Device's promise to a threaded runtime's user: while RunBenchmark
+// stores through on real goroutines, another goroutine may poll the device,
+// TotalWrites included, which only the device's own lock orders against the
+// stores. Under -race this fails when the threaded engine boots on a device
+// it did not equip.
+func TestOpenThreadedDevicePolledWhileRunning(t *testing.T) {
+	name := kv.MustRegister(kv.Config{})
+	rt := MustOpen(
+		WithPoolPages(4096),
+		WithHeapBytes(2*BenchmarkByName(name).MinHeap()),
+		WithEngine("threaded"),
+		WithMutators(2),
+		WithWearingDevice(1<<20, 0.25),
+		WithWriteThrough(),
+	)
+	done := make(chan error, 1)
+	go func() { done <- rt.RunBenchmark(BenchmarkByName(name), 10) }()
+	var last uint64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false // one more look, at the quiet device
+		default:
+		}
+		if rate := rt.Device.FailureRate(); rate != 0 {
+			t.Fatalf("failure rate %v on a device that cannot wear out in this run", rate)
+		}
+		now := rt.Device.TotalWrites()
+		if now < last {
+			t.Fatalf("TotalWrites() went from %d to %d", last, now)
+		}
+		last = now
+		runtime.Gosched()
+	}
+	if last == 0 {
+		t.Fatal("the benchmark's stores did not write through")
 	}
 }
 
