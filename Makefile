@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-kv ledger-gate determinism torture torture-quick mutscale corescale-smoke kv-smoke pausecurve-smoke restart-smoke policyzoo-smoke check
+.PHONY: build test race race-threaded vet fmt digest loc bench bench-smoke bench-experiments perf perf-kv ledger-gate determinism torture torture-quick mutscale corescale-smoke check
 
 build:
 	$(GO) build ./...
@@ -160,60 +160,22 @@ mutscale:
 corescale-smoke:
 	$(GO) run ./cmd/wearbench -exp corescale -quick
 
-# KV server scenario smoke: a short zipf run on both engines. The baton
-# run executes twice and the full quantile report must be byte-identical
-# across same-seed repeats; the threaded run just has to complete. Also
-# regenerates the recorded kvlat JSON (first p99/p999 numbers, PR 7).
-kv-smoke:
-	$(GO) run ./cmd/wearbench -latency -quick -engine baton -seed 42 > kv-smoke-a.txt
-	$(GO) run ./cmd/wearbench -latency -quick -engine baton -seed 42 > kv-smoke-b.txt
-	cmp kv-smoke-a.txt kv-smoke-b.txt
-	@rm -f kv-smoke-a.txt kv-smoke-b.txt
-	$(GO) run ./cmd/wearbench -latency -quick -engine threaded -seed 42
-	$(GO) run ./cmd/wearbench -exp kvlat -quick -seed 42 -format json > BENCH_pr7.json
-
-# Bounded-pause marking smoke: the pausecurve sweep (budget x engine on the
-# KV scenario) runs twice and the baton table must be byte-identical across
-# same-seed repeats — the incremental state machine is part of the
-# deterministic surface. The threaded table's pause cycles come from the
-# markers' private clocks and legitimately vary run to run, so it is cut
-# before the comparison. Also records the pause-vs-throughput JSON (PR 8).
-pausecurve-smoke:
-	$(GO) run ./cmd/wearbench -exp pausecurve -quick -seed 42 | sed '/(concurrent marking)/,$$d' > pausecurve-a.txt
-	$(GO) run ./cmd/wearbench -exp pausecurve -quick -seed 42 | sed '/(concurrent marking)/,$$d' > pausecurve-b.txt
-	cmp pausecurve-a.txt pausecurve-b.txt
-	@rm -f pausecurve-a.txt pausecurve-b.txt
-	$(GO) run ./cmd/wearbench -exp pausecurve -quick -seed 42 -format json > BENCH_pr8.json
-	$(GO) run ./cmd/wearcheck -spec checks/pause.yaml BENCH_pr8.json
-
-# Restart-survival smoke: the restart experiment (power cut mid-load over
-# devices at swept wear rates, full device-state recovery before serving)
-# runs twice and the baton table must be byte-identical across same-seed
-# repeats; the threaded table is honest concurrency and is cut before the
-# comparison. Records the recovery-latency JSON (PR 9) and gates it against
-# the committed SLO budgets (machine-class gated: skips on tiny hosts).
-restart-smoke:
-	$(GO) run ./cmd/wearbench -exp restart -quick -seed 42 | sed '/threaded engine/,$$d' > restart-a.txt
-	$(GO) run ./cmd/wearbench -exp restart -quick -seed 42 | sed '/threaded engine/,$$d' > restart-b.txt
-	cmp restart-a.txt restart-b.txt
-	@rm -f restart-a.txt restart-b.txt
-	$(GO) run ./cmd/wearbench -exp restart -quick -seed 42 -format json > BENCH_pr9.json
-	$(GO) run ./cmd/wearcheck -spec checks/restart.yaml BENCH_pr9.json
-
-# Policy-zoo smoke: the comparative placement/remap study (paper, rotate,
-# decoder, migrate on the wearing KV scenario, both engines) runs twice
-# and the baton table must be byte-identical across same-seed repeats;
-# the threaded table is honest concurrency and is cut before the
-# comparison. Records the per-policy endurance/latency JSON (PR 10) and
-# gates it against the committed floors (machine-class gated: skips on
-# tiny hosts).
-policyzoo-smoke:
-	$(GO) run ./cmd/wearbench -exp policyzoo -quick -seed 42 | sed '/threaded engine/,$$d' > policyzoo-a.txt
-	$(GO) run ./cmd/wearbench -exp policyzoo -quick -seed 42 | sed '/threaded engine/,$$d' > policyzoo-b.txt
-	cmp policyzoo-a.txt policyzoo-b.txt
-	@rm -f policyzoo-a.txt policyzoo-b.txt
-	$(GO) run ./cmd/wearbench -exp policyzoo -quick -seed 42 -format json > BENCH_pr10.json
-	$(GO) run ./cmd/wearcheck -spec checks/policyzoo.yaml BENCH_pr10.json
+# One implementation study the way CI runs it: study-kvlat, study-pausecurve,
+# study-restart, study-policyzoo. The experiment runs twice and its baton
+# tables must be byte-identical across same-seed repeats (the incremental
+# marking state machine, the power cut, the recovery and the policies are
+# all on the deterministic surface); the threaded tables are honest
+# concurrency and legitimately vary, so the text is cut at the first of them
+# before the comparison. Then the study's JSON is recorded as
+# results/<study>.json and, when checks/<study>.yaml exists, gated against
+# its committed budgets (machine-class gated: skips on tiny hosts).
+study-%:
+	$(GO) run ./cmd/wearbench -exp $* -quick -seed 42 | sed '/threaded engine/,$$d' > .study-$*-a.txt
+	$(GO) run ./cmd/wearbench -exp $* -quick -seed 42 | sed '/threaded engine/,$$d' > .study-$*-b.txt
+	cmp .study-$*-a.txt .study-$*-b.txt
+	@rm -f .study-$*-a.txt .study-$*-b.txt
+	$(GO) run ./cmd/wearbench -exp $* -quick -seed 42 -format json > results/$*.json
+	@if [ -f checks/$*.yaml ]; then $(GO) run ./cmd/wearcheck -spec checks/$*.yaml results/$*.json; fi
 
 # Quick torture pass for CI under -race: the in-tree suite (positive sweep,
 # determinism, planted-bug negative controls, shrinking, the crash-campaign

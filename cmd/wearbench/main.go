@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,8 +32,8 @@ import (
 	"wearmem/internal/harness"
 	"wearmem/internal/harness/cliconfig"
 	"wearmem/internal/kernel"
-	"wearmem/internal/kv"
 	"wearmem/internal/machine"
+	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
 )
@@ -50,12 +51,23 @@ func main() {
 		explain   = flag.String("explain", "", `diff two configurations: "k=v,... vs k=v,..." over the -bench/-mult/... base ("base" = no overrides)`)
 		trials    = flag.Int("trials", 1, "failure-map seeds to aggregate (mean and 95% CI)")
 
-		single cliconfig.Single
-		prof   cliconfig.Profiling
+		rc   harness.RunConfig
+		prof cliconfig.Profiling
 	)
-	single.Register(flag.CommandLine)
+	cliconfig.Register(flag.CommandLine, &rc)
 	prof.Register(flag.CommandLine)
-	flag.Parse()
+	// A bad flag value is one line naming the flag, not that line and the
+	// whole flag list after it.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	usage := flag.Usage
+	flag.Usage = func() {}
+	if err := flag.CommandLine.Parse(os.Args[1:]); errors.Is(err, flag.ErrHelp) {
+		usage()
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
+	}
+	flag.Usage = usage
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -81,15 +93,18 @@ func main() {
 	case *calibrate:
 		runCalibration()
 	case *explain != "":
-		runExplain(*explain, single, *quick, *parallel, em, *outDir)
-	case single.Bench != "":
-		runSingle(single, *trials, *parallel)
-	case single.Latency:
-		runLatency(single, *quick, *parallel, em, *outDir, *csvDir)
+		runExplain(*explain, rc, *quick, *parallel, em, *outDir)
+	case rc.Bench != "":
+		if status := runSingle(rc, *trials, *parallel); status != 0 {
+			stop() // os.Exit runs no deferred call
+			os.Exit(status)
+		}
+	case rc.Latency:
+		runLatency(rc, *quick, *parallel, em, *outDir, *csvDir)
 	case *exp == "all":
 		// One runner for every experiment: the normalization baselines the
 		// figures share memoize once instead of once per figure.
-		opt := harness.Options{Quick: *quick, Seed: single.Seed,
+		opt := harness.Options{Quick: *quick, Seed: rc.Seed,
 			Parallel: *parallel, Runner: harness.NewRunner()}
 		total := time.Now()
 		for _, e := range harness.All() {
@@ -110,7 +125,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		rep := e.Run(harness.Options{Quick: *quick, Seed: single.Seed, Parallel: *parallel})
+		rep := e.Run(harness.Options{Quick: *quick, Seed: rc.Seed, Parallel: *parallel})
 		fmt.Fprintf(os.Stderr, "# %-7s %6.2fs wall (%d workers)\n",
 			e.ID, time.Since(start).Seconds(), *parallel)
 		emit(em, rep)
@@ -167,36 +182,20 @@ func persist(rep *harness.Report, dir string) {
 // with failure-buffer backpressure), reporting request-latency quantiles
 // with GC-pause and allocation-stall attribution. With no -engine both
 // engines run; the baton table is byte-identical across same-seed repeats.
-func runLatency(s cliconfig.Single, quick bool, parallel int, em harness.Emitter, outDir, csvDir string) {
-	bench := kv.MustRegister(kv.Config{})
-	iters := s.Iters
-	if iters == 0 {
-		iters = 400
-		if quick {
-			iters = 150
-		}
-	}
-	muts := s.Mutators
-	if muts <= 1 {
-		muts = 4
-	}
+func runLatency(rc harness.RunConfig, quick bool, parallel int, em harness.Emitter, outDir, csvDir string) {
 	engines := []string{"", "threaded"}
-	switch s.Engine {
-	case "":
-	case "baton":
-		engines = []string{""}
-	case "threaded":
-		engines = []string{"threaded"}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q (want baton or threaded)\n", s.Engine)
-		os.Exit(2)
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "engine" {
+			engines = []string{rc.Engine}
+		}
+	})
+	o := harness.Options{Quick: quick, Seed: rc.Seed}
 	r := harness.NewRunner()
 	r.Workers = parallel
 	rep := r.Collect(func() *harness.Report {
 		var tables []harness.Table
 		for _, engine := range engines {
-			tables = append(tables, harness.LatencyStudy(r, bench, engine, muts, iters, s.Seed))
+			tables = append(tables, harness.LatencyStudy(r, o, engine, rc.Mutators, rc.Iterations))
 		}
 		return &harness.Report{
 			ID:     "latency",
@@ -214,15 +213,10 @@ func runLatency(s cliconfig.Single, quick bool, parallel int, em harness.Emitter
 // comma-separated key=value override list applied to the base configuration
 // assembled from the single-run flags ("base" or an empty side keeps the
 // base unchanged).
-func runExplain(spec string, s cliconfig.Single, quick bool, parallel int,
+func runExplain(spec string, base harness.RunConfig, quick bool, parallel int,
 	em harness.Emitter, outDir string) {
-	if s.Bench == "" {
-		s.Bench = "pmd"
-	}
-	base, err := s.RunConfig()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if base.Bench == "" {
+		base.Bench = "pmd"
 	}
 	sides := strings.Split(spec, " vs ")
 	if len(sides) != 2 {
@@ -269,34 +263,35 @@ func writeCSVs(rep *harness.Report, dir string) {
 	}
 }
 
-func runSingle(s cliconfig.Single, trials, parallel int) {
-	rc, err := s.RunConfig()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+// runSingle runs one configuration and dumps its statistics. It returns the
+// exit status: 1 when the run crashed instead of finishing.
+func runSingle(rc harness.RunConfig, trials, parallel int) int {
 	r := harness.NewRunner()
 	r.Workers = parallel
+	base := rc
+	base.FailureAware = false
+	base.FailureRate = 0
+	base.ClusterPages = 0
 	if trials > 1 {
 		tr := r.RunTrials(rc, trials)
 		fmt.Printf("%s over %d seeds: mean %.0f cycles ± %.0f (95%% CI), %d DNF\n",
-			s.Bench, tr.N, tr.MeanCycles, tr.CI95Cycles, tr.DNFs)
-		base := rc
-		base.FailureAware = false
-		base.FailureRate = 0
-		base.ClusterPages = 0
+			rc.Bench, tr.N, tr.MeanCycles, tr.CI95Cycles, tr.DNFs)
 		if mean, ci, dnfs := r.NormalizedTrials(rc, base, trials); dnfs < trials {
-			fmt.Printf("normalized vs unmodified %s: %.3f ± %.3f (%d DNF)\n", s.Collector, mean, ci, dnfs)
+			fmt.Printf("normalized vs unmodified %s: %.3f ± %.3f (%d DNF)\n", rc.Collector, mean, ci, dnfs)
 		}
-		return
+		return 0
 	}
 	res := r.Run(rc)
+	if res.Panic != "" {
+		fmt.Fprintf(os.Stderr, "%s: run crashed: %s\n", rc.Bench, res.Panic)
+		return 1
+	}
 	if res.DNF {
-		fmt.Printf("%s: DNF (out of memory at %.2fx min heap)\n", s.Bench, s.Mult)
-		return
+		fmt.Printf("%s: DNF (out of memory at %.2fx min heap)\n", rc.Bench, rc.HeapMult)
+		return 0
 	}
 	fmt.Printf("%s @ %.2fx heap (%d bytes), %s, line %d, failures %.0f%%, cluster %dp\n",
-		s.Bench, s.Mult, res.Heap, s.Collector, s.Line, s.Rate*100, s.Cluster)
+		rc.Bench, rc.HeapMult, res.Heap, rc.Collector, rc.LineSize, rc.FailureRate*100, rc.ClusterPages)
 	fmt.Printf("  time:        %d cycles\n", res.Cycles)
 	fmt.Printf("  collections: %d (%d full)\n", res.Collections, res.FullGCs)
 	fmt.Printf("  avg GC:      %d cycles, max %d\n", res.AvgFullGC, res.MaxGC)
@@ -312,20 +307,25 @@ func runSingle(s cliconfig.Single, trials, parallel int) {
 			float64(res.WallTraceNS)/1e6, float64(res.WallSweepNS)/1e6)
 	}
 	if lr := res.Latency; lr != nil {
+		// A latency run that recorded no operations has no cycles to take a
+		// share of.
+		share := func(part stats.Cycles) float64 {
+			if lr.TotalCycles == 0 {
+				return 0
+			}
+			return 100 * float64(part) / float64(lr.TotalCycles)
+		}
 		fmt.Printf("  latency:     %d ops, p50 %d, p99 %d, p999 %d, max %d cycles\n",
 			lr.Ops, lr.Overall.P50, lr.Overall.P99, lr.Overall.P999, lr.Overall.Max)
 		fmt.Printf("    gc pause:    %d ops affected, p99 %d cycles (%.1f%% of cycles)\n",
-			lr.GCPause.Ops, lr.GCPause.P99, 100*float64(lr.GCPauseCycles)/float64(lr.TotalCycles))
+			lr.GCPause.Ops, lr.GCPause.P99, share(lr.GCPauseCycles))
 		fmt.Printf("    alloc stall: %d ops affected, p99 %d cycles (%.1f%% of cycles)\n",
-			lr.AllocStall.Ops, lr.AllocStall.P99, 100*float64(lr.AllocStallCycles)/float64(lr.TotalCycles))
+			lr.AllocStall.Ops, lr.AllocStall.P99, share(lr.AllocStallCycles))
 	}
-	base := rc
-	base.FailureAware = false
-	base.FailureRate = 0
-	base.ClusterPages = 0
 	if n := r.Normalized(rc, base); n > 0 {
-		fmt.Printf("  normalized:  %.3f vs unmodified %s\n", n, s.Collector)
+		fmt.Printf("  normalized:  %.3f vs unmodified %s\n", n, rc.Collector)
 	}
+	return 0
 }
 
 func runCalibration() {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	wearcheck -spec checks/restart.yaml BENCH_pr9.json
+//	wearcheck -spec checks/restart.yaml results/restart.json
 //
 // The spec addresses cells by table title, column and row label and
 // budgets them (max/min for numbers, equals for text); see

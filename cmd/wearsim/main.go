@@ -276,15 +276,17 @@ func selectConfigs(configFilter string, mutators int, threaded, nowt bool,
 			return nil, fmt.Errorf("no configuration matches %q", configFilter)
 		}
 	}
-	if mutators > 1 {
-		base := configs
-		if base == nil {
-			base = chaos.AllConfigs()
+	// every is the selection so far: every configuration, until a knob has
+	// narrowed it.
+	every := func() []chaos.TortureConfig {
+		if configs == nil {
+			configs = chaos.AllConfigs()
 		}
-		configs = nil
-		for _, cfg := range base {
-			cfg.Mutators = mutators
-			configs = append(configs, cfg)
+		return configs
+	}
+	if mutators > 1 {
+		for i := range every() {
+			configs[i].Mutators = mutators
 		}
 	}
 	if threaded {
@@ -300,31 +302,18 @@ func selectConfigs(configFilter string, mutators int, threaded, nowt bool,
 		}
 	}
 	if scenario != "" {
-		base := configs
-		if base == nil {
-			base = chaos.AllConfigs()
-		}
-		configs = nil
-		for _, cfg := range base {
-			cfg.Scenario = scenario
-			configs = append(configs, cfg)
+		for i := range every() {
+			configs[i].Scenario = scenario
 		}
 	}
 	if pauseBudget > 0 {
-		base := configs
-		if base == nil {
-			base = chaos.AllConfigs()
-		}
-		configs = chaos.WithPauseBudget(base, pauseBudget)
+		configs = chaos.WithPauseBudget(every(), pauseBudget)
 		if len(configs) == 0 {
 			return nil, fmt.Errorf("no S-IX baton configuration to apply -torture-pause-budget to")
 		}
 	}
 	if nowt {
-		if configs == nil {
-			configs = chaos.AllConfigs()
-		}
-		for i := range configs {
+		for i := range every() {
 			configs[i].NoWriteThrough = true
 		}
 	}
@@ -335,10 +324,7 @@ func selectConfigs(configFilter string, mutators int, threaded, nowt bool,
 		if _, err := kernel.NewRemapPolicy(remap); err != nil {
 			return nil, err
 		}
-		if configs == nil {
-			configs = chaos.AllConfigs()
-		}
-		for i := range configs {
+		for i := range every() {
 			configs[i].Placement = placement
 			configs[i].Remap = remap
 		}
@@ -383,16 +369,6 @@ func reproCommand(cfg chaos.TortureConfig, seed int64, iters int, schedule []str
 	}
 	fmt.Fprintf(&b, " -seed %d -torture-schedule '%s'", seed, strings.Join(schedule, ","))
 	return b.String()
-}
-
-// configsByName indexes a sweep's configurations so a record's name maps
-// back to the knobs its reproduction command needs.
-func configsByName(configs []chaos.TortureConfig) map[string]chaos.TortureConfig {
-	m := make(map[string]chaos.TortureConfig, len(configs))
-	for _, cfg := range configs {
-		m[cfg.Name()] = cfg
-	}
-	return m
 }
 
 // runReplay replays one explicit injection schedule on the selected
@@ -455,66 +431,79 @@ func runReplay(configs []chaos.TortureConfig, schedule string, seed int64, iters
 	return 0
 }
 
-// runTorture executes the campaign sweep and reports like a test driver:
-// per-configuration tallies on stdout, failing campaigns with their minimal
-// reproduction, exit status 1 on any failure.
-func runTorture(seeds int, seedBase int64, configs []chaos.TortureConfig,
-	events, iters int, breakMode, outPath string, verbose bool, workers int) int {
-	opt := chaos.Options{
-		Seeds:    seeds,
-		SeedBase: seedBase,
-		Events:   events,
-		Iters:    iters,
-		Break:    breakMode,
-		Workers:  workers,
-		Configs:  configs,
+// campaign is what the sweep reporter reads of one campaign record of
+// either sweep.
+type campaign struct {
+	config, failure string
+	seed            int64
+	cut             string   // a crash campaign's power-cut event, as its FAIL line shows it
+	fired           []string // injection effects a torture campaign logged
+	schedule        []string // the minimized schedule when there is one
+	counts          [2]int   // what it adds to its configuration's two tallies
+}
+
+// shortest is the schedule a failure is reproduced with.
+func shortest(schedule, minimized []string) []string {
+	if minimized != nil {
+		return minimized
 	}
+	return schedule
+}
+
+// runSweep executes one campaign sweep and reports like a test driver:
+// per-configuration tallies on stdout, failing campaigns with their minimal
+// reproduction, the summary as JSON when asked for, exit status 1 on any
+// failure. sweep runs the campaigns and returns the summary to persist, its
+// records as the reporter reads them, and what to say when all passed;
+// tallyLine formats a configuration's name, campaign count, two tallies and
+// failure count.
+func runSweep(name, tallyLine string, opt chaos.Options, outPath string, verbose bool,
+	sweep func(chaos.Options) (summary any, records []campaign, passed string)) int {
 	if verbose {
 		opt.Logf = func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
+	sum, records, passed := sweep(opt)
 
-	sum := chaos.Run(opt)
-	if opt.Configs == nil {
-		opt.Configs = chaos.AllConfigs()
+	byName := map[string]chaos.TortureConfig{}
+	for _, cfg := range opt.Configs {
+		byName[cfg.Name()] = cfg
 	}
-	byName := configsByName(opt.Configs)
-
-	type tally struct{ campaigns, failed, gcs, verifies int }
+	type tally struct{ campaigns, failed, a, b int }
 	perConfig := map[string]*tally{}
 	var order []string
-	for _, r := range sum.Records {
-		tl := perConfig[r.Config]
+	failed := 0
+	for _, r := range records {
+		tl := perConfig[r.config]
 		if tl == nil {
 			tl = &tally{}
-			perConfig[r.Config] = tl
-			order = append(order, r.Config)
+			perConfig[r.config] = tl
+			order = append(order, r.config)
 		}
 		tl.campaigns++
-		tl.gcs += r.GCs
-		tl.verifies += r.Verifications
-		if r.Failure != "" {
+		tl.a += r.counts[0]
+		tl.b += r.counts[1]
+		if r.failure != "" {
 			tl.failed++
+			failed++
 		}
 	}
-	for _, name := range order {
-		tl := perConfig[name]
-		fmt.Printf("torture %-16s %3d campaigns  %5d GCs  %5d verifications  %d failed\n",
-			name, tl.campaigns, tl.gcs, tl.verifies, tl.failed)
+	for _, cfg := range order {
+		tl := perConfig[cfg]
+		fmt.Printf(tallyLine, cfg, tl.campaigns, tl.a, tl.b, tl.failed)
 	}
 
-	for _, r := range sum.Failures() {
-		fmt.Printf("\nFAIL %s seed=%d\n  %s\n", r.Config, r.Seed, indent(r.Failure))
-		for _, f := range r.Fired {
+	for _, r := range records {
+		if r.failure == "" {
+			continue
+		}
+		fmt.Printf("\nFAIL %s seed=%d%s\n  %s\n", r.config, r.seed, r.cut, indent(r.failure))
+		for _, f := range r.fired {
 			fmt.Printf("  fired: %s\n", f)
 		}
-		repro := r.Schedule
-		if r.MinSchedule != nil {
-			repro = r.MinSchedule
-		}
 		fmt.Printf("  minimal reproduction:\n    %s\n",
-			reproCommand(byName[r.Config], r.Seed, iters, repro))
+			reproCommand(byName[r.config], r.seed, opt.Iters, r.schedule))
 	}
 
 	if outPath != "" {
@@ -535,113 +524,71 @@ func runTorture(seeds int, seedBase int64, configs []chaos.TortureConfig,
 		}
 	}
 
-	if sum.Failed > 0 {
-		fmt.Printf("\ntorture: %d/%d campaigns FAILED\n", sum.Failed, sum.Campaigns)
+	if failed > 0 {
+		fmt.Printf("\n%s: %d/%d campaigns FAILED\n", name, failed, len(records))
 		return 1
 	}
-	fmt.Printf("torture: all %d campaigns passed\n", sum.Campaigns)
+	fmt.Println(passed)
 	return 0
+}
+
+// runTorture executes the fault-injection campaign sweep over configs (nil:
+// every configuration).
+func runTorture(seeds int, seedBase int64, configs []chaos.TortureConfig,
+	events, iters int, breakMode, outPath string, verbose bool, workers int) int {
+	if configs == nil {
+		configs = chaos.AllConfigs()
+	}
+	opt := chaos.Options{Seeds: seeds, SeedBase: seedBase, Events: events, Iters: iters,
+		Break: breakMode, Workers: workers, Configs: configs}
+	return runSweep("torture", "torture %-16s %3d campaigns  %5d GCs  %5d verifications  %d failed\n",
+		opt, outPath, verbose, func(opt chaos.Options) (any, []campaign, string) {
+			sum := chaos.Run(opt)
+			var records []campaign
+			for _, r := range sum.Records {
+				records = append(records, campaign{config: r.Config, failure: r.Failure, seed: r.Seed,
+					fired: r.Fired, schedule: shortest(r.Schedule, r.MinSchedule),
+					counts: [2]int{r.GCs, r.Verifications}})
+			}
+			return sum, records, fmt.Sprintf("torture: all %d campaigns passed", sum.Campaigns)
+		})
 }
 
 // runCrash executes the power-cut crash sweep: a cut at every registered
 // probe point on every crash configuration (both engines × write-through
-// on/off), opt.Seeds campaigns each. Every campaign must end verifier-clean
+// on/off), seeds campaigns each. Every campaign must end verifier-clean
 // after its resumed workload, gracefully worn out, or with its cut
 // unreached — anything else fails the sweep.
 func runCrash(seeds int, seedBase int64, configFilter string, events, iters int,
 	outPath string, verbose bool, workers int) int {
-	opt := chaos.Options{
-		Seeds:    seeds,
-		SeedBase: seedBase,
-		Events:   events,
-		Iters:    iters,
-		Workers:  workers,
-	}
-	if configFilter != "" {
-		for _, cfg := range chaos.CrashConfigs() {
-			if strings.Contains(cfg.Name(), configFilter) {
-				opt.Configs = append(opt.Configs, cfg)
-			}
-		}
-		if opt.Configs == nil {
-			fmt.Fprintf(os.Stderr, "crash: no crash configuration matches %q\n", configFilter)
-			return 2
+	opt := chaos.Options{Seeds: seeds, SeedBase: seedBase, Events: events, Iters: iters, Workers: workers}
+	for _, cfg := range chaos.CrashConfigs() {
+		if strings.Contains(cfg.Name(), configFilter) {
+			opt.Configs = append(opt.Configs, cfg)
 		}
 	}
-	if verbose {
-		opt.Logf = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
-	sum := chaos.CrashSweep(opt)
 	if opt.Configs == nil {
-		opt.Configs = chaos.CrashConfigs()
+		fmt.Fprintf(os.Stderr, "crash: no crash configuration matches %q\n", configFilter)
+		return 2
 	}
-	byName := configsByName(opt.Configs)
-
-	type tally struct{ campaigns, cuts, worn, failed int }
-	perConfig := map[string]*tally{}
-	var order []string
-	for _, r := range sum.Records {
-		tl := perConfig[r.Config]
-		if tl == nil {
-			tl = &tally{}
-			perConfig[r.Config] = tl
-			order = append(order, r.Config)
-		}
-		tl.campaigns++
-		if r.CutFired {
-			tl.cuts++
-		}
-		if r.WornOut {
-			tl.worn++
-		}
-		if r.Failure != "" {
-			tl.failed++
-		}
-	}
-	for _, name := range order {
-		tl := perConfig[name]
-		fmt.Printf("crash %-22s %3d campaigns  %3d cuts fired  %3d worn out  %d failed\n",
-			name, tl.campaigns, tl.cuts, tl.worn, tl.failed)
-	}
-
-	for _, r := range sum.Failures() {
-		fmt.Printf("\nFAIL %s seed=%d cut=%s\n  %s\n", r.Config, r.Seed, r.Cut, indent(r.Failure))
-		repro := r.Schedule
-		if r.MinSchedule != nil {
-			repro = r.MinSchedule
-		}
-		fmt.Printf("  minimal reproduction:\n    %s\n",
-			reproCommand(byName[r.Config], r.Seed, iters, repro))
-	}
-
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(sum)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-
-	if sum.Failed > 0 {
-		fmt.Printf("\ncrash: %d/%d campaigns FAILED\n", sum.Failed, sum.Campaigns)
-		return 1
-	}
-	fmt.Printf("crash: all %d campaigns passed (%d cuts fired, %d worn out gracefully)\n",
-		sum.Campaigns, sum.CutsFired, sum.WornOut)
-	return 0
+	return runSweep("crash", "crash %-22s %3d campaigns  %3d cuts fired  %3d worn out  %d failed\n",
+		opt, outPath, verbose, func(opt chaos.Options) (any, []campaign, string) {
+			sum := chaos.CrashSweep(opt)
+			var records []campaign
+			for _, r := range sum.Records {
+				c := campaign{config: r.Config, failure: r.Failure, seed: r.Seed, cut: " cut=" + r.Cut,
+					schedule: shortest(r.Schedule, r.MinSchedule)}
+				if r.CutFired {
+					c.counts[0] = 1
+				}
+				if r.WornOut {
+					c.counts[1] = 1
+				}
+				records = append(records, c)
+			}
+			return sum, records, fmt.Sprintf("crash: all %d campaigns passed (%d cuts fired, %d worn out gracefully)",
+				sum.Campaigns, sum.CutsFired, sum.WornOut)
+		})
 }
 
 // indent keeps multi-line failure messages (panic stacks) readable in the

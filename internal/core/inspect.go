@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"io"
-)
-
 // Heap inspection: a textual rendering of the Immix space's line states,
 // the view Fig. 2 draws. Used by diagnostics and the wearsim-style tools;
 // the collectors never depend on it.
@@ -61,37 +56,4 @@ func (ix *Immix) InspectBlocks() []BlockInfo {
 		out = append(out, info)
 	}
 	return out
-}
-
-// DumpBlocks writes the Fig. 2-style line map of the heap: one row per
-// block, one character per line ('.' free, '#' live, '+' claimed,
-// 'X' failed).
-func (ix *Immix) DumpBlocks(w io.Writer) {
-	for _, info := range ix.InspectBlocks() {
-		flag := " "
-		if info.Evacuate {
-			flag = "E"
-		}
-		fmt.Fprintf(w, "%#10x %s free=%3d failed=%3d holes=%2d |%s|\n",
-			info.Base, flag, info.FreeLines, info.Failed, info.Holes, string(info.States))
-	}
-}
-
-// Occupancy returns aggregate line-state counts over the whole space.
-func (ix *Immix) Occupancy() (free, live, claimed, failed int) {
-	for _, info := range ix.InspectBlocks() {
-		for _, s := range info.States {
-			switch s {
-			case LineFree:
-				free++
-			case LineLive:
-				live++
-			case LineClaimed:
-				claimed++
-			case LineFailed:
-				failed++
-			}
-		}
-	}
-	return
 }

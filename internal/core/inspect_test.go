@@ -2,12 +2,21 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
-	"wearmem/internal/heap"
 )
+
+// occupancy counts line states over the whole space.
+func occupancy(ix *Immix) map[LineState]int {
+	n := map[LineState]int{}
+	for _, info := range ix.InspectBlocks() {
+		for _, s := range info.States {
+			n[s]++
+		}
+	}
+	return n
+}
 
 func TestInspectBlocksStates(t *testing.T) {
 	inject := failmap.New(1 << 20)
@@ -19,17 +28,16 @@ func TestInspectBlocksStates(t *testing.T) {
 	e.addRoot(&head)
 	e.plan.Collect(true, e.roots)
 
-	free, live, claimed, failed := ix.Occupancy()
-	if live == 0 {
+	n := occupancy(ix)
+	if n[LineLive] == 0 {
 		t.Fatal("no live lines after collecting a live list")
 	}
-	if failed == 0 {
+	if n[LineFailed] == 0 {
 		t.Fatal("no failed lines despite injection")
 	}
-	if free == 0 {
+	if n[LineFree] == 0 {
 		t.Fatal("no free lines in a fresh heap")
 	}
-	_ = claimed
 
 	// The inspector must agree with the block metadata.
 	total := 0
@@ -56,31 +64,12 @@ func TestInspectBlocksStates(t *testing.T) {
 	}
 }
 
-func TestDumpBlocksRenders(t *testing.T) {
-	e := newEnv(t, envOpts{})
-	head := e.buildList(50)
-	e.addRoot(&head)
-	e.plan.Collect(true, e.roots)
-	var sb strings.Builder
-	e.plan.(*Immix).DumpBlocks(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "#") || !strings.Contains(out, "free=") {
-		t.Fatalf("dump missing content:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != e.plan.(*Immix).Blocks() {
-		t.Fatal("dump row count != block count")
-	}
-}
-
 // Claimed lines appear between allocation and the next collection.
 func TestInspectClaimedLines(t *testing.T) {
 	e := newEnv(t, envOpts{})
 	ix := e.plan.(*Immix)
 	e.newNode(1) // young object on a claimed hole
-	_, _, claimed, _ := ix.Occupancy()
-	if claimed == 0 {
+	if occupancy(ix)[LineClaimed] == 0 {
 		t.Fatal("no claimed lines after an allocation")
 	}
-	var sink heap.Addr
-	_ = sink
 }

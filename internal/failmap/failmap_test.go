@@ -221,6 +221,24 @@ func TestClusterHardwareReducesFragmentation(t *testing.T) {
 	}
 }
 
+// Clustering must improve contiguity (the mean working-run length) and the
+// chance that an aligned 4 KB window is entirely working.
+func TestClusteringImprovesAnalysisMetrics(t *testing.T) {
+	m := New(64 * PageSize)
+	GenerateUniform(m, 0.25, rand.New(rand.NewSource(3)))
+	cl := ClusterHardware(m, 2)
+	contiguity := func(m *Map) float64 {
+		return float64(m.Lines()-m.FailedLines()) / float64(m.FreeRuns())
+	}
+	if contiguity(cl) <= contiguity(m) {
+		t.Fatalf("clustering did not improve contiguity: %v -> %v lines a run", contiguity(m), contiguity(cl))
+	}
+	if cl.PerfectPages() <= m.PerfectPages() {
+		t.Fatalf("clustering did not improve 4K fit: %d -> %d of %d pages entirely working",
+			m.PerfectPages(), cl.PerfectPages(), m.Pages())
+	}
+}
+
 func TestCoarsenFalseFailures(t *testing.T) {
 	m := New(PageSize)
 	m.SetLineFailed(5) // one 64 B failure

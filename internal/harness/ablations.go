@@ -1,25 +1,12 @@
 package harness
 
-import (
-	"fmt"
+import "fmt"
 
-	"wearmem/internal/stats"
-	"wearmem/internal/vm"
-)
-
-// Tab5 is the §7.3 "balanced hardware clustering" ablation: larger
+// tab5 is the §7.3 "balanced hardware clustering" ablation: larger
 // clustering regions initially keep more pages logically intact, but the
 // paper argues the advantage degenerates to the two-page case as failures
 // grow, while larger regions add redirection-map pressure.
-func Tab5(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return tab5Body(o, r) })
-}
-
-func tab5Body(o Options, r *Runner) *Report {
-	rates := []float64{0.10, 0.25, 0.50}
-	regions := []int{1, 2, 4, 8}
-
+func tab5(o Options, r *Runner) *Report {
 	perf := Table{
 		Title:   "Geomean time at 2x heap (L256), normalized to unmodified S-IX",
 		Columns: []string{"region size", "f=10%", "f=25%", "f=50%"},
@@ -28,55 +15,31 @@ func tab5Body(o Options, r *Runner) *Report {
 		Title:   "Mean borrowed perfect pages per run",
 		Columns: []string{"region size", "f=10%", "f=25%", "f=50%"},
 	}
-	for _, reg := range regions {
+	for _, reg := range []int{1, 2, 4, 8} {
 		prow := []Cell{Textf("%d pages", reg)}
 		drow := []Cell{Textf("%d pages", reg)}
-		for _, f := range rates {
-			g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-						FailureAware: true, FailureRate: f, ClusterPages: reg, Seed: o.Seed},
-					RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-			})
-			prow = append(prow, fnum(g))
-			var borrows []float64
-			for _, b := range o.benches() {
-				res := r.Run(RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					FailureAware: true, FailureRate: f, ClusterPages: reg, Seed: o.Seed})
-				if !res.DNF {
-					borrows = append(borrows, float64(res.Borrows))
-				}
-			}
-			if len(borrows) == 0 {
-				drow = append(drow, DNF())
-			} else {
-				drow = append(drow, Number(stats.Mean(borrows), "%.1f"))
-			}
+		for _, f := range []float64{0.10, 0.25, 0.50} {
+			rc := o.base().aware(f).cluster(reg)
+			prow = append(prow, fnum(geoOver(r, o.benches(), rc, o.base())))
+			drow = append(drow, meanBorrows(r, o.benches(), rc))
 		}
 		perf.Rows = append(perf.Rows, prow)
 		demand.Rows = append(demand.Rows, drow)
 	}
 	perf.Notes = append(perf.Notes,
 		"paper (§7.3): multi-page regions help; beyond two pages the advantage quickly degenerates")
-	return &Report{ID: "tab5", Title: "Clustering region size (paper §7.3)",
-		Tables: []Table{perf, demand}}
+	return &Report{Title: "Clustering region size (paper §7.3)", Tables: []Table{perf, demand}}
 }
 
-// Tab6 sweeps the dynamic-failure arrival rate (§4.2): lines fail *during*
+// tab6 sweeps the dynamic-failure arrival rate (§4.2): lines fail *during*
 // execution, each recovery using the failure buffer, an OS up-call and a
 // defragmenting collection when live data is affected.
-func Tab6(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return tab6Body(o, r) })
-}
-
-func tab6Body(o Options, r *Runner) *Report {
+func tab6(o Options, r *Runner) *Report {
 	t := Table{
 		Title:   "Dynamic failures during execution (2x heap, S-IXPCM), normalized to no dynamic failures",
 		Columns: []string{"failures per run", "time", "collections", "OS remaps"},
 	}
-	bench := "hsqldb" // largest live set: worst-case recovery collections
-	base := RunConfig{Bench: bench, HeapMult: 2, Collector: vm.StickyImmix,
-		FailureAware: true, Seed: o.Seed}
+	base := o.base().bench("hsqldb").aware(0) // largest live set: worst-case recovery collections
 	for _, every := range []int{0, 400, 100, 25} {
 		rc := base
 		rc.DynFailEvery = every
@@ -100,5 +63,5 @@ func tab6Body(o Options, r *Runner) *Report {
 	}
 	t.Notes = append(t.Notes,
 		"paper (§4.2): a full-heap collection per affected failure, ~7 ms average; dynamic failures are rare in practice")
-	return &Report{ID: "tab6", Title: "Dynamic failure rate sweep (paper §4.2)", Tables: []Table{t}}
+	return &Report{Title: "Dynamic failure rate sweep (paper §4.2)", Tables: []Table{t}}
 }

@@ -45,6 +45,13 @@ func (o Options) heapMults() []float64 {
 	return []float64{1.25, 1.5, 2, 2.5, 3, 4}
 }
 
+// maxHeap is the largest swept heap size, the one the heap-size figures
+// normalize to.
+func (o Options) maxHeap() float64 {
+	mults := o.heapMults()
+	return mults[len(mults)-1]
+}
+
 func (o Options) runner() *Runner {
 	r := o.Runner
 	if r == nil {
@@ -57,34 +64,71 @@ func (o Options) runner() *Runner {
 	return r
 }
 
-// Experiment couples an identifier with its generator and the paper
-// section it reproduces.
+// runnerUse is how an experiment's body gets the runner it executes on.
+type runnerUse int
+
+const (
+	// sharedRunner is Options.Runner when the caller set one, so the
+	// baselines the figures have in common memoize once.
+	sharedRunner runnerUse = iota
+	// ownRunner is a fresh runner the body may configure before its first
+	// Run: tab2 alone runs full iteration counts, and corescale measures
+	// wall-clock time and pins GOMAXPROCS, which needs one run at a time.
+	ownRunner
+	// noRunner is for a body that boots its machines itself or simulates
+	// nothing: it is called once, with a nil runner and no planning pass.
+	noRunner
+)
+
+// Experiment is one registry row: an identifier, the paper section the
+// figure or table appears in or reproduces, and the body that builds its
+// report.
 type Experiment struct {
 	ID      string
-	Section string // paper section the figure/table appears in or reproduces
+	Section string
 	Title   string
-	Run     func(Options) *Report
+
+	uses runnerUse
+	body func(Options, *Runner) *Report
+}
+
+// Run executes the experiment: it resolves the runner, lets Collect plan,
+// prefetch and assemble the body (so the report is byte-identical at any
+// worker count), and stamps the report with the registry's ID.
+func (e Experiment) Run(o Options) *Report {
+	var rep *Report
+	if e.uses == noRunner {
+		rep = e.body(o, nil)
+	} else {
+		if e.uses == ownRunner {
+			o.Runner = nil
+		}
+		r := o.runner()
+		rep = r.Collect(func() *Report { return e.body(o, r) })
+	}
+	rep.ID = e.ID
+	return rep
 }
 
 // All returns every experiment in figure/table order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig3", "§6.1", "Collector comparison across heap sizes (MS, IX, S-MS, S-IX)", Fig3},
-		{"fig4", "§6.2", "Per-benchmark overhead of failure-aware S-IX with 2-page clustering", Fig4},
-		{"fig5", "§6.2", "Memory reduction vs fragmentation: compensation breakdown", Fig5},
-		{"fig6a", "§6.3", "Immix line size without failures", Fig6a},
-		{"fig6b", "§6.3", "Immix line size with 10% failures, no clustering", Fig6b},
-		{"fig7", "§6.3", "Failure-rate sweep per line size at 2x heap", Fig7},
-		{"fig8", "§6.4", "Failure clustering granularity limit study", Fig8},
-		{"fig9a", "§6.5", "Hardware clustering: performance", Fig9a},
-		{"fig9b", "§6.5", "Hardware clustering: demand for perfect pages", Fig9b},
-		{"fig10", "§6.5", "Per-benchmark one- vs two-page clustering", Fig10},
-		{"tab1", "§4.2", "Dynamic failure handling cost (full-heap collection time)", Tab1},
-		{"tab2", "§7.2", "Wear leveling considered harmful (ablation)", Tab2},
-		{"tab3", "§3.2.1", "OS failure-table metadata size (ablation)", Tab3},
-		{"tab4", "§3.1.1", "Failure buffer sizing (ablation)", Tab4},
-		{"tab5", "§7.3", "Clustering region size (ablation, §7.3)", Tab5},
-		{"tab6", "§4.2", "Dynamic failure rate sweep (ablation, §4.2)", Tab6},
+		{"fig3", "§6.1", "Collector comparison across heap sizes (MS, IX, S-MS, S-IX)", sharedRunner, fig3},
+		{"fig4", "§6.2", "Per-benchmark overhead of failure-aware S-IX with 2-page clustering", sharedRunner, fig4},
+		{"fig5", "§6.2", "Memory reduction vs fragmentation: compensation breakdown", sharedRunner, fig5},
+		{"fig6a", "§6.3", "Immix line size without failures", sharedRunner, fig6a},
+		{"fig6b", "§6.3", "Immix line size with 10% failures, no clustering", sharedRunner, fig6b},
+		{"fig7", "§6.3", "Failure-rate sweep per line size at 2x heap", sharedRunner, fig7},
+		{"fig8", "§6.4", "Failure clustering granularity limit study", sharedRunner, fig8},
+		{"fig9a", "§6.5", "Hardware clustering: performance", sharedRunner, fig9a},
+		{"fig9b", "§6.5", "Hardware clustering: demand for perfect pages", sharedRunner, fig9b},
+		{"fig10", "§6.5", "Per-benchmark one- vs two-page clustering", sharedRunner, fig10},
+		{"tab1", "§4.2", "Dynamic failure handling cost (full-heap collection time)", sharedRunner, tab1},
+		{"tab2", "§7.2", "Wear leveling considered harmful (ablation)", ownRunner, tab2()},
+		{"tab3", "§3.2.1", "OS failure-table metadata size (ablation)", noRunner, tab3},
+		{"tab4", "§3.1.1", "Failure buffer sizing (ablation)", noRunner, tab4},
+		{"tab5", "§7.3", "Clustering region size (ablation, §7.3)", sharedRunner, tab5},
+		{"tab6", "§4.2", "Dynamic failure rate sweep (ablation, §4.2)", sharedRunner, tab6},
 	}
 }
 
@@ -93,12 +137,12 @@ func All() []Experiment {
 // figures, kept out so the pinned full-suite reports stay stable.
 func Extras() []Experiment {
 	return []Experiment{
-		{"mutscale", "impl", "Multi-mutator scaling: runtime and parallel-trace speedup", MutScale},
-		{"corescale", "impl", "Core scaling: threaded engine wall-clock across GOMAXPROCS/mutators/trace workers", CoreScale},
-		{"kvlat", "impl", "Wear-aware KV server tail latency across failure regimes, both engines", KVLat},
-		{"pausecurve", "impl", "Pause budget vs throughput: incremental/concurrent marking sweep on the KV scenario", PauseCurve},
-		{"restart", "impl", "Restart survival: power cut mid-load, recovery latency vs device wear, post-recovery KV tail", Restart},
-		{"policyzoo", "impl", "Placement/remap policy zoo: endurance, throughput and tail latency per policy, both engines", PolicyZoo},
+		{"mutscale", "impl", "Multi-mutator scaling: runtime and parallel-trace speedup", sharedRunner, mutScale},
+		{"corescale", "impl", "Core scaling: threaded engine wall-clock across GOMAXPROCS/mutators/trace workers", ownRunner, coreScale},
+		{"kvlat", "impl", "Wear-aware KV server tail latency across failure regimes, both engines", sharedRunner, kvLat},
+		{"pausecurve", "impl", "Pause budget vs throughput: incremental/concurrent marking sweep on the KV scenario", sharedRunner, pauseCurve},
+		{"restart", "impl", "Restart survival: power cut mid-load, recovery latency vs device wear, post-recovery KV tail", noRunner, restart},
+		{"policyzoo", "impl", "Placement/remap policy zoo: endurance, throughput and tail latency per policy, both engines", noRunner, policyZoo},
 	}
 }
 
@@ -106,21 +150,54 @@ func Extras() []Experiment {
 func ByID(id string) *Experiment {
 	for _, e := range append(All(), Extras()...) {
 		if e.ID == id {
-			e := e
 			return &e
 		}
 	}
 	return nil
 }
 
-// geoOver runs cfg for every benchmark (mutating rc.Bench), normalizes
-// each against base (also per benchmark), and returns the geometric mean.
-// A DNF in any benchmark yields 0, matching the paper's truncated curves.
-func geoOver(r *Runner, benches []string, mk func(bench string) (rc, base RunConfig)) float64 {
+// base is the configuration the paper's figures start from and most of
+// them normalize to: unmodified S-IX at twice the minimum heap (§5). It
+// names no benchmark; bench, or geoOver for a whole suite, fills that in.
+func (o Options) base() RunConfig {
+	return RunConfig{HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
+}
+
+func (rc RunConfig) bench(name string) RunConfig {
+	rc.Bench = name
+	return rc
+}
+
+func (rc RunConfig) heap(mult float64) RunConfig {
+	rc.HeapMult = mult
+	return rc
+}
+
+// aware is the failure-aware collector (S-IXPCM) over a pool with line
+// failure rate f; at f = 0 the collector is aware with nothing to avoid.
+func (rc RunConfig) aware(f float64) RunConfig {
+	rc.FailureAware, rc.FailureRate = true, f
+	return rc
+}
+
+// cluster adds failure-clustering hardware with regions of this many pages.
+func (rc RunConfig) cluster(pages int) RunConfig {
+	rc.ClusterPages = pages
+	return rc
+}
+
+func (rc RunConfig) line(size int) RunConfig {
+	rc.LineSize = size
+	return rc
+}
+
+// geoOver runs rc for every benchmark, normalizes each against ref for the
+// same benchmark, and returns the geometric mean. A DNF in any benchmark
+// yields 0, matching the paper's truncated curves.
+func geoOver(r *Runner, benches []string, rc, ref RunConfig) float64 {
 	var xs []float64
 	for _, b := range benches {
-		rc, base := mk(b)
-		n := r.Normalized(rc, base)
+		n := r.Normalized(rc.bench(b), ref.bench(b))
 		if n == 0 {
 			return 0
 		}
@@ -129,375 +206,262 @@ func geoOver(r *Runner, benches []string, mk func(bench string) (rc, base RunCon
 	return stats.GeoMean(xs)
 }
 
-// Fig3 compares the four collectors across heap sizes without failures.
-func Fig3(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report {
-		collectors := []vm.CollectorKind{vm.MarkSweep, vm.Immix, vm.StickyMarkSweep, vm.StickyImmix}
-		maxMult := o.heapMults()[len(o.heapMults())-1]
-		t := Table{
-			Title:   "Geomean time, normalized to S-IX at the largest heap",
-			Columns: append([]string{"heap(xmin)"}, "MS", "IX", "S-MS", "S-IX"),
-		}
-		for _, hm := range o.heapMults() {
-			row := []Cell{Number(hm, "%.2f")}
-			for _, c := range collectors {
-				g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-					return RunConfig{Bench: b, HeapMult: hm, Collector: c, Seed: o.Seed},
-						RunConfig{Bench: b, HeapMult: maxMult, Collector: vm.StickyImmix, Seed: o.Seed}
-				})
-				row = append(row, fnum(g))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		return &Report{ID: "fig3", Title: "Collector comparison (paper Fig. 3)", Tables: []Table{t}}
-	})
-}
-
-// Fig4 reports per-benchmark overheads of S-IX^PCM with two-page
-// clustering at 0/10/25/50% failures, normalized to unmodified S-IX.
-func Fig4(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report {
-		rates := []float64{0, 0.10, 0.25, 0.50}
-		benches := o.benches()
-		if !o.Quick {
-			benches = append([]string{}, benches...)
-			benches = append(benches, "lusearch") // reported but excluded from means
-		}
-		t := Table{
-			Title:   "Time normalized to unmodified S-IX (same heap, 2x min)",
-			Columns: []string{"benchmark", "f=0%", "f=10%", "f=25%", "f=50%"},
-		}
-		perRate := make(map[float64][]float64)
-		for _, b := range benches {
-			row := []Cell{Text(b)}
-			base := RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-			for _, f := range rates {
-				rc := RunConfig{
-					Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					FailureAware: true, FailureRate: f, ClusterPages: 2, Seed: o.Seed,
-				}
-				n := r.Normalized(rc, base)
-				row = append(row, fnum(n))
-				if b != "lusearch" && n > 0 {
-					perRate[f] = append(perRate[f], n)
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		mean := []Cell{Text("geomean (excl. buggy lusearch)")}
-		for _, f := range rates {
-			mean = append(mean, fnum(stats.GeoMean(perRate[f])))
-		}
-		t.Rows = append(t.Rows, mean)
-		t.Notes = append(t.Notes,
-			"paper: 0% at no failures, ~3.9% at 10%, ~12.4% at 50%; pmd worst, xalan resilient")
-		return &Report{ID: "fig4", Title: "Failure-aware S-IX overhead (paper Fig. 4)", Tables: []Table{t}}
-	})
-}
-
-// Fig5 breaks down the three failure effects across heap sizes: reduced
-// memory (compensation), fragmentation, and clustering's mitigation.
-func Fig5(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig5Body(o, r) })
-}
-
-func fig5Body(o Options, r *Runner) *Report {
-	maxMult := o.heapMults()[len(o.heapMults())-1]
-	base := func(b string) RunConfig {
-		return RunConfig{Bench: b, HeapMult: maxMult, Collector: vm.StickyImmix,
-			FailureAware: true, Seed: o.Seed}
-	}
-	series := []struct {
-		label string
-		rc    func(b string, hm float64) RunConfig
-	}{
-		{"S-IXPCM (no failures)", func(b string, hm float64) RunConfig {
-			return RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-				FailureAware: true, Seed: o.Seed}
-		}},
-		{"S-IXPCM 10% NoComp", func(b string, hm float64) RunConfig {
-			return RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-				FailureAware: true, FailureRate: 0.10, NoCompensate: true, Seed: o.Seed}
-		}},
-		{"S-IXPCM 10%", func(b string, hm float64) RunConfig {
-			return RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-				FailureAware: true, FailureRate: 0.10, Seed: o.Seed}
-		}},
-		{"S-IXPCM 10% 2CL", func(b string, hm float64) RunConfig {
-			return RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-				FailureAware: true, FailureRate: 0.10, ClusterPages: 2, Seed: o.Seed}
-		}},
-	}
-	t := Table{Title: "Geomean time vs heap size, normalized to no-failure S-IXPCM at the largest heap"}
-	t.Columns = []string{"heap(xmin)"}
-	for _, s := range series {
-		t.Columns = append(t.Columns, s.label)
-	}
+// heapSweep appends one row per swept heap size: the size, then each
+// series' geomean time at that size, normalized to ref.
+func heapSweep(r *Runner, o Options, t *Table, ref RunConfig, series []RunConfig) {
 	for _, hm := range o.heapMults() {
 		row := []Cell{Number(hm, "%.2f")}
 		for _, s := range series {
-			g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				return s.rc(b, hm), base(b)
-			})
-			row = append(row, fnum(g))
+			row = append(row, fnum(geoOver(r, o.benches(), s.heap(hm), ref)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
+}
+
+// meanBorrows is the mean number of perfect pages rc borrowed, over the
+// benchmarks that finished it; DNF when none did.
+func meanBorrows(r *Runner, benches []string, rc RunConfig) Cell {
+	var borrows []float64
+	for _, b := range benches {
+		if res := r.Run(rc.bench(b)); !res.DNF {
+			borrows = append(borrows, float64(res.Borrows))
+		}
+	}
+	if len(borrows) == 0 {
+		return DNF()
+	}
+	return Number(stats.Mean(borrows), "%.1f")
+}
+
+// padRow extends row to width cells with fill: DNF for a run that produced
+// no numbers, Blank for columns that do not apply.
+func padRow(row []Cell, width int, fill Cell) []Cell {
+	for len(row) < width {
+		row = append(row, fill)
+	}
+	return row
+}
+
+// fig3 compares the four collectors across heap sizes without failures.
+func fig3(o Options, r *Runner) *Report {
+	t := Table{
+		Title:   "Geomean time, normalized to S-IX at the largest heap",
+		Columns: []string{"heap(xmin)", "MS", "IX", "S-MS", "S-IX"},
+	}
+	var series []RunConfig
+	for _, c := range []vm.CollectorKind{vm.MarkSweep, vm.Immix, vm.StickyMarkSweep, vm.StickyImmix} {
+		rc := o.base()
+		rc.Collector = c
+		series = append(series, rc)
+	}
+	heapSweep(r, o, &t, o.base().heap(o.maxHeap()), series)
+	return &Report{Title: "Collector comparison (paper Fig. 3)", Tables: []Table{t}}
+}
+
+// fig4 reports per-benchmark overheads of S-IX^PCM with two-page
+// clustering at 0/10/25/50% failures, normalized to unmodified S-IX.
+func fig4(o Options, r *Runner) *Report {
+	rates := []float64{0, 0.10, 0.25, 0.50}
+	benches := o.benches()
+	if !o.Quick {
+		benches = append([]string{}, benches...)
+		benches = append(benches, "lusearch") // reported but excluded from means
+	}
+	t := Table{
+		Title:   "Time normalized to unmodified S-IX (same heap, 2x min)",
+		Columns: []string{"benchmark", "f=0%", "f=10%", "f=25%", "f=50%"},
+	}
+	perRate := make(map[float64][]float64)
+	for _, b := range benches {
+		row := []Cell{Text(b)}
+		base := o.base().bench(b)
+		for _, f := range rates {
+			n := r.Normalized(base.aware(f).cluster(2), base)
+			row = append(row, fnum(n))
+			if b != "lusearch" && n > 0 {
+				perRate[f] = append(perRate[f], n)
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	mean := []Cell{Text("geomean (excl. buggy lusearch)")}
+	for _, f := range rates {
+		mean = append(mean, fnum(stats.GeoMean(perRate[f])))
+	}
+	t.Rows = append(t.Rows, mean)
+	t.Notes = append(t.Notes,
+		"paper: 0% at no failures, ~3.9% at 10%, ~12.4% at 50%; pmd worst, xalan resilient")
+	return &Report{Title: "Failure-aware S-IX overhead (paper Fig. 4)", Tables: []Table{t}}
+}
+
+// fig5 breaks down the three failure effects across heap sizes: reduced
+// memory (compensation), fragmentation, and clustering's mitigation.
+func fig5(o Options, r *Runner) *Report {
+	noFail, failing := o.base().aware(0), o.base().aware(0.10)
+	noComp := failing
+	noComp.NoCompensate = true
+	t := Table{
+		Title: "Geomean time vs heap size, normalized to no-failure S-IXPCM at the largest heap",
+		Columns: []string{"heap(xmin)", "S-IXPCM (no failures)", "S-IXPCM 10% NoComp",
+			"S-IXPCM 10%", "S-IXPCM 10% 2CL"},
+	}
+	heapSweep(r, o, &t, noFail.heap(o.maxHeap()),
+		[]RunConfig{noFail, noComp, failing, failing.cluster(2)})
 	t.Notes = append(t.Notes,
 		"paper: NoComp worst at small heaps; comp closes the memory gap; clustering closes most of the rest")
-	return &Report{ID: "fig5", Title: "Compensation breakdown (paper Fig. 5)", Tables: []Table{t}}
+	return &Report{Title: "Compensation breakdown (paper Fig. 5)", Tables: []Table{t}}
 }
 
-func lineSizeFigure(o Options, id, title string, rate float64, includeBaseline bool) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return lineSizeBody(o, r, id, title, rate, includeBaseline) })
-}
-
-func lineSizeBody(o Options, r *Runner, id, title string, rate float64, includeBaseline bool) *Report {
-	maxMult := o.heapMults()[len(o.heapMults())-1]
-	lines := []int{64, 128, 256}
+// lineSizes is Figs. 6a and 6b: the Immix line sizes across heap sizes at
+// one failure rate, optionally next to the failure-free L256 curve.
+func lineSizes(o Options, r *Runner, title string, rate float64, includeBaseline bool, note string) *Report {
 	t := Table{Title: "Geomean time vs heap size, normalized to S-IX L256 at the largest heap"}
 	t.Columns = []string{"heap(xmin)"}
+	l256 := o.base().line(256)
+	var series []RunConfig
 	if includeBaseline {
 		t.Columns = append(t.Columns, "S-IX L256 (no fail)")
+		series = append(series, l256)
 	}
-	for _, ls := range lines {
+	for _, ls := range []int{64, 128, 256} {
 		t.Columns = append(t.Columns, fmt.Sprintf("L%d", ls))
-	}
-	base := func(b string) RunConfig {
-		return RunConfig{Bench: b, HeapMult: maxMult, Collector: vm.StickyImmix,
-			LineSize: 256, Seed: o.Seed}
-	}
-	for _, hm := range o.heapMults() {
-		row := []Cell{Number(hm, "%.2f")}
-		if includeBaseline {
-			g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				return RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-					LineSize: 256, Seed: o.Seed}, base(b)
-			})
-			row = append(row, fnum(g))
+		rc := o.base().line(ls)
+		if rate > 0 {
+			rc = rc.aware(rate)
 		}
-		for _, ls := range lines {
-			g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				rc := RunConfig{Bench: b, HeapMult: hm, Collector: vm.StickyImmix,
-					LineSize: ls, Seed: o.Seed}
-				if rate > 0 {
-					rc.FailureAware = true
-					rc.FailureRate = rate
-				}
-				return rc, base(b)
-			})
-			row = append(row, fnum(g))
-		}
-		t.Rows = append(t.Rows, row)
+		series = append(series, rc)
 	}
-	return &Report{ID: id, Title: title, Tables: []Table{t}}
+	heapSweep(r, o, &t, l256.heap(o.maxHeap()), series)
+	t.Notes = append(t.Notes, note)
+	return &Report{Title: title, Tables: []Table{t}}
 }
 
-// Fig6a shows the effect of Immix line size without failures.
-func Fig6a(o Options) *Report {
-	rep := lineSizeFigure(o, "fig6a", "Line size, no failures (paper Fig. 6a)", 0, false)
-	rep.Tables[0].Notes = append(rep.Tables[0].Notes, "paper: larger lines win, most at small heaps")
-	return rep
+// fig6a shows the effect of Immix line size without failures.
+func fig6a(o Options, r *Runner) *Report {
+	return lineSizes(o, r, "Line size, no failures (paper Fig. 6a)", 0, false,
+		"paper: larger lines win, most at small heaps")
 }
 
-// Fig6b shows the same at 10% failures without clustering hardware.
-func Fig6b(o Options) *Report {
-	rep := lineSizeFigure(o, "fig6b", "Line size, 10% failures (paper Fig. 6b)", 0.10, true)
-	rep.Tables[0].Notes = append(rep.Tables[0].Notes, "paper: false failures punish larger lines")
-	return rep
+// fig6b shows the same at 10% failures without clustering hardware.
+func fig6b(o Options, r *Runner) *Report {
+	return lineSizes(o, r, "Line size, 10% failures (paper Fig. 6b)", 0.10, true,
+		"paper: false failures punish larger lines")
 }
 
-// Fig7 sweeps the failure rate at a fixed 2x heap for each line size.
-func Fig7(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig7Body(o, r) })
-}
-
-func fig7Body(o Options, r *Runner) *Report {
+// fig7 sweeps the failure rate at a fixed 2x heap for each line size.
+func fig7(o Options, r *Runner) *Report {
 	rates := []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50}
 	if o.Quick {
 		rates = []float64{0, 0.10, 0.25, 0.50}
 	}
-	lines := []int{64, 128, 256}
 	t := Table{
 		Title:   "Geomean time at 2x heap, normalized to S-IX L256 without failures",
 		Columns: []string{"failures", "L64", "L128", "L256"},
 	}
-	base := func(b string) RunConfig {
-		return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, LineSize: 256, Seed: o.Seed}
-	}
 	for _, f := range rates {
 		row := []Cell{Number(f*100, "%.0f%%")}
-		for _, ls := range lines {
-			g := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				rc := RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					LineSize: ls, Seed: o.Seed}
-				if f > 0 {
-					rc.FailureAware = true
-					rc.FailureRate = f
-				}
-				return rc, base(b)
-			})
-			row = append(row, fnum(g))
+		for _, ls := range []int{64, 128, 256} {
+			rc := o.base().line(ls)
+			if f > 0 {
+				rc = rc.aware(f)
+			}
+			row = append(row, fnum(geoOver(r, o.benches(), rc, o.base().line(256))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: L256 best at 0% but degrades fastest (false failures); L128 crossover ~15%")
-	return &Report{ID: "fig7", Title: "Failure sweep per line size (paper Fig. 7)", Tables: []Table{t}}
+	return &Report{Title: "Failure sweep per line size (paper Fig. 7)", Tables: []Table{t}}
 }
 
-// Fig8 is the clustering-granularity limit study: failures arrive
+// fig8 is the clustering-granularity limit study: failures arrive
 // pre-clustered at power-of-two granularities.
-func Fig8(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig8Body(o, r) })
-}
-
-func fig8Body(o Options, r *Runner) *Report {
+func fig8(o Options, r *Runner) *Report {
 	grans := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 	if o.Quick {
 		grans = []int{64, 256, 1024, 4096, 16384}
 	}
-	rates := []float64{0.10, 0.25, 0.50}
 	t := Table{
 		Title:   "Geomean time at 2x heap (L256), normalized to unmodified S-IX",
 		Columns: []string{"cluster gran", "f=10%", "f=25%", "f=50%"},
 	}
-	base := func(b string) RunConfig {
-		return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-	}
 	for _, g := range grans {
 		row := []Cell{Textf("%dB", g)}
-		for _, f := range rates {
-			v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					FailureAware: true, FailureRate: f, ClusterGran: g, Seed: o.Seed}, base(b)
-			})
-			row = append(row, fnum(v))
+		for _, f := range []float64{0.10, 0.25, 0.50} {
+			rc := o.base().aware(f)
+			rc.ClusterGran = g
+			row = append(row, fnum(geoOver(r, o.benches(), rc, o.base())))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: 64B granularity DNFs at >=25%; clustering at 256B+ collapses the overhead")
-	return &Report{ID: "fig8", Title: "Clustering granularity limit study (paper Fig. 8)", Tables: []Table{t}}
+	return &Report{Title: "Clustering granularity limit study (paper Fig. 8)", Tables: []Table{t}}
 }
 
-func clusteringConfigs() []struct {
-	label   string
-	line    int
-	cluster int
-} {
-	var out []struct {
-		label   string
-		line    int
-		cluster int
-	}
-	for _, cl := range []int{0, 1, 2} {
+// clusterConfig is one row of Figs. 9a/9b: a line size with no, one-page or
+// two-page clustering hardware.
+type clusterConfig struct {
+	label         string
+	line, cluster int
+}
+
+func clusteringConfigs() []clusterConfig {
+	var out []clusterConfig
+	for cl, suffix := range []string{"", " 1CL", " 2CL"} {
 		for _, ls := range []int{64, 128, 256} {
-			label := fmt.Sprintf("L%d", ls)
-			switch cl {
-			case 1:
-				label += " 1CL"
-			case 2:
-				label += " 2CL"
-			}
-			out = append(out, struct {
-				label   string
-				line    int
-				cluster int
-			}{label, ls, cl})
+			out = append(out, clusterConfig{fmt.Sprintf("L%d%s", ls, suffix), ls, cl})
 		}
 	}
 	return out
 }
 
-// Fig9a compares no clustering vs 1- and 2-page clustering hardware across
+// fig9a compares no clustering vs 1- and 2-page clustering hardware across
 // line sizes and failure rates.
-func Fig9a(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig9aBody(o, r) })
-}
-
-func fig9aBody(o Options, r *Runner) *Report {
-	rates := []float64{0, 0.10, 0.25, 0.50}
+func fig9a(o Options, r *Runner) *Report {
 	t := Table{
 		Title:   "Geomean time at 2x heap, normalized to unmodified S-IX (same line size)",
 		Columns: []string{"config", "f=0%", "f=10%", "f=25%", "f=50%"},
 	}
 	for _, cfg := range clusteringConfigs() {
 		row := []Cell{Text(cfg.label)}
-		for _, f := range rates {
-			v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				rc := RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					LineSize: cfg.line, Seed: o.Seed}
-				if f > 0 {
-					rc.FailureAware = true
-					rc.FailureRate = f
-					rc.ClusterPages = cfg.cluster
-				}
-				return rc, RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					LineSize: cfg.line, Seed: o.Seed}
-			})
-			row = append(row, fnum(v))
+		ref := o.base().line(cfg.line)
+		for _, f := range []float64{0, 0.10, 0.25, 0.50} {
+			rc := ref
+			if f > 0 {
+				rc = ref.aware(f).cluster(cfg.cluster)
+			}
+			row = append(row, fnum(geoOver(r, o.benches(), rc, ref)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: without clustering L256 fares worst (DNF at 25%); with clustering L256 is best")
-	return &Report{ID: "fig9a", Title: "Clustering hardware performance (paper Fig. 9a)", Tables: []Table{t}}
+	return &Report{Title: "Clustering hardware performance (paper Fig. 9a)", Tables: []Table{t}}
 }
 
-// Fig9b reports the demand for perfect (borrowed) pages under the same
+// fig9b reports the demand for perfect (borrowed) pages under the same
 // configurations.
-func Fig9b(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig9bBody(o, r) })
-}
-
-func fig9bBody(o Options, r *Runner) *Report {
-	rates := []float64{0.10, 0.25, 0.50}
+func fig9b(o Options, r *Runner) *Report {
 	t := Table{
 		Title:   "Mean borrowed perfect pages per run (2x heap)",
 		Columns: []string{"config", "f=10%", "f=25%", "f=50%"},
 	}
 	for _, cfg := range clusteringConfigs() {
 		row := []Cell{Text(cfg.label)}
-		for _, f := range rates {
-			var borrows []float64
-			for _, b := range o.benches() {
-				res := r.Run(RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					LineSize: cfg.line, FailureAware: true, FailureRate: f,
-					ClusterPages: cfg.cluster, Seed: o.Seed})
-				if !res.DNF {
-					borrows = append(borrows, float64(res.Borrows))
-				}
-			}
-			if len(borrows) == 0 {
-				row = append(row, DNF())
-			} else {
-				row = append(row, Number(stats.Mean(borrows), "%.1f"))
-			}
+		for _, f := range []float64{0.10, 0.25, 0.50} {
+			row = append(row, meanBorrows(r, o.benches(),
+				o.base().line(cfg.line).aware(f).cluster(cfg.cluster)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: two-page clustering cuts perfect-page demand ~3x and stays robust to 50%")
-	return &Report{ID: "fig9b", Title: "Demand for perfect pages (paper Fig. 9b)", Tables: []Table{t}}
+	return &Report{Title: "Demand for perfect pages (paper Fig. 9b)", Tables: []Table{t}}
 }
 
-// Fig10 gives the per-benchmark view of 1- vs 2-page clustering.
-func Fig10(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return fig10Body(o, r) })
-}
-
-func fig10Body(o Options, r *Runner) *Report {
-	rates := []float64{0.10, 0.25, 0.50}
+// fig10 gives the per-benchmark view of 1- vs 2-page clustering.
+func fig10(o Options, r *Runner) *Report {
 	mk := func(cluster int) Table {
 		t := Table{
 			Title:   fmt.Sprintf("%d-page clustering: time normalized to unmodified S-IX", cluster),
@@ -505,37 +469,29 @@ func fig10Body(o Options, r *Runner) *Report {
 		}
 		for _, b := range o.benches() {
 			row := []Cell{Text(b)}
-			base := RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-			for _, f := range rates {
-				rc := RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-					FailureAware: true, FailureRate: f, ClusterPages: cluster, Seed: o.Seed}
-				row = append(row, fnum(r.Normalized(rc, base)))
+			base := o.base().bench(b)
+			for _, f := range []float64{0.10, 0.25, 0.50} {
+				row = append(row, fnum(r.Normalized(base.aware(f).cluster(cluster), base)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
 		return t
 	}
-	return &Report{ID: "fig10", Title: "Per-benchmark clustering (paper Fig. 10)",
-		Tables: []Table{mk(1), mk(2)}}
+	return &Report{Title: "Per-benchmark clustering (paper Fig. 10)", Tables: []Table{mk(1), mk(2)}}
 }
 
-// Tab1 reproduces the §4.2 numbers: the cost of the full-heap collection
+// tab1 reproduces the §4.2 numbers: the cost of the full-heap collection
 // that recovers from a dynamic failure, per benchmark.
-func Tab1(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return tab1Body(o, r) })
-}
-
-func tab1Body(o Options, r *Runner) *Report {
+func tab1(o Options, r *Runner) *Report {
 	t := Table{
 		Title:   "Full-heap collection cost at 2x heap (S-IX), the dynamic-failure recovery estimate",
 		Columns: []string{"benchmark", "collections", "avg GC (Mcycles)", "max GC (Mcycles)", "total (Mcycles)"},
 	}
 	var avgs, counts []float64
 	for _, b := range o.benches() {
-		res := r.Run(RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed})
+		res := r.Run(o.base().bench(b))
 		if res.DNF {
-			t.Rows = append(t.Rows, []Cell{Text(b), DNF(), Blank(), Blank(), Blank()})
+			t.Rows = append(t.Rows, padRow([]Cell{Text(b), DNF()}, len(t.Columns), Blank()))
 			continue
 		}
 		t.Rows = append(t.Rows, []Cell{
@@ -553,34 +509,36 @@ func tab1Body(o Options, r *Runner) *Report {
 		Number(stats.Mean(avgs), "%.3f"), Blank(), Blank()})
 	t.Notes = append(t.Notes,
 		"paper (§4.2): avg 7 ms, worst 44 ms (hsqldb), avg 14.7 collections per run")
-	return &Report{ID: "tab1", Title: "Dynamic failure handling cost (paper §4.2)", Tables: []Table{t}}
+	return &Report{Title: "Dynamic failure handling cost (paper §4.2)", Tables: []Table{t}}
 }
 
-// Tab2 is the §7.2 ablation: wear leveling spreads failures uniformly,
+// tab2 is the §7.2 ablation: wear leveling spreads failures uniformly,
 // fragmenting memory; concentrated wear leaves contiguous working space
 // and lower overhead at the same failure rate.
-func Tab2(o Options) *Report {
-	// The ablation's signal is qualitative (uniform wear fragments, and
-	// worn-map configurations thrash near their memory limit), so it
-	// always runs the reduced benchmark set at shortened iterations.
-	// The reduced benchmark set keeps the ablation affordable; full
-	// iteration counts are required for the memory pressure that separates
-	// the two wear policies (shortened runs mask it).
-	o.Quick = true
-	o.Runner = nil // private runner: Tab2 alone runs full iteration counts
-	r := o.runner()
-	r.QuickDivisor = 0
+//
+// The ablation's signal is qualitative (uniform wear fragments, and
+// worn-map configurations thrash near their memory limit), so it always
+// runs the reduced benchmark set, which keeps it affordable, at full
+// iteration counts, which the memory pressure that separates the two wear
+// policies requires (shortened runs mask it).
+//
+// Wearing a device is itself expensive and Collect calls a body twice, so
+// the returned body keeps the failure maps of the seed it last wore: each
+// policy's device is worn once, its map taken as it crosses each rate.
+func tab2() func(Options, *Runner) *Report {
 	rates := []float64{0.10, 0.25, 0.50}
 	policies := []pcm.WearLeveling{pcm.StartGap, pcm.NoWearLeveling}
-	// Wearing a device is itself expensive, so each policy's device is worn
-	// once, its failure map taken as it crosses each rate, and all of that
-	// happens before the report body (which the parallel planning pass runs
-	// twice).
-	worn := make(map[pcm.WearLeveling][]*failmap.Map) // per policy, one map per rate
-	for _, wl := range policies {
-		worn[wl] = wornFailureMaps(wl, wornTemplatePages, rates, o.Seed)
-	}
-	return r.Collect(func() *Report {
+	var worn map[pcm.WearLeveling][]*failmap.Map // per policy, one map per rate
+	var wornSeed int64
+	return func(o Options, r *Runner) *Report {
+		o.Quick = true
+		r.QuickDivisor = 0
+		if worn == nil || wornSeed != o.Seed {
+			worn, wornSeed = make(map[pcm.WearLeveling][]*failmap.Map), o.Seed
+			for _, wl := range policies {
+				worn[wl] = wornFailureMaps(wl, wornTemplatePages, rates, o.Seed)
+			}
+		}
 		t := Table{
 			Title:   "Geomean time at 2x heap (S-IXPCM L256, no clustering hw), normalized to S-IX",
 			Columns: []string{"wear policy", "f=10%", "f=25%", "f=50%"},
@@ -590,12 +548,7 @@ func Tab2(o Options) *Report {
 		// against.
 		ideal := []Cell{Text("ideal leveling (uniform failures)")}
 		for _, f := range rates {
-			v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-				return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-						FailureAware: true, FailureRate: f, Seed: o.Seed},
-					RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-			})
-			ideal = append(ideal, fnum(v))
+			ideal = append(ideal, fnum(geoOver(r, o.benches(), o.base().aware(f), o.base())))
 		}
 		t.Rows = append(t.Rows, ideal)
 		for _, wl := range policies {
@@ -605,14 +558,9 @@ func Tab2(o Options) *Report {
 			}
 			row := []Cell{Text(label)}
 			for i, f := range rates {
-				inject := worn[wl][i]
-				v := geoOver(r, o.benches(), func(b string) (RunConfig, RunConfig) {
-					return RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix,
-							FailureAware: true, FailureRate: f,
-							Inject: inject, InjectName: fmt.Sprintf("wear-%d-%.2f", wl, f), Seed: o.Seed},
-						RunConfig{Bench: b, HeapMult: 2, Collector: vm.StickyImmix, Seed: o.Seed}
-				})
-				row = append(row, fnum(v))
+				rc := o.base().aware(f)
+				rc.Inject, rc.InjectName = worn[wl][i], fmt.Sprintf("wear-%d-%.2f", wl, f)
+				row = append(row, fnum(geoOver(r, o.benches(), rc, o.base())))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -620,11 +568,11 @@ func Tab2(o Options) *Report {
 			"paper (§7.2): uniform wear causes fragmentation; concentrating writes delays the impact of failures",
 			"start-gap's failure front follows its sweep, so even this 'leveler' leaves large contiguous regions",
 			"writes-to-failure tell the other half: leveling survives ~2x more writes before reaching each rate (examples/wearout)")
-		return &Report{ID: "tab2", Title: "Wear leveling considered harmful (paper §7.2)", Tables: []Table{t}}
-	})
+		return &Report{Title: "Wear leveling considered harmful (paper §7.2)", Tables: []Table{t}}
+	}
 }
 
-// wornTemplatePages sizes Tab2's worn devices (a 2 MB template): the
+// wornTemplatePages sizes tab2's worn devices (a 2 MB template): the
 // resulting failure *pattern* is what matters (the runner tiles the template
 // across the pool), and reaching a 50% rate through skewed traffic on a
 // realistic module would take billions of simulated writes.
@@ -681,8 +629,8 @@ func wearThrough(dev *pcm.Device, rng *rand.Rand, targets []float64, reached fun
 	}
 }
 
-// Tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.
-func Tab3(o Options) *Report {
+// tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.
+func tab3(o Options, _ *Runner) *Report {
 	const pages = 16384 // 64 MB PCM pool
 	t := Table{
 		Title:   "OS failure table for a 64 MB pool (raw 8 B/page bitmap vs RLE)",
@@ -701,12 +649,12 @@ func Tab3(o Options) *Report {
 	}
 	t.Notes = append(t.Notes,
 		"paper (§3.2.1): raw table ~1.6% of pool; RLE compresses well, especially when new; clustering compresses further")
-	return &Report{ID: "tab3", Title: "Failure-table metadata (paper §3.2.1)", Tables: []Table{t}}
+	return &Report{Title: "Failure-table metadata (paper §3.2.1)", Tables: []Table{t}}
 }
 
-// Tab4 sizes the failure buffer (§3.1.1): bursts of failures against
+// tab4 sizes the failure buffer (§3.1.1): bursts of failures against
 // different buffer capacities, with the OS draining at a fixed latency.
-func Tab4(o Options) *Report {
+func tab4(Options, *Runner) *Report {
 	t := Table{
 		Title:   "Write stalls during a 64-failure burst (OS drains one entry per 16 writes)",
 		Columns: []string{"buffer capacity", "stalled writes", "max queue depth"},
@@ -721,7 +669,7 @@ func Tab4(o Options) *Report {
 	}
 	t.Notes = append(t.Notes,
 		"paper (§3.1.1): the buffer need only match load/store-queue scale; the watermark prevents data loss")
-	return &Report{ID: "tab4", Title: "Failure buffer sizing (paper §3.1.1)", Tables: []Table{t}}
+	return &Report{Title: "Failure buffer sizing (paper §3.1.1)", Tables: []Table{t}}
 }
 
 func failureBurst(capacity int) (stalls, maxDepth int) {

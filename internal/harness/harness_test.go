@@ -92,26 +92,41 @@ func TestClusteringReducesOverhead(t *testing.T) {
 	}
 }
 
+// The registry is the one place an experiment is declared: ids are unique
+// across All() and Extras(), every row is complete, and Run stamps the
+// report with the row's id (checked on the ids whose quick run is under a
+// second).
 func TestExperimentRegistry(t *testing.T) {
 	ids := map[string]bool{}
-	for _, e := range All() {
+	for _, e := range append(All(), Extras()...) {
 		if ids[e.ID] {
 			t.Fatalf("duplicate experiment %s", e.ID)
 		}
 		ids[e.ID] = true
-		if e.Run == nil || e.Title == "" || e.Section == "" {
+		if e.body == nil || e.Title == "" || e.Section == "" {
 			t.Fatalf("experiment %s incomplete", e.ID)
+		}
+		if got := ByID(e.ID); got == nil || got.Title != e.Title {
+			t.Fatalf("ByID(%q) = %v", e.ID, got)
 		}
 	}
 	for _, want := range []string{"fig3", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7", "fig8", "fig9a", "fig9b", "fig10", "tab1", "tab2", "tab3", "tab4",
-		"tab5", "tab6"} {
+		"tab5", "tab6", "mutscale", "corescale", "kvlat", "pausecurve", "restart", "policyzoo"} {
 		if !ids[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
 	}
-	if ByID("fig4") == nil || ByID("zzz") != nil {
-		t.Fatal("ByID broken")
+	if len(ids) != 22 || len(All()) != 16 {
+		t.Fatalf("%d experiments, %d of them in All(): an experiment was added or dropped", len(ids), len(All()))
+	}
+	if ByID("zzz") != nil {
+		t.Fatal("ByID found an experiment nobody registered")
+	}
+	for _, id := range []string{"tab3", "tab4", "fig3"} {
+		if rep := ByID(id).Run(quickOpts()); rep.ID != id {
+			t.Errorf("ByID(%q).Run returned a report stamped %q", id, rep.ID)
+		}
 	}
 }
 
@@ -146,7 +161,7 @@ func TestMetadataAndBufferExperiments(t *testing.T) {
 }
 
 func TestTab3ClusteringCompressesBetter(t *testing.T) {
-	rep := Tab3(quickOpts())
+	rep := ByID("tab3").Run(quickOpts())
 	tab := rep.Tables[0]
 	// At 25% failures the clustered RLE must beat the uniform RLE.
 	for _, row := range tab.Rows {

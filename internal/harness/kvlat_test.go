@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"wearmem/internal/kv"
 	"wearmem/internal/vm"
 )
 
@@ -129,8 +128,7 @@ func TestWriteThroughReachesTheDevice(t *testing.T) {
 	// the flag off (the healthy row differs from both by failure awareness
 	// alone, so it cannot tell).
 	reg := kvLatRegimes()[3]
-	through := kvLatConfig(kv.MustRegister(kv.Config{}), "", 4, 60, 42)
-	reg.mut(&through)
+	through := reg.apply(Options{Seed: 42}.kvConfig("", 4, 60))
 	dry := through
 	dry.WriteThrough = false
 	if reg.label != "write-through" || !through.WriteThrough {

@@ -4,69 +4,61 @@ import (
 	"fmt"
 
 	"wearmem/internal/stats"
-	"wearmem/internal/vm"
 )
-
-// MutScale is the multi-mutator scaling study: each benchmark split across
-// 1..8 mutator contexts under the paper's stressed failure configuration
-// (25% two-page-clustered failures), with one parallel trace lane per
-// mutator. It is not a figure of the paper — the paper's runtime is
-// single-threaded — so it is reachable by id but excluded from "all".
-func MutScale(o Options) *Report {
-	r := o.runner()
-	return r.Collect(func() *Report { return mutScaleBody(o, r) })
-}
 
 func mutScaleMutators() []int { return []int{1, 2, 4, 8} }
 
-func mutScaleConfig(bench string, mutators int, seed int64) RunConfig {
-	// 3x min heap: every context pins its own current and overflow block,
-	// so multi-mutator runs need headroom a 1.5x heap does not have.
-	return RunConfig{
-		Bench: bench, HeapMult: 3, Collector: vm.StickyImmix,
-		FailureAware: true, FailureRate: 0.25, ClusterPages: 2,
-		Seed: seed, Mutators: mutators,
-	}
+// mutScaleConfig is one scaling point, without its benchmark: the paper's
+// stressed failure configuration (25% two-page-clustered failures) at 3x min
+// heap — every context pins its own current and overflow block, so
+// multi-mutator runs need headroom a 1.5x heap does not have.
+func mutScaleConfig(o Options, mutators int) RunConfig {
+	rc := o.base().heap(3).aware(0.25).cluster(2)
+	rc.Mutators = mutators
+	return rc
 }
 
-func mutScaleBody(o Options, r *Runner) *Report {
-	muts := mutScaleMutators()
+// traceSpeedup is the trace-phase speedup of a run: total marking work over
+// the critical path simulated time advanced by — the parallelism the
+// work-stealing trace actually realized. Blank for a run that finished
+// without a single parallel trace.
+func traceSpeedup(res Result) Cell {
+	if res.TraceCritCycles == 0 {
+		return Blank()
+	}
+	return Number(float64(res.TraceWorkCycles)/float64(res.TraceCritCycles), "%.2fx")
+}
+
+// mutScale is the multi-mutator scaling study: each benchmark split across
+// 1..8 mutator contexts under mutScaleConfig, with one parallel trace lane
+// per mutator. It is not a figure of the paper — the paper's runtime is
+// single-threaded — so it is reachable by id but excluded from "all".
+func mutScale(o Options, r *Runner) *Report {
 	t := Table{
 		Title:   "Time vs mutator count at 3x heap, 25% 2CL failures, normalized per benchmark to one mutator",
 		Columns: []string{"benchmark"},
 	}
-	for _, m := range muts {
+	for _, m := range mutScaleMutators() {
 		t.Columns = append(t.Columns, fmt.Sprintf("m=%d", m))
 	}
 	t.Columns = append(t.Columns, "trace speedup @8")
 	for _, b := range o.benches() {
 		row := []Cell{Text(b)}
-		var at8 Result
-		for _, m := range muts {
-			rc := mutScaleConfig(b, m, o.Seed)
-			n := r.Normalized(rc, mutScaleConfig(b, 1, o.Seed))
-			row = append(row, fnum(n))
-			if m == 8 {
-				at8 = r.Run(rc)
-			}
+		for _, m := range mutScaleMutators() {
+			row = append(row, fnum(r.Normalized(
+				mutScaleConfig(o, m).bench(b), mutScaleConfig(o, 1).bench(b))))
 		}
-		// The trace-phase speedup is total marking work over the critical
-		// path simulated time advanced by — the parallelism the work-
-		// stealing trace actually realized.
-		if at8.DNF {
+		if at8 := r.Run(mutScaleConfig(o, 8).bench(b)); at8.DNF {
 			row = append(row, DNF())
-		} else if at8.TraceCritCycles == 0 {
-			row = append(row, Blank()) // finished without a single parallel trace
 		} else {
-			row = append(row, Number(
-				float64(at8.TraceWorkCycles)/float64(at8.TraceCritCycles), "%.2fx"))
+			row = append(row, traceSpeedup(at8))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"time normalized to the same benchmark with one mutator; below 1.0 means the parallel trace wins",
 		"trace speedup = work cycles / critical-path cycles across all parallel traces of the 8-mutator run")
-	return &Report{ID: "mutscale", Title: "Multi-mutator scaling (implementation study)",
+	return &Report{Title: "Multi-mutator scaling (implementation study)",
 		Tables: []Table{t, mutScaleTrace(o, r)}}
 }
 
@@ -78,34 +70,33 @@ func mutScaleTrace(o Options, r *Runner) Table {
 		Title:   "Parallel trace at 8 mutators (8 lanes)",
 		Columns: []string{"benchmark", "traces", "work (Mcycles)", "crit (Mcycles)", "speedup", "steals"},
 	}
-	var work, crit stats.Cycles
+	mcyc := func(c stats.Cycles) Cell { return Number(float64(c)/1e6, "%.3f") }
+	var total Result
 	for _, b := range o.benches() {
-		res := r.Run(mutScaleConfig(b, 8, o.Seed))
-		if res.DNF {
-			t.Rows = append(t.Rows, []Cell{Text(b), DNF(), Blank(), Blank(), Blank(), Blank()})
-			continue
+		res := r.Run(mutScaleConfig(o, 8).bench(b))
+		switch {
+		case res.DNF:
+			t.Rows = append(t.Rows, padRow([]Cell{Text(b), DNF()}, len(t.Columns), Blank()))
+		case res.TraceCritCycles == 0:
+			t.Rows = append(t.Rows, padRow([]Cell{Text(b), Int(res.ParallelTraces)}, len(t.Columns), Blank()))
+		default:
+			total.TraceWorkCycles += res.TraceWorkCycles
+			total.TraceCritCycles += res.TraceCritCycles
+			t.Rows = append(t.Rows, []Cell{
+				Text(b),
+				Int(res.ParallelTraces),
+				mcyc(res.TraceWorkCycles),
+				mcyc(res.TraceCritCycles),
+				traceSpeedup(res),
+				Int(int(res.TraceSteals)),
+			})
 		}
-		if res.TraceCritCycles == 0 {
-			t.Rows = append(t.Rows, []Cell{Text(b), Int(res.ParallelTraces),
-				Blank(), Blank(), Blank(), Blank()})
-			continue
-		}
-		work += res.TraceWorkCycles
-		crit += res.TraceCritCycles
-		t.Rows = append(t.Rows, []Cell{
-			Text(b),
-			Int(res.ParallelTraces),
-			Number(float64(res.TraceWorkCycles)/1e6, "%.3f"),
-			Number(float64(res.TraceCritCycles)/1e6, "%.3f"),
-			Number(float64(res.TraceWorkCycles)/float64(res.TraceCritCycles), "%.2fx"),
-			Int(int(res.TraceSteals)),
-		})
 	}
-	if crit > 0 {
+	if total.TraceCritCycles > 0 {
 		t.Rows = append(t.Rows, []Cell{Text("total"), Blank(),
-			Number(float64(work)/1e6, "%.3f"),
-			Number(float64(crit)/1e6, "%.3f"),
-			Number(float64(work)/float64(crit), "%.2fx"), Blank()})
+			mcyc(total.TraceWorkCycles),
+			mcyc(total.TraceCritCycles),
+			traceSpeedup(total), Blank()})
 	}
 	return t
 }

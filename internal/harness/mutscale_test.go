@@ -67,7 +67,7 @@ func TestMutScaleDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("multi-config experiment")
 	}
 	render := func(workers int) []byte {
-		rep := MutScale(Options{Quick: true, Seed: 1, Parallel: workers})
+		rep := ByID("mutscale").Run(Options{Quick: true, Seed: 1, Parallel: workers})
 		var buf bytes.Buffer
 		rep.Render(&buf)
 		return buf.Bytes()

@@ -18,7 +18,7 @@ import (
 	"wearmem/internal/workload"
 )
 
-// Restart is the restart-survival study: the wear-aware KV scenario loses
+// restart is the restart-survival study: the wear-aware KV scenario loses
 // power mid-load over devices worn to progressively higher failure rates,
 // and each restart pays the full device-state recovery bill — drain the
 // orphaned failure buffer, rescan the device, scrub the failure-carrying
@@ -34,17 +34,13 @@ import (
 // recovered one) that RunConfig cannot name, so the cases are assembled
 // directly, chaos-campaign style. Baton rows are byte-identical per seed;
 // threaded rows are honest concurrency and vary.
-func Restart(o Options) *Report {
-	bench := kv.MustRegister(kv.Config{})
-	iters := o.kvLatIterations()
-	var tables []Table
-	for _, engine := range []string{"", "threaded"} {
-		tables = append(tables, restartTable(bench, engine, iters, o.Seed))
-	}
+func restart(o Options, _ *Runner) *Report {
+	bench, iters := kv.MustRegister(kv.Config{}), o.kvLatIterations()
 	return &Report{
-		ID:     "restart",
-		Title:  "Crash-consistent restart: recovery latency vs device wear, post-recovery KV tail (implementation study)",
-		Tables: tables,
+		Title: "Crash-consistent restart: recovery latency vs device wear, post-recovery KV tail (implementation study)",
+		Tables: bothEngines(func(engine string) Table {
+			return restartTable(bench, engine, iters, o.Seed)
+		}),
 	}
 }
 
@@ -53,8 +49,6 @@ func Restart(o Options) *Report {
 func restartRates() []float64 { return []float64{0, 0.10, 0.30, 0.50} }
 
 const (
-	// restartMutators matches the KV latency studies.
-	restartMutators = 4
 	// restartCutNthAlloc cuts the power at this allocation probe firing —
 	// deep inside the load phase at either iteration scale, never at a
 	// quiescent boundary.
@@ -68,38 +62,15 @@ const (
 	restartP99SLO      = 400_000
 )
 
-// restartResult is one engine × rate case.
-type restartResult struct {
-	worn     int // lines failed before the doomed machine booted
-	cutFired bool
-
-	rec     kernel.RecoverStats
-	wornOut bool
-	recErr  string
-
-	verified bool
-	findings string
-
-	resumeDNF    bool
-	resumeCycles stats.Cycles
-	resumeGCs    int
-	lat          *stats.LatencyReport
-}
-
 func restartTable(bench, engine string, iters int, seed int64) Table {
-	name := "baton"
-	if engine == "threaded" {
-		name = "threaded"
-	}
 	t := Table{
 		Title: fmt.Sprintf("Restart survival (%s engine, %d mutators, power cut mid-load, 4x heap)",
-			name, restartMutators),
+			engineName(engine), kvMutators),
 		Columns: []string{"failure rate", "recovery (Mcyc)", "rediscovered", "scrubbed",
 			"usable frames", "verified", "resume (Mcyc)", "GCs", "kv p50", "kv p99", "kv max", "SLO"},
 	}
 	for _, rate := range restartRates() {
-		res := restartCase(bench, engine, rate, iters, seed)
-		t.Rows = append(t.Rows, restartRow(rate, res))
+		t.Rows = append(t.Rows, restartCase(bench, engine, rate, iters, seed))
 	}
 	t.Notes = append(t.Notes,
 		"recovery = drain orphans + rescan + scrub failure-carrying pages + admit frames, before any mapping",
@@ -110,10 +81,10 @@ func restartTable(bench, engine string, iters int, seed int64) Table {
 	return t
 }
 
-// restartCase runs one restart story: wear, doomed load, power cut,
-// recovery, verification, resumed load under latency capture.
-func restartCase(bench, engine string, rate float64, iters int, seed int64) restartResult {
-	var res restartResult
+// restartCase runs one restart story — wear, doomed load, power cut,
+// recovery, verification, resumed load under latency capture — and renders
+// it, as far as it got.
+func restartCase(bench, engine string, rate float64, iters int, seed int64) []Cell {
 	prof := workload.ByName(bench)
 	heapBytes := 4 * prof.MinHeap()
 	spec := machine.Spec{
@@ -129,7 +100,7 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 			Threaded:     engine == "threaded",
 			// One lane per mutator on either engine, as in every run that
 			// splits a benchmark (DESIGN §16).
-			TraceWorkers: restartMutators,
+			TraceWorkers: kvMutators,
 		},
 	}
 
@@ -153,7 +124,6 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 		for _, h := range halves[:targetRuns] {
 			for l := h * runLines; l < (h+1)*runLines; l++ {
 				if dev.ForceFail(l, nil) {
-					res.worn++
 					dev.Drain()
 				}
 			}
@@ -182,10 +152,8 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 		}
 		cutMu.Unlock()
 	})
-	_ = prof.RunMutators(m.VM, iters, restartMutators)
-	if img != nil {
-		res.cutFired = true
-	} else {
+	_ = prof.RunMutators(m.VM, iters, kvMutators)
+	if img == nil {
 		// The load never reached the cut (tiny quick runs): power off at
 		// the end instead — still an unclean shutdown of a worn device.
 		img = m.Device.Snapshot()
@@ -195,78 +163,39 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) rest
 	// the resumed server's latency are measured clean. ---
 	spec.Image = img
 	m2, err := machine.Boot(spec)
+	var rec kernel.RecoverStats
 	if m2 != nil {
 		defer m2.Close()
-		res.rec = *m2.Recovery
+		rec = *m2.Recovery
 	}
+	mcyc := func(c stats.Cycles) Cell { return Number(float64(c)/1e6, "%.2f") }
+	row := []Cell{Number(100*rate, "%.0f%%"),
+		mcyc(rec.Cycles), Int(rec.Rediscovered), Int(rec.Scrubbed), Int(rec.UsableFrames)}
 	if errors.Is(err, kernel.ErrDeviceWornOut) {
-		res.wornOut = true
-		return res
+		return append(padRow(append(row, Text("worn out")), 11, DNF()), Text("n/a"))
 	}
 	if err != nil {
-		res.recErr = err.Error()
-		return res
+		return append(row[:1], Text("recover failed: "+err.Error()))
 	}
 	if rep := verify.Recovered(verify.RecoveredTarget{
 		Pool: m2.Kernel, Scan: m2.Device, Clusters: m2.Device,
-	}); rep.Ok() {
-		res.verified = true
-	} else {
-		res.findings = rep.Err().Error()
-		return res
+	}); !rep.Ok() {
+		return append(row, Text("FAIL: "+rep.Err().Error()))
 	}
+	row = append(row, Text("ok"))
 
 	prof2 := workload.ByName(bench)
-	lrec := stats.NewLatencyRecorder(restartMutators)
+	lrec := stats.NewLatencyRecorder(kvMutators)
 	prof2.Latency = lrec.Shard
 	start := m2.Clock.Now()
-	if err := prof2.RunMutators(m2.VM, iters, restartMutators); err != nil {
-		res.resumeDNF = true
-		return res
+	if err := prof2.RunMutators(m2.VM, iters, kvMutators); err != nil {
+		return append(padRow(row, 11, DNF()), Text("MISS"))
 	}
-	res.resumeCycles = m2.Clock.Now() - start
-	res.resumeGCs = m2.VM.GCStats().Collections
-	res.lat = lrec.Report()
-	return res
-}
-
-// restartRow renders one rate's digest.
-func restartRow(rate float64, res restartResult) []Cell {
-	row := []Cell{Number(100*rate, "%.0f%%")}
-	mcyc := func(c stats.Cycles) Cell { return Number(float64(c)/1e6, "%.2f") }
-	if res.recErr != "" {
-		return append(row, Text("recover failed: "+res.recErr))
-	}
-	if res.wornOut {
-		row = append(row, mcyc(res.rec.Cycles), Int(res.rec.Rediscovered), Int(res.rec.Scrubbed),
-			Int(res.rec.UsableFrames), Text("worn out"))
-		for len(row) < 11 {
-			row = append(row, DNF())
-		}
-		return append(row, Text("n/a"))
-	}
-	row = append(row, mcyc(res.rec.Cycles), Int(res.rec.Rediscovered), Int(res.rec.Scrubbed),
-		Int(res.rec.UsableFrames))
-	if res.verified {
-		row = append(row, Text("ok"))
-	} else {
-		return append(row, Text("FAIL: "+res.findings))
-	}
-	if res.resumeDNF {
-		for len(row) < 11 {
-			row = append(row, DNF())
-		}
-		return append(row, Text("MISS"))
-	}
-	lr := res.lat
-	if lr == nil {
-		lr = &stats.LatencyReport{}
-	}
-	cyc := func(c stats.Cycles) Cell { return Number(float64(c), "%.0f") }
-	row = append(row, mcyc(res.resumeCycles), Int(res.resumeGCs),
-		cyc(lr.Overall.P50), cyc(lr.Overall.P99), cyc(lr.Overall.Max))
+	lr := latencyOf(lrec.Report())
+	row = append(row, mcyc(m2.Clock.Now()-start), Int(m2.VM.GCStats().Collections),
+		cycleCell(lr.Overall.P50), cycleCell(lr.Overall.P99), cycleCell(lr.Overall.Max))
 	slo := "ok"
-	if res.rec.Cycles > restartRecoverySLO || lr.Overall.P99 > restartP99SLO {
+	if rec.Cycles > restartRecoverySLO || lr.Overall.P99 > restartP99SLO {
 		slo = "MISS"
 	}
 	return append(row, Text(slo))

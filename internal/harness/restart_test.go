@@ -9,7 +9,7 @@ import (
 // every rate on both engines must recover, verify clean and resume within
 // the committed SLOs — the same surface checks/restart.yaml gates in CI.
 func TestRestartExperimentQuick(t *testing.T) {
-	rep := Restart(Options{Quick: true, Seed: 42})
+	rep := ByID("restart").Run(Options{Quick: true, Seed: 42})
 	if len(rep.Tables) != 2 {
 		t.Fatalf("%d tables, want baton + threaded", len(rep.Tables))
 	}

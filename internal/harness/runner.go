@@ -518,18 +518,9 @@ func execute(rc RunConfig) Result {
 
 		Counters: clock.Snapshot(),
 	}
-	if gs.PauseHist.Count() > 0 {
-		s := stats.Summarize(&gs.PauseHist)
-		res.Pause = &s
-	}
-	if gs.PauseMarkHist.Count() > 0 {
-		s := stats.Summarize(&gs.PauseMarkHist)
-		res.PauseMark = &s
-	}
-	if gs.PauseFinalHist.Count() > 0 {
-		s := stats.Summarize(&gs.PauseFinalHist)
-		res.PauseFinal = &s
-	}
+	res.Pause = pauseSummary(&gs.PauseHist)
+	res.PauseMark = pauseSummary(&gs.PauseMarkHist)
+	res.PauseFinal = pauseSummary(&gs.PauseFinalHist)
 	res.Latency = rec.Report()
 	if err == nil {
 		// Engine-invariant live census: only meaningful for runs that
@@ -541,6 +532,15 @@ func execute(rc RunConfig) Result {
 		res.AvgFullGC = gs.TotalGCCycles / stats.Cycles(gs.Collections)
 	}
 	return res
+}
+
+// pauseSummary digests a pause histogram, nil when it recorded no pause.
+func pauseSummary(h *stats.Histogram) *stats.QuantileSummary {
+	if h.Count() == 0 {
+		return nil
+	}
+	s := stats.Summarize(h)
+	return &s
 }
 
 // poolPagesFor sizes the PCM pool the system grants a heap at failure rate

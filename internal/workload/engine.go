@@ -360,11 +360,6 @@ func uniform(rng *rand.Rand, bounds [2]int) int {
 	return bounds[0] + rng.Intn(bounds[1]-bounds[0])
 }
 
-// TotalChurn estimates the bytes a standard run allocates.
-func (p *Profile) TotalChurn() int {
-	return p.Iterations * (p.ChurnPerIter + p.HotLoopLargeAlloc)
-}
-
 // Validate sanity-checks a profile.
 func (p *Profile) Validate() error {
 	if p.Name == "" {

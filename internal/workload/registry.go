@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -42,26 +41,6 @@ func RegisterExtra(name string, mk func() *Profile) {
 		panic(fmt.Sprintf("workload: extra %q registered twice", name))
 	}
 	extras[name] = mk
-}
-
-// RegisteredExtra reports whether an extra with this name exists.
-func RegisteredExtra(name string) bool {
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	_, ok := extras[name]
-	return ok
-}
-
-// ExtraNames returns the registered extra names, sorted.
-func ExtraNames() []string {
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	out := make([]string, 0, len(extras))
-	for n := range extras {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // byExtraName returns a fresh instance of the named extra, or nil.
