@@ -26,26 +26,10 @@ func wearOut(policy wearmem.WearLeveling, target float64) (*wearmem.FailureMap, 
 		}),
 	)
 	dev := rt.Device
-	rng := rand.New(rand.NewSource(13))
-	buf := make([]byte, wearmem.LineSize)
-	block := make([]int, 512)
-	next := block[:0] // drawn, not yet written
-	writes := uint64(0)
-	for dev.FailureRate() < target {
-		if len(next) == 0 {
-			dev.SkewedLines(rng, block) // 90% of traffic hits a quarter of the module
-			next = block
-		}
-		// WriteRun applies the run under one device lock and returns at the
-		// first failure, after the OS has handled its interrupt.
-		n, _ := dev.WriteRun(next, buf)
-		next = next[n:]
-		writes += uint64(n)
-		for dev.BufferLen() > 0 {
-			dev.Drain()
-		}
-	}
-	return dev.FailMap(), writes
+	// 90% of traffic hits a quarter of the module; the OS handles each
+	// failure's interrupt before the next write.
+	dev.WearThrough(rand.New(rand.NewSource(13)), []float64{target}, func(int) {})
+	return dev.FailMap(), dev.TotalWrites() - dev.GapCarries()
 }
 
 func main() {

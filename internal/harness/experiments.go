@@ -584,49 +584,18 @@ const wornTemplatePages = 512
 // higher one's (same device seed, same traffic stream), so every map is
 // bit-for-bit the one a fresh device worn to that target alone would give.
 func wornFailureMaps(wl pcm.WearLeveling, pages int, targets []float64, seed int64) []*failmap.Map {
-	dev := wearDevice(wl, pages, seed)
-	maps := make([]*failmap.Map, 0, len(targets))
-	wearThrough(dev, rand.New(rand.NewSource(seed+7)), targets, func(int) {
-		maps = append(maps, dev.FailMap())
-	})
-	return maps
-}
-
-// wearDevice builds the low-endurance module the wear study drives.
-func wearDevice(wl pcm.WearLeveling, pages int, seed int64) *pcm.Device {
 	// GapInterval 1 keeps the start-gap rotation fast relative to the
 	// endurance so leveling genuinely uniformizes wear before the target
 	// rate is reached (slow rotation would merely smear the hot band).
-	return pcm.NewDevice(pcm.Config{
+	dev := pcm.NewDevice(pcm.Config{
 		Size: pages * failmap.PageSize, Endurance: 300, Variation: 0.15,
 		WearLeveling: wl, GapInterval: 1, Seed: seed,
 	}, nil)
-}
-
-// wearThrough drives dev with the skewed traffic stream of rng, draining
-// every failure as the OS would, and calls reached(i) as the failure rate
-// crosses targets[i] (ascending). Line indices are drawn in blocks and fed
-// to WriteRun, which returns at every failure, so the rate is tested
-// wherever it can have changed; indices drawn past the last crossing are
-// never written, and rng is the caller's to discard.
-func wearThrough(dev *pcm.Device, rng *rand.Rand, targets []float64, reached func(i int)) {
-	buf := make([]byte, failmap.LineSize)
-	block := make([]int, 512)
-	next := block[:0] // drawn, not yet written
-	for i, target := range targets {
-		for dev.FailureRate() < target {
-			if len(next) == 0 {
-				dev.SkewedLines(rng, block)
-				next = block
-			}
-			n, _ := dev.WriteRun(next, buf) // never stalls: the buffer is empty on entry
-			next = next[n:]
-			for dev.BufferLen() > 0 {
-				dev.Drain()
-			}
-		}
-		reached(i)
-	}
+	maps := make([]*failmap.Map, 0, len(targets))
+	dev.WearThrough(rand.New(rand.NewSource(seed+7)), targets, func(int) {
+		maps = append(maps, dev.FailMap())
+	})
+	return maps
 }
 
 // tab3 quantifies the OS failure-table size (§3.2.1): raw bitmaps vs RLE.

@@ -373,10 +373,7 @@ func (d *Device) unavailableLocked(line int) bool {
 	if d.array != nil {
 		return d.array.Unavailable(line)
 	}
-	if d.cfg.WearLeveling == StartGap {
-		return d.broken[d.perm[line]]
-	}
-	return d.broken[line]
+	return d.broken[d.storageOf(line)]
 }
 
 // Read copies the line's contents into dst (len >= LineSize). Reads check
@@ -409,8 +406,7 @@ func (d *Device) Read(line int, dst []byte) {
 // entry). Write returns ErrStalled, without writing, when the buffer
 // watermark has been reached.
 func (d *Device) Write(line int, data []byte) error {
-	run := [1]int{line}
-	_, err := d.WriteRun(run[:], data)
+	_, err := d.WriteRun([]int{line}, data)
 	return err
 }
 
@@ -432,47 +428,55 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		}
 	}
 	d.mu.Lock()
+	// What a run reads once: the policy is fixed at construction, and the
+	// clustering array, clock and data store are pointers (a slice header)
+	// nothing reassigns while the device lives, so no write of this
+	// critical section can change them for the next.
+	leveled, array, clock, store := d.cfg.WearLeveling == StartGap, d.array, d.clock, d.data
 	for _, line := range lines {
 		if d.stalled.Load() {
-			if d.clock != nil {
-				d.clock.Charge1(stats.EvFailBufStall)
+			if clock != nil {
+				clock.Charge1(stats.EvFailBufStall)
 			}
 			err = ErrStalled
 			break
 		}
-		if d.clock != nil {
-			d.clock.Charge1(stats.EvPCMWrite)
+		if clock != nil {
+			clock.Charge1(stats.EvPCMWrite)
 		}
-		// The gap may move the very line being written, so resolve the storage
-		// slot only after the wear-leveling step.
-		d.wearStep()
-		s := d.storageOf(line)
-		failedNow := d.wear(s)
-		if d.data != nil && !failedNow {
-			copy(d.data.line(s), data)
+		s := line // its own storage slot on a device that neither levels nor clusters
+		if leveled || array != nil {
+			// The gap may move the very line being written, and a failed
+			// move may redirect it, so resolve the storage slot only after
+			// the wear-leveling step.
+			if leveled {
+				d.wearStep()
+			}
+			s = d.storageOf(line)
 		}
-		if failedNow {
+		if d.wear(s) {
 			d.reportFailure(line, data)
+		} else if store != nil {
+			copy(store.line(s), data)
 		}
 		n++
 		if d.live.Load() > 0 {
 			break
 		}
 	}
-	calls := d.takeCalls()
+	d.unlockAndInterrupt()
+	return n, err
+}
+
+// unlockAndInterrupt ends a critical section and then invokes the interrupt
+// callbacks it queued.
+func (d *Device) unlockAndInterrupt() {
+	calls := d.calls
+	d.calls = nil
 	d.mu.Unlock()
 	for _, fn := range calls {
 		fn()
 	}
-	return n, err
-}
-
-// takeCalls hands the queued interrupt callbacks to the caller, which must
-// invoke them after unlock.
-func (d *Device) takeCalls() []func() {
-	calls := d.calls
-	d.calls = nil
-	return calls
 }
 
 // wear applies one write's wear to storage slot s and reports whether the
@@ -481,10 +485,7 @@ func (d *Device) takeCalls() []func() {
 // and extends the line's lease instead of failing it (§2.2).
 func (d *Device) wear(s int) bool {
 	d.writes[s]++
-	if d.endurance == nil || d.broken[s] {
-		return false
-	}
-	if d.writes[s] < d.endurance[s] {
+	if d.endurance == nil || d.broken[s] || d.writes[s] < d.endurance[s] {
 		return false
 	}
 	if d.eccLeft != nil && d.eccLeft[s] > 0 {
@@ -509,11 +510,10 @@ func (d *Device) CorrectedBits() uint64 {
 // clustering hardware, parks the data in the failure buffer and interrupts.
 func (d *Device) reportFailure(line int, data []byte) {
 	d.failedLines.Add(1)
-	if d.array == nil {
-		d.pushBuffer(FailureRecord{Line: line, Data: dup(data)})
-		return
+	surfaced := []int{line}
+	if d.array != nil {
+		surfaced = d.array.Fail(line)
 	}
-	surfaced := d.array.Fail(line)
 	// The clustering hardware first queues fake failures for any metadata
 	// lines it installed, then the entry for the surfaced failure carrying
 	// the parked data (§3.1.2). After redirection the failing data's
@@ -638,27 +638,23 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 		d.eccLeft[s] = 0
 	}
 	d.reportFailure(line, data)
-	calls := d.takeCalls()
-	d.mu.Unlock()
-	for _, fn := range calls {
-		fn()
-	}
+	d.unlockAndInterrupt()
 	return true
 }
 
-// wearStep advances start-gap wear leveling: every GapInterval writes the
-// gap swaps with its neighbour, costing one extra write of wear.
+// wearStep advances start-gap wear leveling (the caller has checked the
+// policy): every GapInterval writes the gap swaps with its neighbour,
+// costing one extra write of wear.
 func (d *Device) wearStep() {
-	if d.cfg.WearLeveling != StartGap {
-		return
-	}
 	d.sinceMove++
 	if d.sinceMove < d.cfg.GapInterval {
 		return
 	}
 	d.sinceMove = 0
-	slots := int32(len(d.occupant))
-	src := (d.gap + slots - 1) % slots
+	src := d.gap - 1
+	if src < 0 {
+		src = int32(len(d.occupant)) - 1
+	}
 	l := d.occupant[src]
 	if l >= 0 {
 		if d.data != nil {
@@ -722,14 +718,6 @@ func (d *Device) GapCarries() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.gapCarries
-}
-
-// BrokenSlot reports whether physical storage slot s has failed
-// (diagnostic; slots differ from module lines under wear leveling).
-func (d *Device) BrokenSlot(s int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.broken[s]
 }
 
 // WearBucket is one bin of a wear histogram: the number of storage slots

@@ -92,6 +92,11 @@ var deviceScenarios = []deviceScenario{
 		TrackData: true}, drainHandler},
 	{"start-gap handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,
 		WearLeveling: StartGap, GapInterval: 3}, drainHandler},
+	// What tab2 runs: the gap moves on every write, over contents nobody keeps.
+	{"tab2 start-gap", Config{Size: 2 * failmap.PageSize, Endurance: 60, Variation: 0.15,
+		WearLeveling: StartGap, GapInterval: 1}, drainEager},
+	{"start-gap wraps over contents", Config{Size: failmap.PageSize, Endurance: 200, Variation: 0.3,
+		WearLeveling: StartGap, GapInterval: 7, TrackData: true}, drainEager},
 	{"stalls mid-sequence", Config{Size: 2 * failmap.PageSize, Endurance: 8, Variation: 0.3,
 		BufferCap: 8, BufferReserve: 4, TrackData: true}, drainOnStall},
 	{"clustering stalls", Config{Size: 4 * failmap.PageSize, Endurance: 8, Variation: 0.2,
@@ -198,6 +203,19 @@ func (o deviceOutcome) reached(t *testing.T, sc deviceScenario, seed int64) {
 		t.Fatalf("%s seed %d: scenario never reached its case (failed=%d stalls=%d)",
 			sc.name, seed, o.image.FailedLines, o.stalls)
 	}
+	if sc.cfg.WearLeveling != StartGap {
+		return
+	}
+	// The gap starts in the spare top slot and moves down one slot per
+	// GapInterval writes, wrapping from slot 0 back to the top.
+	slots, moves := sc.cfg.Size/failmap.LineSize+1, o.applied/sc.cfg.GapInterval
+	if moves < 2*slots {
+		t.Fatalf("%s seed %d: the gap cursor wrapped fewer than twice (%d moves)", sc.name, seed, moves)
+	}
+	if want := (slots - 1 - moves%slots + slots) % slots; int(o.image.Gap) != want {
+		t.Fatalf("%s seed %d: gap in slot %d after %d moves over %d slots, want %d",
+			sc.name, seed, o.image.Gap, moves, slots, want)
+	}
 }
 
 // TestWriteRunMatchesWriteProperty: a sequence of writes leaves the device in
@@ -283,40 +301,6 @@ func TestLockFreeStatusReads(t *testing.T) {
 	}
 	if d.Stalled() != (d.BufferLen() >= d.Watermark()) {
 		t.Fatalf("Stalled()=%v with %d buffered, watermark %d", d.Stalled(), d.BufferLen(), d.Watermark())
-	}
-}
-
-// TestSkewedLinesStream pins the traffic helper to the inline draw it
-// replaced at four sites, so no recorded wear study moves: same values, and
-// the generator left at the same point whatever the block size.
-func TestSkewedLinesStream(t *testing.T) {
-	d := NewDevice(Config{Size: 512 * failmap.PageSize}, nil)
-	ref := rand.New(rand.NewSource(42))
-	hot := d.Lines() / 4
-	want := make([]int, 1000)
-	for i := range want {
-		l := ref.Intn(hot)
-		if ref.Intn(10) == 0 {
-			l = ref.Intn(d.Lines())
-		}
-		want[i] = l
-	}
-	wantNext := ref.Int63()
-	for _, block := range []int{1, 7, 512, 1000} {
-		rng := rand.New(rand.NewSource(42))
-		got := make([]int, 0, len(want))
-		buf := make([]int, block)
-		for len(got) < len(want) {
-			run := buf[:min(block, len(want)-len(got))]
-			d.SkewedLines(rng, run)
-			got = append(got, run...)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("block %d: stream differs from the inline draw", block)
-		}
-		if rng.Int63() != wantNext {
-			t.Fatalf("block %d: generator over- or under-drawn", block)
-		}
 	}
 }
 
