@@ -85,9 +85,13 @@ loc:
 		echo "loc: internal/ is at $$total lines, above MAX_INTERNAL=$(MAX_INTERNAL)"; exit 1; \
 	fi
 
-# Core hot-path microbenchmarks (bitset vs retained []bool reference).
+# Hot-path microbenchmarks: the collector's line bitsets against the retained
+# []bool reference, and what every simulator run pays around the simulation
+# (drawing and clustering a failure map, encoding the OS table, building a
+# block's line states from a map, the live-heap census).
 bench:
-	$(GO) test ./internal/core/ -run NONE -bench 'FindHole|Sweep|AllocTight' -benchtime 1s
+	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ -run NONE \
+		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census' -benchtime 1s
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).

@@ -117,16 +117,25 @@ func (a *Array) Unavailable(line int) bool {
 }
 
 // FailMap renders the module-visible unavailable lines as a failure map of
-// the given byte size (a prefix of the module).
+// the given byte size (a whole-page prefix of the module), one page word at
+// a time; a region never touched is skipped.
 func (a *Array) FailMap(size int) *failmap.Map {
 	m := failmap.New(size)
 	if a == nil {
 		return m
 	}
-	for i := 0; i < m.Lines() && i < a.totalLines; i++ {
-		if a.Unavailable(i) {
-			m.SetLineFailed(i)
+	for p := 0; p < m.Pages() && p < len(a.regions)*a.regionPages; p++ {
+		r := a.regions[p/a.regionPages]
+		if r == nil {
+			continue
 		}
+		var bm uint64
+		for l, un := range r.presented[p%a.regionPages*failmap.LinesPerPage:][:failmap.LinesPerPage] {
+			if un {
+				bm |= 1 << uint(l)
+			}
+		}
+		m.SetPageBitmap(p, bm)
 	}
 	return m
 }

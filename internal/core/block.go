@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"wearmem/internal/bitset"
+	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 )
 
@@ -42,46 +44,66 @@ type block struct {
 	inFree      bool // currently on the local free list
 }
 
+// failedUnits folds a block's PCM failure map into a bitset over its n
+// allocation units of unit bytes (Immix lines, mark-sweep cells): a unit
+// fails when any PCM line overlapping it has failed, the §6.3 false-failure
+// effect. It visits only the failed PCM lines, so a nil or perfect map
+// costs nothing; a unit need not be a multiple of the PCM line.
+func failedUnits(fm *failmap.Map, unit, n int) (failed []uint64, count int) {
+	failed = make([]uint64, bitset.Words(n))
+	if fm == nil {
+		return failed, 0
+	}
+	for l := fm.NextFailed(0); l < fm.Lines(); {
+		lo := l * failmap.LineSize / unit
+		if lo >= n {
+			break // the block's tail past its last whole unit
+		}
+		end := lo + 1
+		for end < n && end*unit < (l+1)*failmap.LineSize {
+			end++
+		}
+		bitset.SetRange(failed, lo, end)
+		// Resume at the PCM line holding the first byte of unit end.
+		l = fm.NextFailed(max(l+1, end*unit/failmap.LineSize))
+	}
+	return failed, bitset.Count(failed, 0, n)
+}
+
 // newBlock builds metadata for freshly acquired memory, folding the PCM
 // failure map into failed line states at the configured Immix line
-// granularity — a coarse Immix line fails when any PCM line inside it has
-// failed, the §6.3 false-failure effect.
+// granularity.
 func newBlock(mem BlockMem, blockSize, lineSize int) *block {
 	n := blockSize / lineSize
-	w := bitsetWords(n)
+	w := bitset.Words(n)
 	b := &block{
-		mem:     mem,
-		lines:   n,
-		words:   w,
-		tail:    tailMask(n),
-		marked:  make([]uint64, w),
-		failed:  make([]uint64, w),
-		avail:   make([]uint64, w),
-		perfect: true,
+		mem:    mem,
+		lines:  n,
+		words:  w,
+		tail:   bitset.TailMask(n),
+		marked: make([]uint64, w),
+		avail:  make([]uint64, w),
 	}
-	for i := 0; i < n; i++ {
-		if mem.Fail != nil && mem.Fail.AnyFailedIn(i*lineSize, lineSize) {
-			bitSet(b.failed, i)
-			b.failedLines++
-			b.perfect = false
-		} else {
-			bitSet(b.avail, i)
-			b.freeLines++
-		}
+	b.failed, b.failedLines = failedUnits(mem.Fail, lineSize, n)
+	b.perfect = b.failedLines == 0
+	b.freeLines = n - b.failedLines
+	bitset.SetRange(b.avail, 0, n)
+	for i, f := range b.failed {
+		b.avail[i] &^= f
 	}
 	b.holes = b.countHoles()
 	return b
 }
 
 // availAt reports whether line i is currently available for allocation.
-func (b *block) availAt(i int) bool { return bitGet(b.avail, i) }
+func (b *block) availAt(i int) bool { return bitset.Get(b.avail, i) }
 
 // failedAt reports whether line i has permanently failed.
-func (b *block) failedAt(i int) bool { return bitGet(b.failed, i) }
+func (b *block) failedAt(i int) bool { return bitset.Get(b.failed, i) }
 
 // markedAt reports whether line i was stamped live at the given epoch.
 func (b *block) markedAt(i int, epoch uint16) bool {
-	return b.markEpoch == epoch && bitGet(b.marked, i)
+	return b.markEpoch == epoch && bitset.Get(b.marked, i)
 }
 
 // stamp prepares the mark bitmap for the given epoch: marked bits only
@@ -101,7 +123,7 @@ func (b *block) countHoles() int {
 	for w := 0; w < b.words; w++ {
 		x := b.avail[w]
 		holes += bits.OnesCount64(x &^ (x<<1 | prev))
-		prev = x >> (wordBits - 1)
+		prev = x >> 63
 	}
 	return holes
 }
@@ -114,12 +136,12 @@ func (b *block) findHole(from, size, lineSize int) (start, end, skipped int, ok 
 	need := (size + lineSize - 1) / lineSize
 	i := from
 	for i < b.lines {
-		j := nextSetBit(b.avail, i, b.lines)
+		j := bitset.NextSet(b.avail, i, b.lines)
 		skipped += j - i
 		if j == b.lines {
 			break
 		}
-		k := nextClearBit(b.avail, j, b.lines)
+		k := bitset.NextClear(b.avail, j, b.lines)
 		if k-j >= need {
 			return j, k, skipped, true
 		}
@@ -135,7 +157,7 @@ func (b *block) claim(start, end int) {
 		return
 	}
 	for w := start >> 6; w <= (end-1)>>6; w++ {
-		m := wordMask(w, start, end)
+		m := bitset.Mask(w, start, end)
 		if b.avail[w]&m != m {
 			panic("core: claiming unavailable line")
 		}
@@ -150,7 +172,7 @@ func (b *block) markLines(base, addr heap.Addr, size, lineSize int, epoch uint16
 	first := int(addr-base) / lineSize
 	last := int(addr-base+heap.Addr(size)-1) / lineSize
 	b.stamp(epoch)
-	setRange(b.marked, first, last+1)
+	bitset.SetRange(b.marked, first, last+1)
 }
 
 // markLinesAtomic is markLines for the threaded trace: concurrent workers
@@ -162,7 +184,7 @@ func (b *block) markLinesAtomic(base, addr heap.Addr, size, lineSize int) {
 	first := int(addr-base) / lineSize
 	last := int(addr-base+heap.Addr(size)-1) / lineSize
 	for w := first >> 6; w <= last>>6; w++ {
-		m := wordMask(w, first, last+1)
+		m := bitset.Mask(w, first, last+1)
 		for {
 			old := atomic.LoadUint64(&b.marked[w])
 			if old&m == m || atomic.CompareAndSwapUint64(&b.marked[w], old, old|m) {
@@ -216,10 +238,10 @@ func (b *block) failLine(line int) (wasLive bool) {
 	if b.failedAt(line) {
 		return false
 	}
-	bitSet(b.failed, line)
+	bitset.Set(b.failed, line)
 	b.failedLines++
 	if b.availAt(line) {
-		bitClear(b.avail, line)
+		bitset.Clear(b.avail, line)
 		b.freeLines--
 	}
 	b.perfect = false

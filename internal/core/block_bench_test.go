@@ -9,18 +9,15 @@ import (
 	"wearmem/internal/stats"
 )
 
+// benchSink keeps benchmarked constructors from being optimised away.
+var benchSink int
+
 // fragmentedPair builds a block and its []bool reference twin with the
 // ragged availability a mid-run hole search actually sees: 10% failed
 // lines plus randomly claimed spans.
 func fragmentedPair(blockSize, lineSize int, seed int64) (*block, *refBlock) {
 	rng := rand.New(rand.NewSource(seed))
-	fm := failmap.New(blockSize)
-	for l := 0; l < fm.Lines(); l++ {
-		if rng.Float64() < 0.10 {
-			fm.SetLineFailed(l)
-		}
-	}
-	mem := BlockMem{Base: 0, Fail: fm}
+	mem := BlockMem{Base: 0, Fail: failMapAt(blockSize, 0.10, rng)}
 	b := newBlock(mem, blockSize, lineSize)
 	ref := newRefBlock(mem, blockSize, lineSize)
 	for i := 0; i < b.lines; i++ {
@@ -99,6 +96,24 @@ func BenchmarkFindHole(bm *testing.B) {
 	bm.Run("ragged/boolref", func(bm *testing.B) { walkRef(bm, raggedRef) })
 	bm.Run("dense/bitset", func(bm *testing.B) { walkBitset(bm, denseB) })
 	bm.Run("dense/boolref", func(bm *testing.B) { walkRef(bm, denseRef) })
+}
+
+// BenchmarkNewBlock builds a block's line states from a failure map with
+// 10% of its PCM lines failed, at the default 256 B Immix line: walking
+// the failed lines against the reference's AnyFailedIn per Immix line.
+func BenchmarkNewBlock(bm *testing.B) {
+	const blockSize, lineSize = 32 << 10, 256
+	mem := BlockMem{Fail: failMapAt(blockSize, 0.10, rand.New(rand.NewSource(45)))}
+	bm.Run("failed-lines", func(bm *testing.B) {
+		for i := 0; i < bm.N; i++ {
+			benchSink += newBlock(mem, blockSize, lineSize).freeLines
+		}
+	})
+	bm.Run("per-line-ref", func(bm *testing.B) {
+		for i := 0; i < bm.N; i++ {
+			benchSink += newRefBlock(mem, blockSize, lineSize).freeLines
+		}
+	})
 }
 
 // BenchmarkSweep compares a full-block sweep (mark bitmap consulted line

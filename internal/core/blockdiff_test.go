@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"wearmem/internal/bitset"
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 )
@@ -192,13 +194,7 @@ func TestBlockBitsetMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(tc.name)) * 7919))
-			fm := failmap.New(tc.blockSize)
-			for l := 0; l < fm.Lines(); l++ {
-				if rng.Float64() < tc.failProb {
-					fm.SetLineFailed(l)
-				}
-			}
-			mem := BlockMem{Base: 0, Fail: fm}
+			mem := BlockMem{Base: 0, Fail: failMapAt(tc.blockSize, tc.failProb, rng)}
 			b := newBlock(mem, tc.blockSize, tc.lineSize)
 			ref := newRefBlock(mem, tc.blockSize, tc.lineSize)
 			epoch := uint16(1)
@@ -282,5 +278,69 @@ func TestBlockFindHoleAtTailWord(t *testing.T) {
 	// A four-line request must not fit and must report every line skipped.
 	if _, _, skipped, ok = b.findHole(0, 4*lineSize, lineSize); ok || skipped != 96 {
 		t.Fatalf("oversized hole: ok=%v skipped=%d, want false/96", ok, skipped)
+	}
+}
+
+// failMapAt fails each PCM line of a block with probability rate.
+func failMapAt(blockSize int, rate float64, rng *rand.Rand) *failmap.Map {
+	fm := failmap.New(blockSize)
+	for l := 0; l < fm.Lines(); l++ {
+		if rng.Float64() < rate {
+			fm.SetLineFailed(l)
+		}
+	}
+	return fm
+}
+
+// TestNewBlockVisitsOnlyFailedLines holds the block constructor, which
+// walks the failed PCM lines, to the reference's AnyFailedIn per Immix
+// line, at every line size from one PCM line to a whole block.
+func TestNewBlockVisitsOnlyFailedLines(t *testing.T) {
+	const blockSize = 32 << 10
+	for lineSize := failmap.LineSize; lineSize <= blockSize; lineSize *= 2 {
+		for _, rate := range []float64{0, 0.01, 0.1, 0.5, 1} {
+			rng := rand.New(rand.NewSource(int64(lineSize) + int64(rate*100)))
+			mem := BlockMem{Fail: failMapAt(blockSize, rate, rng)}
+			tag := fmt.Sprintf("line %d rate %v", lineSize, rate)
+			b, ref := newBlock(mem, blockSize, lineSize), newRefBlock(mem, blockSize, lineSize)
+			compareBlocks(t, tag, b, ref, 1)
+			if b.holes != ref.holes {
+				t.Fatalf("%s: holes=%d ref=%d", tag, b.holes, ref.holes)
+			}
+		}
+		compareBlocks(t, "no map", newBlock(BlockMem{}, blockSize, lineSize), newRefBlock(BlockMem{}, blockSize, lineSize), 1)
+	}
+}
+
+// TestNewMSBlockVisitsOnlyFailedLines is the same law for mark-sweep cells,
+// which are not multiples of the PCM line (16 to 8192 bytes, 48 and 96
+// among them) and leave a tail of the block in no cell.
+func TestNewMSBlockVisitsOnlyFailedLines(t *testing.T) {
+	const blockSize = 32 << 10
+	for class, cs := range sizeClasses {
+		for _, rate := range []float64{0, 0.01, 0.1, 0.5, 1} {
+			rng := rand.New(rand.NewSource(int64(cs) + int64(rate*100)))
+			mem := BlockMem{Fail: failMapAt(blockSize, rate, rng)}
+			b := newMSBlock(mem, blockSize, class)
+			usableN := 0
+			for i := 0; i < blockSize/cs; i++ {
+				want := !mem.Fail.AnyFailedIn(i*cs, cs)
+				if want {
+					usableN++
+				}
+				if got := bitset.Get(b.usable, i); got != want {
+					t.Fatalf("class %d rate %v: cell %d usable=%v, per-cell AnyFailedIn says %v", cs, rate, i, got, want)
+				}
+			}
+			if b.usableN != usableN || b.freeN != usableN || b.cells != blockSize/cs {
+				t.Fatalf("class %d rate %v: usableN=%d freeN=%d, want %d", cs, rate, b.usableN, b.freeN, usableN)
+			}
+			if tail := b.usable[b.words-1] &^ bitset.TailMask(b.cells); tail != 0 {
+				t.Fatalf("class %d rate %v: usable bits %#x past the last cell", cs, rate, tail)
+			}
+		}
+		if b := newMSBlock(BlockMem{}, blockSize, class); b.usableN != b.cells || bitset.Count(b.usable, 0, 64*b.words) != b.cells {
+			t.Fatalf("class %d without a map: %d of %d cells usable", cs, b.usableN, b.cells)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wearmem/internal/bitset"
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/probe"
@@ -853,10 +854,10 @@ func (ix *Immix) UnfailPage(vaddr heap.Addr) {
 		if !b.failedAt(l) {
 			continue
 		}
-		bitClear(b.failed, l)
+		bitset.Clear(b.failed, l)
 		b.failedLines--
 		if !b.markedAt(l, ix.epoch) {
-			bitSet(b.avail, l)
+			bitset.Set(b.avail, l)
 			b.freeLines++
 		}
 	}
@@ -878,7 +879,7 @@ func (ix *Immix) DebugLineState(a heap.Addr) string {
 	}
 	line := int(a-b.mem.Base) / ix.cfg.LineSize
 	return fmt.Sprintf("block=%#x line=%d avail=%t marked=%t(e%d cur%d) failed=%t evac=%t",
-		b.mem.Base, line, b.availAt(line), bitGet(b.marked, line), b.markEpoch, ix.epoch,
+		b.mem.Base, line, b.availAt(line), bitset.Get(b.marked, line), b.markEpoch, ix.epoch,
 		b.failedAt(line), b.evacuate)
 }
 

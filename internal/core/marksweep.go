@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"wearmem/internal/bitset"
 	"wearmem/internal/heap"
 	"wearmem/internal/probe"
 	"wearmem/internal/stats"
@@ -41,18 +42,17 @@ func newMSBlock(mem BlockMem, blockSize, class int) *msBlock {
 		class:     class,
 		cellSize:  cs,
 		cells:     n,
-		words:     bitsetWords(n),
-		allocated: make([]uint64, bitsetWords(n)),
-		usable:    make([]uint64, bitsetWords(n)),
+		words:     bitset.Words(n),
+		allocated: make([]uint64, bitset.Words(n)),
 	}
-	for i := 0; i < n; i++ {
-		if mem.Fail != nil && mem.Fail.AnyFailedIn(i*cs, cs) {
-			continue // §3.3.1: failed cells are marked unavailable
-		}
-		bitSet(b.usable, i)
-		b.usableN++
+	// §3.3.1: cells overlapping failed lines are marked unavailable. The
+	// failed set is inverted in place.
+	var failed int
+	b.usable, failed = failedUnits(mem.Fail, cs, n)
+	for w, x := range b.usable {
+		b.usable[w] = ^x & bitset.Mask(w, 0, n)
 	}
-	b.freeN = b.usableN
+	b.usableN, b.freeN = n-failed, n-failed
 	return b
 }
 
@@ -68,7 +68,7 @@ func (b *msBlock) takeCell() (int, bool) {
 	for w := b.scan; w < b.words; w++ {
 		if x := b.usable[w] &^ b.allocated[w]; x != 0 {
 			i := w<<6 + bits.TrailingZeros64(x)
-			bitSet(b.allocated, i)
+			bitset.Set(b.allocated, i)
 			b.freeN--
 			b.scan = w
 			return i, true
@@ -352,7 +352,7 @@ func (ms *MarkSweep) sweep(nursery bool) int {
 					dead = e == 0 // sticky: only unmarked young objects die
 				}
 				if dead {
-					bitClear(b.allocated, i)
+					bitset.Clear(b.allocated, i)
 					freed += b.cellSize
 				} else {
 					live++

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"wearmem/internal/bitset"
 )
 
 // The OS keeps one 64-bit bitmap per physical PCM page — about 1.6% of the
@@ -28,21 +30,27 @@ func (m *Map) EncodeRLE() []byte {
 	buf = binary.BigEndian.AppendUint32(buf, rleMagic)
 	buf = binary.AppendUvarint(buf, uint64(m.lines))
 
-	i := 0
-	cur := false // runs start with working lines
-	for i < m.lines {
-		run := 0
-		for i < m.lines && m.LineFailed(i) == cur {
-			run++
-			i++
+	// Runs start with working lines; each ends at the next line of the
+	// other state.
+	for i, failed := 0, false; i < m.lines; failed = !failed {
+		end := m.NextFailed(i)
+		if failed {
+			end = bitset.NextClear(m.words, i, m.lines)
 		}
-		buf = binary.AppendUvarint(buf, uint64(run))
-		cur = !cur
+		buf = binary.AppendUvarint(buf, uint64(end-i))
+		i = end
 	}
 	return buf
 }
 
-// DecodeRLE reconstructs a map encoded by EncodeRLE.
+// maxRLELines is the largest line count DecodeRLE accepts: a 16 GiB module,
+// whose map is a 32 MB table. The count comes from the input's header, and
+// the map is allocated from it before a single run is read.
+const maxRLELines = 1 << 28
+
+// DecodeRLE reconstructs a map encoded by EncodeRLE. The input is untrusted
+// (a file given to faultgen, a table saved across a shutdown): anything
+// malformed is an error, never a panic.
 func DecodeRLE(data []byte) (*Map, error) {
 	if len(data) < 4 || binary.BigEndian.Uint32(data) != rleMagic {
 		return nil, errors.New("failmap: bad RLE magic")
@@ -53,28 +61,23 @@ func DecodeRLE(data []byte) (*Map, error) {
 		return nil, errors.New("failmap: truncated RLE header")
 	}
 	data = data[n:]
-	if lines == 0 || lines%64 != 0 {
-		return nil, fmt.Errorf("failmap: bad line count %d", lines)
+	if lines == 0 || lines > maxRLELines {
+		return nil, fmt.Errorf("failmap: bad line count %d (want 1 to %d)", lines, maxRLELines)
 	}
 	m := New(int(lines) * LineSize)
-	i := 0
-	cur := false
-	for i < int(lines) {
+	for i, failed := 0, false; i < m.lines; failed = !failed {
 		run, n := binary.Uvarint(data)
 		if n <= 0 {
 			return nil, errors.New("failmap: truncated RLE run")
 		}
 		data = data[n:]
-		if run > uint64(int(lines)-i) {
+		if run > uint64(m.lines-i) {
 			return nil, fmt.Errorf("failmap: run %d overflows map at line %d", run, i)
 		}
-		if cur {
-			for j := 0; j < int(run); j++ {
-				m.SetLineFailed(i + j)
-			}
+		if failed {
+			bitset.SetRange(m.words, i, i+int(run))
 		}
 		i += int(run)
-		cur = !cur
 	}
 	if len(data) != 0 {
 		return nil, errors.New("failmap: trailing bytes after RLE runs")

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"wearmem/internal/bitset"
 )
 
 // Memory geometry shared by the whole reproduction. These mirror the paper:
@@ -27,7 +29,9 @@ const (
 
 // Map is a failure bitmap over a line-aligned memory range. Bit i set means
 // line i has permanently failed. The zero Map is empty and unusable; create
-// with New.
+// with New. Word p of words is page p's bitmap, and everything below except
+// the point queries and the generators' draws works on whole words through
+// package bitset; bits past lines in the last word stay zero.
 type Map struct {
 	words []uint64
 	lines int
@@ -55,20 +59,20 @@ func (m *Map) Pages() int { return m.lines / LinesPerPage }
 // LineFailed reports whether line index i has failed.
 func (m *Map) LineFailed(i int) bool {
 	m.check(i)
-	return m.words[i/64]&(1<<(uint(i)%64)) != 0
+	return bitset.Get(m.words, i)
 }
 
 // SetLineFailed marks line index i as failed.
 func (m *Map) SetLineFailed(i int) {
 	m.check(i)
-	m.words[i/64] |= 1 << (uint(i) % 64)
+	bitset.Set(m.words, i)
 }
 
 // ClearLine marks line index i as working again (used when the OS remaps a
 // virtual page onto a different physical frame).
 func (m *Map) ClearLine(i int) {
 	m.check(i)
-	m.words[i/64] &^= 1 << (uint(i) % 64)
+	bitset.Clear(m.words, i)
 }
 
 func (m *Map) check(i int) {
@@ -86,15 +90,16 @@ func (m *Map) AnyFailedIn(start, length int) bool {
 	if length <= 0 {
 		panic("failmap: AnyFailedIn with non-positive length")
 	}
-	first := start / LineSize
-	last := (start + length - 1) / LineSize
-	for i := first; i <= last; i++ {
-		if m.LineFailed(i) {
-			return true
-		}
-	}
-	return false
+	first, last := start/LineSize, (start+length-1)/LineSize
+	m.check(first)
+	m.check(last)
+	return bitset.NextSet(m.words, first, last+1) <= last
 }
+
+// NextFailed returns the index of the first failed line at or after i, or
+// Lines() when there is none: the way to visit a map's failures without
+// asking about every line.
+func (m *Map) NextFailed(i int) int { return bitset.NextSet(m.words, i, m.lines) }
 
 // FailedLines returns the total number of failed lines.
 func (m *Map) FailedLines() int {
@@ -117,11 +122,22 @@ func (m *Map) Rate() float64 {
 // per-page OS table entry of §3.2.1. Bit i of the result corresponds to line
 // i within the page.
 func (m *Map) PageBitmap(p int) uint64 {
+	m.checkPage(p)
+	// LinesPerPage is 64, so each page bitmap is exactly one word.
+	return m.words[p]
+}
+
+// SetPageBitmap replaces the failed-line bitmap of page p: one store where
+// a table entry is at hand, in place of a SetLineFailed per bit.
+func (m *Map) SetPageBitmap(p int, bm uint64) {
+	m.checkPage(p)
+	m.words[p] = bm
+}
+
+func (m *Map) checkPage(p int) {
 	if p < 0 || p >= m.Pages() {
 		panic(fmt.Sprintf("failmap: page %d out of range [0,%d)", p, m.Pages()))
 	}
-	// LinesPerPage is 64, so each page bitmap is exactly one word.
-	return m.words[p]
 }
 
 // PageFailedLines returns the number of failed lines on page p.
@@ -162,28 +178,28 @@ func (m *Map) Slice(start, size int) *Map {
 		panic("failmap: Slice bounds not line-aligned or out of range")
 	}
 	out := New(size)
-	base := start / LineSize
-	for i := 0; i < out.lines; i++ {
-		if m.LineFailed(base + i) {
-			out.SetLineFailed(i)
-		}
+	base, lim := start/LineSize, (start+size)/LineSize
+	for i := bitset.NextSet(m.words, base, lim); i < lim; {
+		end := bitset.NextClear(m.words, i, lim)
+		bitset.SetRange(out.words, i-base, end-base)
+		i = bitset.NextSet(m.words, end, lim)
 	}
 	return out
+}
+
+// nextFreeRun returns the first maximal run [start, end) of working lines
+// at or after line i; start is Lines() when there is none.
+func (m *Map) nextFreeRun(i int) (start, end int) {
+	start = bitset.NextClear(m.words, i, m.lines)
+	return start, m.NextFailed(start)
 }
 
 // LongestFreeRun returns the length in lines of the longest run of
 // consecutive working lines — the fragmentation measure behind Fig. 8.
 func (m *Map) LongestFreeRun() int {
-	best, cur := 0, 0
-	for i := 0; i < m.lines; i++ {
-		if m.LineFailed(i) {
-			cur = 0
-			continue
-		}
-		cur++
-		if cur > best {
-			best = cur
-		}
+	best := 0
+	for i, end := m.nextFreeRun(0); i < m.lines; i, end = m.nextFreeRun(end) {
+		best = max(best, end-i)
 	}
 	return best
 }
@@ -193,29 +209,29 @@ func (m *Map) LongestFreeRun() int {
 // produce many short runs, clustered failures few long ones.
 func (m *Map) FreeRuns() int {
 	runs := 0
-	inRun := false
-	for i := 0; i < m.lines; i++ {
-		if m.LineFailed(i) {
-			inRun = false
-		} else if !inRun {
-			runs++
-			inRun = true
-		}
+	for i, end := m.nextFreeRun(0); i < m.lines; i, end = m.nextFreeRun(end) {
+		runs++
 	}
 	return runs
 }
 
 // GenerateUniform marks each line of m failed independently with probability
 // p, the paper's default failure model ("failures have no spatial
-// correlation", §2.2). Existing failures are preserved.
+// correlation", §2.2). Existing failures are preserved. It draws once per
+// line in line order (the stream every pinned report depends on), assembles
+// each page's word in a register and stores it once.
 func GenerateUniform(m *Map, p float64, rng *rand.Rand) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("failmap: probability %v out of [0,1]", p))
 	}
-	for i := 0; i < m.lines; i++ {
-		if rng.Float64() < p {
-			m.SetLineFailed(i)
+	for w := range m.words {
+		var x uint64
+		for b := range min(64, m.lines-w*64) {
+			if rng.Float64() < p {
+				x |= 1 << uint(b)
+			}
 		}
+		m.words[w] |= x
 	}
 }
 
@@ -236,13 +252,7 @@ func GenerateClustered(m *Map, p float64, clusterBytes int, rng *rand.Rand) {
 		if rng.Float64() >= p {
 			continue
 		}
-		end := start + linesPerCluster
-		if end > m.lines {
-			end = m.lines
-		}
-		for i := start; i < end; i++ {
-			m.SetLineFailed(i)
-		}
+		bitset.SetRange(m.words, start, min(start+linesPerCluster, m.lines))
 	}
 }
 
@@ -265,24 +275,12 @@ func ClusterHardware(m *Map, regionPages int) *Map {
 	out := New(m.Size())
 	for r := 0; r*regionLines < m.lines; r++ {
 		start := r * regionLines
-		end := start + regionLines
-		if end > m.lines {
-			end = m.lines
-		}
-		failed := 0
-		for i := start; i < end; i++ {
-			if m.LineFailed(i) {
-				failed++
-			}
-		}
+		end := min(start+regionLines, m.lines)
+		failed := bitset.Count(m.words, start, end)
 		if r%2 == 0 { // push to top
-			for i := start; i < start+failed; i++ {
-				out.SetLineFailed(i)
-			}
+			bitset.SetRange(out.words, start, start+failed)
 		} else { // push to bottom
-			for i := end - failed; i < end; i++ {
-				out.SetLineFailed(i)
-			}
+			bitset.SetRange(out.words, end-failed, end)
 		}
 	}
 	return out
@@ -298,23 +296,11 @@ func Coarsen(m *Map, granBytes int) *Map {
 	}
 	per := granBytes / LineSize
 	out := New(m.Size())
-	for start := 0; start < m.lines; start += per {
-		end := start + per
-		if end > m.lines {
-			end = m.lines
-		}
-		bad := false
-		for i := start; i < end; i++ {
-			if m.LineFailed(i) {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			for i := start; i < end; i++ {
-				out.SetLineFailed(i)
-			}
-		}
+	for i := m.NextFailed(0); i < m.lines; {
+		start := i - i%per
+		end := min(start+per, m.lines)
+		bitset.SetRange(out.words, start, end)
+		i = m.NextFailed(end)
 	}
 	return out
 }

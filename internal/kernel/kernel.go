@@ -566,12 +566,7 @@ func (k *Kernel) MapFailures(r *Region) *failmap.Map {
 	defer k.mu.Unlock()
 	m := failmap.New(r.Size())
 	for i := 0; i < r.Pages; i++ {
-		bm := k.frameBitmap(r.Frame(i))
-		for l := 0; l < failmap.LinesPerPage; l++ {
-			if bm&(1<<uint(l)) != 0 {
-				m.SetLineFailed(i*failmap.LinesPerPage + l)
-			}
-		}
+		m.SetPageBitmap(i, k.frameBitmap(r.Frame(i)))
 	}
 	return m
 }
@@ -604,15 +599,7 @@ func (k *Kernel) TableRawSize() int { return k.pcmPages * 8 }
 func (k *Kernel) TableCompressedSize() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	m := failmap.New(k.pcmPages * failmap.PageSize)
-	for p, bm := range k.bitmaps {
-		for l := 0; l < failmap.LinesPerPage; l++ {
-			if bm&(1<<uint(l)) != 0 {
-				m.SetLineFailed(p*failmap.LinesPerPage + l)
-			}
-		}
-	}
-	return m.CompressedSize()
+	return k.tableLocked().CompressedSize()
 }
 
 // serviceDevice drains the PCM failure buffer: for each record the kernel

@@ -20,15 +20,17 @@ import (
 func (k *Kernel) SaveFailureTable() []byte {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	return k.tableLocked().EncodeRLE()
+}
+
+// tableLocked returns the failure table as a map of the PCM pool: one page
+// word per table entry.
+func (k *Kernel) tableLocked() *failmap.Map {
 	m := failmap.New(k.pcmPages * failmap.PageSize)
 	for p, bm := range k.bitmaps {
-		for l := 0; l < failmap.LinesPerPage; l++ {
-			if bm&(1<<uint(l)) != 0 {
-				m.SetLineFailed(p*failmap.LinesPerPage + l)
-			}
-		}
+		m.SetPageBitmap(p, bm)
 	}
-	return m.EncodeRLE()
+	return m
 }
 
 // RestoreFailureTable loads a saved failure table into a freshly booted
@@ -43,8 +45,8 @@ func (k *Kernel) RestoreFailureTable(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if m.Pages() != k.pcmPages {
-		return fmt.Errorf("kernel: saved table covers %d pages, pool has %d", m.Pages(), k.pcmPages)
+	if m.Lines() != k.pcmPages*failmap.LinesPerPage {
+		return fmt.Errorf("kernel: saved table covers %d lines, pool has %d pages", m.Lines(), k.pcmPages)
 	}
 	k.perfectQueue = k.perfectQueue[:0]
 	k.perfectHead = 0

@@ -39,6 +39,11 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	if err := k.RestoreFailureTable(other); err == nil {
 		t.Fatal("wrong-size table accepted")
 	}
+	// The decoder takes any line count; the table is whole pages.
+	ragged := failmap.New(8*failmap.PageSize + failmap.LineSize).EncodeRLE()
+	if err := k.RestoreFailureTable(ragged); err == nil {
+		t.Fatal("a table one line past the pool's last page accepted")
+	}
 	k.MmapRelaxed(1)
 	good := New(Config{PCMPages: 8}).SaveFailureTable()
 	if err := k.RestoreFailureTable(good); err == nil {

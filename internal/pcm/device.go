@@ -695,10 +695,14 @@ func (d *Device) FailMap() *failmap.Map {
 		return d.array.FailMap(d.cfg.Size)
 	}
 	m := failmap.New(d.cfg.Size)
-	for l := 0; l < d.lines; l++ {
-		if d.unavailableLocked(l) {
-			m.SetLineFailed(l)
+	for p := 0; p < m.Pages(); p++ {
+		var bm uint64
+		for l := range failmap.LinesPerPage {
+			if d.broken[d.storageOf(p*failmap.LinesPerPage+l)] {
+				bm |= 1 << uint(l)
+			}
 		}
+		m.SetPageBitmap(p, bm)
 	}
 	return m
 }

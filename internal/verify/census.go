@@ -1,6 +1,10 @@
 package verify
 
-import "wearmem/internal/heap"
+import (
+	"encoding/binary"
+
+	"wearmem/internal/heap"
+)
 
 // CensusReport is an engine-invariant summary of the roots-reachable heap.
 // Two runs of the same workload — whatever engine, interleaving, or object
@@ -26,17 +30,31 @@ type CensusReport struct {
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	// fnvPrime64x8 is fnvPrime64 to the eighth power, modulo 2^64.
+	fnvPrime64x2 = fnvPrime64 * fnvPrime64 % (1 << 64)
+	fnvPrime64x4 = fnvPrime64x2 * fnvPrime64x2 % (1 << 64)
+	fnvPrime64x8 = fnvPrime64x4 * fnvPrime64x4 % (1 << 64)
 )
 
+// fnvBytes hashes b eight bytes at a time, then its tail byte by byte.
 func fnvBytes(h uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		h = fnvWord(h, binary.LittleEndian.Uint64(b))
+	}
 	for _, c := range b {
 		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	return h
 }
 
-// fnvWord hashes v's eight little-endian bytes.
+// fnvWord hashes v's eight little-endian bytes. A zero byte leaves h as it
+// was before the multiply (x ^ 0 = x), so a zero word, which is most of a
+// scalar array nobody wrote, is one multiply by the prime's eighth power in
+// place of a chain of eight.
 func fnvWord(h, v uint64) uint64 {
+	if v == 0 {
+		return h * fnvPrime64x8
+	}
 	for i := 0; i < 8; i++ {
 		h = (h ^ v&0xFF) * fnvPrime64
 		v >>= 8

@@ -26,7 +26,7 @@ type censusRun struct {
 
 // finishedHeap assembles the stack the way harness.execute does, runs the
 // benchmark at quick length and returns the heap it leaves behind.
-func finishedHeap(t *testing.T, rc censusRun) *vm.VM {
+func finishedHeap(t testing.TB, rc censusRun) *vm.VM {
 	t.Helper()
 	p := workload.ByName(rc.bench)
 	heapBytes := 2 * p.MinHeap()
@@ -89,6 +89,21 @@ func TestCensusMatchesReference(t *testing.T) {
 				t.Fatalf("empty census %+v: the run left nothing to compare", got)
 			}
 		})
+	}
+}
+
+// BenchmarkCensus is one census of the heap an array-heavy run leaves
+// behind (xalan: most of its live bytes are scalar arrays nobody wrote,
+// which the zero-word multiply is for).
+func BenchmarkCensus(b *testing.B) {
+	v := finishedHeap(b, censusRun{bench: "xalan", collector: vm.StickyImmix, mutators: 1})
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += verify.Census(v.Model(), v.Roots()).Hash
+	}
+	if sum == 0 {
+		b.Fatal("empty census")
 	}
 }
 

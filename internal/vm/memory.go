@@ -301,12 +301,7 @@ func (m *poolMemory) blockFailMap(base heap.Addr) *failmap.Map {
 	}
 	fm := failmap.New(m.blockSize)
 	for p := 0; p < m.pagesPerBlock(); p++ {
-		pageBits := m.pageFailBits(base + heap.Addr(p*failmap.PageSize))
-		for l := 0; l < failmap.LinesPerPage; l++ {
-			if pageBits&(1<<uint(l)) != 0 {
-				fm.SetLineFailed(p*failmap.LinesPerPage + l)
-			}
-		}
+		fm.SetPageBitmap(p, m.pageFailBits(base+heap.Addr(p*failmap.PageSize)))
 	}
 	return fm
 }
