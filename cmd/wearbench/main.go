@@ -354,5 +354,5 @@ func completes(p *workload.Profile, heapBytes int) bool {
 		VM:     vm.Config{HeapBytes: heapBytes, Collector: vm.StickyImmix, FailureAware: true},
 	})
 	defer m.Close()
-	return p.Run(m.VM, 0) == nil
+	return p.RunMutators(m.VM, 0, 1) == nil
 }

@@ -67,7 +67,10 @@ func TestOutOfRangeKnobsExitTwo(t *testing.T) {
 		{"-rate", []string{"-bench", "pmd", "-rate", "-0.1"}},
 		{"-line", []string{"-bench", "pmd", "-line", "100"}},
 		{"-mult", []string{"-bench", "pmd", "-mult", "0"}},
+		{"-mult", []string{"-bench", "pmd", "-mult", "Inf", "-quick"}},
+		{"-mult", []string{"-bench", "pmd", "-mult", "1e30", "-quick"}},
 		{"rate=2", []string{"-explain", "rate=2 vs base"}},
+		{"mult=+Inf", []string{"-explain", "mult=+Inf vs base", "-quick"}},
 	} {
 		stdout, stderr, status := wearbench(t, c.args...)
 		if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.knob) {

@@ -217,6 +217,10 @@ func (g *GCStats) recordPause(c stats.Cycles) {
 	g.PauseHist.Record(c)
 }
 
+// nurseryYield is the fraction of the usable heap a nursery collection must
+// free to avoid escalating to a full collection.
+const nurseryYield = 0.08
+
 // Config parametrizes a collector.
 type Config struct {
 	// BlockSize is the Immix block size; default 32 KB.
@@ -235,10 +239,6 @@ type Config struct {
 	// HeadroomBlocks reserves free blocks for defragmentation copying;
 	// default 4.
 	HeadroomBlocks int
-	// NurseryYield is the fraction of the usable heap a nursery
-	// collection must free to avoid escalating to a full collection;
-	// default 0.08.
-	NurseryYield float64
 	// TraceWorkers sets the number of parallel trace lanes for the mark
 	// phase. 0 or 1 is the serial trace (one lane on the plan's clock);
 	// higher values split the gray work across deterministic work-stealing
@@ -289,9 +289,6 @@ func (c *Config) fill() {
 	}
 	if c.HeadroomBlocks == 0 {
 		c.HeadroomBlocks = 4
-	}
-	if c.NurseryYield == 0 {
-		c.NurseryYield = 0.08
 	}
 	if c.ModbufCap == 0 {
 		c.ModbufCap = 4096

@@ -613,7 +613,7 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 		for _, b := range ix.blocks.all {
 			usable += (b.lines - b.failedLines) * ix.cfg.LineSize
 		}
-		if usable > 0 && float64(freed) < ix.cfg.NurseryYield*float64(usable) {
+		if usable > 0 && float64(freed) < nurseryYield*float64(usable) {
 			// Low nursery yield: escalate to a full collection.
 			ix.Collect(true, roots)
 		}
@@ -901,17 +901,14 @@ func (ix *Immix) Blocks() int { return ix.blocks.len() }
 
 // blockIndex is an index of the space's blocks: an address-sorted slice for
 // deterministic iteration plus a dense lookup table over the block arena.
-// Every Memory implementation hands out block-aligned bases (the kernel
-// aligns the virtual cursor before block mmaps), so containment is a single
-// addr>>blockShift table load on the barrier/mark hot path; should an
-// implementation ever produce an unaligned base, the index falls back to
-// the retained binary-search reference path.
+// A Memory hands out block-aligned bases (the pool aligns the kernel's
+// virtual cursor before block mmaps), so containment is a single
+// addr>>blockShift table load on the barrier/mark hot path.
 type blockIndex struct {
 	all       []*block // sorted by base address
 	blockSize int
 	shift     uint     // log2(blockSize)
 	table     []*block // dense: table[base>>shift], nil when absent
-	unaligned bool     // an unaligned base was inserted: binary search only
 }
 
 func (bi *blockIndex) init(blockSize int) {
@@ -922,14 +919,13 @@ func (bi *blockIndex) init(blockSize int) {
 func (bi *blockIndex) len() int { return len(bi.all) }
 
 func (bi *blockIndex) insert(b *block) {
+	if b.mem.Base&heap.Addr(bi.blockSize-1) != 0 {
+		panic(fmt.Sprintf("core: block base %#x is not aligned to the %d-byte block", b.mem.Base, bi.blockSize))
+	}
 	i := sort.Search(len(bi.all), func(j int) bool { return bi.all[j].mem.Base > b.mem.Base })
 	bi.all = append(bi.all, nil)
 	copy(bi.all[i+1:], bi.all[i:])
 	bi.all[i] = b
-	if b.mem.Base&heap.Addr(bi.blockSize-1) != 0 {
-		bi.unaligned = true
-		return
-	}
 	slot := int(b.mem.Base >> bi.shift)
 	if slot >= len(bi.table) {
 		bi.table = append(bi.table, make([]*block, slot+1-len(bi.table))...)
@@ -943,26 +939,13 @@ func (bi *blockIndex) remove(base heap.Addr) {
 		panic(fmt.Sprintf("core: removing unknown block %#x", base))
 	}
 	bi.all = append(bi.all[:i], bi.all[i+1:]...)
-	if slot := int(base >> bi.shift); !bi.unaligned && slot < len(bi.table) {
-		bi.table[slot] = nil
-	}
+	bi.table[base>>bi.shift] = nil
 }
 
 // find returns the block containing a, or nil.
 func (bi *blockIndex) find(a heap.Addr) *block {
-	if !bi.unaligned {
-		if slot := int(a >> bi.shift); slot < len(bi.table) {
-			return bi.table[slot]
-		}
-		return nil
-	}
-	i := sort.Search(len(bi.all), func(j int) bool { return bi.all[j].mem.Base > a })
-	if i == 0 {
-		return nil
-	}
-	b := bi.all[i-1]
-	if a < b.mem.Base+heap.Addr(bi.blockSize) {
-		return b
+	if slot := int(a >> bi.shift); slot < len(bi.table) {
+		return bi.table[slot]
 	}
 	return nil
 }

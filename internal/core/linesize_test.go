@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -152,4 +154,49 @@ func TestConfigValidationPanics(t *testing.T) {
 			cfg.fill()
 		}()
 	}
+}
+
+// The index itself, without a plan: find resolves a block's first and last
+// byte to it and the bytes either side to a neighbour or nil, a removed
+// block resolves to nil, the sorted list keeps address order, and a base
+// off the block grid is refused by name instead of indexed.
+func TestBlockIndexAligned(t *testing.T) {
+	const size = 32 << 10
+	var bi blockIndex
+	bi.init(size)
+	at := func(slot int) *block { return &block{mem: BlockMem{Base: heap.Addr(slot * size)}} }
+	b2, b3, b5 := at(2), at(3), at(5)
+	for _, b := range []*block{b5, b2, b3} {
+		bi.insert(b)
+	}
+	for _, c := range []struct {
+		a    heap.Addr
+		want *block
+	}{
+		{0, nil}, {2*size - 1, nil}, {2 * size, b2}, {3*size - 1, b2}, {3 * size, b3}, {4*size - 1, b3},
+		{4 * size, nil}, {5 * size, b5}, {6*size - 1, b5}, {6 * size, nil}, {1 << 40, nil},
+	} {
+		if got := bi.find(c.a); got != c.want {
+			t.Errorf("find(%#x) = %p, want %p", c.a, got, c.want)
+		}
+	}
+	bi.remove(b3.mem.Base)
+	for _, a := range []heap.Addr{3 * size, 4*size - 1} {
+		if got := bi.find(a); got != nil {
+			t.Errorf("find(%#x) after removing its block = %p, want nil", a, got)
+		}
+	}
+	if bi.find(3*size-1) != b2 || bi.find(4*size) != nil {
+		t.Error("removing a block disturbed its neighbours")
+	}
+	if bi.len() != 2 || bi.all[0] != b2 || bi.all[1] != b5 {
+		t.Errorf("blocks %v after the removal, want b2 then b5", bi.all)
+	}
+
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "0x11000") {
+			t.Fatalf("inserting an unaligned base: panic %v, want one naming 0x11000", p)
+		}
+	}()
+	bi.insert(&block{mem: BlockMem{Base: 2*size + 4096}})
 }

@@ -258,7 +258,7 @@ func (ms *MarkSweep) Collect(full bool, roots *RootSet) {
 
 	if nursery {
 		total := len(ms.blockTable) * ms.cfg.BlockSize
-		if total > 0 && float64(freed) < ms.cfg.NurseryYield*float64(total) {
+		if total > 0 && float64(freed) < nurseryYield*float64(total) {
 			ms.Collect(true, roots)
 		}
 	}

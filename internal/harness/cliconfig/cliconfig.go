@@ -8,7 +8,6 @@ package cliconfig
 import (
 	"flag"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -22,10 +21,9 @@ type config = harness.RunConfig
 
 // knob is one settable field of a run configuration.
 type knob struct {
-	name    string   // the flag, and the -explain key
-	aliases []string // further -explain keys
-	usage   string   // flag help; a knob without any is an -explain key only
-	toggle  bool     // a boolean flag: present means true
+	name   string // the flag, and the -explain key
+	usage  string // flag help; a knob without any is an -explain key only
+	toggle bool   // a boolean flag: present means true
 	// set parses and range-checks v and stores it; out-of-range values are
 	// rejected here, once, for flags and overrides alike.
 	set func(c *config, v string) error
@@ -39,17 +37,21 @@ var defaults = config{HeapMult: 2, LineSize: 256, Collector: vm.StickyImmix, See
 // default, which no run configuration changes).
 const blockSize = 32 << 10
 
+// maxHeapMult caps the heap multiple: the pool a run maps grows with it, and
+// a thousand minimum heaps is already far past every experiment's axis.
+const maxHeapMult = 1000
+
 var knobs = []knob{
 	{name: "bench", usage: "single benchmark to run",
 		set: func(c *config, v string) error {
 			c.Bench = v
 			return nil
 		}},
-	{name: "mult", usage: "heap size as multiple of minimum (default 2)",
+	{name: "mult", usage: fmt.Sprintf("heap size as multiple of minimum, above 0 and at most %d (default 2)", maxHeapMult),
 		set: func(c *config, v string) error {
 			f, err := strconv.ParseFloat(v, 64)
-			if err == nil && !(f > 0) {
-				err = fmt.Errorf("heap multiple %v is not above 0", f)
+			if err == nil && !(f > 0 && f <= maxHeapMult) {
+				err = fmt.Errorf("heap multiple %v outside (0, %d]", f, maxHeapMult)
 			}
 			c.HeapMult = f
 			return err
@@ -102,9 +104,8 @@ var knobs = []knob{
 		set: count(func(c *config) *int { return &c.DynFailEvery })},
 	{name: "mutators", usage: "mutator contexts driven by the deterministic scheduler (default 1)",
 		set: count(func(c *config) *int { return &c.Mutators })},
-	{name: "tw", aliases: []string{"traceworkers"},
-		usage: "parallel trace lanes (0 = one per mutator when -mutators > 1)",
-		set:   count(func(c *config) *int { return &c.TraceWorkers })},
+	{name: "tw", usage: "parallel trace lanes (0 = one per mutator when -mutators > 1)",
+		set: count(func(c *config) *int { return &c.TraceWorkers })},
 	{name: "engine", usage: "execution engine: baton (default, deterministic) or threaded",
 		set: func(c *config, v string) error {
 			// The empty string is the canonical name of the default engine, so
@@ -128,12 +129,9 @@ var knobs = []knob{
 		set:   truth(func(c *config) *bool { return &c.Latency })},
 	{name: "writethrough", toggle: true, usage: "back the heap pool with a live wearing PCM device",
 		set: truth(func(c *config) *bool { return &c.WriteThrough })},
-	{name: "pause-budget", aliases: []string{"pausebudget"},
-		usage: "bound each GC marking pause to N simulated cycles (0 = stop-the-world; requires S-IX)",
+	{name: "pause-budget",
+		usage: "bound each GC marking pause to N simulated cycles (0 = stop-the-world; requires S-IX; threaded: one concurrent marker per trace lane)",
 		set:   count(func(c *config) *int { return &c.PauseBudget })},
-	{name: "concurrent-mark", aliases: []string{"concmark"},
-		usage: "concurrent marker goroutines for threaded runs (0 with -pause-budget = one per trace worker)",
-		set:   count(func(c *config) *int { return &c.Concurrent })},
 	{name: "placement", usage: "kernel placement policy: paper, rotate, decoder, migrate (empty = paper)",
 		set: func(c *config, v string) error {
 			_, err := kernel.NewPlacementPolicy(v)
@@ -199,7 +197,7 @@ func Register(fs *flag.FlagSet, rc *config) {
 // knobFor resolves an -explain key to its knob.
 func knobFor(key string) *knob {
 	for i, k := range knobs {
-		if k.name == key || slices.Contains(k.aliases, key) {
+		if k.name == key {
 			return &knobs[i]
 		}
 	}

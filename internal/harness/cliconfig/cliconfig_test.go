@@ -3,12 +3,15 @@ package cliconfig
 import (
 	"flag"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"wearmem/internal/harness"
+	"wearmem/internal/kernel"
 	"wearmem/internal/vm"
 )
 
@@ -96,29 +99,32 @@ func TestOverride(t *testing.T) {
 	}
 }
 
-// The knob table is the only declaration of a run knob. This walks it: the
-// flags and -explain keys are exactly the ones the CLI has always taken,
-// every spelling of a knob sets the same field to the same value, every
-// out-of-range value is refused on both routes, and no RunConfig field is
-// out of reach.
-func TestKnobTable(t *testing.T) {
-	// One in-range value per knob, and the values each must refuse.
-	good := map[string]string{
+// good holds one in-range value per knob, bad the values each must refuse.
+var (
+	good = map[string]string{
 		"bench": "kv", "mult": "2.5", "rate": "0.1", "aware": "true", "cluster": "2",
 		"gran": "1024", "line": "128", "collector": "S-MS", "nocomp": "true", "seed": "9",
 		"iters": "77", "dynfail": "3", "mutators": "4", "tw": "2", "engine": "threaded",
 		"procs": "2", "wall": "true", "latency": "true", "writethrough": "true",
-		"pause-budget": "10000", "concurrent-mark": "2", "placement": "rotate", "remap": "decoder",
+		"pause-budget": "10000", "placement": "rotate", "remap": "decoder",
 	}
-	bad := map[string][]string{
-		"rate": {"1", "1.5", "-0.1", "NaN", "x"}, "mult": {"0", "-1", "NaN"},
+	bad = map[string][]string{
+		"rate": {"1", "1.5", "-0.1", "NaN", "x"},
+		"mult": {"0", "-1", "NaN", "Inf", "+Inf", "-Inf", "1e30", "1000.5"},
 		"line": {"0", "32", "100", "65536"}, "gran": {"32", "100"},
 		"cluster": {"-1"}, "iters": {"-1"}, "dynfail": {"-1"}, "mutators": {"-1"}, "tw": {"-1"},
-		"procs": {"-1"}, "pause-budget": {"-1"}, "concurrent-mark": {"-1", "two"},
+		"procs": {"-1"}, "pause-budget": {"-1", "two"},
 		"collector": {"ZGC"}, "engine": {"warp"}, "placement": {"bogus"}, "remap": {"bogus"},
 		"wall": {"maybe"}, "seed": {"1.5"},
 	}
+)
 
+// The knob table is the only declaration of a run knob. This walks it: the
+// flags and -explain keys are exactly the listed ones, one spelling each, a
+// knob's flag and override set the same field to the same value, every
+// out-of-range value is refused on both routes, and no RunConfig field is
+// out of reach.
+func TestKnobTable(t *testing.T) {
 	var flags, keys []string
 	reached := map[string]bool{} // RunConfig fields some knob sets
 	for _, k := range knobs {
@@ -138,17 +144,16 @@ func TestKnobTable(t *testing.T) {
 			}
 		}
 
-		// Every spelling, from the same start, ends at the same configuration.
-		want, _ = Override(defaults, k.name+"="+v)
-		for _, key := range append([]string{k.name}, k.aliases...) {
-			keys = append(keys, key)
-			if got, err := Override(defaults, key+"="+v); err != nil || got != want {
-				t.Errorf("override %s=%s: %+v (%v), want %+v", key, v, got, err, want)
-			}
-			for _, b := range bad[k.name] {
-				if _, err := Override(defaults, key+"="+b); err == nil {
-					t.Errorf("override %s=%s accepted", key, b)
-				}
+		// The flag and the override, from the same start, end at the same
+		// configuration.
+		keys = append(keys, k.name)
+		want, err := Override(defaults, k.name+"="+v)
+		if err != nil {
+			t.Errorf("override %s=%s: %v", k.name, v, err)
+		}
+		for _, b := range bad[k.name] {
+			if _, err := Override(defaults, k.name+"="+b); err == nil {
+				t.Errorf("override %s=%s accepted", k.name, b)
 			}
 		}
 		if k.usage == "" {
@@ -165,15 +170,15 @@ func TestKnobTable(t *testing.T) {
 		}
 	}
 
-	// None added, none dropped: these are the spellings wearbench accepted
-	// before the table existed.
+	// None added, none dropped: one spelling per knob, a flag unless the
+	// knob is an -explain key only.
 	sort.Strings(flags)
 	sort.Strings(keys)
-	wantFlags := strings.Fields("bench cluster collector concurrent-mark dynfail engine iters latency line " +
+	wantFlags := strings.Fields("bench cluster collector dynfail engine iters latency line " +
 		"mult mutators pause-budget placement procs rate remap seed tw wall writethrough")
-	wantKeys := strings.Fields("aware bench cluster collector concmark concurrent-mark dynfail engine gran iters " +
-		"latency line mult mutators nocomp pause-budget pausebudget placement procs rate remap seed " +
-		"traceworkers tw wall writethrough")
+	wantKeys := strings.Fields("aware bench cluster collector dynfail engine gran iters " +
+		"latency line mult mutators nocomp pause-budget placement procs rate remap seed " +
+		"tw wall writethrough")
 	if !reflect.DeepEqual(flags, wantFlags) {
 		t.Errorf("flags\n got %v\nwant %v", flags, wantFlags)
 	}
@@ -191,4 +196,49 @@ func TestKnobTable(t *testing.T) {
 			t.Errorf("RunConfig.%s is set by no knob and is not on the internal-only list", f.Name)
 		}
 	}
+}
+
+// FuzzOverride: an -explain side spec is an error or a configuration every
+// knob's range admits, never a panic. The corpus starts from the knob
+// table's in-range and refused values.
+func FuzzOverride(f *testing.F) {
+	for key, v := range good {
+		f.Add(key + "=" + v)
+		for _, b := range bad[key] {
+			f.Add(key + "=" + b)
+		}
+	}
+	for _, spec := range []string{"", "base", "mult", "bogus=1", "rate=0.25, cluster=2, latency=true",
+		"aware=false, rate=0.25", "mult=1000,line=32768,gran=0", "tw=2,,engine=baton"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rc, err := Override(defaults, spec)
+		if err != nil {
+			return
+		}
+		pow2 := func(n, lo, hi int) bool { return n >= lo && n <= hi && n&(n-1) == 0 }
+		switch {
+		case !(rc.HeapMult > 0 && rc.HeapMult <= maxHeapMult): // false for NaN and both infinities
+			t.Errorf("%q: heap multiple %v", spec, rc.HeapMult)
+		case !(rc.FailureRate >= 0 && rc.FailureRate < 1):
+			t.Errorf("%q: failure rate %v", spec, rc.FailureRate)
+		case !pow2(rc.LineSize, 64, blockSize):
+			t.Errorf("%q: line size %d", spec, rc.LineSize)
+		case rc.ClusterGran != 0 && !pow2(rc.ClusterGran, 64, math.MaxInt):
+			t.Errorf("%q: clustering granularity %d", spec, rc.ClusterGran)
+		case min(rc.ClusterPages, rc.Iterations, rc.DynFailEvery, rc.Mutators, rc.TraceWorkers, rc.Procs, rc.PauseBudget) < 0:
+			t.Errorf("%q: a negative count in %+v", spec, rc)
+		case rc.Engine != "" && rc.Engine != "threaded":
+			t.Errorf("%q: engine %q", spec, rc.Engine)
+		case !slices.Contains([]vm.CollectorKind{vm.MarkSweep, vm.Immix, vm.StickyMarkSweep, vm.StickyImmix}, rc.Collector):
+			t.Errorf("%q: collector %v", spec, rc.Collector)
+		}
+		if _, err := kernel.NewPlacementPolicy(rc.Placement); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		}
+		if _, err := kernel.NewRemapPolicy(rc.Remap); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		}
+	})
 }

@@ -15,9 +15,9 @@ func mutCfg(mutators int) RunConfig {
 		Mutators: mutators}
 }
 
-// A configuration with Mutators: 1 is the historical single-mutator path:
-// identical result to the same configuration with the field unset (they
-// memoize under different keys, so this really runs twice).
+// A configuration with Mutators: 1 gives the identical result to the same
+// configuration with the field unset (they memoize under different keys,
+// so this really runs twice).
 func TestMutatorsOneMatchesSerial(t *testing.T) {
 	r := NewRunner()
 	r.QuickDivisor = 10

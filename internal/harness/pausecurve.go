@@ -42,9 +42,6 @@ func pauseCurveTable(r *Runner, o Options, engine string) Table {
 	for _, b := range pauseCurveBudgets() {
 		rc := o.kvConfig(engine, 0, 0)
 		rc.PauseBudget = b
-		if engine == "threaded" && b > 0 {
-			rc.Concurrent = 2
-		}
 		t.Rows = append(t.Rows, pauseCurveRow(b, r.Run(rc)))
 	}
 	t.Notes = append(t.Notes,

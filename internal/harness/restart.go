@@ -93,7 +93,6 @@ func restartCase(bench, engine string, rate float64, iters int, seed int64) []Ce
 		VM: vm.Config{
 			HeapBytes:    heapBytes,
 			Compensate:   rate > 0,
-			FailureRate:  rate,
 			Collector:    vm.StickyImmix,
 			FailureAware: true,
 			WriteThrough: true,

@@ -45,8 +45,7 @@ type RunConfig struct {
 	Seed       int64 `json:"seed"`
 
 	// Mutators splits the benchmark across this many mutator contexts
-	// driven by the deterministic baton scheduler (0 or 1 = the historical
-	// single-mutator path, bit for bit).
+	// driven by the run's engine (0 or 1 = one mutator).
 	Mutators int `json:"mutators,omitempty"`
 	// TraceWorkers sets the parallel GC trace lane count. Zero defaults to
 	// one lane per mutator when Mutators > 1 and the serial trace
@@ -56,11 +55,8 @@ type RunConfig struct {
 	// (0 = historical stop-the-world collections, bit for bit). Requires a
 	// StickyImmix collector; on the baton engine marking proceeds in
 	// bounded increments between mutator turns, on the threaded engine it
-	// implies concurrent marking.
+	// runs on one concurrent marker per trace lane (vm.Config.PauseBudget).
 	PauseBudget int `json:"pauseBudget,omitempty"`
-	// Concurrent sets the concurrent marker goroutine count for threaded
-	// runs (0 with PauseBudget > 0 defaults to the trace worker count).
-	Concurrent int `json:"concurrentMark,omitempty"`
 
 	// DynFailEvery injects one dynamic line failure every N iterations
 	// through the kernel's fault-injection module (0 = none) — the §4.2
@@ -422,18 +418,16 @@ func execute(rc RunConfig) Result {
 			Placement: rc.Placement, Remap: rc.Remap,
 		},
 		VM: vm.Config{
-			HeapBytes:      heapBytes,
-			Compensate:     compRate > 0,
-			FailureRate:    rc.FailureRate,
-			Collector:      rc.Collector,
-			LineSize:       rc.LineSize,
-			FailureAware:   rc.FailureAware,
-			TraceWorkers:   traceWorkers,
-			Threaded:       rc.Engine == "threaded",
-			WallClock:      rc.RecordWall,
-			PauseBudget:    rc.PauseBudget,
-			ConcurrentMark: rc.Concurrent,
-			WriteThrough:   rc.WriteThrough,
+			HeapBytes:    heapBytes,
+			Compensate:   compRate > 0,
+			Collector:    rc.Collector,
+			LineSize:     rc.LineSize,
+			FailureAware: rc.FailureAware,
+			TraceWorkers: traceWorkers,
+			Threaded:     rc.Engine == "threaded",
+			WallClock:    rc.RecordWall,
+			PauseBudget:  rc.PauseBudget,
+			WriteThrough: rc.WriteThrough,
 		},
 	}
 	// A write-through run backs the pool with a live wearing device: the

@@ -35,17 +35,11 @@ func newOpTimer(api workload.MutAPI, shard *stats.LatencyShard) *opTimer {
 	if shard == nil {
 		return nil
 	}
-	t := &opTimer{shard: shard}
-	switch a := api.(type) {
-	case *vm.Mutator:
-		t.clk, t.gc = a.Clock(), a.GCCycles
-		t.addGC = a.Clock() != a.VM().Clock()
-	case *vm.VM:
-		t.clk, t.gc = a.Clock(), a.GCCycles
-	default:
+	m, ok := api.(*vm.Mutator)
+	if !ok {
 		return nil
 	}
-	return t
+	return &opTimer{shard: shard, clk: m.Clock(), gc: m.GCCycles, addGC: m.Clock() != m.VM().Clock()}
 }
 
 func (t *opTimer) begin() {

@@ -45,7 +45,7 @@ func TestLateHookSeesEveryLayer(t *testing.T) {
 	defer m.Close()
 	var seen [probe.NumPoints]int
 	m.SetProbe(func(pt probe.Point, _ uint64) { seen[pt]++ })
-	_ = p.Run(m.VM, 150) // may end in OOM on so fragile a device; the points fire first
+	_ = p.RunMutators(m.VM, 150, 1) // may end in OOM on so fragile a device; the points fire first
 	for _, pt := range []probe.Point{
 		probe.PCMFailure, // device
 		probe.OSUpcall,   // kernel
@@ -141,7 +141,7 @@ func TestQuiescentSnapshotReboots(t *testing.T) {
 	if m.Recovery == nil || m.Recovery.Orphans != 0 {
 		t.Errorf("recovery of a quiescent image: %+v, want 0 orphans", m.Recovery)
 	}
-	if err := p.Run(m.VM, 100); err != nil {
+	if err := p.RunMutators(m.VM, 100, 1); err != nil {
 		t.Errorf("pmd on the rebooted machine: %v", err)
 	}
 	m.Close()

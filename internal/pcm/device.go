@@ -64,9 +64,6 @@ type Config struct {
 	// ClusterPages enables failure-clustering hardware with regions of the
 	// given number of pages; zero disables clustering.
 	ClusterPages int
-	// ClusterCache is the redirection-map cache capacity (entries); only
-	// used when clustering is enabled. Defaults to 16.
-	ClusterCache int
 	// WearLeveling selects the wear-leveling scheme.
 	WearLeveling WearLeveling
 	// GapInterval is the number of writes between start-gap movements
@@ -81,6 +78,10 @@ type Config struct {
 	// nil (the default) costs one branch per event and charges nothing.
 	Probe probe.Hook
 }
+
+// clusterCache is the clustering hardware's redirection-map cache capacity
+// in entries.
+const clusterCache = 16
 
 // WearLeveling selects how the device spreads write wear.
 type WearLeveling int
@@ -207,9 +208,6 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	if cfg.BufferReserve >= cfg.BufferCap {
 		panic("pcm: BufferReserve must be below BufferCap")
 	}
-	if cfg.ClusterCache == 0 {
-		cfg.ClusterCache = 16
-	}
 	if cfg.WearLeveling == StartGap && cfg.GapInterval == 0 {
 		cfg.GapInterval = 100
 	}
@@ -257,7 +255,7 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 		d.occupant[n] = -1
 	}
 	if cfg.ClusterPages > 0 {
-		d.array = cluster.NewArray(cfg.Size, cfg.ClusterPages, cfg.ClusterCache, clock)
+		d.array = cluster.NewArray(cfg.Size, cfg.ClusterPages, clusterCache, clock)
 	}
 	if cfg.TrackData {
 		d.data = newLineStore(slots)

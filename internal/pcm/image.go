@@ -43,7 +43,6 @@ type DeviceImage struct {
 	BufferCap     int          `json:"buffer_cap"`
 	BufferReserve int          `json:"buffer_reserve"`
 	ClusterPages  int          `json:"cluster_pages"`
-	ClusterCache  int          `json:"cluster_cache"`
 	WearLeveling  WearLeveling `json:"wear_leveling"`
 	GapInterval   int          `json:"gap_interval"`
 	TrackData     bool         `json:"track_data"`
@@ -101,7 +100,6 @@ func (d *Device) Snapshot() *DeviceImage {
 		BufferCap:     d.cfg.BufferCap,
 		BufferReserve: d.cfg.BufferReserve,
 		ClusterPages:  d.cfg.ClusterPages,
-		ClusterCache:  d.cfg.ClusterCache,
 		WearLeveling:  d.cfg.WearLeveling,
 		GapInterval:   d.cfg.GapInterval,
 		TrackData:     d.cfg.TrackData,
@@ -188,7 +186,6 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 			BufferCap:     img.BufferCap,
 			BufferReserve: img.BufferReserve,
 			ClusterPages:  img.ClusterPages,
-			ClusterCache:  img.ClusterCache,
 			WearLeveling:  img.WearLeveling,
 			GapInterval:   img.GapInterval,
 			TrackData:     img.TrackData,
@@ -234,7 +231,7 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		d.occupant = append([]int32(nil), img.Occupant...)
 	}
 	if img.ClusterPages > 0 {
-		a, err := cluster.ArrayFromImage(img.Size, img.ClusterPages, img.ClusterCache, clock, img.Regions)
+		a, err := cluster.ArrayFromImage(img.Size, img.ClusterPages, clusterCache, clock, img.Regions)
 		if err != nil {
 			return nil, err
 		}

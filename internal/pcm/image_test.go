@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,6 +64,38 @@ func TestImageRoundTripQuiescent(t *testing.T) {
 		if !reflect.DeepEqual(img, d2.Snapshot()) {
 			t.Fatalf("cfg %+v: restored snapshot differs from original", cfg)
 		}
+	}
+}
+
+// TestImageDecodeIgnoresClusterCache: images encoded while DeviceImage
+// still carried the redirection-map cache size (now a constant of the
+// hardware model) decode, and restore to the device they were taken from.
+func TestImageDecodeIgnoresClusterCache(t *testing.T) {
+	d, clock := imageTestDevice(Config{Size: 1 << 20, ClusterPages: 8, TrackData: true, Seed: 42})
+	driveWrites(d, 42, 4000)
+	img := d.Snapshot()
+	cur := reflect.ValueOf(*img)
+	fields := reflect.VisibleFields(cur.Type())
+	fields = append(fields, reflect.StructField{Name: "ClusterCache", Type: reflect.TypeOf(0)})
+	old := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := 0; i < cur.NumField(); i++ {
+		old.Field(i).Set(cur.Field(i))
+	}
+	old.FieldByName("ClusterCache").SetInt(4)
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(old.Interface()); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := DecodeImage(&enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	d2, err := NewDeviceFromImage(dec, clock, nil)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !reflect.DeepEqual(img, d2.Snapshot()) {
+		t.Fatal("an image with the old field restored to a different device")
 	}
 }
 

@@ -45,7 +45,6 @@ func finishedHeap(t testing.TB, rc censusRun) *vm.VM {
 	v := vm.New(vm.Config{
 		HeapBytes:    heapBytes,
 		Compensate:   rc.rate > 0,
-		FailureRate:  rc.rate,
 		Collector:    rc.collector,
 		FailureAware: rc.aware,
 		Kernel:       kern,

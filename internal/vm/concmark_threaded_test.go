@@ -16,15 +16,15 @@ func makeConcMarkVM(t *testing.T, heapBytes, markers int) *testVM {
 	poolPages := 4 * heapBytes / failmap.PageSize * 2
 	kern := kernel.New(kernel.Config{PCMPages: poolPages, Clock: clock})
 	v := New(Config{
-		HeapBytes:      heapBytes,
-		Collector:      StickyImmix,
-		FailureAware:   true,
-		Threaded:       true,
-		TraceWorkers:   markers,
-		ConcurrentMark: markers,
-		StrictSATB:     true,
-		Kernel:         kern,
-		Clock:          clock,
+		HeapBytes:    heapBytes,
+		Collector:    StickyImmix,
+		FailureAware: true,
+		Threaded:     true,
+		TraceWorkers: markers, // one concurrent marker per trace lane
+		PauseBudget:  1000,
+		StrictSATB:   true,
+		Kernel:       kern,
+		Clock:        clock,
 	})
 	tv := &testVM{VM: v}
 	tv.node = v.RegisterType(&heap.Type{

@@ -46,16 +46,10 @@ func makeContractVM(t *testing.T, threaded bool, heapBytes int, tweak func(*Conf
 	return tv
 }
 
-// withMarking turns marking cycles on the way each engine has them: bounded
-// increments under a pause budget on the baton, a concurrent marker on the
-// threaded engine.
-func withMarking(c *Config) {
-	if c.Threaded {
-		c.ConcurrentMark = 1
-	} else {
-		c.PauseBudget = 1000
-	}
-}
+// withMarking turns marking cycles on: a pause budget, which each engine
+// meets its own way — bounded increments on the baton, a concurrent marker
+// on the threaded engine.
+func withMarking(c *Config) { c.PauseBudget = 1000 }
 
 // TestEngineContractMaskedFailureQueues: an up-call that arrives while
 // collection is masked — here from inside a probe at the start of a
@@ -239,5 +233,38 @@ func TestEngineContractEscalateConsultsCycles(t *testing.T) {
 				t.Fatalf("the stop-the-world ladder ran %d full collections, the baton's runs %d", stw, want)
 			}
 		})
+	}
+}
+
+// TestMarkersDeriveFromPauseBudget: the concurrent marker count is not a
+// setting. A threaded runtime with a pause budget gets one marker per trace
+// lane (at least one); a baton, unbudgeted or write-through runtime gets
+// none, and only the threaded engine's cycles() follows the markers.
+func TestMarkersDeriveFromPauseBudget(t *testing.T) {
+	for _, eng := range bothEngines {
+		for _, budget := range []int{0, 1000} {
+			for _, through := range []bool{false, true} {
+				for _, lanes := range []int{0, 1, 2, 4} {
+					tv := makeContractVM(t, eng.threaded, 1<<20, func(c *Config) {
+						c.PauseBudget, c.WriteThrough, c.TraceWorkers = budget, through, lanes
+					})
+					got, want := 0, 0
+					if th, ok := tv.eng.(*threaded); ok {
+						got = th.markers
+					}
+					if eng.threaded && budget > 0 && !through {
+						want = max(lanes, 1)
+					}
+					if got != want {
+						t.Errorf("%s budget %d write-through %v lanes %d: %d markers, want %d",
+							eng.name, budget, through, lanes, got, want)
+					}
+					if cycles := tv.eng.cycles(); cycles != (budget > 0 && (!eng.threaded || want > 0)) {
+						t.Errorf("%s budget %d write-through %v lanes %d: cycles() = %v", eng.name, budget, through, lanes, cycles)
+					}
+					tv.Close()
+				}
+			}
+		}
 	}
 }

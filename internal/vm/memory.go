@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"wearmem/internal/bitset"
 	"wearmem/internal/core"
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
@@ -143,8 +144,8 @@ func (t *pageTable) ensure(ci int) *pageChunk {
 		c = &pageChunk{
 			bits:     make([]uint64, n),
 			cost:     make([]int32, n/t.ppb),
-			borrowed: make([]uint64, (n+63)/64),
-			mapped:   make([]uint64, (n+63)/64),
+			borrowed: make([]uint64, bitset.Words(n)),
+			mapped:   make([]uint64, bitset.Words(n)),
 		}
 		t.chunks[ci] = c
 	}
@@ -162,10 +163,6 @@ func (t *pageTable) liveChunks() int {
 	}
 	return n
 }
-
-func bitsetGet(s []uint64, i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
-func bitsetSet(s []uint64, i int)      { s[i>>6] |= 1 << uint(i&63) }
-func bitsetClear(s []uint64, i int)    { s[i>>6] &^= 1 << uint(i&63) }
 
 func newPoolMemory(kern *kernel.Kernel, space *heap.Space, clock *stats.Clock, blockSize, budgetBytes int, aware, compensate bool) *poolMemory {
 	m := &poolMemory{
@@ -210,7 +207,7 @@ func (m *poolMemory) pageFailBits(pg heap.Addr) uint64 {
 func (m *poolMemory) pageCost(pg heap.Addr) int {
 	ci, pi := m.pages.split(pg)
 	if c := m.pages.chunk(ci); c != nil {
-		return m.costOf(c.bits[pi], bitsetGet(c.borrowed, pi))
+		return m.costOf(c.bits[pi], bitset.Get(c.borrowed, pi))
 	}
 	return m.costOf(0, false)
 }
@@ -240,9 +237,9 @@ func (m *poolMemory) pagesCost(base heap.Addr, n int) int {
 func (m *poolMemory) mapPage(pg heap.Addr, pageBits uint64, borrowed bool) {
 	ci, pi := m.pages.split(pg)
 	c := m.pages.ensure(ci)
-	bitsetSet(c.mapped, pi)
+	bitset.Set(c.mapped, pi)
 	if borrowed {
-		bitsetSet(c.borrowed, pi)
+		bitset.Set(c.borrowed, pi)
 	}
 	c.bits[pi] = pageBits
 	c.live++
@@ -388,11 +385,11 @@ func (m *poolMemory) retire(base heap.Addr) {
 	for p := 0; p < m.pagesPerBlock(); p++ {
 		ci, pi := m.pages.split(base + heap.Addr(p*failmap.PageSize))
 		c := m.pages.chunk(ci)
-		if c == nil || !bitsetGet(c.mapped, pi) {
+		if c == nil || !bitset.Get(c.mapped, pi) {
 			continue
 		}
-		bitsetClear(c.mapped, pi)
-		bitsetClear(c.borrowed, pi)
+		bitset.Clear(c.mapped, pi)
+		bitset.Clear(c.borrowed, pi)
 		c.bits[pi] = 0
 		c.cost[pi/m.pages.ppb] = 0
 		c.live--
@@ -497,7 +494,7 @@ func (m *poolMemory) NoteFailure(vaddr heap.Addr) {
 	defer m.mu.Unlock()
 	ci, pi := m.pages.split(vaddr &^ (failmap.PageSize - 1))
 	c := m.pages.chunk(ci)
-	if c == nil || !bitsetGet(c.mapped, pi) {
+	if c == nil || !bitset.Get(c.mapped, pi) {
 		return
 	}
 	line := uint(vaddr%failmap.PageSize) / failmap.LineSize
@@ -505,7 +502,7 @@ func (m *poolMemory) NoteFailure(vaddr heap.Addr) {
 		return
 	}
 	c.bits[pi] |= 1 << line
-	if m.compensate && !bitsetGet(c.borrowed, pi) {
+	if m.compensate && !bitset.Get(c.borrowed, pi) {
 		c.cost[pi/m.pages.ppb] -= failmap.LineSize
 	}
 }
@@ -517,11 +514,11 @@ func (m *poolMemory) NoteRemap(vaddr heap.Addr) {
 	defer m.mu.Unlock()
 	ci, pi := m.pages.split(vaddr &^ (failmap.PageSize - 1))
 	c := m.pages.chunk(ci)
-	if c == nil || !bitsetGet(c.mapped, pi) {
+	if c == nil || !bitset.Get(c.mapped, pi) {
 		return
 	}
 	if c.bits[pi] != 0 {
-		if m.compensate && !bitsetGet(c.borrowed, pi) {
+		if m.compensate && !bitset.Get(c.borrowed, pi) {
 			c.cost[pi/m.pages.ppb] += int32(bits.OnesCount64(c.bits[pi]) * failmap.LineSize)
 		}
 		c.bits[pi] = 0

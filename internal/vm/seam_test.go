@@ -21,7 +21,7 @@ var engineLeaves = map[string]bool{
 
 // engineState is what belongs to one engine and must not drift back onto
 // the VM, the union of both.
-var engineState = map[string]bool{"world": true, "unjoined": true, "running": true, "incSinceGC": true}
+var engineState = map[string]bool{"world": true, "unjoined": true, "markers": true, "running": true, "incSinceGC": true}
 
 // TestEngineSeamIsClosed parses every non-test file of the package and fails,
 // naming file:line, on a read of the threaded field outside engineLeaves, on

@@ -122,6 +122,10 @@ func (w *world) assertStopped() {
 type threaded struct {
 	v     *VM
 	world world
+	// markers is the concurrent marker count, derived from the
+	// configuration once (see Config.PauseBudget); 0 means collections
+	// stay stop-the-world.
+	markers int
 	// unjoined is set while a RunThreads batch is in flight and stays set
 	// when the batch ends in an error or a panic: marker goroutines may
 	// then still hold the address space, so Close must not recycle it.
@@ -158,6 +162,9 @@ func newThreaded(v *VM) *threaded {
 	// this size is cleared, and so resident, in full.
 	v.model.S.Reserve(heap.Addr((3*v.kern.PCMPages() + 4096) * failmap.PageSize))
 	t := &threaded{v: v}
+	if v.cfg.PauseBudget > 0 && !v.cfg.WriteThrough {
+		t.markers = max(v.cfg.TraceWorkers, 1)
+	}
 	t.world.init()
 	return t
 }
@@ -181,7 +188,7 @@ func (m *Mutator) Safepoint() {
 
 func (t *threaded) poll(size int) {
 	t.safepointPoll()
-	if t.v.cfg.ConcurrentMark > 0 {
+	if t.markers > 0 {
 		t.concMarkStep(size)
 	}
 }
@@ -213,7 +220,7 @@ func (t *threaded) concMarkStep(size int) {
 	t.exclusive(func() {
 		if !ix.Marking() && v.allocSinceMark.Load() >= int64(v.markTriggerBytes) {
 			v.allocSinceMark.Store(0)
-			ix.BeginMark(v.roots, v.cfg.ConcurrentMark)
+			ix.BeginMark(v.roots, t.markers)
 		}
 	})
 }
@@ -276,7 +283,7 @@ func (t *threaded) assertExclusive() { t.world.assertStopped() }
 
 func (t *threaded) masked() bool { return true }
 
-func (t *threaded) cycles() bool { return t.v.cfg.ConcurrentMark > 0 }
+func (t *threaded) cycles() bool { return t.markers > 0 }
 
 // pin sets the bit atomically — running mutators CAS header bits (barrier
 // logging) — and inside the write-through transaction.

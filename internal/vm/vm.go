@@ -61,14 +61,9 @@ type Config struct {
 	// form of the paper's h/(1-f)), holding usable memory constant across
 	// failure rates. Uncompensated runs charge raw bytes.
 	Compensate bool
-	// FailureRate is the injected line failure rate f (informational; the
-	// harness uses it to size the PCM pool).
-	FailureRate float64
 
 	Collector    CollectorKind
 	LineSize     int // Immix line size (§6.3); default 256
-	BlockSize    int // default 32 KB
-	LOSThreshold int // default 8 KB
 	FailureAware bool
 	// TraceWorkers selects the number of parallel trace lanes the Immix
 	// mark phase uses; 0 or 1 keeps the serial trace. Multi-mutator runs
@@ -88,19 +83,16 @@ type Config struct {
 	WallClock bool
 	// PauseBudget bounds the marking work of a single GC pause in simulated
 	// cycles. Zero keeps the historical stop-the-world trace. Positive
-	// values switch the nursery-tier collection to incremental sticky
+	// values switch the nursery-tier collection to snapshot-at-the-beginning
 	// marking: on the baton engine, bounded mark increments interleave
 	// between mutator turns at allocation safepoints; on the threaded
-	// engine it enables concurrent marking (ConcurrentMark defaults to
-	// TraceWorkers when unset). Requires Collector=StickyImmix — the sticky
-	// logged-bit barrier is the snapshot-at-the-beginning channel.
+	// engine, one concurrent marker goroutine per trace lane marks while
+	// the mutators run, bounding pauses to a short initial and final mark —
+	// except under WriteThrough, whose line writeback snapshots would race
+	// the markers' header CASes, so collections stay stop-the-world there.
+	// Requires Collector=StickyImmix — the sticky logged-bit barrier is the
+	// snapshot-at-the-beginning channel.
 	PauseBudget int
-	// ConcurrentMark runs the marking phase on this many dedicated marker
-	// goroutines while mutators keep running, bounding pauses to a short
-	// initial-mark and final-mark stop-the-world. Requires Threaded and
-	// Collector=StickyImmix. Forced to zero under WriteThrough: writeback
-	// line snapshots would race the markers' header CASes.
-	ConcurrentMark int
 	// StrictSATB verifies the tri-color invariant (every reachable object
 	// marked) at each incremental/concurrent final mark, panicking on a
 	// violation. Test and torture configurations only; the walk is O(heap).
@@ -209,6 +201,10 @@ type VM struct {
 	degraded error
 }
 
+// blockSize is the paper's 32 KB Immix block (§4), the unit the pool hands
+// the collector.
+const blockSize = 32 << 10
+
 // ErrOutOfMemory reports that the workload does not fit the configured
 // heap (a DNF data point in the paper's graphs).
 var ErrOutOfMemory = errors.New("vm: out of memory")
@@ -229,40 +225,15 @@ func New(cfg Config) *VM {
 	if cfg.Kernel == nil || cfg.Clock == nil {
 		panic("vm: Kernel and Clock are required")
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate >= 1 {
-		panic("vm: failure rate must be in [0,1)")
-	}
-	if (cfg.PauseBudget > 0 || cfg.ConcurrentMark > 0) && cfg.Collector != StickyImmix {
-		panic("vm: PauseBudget/ConcurrentMark require Collector=StickyImmix (the sticky write barrier is the SATB channel)")
-	}
-	if cfg.ConcurrentMark > 0 && !cfg.Threaded {
-		panic("vm: ConcurrentMark requires Engine=threaded")
-	}
-	if cfg.Threaded && cfg.PauseBudget > 0 && cfg.ConcurrentMark == 0 {
-		// The threaded engine bounds pauses with concurrent markers rather
-		// than baton-interleaved increments; a bare budget implies them.
-		cfg.ConcurrentMark = cfg.TraceWorkers
-		if cfg.ConcurrentMark == 0 {
-			cfg.ConcurrentMark = 1
-		}
-	}
-	if cfg.WriteThrough && cfg.ConcurrentMark > 0 {
-		// Write-through line snapshots read whole lines with plain loads;
-		// concurrent markers CAS object headers inside those lines. Fall back
-		// to the stop-the-world trace rather than race the device writeback.
-		cfg.ConcurrentMark = 0
+	if cfg.PauseBudget > 0 && cfg.Collector != StickyImmix {
+		panic("vm: PauseBudget requires Collector=StickyImmix (the sticky write barrier is the SATB channel)")
 	}
 	space := heap.NewSpace()
 	model := &heap.Model{S: space, T: heap.NewTypeTable()}
-	blockSize := cfg.BlockSize
-	if blockSize == 0 {
-		blockSize = 32 << 10
-	}
 	mem := newPoolMemory(cfg.Kernel, space, cfg.Clock, blockSize, cfg.HeapBytes, cfg.FailureAware, cfg.Compensate)
 	ccfg := core.Config{
 		BlockSize:    blockSize,
 		LineSize:     cfg.LineSize,
-		LOSThreshold: cfg.LOSThreshold,
 		FailureAware: cfg.FailureAware,
 		Generational: cfg.Collector == StickyImmix || cfg.Collector == StickyMarkSweep,
 		TraceWorkers: cfg.TraceWorkers,

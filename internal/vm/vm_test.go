@@ -40,7 +40,6 @@ func makeVM(t *testing.T, heapBytes int, failRate float64, kind CollectorKind, a
 	v := New(Config{
 		HeapBytes:    heapBytes,
 		Compensate:   failRate > 0,
-		FailureRate:  failRate,
 		Collector:    kind,
 		FailureAware: aware,
 		Kernel:       kern,
@@ -128,7 +127,7 @@ func makeVMNoComp(t *testing.T, heapBytes int, failRate float64, seed int64) *te
 	inject = failmap.ClusterHardware(inject, 2)
 	kern := kernel.New(kernel.Config{PCMPages: poolPages, Inject: inject, Clock: clock})
 	v := New(Config{
-		HeapBytes: heapBytes, Compensate: false, FailureRate: failRate,
+		HeapBytes: heapBytes, Compensate: false,
 		Collector: StickyImmix, FailureAware: true, Kernel: kern, Clock: clock,
 	})
 	tv := &testVM{VM: v}

@@ -160,13 +160,13 @@ func RegisterTypes(v *vm.VM) *Types {
 	}
 }
 
-// MutAPI is the runtime surface a run drives: the VM's plain entry points
-// (the historical single-mutator path, charging the shared clock) or one
-// vm.Mutator, whose allocations go through its private Immix context and
-// whose accessors charge its clock — an alias of the shared clock on the
-// baton engine (bit-identical accounting), a private shard on the threaded
-// one. Both *vm.VM and *vm.Mutator satisfy it; scenario bodies receive it
-// and may type-assert for engine-specific extras (clocks, GC telemetry).
+// MutAPI is the runtime surface a run drives: one vm.Mutator, whose
+// allocations go through its private Immix context and whose accessors
+// charge its clock — an alias of the shared clock on the baton engine, a
+// private shard on the threaded one. *vm.VM satisfies it too (the torture
+// workload's serial campaign drives the VM's plain entry points); scenario
+// bodies receive a *vm.Mutator and may type-assert for its clock and GC
+// telemetry.
 type MutAPI interface {
 	New(ty *heap.Type) (heap.Addr, error)
 	NewArray(ty *heap.Type, n int) (heap.Addr, error)
@@ -194,46 +194,9 @@ type runState struct {
 	rng        *rand.Rand
 }
 
-// Run executes the benchmark on the VM: setup, then p.Iterations (or the
-// override, if positive) mutator iterations. It returns vm.ErrOutOfMemory
-// when the heap cannot hold the workload (a DNF).
-func (p *Profile) Run(v *vm.VM, iterations int) error {
-	if iterations <= 0 {
-		iterations = p.Iterations
-	}
-	if p.Body != nil {
-		if p.Prepare != nil {
-			if err := p.Prepare(v); err != nil {
-				return err
-			}
-		}
-		it := 0
-		return p.Body(v, 0, 1, iterations, func() {
-			if p.IterHook != nil {
-				p.IterHook(it, v)
-				it++
-			}
-		})
-	}
-	ty := RegisterTypes(v)
-	st := &runState{rng: rand.New(rand.NewSource(int64(len(p.Name)) + 12345))}
-	if err := p.setup(v, ty, st, p.LiveListNodes, p.LiveArrayBytes, p.RegistrySlots); err != nil {
-		return err
-	}
-	for it := 0; it < iterations; it++ {
-		if err := p.iterate(v, ty, st); err != nil {
-			return err
-		}
-		if p.IterHook != nil {
-			p.IterHook(it, v)
-		}
-	}
-	return nil
-}
-
 // setup builds the long-lived structures: the linked list, the rooted live
-// arrays and the survivor registry. The share arguments let a multi-mutator
-// run split the structures across contexts; Run passes the full profile.
+// arrays and the survivor registry, or the share of them one mutator of a
+// RunMutators batch owns.
 func (p *Profile) setup(api MutAPI, ty *Types, st *runState, listNodes, arrayBytes, regSlots int) error {
 	api.AddRoot(&st.head)
 	for i := 0; i < listNodes; i++ {

@@ -22,22 +22,20 @@ func Share(n, k, i int) int {
 	return s
 }
 
-// RunMutators executes the benchmark split across the given number of
-// mutators on the VM's engine (vm.RunMutators): each mutator owns a share
-// of the live structures, a share of the iterations, and its own rng
-// stream, allocates through its private Immix context, and yields before
-// every iteration so a collection (or failure up-call) triggered by any
-// mutator finds it at a safepoint. On the baton engine the interleaving is
-// deterministic, and with mutators <= 1 the run is exactly Run — the
-// historical single-mutator path, bit for bit. On the threaded engine it
-// is whatever the host decides, so only engine-invariant outcomes (the
-// live census, failure outcomes, verifier cleanliness) match. The first
-// mutator to fail aborts the others; its error is returned
-// (vm.ErrOutOfMemory still reports a DNF through errors.Is).
+// RunMutators executes the benchmark on the VM, split across the given
+// number of mutators on the VM's engine (vm.RunMutators); it is the one way
+// a profile runs, and a lone mutator is RunMutators(v, iterations, 1).
+// Iterations <= 0 selects p.Iterations. Each mutator owns a share of the
+// live structures, a share of the iterations, and its own rng stream,
+// allocates through its private Immix context, and yields before every
+// iteration so a collection (or failure up-call) triggered by any mutator
+// finds it at a safepoint. On the baton engine the interleaving is
+// deterministic; on the threaded engine it is whatever the host decides,
+// so only engine-invariant outcomes (the live census, failure outcomes,
+// verifier cleanliness) match. The first mutator to fail aborts the
+// others; its error is returned (vm.ErrOutOfMemory reports a DNF through
+// errors.Is).
 func (p *Profile) RunMutators(v *vm.VM, iterations, mutators int) error {
-	if mutators <= 1 && !v.Threaded() {
-		return p.Run(v, iterations)
-	}
 	if iterations <= 0 {
 		iterations = p.Iterations
 	}

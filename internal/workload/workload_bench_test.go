@@ -39,13 +39,12 @@ func BenchmarkMutatorIter(bm *testing.B) {
 			v := vm.New(vm.Config{
 				HeapBytes:    heapBytes,
 				Compensate:   rate > 0,
-				FailureRate:  rate,
 				Collector:    vm.StickyImmix,
 				FailureAware: true,
 				Kernel:       kern,
 				Clock:        clock,
 			})
-			if err := p.Run(v, chunk); err != nil {
+			if err := p.RunMutators(v, chunk, 1); err != nil {
 				bm.Fatal(err)
 			}
 		}

@@ -26,7 +26,6 @@ func buildVM(t *testing.T, heapBytes int, rate float64, cluster, traceWorkers in
 	v := vm.New(vm.Config{
 		HeapBytes:    heapBytes,
 		Compensate:   rate > 0,
-		FailureRate:  rate,
 		Collector:    vm.StickyImmix,
 		FailureAware: true,
 		Kernel:       kern,
@@ -42,7 +41,7 @@ func runProfile(t *testing.T, p *Profile, heapBytes int, rate float64, cluster i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, p.Run(v, iters)
+	return v, p.RunMutators(v, iters, 1)
 }
 
 func TestProfilesValidate(t *testing.T) {

@@ -61,7 +61,6 @@ type openConfig struct {
 	writeThrough bool
 	deviceTune   func(*DeviceConfig)
 	pauseBudget  int
-	concMark     int
 	image        *DeviceImage
 	placement    string
 	remap        string
@@ -138,19 +137,12 @@ func WithDeviceTuning(tune func(*DeviceConfig)) Option {
 // cycles instead of stop-the-world collections. Requires the StickyImmix
 // collector (the default). On the baton engine marking proceeds in bounded
 // increments between mutator turns, preserving byte-for-byte determinism;
-// on the threaded engine it enables concurrent marking (see
-// WithConcurrentMark). Defragmentation remains a stop-the-world full
-// collection.
-func WithPauseBudget(budget int) Option { return func(c *openConfig) { c.pauseBudget = budget } }
-
-// WithConcurrentMark runs marking on n dedicated goroutines while the
+// on the threaded engine one marker goroutine per mutator marks while the
 // mutators keep executing, bounding pauses to short initial-mark and
-// final-mark stop-the-world phases. Requires WithEngine("threaded") and
-// the StickyImmix collector; with WithPauseBudget alone the threaded
-// engine defaults to one marker per mutator. Ignored (stop-the-world
-// fallback) under WithWriteThrough, whose line writeback would race the
-// markers.
-func WithConcurrentMark(n int) Option { return func(c *openConfig) { c.concMark = n } }
+// final-mark phases — except under WithWriteThrough, whose line writeback
+// would race the markers, where collections stay stop-the-world.
+// Defragmentation remains a stop-the-world full collection.
+func WithPauseBudget(budget int) Option { return func(c *openConfig) { c.pauseBudget = budget } }
 
 // WithPersistentImage boots the stack over a device image captured by
 // Runtime.Snapshot (or pcm snapshotting) instead of a fresh pool: the
@@ -246,14 +238,8 @@ func Open(opts ...Option) (*Runtime, error) {
 	if c.pauseBudget < 0 {
 		return nil, fmt.Errorf("wearmem: pause budget of %d cycles", c.pauseBudget)
 	}
-	if c.concMark < 0 {
-		return nil, fmt.Errorf("wearmem: %d concurrent markers", c.concMark)
-	}
-	if (c.pauseBudget > 0 || c.concMark > 0) && c.collector != StickyImmix {
+	if c.pauseBudget > 0 && c.collector != StickyImmix {
 		return nil, fmt.Errorf("wearmem: bounded-pause marking requires the StickyImmix collector")
-	}
-	if c.concMark > 0 && !threaded {
-		return nil, fmt.Errorf("wearmem: WithConcurrentMark requires WithEngine(\"threaded\")")
 	}
 	if _, err := kernel.NewPlacementPolicy(c.placement); err != nil {
 		return nil, fmt.Errorf("wearmem: %w", err)
@@ -281,16 +267,14 @@ func Open(opts ...Option) (*Runtime, error) {
 		Image:     c.image,
 		MinFrames: c.heapBytes / PageSize,
 		VM: vm.Config{
-			HeapBytes:      c.heapBytes,
-			Compensate:     c.failureRate > 0,
-			FailureRate:    c.failureRate,
-			Collector:      c.collector,
-			FailureAware:   true,
-			Threaded:       threaded,
-			TraceWorkers:   machine.ThreadedLanes(threaded, c.mutators),
-			PauseBudget:    c.pauseBudget,
-			ConcurrentMark: c.concMark,
-			WriteThrough:   c.writeThrough,
+			HeapBytes:    c.heapBytes,
+			Compensate:   c.failureRate > 0,
+			Collector:    c.collector,
+			FailureAware: true,
+			Threaded:     threaded,
+			TraceWorkers: machine.ThreadedLanes(threaded, c.mutators),
+			PauseBudget:  c.pauseBudget,
+			WriteThrough: c.writeThrough,
 		},
 	}
 	if c.wearing {

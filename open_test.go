@@ -75,7 +75,6 @@ func TestOpenErrors(t *testing.T) {
 		"tuning sans dev":       {WithDeviceTuning(func(*DeviceConfig) {})},
 		"negative budget":       {WithPauseBudget(-1)},
 		"budget sans S-IX":      {WithCollector(MarkSweep), WithPauseBudget(10000)},
-		"concmark on baton":     {WithConcurrentMark(2)},
 		"bad placement":         {WithPlacementPolicy("tetris")},
 		"bad remap":             {WithRemapPolicy("tetris")},
 	}
@@ -307,8 +306,8 @@ func TestOpenThreadedDevicePolledWhileRunning(t *testing.T) {
 }
 
 // WithPauseBudget on the baton engine runs incremental cycles with every
-// pause under the budget's reach, deterministically; WithConcurrentMark
-// on the threaded engine runs concurrent cycles.
+// pause under the budget's reach, deterministically; on the threaded
+// engine it runs concurrent cycles.
 func TestOpenPauseBudget(t *testing.T) {
 	name := kv.MustRegister(kv.Config{})
 	run := func() (*LatencyReport, int) {
@@ -339,13 +338,12 @@ func TestOpenPauseBudget(t *testing.T) {
 		WithEngine("threaded"),
 		WithMutators(2),
 		WithPauseBudget(10000),
-		WithConcurrentMark(2),
 	)
 	if err := rt.RunBenchmark(BenchmarkByName(name), 150); err != nil {
 		t.Fatal(err)
 	}
 	if rt.VM.GCStats().ConcurrentCycles == 0 {
-		t.Fatal("no concurrent cycles ran under WithConcurrentMark")
+		t.Fatal("no concurrent cycles ran under a threaded WithPauseBudget")
 	}
 }
 
