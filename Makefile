@@ -21,13 +21,17 @@ race:
 # lock type's own tests, the device's single-owner/equipped differential,
 # the hammer on an equipped device, and the guards that a threaded boot
 # equips the device it runs on), the engine seam and contract, the kernel's
-# lock-free page-table walk and the address-space free list under eight
-# workers (subset of "race"; faster signal).
+# lock-free page-table walk, the address-space free list under eight
+# workers, a panicking trace worker surfacing from the stop-the-world trace
+# and the concurrent markers instead of hanging the others
+# (TestThreadedWorkerPanicSurfaces), and the blob-fill differential, whose
+# threaded twins take the write-through lock once a line (subset of "race";
+# faster signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
 		./internal/chaos/ ./internal/harness/ ./internal/pcm/ ./internal/kernel/ \
 		./internal/machine/ ./internal/sched/ . \
-		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore|SingleOwner|ConcurrentDevice|Equip|Lock|Seam|EngineContract'
+		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore|SingleOwner|ConcurrentDevice|Equip|Lock|Seam|EngineContract|SetArrayBytes'
 
 vet:
 	$(GO) vet ./...
@@ -45,7 +49,8 @@ fmt:
 #              threaded table is schedule-dependent and is cut first)
 #   latency    baton KV latency quantiles
 #   torture    baton campaign records (schedules, fired effects, GC and
-#              verification counts): serial, 4 mutators, pause budget 10000
+#              verification counts): serial, 4 mutators, pause budget 10000;
+#              and the baton crash sweep's records (one seed, every cut point)
 digest:
 	@$(GO) build -o .digest-wearbench ./cmd/wearbench
 	@rc=0; check() { want=$$1; name=$$2; shift 2; \
@@ -60,9 +65,9 @@ digest:
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
 	check afe01c111aecb2251812eaee1b6be0ca73796b45b9fa1cf766c5c224619f5807 latency \
 		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
-	if $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned$$' -count=1 >/dev/null; \
+	if $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned$$|TestCrashRecordsPinned$$' -count=1 >/dev/null; \
 	then echo "digest torture ok"; \
-	else echo "digest torture MOVED: $(GO) test ./internal/chaos/ -run TestTortureRecordsPinned"; rc=1; fi; \
+	else echo "digest torture MOVED: $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned|TestCrashRecordsPinned'"; rc=1; fi; \
 	rm -f .digest-wearbench; exit $$rc
 
 # The size a simplicity change is measured by: non-blank, non-comment lines

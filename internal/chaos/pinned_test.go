@@ -47,3 +47,28 @@ func TestTortureRecordsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashRecordsPinned holds the crash sweep on the baton configurations
+// (write-through on and off, one seed, every probe point cut) to the sha256
+// of its whole records: preamble schedule, cut point, rediscovered lines,
+// recovery cycles and the resumed run's counts. It is the crash half of the
+// oracle above — a hash that moves means the doomed run, the image, the
+// recovery or the resume changed.
+func TestCrashRecordsPinned(t *testing.T) {
+	const want = "f2001ec597600308af809c42419a0a19ff8fd866efe4c782a92b9d760a48cf2d"
+	sum := CrashSweep(Options{Seeds: 1, Configs: CrashConfigs()[:2]})
+	for _, r := range sum.Records {
+		if r.Failure != "" {
+			t.Errorf("%s seed=%d cut=%s failed: %s", r.Config, r.Seed, r.Cut, r.Failure)
+		}
+	}
+	js, err := json.Marshal(sum.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(js)
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Errorf("crash records moved: sha256 %s, want %s (%d campaigns, %d cuts fired)",
+			got, want, sum.Campaigns, sum.CutsFired)
+	}
+}

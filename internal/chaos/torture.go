@@ -627,6 +627,7 @@ const (
 type tortureAPI interface {
 	workload.MutAPI
 	Pin(a heap.Addr)
+	SetArrayBytes(arr heap.Addr, i int, src []byte)
 }
 
 // tortureHeap is the torture workload's state: linked chains with
@@ -741,6 +742,7 @@ func (h *tortureHeap) mutate(api tortureAPI, mi, k int, yield func()) {
 	}
 	iters := workload.Share(r.opt.Iters, k, mi)
 	rng := rand.New(rand.NewSource(r.camp.Seed*1000003 + 7 + 1009*int64(mi)))
+	buf := make([]byte, 12000) // the share's fill buffer: every blob is a prefix
 	for i := 0; i < iters && !r.failed() && !v.OOM(); i++ {
 		yield()
 		c := chains[rng.Intn(len(chains))]
@@ -761,9 +763,9 @@ func (h *tortureHeap) mutate(api tortureAPI, mi, k int, yield func()) {
 
 		switch {
 		case i%41 == 40: // large object space
-			h.fillSlot(api, slots[rng.Intn(len(slots))], 12000, i, rng)
+			h.fillSlot(api, slots[rng.Intn(len(slots))], buf[:12000], i, rng)
 		case i%23 == 22: // medium: overflow allocation on Immix
-			h.fillSlot(api, slots[rng.Intn(len(slots))], 600, i, rng)
+			h.fillSlot(api, slots[rng.Intn(len(slots))], buf[:600], i, rng)
 		}
 		if r.failed() {
 			break
@@ -838,25 +840,28 @@ func (h *tortureHeap) checkSlot(api tortureAPI, s int) bool {
 	return true
 }
 
-// fillSlot replaces array slot s with a fresh pattern-stamped blob of n
-// bytes at iteration iter, recording the pattern in the host-side mirror.
+// fillSlot replaces array slot s with a fresh pattern-stamped blob of
+// len(buf) bytes at iteration iter, recording the pattern in the host-side
+// mirror. The pattern is staged in buf and stored with one SetArrayBytes.
 // h.arr is re-read after the allocation, never captured before it:
 // NewArray can trigger a collection that evacuates the ref array, and the
 // collector fixes up registered roots only — an address held by value
 // across the allocation would silently write the new blob into the dead
 // old copy ("objects only move at allocation points" means exactly this
 // re-read).
-func (h *tortureHeap) fillSlot(api tortureAPI, s, n, iter int, rng *rand.Rand) {
+func (h *tortureHeap) fillSlot(api tortureAPI, s int, buf []byte, iter int, rng *rand.Rand) {
 	h.arrFillIter[s], h.arrFillGC[s] = iter, h.r.v.GCStats().Collections
+	n := len(buf)
 	ba, err := api.NewArray(h.blob, n)
 	if err != nil {
 		h.r.fail("alloc blob[%d]: %v", n, err)
 		return
 	}
 	pat := byte(rng.Intn(256))
-	for i := 0; i < n; i++ {
-		api.SetArrayByte(ba, i, pat+byte(i))
+	for i := range buf {
+		buf[i] = pat + byte(i)
 	}
+	api.SetArrayBytes(ba, 0, buf)
 	api.SetArrayRef(h.arr, s, ba)
 	h.arrLen[s] = n
 	h.arrPat[s] = pat

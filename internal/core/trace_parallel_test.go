@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"wearmem/internal/heap"
 	"wearmem/internal/stats"
@@ -185,6 +186,55 @@ func TestTraceParallelStealsFromWideRoot(t *testing.T) {
 		if got := e.model.S.Load64(node + nodeVal); got != uint64(i) {
 			t.Fatalf("element %d holds %d after parallel trace", i, got)
 		}
+	}
+}
+
+// A CAS-claim worker that panics — here on a smashed header — never goes
+// idle, and the survivors must not wait for it: the stop-the-world trace
+// and a marking window's markers both surface the panic, from Collect and
+// FinishMark, instead of hanging the collector with the other workers
+// spinning in drain.
+func TestThreadedWorkerPanicSurfaces(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts envOpts
+	}{
+		{"stw 4 workers", envOpts{traceWorkers: 4, threaded: true}},
+		{"4 markers", envOpts{generational: true, threaded: true, concMark: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, tc.opts)
+			ix := e.plan.(*Immix)
+			const n = 500
+			var arr heap.Addr
+			e.roots.Add(&arr)
+			arr = e.alloc(e.refs, heap.ArraySize(e.refs, n), n)
+			for i := 0; i < n; i++ {
+				e.setRef(arr, int(heap.ArrayHeaderSize)+i*int(heap.WordSize), e.newNode(uint64(i)))
+			}
+			// An unregistered type index: the worker that claims the node
+			// panics reading its type.
+			bad := e.getRef(arr, int(heap.ArrayHeaderSize)+n/2*int(heap.WordSize))
+			e.model.S.Store64(bad, 0xBEEF<<24|uint64(e.model.SizeOf(bad))<<40)
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				if tc.opts.concMark > 0 {
+					ix.BeginMark(e.roots, tc.opts.concMark)
+					ix.FinishMark(e.roots)
+				} else {
+					ix.Collect(true, e.roots)
+				}
+			}()
+			select {
+			case p := <-done:
+				if p == nil {
+					t.Fatal("the trace went through a smashed header without panicking")
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("a panicking trace worker hung the others")
+			}
+		})
 	}
 }
 

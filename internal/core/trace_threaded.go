@@ -139,7 +139,8 @@ type casTrace struct {
 	// defers threaded injections anyway).
 	stw     bool
 	nidle   atomic.Int32
-	probeMu sync.Mutex // probe hooks are not required to be thread-safe
+	aborted atomic.Bool // a worker panicked (see idle)
+	probeMu sync.Mutex  // probe hooks are not required to be thread-safe
 	wg      sync.WaitGroup
 	panics  []any
 }
@@ -158,7 +159,12 @@ func (t *casTrace) spawn(run func(w *traceWorker)) {
 		t.wg.Add(1)
 		go func(w *traceWorker) {
 			defer t.wg.Done()
-			defer func() { t.panics[w.id] = recover() }()
+			defer func() {
+				if p := recover(); p != nil {
+					t.panics[w.id] = p
+					t.aborted.Store(true)
+				}
+			}()
 			run(w)
 		}(w)
 	}
@@ -193,8 +199,11 @@ func (t *casTrace) join() {
 	}
 }
 
-// idle reports whether every worker is simultaneously out of work.
-func (t *casTrace) idle() bool { return int(t.nidle.Load()) == len(t.workers) }
+// idle reports whether every worker is simultaneously out of work, or one
+// has died: the survivors then stop, so join can re-raise its panic.
+func (t *casTrace) idle() bool {
+	return int(t.nidle.Load()) == len(t.workers) || t.aborted.Load()
+}
 
 // prestampBlocks stamps every block's mark bitmap at the current epoch
 // before concurrent workers touch them. Stamping eagerly is semantically

@@ -710,6 +710,30 @@ func (k *Kernel) WriteLine(vaddr uint64, data []byte) error {
 	}
 }
 
+// WriteLineRepeat is n WriteLine calls of the same data to vaddr taken as
+// one device step (pcm.Device.WriteRepeat), and reports whether it was
+// taken. With no device, or on a DRAM frame, it is true: each WriteLine
+// would succeed there without wear or charge. It is false, doing nothing,
+// on an unmapped address (the caller's per-line writes produce WriteLine's
+// error), under a remap policy other than the stock one (which may migrate
+// the frame at any write of the run), and when the device refuses the step.
+func (k *Kernel) WriteLineRepeat(vaddr uint64, data []byte, n int) bool {
+	if k.device == nil {
+		return true
+	}
+	frame, off, ok := k.Translate(vaddr)
+	if !ok {
+		return false
+	}
+	if frame >= k.pcmPages {
+		return true
+	}
+	if _, stock := k.remap.(*paperRemap); !stock {
+		return false
+	}
+	return k.device.WriteRepeat(frame*failmap.LinesPerPage+off/failmap.LineSize, data, n)
+}
+
 // InjectDynamicFailure marks a line of a mapped region as failed and
 // delivers the up-call, modelling a dynamic failure without a device (used
 // by experiments that inject failures at chosen instants, mirroring §5's

@@ -466,6 +466,38 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 	return n, err
 }
 
+// WriteRepeat applies n writes of data to the module-visible line as one
+// step and reports whether it did. It takes the step only where n calls to
+// Write could do nothing but count wear and store data, so the step is
+// exactly those calls: n wear counts, n EvPCMWrite charges and the last
+// write's contents. It refuses, changing nothing, when the module is
+// stalled (the first write would be refused), when it levels wear (any
+// write may move the gap) or clusters failures (every write translates
+// through the redirection cache), and when the run would reach the line's
+// endurance: write k exhausts it exactly when the count plus k reaches it,
+// and only that write consumes a correction entry or fails the line. A
+// refused caller writes one line at a time.
+func (d *Device) WriteRepeat(line int, data []byte, n int) bool {
+	if line < 0 || line >= d.lines || n < 1 {
+		panic(fmt.Sprintf("pcm: %d writes to line %d out of range", n, line))
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := line // its own storage slot on a device that neither levels nor clusters
+	if d.stalled.Load() || d.cfg.WearLeveling == StartGap || d.array != nil ||
+		d.endurance != nil && !d.broken[s] && d.writes[s]+uint64(n) >= d.endurance[s] {
+		return false
+	}
+	d.writes[s] += uint64(n)
+	if d.clock != nil {
+		d.clock.Charge(stats.EvPCMWrite, uint64(n))
+	}
+	if d.data != nil {
+		copy(d.data.line(s), data)
+	}
+	return true
+}
+
 // unlockAndInterrupt ends a critical section and then invokes the interrupt
 // callbacks it queued.
 func (d *Device) unlockAndInterrupt() {

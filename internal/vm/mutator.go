@@ -178,6 +178,12 @@ func (m *Mutator) ArrayByte(arr heap.Addr, i int) byte { return m.v.arrayByte(m.
 // SetArrayByte stores byte i of a scalar byte array.
 func (m *Mutator) SetArrayByte(arr heap.Addr, i int, b byte) { m.v.setArrayByte(m.clk, arr, i, b) }
 
+// SetArrayBytes stores src into bytes i.. of a scalar byte array: exactly
+// len(src) SetArrayByte calls in order.
+func (m *Mutator) SetArrayBytes(arr heap.Addr, i int, src []byte) {
+	m.v.setArrayBytes(m.clk, arr, i, src)
+}
+
 // ArrayLen returns the element count of the array at arr.
 func (m *Mutator) ArrayLen(arr heap.Addr) int { return m.v.ArrayLen(arr) }
 

@@ -600,6 +600,10 @@ func (v *VM) ArrayByte(arr heap.Addr, i int) byte { return v.arrayByte(v.clock, 
 // SetArrayByte stores byte i of a scalar byte array.
 func (v *VM) SetArrayByte(arr heap.Addr, i int, b byte) { v.setArrayByte(v.clock, arr, i, b) }
 
+// SetArrayBytes stores src into bytes i.. of a scalar byte array: exactly
+// len(src) SetArrayByte calls in order.
+func (v *VM) SetArrayBytes(arr heap.Addr, i int, src []byte) { v.setArrayBytes(v.clock, arr, i, src) }
+
 // ArrayLen returns the element count of the array at arr (no clock charge;
 // it models metadata the compiler would know statically).
 func (v *VM) ArrayLen(arr heap.Addr) int { return v.model.ArrayLen(arr) }
@@ -716,6 +720,53 @@ func (v *VM) setArrayByte(clk *stats.Clock, arr heap.Addr, i int, b byte) {
 	if v.cfg.WriteThrough {
 		v.writeback(arr + heap.ArrayHeaderSize + heap.Addr(i))
 	}
+}
+
+// setArrayBytes is setArrayByte over a range, a device line at a time. The
+// stores a line receives are one step when storeLine can take it; when it
+// cannot, they run one by one through setArrayByte, so every effect a
+// per-byte store has lands where it would have.
+func (v *VM) setArrayBytes(clk *stats.Clock, arr heap.Addr, i int, src []byte) {
+	if len(src) == 0 {
+		return
+	}
+	v.boundsCheck(arr, i)
+	v.boundsCheck(arr, i+len(src)-1)
+	for len(src) > 0 {
+		addr := arr + heap.ArrayHeaderSize + heap.Addr(i)
+		n := min(len(src), failmap.LineSize-int(addr%failmap.LineSize))
+		if !v.storeLine(clk, addr, src[:n]) {
+			for j, b := range src[:n] {
+				v.setArrayByte(clk, arr, i+j, b)
+			}
+		}
+		i, src = i+n, src[n:]
+	}
+}
+
+// storeLine stores src, which lies within one device line, at addr as one
+// step and reports whether it could: the bytes land, the len(src) array
+// accesses are one charge and, under write-through, the device applies
+// len(src) writes of the finished line at once (kernel.WriteLineRepeat).
+// When the kernel refuses — a write of the run could fail, stall, level,
+// cluster or be seen by a remap policy — the old bytes go back and nothing
+// is charged. It takes the write-through transaction once for the line.
+func (v *VM) storeLine(clk *stats.Clock, addr heap.Addr, src []byte) bool {
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	dst := v.model.S.Bytes(addr, len(src))
+	var old [failmap.LineSize]byte
+	copy(old[:], dst)
+	copy(dst, src)
+	line := addr &^ heap.Addr(failmap.LineSize-1)
+	if v.cfg.WriteThrough && !v.kern.WriteLineRepeat(uint64(line), v.model.S.Bytes(line, failmap.LineSize), len(src)) {
+		copy(dst, old[:])
+		return false
+	}
+	clk.Charge(stats.EvArrayAccess, uint64(len(src)))
+	return true
 }
 
 // writeback pushes the line containing addr through the kernel to the PCM
