@@ -91,12 +91,14 @@ loc:
 	fi
 
 # Hot-path microbenchmarks: the collector's line bitsets against the retained
-# []bool reference, and what every simulator run pays around the simulation
+# []bool reference, what every simulator run pays around the simulation
 # (drawing and clustering a failure map, encoding the OS table, building a
-# block's line states from a map, the live-heap census).
+# block's line states from a map, the live-heap census), and the two checks a
+# torture campaign runs (the heap verifier at a collection, the recovered-state
+# verifier after a power cut, both mid-campaign).
 bench:
-	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ -run NONE \
-		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census' -benchtime 1s
+	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ ./internal/chaos/ -run NONE \
+		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census|VerifyHeap|VerifyRecovered' -benchtime 1s
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).

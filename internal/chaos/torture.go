@@ -446,41 +446,7 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 		}
 	}
 
-	m, err := machine.Boot(machine.Spec{
-		Kernel: kernel.Config{
-			PCMPages:     torturePoolBytes / failmap.PageSize,
-			RemapUnaware: true,
-			Placement:    cfg.Placement,
-			Remap:        cfg.Remap,
-		},
-		// A restart (img != nil) restores the device instead and rebuilds
-		// the OS view of it — drain the torn orphans, rescan, scrub, admit —
-		// before anything is mapped.
-		Device: &pcm.Config{
-			Endurance: tortureEndurance,
-			Variation: tortureVariation,
-			TrackData: true,
-			Seed:      camp.Seed,
-		},
-		Image:     img,
-		MinFrames: 2 * heapBytes / failmap.PageSize,
-		Probe:     true,
-		VM: vm.Config{
-			HeapBytes:    heapBytes,
-			Collector:    cfg.Collector,
-			FailureAware: cfg.FailureAware,
-			WriteThrough: !cfg.NoWriteThrough,
-			StrictRemap:  true,
-			Threaded:     cfg.Threaded,
-			TraceWorkers: machine.ThreadedLanes(cfg.Threaded, cfg.Mutators),
-			PauseBudget:  cfg.PauseBudget,
-			StrictSATB:   cfg.PauseBudget > 0,
-			// The workload's explicit collections come every ~40 KB of
-			// allocation; a low trigger makes incremental cycles (and their
-			// increment-boundary injection points) actually run between them.
-			MarkTriggerBytes: 24 << 10,
-		},
-	})
+	m, err := bootCampaign(cfg, camp.Seed, heapBytes, img)
 	if crash != nil && m != nil && m.Recovery != nil {
 		st := m.Recovery
 		crash.Orphans = st.Orphans
@@ -553,6 +519,47 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 	return rec, inj
 }
 
+// bootCampaign boots a campaign's probed machine: a torturePoolBytes wearing
+// device seeded by the campaign, the kernel over it and a heapBytes runtime
+// configured from cfg.
+func bootCampaign(cfg TortureConfig, seed int64, heapBytes int, img *pcm.DeviceImage) (*machine.Machine, error) {
+	return machine.Boot(machine.Spec{
+		Kernel: kernel.Config{
+			PCMPages:     torturePoolBytes / failmap.PageSize,
+			RemapUnaware: true,
+			Placement:    cfg.Placement,
+			Remap:        cfg.Remap,
+		},
+		// A restart (img != nil) restores the device instead and rebuilds
+		// the OS view of it — drain the torn orphans, rescan, scrub, admit —
+		// before anything is mapped.
+		Device: &pcm.Config{
+			Endurance: tortureEndurance,
+			Variation: tortureVariation,
+			TrackData: true,
+			Seed:      seed,
+		},
+		Image:     img,
+		MinFrames: 2 * heapBytes / failmap.PageSize,
+		Probe:     true,
+		VM: vm.Config{
+			HeapBytes:    heapBytes,
+			Collector:    cfg.Collector,
+			FailureAware: cfg.FailureAware,
+			WriteThrough: !cfg.NoWriteThrough,
+			StrictRemap:  true,
+			Threaded:     cfg.Threaded,
+			TraceWorkers: machine.ThreadedLanes(cfg.Threaded, cfg.Mutators),
+			PauseBudget:  cfg.PauseBudget,
+			StrictSATB:   cfg.PauseBudget > 0,
+			// The workload's explicit collections come every ~40 KB of
+			// allocation; a low trigger makes incremental cycles (and their
+			// increment-boundary injection points) actually run between them.
+			MarkTriggerBytes: 24 << 10,
+		},
+	})
+}
+
 func (r *campaignRun) fail(format string, args ...interface{}) {
 	r.failMu.Lock()
 	defer r.failMu.Unlock()
@@ -576,6 +583,13 @@ func (r *campaignRun) failed() bool {
 // kernel-table checks while a failure batch is still pending retirement.
 func (r *campaignRun) verifyNow() {
 	r.rec.Verifications++
+	if rep := verify.Heap(r.heapTarget()); !rep.Ok() {
+		r.fail("%v", rep.Err())
+	}
+}
+
+// heapTarget is the runtime state and the options verifyNow checks now.
+func (r *campaignRun) heapTarget() (verify.Target, verify.Options) {
 	t := verify.Target{
 		Model:  r.v.Model(),
 		Roots:  r.v.Roots(),
@@ -590,12 +604,9 @@ func (r *campaignRun) verifyNow() {
 		t.Epoch = ms.Epoch()
 	}
 	pending := r.v.PendingRecovery()
-	rep := verify.Heap(t, verify.Options{
+	return t, verify.Options{
 		SkipKernelTable: !r.cfg.FailureAware || pending || r.opt.SkipKernelTable,
 		SkipFailedLine:  pending,
-	})
-	if !rep.Ok() {
-		r.fail("%v", rep.Err())
 	}
 }
 

@@ -374,6 +374,45 @@ func (d *Device) unavailableLocked(line int) bool {
 	return d.broken[d.storageOf(line)]
 }
 
+// UnavailablePage returns the module-visible page p's unusable lines as one
+// word, bit l for line p*LinesPerPage+l: FailMap's page word, under one
+// lock. The recovered-state verifier compares it with the OS table a frame
+// at a time.
+func (d *Device) UnavailablePage(p int) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.unavailablePageLocked(p)
+}
+
+func (d *Device) unavailablePageLocked(p int) uint64 {
+	first := p * failmap.LinesPerPage
+	if p < 0 || first >= d.lines {
+		panic(fmt.Sprintf("pcm: page %d out of range", p))
+	}
+	var bm uint64
+	set := func(l int, un bool) {
+		if un {
+			bm |= 1 << uint(l)
+		}
+	}
+	// unavailableLocked's three cases, each decided once per page.
+	switch {
+	case d.array != nil:
+		for l := range failmap.LinesPerPage {
+			set(l, d.array.Unavailable(first+l))
+		}
+	case d.cfg.WearLeveling == StartGap:
+		for l, slot := range d.perm[first : first+failmap.LinesPerPage] {
+			set(l, d.broken[slot])
+		}
+	default:
+		for l, un := range d.broken[first : first+failmap.LinesPerPage] {
+			set(l, un)
+		}
+	}
+	return bm
+}
+
 // Read copies the line's contents into dst (len >= LineSize). Reads check
 // the failure buffer first and forward the latest value written to a failed
 // location (§3.1.1); the check happens in parallel with the array access in
@@ -725,14 +764,8 @@ func (d *Device) FailMap() *failmap.Map {
 		return d.array.FailMap(d.cfg.Size)
 	}
 	m := failmap.New(d.cfg.Size)
-	for p := 0; p < m.Pages(); p++ {
-		var bm uint64
-		for l := range failmap.LinesPerPage {
-			if d.broken[d.storageOf(p*failmap.LinesPerPage+l)] {
-				bm |= 1 << uint(l)
-			}
-		}
-		m.SetPageBitmap(p, bm)
+	for p := range m.Pages() {
+		m.SetPageBitmap(p, d.unavailablePageLocked(p))
 	}
 	return m
 }

@@ -149,6 +149,11 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if img.Size <= 0 || img.Size%failmap.PageSize != 0 {
 		return nil, fmt.Errorf("pcm: image size %d not a positive multiple of the page size", img.Size)
 	}
+	if pages := img.Size / failmap.PageSize; img.ClusterPages < 0 ||
+		img.ClusterPages > 0 && (img.ClusterPages > pages || pages%img.ClusterPages != 0) {
+		return nil, fmt.Errorf("pcm: image of %d pages is not a whole number of %d-page clustering regions",
+			img.Size/failmap.PageSize, img.ClusterPages)
+	}
 	n := img.Size / failmap.LineSize
 	slots := n
 	if img.WearLeveling == StartGap {

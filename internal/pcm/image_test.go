@@ -212,6 +212,9 @@ func TestImageValidatesGeometry(t *testing.T) {
 		{"page directory one short", func(img *DeviceImage) { img.Data = img.Data[:len(img.Data)-1] }},
 		{"page directory missing", func(img *DeviceImage) { img.Data = nil }},
 		{"page of half a page", func(img *DeviceImage) { img.Data[0] = make([]byte, failmap.PageSize/2) }},
+		{"clustering regions that do not tile the module", func(img *DeviceImage) { img.ClusterPages = 3 }},
+		{"clustering region larger than the module", func(img *DeviceImage) { img.ClusterPages = 1 << 52 }},
+		{"negative clustering region", func(img *DeviceImage) { img.ClusterPages = -2 }},
 	} {
 		img := d.Snapshot()
 		tc.corrupt(img)

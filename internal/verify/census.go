@@ -62,25 +62,46 @@ func fnvWord(h, v uint64) uint64 {
 	return h
 }
 
-// censusWalk is the traversal state: one visited bit per word of the
-// space (object bases are word-aligned) and the stack of objects found
-// but not yet digested.
+// censusWalk is the traversal state Census and Heap share: one visited bit
+// per word of the space (object bases are word-aligned) and the stack of
+// objects found but not yet examined.
 type censusWalk struct {
-	size    heap.Addr
+	// last is the highest address a header fits at, 0 when none does, so
+	// that "inside the space" is one comparison no address wraps around
+	// in: a reference near 2^64 is outside.
+	last    heap.Addr
 	visited []uint64
 	stack   []heap.Addr
 }
 
-func (w *censusWalk) push(a heap.Addr) {
-	if a == 0 || a%heap.WordSize != 0 || a > w.size-heap.HeaderSize {
-		return
+func newCensusWalk(size heap.Addr) censusWalk {
+	w := censusWalk{visited: make([]uint64, size/(64*heap.WordSize)+1)}
+	if size >= heap.HeaderSize {
+		w.last = size - heap.HeaderSize
 	}
+	return w
+}
+
+// first sets the visited bit of the word-aligned address a, at most last,
+// and reports whether it was clear.
+func (w *censusWalk) first(a heap.Addr) bool {
 	i, bit := a/(64*heap.WordSize), uint64(1)<<(a/heap.WordSize%64)
-	if w.visited[i]&bit != 0 {
-		return
+	old := w.visited[i]
+	w.visited[i] = old | bit
+	return old&bit == 0
+}
+
+// pop takes the next object to examine off the stack.
+func (w *censusWalk) pop() heap.Addr {
+	a := w.stack[len(w.stack)-1]
+	w.stack = w.stack[:len(w.stack)-1]
+	return a
+}
+
+func (w *censusWalk) push(a heap.Addr) {
+	if a != 0 && a%heap.WordSize == 0 && a <= w.last && w.first(a) {
+		w.stack = append(w.stack, a)
 	}
-	w.visited[i] |= bit
-	w.stack = append(w.stack, a)
 }
 
 // follow pushes the referent of a reference slot and returns 1 when the
@@ -101,15 +122,11 @@ func (w *censusWalk) follow(m *heap.Model, slot heap.Addr) int {
 func Census(m *heap.Model, roots Roots) CensusReport {
 	var rep CensusReport
 	size := m.S.Size()
-	if size < heap.HeaderSize {
-		return rep
-	}
-	w := censusWalk{size: size, visited: make([]uint64, size/(64*heap.WordSize)+1)}
+	w := newCensusWalk(size)
 	roots.Each(func(slot *heap.Addr) { w.push(*slot) })
 
 	for len(w.stack) > 0 {
-		a := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
+		a := w.pop()
 		h := m.S.Load64(a)
 		if _, fwd := heap.HeaderForwarded(h); fwd {
 			continue

@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"math/bits"
+
+	"wearmem/internal/bitset"
 	"wearmem/internal/failmap"
 )
 
@@ -17,7 +20,9 @@ import (
 // truth; *pcm.Device implements it.
 type LineScan interface {
 	Lines() int
-	Unavailable(line int) bool
+	// UnavailablePage returns page p's unusable lines as one word, bit l
+	// for line p*failmap.LinesPerPage+l.
+	UnavailablePage(p int) uint64
 	BufferLen() int
 }
 
@@ -32,7 +37,7 @@ type TableSource interface {
 type RecoveredTarget struct {
 	// Pool is the recovered kernel's failure table.
 	Pool TableSource
-	// Scan is the device, read line by line as ground truth.
+	// Scan is the device, read a page word at a time as ground truth.
 	Scan LineScan
 	// Clusters, when non-nil, validates the restored redirection maps;
 	// *pcm.Device implements it.
@@ -60,30 +65,29 @@ func Recovered(t RecoveredTarget) *Report {
 	return rep
 }
 
-// checkRecoveredTable walks every line of the pool and demands exact
-// agreement between the OS table and the device scan. Resurrected lines
-// (failed on the device, clean in the table) are the dangerous direction —
-// the OS would hand out storage that eats data; the other direction wastes
-// working lines and indicates a corrupted table.
+// checkRecoveredTable demands exact agreement between the OS table and the
+// device scan on every line of the pool, one page word from each side per
+// frame. Resurrected lines (failed on the device, clean in the table) are
+// the dangerous direction — the OS would hand out storage that eats data;
+// the other direction wastes working lines and indicates a corrupted table.
 func checkRecoveredTable(t RecoveredTarget, rep *Report) {
 	rep.Checks++
 	pages := t.Pool.PCMPages()
 	devLines := t.Scan.Lines()
 	for p := 0; p < pages; p++ {
-		bm := t.Pool.FrameFailedLines(p)
-		for l := 0; l < failmap.LinesPerPage; l++ {
-			line := p*failmap.LinesPerPage + l
-			if line >= devLines {
-				return
-			}
-			tableFailed := bm&(1<<uint(l)) != 0
-			devFailed := t.Scan.Unavailable(line)
-			switch {
-			case devFailed && !tableFailed:
+		first := p * failmap.LinesPerPage
+		if first >= devLines {
+			return
+		}
+		onDevice := min(devLines-first, failmap.LinesPerPage)
+		table, dev := t.Pool.FrameFailedLines(p), t.Scan.UnavailablePage(p)
+		for diff := (table ^ dev) & bitset.TailMask(onDevice); diff != 0; diff &= diff - 1 {
+			l := bits.TrailingZeros64(diff)
+			if line := first + l; dev&(1<<uint(l)) != 0 {
 				rep.add("recovered-table",
 					"resurrected failed line: device line %d (frame %d line %d) is failed but the recovered table is clean",
 					line, p, l)
-			case tableFailed && !devFailed:
+			} else {
 				rep.add("recovered-table",
 					"recovered table marks frame %d line %d failed but device line %d is working",
 					p, l, line)

@@ -1,4 +1,4 @@
-package verify
+package verify_test
 
 import (
 	"errors"
@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/verify"
 )
 
+// scanStub is a device: failed names its unusable lines, which may lie past
+// lines (a page word reports them; the verifier must mask them off).
 type scanStub struct {
 	lines    int
 	failed   map[int]bool
@@ -17,6 +20,16 @@ type scanStub struct {
 func (s scanStub) Lines() int             { return s.lines }
 func (s scanStub) Unavailable(l int) bool { return s.failed[l] }
 func (s scanStub) BufferLen() int         { return s.buffered }
+
+func (s scanStub) UnavailablePage(p int) uint64 {
+	var bm uint64
+	for l := range failmap.LinesPerPage {
+		if s.failed[p*failmap.LinesPerPage+l] {
+			bm |= 1 << uint(l)
+		}
+	}
+	return bm
+}
 
 type tableStub struct {
 	pages int
@@ -31,7 +44,7 @@ type clusterStub struct{ err error }
 func (c clusterStub) ValidateClusters() error { return c.err }
 
 func TestRecoveredCleanState(t *testing.T) {
-	rep := Recovered(RecoveredTarget{
+	rep := verify.Recovered(verify.RecoveredTarget{
 		Pool: tableStub{pages: 2, bm: map[int]uint64{0: 1 << 5}},
 		Scan: scanStub{lines: 2 * failmap.LinesPerPage, failed: map[int]bool{5: true}},
 	})
@@ -47,7 +60,7 @@ func TestRecoveredCleanState(t *testing.T) {
 // but clean in the table is the dangerous direction — the OS would hand
 // out storage that eats data.
 func TestRecoveredVerifyCatchesResurrectedLine(t *testing.T) {
-	rep := Recovered(RecoveredTarget{
+	rep := verify.Recovered(verify.RecoveredTarget{
 		Pool: tableStub{pages: 2},
 		Scan: scanStub{lines: 2 * failmap.LinesPerPage, failed: map[int]bool{70: true}},
 	})
@@ -62,7 +75,7 @@ func TestRecoveredVerifyCatchesResurrectedLine(t *testing.T) {
 // TestRecoveredVerifyCatchesCorruptTable: the table writing off a working
 // line indicates a corrupted recovery.
 func TestRecoveredVerifyCatchesCorruptTable(t *testing.T) {
-	rep := Recovered(RecoveredTarget{
+	rep := verify.Recovered(verify.RecoveredTarget{
 		Pool: tableStub{pages: 2, bm: map[int]uint64{1: 1 << 3}},
 		Scan: scanStub{lines: 2 * failmap.LinesPerPage},
 	})
@@ -72,7 +85,7 @@ func TestRecoveredVerifyCatchesCorruptTable(t *testing.T) {
 }
 
 func TestRecoveredVerifyCatchesParkedResidue(t *testing.T) {
-	rep := Recovered(RecoveredTarget{
+	rep := verify.Recovered(verify.RecoveredTarget{
 		Scan: scanStub{lines: failmap.LinesPerPage, buffered: 2},
 	})
 	if rep.Ok() {
@@ -81,7 +94,7 @@ func TestRecoveredVerifyCatchesParkedResidue(t *testing.T) {
 }
 
 func TestRecoveredVerifyCatchesClusterCorruption(t *testing.T) {
-	rep := Recovered(RecoveredTarget{
+	rep := verify.Recovered(verify.RecoveredTarget{
 		Clusters: clusterStub{err: errors.New("region 3: map is not a permutation")},
 	})
 	if rep.Ok() {

@@ -35,9 +35,10 @@ package verify
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"wearmem/internal/bitset"
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 )
@@ -162,7 +163,8 @@ type ContextView struct {
 }
 
 // FrameSource is the OS surface the verifier cross-checks line states
-// against; *kernel.Kernel implements it.
+// against; *kernel.Kernel implements it. Translate maps a page at a time:
+// every address of a page has the page's frame, at its offset in the page.
 type FrameSource interface {
 	Translate(vaddr uint64) (frame, offset int, ok bool)
 	FrameFailedLines(frame int) uint64
@@ -213,24 +215,20 @@ type Target struct {
 	Policy PolicySource
 }
 
-// span is one reachable object's extent.
-type span struct {
-	a    heap.Addr
-	size int
-}
-
 // Heap runs every enabled check against the target and returns the report.
 // It only reads the target's state and may run at any safe point — the
-// torture mode calls it after every collection.
+// torture mode calls it after every collection. It costs one step per
+// reachable object and one OS-table lookup per mapped page; a finding's
+// text is built only when the finding is recorded.
 func Heap(t Target, opt Options) *Report {
 	rep := &Report{}
-	var spans []span
+	var spans reachable
 	if !opt.SkipGraph && t.Model != nil && t.Roots != nil {
 		spans = walkGraph(t, rep)
-		checkOverlap(spans, rep)
+		checkOverlap(&spans, rep)
 	}
 	if t.Views != nil {
-		checkLineStates(t, spans, opt, rep)
+		checkLineStates(t, &spans, opt, rep)
 	}
 	if t.Kernel != nil && t.Views != nil && !opt.SkipKernelTable {
 		checkKernelTable(t, rep)
@@ -353,32 +351,49 @@ func checkMutators(contexts []ContextView, rep *Report) {
 
 // walkGraph validates every object reachable from the roots and returns
 // their spans. Corrupt references are reported, not followed.
-func walkGraph(t Target, rep *Report) []span {
+func walkGraph(t Target, rep *Report) reachable {
 	rep.Checks++
 	m := t.Model
 	size := m.S.Size()
-	visited := make(map[heap.Addr]bool)
-	var stack []heap.Addr
-	push := func(a heap.Addr, from string) {
-		if a == 0 || visited[a] {
+	w := newCensusWalk(size)
+	spans := reachable{m: m, bases: make([]uint64, len(w.visited))}
+	// odd is the visited set of unaligned addresses, which no allocator hands
+	// out and the word bitset cannot hold; nil until a corrupt heap has one.
+	var odd map[heap.Addr]bool
+	// push queues the referent a of a slot of parent, of type pty (nil for a
+	// root slot). The referring object is described only in a finding, so a
+	// slot costs no formatting.
+	push := func(a, parent heap.Addr, pty *heap.Type) {
+		switch {
+		case a == 0:
 			return
-		}
-		if a+heap.HeaderSize > size {
+		case a > w.last:
+			from := "roots"
+			if pty != nil {
+				from = fmt.Sprintf("%#x (%s)", parent, pty.Name)
+			}
 			rep.add("graph", "reference %#x from %s points outside the space (size %#x)", a, from, size)
 			return
+		case a%heap.WordSize == 0:
+			if !w.first(a) {
+				return
+			}
+		case odd[a]:
+			return
+		default:
+			if odd == nil {
+				odd = make(map[heap.Addr]bool)
+			}
+			odd[a] = true
 		}
-		visited[a] = true
-		stack = append(stack, a)
+		w.stack = append(w.stack, a)
 	}
-	t.Roots.Each(func(slot *heap.Addr) { push(*slot, "roots") })
+	t.Roots.Each(func(slot *heap.Addr) { push(*slot, 0, nil) })
 
-	var spans []span
-	var refbuf []heap.Addr
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(w.stack) > 0 {
+		a := w.pop()
 		h := m.S.Load64(a)
-		if _, fwd := m.Forwarded(a); fwd {
+		if _, fwd := heap.HeaderForwarded(h); fwd {
 			rep.add("graph", "reachable reference %#x holds a forwarding pointer (stale after evacuation)", a)
 			continue
 		}
@@ -387,7 +402,7 @@ func walkGraph(t Target, rep *Report) []span {
 			rep.add("graph", "object %#x has unregistered type index %d", a, uint16(h>>24&0xFFFF))
 			continue
 		}
-		osize := int(h >> 40)
+		osize := heap.SizeFromHeader(h)
 		if osize < heap.HeaderSize || heap.Addr(osize) > size-a {
 			rep.add("graph", "object %#x (%s) has impossible size %d", a, ty.Name, osize)
 			continue
@@ -411,37 +426,82 @@ func walkGraph(t Target, rep *Report) []span {
 				continue
 			}
 		}
-		if t.Epoch != 0 && m.Epoch(a) != t.Epoch {
+		if e := heap.HeaderEpoch(h); t.Epoch != 0 && e != t.Epoch {
 			rep.add("epoch", "reachable object %#x (%s) carries epoch %d, want %d",
-				a, ty.Name, m.Epoch(a), t.Epoch)
+				a, ty.Name, e, t.Epoch)
 		}
 		rep.Objects++
-		spans = append(spans, span{a: a, size: osize})
-		refbuf = m.RefSlots(a, refbuf[:0])
-		for _, slot := range refbuf {
-			push(heap.Addr(m.S.Load64(slot)), fmt.Sprintf("%#x (%s)", a, ty.Name))
+		spans.add(a)
+		// The slots heap.Model.RefSlots lists, in its order.
+		switch ty.Kind {
+		case heap.KindFixed:
+			for _, off := range ty.RefOffsets {
+				push(heap.Addr(m.S.Load64(a+heap.Addr(off))), a, ty)
+			}
+		case heap.KindRefArray:
+			for i, n := 0, m.ArrayLen(a); i < n; i++ {
+				push(heap.Addr(m.S.Load64(a+heap.ArrayHeaderSize+heap.Addr(i*heap.WordSize))), a, ty)
+			}
 		}
 	}
+	slices.Sort(spans.odd)
 	return spans
 }
 
-// checkOverlap reports reachable objects whose extents intersect.
-func checkOverlap(spans []span, rep *Report) {
-	rep.Checks++
-	sort.Slice(spans, func(i, j int) bool { return spans[i].a < spans[j].a })
-	for i := 1; i < len(spans); i++ {
-		prev, cur := spans[i-1], spans[i]
-		if prev.a+heap.Addr(prev.size) > cur.a {
-			rep.add("overlap", "objects %#x (+%d) and %#x overlap", prev.a, prev.size, cur.a)
-		}
+// reachable is the set of objects the walk validated, listed in address
+// order: one bit per word at each aligned base, and the unaligned bases
+// only a corrupt heap has, sorted, merged in. An object's size is read
+// back from its header, which the walk validated and nothing writes while
+// the verifier runs.
+type reachable struct {
+	m     *heap.Model
+	bases []uint64
+	odd   []heap.Addr
+}
+
+func (r *reachable) add(a heap.Addr) {
+	if a%heap.WordSize == 0 {
+		bitset.Set(r.bases, int(a/heap.WordSize))
+	} else {
+		r.odd = append(r.odd, a)
 	}
+}
+
+// each calls f on every reachable object in ascending address order.
+func (r *reachable) each(f func(a heap.Addr, size int)) {
+	visit := func(a heap.Addr) { f(a, heap.SizeFromHeader(r.m.S.Load64(a))) }
+	odd, n := r.odd, len(r.bases)*64
+	for i := bitset.NextSet(r.bases, 0, n); i < n; i = bitset.NextSet(r.bases, i+1, n) {
+		a := heap.Addr(i) * heap.WordSize
+		for ; len(odd) > 0 && odd[0] < a; odd = odd[1:] {
+			visit(odd[0])
+		}
+		visit(a)
+	}
+	for _, a := range odd {
+		visit(a)
+	}
+}
+
+// checkOverlap reports reachable objects whose extents intersect their
+// successor's in address order.
+func checkOverlap(spans *reachable, rep *Report) {
+	rep.Checks++
+	var prev heap.Addr // no object lives at 0
+	prevSize := 0
+	spans.each(func(a heap.Addr, size int) {
+		if prev != 0 && prev+heap.Addr(prevSize) > a {
+			rep.add("overlap", "objects %#x (+%d) and %#x overlap", prev, prevSize, a)
+		}
+		prev, prevSize = a, size
+	})
 }
 
 // checkLineStates validates the Immix views internally (counters vs
 // states) and against the reachable set: no reachable object on a free
 // line, none on a failed line (§4.2: a collection evacuates or retires
 // affected data before the verifier runs).
-func checkLineStates(t Target, spans []span, opt Options, rep *Report) {
+func checkLineStates(t Target, spans *reachable, opt Options, rep *Report) {
 	rep.Checks++
 	for _, v := range t.Views {
 		free, failed := 0, 0
@@ -465,13 +525,13 @@ func checkLineStates(t Target, spans []span, opt Options, rep *Report) {
 	if opt.SkipGraph {
 		return
 	}
-	for _, sp := range spans {
-		v := viewOf(t.Views, uint64(sp.a))
+	spans.each(func(a heap.Addr, size int) {
+		v := viewOf(t.Views, uint64(a))
 		if v == nil {
-			continue // LOS or mark-sweep space
+			return // LOS or mark-sweep space
 		}
-		first := int(uint64(sp.a)-v.Base) / v.LineSize
-		last := int(uint64(sp.a)+uint64(sp.size)-1-v.Base) / v.LineSize
+		first := int(uint64(a)-v.Base) / v.LineSize
+		last := int(uint64(a)+uint64(size)-1-v.Base) / v.LineSize
 		if last >= len(v.States) {
 			last = len(v.States) - 1
 		}
@@ -479,15 +539,15 @@ func checkLineStates(t Target, spans []span, opt Options, rep *Report) {
 			switch v.States[l] {
 			case LineFree:
 				rep.add("line-state", "reachable object %#x overlaps free line %d of block %#x",
-					sp.a, l, v.Base)
+					a, l, v.Base)
 			case LineFailed:
 				if !opt.SkipFailedLine {
 					rep.add("failed-line", "reachable object %#x overlaps failed line %d of block %#x",
-						sp.a, l, v.Base)
+						a, l, v.Base)
 				}
 			}
 		}
-	}
+	})
 }
 
 func viewOf(views []BlockView, a uint64) *BlockView {
@@ -503,19 +563,29 @@ func viewOf(views []BlockView, a uint64) *BlockView {
 // checkKernelTable cross-checks the runtime's line states against the OS
 // failure table: a line the runtime still uses must have clean backing,
 // and a retired line must have at least one failed hardware line behind it
-// (UnfailPage clears both sides together when a frame is replaced).
+// (UnfailPage clears both sides together when a frame is replaced). The
+// table is asked once per page, not once per line.
 func checkKernelTable(t Target, rep *Report) {
 	rep.Checks++
 	for _, v := range t.Views {
+		bits := v.LineSize / failmap.LineSize
+		page := ^uint64(0)
+		var frame int
+		var bm uint64
+		var mapped bool
 		for l, s := range v.States {
 			vaddr := v.Base + uint64(l*v.LineSize)
-			frame, off, ok := t.Kernel.Translate(vaddr)
-			if !ok {
+			if p := vaddr / failmap.PageSize; p != page {
+				page = p
+				if frame, _, mapped = t.Kernel.Translate(vaddr); mapped {
+					bm = t.Kernel.FrameFailedLines(frame)
+				}
+			}
+			if !mapped {
 				rep.add("kernel-table", "block %#x line %d is unmapped at %#x", v.Base, l, vaddr)
 				continue
 			}
-			bm := t.Kernel.FrameFailedLines(frame)
-			bits := v.LineSize / failmap.LineSize
+			off := vaddr % failmap.PageSize
 			mask := (uint64(1)<<uint(bits) - 1) << uint(off/failmap.LineSize)
 			switch {
 			case s != LineFailed && bm&mask != 0:
