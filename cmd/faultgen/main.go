@@ -30,6 +30,10 @@ func main() {
 		in      = flag.String("i", "", "inspect an RLE-encoded map from file")
 	)
 	flag.Parse()
+	if err := check(*pages, *rate, *cluster, *gran); err != nil {
+		fmt.Fprintln(os.Stderr, "faultgen:", err)
+		os.Exit(2)
+	}
 
 	var m *failmap.Map
 	if *in != "" {
@@ -94,4 +98,20 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
+}
+
+// check refuses the flag values the generators would panic on, naming the
+// flag.
+func check(pages int, rate float64, cluster, gran int) error {
+	switch {
+	case pages < 1:
+		return fmt.Errorf("-pages %d: want at least one page", pages)
+	case !(rate >= 0 && rate <= 1):
+		return fmt.Errorf("-rate %v: want a probability in [0, 1]", rate)
+	case cluster < 0:
+		return fmt.Errorf("-cluster %d: want 0 (off) or a region size in pages", cluster)
+	case gran < 0 || gran%failmap.LineSize != 0:
+		return fmt.Errorf("-gran %d: want 0 (off) or a multiple of the %d B line", gran, failmap.LineSize)
+	}
+	return nil
 }

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
@@ -132,7 +131,7 @@ func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
 	dev.OnFailure(func() { fmt.Fprintln(out, "  ! failure interrupt") })
 	dev.OnBufferFull(func() { fmt.Fprintln(out, "  ! failure buffer watermark: writes stalled") })
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	traffic := pcm.NewTraffic(cfg.Seed)
 	buf := make([]byte, failmap.LineSize)
 	fmt.Fprintf(out, "wearsim: %d pages, endurance ~%d writes/line, clustering %dp, start-gap %v\n",
 		cfg.Size/failmap.PageSize, cfg.Endurance, cfg.ClusterPages, cfg.WearLeveling == pcm.StartGap)
@@ -167,7 +166,7 @@ func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
 			fmt.Fprintf(out, "  line %d: unavailable=%v\n", line, dev.Unavailable(line))
 		case "hammer":
 			n := arg(1, 10000)
-			stalled := hammer(dev, cfg.ClusterPages > 0, rng, buf, n)
+			stalled := hammer(dev, cfg.ClusterPages > 0, traffic, buf, n)
 			fmt.Fprintf(out, "  %d writes (%d stalled), %d lines failed (%.2f%%)\n",
 				n, stalled, dev.FailedLines(), dev.FailureRate()*100)
 		case "read", "r":
@@ -606,16 +605,16 @@ type popResult struct {
 
 // hammer applies n writes of the skewed traffic (90% to the hot quarter)
 // to dev and returns how many stalled, draining one failure-buffer entry
-// after each of those. It draws no further than n from rng, which carries
-// over to the caller's next command. Under clustering hardware (clustered)
-// it skips lines already surfaced as unavailable, as software that honours the
-// failure map does: the redirection logic panics when a line it has given
-// up fails a second time.
-func hammer(dev *pcm.Device, clustered bool, rng *rand.Rand, buf []byte, n int) (stalled int) {
+// after each of those. It draws no further than n lines from traffic, which
+// carries over to the caller's next command. Under clustering hardware
+// (clustered) it skips lines already surfaced as unavailable, as software
+// that honours the failure map does: the redirection logic panics when a
+// line it has given up fails a second time.
+func hammer(dev *pcm.Device, clustered bool, traffic *pcm.Traffic, buf []byte, n int) (stalled int) {
 	block := make([]int, 512)
 	for i := 0; i < n; i += len(block) {
 		run := block[:min(len(block), n-i)]
-		dev.SkewedLines(rng, run)
+		dev.SkewedLines(traffic, run)
 		for _, l := range run {
 			if clustered && dev.Unavailable(l) {
 				continue
@@ -652,7 +651,7 @@ func wearPopulation(cfg pcm.Config, n, writes, workers int) []popResult {
 				c := cfg
 				c.Seed = cfg.Seed + int64(i)
 				dev := pcm.NewDevice(c, nil)
-				hammer(dev, c.ClusterPages > 0, rand.New(rand.NewSource(c.Seed)), buf, writes)
+				hammer(dev, c.ClusterPages > 0, pcm.NewTraffic(c.Seed), buf, writes)
 				m := dev.FailMap()
 				out[i] = popResult{
 					failed:       dev.FailedLines(),

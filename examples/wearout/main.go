@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wearmem"
 )
@@ -28,7 +27,7 @@ func wearOut(policy wearmem.WearLeveling, target float64) (*wearmem.FailureMap, 
 	dev := rt.Device
 	// 90% of traffic hits a quarter of the module; the OS handles each
 	// failure's interrupt before the next write.
-	dev.WearThrough(rand.New(rand.NewSource(13)), []float64{target}, func(int) {})
+	dev.WearThrough(13, []float64{target}, func(int) {})
 	return dev.FailMap(), dev.TotalWrites() - dev.GapCarries()
 }
 

@@ -142,6 +142,27 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseEvent: the -torture-schedule decoder returns an event or an
+// error and never panics, and an event it accepts renders as a string that
+// parses back to that event. The corpus is every probe point with every
+// action.
+func FuzzParseEvent(f *testing.F) {
+	for p := probe.Point(0); p < probe.NumPoints; p++ {
+		for a := range actionNames {
+			f.Add(Event{Point: p, Nth: 3, Act: a}.String())
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := ParseEvent(s)
+		if err != nil {
+			return
+		}
+		if back, err := ParseEvent(e.String()); err != nil || back != e {
+			t.Fatalf("%q parsed to %+v, which renders as %q and parses back to %+v, %v", s, e, e, back, err)
+		}
+	})
+}
+
 // Multi-mutator campaigns run the partitioned workload on the baton
 // scheduler under the same injections, with per-context block ownership
 // verified at every block installation.

@@ -592,7 +592,7 @@ func wornFailureMaps(wl pcm.WearLeveling, pages int, targets []float64, seed int
 		WearLeveling: wl, GapInterval: 1, Seed: seed,
 	}, nil)
 	maps := make([]*failmap.Map, 0, len(targets))
-	dev.WearThrough(rand.New(rand.NewSource(seed+7)), targets, func(int) {
+	dev.WearThrough(seed+7, targets, func(int) {
 		maps = append(maps, dev.FailMap())
 	})
 	return maps

@@ -6,8 +6,66 @@ import (
 	"wearmem/internal/failmap"
 )
 
-// math/rand's Int31n(n), which is Intn(n) for n below 2³¹, in three parts,
-// so that the part that divides by a module's line count runs once per block
+// math/rand's seeded source is the additive lagged-Fibonacci generator
+// x[n] = x[n−lag] + x[n−tap] mod 2⁶⁴. trafficBlock is how many values a
+// Traffic makes at a time.
+const (
+	lag          = 607
+	tap          = 273
+	trafficBlock = 2048
+)
+
+// Traffic is the value stream of rand.New(rand.NewSource(seed)).Int63 as a
+// concrete type, so that drawing a wear study's lines costs no interface
+// call. The generator's whole state is its last 607 outputs: NewTraffic
+// takes the first 607 Int63 values of math/rand's own seeded source, solves
+// the recurrence back to the 607 before them, and continues from there a
+// block at a time, one loop of adds with no wrap-around. A carry only flows
+// upward, so the low 63 bits of every value — all of what Int63 returns, and
+// so all of what Int31n consumes — are the source's; the top bit is not, and
+// Traffic does not reproduce the source's Uint64.
+type Traffic struct {
+	x [lag + trafficBlock]uint64 // the lag values before the block, then the block
+	i int                        // index in x of the next value; len(x) when the block is spent
+}
+
+// NewTraffic returns the stream math/rand seeds from seed, at its start.
+func NewTraffic(seed int64) *Traffic {
+	src := rand.NewSource(seed)
+	var w [lag]uint64
+	for k := range w {
+		w[k] = uint64(src.Int63())
+	}
+	return trafficFrom(&w)
+}
+
+// trafficFrom returns the stream whose first lag values are w: it solves
+// the recurrence back to the lag values before them and leaves those at the
+// end of the buffer, where the first draw makes the first block from them.
+func trafficFrom(w *[lag]uint64) *Traffic {
+	var x [2 * lag]uint64
+	copy(x[lag:], w[:])
+	for k := lag - 1; k >= 0; k-- {
+		x[k] = x[k+lag] - x[k+lag-tap]
+	}
+	t := &Traffic{i: lag + trafficBlock}
+	copy(t.x[trafficBlock:], x[:lag])
+	return t
+}
+
+// next makes the block after the current one from its last lag values and
+// returns where index j of the buffer has moved to.
+func (t *Traffic) next(j int) int {
+	x := &t.x
+	copy(x[:lag], x[trafficBlock:])
+	for k := lag; k < len(x); k++ {
+		x[k] = x[k-lag] + x[k-tap]
+	}
+	return j - trafficBlock
+}
+
+// math/rand's Int31n(n), which is Intn(n) for n below 2³¹, with the part
+// that divides by a module's line count worked out once per SkewedLines call
 // and not once per draw: Int31n takes v = Int63()>>32, redraws while
 // v > 2³¹−1−(2³¹ mod n), and returns v mod n; for a power of two nothing is
 // redrawn and v mod n is a mask. The seeded stream and this arithmetic are
@@ -16,12 +74,20 @@ import (
 // int31nMax is the highest candidate Int31n(n) keeps.
 func int31nMax(n uint32) uint32 { return 1<<31 - 1 - (1<<31)%n }
 
-// accept returns Int31n's next candidate not above max, leaving rng where
-// Int31n would.
-func accept(rng *rand.Rand, max uint32) uint32 {
+// candidate returns Int31n's next candidate not above max from index j of x
+// on, and the index after it, which is where Int31n would leave the stream.
+// It stays within the inliner's budget (go build -gcflags=-m says so), and
+// its caller keeps j in a local, so a draw is a load and a compare and no
+// store through t.
+func (t *Traffic) candidate(j int, max uint32) (uint32, int) {
 	for {
-		if v := uint32(rng.Int63() >> 32); v <= max {
-			return v
+		if j == len(t.x) {
+			j = t.next(j)
+		}
+		v := uint32(t.x[j] << 1 >> 33) // Int63() >> 32
+		j++
+		if v <= max {
+			return v, j
 		}
 	}
 }
@@ -39,38 +105,43 @@ func reduce(v, n uint32) int {
 // the rest land anywhere. It is the one definition of that traffic (§7.2
 // ablation, examples/wearout, wearsim's hammer and population commands),
 // and it draws exactly what rng.Intn(hot), rng.Intn(10) and, one time in
-// ten, rng.Intn(lines) would per line (TestSkewedLinesStream holds it to the
-// literal calls), so no recorded wear study moves and filling in blocks
-// consumes the stream precisely as a per-write loop would. The two
-// thresholds that depend on the module are worked out once per call; a
-// draw then costs one Int63 and no division on a module whose page count
-// is a power of two.
-func (d *Device) SkewedLines(rng *rand.Rand, dst []int) {
+// ten, rng.Intn(lines) would per line on the math/rand generator t copies
+// (TestSkewedLinesStream holds it to the literal calls), so no recorded
+// wear study moves and filling in blocks consumes the stream precisely as a
+// per-write loop would. The two thresholds that depend on the module are
+// worked out once per call; a draw then costs one value of the stream and
+// no division on a module whose page count is a power of two.
+func (d *Device) SkewedLines(t *Traffic, dst []int) {
 	hot, all := uint32(d.lines/4), uint32(d.lines)
 	hotMax, allMax := int31nMax(hot), int31nMax(all)
+	v, j := uint32(0), t.i // j lives in a register until the block is filled
 	for i := range dst {
-		l := reduce(accept(rng, hotMax), hot)
-		if reduce(accept(rng, int31nMax(10)), 10) == 0 {
-			l = reduce(accept(rng, allMax), all)
+		v, j = t.candidate(j, hotMax)
+		l := reduce(v, hot)
+		if v, j = t.candidate(j, int31nMax(10)); reduce(v, 10) == 0 {
+			v, j = t.candidate(j, allMax)
+			l = reduce(v, all)
 		}
 		dst[i] = l
 	}
+	t.i = j
 }
 
-// WearThrough drives d with the skewed traffic stream of rng, draining
+// WearThrough drives d with the skewed traffic stream of seed, draining
 // every failure as the OS would, and calls reached(i) as the failure rate
 // crosses targets[i] (ascending). Line indices are drawn in blocks and fed
 // to WriteRun, which returns at every failure, so the rate is tested
 // wherever it can have changed; indices drawn past the last crossing are
-// never written, and rng is the caller's to discard.
-func (d *Device) WearThrough(rng *rand.Rand, targets []float64, reached func(i int)) {
+// never written.
+func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int)) {
+	t := NewTraffic(seed)
 	buf := make([]byte, failmap.LineSize)
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
 	for i, target := range targets {
 		for d.FailureRate() < target {
 			if len(next) == 0 {
-				d.SkewedLines(rng, block)
+				d.SkewedLines(t, block)
 				next = block
 			}
 			n, _ := d.WriteRun(next, buf) // never stalls: the buffer is empty on entry

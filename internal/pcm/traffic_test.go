@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,30 +21,81 @@ func skewedPerWrite(rng *rand.Rand, lines int, dst []int) {
 	}
 }
 
+// trafficSeeds are the seeds the stream is held to math/rand at: small ones,
+// and the extremes of int64 and of the int32 range math/rand reduces a seed
+// into.
+var trafficSeeds = []int64{0, 1, 42, -1, 1<<31 - 1, 1 << 40, math.MinInt64}
+
+// int63 is the stream's next Int63.
+func (t *Traffic) int63() int64 {
+	if t.i == len(t.x) {
+		t.i = t.next(t.i)
+	}
+	v := t.x[t.i]
+	t.i++
+	return int64(v &^ (1 << 63))
+}
+
+// TestTrafficMatchesMathRand: ten million values of each seed's stream are
+// math/rand's, across thousands of blocks.
+func TestTrafficMatchesMathRand(t *testing.T) {
+	for _, seed := range trafficSeeds {
+		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
+		for i := 0; i < 10_000_000; i++ {
+			if v, want := got.int63(), ref.Int63(); v != want {
+				t.Fatalf("seed %d, value %d: %d, math/rand %d", seed, i, v, want)
+			}
+		}
+	}
+}
+
+// FuzzTrafficMatchesMathRand: from any point of any seed's stream, the next
+// 4096 values are math/rand's.
+func FuzzTrafficMatchesMathRand(f *testing.F) {
+	for _, seed := range trafficSeeds {
+		for _, skip := range []uint16{0, lag - 1, lag, trafficBlock - 1, trafficBlock} {
+			f.Add(seed, skip)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, skip uint16) {
+		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
+		for i := 0; i < int(skip); i++ {
+			ref.Int63()
+			got.int63()
+		}
+		for i := 0; i < 4096; i++ {
+			if v, want := got.int63(), ref.Int63(); v != want {
+				t.Fatalf("seed %d, value %d after %d: %d, math/rand %d", seed, i, skip, v, want)
+			}
+		}
+	})
+}
+
 // checkSkewedStream holds SkewedLines on a module of the given size to
-// skewedPerWrite over the generator newRng returns: same 1000 values, and
-// the generator left at the same point, whatever the block size.
-func checkSkewedStream(t *testing.T, pages int, newRng func() *rand.Rand) {
+// skewedPerWrite: the same first n lines from the Traffic newTraffic
+// returns as from the math/rand generator newRng returns, and the stream
+// left at the same point, whatever the block size.
+func checkSkewedStream(t *testing.T, pages, n int, newRng func() *rand.Rand, newTraffic func() *Traffic) {
 	t.Helper()
 	d := NewDevice(Config{Size: pages * failmap.PageSize}, nil)
 	ref := newRng()
-	want := make([]int, 1000)
+	want := make([]int, n)
 	skewedPerWrite(ref, d.Lines(), want)
 	wantNext := ref.Int63()
 	for _, block := range []int{1, 7, 512, 1000} {
-		rng := newRng()
+		traffic := newTraffic()
 		got := make([]int, 0, len(want))
 		buf := make([]int, block)
 		for len(got) < len(want) {
 			run := buf[:min(block, len(want)-len(got))]
-			d.SkewedLines(rng, run)
+			d.SkewedLines(traffic, run)
 			got = append(got, run...)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d pages, block %d: stream differs from the inline draw", pages, block)
 		}
-		if rng.Int63() != wantNext {
-			t.Fatalf("%d pages, block %d: generator over- or under-drawn", pages, block)
+		if traffic.int63() != wantNext {
+			t.Fatalf("%d pages, block %d: stream over- or under-drawn", pages, block)
 		}
 	}
 }
@@ -51,10 +103,12 @@ func checkSkewedStream(t *testing.T, pages int, newRng func() *rand.Rand) {
 // TestSkewedLinesStream pins the traffic helper to the inline draw it
 // replaced, so no recorded wear study moves. 512 pages is tab2's template;
 // 3, 5 and 96 pages are not powers of two, where a draw is reduced by a
-// modulo and not a mask.
+// modulo and not a mask. 5000 lines are about five blocks of the stream.
 func TestSkewedLinesStream(t *testing.T) {
 	for _, pages := range []int{512, 3, 5, 96} {
-		checkSkewedStream(t, pages, func() *rand.Rand { return rand.New(rand.NewSource(42)) })
+		checkSkewedStream(t, pages, 5000,
+			func() *rand.Rand { return rand.New(rand.NewSource(42)) },
+			func() *Traffic { return NewTraffic(42) })
 	}
 }
 
@@ -76,33 +130,59 @@ func (s *redrawSource) Int63() int64 {
 	return s.Source.Int63()
 }
 
-// TestSkewedLinesRedraws: the stream matches the inline draw through
-// Int31n's rejection loop, at each of the three draws of a line.
-func TestSkewedLinesRedraws(t *testing.T) {
-	newRng := func() *rand.Rand { return rand.New(&redrawSource{Source: rand.NewSource(42)}) }
-	for _, pages := range []int{3, 512} {
-		checkSkewedStream(t, pages, newRng)
+func newRedrawSource() *redrawSource { return &redrawSource{Source: rand.NewSource(42)} }
+
+// redrawWindow is the scripted source's first lag values. A stream built
+// from them starts with exactly those values, redraws included.
+func redrawWindow() *Traffic {
+	src := newRedrawSource()
+	var w [lag]uint64
+	for k := range w {
+		w[k] = uint64(src.Int63())
 	}
-	// The reference itself must have redrawn at every bound of the 3-page
-	// module, or the script proves nothing.
-	src := &redrawSource{Source: rand.NewSource(42)}
+	return trafficFrom(&w)
+}
+
+// windowLines runs the inline draw of a module with the given line count on
+// the scripted source and returns how many lines it draws, and the value
+// after them, inside the window, and how many times each of a line's three
+// draws was redrawn in those lines.
+func windowLines(lines int) (n int, redraws [3]int) {
+	src := newRedrawSource()
 	rng := rand.New(src)
-	var redraws [3]int
-	intn := func(which, n int) int {
+	intn := func(which, bound int) int {
 		before := src.calls
-		v := rng.Intn(n)
+		v := rng.Intn(bound)
 		redraws[which] += src.calls - before - 1
 		return v
 	}
-	for i := 0; i < 1000; i++ {
-		intn(0, 48)
+	for {
+		counted := redraws
+		intn(0, lines/4)
 		if intn(1, 10) == 0 {
-			intn(2, 192)
+			intn(2, lines)
 		}
+		if src.calls >= lag {
+			return n, counted
+		}
+		n++
 	}
-	for which, n := range redraws {
-		if n == 0 {
-			t.Errorf("the scripted source never made draw %d of a line redraw", which)
+}
+
+// TestSkewedLinesRedraws: the stream matches the inline draw through
+// Int31n's rejection loop, at each of the three draws of a line. The
+// scripted values are not any seed's, so the stream is built from the
+// window of them and held to the lines whose draws fall inside it.
+func TestSkewedLinesRedraws(t *testing.T) {
+	for _, pages := range []int{3, 512} {
+		n, redraws := windowLines(pages * failmap.LinesPerPage)
+		checkSkewedStream(t, pages, n, func() *rand.Rand { return rand.New(newRedrawSource()) }, redrawWindow)
+		// The reference itself must have redrawn at every bound of the
+		// 3-page module inside the window, or the script proves nothing.
+		for which, r := range redraws {
+			if pages == 3 && r == 0 {
+				t.Errorf("the scripted source never made draw %d of a line redraw in %d lines", which, n)
+			}
 		}
 	}
 }
@@ -112,10 +192,10 @@ func TestSkewedLinesRedraws(t *testing.T) {
 // the host heap.
 func TestWearBlockAllocatesNothing(t *testing.T) {
 	d, lines := wearBenchDevice()
-	rng := rand.New(rand.NewSource(1))
+	traffic := NewTraffic(1)
 	buf := make([]byte, failmap.LineSize)
 	if allocs := testing.AllocsPerRun(20, func() {
-		d.SkewedLines(rng, lines)
+		d.SkewedLines(traffic, lines)
 		if n, err := d.WriteRun(lines, buf); n != len(lines) || err != nil {
 			t.Fatalf("WriteRun = %d, %v", n, err)
 		}
@@ -161,7 +241,7 @@ func TestWearThroughMatchesPerWriteLoop(t *testing.T) {
 		for _, seed := range []int64{1, 42, 311} {
 			dev := NewDevice(wearStudyConfig(wl, pages, seed), nil)
 			crossed := 0
-			dev.WearThrough(rand.New(rand.NewSource(seed+7)), targets, func(i int) {
+			dev.WearThrough(seed+7, targets, func(i int) {
 				crossed++
 				ref := wearPerWrite(wl, pages, targets[i], seed)
 				if !dev.FailMap().Equal(ref.FailMap()) {
@@ -183,10 +263,10 @@ func TestWearThroughMatchesPerWriteLoop(t *testing.T) {
 // template.
 func BenchmarkSkewedLines(b *testing.B) {
 	d, lines := wearBenchDevice()
-	rng := rand.New(rand.NewSource(1))
+	traffic := NewTraffic(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.SkewedLines(rng, lines)
+		d.SkewedLines(traffic, lines)
 	}
 }
 
@@ -197,7 +277,7 @@ func BenchmarkSkewedLines(b *testing.B) {
 // and polls.
 func BenchmarkWearThrough(b *testing.B) {
 	worn := NewDevice(wearStudyConfig(NoWearLeveling, 512, 42), nil)
-	worn.WearThrough(rand.New(rand.NewSource(49)), []float64{0.25}, func(int) {})
+	worn.WearThrough(49, []float64{0.25}, func(int) {})
 	img := worn.Snapshot()
 	next := float64(worn.FailedLines()+1) / float64(worn.Lines())
 	var writes uint64
@@ -209,7 +289,7 @@ func BenchmarkWearThrough(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		d.WearThrough(rand.New(rand.NewSource(50)), []float64{next}, func(int) {})
+		d.WearThrough(50, []float64{next}, func(int) {})
 		writes += d.TotalWrites() - worn.TotalWrites()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(writes), "ns/line")

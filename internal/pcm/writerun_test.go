@@ -277,11 +277,11 @@ func TestLockFreeStatusReads(t *testing.T) {
 			}
 		}()
 	}
-	rng := rand.New(rand.NewSource(9))
+	traffic, rng := NewTraffic(9), rand.New(rand.NewSource(9))
 	buf := make([]byte, failmap.LineSize)
 	block := make([]int, 64)
 	for i := 0; i < 400; i++ {
-		d.SkewedLines(rng, block)
+		d.SkewedLines(traffic, block)
 		for next := block; len(next) > 0; {
 			n, err := d.WriteRun(next, buf)
 			next = next[n:]
@@ -309,7 +309,7 @@ func TestLockFreeStatusReads(t *testing.T) {
 func wearBenchDevice() (*Device, []int) {
 	d := NewDevice(Config{Size: 512 * failmap.PageSize, Endurance: 1 << 40, Seed: 1}, nil)
 	lines := make([]int, 512)
-	d.SkewedLines(rand.New(rand.NewSource(1)), lines)
+	d.SkewedLines(NewTraffic(1), lines)
 	return d, lines
 }
 
