@@ -95,12 +95,13 @@ loc:
 # (drawing and clustering a failure map, encoding the OS table, building a
 # block's line states from a map, the live-heap census), the two checks a
 # torture campaign runs (the heap verifier at a collection, the recovered-state
-# verifier after a power cut, both mid-campaign), and the wear loop tab2 and
+# verifier after a power cut, both mid-campaign), the wear loop tab2 and
 # examples/wearout spend most of their time in (drawing a block of skewed
-# traffic, writing it, and the two together through a worn module).
+# traffic, writing it, and the two together through a worn module), and a kv
+# request's popularity rank (the guide table against the binary search).
 bench:
-	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ ./internal/chaos/ ./internal/pcm/ -run NONE \
-		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census|VerifyHeap|VerifyRecovered|SkewedLines|DeviceWriteRun|WearThrough' -benchtime 1s
+	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ ./internal/chaos/ ./internal/pcm/ ./internal/kv/ -run NONE \
+		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census|VerifyHeap|VerifyRecovered|SkewedLines|DeviceWriteRun|WearThrough|Rank' -benchtime 1s
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).

@@ -16,8 +16,10 @@ package checks
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -36,7 +38,9 @@ type Spec struct {
 }
 
 // Check is one cell assertion: every cell in the named column of every
-// matching table row must satisfy the budget.
+// matching table row must satisfy the budget. A parsed check has a name, a
+// column and at least one budget, and its bounds are finite with min not
+// above max.
 type Check struct {
 	// Name identifies the check in output.
 	Name string
@@ -100,15 +104,18 @@ func ReadDocument(r io.Reader) (*Document, error) {
 }
 
 // ParseSpec reads a gate file in the YAML subset described in the package
-// comment.
+// comment. It refuses a check that could not fail (no budget, or a NaN
+// one), could not pass (min above max), carries an infinite budget, or
+// names no check or column, saying on which line the check starts.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	spec := &Spec{}
-	var cur *Check // the "- " item being filled in
-	section := ""  // the open top-level block key ("machine", "checks")
+	var cur *Check     // the "- " item being filled in
+	var itemLine []int // the line each check starts on
+	section := ""      // the open top-level block key ("machine", "checks")
 	for ln, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimRight(raw, " \t")
 		trimmed := strings.TrimLeft(line, " \t")
@@ -138,6 +145,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 			}
 			spec.Checks = append(spec.Checks, Check{})
 			cur = &spec.Checks[len(spec.Checks)-1]
+			itemLine = append(itemLine, ln+1)
 			if err := setCheckField(cur, key, val); err != nil {
 				return nil, fmt.Errorf("checks: line %d: %w", ln+1, err)
 			}
@@ -175,7 +183,28 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	if len(spec.Checks) == 0 {
 		return nil, fmt.Errorf("checks: spec has no checks")
 	}
+	for i, c := range spec.Checks {
+		if err := c.validate(); err != nil {
+			return nil, fmt.Errorf("checks: line %d: %w", itemLine[i], err)
+		}
+	}
 	return spec, nil
+}
+
+// validate refuses a check that cannot be named in output or that passes
+// or fails whatever the report says.
+func (c *Check) validate() error {
+	switch {
+	case c.Name == "":
+		return errors.New("check has no name")
+	case c.Column == "":
+		return fmt.Errorf("check %q has no column", c.Name)
+	case c.Max == nil && c.Min == nil && c.Equals == "":
+		return fmt.Errorf("check %q has no max, min or equals, so it passes every cell", c.Name)
+	case c.Max != nil && c.Min != nil && *c.Min > *c.Max:
+		return fmt.Errorf("check %q has min %v above max %v, so it fails every cell", c.Name, *c.Min, *c.Max)
+	}
+	return nil
 }
 
 // setCheckField assigns one "key: value" pair of a checks-list item.
@@ -193,8 +222,8 @@ func setCheckField(c *Check, key, val string) error {
 		c.Equals = val
 	case "max", "min":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("%s %q is not a number", key, val)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%s %q is not a finite number", key, val)
 		}
 		if key == "max" {
 			c.Max = &f

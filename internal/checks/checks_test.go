@@ -1,6 +1,7 @@
 package checks
 
 import (
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -187,4 +188,69 @@ func TestChecksRestartGateMatchesReport(t *testing.T) {
 			t.Errorf("check %s selects table ~%q, matching no restart table title", c.Name, c.Table)
 		}
 	}
+}
+
+// A gate that cannot fail, cannot pass or cannot be named is refused, with
+// the line its check starts on. A NaN max used to pass a cell of 1e9, and a
+// check with no budget passed every cell.
+func TestParseSpecRefusesHollowGates(t *testing.T) {
+	for _, c := range []struct{ why, check, want string }{
+		{"NaN max", "max: NaN", `line 5: max "NaN" is not a finite number`},
+		{"NaN min", "min: nan", `line 5: min "nan" is not a finite number`},
+		{"infinite max", "max: +Inf", `line 5: max "+Inf" is not a finite number`},
+		{"infinite min", "min: -Inf", `line 5: min "-Inf" is not a finite number`},
+		{"out-of-range max", "max: 1e400", `line 5: max "1e400" is not a finite number`},
+		{"no budget", "row: x", `line 3: check "p99" has no max, min or equals, so it passes every cell`},
+		{"min above max", "min: 2\n    max: 1", `line 3: check "p99" has min 2 above max 1, so it fails every cell`},
+	} {
+		_, err := ParseSpec(strings.NewReader("report: restart\nchecks:\n  - name: p99\n    column: kv p99\n    " + c.check + "\n"))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.why, err, c.want)
+		}
+	}
+	for _, c := range []struct{ why, spec, want string }{
+		{"no name", "  - column: kv p99\n    max: 1\n", "line 3: check has no name"},
+		{"no column", "  - name: ok\n    column: kv p99\n    max: 1\n  - name: p99\n    max: 1\n", `line 6: check "p99" has no column`},
+	} {
+		_, err := ParseSpec(strings.NewReader("report: restart\nchecks:\n" + c.spec))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.why, err, c.want)
+		}
+	}
+}
+
+// FuzzParseSpec: any input is a spec or an error, never a panic, and every
+// spec it accepts has checks that are named, address a column, carry a
+// budget, and bound it finitely with min not above max.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(spec)
+	for _, name := range []string{"restart", "pausecurve", "policyzoo"} {
+		if data, err := os.ReadFile("../../checks/" + name + ".yaml"); err == nil {
+			f.Add(string(data))
+		}
+	}
+	f.Add("report: x\nchecks:\n  - name: a\n    column: b\n    max: NaN\n")
+	f.Add("report: x\nmachine:\n  min_cores: 2\nchecks:\n  - name: a\n    column: b\n    min: 1\n    max: 2\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		sp, err := ParseSpec(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if sp.Report == "" || len(sp.Checks) == 0 {
+			t.Fatalf("accepted a spec with no report or no checks: %+v", sp)
+		}
+		finite := func(b *float64) bool { return b == nil || !math.IsNaN(*b) && !math.IsInf(*b, 0) }
+		for _, c := range sp.Checks {
+			switch {
+			case c.Name == "" || c.Column == "":
+				t.Fatalf("accepted an unnamed check or one with no column: %+v", c)
+			case c.Max == nil && c.Min == nil && c.Equals == "":
+				t.Fatalf("accepted check %q with no budget", c.Name)
+			case !finite(c.Max) || !finite(c.Min):
+				t.Fatalf("accepted check %q with a budget that is not finite", c.Name)
+			case c.Max != nil && c.Min != nil && *c.Min > *c.Max:
+				t.Fatalf("accepted check %q with min above max", c.Name)
+			}
+		}
+	})
 }

@@ -1,9 +1,8 @@
 package kv
 
 import (
-	"math/rand"
-
 	"wearmem/internal/heap"
+	"wearmem/internal/pcm"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
@@ -64,10 +63,12 @@ func (t *opTimer) end() {
 // body runs one mutator's share of the scenario: a private table plus
 // operations against the shared one, phase by phase. It is deterministic
 // per (profile name, mutator index) — the baton engine interleaves
-// mutators deterministically, so whole runs are byte-identical.
+// mutators deterministically, so whole runs are byte-identical. The
+// request stream is math/rand's seeded stream, drawn from pcm.Traffic, the
+// concrete copy of it the wear studies use.
 func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators, iterations int, yield func()) error {
 	c := s.cfg
-	rng := rand.New(rand.NewSource(int64(len(p.Name))*31 + 0x5eed + 7919*int64(mut)))
+	rng := pcm.NewTraffic(int64(len(p.Name))*31 + 0x5eed + 7919*int64(mut))
 
 	var shard *stats.LatencyShard
 	if p.Latency != nil {
@@ -101,24 +102,30 @@ func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators,
 	// baton engine parks at yield() instead).
 	sp, _ := api.(interface{ Safepoint() })
 
+	// Phase schedule: operation op is in phase op/phaseLen, which rotates
+	// the hot-key region and write-biases every other phase. The phase's
+	// numbers change only at the next boundary.
 	totalOps := iterations * c.OpsPerIter
 	phaseLen := totalOps / c.Phases
 	if phaseLen < 1 {
 		phaseLen = 1
 	}
+	var hotBase, boundary int
+	var rr float64
 	op := 0
 	for it := 0; it < iterations; it++ {
 		for k := 0; k < c.OpsPerIter; k++ {
 			if sp != nil {
 				sp.Safepoint()
 			}
-			// Phase schedule: rotate the hot-key region and write-bias
-			// every other phase.
-			phase := op / phaseLen
-			hotBase := (phase % c.Phases) * (c.Keys / c.Phases)
-			rr := c.ReadRatio
-			if phase%2 == 1 {
-				rr /= 2
+			if op == boundary {
+				phase := op / phaseLen
+				hotBase = (phase % c.Phases) * (c.Keys / c.Phases)
+				rr = c.ReadRatio
+				if phase%2 == 1 {
+					rr /= 2
+				}
+				boundary += phaseLen
 			}
 			read := rng.Float64() < rr
 			shared := rng.Float64() < c.Contention
@@ -126,14 +133,14 @@ func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators,
 			t.begin()
 			var err error
 			if shared {
-				key := uint64((s.rank(rng.Float64(), rng) + hotBase) % c.Keys)
+				key := uint64((s.rank(rng.Float64()) + hotBase) % c.Keys)
 				if read {
 					s.get(api, &s.sharedBuckets, c.Keys, key, true)
 				} else {
 					err = s.put(api, &s.sharedBuckets, c.Keys, key, true, &scratch, rng)
 				}
 			} else {
-				key := uint64(s.rank(rng.Float64(), rng) % privKeys)
+				key := uint64(s.rank(rng.Float64()) % privKeys)
 				if read {
 					s.get(api, &privBuckets, privKeys, key, false)
 				} else {
@@ -189,7 +196,7 @@ func (s *scenario) get(api workload.MutAPI, buckets *heap.Addr, n int, key uint6
 // first with nothing held, the entry — only needed on insert — allocates
 // between the lookup and a re-checked link, with the value parked in the
 // rooted scratch slot across that GC point.
-func (s *scenario) put(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *rand.Rand) error {
+func (s *scenario) put(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *pcm.Traffic) error {
 	c := s.cfg
 	vlen := c.ValueMin + rng.Intn(c.ValueMax-c.ValueMin+1)
 	val, err := api.NewArray(s.bytesT, vlen)

@@ -35,7 +35,7 @@ type Config struct {
 	Keys int
 	// Zipf is the key-popularity skew s (rank r drawn with probability
 	// proportional to 1/(r+1)^s; default 0.99, the YCSB-style hot-key
-	// regime). Zero means uniform popularity.
+	// regime). Zero takes the default; the skew must be positive.
 	Zipf float64
 	// ReadRatio is the fraction of operations that are GETs (default
 	// 0.75; the rest are PUTs, each allocating a fresh value).
@@ -130,11 +130,11 @@ func (c Config) Validate() error {
 	switch {
 	case c.Keys < 64:
 		return fmt.Errorf("kv: need at least 64 keys, got %d", c.Keys)
-	case c.Zipf < 0:
-		return fmt.Errorf("kv: negative zipf skew %g", c.Zipf)
+	case !(c.Zipf > 0): // NaN too: it would put every rank past the table
+		return fmt.Errorf("kv: zipf skew %g is not positive", c.Zipf)
 	case c.ReadRatio < 0 || c.ReadRatio > 1:
 		return fmt.Errorf("kv: read ratio %g outside [0,1]", c.ReadRatio)
-	case c.ValueMin < 8 || c.ValueMax < c.ValueMin:
+	case c.ValueMin < 8 || c.ValueMax < c.ValueMin || c.ValueMax-c.ValueMin >= math.MaxInt32:
 		return fmt.Errorf("kv: bad value size range [%d,%d]", c.ValueMin, c.ValueMax)
 	case c.Contention < 0 || c.Contention > 1:
 		return fmt.Errorf("kv: contention %g outside [0,1]", c.Contention)
@@ -214,8 +214,8 @@ const stripes = 64
 
 // scenario is the per-run state shared by all mutator bodies: the
 // registered types, the shared table, its stripe locks, and the zipf
-// rank CDF. One scenario instance belongs to exactly one Profile
-// instance, which the harness constructs fresh per run.
+// rank CDF with its guide table. One scenario instance belongs to exactly
+// one Profile instance, which the harness constructs fresh per run.
 type scenario struct {
 	cfg Config
 
@@ -233,13 +233,15 @@ type scenario struct {
 	// stop-the-world that is itself waiting for the holder.
 	locks [stripes]sync.Mutex
 
-	// zipfCDF[r] is the cumulative probability of ranks 0..r; nil for
-	// uniform popularity.
-	zipfCDF []float64
+	// zipfCDF[r] is the cumulative probability of ranks 0..r, and
+	// zipfGuide its guide table (see rank).
+	zipfCDF   []float64
+	zipfGuide []int32
 }
 
 // prepare runs once on the VM before mutator bodies start: register the
-// object types, build the shared bucket array, precompute the zipf CDF.
+// object types, build the shared bucket array, precompute the zipf CDF and
+// its guide table.
 func (s *scenario) prepare(v *vm.VM) error {
 	s.entryT = v.RegisterType(&heap.Type{
 		Name: "kv.entry", Kind: heap.KindFixed, Size: entrySize,
@@ -255,27 +257,59 @@ func (s *scenario) prepare(v *vm.VM) error {
 	}
 	s.sharedBuckets = b
 
-	if s.cfg.Zipf > 0 {
-		cdf := make([]float64, s.cfg.Keys)
-		sum := 0.0
-		for r := 0; r < s.cfg.Keys; r++ {
-			sum += 1 / math.Pow(float64(r+1), s.cfg.Zipf)
-			cdf[r] = sum
-		}
-		for r := range cdf {
-			cdf[r] /= sum
-		}
-		s.zipfCDF = cdf
-	}
+	s.zipfCDF = zipfCDF(s.cfg.Keys, s.cfg.Zipf)
+	s.zipfGuide = guideTable(s.zipfCDF)
 	return nil
 }
 
-// rank draws a popularity rank from the zipf CDF (or uniformly).
-func (s *scenario) rank(u float64, rng interface{ Intn(int) int }) int {
-	if s.zipfCDF == nil {
-		return rng.Intn(s.cfg.Keys)
+// zipfCDF returns the cumulative probabilities of ranks 0..keys-1 under
+// skew z. The last is sum/sum, exactly 1.
+func zipfCDF(keys int, z float64) []float64 {
+	cdf := make([]float64, keys)
+	sum := 0.0
+	for r := range cdf {
+		sum += 1 / math.Pow(float64(r+1), z)
+		cdf[r] = sum
 	}
-	return sort.SearchFloat64s(s.zipfCDF, u)
+	for r := range cdf {
+		cdf[r] /= sum
+	}
+	return cdf
+}
+
+// guideTable returns cdf's guide table (Chen–Asau indexed search), one
+// entry per CDF value: guide[j] is the rank sort.SearchFloat64s gives the
+// first float64 u of bucket j, the u with int(u·len(cdf)) = j, or a u just
+// below it.
+func guideTable(cdf []float64) []int32 {
+	guide := make([]int32, len(cdf))
+	m := float64(len(cdf))
+	for j := range guide {
+		// j/m may round to a float past the bucket's first u: step down
+		// while the float below is still in the bucket.
+		u := float64(j) / m
+		for u > 0 && int(math.Nextafter(u, 0)*m) >= j {
+			u = math.Nextafter(u, 0)
+		}
+		guide[j] = int32(sort.SearchFloat64s(cdf, u))
+	}
+	return guide
+}
+
+// rank draws the popularity rank of u ∈ [0, 1): the smallest r with
+// zipfCDF[r] ≥ u, which is what sort.SearchFloat64s(zipfCDF, u) returns.
+// That rank never falls as u grows, and int(u·Keys) never falls either, so
+// the guide entry of u's bucket is a lower bound, and a walk forward over
+// the CDF, which ends at exactly 1, finishes the search. Buckets are equally
+// likely and hold Keys CDF values among them, so a draw makes at most two
+// comparisons on average.
+func (s *scenario) rank(u float64) int {
+	cdf := s.zipfCDF
+	r := int(s.zipfGuide[int(u*float64(len(cdf)))])
+	for cdf[r] < u {
+		r++
+	}
+	return r
 }
 
 // newProfile builds the workload Profile driving this configuration.

@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -119,6 +120,9 @@ func TestKVConfigValidation(t *testing.T) {
 		{Keys: 8},
 		{ReadRatio: 1.5},
 		{ValueMin: 128, ValueMax: 64},
+		{ValueMin: 8, ValueMax: 1 << 40}, // wider than a value size draw reaches
+		{Zipf: -1},
+		{Zipf: math.NaN()},
 		{Contention: -0.1},
 		{Phases: -1},
 	}

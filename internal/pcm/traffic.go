@@ -16,14 +16,15 @@ const (
 )
 
 // Traffic is the value stream of rand.New(rand.NewSource(seed)).Int63 as a
-// concrete type, so that drawing a wear study's lines costs no interface
-// call. The generator's whole state is its last 607 outputs: NewTraffic
-// takes the first 607 Int63 values of math/rand's own seeded source, solves
-// the recurrence back to the 607 before them, and continues from there a
-// block at a time, one loop of adds with no wrap-around. A carry only flows
-// upward, so the low 63 bits of every value — all of what Int63 returns, and
-// so all of what Int31n consumes — are the source's; the top bit is not, and
-// Traffic does not reproduce the source's Uint64.
+// concrete type, so that drawing a wear study's lines or a kv request costs
+// no interface call. The generator's whole state is its last 607 outputs:
+// NewTraffic takes the first 607 Int63 values of math/rand's own seeded
+// source, solves the recurrence back to the 607 before them, and continues
+// from there a block at a time, one loop of adds with no wrap-around. A
+// carry only flows upward, so the low 63 bits of every value — all of what
+// Int63 returns, and so all of what Int31n and Float64 consume — are the
+// source's; the top bit is not, and Traffic does not reproduce the source's
+// Uint64.
 type Traffic struct {
 	x [lag + trafficBlock]uint64 // the lag values before the block, then the block
 	i int                        // index in x of the next value; len(x) when the block is spent
@@ -62,6 +63,38 @@ func (t *Traffic) next(j int) int {
 		x[k] = x[k-lag] + x[k-tap]
 	}
 	return j - trafficBlock
+}
+
+// int63 is the stream's next Int63.
+func (t *Traffic) int63() int64 {
+	if t.i == len(t.x) {
+		t.i = t.next(t.i)
+	}
+	v := t.x[t.i]
+	t.i++
+	return int64(v << 1 >> 1)
+}
+
+// Float64 is math/rand's Rand.Float64 on this stream: the next Int63 over
+// 2⁶³, drawn again in the one case in 2⁵⁴ where the quotient rounds to 1.
+func (t *Traffic) Float64() float64 {
+again:
+	f := float64(t.int63()) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
+}
+
+// Intn is math/rand's Rand.Intn on this stream for n up to 2³¹−1, where it
+// is Int31n(n). It panics for any other n.
+func (t *Traffic) Intn(n int) int {
+	if n <= 0 || n > 1<<31-1 {
+		panic("pcm: Traffic.Intn argument outside [1, 2³¹−1]")
+	}
+	v, j := t.candidate(t.i, int31nMax(uint32(n)))
+	t.i = j
+	return reduce(v, uint32(n))
 }
 
 // math/rand's Int31n(n), which is Intn(n) for n below 2³¹, with the part

@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -26,49 +27,108 @@ func skewedPerWrite(rng *rand.Rand, lines int, dst []int) {
 // into.
 var trafficSeeds = []int64{0, 1, 42, -1, 1<<31 - 1, 1 << 40, math.MinInt64}
 
-// int63 is the stream's next Int63.
-func (t *Traffic) int63() int64 {
-	if t.i == len(t.x) {
-		t.i = t.next(t.i)
-	}
-	v := t.x[t.i]
-	t.i++
-	return int64(v &^ (1 << 63))
+// draw is one call a Traffic copies from math/rand, made on both; a value
+// is returned as its bits.
+type draw struct {
+	name string
+	got  func(*Traffic) uint64
+	want func(*rand.Rand) uint64
 }
 
-// TestTrafficMatchesMathRand: ten million values of each seed's stream are
-// math/rand's, across thousands of blocks.
+func intnDraw(n int) draw {
+	return draw{fmt.Sprintf("Intn(%d)", n),
+		func(t *Traffic) uint64 { return uint64(t.Intn(n)) },
+		func(r *rand.Rand) uint64 { return uint64(r.Intn(n)) }}
+}
+
+// draws are Int63, Float64, and Intn at powers of two, at the bounds the wear
+// studies and the kv scenario's value sizes use, and at the largest bound
+// Int31n takes.
+var draws = []draw{
+	{"Int63", func(t *Traffic) uint64 { return uint64(t.int63()) }, func(r *rand.Rand) uint64 { return uint64(r.Int63()) }},
+	{"Float64", func(t *Traffic) uint64 { return math.Float64bits(t.Float64()) }, func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
+	intnDraw(1), intnDraw(10), intnDraw(193), intnDraw(449), intnDraw(1 << 16), intnDraw(1<<31 - 1),
+}
+
+// interleaved is the i-th draw of a test that interleaves all of them, in an
+// order that rotates every round.
+func interleaved(i int) draw { return draws[(i+i/len(draws))%len(draws)] }
+
+// TestTrafficMatchesMathRand: ten million draws of each seed's stream, Int63,
+// Float64 and Intn interleaved, are math/rand's, across thousands of blocks.
 func TestTrafficMatchesMathRand(t *testing.T) {
 	for _, seed := range trafficSeeds {
 		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
 		for i := 0; i < 10_000_000; i++ {
-			if v, want := got.int63(), ref.Int63(); v != want {
-				t.Fatalf("seed %d, value %d: %d, math/rand %d", seed, i, v, want)
+			d := interleaved(i)
+			if v, want := d.got(got), d.want(ref); v != want {
+				t.Fatalf("seed %d, draw %d (%s): %#x, math/rand %#x", seed, i, d.name, v, want)
 			}
 		}
 	}
 }
 
 // FuzzTrafficMatchesMathRand: from any point of any seed's stream, the next
-// 4096 values are math/rand's.
+// 4096 draws are math/rand's, in any interleaving: ops picks each draw in
+// turn, and no ops is Int63 alone.
 func FuzzTrafficMatchesMathRand(f *testing.F) {
 	for _, seed := range trafficSeeds {
 		for _, skip := range []uint16{0, lag - 1, lag, trafficBlock - 1, trafficBlock} {
-			f.Add(seed, skip)
+			f.Add(seed, skip, []byte(nil))
+			f.Add(seed, skip, []byte{1, 3, 5, 0, 7, 2, 6, 4})
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, skip uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, skip uint16, ops []byte) {
 		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
 		for i := 0; i < int(skip); i++ {
 			ref.Int63()
 			got.int63()
 		}
 		for i := 0; i < 4096; i++ {
-			if v, want := got.int63(), ref.Int63(); v != want {
-				t.Fatalf("seed %d, value %d after %d: %d, math/rand %d", seed, i, skip, v, want)
+			d := draws[0]
+			if len(ops) > 0 {
+				d = draws[int(ops[i%len(ops)])%len(draws)]
+			}
+			if v, want := d.got(got), d.want(ref); v != want {
+				t.Fatalf("seed %d, draw %d (%s) after %d: %#x, math/rand %#x", seed, i, d.name, skip, v, want)
 			}
 		}
 	})
+}
+
+// TestTrafficDrawRedraws: Float64's redraw of a quotient that rounds to 1 and
+// Int31n's rejection loop are math/rand's. The seeded stream reaches either
+// about once in 2⁵⁴ or (2³¹ mod n) in 2³¹ draws, so a scripted source makes
+// every third value one of the 500 highest Int63 values, each of which
+// rounds to 1 over 2⁶³ and is above the Int31n ceiling of every bound that
+// is not a power of two. The stream is built from the window of it.
+func TestTrafficDrawRedraws(t *testing.T) {
+	newSource := func() *scriptedSource {
+		return &scriptedSource{Source: rand.NewSource(42), script: func(k int) int64 { return math.MaxInt64 - int64(k%500) }}
+	}
+	src := newSource()
+	ref, got := rand.New(src), windowOf(newSource())
+	redrawn := map[string]int{}
+	for i := 0; ; i++ {
+		d, before := interleaved(i), src.calls
+		want := d.want(ref)
+		if src.calls > lag {
+			break
+		}
+		if src.calls-before > 1 {
+			redrawn[d.name]++
+		}
+		if v := d.got(got); v != want {
+			t.Fatalf("draw %d (%s): %#x, math/rand %#x", i, d.name, v, want)
+		}
+	}
+	// Every draw but Int63 and the powers of two must have redrawn inside
+	// the window, or the script proves nothing.
+	for _, name := range []string{"Float64", "Intn(10)", "Intn(193)", "Intn(449)", "Intn(2147483647)"} {
+		if redrawn[name] == 0 {
+			t.Errorf("the scripted source never made %s redraw", name)
+		}
+	}
 }
 
 // checkSkewedStream holds SkewedLines on a module of the given size to
@@ -112,36 +172,42 @@ func TestSkewedLinesStream(t *testing.T) {
 	}
 }
 
-// redrawSource is a seeded source whose every third value is one of the 200
-// highest 31-bit candidates. Int31n redraws the top 8 of them for n = 10 and
-// the top 2³¹ mod n for any other n that is not a power of two (32 and 128
-// for a 3-page module's 48 hot and 192 lines); the seeded stream gets there
-// with probability 8 / 2³¹, so nothing else reaches that branch.
-type redrawSource struct {
+// scriptedSource is a seeded source whose k-th of every third value is
+// script(k).
+type scriptedSource struct {
 	rand.Source
-	calls int
+	calls  int
+	script func(k int) int64
 }
 
-func (s *redrawSource) Int63() int64 {
+func (s *scriptedSource) Int63() int64 {
 	s.calls++
 	if s.calls%3 == 0 {
-		return int64(1<<31-1-s.calls/3%200) << 32
+		return s.script(s.calls / 3)
 	}
 	return s.Source.Int63()
 }
 
-func newRedrawSource() *redrawSource { return &redrawSource{Source: rand.NewSource(42)} }
+// newRedrawSource's scripted values are the 200 highest 31-bit candidates.
+// Int31n redraws the top 8 of them for n = 10 and the top 2³¹ mod n for any
+// other n that is not a power of two (32 and 128 for a 3-page module's 48
+// hot and 192 lines); the seeded stream gets there with probability 8 / 2³¹,
+// so nothing else reaches that branch.
+func newRedrawSource() *scriptedSource {
+	return &scriptedSource{Source: rand.NewSource(42), script: func(k int) int64 { return int64(1<<31-1-k%200) << 32 }}
+}
 
-// redrawWindow is the scripted source's first lag values. A stream built
-// from them starts with exactly those values, redraws included.
-func redrawWindow() *Traffic {
-	src := newRedrawSource()
+// windowOf is the stream whose first lag values are src's next ones. It
+// starts with exactly those values, scripted ones included.
+func windowOf(src rand.Source) *Traffic {
 	var w [lag]uint64
 	for k := range w {
 		w[k] = uint64(src.Int63())
 	}
 	return trafficFrom(&w)
 }
+
+func redrawWindow() *Traffic { return windowOf(newRedrawSource()) }
 
 // windowLines runs the inline draw of a module with the given line count on
 // the scripted source and returns how many lines it draws, and the value
