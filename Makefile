@@ -153,15 +153,17 @@ determinism:
 # Full fault-injection torture sweep: 50 seeds x 8 collector configurations,
 # heap verified after every collection, then the same configurations with
 # the workload split across 4 mutator contexts (context ownership verified
-# at every block installation). Writes the JSON summaries for CI.
+# at every block installation), the Immix kinds on the threaded engine, the
+# pause-budgeted sticky collector, two policy pairs and the power-cut crash
+# sweep. Writes the JSON summaries for CI.
 torture:
 	$(GO) run ./cmd/wearsim -torture -seeds 50 -torture-out torture-summary.json
-	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-mutators 4 -torture-out torture-summary-m4.json
-	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-threaded -torture-out torture-summary-thr.json
-	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-pause-budget 10000 -torture-out torture-summary-inc.json
-	$(GO) run ./cmd/wearsim -torture -seeds 15 -placement rotate -remap rotate -torture-out torture-summary-rot.json
-	$(GO) run ./cmd/wearsim -torture -seeds 15 -placement migrate -remap decoder -torture-out torture-summary-pol.json
-	$(GO) run ./cmd/wearsim -crash -seeds 3 -crash-out crash-summary.json
+	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config '*/*/m4' -torture-out torture-summary-m4.json
+	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config 'IX/*/m4/thr S-IX/*/m4/thr' -torture-out torture-summary-thr.json
+	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config 'S-IX/*/inc10000' -torture-out torture-summary-inc.json
+	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:rotate/r:rotate' -torture-out torture-summary-rot.json
+	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:migrate/r:decoder' -torture-out torture-summary-pol.json
+	$(GO) run ./cmd/wearsim -crash -seeds 3 -torture-out crash-summary.json
 
 # Multi-mutator scaling study (implementation experiment; excluded from
 # "wearbench -exp all" so the pinned full-suite reports stay stable).

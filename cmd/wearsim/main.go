@@ -38,8 +38,7 @@ import (
 	"wearmem/internal/chaos"
 	"wearmem/internal/failmap"
 	"wearmem/internal/harness/cliconfig"
-	"wearmem/internal/kernel"
-	_ "wearmem/internal/kv" // registers the kv scenario for -torture-scenario
+	_ "wearmem/internal/kv" // registers the kv scenario -torture-config names can carry
 	"wearmem/internal/pcm"
 	"wearmem/internal/stats"
 )
@@ -58,43 +57,40 @@ func main() {
 
 		torture       = flag.Bool("torture", false, "run the fault-injection torture suite and exit")
 		seeds         = flag.Int("seeds", 50, "torture campaigns per configuration")
-		tortureConfig = flag.String("torture-config", "", "restrict torture to configurations whose name contains this string (e.g. S-IX/aware)")
+		tortureConfig = flag.String("torture-config", "", "space-separated configuration names to run, as campaign records name them, with * for any collector or mode (e.g. 'S-IX/aware/m4/thr */*/p:rotate/r:rotate'); empty = every configuration of the sweep")
 		tortureEvents = flag.Int("torture-events", 0, "injection events per campaign (0 = default)")
 		tortureIters  = flag.Int("torture-iters", 0, "workload iterations per campaign (0 = default)")
 		tortureBreak  = flag.String("torture-break", "", "plant a deliberate bug: smash-header or silent-taint (the suite must then fail)")
-		tortureOut    = flag.String("torture-out", "", "write the torture summary JSON to this file")
+		tortureOut    = flag.String("torture-out", "", "write the torture or crash summary JSON to this file")
 		tortureV      = flag.Bool("torture-v", false, "log each torture campaign to stderr")
-		tortureMut    = flag.Int("torture-mutators", 0, "run each selected configuration with this many mutator contexts on the deterministic scheduler (0 or 1 = serial workload)")
-		tortureThr    = flag.Bool("torture-threaded", false, "run the reduced threaded sweep: real mutator goroutines, injections deferred to stop-the-world boundaries (minimization replays on the baton twin)")
-		tortureScen   = flag.String("torture-scenario", "", "drive a registered scenario profile (e.g. kv) as the campaign workload instead of the built-in chained mutator")
-		torturePB     = flag.Int("torture-pause-budget", 0, "run the sweep with bounded-pause incremental marking at this budget in simulated cycles (restricts to S-IX baton configurations; schedules add increment-boundary injections and StrictSATB verification)")
-		tortureNowt   = flag.Bool("torture-nowt", false, "disable the write-through torture device (injected failures only, no organic wear-out)")
 		tortureSched  = flag.String("torture-schedule", "", "replay exactly this injection schedule (comma-separated point@N:action events) instead of generating campaigns — the format failure reproductions print; schedules containing a power-cut run the full crash pipeline")
-		placement     = flag.String("placement", "", "kernel placement policy for the selected torture configurations (paper, rotate, decoder, migrate; empty = paper)")
-		remapPol      = flag.String("remap", "", "kernel remap policy for the selected torture configurations (paper, rotate, decoder, migrate; empty = paper); non-stock policies add remap-boundary injection points")
 
-		crash    = flag.Bool("crash", false, "run the power-cut crash sweep (cut at every probe point on every crash configuration, then recover, verify and resume) and exit")
-		crashOut = flag.String("crash-out", "", "write the crash sweep summary JSON to this file")
+		crash = flag.Bool("crash", false, "run the power-cut crash sweep (cut at every probe point on every crash configuration, then recover, verify and resume) and exit")
 	)
 	prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *crash {
-		os.Exit(runCrash(*seeds, *seed, *tortureConfig, *tortureEvents, *tortureIters,
-			*crashOut, *tortureV, *parallel))
-	}
-	if *torture {
-		sel, err := selectConfigs(*tortureConfig, *tortureMut, *tortureThr, *tortureNowt,
-			*tortureScen, *torturePB, *placement, *remapPol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "torture:", err)
-			os.Exit(2)
+	if *crash || *torture {
+		configs := chaos.AllConfigs()
+		if *crash {
+			configs = chaos.CrashConfigs()
 		}
-		if *tortureSched != "" {
-			os.Exit(runReplay(sel, *tortureSched, *seed, *tortureIters, *parallel))
+		if *tortureConfig != "" {
+			var err error
+			if configs, err = chaos.ParseConfigs(*tortureConfig); err != nil {
+				fmt.Fprintln(os.Stderr, "wearsim:", err)
+				os.Exit(2)
+			}
 		}
-		os.Exit(runTorture(*seeds, *seed, sel, *tortureEvents, *tortureIters,
-			*tortureBreak, *tortureOut, *tortureV, *parallel))
+		opt := chaos.Options{Seeds: *seeds, SeedBase: *seed, Events: *tortureEvents, Iters: *tortureIters,
+			Break: *tortureBreak, Workers: *parallel, Configs: configs}
+		switch {
+		case *crash:
+			os.Exit(runCrash(opt, *tortureOut, *tortureV))
+		case *tortureSched != "":
+			os.Exit(runReplay(opt, *tortureSched))
+		}
+		os.Exit(runTorture(opt, *tortureOut, *tortureV))
 	}
 
 	stop, err := prof.Start()
@@ -259,122 +255,29 @@ func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
 	}
 }
 
-// selectConfigs resolves the -torture-* configuration knobs to an explicit
-// configuration list. A nil result means "no knobs given": the caller's
-// default sweep applies.
-func selectConfigs(configFilter string, mutators int, threaded, nowt bool,
-	scenario string, pauseBudget int, placement, remap string) ([]chaos.TortureConfig, error) {
-	var configs []chaos.TortureConfig
-	if configFilter != "" {
-		for _, cfg := range chaos.AllConfigs() {
-			if strings.Contains(cfg.Name(), configFilter) {
-				configs = append(configs, cfg)
-			}
-		}
-		if configs == nil {
-			return nil, fmt.Errorf("no configuration matches %q", configFilter)
-		}
-	}
-	// every is the selection so far: every configuration, until a knob has
-	// narrowed it.
-	every := func() []chaos.TortureConfig {
-		if configs == nil {
-			configs = chaos.AllConfigs()
-		}
-		return configs
-	}
-	if mutators > 1 {
-		for i := range every() {
-			configs[i].Mutators = mutators
-		}
-	}
-	if threaded {
-		if configs == nil {
-			configs = chaos.ThreadedConfigs()
-		} else {
-			for i := range configs {
-				configs[i].Threaded = true
-				if configs[i].Mutators < 2 {
-					configs[i].Mutators = 4
-				}
-			}
-		}
-	}
-	if scenario != "" {
-		for i := range every() {
-			configs[i].Scenario = scenario
-		}
-	}
-	if pauseBudget > 0 {
-		configs = chaos.WithPauseBudget(every(), pauseBudget)
-		if len(configs) == 0 {
-			return nil, fmt.Errorf("no S-IX baton configuration to apply -torture-pause-budget to")
-		}
-	}
-	if nowt {
-		for i := range every() {
-			configs[i].NoWriteThrough = true
-		}
-	}
-	if placement != "" || remap != "" {
-		if _, err := kernel.NewPlacementPolicy(placement); err != nil {
-			return nil, err
-		}
-		if _, err := kernel.NewRemapPolicy(remap); err != nil {
-			return nil, err
-		}
-		for i := range every() {
-			configs[i].Placement = placement
-			configs[i].Remap = remap
-		}
-	}
-	return configs, nil
-}
-
 // reproCommand renders a failing campaign as a complete copy-pasteable
-// wearsim invocation: every configuration knob, the seed, the iteration
-// count and the exact (minimized) injection schedule.
-func reproCommand(cfg chaos.TortureConfig, seed int64, iters int, schedule []string) string {
-	var b strings.Builder
-	b.WriteString("go run ./cmd/wearsim -torture")
-	mode := "unaware"
-	if cfg.FailureAware {
-		mode = "aware"
+// wearsim invocation: the configuration's name, the seed, the iteration
+// count and the injection schedule. A minimized schedule replays where the
+// shrink ran it, which for a threaded configuration is its baton twin (the
+// same name without /thr); the full schedule replays on the configuration
+// itself.
+func reproCommand(cfg chaos.TortureConfig, seed int64, iters int, schedule, minimized []string) string {
+	if minimized != nil {
+		cfg.Threaded = false
+		schedule = minimized
 	}
-	fmt.Fprintf(&b, " -torture-config '%s/%s'", cfg.Collector, mode)
-	if cfg.Mutators > 1 {
-		fmt.Fprintf(&b, " -torture-mutators %d", cfg.Mutators)
-	}
-	if cfg.Threaded {
-		b.WriteString(" -torture-threaded")
-	}
-	if cfg.NoWriteThrough {
-		b.WriteString(" -torture-nowt")
-	}
-	if cfg.Scenario != "" {
-		fmt.Fprintf(&b, " -torture-scenario %s", cfg.Scenario)
-	}
-	if cfg.PauseBudget > 0 {
-		fmt.Fprintf(&b, " -torture-pause-budget %d", cfg.PauseBudget)
-	}
-	if cfg.Placement != "" && cfg.Placement != "paper" {
-		fmt.Fprintf(&b, " -placement %s", cfg.Placement)
-	}
-	if cfg.Remap != "" && cfg.Remap != "paper" {
-		fmt.Fprintf(&b, " -remap %s", cfg.Remap)
-	}
+	cmd := fmt.Sprintf("go run ./cmd/wearsim -torture -torture-config '%s'", cfg.Name())
 	if iters > 0 {
-		fmt.Fprintf(&b, " -torture-iters %d", iters)
+		cmd += fmt.Sprintf(" -torture-iters %d", iters)
 	}
-	fmt.Fprintf(&b, " -seed %d -torture-schedule '%s'", seed, strings.Join(schedule, ","))
-	return b.String()
+	return cmd + fmt.Sprintf(" -seed %d -torture-schedule '%s'", seed, strings.Join(schedule, ","))
 }
 
-// runReplay replays one explicit injection schedule on the selected
-// configurations — the reproduction path the failure reports print.
-// Schedules containing a power cut run the full crash pipeline (cut →
-// recover → verify → resume).
-func runReplay(configs []chaos.TortureConfig, schedule string, seed int64, iters, workers int) int {
+// runReplay replays one explicit injection schedule at seed opt.SeedBase on
+// each of opt's configurations — the reproduction path the failure reports
+// print. Schedules containing a power cut run the full crash pipeline (cut
+// → recover → verify → resume).
+func runReplay(opt chaos.Options, schedule string) int {
 	var events []chaos.Event
 	for _, s := range strings.Split(schedule, ",") {
 		e, err := chaos.ParseEvent(strings.TrimSpace(s))
@@ -390,12 +293,9 @@ func runReplay(configs []chaos.TortureConfig, schedule string, seed int64, iters
 			isCrash = true
 		}
 	}
-	if configs == nil {
-		configs = chaos.AllConfigs()
-	}
-	opt := chaos.Options{Seeds: 1, SeedBase: seed, Iters: iters, Workers: workers}
+	seed := opt.SeedBase
 	failed := 0
-	for _, cfg := range configs {
+	for _, cfg := range opt.Configs {
 		camp := chaos.Campaign{Seed: seed, Events: events}
 		var failure string
 		var detail string
@@ -424,7 +324,7 @@ func runReplay(configs []chaos.TortureConfig, schedule string, seed int64, iters
 		}
 	}
 	if failed > 0 {
-		fmt.Printf("replay: %d/%d configurations FAILED\n", failed, len(configs))
+		fmt.Printf("replay: %d/%d configurations FAILED\n", failed, len(opt.Configs))
 		return 1
 	}
 	return 0
@@ -433,20 +333,12 @@ func runReplay(configs []chaos.TortureConfig, schedule string, seed int64, iters
 // campaign is what the sweep reporter reads of one campaign record of
 // either sweep.
 type campaign struct {
-	config, failure string
-	seed            int64
-	cut             string   // a crash campaign's power-cut event, as its FAIL line shows it
-	fired           []string // injection effects a torture campaign logged
-	schedule        []string // the minimized schedule when there is one
-	counts          [2]int   // what it adds to its configuration's two tallies
-}
-
-// shortest is the schedule a failure is reproduced with.
-func shortest(schedule, minimized []string) []string {
-	if minimized != nil {
-		return minimized
-	}
-	return schedule
+	config, failure     string
+	seed                int64
+	cut                 string   // a crash campaign's power-cut event, as its FAIL line shows it
+	fired               []string // injection effects a torture campaign logged
+	schedule, minimized []string // the full schedule and, when a failure shrank, the minimized one
+	counts              [2]int   // what it adds to its configuration's two tallies
 }
 
 // runSweep executes one campaign sweep and reports like a test driver:
@@ -502,7 +394,7 @@ func runSweep(name, tallyLine string, opt chaos.Options, outPath string, verbose
 			fmt.Printf("  fired: %s\n", f)
 		}
 		fmt.Printf("  minimal reproduction:\n    %s\n",
-			reproCommand(byName[r.config], r.seed, opt.Iters, r.schedule))
+			reproCommand(byName[r.config], r.seed, opt.Iters, r.schedule, r.minimized))
 	}
 
 	if outPath != "" {
@@ -531,22 +423,16 @@ func runSweep(name, tallyLine string, opt chaos.Options, outPath string, verbose
 	return 0
 }
 
-// runTorture executes the fault-injection campaign sweep over configs (nil:
-// every configuration).
-func runTorture(seeds int, seedBase int64, configs []chaos.TortureConfig,
-	events, iters int, breakMode, outPath string, verbose bool, workers int) int {
-	if configs == nil {
-		configs = chaos.AllConfigs()
-	}
-	opt := chaos.Options{Seeds: seeds, SeedBase: seedBase, Events: events, Iters: iters,
-		Break: breakMode, Workers: workers, Configs: configs}
+// runTorture executes the fault-injection campaign sweep over opt's
+// configurations.
+func runTorture(opt chaos.Options, outPath string, verbose bool) int {
 	return runSweep("torture", "torture %-16s %3d campaigns  %5d GCs  %5d verifications  %d failed\n",
 		opt, outPath, verbose, func(opt chaos.Options) (any, []campaign, string) {
 			sum := chaos.Run(opt)
 			var records []campaign
 			for _, r := range sum.Records {
 				records = append(records, campaign{config: r.Config, failure: r.Failure, seed: r.Seed,
-					fired: r.Fired, schedule: shortest(r.Schedule, r.MinSchedule),
+					fired: r.Fired, schedule: r.Schedule, minimized: r.MinSchedule,
 					counts: [2]int{r.GCs, r.Verifications}})
 			}
 			return sum, records, fmt.Sprintf("torture: all %d campaigns passed", sum.Campaigns)
@@ -554,29 +440,19 @@ func runTorture(seeds int, seedBase int64, configs []chaos.TortureConfig,
 }
 
 // runCrash executes the power-cut crash sweep: a cut at every registered
-// probe point on every crash configuration (both engines × write-through
-// on/off), seeds campaigns each. Every campaign must end verifier-clean
-// after its resumed workload, gracefully worn out, or with its cut
-// unreached — anything else fails the sweep.
-func runCrash(seeds int, seedBase int64, configFilter string, events, iters int,
-	outPath string, verbose bool, workers int) int {
-	opt := chaos.Options{Seeds: seeds, SeedBase: seedBase, Events: events, Iters: iters, Workers: workers}
-	for _, cfg := range chaos.CrashConfigs() {
-		if strings.Contains(cfg.Name(), configFilter) {
-			opt.Configs = append(opt.Configs, cfg)
-		}
-	}
-	if opt.Configs == nil {
-		fmt.Fprintf(os.Stderr, "crash: no crash configuration matches %q\n", configFilter)
-		return 2
-	}
+// probe point on each of opt's configurations (by default the crash
+// configurations: both engines × write-through on/off), opt.Seeds campaigns
+// each. Every campaign must end verifier-clean after its resumed workload,
+// gracefully worn out, or with its cut unreached — anything else fails the
+// sweep.
+func runCrash(opt chaos.Options, outPath string, verbose bool) int {
 	return runSweep("crash", "crash %-22s %3d campaigns  %3d cuts fired  %3d worn out  %d failed\n",
 		opt, outPath, verbose, func(opt chaos.Options) (any, []campaign, string) {
 			sum := chaos.CrashSweep(opt)
 			var records []campaign
 			for _, r := range sum.Records {
 				c := campaign{config: r.Config, failure: r.Failure, seed: r.Seed, cut: " cut=" + r.Cut,
-					schedule: shortest(r.Schedule, r.MinSchedule)}
+					schedule: r.Schedule, minimized: r.MinSchedule}
 				if r.CutFired {
 					c.counts[0] = 1
 				}

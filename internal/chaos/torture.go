@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 
 	"wearmem/internal/failmap"
@@ -108,35 +109,80 @@ func AllConfigs() []TortureConfig {
 	return out
 }
 
-// ThreadedConfigs is the reduced threaded-engine sweep: the Immix kinds
-// (the threaded engine's claim protocol is Immix-only) at four real
-// mutator goroutines with parallel trace/sweep.
-func ThreadedConfigs() []TortureConfig {
-	out := []TortureConfig{}
-	for _, k := range []vm.CollectorKind{vm.Immix, vm.StickyImmix} {
-		for _, aware := range []bool{true, false} {
-			out = append(out, TortureConfig{
-				Collector: k, FailureAware: aware, Mutators: 4, Threaded: true,
-			})
+// ParseConfigs is the inverse of Name: it reads a space-separated list of
+// configuration names such as "S-IX/aware/m4/thr IX/*/kv/nowt". The
+// collector and the mode may be "*", which expands in AllConfigs order.
+// The modifiers after them are read by their shape (mN, thr, incN, nowt,
+// p:policy, r:policy, else a scenario), and a name is accepted only if the
+// configuration it reads as is named exactly that way, wildcards filled
+// in: the one comparison refuses a modifier out of order, given twice or
+// at its default (m1, inc0, p:paper). The list is split on spaces because
+// kv scenario names contain commas.
+func ParseConfigs(s string) ([]TortureConfig, error) {
+	var out []TortureConfig
+	for _, name := range strings.Fields(s) {
+		n := len(out)
+		for _, c := range AllConfigs() {
+			segs, base := strings.Split(name, "/"), strings.Split(c.Name(), "/")
+			if len(segs) < 2 || (segs[0] != "*" && segs[0] != base[0]) || (segs[1] != "*" && segs[1] != base[1]) {
+				continue
+			}
+			for _, m := range segs[2:] {
+				c.setModifier(m)
+			}
+			copy(segs, base) // the wildcards filled in
+			if c.Name() != strings.Join(segs, "/") {
+				return nil, fmt.Errorf("chaos: configuration %q reads as %q", name, c.Name())
+			}
+			if err := c.runnable(); err != nil {
+				return nil, fmt.Errorf("chaos: configuration %q: %v", name, err)
+			}
+			out = append(out, c)
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("chaos: unknown configuration %q (want IX, S-IX, MS, S-MS or *, then /aware, /unaware or /*)", name)
 		}
 	}
-	return out
+	if out == nil {
+		return nil, errors.New("chaos: no configuration named")
+	}
+	return out, nil
 }
 
-// WithPauseBudget filters cfgs to the configurations that support
-// bounded-pause marking — StickyImmix on the baton engine (the torture
-// suite's write-through device disables the threaded twin's concurrent
-// marking) — and applies the budget to each.
-func WithPauseBudget(cfgs []TortureConfig, budget int) []TortureConfig {
-	var out []TortureConfig
-	for _, c := range cfgs {
-		if c.Collector != vm.StickyImmix || c.Threaded {
-			continue
-		}
-		c.PauseBudget = budget
-		out = append(out, c)
+// setModifier sets what one modifier segment of a name, as Name writes
+// it, says about c. Anything that is not another modifier is a scenario.
+func (c *TortureConfig) setModifier(m string) {
+	scan := func(format string, v any) bool { k, _ := fmt.Sscanf(m, format, v); return k == 1 }
+	switch {
+	case m == "thr":
+		c.Threaded = true
+	case m == "nowt":
+		c.NoWriteThrough = true
+	case scan("m%d", &c.Mutators), scan("inc%d", &c.PauseBudget), scan("p:%s", &c.Placement), scan("r:%s", &c.Remap):
+	default:
+		c.Scenario = m
 	}
-	return out
+}
+
+// runnable refuses a configuration no campaign can run: the threaded
+// engine and bounded-pause marking on a collector vm.New rejects them on,
+// a scenario or a policy nobody registered.
+func (c TortureConfig) runnable() error {
+	switch {
+	case c.Threaded && c.Collector != vm.Immix && c.Collector != vm.StickyImmix:
+		return errors.New("thr needs an Immix collector (IX or S-IX)")
+	case c.PauseBudget > 0 && c.Collector != vm.StickyImmix:
+		return errors.New("inc needs the S-IX collector")
+	case c.Scenario != "":
+		if p := workload.ByName(c.Scenario); p == nil || p.Body == nil {
+			return fmt.Errorf("unknown scenario %q", c.Scenario)
+		}
+	}
+	if _, err := kernel.NewPlacementPolicy(c.Placement); err != nil {
+		return err
+	}
+	_, err := kernel.NewRemapPolicy(c.Remap)
+	return err
 }
 
 // Break modes plant a bug the campaign's verifier must catch; they exist to

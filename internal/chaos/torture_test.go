@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wearmem/internal/kv"
 	"wearmem/internal/probe"
 	"wearmem/internal/vm"
 )
@@ -163,6 +164,100 @@ func FuzzParseEvent(f *testing.F) {
 	})
 }
 
+// sweepNames are the configuration lists the full torture sweep (make
+// torture) runs, one per line of it.
+var sweepNames = []string{
+	"*/*",
+	"*/*/m4",
+	"IX/*/m4/thr S-IX/*/m4/thr",
+	"S-IX/*/inc10000",
+	"*/*/p:rotate/r:rotate",
+	"*/*/p:migrate/r:decoder",
+}
+
+func mustParse(t testing.TB, names string) []TortureConfig {
+	t.Helper()
+	cfgs, err := ParseConfigs(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfgs
+}
+
+// Every configuration the sweeps and the crash sweep run is named back by
+// its Name, and the wildcards expand in AllConfigs order.
+func TestParseConfigsInvertsName(t *testing.T) {
+	if got := mustParse(t, "*/*"); !reflect.DeepEqual(got, AllConfigs()) {
+		t.Fatalf("*/* = %v, want AllConfigs()", got)
+	}
+	cfgs := CrashConfigs()
+	for _, names := range sweepNames {
+		cfgs = append(cfgs, mustParse(t, names)...)
+	}
+	for _, c := range cfgs {
+		if got := mustParse(t, c.Name()); !reflect.DeepEqual(got, []TortureConfig{c}) {
+			t.Errorf("ParseConfigs(%q) = %+v, want [%+v]", c.Name(), got, c)
+		}
+	}
+	// A kv scenario name carries commas; the threaded engine takes a pause
+	// budget and the device without write-through.
+	kvName := kv.MustRegister(kv.Config{Keys: 128, Zipf: 1.1})
+	got := mustParse(t, "S-IX/*/m4/thr/"+kvName+"/inc10000/nowt")
+	want := []TortureConfig{
+		{Collector: vm.StickyImmix, FailureAware: true, Mutators: 4, Threaded: true, Scenario: kvName, PauseBudget: 10000, NoWriteThrough: true},
+		{Collector: vm.StickyImmix, Mutators: 4, Threaded: true, Scenario: kvName, PauseBudget: 10000, NoWriteThrough: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// A name that does not read back as itself, or names a configuration no
+// campaign can run, is refused with an error naming it.
+func TestParseConfigsRefuses(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "S-IX", "XX/aware", "S-IX/sometimes", "s-ix/aware", "S-IX/aware/",
+		"S-IX/aware/m0", "S-IX/aware/m1", "S-IX/aware/m04", "S-IX/aware/m+4", "S-IX/aware/inc0",
+		"S-IX/aware/thr/m4", "S-IX/aware/thr/thr", "S-IX/aware/nowt/kv", "S-IX/aware/kv/kv",
+		"S-IX/aware/p:paper", "S-IX/aware/r:", "S-IX/aware/p:nope", "S-IX/aware/r:nope",
+		"MS/aware/m4/thr", "S-MS/*/thr", "*/*/m4/thr", "IX/aware/inc10000",
+		"S-IX/aware/nope", "S-IX/aware/m4x", "S-IX/aware S-IX/aware/m1",
+	} {
+		names := strings.Fields(s)
+		if cfgs, err := ParseConfigs(s); err == nil {
+			t.Errorf("ParseConfigs(%q) = %v, want an error", s, cfgs)
+		} else if len(names) > 0 && !strings.Contains(err.Error(), names[len(names)-1]) {
+			t.Errorf("ParseConfigs(%q): error %q does not name the input", s, err)
+		}
+	}
+}
+
+// FuzzParseConfigs: the configuration-list decoder returns an error or
+// configurations each of whose names parses back to exactly that
+// configuration. The corpus is every name the full sweeps and the crash
+// sweep run.
+func FuzzParseConfigs(f *testing.F) {
+	cfgs := CrashConfigs()
+	for _, names := range sweepNames {
+		f.Add(names)
+		cfgs = append(cfgs, mustParse(f, names)...)
+	}
+	for _, c := range cfgs {
+		f.Add(c.Name())
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfgs, err := ParseConfigs(s)
+		if err != nil {
+			return
+		}
+		for _, c := range cfgs {
+			if back, err := ParseConfigs(c.Name()); err != nil || !reflect.DeepEqual(back, []TortureConfig{c}) {
+				t.Fatalf("%q gave %+v, named %q, which parses back to %+v, %v", s, c, c.Name(), back, err)
+			}
+		}
+	})
+}
+
 // Multi-mutator campaigns run the partitioned workload on the baton
 // scheduler under the same injections, with per-context block ownership
 // verified at every block installation.
@@ -201,10 +296,10 @@ func TestTortureMultiMutator(t *testing.T) {
 func TestTortureThreaded(t *testing.T) {
 	opt := quickOpts()
 	opt.Seeds = 2
-	opt.Configs = ThreadedConfigs()
+	opt.Configs = mustParse(t, "IX/*/m4/thr S-IX/*/m4/thr")
 	sum := Run(opt)
-	if sum.Campaigns != 2*len(ThreadedConfigs()) {
-		t.Fatalf("ran %d campaigns, want %d", sum.Campaigns, 2*len(ThreadedConfigs()))
+	if sum.Campaigns != 2*len(opt.Configs) {
+		t.Fatalf("ran %d campaigns, want %d", sum.Campaigns, 2*len(opt.Configs))
 	}
 	for _, r := range sum.Records {
 		if !strings.HasSuffix(r.Config, "/m4/thr") {

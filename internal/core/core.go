@@ -139,7 +139,6 @@ type GCStats struct {
 	BytesEvacuated   uint64
 	ObjectsEvacuated uint64
 	DynamicFailures  int
-	PinnedSkips      uint64
 	// BytesReclaimed accumulates the space each sweep newly made available.
 	BytesReclaimed uint64
 	// LinesReclaimed is BytesReclaimed in Immix lines (zero for plans

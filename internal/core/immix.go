@@ -98,11 +98,6 @@ type Immix struct {
 	// the stats fields threaded mutators may bump mid-window.
 	markers *casTrace
 	markMu  sync.Mutex
-	// pinnedLeft records live pinned objects that evacuation had to leave
-	// inside defragmentation candidates during the last collection; the
-	// runtime consults it to decide OS page remaps for failed lines that
-	// still carry pinned data (§3.3.3).
-	pinnedLeft []heap.Addr
 
 	gcstats GCStats
 }
@@ -574,9 +569,6 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 	}
 
 	ix.gc.reset()
-	if !nursery {
-		ix.pinnedLeft = ix.pinnedLeft[:0]
-	}
 	// One lane is the serial trace; more lanes are deterministic simulated
 	// lanes on the baton engine and real worker goroutines on the threaded
 	// one, which then also fans the block sweep out.
@@ -796,29 +788,6 @@ func (ix *Immix) HandleLineFailure(vaddr heap.Addr) (needCollect, handled bool) 
 	}
 	// No live data on the line: record and continue (§3.3.3).
 	return false, true
-}
-
-// PinnedOnFailedLine reports whether the line containing vaddr is still
-// failed and overlapped by a live pinned object the last collection could
-// not move — the case that forces an OS page remap (§3.3.3).
-func (ix *Immix) PinnedOnFailedLine(vaddr heap.Addr) bool {
-	b := ix.blockOf(vaddr)
-	if b == nil {
-		return false
-	}
-	line := int(vaddr-b.mem.Base) / ix.cfg.LineSize
-	if !b.failedAt(line) {
-		return false
-	}
-	lineStart := b.mem.Base + heap.Addr(line*ix.cfg.LineSize)
-	lineEnd := lineStart + heap.Addr(ix.cfg.LineSize)
-	for _, p := range ix.pinnedLeft {
-		end := p + heap.Addr(ix.model.SizeOf(p))
-		if p < lineEnd && end > lineStart {
-			return true
-		}
-	}
-	return false
 }
 
 // LiveOnFailedLine reports whether the line containing vaddr is still

@@ -197,16 +197,11 @@ func (t *tracer) mark(a heap.Addr) heap.Addr {
 		if !ix.los.contains(a) {
 			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
 		}
-	} else if b.evacuate && t.evacuate {
-		if !ix.model.Pinned(a) {
-			// Opportunistic: when no space can be found the object is
-			// marked in place instead.
-			if to, ok := t.evacuateObject(a); ok {
-				return to
-			}
-		} else {
-			ix.gcstats.PinnedSkips++
-			ix.pinnedLeft = append(ix.pinnedLeft, a)
+	} else if b.evacuate && t.evacuate && !ix.model.Pinned(a) {
+		// Opportunistic: when no space can be found the object is marked in
+		// place instead.
+		if to, ok := t.evacuateObject(a); ok {
+			return to
 		}
 	}
 	if ix.probe != nil {

@@ -64,14 +64,12 @@ type traceWorker struct {
 	mu    sync.Mutex
 	deque []heap.Addr // owner pushes/pops the end; thieves take the front
 
-	steals     uint64
-	pinnedLeft []heap.Addr
+	steals uint64
 
 	objectsMarked    uint64
 	bytesMarked      uint64
 	objectsEvacuated uint64
 	bytesEvacuated   uint64
-	pinnedSkips      uint64
 }
 
 func (w *traceWorker) push(a heap.Addr) {
@@ -124,7 +122,6 @@ func (w *traceWorker) foldStats(g *GCStats) {
 	g.BytesMarkedLive += w.bytesMarked
 	g.ObjectsEvacuated += w.objectsEvacuated
 	g.BytesEvacuated += w.bytesEvacuated
-	g.PinnedSkips += w.pinnedSkips
 }
 
 // casTrace is the shared state of one set of CAS-claim workers.
@@ -189,7 +186,6 @@ func (t *casTrace) join() {
 		crit = max(crit, w.clock.Now())
 		work += w.clock.Now()
 		w.foldStats(&ix.gcstats)
-		ix.pinnedLeft = append(ix.pinnedLeft, w.pinnedLeft...)
 	}
 	ix.gcstats.TraceWorkCycles += work
 	ix.gcstats.TraceCritCycles += crit
@@ -363,8 +359,7 @@ func (w *traceWorker) mark(a heap.Addr) heap.Addr {
 		if b == nil && !ix.los.contains(a) {
 			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
 		}
-		candidate := b != nil && b.evacuate && t.stw
-		if candidate && !heap.HeaderPinned(h) {
+		if b != nil && b.evacuate && t.stw && !heap.HeaderPinned(h) {
 			if !ix.model.CasHeader(a, h, h|heap.FlagClaimBusy) {
 				continue
 			}
@@ -379,10 +374,6 @@ func (w *traceWorker) mark(a heap.Addr) heap.Addr {
 		}
 		if !ix.model.CasHeader(a, h, heap.HeaderWithEpoch(h, ix.epoch)) {
 			continue
-		}
-		if candidate { // pinned on an evacuation candidate
-			w.pinnedSkips++
-			w.pinnedLeft = append(w.pinnedLeft, a)
 		}
 		w.noteMarked(a, b, h)
 		return a

@@ -49,7 +49,7 @@ func TestPinnedObjectDynamicFailureRemapsPage(t *testing.T) {
 	}
 	// The virtual page is perfect again: its line is usable and the region
 	// maps a clean frame.
-	if v.immix.PinnedOnFailedLine(pinned) {
+	if v.immix.LiveOnFailedLine(pinned) {
 		t.Fatal("line still failed after remap")
 	}
 	_ = borrowsBefore
