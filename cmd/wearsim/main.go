@@ -48,8 +48,8 @@ func main() {
 		pages     = flag.Int("pages", 256, "module size in pages")
 		endurance = flag.Uint64("endurance", 1000, "mean writes per line before failure")
 		variation = flag.Float64("variation", 0.2, "endurance spread")
-		cluster   = flag.Int("cluster", 0, "failure clustering region pages (0 = off)")
-		leveling  = flag.Bool("startgap", false, "enable start-gap wear leveling")
+		cluster   = flag.Int("cluster", 0, "failure clustering region pages (0 = off; exclusive with -startgap)")
+		leveling  = flag.Bool("startgap", false, "enable start-gap wear leveling (exclusive with -cluster)")
 		seed      = flag.Int64("seed", 1, "seed")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "workers for the population command")
 
@@ -101,7 +101,10 @@ func main() {
 	defer stop()
 
 	wl := pcm.NoWearLeveling
-	if *leveling {
+	if *leveling && *cluster > 0 {
+		fmt.Fprintln(os.Stderr, "wearsim: -startgap and -cluster are exclusive: a device levels wear or clusters failures, not both")
+		os.Exit(2)
+	} else if *leveling {
 		wl = pcm.StartGap
 	}
 	run(os.Stdin, os.Stdout, pcm.Config{
@@ -162,7 +165,7 @@ func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
 			fmt.Fprintf(out, "  line %d: unavailable=%v\n", line, dev.Unavailable(line))
 		case "hammer":
 			n := arg(1, 10000)
-			stalled := hammer(dev, cfg.ClusterPages > 0, traffic, buf, n)
+			stalled := hammer(dev, traffic, buf, n)
 			fmt.Fprintf(out, "  %d writes (%d stalled), %d lines failed (%.2f%%)\n",
 				n, stalled, dev.FailedLines(), dev.FailureRate()*100)
 		case "read", "r":
@@ -482,19 +485,13 @@ type popResult struct {
 // hammer applies n writes of the skewed traffic (90% to the hot quarter)
 // to dev and returns how many stalled, draining one failure-buffer entry
 // after each of those. It draws no further than n lines from traffic, which
-// carries over to the caller's next command. Under clustering hardware
-// (clustered) it skips lines already surfaced as unavailable, as software
-// that honours the failure map does: the redirection logic panics when a
-// line it has given up fails a second time.
-func hammer(dev *pcm.Device, clustered bool, traffic *pcm.Traffic, buf []byte, n int) (stalled int) {
+// carries over to the caller's next command.
+func hammer(dev *pcm.Device, traffic *pcm.Traffic, buf []byte, n int) (stalled int) {
 	block := make([]int, 512)
 	for i := 0; i < n; i += len(block) {
 		run := block[:min(len(block), n-i)]
 		dev.SkewedLines(traffic, run)
 		for _, l := range run {
-			if clustered && dev.Unavailable(l) {
-				continue
-			}
 			if dev.Write(l, buf) != nil {
 				stalled++
 				dev.Drain()
@@ -527,7 +524,7 @@ func wearPopulation(cfg pcm.Config, n, writes, workers int) []popResult {
 				c := cfg
 				c.Seed = cfg.Seed + int64(i)
 				dev := pcm.NewDevice(c, nil)
-				hammer(dev, c.ClusterPages > 0, pcm.NewTraffic(c.Seed), buf, writes)
+				hammer(dev, pcm.NewTraffic(c.Seed), buf, writes)
 				m := dev.FailMap()
 				out[i] = popResult{
 					failed:       dev.FailedLines(),

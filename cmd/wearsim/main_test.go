@@ -104,10 +104,21 @@ func TestReproCommandNamesTheEngineTheScheduleRunsOn(t *testing.T) {
 	}
 }
 
-// simConfig is the device the flags -pages/-endurance/-cluster/-startgap
-// describe, at the other flags' defaults.
-func simConfig(pages int, endurance uint64, cluster int, startGap bool) pcm.Config {
-	cfg := pcm.Config{
+// -startgap and -cluster name two remappings of one module that do not
+// compose: together they exit 2 with one line naming both.
+func TestStartGapWithClusterExitsTwo(t *testing.T) {
+	stdout, stderr, status := wearsim(t, "-startgap", "-cluster", "2")
+	if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
+		!strings.Contains(stderr, "-startgap") || !strings.Contains(stderr, "-cluster") {
+		t.Errorf("-startgap -cluster 2: exit %d, stdout %q, stderr %q; want exit 2 and one line naming both",
+			status, stdout, stderr)
+	}
+}
+
+// simConfig is the device the flags -pages/-endurance/-cluster describe,
+// at the other flags' defaults.
+func simConfig(pages int, endurance uint64, cluster int) pcm.Config {
+	return pcm.Config{
 		Size:         pages * failmap.PageSize,
 		Endurance:    endurance,
 		Variation:    0.2,
@@ -115,27 +126,22 @@ func simConfig(pages int, endurance uint64, cluster int, startGap bool) pcm.Conf
 		GapInterval:  16,
 		Seed:         1,
 	}
-	if startGap {
-		cfg.WearLeveling = pcm.StartGap
-	}
-	return cfg
 }
 
-// Hammering a clustered, wear-leveled module far past its first failures
-// used to die in cluster.(*Region).Fail ("Fail on already-unavailable
-// line"): the traffic kept writing lines the hardware had already surfaced,
-// and the gap kept carrying them. The session must run to the end and
-// report what wore out.
+// Hammering a clustered module far past its first failures keeps writing
+// lines the hardware has already taken, its metadata among them, until the
+// whole hot quarter is gone. The session must run to the end and count
+// every line of it: 1008 surfaced failures and the wear-outs of the 16
+// metadata lines of its eight regions, absorbed.
 func TestHammerUnderClustering(t *testing.T) {
 	var out bytes.Buffer
-	run(strings.NewReader("hammer 700000\nhammer 700000\nstats\n"), &out,
-		simConfig(64, 300, 2, true), 1)
+	run(strings.NewReader("hammer 700000\nstats\n"), &out, simConfig(64, 300, 2), 1)
 	m := regexp.MustCompile(`failed=(\d+) \((\d+\.\d+)%\)`).FindStringSubmatch(out.String())
 	if m == nil {
 		t.Fatalf("stats printed no failure rate:\n%s", tail(out.String()))
 	}
-	if m[1] == "0" {
-		t.Fatalf("1.4M writes at endurance 300 wore nothing out: %s", m[0])
+	if m[1] != "1024" {
+		t.Fatalf("700000 writes at endurance 300 wore out %s lines, want the hot quarter's 1024", m[1])
 	}
 }
 
@@ -150,7 +156,7 @@ func TestSessionGoldenWithoutClustering(t *testing.T) {
 	}
 	var out bytes.Buffer
 	run(strings.NewReader("hammer 50000\nmap\nstats\npopulation 4 60000\nquit\n"), &out,
-		simConfig(256, 30, 0, false), 2)
+		simConfig(256, 30, 0), 2)
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("session output moved; got tail:\n%s\nwant tail:\n%s", tail(out.String()), tail(string(want)))
 	}

@@ -9,7 +9,7 @@ import (
 
 // Array manages the clustering regions of a whole PCM module and models the
 // redirection-map cache. A nil *Array means clustering hardware is absent:
-// Translate is the identity and Fail surfaces failures in place.
+// Translate is the identity, and Snapshot and Validate find no region.
 type Array struct {
 	regionPages int
 	regionLines int
@@ -36,14 +36,6 @@ func NewArray(size, regionPages, cacheEntries int, clock *stats.Clock) *Array {
 		cache:       NewMapCache(cacheEntries),
 		clock:       clock,
 	}
-}
-
-// RegionPages returns the clustering granularity in pages.
-func (a *Array) RegionPages() int {
-	if a == nil {
-		return 0
-	}
-	return a.regionPages
 }
 
 func (a *Array) region(line int) (*Region, int) {
@@ -84,14 +76,10 @@ func (a *Array) Translate(line int) int {
 }
 
 // Fail records a permanent failure of the storage currently backing
-// module-visible line. It returns the module-visible lines that became
-// unavailable to software (metadata lines on first failure in the region,
-// then the surfaced failure). Without clustering hardware the failure
-// surfaces in place.
+// module-visible line, which must still be available to software. It
+// returns the module-visible lines that became unavailable (metadata lines
+// on first failure in the region, then the surfaced failure).
 func (a *Array) Fail(line int) []int {
-	if a == nil {
-		return []int{line}
-	}
 	r, off := a.region(line)
 	base := (line / a.regionLines) * a.regionLines
 	locals := r.Fail(off)
@@ -105,9 +93,6 @@ func (a *Array) Fail(line int) []int {
 // Unavailable reports whether the module-visible line is unusable by
 // software.
 func (a *Array) Unavailable(line int) bool {
-	if a == nil {
-		return false
-	}
 	idx := line / a.regionLines
 	r := a.regions[idx]
 	if r == nil {
@@ -116,28 +101,21 @@ func (a *Array) Unavailable(line int) bool {
 	return r.Unavailable(line % a.regionLines)
 }
 
-// FailMap renders the module-visible unavailable lines as a failure map of
-// the given byte size (a whole-page prefix of the module), one page word at
-// a time; a region never touched is skipped.
-func (a *Array) FailMap(size int) *failmap.Map {
-	m := failmap.New(size)
-	if a == nil {
-		return m
+// PageWord returns module page p's lines unavailable to software as one
+// word, bit l for the page's line l: a failure map's page word. A region
+// never touched has none.
+func (a *Array) PageWord(p int) uint64 {
+	r := a.regions[p/a.regionPages]
+	if r == nil {
+		return 0
 	}
-	for p := 0; p < m.Pages() && p < len(a.regions)*a.regionPages; p++ {
-		r := a.regions[p/a.regionPages]
-		if r == nil {
-			continue
+	var bm uint64
+	for l, un := range r.presented[p%a.regionPages*failmap.LinesPerPage:][:failmap.LinesPerPage] {
+		if un {
+			bm |= 1 << uint(l)
 		}
-		var bm uint64
-		for l, un := range r.presented[p%a.regionPages*failmap.LinesPerPage:][:failmap.LinesPerPage] {
-			if un {
-				bm |= 1 << uint(l)
-			}
-		}
-		m.SetPageBitmap(p, bm)
 	}
-	return m
+	return bm
 }
 
 // Validate checks invariants on every instantiated region.

@@ -151,6 +151,8 @@ func (r *Region) install() []int {
 func (r *Region) Fail(l int) []int {
 	r.check(l)
 	if r.presented[l] {
+		// An invariant, not a case: the device absorbs a wear-out of a line
+		// the region already presented and never reports it here.
 		panic(fmt.Sprintf("cluster: Fail on already-unavailable line %d", l))
 	}
 	var surfaced []int

@@ -184,12 +184,15 @@ func TestArrayFailAndTranslate(t *testing.T) {
 	}
 }
 
+// The array's page words are the module's failure map, a page at a time.
 func TestArrayFailMap(t *testing.T) {
-	a := NewArray(4*failmap.PageSize, 1, 2, nil)
-	a.Fail(10) // region 0, even, clusters at top: meta line 0 + failure at 1
-	m := a.FailMap(4 * failmap.PageSize)
-	if !m.LineFailed(0) || !m.LineFailed(1) || m.FailedLines() != 2 {
-		t.Fatalf("FailMap wrong: %d failed", m.FailedLines())
+	a := NewArray(4*failmap.PageSize, 2, 2, nil)
+	a.Fail(10)  // region 0, even, clusters at top: meta lines 0-1 + failure at 2
+	a.Fail(130) // region 1, odd, clusters at bottom: meta lines 255-254 + failure at 253
+	for p, want := range []uint64{0b111, 0, 0, 0b111 << 61} {
+		if got := a.PageWord(p); got != want {
+			t.Errorf("page %d word %#x, want %#x", p, got, want)
+		}
 	}
 }
 
@@ -198,20 +201,11 @@ func TestNilArrayIsPassthrough(t *testing.T) {
 	if a.Translate(42) != 42 {
 		t.Fatal("nil array Translate should be identity")
 	}
-	if got := a.Fail(7); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("nil array Fail = %v, want [7]", got)
-	}
-	if a.Unavailable(7) {
-		t.Fatal("nil array has no unavailable lines")
-	}
-	if a.RegionPages() != 0 {
-		t.Fatal("nil array RegionPages should be 0")
-	}
 	if a.Validate() != nil {
 		t.Fatal("nil array should validate")
 	}
-	if a.FailMap(failmap.PageSize).FailedLines() != 0 {
-		t.Fatal("nil array FailMap should be empty")
+	if a.Snapshot() != nil {
+		t.Fatal("nil array has no regions to snapshot")
 	}
 }
 

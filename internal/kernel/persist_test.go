@@ -107,15 +107,12 @@ func TestRediscoverFailuresMatchesPerLineScan(t *testing.T) {
 		name string
 		cfg  pcm.Config
 		pool int
-		// metadata: more lines must be unavailable than have failed. (Not
-		// asked of clustering under start-gap, where a carry can break a
-		// line clustering already took and the counts are not comparable.)
+		// metadata: more lines must be unavailable than have failed.
 		metadata bool
 	}{
 		{"plain", pcm.Config{}, pages, false},
 		{"start-gap", pcm.Config{WearLeveling: pcm.StartGap, GapInterval: 3}, pages, false},
 		{"clustered", pcm.Config{ClusterPages: 2}, pages, true},
-		{"clustered start-gap", pcm.Config{ClusterPages: 2, WearLeveling: pcm.StartGap, GapInterval: 5}, pages, false},
 		{"small pool", pcm.Config{}, pages - 12, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

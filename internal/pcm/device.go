@@ -5,8 +5,8 @@
 // failure detection, a small FIFO failure buffer that preserves the data of
 // failed writes and forwards it to reads until the OS handles the failure
 // (with a watermark interrupt and write stalling when it is nearly full),
-// interrupt delivery to the OS, optional failure-clustering hardware
-// (internal/cluster), and start-gap wear leveling as the conventional
+// interrupt delivery to the OS, and either optional failure-clustering
+// hardware (internal/cluster) or start-gap wear leveling, the conventional
 // comparator for the §7.2 "wear leveling considered harmful" study.
 package pcm
 
@@ -64,7 +64,8 @@ type Config struct {
 	// ClusterPages enables failure-clustering hardware with regions of the
 	// given number of pages; zero disables clustering.
 	ClusterPages int
-	// WearLeveling selects the wear-leveling scheme.
+	// WearLeveling selects the wear-leveling scheme. Start-gap and
+	// clustering are exclusive: NewDevice refuses the pair.
 	WearLeveling WearLeveling
 	// GapInterval is the number of writes between start-gap movements
 	// (ψ in the start-gap paper). Defaults to 100 when start-gap is on.
@@ -154,7 +155,8 @@ type Device struct {
 	sinceMove  int
 	gapCarries uint64 // extra writes performed by gap movement
 
-	// Clustering hardware between module-visible lines and start-gap input.
+	// Clustering hardware between module-visible lines and storage slots;
+	// nil without clustering, and always nil under start-gap.
 	array *cluster.Array
 
 	data lineStore // nil unless cfg.TrackData
@@ -207,6 +209,9 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	}
 	if cfg.BufferReserve >= cfg.BufferCap {
 		panic("pcm: BufferReserve must be below BufferCap")
+	}
+	if cfg.WearLeveling == StartGap && cfg.ClusterPages > 0 {
+		panic("pcm: start-gap wear leveling and failure clustering are exclusive")
 	}
 	if cfg.WearLeveling == StartGap && cfg.GapInterval == 0 {
 		cfg.GapInterval = 100
@@ -343,17 +348,17 @@ func (d *Device) FailureRate() float64 {
 	return float64(d.failedLines.Load()) / float64(d.lines)
 }
 
-// storageOf maps a module-visible line through clustering and wear leveling
-// to its storage slot.
+// storageOf maps a module-visible line to its storage slot through the one
+// remapping the device has: start-gap's permutation, the clustering
+// hardware's redirection, or neither.
 func (d *Device) storageOf(line int) int {
-	l := line
-	if d.array != nil {
-		l = d.array.Translate(l)
+	switch {
+	case d.perm != nil:
+		return int(d.perm[line])
+	case d.array != nil:
+		return d.array.Translate(line)
 	}
-	if d.cfg.WearLeveling == StartGap {
-		return int(d.perm[l])
-	}
-	return l
+	return line
 }
 
 // Unavailable reports whether the module-visible line is unusable by
@@ -389,25 +394,21 @@ func (d *Device) unavailablePageLocked(p int) uint64 {
 	if p < 0 || first >= d.lines {
 		panic(fmt.Sprintf("pcm: page %d out of range", p))
 	}
+	if d.array != nil {
+		return d.array.PageWord(p)
+	}
 	var bm uint64
-	set := func(l int, un bool) {
+	if d.perm != nil {
+		for l, s := range d.perm[first : first+failmap.LinesPerPage] {
+			if d.broken[s] {
+				bm |= 1 << uint(l)
+			}
+		}
+		return bm
+	}
+	for l, un := range d.broken[first : first+failmap.LinesPerPage] {
 		if un {
 			bm |= 1 << uint(l)
-		}
-	}
-	// unavailableLocked's three cases, each decided once per page.
-	switch {
-	case d.array != nil:
-		for l := range failmap.LinesPerPage {
-			set(l, d.array.Unavailable(first+l))
-		}
-	case d.cfg.WearLeveling == StartGap:
-		for l, slot := range d.perm[first : first+failmap.LinesPerPage] {
-			set(l, d.broken[slot])
-		}
-	default:
-		for l, un := range d.broken[first : first+failmap.LinesPerPage] {
-			set(l, un)
 		}
 	}
 	return bm
@@ -482,14 +483,11 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 			clock.Charge1(stats.EvPCMWrite)
 		}
 		s := line // its own storage slot on a device that neither levels nor clusters
-		if leveled || array != nil {
-			// The gap may move the very line being written, and a failed
-			// move may redirect it, so resolve the storage slot only after
-			// the wear-leveling step.
-			if leveled {
-				d.wearStep()
-			}
-			s = d.storageOf(line)
+		if leveled {
+			d.wearStep() // the gap may move the very line being written
+			s = int(d.perm[line])
+		} else if array != nil {
+			s = array.Translate(line)
 		}
 		if d.wear(s) {
 			d.reportFailure(line, data)
@@ -577,10 +575,17 @@ func (d *Device) CorrectedBits() uint64 {
 
 // reportFailure surfaces a failure of module line `line` through the
 // clustering hardware, parks the data in the failure buffer and interrupts.
+// A line the clustering hardware already took from software (its own
+// metadata, written before the OS retired it) has nothing left to surface:
+// the broken storage is counted and absorbed, with no entry and no
+// interrupt, as the hardware absorbs a first failure in its metadata lines.
 func (d *Device) reportFailure(line int, data []byte) {
 	d.failedLines.Add(1)
 	surfaced := []int{line}
 	if d.array != nil {
+		if d.array.Unavailable(line) {
+			return
+		}
 		surfaced = d.array.Fail(line)
 	}
 	// The clustering hardware first queues fake failures for any metadata
@@ -712,47 +717,33 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 }
 
 // wearStep advances start-gap wear leveling (the caller has checked the
-// policy): every GapInterval writes the gap swaps with its neighbour,
-// costing one extra write of wear.
+// policy): every GapInterval writes the line below the gap moves into it,
+// costing one extra write of wear. Every slot but the gap backs a line.
 func (d *Device) wearStep() {
 	d.sinceMove++
 	if d.sinceMove < d.cfg.GapInterval {
 		return
 	}
 	d.sinceMove = 0
-	src := d.gap - 1
+	src, dst := d.gap-1, d.gap
 	if src < 0 {
 		src = int32(len(d.occupant)) - 1
 	}
 	l := d.occupant[src]
-	if l >= 0 {
-		if d.data != nil {
-			d.data.move(int(d.gap), int(src))
-		}
-		d.perm[l] = d.gap
-		d.occupant[d.gap] = l
-		d.gapCarries++
-		// The copy writes the destination slot; its verify-after-write can
-		// fail like any other, surfacing a failure of the relocated line.
-		if d.wear(int(d.gap)) {
-			if d.array.Unavailable(int(l)) {
-				// The clustering hardware already took the relocated line
-				// from software (a surfaced failure or its own metadata):
-				// one more broken storage line, nothing left to surface.
-				d.failedLines.Add(1)
-			} else {
-				data := make([]byte, failmap.LineSize)
-				if d.data != nil {
-					d.data.read(int(d.gap), data)
-				}
-				d.reportFailure(int(l), data)
-			}
-		}
-	} else {
-		d.occupant[d.gap] = -1
+	if d.data != nil {
+		d.data.move(int(dst), int(src))
 	}
-	d.occupant[src] = -1
-	d.gap = src
+	d.perm[l], d.occupant[dst], d.occupant[src], d.gap = dst, l, -1, src
+	d.gapCarries++
+	// The copy writes the destination slot; its verify-after-write can fail
+	// like any other, surfacing a failure of the relocated line.
+	if d.wear(int(dst)) {
+		data := make([]byte, failmap.LineSize)
+		if d.data != nil {
+			d.data.read(int(dst), data)
+		}
+		d.reportFailure(int(l), data)
+	}
 }
 
 // FailMap renders the currently unavailable module-visible lines as a
@@ -760,9 +751,6 @@ func (d *Device) wearStep() {
 func (d *Device) FailMap() *failmap.Map {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.array != nil {
-		return d.array.FailMap(d.cfg.Size)
-	}
 	m := failmap.New(d.cfg.Size)
 	for p := range m.Pages() {
 		m.SetPageBitmap(p, d.unavailablePageLocked(p))

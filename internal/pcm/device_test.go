@@ -3,6 +3,7 @@ package pcm
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -360,39 +361,56 @@ func TestStartGapMoveFailuresAreReported(t *testing.T) {
 	}
 }
 
-// Under clustering the gap also carries lines software has already lost
-// (surfaced failures, redirection metadata). When such a copy breaks its
-// destination there is nothing left to surface: the storage counts as
-// failed and the clustering hardware is not told a second time (it panics
-// if it is). The driver skips unavailable lines, as failure-aware software
-// does.
-func TestStartGapCarriesUnavailableLinesUnderClustering(t *testing.T) {
-	d := NewDevice(Config{
-		Size: 8 * failmap.PageSize, Endurance: 30, Variation: 0.2,
-		ClusterPages: 2, WearLeveling: StartGap, GapInterval: 4,
-	}, nil)
-	buf := make([]byte, failmap.LineSize)
-	for i := 0; i < 60000; i++ {
-		l := i % d.Lines()
-		if d.Unavailable(l) {
-			continue
-		}
-		if d.Write(l, buf) != nil {
-			d.Drain()
+// Start-gap and clustering remap the same lines with no inverse between
+// them, so a device is one or the other: NewDevice panics on the pair and
+// NewDeviceFromImage refuses an image that carries it.
+func TestStartGapWithClusteringRefused(t *testing.T) {
+	cfg := Config{Size: 8 * failmap.PageSize, ClusterPages: 2, WearLeveling: StartGap, GapInterval: 4}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewDevice built a start-gap device with clustering")
+			}
+		}()
+		NewDevice(cfg, nil)
+	}()
+	cfg.ClusterPages = 0
+	img := NewDevice(cfg, nil).Snapshot()
+	img.ClusterPages = 2
+	if _, err := NewDeviceFromImage(img, nil, nil); err == nil {
+		t.Error("NewDeviceFromImage restored a start-gap image with clustering")
+	}
+}
+
+// A wear-out of a line the clustering hardware already took — here its
+// metadata line 0, written after the OS drained the fake failure that
+// reserved it — is absorbed: the storage counts as failed, and nothing is
+// parked, surfaced or interrupted.
+func TestWearOutOfClusteringMetadataIsAbsorbed(t *testing.T) {
+	clock := stats.NewClock(stats.DefaultCosts())
+	d := NewDevice(Config{Size: 2 * failmap.PageSize, Endurance: 5, ClusterPages: 2, TrackData: true}, clock)
+	interrupts := 0
+	d.OnFailure(func() { interrupts++ })
+	d.ForceFail(40, nil) // installs metadata lines 0 and 1, surfaces line 2
+	for d.BufferLen() > 0 {
+		d.Drain()
+	}
+	before := d.FailMap()
+	for i := 0; i < 20; i++ {
+		if err := d.Write(0, lineData(byte(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	unavailable := 0
-	for l := 0; l < d.Lines(); l++ {
-		if d.Unavailable(l) {
-			unavailable++
-		}
+	if d.FailedLines() != 2 || !d.Snapshot().Broken[0] {
+		t.Fatalf("failed lines %d, storage 0 broken %v; want metadata line 0's wear-out counted",
+			d.FailedLines(), d.Snapshot().Broken[0])
 	}
-	if unavailable == 0 || d.FailedLines() == 0 {
-		t.Fatalf("nothing wore out (%d unavailable, %d failed); the test is vacuous",
-			unavailable, d.FailedLines())
+	if d.BufferLen() != 0 || interrupts != 3 || clock.Count(stats.EvInterrupt) != 3 {
+		t.Fatalf("buffer %d, interrupts %d (%d charged); want nothing parked or raised after the first three",
+			d.BufferLen(), interrupts, clock.Count(stats.EvInterrupt))
 	}
-	if got := d.FailMap().FailedLines(); got != unavailable {
-		t.Fatalf("failure map shows %d lines, device reports %d unavailable", got, unavailable)
+	if after := d.FailMap(); after.FailedLines() != 3 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("the failure map moved: %d lines unavailable", after.FailedLines())
 	}
 }
 

@@ -154,6 +154,9 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		return nil, fmt.Errorf("pcm: image of %d pages is not a whole number of %d-page clustering regions",
 			img.Size/failmap.PageSize, img.ClusterPages)
 	}
+	if img.WearLeveling == StartGap && img.ClusterPages > 0 {
+		return nil, fmt.Errorf("pcm: image pairs start-gap wear leveling with failure clustering, which are exclusive")
+	}
 	n := img.Size / failmap.LineSize
 	slots := n
 	if img.WearLeveling == StartGap {

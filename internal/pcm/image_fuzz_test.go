@@ -26,23 +26,30 @@ const (
 // error or a device, never panics, and allocates no more than the input's
 // size warrants. The corpus is the encoding of small devices of every
 // geometry: fresh, worn with failures pending in the buffer (orphans),
-// start-gap and clustered.
+// start-gap and clustered, and of a start-gap image that claims clustering
+// regions too, which a restore refuses.
 func FuzzDecodeImage(f *testing.F) {
 	const size = 4 * failmap.PageSize
 	for _, tc := range []struct {
-		cfg    Config
-		writes int
+		cfg     Config
+		writes  int
+		regions int // ClusterPages written into the image after the fact
 	}{
-		{Config{Size: size, TrackData: true, Seed: 1}, 0},
+		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0},
 		{Config{Size: size, Endurance: 3, Variation: 0.3, ECCEntries: 2, TrackData: true, Seed: 2,
-			BufferCap: 64, BufferReserve: 4}, 300},
-		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200},
-		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200},
+			BufferCap: 64, BufferReserve: 4}, 300, 0},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0},
+		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 5}, 200, 2},
 	} {
 		d := NewDevice(tc.cfg, nil)
 		driveWrites(d, tc.cfg.Seed, tc.writes)
+		img := d.Snapshot()
+		if tc.regions > 0 {
+			img.ClusterPages = tc.regions
+		}
 		var enc bytes.Buffer
-		if err := EncodeImage(&enc, d.Snapshot()); err != nil {
+		if err := EncodeImage(&enc, img); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(enc.Bytes())

@@ -3,6 +3,7 @@ package pcm
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,7 +37,9 @@ func TestImageRoundTripQuiescent(t *testing.T) {
 		{Size: 1 << 20, TrackData: true, Seed: 42},
 		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, TrackData: true, Seed: 42},
 		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, ECCEntries: 4,
-			WearLeveling: StartGap, ClusterPages: 8, TrackData: true, Seed: 42},
+			WearLeveling: StartGap, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, ECCEntries: 4,
+			ClusterPages: 8, TrackData: true, Seed: 42},
 	} {
 		d, clock := imageTestDevice(cfg)
 		driveWrites(d, 42, 4000)
@@ -104,23 +107,27 @@ func TestImageDecodeIgnoresClusterCache(t *testing.T) {
 // quiescent snapshot, and driving S2 on the restored device — byte for
 // byte, wear counter for wear counter.
 func TestImageDifferential(t *testing.T) {
-	cfg := Config{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ECCEntries: 4,
-		WearLeveling: StartGap, ClusterPages: 8, TrackData: true, Seed: 42}
+	for _, cfg := range []Config{
+		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ECCEntries: 4,
+			WearLeveling: StartGap, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ECCEntries: 4,
+			ClusterPages: 8, TrackData: true, Seed: 42},
+	} {
+		a, _ := imageTestDevice(cfg)
+		driveWrites(a, 42, 3000)
+		driveWrites(a, 43, 3000)
 
-	a, _ := imageTestDevice(cfg)
-	driveWrites(a, 42, 3000)
-	driveWrites(a, 43, 3000)
+		b, clock := imageTestDevice(cfg)
+		driveWrites(b, 42, 3000)
+		b2, err := NewDeviceFromImage(b.Snapshot(), clock, nil)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		driveWrites(b2, 43, 3000)
 
-	b, clock := imageTestDevice(cfg)
-	driveWrites(b, 42, 3000)
-	b2, err := NewDeviceFromImage(b.Snapshot(), clock, nil)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	driveWrites(b2, 43, 3000)
-
-	if !reflect.DeepEqual(a.Snapshot(), b2.Snapshot()) {
-		t.Fatal("restart in the middle of the write sequence changed the final device state")
+		if !reflect.DeepEqual(a.Snapshot(), b2.Snapshot()) {
+			t.Fatalf("cfg %+v: restart in the middle of the write sequence changed the final device state", cfg)
+		}
 	}
 }
 
@@ -213,8 +220,9 @@ func TestImageValidatesGeometry(t *testing.T) {
 		{"page directory missing", func(img *DeviceImage) { img.Data = nil }},
 		{"page of half a page", func(img *DeviceImage) { img.Data[0] = make([]byte, failmap.PageSize/2) }},
 		{"clustering regions that do not tile the module", func(img *DeviceImage) { img.ClusterPages = 3 }},
-		{"clustering region larger than the module", func(img *DeviceImage) { img.ClusterPages = 1 << 52 }},
+		{"clustering region larger than the module", func(img *DeviceImage) { img.ClusterPages = math.MaxInt }},
 		{"negative clustering region", func(img *DeviceImage) { img.ClusterPages = -2 }},
+		{"start-gap with clustering", func(img *DeviceImage) { img.ClusterPages = 1 }},
 	} {
 		img := d.Snapshot()
 		tc.corrupt(img)

@@ -101,28 +101,23 @@ func TestFailureBufferFIFOProperty(t *testing.T) {
 }
 
 // Property: FailMap and the page word UnavailablePage agree with
-// Unavailable for every line, under any wear, with clustering or start-gap.
+// Unavailable for every line, under any wear, on a plain, a leveled or a
+// clustered device, whose writes reach lines already unavailable too.
 func TestFailMapConsistencyProperty(t *testing.T) {
-	f := func(seed int64, clustered, leveled bool) bool {
+	f := func(seed int64, kind uint8) bool {
 		cfg := Config{Size: 4 * failmap.PageSize, Endurance: 3, Variation: 0.2, Seed: seed,
 			BufferCap: 1024, BufferReserve: 4}
-		if clustered {
-			cfg.ClusterPages = 2
-		}
-		// Not both: a gap move under clustering reports a storage line as
-		// if it were module-visible (ROADMAP item 1) and can panic here.
-		if leveled && !clustered {
+		switch kind % 3 {
+		case 1:
 			cfg.WearLeveling, cfg.GapInterval = StartGap, 3
+		case 2:
+			cfg.ClusterPages = 2
 		}
 		d := NewDevice(cfg, nil)
 		rng := rand.New(rand.NewSource(seed))
 		buf := make([]byte, failmap.LineSize)
 		for i := 0; i < 500; i++ {
-			l := rng.Intn(d.Lines())
-			if d.Unavailable(l) {
-				continue
-			}
-			if d.Write(l, buf) == ErrStalled {
+			if d.Write(rng.Intn(d.Lines()), buf) == ErrStalled {
 				for d.BufferLen() > 0 {
 					d.Drain()
 				}

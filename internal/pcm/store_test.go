@@ -36,7 +36,6 @@ func TestStoreDifferential(t *testing.T) {
 	}{
 		{"plain", Config{}},
 		{"startgap", Config{WearLeveling: StartGap, GapInterval: 1}},
-		{"startgap+cluster", Config{WearLeveling: StartGap, GapInterval: 1, ClusterPages: 2}},
 		// Lines fail and park: the failed write is forwarded from the buffer
 		// until drained, after which the line reads what its storage last
 		// held. (In place, so a parked line is the one just written.)

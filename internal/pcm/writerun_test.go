@@ -133,14 +133,11 @@ type deviceOutcome struct {
 
 // driveScenario plays blocks into a fresh device built from sc.cfg —
 // equipped with its lock first when concurrent is set — draining as sc
-// says. write is the entry point under test: it applies run (no line of
-// which is gone) and reports how far it got.
+// says. write is the entry point under test: it applies run, lines software
+// has been told are gone included, and reports how far it got.
 func driveScenario(t *testing.T, sc deviceScenario, blocks []runBlock, concurrent bool,
 	write func(d *Device, run []int, data []byte) (int, error)) deviceOutcome {
 	t.Helper()
-	// The clustering hardware panics when software keeps writing a line it
-	// has been told is gone; every driver skips those, as the OS would.
-	skipGone := sc.cfg.ClusterPages > 0
 	clock := stats.NewClock(stats.DefaultCosts())
 	d := NewDevice(sc.cfg, clock)
 	if concurrent {
@@ -155,15 +152,7 @@ func driveScenario(t *testing.T, sc deviceScenario, blocks []runBlock, concurren
 	for _, b := range blocks {
 		next := b.lines
 		for len(next) > 0 {
-			k := 0
-			for k < len(next) && !(skipGone && d.Unavailable(next[k])) {
-				k++
-			}
-			if k == 0 {
-				next = next[1:]
-				continue
-			}
-			n, err := write(d, next[:k], b.data)
+			n, err := write(d, next, b.data)
 			next = next[n:]
 			o.applied += n
 			if err != nil {

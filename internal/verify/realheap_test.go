@@ -161,9 +161,9 @@ func TestReportsMatchReferenceOnRealHeaps(t *testing.T) {
 // TestRecoveredMatchesReferenceOnWornDevices: the device's page word
 // (pcm.Device.UnavailablePage) against its per-line answer, through the
 // verifier, on worn devices of every geometry — plain, start-gap (whose
-// lines move between storage slots), clustered (whose metadata lines are
-// unavailable without having failed) and both — recovered, and against a
-// table that knows only every other failure.
+// lines move between storage slots) and clustered (whose metadata lines are
+// unavailable without having failed) — recovered, and against a table that
+// knows only every other failure.
 func TestRecoveredMatchesReferenceOnWornDevices(t *testing.T) {
 	const pages = 32
 	for _, tc := range []struct {
@@ -173,7 +173,6 @@ func TestRecoveredMatchesReferenceOnWornDevices(t *testing.T) {
 		{"plain", pcm.Config{}},
 		{"start-gap", pcm.Config{WearLeveling: pcm.StartGap, GapInterval: 3}},
 		{"clustered", pcm.Config{ClusterPages: 2}},
-		{"clustered start-gap", pcm.Config{ClusterPages: 2, WearLeveling: pcm.StartGap, GapInterval: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Size, tc.cfg.Endurance, tc.cfg.Variation, tc.cfg.Seed = pages*failmap.PageSize, 6, 0.4, 11

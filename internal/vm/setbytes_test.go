@@ -164,11 +164,8 @@ func bytesCases() []bytesCase {
 			blobLen: 12000, fills: 3, wantFails: true},
 		{name: "start-gap", dev: pcm.Config{Endurance: 150, Variation: 0.2, Seed: 3, WearLeveling: pcm.StartGap, GapInterval: 7},
 			blobLen: 12000, fills: 3, wantFails: true},
-		// A clustered device is refused outright. It is not worn here: three
-		// per-byte fills of a worn clustered device panic in
-		// cluster.(*Region).Fail, on a line the hardware already took.
-		{name: "clustering", dev: pcm.Config{ClusterPages: 2}, blobLen: 12000, fills: 2,
-			prep: func(tw *bytesTwin) { tw.dev.ForceFail(tw.line(300), nil) }, wantFails: true},
+		{name: "clustering", dev: pcm.Config{Endurance: 150, Variation: 0.2, Seed: 3, ClusterPages: 2},
+			blobLen: 12000, fills: 3, wantFails: true},
 	}
 	// The line holding byte 300 sits r writes short of its endurance: the
 	// run of stores it receives reaches the endurance when r <= the run.

@@ -128,7 +128,9 @@ func WithWriteThrough() Option { return func(c *openConfig) { c.writeThrough = t
 
 // WithDeviceTuning adjusts the wearing device's configuration (wear
 // leveling, ECC, buffer sizing, clustering hardware) after the standard
-// fields are filled in and before the device is built.
+// fields are filled in and before the device is built. Start-gap wear
+// leveling and clustering hardware are exclusive: like any configuration
+// the device refuses, tuning both panics in Open.
 func WithDeviceTuning(tune func(*DeviceConfig)) Option {
 	return func(c *openConfig) { c.deviceTune = tune }
 }
