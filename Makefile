@@ -97,11 +97,13 @@ loc:
 # torture campaign runs (the heap verifier at a collection, the recovered-state
 # verifier after a power cut, both mid-campaign), the wear loop tab2 and
 # examples/wearout spend most of their time in (drawing a block of skewed
-# traffic, writing it, and the two together through a worn module), and a kv
-# request's popularity rank (the guide table against the binary search).
+# traffic, writing it, and the two together through a worn module), a kv
+# request's popularity rank (the guide table against the binary search), and
+# the collector's full-heap trace and sticky write barrier (the trace is 14-42%
+# of host wall, DESIGN section 9).
 bench:
 	$(GO) test ./internal/core/ ./internal/failmap/ ./internal/verify/ ./internal/chaos/ ./internal/pcm/ ./internal/kv/ -run NONE \
-		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census|VerifyHeap|VerifyRecovered|SkewedLines|DeviceWriteRun|WearThrough|Rank' -benchtime 1s
+		-bench 'FindHole|Sweep|AllocTight|NewBlock|GenerateUniform|ClusterHardware|EncodeRLE|Census|VerifyHeap|VerifyRecovered|SkewedLines|DeviceWriteRun|WearThrough|Rank|Trace|Barrier' -benchtime 1s
 
 # One iteration of every benchmark in the tree: catches benchmarks that no
 # longer compile or crash without paying for stable timings (CI smoke job).
@@ -154,13 +156,16 @@ determinism:
 # heap verified after every collection, then the same configurations with
 # the workload split across 4 mutator contexts (context ownership verified
 # at every block installation), the Immix kinds on the threaded engine, the
-# pause-budgeted sticky collector, two policy pairs and the power-cut crash
-# sweep. Writes the JSON summaries for CI.
+# pause-budgeted sticky collector, the same collector with concurrent markers
+# on the threaded engine (write-through off, so the markers run against the
+# mutators under injected failures, StrictSATB at every final mark), two
+# policy pairs and the power-cut crash sweep. Writes the JSON summaries for CI.
 torture:
 	$(GO) run ./cmd/wearsim -torture -seeds 50 -torture-out torture-summary.json
 	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config '*/*/m4' -torture-out torture-summary-m4.json
 	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config 'IX/*/m4/thr S-IX/*/m4/thr' -torture-out torture-summary-thr.json
 	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config 'S-IX/*/inc10000' -torture-out torture-summary-inc.json
+	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config 'S-IX/*/m4/thr/inc10000/nowt' -torture-out torture-summary-conc.json
 	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:rotate/r:rotate' -torture-out torture-summary-rot.json
 	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:migrate/r:decoder' -torture-out torture-summary-pol.json
 	$(GO) run ./cmd/wearsim -crash -seeds 3 -torture-out crash-summary.json
@@ -183,7 +188,7 @@ corescale-smoke:
 # all on the deterministic surface); the threaded tables are honest
 # concurrency and legitimately vary, so the text is cut at the first of them
 # before the comparison. Then the study's JSON is recorded as
-# results/<study>.json and, when checks/<study>.yaml exists, gated against
+# results/<study>.json and, when checks/<study>.json exists, gated against
 # its committed budgets (machine-class gated: skips on tiny hosts).
 study-%:
 	$(GO) run ./cmd/wearbench -exp $* -quick -seed 42 | sed '/threaded engine/,$$d' > .study-$*-a.txt
@@ -191,7 +196,7 @@ study-%:
 	cmp .study-$*-a.txt .study-$*-b.txt
 	@rm -f .study-$*-a.txt .study-$*-b.txt
 	$(GO) run ./cmd/wearbench -exp $* -quick -seed 42 -format json > results/$*.json
-	@if [ -f checks/$*.yaml ]; then $(GO) run ./cmd/wearcheck -spec checks/$*.yaml results/$*.json; fi
+	@if [ -f checks/$*.json ]; then $(GO) run ./cmd/wearcheck -spec checks/$*.json results/$*.json; fi
 
 # Quick torture pass for CI under -race: the in-tree suite (positive sweep,
 # determinism, planted-bug negative controls, shrinking, the crash-campaign

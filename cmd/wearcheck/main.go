@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	wearcheck -spec checks/restart.yaml results/restart.json
+//	wearcheck -spec checks/restart.json results/restart.json
 //
 // The spec addresses cells by table title, column and row label and
 // budgets them (max/min for numbers, equals for text); see
@@ -21,10 +21,10 @@ import (
 )
 
 func main() {
-	spec := flag.String("spec", "", "gate specification file (YAML subset; required)")
+	spec := flag.String("spec", "", "gate specification file (JSON; required)")
 	flag.Parse()
 	if *spec == "" || flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: wearcheck -spec <gate.yaml> <report.json>")
+		fmt.Fprintln(os.Stderr, "usage: wearcheck -spec <gate.json> <report.json>")
 		os.Exit(2)
 	}
 	os.Exit(run(*spec, flag.Arg(0)))
@@ -48,13 +48,13 @@ func run(specPath, reportPath string) int {
 		return 2
 	}
 	defer rf.Close()
-	doc, err := checks.ReadDocument(rf)
+	rep, err := checks.ReadReport(rf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
-	out, err := checks.Evaluate(sp, doc)
+	out, err := checks.Evaluate(sp, rep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -53,7 +53,7 @@ func TestGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stderr, status := wearcheck(t, "-spec", "testdata/gate.yaml", "testdata/"+c.report+".json")
+		got, stderr, status := wearcheck(t, "-spec", "testdata/gate.json", "testdata/"+c.report+".json")
 		if status != c.status || got != string(want) || stderr != "" {
 			t.Errorf("%s: exit %d (want %d), stderr %q\n got:\n%s\nwant:\n%s", c.report, status, c.status, stderr, got, want)
 		}
@@ -69,11 +69,11 @@ func TestUnusableRunsExitTwo(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no -spec", []string{"testdata/pass.json"}, "usage: wearcheck -spec <gate.yaml> <report.json>"},
-		{"no report", []string{"-spec", "testdata/gate.yaml"}, "usage: wearcheck -spec <gate.yaml> <report.json>"},
-		{"NaN budget", []string{"-spec", "testdata/nan.yaml", "testdata/pass.json"}, `checks: line 5: max "NaN" is not a finite number`},
-		{"report id", []string{"-spec", "testdata/kvlat.yaml", "testdata/pass.json"}, `checks: spec is for report "kvlat", document is "restart"`},
-		{"missing report", []string{"-spec", "testdata/gate.yaml", "testdata/none.json"}, "testdata/none.json"},
+		{"no -spec", []string{"testdata/pass.json"}, "usage: wearcheck -spec <gate.json> <report.json>"},
+		{"no report", []string{"-spec", "testdata/gate.json"}, "usage: wearcheck -spec <gate.json> <report.json>"},
+		{"unknown key", []string{"-spec", "testdata/unknown.json", "testdata/pass.json"}, `checks: check 0 "p99": json: unknown field "maximum"`},
+		{"report id", []string{"-spec", "testdata/kvlat.json", "testdata/pass.json"}, `checks: spec is for report "kvlat", document is "restart"`},
+		{"missing report", []string{"-spec", "testdata/gate.json", "testdata/none.json"}, "testdata/none.json"},
 	} {
 		stdout, stderr, status := wearcheck(t, c.args...)
 		if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.want) {

@@ -1,40 +1,42 @@
 // Package checks evaluates SLO gate specifications against the harness's
 // schema-versioned JSON report documents (the "wearbench -format json"
-// output). A spec file names a report, an optional machine class, and a
-// list of cell assertions — budgets on number cells, expected text on
-// label cells — addressed by table title, column name and row label.
-// Failures are reported explain-style: every offending cell with its
-// observed value against the budget it broke, so a CI log reads like a
-// diff rather than a boolean.
+// output, decoded into harness.Report). A spec file names a report, an
+// optional machine class, and a list of cell assertions — budgets on number
+// cells, expected text on label cells — addressed by table title, column
+// name and row label. Failures are reported explain-style: every offending
+// cell with its observed value against the budget it broke, so a CI log
+// reads like a diff rather than a boolean.
 //
-// Specs are written in a small YAML subset parsed here by hand (the
-// repository takes no dependencies): full-line comments, top-level
-// "key: value" scalars, one level of nested mappings, and a "checks:"
-// list of "- key: value" mappings. That subset is exactly what a gate
-// needs; anything fancier is a parse error, not a silent misread.
+// Specs are JSON, decoded strictly: an unknown key, a quoted number or a
+// value after the spec is an error, not a silent misread. Full-line "//"
+// comments are allowed, so a gate carries its rationale next to its budgets.
 package checks
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
+	"slices"
 	"strings"
+
+	"wearmem/internal/harness"
 )
 
 // Spec is one gate file: which report it applies to, the machine class it
 // requires, and the cell assertions.
 type Spec struct {
 	// Report is the report ID the document must carry (e.g. "restart").
-	Report string
-	// MinCores gates the spec on machine class: a document produced on a
-	// host with fewer cores is skipped, not failed (its concurrent-engine
-	// numbers would not be representative).
-	MinCores int
+	Report  string `json:"report"`
+	Machine struct {
+		// MinCores gates the spec on machine class: a document produced
+		// on a host with fewer cores is skipped, not failed (its
+		// concurrent-engine numbers would not be representative).
+		MinCores int `json:"min_cores"`
+	} `json:"machine"`
 	// Checks are the cell assertions, evaluated in order.
-	Checks []Check
+	Checks []Check `json:"checks"`
 }
 
 // Check is one cell assertion: every cell in the named column of every
@@ -43,152 +45,107 @@ type Spec struct {
 // above max.
 type Check struct {
 	// Name identifies the check in output.
-	Name string
+	Name string `json:"name"`
 	// Table selects tables by substring of their title; empty selects
 	// every table that has the column.
-	Table string
+	Table string `json:"table"`
 	// Column is the exact column header the assertion reads.
-	Column string
+	Column string `json:"column"`
 	// Row selects rows by substring of their first cell's text; empty
 	// selects every row.
-	Row string
+	Row string `json:"row"`
 	// Max and Min bound number cells (inclusive).
-	Max *float64
-	Min *float64
+	Max *float64 `json:"max"`
+	Min *float64 `json:"min"`
 	// Equals requires the cell's text to match exactly (label cells and
 	// rendered number cells both carry text).
-	Equals string
+	Equals string `json:"equals"`
 }
 
-// Document mirrors the harness JSON report schema (reportJSON): the typed
-// tables plus the machine stamp. Run records are not consumed by gates.
-type Document struct {
-	Schema  int      `json:"schema"`
-	ID      string   `json:"id"`
-	Title   string   `json:"title"`
-	Machine *Machine `json:"machine"`
-	Tables  []Table  `json:"tables"`
-}
-
-// Machine is the host metadata the CLI stamps onto emitted documents.
-type Machine struct {
-	Cores      int    `json:"cores"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"goVersion"`
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-}
-
-// Table is one report table: rows of typed cells under column headers.
-type Table struct {
-	Title   string   `json:"title"`
-	Columns []string `json:"columns"`
-	Rows    [][]Cell `json:"rows"`
-	Notes   []string `json:"notes"`
-}
-
-// Cell is one typed table value ("label", "number", "dnf", "empty").
-type Cell struct {
-	Kind  string   `json:"kind"`
-	Text  string   `json:"text"`
-	Value *float64 `json:"value"`
-}
-
-// ReadDocument decodes a harness JSON report document.
-func ReadDocument(r io.Reader) (*Document, error) {
-	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+// ReadReport decodes a harness JSON report document.
+func ReadReport(r io.Reader) (*harness.Report, error) {
+	var rep harness.Report
+	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("checks: decoding report document: %w", err)
 	}
-	return &doc, nil
+	return &rep, nil
 }
 
-// ParseSpec reads a gate file in the YAML subset described in the package
-// comment. It refuses a check that could not fail (no budget, or a NaN
-// one), could not pass (min above max), carries an infinite budget, or
-// names no check or column, saying on which line the check starts.
+// ParseSpec reads a JSON gate file. It refuses a spec that is not JSON (a
+// NaN or infinite budget included), carries a key Spec or Check does not
+// have, or has a value after it, saying on which line when the decoder
+// knows it; and a check that could not fail (no budget), could not pass
+// (min above max), or names no check or column, saying which check by
+// index and name.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	spec := &Spec{}
-	var cur *Check     // the "- " item being filled in
-	var itemLine []int // the line each check starts on
-	section := ""      // the open top-level block key ("machine", "checks")
-	for ln, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimRight(raw, " \t")
-		trimmed := strings.TrimLeft(line, " \t")
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			continue
-		}
-		indent := len(line) - len(trimmed)
-		item := strings.HasPrefix(trimmed, "- ")
-		if item {
-			trimmed = trimmed[2:]
-		}
-		key, val, ok := strings.Cut(trimmed, ":")
-		if !ok {
-			return nil, fmt.Errorf("checks: line %d: %q is not \"key: value\"", ln+1, trimmed)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		// A quoted value is taken verbatim (e.g. a title containing ':').
-		if len(val) >= 2 && val[0] == '"' && val[len(val)-1] == '"' {
-			val = val[1 : len(val)-1]
-		}
-
-		switch {
-		case item:
-			if section != "checks" {
-				return nil, fmt.Errorf("checks: line %d: list item outside checks:", ln+1)
-			}
-			spec.Checks = append(spec.Checks, Check{})
-			cur = &spec.Checks[len(spec.Checks)-1]
-			itemLine = append(itemLine, ln+1)
-			if err := setCheckField(cur, key, val); err != nil {
-				return nil, fmt.Errorf("checks: line %d: %w", ln+1, err)
-			}
-		case indent > 0 && section == "checks" && cur != nil:
-			if err := setCheckField(cur, key, val); err != nil {
-				return nil, fmt.Errorf("checks: line %d: %w", ln+1, err)
-			}
-		case indent > 0 && section == "machine":
-			switch key {
-			case "min_cores":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("checks: line %d: min_cores %q", ln+1, val)
-				}
-				spec.MinCores = n
-			default:
-				return nil, fmt.Errorf("checks: line %d: unknown machine key %q", ln+1, key)
-			}
-		case indent == 0 && val == "":
-			section = key
-			cur = nil
-			if key != "machine" && key != "checks" {
-				return nil, fmt.Errorf("checks: line %d: unknown block %q", ln+1, key)
-			}
-		case indent == 0 && key == "report":
-			spec.Report = val
-			section = ""
-		default:
-			return nil, fmt.Errorf("checks: line %d: unexpected %q", ln+1, line)
-		}
+	data = blankComments(data)
+	// The checks are decoded one by one, so an error in one names it.
+	var doc struct {
+		Spec
+		Checks []json.RawMessage `json:"checks"`
 	}
+	dec := strictDecoder(data)
+	err = dec.Decode(&doc)
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); err == nil && len(rest) > 0 {
+		err = fmt.Errorf("line %d: a value follows the spec", lineOf(data, int64(len(data)-len(rest))))
+	}
+	switch e := err.(type) {
+	case *json.SyntaxError:
+		err = fmt.Errorf("line %d: %w", lineOf(data, e.Offset), err)
+	case *json.UnmarshalTypeError:
+		err = fmt.Errorf("line %d: %w", lineOf(data, e.Offset), err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checks: %w", err)
+	}
+	spec := &doc.Spec
 	if spec.Report == "" {
 		return nil, fmt.Errorf("checks: spec names no report")
 	}
-	if len(spec.Checks) == 0 {
+	if len(doc.Checks) == 0 {
 		return nil, fmt.Errorf("checks: spec has no checks")
 	}
-	for i, c := range spec.Checks {
-		if err := c.validate(); err != nil {
-			return nil, fmt.Errorf("checks: line %d: %w", itemLine[i], err)
+	for i, raw := range doc.Checks {
+		var c Check
+		err := strictDecoder(raw).Decode(&c)
+		if err == nil {
+			err = c.validate()
 		}
+		if err != nil {
+			return nil, fmt.Errorf("checks: check %d %q: %w", i, c.Name, err)
+		}
+		spec.Checks = append(spec.Checks, c)
 	}
 	return spec, nil
+}
+
+// blankComments overwrites every full-line "//" comment with spaces,
+// keeping its newline, so decoder offsets still map to lines of the file.
+// A JSON string cannot span lines, so no such line is inside one.
+func blankComments(data []byte) []byte {
+	out := bytes.Clone(data)
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		if bytes.HasPrefix(bytes.TrimLeft(line, " \t"), []byte("//")) {
+			copy(line, bytes.Repeat([]byte(" "), len(line)))
+		}
+	}
+	return out
+}
+
+// strictDecoder decodes data refusing keys the target does not have.
+func strictDecoder(data []byte) *json.Decoder {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec
+}
+
+// lineOf is the 1-based line of data that byte offset off is on.
+func lineOf(data []byte, off int64) int {
+	return bytes.Count(data[:min(off, int64(len(data)))], []byte("\n")) + 1
 }
 
 // validate refuses a check that cannot be named in output or that passes
@@ -196,42 +153,13 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 func (c *Check) validate() error {
 	switch {
 	case c.Name == "":
-		return errors.New("check has no name")
+		return errors.New("has no name")
 	case c.Column == "":
-		return fmt.Errorf("check %q has no column", c.Name)
+		return errors.New("has no column")
 	case c.Max == nil && c.Min == nil && c.Equals == "":
-		return fmt.Errorf("check %q has no max, min or equals, so it passes every cell", c.Name)
+		return errors.New("has no max, min or equals, so it passes every cell")
 	case c.Max != nil && c.Min != nil && *c.Min > *c.Max:
-		return fmt.Errorf("check %q has min %v above max %v, so it fails every cell", c.Name, *c.Min, *c.Max)
-	}
-	return nil
-}
-
-// setCheckField assigns one "key: value" pair of a checks-list item.
-func setCheckField(c *Check, key, val string) error {
-	switch key {
-	case "name":
-		c.Name = val
-	case "table":
-		c.Table = val
-	case "column":
-		c.Column = val
-	case "row":
-		c.Row = val
-	case "equals":
-		c.Equals = val
-	case "max", "min":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%s %q is not a finite number", key, val)
-		}
-		if key == "max" {
-			c.Max = &f
-		} else {
-			c.Min = &f
-		}
-	default:
-		return fmt.Errorf("unknown check key %q", key)
+		return fmt.Errorf("has min %v above max %v, so it fails every cell", *c.Min, *c.Max)
 	}
 	return nil
 }
@@ -257,54 +185,40 @@ type Outcome struct {
 
 // Ok reports whether every check passed (a machine-class skip passes).
 func (o *Outcome) Ok() bool {
-	if o.Skipped != "" {
-		return true
-	}
-	for _, r := range o.Results {
-		if !r.Ok() {
-			return false
-		}
-	}
-	return true
+	return o.Skipped != "" || !slices.ContainsFunc(o.Results, func(r Result) bool { return !r.Ok() })
 }
 
-// Evaluate runs every check of the spec against the document. A check
-// that selects no cells fails — a gate that silently matches nothing is
-// drift, not a pass.
-func Evaluate(spec *Spec, doc *Document) (*Outcome, error) {
-	if doc.ID != spec.Report {
-		return nil, fmt.Errorf("checks: spec is for report %q, document is %q", spec.Report, doc.ID)
+// Evaluate runs every check of the spec against the report. A check that
+// selects no cells fails — a gate that silently matches nothing is drift,
+// not a pass.
+func Evaluate(spec *Spec, rep *harness.Report) (*Outcome, error) {
+	if rep.ID != spec.Report {
+		return nil, fmt.Errorf("checks: spec is for report %q, document is %q", spec.Report, rep.ID)
 	}
-	if spec.MinCores > 0 {
-		if doc.Machine == nil {
+	if need := spec.Machine.MinCores; need > 0 {
+		if rep.Machine == nil {
 			return nil, fmt.Errorf("checks: spec gates on machine class but the document carries no machine stamp")
 		}
-		if doc.Machine.Cores < spec.MinCores {
+		if rep.Machine.Cores < need {
 			return &Outcome{Skipped: fmt.Sprintf("machine class: %d cores < required %d",
-				doc.Machine.Cores, spec.MinCores)}, nil
+				rep.Machine.Cores, need)}, nil
 		}
 	}
 	out := &Outcome{}
 	for _, c := range spec.Checks {
-		out.Results = append(out.Results, evaluateCheck(c, doc))
+		out.Results = append(out.Results, evaluateCheck(c, rep))
 	}
 	return out, nil
 }
 
 // evaluateCheck applies one assertion to every selected cell.
-func evaluateCheck(c Check, doc *Document) Result {
+func evaluateCheck(c Check, rep *harness.Report) Result {
 	res := Result{Check: c}
-	for _, t := range doc.Tables {
+	for _, t := range rep.Tables {
 		if c.Table != "" && !strings.Contains(t.Title, c.Table) {
 			continue
 		}
-		col := -1
-		for i, name := range t.Columns {
-			if name == c.Column {
-				col = i
-				break
-			}
-		}
+		col := slices.Index(t.Columns, c.Column)
 		if col < 0 {
 			if c.Table != "" {
 				res.Failures = append(res.Failures,
@@ -339,22 +253,22 @@ func evaluateCheck(c Check, doc *Document) Result {
 
 // checkCell asserts the budgets against one cell, appending explain-style
 // failure lines: where, what was observed, which budget broke.
-func checkCell(res *Result, title, label string, cell Cell) {
+func checkCell(res *Result, title, label string, cell harness.Cell) {
 	c := res.Check
 	at := fmt.Sprintf("table %q row %q column %q", title, label, c.Column)
 	if c.Max != nil || c.Min != nil {
-		if cell.Kind != "number" || cell.Value == nil {
+		if cell.Kind != harness.CellNumber {
 			res.Failures = append(res.Failures, fmt.Sprintf(
 				"%s: %s cell %q where a number was budgeted", at, cell.Kind, cell.Text))
 			return
 		}
-		if c.Max != nil && *cell.Value > *c.Max {
+		if c.Max != nil && cell.Num > *c.Max {
 			res.Failures = append(res.Failures, fmt.Sprintf(
-				"%s: %v exceeds max %v (by %+.4g)", at, *cell.Value, *c.Max, *cell.Value-*c.Max))
+				"%s: %v exceeds max %v (by %+.4g)", at, cell.Num, *c.Max, cell.Num-*c.Max))
 		}
-		if c.Min != nil && *cell.Value < *c.Min {
+		if c.Min != nil && cell.Num < *c.Min {
 			res.Failures = append(res.Failures, fmt.Sprintf(
-				"%s: %v below min %v (by %+.4g)", at, *cell.Value, *c.Min, *cell.Value-*c.Min))
+				"%s: %v below min %v (by %+.4g)", at, cell.Num, *c.Min, cell.Num-*c.Min))
 		}
 	}
 	if c.Equals != "" && cell.Text != c.Equals {

@@ -1,53 +1,49 @@
 package checks
 
 import (
+	"bytes"
 	"math"
 	"os"
-	"strconv"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"wearmem/internal/harness"
 )
 
-func f(v float64) *float64 { return &v }
-
-// doc builds a two-table document shaped like the restart report.
-func doc(p99 float64) *Document {
-	mk := func(title string) Table {
-		return Table{
+// doc builds a two-table report shaped like the restart report.
+func doc(p99 float64) *harness.Report {
+	mk := func(title string) harness.Table {
+		return harness.Table{
 			Title:   title,
 			Columns: []string{"failure rate", "recovery (Mcyc)", "verified", "kv p99", "SLO"},
-			Rows: [][]Cell{
-				{{Kind: "number", Text: "0%", Value: f(0)}, {Kind: "number", Text: "34.08", Value: f(34.08)},
-					{Kind: "label", Text: "ok"}, {Kind: "number", Text: "559", Value: f(559)}, {Kind: "label", Text: "ok"}},
-				{{Kind: "number", Text: "50%", Value: f(50)}, {Kind: "number", Text: "67.21", Value: f(67.21)},
-					{Kind: "label", Text: "ok"}, {Kind: "number", Text: strconv.FormatFloat(p99, 'f', -1, 64), Value: f(p99)}, {Kind: "label", Text: "ok"}},
+			Rows: [][]harness.Cell{
+				{harness.Number(0, "%.0f%%"), harness.Number(34.08, "%.2f"),
+					harness.Text("ok"), harness.Number(559, "%.0f"), harness.Text("ok")},
+				{harness.Number(50, "%.0f%%"), harness.Number(67.21, "%.2f"),
+					harness.Text("ok"), harness.Number(p99, "%v"), harness.Text("ok")},
 			},
 		}
 	}
-	return &Document{
-		Schema:  1,
+	return &harness.Report{
 		ID:      "restart",
-		Machine: &Machine{Cores: 8},
-		Tables:  []Table{mk("Restart survival (baton engine)"), mk("Restart survival (threaded engine)")},
+		Machine: &harness.MachineInfo{Cores: 8},
+		Tables:  []harness.Table{mk("Restart survival (baton engine)"), mk("Restart survival (threaded engine)")},
 	}
 }
 
 const spec = `
-# gate
-report: restart
-machine:
-  min_cores: 2
-checks:
-  - name: recovery
-    table: baton engine
-    column: "recovery (Mcyc)"
-    max: 200
-  - name: verified
-    column: verified
-    equals: ok
-  - name: p99
-    column: kv p99
-    max: 400000
+// gate
+{
+  "report": "restart",
+  "machine": {"min_cores": 2},
+  "checks": [
+    {"name": "recovery", "table": "baton engine", "column": "recovery (Mcyc)", "max": 200},
+    // a comment between checks
+    {"name": "verified", "column": "verified", "equals": "ok"},
+    {"name": "p99", "column": "kv p99", "max": 400000}
+  ]
+}
 `
 
 func TestChecksSpecRoundTrip(t *testing.T) {
@@ -55,7 +51,7 @@ func TestChecksSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Report != "restart" || sp.MinCores != 2 || len(sp.Checks) != 3 {
+	if sp.Report != "restart" || sp.Machine.MinCores != 2 || len(sp.Checks) != 3 {
 		t.Fatalf("parsed %+v", sp)
 	}
 	c := sp.Checks[0]
@@ -112,13 +108,8 @@ func TestChecksEvaluateFailExplains(t *testing.T) {
 // A gate whose selector no longer matches the report is a failure, not a
 // silent pass.
 func TestChecksEvaluateCatchesDrift(t *testing.T) {
-	sp, _ := ParseSpec(strings.NewReader(`
-report: restart
-checks:
-  - name: gone
-    column: no such column
-    max: 1
-`))
+	sp, _ := ParseSpec(strings.NewReader(`{"report": "restart", "checks": [
+		{"name": "gone", "column": "no such column", "max": 1}]}`))
 	out, err := Evaluate(sp, doc(700))
 	if err != nil {
 		t.Fatal(err)
@@ -148,71 +139,80 @@ func TestChecksMachineClassSkip(t *testing.T) {
 	}
 }
 
-// The committed restart gate parses and its selectors match the real
-// restart report's shape (titles and columns), so the CI gate cannot
-// silently drift from the experiment.
-func TestChecksRestartGateMatchesReport(t *testing.T) {
-	fh, err := os.Open("../../checks/restart.yaml")
-	if err != nil {
-		t.Fatal(err)
+// Every committed gate parses and each of its checks selects cells of the
+// committed report it names, so no gate can silently drift from its
+// experiment. The machine class is lifted: some reports were recorded on
+// one core, and this is about selectors, not budgets.
+func TestGatesMatchCommittedReports(t *testing.T) {
+	paths, err := filepath.Glob("../../checks/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no gates found: %v", err)
 	}
-	defer fh.Close()
-	sp, err := ParseSpec(fh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Report != "restart" {
-		t.Fatalf("gate is for %q", sp.Report)
-	}
-	cols := map[string]bool{}
-	for _, c := range []string{"failure rate", "recovery (Mcyc)", "rediscovered", "scrubbed",
-		"usable frames", "verified", "resume (Mcyc)", "GCs", "kv p50", "kv p99", "kv max", "SLO"} {
-		cols[c] = true
-	}
-	titles := []string{
-		"Restart survival (baton engine, 4 mutators, power cut mid-load, 4x heap)",
-		"Restart survival (threaded engine, 4 mutators, power cut mid-load, 4x heap)",
-	}
-	for _, c := range sp.Checks {
-		if !cols[c.Column] {
-			t.Errorf("check %s reads column %q the restart report does not emit", c.Name, c.Column)
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.Table == "" {
-			continue
+		sp, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
-		found := false
-		for _, title := range titles {
-			found = found || strings.Contains(title, c.Table)
+		if data, err = os.ReadFile("../../results/" + sp.Report + ".json"); err != nil {
+			t.Fatal(err)
 		}
-		if !found {
-			t.Errorf("check %s selects table ~%q, matching no restart table title", c.Name, c.Table)
+		rep, err := ReadReport(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Report, err)
+		}
+		sp.Machine.MinCores = 0
+		out, err := Evaluate(sp, rep)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, r := range out.Results {
+			if r.Cells == 0 {
+				t.Errorf("%s: check %s selects no cells", path, r.Check.Name)
+			}
+			for _, f := range r.Failures {
+				if strings.Contains(f, "no column") || strings.Contains(f, "selected no cells") {
+					t.Errorf("%s: check %s: %s", path, r.Check.Name, f)
+				}
+			}
 		}
 	}
 }
 
-// A gate that cannot fail, cannot pass or cannot be named is refused, with
-// the line its check starts on. A NaN max used to pass a cell of 1e9, and a
-// check with no budget passed every cell.
+// oneCheck is a spec whose one check is named p99, reads kv p99 and ends
+// with body, on line 3.
+func oneCheck(body string) string {
+	return "{\"report\": \"restart\", \"checks\": [\n  {\"name\": \"p99\", \"column\": \"kv p99\",\n   " + body + "}\n]}\n"
+}
+
+// hollow are specs ParseSpec refuses, each with what its error must say:
+// the line, when the spec is not JSON, or the check by index and name.
+var hollow = []struct{ why, spec, want string }{
+	{"NaN max", oneCheck(`"max": NaN`), "line 3: invalid character 'N'"},
+	{"NaN min", oneCheck(`"min": nan`), "line 3: invalid character 'a' in literal null"},
+	{"infinite max", oneCheck(`"max": +Inf`), "line 3: invalid character '+'"},
+	{"infinite min", oneCheck(`"min": -Inf`), "line 3: invalid character 'I' in numeric literal"},
+	{"out-of-range max", oneCheck(`"max": 1e400`), `check 0 "p99": json: cannot unmarshal number 1e400 into Go struct field Check.max of type float64`},
+	{"no budget", oneCheck(`"row": "x"`), `check 0 "p99": has no max, min or equals, so it passes every cell`},
+	{"min above max", oneCheck(`"min": 2, "max": 1`), `check 0 "p99": has min 2 above max 1, so it fails every cell`},
+	{"quoted number", oneCheck(`"max": "200"`), `check 0 "p99": json: cannot unmarshal string into Go struct field Check.max of type float64`},
+	{"unknown key", oneCheck(`"maximum": 200`), `check 0 "p99": json: unknown field "maximum"`},
+	{"trailing value", oneCheck(`"max": 200`) + "// the next spec\n{}\n", "line 6: a value follows the spec"},
+	{"no name", `{"report": "restart", "checks": [{"column": "kv p99", "max": 1}]}`, `check 0 "": has no name`},
+	{"no column", `{"report": "restart", "checks": [
+		{"name": "ok", "column": "kv p99", "max": 1},
+		{"name": "p99", "max": 1}]}`, `check 1 "p99": has no column`},
+}
+
+// A gate that cannot fail, cannot pass, cannot be named or is not exactly
+// the JSON Spec decodes is refused. A NaN max used to pass a cell of 1e9,
+// and a check with no budget passed every cell.
 func TestParseSpecRefusesHollowGates(t *testing.T) {
-	for _, c := range []struct{ why, check, want string }{
-		{"NaN max", "max: NaN", `line 5: max "NaN" is not a finite number`},
-		{"NaN min", "min: nan", `line 5: min "nan" is not a finite number`},
-		{"infinite max", "max: +Inf", `line 5: max "+Inf" is not a finite number`},
-		{"infinite min", "min: -Inf", `line 5: min "-Inf" is not a finite number`},
-		{"out-of-range max", "max: 1e400", `line 5: max "1e400" is not a finite number`},
-		{"no budget", "row: x", `line 3: check "p99" has no max, min or equals, so it passes every cell`},
-		{"min above max", "min: 2\n    max: 1", `line 3: check "p99" has min 2 above max 1, so it fails every cell`},
-	} {
-		_, err := ParseSpec(strings.NewReader("report: restart\nchecks:\n  - name: p99\n    column: kv p99\n    " + c.check + "\n"))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %v, want one containing %q", c.why, err, c.want)
-		}
-	}
-	for _, c := range []struct{ why, spec, want string }{
-		{"no name", "  - column: kv p99\n    max: 1\n", "line 3: check has no name"},
-		{"no column", "  - name: ok\n    column: kv p99\n    max: 1\n  - name: p99\n    max: 1\n", `line 6: check "p99" has no column`},
-	} {
-		_, err := ParseSpec(strings.NewReader("report: restart\nchecks:\n" + c.spec))
+	for _, c := range hollow {
+		_, err := ParseSpec(strings.NewReader(c.spec))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.why, err, c.want)
 		}
@@ -225,12 +225,15 @@ func TestParseSpecRefusesHollowGates(t *testing.T) {
 func FuzzParseSpec(f *testing.F) {
 	f.Add(spec)
 	for _, name := range []string{"restart", "pausecurve", "policyzoo"} {
-		if data, err := os.ReadFile("../../checks/" + name + ".yaml"); err == nil {
-			f.Add(string(data))
+		data, err := os.ReadFile("../../checks/" + name + ".json")
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(string(data))
 	}
-	f.Add("report: x\nchecks:\n  - name: a\n    column: b\n    max: NaN\n")
-	f.Add("report: x\nmachine:\n  min_cores: 2\nchecks:\n  - name: a\n    column: b\n    min: 1\n    max: 2\n")
+	for _, c := range hollow {
+		f.Add(c.spec)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		sp, err := ParseSpec(strings.NewReader(in))
 		if err != nil {

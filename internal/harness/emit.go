@@ -63,33 +63,6 @@ func (csvEmitter) Emit(w io.Writer, rep *Report) error {
 	return nil
 }
 
-// cellJSON is the structured form of one table cell.
-type cellJSON struct {
-	Kind string `json:"kind"`
-	Text string `json:"text,omitempty"`
-	// Value is present only for number cells (DNF renders as a missing
-	// value, matching the paper's truncated curves).
-	Value *float64 `json:"value,omitempty"`
-}
-
-type tableJSON struct {
-	Title   string       `json:"title,omitempty"`
-	Columns []string     `json:"columns"`
-	Rows    [][]cellJSON `json:"rows"`
-	Notes   []string     `json:"notes,omitempty"`
-}
-
-// reportJSON is the schema-versioned JSON document: the typed tables plus
-// the full run-record set (each with its complete counter snapshot).
-type reportJSON struct {
-	Schema  int          `json:"schema"`
-	ID      string       `json:"id"`
-	Title   string       `json:"title"`
-	Machine *MachineInfo `json:"machine,omitempty"`
-	Tables  []tableJSON  `json:"tables"`
-	Runs    []RunRecord  `json:"runs"`
-}
-
 // jsonEmitter renders the schema-versioned document. Output is fully
 // deterministic: every collection is an ordered slice and the run records
 // are sorted by canonical key, so the bytes are identical at any worker
@@ -97,35 +70,9 @@ type reportJSON struct {
 type jsonEmitter struct{}
 
 func (jsonEmitter) Emit(w io.Writer, rep *Report) error {
-	doc := reportJSON{
-		Schema:  SchemaVersion,
-		ID:      rep.ID,
-		Title:   rep.Title,
-		Machine: rep.Machine,
-		Tables:  make([]tableJSON, len(rep.Tables)),
-		Runs:    rep.Runs,
-	}
-	if doc.Runs == nil {
-		doc.Runs = []RunRecord{}
-	}
-	for i, t := range rep.Tables {
-		tj := tableJSON{Title: t.Title, Columns: t.Columns, Notes: t.Notes, Rows: make([][]cellJSON, len(t.Rows))}
-		for ri, row := range t.Rows {
-			cells := make([]cellJSON, len(row))
-			for ci, c := range row {
-				cells[ci] = cellJSON{Kind: c.Kind.String(), Text: c.Text}
-				if c.Kind == CellNumber {
-					v := c.Num
-					cells[ci].Value = &v
-				}
-			}
-			tj.Rows[ri] = cells
-		}
-		doc.Tables[i] = tj
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(rep)
 }
 
 // promEmitter renders number cells as Prometheus exposition-format gauges,

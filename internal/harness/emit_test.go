@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wearmem/internal/stats"
@@ -129,6 +131,42 @@ func TestJSONCellValues(t *testing.T) {
 	} {
 		if !bytes.Contains([]byte(s), []byte(want)) {
 			t.Errorf("JSON output missing %q", want)
+		}
+	}
+}
+
+// The JSON document decodes back into the Report it was written from, so
+// one type is the schema for writers and readers alike: re-emitting the
+// decoded report gives the same bytes, and empty lists stay arrays.
+func TestJSONRoundTrip(t *testing.T) {
+	empty := &Report{ID: "empty", Tables: []Table{{Title: "no rows"}}}
+	for _, rep := range []*Report{sampleReport(), empty} {
+		var first, second bytes.Buffer
+		if err := (jsonEmitter{}).Emit(&first, rep); err != nil {
+			t.Fatal(err)
+		}
+		var back Report
+		if err := json.Unmarshal(first.Bytes(), &back); err != nil {
+			t.Fatalf("%s: %v", rep.ID, err)
+		}
+		if err := (jsonEmitter{}).Emit(&second, &back); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Errorf("%s: decoded report emits differently\n--- first ---\n%s\n--- second ---\n%s", rep.ID, &first, &second)
+		}
+	}
+	var buf bytes.Buffer
+	(jsonEmitter{}).Emit(&buf, empty)
+	for _, want := range []string{`"rows": []`, `"runs": []`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("empty report JSON missing %q:\n%s", want, &buf)
+		}
+	}
+	for _, bad := range []string{`{"kind": "number", "text": "1"}`, `{"kind": "label", "text": "a", "value": 1}`, `{"kind": "bogus"}`} {
+		var c Cell
+		if err := json.Unmarshal([]byte(bad), &c); err == nil {
+			t.Errorf("cell %s decoded as %+v", bad, c)
 		}
 	}
 }

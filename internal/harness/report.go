@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 )
 
@@ -24,17 +26,14 @@ const (
 	CellEmpty
 )
 
+// cellKindNames is each kind's name on disk: String writes it and
+// Cell.UnmarshalJSON reads it back.
+var cellKindNames = [...]string{CellLabel: "label", CellNumber: "number", CellDNF: "dnf", CellEmpty: "empty"}
+
 // String names the kind for structured output.
 func (k CellKind) String() string {
-	switch k {
-	case CellLabel:
-		return "label"
-	case CellNumber:
-		return "number"
-	case CellDNF:
-		return "dnf"
-	case CellEmpty:
-		return "empty"
+	if uint(k) < uint(len(cellKindNames)) {
+		return cellKindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -46,6 +45,41 @@ type Cell struct {
 	Text string
 	Num  float64
 	Kind CellKind
+}
+
+// cellWire is a cell on disk: its kind by name, its text, and a value for
+// a number cell only (DNF renders as a missing value, matching the paper's
+// truncated curves).
+type cellWire struct {
+	Kind  string   `json:"kind"`
+	Text  string   `json:"text,omitempty"`
+	Value *float64 `json:"value,omitempty"`
+}
+
+// MarshalJSON writes the cell as its kind, text and number.
+func (c Cell) MarshalJSON() ([]byte, error) {
+	w := cellWire{Kind: c.Kind.String(), Text: c.Text}
+	if c.Kind == CellNumber {
+		w.Value = &c.Num
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads a cell MarshalJSON wrote.
+func (c *Cell) UnmarshalJSON(data []byte) error {
+	var w cellWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	k := CellKind(slices.Index(cellKindNames[:], w.Kind))
+	if k < 0 || (w.Value != nil) != (k == CellNumber) {
+		return fmt.Errorf("harness: %s is not a label, number, dnf or empty cell with a value on a number only", data)
+	}
+	*c = Cell{Text: w.Text, Kind: k}
+	if w.Value != nil {
+		c.Num = *w.Value
+	}
+	return nil
 }
 
 // Text returns a label cell.
@@ -75,10 +109,20 @@ func Blank() Cell { return Cell{Kind: CellEmpty} }
 
 // Table is one experiment result: typed rows under string column headers.
 type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]Cell
-	Notes   []string
+	Title   string   `json:"title,omitempty"`
+	Columns []string `json:"columns"`
+	Rows    [][]Cell `json:"rows"`
+	Notes   []string `json:"notes,omitempty"`
+}
+
+// MarshalJSON writes the table with its rows as an array even when it has
+// none.
+func (t Table) MarshalJSON() ([]byte, error) {
+	type fields Table
+	if t.Rows == nil {
+		t.Rows = [][]Cell{}
+	}
+	return json.Marshal(fields(t))
 }
 
 // MachineInfo is honest host metadata for JSON artifacts that carry
@@ -109,14 +153,31 @@ func HostMachine() MachineInfo {
 // run that backed them (sorted by canonical configuration key; empty for
 // analytical experiments that run no simulations).
 type Report struct {
-	ID     string
-	Title  string
-	Tables []Table
-	Runs   []RunRecord
+	ID    string `json:"id"`
+	Title string `json:"title"`
 	// Machine, when non-nil, is emitted into the JSON document. Left nil
 	// everywhere except the CLI so goldens and pinned output stay
 	// host-independent.
-	Machine *MachineInfo
+	Machine *MachineInfo `json:"machine,omitempty"`
+	Tables  []Table      `json:"tables"`
+	Runs    []RunRecord  `json:"runs"`
+}
+
+// MarshalJSON writes the schema-versioned JSON document: the schema
+// version, the typed tables and the full run-record set (each with its
+// complete counter snapshot), with empty lists as arrays.
+func (r Report) MarshalJSON() ([]byte, error) {
+	type fields Report
+	if r.Tables == nil {
+		r.Tables = []Table{}
+	}
+	if r.Runs == nil {
+		r.Runs = []RunRecord{}
+	}
+	return json.Marshal(struct {
+		Schema int `json:"schema"`
+		fields
+	}{SchemaVersion, fields(r)})
 }
 
 // Render writes the report as aligned text (the text emitter).
@@ -158,11 +219,7 @@ func (t *Table) render(w io.Writer) {
 	}
 	line(sep)
 	for _, row := range t.Rows {
-		texts := make([]string, len(row))
-		for i, c := range row {
-			texts[i] = c.Text
-		}
-		line(texts)
+		line(texts(row))
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
@@ -180,12 +237,17 @@ func pad(s string, w int) string {
 func (t *Table) CSV(w io.Writer) {
 	fmt.Fprintln(w, strings.Join(t.Columns, ","))
 	for _, row := range t.Rows {
-		texts := make([]string, len(row))
-		for i, c := range row {
-			texts[i] = c.Text
-		}
-		fmt.Fprintln(w, strings.Join(texts, ","))
+		fmt.Fprintln(w, strings.Join(texts(row), ","))
 	}
+}
+
+// texts is the display text of each cell of a row.
+func texts(row []Cell) []string {
+	out := make([]string, len(row))
+	for i, c := range row {
+		out[i] = c.Text
+	}
+	return out
 }
 
 // fnum formats a normalized value; zero renders as DNF (the paper's

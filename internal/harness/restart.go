@@ -56,7 +56,7 @@ const (
 	// Restart-survival SLOs for the default KV scenario, in simulated
 	// cycles: the recovery bill a restart may run up before serving, and
 	// the post-recovery per-request p99. Both hold with wide margin at
-	// every swept rate on both engines; checks/restart.yaml gates the
+	// every swept rate on both engines; checks/restart.json gates the
 	// emitted JSON against the same budgets in CI.
 	restartRecoverySLO = 200_000_000
 	restartP99SLO      = 400_000

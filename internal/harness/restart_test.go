@@ -7,7 +7,7 @@ import (
 
 // TestRestartExperimentQuick runs the whole restart study at quick scale:
 // every rate on both engines must recover, verify clean and resume within
-// the committed SLOs — the same surface checks/restart.yaml gates in CI.
+// the committed SLOs — the same surface checks/restart.json gates in CI.
 func TestRestartExperimentQuick(t *testing.T) {
 	rep := ByID("restart").Run(Options{Quick: true, Seed: 42})
 	if len(rep.Tables) != 2 {
