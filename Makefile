@@ -158,16 +158,18 @@ determinism:
 # at every block installation), the Immix kinds on the threaded engine, the
 # pause-budgeted sticky collector, the same collector with concurrent markers
 # on the threaded engine (write-through off, so the markers run against the
-# mutators under injected failures, StrictSATB at every final mark), two
-# policy pairs and the power-cut crash sweep. Writes the JSON summaries for CI.
+# mutators under injected failures, StrictSATB at every final mark), each
+# non-stock frame policy and the power-cut crash sweep. Writes the JSON
+# summaries for CI.
 torture:
 	$(GO) run ./cmd/wearsim -torture -seeds 50 -torture-out torture-summary.json
 	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config '*/*/m4' -torture-out torture-summary-m4.json
 	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config 'IX/*/m4/thr S-IX/*/m4/thr' -torture-out torture-summary-thr.json
 	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config 'S-IX/*/inc10000' -torture-out torture-summary-inc.json
 	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config 'S-IX/*/m4/thr/inc10000/nowt' -torture-out torture-summary-conc.json
-	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:rotate/r:rotate' -torture-out torture-summary-rot.json
-	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/p:migrate/r:decoder' -torture-out torture-summary-pol.json
+	$(GO) run ./cmd/wearsim -torture -seeds 15 -torture-config '*/*/pol:rotate' -torture-out torture-summary-rot.json
+	$(GO) run ./cmd/wearsim -torture -seeds 8 -torture-config '*/*/pol:decoder' -torture-out torture-summary-dec.json
+	$(GO) run ./cmd/wearsim -torture -seeds 8 -torture-config '*/*/pol:migrate' -torture-out torture-summary-mig.json
 	$(GO) run ./cmd/wearsim -crash -seeds 3 -torture-out crash-summary.json
 
 # Multi-mutator scaling study (implementation experiment; excluded from

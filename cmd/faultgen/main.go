@@ -6,8 +6,6 @@
 //	faultgen -pages 1024 -rate 0.25                uniform 64 B line failures
 //	faultgen -pages 1024 -rate 0.25 -cluster 2     plus 2-page clustering hw
 //	faultgen -pages 1024 -rate 0.25 -gran 1024     pre-clustered at 1 KB (§6.4)
-//	faultgen ... -o map.bin                        write RLE encoding
-//	faultgen -i map.bin                            inspect an encoded map
 package main
 
 import (
@@ -26,8 +24,6 @@ func main() {
 		cluster = flag.Int("cluster", 0, "apply hardware clustering with N-page regions")
 		gran    = flag.Int("gran", 0, "generate failures pre-clustered at this byte granularity")
 		seed    = flag.Int64("seed", 1, "generator seed")
-		out     = flag.String("o", "", "write RLE-encoded map to file")
-		in      = flag.String("i", "", "inspect an RLE-encoded map from file")
 	)
 	flag.Parse()
 	if err := check(*pages, *rate, *cluster, *gran); err != nil {
@@ -35,29 +31,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m *failmap.Map
-	if *in != "" {
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		m, err = failmap.DecodeRLE(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	m := failmap.New(*pages * failmap.PageSize)
+	rng := rand.New(rand.NewSource(*seed))
+	if *gran > 0 {
+		failmap.GenerateClustered(m, *rate, *gran, rng)
 	} else {
-		m = failmap.New(*pages * failmap.PageSize)
-		rng := rand.New(rand.NewSource(*seed))
-		if *gran > 0 {
-			failmap.GenerateClustered(m, *rate, *gran, rng)
-		} else {
-			failmap.GenerateUniform(m, *rate, rng)
-		}
-		if *cluster > 0 {
-			m = failmap.ClusterHardware(m, *cluster)
-		}
+		failmap.GenerateUniform(m, *rate, rng)
+	}
+	if *cluster > 0 {
+		m = failmap.ClusterHardware(m, *cluster)
 	}
 
 	fmt.Printf("pool:          %d pages (%d KB), %d lines\n",
@@ -90,14 +72,6 @@ func main() {
 	}
 	fmt.Printf("pages by failed lines: 0:%d  1-4:%d  5-16:%d  17-63:%d  dead:%d\n",
 		hist[0], hist[1], hist[2], hist[3], hist[4])
-
-	if *out != "" {
-		if err := os.WriteFile(*out, m.EncodeRLE(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 }
 
 // check refuses the flag values the generators would panic on, naming the

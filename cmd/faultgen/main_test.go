@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,23 +51,6 @@ func TestGoldens(t *testing.T) {
 		if got, stderr, status := faultgen(t, args...); status != 0 || got != string(want) {
 			t.Errorf("faultgen %v: exit %d, stderr %q\n got:\n%s\nwant:\n%s", args, status, stderr, got, want)
 		}
-	}
-}
-
-// A map written with -o reads back with -i as the same map: the same report
-// without the line saying where it was written.
-func TestEncodedMapRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "map.bin")
-	wrote, stderr, status := faultgen(t, "-pages", "64", "-rate", "0.25", "-cluster", "2", "-seed", "3", "-o", path)
-	if status != 0 {
-		t.Fatalf("-o: exit %d, stderr %q", status, stderr)
-	}
-	want, ok := strings.CutSuffix(wrote, "wrote "+path+"\n")
-	if !ok {
-		t.Fatalf("-o did not say where it wrote:\n%s", wrote)
-	}
-	if got, stderr, status := faultgen(t, "-i", path); status != 0 || got != want {
-		t.Errorf("-i: exit %d, stderr %q\n got:\n%s\nwant:\n%s", status, stderr, got, want)
 	}
 }
 

@@ -71,6 +71,11 @@ func TestOutOfRangeKnobsExitTwo(t *testing.T) {
 		{"-mult", []string{"-bench", "pmd", "-mult", "1e30", "-quick"}},
 		{"rate=2", []string{"-explain", "rate=2 vs base"}},
 		{"mult=+Inf", []string{"-explain", "mult=+Inf vs base", "-quick"}},
+		{"-policy", []string{"-bench", "pmd", "-policy", "nope"}},
+		// The frame policy is one knob; -placement and -remap name nothing.
+		{"-placement", []string{"-bench", "pmd", "-placement", "rotate"}},
+		{"-remap", []string{"-bench", "pmd", "-remap", "rotate"}},
+		{"placement=rotate", []string{"-explain", "placement=rotate vs base"}},
 	} {
 		stdout, stderr, status := wearbench(t, c.args...)
 		if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.knob) {

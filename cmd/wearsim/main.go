@@ -57,7 +57,7 @@ func main() {
 
 		torture       = flag.Bool("torture", false, "run the fault-injection torture suite and exit")
 		seeds         = flag.Int("seeds", 50, "torture campaigns per configuration")
-		tortureConfig = flag.String("torture-config", "", "space-separated configuration names to run, as campaign records name them, with * for any collector or mode (e.g. 'S-IX/aware/m4/thr */*/p:rotate/r:rotate'); empty = every configuration of the sweep")
+		tortureConfig = flag.String("torture-config", "", "space-separated configuration names to run, as campaign records name them, with * for any collector or mode (e.g. 'S-IX/aware/m4/thr */*/pol:rotate'); empty = every configuration of the sweep")
 		tortureEvents = flag.Int("torture-events", 0, "injection events per campaign (0 = default)")
 		tortureIters  = flag.Int("torture-iters", 0, "workload iterations per campaign (0 = default)")
 		tortureBreak  = flag.String("torture-break", "", "plant a deliberate bug: smash-header or silent-taint (the suite must then fail)")

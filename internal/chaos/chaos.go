@@ -159,7 +159,7 @@ var incrementalPoints = append(append([]probe.Point{}, campaignPoints...),
 	probe.GCMarkIncrement)
 
 // policyPoints extends campaignPoints with the policy-remap boundary,
-// which only fires under a non-stock remap policy: injections land right
+// which only fires under a non-stock frame policy: injections land right
 // after a wear-triggered migration committed, while the freshly copied
 // frame is live and its source just returned to the free pool. Kept
 // separate so default campaign schedules are bit-identical to historical

@@ -55,14 +55,12 @@ type TortureConfig struct {
 	// schedules are unchanged. Used by the power-cut crash sweep, which
 	// exercises recovery with and without device-resident heap data.
 	NoWriteThrough bool
-	// Placement and Remap select the kernel's pluggable placement/remap
-	// policy pair (empty = the paper's stock behavior, leaving names and
-	// schedules unchanged). Campaigns for non-stock remap policies draw
-	// injection points from the extended list including the remap boundary
-	// (policy-remap), so failures land right after wear-triggered
-	// migrations commit.
-	Placement string
-	Remap     string
+	// Policy selects the kernel's frame policy (empty = the paper's stock
+	// behavior, leaving names and schedules unchanged). Campaigns for
+	// non-stock policies draw injection points from the extended list
+	// including the remap boundary (policy-remap), so failures land right
+	// after wear-triggered migrations commit.
+	Policy string
 }
 
 // Name is the harness-style configuration label, e.g. "S-IX/aware" or
@@ -88,11 +86,8 @@ func (c TortureConfig) Name() string {
 	if c.NoWriteThrough {
 		name += "/nowt"
 	}
-	if c.Placement != "" && c.Placement != "paper" {
-		name += "/p:" + c.Placement
-	}
-	if c.Remap != "" && c.Remap != "paper" {
-		name += "/r:" + c.Remap
+	if c.Policy != "" && c.Policy != "paper" {
+		name += "/pol:" + c.Policy
 	}
 	return name
 }
@@ -113,10 +108,10 @@ func AllConfigs() []TortureConfig {
 // configuration names such as "S-IX/aware/m4/thr IX/*/kv/nowt". The
 // collector and the mode may be "*", which expands in AllConfigs order.
 // The modifiers after them are read by their shape (mN, thr, incN, nowt,
-// p:policy, r:policy, else a scenario), and a name is accepted only if the
+// pol:policy, else a scenario), and a name is accepted only if the
 // configuration it reads as is named exactly that way, wildcards filled
 // in: the one comparison refuses a modifier out of order, given twice or
-// at its default (m1, inc0, p:paper). The list is split on spaces because
+// at its default (m1, inc0, pol:paper). The list is split on spaces because
 // kv scenario names contain commas.
 func ParseConfigs(s string) ([]TortureConfig, error) {
 	var out []TortureConfig
@@ -158,7 +153,7 @@ func (c *TortureConfig) setModifier(m string) {
 		c.Threaded = true
 	case m == "nowt":
 		c.NoWriteThrough = true
-	case scan("m%d", &c.Mutators), scan("inc%d", &c.PauseBudget), scan("p:%s", &c.Placement), scan("r:%s", &c.Remap):
+	case scan("m%d", &c.Mutators), scan("inc%d", &c.PauseBudget), scan("pol:%s", &c.Policy):
 	default:
 		c.Scenario = m
 	}
@@ -178,10 +173,7 @@ func (c TortureConfig) runnable() error {
 			return fmt.Errorf("unknown scenario %q", c.Scenario)
 		}
 	}
-	if _, err := kernel.NewPlacementPolicy(c.Placement); err != nil {
-		return err
-	}
-	_, err := kernel.NewRemapPolicy(c.Remap)
+	_, err := kernel.NewPolicy(c.Policy)
 	return err
 }
 
@@ -318,9 +310,9 @@ func Run(opt Options) *Summary {
 			// Budgeted configurations additionally target the increment
 			// boundary, so injections land with the marking window open.
 			points = incrementalPoints
-		} else if cfg.Remap != "" && cfg.Remap != "paper" {
-			// Non-stock remap policies additionally target the remap
-			// boundary, so failures land right after migrations commit.
+		} else if cfg.Policy != "" && cfg.Policy != "paper" {
+			// Non-stock policies additionally target the remap boundary,
+			// so failures land right after migrations commit.
 			points = policyPoints
 		}
 		for s := 0; s < opt.Seeds; s++ {
@@ -573,8 +565,7 @@ func bootCampaign(cfg TortureConfig, seed int64, heapBytes int, img *pcm.DeviceI
 		Kernel: kernel.Config{
 			PCMPages:     torturePoolBytes / failmap.PageSize,
 			RemapUnaware: true,
-			Placement:    cfg.Placement,
-			Remap:        cfg.Remap,
+			Policy:       cfg.Policy,
 		},
 		// A restart (img != nil) restores the device instead and rebuilds
 		// the OS view of it — drain the torn orphans, rescan, scrub, admit —

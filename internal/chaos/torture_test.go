@@ -171,8 +171,9 @@ var sweepNames = []string{
 	"*/*/m4",
 	"IX/*/m4/thr S-IX/*/m4/thr",
 	"S-IX/*/inc10000",
-	"*/*/p:rotate/r:rotate",
-	"*/*/p:migrate/r:decoder",
+	"*/*/pol:rotate",
+	"*/*/pol:decoder",
+	"*/*/pol:migrate",
 }
 
 func mustParse(t testing.TB, names string) []TortureConfig {
@@ -220,6 +221,7 @@ func TestParseConfigsRefuses(t *testing.T) {
 		"S-IX/aware/m0", "S-IX/aware/m1", "S-IX/aware/m04", "S-IX/aware/m+4", "S-IX/aware/inc0",
 		"S-IX/aware/thr/m4", "S-IX/aware/thr/thr", "S-IX/aware/nowt/kv", "S-IX/aware/kv/kv",
 		"S-IX/aware/p:paper", "S-IX/aware/r:", "S-IX/aware/p:nope", "S-IX/aware/r:nope",
+		"S-IX/aware/p:rotate/r:rotate", "S-IX/aware/pol:paper", "S-IX/aware/pol:", "S-IX/aware/pol:nope",
 		"MS/aware/m4/thr", "S-MS/*/thr", "*/*/m4/thr", "IX/aware/inc10000",
 		"S-IX/aware/nope", "S-IX/aware/m4x", "S-IX/aware S-IX/aware/m1",
 	} {
@@ -351,15 +353,15 @@ func TestMultiMutatorCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestTortureRemapPolicies tortures each non-stock placement/remap policy
-// pair: wear-triggered migrations commit under injected failures, with the
+// TestTortureRemapPolicies tortures each non-stock frame policy:
+// wear-triggered migrations commit under injected failures, with the
 // policy-accounting invariants checked at every collection boundary, and
 // the campaign point list extends to the remap boundary.
 func TestTortureRemapPolicies(t *testing.T) {
 	var cfgs []TortureConfig
 	for _, pol := range []string{"rotate", "decoder", "migrate"} {
 		cfgs = append(cfgs, TortureConfig{
-			Collector: vm.StickyImmix, FailureAware: true, Placement: pol, Remap: pol,
+			Collector: vm.StickyImmix, FailureAware: true, Policy: pol,
 		})
 	}
 	opt := quickOpts()
@@ -370,8 +372,8 @@ func TestTortureRemapPolicies(t *testing.T) {
 			t.Errorf("%s seed=%d failed: %s\n  schedule: %v\n  fired: %v\n  minimal: %v",
 				r.Config, r.Seed, r.Failure, r.Schedule, r.Fired, r.MinSchedule)
 		}
-		if !strings.Contains(r.Config, "/p:") || !strings.Contains(r.Config, "/r:") {
-			t.Errorf("policy suffixes missing from configuration name %q", r.Config)
+		if !strings.Contains(r.Config, "/pol:") {
+			t.Errorf("policy suffix missing from configuration name %q", r.Config)
 		}
 	}
 	// The extended point list actually reaches the remap boundary: some

@@ -132,16 +132,10 @@ var knobs = []knob{
 	{name: "pause-budget",
 		usage: "bound each GC marking pause to N simulated cycles (0 = stop-the-world; requires S-IX; threaded: one concurrent marker per trace lane)",
 		set:   count(func(c *config) *int { return &c.PauseBudget })},
-	{name: "placement", usage: "kernel placement policy: paper, rotate, decoder, migrate (empty = paper)",
+	{name: "policy", usage: "kernel frame policy: paper, rotate, decoder, migrate (empty = paper)",
 		set: func(c *config, v string) error {
-			_, err := kernel.NewPlacementPolicy(v)
-			c.Placement = v
-			return err
-		}},
-	{name: "remap", usage: "kernel remap policy: paper, rotate, decoder, migrate (empty = paper)",
-		set: func(c *config, v string) error {
-			_, err := kernel.NewRemapPolicy(v)
-			c.Remap = v
+			_, err := kernel.NewPolicy(v)
+			c.Policy = v
 			return err
 		}},
 }

@@ -106,7 +106,7 @@ var (
 		"gran": "1024", "line": "128", "collector": "S-MS", "nocomp": "true", "seed": "9",
 		"iters": "77", "dynfail": "3", "mutators": "4", "tw": "2", "engine": "threaded",
 		"procs": "2", "wall": "true", "latency": "true", "writethrough": "true",
-		"pause-budget": "10000", "placement": "rotate", "remap": "decoder",
+		"pause-budget": "10000", "policy": "rotate",
 	}
 	bad = map[string][]string{
 		"rate": {"1", "1.5", "-0.1", "NaN", "x"},
@@ -114,7 +114,7 @@ var (
 		"line": {"0", "32", "100", "65536"}, "gran": {"32", "100"},
 		"cluster": {"-1"}, "iters": {"-1"}, "dynfail": {"-1"}, "mutators": {"-1"}, "tw": {"-1"},
 		"procs": {"-1"}, "pause-budget": {"-1", "two"},
-		"collector": {"ZGC"}, "engine": {"warp"}, "placement": {"bogus"}, "remap": {"bogus"},
+		"collector": {"ZGC"}, "engine": {"warp"}, "policy": {"bogus"},
 		"wall": {"maybe"}, "seed": {"1.5"},
 	}
 )
@@ -175,9 +175,9 @@ func TestKnobTable(t *testing.T) {
 	sort.Strings(flags)
 	sort.Strings(keys)
 	wantFlags := strings.Fields("bench cluster collector dynfail engine iters latency line " +
-		"mult mutators pause-budget placement procs rate remap seed tw wall writethrough")
+		"mult mutators pause-budget policy procs rate seed tw wall writethrough")
 	wantKeys := strings.Fields("aware bench cluster collector dynfail engine gran iters " +
-		"latency line mult mutators nocomp pause-budget placement procs rate remap seed " +
+		"latency line mult mutators nocomp pause-budget policy procs rate seed " +
 		"tw wall writethrough")
 	if !reflect.DeepEqual(flags, wantFlags) {
 		t.Errorf("flags\n got %v\nwant %v", flags, wantFlags)
@@ -209,7 +209,8 @@ func FuzzOverride(f *testing.F) {
 		}
 	}
 	for _, spec := range []string{"", "base", "mult", "bogus=1", "rate=0.25, cluster=2, latency=true",
-		"aware=false, rate=0.25", "mult=1000,line=32768,gran=0", "tw=2,,engine=baton"} {
+		"aware=false, rate=0.25", "mult=1000,line=32768,gran=0", "tw=2,,engine=baton",
+		"placement=rotate", "remap=rotate"} {
 		f.Add(spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
@@ -234,10 +235,7 @@ func FuzzOverride(f *testing.F) {
 		case !slices.Contains([]vm.CollectorKind{vm.MarkSweep, vm.Immix, vm.StickyMarkSweep, vm.StickyImmix}, rc.Collector):
 			t.Errorf("%q: collector %v", spec, rc.Collector)
 		}
-		if _, err := kernel.NewPlacementPolicy(rc.Placement); err != nil {
-			t.Errorf("%q: %v", spec, err)
-		}
-		if _, err := kernel.NewRemapPolicy(rc.Remap); err != nil {
+		if _, err := kernel.NewPolicy(rc.Policy); err != nil {
 			t.Errorf("%q: %v", spec, err)
 		}
 	})

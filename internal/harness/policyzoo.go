@@ -13,9 +13,9 @@ import (
 	"wearmem/internal/workload"
 )
 
-// policyZoo is the comparative placement/remap policy study: the wear-aware
-// KV scenario runs over a deliberately fragile write-through device (low
-// endurance, high variation) under each registered policy pair — the
+// policyZoo is the comparative frame-policy study: the wear-aware KV
+// scenario runs over a deliberately fragile write-through device (low
+// endurance, high variation) under each registered policy — the
 // paper's stock behavior, SoftWear-style rotation, WoLFRaM-style decoder
 // swaps, and MigrantStore-style DRAM migration — on both execution engines.
 // Each row reports endurance (simulated time until half the device's lines
@@ -49,7 +49,7 @@ const (
 	zooFailedTarget = 0.5
 )
 
-// zooPolicies returns the policy pairs under study, stock first.
+// zooPolicies returns the policies under study, stock first.
 func zooPolicies() []string { return []string{"paper", "rotate", "decoder", "migrate"} }
 
 func policyZooTable(bench, engine string, iters int, seed int64) Table {
@@ -69,7 +69,7 @@ func policyZooTable(bench, engine string, iters int, seed int64) Table {
 	return t
 }
 
-// policyZooCase runs the KV scenario under one policy pair on a fresh
+// policyZooCase runs the KV scenario under one policy on a fresh
 // fragile device and renders the endurance and latency story.
 func policyZooCase(bench, engine, policy string, iters int, seed int64) []Cell {
 	prof := workload.ByName(bench)
@@ -80,7 +80,7 @@ func policyZooCase(bench, engine, policy string, iters int, seed int64) []Cell {
 	poolPages := 4 * heapBytes / failmap.PageSize
 	threaded := engine == "threaded"
 	m, _ := machine.Boot(machine.Spec{ // no image: nothing to restore or recover
-		Kernel: kernel.Config{PCMPages: poolPages, Placement: policy, Remap: policy},
+		Kernel: kernel.Config{PCMPages: poolPages, Policy: policy},
 		Device: &pcm.Config{
 			Endurance: zooEndurance,
 			Variation: zooVariation,

@@ -105,11 +105,10 @@ type RunConfig struct {
 	// corescale experiment does.
 	Procs int `json:"procs,omitempty"`
 
-	// Placement and Remap select the kernel's pluggable placement/remap
-	// policy pair ("" = the paper's stock behavior, bit for bit). Both
-	// enter the memo key, so a policy variant never aliases the stock run.
-	Placement string `json:"placement,omitempty"`
-	Remap     string `json:"remap,omitempty"`
+	// Policy selects the kernel's frame policy ("" = the paper's stock
+	// behavior, bit for bit). It enters the memo key, so a policy variant
+	// never aliases the stock run.
+	Policy string `json:"policy,omitempty"`
 }
 
 // key returns the canonical memo/record key, derived from the full struct
@@ -414,8 +413,7 @@ func execute(rc RunConfig) Result {
 
 	spec := machine.Spec{
 		Kernel: kernel.Config{
-			PCMPages: poolPages, Inject: inject,
-			Placement: rc.Placement, Remap: rc.Remap,
+			PCMPages: poolPages, Inject: inject, Policy: rc.Policy,
 		},
 		VM: vm.Config{
 			HeapBytes:    heapBytes,

@@ -92,12 +92,10 @@ type Config struct {
 	// processes"). Off by default: failures on handler-less mapped frames
 	// then only update the failure table, as before.
 	RemapUnaware bool
-	// Placement names the frame-placement policy ("paper", "rotate",
-	// "decoder", "migrate"); empty means the stock "paper" policy. New
-	// panics on unknown names — validate with NewPlacementPolicy first.
-	Placement string
-	// Remap names the wear/failure remap policy; empty means "paper".
-	Remap string
+	// Policy names the frame policy ("paper", "rotate", "decoder",
+	// "migrate"); empty means the stock "paper" policy. New panics on
+	// unknown names — validate with NewPolicy first.
+	Policy string
 	// Probe observes up-calls and write stalls for fault-injection
 	// campaigns; nil costs one branch per event and charges nothing.
 	Probe probe.Hook
@@ -140,8 +138,7 @@ type Kernel struct {
 	perfectFree int
 	qpos        []int32
 
-	placement    PlacementPolicy
-	remap        RemapPolicy
+	policy       Policy
 	policyRemaps int // completed wear-triggered policy remaps
 
 	dramNext int // next DRAM frame id (they are minted on demand)
@@ -190,17 +187,12 @@ func New(cfg Config) *Kernel {
 	if cfg.Device != nil && cfg.Device.Size() < cfg.PCMPages*failmap.PageSize {
 		panic("kernel: device smaller than PCM pool")
 	}
-	placement, err := NewPlacementPolicy(cfg.Placement)
-	if err != nil {
-		panic(err)
-	}
-	remap, err := NewRemapPolicy(cfg.Remap)
+	policy, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		panic(err)
 	}
 	k := &Kernel{
-		placement:    placement,
-		remap:        remap,
+		policy:       policy,
 		clock:        cfg.Clock,
 		device:       cfg.Device,
 		probe:        cfg.Probe,
@@ -380,11 +372,11 @@ func (k *Kernel) MmapRelaxed(npages int) (*Region, error) {
 	defer k.mu.Unlock()
 	frames := make([]int, 0, npages)
 	for len(frames) < npages {
-		f, ok := k.placement.NextRelaxed(k)
+		f, ok := k.policy.NextRelaxed(k)
 		if !ok {
 			return nil, ErrOutOfMemory
 		}
-		if k.placement.Repay(k, f) {
+		if k.policy.Repay(k, f) {
 			// Repay: the relaxed allocator declines the perfect page and
 			// fetches another instead (§5). The declined page is consumed —
 			// this is the one-page space penalty of the earlier borrow
@@ -441,7 +433,7 @@ func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int) {
 	defer k.mu.Unlock()
 	frames := make([]int, 0, npages)
 	for len(frames) < npages {
-		if f, ok := k.placement.NextPerfect(k); ok {
+		if f, ok := k.policy.NextPerfect(k); ok {
 			k.takeFrameLocked(f)
 			frames = append(frames, f)
 			continue
@@ -636,11 +628,10 @@ func (k *Kernel) serviceDevice() {
 		}
 		k.charge(stats.EvReverseXlate)
 		if k.handler == nil && k.remapUnaware {
-			// No runtime handler: the OS hides the failure by remapping the
-			// page per the remap policy (§3.2 for the stock pair: redirect
-			// to a perfect frame). The buffered data is already preserved in
-			// host memory; only the frame changes.
-			k.remap.OnUnawareFailure(k, rv.region, rv.page)
+			// No runtime handler: the OS hides the failure by redirecting
+			// the page to a perfect frame (§3.2). The buffered data is
+			// already preserved in host memory; only the frame changes.
+			k.handleUnawareLocked(rv.region, rv.page)
 			continue
 		}
 		vaddr := rv.region.Base + uint64(rv.page)*failmap.PageSize + uint64(lineIn)*failmap.LineSize
@@ -695,9 +686,9 @@ func (k *Kernel) WriteLine(vaddr uint64, data []byte) error {
 	for attempt := 0; ; attempt++ {
 		err := k.device.Write(line, data)
 		if err == nil {
-			// The remap policy observes completed writes (wear tracking);
-			// the stock policy is a no-op, charging nothing.
-			k.remap.OnWrite(k, frame)
+			// The policy observes completed writes (wear tracking); the
+			// stock policy is a no-op, charging nothing.
+			k.policy.OnWrite(k, frame)
 			return nil
 		}
 		if attempt >= writeRetryBudget {
@@ -715,7 +706,7 @@ func (k *Kernel) WriteLine(vaddr uint64, data []byte) error {
 // taken. With no device, or on a DRAM frame, it is true: each WriteLine
 // would succeed there without wear or charge. It is false, doing nothing,
 // on an unmapped address (the caller's per-line writes produce WriteLine's
-// error), under a remap policy other than the stock one (which may migrate
+// error), under a policy other than the stock one (which may migrate
 // the frame at any write of the run), and when the device refuses the step.
 func (k *Kernel) WriteLineRepeat(vaddr uint64, data []byte, n int) bool {
 	if k.device == nil {
@@ -728,7 +719,7 @@ func (k *Kernel) WriteLineRepeat(vaddr uint64, data []byte, n int) bool {
 	if frame >= k.pcmPages {
 		return true
 	}
-	if _, stock := k.remap.(*paperRemap); !stock {
+	if _, stock := k.policy.(paperPolicy); !stock {
 		return false
 	}
 	return k.device.WriteRepeat(frame*failmap.LinesPerPage+off/failmap.LineSize, data, n)

@@ -101,7 +101,7 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 	if page < 0 || page >= r.Pages {
 		panic("kernel: HandleUnawareFailure page out of range")
 	}
-	f, ok := k.placement.NextPerfect(k)
+	f, ok := k.policy.NextPerfect(k)
 	if !ok {
 		// Borrow DRAM, as for any perfect request.
 		f = k.dramNext

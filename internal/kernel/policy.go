@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"wearmem/internal/failmap"
@@ -12,35 +13,40 @@ import (
 	"wearmem/internal/stats"
 )
 
-// The placement/remap policy layer. The paper's answer to wearable-memory
-// holes is one fixed policy — low-first frame placement, perfect-page
-// borrowing with debit-credit repayment (§5), and reactive
-// retire-and-redirect on failure — but the related work names concrete
-// rivals: SoftWear's software address rotation, WoLFRaM's programmable
-// address-decoder remapping, MigrantStore/CARAM's hybrid DRAM/PCM tiering.
-// The kernel consults two pluggable policies so those rivals run under
-// identical workloads: a PlacementPolicy choosing frames for mappings and
-// a RemapPolicy reacting to failures and observed wear. The stock pair
-// ("paper") reproduces the historical behavior instruction for
-// instruction, so default runs stay byte-identical.
+// The frame-policy layer. The paper's answer to wearable-memory holes is
+// one fixed scheme — low-first frame placement, perfect-page borrowing
+// with debit-credit repayment (§5), and reactive retire-and-redirect on
+// failure — but the related work names concrete rivals: SoftWear's
+// software address rotation, WoLFRaM's programmable address-decoder
+// remapping, MigrantStore/CARAM's hybrid DRAM/PCM tiering. The kernel
+// consults one pluggable Policy so those rivals run under identical
+// workloads. The stock policy ("paper") reproduces the historical behavior
+// instruction for instruction, so default runs stay byte-identical; the
+// rivals embed it and override only what they change.
 
-// PlacementPolicy decides which physical frames back new mappings: the
-// scan order for relaxed (imperfect) requests, the source of perfect
-// frames for fussy requests, and whether a perfect frame encountered by
-// the relaxed path repays outstanding DRAM debt (§5). Every method is
-// called with the kernel lock held; implementations compose the kernel's
-// frame-scan helpers rather than re-entering locked entry points.
-type PlacementPolicy interface {
+// Policy decides which physical frames back new mappings — the scan order
+// for relaxed (imperfect) requests, the source of perfect frames for fussy
+// requests, whether a perfect frame met by the relaxed path repays
+// outstanding DRAM debt (§5) — and how the kernel reacts to wear observed
+// on the write path. NextRelaxed, NextPerfect and Repay are called with
+// the kernel lock held; implementations compose the kernel's frame-scan
+// helpers rather than re-entering locked entry points.
+type Policy interface {
 	// Name returns the registered policy name.
 	Name() string
 	// NextRelaxed picks the next frame for an imperfect request.
 	NextRelaxed(k *Kernel) (frame int, ok bool)
-	// NextPerfect picks the next perfect PCM frame for a fussy request;
-	// ok=false makes the kernel borrow a DRAM page instead.
+	// NextPerfect picks the next perfect PCM frame for a fussy request or
+	// an unaware process's failed page; ok=false makes the kernel borrow a
+	// DRAM page instead.
 	NextPerfect(k *Kernel) (frame int, ok bool)
 	// Repay reports whether the relaxed path should consume frame to repay
 	// one page of outstanding perfect-page debt instead of mapping it.
 	Repay(k *Kernel, frame int) bool
+	// OnWrite observes one successful PCM line write to frame. Called
+	// without the kernel lock; implementations take k.mu for their own
+	// state and use PolicyRemapFrame/PolicyPromoteFrame for migrations.
+	OnWrite(k *Kernel, frame int)
 	// Save serializes the policy's durable state (nil when stateless). It
 	// is written to the device's OS metadata area at every remap boundary
 	// and survives power cuts.
@@ -49,122 +55,53 @@ type PlacementPolicy interface {
 	Restore(data []byte) error
 }
 
-// RemapPolicy decides what the kernel does beyond the paper's reactive
-// retire-and-redirect: how it responds to wear observed on the write path
-// (periodic rotation, decoder-style swaps, hot-page promotion to DRAM) and
-// to failures on pages of handler-less processes.
-type RemapPolicy interface {
-	// Name returns the registered policy name.
-	Name() string
-	// OnWrite observes one successful PCM line write to frame. Called
-	// without the kernel lock; implementations take k.mu for their own
-	// state and use PolicyRemapFrame/PolicyPromoteFrame for migrations.
-	OnWrite(k *Kernel, frame int)
-	// OnUnawareFailure resolves a device failure on a mapped page of a
-	// process without a runtime handler. Called with the kernel lock held;
-	// the destination must present perfect memory (a perfect PCM frame or
-	// borrowed DRAM).
-	OnUnawareFailure(k *Kernel, r *Region, page int) (newFrame int, borrowed bool)
-	// Save and Restore carry durable policy state across power cuts, like
-	// their PlacementPolicy counterparts.
-	Save() []byte
-	Restore(data []byte) error
+var policies = map[string]func() Policy{
+	"paper":   func() Policy { return paperPolicy{} },
+	"rotate":  func() Policy { return &rotatePolicy{} },
+	"decoder": func() Policy { return &decoderPolicy{} },
+	"migrate": func() Policy { return &migratePolicy{} },
 }
 
-var placementFactories = map[string]func() PlacementPolicy{
-	"paper":   func() PlacementPolicy { return &stockPlacement{name: "paper"} },
-	"rotate":  func() PlacementPolicy { return &rotatePlacement{} },
-	"decoder": func() PlacementPolicy { return &stockPlacement{name: "decoder"} },
-	"migrate": func() PlacementPolicy { return &migratePlacement{} },
-}
+// Policies lists the registered policy names, sorted.
+func Policies() []string { return slices.Sorted(maps.Keys(policies)) }
 
-var remapFactories = map[string]func() RemapPolicy{
-	"paper":   func() RemapPolicy { return &paperRemap{} },
-	"rotate":  func() RemapPolicy { return &rotateRemap{} },
-	"decoder": func() RemapPolicy { return &decoderRemap{} },
-	"migrate": func() RemapPolicy { return &migrateRemap{} },
-}
-
-// PlacementPolicies lists the registered placement policy names, sorted.
-func PlacementPolicies() []string { return sortedKeys(placementFactories) }
-
-// RemapPolicies lists the registered remap policy names, sorted.
-func RemapPolicies() []string { return sortedKeys(remapFactories) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewPlacementPolicy builds a registered placement policy; the empty name
-// means the stock "paper" policy.
-func NewPlacementPolicy(name string) (PlacementPolicy, error) {
+// NewPolicy builds a registered policy; the empty name means the stock
+// "paper" policy.
+func NewPolicy(name string) (Policy, error) {
 	if name == "" {
 		name = "paper"
 	}
-	f, ok := placementFactories[name]
+	f, ok := policies[name]
 	if !ok {
-		return nil, fmt.Errorf("kernel: unknown placement policy %q (have %s)",
-			name, strings.Join(PlacementPolicies(), ", "))
+		return nil, fmt.Errorf("kernel: unknown policy %q (have %s)", name, strings.Join(Policies(), ", "))
 	}
 	return f(), nil
 }
 
-// NewRemapPolicy builds a registered remap policy; the empty name means
-// the stock "paper" policy.
-func NewRemapPolicy(name string) (RemapPolicy, error) {
-	if name == "" {
-		name = "paper"
-	}
-	f, ok := remapFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("kernel: unknown remap policy %q (have %s)",
-			name, strings.Join(RemapPolicies(), ", "))
-	}
-	return f(), nil
-}
+// paperPolicy is the paper's scheme verbatim: low-first relaxed cursor
+// with released-frame reuse, address-ordered perfect queue, debit-credit
+// repayment while debt is outstanding, and nothing on writes. A failure on
+// an unaware process's page is retired and redirected by the kernel itself
+// (handleUnawareLocked), under every policy.
+type paperPolicy struct{}
 
-// stockPlacement is the paper's placement verbatim: low-first relaxed
-// cursor with released-frame reuse, address-ordered perfect queue, and
-// debit-credit repayment while debt is outstanding. The "decoder" policy
-// shares it — WoLFRaM innovates purely in the remap stage.
-type stockPlacement struct{ name string }
-
-func (p *stockPlacement) Name() string                      { return p.name }
-func (p *stockPlacement) NextRelaxed(k *Kernel) (int, bool) { return k.nextRelaxedFrame() }
-func (p *stockPlacement) NextPerfect(k *Kernel) (int, bool) { return k.nextPerfectFrame() }
-func (p *stockPlacement) Repay(k *Kernel, frame int) bool {
+func (paperPolicy) Name() string                      { return "paper" }
+func (paperPolicy) NextRelaxed(k *Kernel) (int, bool) { return k.nextRelaxedFrame() }
+func (paperPolicy) NextPerfect(k *Kernel) (int, bool) { return k.nextPerfectFrame() }
+func (paperPolicy) Repay(k *Kernel, frame int) bool {
 	return k.bitmaps[frame] == 0 && k.debt > 0
 }
-func (p *stockPlacement) Save() []byte         { return nil }
-func (p *stockPlacement) Restore([]byte) error { return nil }
-
-// paperRemap is the paper's reactive behavior: nothing happens on writes,
-// and an unaware-process failure retires the frame and redirects the page
-// to a perfect frame (borrowing DRAM when none remains).
-type paperRemap struct{}
-
-func (paperRemap) Name() string         { return "paper" }
-func (paperRemap) OnWrite(*Kernel, int) {}
-func (paperRemap) OnUnawareFailure(k *Kernel, r *Region, page int) (int, bool) {
-	return k.handleUnawareLocked(r, page)
-}
-func (paperRemap) Save() []byte         { return nil }
-func (paperRemap) Restore([]byte) error { return nil }
+func (paperPolicy) OnWrite(*Kernel, int) {}
+func (paperPolicy) Save() []byte         { return nil }
+func (paperPolicy) Restore([]byte) error { return nil }
 
 // policyImage is the durable policy record kept in the device's OS
-// metadata area: the configured policy names plus each policy's opaque
-// state blob. It is rewritten at every remap boundary, so the record a
-// power cut leaves behind reflects the last completed remap.
+// metadata area: the configured policy's name and its opaque state blob.
+// It is rewritten at every remap boundary, so the record a power cut
+// leaves behind reflects the last completed remap.
 type policyImage struct {
-	Placement      string
-	Remap          string
-	PlacementState []byte
-	RemapState     []byte
+	Name  string
+	State []byte
 }
 
 // persistPolicyLocked writes the current policy state to the device's OS
@@ -174,12 +111,7 @@ func (k *Kernel) persistPolicyLocked() {
 	if k.device == nil {
 		return
 	}
-	img := policyImage{
-		Placement:      k.placement.Name(),
-		Remap:          k.remap.Name(),
-		PlacementState: k.placement.Save(),
-		RemapState:     k.remap.Save(),
-	}
+	img := policyImage{Name: k.policy.Name(), State: k.policy.Save()}
 	var buf bytes.Buffer
 	if gob.NewEncoder(&buf).Encode(&img) == nil {
 		k.device.SetOSBlob(buf.Bytes())
@@ -187,9 +119,9 @@ func (k *Kernel) persistPolicyLocked() {
 }
 
 // PersistPolicyState writes the current policy state to the device's OS
-// metadata area now. Remap boundaries persist automatically; callers use
-// this before a planned shutdown so a clean snapshot carries the freshest
-// state.
+// metadata area now. Remap boundaries persist automatically; a caller
+// planning a shutdown uses this so a clean snapshot carries the freshest
+// state (only tests do today).
 func (k *Kernel) PersistPolicyState() {
 	k.mu.Lock()
 	k.persistPolicyLocked()
@@ -197,9 +129,10 @@ func (k *Kernel) PersistPolicyState() {
 }
 
 // restorePolicyLocked loads the policy record from the device's OS
-// metadata area, if one exists and matches the configured policy names.
-// A missing, torn, or mismatched record simply means fresh policy state —
-// the durable ground truth (wear, failures) lives in the device itself.
+// metadata area, if one exists and matches the configured policy's name.
+// A missing, torn, foreign-format or mismatched record simply means fresh
+// policy state — the durable ground truth (wear, failures) lives in the
+// device itself.
 func (k *Kernel) restorePolicyLocked() bool {
 	if k.device == nil {
 		return false
@@ -212,23 +145,11 @@ func (k *Kernel) restorePolicyLocked() bool {
 	if gob.NewDecoder(bytes.NewReader(blob)).Decode(&img) != nil {
 		return false
 	}
-	if img.Placement != k.placement.Name() || img.Remap != k.remap.Name() {
-		return false
-	}
-	if k.placement.Restore(img.PlacementState) != nil {
-		return false
-	}
-	if k.remap.Restore(img.RemapState) != nil {
-		return false
-	}
-	return true
+	return img.Name == k.policy.Name() && k.policy.Restore(img.State) == nil
 }
 
-// PolicyNames returns the names of the configured placement and remap
-// policies.
-func (k *Kernel) PolicyNames() (placement, remap string) {
-	return k.placement.Name(), k.remap.Name()
-}
+// PolicyName returns the name of the configured policy.
+func (k *Kernel) PolicyName() string { return k.policy.Name() }
 
 // PolicyRemaps returns how many wear-triggered policy remaps (frame
 // migrations and DRAM promotions) have completed.
@@ -352,7 +273,7 @@ func (k *Kernel) copyFrameLines(src, dst int) bool {
 // is needed — host memory stays authoritative and DRAM absorbs writes
 // without wear — but the move is accounted like any perfect-page borrow:
 // debt and borrows rise, and the relaxed allocator's repayment rules (per
-// the placement policy) apply. Returns false when src is not a mapped
+// the policy) apply. Returns false when src is not a mapped
 // perfect PCM frame.
 func (k *Kernel) PolicyPromoteFrame(src int) bool {
 	k.mu.Lock()

@@ -5,27 +5,28 @@ import (
 	"fmt"
 )
 
-// The "decoder" policy pair: WoLFRaM-style programmable address-decoder
+// The "decoder" policy: WoLFRaM-style programmable address-decoder
 // remapping. Placement is the paper's (the decoder sits below placement);
-// the remap stage tracks per-frame write frequency and, once a frame
-// absorbs decoderThreshold writes, swap-remaps it onto the least-worn free
-// perfect frame — the software model of reprogramming the decoder entry
-// that routes the hot address to a cold spare.
+// the policy tracks per-frame write frequency and, once a frame absorbs
+// decoderThreshold writes, swap-remaps it onto the least-worn free perfect
+// frame — the software model of reprogramming the decoder entry that
+// routes the hot address to a cold spare.
 
 // decoderThreshold is how many observed line writes to one frame trigger a
 // swap remap.
 const decoderThreshold = 128
 
-// decoderRemap tracks per-frame write counts (volatile — the decoder's
+// decoderPolicy tracks per-frame write counts (volatile — the decoder's
 // counters are SRAM) and a durable cumulative swap count.
-type decoderRemap struct {
+type decoderPolicy struct {
+	paperPolicy
 	counts map[int]uint32
 	swaps  uint64 // durable
 }
 
-func (p *decoderRemap) Name() string { return "decoder" }
+func (p *decoderPolicy) Name() string { return "decoder" }
 
-func (p *decoderRemap) OnWrite(k *Kernel, frame int) {
+func (p *decoderPolicy) OnWrite(k *Kernel, frame int) {
 	k.mu.Lock()
 	if p.counts == nil {
 		p.counts = make(map[int]uint32)
@@ -54,23 +55,22 @@ func (p *decoderRemap) OnWrite(k *Kernel, frame int) {
 	}
 }
 
-func (p *decoderRemap) OnUnawareFailure(k *Kernel, r *Region, page int) (int, bool) {
-	return k.handleUnawareLocked(r, page)
-}
+func (p *decoderPolicy) Save() []byte { return saveCounter(p.swaps) }
 
-func (p *decoderRemap) Save() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], p.swaps)
-	return b[:]
-}
+func (p *decoderPolicy) Restore(data []byte) error { return restoreCounter("decoder", data, &p.swaps) }
 
-func (p *decoderRemap) Restore(data []byte) error {
+// saveCounter is the durable blob of a policy whose only durable state is
+// one cumulative counter.
+func saveCounter(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
+
+// restoreCounter loads a saveCounter blob into *n; an empty blob leaves it.
+func restoreCounter(policy string, data []byte, n *uint64) error {
 	if len(data) == 0 {
 		return nil
 	}
 	if len(data) != 8 {
-		return fmt.Errorf("kernel: decoder remap state is %d bytes, want 8", len(data))
+		return fmt.Errorf("kernel: %s policy state is %d bytes, want 8", policy, len(data))
 	}
-	p.swaps = binary.LittleEndian.Uint64(data)
+	*n = binary.LittleEndian.Uint64(data)
 	return nil
 }

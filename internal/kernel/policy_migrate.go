@@ -1,53 +1,38 @@
 package kernel
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// The "migrate" policy pair: MigrantStore/CARAM-style hybrid DRAM/PCM
-// tiering. Perfect requests prefer the scarce DRAM pool while a budget
-// remains (DRAM absorbs fussy-allocator write traffic without wear), and
-// the remap stage tracks per-frame write frequency, promoting write-hot
-// PCM pages into DRAM once they cross migrateThreshold. Promotions are
-// accounted as perfect-page borrows, but the debt is never repaid — the
-// DRAM tier is a deliberate placement, not a loan.
+// The "migrate" policy: MigrantStore/CARAM-style hybrid DRAM/PCM tiering.
+// Perfect requests prefer the scarce DRAM pool while a budget remains
+// (DRAM absorbs fussy-allocator write traffic without wear), and the
+// policy tracks per-frame write frequency, promoting write-hot PCM pages
+// into DRAM once they cross migrateThreshold. Promotions are accounted as
+// perfect-page borrows, but the debt is never repaid — the DRAM tier is a
+// deliberate placement, not a loan — which leaves perfect PCM frames to the
+// relaxed pool.
 
 // migrateThreshold is how many observed line writes to one frame trigger a
 // DRAM promotion.
 const migrateThreshold = 128
 
-// migratePlacement prefers DRAM for perfect requests while the budget
-// lasts and never repays debt (Repay always false), leaving perfect PCM
-// frames to the relaxed pool.
-type migratePlacement struct{}
+// migratePolicy keeps per-frame write counts (volatile) and a durable
+// cumulative promotion count.
+type migratePolicy struct {
+	paperPolicy
+	counts     map[int]uint32
+	migrations uint64 // durable
+}
 
-func (p *migratePlacement) Name() string { return "migrate" }
+func (p *migratePolicy) Name() string { return "migrate" }
 
-func (p *migratePlacement) NextRelaxed(k *Kernel) (int, bool) { return k.nextRelaxedFrame() }
-
-func (p *migratePlacement) NextPerfect(k *Kernel) (int, bool) {
+func (p *migratePolicy) NextPerfect(k *Kernel) (int, bool) {
 	if k.dramUsed() < k.dramBudget() {
 		return 0, false // prefer the DRAM tier while budget remains
 	}
 	return k.nextPerfectFrame()
 }
 
-func (p *migratePlacement) Repay(*Kernel, int) bool { return false }
+func (p *migratePolicy) Repay(*Kernel, int) bool { return false }
 
-func (p *migratePlacement) Save() []byte         { return nil }
-func (p *migratePlacement) Restore([]byte) error { return nil }
-
-// migrateRemap promotes write-hot perfect PCM pages to DRAM. Per-frame
-// write counts are volatile; the cumulative promotion count is durable.
-type migrateRemap struct {
-	counts     map[int]uint32
-	migrations uint64 // durable
-}
-
-func (p *migrateRemap) Name() string { return "migrate" }
-
-func (p *migrateRemap) OnWrite(k *Kernel, frame int) {
+func (p *migratePolicy) OnWrite(k *Kernel, frame int) {
 	k.mu.Lock()
 	if p.counts == nil {
 		p.counts = make(map[int]uint32)
@@ -69,23 +54,8 @@ func (p *migrateRemap) OnWrite(k *Kernel, frame int) {
 	}
 }
 
-func (p *migrateRemap) OnUnawareFailure(k *Kernel, r *Region, page int) (int, bool) {
-	return k.handleUnawareLocked(r, page)
-}
+func (p *migratePolicy) Save() []byte { return saveCounter(p.migrations) }
 
-func (p *migrateRemap) Save() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], p.migrations)
-	return b[:]
-}
-
-func (p *migrateRemap) Restore(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) != 8 {
-		return fmt.Errorf("kernel: migrate remap state is %d bytes, want 8", len(data))
-	}
-	p.migrations = binary.LittleEndian.Uint64(data)
-	return nil
+func (p *migratePolicy) Restore(data []byte) error {
+	return restoreCounter("migrate", data, &p.migrations)
 }

@@ -5,11 +5,11 @@ import (
 	"fmt"
 )
 
-// The "rotate" policy pair: SoftWear-style software wear-leveling. Instead
-// of concentrating early allocations (and their wear) on the low frames,
-// relaxed placement hands out frames from a wrapping cursor, and the remap
-// stage periodically rotates the hottest mapped page onto the coldest free
-// perfect frame, keyed off the device's per-page wear counts.
+// The "rotate" policy: SoftWear-style software wear-leveling. Instead of
+// concentrating early allocations (and their wear) on the low frames,
+// relaxed placement hands out frames from a wrapping cursor, and every
+// rotatePeriod observed writes the hottest mapped page rotates onto the
+// coldest free perfect frame, keyed off the device's per-page wear counts.
 
 const (
 	// rotatePeriod is how many observed PCM line writes separate rotation
@@ -20,18 +20,23 @@ const (
 	rotateMinGap = 64
 )
 
-// rotatePlacement spreads relaxed allocations around the pool with a
-// wrapping scan cursor. Released frames are still reused first (the stack
-// is the cheapest source), and perfect requests use the stock queue. The
-// cursor is durable: a recovered kernel resumes rotating where the old
-// life stopped instead of resetting to frame zero.
-type rotatePlacement struct {
-	next int // wrapping scan origin
+// rotatePolicy spreads relaxed allocations around the pool with a wrapping
+// scan cursor; released frames are still reused first (the stack is the
+// cheapest source), and perfect requests use the stock queue. The cursor
+// and the cumulative rotation count are durable: a recovered kernel
+// resumes rotating where the old life stopped instead of resetting to
+// frame zero. The inter-rotation write counter is volatile and
+// legitimately resets at boot.
+type rotatePolicy struct {
+	paperPolicy
+	next      int    // wrapping scan origin (durable)
+	seen      uint64 // writes since the last rotation attempt (volatile)
+	rotations uint64 // completed rotations (durable)
 }
 
-func (p *rotatePlacement) Name() string { return "rotate" }
+func (p *rotatePolicy) Name() string { return "rotate" }
 
-func (p *rotatePlacement) NextRelaxed(k *Kernel) (int, bool) {
+func (p *rotatePolicy) NextRelaxed(k *Kernel) (int, bool) {
 	if f, ok := k.popReleasedLocked(); ok {
 		return f, true
 	}
@@ -45,44 +50,7 @@ func (p *rotatePlacement) NextRelaxed(k *Kernel) (int, bool) {
 	return 0, false
 }
 
-func (p *rotatePlacement) NextPerfect(k *Kernel) (int, bool) { return k.nextPerfectFrame() }
-
-func (p *rotatePlacement) Repay(k *Kernel, frame int) bool {
-	return k.bitmaps[frame] == 0 && k.debt > 0
-}
-
-func (p *rotatePlacement) Save() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(p.next))
-	return b[:]
-}
-
-func (p *rotatePlacement) Restore(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) != 8 {
-		return fmt.Errorf("kernel: rotate placement state is %d bytes, want 8", len(data))
-	}
-	p.next = int(binary.LittleEndian.Uint64(data))
-	if p.next < 0 {
-		p.next = 0
-	}
-	return nil
-}
-
-// rotateRemap rotates the hottest mapped perfect frame onto the coldest
-// free perfect frame every rotatePeriod observed writes. The cumulative
-// rotation count is durable; the inter-rotation write counter is volatile
-// and legitimately resets at boot.
-type rotateRemap struct {
-	seen      uint64 // writes since the last rotation attempt (volatile)
-	rotations uint64 // completed rotations (durable)
-}
-
-func (p *rotateRemap) Name() string { return "rotate" }
-
-func (p *rotateRemap) OnWrite(k *Kernel, frame int) {
+func (p *rotatePolicy) OnWrite(k *Kernel, frame int) {
 	k.mu.Lock()
 	p.seen++
 	due := p.seen >= rotatePeriod
@@ -108,30 +76,24 @@ func (p *rotateRemap) OnWrite(k *Kernel, frame int) {
 	}
 }
 
-func (p *rotateRemap) OnUnawareFailure(k *Kernel, r *Region, page int) (int, bool) {
-	return k.handleUnawareLocked(r, page)
-}
-
-// Rotations returns the completed rotation count (for reports and tests).
-func (p *rotateRemap) Rotations(k *Kernel) uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return p.rotations
-}
-
-func (p *rotateRemap) Save() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], p.rotations)
+func (p *rotatePolicy) Save() []byte {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(p.next))
+	binary.LittleEndian.PutUint64(b[8:], p.rotations)
 	return b[:]
 }
 
-func (p *rotateRemap) Restore(data []byte) error {
+func (p *rotatePolicy) Restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if len(data) != 8 {
-		return fmt.Errorf("kernel: rotate remap state is %d bytes, want 8", len(data))
+	if len(data) != 16 {
+		return fmt.Errorf("kernel: rotate policy state is %d bytes, want 16", len(data))
 	}
-	p.rotations = binary.LittleEndian.Uint64(data)
+	p.next = int(binary.LittleEndian.Uint64(data[:8]))
+	if p.next < 0 {
+		p.next = 0
+	}
+	p.rotations = binary.LittleEndian.Uint64(data[8:])
 	return nil
 }

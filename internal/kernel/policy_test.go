@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -12,33 +15,23 @@ import (
 
 func TestPolicyRegistries(t *testing.T) {
 	for _, n := range []string{"", "paper", "rotate", "decoder", "migrate"} {
-		p, err := NewPlacementPolicy(n)
+		p, err := NewPolicy(n)
 		if err != nil {
-			t.Fatalf("placement %q: %v", n, err)
-		}
-		r, err := NewRemapPolicy(n)
-		if err != nil {
-			t.Fatalf("remap %q: %v", n, err)
+			t.Fatalf("policy %q: %v", n, err)
 		}
 		want := n
 		if want == "" {
 			want = "paper"
 		}
-		if p.Name() != want || r.Name() != want {
-			t.Fatalf("policy %q resolves to %q/%q", n, p.Name(), r.Name())
+		if p.Name() != want {
+			t.Fatalf("policy %q resolves to %q", n, p.Name())
 		}
 	}
-	if _, err := NewPlacementPolicy("bogus"); err == nil {
-		t.Fatal("unknown placement policy accepted")
+	if _, err := NewPolicy("bogus"); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
-	if _, err := NewRemapPolicy("bogus"); err == nil {
-		t.Fatal("unknown remap policy accepted")
-	}
-	if got := len(PlacementPolicies()); got != 4 {
-		t.Fatalf("%d placement policies registered, want 4", got)
-	}
-	if got := len(RemapPolicies()); got != 4 {
-		t.Fatalf("%d remap policies registered, want 4", got)
+	if got := Policies(); len(got) != 4 {
+		t.Fatalf("policies registered: %v, want 4", got)
 	}
 }
 
@@ -112,21 +105,20 @@ func TestPerfectPagesLeftDifferential(t *testing.T) {
 
 // policyDevice builds a long-endurance device and kernel pair for the
 // remap-mechanics tests.
-func policyDevice(t *testing.T, placement, remap string) (*pcm.Device, *Kernel) {
+func policyDevice(t *testing.T, policy string) (*pcm.Device, *Kernel) {
 	t.Helper()
 	clock := stats.NewClock(stats.DefaultCosts())
 	dev := pcm.NewDevice(pcm.Config{
 		Size: 16 * failmap.PageSize, Endurance: 1 << 30, TrackData: true, Seed: 7,
 	}, clock)
 	k := New(Config{
-		PCMPages: 16, Device: dev, Clock: clock,
-		Placement: placement, Remap: remap,
+		PCMPages: 16, Device: dev, Clock: clock, Policy: policy,
 	})
 	return dev, k
 }
 
 func TestPolicyRemapFrameMovesMappedPage(t *testing.T) {
-	dev, k := policyDevice(t, "paper", "paper")
+	dev, k := policyDevice(t, "paper")
 	r, err := k.MmapRelaxed(1)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +163,7 @@ func TestPolicyRemapFrameMovesMappedPage(t *testing.T) {
 }
 
 func TestPolicyPromoteFrameAccountsAsBorrow(t *testing.T) {
-	_, k := policyDevice(t, "migrate", "migrate")
+	_, k := policyDevice(t, "migrate")
 	r, err := k.MmapRelaxed(1)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +185,7 @@ func TestPolicyPromoteFrameAccountsAsBorrow(t *testing.T) {
 }
 
 func TestRotatePlacementSpreadsAllocations(t *testing.T) {
-	_, k := policyDevice(t, "rotate", "rotate")
+	_, k := policyDevice(t, "rotate")
 	// A released region no longer translates: read the frames while mapped.
 	a, _ := k.MmapRelaxed(2)
 	a0, a1 := a.Frame(0), a.Frame(1)
@@ -217,7 +209,7 @@ func TestRotatePlacementSpreadsAllocations(t *testing.T) {
 }
 
 func TestMigratePlacementPrefersDRAM(t *testing.T) {
-	_, k := policyDevice(t, "migrate", "migrate")
+	_, k := policyDevice(t, "migrate")
 	r, borrowed := k.MmapPerfect(3)
 	if borrowed != 3 {
 		t.Fatalf("borrowed %d of 3 perfect pages, want all from DRAM", borrowed)
@@ -251,10 +243,8 @@ func wearFrames(t *testing.T, k *Kernel, r *Region, writes int) {
 }
 
 func TestRemapPoliciesFireOnWear(t *testing.T) {
-	for _, tc := range []struct{ placement, remap string }{
-		{"rotate", "rotate"}, {"decoder", "decoder"}, {"migrate", "migrate"},
-	} {
-		t.Run(tc.remap, func(t *testing.T) {
+	for _, policy := range []string{"rotate", "decoder", "migrate"} {
+		t.Run(policy, func(t *testing.T) {
 			var fired int
 			hook := func(p probe.Point, addr uint64) {
 				if p == probe.PolicyRemap {
@@ -266,8 +256,7 @@ func TestRemapPoliciesFireOnWear(t *testing.T) {
 				Size: 16 * failmap.PageSize, Endurance: 1 << 30, TrackData: true, Seed: 7,
 			}, clock)
 			k := New(Config{
-				PCMPages: 16, Device: dev, Clock: clock,
-				Placement: tc.placement, Remap: tc.remap, Probe: hook,
+				PCMPages: 16, Device: dev, Clock: clock, Policy: policy, Probe: hook,
 			})
 			r, err := k.MmapRelaxed(1)
 			if err != nil {
@@ -275,7 +264,7 @@ func TestRemapPoliciesFireOnWear(t *testing.T) {
 			}
 			wearFrames(t, k, r, 3000)
 			if k.PolicyRemaps() == 0 {
-				t.Fatalf("%s policy performed no remaps after 3000 writes", tc.remap)
+				t.Fatalf("%s policy performed no remaps after 3000 writes", policy)
 			}
 			if fired != k.PolicyRemaps() {
 				t.Fatalf("probe fired %d times for %d remaps", fired, k.PolicyRemaps())
@@ -284,8 +273,8 @@ func TestRemapPoliciesFireOnWear(t *testing.T) {
 				t.Fatal("no durable policy state persisted at the remap boundary")
 			}
 			// The paper policy performs none and persists nothing.
-			if tc.remap == "rotate" {
-				_, kp := policyDevice(t, "paper", "paper")
+			if policy == "rotate" {
+				_, kp := policyDevice(t, "paper")
 				rp, _ := kp.MmapRelaxed(1)
 				wearFrames(t, kp, rp, 3000)
 				if kp.PolicyRemaps() != 0 || len(kp.Device().OSBlob()) != 0 {
@@ -302,30 +291,28 @@ func TestRemapPoliciesFireOnWear(t *testing.T) {
 func durableCounter(k *Kernel) uint64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	switch p := k.remap.(type) {
-	case *rotateRemap:
+	switch p := k.policy.(type) {
+	case *rotatePolicy:
 		return p.rotations
-	case *decoderRemap:
+	case *decoderPolicy:
 		return p.swaps
-	case *migrateRemap:
+	case *migratePolicy:
 		return p.migrations
 	}
 	return 0
 }
 
 // TestPolicyStateSurvivesPowerCut is the policy half of the crash story:
-// wear a device under each policy pair until remaps fire, cut power
+// wear a device under each policy until remaps fire, cut power
 // mid-run (Snapshot captures only durable state; the kernel is lost), and
 // recover two independent kernels from the same image. Both must restore
 // the durable policy counters the last remap boundary persisted, and both
 // must behave byte-identically under identical resumed traffic — exactly
 // as if power had never been lost between them.
 func TestPolicyStateSurvivesPowerCut(t *testing.T) {
-	for _, tc := range []struct{ placement, remap string }{
-		{"paper", "paper"}, {"rotate", "rotate"}, {"decoder", "decoder"}, {"migrate", "migrate"},
-	} {
-		t.Run(tc.remap, func(t *testing.T) {
-			_, k := policyDevice(t, tc.placement, tc.remap)
+	for _, policy := range []string{"paper", "rotate", "decoder", "migrate"} {
+		t.Run(policy, func(t *testing.T) {
+			_, k := policyDevice(t, policy)
 			r, err := k.MmapRelaxed(2)
 			if err != nil {
 				t.Fatal(err)
@@ -333,8 +320,8 @@ func TestPolicyStateSurvivesPowerCut(t *testing.T) {
 			wearFrames(t, k, r, 3000)
 			preCut := durableCounter(k)
 			preRemaps := k.PolicyRemaps()
-			if tc.remap != "paper" && preCut == 0 {
-				t.Fatalf("%s policy never remapped before the cut", tc.remap)
+			if policy != "paper" && preCut == 0 {
+				t.Fatalf("%s policy never remapped before the cut", policy)
 			}
 			img := k.Device().Snapshot() // power cut: mappings and DRAM state vanish
 
@@ -344,10 +331,7 @@ func TestPolicyStateSurvivesPowerCut(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				k2 := New(Config{
-					PCMPages: 16, Device: dev, Clock: clock,
-					Placement: tc.placement, Remap: tc.remap,
-				})
+				k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Policy: policy})
 				st, err := k2.Recover(RecoverOptions{MinFrames: 4})
 				if err != nil {
 					t.Fatalf("recover: %v", err)
@@ -385,9 +369,9 @@ func TestPolicyStateSurvivesPowerCut(t *testing.T) {
 }
 
 // TestPolicyStateIgnoredOnPolicyChange: a record written by one policy
-// pair must not leak into a kernel booted with another.
+// must not leak into a kernel booted with another.
 func TestPolicyStateIgnoredOnPolicyChange(t *testing.T) {
-	_, k := policyDevice(t, "decoder", "decoder")
+	_, k := policyDevice(t, "decoder")
 	r, _ := k.MmapRelaxed(1)
 	wearFrames(t, k, r, 3000)
 	if k.PolicyRemaps() == 0 {
@@ -400,7 +384,7 @@ func TestPolicyStateIgnoredOnPolicyChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Placement: "rotate", Remap: "rotate"})
+	k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Policy: "rotate"})
 	st, err := k2.Recover(RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -414,14 +398,14 @@ func TestPolicyStateIgnoredOnPolicyChange(t *testing.T) {
 }
 
 // TestCleanShutdownPersistsPlacementCursor: PersistPolicyState before a
-// planned shutdown carries the rotate placement cursor across lives.
+// planned shutdown carries the rotate policy's cursor across lives.
 func TestCleanShutdownPersistsPlacementCursor(t *testing.T) {
-	_, k := policyDevice(t, "rotate", "rotate")
+	_, k := policyDevice(t, "rotate")
 	r, _ := k.MmapRelaxed(5)
 	k.Release(r)
 	k.PersistPolicyState()
 	k.mu.Lock()
-	want := k.placement.(*rotatePlacement).next
+	want := k.policy.(*rotatePolicy).next
 	k.mu.Unlock()
 	if want == 0 {
 		t.Fatal("rotate cursor never advanced")
@@ -433,7 +417,7 @@ func TestCleanShutdownPersistsPlacementCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Placement: "rotate", Remap: "rotate"})
+	k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Policy: "rotate"})
 	st, err := k2.Recover(RecoverOptions{SkipScrub: true})
 	if err != nil {
 		t.Fatal(err)
@@ -442,9 +426,58 @@ func TestCleanShutdownPersistsPlacementCursor(t *testing.T) {
 		t.Fatal("clean-shutdown policy record not restored")
 	}
 	k2.mu.Lock()
-	got := k2.placement.(*rotatePlacement).next
+	got := k2.policy.(*rotatePolicy).next
 	k2.mu.Unlock()
 	if got != want {
 		t.Fatalf("restored rotate cursor = %d, want %d", got, want)
+	}
+}
+
+// TestParentFormatPolicyRecordStartsFresh: a device image whose OS blob is
+// the earlier two-policy record (a placement and a remap name, each with
+// its own state blob) recovers without error and without restoring
+// anything — the same lenient rule as a policy change.
+func TestParentFormatPolicyRecordStartsFresh(t *testing.T) {
+	type pairImage struct {
+		Placement      string
+		Remap          string
+		PlacementState []byte
+		RemapState     []byte
+	}
+	cursor := binary.LittleEndian.AppendUint64(nil, 5)
+	for _, policy := range []string{"paper", "rotate", "decoder", "migrate"} {
+		t.Run(policy, func(t *testing.T) {
+			dev, _ := policyDevice(t, policy)
+			var buf bytes.Buffer
+			err := gob.NewEncoder(&buf).Encode(&pairImage{
+				Placement: policy, Remap: policy, PlacementState: cursor, RemapState: cursor,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev.SetOSBlob(buf.Bytes())
+			img := dev.Snapshot()
+
+			clock := stats.NewClock(stats.DefaultCosts())
+			dev2, err := pcm.NewDeviceFromImage(img, clock, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := New(Config{PCMPages: 16, Device: dev2, Clock: clock, Policy: policy})
+			st, err := k.Recover(RecoverOptions{})
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if st.PolicyRestored {
+				t.Fatal("a parent-format policy record was restored")
+			}
+			if durableCounter(k) != 0 || k.PolicyRemaps() != 0 {
+				t.Fatalf("counters after recovery: durable %d, remaps %d, want 0/0",
+					durableCounter(k), k.PolicyRemaps())
+			}
+			if rp, ok := k.policy.(*rotatePolicy); ok && rp.next != 0 {
+				t.Fatalf("rotate cursor restored to %d from a parent-format record", rp.next)
+			}
+		})
 	}
 }

@@ -62,10 +62,10 @@ type RecoverStats struct {
 	UsableFrames int
 	// WorkingLines is the total working-line count across the pool.
 	WorkingLines int
-	// PolicyRestored reports whether durable placement/remap policy state
-	// was found in the device's OS metadata area and loaded (it is absent
-	// for the stateless stock policies, or when the configured policy names
-	// differ from the ones that wrote the record).
+	// PolicyRestored reports whether durable policy state was found in the
+	// device's OS metadata area and loaded (it is absent for the stateless
+	// stock policy, or when the configured policy differs from the one
+	// that wrote the record, or the record is in another format).
 	PolicyRestored bool
 	// Cycles is the simulated time the recovery pass charged (zero without
 	// a clock).

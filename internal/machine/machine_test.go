@@ -217,7 +217,7 @@ func TestThreadedBootEquipsDevice(t *testing.T) {
 }
 
 // TestThreadedPolicyRotatesUnderStores runs the reader inside the OS: a
-// rotate remap policy ranks pages by Device.PageWrites every 2048 stores, on
+// rotate policy ranks pages by Device.PageWrites every 2048 stores, on
 // whichever mutator's store came due, while the other mutator keeps storing
 // through. It is not a guard on SetConcurrent — the policy reads on the
 // storing mutator, inside the runtime's write-through lock, and the test
@@ -226,7 +226,7 @@ func TestThreadedBootEquipsDevice(t *testing.T) {
 // policy's own counters are the kernel lock's to order).
 func TestThreadedPolicyRotatesUnderStores(t *testing.T) {
 	_, spec := pmdSpec(1 << 20)
-	spec.Kernel.Placement, spec.Kernel.Remap = "rotate", "rotate"
+	spec.Kernel.Policy = "rotate"
 	m, _ := storeThrough(t, spec, func(*Machine) { runtime.Gosched() })
 	if m.Kernel.PolicyRemaps() == 0 {
 		t.Fatal("no rotation happened: the policy never read the device's wear")

@@ -189,8 +189,8 @@ type Device struct {
 	failedLines atomic.Int64
 
 	// osBlob is the reserved OS metadata area: a small durable byte blob
-	// the kernel persists its placement/remap policy state into. It
-	// survives Snapshot/restore like the wear state (writes to it are
+	// the kernel persists its frame-policy state into. It survives
+	// Snapshot/restore like the wear state (writes to it are
 	// modeled as wear-free metadata updates — real firmware keeps such
 	// records in a dedicated, lightly written region).
 	osBlob []byte
@@ -831,7 +831,7 @@ func (d *Device) TotalWrites() uint64 {
 }
 
 // PageWrites sums the lifetime write counts of the storage slots currently
-// backing each module-visible page — the wear a placement/remap policy
+// backing each module-visible page — the wear a frame policy
 // sees when ranking pages hot to cold. (Under start-gap the slots behind a
 // page drift over time; this reports the present backing.)
 func (d *Device) PageWrites() []uint64 {

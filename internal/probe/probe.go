@@ -53,10 +53,10 @@ const (
 	// is 1 while marking remains unfinished, 0 when the increment completed
 	// the cycle's marking.
 	GCMarkIncrement
-	// PolicyRemap fires after a wear-triggered placement/remap policy
-	// migration completes (frame rotation, decoder swap, DRAM promotion);
-	// addr is the virtual base address of the migrated page. Only the
-	// non-stock remap policies fire it.
+	// PolicyRemap fires after a wear-triggered frame-policy migration
+	// completes (frame rotation, decoder swap, DRAM promotion); addr is
+	// the virtual base address of the migrated page. Only the non-stock
+	// policies fire it.
 	PolicyRemap
 
 	// NumPoints is the number of defined probe points.

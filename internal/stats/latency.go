@@ -209,9 +209,6 @@ func NewLatencyRecorder(n int) *LatencyRecorder {
 // Shard returns mutator i's shard.
 func (r *LatencyRecorder) Shard(i int) *LatencyShard { return r.shards[i] }
 
-// Shards returns the number of shards.
-func (r *LatencyRecorder) Shards() int { return len(r.shards) }
-
 // QuantileSummary is the JSON-friendly quantile digest of one histogram.
 type QuantileSummary struct {
 	Ops  uint64 `json:"ops"`

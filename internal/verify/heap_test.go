@@ -42,21 +42,21 @@ func (d *deviceStub) BufferedLines() []int      { return d.buffered }
 func (d *deviceStub) Unavailable(line int) bool { return d.unavailable[line] }
 
 type policyStub struct {
-	placement, remap                        string
+	name                                    string
 	remaps, debt, borrows, repaid, perfects int
 }
 
-func (p *policyStub) PolicyNames() (string, string) { return p.placement, p.remap }
-func (p *policyStub) PolicyRemaps() int             { return p.remaps }
-func (p *policyStub) Debt() int                     { return p.debt }
-func (p *policyStub) Borrows() int                  { return p.borrows }
-func (p *policyStub) Repaid() int                   { return p.repaid }
-func (p *policyStub) PerfectPCMPagesLeft() int      { return p.perfects }
+func (p *policyStub) PolicyName() string       { return p.name }
+func (p *policyStub) PolicyRemaps() int        { return p.remaps }
+func (p *policyStub) Debt() int                { return p.debt }
+func (p *policyStub) Borrows() int             { return p.borrows }
+func (p *policyStub) Repaid() int              { return p.repaid }
+func (p *policyStub) PerfectPCMPagesLeft() int { return p.perfects }
 
 // planted is a target on which every check of Heap runs and passes: the
 // hand-built heap (pair at 0x40 and blob at 0x80 on line 0, refs at 0x100
 // on line 1) at epoch 2, as one 16-line Immix block on frame 7 of an OS
-// table, with a device buffer, two mutator contexts and a policy pair, all
+// table, with a device buffer, two mutator contexts and a policy, all
 // consistent. A case corrupts one thing.
 type planted struct {
 	*handHeap
@@ -81,7 +81,7 @@ func newPlanted() *planted {
 	p.kern = &kernelStub{frames: map[uint64]int{0: 7}, failed: map[int]uint64{}}
 	p.dev = &deviceStub{len: 1, watermark: 4, pushed: 3, invalidated: 1, drained: 1,
 		buffered: []int{9}, unavailable: map[int]bool{9: true}}
-	p.policy = &policyStub{placement: "paper", remap: "paper", debt: 1, borrows: 3, repaid: 2, perfects: 5}
+	p.policy = &policyStub{name: "paper", debt: 1, borrows: 3, repaid: 2, perfects: 5}
 	p.t = verify.Target{
 		Model: p.m, Roots: p.roots, Epoch: 2,
 		Views:  []verify.BlockView{{Base: 0, LineSize: 256, FreeLines: 14, States: states}},
@@ -232,8 +232,8 @@ func TestHeapPlantedFindings(t *testing.T) {
 			}, noContexts},
 		{"overlapping holes", "mutator", "context 0 cur hole [0x10100,0x10200) overlaps context 1 cur hole [0x10180,0x10280)",
 			func(p *planted) { p.t.Contexts[1].CurCursor, p.t.Contexts[1].CurLimit = 0x10180, 0x10280 }, noContexts},
-		{"unnamed policies", "policy", `unnamed policies (placement "", remap "paper")`,
-			func(p *planted) { p.policy.placement = "" }, noPolicy},
+		{"unnamed policies", "policy", "kernel reports an unnamed policy",
+			func(p *planted) { p.policy.name = "" }, noPolicy},
 		{"negative debt", "policy", "DRAM debt is negative (-1)",
 			func(p *planted) { p.policy.debt, p.policy.borrows, p.policy.repaid = -1, 2, 3 }, noPolicy},
 		{"ledger out of balance", "policy", "DRAM ledger out of balance: debt 2, borrows 3 - repaid 2 = 1",
@@ -242,7 +242,7 @@ func TestHeapPlantedFindings(t *testing.T) {
 			func(p *planted) { p.policy.perfects = -1 }, noPolicy},
 		{"negative remap counter", "policy", "policy remap counter is negative (-1)",
 			func(p *planted) { p.policy.remaps = -1 }, noPolicy},
-		{"stock policy remapped", "policy", "stock remap policy performed 2 remaps",
+		{"stock policy remapped", "policy", "stock policy performed 2 remaps",
 			func(p *planted) { p.policy.remaps = 2 }, noPolicy},
 		// 200 references outside the space: the report keeps the first 100.
 		{"more findings than a report holds", "graph", "from 0x800 (refs) points outside",

@@ -21,9 +21,9 @@
 //   - per-mutator ownership: no two allocation contexts own the same
 //     block, and no context's bump cursor lies inside another context's
 //     claimed lines;
-//   - policy accounting: the kernel's placement/remap policies resolve to
-//     registered names, the DRAM borrow ledger balances (debt = borrows -
-//     repaid), and the stock remap policy has performed no migrations.
+//   - policy accounting: the kernel's frame policy has a name, the DRAM
+//     borrow ledger balances (debt = borrows - repaid), and the stock
+//     policy has performed no migrations.
 //
 // The package deliberately imports none of the runtime layers: collectors
 // hand their state over as plain data (BlockView) or through structural
@@ -182,10 +182,10 @@ type BufferSource interface {
 	Unavailable(line int) bool
 }
 
-// PolicySource is the kernel surface for the placement/remap policy
-// accounting check; *kernel.Kernel implements it.
+// PolicySource is the kernel surface for the frame-policy accounting
+// check; *kernel.Kernel implements it.
 type PolicySource interface {
-	PolicyNames() (placement, remap string)
+	PolicyName() string
 	PolicyRemaps() int
 	Debt() int
 	Borrows() int
@@ -211,7 +211,7 @@ type Target struct {
 	Device BufferSource
 	// Contexts enables the per-mutator ownership checks.
 	Contexts []ContextView
-	// Policy enables the placement/remap policy accounting check.
+	// Policy enables the frame-policy accounting check.
 	Policy PolicySource
 }
 
@@ -245,7 +245,7 @@ func Heap(t Target, opt Options) *Report {
 	return rep
 }
 
-// Policy runs only the placement/remap policy accounting check. It is
+// Policy runs only the frame-policy accounting check. It is
 // cheap enough to call from a remap-boundary probe.
 func Policy(p PolicySource) *Report {
 	rep := &Report{}
@@ -253,16 +253,15 @@ func Policy(p PolicySource) *Report {
 	return rep
 }
 
-// checkPolicy validates the kernel's placement/remap policy accounting:
-// both policies resolve to registered names, the DRAM borrow ledger
-// balances (debt = borrows - repaid, never negative), the perfect-pool
-// counter is sane, and the stock policy — which never migrates — has
-// performed no remaps.
+// checkPolicy validates the kernel's frame-policy accounting: the policy
+// has a name, the DRAM borrow ledger balances (debt = borrows - repaid,
+// never negative), the perfect-pool and remap counters are non-negative,
+// and the stock policy — which never migrates — has performed no remaps.
 func checkPolicy(p PolicySource, rep *Report) {
 	rep.Checks++
-	placement, remap := p.PolicyNames()
-	if placement == "" || remap == "" {
-		rep.add("policy", "kernel reports unnamed policies (placement %q, remap %q)", placement, remap)
+	name := p.PolicyName()
+	if name == "" {
+		rep.add("policy", "kernel reports an unnamed policy")
 	}
 	debt, borrows, repaid := p.Debt(), p.Borrows(), p.Repaid()
 	if debt < 0 {
@@ -277,8 +276,8 @@ func checkPolicy(p PolicySource, rep *Report) {
 	}
 	if n := p.PolicyRemaps(); n < 0 {
 		rep.add("policy", "policy remap counter is negative (%d)", n)
-	} else if remap == "paper" && n != 0 {
-		rep.add("policy", "stock remap policy performed %d remaps", n)
+	} else if name == "paper" && n != 0 {
+		rep.add("policy", "stock policy performed %d remaps", n)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 type bytesCase struct {
 	name      string
 	dev       pcm.Config // Size, TrackData and Probe are filled in
-	remap     string
+	policy    string
 	noWT      bool
 	blobLen   int
 	start, n  int // the filled range; n = 0 means to the end of the blob
@@ -50,7 +50,7 @@ func newBytesTwin(t *testing.T, c bytesCase, threaded bool) *bytesTwin {
 	dc.Size, dc.TrackData, dc.Probe = poolPages*failmap.PageSize, true, hook
 	tw.dev = pcm.NewDevice(dc, tw.clock)
 	tw.kern = kernel.New(kernel.Config{
-		PCMPages: poolPages, Device: tw.dev, Clock: tw.clock, Probe: hook, Remap: c.remap,
+		PCMPages: poolPages, Device: tw.dev, Clock: tw.clock, Probe: hook, Policy: c.policy,
 	})
 	v := New(Config{
 		HeapBytes:    heapBytes,
@@ -175,8 +175,8 @@ func bytesCases() []bytesCase {
 			prep: func(tw *bytesTwin) { tw.wearTo(300, endurance-r) }, wantFails: r <= 64,
 		})
 	}
-	for _, remap := range []string{"rotate", "decoder", "migrate"} {
-		cases = append(cases, bytesCase{name: "remap " + remap, remap: remap, dev: worn, blobLen: 12000, fills: 3})
+	for _, pol := range []string{"rotate", "decoder", "migrate"} {
+		cases = append(cases, bytesCase{name: "remap " + pol, policy: pol, dev: worn, blobLen: 12000, fills: 3})
 	}
 	return cases
 }

@@ -749,7 +749,7 @@ func (v *VM) setArrayBytes(clk *stats.Clock, arr heap.Addr, i int, src []byte) {
 // accesses are one charge and, under write-through, the device applies
 // len(src) writes of the finished line at once (kernel.WriteLineRepeat).
 // When the kernel refuses — a write of the run could fail, stall, level,
-// cluster or be seen by a remap policy — the old bytes go back and nothing
+// cluster or be seen by a frame policy — the old bytes go back and nothing
 // is charged. It takes the write-through transaction once for the line.
 func (v *VM) storeLine(clk *stats.Clock, addr heap.Addr, src []byte) bool {
 	if v.wt.Shared() {

@@ -62,8 +62,7 @@ type openConfig struct {
 	deviceTune   func(*DeviceConfig)
 	pauseBudget  int
 	image        *DeviceImage
-	placement    string
-	remap        string
+	policy       string
 }
 
 // Option configures Open.
@@ -159,21 +158,15 @@ func WithPersistentImage(img *DeviceImage) Option {
 	return func(c *openConfig) { c.image = img }
 }
 
-// WithPlacementPolicy selects the kernel's pluggable frame-placement
-// policy by name: "paper" (the default — the paper's stock first-fit
-// placement, bit for bit), "rotate" (SoftWear-style wear rotation),
-// "decoder" (WoLFRaM-style address-decoder swaps) or "migrate"
-// (MigrantStore-style DRAM migration). Policy state persists in the
-// device's OS metadata area and survives Snapshot/WithPersistentImage
-// round trips under the same policy pair.
-func WithPlacementPolicy(name string) Option { return func(c *openConfig) { c.placement = name } }
-
-// WithRemapPolicy selects the kernel's pluggable wear-remapping policy by
-// name ("paper", "rotate", "decoder" or "migrate" — see
-// WithPlacementPolicy). The non-paper policies observe per-frame write
-// wear and migrate hot frames before their lines fail; "paper" performs
-// no proactive remapping, exactly matching the paper's behavior.
-func WithRemapPolicy(name string) Option { return func(c *openConfig) { c.remap = name } }
+// WithPolicy selects the kernel's frame policy by name: "paper" (the
+// default — the paper's first-fit placement and reactive remapping, bit
+// for bit), "rotate" (SoftWear-style wear rotation), "decoder"
+// (WoLFRaM-style address-decoder swaps) or "migrate" (MigrantStore-style
+// DRAM migration). The non-paper policies observe per-frame write wear
+// and migrate hot frames before their lines fail. Policy state persists
+// in the device's OS metadata area and survives Snapshot /
+// WithPersistentImage round trips under the same policy.
+func WithPolicy(name string) Option { return func(c *openConfig) { c.policy = name } }
 
 // Open assembles a simulation stack from functional options: the clock,
 // an optional wearing device, the kernel over the PCM pool, and the
@@ -243,10 +236,7 @@ func Open(opts ...Option) (*Runtime, error) {
 	if c.pauseBudget > 0 && c.collector != StickyImmix {
 		return nil, fmt.Errorf("wearmem: bounded-pause marking requires the StickyImmix collector")
 	}
-	if _, err := kernel.NewPlacementPolicy(c.placement); err != nil {
-		return nil, fmt.Errorf("wearmem: %w", err)
-	}
-	if _, err := kernel.NewRemapPolicy(c.remap); err != nil {
+	if _, err := kernel.NewPolicy(c.policy); err != nil {
 		return nil, fmt.Errorf("wearmem: %w", err)
 	}
 
@@ -261,10 +251,9 @@ func Open(opts ...Option) (*Runtime, error) {
 
 	spec := machine.Spec{
 		Kernel: kernel.Config{
-			PCMPages:  c.poolPages,
-			Inject:    inject,
-			Placement: c.placement,
-			Remap:     c.remap,
+			PCMPages: c.poolPages,
+			Inject:   inject,
+			Policy:   c.policy,
 		},
 		Image:     c.image,
 		MinFrames: c.heapBytes / PageSize,

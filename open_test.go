@@ -75,8 +75,7 @@ func TestOpenErrors(t *testing.T) {
 		"tuning sans dev":       {WithDeviceTuning(func(*DeviceConfig) {})},
 		"negative budget":       {WithPauseBudget(-1)},
 		"budget sans S-IX":      {WithCollector(MarkSweep), WithPauseBudget(10000)},
-		"bad placement":         {WithPlacementPolicy("tetris")},
-		"bad remap":             {WithRemapPolicy("tetris")},
+		"bad policy":            {WithPolicy("tetris")},
 	}
 	for name, opts := range cases {
 		if _, err := Open(opts...); err == nil {
@@ -85,20 +84,19 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// Policy options select the kernel's placement/remap pair, and a
-// non-paper remap policy actually migrates hot frames under write wear.
+// WithPolicy selects the kernel's frame policy, and a non-paper policy
+// actually migrates hot frames under write wear.
 func TestOpenPolicyOptions(t *testing.T) {
 	rt := MustOpen(
 		WithPoolPages(512),
 		WithHeapBytes(64<<10),
 		WithWearingDevice(1<<30, 0),
 		WithWriteThrough(),
-		WithPlacementPolicy("rotate"),
-		WithRemapPolicy("rotate"),
+		WithPolicy("rotate"),
 		WithSeed(7),
 	)
-	if p, r := rt.Kernel.PolicyNames(); p != "rotate" || r != "rotate" {
-		t.Fatalf("policy names = %q/%q, want rotate/rotate", p, r)
+	if p := rt.Kernel.PolicyName(); p != "rotate" {
+		t.Fatalf("policy name = %q, want rotate", p)
 	}
 	node := rt.VM.RegisterType(&Type{Name: "node", Kind: KindFixed, Size: 64})
 	a := rt.VM.MustNew(node)
@@ -106,7 +104,7 @@ func TestOpenPolicyOptions(t *testing.T) {
 		rt.VM.WriteWord(a, 0, uint64(i))
 	}
 	if rt.Kernel.PolicyRemaps() == 0 {
-		t.Fatal("rotate remap policy never rotated a worn frame")
+		t.Fatal("rotate policy never rotated a worn frame")
 	}
 }
 
