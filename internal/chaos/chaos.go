@@ -245,9 +245,6 @@ func NewInjector(camp Campaign, dev *pcm.Device, kern *kernel.Kernel, v *vm.VM) 
 	return in
 }
 
-// Count returns how often a probe point has fired so far.
-func (in *Injector) Count(p probe.Point) int { return in.counts[p] }
-
 // Hook is the probe.Hook of this campaign.
 func (in *Injector) Hook(p probe.Point, addr uint64) {
 	if p >= probe.NumPoints {

@@ -2,9 +2,9 @@ package chaos
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"wearmem/internal/probe"
+	"wearmem/internal/sched"
 	"wearmem/internal/vm"
 )
 
@@ -88,7 +88,7 @@ func RunCrashCampaign(cfg TortureConfig, camp Campaign, opt Options) (rec CrashR
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			rec.Failure = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
+			rec.Failure = fmt.Sprintf("panic: %v\n%s", p, sched.PanicStack(p))
 		}
 	}()
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
+	"wearmem/internal/sched"
 	"wearmem/internal/verify"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
@@ -463,7 +463,7 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 	rec = CampaignRecord{Config: cfg.Name(), Seed: camp.Seed, Schedule: camp.Schedule()}
 	defer func() {
 		if p := recover(); p != nil {
-			rec.Failure = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
+			rec.Failure = fmt.Sprintf("panic: %v\n%s", p, sched.PanicStack(p))
 		}
 	}()
 
@@ -636,6 +636,7 @@ func (r *campaignRun) heapTarget() (verify.Target, verify.Options) {
 	}
 	if ix := r.v.Immix(); ix != nil {
 		t.Views = ix.BlockViews()
+		t.Large = ix.LargeObject
 		t.Epoch = ix.Epoch()
 	} else if ms, ok := r.v.Plan().(interface{ Epoch() uint16 }); ok {
 		t.Epoch = ms.Epoch()

@@ -228,6 +228,18 @@ func (b *block) usable() bool {
 	return false
 }
 
+// liveOnFailed reports whether a failed line is marked live at the block's
+// mark epoch, which sweep makes current: an object the collector could not
+// move off it, pinned or left in place when evacuation found no room.
+func (b *block) liveOnFailed() bool {
+	for w := 0; w < b.words; w++ {
+		if b.failed[w]&b.marked[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // failLine marks a line permanently failed (dynamic failure, §4.2) and
 // reports whether it may hold live data, requiring evacuation. Any line
 // not currently available for allocation may carry data: lines marked at

@@ -160,9 +160,6 @@ func (ix *Immix) Stats() *GCStats { return &ix.gcstats }
 // Epoch returns the current mark epoch (exposed for tests).
 func (ix *Immix) Epoch() uint16 { return ix.epoch }
 
-// Generational reports whether sticky nursery collection is enabled.
-func (ix *Immix) Generational() bool { return ix.cfg.Generational }
-
 // Degraded returns the sticky error that forced degraded operation, or nil.
 func (ix *Immix) Degraded() error { return ix.degraded }
 
@@ -707,14 +704,18 @@ func (ix *Immix) sweep(nursery bool, workers int) int {
 	var releases []*block
 	for _, b := range ix.blocks.all {
 		avail := b.freeLines
+		// A block holding live data on a failed line is neither released nor
+		// free until that object dies: the failure falls back to OS page
+		// replacement (§3.3.3), which finds the data through its block.
+		stuck := b.liveOnFailed()
 		switch {
-		case !b.usable():
+		case !b.usable() && !stuck:
 			// Every line failed: the block is dead weight; return it so
 			// accounting can retire it.
 			releases = append(releases, b)
 		case avail == 0:
 			// Fully occupied: off the lists until something dies.
-		case avail == b.lines-b.failedLines:
+		case avail == b.lines-b.failedLines && !stuck:
 			b.inFree = true
 			ix.free = append(ix.free, b)
 		default:
@@ -864,6 +865,10 @@ func (ix *Immix) FreeBytes() int {
 
 // LiveLOSObjects reports the number of live large objects.
 func (ix *Immix) LiveLOSObjects() int { return ix.los.count() }
+
+// LargeObject reports whether a is a large object's base, the one kind of
+// object that lies in no block (verify.Target.Large).
+func (ix *Immix) LargeObject(a uint64) bool { return ix.los.contains(heap.Addr(a)) }
 
 // Blocks returns the number of blocks currently held by the space.
 func (ix *Immix) Blocks() int { return ix.blocks.len() }

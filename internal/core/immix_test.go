@@ -7,6 +7,7 @@ import (
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/stats"
+	"wearmem/internal/verify"
 )
 
 // barrierPlan is the mutator-facing surface shared by both plans.
@@ -276,6 +277,67 @@ func TestImmixPinnedObjectsDoNotMove(t *testing.T) {
 		if keepers[i] != before[i] {
 			t.Fatalf("pinned object %d moved %#x -> %#x", i, before[i], keepers[i])
 		}
+	}
+}
+
+// TestSweepKeepsBlocksLiveOnFailedLines: a pinned object marked in place on
+// a failed line keeps its block through the sweep — when every line of the
+// block failed, and when its one failed line is all that is live in a block
+// the sweep would otherwise file free and, past the headroom, release — so
+// LiveOnFailedLine finds it for the OS page remap (§3.3.3), and the verifier
+// finds every reachable object in a block or the large-object space. The
+// block goes once the object dies.
+func TestSweepKeepsBlocksLiveOnFailedLines(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		failAll bool
+	}{{"every line failed", true}, {"one failed line above the headroom", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(t, envOpts{failureAware: true})
+			ix := e.plan.(*Immix)
+			// Garbage over several blocks, then the pinned node in the last
+			// block acquired: the highest address, released first.
+			for i := 0; i < 4000; i++ {
+				e.newNode(uint64(i))
+			}
+			node := e.newNode(42)
+			e.addRoot(&node)
+			e.plan.Pin(node)
+			b := ix.blockOf(node)
+			lineSize := ix.cfg.LineSize
+			lines := []int{int(node-b.mem.Base) / lineSize}
+			if c.failAll {
+				lines = lines[:0]
+				for l := 0; l < b.lines; l++ {
+					lines = append(lines, l)
+				}
+			}
+			for _, l := range lines {
+				ix.HandleLineFailure(b.mem.Base + heap.Addr(l*lineSize))
+			}
+			if ix.Blocks() <= ix.cfg.HeadroomBlocks+1 {
+				t.Fatalf("set-up: %d blocks, want more than the headroom (%d) besides the node's", ix.Blocks(), ix.cfg.HeadroomBlocks)
+			}
+			e.plan.Collect(true, e.roots)
+			if ix.blockOf(node) != b || !ix.LiveOnFailedLine(node) {
+				t.Fatalf("pinned node %#x on a failed line: its block %#x was released by the sweep", node, b.mem.Base)
+			}
+			if b.inFree {
+				t.Fatalf("block %#x holds a live node but was filed free", b.mem.Base)
+			}
+			tgt := verify.Target{Model: e.model, Roots: e.roots, Views: ix.BlockViews(), Large: ix.LargeObject, Epoch: ix.Epoch()}
+			if rep := verify.Heap(tgt, verify.Options{SkipFailedLine: true}); !rep.Ok() {
+				t.Fatal(rep.Err())
+			}
+			if got := e.model.S.Load64(node + nodeVal); got != 42 {
+				t.Fatalf("pinned node holds %d, want 42", got)
+			}
+			e.roots.Remove(&node)
+			e.plan.Collect(true, e.roots)
+			if ix.blockOf(node) != nil {
+				t.Fatalf("block %#x outlived its last live object", b.mem.Base)
+			}
+		})
 	}
 }
 

@@ -381,9 +381,6 @@ func (ms *MarkSweep) sweep(nursery bool) int {
 // LiveLOSObjects reports the number of live large objects.
 func (ms *MarkSweep) LiveLOSObjects() int { return ms.los.count() }
 
-// Blocks returns the number of blocks currently held.
-func (ms *MarkSweep) Blocks() int { return len(ms.blockTable) }
-
 // blockOf returns the mark-sweep block containing a, or nil (diagnostic
 // helper; the hot paths never need address lookup because mark-sweep does
 // not move or span-check objects).

@@ -57,6 +57,3 @@ func (ix *Immix) NewMutatorContext() *MutatorContext {
 
 // Context0 returns the primary allocation context.
 func (ix *Immix) Context0() *MutatorContext { return ix.muts[0] }
-
-// Contexts returns the number of attached allocation contexts.
-func (ix *Immix) Contexts() int { return len(ix.muts) }

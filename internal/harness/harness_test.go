@@ -215,3 +215,20 @@ func TestUnknownBenchmarkPanics(t *testing.T) {
 	}()
 	NewRunner().Run(RunConfig{Bench: "nope"})
 }
+
+// TestKVClimbsTheWholeLadder: a default kv allocation that needs a wholly
+// free block climbs the whole collection ladder on a stop-the-world runtime
+// too. At these seeds one defragmenting collection was not enough, and the
+// runs ended out of memory when only marking configurations got the
+// retries.
+func TestKVClimbsTheWholeLadder(t *testing.T) {
+	for _, seed := range []int64{1, 4, 8} {
+		res := execute(RunConfig{
+			Bench: "kv", HeapMult: 2, Collector: vm.StickyImmix, FailureAware: true,
+			FailureRate: 0.10, ClusterPages: 2, Mutators: 4, Iterations: 2000, Seed: seed,
+		})
+		if res.DNF {
+			t.Errorf("seed %d: kv did not finish (%s)", seed, res.Panic)
+		}
+	}
+}

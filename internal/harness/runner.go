@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"wearmem/internal/kernel"
 	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
+	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 	"wearmem/internal/verify"
 	"wearmem/internal/vm"
@@ -292,7 +292,7 @@ func safeExecute(rc RunConfig) (res Result) {
 			res = Result{
 				DNF:        true,
 				Panic:      fmt.Sprint(p),
-				PanicStack: string(debug.Stack()),
+				PanicStack: string(sched.PanicStack(p)),
 			}
 		}
 	}()

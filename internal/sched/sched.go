@@ -19,6 +19,7 @@ package sched
 import (
 	"fmt"
 	"iter"
+	"runtime/debug"
 )
 
 // Yielder is the handle a task uses to cooperate. Calling Yield parks the
@@ -43,7 +44,38 @@ type task struct {
 	stop func()                  // tear down: a parked task unwinds, an unstarted one never runs
 	done bool
 	err  error
-	pan  interface{} // re-thrown task panic, if any
+	pan  *Panic // re-thrown task panic, if any
+}
+
+// Panic is a task's panic as Run and Parallel re-raise it in their caller.
+// It prints as the task's panic value and unwraps to it, and it carries the
+// stack of the task that panicked, which the re-raise would otherwise lose.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }
+
+func (p *Panic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// recovered wraps a recovered task panic with the stack that raised it; it
+// must be called from the task's deferred function.
+func recovered(r any) *Panic {
+	return &Panic{Value: r, Stack: debug.Stack()}
+}
+
+// PanicStack is the stack that raised the recovered panic p: the task's,
+// when p is a Panic, else the caller's own, which runs on top of the
+// panicking frames when called from a deferred function.
+func PanicStack(p any) []byte {
+	if tp, ok := p.(*Panic); ok {
+		return tp.Stack
+	}
+	return debug.Stack()
 }
 
 // yielder is the sequence's yield function; it returns false once the
@@ -58,8 +90,9 @@ func (y yielder) Yield() {
 
 // Run executes the task functions to completion under the deterministic
 // round-robin policy and returns the first error (nil when every task
-// succeeded). A task panic is re-raised in the caller's goroutine once the
-// remaining tasks have been torn down, so no coroutines leak.
+// succeeded). A task panic is re-raised in the caller's goroutine, as a
+// *Panic, once the remaining tasks have been torn down, so no coroutines
+// leak.
 func Run(fns ...Func) error {
 	tasks := make([]task, len(fns))
 	for i, fn := range fns {
@@ -68,7 +101,7 @@ func Run(fns ...Func) error {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(abortSignal); !ok {
-						t.pan = r
+						t.pan = recovered(r)
 					}
 				}
 			}()
@@ -77,7 +110,7 @@ func Run(fns ...Func) error {
 	}
 
 	var firstErr error
-	var firstPan interface{}
+	var firstPan *Panic
 	for live := len(tasks); live > 0; {
 		for i := range tasks {
 			t := &tasks[i]
@@ -113,19 +146,21 @@ func Run(fns ...Func) error {
 // yielding: interleaving is whatever the Go scheduler and the host decide,
 // so anything the tasks share must carry its own synchronization. The
 // first error in task-index order is returned; a task panic is re-raised
-// in the caller's goroutine after every task has finished, so no
-// goroutines leak either way.
+// in the caller's goroutine, as a *Panic, after every task has finished, so
+// no goroutines leak either way.
 func Parallel(fns ...func() error) error {
 	if len(fns) == 0 {
 		return nil
 	}
 	errs := make([]error, len(fns))
-	pans := make([]interface{}, len(fns))
+	pans := make([]*Panic, len(fns))
 	done := make(chan int)
 	for i := range fns {
 		go func(i int) {
 			defer func() {
-				pans[i] = recover()
+				if r := recover(); r != nil {
+					pans[i] = recovered(r)
+				}
 				done <- i
 			}()
 			errs[i] = fns[i]()

@@ -73,8 +73,8 @@ func TestPanicPropagates(t *testing.T) {
 		if r == nil {
 			t.Fatal("panic did not propagate")
 		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "kaboom") {
-			t.Fatalf("recovered %v, want kaboom", r)
+		if s := fmt.Sprint(r); s != "kaboom" {
+			t.Fatalf("recovered %q, want kaboom", s)
 		}
 	}()
 	_ = Run(
@@ -91,6 +91,43 @@ func TestPanicPropagates(t *testing.T) {
 // An aborted task unwinds through its deferred functions exactly once
 // (vm.RunMutators' defer m.Park() depends on it), and a task that had not
 // started when an earlier one failed is never entered at all.
+var errTaskBoom = errors.New("task boom")
+
+// explodeInHelper panics below the task body, so a stack naming it was
+// taken where the task panicked.
+//
+//go:noinline
+func explodeInHelper() { panic(errTaskBoom) }
+
+// TestPanicCarriesTaskStack: Run and Parallel re-raise a task's panic as a
+// Panic that prints as the task's value, unwraps to it, and carries the
+// stack of the frame that panicked rather than of the re-raise.
+func TestPanicCarriesTaskStack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Run", func() { _ = Run(func(Yielder) error { explodeInHelper(); return nil }) }},
+		{"Parallel", func() { _ = Parallel(func() error { explodeInHelper(); return nil }) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if s := fmt.Sprint(p); s != errTaskBoom.Error() {
+					t.Errorf("the re-raised panic prints %q, want %q", s, errTaskBoom)
+				}
+				if err, ok := p.(error); !ok || !errors.Is(err, errTaskBoom) {
+					t.Errorf("the re-raised panic %#v does not unwrap to the task's error", p)
+				}
+				if stack := string(PanicStack(p)); !strings.Contains(stack, "sched.explodeInHelper") {
+					t.Errorf("the stack does not name the frame that panicked:\n%s", stack)
+				}
+			}()
+			c.run()
+		})
+	}
+}
+
 func TestAbortRunsDefersAndSkipsUnstarted(t *testing.T) {
 	boom := errors.New("boom")
 	var deferred int

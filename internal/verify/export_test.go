@@ -247,7 +247,10 @@ func referenceCheckLineStates(t Target, spans []span, opt Options, rep *Report) 
 	for _, sp := range spans {
 		v := viewOf(t.Views, uint64(sp.a))
 		if v == nil {
-			continue // LOS or mark-sweep space
+			if t.Large != nil && !t.Large(uint64(sp.a)) {
+				rep.add("line-state", "reachable object %#x lies in no block and no large object", sp.a)
+			}
+			continue
 		}
 		first := int(uint64(sp.a)-v.Base) / v.LineSize
 		last := int(uint64(sp.a)+uint64(sp.size)-1-v.Base) / v.LineSize

@@ -191,6 +191,12 @@ func TestHeapPlantedFindings(t *testing.T) {
 			func(p *planted) { p.view().Failed = 1 }, noViews},
 		{"object on a free line", "line-state", "reachable object 0x100 overlaps free line 1 of block 0x0",
 			func(p *planted) { p.view().States[1] = verify.LineFree; p.view().FreeLines = 15 }, skipGraph},
+		// The block holding refs was released while refs stayed reachable.
+		{"object in no block", "line-state", "reachable object 0x100 lies in no block and no large object",
+			func(p *planted) {
+				p.view().States, p.view().FreeLines = p.view().States[:1], 0
+				p.t.Large = func(a uint64) bool { return a == 0x800 }
+			}, func(t *verify.Target, _ *verify.Options) { t.Large = nil }},
 		{"object on a failed line", "failed-line", "reachable object 0x100 overlaps failed line 1 of block 0x0",
 			func(p *planted) {
 				p.view().States[1] = verify.LineFailed

@@ -26,6 +26,7 @@ func liveTarget(v *vm.VM, aware bool) (verify.Target, verify.Options) {
 	}
 	if ix := v.Immix(); ix != nil {
 		t.Views = ix.BlockViews()
+		t.Large = ix.LargeObject
 		t.Epoch = ix.Epoch()
 	} else if ms, ok := v.Plan().(interface{ Epoch() uint16 }); ok {
 		t.Epoch = ms.Epoch()

@@ -201,6 +201,9 @@ type Target struct {
 	Roots Roots
 	// Views are the Immix line states; nil for plans without lines.
 	Views []BlockView
+	// Large, with Views, reports whether an address is a large object's
+	// base: a reachable object in no block view must be one.
+	Large func(addr uint64) bool
 	// Epoch, when nonzero, asserts that every reachable object carries
 	// this mark epoch — valid immediately after a collection (sticky marks
 	// keep old objects at the current epoch across nursery passes).
@@ -242,14 +245,6 @@ func Heap(t Target, opt Options) *Report {
 	if t.Policy != nil {
 		checkPolicy(t.Policy, rep)
 	}
-	return rep
-}
-
-// Policy runs only the frame-policy accounting check. It is
-// cheap enough to call from a remap-boundary probe.
-func Policy(p PolicySource) *Report {
-	rep := &Report{}
-	checkPolicy(p, rep)
 	return rep
 }
 
@@ -499,7 +494,8 @@ func checkOverlap(spans *reachable, rep *Report) {
 // checkLineStates validates the Immix views internally (counters vs
 // states) and against the reachable set: no reachable object on a free
 // line, none on a failed line (§4.2: a collection evacuates or retires
-// affected data before the verifier runs).
+// affected data before the verifier runs), and, when Large is set, none
+// outside every block but large objects.
 func checkLineStates(t Target, spans *reachable, opt Options, rep *Report) {
 	rep.Checks++
 	for _, v := range t.Views {
@@ -527,7 +523,10 @@ func checkLineStates(t Target, spans *reachable, opt Options, rep *Report) {
 	spans.each(func(a heap.Addr, size int) {
 		v := viewOf(t.Views, uint64(a))
 		if v == nil {
-			return // LOS or mark-sweep space
+			if t.Large != nil && !t.Large(uint64(a)) {
+				rep.add("line-state", "reachable object %#x lies in no block and no large object", a)
+			}
+			return
 		}
 		first := int(uint64(a)-v.Base) / v.LineSize
 		last := int(uint64(a)+uint64(size)-1-v.Base) / v.LineSize

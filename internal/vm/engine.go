@@ -38,10 +38,6 @@ type engine interface {
 	// masked reports whether an up-call arriving now must queue for the next
 	// safepoint instead of being handled on the spot.
 	masked() bool
-	// cycles reports whether marking cycles run between collections
-	// (bounded-pause configurations): they never evacuate, so escalate
-	// grants them the retryFullCollections recourse.
-	cycles() bool
 	// pin marks an object immovable against whatever else may be touching
 	// its header.
 	pin(a heap.Addr)
@@ -124,8 +120,6 @@ func (b *baton) assertExclusive() {
 }
 
 func (b *baton) masked() bool { return b.v.busy > 0 }
-
-func (b *baton) cycles() bool { return b.v.cfg.PauseBudget > 0 }
 
 func (b *baton) pin(a heap.Addr) { b.v.plan.Pin(a) }
 

@@ -283,8 +283,6 @@ func (t *threaded) assertExclusive() { t.world.assertStopped() }
 
 func (t *threaded) masked() bool { return true }
 
-func (t *threaded) cycles() bool { return t.markers > 0 }
-
 // pin sets the bit atomically — running mutators CAS header bits (barrier
 // logging) — and inside the write-through transaction.
 func (t *threaded) pin(a heap.Addr) {

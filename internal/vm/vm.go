@@ -510,42 +510,26 @@ func (v *VM) escalate(m *Mutator, ty *heap.Type, size, n int, err error) (heap.A
 			return a, nil
 		}
 	}
-	// Second recourse: a full, defragmenting collection.
-	v.collectGuarded(true)
-	if a, err := v.allocGuarded(m, ty, size, n); err == nil {
-		return a, nil
-	}
-	if v.eng.cycles() {
-		if a, ok := v.retryFullCollections(m, ty, size, n); ok {
+	// Then full, defragmenting collections with a retry after each: one
+	// unconditionally, then up to eight more while each flags a new
+	// defragmentation candidate. A heap left with no wholly free block — by
+	// bounded-pause cycles, which never evacuate, or by stop-the-world ones
+	// that left every block partly live — can evacuate only into its
+	// reserved headroom at first; the blocks a pass vacates become the next
+	// pass's destination space. Memory pressure forfeits a pause bound: these
+	// are honest stop-the-world collections, visible in the pause histograms.
+	for i := 0; i < 9; i++ {
+		before := v.plan.Stats().BlocksDefragmented
+		v.collectGuarded(true)
+		if a, err := v.allocGuarded(m, ty, size, n); err == nil {
 			return a, nil
+		}
+		if i > 0 && v.plan.Stats().BlocksDefragmented == before {
+			break
 		}
 	}
 	v.oom.Store(true)
 	return 0, ErrOutOfMemory
-}
-
-// retryFullCollections runs additional full collections while
-// defragmentation makes progress, retrying the allocation after each.
-// Bounded-pause cycles never evacuate, so under a pause budget the heap
-// can reach the escalation ladder uniformly fragmented with no wholly
-// free block anywhere: the first full collection can only evacuate into
-// its reserved headroom, and the few blocks it vacates become the next
-// pass's (larger) destination space. Memory pressure forfeits the pause
-// bound — these are honest STW collections, visible in the pause
-// histograms. STW configurations never reach this path: their previous
-// full collection swept with full compaction headroom already.
-func (v *VM) retryFullCollections(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, bool) {
-	for i := 0; i < 8; i++ {
-		before := v.plan.Stats().BlocksDefragmented
-		v.collectGuarded(true)
-		if a, err := v.allocGuarded(m, ty, size, n); err == nil {
-			return a, true
-		}
-		if v.plan.Stats().BlocksDefragmented == before {
-			return 0, false
-		}
-	}
-	return 0, false
 }
 
 // MustNew allocates or panics with ErrOutOfMemory; workloads treat OOM as
@@ -877,9 +861,6 @@ func (v *VM) handleFailuresNow(fails []kernel.LineFailure) {
 		}
 	}
 }
-
-// FreeBudgetPages reports the remaining kernel page budget (for tests).
-func (v *VM) FreeBudgetPages() int { return v.mem.FreeBudgetPages() }
 
 // MemoryDebug summarizes where the VM's memory currently sits (for tests
 // and diagnostics).

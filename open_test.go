@@ -360,3 +360,19 @@ func TestOpenManualMutators(t *testing.T) {
 		t.Fatal("RunBenchmark allowed after manual Mutators")
 	}
 }
+
+// A long wearing kv run exhausts the PCM pool and borrows DRAM while objects
+// the collector could not move sit on failed lines. The sweep used to release
+// such an object's block, the OS page remap then found no block, and a later
+// trace panicked ("reference 0x576400 outside managed space" at this size,
+// the smallest that panicked). It now runs to completion.
+func TestOpenLongWearingKVRunCompletes(t *testing.T) {
+	name := kv.MustRegister(kv.Config{ReadRatio: 0.25})
+	b := BenchmarkByName(name)
+	hb := 3 * b.MinHeap()
+	rt := MustOpen(WithHeapBytes(hb), WithPoolPages(2*hb/PageSize),
+		WithWearingDevice(96, 0.25), WithWriteThrough(), WithMutators(4), WithSeed(1))
+	if err := rt.RunBenchmark(b, 18000); err != nil {
+		t.Fatal(err)
+	}
+}
