@@ -3,6 +3,7 @@ package kv_test
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"wearmem/internal/kernel"
@@ -120,11 +121,15 @@ func TestKVConfigValidation(t *testing.T) {
 		{Keys: 8},
 		{ReadRatio: 1.5},
 		{ValueMin: 128, ValueMax: 64},
-		{ValueMin: 8, ValueMax: 1 << 40}, // wider than a value size draw reaches
 		{Zipf: -1},
 		{Zipf: math.NaN()},
 		{Contention: -0.1},
 		{Phases: -1},
+	}
+	// A size range wider than a value size draw reaches (2³¹−1 sizes) needs
+	// an int wider than 32 bits.
+	if strconv.IntSize == 64 {
+		bad = append(bad, kv.Config{ValueMin: 8, ValueMax: math.MaxInt})
 	}
 	for _, c := range bad {
 		if _, err := kv.Register(c); err == nil {

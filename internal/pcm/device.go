@@ -452,13 +452,15 @@ func (d *Device) Write(line int, data []byte) error {
 // (one acquisition of the lock on an equipped device, none on a
 // single-owner one), exactly as that many calls to Write would, and returns
 // how many writes it applied. It stops early, with a nil error, after the
-// first write that leaves the failure buffer non-empty: that write's
-// interrupt callbacks then run (after the critical section, in the order
-// Write would have run them) before the caller sees n, so a handler that
-// drains observes the same device state it would have under Write, and a
-// caller that drains itself does so before resuming with lines[n:]. A
-// write that finds the module stalled is not applied and ends the run with
-// ErrStalled; lines[n] is then the refused write.
+// first write that fails a line or leaves the failure buffer non-empty:
+// that write's interrupt callbacks then run (after the critical section, in
+// the order Write would have run them) before the caller sees n, so a
+// handler that drains observes the same device state it would have under
+// Write, and a caller that drains itself, or tests the failure rate, does
+// so before resuming with lines[n:]. A failure the clustering hardware
+// absorbs parks nothing and still ends the run, because it still counts in
+// FailedLines. A write that finds the module stalled is not applied and
+// ends the run with ErrStalled; lines[n] is then the refused write.
 func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 	for _, line := range lines {
 		if line < 0 || line >= d.lines {
@@ -489,13 +491,14 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		} else if array != nil {
 			s = array.Translate(line)
 		}
-		if d.wear(s) {
+		failed := d.wear(s)
+		if failed {
 			d.reportFailure(line, data)
 		} else if store != nil {
 			copy(store.line(s), data)
 		}
 		n++
-		if d.live.Load() > 0 {
+		if failed || d.live.Load() > 0 {
 			break
 		}
 	}

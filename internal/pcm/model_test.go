@@ -271,14 +271,15 @@ func (m *model) write(line int, data []byte) error {
 	return nil
 }
 
-// writeRun is Device.WriteRun: writes until one is refused or leaves the
-// buffer non-empty.
+// writeRun is Device.WriteRun: writes until one is refused, fails a line
+// (absorbed or not) or leaves the buffer non-empty.
 func (m *model) writeRun(lines []int, data []byte) (int, error) {
 	for n, line := range lines {
+		failed := m.failed
 		if err := m.write(line, data); err != nil {
 			return n, err
 		}
-		if len(m.buffer) > 0 {
+		if len(m.buffer) > 0 || m.failed != failed {
 			return n + 1, nil
 		}
 	}

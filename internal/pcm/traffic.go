@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/stats"
 )
 
 // math/rand's seeded source is the additive lagged-Fibonacci generator
@@ -162,27 +163,77 @@ func (d *Device) SkewedLines(t *Traffic, dst []int) {
 
 // WearThrough drives d with the skewed traffic stream of seed, draining
 // every failure as the OS would, and calls reached(i) as the failure rate
-// crosses targets[i] (ascending). Line indices are drawn in blocks and fed
-// to WriteRun, which returns at every failure, so the rate is tested
-// wherever it can have changed; indices drawn past the last crossing are
-// never written.
+// crosses targets[i] (ascending): exactly the loop that draws one line,
+// writes it and drains, testing the rate before every write. The rate only
+// moves when a write fails a line, and WriteRun returns at every such
+// write, so WearThrough tests it only there, and stops at the first write
+// that crosses a target. On a device where a write can do nothing but count
+// wear until it reaches a line's endurance (countWear), only that write goes
+// through WriteRun; elsewhere lines are drawn in blocks and fed to it, and
+// indices drawn past the last crossing are never written.
 func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int)) {
 	t := NewTraffic(seed)
 	buf := make([]byte, failmap.LineSize)
+	counting := d.cfg.WearLeveling != StartGap && d.array == nil && d.data == nil && d.endurance != nil
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
 	for i, target := range targets {
 		for d.FailureRate() < target {
-			if len(next) == 0 {
+			// With failures pending a write may be refused, or its own
+			// failure may reach the watermark: WriteRun decides, so counting
+			// waits for an empty buffer.
+			switch {
+			case counting && len(next) == 0 && d.BufferLen() == 0:
+				block[0] = d.countWear(t)
+				next = block[:1]
+			case len(next) == 0:
 				d.SkewedLines(t, block)
 				next = block
 			}
-			n, _ := d.WriteRun(next, buf) // never stalls: the buffer is empty on entry
+			n, _ := d.WriteRun(next, buf) // a write refused at the watermark stays in next
 			next = next[n:]
 			for d.BufferLen() > 0 {
 				d.Drain()
 			}
 		}
 		reached(i)
+	}
+}
+
+// countWear draws lines as SkewedLines does and applies each one's write
+// for as long as that write can only count wear, and returns, unwritten,
+// the first line whose write would reach its endurance (and so fail it or
+// take a correction entry). The caller has checked that d neither levels
+// nor clusters, stores no contents and has finite endurance, and that its
+// buffer is empty: a write then fails nothing and stores nothing exactly
+// when its line is broken or its count plus one stays below the line's
+// endurance (wear's test), and it charges one EvPCMWrite, which the clock
+// sums, so the counted writes are charged in one step before WriteRun
+// takes the next.
+func (d *Device) countWear(t *Traffic) int {
+	hot, all := uint32(d.lines/4), uint32(d.lines)
+	hotMax, allMax := int31nMax(hot), int31nMax(all)
+	writes, endurance, broken := d.writes, d.endurance, d.broken
+	var counted uint64
+	v, j := uint32(0), t.i
+	for {
+		v, j = t.candidate(j, hotMax)
+		l := reduce(v, hot)
+		if v, j = t.candidate(j, int31nMax(10)); reduce(v, 10) == 0 {
+			v, j = t.candidate(j, allMax)
+			l = reduce(v, all)
+		}
+		d.mu.Lock()
+		if !broken[l] && writes[l]+1 >= endurance[l] {
+			if d.clock != nil {
+				d.clock.Charge(stats.EvPCMWrite, counted)
+			}
+			d.mu.Unlock()
+			t.i = j
+			return l
+		}
+		writes[l]++
+		d.mu.Unlock()
+		counted++
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/probe"
+	"wearmem/internal/stats"
 )
 
 // skewedPerWrite is the literal draw SkewedLines replaced at four sites.
@@ -254,8 +257,10 @@ func TestSkewedLinesRedraws(t *testing.T) {
 }
 
 // TestWearBlockAllocatesNothing: drawing a 512-line block and writing it to
-// healthy lines, the whole of a wear loop between two failures, stays off
-// the host heap.
+// healthy lines, the whole of the block path between two failures, stays
+// off the host heap, and so does WearThrough's count-only step over the
+// stretch tab2 spends most of its wall in: from a template's 25 % crossing
+// up to the write that reaches its next line's endurance.
 func TestWearBlockAllocatesNothing(t *testing.T) {
 	d, lines := wearBenchDevice()
 	traffic := NewTraffic(1)
@@ -268,6 +273,16 @@ func TestWearBlockAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a 512-line block allocates %v times", allocs)
 	}
+
+	worn := NewDevice(wearStudyConfig(NoWearLeveling, 64, 42), nil)
+	worn.WearThrough(49, []float64{0.25}, func(int) {})
+	traffic, written := NewTraffic(50), worn.TotalWrites()
+	if allocs := testing.AllocsPerRun(1, func() { worn.countWear(traffic) }); allocs != 0 {
+		t.Errorf("counting %d writes allocates %v times", worn.TotalWrites()-written, allocs)
+	}
+	if worn.TotalWrites()-written < 1_000_000 {
+		t.Errorf("the count-only step counted only %d writes", worn.TotalWrites()-written)
+	}
 }
 
 // wearStudyConfig is the low-endurance module tab2 wears (harness.wornFailureMaps).
@@ -279,50 +294,208 @@ func wearStudyConfig(wl WearLeveling, pages int, seed int64) Config {
 }
 
 // wearPerWrite is the wear loop Tab2 ran before WriteRun, kept as the
-// reference: a fresh device per target, one Write per drawn line, the rate
-// and the buffer polled around every write.
-func wearPerWrite(wl WearLeveling, pages int, target float64, seed int64) *Device {
-	dev := NewDevice(wearStudyConfig(wl, pages, seed), nil)
-	rng := rand.New(rand.NewSource(seed + 7))
+// reference WearThrough is held to: one Write per drawn line, the rate
+// tested before every write and the buffer drained after it.
+func wearPerWrite(d *Device, seed int64, targets []float64, reached func(i int)) {
+	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, failmap.LineSize)
 	var l [1]int
-	for dev.FailureRate() < target {
-		skewedPerWrite(rng, dev.Lines(), l[:])
-		dev.Write(l[0], buf)
-		for dev.BufferLen() > 0 {
-			dev.Drain()
+	for i, target := range targets {
+		for d.FailureRate() < target {
+			skewedPerWrite(rng, d.Lines(), l[:])
+			d.Write(l[0], buf)
+			for d.BufferLen() > 0 {
+				d.Drain()
+			}
+		}
+		reached(i)
+	}
+}
+
+// wearCase is a device, what it is seen by (a clock; the interrupt
+// callbacks and a probe), how many of its lines fail before wearing starts,
+// and the traffic seed and targets it is worn through.
+type wearCase struct {
+	cfg            Config
+	clocked, wired bool
+	pending        int
+	seed           int64
+	targets        []float64
+}
+
+// wearTwin is one device of a pair worn through the same case, one by
+// WearThrough and one by wearPerWrite.
+type wearTwin struct {
+	d     *Device
+	clock *stats.Clock
+	log   []string
+}
+
+func newWearTwin(c wearCase) *wearTwin {
+	w := &wearTwin{}
+	if c.clocked {
+		w.clock = stats.NewClock(stats.DefaultCosts())
+	}
+	// Each interrupt logs the simulated time it sees, so a write the clock
+	// was not charged for by then shows in the log.
+	now := func() stats.Cycles {
+		if w.clock == nil {
+			return 0
+		}
+		return w.clock.Now()
+	}
+	cfg := c.cfg
+	if c.wired {
+		cfg.Probe = func(p probe.Point, addr uint64) {
+			w.log = append(w.log, fmt.Sprintf("probe %v %d at %d", p, addr, now()))
 		}
 	}
-	return dev
+	w.d = NewDevice(cfg, w.clock)
+	if c.wired {
+		w.d.OnFailure(func() { w.log = append(w.log, fmt.Sprintf("failure at %d", now())) })
+		w.d.OnBufferFull(func() { w.log = append(w.log, fmt.Sprintf("watermark at %d", now())) })
+	}
+	for l := w.d.Lines() - c.pending; l < w.d.Lines(); l++ {
+		w.d.ForceFail(l, nil)
+	}
+	return w
+}
+
+// wearState is everything a twin shows at a target's crossing: the durable
+// image (writes, endurance, correction entries, broken slots, the gap,
+// clustering maps, parked lines, contents), the buffer accounting, the
+// clock's counts and time, and the interrupt log.
+type wearState struct {
+	Image                        *DeviceImage
+	Pushed, Invalidated, Drained uint64
+	Counts                       []stats.Counter
+	Now                          stats.Cycles
+	Log                          []string
+}
+
+func (w *wearTwin) state() wearState {
+	st := wearState{Image: w.d.Snapshot(), Log: slices.Clone(w.log)}
+	st.Pushed, st.Invalidated, st.Drained = w.d.BufferAccounting()
+	if w.clock != nil {
+		st.Counts, st.Now = w.clock.Snapshot(), w.clock.Now()
+	}
+	return st
+}
+
+// checkWearThrough wears a pair of twins through c, one with WearThrough and
+// one with the per-write loop, and fails where they differ at any crossing.
+func checkWearThrough(t *testing.T, what string, c wearCase) {
+	t.Helper()
+	got, want := newWearTwin(c), newWearTwin(c)
+	var gotAt, wantAt []wearState
+	got.d.WearThrough(c.seed, c.targets, func(int) { gotAt = append(gotAt, got.state()) })
+	wearPerWrite(want.d, c.seed, c.targets, func(int) { wantAt = append(wantAt, want.state()) })
+	if len(gotAt) != len(c.targets) || len(wantAt) != len(c.targets) {
+		t.Fatalf("%s: %d and %d of %d targets reported", what, len(gotAt), len(wantAt), len(c.targets))
+	}
+	for i, target := range c.targets {
+		if f := firstDiff(gotAt[i], wantAt[i]); f != "" {
+			if f == "Image" {
+				f = "image field " + firstDiff(*gotAt[i].Image, *wantAt[i].Image)
+			}
+			t.Fatalf("%s, target %.3f: %s differs from the per-write loop's", what, target, f)
+		}
+	}
+}
+
+// firstDiff names the first field two structs of one type differ in, or
+// returns "" when they are deeply equal.
+func firstDiff(a, b any) string {
+	g, w := reflect.ValueOf(a), reflect.ValueOf(b)
+	for f := range g.NumField() {
+		if !reflect.DeepEqual(g.Field(f).Interface(), w.Field(f).Interface()) {
+			return g.Type().Field(f).Name
+		}
+	}
+	return ""
 }
 
 // TestWearThroughMatchesPerWriteLoop: one device worn through ascending
-// targets in WriteRun blocks is, at each crossing, the device a fresh
-// per-write run to that target alone produces — same failure map, same
-// write and gap-carry totals — so the chained pass cannot move tab2.
+// targets by WearThrough is, at each crossing, the device the per-write
+// loop leaves — same image, buffer accounting, clock and interrupts — so
+// the chained pass cannot move tab2, and neither the count-only step nor
+// the block path overshoots a target. The corners are tab2's two templates
+// (at 64 pages, to 50 %), and to 25 %: each thing that can see a write (a
+// clock, ECC, contents, callbacks and a probe), failures pending when
+// wearing starts (one short of the watermark), clustering at the seeds that
+// once overshot the 10 % target, and a 48-page module, whose hot quarter
+// and line count are not powers of two, so its draws reduce by a modulo;
+// at both of its seeds a draw redraws before 5 %.
 func TestWearThroughMatchesPerWriteLoop(t *testing.T) {
-	const pages = 64
-	targets := []float64{0.10, 0.25, 0.50}
-	for _, wl := range []WearLeveling{StartGap, NoWearLeveling} {
-		for _, seed := range []int64{1, 42, 311} {
-			dev := NewDevice(wearStudyConfig(wl, pages, seed), nil)
-			crossed := 0
-			dev.WearThrough(seed+7, targets, func(i int) {
-				crossed++
-				ref := wearPerWrite(wl, pages, targets[i], seed)
-				if !dev.FailMap().Equal(ref.FailMap()) {
-					t.Errorf("policy %d seed %d target %.2f: failure maps differ", wl, seed, targets[i])
-				}
-				if dev.TotalWrites() != ref.TotalWrites() || dev.GapCarries() != ref.GapCarries() {
-					t.Errorf("policy %d seed %d target %.2f: writes %d carries %d, per-write loop %d / %d",
-						wl, seed, targets[i], dev.TotalWrites(), dev.GapCarries(), ref.TotalWrites(), ref.GapCarries())
-				}
-			})
-			if crossed != len(targets) {
-				t.Errorf("policy %d seed %d: %d of %d targets reported", wl, seed, crossed, len(targets))
-			}
+	tab2 := []float64{0.10, 0.25, 0.50}
+	early := tab2[:2]
+	for _, corner := range []struct {
+		name    string
+		pages   int
+		seeds   []int64
+		targets []float64
+		tune    func(*wearCase)
+	}{
+		{"start-gap", 64, []int64{1, 42, 311}, tab2, func(c *wearCase) { c.cfg.WearLeveling = StartGap }},
+		{"no leveling", 64, []int64{1, 42, 311}, tab2, func(*wearCase) {}},
+		{"clock", 64, []int64{42}, early, func(c *wearCase) { c.clocked = true }},
+		{"ECC", 64, []int64{42}, early, func(c *wearCase) { c.cfg.ECCEntries, c.clocked = 2, true }},
+		{"contents", 64, []int64{42}, early, func(c *wearCase) { c.cfg.TrackData = true }},
+		{"interrupts", 64, []int64{42}, early, func(c *wearCase) { c.clocked, c.wired = true, true }},
+		{"start-gap interrupts", 64, []int64{42}, early, func(c *wearCase) {
+			c.cfg.WearLeveling, c.clocked, c.wired = StartGap, true, true
+		}},
+		{"pending failures", 64, []int64{42}, early, func(c *wearCase) { c.clocked, c.wired, c.pending = true, true, 27 }},
+		{"1-page clustering", 64, []int64{4, 27}, early, func(c *wearCase) {
+			c.cfg.ClusterPages, c.clocked, c.wired = 1, true, true
+		}},
+		{"2-page clustering", 64, []int64{5, 19}, early, func(c *wearCase) { c.cfg.ClusterPages = 2 }},
+		{"48 pages", 48, []int64{17, 44}, early, func(*wearCase) {}},
+	} {
+		for _, seed := range corner.seeds {
+			c := wearCase{cfg: wearStudyConfig(NoWearLeveling, corner.pages, seed), seed: seed + 7, targets: corner.targets}
+			corner.tune(&c)
+			checkWearThrough(t, fmt.Sprintf("%s, seed %d", corner.name, seed), c)
 		}
 	}
+}
+
+// FuzzWearThroughMatchesPerWriteLoop holds WearThrough to the per-write
+// loop on every corner modelConfig decodes, clock, callbacks and probe
+// attached, through two targets: target's low seven bits set the higher
+// one (a fraction of the module, up to all of it), half of which is the
+// lower, and its top bit grows the module to 48 pages, where draws redraw
+// and reduce by a modulo. A module of infinite endurance never fails a
+// line, so it is worn to a rate of zero only.
+func FuzzWearThroughMatchesPerWriteLoop(f *testing.F) {
+	for _, in := range wearFuzzSeeds {
+		f.Add(in[0], in[1], in[2])
+	}
+	f.Fuzz(func(t *testing.T, shape, wear, target byte) {
+		c := wearCase{cfg: modelConfig(shape, wear), clocked: true, wired: true, seed: int64(shape)<<8 | int64(wear)}
+		if target&0x80 != 0 {
+			c.cfg.Size = 48 * failmap.PageSize
+		}
+		r := float64(target&0x7f) / 0x7f
+		if c.cfg.Endurance == 0 {
+			r = 0
+		}
+		c.targets = []float64{r / 2, r}
+		checkWearThrough(t, fmt.Sprintf("shape %d wear %d target %#x", shape, wear, target), c)
+	})
+}
+
+// wearFuzzSeeds are the test's corners in modelConfig's terms (shape, wear,
+// target): no leveling, start-gap ψ = 1, 1-, 2- and 8-page clustering (the
+// 1- and 2-page ones at wears where a block overshot a target before
+// WriteRun stopped at an absorbed failure), a tiny buffer, ECC and
+// contents, on 8-page modules; and 48-page ones, two of which redraw a draw
+// before their first target (wear 94 after 6 015 writes, wear 51 after
+// 24 600).
+var wearFuzzSeeds = [][3]byte{
+	{0, 0, 64}, {0, 9, 127}, {1, 3, 64}, {4, 5, 13}, {5, 20, 64}, {6, 4, 100},
+	{7, 5, 127}, {14, 6, 64}, {28, 7, 64}, {4 + 7 + 14 + 28, 8, 64},
+	{0, 94, 0x80 | 64}, {0, 51, 0x80 | 127}, {14, 11, 0x80 | 40},
 }
 
 // BenchmarkSkewedLines is one op = drawing one 512-line block for tab2's

@@ -137,7 +137,7 @@ func TestThreadedConcurrentSATBHiding(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				m.WriteWord(hidden, nodeVal, uint64(0xFACE0000+i*rounds+r))
+				m.WriteWord(hidden, nodeVal, 0xFACE0000+uint64(i*rounds+r))
 				m.WriteRef(from, nodeNext, hidden)
 				// Churn with a round-varying stride so the hide lands at a
 				// different point of the concurrent cycle each time.
@@ -160,7 +160,7 @@ func TestThreadedConcurrentSATBHiding(t *testing.T) {
 				if got == 0 {
 					return fmt.Errorf("mutator %d round %d: hidden object lost", i, r)
 				}
-				if v := m.ReadWord(got, nodeVal); v != uint64(0xFACE0000+i*rounds+r) {
+				if v := m.ReadWord(got, nodeVal); v != 0xFACE0000+uint64(i*rounds+r) {
 					return fmt.Errorf("mutator %d round %d: hidden payload %#x", i, r, v)
 				}
 			}

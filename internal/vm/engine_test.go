@@ -203,7 +203,7 @@ func TestEngineContractOneLadder(t *testing.T) {
 		tv := makeContractVM(t, threaded, 256<<10, func(c *Config) {
 			if marking {
 				withMarking(c)
-				c.MarkTriggerBytes = 1 << 40
+				c.MarkTriggerBytes = 1 << 30
 			}
 		})
 		var head heap.Addr

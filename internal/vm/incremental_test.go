@@ -114,7 +114,7 @@ func TestIncrementalSATBHiding(t *testing.T) {
 		to := tv.MustNew(tv.node)
 		toRoot = to
 		hidden := tv.MustNew(tv.node)
-		tv.WriteWord(hidden, nodeVal, uint64(0xBEEF0000+i))
+		tv.WriteWord(hidden, nodeVal, 0xBEEF0000+uint64(i))
 		tv.WriteRef(from, nodeNext, hidden)
 		pairs = append(pairs, slotPair{from, to})
 		// Churn to push the collector into (and through) marking cycles at a
