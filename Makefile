@@ -24,14 +24,15 @@ race:
 # lock-free page-table walk, the address-space free list under eight
 # workers, a panicking trace worker surfacing from the stop-the-world trace
 # and the concurrent markers instead of hanging the others
-# (TestThreadedWorkerPanicSurfaces), and the blob-fill differential, whose
-# threaded twins take the write-through lock once a line (subset of "race";
-# faster signal).
+# (TestThreadedWorkerPanicSurfaces), the blob-fill differential, whose
+# threaded twins take the write-through lock once a line, and the runner's
+# memo serving two spellings of one configuration from one flight
+# (TestCanonicalAliasesSingleflight) (subset of "race"; faster signal).
 race-threaded:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/core/ ./internal/workload/ \
 		./internal/chaos/ ./internal/harness/ ./internal/pcm/ ./internal/kernel/ \
 		./internal/machine/ ./internal/sched/ . \
-		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore|SingleOwner|ConcurrentDevice|Equip|Lock|Seam|EngineContract|SetArrayBytes'
+		-run 'Threaded|RunThreads|RunMutators|World|EngineDifferential|MultiMutator|LockFree|ConcurrentFailureInterrupts|Recycl|TestStore|SingleOwner|ConcurrentDevice|Equip|Lock|Seam|EngineContract|SetArrayBytes|Canonical'
 
 vet:
 	$(GO) vet ./...

@@ -220,11 +220,15 @@ func (g *GCStats) recordPause(c stats.Cycles) {
 // free to avoid escalating to a full collection.
 const nurseryYield = 0.08
 
+// DefaultLineSize is the Immix line size a Config with LineSize 0 runs
+// with: the paper's 256 B (§6.3).
+const DefaultLineSize = 256
+
 // Config parametrizes a collector.
 type Config struct {
 	// BlockSize is the Immix block size; default 32 KB.
 	BlockSize int
-	// LineSize is the Immix logical line size; default 256 B.
+	// LineSize is the Immix logical line size; default DefaultLineSize.
 	LineSize int
 	// LOSThreshold routes objects of at least this size to the large
 	// object space; default 8 KB.
@@ -281,7 +285,7 @@ func (c *Config) fill() {
 		c.BlockSize = 32 << 10
 	}
 	if c.LineSize == 0 {
-		c.LineSize = 256
+		c.LineSize = DefaultLineSize
 	}
 	if c.LOSThreshold == 0 {
 		c.LOSThreshold = 8 << 10

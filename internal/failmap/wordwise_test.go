@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -264,6 +265,31 @@ func TestWordwiseGeneratorsMatchPerLine(t *testing.T) {
 	})
 }
 
+// One 64 B line per cluster is the uniform map: the same bits set, and the
+// rng left at the same point, on an empty map (the rate-0 maps) and ORed
+// into one that already has failures. The harness memoizes ClusterGran =
+// LineSize as 0 on this.
+func TestGenerateClusteredAtLineSizeIsUniform(t *testing.T) {
+	eachWordwiseMap(t, func(t *testing.T, m *Map, _ *rand.Rand) {
+		for _, p := range wordwiseRates {
+			checkClusteredAtLineSize(t, m, p, 11)
+		}
+	})
+}
+
+// checkClusteredAtLineSize generates into two clones of m from two rngs
+// seeded alike and fails t if the maps or the rngs' next draws differ.
+func checkClusteredAtLineSize(t *testing.T, m *Map, p float64, seed int64) {
+	t.Helper()
+	got, want := m.Clone(), m.Clone()
+	a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	GenerateClustered(got, p, LineSize, a)
+	GenerateUniform(want, p, b)
+	if !got.Equal(want) || a.Int63() != b.Int63() {
+		t.Errorf("%d lines at %v: GenerateClustered at one line per cluster is not GenerateUniform", m.lines, p)
+	}
+}
+
 func TestSetPageBitmap(t *testing.T) {
 	m := New(3 * PageSize)
 	m.SetLineFailed(LinesPerPage + 5)
@@ -340,6 +366,26 @@ func FuzzDecodeRLE(f *testing.F) {
 		if err != nil || !back.Equal(m) {
 			t.Fatalf("a decoded map does not round-trip (error %v)", err)
 		}
+	})
+}
+
+// FuzzGenerateClusteredAtLineSize holds the identity above at any length
+// up to 64K lines, any rate and any seed. A rate outside [0, 1] is folded
+// into it.
+func FuzzGenerateClusteredAtLineSize(f *testing.F) {
+	for _, lines := range wordwiseLines {
+		for _, rate := range wordwiseRates {
+			f.Add(uint16(lines), rate, int64(lines))
+		}
+	}
+	f.Fuzz(func(t *testing.T, lines uint16, rate float64, seed int64) {
+		if lines == 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+			return
+		}
+		if rate < 0 || rate > 1 {
+			rate = math.Abs(math.Mod(rate, 1))
+		}
+		checkClusteredAtLineSize(t, New(int(lines)*LineSize), rate, seed)
 	})
 }
 

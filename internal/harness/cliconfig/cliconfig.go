@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"wearmem/internal/core"
 	"wearmem/internal/harness"
 	"wearmem/internal/kernel"
 	"wearmem/internal/vm"
@@ -31,7 +32,7 @@ type knob struct {
 
 // defaults is what Register starts a configuration from: the paper's S-IX
 // at twice the minimum heap on one mutator.
-var defaults = config{HeapMult: 2, LineSize: 256, Collector: vm.StickyImmix, Seed: 1, Mutators: 1}
+var defaults = config{HeapMult: 2, LineSize: core.DefaultLineSize, Collector: vm.StickyImmix, Seed: 1, Mutators: 1}
 
 // blockSize is the Immix block a line size must divide (core.Config's
 // default, which no run configuration changes).

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"wearmem/internal/core"
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/machine"
@@ -24,18 +25,26 @@ import (
 
 // RunConfig describes one benchmark execution.
 type RunConfig struct {
-	Bench     string           `json:"bench"`     // benchmark name
-	HeapMult  float64          `json:"heapMult"`  // heap size as a multiple of the benchmark minimum
-	Collector vm.CollectorKind `json:"collector"` //
-	LineSize  int              `json:"lineSize"`  // Immix line size (0 = 256)
+	Bench string `json:"bench"` // benchmark name
+	// HeapMult is the heap size as a multiple of the benchmark minimum
+	// (0 = 2, and a 0 runs and memoizes as 2).
+	HeapMult  float64          `json:"heapMult"`
+	Collector vm.CollectorKind `json:"collector"`
+	// LineSize is the Immix line size (0 = core.DefaultLineSize, 256 B,
+	// and a 0 runs and memoizes as 256).
+	LineSize int `json:"lineSize"`
 
 	FailureAware bool    `json:"failureAware"`
 	FailureRate  float64 `json:"failureRate"`
 	// ClusterPages applies hardware failure clustering with regions of
-	// this many pages (0 = none).
+	// this many pages (0 = none). It only acts on a generated map, so it
+	// runs and memoizes as 0 when Inject is set or FailureRate is 0.
 	ClusterPages int `json:"clusterPages"`
 	// ClusterGran generates failures pre-clustered at this power-of-two
 	// granularity in bytes (the §6.4 limit study; 0 = uniform 64 B lines).
+	// One 64 B line per cluster is the uniform map, so failmap.LineSize
+	// runs and memoizes as 0; so does any value when Inject is set or
+	// FailureRate is 0.
 	ClusterGran int `json:"clusterGran"`
 	// Compensate enables h/(1-f) heap compensation (default on whenever
 	// failures are injected; set NoCompensate to disable).
@@ -111,9 +120,34 @@ type RunConfig struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// key returns the canonical memo/record key, derived from the full struct
-// so a newly added field can never silently alias distinct configurations.
+// key returns rc's record key, derived from the full struct so a newly
+// added field can never silently alias distinct configurations. The memo
+// keys on rc.canonical().key().
 func (rc RunConfig) key() string { return canonicalKey(rc) }
+
+// canonical returns the configuration execute runs for rc: every field
+// execute defaults or ignores is set to the value it runs with, so two
+// configurations with one canonical form are one program and the memo
+// runs it once. A rule belongs here only if it is an identity of execute's
+// inputs, never because two programs happen to give equal results.
+func (rc RunConfig) canonical() RunConfig {
+	if rc.HeapMult == 0 {
+		rc.HeapMult = 2
+	}
+	if rc.LineSize == 0 {
+		rc.LineSize = core.DefaultLineSize
+	}
+	// GenerateClustered with one line per cluster draws one Float64 per
+	// line and sets the bits GenerateUniform sets.
+	if rc.ClusterGran == failmap.LineSize {
+		rc.ClusterGran = 0
+	}
+	// Only a generated map is clustered.
+	if rc.Inject != nil || rc.FailureRate == 0 {
+		rc.ClusterGran, rc.ClusterPages = 0, 0
+	}
+	return rc
+}
 
 // Result summarizes one run.
 type Result struct {
@@ -194,10 +228,12 @@ type Result struct {
 }
 
 // Runner executes configurations with memoization (normalization baselines
-// are shared across figures). It is safe for concurrent use: the memo
-// cache deduplicates in-flight executions singleflight-style, so a
-// configuration requested by many goroutines at once executes exactly once
-// and every caller receives the same Result.
+// are shared across figures). The memo is keyed on the canonical form, so
+// configurations that spell one program differently (LineSize 0 and 256)
+// execute once. It is safe for concurrent use: the memo cache deduplicates
+// in-flight executions singleflight-style, so a configuration requested by
+// many goroutines at once executes exactly once and every caller receives
+// the same Result.
 type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*flight
@@ -260,16 +296,18 @@ func (r *Runner) Run(rc RunConfig) Result {
 	if workload.ByName(rc.Bench) == nil {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", rc.Bench))
 	}
-	k := rc.key()
 	r.mu.Lock()
 	if r.planning {
-		if !r.plannedKeys[k] {
+		// The plan keeps the caller's configuration under its raw key: it
+		// becomes the report's run records.
+		if k := rc.key(); !r.plannedKeys[k] {
 			r.plannedKeys[k] = true
 			r.planned = append(r.planned, rc)
 		}
 		r.mu.Unlock()
 		return Result{}
 	}
+	k := rc.canonical().key()
 	if f, ok := r.cache[k]; ok {
 		r.mu.Unlock()
 		<-f.done // singleflight: wait for the one in-flight execution
@@ -362,13 +400,15 @@ func (r *Runner) Collect(body func() *Report) *Report {
 // executeFn indirects execute so tests can count executions.
 var executeFn = execute
 
-func execute(rc RunConfig) Result {
+// execute runs rc's canonical form, the program the memo keys it by.
+func execute(rc RunConfig) Result { return simulate(rc.canonical()) }
+
+// simulate runs rc exactly as given. HeapMult has no default below
+// canonical, so a zero heap multiple panics here.
+func simulate(rc RunConfig) Result {
 	p := workload.ByName(rc.Bench)
 	if p == nil {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", rc.Bench))
-	}
-	if rc.HeapMult == 0 {
-		rc.HeapMult = 2
 	}
 	heapBytes := int(rc.HeapMult * float64(p.MinHeap()))
 
