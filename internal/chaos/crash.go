@@ -218,10 +218,3 @@ func crashFails(opt Options) func(TortureConfig, Campaign) bool {
 }
 
 func keepCut(e Event) bool { return e.Act == ActPowerCut }
-
-// MinimizeCrash greedily drops preamble events while the crash campaign
-// still fails, never dropping the power cut itself.
-func MinimizeCrash(cfg TortureConfig, camp Campaign, opt Options) Campaign {
-	min, _ := shrink(cfg, camp, crashFails(opt), keepCut)
-	return min
-}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -204,5 +205,41 @@ func BenchmarkCrashCampaign(b *testing.B) {
 		if rec := crashCampaignBaton(); rec.Failure != "" {
 			b.Fatal(rec.Failure)
 		}
+	}
+}
+
+// TestShrinkKeepsTheCut holds CrashSweep's shrink rule on a synthetic
+// failure predicate, with no simulator: the power cut survives even when
+// the failure does not need it, only the preamble event the failure needs
+// survives beside it, and a threaded failure that its baton twin does not
+// reproduce keeps its full schedule.
+func TestShrinkKeepsTheCut(t *testing.T) {
+	bug := Event{Point: probe.GCEnd, Nth: 3, Act: ActFailHere}
+	cut := Event{Point: probe.AllocBump, Nth: 600, Act: ActPowerCut}
+	camp := Campaign{Seed: 7, Events: []Event{
+		{Point: probe.OSUpcall, Nth: 2, Act: ActFailHere},
+		bug,
+		{Point: probe.AllocBump, Nth: 90, Act: ActBufferStorm},
+		cut,
+		{Point: probe.GCBegin, Nth: 5, Act: ActFailHere},
+	}}
+	needsBug := func(_ TortureConfig, c Campaign) bool { return slices.Contains(c.Events, bug) }
+
+	cfg := TortureConfig{Collector: vm.StickyImmix, FailureAware: true}
+	min, ok := shrink(cfg, camp, needsBug, keepCut)
+	if want := []Event{bug, cut}; !ok || min.Seed != camp.Seed || !slices.Equal(min.Events, want) {
+		t.Fatalf("shrink = %v (ok %v), want %v", min.Schedule(), ok, Campaign{Events: want}.Schedule())
+	}
+	if min, _ := shrink(cfg, camp, needsBug, nil); slices.Contains(min.Events, cut) {
+		t.Fatalf("without keepCut the cut should go: %v", min.Schedule())
+	}
+
+	cfg.Threaded = true
+	threadedOnly := func(c TortureConfig, _ Campaign) bool { return c.Threaded }
+	orig := slices.Clone(camp.Events)
+	min, ok = shrink(cfg, camp, threadedOnly, keepCut)
+	if ok || min.Seed != camp.Seed || !slices.Equal(min.Events, orig) {
+		t.Fatalf("threaded-only failure: shrink = %v (ok %v), want the campaign unchanged and ok false",
+			min.Schedule(), ok)
 	}
 }

@@ -400,13 +400,6 @@ func campaignFails(opt Options) func(TortureConfig, Campaign) bool {
 	return func(cfg TortureConfig, camp Campaign) bool { return RunCampaign(cfg, camp, opt).Failure != "" }
 }
 
-// Minimize greedily drops schedule events while the campaign still fails,
-// returning the smallest schedule found.
-func Minimize(cfg TortureConfig, camp Campaign, opt Options) Campaign {
-	min, _ := shrink(cfg, camp, campaignFails(opt), nil)
-	return min
-}
-
 // Sizing of one campaign: the PCM pool is 8x the heap so remapping always
 // has perfect frames to draw on and buffer storms can burn top-of-module
 // lines that no mapping ever touches.

@@ -116,7 +116,7 @@ func TestMinimize(t *testing.T) {
 	if rec := RunCampaign(cfg, camp, opt); rec.Failure == "" {
 		t.Fatal("padded campaign did not fail")
 	}
-	min := Minimize(cfg, camp, opt)
+	min, _ := shrink(cfg, camp, campaignFails(opt), nil)
 	if len(min.Events) != 1 || min.Events[0].Act != ActSmashHeader {
 		t.Fatalf("minimized to %v, want the single smash-header event", min.Schedule())
 	}

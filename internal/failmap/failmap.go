@@ -285,22 +285,3 @@ func ClusterHardware(m *Map, regionPages int) *Map {
 	}
 	return out
 }
-
-// Coarsen returns a map in which a coarse line of granBytes fails if any of
-// its constituent PCM lines failed — the "false failure" effect of §6.2/§6.3
-// when the software line size exceeds the PCM line size. granBytes must be a
-// positive multiple of LineSize.
-func Coarsen(m *Map, granBytes int) *Map {
-	if granBytes <= 0 || granBytes%LineSize != 0 {
-		panic("failmap: granularity must be a positive multiple of LineSize")
-	}
-	per := granBytes / LineSize
-	out := New(m.Size())
-	for i := m.NextFailed(0); i < m.lines; {
-		start := i - i%per
-		end := min(start+per, m.lines)
-		bitset.SetRange(out.words, start, end)
-		i = m.NextFailed(end)
-	}
-	return out
-}

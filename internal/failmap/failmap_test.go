@@ -239,25 +239,6 @@ func TestClusteringImprovesAnalysisMetrics(t *testing.T) {
 	}
 }
 
-func TestCoarsenFalseFailures(t *testing.T) {
-	m := New(PageSize)
-	m.SetLineFailed(5) // one 64 B failure
-	c := Coarsen(m, 256)
-	// Lines 4..7 (one 256 B software line) must all be failed.
-	for i := 4; i < 8; i++ {
-		if !c.LineFailed(i) {
-			t.Fatalf("coarse failure missing at line %d", i)
-		}
-	}
-	if c.FailedLines() != 4 {
-		t.Fatalf("FailedLines after Coarsen = %d, want 4", c.FailedLines())
-	}
-	// Coarsening at the PCM line size is the identity.
-	if !Coarsen(m, LineSize).Equal(m) {
-		t.Fatal("Coarsen(LineSize) should be identity")
-	}
-}
-
 func TestSliceAndCopyPage(t *testing.T) {
 	m := New(4 * PageSize)
 	m.SetLineFailed(64)  // page 1 line 0

@@ -103,22 +103,6 @@ func refClusterHardware(m *Map, regionPages int) *Map {
 	return out
 }
 
-func refCoarsen(m *Map, granBytes int) *Map {
-	per := granBytes / LineSize
-	out := New(m.Size())
-	for start := 0; start < m.lines; start += per {
-		end := min(start+per, m.lines)
-		bad := false
-		for i := start; i < end; i++ {
-			bad = bad || m.LineFailed(i)
-		}
-		for i := start; bad && i < end; i++ {
-			out.SetLineFailed(i)
-		}
-	}
-	return out
-}
-
 func refEncodeRLE(m *Map) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, rleMagic)
 	buf = binary.AppendUvarint(buf, uint64(m.lines))
@@ -219,11 +203,6 @@ func TestWordwiseTransformsMatchPerLine(t *testing.T) {
 		for _, pages := range []int{1, 2, 3} {
 			if !ClusterHardware(m, pages).Equal(refClusterHardware(m, pages)) {
 				t.Errorf("ClusterHardware(%d pages) differs from the per-line transform", pages)
-			}
-		}
-		for _, gran := range []int{LineSize, 2 * LineSize, 3 * LineSize, 4 * LineSize, PageSize, 37 * LineSize} {
-			if !Coarsen(m, gran).Equal(refCoarsen(m, gran)) {
-				t.Errorf("Coarsen(%d) differs from the per-line transform", gran)
 			}
 		}
 		enc := m.EncodeRLE()

@@ -313,9 +313,9 @@ func MustOpen(opts ...Option) *Runtime {
 }
 
 // Mutators returns the runtime's mutator handles — index 0 is the VM's
-// own context, the rest are attached on first call. Use them to drive the
-// baton scheduler by hand (RunTasks); for registered benchmarks prefer
-// RunBenchmark, which manages its own contexts.
+// own context, the rest are attached on first call. Drive them by hand
+// with Park/Unpark, as examples/multimutator does; for registered
+// benchmarks prefer RunBenchmark, which manages its own contexts.
 func (rt *Runtime) Mutators() []*Mutator {
 	if rt.muts == nil {
 		rt.muts = make([]*Mutator, rt.nMutators)

@@ -30,14 +30,12 @@
 package wearmem
 
 import (
-	"wearmem/internal/chaos"
 	"wearmem/internal/failmap"
 	"wearmem/internal/harness"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
-	"wearmem/internal/sched"
 	"wearmem/internal/stats"
 	"wearmem/internal/verify"
 	"wearmem/internal/vm"
@@ -56,17 +54,6 @@ type FailureMap = failmap.Map
 
 // NewFailureMap returns an all-working failure map covering size bytes.
 func NewFailureMap(size int) *FailureMap { return failmap.New(size) }
-
-// GenerateUniform injects uniform line failures with probability p.
-var GenerateUniform = failmap.GenerateUniform
-
-// GenerateClustered injects failures pre-clustered at a power-of-two
-// granularity (the §6.4 limit study).
-var GenerateClustered = failmap.GenerateClustered
-
-// ClusterHardware applies the §3.1.2 failure-clustering transform with
-// regions of the given number of pages.
-var ClusterHardware = failmap.ClusterHardware
 
 // The PCM device model (internal/pcm).
 type (
@@ -119,16 +106,12 @@ type (
 	// Kernel owns physical page frames, the failure table and the
 	// debit-credit perfect-page accounting.
 	Kernel = kernel.Kernel
-	// KernelConfig parametrizes a Kernel.
-	KernelConfig = kernel.Config
 )
 
 // The managed runtime (internal/vm) and its object model (internal/heap).
 type (
 	// VM is a failure-aware managed runtime instance.
 	VM = vm.VM
-	// VMConfig parametrizes a VM.
-	VMConfig = vm.Config
 	// Addr is a reference into the simulated heap; 0 is nil.
 	Addr = heap.Addr
 	// Type describes a class of heap objects.
@@ -160,9 +143,6 @@ type (
 	// Cycles is the unit of simulated time.
 	Cycles = stats.Cycles
 )
-
-// NewClock returns a clock charging the calibrated default costs.
-func NewClock() *Clock { return stats.NewClock(stats.DefaultCosts()) }
 
 // Benchmarks and experiments (internal/workload, internal/harness).
 type (
@@ -218,28 +198,15 @@ type (
 	// Mutator is one mutator thread's view of a VM: private allocation
 	// context, shared heap, loads/stores/barriers on the VM's paths.
 	Mutator = vm.Mutator
-	// Yielder hands the baton back to the scheduler inside a TaskFunc.
-	Yielder = sched.Yielder
-	// TaskFunc is one cooperatively scheduled task.
-	TaskFunc = sched.Func
 )
-
-// RunTasks drives the tasks round-robin on the deterministic baton
-// scheduler until all return; the first error aborts the rest.
-func RunTasks(tasks ...TaskFunc) error { return sched.Run(tasks...) }
-
-// RunBenchmarkMutators executes a benchmark split across the given number
-// of mutators (1 = the exact historical serial run).
-func RunBenchmarkMutators(p *Benchmark, v *VM, iterations, mutators int) error {
-	return p.RunMutators(v, iterations, mutators)
-}
 
 // Instrumentation probes (internal/probe).
 type (
 	// ProbePoint identifies one instrumented phase boundary.
 	ProbePoint = probe.Point
-	// ProbeHook observes probe points; install via DeviceConfig.Probe,
-	// KernelConfig.Probe and VMConfig.Probe.
+	// ProbeHook observes probe points. Open reaches one layer's: set
+	// DeviceConfig.Probe through WithDeviceTuning to observe the device's
+	// PCMFailure points.
 	ProbeHook = probe.Hook
 )
 
@@ -247,23 +214,7 @@ type (
 type (
 	// VerifyReport lists invariant violations; Ok reports none.
 	VerifyReport = verify.Report
-	// VerifyTarget is the runtime state handed to VerifyHeap.
-	VerifyTarget = verify.Target
-	// VerifyOptions disables invariant families that are unsound at the
-	// instant of the check.
-	VerifyOptions = verify.Options
-	// ContextView is one mutator context's allocation state, consumed by
-	// VerifyMutators.
-	ContextView = verify.ContextView
 )
-
-// VerifyHeap checks the live heap: graph soundness, span overlap, line
-// states, the kernel failure table and the device failure buffer.
-var VerifyHeap = verify.Heap
-
-// VerifyMutators checks per-mutator context ownership: no two contexts
-// share a block, every cursor within its own block's bounds.
-var VerifyMutators = verify.Mutators
 
 // RecoveredTarget is the post-recovery state handed to VerifyRecovered: a
 // Kernel satisfies Pool and a Device satisfies Scan and Clusters directly.
@@ -273,72 +224,3 @@ type RecoveredTarget = verify.RecoveredTarget
 // device ground-truth scan, in both directions — a resurrected failed line
 // is the dangerous one — plus buffer residue and redirection-map sanity.
 var VerifyRecovered = verify.Recovered
-
-// Fault-injection torture (internal/chaos).
-type (
-	// TortureOptions size a torture run.
-	TortureOptions = chaos.Options
-	// TortureConfig is one runtime configuration under torture.
-	TortureConfig = chaos.TortureConfig
-	// TortureSummary aggregates the campaigns, fit for a CI artifact.
-	TortureSummary = chaos.Summary
-	// TortureCampaign is one deterministic injection schedule.
-	TortureCampaign = chaos.Campaign
-)
-
-// Torture runs the fault-injection suite: deterministic campaigns on every
-// configuration with the heap verifier at each collection boundary.
-func Torture(opt TortureOptions) *TortureSummary { return chaos.Run(opt) }
-
-// NewTortureCampaign derives a campaign's injection schedule from a seed.
-var NewTortureCampaign = chaos.NewCampaign
-
-// TortureConfigs is every collector × failure-awareness combination.
-var TortureConfigs = chaos.AllConfigs
-
-// Crash campaigns (internal/chaos): torture runs that end in a power cut,
-// then restore → recover → verify → resume over the worn device.
-type (
-	// CrashRecord is the outcome of one crash campaign.
-	CrashRecord = chaos.CrashRecord
-	// CrashSummary aggregates a crash sweep, fit for a CI artifact.
-	CrashSummary = chaos.CrashSummary
-	// TortureEvent is one scheduled injection ("point@N:action"); append
-	// one with Act ActPowerCut to a TortureCampaign to make it a crash
-	// campaign.
-	TortureEvent = chaos.Event
-	// TortureAction is what a TortureEvent does when it fires.
-	TortureAction = chaos.Action
-)
-
-// Torture actions a facade user schedules; the verifier-bait actions
-// (silent-taint, smash-header) stay internal to the break modes.
-const (
-	// ActFailHere permanently fails the PCM line behind the probed address.
-	ActFailHere = chaos.ActFailHere
-	// ActBufferStorm stalls the device with a failure-buffer flood.
-	ActBufferStorm = chaos.ActBufferStorm
-	// ActPowerCut snapshots the device's durable state and ends the run.
-	ActPowerCut = chaos.ActPowerCut
-)
-
-// ParseTortureEvent parses the "point@N:action" schedule syntax that
-// TortureEvent.String renders (the syntax wearsim repro commands use).
-var ParseTortureEvent = chaos.ParseEvent
-
-// RunCrashCampaign executes one crash campaign: the doomed run until the
-// power cut, then restore, kernel recovery, recovered-state verification
-// and a resumed workload over the worn device.
-var RunCrashCampaign = chaos.RunCrashCampaign
-
-// CrashSweep cuts power at every probe point across the crash
-// configurations and seeds; every campaign must end verifier-clean or
-// gracefully worn out.
-var CrashSweep = chaos.CrashSweep
-
-// CrashConfigs is the configuration matrix CrashSweep exercises.
-var CrashConfigs = chaos.CrashConfigs
-
-// MinimizeCrash greedily shrinks a failing crash campaign's schedule while
-// the failure still reproduces; the power-cut event is never dropped.
-var MinimizeCrash = chaos.MinimizeCrash
