@@ -181,9 +181,10 @@ func crashCampaignBaton() CrashRecord {
 
 // TestCrashCampaignAllocation: what a campaign allocates follows what it
 // stores, not the pool it runs on. The wear arrays of the device, of its
-// image at the cut and of the restored device are 4.25 MB each and the
-// whole campaign about 15 MB; with line contents held densely those three
-// alone were 61 MB (20.25 MB each).
+// image at the cut and of the restored device are 2.25 MB each, plus the
+// endurance limits the writes drew, and the whole campaign about 9 MB;
+// with every limit drawn at boot it was 15 MB, and with line contents held
+// densely as well those three arrays alone were 61 MB (20.25 MB each).
 func TestCrashCampaignAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

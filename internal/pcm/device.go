@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"wearmem/internal/cluster"
@@ -73,7 +74,8 @@ type Config struct {
 	// TrackData stores line contents so reads return written data. Wear
 	// studies over large modules can disable it to save host memory.
 	TrackData bool
-	// Seed drives the endurance variation sampling.
+	// Seed drives the endurance variation sampling, which runs in slot
+	// order however late the device draws a slot's limit.
 	Seed int64
 	// Probe observes failure-buffer events for fault-injection campaigns;
 	// nil (the default) costs one branch per event and charges nothing.
@@ -139,11 +141,14 @@ type Device struct {
 	lines int
 	clock *stats.Clock // may be nil
 
-	// Wear state, indexed by physical storage slot.
+	// Wear state, indexed by physical storage slot. endurance holds the
+	// limits drawn so far, a prefix of the slots that limit extends; rng
+	// continues the stream past it (nil until the prefix first grows).
 	writes    []uint64
 	endurance []uint64
 	eccLeft   []uint8
 	broken    []bool
+	rng       *rand.Rand
 
 	correctedBits uint64
 
@@ -234,11 +239,6 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 			cfg.ECCLease = cfg.Endurance / 10
 		}
 		d.cfg = cfg
-		d.endurance = make([]uint64, slots)
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for i := range d.endurance {
-			d.endurance[i] = sampleEndurance(cfg.Endurance, cfg.Variation, rng)
-		}
 		if cfg.ECCEntries > 0 {
 			if cfg.ECCEntries > 255 {
 				panic("pcm: ECCEntries above 255")
@@ -268,13 +268,69 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	return d
 }
 
+// enduranceChunk is how many endurance limits a device draws at a time.
+const enduranceChunk = 4096
+
+// limit returns storage slot s's endurance limit on a device of finite
+// endurance. Limits are drawn in slot order, as far as the first write that
+// consults one needs, to the end of that slot's chunk: whatever order writes
+// reach the slots in, each slot gets the value a draw of every slot at
+// construction would have given it, and a device that writes only its first
+// pages never draws the rest.
+func (d *Device) limit(s int) uint64 {
+	if s >= len(d.endurance) {
+		d.drawThrough(s)
+	}
+	return d.endurance[s]
+}
+
+// drawThrough extends the drawn prefix past slot s. The stream resumes where
+// the prefix ends: a device restored from an image seeds it afresh and
+// re-draws the prefix the image carried, discarding the values, because
+// correction leases may have raised the ones it holds.
+func (d *Device) drawThrough(s int) {
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.cfg.Seed))
+		for range d.endurance {
+			sampleEndurance(d.cfg.Endurance, d.cfg.Variation, d.rng)
+		}
+	}
+	n := min((s/enduranceChunk+1)*enduranceChunk, len(d.writes))
+	d.endurance = slices.Grow(d.endurance, n-len(d.endurance))
+	for len(d.endurance) < n {
+		d.endurance = append(d.endurance, sampleEndurance(d.cfg.Endurance, d.cfg.Variation, d.rng))
+	}
+}
+
+// reaches reports whether a count of c writes reaches storage slot s's
+// endurance limit. A count below the least limit sampling can give reaches
+// none and consults none, so a slot written a few times, as a recovery scrub
+// writes every line of a page with a failure, draws nothing: what a device
+// draws follows how far its writes wear slots, not where they land.
+func (d *Device) reaches(s int, c uint64) bool {
+	return c >= minEndurance(d.cfg.Endurance, d.cfg.Variation) && c >= d.limit(s)
+}
+
+// enduranceFloor is the least share of the mean a sampled limit falls to.
+const enduranceFloor = 0.05
+
+// minEndurance is the least limit sampleEndurance returns for mean and
+// variation: it computes what sampleEndurance does with the spread at the
+// floor.
+func minEndurance(mean uint64, variation float64) uint64 {
+	if variation <= 0 {
+		return mean
+	}
+	return max(uint64(float64(mean)*enduranceFloor), 1)
+}
+
 func sampleEndurance(mean uint64, variation float64, rng *rand.Rand) uint64 {
 	if variation <= 0 {
 		return mean
 	}
 	f := 1 + variation*rng.NormFloat64()
-	if f < 0.05 {
-		f = 0.05
+	if f < enduranceFloor {
+		f = enduranceFloor
 	}
 	e := uint64(float64(mean) * f)
 	if e == 0 {
@@ -491,7 +547,8 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		} else if array != nil {
 			s = array.Translate(line)
 		}
-		failed := d.wear(s)
+		d.writes[s]++
+		failed := d.worn(s)
 		if failed {
 			d.reportFailure(line, data)
 		} else if store != nil {
@@ -525,7 +582,7 @@ func (d *Device) WriteRepeat(line int, data []byte, n int) bool {
 	defer d.mu.Unlock()
 	s := line // its own storage slot on a device that neither levels nor clusters
 	if d.stalled.Load() || d.cfg.WearLeveling == StartGap || d.array != nil ||
-		d.endurance != nil && !d.broken[s] && d.writes[s]+uint64(n) >= d.endurance[s] {
+		d.cfg.Endurance > 0 && !d.broken[s] && d.reaches(s, d.writes[s]+uint64(n)) {
 		return false
 	}
 	d.writes[s] += uint64(n)
@@ -549,13 +606,20 @@ func (d *Device) unlockAndInterrupt() {
 	}
 }
 
-// wear applies one write's wear to storage slot s and reports whether the
-// slot failed on this write (verify-after-write detection). While hard
-// error correction entries remain, each detected stuck bit consumes one
-// and extends the line's lease instead of failing it (§2.2).
-func (d *Device) wear(s int) bool {
-	d.writes[s]++
-	if d.endurance == nil || d.broken[s] || d.writes[s] < d.endurance[s] {
+// worn reports whether the write just counted on storage slot s failed the
+// slot (verify-after-write detection). Its first test is the one a write
+// short of a drawn limit passes, which keeps it within the inliner's budget
+// on the write path; everything else is wearOut.
+func (d *Device) worn(s int) bool {
+	return (s >= len(d.endurance) || d.writes[s] >= d.endurance[s]) && d.wearOut(s)
+}
+
+// wearOut is worn past its first test: the slot's limit is not drawn yet,
+// or the count has reached it. While hard error correction entries remain,
+// each detected stuck bit consumes one and extends the line's lease instead
+// of failing it (§2.2).
+func (d *Device) wearOut(s int) bool {
+	if d.cfg.Endurance == 0 || d.broken[s] || !d.reaches(s, d.writes[s]) {
 		return false
 	}
 	if d.eccLeft != nil && d.eccLeft[s] > 0 {
@@ -740,7 +804,8 @@ func (d *Device) wearStep() {
 	d.gapCarries++
 	// The copy writes the destination slot; its verify-after-write can fail
 	// like any other, surfacing a failure of the relocated line.
-	if d.wear(int(dst)) {
+	d.writes[dst]++
+	if d.worn(int(dst)) {
 		data := make([]byte, failmap.LineSize)
 		if d.data != nil {
 			d.data.read(int(dst), data)

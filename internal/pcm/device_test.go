@@ -219,6 +219,7 @@ func TestVariedEnduranceDistribution(t *testing.T) {
 	d := NewDevice(Config{
 		Size: 64 * failmap.PageSize, Endurance: 1000, Variation: 0.25, Seed: 3,
 	}, nil)
+	d.limit(len(d.writes) - 1) // draw every slot
 	var sum float64
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, e := range d.endurance {

@@ -22,9 +22,9 @@ type OrphanLine struct {
 }
 
 // DeviceImage is the serializable durable state of a PCM module: the
-// per-slot wear counters, endurance limits, correction budgets and broken
-// flags, the start-gap permutation, the clustering redirection maps and
-// the line contents. Volatile state — the failure buffer, its lifetime
+// per-slot wear counters, the endurance limits drawn so far, correction
+// budgets and broken flags, the start-gap permutation, the clustering
+// redirection maps and the line contents. Volatile state — the failure buffer, its lifetime
 // accounting, the redirection-map cache, the interrupt registrations — is
 // NOT captured: entries pending in the buffer at snapshot time appear only
 // as Orphans, and restoring re-parks them with zeroed (torn) data so the
@@ -49,7 +49,11 @@ type DeviceImage struct {
 	Seed          int64        `json:"seed"`
 
 	// Per-slot wear state (slots include the start-gap spare when the
-	// scheme is enabled).
+	// scheme is enabled). EnduranceOf is the drawn prefix of the limits,
+	// correction leases included: slot s's limit for s at or past its end
+	// is the s-th draw of Seed's stream, as yet unconsulted. It is empty on
+	// a device no write has consulted, and always on one of infinite
+	// endurance (Endurance zero).
 	Writes        []uint64 `json:"writes"`
 	EnduranceOf   []uint64 `json:"endurance_of,omitempty"`
 	ECCLeft       []uint8  `json:"ecc_left,omitempty"`
@@ -113,9 +117,7 @@ func (d *Device) Snapshot() *DeviceImage {
 		SinceMove:     d.sinceMove,
 		GapCarries:    d.gapCarries,
 		Regions:       d.array.Snapshot(),
-	}
-	if d.endurance != nil {
-		img.EnduranceOf = append([]uint64(nil), d.endurance...)
+		EnduranceOf:   append([]uint64(nil), d.endurance...),
 	}
 	if d.eccLeft != nil {
 		img.ECCLeft = append([]uint8(nil), d.eccLeft...)
@@ -137,14 +139,16 @@ func (d *Device) Snapshot() *DeviceImage {
 }
 
 // NewDeviceFromImage restores a device from a snapshot, reattaching the
-// clock and probe hook (both volatile). Wear counters, endurance limits
-// and redirection maps come back exactly as captured — the endurance
-// sampling of NewDevice never reruns, so a restored slot fails at the
-// same write count it would have. Orphaned failure-buffer entries are
-// re-parked with zeroed data: the failed lines remain detectable and
-// drainable, but what software last wrote to them is gone (torn lines).
-// If enough orphans re-park to reach the watermark, the device restarts
-// stalled, exactly as the interrupted OS would have found it.
+// clock and probe hook (both volatile). Wear counters, the drawn endurance
+// limits and redirection maps come back exactly as captured, and the limits
+// not yet drawn are drawn later from the same stream, continued past the
+// prefix, so a restored slot fails at the same write count it would have.
+// Restoring copies the prefix and draws nothing. Orphaned failure-buffer
+// entries are re-parked with zeroed data: the failed lines remain
+// detectable and drainable, but what software last wrote to them is gone
+// (torn lines). If enough orphans re-park to reach the watermark, the
+// device restarts stalled, exactly as the interrupted OS would have found
+// it.
 func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (*Device, error) {
 	if img.Size <= 0 || img.Size%failmap.PageSize != 0 {
 		return nil, fmt.Errorf("pcm: image size %d not a positive multiple of the page size", img.Size)
@@ -165,8 +169,11 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if len(img.Writes) != slots || len(img.Broken) != slots {
 		return nil, fmt.Errorf("pcm: image wear state covers %d slots, want %d", len(img.Writes), slots)
 	}
-	if img.EnduranceOf != nil && len(img.EnduranceOf) != slots {
-		return nil, fmt.Errorf("pcm: image endurance covers %d slots, want %d", len(img.EnduranceOf), slots)
+	if len(img.EnduranceOf) > 0 && img.Endurance == 0 {
+		return nil, fmt.Errorf("pcm: image of infinite endurance carries %d endurance limits", len(img.EnduranceOf))
+	}
+	if len(img.EnduranceOf) > slots {
+		return nil, fmt.Errorf("pcm: image endurance covers %d slots, want at most %d", len(img.EnduranceOf), slots)
 	}
 	if img.TrackData {
 		if want := storePages(slots); len(img.Data) != want {
@@ -204,6 +211,7 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		clock:         clock,
 		index:         make(map[int]int),
 		writes:        append([]uint64(nil), img.Writes...),
+		endurance:     append([]uint64(nil), img.EnduranceOf...),
 		broken:        append([]bool(nil), img.Broken...),
 		correctedBits: img.CorrectedBits,
 		gap:           img.Gap,
@@ -211,9 +219,6 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		gapCarries:    img.GapCarries,
 	}
 	d.failedLines.Store(int64(img.FailedLines))
-	if img.EnduranceOf != nil {
-		d.endurance = append([]uint64(nil), img.EnduranceOf...)
-	}
 	if img.ECCLeft != nil {
 		if len(img.ECCLeft) != slots {
 			return nil, fmt.Errorf("pcm: image ECC state covers %d slots, want %d", len(img.ECCLeft), slots)

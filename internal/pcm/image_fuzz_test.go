@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -26,27 +27,48 @@ const (
 // error or a device, never panics, and allocates no more than the input's
 // size warrants. The corpus is the encoding of small devices of every
 // geometry: fresh, worn with failures pending in the buffer (orphans),
-// start-gap and clustered, and of a start-gap image that claims clustering
-// regions too, which a restore refuses.
+// start-gap and clustered; of endurance tables of every length a restore
+// takes — none on a finite device, a prefix of a module longer than one
+// chunk, and every slot, as images carried before the draw was lazy — and
+// of the images a restore refuses: a start-gap image that claims
+// clustering regions too, a table on a device of infinite endurance, and a
+// table longer than the module.
 func FuzzDecodeImage(f *testing.F) {
 	const size = 4 * failmap.PageSize
+	long := Config{Size: 80 * failmap.PageSize, Endurance: 40, Variation: 0.25, TrackData: true, Seed: 6}
 	for _, tc := range []struct {
-		cfg     Config
-		writes  int
-		regions int // ClusterPages written into the image after the fact
+		cfg    Config
+		writes int
+		lines  int                // writes land in the first lines lines; 0 means anywhere
+		edit   func(*DeviceImage) // applied to the image after the fact
 	}{
-		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0},
+		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0, nil},
 		{Config{Size: size, Endurance: 3, Variation: 0.3, ECCEntries: 2, TrackData: true, Seed: 2,
-			BufferCap: 64, BufferReserve: 4}, 300, 0},
-		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0},
-		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0},
-		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 5}, 200, 2},
+			BufferCap: 64, BufferReserve: 4}, 300, 0, nil},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0, nil},
+		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0, nil},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 5}, 200, 0,
+			func(img *DeviceImage) { img.ClusterPages = 2 }},
+		{long, 0, 0, nil},
+		{long, 200, 1000, nil},
+		{long, 200, 0, nil},
+		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 7}, 50, 0,
+			func(img *DeviceImage) { img.Endurance = 0 }},
+		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 8}, 50, 0,
+			func(img *DeviceImage) { img.EnduranceOf = append(img.EnduranceOf, 40) }},
 	} {
 		d := NewDevice(tc.cfg, nil)
-		driveWrites(d, tc.cfg.Seed, tc.writes)
+		if tc.lines == 0 {
+			driveWrites(d, tc.cfg.Seed, tc.writes)
+		} else {
+			rng := rand.New(rand.NewSource(tc.cfg.Seed))
+			for range tc.writes {
+				_ = d.Write(rng.Intn(tc.lines), make([]byte, failmap.LineSize))
+			}
+		}
 		img := d.Snapshot()
-		if tc.regions > 0 {
-			img.ClusterPages = tc.regions
+		if tc.edit != nil {
+			tc.edit(img)
 		}
 		var enc bytes.Buffer
 		if err := EncodeImage(&enc, img); err != nil {

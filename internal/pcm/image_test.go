@@ -223,6 +223,10 @@ func TestImageValidatesGeometry(t *testing.T) {
 		{"clustering region larger than the module", func(img *DeviceImage) { img.ClusterPages = math.MaxInt }},
 		{"negative clustering region", func(img *DeviceImage) { img.ClusterPages = -2 }},
 		{"start-gap with clustering", func(img *DeviceImage) { img.ClusterPages = 1 }},
+		{"endurance limits on a module of infinite endurance", func(img *DeviceImage) { img.EnduranceOf = []uint64{5} }},
+		{"endurance limits past the last slot", func(img *DeviceImage) {
+			img.Endurance, img.EnduranceOf = 10, make([]uint64, len(img.Writes)+1)
+		}},
 	} {
 		img := d.Snapshot()
 		tc.corrupt(img)

@@ -584,6 +584,7 @@ func FuzzDeviceMatchesModel(f *testing.F) {
 func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock, log []string) {
 	t.Helper()
 	img, want := d.Snapshot(), m.image()
+	eagerEndurance(img)
 	pages := img.Data
 	img.Data = nil
 	if !reflect.DeepEqual(img, want) {
@@ -628,6 +629,23 @@ func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock
 	}
 	if !slices.Equal(log, m.interrupts) {
 		t.Fatalf("%s: interrupts %v, model %v", at, log, m.interrupts)
+	}
+}
+
+// eagerEndurance extends img's drawn endurance prefix to every slot with the
+// rest of its seed's stream: the table a device that drew every limit at
+// construction would hold, which is what the model holds. The prefix is
+// the device's own, correction leases included.
+func eagerEndurance(img *DeviceImage) {
+	if img.Endurance == 0 {
+		return
+	}
+	rng := rand.New(rand.NewSource(img.Seed))
+	for range img.EnduranceOf {
+		sampleEndurance(img.Endurance, img.Variation, rng)
+	}
+	for len(img.EnduranceOf) < len(img.Writes) {
+		img.EnduranceOf = append(img.EnduranceOf, sampleEndurance(img.Endurance, img.Variation, rng))
 	}
 }
 

@@ -174,7 +174,14 @@ func (d *Device) SkewedLines(t *Traffic, dst []int) {
 func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int)) {
 	t := NewTraffic(seed)
 	buf := make([]byte, failmap.LineSize)
-	counting := d.cfg.WearLeveling != StartGap && d.array == nil && d.data == nil && d.endurance != nil
+	if d.cfg.Endurance > 0 {
+		// A wear study reaches every slot: draw every limit now, so that
+		// countWear reads them with no test of whether one is drawn yet.
+		d.mu.Lock()
+		d.limit(len(d.writes) - 1)
+		d.mu.Unlock()
+	}
+	counting := d.cfg.WearLeveling != StartGap && d.array == nil && d.data == nil && d.cfg.Endurance > 0
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
 	for i, target := range targets {
@@ -207,9 +214,9 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 // nor clusters, stores no contents and has finite endurance, and that its
 // buffer is empty: a write then fails nothing and stores nothing exactly
 // when its line is broken or its count plus one stays below the line's
-// endurance (wear's test), and it charges one EvPCMWrite, which the clock
+// endurance (worn's test), and it charges one EvPCMWrite, which the clock
 // sums, so the counted writes are charged in one step before WriteRun
-// takes the next.
+// takes the next. WearThrough has drawn every slot's limit.
 func (d *Device) countWear(t *Traffic) int {
 	hot, all := uint32(d.lines/4), uint32(d.lines)
 	hotMax, allMax := int31nMax(hot), int31nMax(all)
