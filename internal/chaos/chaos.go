@@ -17,6 +17,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -53,11 +54,12 @@ const (
 	ActSmashHeader
 	// ActPowerCut snapshots the device's durable state at this exact
 	// instant — as a power failure would leave it, with the volatile
-	// failure buffer lost — and terminates the run. The crash-campaign
-	// driver restores the image, runs kernel recovery and resumes a
-	// workload over the worn device. Never generated by NewCampaign, so
-	// historical torture schedules stay bit-identical; crash campaigns
-	// append it explicitly.
+	// failure buffer lost. The run stops once every power cut of its
+	// schedule has fired; until then it goes on as if nothing happened, so
+	// one run serves every cut of a schedule. The crash-campaign driver
+	// restores each image, runs kernel recovery and resumes a workload over
+	// the worn device. Never generated by NewCampaign, so historical torture
+	// schedules stay bit-identical; crash campaigns append it explicitly.
 	ActPowerCut
 )
 
@@ -221,17 +223,27 @@ type Injector struct {
 	// Log holds the events that fired, in order.
 	Log []Fired
 
-	// CutImage is the device snapshot an ActPowerCut captured, and CutAt
-	// the probe point it fired on; both nil/zero until a cut fires. The
-	// campaign soft-stops once set — power is gone, nothing after the cut
-	// instant is observable.
-	CutImage *pcm.DeviceImage
-	CutAt    probe.Point
+	// cuts are the schedule's power cuts in schedule order, and fired how
+	// many of them have fired. progress, when set, reports the run's
+	// verification count and failure, which a cut records as it fires.
+	cuts     []powerCut
+	fired    int
+	progress func() (verifications int, failure string)
 }
 
 type injEvent struct {
 	Event
 	done bool
+}
+
+// powerCut is one ActPowerCut of a schedule and, once it fired, the device
+// image it took and the run's verification count and failure at that
+// instant: all a crash record needs of the doomed run up to its cut.
+type powerCut struct {
+	Event
+	image         *pcm.DeviceImage
+	verifications int
+	failure       string
 }
 
 // NewInjector builds the injector for one run over a booted machine's
@@ -241,8 +253,17 @@ func NewInjector(camp Campaign, dev *pcm.Device, kern *kernel.Kernel, v *vm.VM) 
 	in.pending = make([]injEvent, len(camp.Events))
 	for i, e := range camp.Events {
 		in.pending[i] = injEvent{Event: e}
+		if e.Act == ActPowerCut {
+			in.cuts = append(in.cuts, powerCut{Event: e})
+		}
 	}
 	return in
+}
+
+// powerGone reports whether every power cut of the schedule has fired:
+// the run soft-stops, since nothing after the last cut is observable.
+func (in *Injector) powerGone() bool {
+	return len(in.cuts) > 0 && in.fired == len(in.cuts)
 }
 
 // Hook is the probe.Hook of this campaign.
@@ -304,23 +325,26 @@ func (in *Injector) perform(e Event, addr uint64) string {
 	case ActSmashHeader:
 		return in.smashHeader()
 	case ActPowerCut:
-		return in.powerCut(e.Point)
+		return in.powerCut(e)
 	}
 	return "unknown action"
 }
 
-// powerCut captures the device image at this instant. The snapshot takes
-// only the device mutex, which no probe point fires under (interrupt
-// callbacks are queued and delivered after unlock), so a cut is safe at
-// every registered point. Only the first cut counts: power fails once.
-func (in *Injector) powerCut(p probe.Point) string {
-	if in.CutImage != nil {
-		return "skipped: power already cut"
+// powerCut captures the device image at this instant for the first cut of
+// the schedule that is e and has not fired. The snapshot takes only the
+// device mutex, which no probe point fires under (interrupt callbacks are
+// queued and delivered after unlock), so a cut is safe at every registered
+// point; it changes nothing the run goes on to do.
+func (in *Injector) powerCut(e Event) string {
+	i := slices.IndexFunc(in.cuts, func(c powerCut) bool { return c.Event == e && c.image == nil })
+	c := &in.cuts[i]
+	c.image = in.dev.Snapshot()
+	if in.progress != nil {
+		c.verifications, c.failure = in.progress()
 	}
-	in.CutImage = in.dev.Snapshot()
-	in.CutAt = p
+	in.fired++
 	return fmt.Sprintf("power cut at %s: %d lines failed, %d orphaned in buffer",
-		p, in.CutImage.FailedLines, len(in.CutImage.Orphans))
+		e.Point, c.image.FailedLines, len(c.image.Orphans))
 }
 
 // targetAddr resolves the virtual address an injection should hit for the

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"wearmem/internal/probe"
 	"wearmem/internal/sched"
@@ -77,43 +78,67 @@ func (s *CrashSummary) Failures() []CrashRecord {
 // schedule's injections until the power cut fires, then restore → recover →
 // verify → resume. The campaign fails on any pre-cut workload failure, a
 // recovery error other than ErrDeviceWornOut, a recovered-state verifier
-// finding, or any failure of the resumed workload.
-func RunCrashCampaign(cfg TortureConfig, camp Campaign, opt Options) (rec CrashRecord) {
-	opt = opt.withDefaults()
-	rec = CrashRecord{Config: cfg.Name(), Seed: camp.Seed, Schedule: camp.Schedule()}
-	for _, e := range camp.Events {
-		if e.Act == ActPowerCut {
-			rec.Cut = e.String()
+// finding, or any failure of the resumed workload. In a schedule with
+// several power cuts the first is the campaign's; the others change nothing.
+func RunCrashCampaign(cfg TortureConfig, camp Campaign, opt Options) CrashRecord {
+	return crashRecord(cfg, camp, doomedPass(cfg, camp, opt)[0], opt)
+}
+
+// doomedPass runs camp's doomed workload once with every power cut of its
+// schedule armed and returns what the run was at each, in schedule order;
+// a schedule without a cut has one that never fires. On the baton engine
+// the campaign of camp's other events and one of its cuts runs the same
+// program as the pass up to that cut, because a cut that fires changes
+// nothing the run goes on to do: a cut that fired holds its image and the
+// verification count and failure of that instant, and one that never fired
+// holds the whole pass's, as its own campaign would have run to completion.
+// The pass stops once every cut has fired.
+func doomedPass(cfg TortureConfig, camp Campaign, opt Options) []powerCut {
+	doomed, in := runCampaignInner(cfg, camp, opt, nil, nil)
+	if in == nil {
+		in = NewInjector(camp, nil, nil, nil) // the run never started: no cut fired
+	}
+	cuts := in.cuts
+	if len(cuts) == 0 {
+		cuts = []powerCut{{}}
+	}
+	for i := range cuts {
+		if cuts[i].image == nil {
+			cuts[i].verifications, cuts[i].failure = doomed.Verifications, doomed.Failure
 		}
+	}
+	return cuts
+}
+
+// crashRecord finishes crash campaign camp from what its doomed run was at
+// its cut, one of camp's events. A failure before the cut fails the campaign and a cut that never
+// fired leaves a vacuous pass. A fired cut's image is restored, the kernel
+// recovered, the recovered state verified against device ground truth, and
+// a fresh workload resumed over the worn device: the heap's contents died
+// with the power — device-state recovery, not data recovery — so the
+// resumed run rebuilds its structures from scratch on whatever working
+// lines remain. No injections: the adversary already struck.
+func crashRecord(cfg TortureConfig, camp Campaign, cut powerCut, opt Options) (rec CrashRecord) {
+	rec = CrashRecord{Config: cfg.Name(), Seed: camp.Seed, Schedule: camp.Schedule(),
+		Verifications: cut.verifications}
+	if cut.Act == ActPowerCut {
+		rec.Cut = cut.String()
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			rec.Failure = fmt.Sprintf("panic: %v\n%s", p, sched.PanicStack(p))
 		}
 	}()
-
-	// Phase 1: the doomed run. Ends at the cut instant (sentinel failure),
-	// at a genuine workload failure, or uninterrupted if the cut point
-	// never reaches its Nth occurrence.
-	doomed, in := runCampaignInner(cfg, camp, opt, nil, nil)
-	rec.Verifications = doomed.Verifications
-	if doomed.Failure != "" && doomed.Failure != powerCutFailure {
-		rec.Failure = "pre-cut: " + doomed.Failure
+	if cut.failure != "" {
+		rec.Failure = "pre-cut: " + cut.failure
 		return rec
 	}
-	if in == nil || in.CutImage == nil {
+	if cut.image == nil {
 		return rec
 	}
 	rec.CutFired = true
-	rec.CutAt = in.CutAt.String()
-
-	// Phases 2–4: restore the image, recover the kernel, verify the
-	// recovered state, and resume a fresh workload over the worn device.
-	// The heap's contents died with the power — device-state recovery, not
-	// data recovery — so the resumed run rebuilds its structures from
-	// scratch on whatever working lines remain. No injections: the
-	// adversary already struck.
-	resumed, _ := runCampaignInner(cfg, Campaign{Seed: camp.Seed}, opt, in.CutImage, &rec)
+	rec.CutAt = cut.Point.String()
+	resumed, _ := runCampaignInner(cfg, Campaign{Seed: camp.Seed}, opt, cut.image, &rec)
 	rec.Verifications += resumed.Verifications
 	rec.ResumeGCs = resumed.GCs
 	if rec.WornOut {
@@ -153,51 +178,79 @@ func cutNth(p probe.Point) int {
 // CrashSweep cuts power at every registered probe point on every
 // configuration of the matrix, opt.Seeds campaigns each: each campaign is
 // a seed-derived injection preamble (wearing the device exactly like an
-// ordinary torture campaign) plus one power-cut event at the swept point.
-// Failures shrink to minimal reproductions with the cut kept.
+// ordinary torture campaign), the break mode's sabotage, and one power-cut
+// event at the swept point. On the baton engine the campaigns of one
+// configuration and seed differ only in their cut, so they share one
+// doomed pass (doomedPass) with every point's cut armed; a threaded
+// campaign is an independent sample of the schedule and runs its own.
+// Failures shrink to minimal reproductions with the cut kept. Records come
+// in configuration, point, seed order.
 func CrashSweep(opt Options) *CrashSummary {
 	if opt.Configs == nil {
 		opt.Configs = CrashConfigs()
 	}
 	opt = opt.withDefaults()
+	cuts := make([]Event, probe.NumPoints)
+	for p := range cuts {
+		cuts[p] = Event{Point: probe.Point(p), Nth: cutNth(probe.Point(p)), Act: ActPowerCut}
+	}
 	var jobs []job
 	for _, cfg := range opt.Configs {
-		for p := probe.Point(0); p < probe.NumPoints; p++ {
-			for s := 0; s < opt.Seeds; s++ {
-				seed := opt.SeedBase + int64(s)
-				camp := NewCampaign(seed, opt.Events)
-				camp.Events = append(camp.Events, Event{Point: p, Nth: cutNth(p), Act: ActPowerCut})
-				jobs = append(jobs, job{cfg, camp})
+		for s := 0; s < opt.Seeds; s++ {
+			pre := NewCampaign(opt.SeedBase+int64(s), opt.Events)
+			pre.Events = append(pre.Events, breakEvents(opt.Break)...)
+			if !cfg.Threaded {
+				jobs = append(jobs, job{cfg, Campaign{Seed: pre.Seed, Events: slices.Concat(pre.Events, cuts)}})
+				continue
+			}
+			for _, cut := range cuts {
+				jobs = append(jobs, job{cfg, Campaign{Seed: pre.Seed, Events: slices.Concat(pre.Events, []Event{cut})}})
 			}
 		}
 	}
-	records := sweep(jobs, opt.Workers, func(j job) CrashRecord {
-		rec := RunCrashCampaign(j.cfg, j.camp, opt)
-		if rec.Failure != "" && len(j.camp.Events) > 2 {
-			if min, ok := shrink(j.cfg, j.camp, crashFails(opt), keepCut); ok {
-				rec.MinSchedule = min.Schedule()
+	// A job's cuts close its schedule; each record's campaign is the rest
+	// of the schedule and its own cut.
+	passes := sweep(jobs, opt.Workers, func(j job) []CrashRecord {
+		cuts := doomedPass(j.cfg, j.camp, opt)
+		pre := j.camp.Events[:len(j.camp.Events)-len(cuts)]
+		recs := make([]CrashRecord, len(cuts))
+		for i, cut := range cuts {
+			camp := Campaign{Seed: j.camp.Seed, Events: append(slices.Clip(pre), cut.Event)}
+			rec := crashRecord(j.cfg, camp, cut, opt)
+			cuts[i].image = nil // restored: free it before the next cut's resume
+			if rec.Failure != "" && len(camp.Events) > 2 {
+				if min, ok := shrink(j.cfg, camp, crashFails(opt), keepCut); ok {
+					rec.MinSchedule = min.Schedule()
+				}
 			}
-		}
-		if opt.Logf != nil {
-			status := "ok"
-			switch {
-			case rec.Failure != "":
-				status = "FAIL: " + rec.Failure
-			case rec.WornOut:
-				status = "worn out (graceful)"
-			case !rec.CutFired:
-				status = "cut not reached"
+			if opt.Logf != nil {
+				status := "ok"
+				switch {
+				case rec.Failure != "":
+					status = "FAIL: " + rec.Failure
+				case rec.WornOut:
+					status = "worn out (graceful)"
+				case !rec.CutFired:
+					status = "cut not reached"
+				}
+				opt.Logf("crash %-22s seed=%-4d cut=%-24s rediscovered=%-4d resume-gcs=%-4d %s",
+					rec.Config, rec.Seed, rec.Cut, rec.Rediscovered, rec.ResumeGCs, status)
 			}
-			opt.Logf("crash %-22s seed=%-4d cut=%-24s rediscovered=%-4d resume-gcs=%-4d %s",
-				rec.Config, rec.Seed, rec.Cut, rec.Rediscovered, rec.ResumeGCs, status)
+			recs[i] = rec
 		}
-		return rec
+		return recs
 	})
-	sum := &CrashSummary{
-		Seeds: opt.Seeds, Events: opt.Events, Iters: opt.Iters,
-		Campaigns: len(records), Records: records,
+	// The jobs come in configuration, seed, point order.
+	flat, n := slices.Concat(passes...), len(cuts)
+	sum := &CrashSummary{Seeds: opt.Seeds, Events: opt.Events, Iters: opt.Iters, Campaigns: len(flat)}
+	for c := range opt.Configs {
+		for p := range n {
+			for s := range opt.Seeds {
+				sum.Records = append(sum.Records, flat[(c*opt.Seeds+s)*n+p])
+			}
+		}
 	}
-	for _, r := range records {
+	for _, r := range sum.Records {
 		if r.CutFired {
 			sum.CutsFired++
 		}

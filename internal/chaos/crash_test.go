@@ -1,9 +1,12 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -180,11 +183,14 @@ func crashCampaignBaton() CrashRecord {
 }
 
 // TestCrashCampaignAllocation: what a campaign allocates follows what it
-// stores, not the pool it runs on. The wear arrays of the device, of its
-// image at the cut and of the restored device are 2.25 MB each, plus the
-// endurance limits the writes drew, and the whole campaign about 9 MB;
-// with every limit drawn at boot it was 15 MB, and with line contents held
-// densely as well those three arrays alone were 61 MB (20.25 MB each).
+// stores, not the pool it runs on. The wear arrays of the device and of the
+// restored device are 2.25 MB each; the image at the cut carries the one
+// 4096-slot chunk of wear counters the run wrote (32 KB of 2 MB), no chunk
+// of broken flags, 23 pages of contents and the 4096 endurance limits the
+// writes drew; the whole campaign is about 6.2 MB. With dense wear arrays
+// in the image it was 8.4 MB, with every limit drawn at boot 15 MB, and with
+// line contents held densely as well the three wear arrays alone were 61 MB
+// (20.25 MB each).
 func TestCrashCampaignAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -193,8 +199,8 @@ func TestCrashCampaignAllocation(t *testing.T) {
 	if rec.Failure != "" || !rec.CutFired {
 		t.Fatalf("campaign did not cut and recover: fired=%v failure=%q", rec.CutFired, rec.Failure)
 	}
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 35 {
-		t.Fatalf("one crash campaign allocated %.1f MB, want < 35", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
+		t.Fatalf("one crash campaign allocated %.1f MB, want < 8", mb)
 	}
 }
 
@@ -242,5 +248,155 @@ func TestShrinkKeepsTheCut(t *testing.T) {
 	if ok || min.Seed != camp.Seed || !slices.Equal(min.Events, orig) {
 		t.Fatalf("threaded-only failure: shrink = %v (ok %v), want the campaign unchanged and ok false",
 			min.Schedule(), ok)
+	}
+}
+
+// sweepCampaign is the campaign CrashSweep runs for point p at seed: the
+// seed's preamble, the break mode's sabotage, then the cut.
+func sweepCampaign(opt Options, seed int64, p probe.Point) Campaign {
+	camp := NewCampaign(seed, opt.Events)
+	camp.Events = append(camp.Events, breakEvents(opt.Break)...)
+	camp.Events = append(camp.Events, Event{Point: p, Nth: cutNth(p), Act: ActPowerCut})
+	return camp
+}
+
+// TestCrashSweepMatchesCampaigns is the differential oracle of the shared
+// doomed pass: every record of a baton crash sweep is, byte for byte in
+// JSON, the record RunCrashCampaign gives that record's campaign run alone
+// (its shrunk schedule aside, which only the sweep computes), with and
+// without a planted break, so failures before a cut reach it as they do on
+// a campaign of its own. Without the break each configuration has cuts that
+// fired and cuts that never did, and the bounded-pause and rotating-policy
+// sweeps cut at their own boundaries.
+func TestCrashSweepMatchesCampaigns(t *testing.T) {
+	for _, brk := range []string{"", BreakSmashHeader} {
+		for _, tc := range []struct {
+			names        string
+			seeds, iters int
+			own          string // a point only this configuration reaches, whose cut must fire
+		}{
+			{"S-IX/aware S-IX/aware/nowt", 2, 2500, ""},
+			{"S-IX/aware/inc10000", 1, 2500, "gc-mark-increment"},
+			// Rotation's resumed runs are the slow ones; 1500 iterations
+			// still reach its remap boundary.
+			{"S-IX/aware/pol:rotate", 1, 1500, "policy-remap"},
+		} {
+			opt := Options{Seeds: tc.seeds, Iters: tc.iters, Break: brk, Configs: mustParse(t, tc.names)}.withDefaults()
+			if brk != "" {
+				// The smash lands at the third collection, and every
+				// campaign it fails stops there: short runs serve the shrink.
+				opt.Iters = 800
+			}
+			sum := CrashSweep(opt)
+			var jobs []job
+			for _, cfg := range opt.Configs {
+				for p := probe.Point(0); p < probe.NumPoints; p++ {
+					for s := 0; s < opt.Seeds; s++ {
+						jobs = append(jobs, job{cfg, sweepCampaign(opt, opt.SeedBase+int64(s), p)})
+					}
+				}
+			}
+			alone := sweep(jobs, opt.Workers, func(j job) CrashRecord { return RunCrashCampaign(j.cfg, j.camp, opt) })
+			fired, unfired := map[string]int{}, map[string]int{}
+			for i, got := range sum.Records {
+				got.MinSchedule = nil
+				gj, _ := json.Marshal(got)
+				wj, _ := json.Marshal(alone[i])
+				if !bytes.Equal(gj, wj) {
+					t.Errorf("break %q: the sweep's record differs from its campaign run alone:\n sweep    %s\n campaign %s", brk, gj, wj)
+				}
+				if got.CutFired {
+					fired[got.Config]++
+				} else {
+					unfired[got.Config]++
+				}
+				if brk == "" && tc.own != "" && strings.HasPrefix(got.Cut, tc.own+"@") && !got.CutFired {
+					t.Errorf("%s seed %d: the %s cut never fired", got.Config, got.Seed, tc.own)
+				}
+			}
+			for _, cfg := range opt.Configs {
+				if brk == "" && (fired[cfg.Name()] == 0 || unfired[cfg.Name()] == 0) {
+					t.Errorf("%s: %d cuts fired and %d did not; the oracle needs both",
+						cfg.Name(), fired[cfg.Name()], unfired[cfg.Name()])
+				}
+			}
+		}
+	}
+}
+
+// TestCrashSweepCatchesBreak: a crash sweep with a planted smashed header
+// fails every campaign whose cut fires after the smash or never fires, and
+// only those; each failure shrinks to a schedule that keeps its cut and,
+// read back through ParseEvent, fails again on its own.
+func TestCrashSweepCatchesBreak(t *testing.T) {
+	opt := quickOpts()
+	opt.Seeds, opt.Break = 1, BreakSmashHeader
+	opt.Configs = mustParse(t, "S-IX/aware")
+	opt = opt.withDefaults()
+	sum := CrashSweep(opt)
+
+	// Which cuts fire before the smash: the order of one pass's fired log.
+	pass := sweepCampaign(opt, opt.SeedBase, 0)
+	for p := probe.Point(1); p < probe.NumPoints; p++ {
+		pass.Events = append(pass.Events, Event{Point: p, Nth: cutNth(p), Act: ActPowerCut})
+	}
+	_, in := runCampaignInner(opt.Configs[0], pass, opt, nil, nil)
+	early := map[string]bool{}
+	for _, f := range in.Log {
+		if f.Event.Act == ActSmashHeader {
+			break
+		}
+		if f.Event.Act == ActPowerCut {
+			early[f.Event.String()] = true
+		}
+	}
+	if sum.Failed == 0 || sum.Failed != sum.Campaigns-len(early) {
+		t.Fatalf("%d of %d campaigns failed; %d cuts fire before the smash", sum.Failed, sum.Campaigns, len(early))
+	}
+	for _, r := range sum.Records {
+		if early[r.Cut] {
+			if r.Failure != "" || !r.CutFired {
+				t.Errorf("cut %s fires before the smash, yet fired=%v failure=%q", r.Cut, r.CutFired, r.Failure)
+			}
+			continue
+		}
+		if !strings.HasPrefix(r.Failure, "pre-cut: ") || !strings.Contains(r.Failure, "unregistered type") {
+			t.Errorf("cut %s: failure %q, want the smashed header before the cut", r.Cut, r.Failure)
+		}
+		if !slices.Contains(r.MinSchedule, r.Cut) {
+			t.Errorf("cut %s: minimal schedule %v lost the cut", r.Cut, r.MinSchedule)
+		}
+		camp := Campaign{Seed: r.Seed}
+		for _, s := range r.MinSchedule {
+			e, err := ParseEvent(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			camp.Events = append(camp.Events, e)
+		}
+		if rec := RunCrashCampaign(opt.Configs[0], camp, opt); rec.Failure == "" {
+			t.Errorf("cut %s: minimal schedule %v passes on replay", r.Cut, r.MinSchedule)
+		}
+	}
+}
+
+// TestCrashSweepAllocation: a sweep's power cuts cost what their runs
+// wrote. A one-seed S-IX/aware sweep runs one doomed pass, takes the images
+// of the six cuts that fire and restores each: 27.2 MB, most of it the
+// seven devices booted (2.25 MB of wear state each) and the resumed
+// workloads. With one doomed run per cut and dense images it was 75.9 MB;
+// dense images alone would add 2.25 MB a fired cut. The bound is the
+// measured figure plus 25 %.
+func TestCrashSweepAllocation(t *testing.T) {
+	opt := Options{Seeds: 1, Configs: mustParse(t, "S-IX/aware")}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum := CrashSweep(opt)
+	runtime.ReadMemStats(&after)
+	if sum.Failed != 0 || sum.CutsFired == 0 {
+		t.Fatalf("sweep did not cut and recover cleanly: %d fired, %d failed", sum.CutsFired, sum.Failed)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 34 {
+		t.Fatalf("a one-seed baton crash sweep allocated %.1f MB, want < 34", mb)
 	}
 }

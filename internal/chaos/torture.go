@@ -427,10 +427,10 @@ type campaignRun struct {
 	failMu sync.Mutex
 }
 
-// powerCutFailure is the sentinel recorded when an ActPowerCut fires: the
-// campaign soft-stops (power is gone), and the crash-campaign driver — the
-// only producer of power-cut schedules — recognizes the sentinel and takes
-// the recovery path instead of treating it as a workload failure.
+// powerCutFailure is the sentinel recorded when the last ActPowerCut of a
+// schedule fires: the campaign soft-stops (power is gone). The crash-campaign
+// driver, the only producer of power-cut schedules, reads each cut's outcome
+// from the failure the cut recorded as it fired, never from the sentinel.
 const powerCutFailure = "power cut"
 
 // RunCampaign executes one campaign on one configuration: a deterministic
@@ -511,14 +511,16 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 	inj = in
 
 	run := &campaignRun{opt: opt, cfg: cfg, camp: camp, v: m.VM, in: in, rec: &rec}
+	in.progress = run.progress
 	if cfg.Threaded {
 		m.SetProbe(run.threadedHook())
 	} else {
 		m.SetProbe(func(p probe.Point, addr uint64) {
 			in.Hook(p, addr)
-			if in.CutImage != nil {
-				// Power failed at this instant: soft-stop the campaign.
-				// Nothing after the cut is observable, so no verification.
+			if in.powerGone() {
+				// The last power cut fired at this instant: soft-stop the
+				// campaign. Nothing after it is observable, so no
+				// verification.
 				run.fail(powerCutFailure)
 				return
 			}
@@ -596,6 +598,14 @@ func (r *campaignRun) fail(format string, args ...interface{}) {
 	if r.rec.Failure == "" {
 		r.rec.Failure = fmt.Sprintf(format, args...)
 	}
+}
+
+// progress is the campaign's verification count and failure so far, which
+// a power cut records as it fires.
+func (r *campaignRun) progress() (int, string) {
+	r.failMu.Lock()
+	defer r.failMu.Unlock()
+	return r.rec.Verifications, r.rec.Failure
 }
 
 // failed reports whether the campaign has already failed; the threaded

@@ -56,10 +56,10 @@ func (r *campaignRun) threadedHook() probe.Hook {
 			r.in.Log = append(r.in.Log, Fired{Event: d.e, Addr: d.addr, Effect: effect})
 			mu.Unlock()
 		}
-		if r.in.CutImage != nil {
-			// Power failed during the drain (a deferred cut performed at
-			// this STW boundary): soft-stop, skip verification — nothing
-			// after the cut instant is observable.
+		if r.in.powerGone() {
+			// The last power cut fired during the drain (a deferred cut
+			// performed at this STW boundary): soft-stop, skip
+			// verification — nothing after the cut instant is observable.
 			r.fail(powerCutFailure)
 			return
 		}

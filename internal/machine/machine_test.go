@@ -204,8 +204,10 @@ func TestThreadedBootEquipsDevice(t *testing.T) {
 	_, spec := pmdSpec(1 << 20)
 	m, stores := storeThrough(t, spec, func(m *Machine) {
 		var before uint64
-		for _, w := range m.Device.Snapshot().Writes {
-			before += w
+		for _, chunk := range m.Device.Snapshot().Writes {
+			for _, w := range chunk {
+				before += w
+			}
 		}
 		if after := m.Device.TotalWrites(); after < before {
 			t.Fatalf("TotalWrites() = %d after an image that already held %d", after, before)

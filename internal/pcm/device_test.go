@@ -402,9 +402,9 @@ func TestWearOutOfClusteringMetadataIsAbsorbed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.FailedLines() != 2 || !d.Snapshot().Broken[0] {
+	if d.FailedLines() != 2 || !d.broken[0] {
 		t.Fatalf("failed lines %d, storage 0 broken %v; want metadata line 0's wear-out counted",
-			d.FailedLines(), d.Snapshot().Broken[0])
+			d.FailedLines(), d.broken[0])
 	}
 	if d.BufferLen() != 0 || interrupts != 3 || clock.Count(stats.EvInterrupt) != 3 {
 		t.Fatalf("buffer %d, interrupts %d (%d charged); want nothing parked or raised after the first three",

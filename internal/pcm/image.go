@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"wearmem/internal/cluster"
 	"wearmem/internal/failmap"
@@ -49,17 +50,20 @@ type DeviceImage struct {
 	Seed          int64        `json:"seed"`
 
 	// Per-slot wear state (slots include the start-gap spare when the
-	// scheme is enabled). EnduranceOf is the drawn prefix of the limits,
-	// correction leases included: slot s's limit for s at or past its end
-	// is the s-th draw of Seed's stream, as yet unconsulted. It is empty on
-	// a device no write has consulted, and always on one of infinite
-	// endurance (Endurance zero).
-	Writes        []uint64 `json:"writes"`
-	EnduranceOf   []uint64 `json:"endurance_of,omitempty"`
-	ECCLeft       []uint8  `json:"ecc_left,omitempty"`
-	Broken        []bool   `json:"broken"`
-	CorrectedBits uint64   `json:"corrected_bits"`
-	FailedLines   int      `json:"failed_lines"`
+	// scheme is enabled). Writes and Broken hold one entry per
+	// enduranceChunk slots, the last one shorter when the slots do not fill
+	// it: the chunk's counters or flags, or empty for a chunk no write or
+	// failure reached, which reads as zeros. EnduranceOf is the drawn prefix
+	// of the limits, correction leases included: slot s's limit for s at or
+	// past its end is the s-th draw of Seed's stream, as yet unconsulted. It
+	// is empty on a device no write has consulted, and always on one of
+	// infinite endurance (Endurance zero).
+	Writes        [][]uint64 `json:"writes"`
+	EnduranceOf   []uint64   `json:"endurance_of,omitempty"`
+	ECCLeft       []uint8    `json:"ecc_left,omitempty"`
+	Broken        [][]bool   `json:"broken"`
+	CorrectedBits uint64     `json:"corrected_bits"`
+	FailedLines   int        `json:"failed_lines"`
 
 	// Start-gap wear-leveling state.
 	Perm       []int32 `json:"perm,omitempty"`
@@ -109,8 +113,8 @@ func (d *Device) Snapshot() *DeviceImage {
 		TrackData:     d.cfg.TrackData,
 		Seed:          d.cfg.Seed,
 
-		Writes:        append([]uint64(nil), d.writes...),
-		Broken:        append([]bool(nil), d.broken...),
+		Writes:        chunks(d.writes),
+		Broken:        chunks(d.broken),
 		CorrectedBits: d.correctedBits,
 		FailedLines:   int(d.failedLines.Load()),
 		Gap:           d.gap,
@@ -153,6 +157,9 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if img.Size <= 0 || img.Size%failmap.PageSize != 0 {
 		return nil, fmt.Errorf("pcm: image size %d not a positive multiple of the page size", img.Size)
 	}
+	if img.Size > maxImageSize {
+		return nil, fmt.Errorf("pcm: image of a %d-byte module, past the %d bytes a restore takes", img.Size, maxImageSize)
+	}
 	if pages := img.Size / failmap.PageSize; img.ClusterPages < 0 ||
 		img.ClusterPages > 0 && (img.ClusterPages > pages || pages%img.ClusterPages != 0) {
 		return nil, fmt.Errorf("pcm: image of %d pages is not a whole number of %d-page clustering regions",
@@ -161,13 +168,16 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if img.WearLeveling == StartGap && img.ClusterPages > 0 {
 		return nil, fmt.Errorf("pcm: image pairs start-gap wear leveling with failure clustering, which are exclusive")
 	}
-	n := img.Size / failmap.LineSize
-	slots := n
-	if img.WearLeveling == StartGap {
-		slots = n + 1
+	n, slots := img.Size/failmap.LineSize, img.slots()
+	// The chunk counts vouch for the slots, so they are checked before
+	// anything else is sized from img.Size.
+	writes, err := unchunk(img.Writes, slots, "wear counters")
+	if err != nil {
+		return nil, err
 	}
-	if len(img.Writes) != slots || len(img.Broken) != slots {
-		return nil, fmt.Errorf("pcm: image wear state covers %d slots, want %d", len(img.Writes), slots)
+	broken, err := unchunk(img.Broken, slots, "broken flags")
+	if err != nil {
+		return nil, err
 	}
 	if len(img.EnduranceOf) > 0 && img.Endurance == 0 {
 		return nil, fmt.Errorf("pcm: image of infinite endurance carries %d endurance limits", len(img.EnduranceOf))
@@ -210,9 +220,9 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		lines:         n,
 		clock:         clock,
 		index:         make(map[int]int),
-		writes:        append([]uint64(nil), img.Writes...),
+		writes:        writes,
 		endurance:     append([]uint64(nil), img.EnduranceOf...),
-		broken:        append([]bool(nil), img.Broken...),
+		broken:        broken,
 		correctedBits: img.CorrectedBits,
 		gap:           img.Gap,
 		sinceMove:     img.SinceMove,
@@ -278,6 +288,54 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 		d.stalled.Store(true)
 	}
 	return d, nil
+}
+
+// maxImageSize is the largest module an image restores. A restored device
+// holds its wear state densely, nine bytes a slot, while a wear chunk that
+// no write reached costs an image one byte: the cap keeps what a small image
+// can make a restore allocate to about 9.5 MB.
+const maxImageSize = 64 << 20
+
+// chunks splits a per-slot array into enduranceChunk-slot chunks, copying
+// each chunk that holds a nonzero value and leaving the others empty.
+func chunks[T comparable](s []T) [][]T {
+	var zero T
+	out := make([][]T, (len(s)+enduranceChunk-1)/enduranceChunk)
+	for i := range out {
+		c := s[i*enduranceChunk : min((i+1)*enduranceChunk, len(s))]
+		for _, v := range c {
+			if v != zero {
+				out[i] = slices.Clone(c)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// slots is the number of storage slots of the module img describes: one a
+// line, and the start-gap spare.
+func (img *DeviceImage) slots() int {
+	if img.WearLeveling == StartGap {
+		return img.Size/failmap.LineSize + 1
+	}
+	return img.Size / failmap.LineSize
+}
+
+// unchunk is the per-slot array of slots slots that chunks carry, refusing
+// chunks that do not split it the way chunks does.
+func unchunk[T any](chunks [][]T, slots int, what string) ([]T, error) {
+	if want := (slots + enduranceChunk - 1) / enduranceChunk; len(chunks) != want {
+		return nil, fmt.Errorf("pcm: image %s come in %d chunks, want %d", what, len(chunks), want)
+	}
+	out := make([]T, slots)
+	for i, c := range chunks {
+		if n := min(enduranceChunk, slots-i*enduranceChunk); len(c) != 0 && len(c) != n {
+			return nil, fmt.Errorf("pcm: image %s chunk %d holds %d slots, want 0 or %d", what, i, len(c), n)
+		}
+		copy(out[i*enduranceChunk:], c)
+	}
+	return out, nil
 }
 
 // ValidateClusters checks the clustering hardware's redirection maps

@@ -3,7 +3,11 @@ package pcm
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -16,8 +20,13 @@ import (
 // entry) is a few hundred bytes; plus gobReadAhead once, because gob sizes
 // one buffer from a count before the bytes behind it arrive — a message, or
 // a slice's elements — and caps that read-ahead at 10 MB (internal/saferio).
-// A restore that sizes anything from a field instead of from the data it
-// validated against that field breaks the bound by orders of magnitude.
+// Gob reads ahead past the input only on a count the input does not back,
+// which fails the decode, so on a restore the same term holds the dense wear
+// state a device sizes from its module: maxImageSize caps it at about
+// 9.5 MB, and the corpus restores a module of that size from a few hundred
+// bytes. A restore that sizes anything else from a field instead of from the
+// data it validated against that field breaks the bound by orders of
+// magnitude.
 const (
 	fuzzAllocPerByte = 256
 	gobReadAhead     = 16 << 20
@@ -27,12 +36,14 @@ const (
 // error or a device, never panics, and allocates no more than the input's
 // size warrants. The corpus is the encoding of small devices of every
 // geometry: fresh, worn with failures pending in the buffer (orphans),
-// start-gap and clustered; of endurance tables of every length a restore
-// takes — none on a finite device, a prefix of a module longer than one
-// chunk, and every slot, as images carried before the draw was lazy — and
-// of the images a restore refuses: a start-gap image that claims
-// clustering regions too, a table on a device of infinite endurance, and a
-// table longer than the module.
+// start-gap and clustered, and the largest module a restore takes, fresh
+// and clustered a page a region; of endurance tables of every length a
+// restore takes — none on a finite device, a prefix of a module longer than
+// one chunk, and every slot, as images carried before the draw was lazy —
+// and of the images a restore refuses: a start-gap image that claims
+// clustering regions too, a table on a device of infinite endurance, a
+// table longer than the module, wear counters a chunk short, and a broken
+// chunk of one slot.
 func FuzzDecodeImage(f *testing.F) {
 	const size = 4 * failmap.PageSize
 	long := Config{Size: 80 * failmap.PageSize, Endurance: 40, Variation: 0.25, TrackData: true, Seed: 6}
@@ -56,6 +67,9 @@ func FuzzDecodeImage(f *testing.F) {
 			func(img *DeviceImage) { img.Endurance = 0 }},
 		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 8}, 50, 0,
 			func(img *DeviceImage) { img.EnduranceOf = append(img.EnduranceOf, 40) }},
+		{long, 200, 0, func(img *DeviceImage) { img.Writes = img.Writes[:1] }},
+		{long, 200, 0, func(img *DeviceImage) { img.Broken[1] = []bool{true} }},
+		{Config{Size: maxImageSize, ClusterPages: 1, Seed: 9}, 0, 0, nil},
 	} {
 		d := NewDevice(tc.cfg, nil)
 		if tc.lines == 0 {
@@ -91,4 +105,39 @@ func FuzzDecodeImage(f *testing.F) {
 			t.Fatalf("a %d-byte image allocated %d bytes (limit %d); restore err %v", len(data), got, limit, err)
 		}
 	})
+}
+
+// TestDecodeImageCorpusRejections holds each committed FuzzDecodeImage input
+// to the rejection it was committed for: the two images whose clustering
+// regions do not tile the module decode and are refused on restore (where
+// an int is 32 bits wide, the overflowing one is refused by the decoder),
+// and the two gob inputs whose counts run past the input fail to decode.
+func TestDecodeImageCorpusRejections(t *testing.T) {
+	overflow := "not a whole number of 4503599627370496-page clustering regions"
+	if strconv.IntSize == 32 {
+		overflow = `value for "ClusterPages" out of range`
+	}
+	for name, want := range map[string]string{
+		"cluster-pages-not-a-divisor":      "not a whole number of 3-page clustering regions",
+		"cluster-pages-overflow":           overflow,
+		"gob-message-count-past-the-input": "unexpected EOF",
+		"gob-slice-count-past-the-input":   "gob: bad data",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeImage", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		img, err := DecodeImage(strings.NewReader(data))
+		if err == nil {
+			_, err = NewDeviceFromImage(img, nil, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one saying %q", name, err, want)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -193,6 +194,27 @@ func TestImageStallRestored(t *testing.T) {
 	}
 }
 
+// TestImageRestoreCap: a restore takes a module of maxImageSize and refuses
+// one a page larger, before it sizes anything from the module.
+func TestImageRestoreCap(t *testing.T) {
+	img := NewDevice(Config{Size: 4 * failmap.PageSize, Seed: 1}, nil).Snapshot()
+	for _, tc := range []struct {
+		size int
+		ok   bool
+	}{{maxImageSize, true}, {maxImageSize + failmap.PageSize, false}} {
+		img.Size = tc.size
+		img.Writes = make([][]uint64, (img.slots()+enduranceChunk-1)/enduranceChunk)
+		img.Broken = make([][]bool, len(img.Writes))
+		d, err := NewDeviceFromImage(img, nil, nil)
+		if tc.ok && (err != nil || d.Lines() != tc.size/failmap.LineSize) {
+			t.Fatalf("%d-byte module: %v", tc.size, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "past the")) {
+			t.Fatalf("%d-byte module: error %v, want the restore cap", tc.size, err)
+		}
+	}
+}
+
 // TestImageValidatesGeometry: corrupt images are rejected with an error, not
 // absorbed and not left to panic at the first write that indexes them.
 func TestImageValidatesGeometry(t *testing.T) {
@@ -206,7 +228,6 @@ func TestImageValidatesGeometry(t *testing.T) {
 		name    string
 		corrupt func(img *DeviceImage)
 	}{
-		{"truncated wear state", func(img *DeviceImage) { img.Writes = img.Writes[:len(img.Writes)-1] }},
 		{"out-of-range orphan", func(img *DeviceImage) { img.Orphans = []OrphanLine{{Line: 1 << 30}} }},
 		{"duplicate orphan", func(img *DeviceImage) { img.Orphans = []OrphanLine{{Line: 5}, {Line: 5}} }},
 		{"negative gap", func(img *DeviceImage) { img.Gap = -1 }},
@@ -225,7 +246,13 @@ func TestImageValidatesGeometry(t *testing.T) {
 		{"start-gap with clustering", func(img *DeviceImage) { img.ClusterPages = 1 }},
 		{"endurance limits on a module of infinite endurance", func(img *DeviceImage) { img.EnduranceOf = []uint64{5} }},
 		{"endurance limits past the last slot", func(img *DeviceImage) {
-			img.Endurance, img.EnduranceOf = 10, make([]uint64, len(img.Writes)+1)
+			img.Endurance, img.EnduranceOf = 10, make([]uint64, img.slots()+1)
+		}},
+		{"wear counters one chunk short", func(img *DeviceImage) { img.Writes = img.Writes[:len(img.Writes)-1] }},
+		{"broken flags one chunk over", func(img *DeviceImage) { img.Broken = append(img.Broken, nil) }},
+		{"wear chunk one slot short", func(img *DeviceImage) { img.Writes[0] = make([]uint64, enduranceChunk-1) }},
+		{"broken chunk of a whole chunk where the module ends", func(img *DeviceImage) {
+			img.Broken[len(img.Broken)-1] = make([]bool, enduranceChunk)
 		}},
 	} {
 		img := d.Snapshot()

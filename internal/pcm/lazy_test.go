@@ -298,7 +298,8 @@ func TestConcurrentDeviceHammerLazyEndurance(t *testing.T) {
 	wg.Wait()
 	<-snapped
 	for _, img := range images {
-		eager := &DeviceImage{Endurance: img.Endurance, Variation: img.Variation, Seed: img.Seed, Writes: img.Writes}
+		eager := &DeviceImage{Size: img.Size, WearLeveling: img.WearLeveling,
+			Endurance: img.Endurance, Variation: img.Variation, Seed: img.Seed}
 		eagerEndurance(eager)
 		for s, got := range img.EnduranceOf {
 			if want := eager.EnduranceOf[s] + uint64(cfg.ECCEntries-int(img.ECCLeft[s]))*cfg.ECCLease; got != want {

@@ -368,7 +368,9 @@ func (m *model) restore() {
 	m.cache = nil
 }
 
-// image is what Device.Snapshot must return, less the line contents.
+// image is what Device.Snapshot must return, less the line contents and
+// the wear counters and broken flags, which matchModel compares slot by slot
+// with the model's own.
 func (m *model) image() *DeviceImage {
 	c := m.cfg
 	img := &DeviceImage{
@@ -380,8 +382,6 @@ func (m *model) image() *DeviceImage {
 		Gap: int32(m.gap), SinceMove: m.sinceMove, GapCarries: m.carries,
 	}
 	for s := 0; s < m.slots; s++ {
-		img.Writes = append(img.Writes, m.writes[s])
-		img.Broken = append(img.Broken, m.broken[s])
 		if m.endurance != nil {
 			img.EnduranceOf = append(img.EnduranceOf, m.endurance[s])
 		}
@@ -585,8 +585,22 @@ func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock
 	t.Helper()
 	img, want := d.Snapshot(), m.image()
 	eagerEndurance(img)
+	writes, err := unchunk(img.Writes, img.slots(), "wear counters")
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	broken, err := unchunk(img.Broken, img.slots(), "broken flags")
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	for s := 0; s < m.slots; s++ {
+		if writes[s] != m.writes[s] || broken[s] != m.broken[s] {
+			t.Fatalf("%s: image slot %d has %d writes, broken %v; model %d, %v",
+				at, s, writes[s], broken[s], m.writes[s], m.broken[s])
+		}
+	}
 	pages := img.Data
-	img.Data = nil
+	img.Data, img.Writes, img.Broken = nil, nil, nil
 	if !reflect.DeepEqual(img, want) {
 		got, exp := reflect.ValueOf(*img), reflect.ValueOf(*want)
 		for i := range got.NumField() {
@@ -644,7 +658,7 @@ func eagerEndurance(img *DeviceImage) {
 	for range img.EnduranceOf {
 		sampleEndurance(img.Endurance, img.Variation, rng)
 	}
-	for len(img.EnduranceOf) < len(img.Writes) {
+	for len(img.EnduranceOf) < img.slots() {
 		img.EnduranceOf = append(img.EnduranceOf, sampleEndurance(img.Endurance, img.Variation, rng))
 	}
 }

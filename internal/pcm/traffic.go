@@ -174,18 +174,22 @@ func (d *Device) SkewedLines(t *Traffic, dst []int) {
 func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int)) {
 	t := NewTraffic(seed)
 	buf := make([]byte, failmap.LineSize)
-	if d.cfg.Endurance > 0 {
-		// A wear study reaches every slot: draw every limit now, so that
-		// countWear reads them with no test of whether one is drawn yet.
-		d.mu.Lock()
-		d.limit(len(d.writes) - 1)
-		d.mu.Unlock()
-	}
 	counting := d.cfg.WearLeveling != StartGap && d.array == nil && d.data == nil && d.cfg.Endurance > 0
+	drawn := d.cfg.Endurance == 0
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
 	for i, target := range targets {
 		for d.FailureRate() < target {
+			if !drawn {
+				// A wear study reaches every slot: draw every limit before
+				// the first write, so that countWear reads them with no test
+				// of whether one is drawn yet. A study that writes nothing
+				// draws nothing, as the per-write loop does.
+				d.mu.Lock()
+				d.limit(len(d.writes) - 1)
+				d.mu.Unlock()
+				drawn = true
+			}
 			// With failures pending a write may be refused, or its own
 			// failure may reach the watermark: WriteRun decides, so counting
 			// waits for an empty buffer.
