@@ -160,8 +160,9 @@ determinism:
 # pause-budgeted sticky collector, the same collector with concurrent markers
 # on the threaded engine (write-through off, so the markers run against the
 # mutators under injected failures, StrictSATB at every final mark), each
-# non-stock frame policy and the power-cut crash sweep. Writes the JSON
-# summaries for CI.
+# non-stock frame policy, the power-cut crash sweep, and the crash sweep
+# under the rotate policy, whose write path reads every page's wear. Writes
+# the JSON summaries for CI.
 torture:
 	$(GO) run ./cmd/wearsim -torture -seeds 50 -torture-out torture-summary.json
 	$(GO) run ./cmd/wearsim -torture -seeds 25 -torture-config '*/*/m4' -torture-out torture-summary-m4.json
@@ -172,6 +173,7 @@ torture:
 	$(GO) run ./cmd/wearsim -torture -seeds 8 -torture-config '*/*/pol:decoder' -torture-out torture-summary-dec.json
 	$(GO) run ./cmd/wearsim -torture -seeds 8 -torture-config '*/*/pol:migrate' -torture-out torture-summary-mig.json
 	$(GO) run ./cmd/wearsim -crash -seeds 3 -torture-out crash-summary.json
+	$(GO) run ./cmd/wearsim -crash -seeds 2 -torture-config 'S-IX/aware/pol:rotate' -torture-out crash-summary-rot.json
 
 # Multi-mutator scaling study (implementation experiment; excluded from
 # "wearbench -exp all" so the pinned full-suite reports stay stable).

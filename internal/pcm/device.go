@@ -141,13 +141,14 @@ type Device struct {
 	lines int
 	clock *stats.Clock // may be nil
 
-	// Wear state, indexed by physical storage slot. endurance holds the
-	// limits drawn so far, a prefix of the slots that limit extends; rng
-	// continues the stream past it (nil until the prefix first grows).
-	writes    []uint64
+	// Wear state, indexed by physical storage slot. wear holds the write
+	// counters and broken flags in chunks allocated on first write;
+	// endurance holds the limits drawn so far, a prefix of the slots that
+	// limit extends; rng continues the stream past it (nil until the prefix
+	// first grows).
+	wear      wearStore
 	endurance []uint64
 	eccLeft   []uint8
-	broken    []bool
 	rng       *rand.Rand
 
 	correctedBits uint64
@@ -232,8 +233,8 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	if cfg.WearLeveling == StartGap {
 		slots = n + 1 // spare gap slot
 	}
-	d.writes = make([]uint64, slots)
-	d.broken = make([]bool, slots)
+	chunks := (slots + enduranceChunk - 1) / enduranceChunk
+	d.wear = wearStore{writes: make([][]uint64, chunks), broken: make([][]bool, chunks), slots: slots}
 	if cfg.Endurance > 0 {
 		if cfg.ECCLease == 0 {
 			cfg.ECCLease = cfg.Endurance / 10
@@ -268,9 +269,6 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	return d
 }
 
-// enduranceChunk is how many endurance limits a device draws at a time.
-const enduranceChunk = 4096
-
 // limit returns storage slot s's endurance limit on a device of finite
 // endurance. Limits are drawn in slot order, as far as the first write that
 // consults one needs, to the end of that slot's chunk: whatever order writes
@@ -295,7 +293,7 @@ func (d *Device) drawThrough(s int) {
 			sampleEndurance(d.cfg.Endurance, d.cfg.Variation, d.rng)
 		}
 	}
-	n := min((s/enduranceChunk+1)*enduranceChunk, len(d.writes))
+	n := min((s/enduranceChunk+1)*enduranceChunk, d.wear.slots)
 	d.endurance = slices.Grow(d.endurance, n-len(d.endurance))
 	for len(d.endurance) < n {
 		d.endurance = append(d.endurance, sampleEndurance(d.cfg.Endurance, d.cfg.Variation, d.rng))
@@ -432,7 +430,7 @@ func (d *Device) unavailableLocked(line int) bool {
 	if d.array != nil {
 		return d.array.Unavailable(line)
 	}
-	return d.broken[d.storageOf(line)]
+	return d.wear.isBroken(d.storageOf(line))
 }
 
 // UnavailablePage returns the module-visible page p's unusable lines as one
@@ -454,16 +452,12 @@ func (d *Device) unavailablePageLocked(p int) uint64 {
 		return d.array.PageWord(p)
 	}
 	var bm uint64
-	if d.perm != nil {
-		for l, s := range d.perm[first : first+failmap.LinesPerPage] {
-			if d.broken[s] {
-				bm |= 1 << uint(l)
-			}
+	for l := 0; l < failmap.LinesPerPage; l++ {
+		s := first + l
+		if d.perm != nil {
+			s = int(d.perm[s])
 		}
-		return bm
-	}
-	for l, un := range d.broken[first : first+failmap.LinesPerPage] {
-		if un {
+		if d.wear.isBroken(s) {
 			bm |= 1 << uint(l)
 		}
 	}
@@ -547,8 +541,7 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 		} else if array != nil {
 			s = array.Translate(line)
 		}
-		d.writes[s]++
-		failed := d.worn(s)
+		failed := d.worn(s, d.wear.add(s, 1))
 		if failed {
 			d.reportFailure(line, data)
 		} else if store != nil {
@@ -582,10 +575,10 @@ func (d *Device) WriteRepeat(line int, data []byte, n int) bool {
 	defer d.mu.Unlock()
 	s := line // its own storage slot on a device that neither levels nor clusters
 	if d.stalled.Load() || d.cfg.WearLeveling == StartGap || d.array != nil ||
-		d.cfg.Endurance > 0 && !d.broken[s] && d.reaches(s, d.writes[s]+uint64(n)) {
+		d.cfg.Endurance > 0 && !d.wear.isBroken(s) && d.reaches(s, d.wear.count(s)+uint64(n)) {
 		return false
 	}
-	d.writes[s] += uint64(n)
+	d.wear.add(s, uint64(n))
 	if d.clock != nil {
 		d.clock.Charge(stats.EvPCMWrite, uint64(n))
 	}
@@ -606,20 +599,24 @@ func (d *Device) unlockAndInterrupt() {
 	}
 }
 
-// worn reports whether the write just counted on storage slot s failed the
-// slot (verify-after-write detection). Its first test is the one a write
-// short of a drawn limit passes, which keeps it within the inliner's budget
-// on the write path; everything else is wearOut.
-func (d *Device) worn(s int) bool {
-	return (s >= len(d.endurance) || d.writes[s] >= d.endurance[s]) && d.wearOut(s)
+// worn reports whether the write just counted on storage slot s, bringing
+// its count to c, failed the slot (verify-after-write detection). Its first
+// test is the one a write short of a drawn limit passes, which keeps it
+// within the inliner's budget on the write path; everything else is wearOut.
+func (d *Device) worn(s int, c uint64) bool {
+	return (s >= len(d.endurance) || c >= d.endurance[s]) && d.wearOut(s, c)
 }
 
 // wearOut is worn past its first test: the slot's limit is not drawn yet,
 // or the count has reached it. While hard error correction entries remain,
 // each detected stuck bit consumes one and extends the line's lease instead
-// of failing it (§2.2).
-func (d *Device) wearOut(s int) bool {
-	if d.cfg.Endurance == 0 || d.broken[s] || !d.reaches(s, d.writes[s]) {
+// of failing it (§2.2). It is reaches with the slot's broken flag tested
+// between the floor and the limit: a count below the floor, most of what
+// reaches an undrawn slot, costs no lookup of the flag's chunk, and a broken
+// slot still draws nothing.
+func (d *Device) wearOut(s int, c uint64) bool {
+	if d.cfg.Endurance == 0 || c < minEndurance(d.cfg.Endurance, d.cfg.Variation) ||
+		d.wear.isBroken(s) || c < d.limit(s) {
 		return false
 	}
 	if d.eccLeft != nil && d.eccLeft[s] > 0 {
@@ -628,7 +625,7 @@ func (d *Device) wearOut(s int) bool {
 		d.endurance[s] += d.cfg.ECCLease
 		return false
 	}
-	d.broken[s] = true
+	d.wear.setBroken(s)
 	return true
 }
 
@@ -774,7 +771,7 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 		data = make([]byte, failmap.LineSize)
 	}
 	s := d.storageOf(line)
-	d.broken[s] = true
+	d.wear.setBroken(s)
 	if d.eccLeft != nil {
 		d.eccLeft[s] = 0
 	}
@@ -804,8 +801,7 @@ func (d *Device) wearStep() {
 	d.gapCarries++
 	// The copy writes the destination slot; its verify-after-write can fail
 	// like any other, surfacing a failure of the relocated line.
-	d.writes[dst]++
-	if d.worn(int(dst)) {
+	if d.worn(int(dst), d.wear.add(int(dst), 1)) {
 		data := make([]byte, failmap.LineSize)
 		if d.data != nil {
 			d.data.read(int(dst), data)
@@ -832,7 +828,7 @@ func (d *Device) FailMap() *failmap.Map {
 func (d *Device) WriteCount(slot int) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.writes[slot]
+	return d.wear.count(slot)
 }
 
 // GapCarries returns the number of extra line writes performed by start-gap
@@ -864,23 +860,27 @@ func (d *Device) WearHistogram(n int) []WearBucket {
 	if n < 1 {
 		n = 1
 	}
-	var max uint64
-	for _, w := range d.writes {
-		if w > max {
-			max = w
+	var top uint64
+	for _, c := range d.wear.writes {
+		for _, w := range c {
+			top = max(top, w)
 		}
 	}
-	width := (max + 1 + uint64(n) - 1) / uint64(n) // ceil((max+1)/n)
+	width := (top + 1 + uint64(n) - 1) / uint64(n) // ceil((top+1)/n)
 	out := make([]WearBucket, n)
 	for i := range out {
 		out[i].Lo = uint64(i) * width
 		out[i].Hi = uint64(i+1) * width
 	}
-	for s, w := range d.writes {
-		i := int(w / width)
-		out[i].Slots++
-		if d.broken[s] {
-			out[i].Failed++
+	for i, c := range d.wear.writes {
+		out[0].Slots += chunkLen(i, d.wear.slots) - len(c) // an absent chunk's slots wrote nothing
+		for _, w := range c {
+			out[w/width].Slots++
+		}
+		for j, b := range d.wear.broken[i] { // a forced failure breaks a slot no write reached
+			if b {
+				out[d.wear.count(i<<chunkShift+j)/width].Failed++
+			}
 		}
 	}
 	return out
@@ -892,8 +892,10 @@ func (d *Device) TotalWrites() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var sum uint64
-	for _, w := range d.writes {
-		sum += w
+	for _, c := range d.wear.writes {
+		for _, w := range c {
+			sum += w
+		}
 	}
 	return sum
 }
@@ -906,8 +908,18 @@ func (d *Device) PageWrites() []uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]uint64, d.lines/failmap.LinesPerPage)
+	if d.perm == nil && d.array == nil {
+		// Each line is its own slot: sum the resident chunks into their
+		// pages and leave the pages of absent ones at zero.
+		for i, c := range d.wear.writes {
+			for j, w := range c {
+				out[(i<<chunkShift+j)/failmap.LinesPerPage] += w
+			}
+		}
+		return out
+	}
 	for l := 0; l < len(out)*failmap.LinesPerPage; l++ {
-		out[l/failmap.LinesPerPage] += d.writes[d.storageOf(l)]
+		out[l/failmap.LinesPerPage] += d.wear.count(d.storageOf(l))
 	}
 	return out
 }

@@ -219,7 +219,7 @@ func TestVariedEnduranceDistribution(t *testing.T) {
 	d := NewDevice(Config{
 		Size: 64 * failmap.PageSize, Endurance: 1000, Variation: 0.25, Seed: 3,
 	}, nil)
-	d.limit(len(d.writes) - 1) // draw every slot
+	d.limit(d.wear.slots - 1) // draw every slot
 	var sum float64
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, e := range d.endurance {
@@ -402,9 +402,9 @@ func TestWearOutOfClusteringMetadataIsAbsorbed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.FailedLines() != 2 || !d.broken[0] {
+	if d.FailedLines() != 2 || !d.wear.isBroken(0) {
 		t.Fatalf("failed lines %d, storage 0 broken %v; want metadata line 0's wear-out counted",
-			d.FailedLines(), d.broken[0])
+			d.FailedLines(), d.wear.isBroken(0))
 	}
 	if d.BufferLen() != 0 || interrupts != 3 || clock.Count(stats.EvInterrupt) != 3 {
 		t.Fatalf("buffer %d, interrupts %d (%d charged); want nothing parked or raised after the first three",

@@ -21,12 +21,12 @@ import (
 // one buffer from a count before the bytes behind it arrive — a message, or
 // a slice's elements — and caps that read-ahead at 10 MB (internal/saferio).
 // Gob reads ahead past the input only on a count the input does not back,
-// which fails the decode, so on a restore the same term holds the dense wear
-// state a device sizes from its module: maxImageSize caps it at about
-// 9.5 MB, and the corpus restores a module of that size from a few hundred
-// bytes. A restore that sizes anything else from a field instead of from the
-// data it validated against that field breaks the bound by orders of
-// magnitude.
+// which fails the decode, so on a restore the same term holds what a device
+// sizes from its module and not from the input: the clustering array's
+// region directory, 0.5 MB for a module of maxImageSize clustered a page a
+// region, which the corpus restores from 2.8 KB. A restore that sizes
+// anything else from a field instead of from the data it validated against
+// that field breaks the bound by orders of magnitude.
 const (
 	fuzzAllocPerByte = 256
 	gobReadAhead     = 16 << 20
@@ -37,7 +37,9 @@ const (
 // size warrants. The corpus is the encoding of small devices of every
 // geometry: fresh, worn with failures pending in the buffer (orphans),
 // start-gap and clustered, and the largest module a restore takes, fresh
-// and clustered a page a region; of endurance tables of every length a
+// and clustered a page a region; worn on either side of the first wear
+// chunk's edge, slots 4095 and 4096, and on a start-gap module of 64 pages
+// whose spare slot 4096 is a chunk of one slot; of endurance tables of every length a
 // restore takes — none on a finite device, a prefix of a module longer than
 // one chunk, and every slot, as images carried before the draw was lazy —
 // and of the images a restore refuses: a start-gap image that claims
@@ -51,30 +53,39 @@ func FuzzDecodeImage(f *testing.F) {
 		cfg    Config
 		writes int
 		lines  int                // writes land in the first lines lines; 0 means anywhere
+		on     []int              // or, when set, on these lines in turn
 		edit   func(*DeviceImage) // applied to the image after the fact
 	}{
-		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0, nil},
+		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0, nil, nil},
 		{Config{Size: size, Endurance: 3, Variation: 0.3, ECCEntries: 2, TrackData: true, Seed: 2,
-			BufferCap: 64, BufferReserve: 4}, 300, 0, nil},
-		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0, nil},
-		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0, nil},
-		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 5}, 200, 0,
+			BufferCap: 64, BufferReserve: 4}, 300, 0, nil, nil},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0, nil, nil},
+		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0, nil, nil},
+		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 5}, 200, 0, nil,
 			func(img *DeviceImage) { img.ClusterPages = 2 }},
-		{long, 0, 0, nil},
-		{long, 200, 1000, nil},
-		{long, 200, 0, nil},
-		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 7}, 50, 0,
+		{long, 0, 0, nil, nil},
+		{long, 200, 1000, nil, nil},
+		{long, 200, 0, nil, nil},
+		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 7}, 50, 0, nil,
 			func(img *DeviceImage) { img.Endurance = 0 }},
-		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 8}, 50, 0,
+		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 8}, 50, 0, nil,
 			func(img *DeviceImage) { img.EnduranceOf = append(img.EnduranceOf, 40) }},
-		{long, 200, 0, func(img *DeviceImage) { img.Writes = img.Writes[:1] }},
-		{long, 200, 0, func(img *DeviceImage) { img.Broken[1] = []bool{true} }},
-		{Config{Size: maxImageSize, ClusterPages: 1, Seed: 9}, 0, 0, nil},
+		{long, 200, 0, nil, func(img *DeviceImage) { img.Writes = img.Writes[:1] }},
+		{long, 200, 0, nil, func(img *DeviceImage) { img.Broken[1] = []bool{true} }},
+		{long, 100, 0, []int{4095, 4096}, nil},
+		{Config{Size: 64 * failmap.PageSize, Endurance: 40, Variation: 0.25, WearLeveling: StartGap, GapInterval: 1,
+			TrackData: true, Seed: 10}, 100, 0, []int{4095}, nil},
+		{Config{Size: maxImageSize, ClusterPages: 1, Seed: 9}, 0, 0, nil, nil},
 	} {
 		d := NewDevice(tc.cfg, nil)
-		if tc.lines == 0 {
+		switch {
+		case tc.on != nil:
+			for i := range tc.writes {
+				_ = d.Write(tc.on[i%len(tc.on)], make([]byte, failmap.LineSize))
+			}
+		case tc.lines == 0:
 			driveWrites(d, tc.cfg.Seed, tc.writes)
-		} else {
+		default:
 			rng := rand.New(rand.NewSource(tc.cfg.Seed))
 			for range tc.writes {
 				_ = d.Write(rng.Intn(tc.lines), make([]byte, failmap.LineSize))

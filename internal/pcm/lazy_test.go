@@ -118,9 +118,9 @@ func recode(t *testing.T, img *DeviceImage) *DeviceImage {
 // the eager table says it did.
 func matchEager(t *testing.T, d *Device, cfg Config) {
 	t.Helper()
-	d.limit(len(d.writes) - 1)
-	if len(d.endurance) != len(d.writes) {
-		t.Fatalf("drawing every slot left %d of %d drawn", len(d.endurance), len(d.writes))
+	d.limit(d.wear.slots - 1)
+	if len(d.endurance) != d.wear.slots {
+		t.Fatalf("drawing every slot left %d of %d drawn", len(d.endurance), d.wear.slots)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for s, got := range d.endurance {
@@ -130,11 +130,11 @@ func matchEager(t *testing.T, d *Device, cfg Config) {
 		}
 		if got != want {
 			t.Fatalf("slot %d: limit %d, eager draw %d (seed %d, variation %v, %d writes)",
-				s, got, want, cfg.Seed, cfg.Variation, d.writes[s])
+				s, got, want, cfg.Seed, cfg.Variation, d.wear.count(s))
 		}
-		if d.broken[s] != (d.writes[s] >= got) {
+		if d.wear.isBroken(s) != (d.wear.count(s) >= got) {
 			t.Fatalf("slot %d: broken %v after %d writes, limit %d (seed %d, variation %v)",
-				s, d.broken[s], d.writes[s], got, cfg.Seed, cfg.Variation)
+				s, d.wear.isBroken(s), d.wear.count(s), got, cfg.Seed, cfg.Variation)
 		}
 	}
 }
@@ -198,7 +198,7 @@ func TestLazyEnduranceMatchesEager(t *testing.T) {
 	// the draw was lazy, restores to the device it was taken from.
 	d = NewDevice(lazyConfig(5, 12), nil)
 	driveWrites(d, 12, 3000)
-	d.limit(len(d.writes) - 1)
+	d.limit(d.wear.slots - 1)
 	full := d.Snapshot()
 	r, err := NewDeviceFromImage(recode(t, full), nil, nil)
 	if err != nil {

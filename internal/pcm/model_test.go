@@ -438,7 +438,10 @@ func (o *opStream) line(lines int) int {
 // 3, 7}} or clustering {1, 2, 8 pages}; a tiny or the default buffer; ECC
 // or none; contents tracked or not; and the endurance (4 to 32 writes, or
 // infinite) and seed. A module is 8 pages, one 8-page region; under 1-page
-// clustering it is 24, more regions than the map cache holds.
+// clustering it is 24, more regions than the map cache holds. Shapes 56 to
+// 111 are the same corners on a module past the first 4096-slot wear chunk:
+// 72 pages, whose second chunk holds 512 slots, or under start-gap 64 pages,
+// whose spare slot (slot 4096) is a chunk of one slot.
 func modelConfig(shape, wear byte) Config {
 	cfg := Config{Size: 8 * failmap.PageSize, Variation: 0.3, Seed: int64(wear)}
 	switch k := int(shape % 7); {
@@ -456,6 +459,12 @@ func modelConfig(shape, wear byte) Config {
 		cfg.ECCEntries = 2
 	}
 	cfg.TrackData = shape/28%2 == 1
+	if shape/56%2 == 1 {
+		cfg.Size = 72 * failmap.PageSize
+		if cfg.WearLeveling == StartGap {
+			cfg.Size = 64 * failmap.PageSize
+		}
+	}
 	if wear%16 != 15 {
 		cfg.Endurance = 4 + uint64(wear%16)*2
 	}
@@ -486,8 +495,9 @@ func linePattern(v byte) []byte {
 // FuzzDeviceMatchesModel drives Device and the reference model with one
 // operation sequence on every corner of the configuration and, after each
 // operation, compares what either returned, the durable image (contents
-// included), the failure map, the page words and Unavailable, the buffer
-// accounting, the clock's event counts and the interrupt sequence.
+// included), the wear reads (TotalWrites, WearHistogram, PageWrites), the
+// failure map, the page words and Unavailable, the buffer accounting, the
+// clock's event counts and the interrupt sequence.
 func FuzzDeviceMatchesModel(f *testing.F) {
 	for _, in := range modelSeeds() {
 		f.Add(in)
@@ -585,13 +595,13 @@ func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock
 	t.Helper()
 	img, want := d.Snapshot(), m.image()
 	eagerEndurance(img)
-	writes, err := unchunk(img.Writes, img.slots(), "wear counters")
+	writes, err := expandChunks(img.Writes, m.slots)
 	if err != nil {
-		t.Fatalf("%s: %v", at, err)
+		t.Fatalf("%s: wear counters: %v", at, err)
 	}
-	broken, err := unchunk(img.Broken, img.slots(), "broken flags")
+	broken, err := expandChunks(img.Broken, m.slots)
 	if err != nil {
-		t.Fatalf("%s: %v", at, err)
+		t.Fatalf("%s: broken flags: %v", at, err)
 	}
 	for s := 0; s < m.slots; s++ {
 		if writes[s] != m.writes[s] || broken[s] != m.broken[s] {
@@ -599,6 +609,7 @@ func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock
 				at, s, writes[s], broken[s], m.writes[s], m.broken[s])
 		}
 	}
+	matchWearReads(t, at, d, m)
 	pages := img.Data
 	img.Data, img.Writes, img.Broken = nil, nil, nil
 	if !reflect.DeepEqual(img, want) {
@@ -644,6 +655,75 @@ func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock
 	if !slices.Equal(log, m.interrupts) {
 		t.Fatalf("%s: interrupts %v, model %v", at, log, m.interrupts)
 	}
+}
+
+// matchWearReads fails the test where TotalWrites, WearHistogram or
+// PageWrites, which walk the device's resident wear chunks, differ from the
+// model's sums over every slot. PageWrites is left out under clustering,
+// where it reads each line's slot through the map cache and so charges the
+// clock.
+func matchWearReads(t *testing.T, at string, d *Device, m *model) {
+	t.Helper()
+	const bins = 5
+	var total, top uint64
+	for s := 0; s < m.slots; s++ {
+		total, top = total+m.writes[s], max(top, m.writes[s])
+	}
+	width := top/bins + 1 // ceil((top+1)/bins)
+	hist := make([]WearBucket, bins)
+	for i := range hist {
+		hist[i].Lo, hist[i].Hi = uint64(i)*width, uint64(i+1)*width
+	}
+	for s := 0; s < m.slots; s++ {
+		hist[m.writes[s]/width].Slots++
+		if m.broken[s] {
+			hist[m.writes[s]/width].Failed++
+		}
+	}
+	if got := d.TotalWrites(); got != total {
+		t.Fatalf("%s: TotalWrites %d, model %d", at, got, total)
+	}
+	if got := d.WearHistogram(bins); !slices.Equal(got, hist) {
+		t.Fatalf("%s: WearHistogram %v, model %v", at, got, hist)
+	}
+	if m.regions != nil {
+		return
+	}
+	pages := make([]uint64, m.lines/failmap.LinesPerPage)
+	for l := 0; l < m.lines; l++ {
+		s := l
+		if m.perm != nil {
+			s = m.perm[l]
+		}
+		pages[l/failmap.LinesPerPage] += m.writes[s]
+	}
+	if got := d.PageWrites(); !slices.Equal(got, pages) {
+		t.Fatalf("%s: PageWrites %v, model %v", at, got, pages)
+	}
+}
+
+// expandChunks is the per-slot array of slots slots an image's chunks
+// carry, written apart from the device's store: each chunk enduranceChunk
+// slots, the last one what is left, and an empty chunk zeros.
+func expandChunks[T any](chunks [][]T, slots int) ([]T, error) {
+	var out []T
+	for i, c := range chunks {
+		n := min(enduranceChunk, slots-len(out))
+		switch {
+		case n <= 0:
+			return nil, fmt.Errorf("chunk %d past the last of %d slots", i, slots)
+		case len(c) == 0:
+			out = append(out, make([]T, n)...)
+		case len(c) == n:
+			out = append(out, c...)
+		default:
+			return nil, fmt.Errorf("chunk %d holds %d slots, want 0 or %d", i, len(c), n)
+		}
+	}
+	if len(out) != slots {
+		return nil, fmt.Errorf("%d chunks cover %d of %d slots", len(chunks), len(out), slots)
+	}
+	return out, nil
 }
 
 // eagerEndurance extends img's drawn endurance prefix to every slot with the
@@ -773,5 +853,18 @@ func modelSeeds() [][]byte {
 		ops = append(ops, run(byte(i), 0, 1, 2, 3, 4, 5, 6, 7, 64, 65, 66, 67, 400, 401, 402, 511))
 	}
 	seed(1+28, 15, append(ops, read(0), read(511), restore, read(7))...)
+	// Past the first wear chunk, endurance 4-6, contents tracked: slots
+	// 4095 and 4096 on either side of the chunk edge wear out, are forced,
+	// restored and read, with no leveling and on 2-page clustering.
+	for _, shape := range []byte{56 + 28, 56 + 5 + 28} {
+		seed(shape, 1, write(4095, 3, 1), write(4096, 3, 2), run(3, 4095, 4096, 4097, 4607), read(4095), read(4096),
+			restore, read(4096), write(4095, 8, 4), write(4096, 8, 5), drain(64), force(4094, 6), force(4100, 7),
+			restore, read(4094), read(4100), drain(64), repeat(4097, 2, 8), read(4097))
+	}
+	// Start-gap ψ=1 on 64 pages, endurance 4: the first gap move carries
+	// line 4095 into the spare slot 4096, a chunk of one slot, which its
+	// writes then wear out.
+	seed(56+1+28, 0, write(4095, 3, 1), read(4095), restore, write(4095, 8, 2), drain(64), read(4095),
+		run(3, 4094, 4095, 0, 1), restore, read(4094), read(4095))
 	return seeds
 }

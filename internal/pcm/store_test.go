@@ -305,16 +305,65 @@ func TestStoreImageRoundTripSparse(t *testing.T) {
 	}
 }
 
-// TestStoreFreshDeviceAllocation: building a module costs its wear arrays
-// and a page directory, not its capacity. A 16 MB torture-shaped device is
-// 4.25 MB of wear state; with dense contents it was 20.25 MB.
+// TestStoreFreshDeviceAllocation: building a module costs three
+// directories, not its capacity. A 16 MB torture-shaped device allocates
+// 0.1 MB: the page directory of its contents (96 KB) and the chunk
+// directories of its wear counters and broken flags (1.5 KB each). With
+// dense wear arrays it was 2.4 MB, with every limit drawn as well 4.4 MB,
+// and with dense contents besides 20.25 MB.
 func TestStoreFreshDeviceAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	d := NewDevice(Config{Size: 16 << 20, Endurance: 4096, Variation: 0.25, TrackData: true, Seed: 1}, nil)
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 6 {
-		t.Fatalf("a fresh 16 MB TrackData device allocated %.2f MB, want < 6", mb)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 10); kb >= 125 {
+		t.Fatalf("a fresh 16 MB TrackData device allocated %.1f KB, want < 125", kb)
 	}
 	runtime.KeepAlive(d)
+}
+
+// TestWearChunksFollowWrites: a device's wear chunks are resident only
+// where a write or a failure reached. A fresh torture-scale device holds
+// none, a restore of its image none, and one write one, its counters; the
+// image of that device carries that chunk alone, and a restore of it
+// holds it alone, as a copy.
+func TestWearChunksFollowWrites(t *testing.T) {
+	resident := func(d *Device) (n int) {
+		for i := range d.wear.writes {
+			if d.wear.writes[i] != nil {
+				n++
+			}
+			if d.wear.broken[i] != nil {
+				n++
+			}
+		}
+		return n
+	}
+	restore := func(d *Device) *Device {
+		r, err := NewDeviceFromImage(recode(t, d.Snapshot()), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	d := NewDevice(tortureScale(), nil)
+	if n := resident(d); n != 0 {
+		t.Fatalf("a fresh device holds %d wear chunks", n)
+	}
+	if n := resident(restore(d)); n != 0 {
+		t.Fatalf("a restore of a fresh device's image holds %d wear chunks", n)
+	}
+	if err := d.Write(5000, make([]byte, failmap.LineSize)); err != nil {
+		t.Fatal(err)
+	}
+	if n := resident(d); n != 1 || d.wear.writes[1] == nil {
+		t.Fatalf("a write to slot 5000 left %d wear chunks resident, want chunk 1's counters", n)
+	}
+	r := restore(d)
+	if n := resident(r); n != 1 || r.WriteCount(5000) != 1 {
+		t.Fatalf("its restore holds %d wear chunks and %d writes on slot 5000, want 1 and 1", n, r.WriteCount(5000))
+	}
+	if &r.wear.writes[1][0] == &d.wear.writes[1][0] {
+		t.Fatal("the restore shares its counters with the device")
+	}
 }

@@ -178,15 +178,18 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 	drawn := d.cfg.Endurance == 0
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
+	writes, broken := []uint64(nil), []bool(nil)
 	for i, target := range targets {
 		for d.FailureRate() < target {
 			if !drawn {
-				// A wear study reaches every slot: draw every limit before
+				// A wear study reaches every slot: draw every limit and make
+				// every wear chunk resident, in one array per kind, before
 				// the first write, so that countWear reads them with no test
-				// of whether one is drawn yet. A study that writes nothing
-				// draws nothing, as the per-write loop does.
+				// of whether one is yet. A study that writes nothing draws
+				// nothing, as the per-write loop does.
 				d.mu.Lock()
-				d.limit(len(d.writes) - 1)
+				d.limit(d.wear.slots - 1)
+				writes, broken = flatten(d.wear.writes, d.wear.slots), flatten(d.wear.broken, d.wear.slots)
 				d.mu.Unlock()
 				drawn = true
 			}
@@ -195,7 +198,7 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 			// waits for an empty buffer.
 			switch {
 			case counting && len(next) == 0 && d.BufferLen() == 0:
-				block[0] = d.countWear(t)
+				block[0] = d.countWear(t, writes, broken)
 				next = block[:1]
 			case len(next) == 0:
 				d.SkewedLines(t, block)
@@ -220,11 +223,12 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 // when its line is broken or its count plus one stays below the line's
 // endurance (worn's test), and it charges one EvPCMWrite, which the clock
 // sums, so the counted writes are charged in one step before WriteRun
-// takes the next. WearThrough has drawn every slot's limit.
-func (d *Device) countWear(t *Traffic) int {
+// takes the next. WearThrough has drawn every slot's limit and made the
+// wear chunks the arrays writes and broken (flatten).
+func (d *Device) countWear(t *Traffic, writes []uint64, broken []bool) int {
 	hot, all := uint32(d.lines/4), uint32(d.lines)
 	hotMax, allMax := int31nMax(hot), int31nMax(all)
-	writes, endurance, broken := d.writes, d.endurance, d.broken
+	endurance := d.endurance
 	var counted uint64
 	v, j := uint32(0), t.i
 	for {

@@ -152,7 +152,7 @@ func WithPauseBudget(budget int) Option { return func(c *openConfig) { c.pauseBu
 // the runtime boots, and the statistics land in Runtime.Recovery. The pool
 // is sized by the image, so WithPoolPages is ignored; the image carries
 // the device tuning, so WithWearingDevice, WithDeviceTuning and WithInject
-// conflict with it. Open refuses an image of a module larger than 64 MB.
+// conflict with it. Open refuses an image of a module larger than 256 MB.
 // Open returns ErrDeviceWornOut (test with errors.Is) when recovery finds
 // too few usable frames for the configured heap.
 func WithPersistentImage(img *DeviceImage) Option {
