@@ -377,7 +377,7 @@ func (in *Injector) firstRoot() uint64 {
 
 // failHere fails the physical line behind the point's address with the
 // line's current contents, exactly as if its last write had exhausted the
-// final correction entry at this instant.
+// line's error correction at this instant.
 func (in *Injector) failHere(p probe.Point, addr uint64) string {
 	vaddr := in.targetAddr(p, addr)
 	if vaddr == 0 {

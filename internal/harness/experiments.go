@@ -142,7 +142,7 @@ func Extras() []Experiment {
 		{"kvlat", "impl", "Wear-aware KV server tail latency across failure regimes, both engines", sharedRunner, kvLat},
 		{"pausecurve", "impl", "Pause budget vs throughput: incremental/concurrent marking sweep on the KV scenario", sharedRunner, pauseCurve},
 		{"restart", "impl", "Restart survival: power cut mid-load, recovery latency vs device wear, post-recovery KV tail", noRunner, restart},
-		{"policyzoo", "impl", "Placement/remap policy zoo: endurance, throughput and tail latency per policy, both engines", noRunner, policyZoo},
+		{"policyzoo", "impl", "Frame-policy zoo: endurance, throughput and tail latency per policy, both engines", noRunner, policyZoo},
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 func policyZoo(o Options, _ *Runner) *Report {
 	bench, iters := kv.MustRegister(kv.Config{}), o.kvLatIterations()
 	return &Report{
-		Title: "Placement/remap policy zoo: endurance, throughput and tail latency per policy (implementation study)",
+		Title: "Frame-policy zoo: endurance, throughput and tail latency per policy (implementation study)",
 		Tables: bothEngines(func(engine string) Table {
 			return policyZooTable(bench, engine, iters, o.Seed)
 		}),

@@ -583,17 +583,6 @@ func (k *Kernel) FrameFailedLines(f int) uint64 {
 // Device returns the PCM device backing the pool, or nil.
 func (k *Kernel) Device() *pcm.Device { return k.device }
 
-// TableRawSize returns the uncompressed size in bytes of the OS failure
-// table (§3.2.1: ~1.6% of the PCM pool).
-func (k *Kernel) TableRawSize() int { return k.pcmPages * 8 }
-
-// TableCompressedSize returns the RLE-compressed size of the failure table.
-func (k *Kernel) TableCompressedSize() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.tableLocked().CompressedSize()
-}
-
 // serviceDevice drains the PCM failure buffer: for each record the kernel
 // reverse-translates the physical line to a virtual address, revokes access
 // (updating its failure table), and accumulates the up-call batch. Failures

@@ -220,19 +220,26 @@ func TestTranslateManyRegions(t *testing.T) {
 	}
 }
 
+// TestTableSizes: the OS failure table is a word a page (§3.2.1: ~1.6% of
+// the PCM pool), and a clean one compresses to a tenth of that and below a
+// 30%-failed one.
 func TestTableSizes(t *testing.T) {
-	k := New(Config{PCMPages: 256, Inject: injected(256, 0.0, 1)})
-	if k.TableRawSize() != 256*8 {
-		t.Fatalf("raw size = %d", k.TableRawSize())
+	compressed := func(k *Kernel) int {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return k.tableLocked().CompressedSize()
 	}
-	clean := k.TableCompressedSize()
-	k2 := New(Config{PCMPages: 256, Inject: injected(256, 0.3, 1)})
-	dirty := k2.TableCompressedSize()
+	k := New(Config{PCMPages: 256, Inject: injected(256, 0.0, 1)})
+	if raw := len(k.bitmaps) * 8; raw != 256*8 {
+		t.Fatalf("raw size = %d", raw)
+	}
+	clean := compressed(k)
+	dirty := compressed(New(Config{PCMPages: 256, Inject: injected(256, 0.3, 1)}))
 	if clean >= dirty {
 		t.Fatalf("clean table (%d) should compress smaller than 30%%-failed table (%d)", clean, dirty)
 	}
-	if clean >= k.TableRawSize()/10 {
-		t.Fatalf("clean table compressed %d vs raw %d: too big", clean, k.TableRawSize())
+	if clean >= 256*8/10 {
+		t.Fatalf("clean table compressed %d vs raw %d: too big", clean, 256*8)
 	}
 }
 

@@ -32,8 +32,8 @@ func freePerfectFrame(t *testing.T, k *Kernel) int {
 	t.Helper()
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	f, ok := k.coldestFreePerfectLocked(make([]uint64, k.pcmPages))
-	if !ok {
+	_, f := k.rankFramesLocked(make([]uint64, k.pcmPages))
+	if f < 0 {
 		t.Fatal("no free perfect frame left")
 	}
 	return f

@@ -300,56 +300,24 @@ func (k *Kernel) PolicyPromoteFrame(src int) bool {
 	return true
 }
 
-// hotColdPairLocked finds the most-worn mapped perfect PCM frame and the
-// least-worn free perfect PCM frame from the device's per-page wear
-// counts, requiring at least minGap line writes between them. Called with
-// k.mu held; wear is the caller's PageWrites snapshot (taken unlocked —
-// the pair is revalidated by PolicyRemapFrame anyway).
-func (k *Kernel) hotColdPairLocked(wear []uint64, minGap uint64) (src, dst int, ok bool) {
-	src, dst = -1, -1
-	var hot, cold uint64
-	limit := k.pcmPages
-	if len(wear) < limit {
-		limit = len(wear)
-	}
-	for f := 0; f < limit; f++ {
+// rankFramesLocked scans the perfect PCM frames once against the device's
+// per-page wear counts and returns the most-worn mapped frame and the
+// least-worn free one, each the first of its ties, or -1 where there is
+// none. Called with k.mu held; wear is the caller's PageWrites snapshot
+// (taken unlocked — PolicyRemapFrame revalidates the frames anyway).
+func (k *Kernel) rankFramesLocked(wear []uint64) (hot, cold int) {
+	hot, cold = -1, -1
+	for f := range min(k.pcmPages, len(wear)) {
 		if k.bitmaps[f] != 0 {
 			continue
 		}
 		if _, mapped := k.reverse[f]; mapped {
-			if src < 0 || wear[f] > hot {
-				src, hot = f, wear[f]
+			if hot < 0 || wear[f] > wear[hot] {
+				hot = f
 			}
-		} else if !k.taken[f] {
-			if dst < 0 || wear[f] < cold {
-				dst, cold = f, wear[f]
-			}
+		} else if !k.taken[f] && (cold < 0 || wear[f] < wear[cold]) {
+			cold = f
 		}
 	}
-	if src < 0 || dst < 0 || hot < cold+minGap {
-		return 0, 0, false
-	}
-	return src, dst, true
-}
-
-// coldestFreePerfectLocked finds the least-worn free perfect PCM frame.
-func (k *Kernel) coldestFreePerfectLocked(wear []uint64) (int, bool) {
-	dst := -1
-	var cold uint64
-	limit := k.pcmPages
-	if len(wear) < limit {
-		limit = len(wear)
-	}
-	for f := 0; f < limit; f++ {
-		if k.taken[f] || k.bitmaps[f] != 0 {
-			continue
-		}
-		if _, mapped := k.reverse[f]; mapped {
-			continue
-		}
-		if dst < 0 || wear[f] < cold {
-			dst, cold = f, wear[f]
-		}
-	}
-	return dst, dst >= 0
+	return hot, cold
 }

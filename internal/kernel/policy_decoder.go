@@ -42,9 +42,9 @@ func (p *decoderPolicy) OnWrite(k *Kernel, frame int) {
 	}
 	wear := k.device.PageWrites()
 	k.mu.Lock()
-	dst, ok := k.coldestFreePerfectLocked(wear)
+	_, dst := k.rankFramesLocked(wear)
 	k.mu.Unlock()
-	if !ok {
+	if dst < 0 {
 		return
 	}
 	if k.PolicyRemapFrame(frame, dst) {

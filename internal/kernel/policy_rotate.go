@@ -63,9 +63,9 @@ func (p *rotatePolicy) OnWrite(k *Kernel, frame int) {
 	}
 	wear := k.device.PageWrites()
 	k.mu.Lock()
-	src, dst, ok := k.hotColdPairLocked(wear, rotateMinGap)
+	src, dst := k.rankFramesLocked(wear)
 	k.mu.Unlock()
-	if !ok {
+	if src < 0 || dst < 0 || wear[src] < wear[dst]+rotateMinGap {
 		return
 	}
 	if k.PolicyRemapFrame(src, dst) {

@@ -162,6 +162,39 @@ func TestPolicyRemapFrameMovesMappedPage(t *testing.T) {
 	}
 }
 
+// TestRankFramesPicksFirstOfTies: the one ranking scan rotate and decoder
+// share skips frames with a failed line, takes the hot frame among mapped
+// frames and the cold one among free frames, and breaks ties toward the
+// lowest frame.
+func TestRankFramesPicksFirstOfTies(t *testing.T) {
+	k := tableKernel(16) // frames 1, 5, 9 and 13 hold a failed line
+	r, _ := k.MmapPerfect(4)
+	wear := make([]uint64, 16)
+	hot, cold := 16, 16
+	for f := range wear {
+		_, mapped := k.reverse[f]
+		switch {
+		case f == 13:
+			wear[f] = 0 // colder than any free frame, but failed
+		case f%4 == 1:
+			wear[f] = 1000 // hotter than any mapped frame, but failed
+		case mapped:
+			wear[f], hot = 50, min(hot, f)
+		default:
+			wear[f], cold = 10, min(cold, f)
+		}
+	}
+	if r.Pages != 4 || hot == 16 || cold == 16 {
+		t.Fatalf("setup: %d pages mapped, hot %d, cold %d", r.Pages, hot, cold)
+	}
+	k.mu.Lock()
+	gotHot, gotCold := k.rankFramesLocked(wear)
+	k.mu.Unlock()
+	if gotHot != hot || gotCold != cold {
+		t.Fatalf("ranked hot %d, cold %d; want the first of each tie, %d and %d", gotHot, gotCold, hot, cold)
+	}
+}
+
 func TestPolicyPromoteFrameAccountsAsBorrow(t *testing.T) {
 	_, k := policyDevice(t, "migrate")
 	r, err := k.MmapRelaxed(1)

@@ -41,20 +41,14 @@ type Config struct {
 	// size.
 	Size int
 	// Endurance is the mean number of writes a line tolerates before
-	// permanent failure. Zero means infinite endurance (no wear).
+	// permanent failure: the write that reaches a line's limit is the one
+	// that exhausts its error correction (§3.1.1). Zero means infinite
+	// endurance (no wear).
 	Endurance uint64
 	// Variation is the relative spread of per-line endurance around the
 	// mean (coefficient of variation of the manufacturing process). Zero
 	// means every line has exactly Endurance writes.
 	Variation float64
-	// ECCEntries is the per-line hard-error correction capacity (e.g. ECP
-	// [22]): each stuck bit consumes one entry and extends the line's life
-	// by ECCLease writes; the line fails permanently only when the entries
-	// are exhausted (§2.2's "finite error correction resources").
-	ECCEntries int
-	// ECCLease is the extra write budget each consumed correction entry
-	// grants; defaults to 10% of Endurance.
-	ECCLease uint64
 	// BufferCap is the failure buffer capacity in entries. Zero selects a
 	// default of 32 (comparable to a load/store queue, §3.1.1).
 	BufferCap int
@@ -148,10 +142,7 @@ type Device struct {
 	// first grows).
 	wear      wearStore
 	endurance []uint64
-	eccLeft   []uint8
 	rng       *rand.Rand
-
-	correctedBits uint64
 
 	// Start-gap state: perm maps module line -> storage slot; occupant is
 	// the inverse. One spare slot hosts the moving gap.
@@ -235,21 +226,6 @@ func NewDevice(cfg Config, clock *stats.Clock) *Device {
 	}
 	chunks := (slots + enduranceChunk - 1) / enduranceChunk
 	d.wear = wearStore{writes: make([][]uint64, chunks), broken: make([][]bool, chunks), slots: slots}
-	if cfg.Endurance > 0 {
-		if cfg.ECCLease == 0 {
-			cfg.ECCLease = cfg.Endurance / 10
-		}
-		d.cfg = cfg
-		if cfg.ECCEntries > 0 {
-			if cfg.ECCEntries > 255 {
-				panic("pcm: ECCEntries above 255")
-			}
-			d.eccLeft = make([]uint8, slots)
-			for i := range d.eccLeft {
-				d.eccLeft[i] = uint8(cfg.ECCEntries)
-			}
-		}
-	}
 	if cfg.WearLeveling == StartGap {
 		d.perm = make([]int32, n)
 		d.occupant = make([]int32, slots)
@@ -282,16 +258,12 @@ func (d *Device) limit(s int) uint64 {
 	return d.endurance[s]
 }
 
-// drawThrough extends the drawn prefix past slot s. The stream resumes where
-// the prefix ends: a device restored from an image seeds it afresh and
-// re-draws the prefix the image carried, discarding the values, because
-// correction leases may have raised the ones it holds.
+// drawThrough extends the drawn prefix past slot s, seeding the stream on
+// the first draw: a restored device, like a fresh one, starts with nothing
+// drawn.
 func (d *Device) drawThrough(s int) {
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(d.cfg.Seed))
-		for range d.endurance {
-			sampleEndurance(d.cfg.Endurance, d.cfg.Variation, d.rng)
-		}
 	}
 	n := min((s/enduranceChunk+1)*enduranceChunk, d.wear.slots)
 	d.endurance = slices.Grow(d.endurance, n-len(d.endurance))
@@ -565,8 +537,8 @@ func (d *Device) WriteRun(lines []int, data []byte) (n int, err error) {
 // write may move the gap) or clusters failures (every write translates
 // through the redirection cache), and when the run would reach the line's
 // endurance: write k exhausts it exactly when the count plus k reaches it,
-// and only that write consumes a correction entry or fails the line. A
-// refused caller writes one line at a time.
+// and only that write fails the line. A refused caller writes one line at a
+// time.
 func (d *Device) WriteRepeat(line int, data []byte, n int) bool {
 	if line < 0 || line >= d.lines || n < 1 {
 		panic(fmt.Sprintf("pcm: %d writes to line %d out of range", n, line))
@@ -608,33 +580,17 @@ func (d *Device) worn(s int, c uint64) bool {
 }
 
 // wearOut is worn past its first test: the slot's limit is not drawn yet,
-// or the count has reached it. While hard error correction entries remain,
-// each detected stuck bit consumes one and extends the line's lease instead
-// of failing it (§2.2). It is reaches with the slot's broken flag tested
-// between the floor and the limit: a count below the floor, most of what
-// reaches an undrawn slot, costs no lookup of the flag's chunk, and a broken
-// slot still draws nothing.
+// or the count has reached it. It is reaches with the slot's broken flag
+// tested between the floor and the limit: a count below the floor, most of
+// what reaches an undrawn slot, costs no lookup of the flag's chunk, and a
+// broken slot still draws nothing.
 func (d *Device) wearOut(s int, c uint64) bool {
 	if d.cfg.Endurance == 0 || c < minEndurance(d.cfg.Endurance, d.cfg.Variation) ||
 		d.wear.isBroken(s) || c < d.limit(s) {
 		return false
 	}
-	if d.eccLeft != nil && d.eccLeft[s] > 0 {
-		d.eccLeft[s]--
-		d.correctedBits++
-		d.endurance[s] += d.cfg.ECCLease
-		return false
-	}
 	d.wear.setBroken(s)
 	return true
-}
-
-// CorrectedBits returns how many stuck bits the per-line error correction
-// has absorbed so far.
-func (d *Device) CorrectedBits() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.correctedBits
 }
 
 // reportFailure surfaces a failure of module line `line` through the
@@ -756,7 +712,7 @@ func (d *Device) compact() {
 }
 
 // ForceFail permanently fails the storage behind the module-visible line as
-// if its verify-after-write had just exhausted the last correction entry:
+// if its verify-after-write had just exhausted the line's endurance:
 // the line's data is parked in the failure buffer and the failure interrupt
 // fires. It is the device-level entry of the §5 fault-injection module and
 // reports false without effect when the line is already unavailable. A nil
@@ -770,11 +726,7 @@ func (d *Device) ForceFail(line int, data []byte) bool {
 	if data == nil {
 		data = make([]byte, failmap.LineSize)
 	}
-	s := d.storageOf(line)
-	d.wear.setBroken(s)
-	if d.eccLeft != nil {
-		d.eccLeft[s] = 0
-	}
+	d.wear.setBroken(d.storageOf(line))
 	d.reportFailure(line, data)
 	d.unlockAndInterrupt()
 	return true

@@ -299,50 +299,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestECCExtendsLineLife(t *testing.T) {
-	plain := NewDevice(Config{Size: failmap.PageSize, Endurance: 10}, nil)
-	ecc := NewDevice(Config{Size: failmap.PageSize, Endurance: 10, ECCEntries: 4, ECCLease: 5}, nil)
-	buf := make([]byte, failmap.LineSize)
-	writesUntilFail := func(d *Device) int {
-		for i := 1; ; i++ {
-			d.Write(3, buf)
-			if d.FailedLines() > 0 {
-				return i
-			}
-			if i > 1000 {
-				t.Fatal("line never failed")
-			}
-		}
-	}
-	p := writesUntilFail(plain)
-	e := writesUntilFail(ecc)
-	if p != 10 {
-		t.Fatalf("plain line failed after %d writes, want 10", p)
-	}
-	// 4 entries x 5-write lease: fails at 10 + 4*5 = 30.
-	if e != 30 {
-		t.Fatalf("ECC line failed after %d writes, want 30", e)
-	}
-	if ecc.CorrectedBits() != 4 {
-		t.Fatalf("CorrectedBits = %d, want 4", ecc.CorrectedBits())
-	}
-}
-
-func TestECCDefaultLease(t *testing.T) {
-	d := NewDevice(Config{Size: failmap.PageSize, Endurance: 100, ECCEntries: 2}, nil)
-	buf := make([]byte, failmap.LineSize)
-	for i := 0; i < 119; i++ {
-		d.Write(0, buf)
-	}
-	if d.FailedLines() != 0 {
-		t.Fatal("failed before default leases exhausted")
-	}
-	d.Write(0, buf) // 120th write: 100 + 2*10
-	if d.FailedLines() != 1 {
-		t.Fatal("did not fail after leases exhausted")
-	}
-}
-
 func TestStartGapMoveFailuresAreReported(t *testing.T) {
 	// Wear out the whole module under start-gap: every line break — whether
 	// from a mutator write or from the gap's own relocation copy — must be

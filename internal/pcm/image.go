@@ -22,13 +22,14 @@ type OrphanLine struct {
 }
 
 // DeviceImage is the serializable durable state of a PCM module: the
-// per-slot wear counters, the endurance limits drawn so far, correction
-// budgets and broken flags, the start-gap permutation, the clustering
-// redirection maps and the line contents. Volatile state — the failure buffer, its lifetime
-// accounting, the redirection-map cache, the interrupt registrations — is
-// NOT captured: entries pending in the buffer at snapshot time appear only
-// as Orphans, and restoring re-parks them with zeroed (torn) data so the
-// OS can detect and retire them without ever recovering their contents.
+// per-slot wear counters and broken flags, the start-gap permutation, the
+// clustering redirection maps and the line contents. The endurance limits
+// are not state: Seed and the geometry give every slot's. Volatile state —
+// the failure buffer, its lifetime accounting, the redirection-map cache,
+// the interrupt registrations — is NOT captured: entries pending in the
+// buffer at snapshot time appear only as Orphans, and restoring re-parks
+// them with zeroed (torn) data so the OS can detect and retire them without
+// ever recovering their contents.
 //
 // A snapshot of a quiescent device (empty buffer) restores to a state
 // byte-identical to never having lost power; a mid-operation snapshot
@@ -38,8 +39,6 @@ type DeviceImage struct {
 	Size          int          `json:"size"`
 	Endurance     uint64       `json:"endurance"`
 	Variation     float64      `json:"variation"`
-	ECCEntries    int          `json:"ecc_entries"`
-	ECCLease      uint64       `json:"ecc_lease"`
 	BufferCap     int          `json:"buffer_cap"`
 	BufferReserve int          `json:"buffer_reserve"`
 	ClusterPages  int          `json:"cluster_pages"`
@@ -53,17 +52,10 @@ type DeviceImage struct {
 	// enduranceChunk slots, the last one shorter when the slots do not fill
 	// it, as the device holds them (wearStore): the chunk's counters or
 	// flags, or empty for a chunk whose slots are all zero, which reads as
-	// zeros. EnduranceOf is the drawn prefix of the limits, correction
-	// leases included: slot s's limit for s at or past its end is the s-th
-	// draw of Seed's stream, as yet unconsulted. It is empty on a device no
-	// write has consulted, and always on one of infinite endurance
-	// (Endurance zero).
-	Writes        [][]uint64 `json:"writes"`
-	EnduranceOf   []uint64   `json:"endurance_of,omitempty"`
-	ECCLeft       []uint8    `json:"ecc_left,omitempty"`
-	Broken        [][]bool   `json:"broken"`
-	CorrectedBits uint64     `json:"corrected_bits"`
-	FailedLines   int        `json:"failed_lines"`
+	// zeros.
+	Writes      [][]uint64 `json:"writes"`
+	Broken      [][]bool   `json:"broken"`
+	FailedLines int        `json:"failed_lines"`
 
 	// Start-gap wear-leveling state.
 	Perm       []int32 `json:"perm,omitempty"`
@@ -103,8 +95,6 @@ func (d *Device) Snapshot() *DeviceImage {
 		Size:          d.cfg.Size,
 		Endurance:     d.cfg.Endurance,
 		Variation:     d.cfg.Variation,
-		ECCEntries:    d.cfg.ECCEntries,
-		ECCLease:      d.cfg.ECCLease,
 		BufferCap:     d.cfg.BufferCap,
 		BufferReserve: d.cfg.BufferReserve,
 		ClusterPages:  d.cfg.ClusterPages,
@@ -113,16 +103,11 @@ func (d *Device) Snapshot() *DeviceImage {
 		TrackData:     d.cfg.TrackData,
 		Seed:          d.cfg.Seed,
 
-		CorrectedBits: d.correctedBits,
-		FailedLines:   int(d.failedLines.Load()),
-		Gap:           d.gap,
-		SinceMove:     d.sinceMove,
-		GapCarries:    d.gapCarries,
-		Regions:       d.array.Snapshot(),
-		EnduranceOf:   append([]uint64(nil), d.endurance...),
-	}
-	if d.eccLeft != nil {
-		img.ECCLeft = append([]uint8(nil), d.eccLeft...)
+		FailedLines: int(d.failedLines.Load()),
+		Gap:         d.gap,
+		SinceMove:   d.sinceMove,
+		GapCarries:  d.gapCarries,
+		Regions:     d.array.Snapshot(),
 	}
 	if d.perm != nil {
 		img.Perm = append([]int32(nil), d.perm...)
@@ -142,14 +127,13 @@ func (d *Device) Snapshot() *DeviceImage {
 }
 
 // NewDeviceFromImage restores a device from a snapshot, reattaching the
-// clock and probe hook (both volatile). Wear counters, the drawn endurance
-// limits and redirection maps come back exactly as captured, and the limits
-// not yet drawn are drawn later from the same stream, continued past the
-// prefix, so a restored slot fails at the same write count it would have.
-// Restoring copies the prefix and draws nothing. Orphaned failure-buffer
-// entries are re-parked with zeroed data: the failed lines remain
-// detectable and drainable, but what software last wrote to them is gone
-// (torn lines). If enough orphans re-park to reach the watermark, the
+// clock and probe hook (both volatile). Wear counters and redirection maps
+// come back exactly as captured. The restored device draws its endurance
+// limits from Seed's stream as a fresh one does, so a restored slot fails
+// at the same write count it would have; restoring draws none. Orphaned
+// failure-buffer entries are re-parked with zeroed data: the failed lines
+// remain detectable and drainable, but what software last wrote to them is
+// gone (torn lines). If enough orphans re-park to reach the watermark, the
 // device restarts stalled, exactly as the interrupted OS would have found
 // it.
 func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (*Device, error) {
@@ -176,12 +160,6 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 	if err := checkChunks(img.Broken, slots, "broken flags"); err != nil {
 		return nil, err
 	}
-	if len(img.EnduranceOf) > 0 && img.Endurance == 0 {
-		return nil, fmt.Errorf("pcm: image of infinite endurance carries %d endurance limits", len(img.EnduranceOf))
-	}
-	if len(img.EnduranceOf) > slots {
-		return nil, fmt.Errorf("pcm: image endurance covers %d slots, want at most %d", len(img.EnduranceOf), slots)
-	}
 	if img.TrackData {
 		if want := storePages(slots); len(img.Data) != want {
 			return nil, fmt.Errorf("pcm: image data covers %d pages, want %d", len(img.Data), want)
@@ -203,8 +181,6 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 			Size:          img.Size,
 			Endurance:     img.Endurance,
 			Variation:     img.Variation,
-			ECCEntries:    img.ECCEntries,
-			ECCLease:      img.ECCLease,
 			BufferCap:     img.BufferCap,
 			BufferReserve: img.BufferReserve,
 			ClusterPages:  img.ClusterPages,
@@ -214,23 +190,15 @@ func NewDeviceFromImage(img *DeviceImage, clock *stats.Clock, hook probe.Hook) (
 			Seed:          img.Seed,
 			Probe:         hook,
 		},
-		lines:         n,
-		clock:         clock,
-		index:         make(map[int]int),
-		wear:          wearStore{writes: cloneChunks(img.Writes), broken: cloneChunks(img.Broken), slots: slots},
-		endurance:     append([]uint64(nil), img.EnduranceOf...),
-		correctedBits: img.CorrectedBits,
-		gap:           img.Gap,
-		sinceMove:     img.SinceMove,
-		gapCarries:    img.GapCarries,
+		lines:      n,
+		clock:      clock,
+		index:      make(map[int]int),
+		wear:       wearStore{writes: cloneChunks(img.Writes), broken: cloneChunks(img.Broken), slots: slots},
+		gap:        img.Gap,
+		sinceMove:  img.SinceMove,
+		gapCarries: img.GapCarries,
 	}
 	d.failedLines.Store(int64(img.FailedLines))
-	if img.ECCLeft != nil {
-		if len(img.ECCLeft) != slots {
-			return nil, fmt.Errorf("pcm: image ECC state covers %d slots, want %d", len(img.ECCLeft), slots)
-		}
-		d.eccLeft = append([]uint8(nil), img.ECCLeft...)
-	}
 	if img.WearLeveling == StartGap {
 		if len(img.Perm) != n || len(img.Occupant) != slots {
 			return nil, fmt.Errorf("pcm: image start-gap maps cover %d/%d entries, want %d/%d",

@@ -39,13 +39,12 @@ const (
 // start-gap and clustered, and the largest module a restore takes, fresh
 // and clustered a page a region; worn on either side of the first wear
 // chunk's edge, slots 4095 and 4096, and on a start-gap module of 64 pages
-// whose spare slot 4096 is a chunk of one slot; of endurance tables of every length a
-// restore takes — none on a finite device, a prefix of a module longer than
-// one chunk, and every slot, as images carried before the draw was lazy —
-// and of the images a restore refuses: a start-gap image that claims
-// clustering regions too, a table on a device of infinite endurance, a
-// table longer than the module, wear counters a chunk short, and a broken
-// chunk of one slot.
+// whose spare slot 4096 is a chunk of one slot; of a module longer than one
+// chunk, fresh, worn low and worn anywhere; of the images a restore
+// refuses: a start-gap image that claims clustering regions too, wear
+// counters a chunk short, and a broken chunk of one slot; and of a worn
+// module and a worn start-gap one as images were encoded while they
+// carried correction entries and the drawn endurance limits.
 func FuzzDecodeImage(f *testing.F) {
 	const size = 4 * failmap.PageSize
 	long := Config{Size: 80 * failmap.PageSize, Endurance: 40, Variation: 0.25, TrackData: true, Seed: 6}
@@ -57,7 +56,7 @@ func FuzzDecodeImage(f *testing.F) {
 		edit   func(*DeviceImage) // applied to the image after the fact
 	}{
 		{Config{Size: size, TrackData: true, Seed: 1}, 0, 0, nil, nil},
-		{Config{Size: size, Endurance: 3, Variation: 0.3, ECCEntries: 2, TrackData: true, Seed: 2,
+		{Config{Size: size, Endurance: 3, Variation: 0.3, TrackData: true, Seed: 2,
 			BufferCap: 64, BufferReserve: 4}, 300, 0, nil, nil},
 		{Config{Size: size, Endurance: 40, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 3}, 200, 0, nil, nil},
 		{Config{Size: size, Endurance: 3, ClusterPages: 2, TrackData: true, Seed: 4, BufferCap: 64, BufferReserve: 4}, 200, 0, nil, nil},
@@ -66,10 +65,6 @@ func FuzzDecodeImage(f *testing.F) {
 		{long, 0, 0, nil, nil},
 		{long, 200, 1000, nil, nil},
 		{long, 200, 0, nil, nil},
-		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 7}, 50, 0, nil,
-			func(img *DeviceImage) { img.Endurance = 0 }},
-		{Config{Size: size, Endurance: 40, TrackData: true, Seed: 8}, 50, 0, nil,
-			func(img *DeviceImage) { img.EnduranceOf = append(img.EnduranceOf, 40) }},
 		{long, 200, 0, nil, func(img *DeviceImage) { img.Writes = img.Writes[:1] }},
 		{long, 200, 0, nil, func(img *DeviceImage) { img.Broken[1] = []bool{true} }},
 		{long, 100, 0, []int{4095, 4096}, nil},
@@ -100,6 +95,14 @@ func FuzzDecodeImage(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(enc.Bytes())
+	}
+	for _, cfg := range []Config{
+		{Size: size, Endurance: 10, Variation: 0.3, TrackData: true, Seed: 7},
+		{Size: size, Endurance: 10, Variation: 0.3, WearLeveling: StartGap, GapInterval: 3, TrackData: true, Seed: 8},
+	} {
+		d := NewDevice(cfg, nil)
+		driveWrites(d, cfg.Seed, 300)
+		f.Add(encodeWithFields(f, d.Snapshot(), droppedWearFields(d)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -3,9 +3,11 @@ package pcm
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,10 +39,8 @@ func TestImageRoundTripQuiescent(t *testing.T) {
 	for _, cfg := range []Config{
 		{Size: 1 << 20, TrackData: true, Seed: 42},
 		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, TrackData: true, Seed: 42},
-		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, ECCEntries: 4,
-			WearLeveling: StartGap, TrackData: true, Seed: 42},
-		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, ECCEntries: 4,
-			ClusterPages: 8, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, WearLeveling: StartGap, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 4096, Variation: 0.25, ClusterPages: 8, TrackData: true, Seed: 42},
 	} {
 		d, clock := imageTestDevice(cfg)
 		driveWrites(d, 42, 4000)
@@ -78,29 +78,85 @@ func TestImageDecodeIgnoresClusterCache(t *testing.T) {
 	d, clock := imageTestDevice(Config{Size: 1 << 20, ClusterPages: 8, TrackData: true, Seed: 42})
 	driveWrites(d, 42, 4000)
 	img := d.Snapshot()
+	restoresFromOldFields(t, img, clock, map[string]any{"ClusterCache": 4})
+}
+
+// TestImageDecodeIgnoresDroppedWearFields: images encoded while DeviceImage
+// still carried correction-entry state and the drawn endurance limits
+// decode, and restore to the device they were taken from, which draws its
+// limits from the seed.
+func TestImageDecodeIgnoresDroppedWearFields(t *testing.T) {
+	cfg := Config{Size: 1 << 20, Endurance: 64, Variation: 0.25, TrackData: true, Seed: 42}
+	d, clock := imageTestDevice(cfg)
+	driveWrites(d, 42, 4000)
+	drainAll(d)
+	img := d.Snapshot()
+	r := restoresFromOldFields(t, img, clock, droppedWearFields(d))
+	driveWrites(d, 43, 4000)
+	driveWrites(r, 43, 4000)
+	if !reflect.DeepEqual(d.Snapshot(), r.Snapshot()) {
+		t.Fatal("a device restored from an image with the dropped fields wore differently")
+	}
+}
+
+// droppedWearFields are the wear fields DeviceImage once carried, with
+// values an image of d could have held: two correction entries a slot, one
+// of them spent on every slot, a lease of a tenth of the endurance, and
+// every limit d drew raised by that lease.
+func droppedWearFields(d *Device) map[string]any {
+	limits := make([]uint64, len(d.endurance))
+	for s, e := range d.endurance {
+		limits[s] = e + d.cfg.Endurance/10
+	}
+	left := make([]uint8, d.wear.slots)
+	for s := range left {
+		left[s] = 1
+	}
+	return map[string]any{"ECCEntries": 2, "ECCLease": d.cfg.Endurance / 10, "EnduranceOf": limits,
+		"ECCLeft": left, "CorrectedBits": uint64(d.wear.slots)}
+}
+
+// encodeWithFields is img's gob encoding as a DeviceImage that also had the
+// extra fields, set to their values, wrote it.
+func encodeWithFields(tb testing.TB, img *DeviceImage, extra map[string]any) []byte {
+	tb.Helper()
 	cur := reflect.ValueOf(*img)
 	fields := reflect.VisibleFields(cur.Type())
-	fields = append(fields, reflect.StructField{Name: "ClusterCache", Type: reflect.TypeOf(0)})
+	names := slices.Sorted(maps.Keys(extra))
+	for _, name := range names {
+		fields = append(fields, reflect.StructField{Name: name, Type: reflect.TypeOf(extra[name])})
+	}
 	old := reflect.New(reflect.StructOf(fields)).Elem()
 	for i := 0; i < cur.NumField(); i++ {
 		old.Field(i).Set(cur.Field(i))
 	}
-	old.FieldByName("ClusterCache").SetInt(4)
+	for _, name := range names {
+		old.FieldByName(name).Set(reflect.ValueOf(extra[name]))
+	}
 	var enc bytes.Buffer
 	if err := gob.NewEncoder(&enc).Encode(old.Interface()); err != nil {
-		t.Fatalf("encode: %v", err)
+		tb.Fatalf("encode: %v", err)
 	}
-	dec, err := DecodeImage(&enc)
+	return enc.Bytes()
+}
+
+// restoresFromOldFields encodes img with the extra fields, decodes and
+// restores it, and fails the test unless the restored device's image is
+// img; it returns the device.
+func restoresFromOldFields(t *testing.T, img *DeviceImage, clock *stats.Clock, extra map[string]any) *Device {
+	t.Helper()
+	dec, err := DecodeImage(bytes.NewReader(encodeWithFields(t, img, extra)))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	d2, err := NewDeviceFromImage(dec, clock, nil)
+	d, err := NewDeviceFromImage(dec, clock, nil)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if !reflect.DeepEqual(img, d2.Snapshot()) {
-		t.Fatal("an image with the old field restored to a different device")
+	if !reflect.DeepEqual(img, d.Snapshot()) {
+		t.Fatal("an image with the old fields restored to a different device")
 	}
+	return d
 }
 
 // TestImageDifferential is the restart-transparency check: driving S1 then
@@ -109,10 +165,8 @@ func TestImageDecodeIgnoresClusterCache(t *testing.T) {
 // byte, wear counter for wear counter.
 func TestImageDifferential(t *testing.T) {
 	for _, cfg := range []Config{
-		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ECCEntries: 4,
-			WearLeveling: StartGap, TrackData: true, Seed: 42},
-		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ECCEntries: 4,
-			ClusterPages: 8, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, WearLeveling: StartGap, TrackData: true, Seed: 42},
+		{Size: 1 << 20, Endurance: 8192, Variation: 0.25, ClusterPages: 8, TrackData: true, Seed: 42},
 	} {
 		a, _ := imageTestDevice(cfg)
 		driveWrites(a, 42, 3000)
@@ -244,10 +298,6 @@ func TestImageValidatesGeometry(t *testing.T) {
 		{"clustering region larger than the module", func(img *DeviceImage) { img.ClusterPages = math.MaxInt }},
 		{"negative clustering region", func(img *DeviceImage) { img.ClusterPages = -2 }},
 		{"start-gap with clustering", func(img *DeviceImage) { img.ClusterPages = 1 }},
-		{"endurance limits on a module of infinite endurance", func(img *DeviceImage) { img.EnduranceOf = []uint64{5} }},
-		{"endurance limits past the last slot", func(img *DeviceImage) {
-			img.Endurance, img.EnduranceOf = 10, make([]uint64, img.slots()+1)
-		}},
 		{"wear counters one chunk short", func(img *DeviceImage) { img.Writes = img.Writes[:len(img.Writes)-1] }},
 		{"broken flags one chunk over", func(img *DeviceImage) { img.Broken = append(img.Broken, nil) }},
 		{"wear chunk one slot short", func(img *DeviceImage) { img.Writes[0] = make([]uint64, enduranceChunk-1) }},

@@ -13,7 +13,8 @@ import (
 // A device draws its endurance limits in slot order, as far as the first
 // write that consults one needs. These tests hold the drawn table to the one
 // a device that drew every slot at construction would hold, whatever order
-// writes reach the slots in and wherever snapshots and restores fall.
+// writes reach the slots in and wherever snapshots and restores fall; an
+// image carries no limit and a restore draws none.
 
 // lazyPages is the module the lazy-draw tests wear: two and a half chunks
 // of slots, so writes land in drawn, undrawn and partly drawn chunks.
@@ -21,10 +22,8 @@ const lazyPages = 160
 
 // lazyConfig decodes a corner of the draw: the stream consumed normally, not
 // at all (variation 0), or often clamped to 5% of the mean, a limit of 2
-// that a single write draws nothing for; start-gap, whose
-// spare slot is the last and is written by the first gap move; clustering;
-// and, on every corner, correction entries or none. The lease is set, since
-// the default, a tenth of an endurance of 8, is zero.
+// that a single write draws nothing for; start-gap, whose spare slot is the
+// last and is written by the first gap move; and clustering.
 func lazyConfig(shape byte, seed int64) Config {
 	cfg := Config{Size: lazyPages * failmap.PageSize, Endurance: 8, Variation: 0.25,
 		BufferCap: 64, BufferReserve: 4, Seed: seed}
@@ -37,9 +36,6 @@ func lazyConfig(shape byte, seed int64) Config {
 		cfg.WearLeveling, cfg.GapInterval = StartGap, 5
 	case 4:
 		cfg.ClusterPages = 2
-	}
-	if shape/5%2 == 1 {
-		cfg.ECCEntries, cfg.ECCLease = 2, 3
 	}
 	return cfg
 }
@@ -75,9 +71,6 @@ func runLazy(t *testing.T, in []byte) *Device {
 			d.WriteRepeat(line(), buf, 1+int(src.next()%40))
 		case lazyRestore, lazyRestoreCoded:
 			img := d.Snapshot()
-			if len(img.EnduranceOf) != len(d.endurance) {
-				t.Fatalf("op %d: image carries %d limits, device drew %d", op, len(img.EnduranceOf), len(d.endurance))
-			}
 			if code == lazyRestoreCoded {
 				img = recode(t, img)
 			}
@@ -85,8 +78,8 @@ func runLazy(t *testing.T, in []byte) *Device {
 			if err != nil {
 				t.Fatalf("op %d: restore: %v", op, err)
 			}
-			if len(restored.endurance) != len(img.EnduranceOf) {
-				t.Fatalf("op %d: restoring %d limits left %d drawn", op, len(img.EnduranceOf), len(restored.endurance))
+			if n := len(restored.endurance); n != 0 {
+				t.Fatalf("op %d: restoring drew %d limits", op, n)
 			}
 			d = restored
 			drainAll(d)
@@ -110,25 +103,25 @@ func recode(t *testing.T, img *DeviceImage) *DeviceImage {
 	return dec
 }
 
-// matchEager draws the rest of d's table and fails the test where a slot's
-// limit is not sampleEndurance's value for that slot over one stream of the
-// seed, raised by the leases its spent correction entries granted, or where
-// a slot is broken and its count short of its limit, or whole and its count
-// at or past it: a count that drew no limit still failed exactly the slots
-// the eager table says it did.
+// matchEager draws the rest of d's table and fails the test where that
+// changes d's image (an image carries no limit), where a slot's limit is not
+// sampleEndurance's value for that slot over one stream of the seed, or
+// where a slot is broken and its count short of its limit, or whole and its
+// count at or past it: a count that drew no limit still failed exactly the
+// slots the eager table says it did.
 func matchEager(t *testing.T, d *Device, cfg Config) {
 	t.Helper()
+	img := d.Snapshot()
 	d.limit(d.wear.slots - 1)
 	if len(d.endurance) != d.wear.slots {
 		t.Fatalf("drawing every slot left %d of %d drawn", len(d.endurance), d.wear.slots)
 	}
+	if !reflect.DeepEqual(img, d.Snapshot()) {
+		t.Fatal("drawing every limit changed the device's image")
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for s, got := range d.endurance {
-		want := sampleEndurance(cfg.Endurance, cfg.Variation, rng)
-		if d.eccLeft != nil {
-			want += uint64(cfg.ECCEntries-int(d.eccLeft[s])) * cfg.ECCLease
-		}
-		if got != want {
+		if want := sampleEndurance(cfg.Endurance, cfg.Variation, rng); got != want {
 			t.Fatalf("slot %d: limit %d, eager draw %d (seed %d, variation %v, %d writes)",
 				s, got, want, cfg.Seed, cfg.Variation, d.wear.count(s))
 		}
@@ -139,19 +132,20 @@ func matchEager(t *testing.T, d *Device, cfg Config) {
 	}
 }
 
-// lazySeeds is the corpus: every corner, each with writes that spend
-// leases low in the module, restores (in memory and through the encoding)
+// lazySeeds is the corpus: every corner, each with writes that wear lines
+// low in the module out, restores (in memory and through the encoding)
 // before and after them, writes to undrawn chunks, high then low, and a
-// restore from an image no write has drawn into.
+// restore from an image no write has drawn into. Shapes 5 to 9 decode to
+// the corners 0 to 4 at other seeds.
 func lazySeeds() [][]byte {
 	w := func(line, k int) []byte { return []byte{lazyWrite, byte(line >> 8), byte(line), byte(k - 1)} }
 	var seeds [][]byte
 	for shape := range 10 {
 		in := []byte{byte(shape), byte(3 + shape)}
-		in = append(in, lazyRestoreCoded) // the empty prefix
+		in = append(in, lazyRestoreCoded) // nothing drawn yet
 		in = append(in, w(5, 16)...)
 		in = append(in, w(6, 16)...)
-		in = append(in, w(5, 16)...) // past the lease on the correction corners
+		in = append(in, w(5, 16)...)
 		in = append(in, lazyRestore)
 		in = append(in, w(9000, 3)...) // the third chunk, skipping the second
 		in = append(in, lazyRestoreCoded)
@@ -167,19 +161,13 @@ func lazySeeds() [][]byte {
 
 func TestLazyEnduranceMatchesEager(t *testing.T) {
 	for _, in := range lazySeeds() {
-		if d := runLazy(t, in); d.cfg.ECCEntries > 0 && d.CorrectedBits() == 0 {
-			t.Fatalf("corner %d spent no correction entry", in[0])
-		}
+		runLazy(t, in)
 	}
 
 	// A finite device restored from an image that drew nothing stays
 	// finite: slot 0 fails at the eager draw's limit.
 	cfg := lazyConfig(0, 11)
-	img := recode(t, NewDevice(cfg, nil).Snapshot())
-	if img.EnduranceOf != nil {
-		t.Fatalf("a fresh device's image carries %d limits", len(img.EnduranceOf))
-	}
-	d, err := NewDeviceFromImage(img, nil, nil)
+	d, err := NewDeviceFromImage(recode(t, NewDevice(cfg, nil).Snapshot()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,18 +182,18 @@ func TestLazyEnduranceMatchesEager(t *testing.T) {
 		}
 	}
 
-	// An image that carries every slot's limit, as all images did before
-	// the draw was lazy, restores to the device it was taken from.
-	d = NewDevice(lazyConfig(5, 12), nil)
+	// A device that drew every limit restores, drawing none, to the device
+	// it was taken from.
+	d = NewDevice(lazyConfig(0, 12), nil)
 	driveWrites(d, 12, 3000)
 	d.limit(d.wear.slots - 1)
-	full := d.Snapshot()
-	r, err := NewDeviceFromImage(recode(t, full), nil, nil)
+	img := d.Snapshot()
+	r, err := NewDeviceFromImage(recode(t, img), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Snapshot(); !reflect.DeepEqual(got, full) {
-		t.Fatal("a full-table image does not restore to the device it was taken from")
+	if len(r.endurance) != 0 || !reflect.DeepEqual(r.Snapshot(), img) {
+		t.Fatal("a device that drew every limit does not restore to the device it was taken from")
 	}
 }
 
@@ -264,10 +252,11 @@ func FuzzLazyEnduranceMatchesEager(f *testing.F) {
 // TestConcurrentDeviceHammerLazyEndurance shares an equipped device between
 // four writers, each reaching the chunks in its own order, and a goroutine
 // that snapshots and restores it (run it under -race): whichever write
-// draws a chunk, and however the draws interleave with the images, every
-// image's prefix and the final table are the eager draw's.
+// draws a chunk, and however the draws interleave with the images, the
+// final table is the eager draw's, and so is every restored device's, whose
+// wear agrees with it.
 func TestConcurrentDeviceHammerLazyEndurance(t *testing.T) {
-	cfg := lazyConfig(5, 21) // correction entries: leases land while others draw
+	cfg := lazyConfig(2, 21) // a third of the limits at the floor: writes wear lines out early
 	d := NewDevice(cfg, nil)
 	d.SetConcurrent()
 	var wg sync.WaitGroup
@@ -283,34 +272,31 @@ func TestConcurrentDeviceHammerLazyEndurance(t *testing.T) {
 			}
 		}()
 	}
-	var images []*DeviceImage
+	var restored []*Device
 	snapped := make(chan struct{})
 	go func() {
 		defer close(snapped)
 		for range 20 {
-			img := d.Snapshot()
-			if _, err := NewDeviceFromImage(img, nil, nil); err != nil {
+			r, err := NewDeviceFromImage(d.Snapshot(), nil, nil)
+			if err != nil {
 				t.Error(err)
+				return
 			}
-			images = append(images, img)
+			restored = append(restored, r)
 		}
 	}()
 	wg.Wait()
 	<-snapped
-	for _, img := range images {
-		eager := &DeviceImage{Size: img.Size, WearLeveling: img.WearLeveling,
-			Endurance: img.Endurance, Variation: img.Variation, Seed: img.Seed}
-		eagerEndurance(eager)
-		for s, got := range img.EnduranceOf {
-			if want := eager.EnduranceOf[s] + uint64(cfg.ECCEntries-int(img.ECCLeft[s]))*cfg.ECCLease; got != want {
-				t.Fatalf("an image taken mid-hammer holds %d for slot %d, eager draw %d", got, s, want)
-			}
-		}
-	}
-	if d.CorrectedBits() == 0 {
-		t.Fatal("the hammer spent no correction entry")
+	if d.FailedLines() == 0 {
+		t.Fatal("the hammer wore no line out")
 	}
 	matchEager(t, d, cfg)
+	for _, r := range restored {
+		if len(r.endurance) != 0 {
+			t.Fatalf("restoring an image taken mid-hammer drew %d limits", len(r.endurance))
+		}
+		matchEager(t, r, cfg)
+	}
 }
 
 // tortureScale is the module a torture campaign boots (chaos's pool and
@@ -322,8 +308,8 @@ func tortureScale() Config {
 // TestEnduranceDrawnOnDemand: a fresh torture-scale module holds no limit
 // until a write consults one. A write anywhere consults none while its
 // slot's count is short of the least limit sampling gives (102 writes
-// here), and the write that reaches it draws one chunk. The image carries
-// what the module drew and restoring draws nothing more.
+// here), and the write that reaches it draws one chunk. Restoring the
+// module's image draws nothing.
 func TestEnduranceDrawnOnDemand(t *testing.T) {
 	cfg := tortureScale()
 	d := NewDevice(cfg, nil)
@@ -348,16 +334,12 @@ func TestEnduranceDrawnOnDemand(t *testing.T) {
 	if n := len(d.endurance); n != enduranceChunk {
 		t.Fatalf("write %d to slot 0 drew %d limits, want %d", floor, n, enduranceChunk)
 	}
-	img := d.Snapshot()
-	if len(img.EnduranceOf) != len(d.endurance) {
-		t.Fatalf("the image carries %d limits, the device drew %d", len(img.EnduranceOf), len(d.endurance))
-	}
-	r, err := NewDeviceFromImage(img, nil, nil)
+	r, err := NewDeviceFromImage(d.Snapshot(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.endurance) != len(img.EnduranceOf) {
-		t.Fatalf("restoring %d limits left %d drawn", len(img.EnduranceOf), len(r.endurance))
+	if n := len(r.endurance); n != 0 {
+		t.Fatalf("restoring drew %d limits", n)
 	}
 }
 

@@ -27,9 +27,7 @@ type model struct {
 
 	writes    map[int]uint64
 	endurance map[int]uint64 // nil: infinite endurance
-	eccLeft   map[int]int    // nil: no correction entries
 	broken    map[int]bool
-	corrected uint64
 	failed    int
 
 	// Start-gap (nil maps without it): perm takes a module line to its slot
@@ -65,9 +63,6 @@ func newModel(cfg Config) *model {
 	if cfg.WearLeveling == StartGap && cfg.GapInterval == 0 {
 		cfg.GapInterval = 100
 	}
-	if cfg.Endurance > 0 && cfg.ECCLease == 0 {
-		cfg.ECCLease = cfg.Endurance / 10
-	}
 	m := &model{cfg: cfg, lines: cfg.Size / failmap.LineSize,
 		writes: map[int]uint64{}, broken: map[int]bool{}, counts: map[stats.Event]uint64{}}
 	m.slots = m.lines
@@ -89,12 +84,6 @@ func newModel(cfg Config) *model {
 				e = max(uint64(float64(cfg.Endurance)*max(1+cfg.Variation*rng.NormFloat64(), 0.05)), 1)
 			}
 			m.endurance[s] = e
-		}
-		if cfg.ECCEntries > 0 {
-			m.eccLeft = map[int]int{}
-			for s := 0; s < m.slots; s++ {
-				m.eccLeft[s] = cfg.ECCEntries
-			}
 		}
 	}
 	if cfg.ClusterPages > 0 {
@@ -162,18 +151,11 @@ func (m *model) contents(s int) []byte {
 	return out
 }
 
-// wear counts one write to slot s and reports whether it broke the slot: a
-// write that reaches the slot's endurance spends a correction entry, which
-// extends the endurance by the lease, or breaks it when none is left.
+// wear counts one write to slot s and reports whether it broke the slot: the
+// write that reaches the slot's endurance does.
 func (m *model) wear(s int) bool {
 	m.writes[s]++
 	if m.endurance == nil || m.broken[s] || m.writes[s] < m.endurance[s] {
-		return false
-	}
-	if m.eccLeft[s] > 0 {
-		m.eccLeft[s]--
-		m.corrected++
-		m.endurance[s] += m.cfg.ECCLease
 		return false
 	}
 	m.broken[s] = true
@@ -332,11 +314,7 @@ func (m *model) forceFail(line int, data []byte) bool {
 	if data == nil {
 		data = make([]byte, failmap.LineSize)
 	}
-	s := m.storage(line)
-	m.broken[s] = true
-	if m.eccLeft != nil {
-		m.eccLeft[s] = 0
-	}
+	m.broken[m.storage(line)] = true
 	m.fail(line, data)
 	return true
 }
@@ -374,20 +352,11 @@ func (m *model) restore() {
 func (m *model) image() *DeviceImage {
 	c := m.cfg
 	img := &DeviceImage{
-		Size: c.Size, Endurance: c.Endurance, Variation: c.Variation, ECCEntries: c.ECCEntries,
-		ECCLease: c.ECCLease, BufferCap: c.BufferCap, BufferReserve: c.BufferReserve,
+		Size: c.Size, Endurance: c.Endurance, Variation: c.Variation,
+		BufferCap: c.BufferCap, BufferReserve: c.BufferReserve,
 		ClusterPages: c.ClusterPages, WearLeveling: c.WearLeveling, GapInterval: c.GapInterval,
-		TrackData: c.TrackData, Seed: c.Seed,
-		CorrectedBits: m.corrected, FailedLines: m.failed,
+		TrackData: c.TrackData, Seed: c.Seed, FailedLines: m.failed,
 		Gap: int32(m.gap), SinceMove: m.sinceMove, GapCarries: m.carries,
-	}
-	for s := 0; s < m.slots; s++ {
-		if m.endurance != nil {
-			img.EnduranceOf = append(img.EnduranceOf, m.endurance[s])
-		}
-		if m.eccLeft != nil {
-			img.ECCLeft = append(img.ECCLeft, uint8(m.eccLeft[s]))
-		}
 	}
 	if m.perm != nil {
 		for l := 0; l < m.lines; l++ {
@@ -435,9 +404,10 @@ func (o *opStream) line(lines int) int {
 }
 
 // modelConfig decodes a module's corner: leveling {none, start-gap ψ ∈ {1,
-// 3, 7}} or clustering {1, 2, 8 pages}; a tiny or the default buffer; ECC
-// or none; contents tracked or not; and the endurance (4 to 32 writes, or
-// infinite) and seed. A module is 8 pages, one 8-page region; under 1-page
+// 3, 7}} or clustering {1, 2, 8 pages}; a tiny or the default buffer;
+// contents tracked or not; and the endurance (4 to 32 writes, or infinite)
+// and seed. The shape's bit at 14 selects nothing: the bits above it keep
+// the meaning committed inputs give them. A module is 8 pages, one 8-page region; under 1-page
 // clustering it is 24, more regions than the map cache holds. Shapes 56 to
 // 111 are the same corners on a module past the first 4096-slot wear chunk:
 // 72 pages, whose second chunk holds 512 slots, or under start-gap 64 pages,
@@ -454,9 +424,6 @@ func modelConfig(shape, wear byte) Config {
 	}
 	if shape/7%2 == 1 {
 		cfg.BufferCap, cfg.BufferReserve = 6, 2
-	}
-	if shape/14%2 == 1 {
-		cfg.ECCEntries = 2
 	}
 	cfg.TrackData = shape/28%2 == 1
 	if shape/56%2 == 1 {
@@ -594,7 +561,11 @@ func FuzzDeviceMatchesModel(f *testing.F) {
 func matchModel(t *testing.T, at string, d *Device, m *model, clock *stats.Clock, log []string) {
 	t.Helper()
 	img, want := d.Snapshot(), m.image()
-	eagerEndurance(img)
+	for s, e := range d.endurance {
+		if e != m.endurance[s] {
+			t.Fatalf("%s: slot %d drew limit %d, model %d", at, s, e, m.endurance[s])
+		}
+	}
 	writes, err := expandChunks(img.Writes, m.slots)
 	if err != nil {
 		t.Fatalf("%s: wear counters: %v", at, err)
@@ -726,23 +697,6 @@ func expandChunks[T any](chunks [][]T, slots int) ([]T, error) {
 	return out, nil
 }
 
-// eagerEndurance extends img's drawn endurance prefix to every slot with the
-// rest of its seed's stream: the table a device that drew every limit at
-// construction would hold, which is what the model holds. The prefix is
-// the device's own, correction leases included.
-func eagerEndurance(img *DeviceImage) {
-	if img.Endurance == 0 {
-		return
-	}
-	rng := rand.New(rand.NewSource(img.Seed))
-	for range img.EnduranceOf {
-		sampleEndurance(img.Endurance, img.Variation, rng)
-	}
-	for len(img.EnduranceOf) < img.slots() {
-		img.EnduranceOf = append(img.EnduranceOf, sampleEndurance(img.Endurance, img.Variation, rng))
-	}
-}
-
 // modelSeeds is the corpus: a mixed history on every corner, and histories
 // aimed at what a corner alone can reach — a clustering metadata line worn
 // out after the OS drained its reservation, a repeated write that would
@@ -777,7 +731,8 @@ func modelSeeds() [][]byte {
 	restore := []byte{opRestore}
 	read := func(line int) []byte { return slices.Concat([]byte{opRead}, enc(line)) }
 
-	// A mixed history on each of the 56 corners, at endurance 4-6.
+	// A mixed history on each of the 56 corners, at endurance 4-6 (shapes
+	// 14-27 and 42-55 repeat the corners below them).
 	for shape := byte(0); shape < 56; shape++ {
 		seed(shape, shape%2,
 			write(3, 8, 1), write(3, 8, 2), run(3, 1, 2, 3, 70, 700, 1400), drain(64),
@@ -822,15 +777,15 @@ func modelSeeds() [][]byte {
 			write(22, 1, 1), drain(1), read(20), restore, drain(64), read(20), write(22, 1, 2),
 			force(30, 1), force(31, 3), force(32, 5), force(33, 7), write(22, 1, 3), drain(1), write(22, 1, 4))
 	}
-	// ECC at endurance 20 (a lease of 2 writes a correction entry): a line
-	// spends both entries and then fails, with and without leveling.
+	// Endurance 20, contents tracked: a line written 32 times fails, is
+	// drained and written again, with and without leveling.
 	for _, shape := range []byte{0 + 14 + 28, 3 + 14 + 28} {
 		seed(shape, 8, write(3, 8, 1), write(3, 8, 2), write(3, 8, 3), write(3, 8, 4), read(3), drain(64),
 			write(3, 8, 5), read(3))
 	}
-	// Start-gap ψ=1, endurance 4, contents tracked, ECC: the gap's carries
-	// wear slots out, relocated lines fail and fail again.
-	for _, shape := range []byte{1 + 28, 1 + 14 + 28, 2 + 7 + 28} {
+	// Start-gap ψ ∈ {1, 7, 3}, endurance 4, contents tracked: the gap's
+	// carries wear slots out, relocated lines fail and fail again.
+	for _, shape := range []byte{1 + 28, 3 + 28, 2 + 7 + 28} {
 		var ops [][]byte
 		for i := 0; i < 40; i++ {
 			ops = append(ops, write(i%3, 8, byte(i)), run(byte(i), 0, 1, 2, 3), drain(64))

@@ -53,7 +53,9 @@ func TestSingleOwnerMatchesConcurrent(t *testing.T) {
 // between four writers on the same lines, a drainer and a status poller
 // (run it under -race), then checks what only mutual exclusion keeps true:
 // no write's wear was lost, every buffer entry is accounted for, and every
-// failure interrupt was delivered exactly once.
+// failure interrupt was delivered exactly once. A writer the stalled device
+// refuses waits until the drainer has drained again, so the drainer runs
+// however the scheduler orders the goroutines.
 func TestConcurrentDeviceHammer(t *testing.T) {
 	const writers, runs, runLen, bufferCap = 4, 2500, 8, 16
 	d := NewDevice(Config{
@@ -61,7 +63,7 @@ func TestConcurrentDeviceHammer(t *testing.T) {
 		WearLeveling: StartGap, GapInterval: 3, BufferCap: bufferCap, BufferReserve: 4, TrackData: true,
 	}, nil)
 	d.SetConcurrent()
-	var interrupts, applied, stalls atomic.Uint64
+	var interrupts, applied, stalls, drains atomic.Uint64
 	d.OnFailure(func() { interrupts.Add(1) })
 
 	var stop atomic.Bool
@@ -70,7 +72,9 @@ func TestConcurrentDeviceHammer(t *testing.T) {
 	go func() { // the OS side: drain whatever is parked
 		defer helpers.Done()
 		for !stop.Load() {
-			if _, ok := d.Drain(); !ok {
+			if _, ok := d.Drain(); ok {
+				drains.Add(1)
+			} else {
 				runtime.Gosched()
 			}
 		}
@@ -105,11 +109,14 @@ func TestConcurrentDeviceHammer(t *testing.T) {
 					run[j] = rng.Intn(d.Lines()) // every writer draws from the whole module
 				}
 				rng.Read(buf)
+				seen := drains.Load()
 				n, err := d.WriteRun(run, buf)
 				applied.Add(uint64(n))
 				if err != nil {
 					stalls.Add(1)
-					runtime.Gosched() // refused: give the drainer the processor
+					for drains.Load() == seen { // refused: wait for the drainer to make room
+						runtime.Gosched()
+					}
 				}
 			}
 		}(w)

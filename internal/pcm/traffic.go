@@ -216,8 +216,8 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 
 // countWear draws lines as SkewedLines does and applies each one's write
 // for as long as that write can only count wear, and returns, unwritten,
-// the first line whose write would reach its endurance (and so fail it or
-// take a correction entry). The caller has checked that d neither levels
+// the first line whose write would reach its endurance (and so fail it).
+// The caller has checked that d neither levels
 // nor clusters, stores no contents and has finite endurance, and that its
 // buffer is empty: a write then fails nothing and stores nothing exactly
 // when its line is broken or its count plus one stays below the line's

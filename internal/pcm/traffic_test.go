@@ -422,7 +422,7 @@ func firstDiff(a, b any) string {
 // the chained pass cannot move tab2, and neither the count-only step nor
 // the block path overshoots a target. The corners are tab2's two templates
 // (at 64 pages, to 50 %), and to 25 %: each thing that can see a write (a
-// clock, ECC, contents, callbacks and a probe), failures pending when
+// clock, contents, callbacks and a probe), failures pending when
 // wearing starts (one short of the watermark), clustering at the seeds that
 // once overshot the 10 % target, and a 48-page module, whose hot quarter
 // and line count are not powers of two, so its draws reduce by a modulo;
@@ -440,7 +440,6 @@ func TestWearThroughMatchesPerWriteLoop(t *testing.T) {
 		{"start-gap", 64, []int64{1, 42, 311}, tab2, func(c *wearCase) { c.cfg.WearLeveling = StartGap }},
 		{"no leveling", 64, []int64{1, 42, 311}, tab2, func(*wearCase) {}},
 		{"clock", 64, []int64{42}, early, func(c *wearCase) { c.clocked = true }},
-		{"ECC", 64, []int64{42}, early, func(c *wearCase) { c.cfg.ECCEntries, c.clocked = 2, true }},
 		{"contents", 64, []int64{42}, early, func(c *wearCase) { c.cfg.TrackData = true }},
 		{"interrupts", 64, []int64{42}, early, func(c *wearCase) { c.clocked, c.wired = true, true }},
 		{"start-gap interrupts", 64, []int64{42}, early, func(c *wearCase) {
@@ -489,14 +488,14 @@ func FuzzWearThroughMatchesPerWriteLoop(f *testing.F) {
 // wearFuzzSeeds are the test's corners in modelConfig's terms (shape, wear,
 // target): no leveling, start-gap ψ = 1, 1-, 2- and 8-page clustering (the
 // 1- and 2-page ones at wears where a block overshot a target before
-// WriteRun stopped at an absorbed failure), a tiny buffer, ECC and
-// contents, on 8-page modules; and 48-page ones, two of which redraw a draw
-// before their first target (wear 94 after 6 015 writes, wear 51 after
-// 24 600).
+// WriteRun stopped at an absorbed failure), a tiny buffer, contents, and
+// start-gap ψ = 3 over contents, on 8-page modules; and 48-page ones, two of
+// which redraw a draw before their first target (wear 94 after 6 015
+// writes, wear 51 after 24 600).
 var wearFuzzSeeds = [][3]byte{
 	{0, 0, 64}, {0, 9, 127}, {1, 3, 64}, {4, 5, 13}, {5, 20, 64}, {6, 4, 100},
-	{7, 5, 127}, {14, 6, 64}, {28, 7, 64}, {4 + 7 + 14 + 28, 8, 64},
-	{0, 94, 0x80 | 64}, {0, 51, 0x80 | 127}, {14, 11, 0x80 | 40},
+	{7, 5, 127}, {2 + 28, 6, 64}, {28, 7, 64}, {4 + 7 + 28, 8, 64},
+	{0, 94, 0x80 | 64}, {0, 51, 0x80 | 127}, {0, 11, 0x80 | 40},
 }
 
 // BenchmarkSkewedLines is one op = drawing one 512-line block for tab2's

@@ -86,8 +86,6 @@ var deviceScenarios = []deviceScenario{
 		WearLeveling: StartGap, GapInterval: 2, TrackData: true}, drainEager},
 	{"clustering fake entries", Config{Size: 4 * failmap.PageSize, Endurance: 10, Variation: 0.2,
 		ClusterPages: 2, BufferCap: 64, TrackData: true}, drainEager},
-	{"ecc leases", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.2,
-		ECCEntries: 2, ECCLease: 3}, drainEager},
 	{"handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 10, Variation: 0.3,
 		TrackData: true}, drainHandler},
 	{"start-gap handler drains", Config{Size: 2 * failmap.PageSize, Endurance: 12, Variation: 0.3,

@@ -156,12 +156,8 @@ func bytesCases() []bytesCase {
 		{name: "broken line", blobLen: 700, prep: func(tw *bytesTwin) {
 			tw.detached(func() { tw.dev.ForceFail(tw.line(300), nil) })
 		}},
-		{name: "ecc", dev: pcm.Config{Endurance: endurance, ECCEntries: 2, ECCLease: 20}, blobLen: 700, fills: 2,
-			prep: func(tw *bytesTwin) { tw.wearTo(300, endurance-30) }, wantFails: true},
 		{name: "stalled", dev: pcm.Config{BufferCap: 24, BufferReserve: 4}, blobLen: 12000, prep: storm},
 		{name: "worn", dev: worn, blobLen: 12000, fills: 3, wantFails: true},
-		{name: "worn ecc", dev: pcm.Config{Endurance: 150, Variation: 0.2, Seed: 3, ECCEntries: 1},
-			blobLen: 12000, fills: 3, wantFails: true},
 		{name: "start-gap", dev: pcm.Config{Endurance: 150, Variation: 0.2, Seed: 3, WearLeveling: pcm.StartGap, GapInterval: 7},
 			blobLen: 12000, fills: 3, wantFails: true},
 		{name: "clustering", dev: pcm.Config{Endurance: 150, Variation: 0.2, Seed: 3, ClusterPages: 2},

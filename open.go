@@ -126,7 +126,7 @@ func WithWearingDevice(endurance uint64, variation float64) Option {
 func WithWriteThrough() Option { return func(c *openConfig) { c.writeThrough = true } }
 
 // WithDeviceTuning adjusts the wearing device's configuration (wear
-// leveling, ECC, buffer sizing, clustering hardware) after the standard
+// leveling, buffer sizing, clustering hardware) after the standard
 // fields are filled in and before the device is built. Start-gap wear
 // leveling and clustering hardware are exclusive: like any configuration
 // the device refuses, tuning both panics in Open.
