@@ -40,7 +40,7 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The "same behaviour" oracle: sha256 of the four deterministic report
+# The "same behaviour" oracle: sha256 of the six deterministic report
 # surfaces at seed 42, against the pinned values, then the pinned torture
 # campaign records. A change that moves any of them changed simulated
 # behaviour, not just code.
@@ -49,6 +49,10 @@ fmt:
 #   pausecurve incremental marking state machine, pause histograms (the
 #              threaded table is schedule-dependent and is cut first)
 #   latency    baton KV latency quantiles
+#   policyzoo  each frame policy's remaps, borrows, failed lines and tail
+#              on the baton engine (the threaded table is cut, as above)
+#   restart    power cut, recovery latency and post-recovery tail on the
+#              baton engine (the threaded table is cut)
 #   torture    baton campaign records (schedules, fired effects, GC and
 #              verification counts): serial, 4 mutators, pause budget 10000;
 #              and the baton crash sweep's records (one seed, every cut point)
@@ -66,6 +70,10 @@ digest:
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
 	check afe01c111aecb2251812eaee1b6be0ca73796b45b9fa1cf766c5c224619f5807 latency \
 		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
+	check 1f48c7f6182edb7950da42935a5631c2053a85870cacb0d089efa16d28c012e3 policyzoo \
+		sh -c "./.digest-wearbench -exp policyzoo -quick -seed 42 2>/dev/null | sed '/(threaded engine/,\$$d'"; \
+	check 48deb820dfcfa1ff1a0e52e624de973e3df1f031f2a15f26b373134a4e67a97f restart \
+		sh -c "./.digest-wearbench -exp restart -quick -seed 42 2>/dev/null | sed '/(threaded engine/,\$$d'"; \
 	if $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned$$|TestCrashRecordsPinned$$' -count=1 >/dev/null; \
 	then echo "digest torture ok"; \
 	else echo "digest torture MOVED: $(GO) test ./internal/chaos/ -run 'TestTortureRecordsPinned|TestCrashRecordsPinned'"; rc=1; fi; \

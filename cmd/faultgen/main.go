@@ -11,10 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/seeded"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 	}
 
 	m := failmap.New(*pages * failmap.PageSize)
-	rng := rand.New(rand.NewSource(*seed))
+	rng := seeded.New(*seed)
 	if *gran > 0 {
 		failmap.GenerateClustered(m, *rate, *gran, rng)
 	} else {

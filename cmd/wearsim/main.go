@@ -40,6 +40,7 @@ import (
 	"wearmem/internal/harness/cliconfig"
 	_ "wearmem/internal/kv" // registers the kv scenario -torture-config names can carry
 	"wearmem/internal/pcm"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 )
 
@@ -130,7 +131,7 @@ func run(in io.Reader, out io.Writer, cfg pcm.Config, workers int) {
 	dev.OnFailure(func() { fmt.Fprintln(out, "  ! failure interrupt") })
 	dev.OnBufferFull(func() { fmt.Fprintln(out, "  ! failure buffer watermark: writes stalled") })
 
-	traffic := pcm.NewTraffic(cfg.Seed)
+	traffic := seeded.New(cfg.Seed)
 	buf := make([]byte, failmap.LineSize)
 	fmt.Fprintf(out, "wearsim: %d pages, endurance ~%d writes/line, clustering %dp, start-gap %v\n",
 		cfg.Size/failmap.PageSize, cfg.Endurance, cfg.ClusterPages, cfg.WearLeveling == pcm.StartGap)
@@ -486,7 +487,7 @@ type popResult struct {
 // to dev and returns how many stalled, draining one failure-buffer entry
 // after each of those. It draws no further than n lines from traffic, which
 // carries over to the caller's next command.
-func hammer(dev *pcm.Device, traffic *pcm.Traffic, buf []byte, n int) (stalled int) {
+func hammer(dev *pcm.Device, traffic *seeded.Stream, buf []byte, n int) (stalled int) {
 	block := make([]int, 512)
 	for i := 0; i < n; i += len(block) {
 		run := block[:min(len(block), n-i)]
@@ -524,7 +525,7 @@ func wearPopulation(cfg pcm.Config, n, writes, workers int) []popResult {
 				c := cfg
 				c.Seed = cfg.Seed + int64(i)
 				dev := pcm.NewDevice(c, nil)
-				hammer(dev, pcm.NewTraffic(c.Seed), buf, writes)
+				hammer(dev, seeded.New(c.Seed), buf, writes)
 				m := dev.FailMap()
 				out[i] = popResult{
 					failed:       dev.FailedLines(),

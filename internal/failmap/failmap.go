@@ -13,9 +13,9 @@ package failmap
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"wearmem/internal/bitset"
+	"wearmem/internal/seeded"
 )
 
 // Memory geometry shared by the whole reproduction. These mirror the paper:
@@ -215,18 +215,29 @@ func (m *Map) FreeRuns() int {
 	return runs
 }
 
+// Source is what the generators draw from: math/rand's *rand.Rand, or the
+// concrete *seeded.Stream of the same seeded values, which they draw from
+// without an interface call (seeded.Stream.Below).
+type Source interface{ Float64() float64 }
+
 // GenerateUniform marks each line of m failed independently with probability
 // p, the paper's default failure model ("failures have no spatial
 // correlation", §2.2). Existing failures are preserved. It draws once per
 // line in line order (the stream every pinned report depends on), assembles
 // each page's word in a register and stores it once.
-func GenerateUniform(m *Map, p float64, rng *rand.Rand) {
+func GenerateUniform(m *Map, p float64, rng Source) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("failmap: probability %v out of [0,1]", p))
 	}
+	stream, _ := rng.(*seeded.Stream)
 	for w := range m.words {
+		n := min(64, m.lines-w*64)
+		if stream != nil {
+			m.words[w] |= stream.Below(n, p)
+			continue
+		}
 		var x uint64
-		for b := range min(64, m.lines-w*64) {
+		for b := range n {
 			if rng.Float64() < p {
 				x |= 1 << uint(b)
 			}
@@ -240,19 +251,25 @@ func GenerateUniform(m *Map, p float64, rng *rand.Rand) {
 // probability p, so gaps between failures are at least clusterBytes long
 // while the expected per-line failure probability remains p. clusterBytes
 // must be a positive multiple of LineSize.
-func GenerateClustered(m *Map, p float64, clusterBytes int, rng *rand.Rand) {
+func GenerateClustered(m *Map, p float64, clusterBytes int, rng Source) {
 	if clusterBytes <= 0 || clusterBytes%LineSize != 0 {
 		panic(fmt.Sprintf("failmap: cluster size %d is not a positive multiple of %d", clusterBytes, LineSize))
 	}
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("failmap: probability %v out of [0,1]", p))
 	}
+	stream, _ := rng.(*seeded.Stream)
 	linesPerCluster := clusterBytes / LineSize
 	for start := 0; start < m.lines; start += linesPerCluster {
-		if rng.Float64() >= p {
-			continue
+		var fails bool
+		if stream != nil {
+			fails = stream.Below(1, p) != 0
+		} else {
+			fails = rng.Float64() < p
 		}
-		bitset.SetRange(m.words, start, min(start+linesPerCluster, m.lines))
+		if fails {
+			bitset.SetRange(m.words, start, min(start+linesPerCluster, m.lines))
+		}
 	}
 }
 

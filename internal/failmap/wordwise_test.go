@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"wearmem/internal/seeded"
 )
 
 // The per-line bodies the word-wise functions replaced, kept as the
@@ -219,29 +221,64 @@ func TestWordwiseTransformsMatchPerLine(t *testing.T) {
 	})
 }
 
+// sources are the two kinds of Source the generators take, each seeded
+// alike: math/rand's, drawn through the interface, and the concrete stream.
+var sources = []struct {
+	name string
+	new  func(seed int64) source
+}{
+	{"math/rand", func(seed int64) source { return rand.New(rand.NewSource(seed)) }},
+	{"seeded", func(seed int64) source { return seeded.New(seed) }},
+}
+
+// source is a Source whose next Int63 shows where its stream was left.
+type source interface {
+	Source
+	Int63() int64
+}
+
 // The generators must draw exactly what the per-line loops drew (every
 // pinned report hangs off that stream), leave the rng where they left it,
-// and OR into the failures the map already had.
+// and OR into the failures the map already had, from either source.
 func TestWordwiseGeneratorsMatchPerLine(t *testing.T) {
 	eachWordwiseMap(t, func(t *testing.T, m *Map, _ *rand.Rand) {
-		for _, p := range wordwiseRates {
-			got, want := m.Clone(), m.Clone()
-			a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-			GenerateUniform(got, p, a)
-			refGenerateUniform(want, p, b)
-			if !got.Equal(want) || a.Int63() != b.Int63() {
-				t.Errorf("GenerateUniform(%v) differs from the per-line generator or leaves the rng elsewhere", p)
-			}
-			for _, cluster := range []int{LineSize, 2 * LineSize, 3 * LineSize, PageSize, 2 * PageSize} {
+		for _, src := range sources {
+			for _, p := range wordwiseRates {
 				got, want := m.Clone(), m.Clone()
-				GenerateClustered(got, p, cluster, a)
-				refGenerateClustered(want, p, cluster, b)
+				a, b := src.new(9), rand.New(rand.NewSource(9))
+				GenerateUniform(got, p, a)
+				refGenerateUniform(want, p, b)
 				if !got.Equal(want) || a.Int63() != b.Int63() {
-					t.Errorf("GenerateClustered(%v, %d) differs from the per-line generator or leaves the rng elsewhere", p, cluster)
+					t.Errorf("GenerateUniform(%v) from %s differs from the per-line generator or leaves the rng elsewhere", p, src.name)
+				}
+				for _, cluster := range []int{LineSize, 2 * LineSize, 3 * LineSize, PageSize, 2 * PageSize} {
+					got, want := m.Clone(), m.Clone()
+					GenerateClustered(got, p, cluster, a)
+					refGenerateClustered(want, p, cluster, b)
+					if !got.Equal(want) || a.Int63() != b.Int63() {
+						t.Errorf("GenerateClustered(%v, %d) from %s differs from the per-line generator or leaves the rng elsewhere", p, cluster, src.name)
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestGenerateUniformFromTheStream: a map drawn from the concrete stream is
+// the one math/rand's Float64 draws, word for word, and the two streams end
+// at the same point, at seeds −3 to 19 and rates from none to nearly all.
+func TestGenerateUniformFromTheStream(t *testing.T) {
+	for seed := int64(-3); seed <= 19; seed++ {
+		for _, p := range []float64{0, .01, .1, .25, .5, .999} {
+			got, want := New(100*PageSize+37*LineSize), New(100*PageSize+37*LineSize)
+			a, b := seeded.New(seed), rand.New(rand.NewSource(seed))
+			GenerateUniform(got, p, a)
+			refGenerateUniform(want, p, b)
+			if !got.Equal(want) || a.Int63() != b.Int63() {
+				t.Fatalf("seed %d, rate %v: the map or the stream's end differs from math/rand's", seed, p)
+			}
+		}
+	}
 }
 
 // One 64 B line per cluster is the uniform map: the same bits set, and the
@@ -256,16 +293,25 @@ func TestGenerateClusteredAtLineSizeIsUniform(t *testing.T) {
 	})
 }
 
-// checkClusteredAtLineSize generates into two clones of m from two rngs
-// seeded alike and fails t if the maps or the rngs' next draws differ.
+// checkClusteredAtLineSize generates into clones of m from rngs seeded
+// alike, clustered and uniform from each source, and fails t if the maps or
+// the rngs' next draws differ.
 func checkClusteredAtLineSize(t *testing.T, m *Map, p float64, seed int64) {
 	t.Helper()
-	got, want := m.Clone(), m.Clone()
-	a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	GenerateClustered(got, p, LineSize, a)
-	GenerateUniform(want, p, b)
-	if !got.Equal(want) || a.Int63() != b.Int63() {
-		t.Errorf("%d lines at %v: GenerateClustered at one line per cluster is not GenerateUniform", m.lines, p)
+	var maps []*Map
+	var next []int64
+	for _, src := range sources {
+		got, want := m.Clone(), m.Clone()
+		a, b := src.new(seed), src.new(seed)
+		GenerateClustered(got, p, LineSize, a)
+		GenerateUniform(want, p, b)
+		maps, next = append(maps, got, want), append(next, a.Int63(), b.Int63())
+	}
+	for i := range maps {
+		if !maps[i].Equal(maps[0]) || next[i] != next[0] {
+			t.Errorf("%d lines at %v: GenerateClustered at one line per cluster is not GenerateUniform, or one source is not the other", m.lines, p)
+			return
+		}
 	}
 }
 
@@ -378,11 +424,15 @@ func benchMap() *Map {
 }
 
 func BenchmarkGenerateUniform(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < b.N; i++ {
-		m := New(1024 * PageSize)
-		GenerateUniform(m, 0.10, rng)
-		benchSink += m.lines
+	for _, src := range sources {
+		b.Run(src.name, func(b *testing.B) {
+			rng := src.new(1)
+			for i := 0; i < b.N; i++ {
+				m := New(1024 * PageSize)
+				GenerateUniform(m, 0.10, rng)
+				benchSink += m.lines
+			}
+		})
 	}
 }
 

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
@@ -607,7 +607,7 @@ func tab3(o Options, _ *Runner) *Report {
 	}
 	for _, f := range []float64{0, 0.01, 0.05, 0.10, 0.25, 0.50} {
 		m := failmap.New(pages * failmap.PageSize)
-		failmap.GenerateUniform(m, f, rand.New(rand.NewSource(o.Seed+int64(f*1000))))
+		failmap.GenerateUniform(m, f, seeded.New(o.Seed+int64(f*1000)))
 		cl := failmap.ClusterHardware(m, 2)
 		t.Rows = append(t.Rows, []Cell{
 			Number(f*100, "%.0f%%"),

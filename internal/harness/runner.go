@@ -17,6 +17,7 @@ import (
 	"wearmem/internal/machine"
 	"wearmem/internal/pcm"
 	"wearmem/internal/sched"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 	"wearmem/internal/verify"
 	"wearmem/internal/vm"
@@ -425,7 +426,7 @@ func simulate(rc RunConfig) Result {
 		inject = tile(rc.Inject, poolPages)
 	case rc.FailureRate > 0:
 		inject = failmap.New(poolPages * failmap.PageSize)
-		rng := rand.New(rand.NewSource(rc.Seed + 1))
+		rng := seeded.New(rc.Seed + 1)
 		if rc.ClusterGran > 0 {
 			failmap.GenerateClustered(inject, rc.FailureRate, rc.ClusterGran, rng)
 		} else {

@@ -1,8 +1,10 @@
 package heap
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // emptyFreeList starts the test from an empty free list and leaves one
@@ -11,6 +13,9 @@ func emptyFreeList(t *testing.T) {
 	t.Helper()
 	drain := func() {
 		parked.Lock()
+		for _, b := range parked.backings {
+			unmapBacking(b)
+		}
 		parked.backings = nil
 		parked.Unlock()
 	}
@@ -134,8 +139,8 @@ func TestReleasedSpaceFaults(t *testing.T) {
 }
 
 // TestAdoptionMissGrows: the parked backing is smaller than the next run
-// needs. The run grows as an empty space would and the small backing goes
-// to the garbage collector — it is not parked a second time.
+// needs. The run grows as an empty space would and the small backing is
+// unmapped at once — it is not parked a second time.
 func TestAdoptionMissGrows(t *testing.T) {
 	emptyFreeList(t)
 	small := NewSpace()
@@ -146,9 +151,13 @@ func TestAdoptionMissGrows(t *testing.T) {
 	big := NewSpace()
 	big.Ensure(4096)
 	big.Store64(4088, 0x1122334455667788)
+	before := mappings.Load()
 	big.Ensure(64 * 4096)
 	if Parked() != 0 {
 		t.Fatalf("Parked() = %d after growing past the adopted backing, want 0", Parked())
+	}
+	if got := mappings.Load(); got != before {
+		t.Fatalf("%d backings mapped after growth, want %d: growth maps one and unmaps the one it copied", got, before)
 	}
 	if got := big.Load64(4088); got != 0x1122334455667788 {
 		t.Fatalf("contents lost across growth: %#x", got)
@@ -186,4 +195,65 @@ func TestAdoptsTheLargestBacking(t *testing.T) {
 	if Parked() != 2 {
 		t.Fatalf("Parked() = %d after one adoption, want 2", Parked())
 	}
+}
+
+// TestDroppedSpaceIsUnmapped: a space that goes unreachable without a
+// Release gives its backing back through its finalizer, and one that was
+// released leaves its parked backing mapped.
+func TestDroppedSpaceIsUnmapped(t *testing.T) {
+	emptyFreeList(t)
+	before := settledMappings()
+	func() {
+		s := NewSpace()
+		s.Ensure(16 * 4096)
+		s.Store8(16*4096-1, 1)
+	}()
+	kept := NewSpace()
+	kept.Ensure(4096)
+	kept.Release()
+	if got := settledMappings(); got != before+1 {
+		t.Fatalf("%d backings mapped once the dropped space was collected, want %d", got, before+1)
+	}
+	if Parked() != 1 {
+		t.Fatalf("Parked() = %d, want the released backing", Parked())
+	}
+}
+
+// settledMappings collects garbage until the finalizers of the spaces
+// earlier tests dropped have run, and returns the count of backings then.
+func settledMappings() int64 {
+	n, same := mappings.Load(), 0
+	for i := 0; i < 500 && same < 5; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := mappings.Load(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestBackingLivesWhereTheBuildSays: where offHeap holds, materializing a
+// space adds nothing to the Go heap; where it does not — the race
+// detector's build among them, which must see every access to a space — the
+// whole backing is Go heap.
+func TestBackingLivesWhereTheBuildSays(t *testing.T) {
+	emptyFreeList(t)
+	const size = 64 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSpace()
+	s.Ensure(size)
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if offHeap && grew > size/8 {
+		t.Errorf("the Go heap grew %d bytes for a %d-byte space mapped outside it", grew, size)
+	}
+	if !offHeap && grew < size-size/8 {
+		t.Errorf("the Go heap grew %d bytes for a %d-byte space backed by it", grew, size)
+	}
+	s.Release()
 }

@@ -3,7 +3,9 @@
 //
 // The managed heap of the reproduction lives in a flat simulated virtual
 // address space backed by host memory (the paper likewise executes on DRAM
-// and injects faults, §5). Objects carry a one-word header holding flags, a
+// and injects faults, §5): an anonymous mapping outside the Go heap where
+// the host has mmap and the race detector is off, a Go byte slice
+// otherwise. Objects carry a one-word header holding flags, a
 // sticky mark epoch, a type index and the object size; reference fields are
 // located through type descriptors, giving the collectors an exact object
 // map. Address 0 is the nil reference.
@@ -12,7 +14,9 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Addr is a virtual address in the simulated heap. 0 is nil.
@@ -27,7 +31,14 @@ const WordSize = 8
 // A space has a lifecycle: NewSpace adopts the backing array a finished
 // run parked with Release, so back-to-back simulator runs reuse one
 // allocation instead of each growing, zeroing and copying its own. A space
-// that is never released is garbage-collected like any other value.
+// that is never released gives its backing back when the garbage collector
+// finds it unreachable.
+//
+// The backing is one mapping (mapBacking): len(mem) is what is
+// materialized, cap(mem) the mapping. Where it lies outside the Go heap, a
+// page costs resident memory only once touched, and the space does not
+// count toward the heap size that paces Go's collector — with it inside,
+// every run's peak RSS was about twice what the simulation held.
 type Space struct {
 	mem []byte
 	// frozen forbids further growth: the threaded engine pre-materializes
@@ -43,6 +54,10 @@ type Space struct {
 	// mem is nil from then on, so every accessor faults.
 	released bool
 }
+
+// mappings counts the backings mapBacking handed out and unmapBacking has
+// not taken back, parked ones included.
+var mappings atomic.Int64
 
 // parked is the free list of released backings. Every byte of a parked
 // backing's capacity is zero, and its length is zero. A backing enters
@@ -65,15 +80,25 @@ func NewSpace() *Space {
 			best = i
 		}
 	}
+	s := &Space{}
+	runtime.SetFinalizer(s, (*Space).drop)
 	if best < 0 {
-		return &Space{}
+		return s
 	}
-	mem := parked.backings[best]
+	s.mem = parked.backings[best]
 	last := len(parked.backings) - 1
 	parked.backings[best] = parked.backings[last]
 	parked.backings[last] = nil
 	parked.backings = parked.backings[:last]
-	return &Space{mem: mem}
+	return s
+}
+
+// drop is the finalizer of a space nobody released: it unmaps the backing,
+// which no accessor can reach any more.
+func (s *Space) drop() {
+	if !s.released && cap(s.mem) > 0 {
+		unmapBacking(s.mem)
+	}
 }
 
 // Parked returns the number of backings on the free list.
@@ -127,7 +152,7 @@ func (s *Space) grow(limit Addr) {
 			len(s.mem), limit))
 	}
 	if uint64(limit) <= uint64(cap(s.mem)) {
-		// The backing array beyond len is zero — fresh from make, or
+		// The backing array beyond len is zero — fresh from mapBacking, or
 		// cleared by the Release that parked it — and has not been exposed
 		// since, so reslicing materializes zero pages.
 		s.mem = s.mem[:limit]
@@ -137,8 +162,11 @@ func (s *Space) grow(limit Addr) {
 	if newCap < uint64(limit) {
 		newCap = uint64(limit)
 	}
-	grown := make([]byte, limit, newCap)
+	grown := mapBacking(int(newCap))[:limit]
 	copy(grown, s.mem)
+	if cap(s.mem) > 0 {
+		unmapBacking(s.mem)
+	}
 	s.mem = grown
 }
 
@@ -146,9 +174,10 @@ func (s *Space) grow(limit Addr) {
 // later Ensure beyond the reservation panics instead of reallocating. The
 // threaded engine calls this once at startup so concurrent accessors never
 // observe the backing array move. A reservation that fits an adopted
-// backing is a reslice; one that does not is a make of the whole
-// reservation, which the Go runtime clears — resident memory, not merely
-// address space, whenever the host heap hands back a reused span.
+// backing is a reslice; one that does not maps the whole reservation, of
+// which only the pages the run touches become resident (on a Go-heap
+// backing, the runtime clears the whole make whenever it hands back a
+// reused span).
 func (s *Space) Reserve(limit Addr) {
 	s.grow(limit)
 	s.frozen = true
@@ -178,10 +207,16 @@ func (s *Space) fault(a Addr, n int) {
 	panic(fmt.Sprintf("heap: access [%#x,+%d) beyond space %#x", a, n, len(s.mem)))
 }
 
+// faultWord is fault for an 8-byte access. Passing one argument fewer is
+// what keeps Load64 and Store64 within the inliner's budget (cost 80).
+//
+//go:noinline
+func (s *Space) faultWord(a Addr) { s.fault(a, 8) }
+
 // Load64 reads the word at address a.
 func (s *Space) Load64(a Addr) uint64 {
 	if a == 0 || uint64(a)+8 > uint64(len(s.mem)) {
-		s.fault(a, 8)
+		s.faultWord(a)
 	}
 	return binary.LittleEndian.Uint64(s.mem[a:])
 }
@@ -189,7 +224,7 @@ func (s *Space) Load64(a Addr) uint64 {
 // Store64 writes the word at address a.
 func (s *Space) Store64(a Addr, v uint64) {
 	if a == 0 || uint64(a)+8 > uint64(len(s.mem)) {
-		s.fault(a, 8)
+		s.faultWord(a)
 	}
 	binary.LittleEndian.PutUint64(s.mem[a:], v)
 }

@@ -2,7 +2,7 @@ package kv
 
 import (
 	"wearmem/internal/heap"
-	"wearmem/internal/pcm"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
@@ -64,11 +64,11 @@ func (t *opTimer) end() {
 // operations against the shared one, phase by phase. It is deterministic
 // per (profile name, mutator index) — the baton engine interleaves
 // mutators deterministically, so whole runs are byte-identical. The
-// request stream is math/rand's seeded stream, drawn from pcm.Traffic, the
-// concrete copy of it the wear studies use.
+// request stream is math/rand's seeded stream, drawn from seeded.Stream,
+// the concrete copy of it the wear studies use.
 func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators, iterations int, yield func()) error {
 	c := s.cfg
-	rng := pcm.NewTraffic(int64(len(p.Name))*31 + 0x5eed + 7919*int64(mut))
+	rng := seeded.New(int64(len(p.Name))*31 + 0x5eed + 7919*int64(mut))
 
 	var shard *stats.LatencyShard
 	if p.Latency != nil {
@@ -196,7 +196,7 @@ func (s *scenario) get(api workload.MutAPI, buckets *heap.Addr, n int, key uint6
 // first with nothing held, the entry — only needed on insert — allocates
 // between the lookup and a re-checked link, with the value parked in the
 // rooted scratch slot across that GC point.
-func (s *scenario) put(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *pcm.Traffic) error {
+func (s *scenario) put(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *seeded.Stream) error {
 	c := s.cfg
 	vlen := c.ValueMin + rng.Intn(c.ValueMax-c.ValueMin+1)
 	val, err := api.NewArray(s.bytesT, vlen)

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"wearmem/internal/pcm"
+	"wearmem/internal/seeded"
 )
 
 // rankScenario is a scenario with only the popularity tables built, from
@@ -49,7 +49,7 @@ func TestRankMatchesSearch(t *testing.T) {
 				}
 				checkRank(t, s, 0)
 				checkRank(t, s, below(1))
-				rng := pcm.NewTraffic(int64(keys) + int64(skew*1000))
+				rng := seeded.New(int64(keys) + int64(skew*1000))
 				for i := 0; i < 1<<20; i++ {
 					checkRank(t, s, rng.Float64())
 				}
@@ -111,7 +111,7 @@ func FuzzRank(f *testing.F) {
 // guide table, and by the binary search it replaced.
 func BenchmarkRank(b *testing.B) {
 	s := rankScenario(zipfCDF(defKeys, 0.987))
-	rng := pcm.NewTraffic(42)
+	rng := seeded.New(42)
 	us := make([]float64, 4096)
 	for i := range us {
 		us[i] = rng.Float64()

@@ -1,138 +1,10 @@
 package pcm
 
 import (
-	"math/rand"
-
 	"wearmem/internal/failmap"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 )
-
-// math/rand's seeded source is the additive lagged-Fibonacci generator
-// x[n] = x[n−lag] + x[n−tap] mod 2⁶⁴. trafficBlock is how many values a
-// Traffic makes at a time.
-const (
-	lag          = 607
-	tap          = 273
-	trafficBlock = 2048
-)
-
-// Traffic is the value stream of rand.New(rand.NewSource(seed)).Int63 as a
-// concrete type, so that drawing a wear study's lines or a kv request costs
-// no interface call. The generator's whole state is its last 607 outputs:
-// NewTraffic takes the first 607 Int63 values of math/rand's own seeded
-// source, solves the recurrence back to the 607 before them, and continues
-// from there a block at a time, one loop of adds with no wrap-around. A
-// carry only flows upward, so the low 63 bits of every value — all of what
-// Int63 returns, and so all of what Int31n and Float64 consume — are the
-// source's; the top bit is not, and Traffic does not reproduce the source's
-// Uint64.
-type Traffic struct {
-	x [lag + trafficBlock]uint64 // the lag values before the block, then the block
-	i int                        // index in x of the next value; len(x) when the block is spent
-}
-
-// NewTraffic returns the stream math/rand seeds from seed, at its start.
-func NewTraffic(seed int64) *Traffic {
-	src := rand.NewSource(seed)
-	var w [lag]uint64
-	for k := range w {
-		w[k] = uint64(src.Int63())
-	}
-	return trafficFrom(&w)
-}
-
-// trafficFrom returns the stream whose first lag values are w: it solves
-// the recurrence back to the lag values before them and leaves those at the
-// end of the buffer, where the first draw makes the first block from them.
-func trafficFrom(w *[lag]uint64) *Traffic {
-	var x [2 * lag]uint64
-	copy(x[lag:], w[:])
-	for k := lag - 1; k >= 0; k-- {
-		x[k] = x[k+lag] - x[k+lag-tap]
-	}
-	t := &Traffic{i: lag + trafficBlock}
-	copy(t.x[trafficBlock:], x[:lag])
-	return t
-}
-
-// next makes the block after the current one from its last lag values and
-// returns where index j of the buffer has moved to.
-func (t *Traffic) next(j int) int {
-	x := &t.x
-	copy(x[:lag], x[trafficBlock:])
-	for k := lag; k < len(x); k++ {
-		x[k] = x[k-lag] + x[k-tap]
-	}
-	return j - trafficBlock
-}
-
-// int63 is the stream's next Int63.
-func (t *Traffic) int63() int64 {
-	if t.i == len(t.x) {
-		t.i = t.next(t.i)
-	}
-	v := t.x[t.i]
-	t.i++
-	return int64(v << 1 >> 1)
-}
-
-// Float64 is math/rand's Rand.Float64 on this stream: the next Int63 over
-// 2⁶³, drawn again in the one case in 2⁵⁴ where the quotient rounds to 1.
-func (t *Traffic) Float64() float64 {
-again:
-	f := float64(t.int63()) / (1 << 63)
-	if f == 1 {
-		goto again
-	}
-	return f
-}
-
-// Intn is math/rand's Rand.Intn on this stream for n up to 2³¹−1, where it
-// is Int31n(n). It panics for any other n.
-func (t *Traffic) Intn(n int) int {
-	if n <= 0 || n > 1<<31-1 {
-		panic("pcm: Traffic.Intn argument outside [1, 2³¹−1]")
-	}
-	v, j := t.candidate(t.i, int31nMax(uint32(n)))
-	t.i = j
-	return reduce(v, uint32(n))
-}
-
-// math/rand's Int31n(n), which is Intn(n) for n below 2³¹, with the part
-// that divides by a module's line count worked out once per SkewedLines call
-// and not once per draw: Int31n takes v = Int63()>>32, redraws while
-// v > 2³¹−1−(2³¹ mod n), and returns v mod n; for a power of two nothing is
-// redrawn and v mod n is a mask. The seeded stream and this arithmetic are
-// frozen by the Go 1 promise.
-
-// int31nMax is the highest candidate Int31n(n) keeps.
-func int31nMax(n uint32) uint32 { return 1<<31 - 1 - (1<<31)%n }
-
-// candidate returns Int31n's next candidate not above max from index j of x
-// on, and the index after it, which is where Int31n would leave the stream.
-// It stays within the inliner's budget (go build -gcflags=-m says so), and
-// its caller keeps j in a local, so a draw is a load and a compare and no
-// store through t.
-func (t *Traffic) candidate(j int, max uint32) (uint32, int) {
-	for {
-		if j == len(t.x) {
-			j = t.next(j)
-		}
-		v := uint32(t.x[j] << 1 >> 33) // Int63() >> 32
-		j++
-		if v <= max {
-			return v, j
-		}
-	}
-}
-
-// reduce maps a kept candidate to [0, n).
-func reduce(v, n uint32) int {
-	if n&(n-1) == 0 {
-		return int(v & (n - 1))
-	}
-	return int(v % n)
-}
 
 // SkewedLines fills dst with the next len(dst) module lines of the wear
 // studies' write traffic: 90% of writes hit the hot quarter of the module,
@@ -145,20 +17,20 @@ func reduce(v, n uint32) int {
 // per-write loop would. The two thresholds that depend on the module are
 // worked out once per call; a draw then costs one value of the stream and
 // no division on a module whose page count is a power of two.
-func (d *Device) SkewedLines(t *Traffic, dst []int) {
+func (d *Device) SkewedLines(t *seeded.Stream, dst []int) {
 	hot, all := uint32(d.lines/4), uint32(d.lines)
-	hotMax, allMax := int31nMax(hot), int31nMax(all)
-	v, j := uint32(0), t.i // j lives in a register until the block is filled
+	hotMax, allMax := seeded.Int31nMax(hot), seeded.Int31nMax(all)
+	v, j := uint32(0), t.Index() // j lives in a register until the block is filled
 	for i := range dst {
-		v, j = t.candidate(j, hotMax)
-		l := reduce(v, hot)
-		if v, j = t.candidate(j, int31nMax(10)); reduce(v, 10) == 0 {
-			v, j = t.candidate(j, allMax)
-			l = reduce(v, all)
+		v, j = t.Candidate(j, hotMax)
+		l := seeded.Reduce(v, hot)
+		if v, j = t.Candidate(j, seeded.Int31nMax(10)); seeded.Reduce(v, 10) == 0 {
+			v, j = t.Candidate(j, allMax)
+			l = seeded.Reduce(v, all)
 		}
 		dst[i] = l
 	}
-	t.i = j
+	t.SetIndex(j)
 }
 
 // WearThrough drives d with the skewed traffic stream of seed, draining
@@ -168,13 +40,15 @@ func (d *Device) SkewedLines(t *Traffic, dst []int) {
 // moves when a write fails a line, and WriteRun returns at every such
 // write, so WearThrough tests it only there, and stops at the first write
 // that crosses a target. On a device where a write can do nothing but count
-// wear until it reaches a line's endurance (countWear), only that write goes
-// through WriteRun; elsewhere lines are drawn in blocks and fed to it, and
-// indices drawn past the last crossing are never written.
+// wear until it, or the start-gap move before it, reaches a slot's
+// endurance (countWear, countGapWear), only that write goes through
+// WriteRun; elsewhere
+// lines are drawn in blocks and fed to it, and indices drawn past the last
+// crossing are never written.
 func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int)) {
-	t := NewTraffic(seed)
+	t := seeded.New(seed)
 	buf := make([]byte, failmap.LineSize)
-	counting := d.cfg.WearLeveling != StartGap && d.array == nil && d.data == nil && d.cfg.Endurance > 0
+	counting := d.array == nil && d.data == nil && d.cfg.Endurance > 0
 	drawn := d.cfg.Endurance == 0
 	block := make([]int, 512)
 	next := block[:0] // drawn, not yet written
@@ -198,7 +72,11 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 			// waits for an empty buffer.
 			switch {
 			case counting && len(next) == 0 && d.BufferLen() == 0:
-				block[0] = d.countWear(t, writes, broken)
+				if d.cfg.WearLeveling == StartGap {
+					block[0] = d.countGapWear(t, writes, broken)
+				} else {
+					block[0] = d.countWear(t, writes, broken)
+				}
 				next = block[:1]
 			case len(next) == 0:
 				d.SkewedLines(t, block)
@@ -225,18 +103,18 @@ func (d *Device) WearThrough(seed int64, targets []float64, reached func(i int))
 // sums, so the counted writes are charged in one step before WriteRun
 // takes the next. WearThrough has drawn every slot's limit and made the
 // wear chunks the arrays writes and broken (flatten).
-func (d *Device) countWear(t *Traffic, writes []uint64, broken []bool) int {
+func (d *Device) countWear(t *seeded.Stream, writes []uint64, broken []bool) int {
 	hot, all := uint32(d.lines/4), uint32(d.lines)
-	hotMax, allMax := int31nMax(hot), int31nMax(all)
+	hotMax, allMax := seeded.Int31nMax(hot), seeded.Int31nMax(all)
 	endurance := d.endurance
 	var counted uint64
-	v, j := uint32(0), t.i
+	v, j := uint32(0), t.Index()
 	for {
-		v, j = t.candidate(j, hotMax)
-		l := reduce(v, hot)
-		if v, j = t.candidate(j, int31nMax(10)); reduce(v, 10) == 0 {
-			v, j = t.candidate(j, allMax)
-			l = reduce(v, all)
+		v, j = t.Candidate(j, hotMax)
+		l := seeded.Reduce(v, hot)
+		if v, j = t.Candidate(j, seeded.Int31nMax(10)); seeded.Reduce(v, 10) == 0 {
+			v, j = t.Candidate(j, allMax)
+			l = seeded.Reduce(v, all)
 		}
 		d.mu.Lock()
 		if !broken[l] && writes[l]+1 >= endurance[l] {
@@ -244,11 +122,73 @@ func (d *Device) countWear(t *Traffic, writes []uint64, broken []bool) int {
 				d.clock.Charge(stats.EvPCMWrite, counted)
 			}
 			d.mu.Unlock()
-			t.i = j
+			t.SetIndex(j)
 			return l
 		}
 		writes[l]++
 		d.mu.Unlock()
 		counted++
+	}
+}
+
+// countGapWear is countWear on a start-gap device. A write there moves the
+// gap first when its interval is up (wearStep): the line below the gap is
+// copied into it, one write of wear on the gap's slot, and the written
+// line, which the move may have carried, then wears the slot it lies in
+// after it. The write counts, gap move included, while neither of the two
+// can reach its slot's endurance; the first one that could is returned
+// unapplied, and WriteRun makes its move and its write. Nothing else a
+// start-gap write does differs from a write on a device that does not
+// level: without contents the move copies nothing, and it charges nothing.
+func (d *Device) countGapWear(t *seeded.Stream, writes []uint64, broken []bool) int {
+	hot, all := uint32(d.lines/4), uint32(d.lines)
+	hotMax, allMax := seeded.Int31nMax(hot), seeded.Int31nMax(all)
+	endurance, perm, occupant := d.endurance, d.perm, d.occupant
+	var counted uint64
+	v, j := uint32(0), t.Index()
+	for {
+		v, j = t.Candidate(j, hotMax)
+		l := seeded.Reduce(v, hot)
+		if v, j = t.Candidate(j, seeded.Int31nMax(10)); seeded.Reduce(v, 10) == 0 {
+			v, j = t.Candidate(j, allMax)
+			l = seeded.Reduce(v, all)
+		}
+		d.mu.Lock()
+		s := int(perm[l])
+		if d.sinceMove+1 < d.cfg.GapInterval {
+			if broken[s] || writes[s]+1 < endurance[s] {
+				d.sinceMove++
+				writes[s]++
+				d.mu.Unlock()
+				counted++
+				continue
+			}
+		} else {
+			dst, src := d.gap, d.gap-1
+			if src < 0 {
+				src = int32(len(occupant)) - 1
+			}
+			moved := occupant[src]
+			c := writes[s] + 1
+			if moved == int32(l) {
+				s, c = int(dst), writes[dst]+2 // the move carries the written line into the gap
+			}
+			if (broken[dst] || writes[dst]+1 < endurance[dst]) && (broken[s] || c < endurance[s]) {
+				perm[moved], occupant[dst], occupant[src], d.gap = dst, moved, -1, src
+				d.sinceMove = 0
+				d.gapCarries++
+				writes[dst]++
+				writes[s]++
+				d.mu.Unlock()
+				counted++
+				continue
+			}
+		}
+		if d.clock != nil {
+			d.clock.Charge(stats.EvPCMWrite, counted)
+		}
+		d.mu.Unlock()
+		t.SetIndex(j)
+		return l
 	}
 }

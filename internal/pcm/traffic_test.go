@@ -10,6 +10,7 @@ import (
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/probe"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 )
 
@@ -30,17 +31,17 @@ func skewedPerWrite(rng *rand.Rand, lines int, dst []int) {
 // into.
 var trafficSeeds = []int64{0, 1, 42, -1, 1<<31 - 1, 1 << 40, math.MinInt64}
 
-// draw is one call a Traffic copies from math/rand, made on both; a value
+// draw is one call a seeded.Stream copies from math/rand, made on both; a value
 // is returned as its bits.
 type draw struct {
 	name string
-	got  func(*Traffic) uint64
+	got  func(*seeded.Stream) uint64
 	want func(*rand.Rand) uint64
 }
 
 func intnDraw(n int) draw {
 	return draw{fmt.Sprintf("Intn(%d)", n),
-		func(t *Traffic) uint64 { return uint64(t.Intn(n)) },
+		func(t *seeded.Stream) uint64 { return uint64(t.Intn(n)) },
 		func(r *rand.Rand) uint64 { return uint64(r.Intn(n)) }}
 }
 
@@ -48,8 +49,8 @@ func intnDraw(n int) draw {
 // studies and the kv scenario's value sizes use, and at the largest bound
 // Int31n takes.
 var draws = []draw{
-	{"Int63", func(t *Traffic) uint64 { return uint64(t.int63()) }, func(r *rand.Rand) uint64 { return uint64(r.Int63()) }},
-	{"Float64", func(t *Traffic) uint64 { return math.Float64bits(t.Float64()) }, func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
+	{"Int63", func(t *seeded.Stream) uint64 { return uint64(t.Int63()) }, func(r *rand.Rand) uint64 { return uint64(r.Int63()) }},
+	{"Float64", func(t *seeded.Stream) uint64 { return math.Float64bits(t.Float64()) }, func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
 	intnDraw(1), intnDraw(10), intnDraw(193), intnDraw(449), intnDraw(1 << 16), intnDraw(1<<31 - 1),
 }
 
@@ -61,7 +62,7 @@ func interleaved(i int) draw { return draws[(i+i/len(draws))%len(draws)] }
 // Float64 and Intn interleaved, are math/rand's, across thousands of blocks.
 func TestTrafficMatchesMathRand(t *testing.T) {
 	for _, seed := range trafficSeeds {
-		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
+		ref, got := rand.New(rand.NewSource(seed)), seeded.New(seed)
 		for i := 0; i < 10_000_000; i++ {
 			d := interleaved(i)
 			if v, want := d.got(got), d.want(ref); v != want {
@@ -76,16 +77,16 @@ func TestTrafficMatchesMathRand(t *testing.T) {
 // turn, and no ops is Int63 alone.
 func FuzzTrafficMatchesMathRand(f *testing.F) {
 	for _, seed := range trafficSeeds {
-		for _, skip := range []uint16{0, lag - 1, lag, trafficBlock - 1, trafficBlock} {
+		for _, skip := range []uint16{0, seeded.Lag - 1, seeded.Lag, seeded.Block - 1, seeded.Block} {
 			f.Add(seed, skip, []byte(nil))
 			f.Add(seed, skip, []byte{1, 3, 5, 0, 7, 2, 6, 4})
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, skip uint16, ops []byte) {
-		ref, got := rand.New(rand.NewSource(seed)), NewTraffic(seed)
+		ref, got := rand.New(rand.NewSource(seed)), seeded.New(seed)
 		for i := 0; i < int(skip); i++ {
 			ref.Int63()
-			got.int63()
+			got.Int63()
 		}
 		for i := 0; i < 4096; i++ {
 			d := draws[0]
@@ -110,12 +111,12 @@ func TestTrafficDrawRedraws(t *testing.T) {
 		return &scriptedSource{Source: rand.NewSource(42), script: func(k int) int64 { return math.MaxInt64 - int64(k%500) }}
 	}
 	src := newSource()
-	ref, got := rand.New(src), windowOf(newSource())
+	ref, got := rand.New(src), seeded.FromSource(newSource())
 	redrawn := map[string]int{}
 	for i := 0; ; i++ {
 		d, before := interleaved(i), src.calls
 		want := d.want(ref)
-		if src.calls > lag {
+		if src.calls > seeded.Lag {
 			break
 		}
 		if src.calls-before > 1 {
@@ -135,10 +136,10 @@ func TestTrafficDrawRedraws(t *testing.T) {
 }
 
 // checkSkewedStream holds SkewedLines on a module of the given size to
-// skewedPerWrite: the same first n lines from the Traffic newTraffic
+// skewedPerWrite: the same first n lines from the stream newTraffic
 // returns as from the math/rand generator newRng returns, and the stream
 // left at the same point, whatever the block size.
-func checkSkewedStream(t *testing.T, pages, n int, newRng func() *rand.Rand, newTraffic func() *Traffic) {
+func checkSkewedStream(t *testing.T, pages, n int, newRng func() *rand.Rand, newTraffic func() *seeded.Stream) {
 	t.Helper()
 	d := NewDevice(Config{Size: pages * failmap.PageSize}, nil)
 	ref := newRng()
@@ -157,7 +158,7 @@ func checkSkewedStream(t *testing.T, pages, n int, newRng func() *rand.Rand, new
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d pages, block %d: stream differs from the inline draw", pages, block)
 		}
-		if traffic.int63() != wantNext {
+		if traffic.Int63() != wantNext {
 			t.Fatalf("%d pages, block %d: stream over- or under-drawn", pages, block)
 		}
 	}
@@ -171,7 +172,7 @@ func TestSkewedLinesStream(t *testing.T) {
 	for _, pages := range []int{512, 3, 5, 96} {
 		checkSkewedStream(t, pages, 5000,
 			func() *rand.Rand { return rand.New(rand.NewSource(42)) },
-			func() *Traffic { return NewTraffic(42) })
+			func() *seeded.Stream { return seeded.New(42) })
 	}
 }
 
@@ -200,17 +201,9 @@ func newRedrawSource() *scriptedSource {
 	return &scriptedSource{Source: rand.NewSource(42), script: func(k int) int64 { return int64(1<<31-1-k%200) << 32 }}
 }
 
-// windowOf is the stream whose first lag values are src's next ones. It
-// starts with exactly those values, scripted ones included.
-func windowOf(src rand.Source) *Traffic {
-	var w [lag]uint64
-	for k := range w {
-		w[k] = uint64(src.Int63())
-	}
-	return trafficFrom(&w)
-}
-
-func redrawWindow() *Traffic { return windowOf(newRedrawSource()) }
+// redrawWindow is the stream whose first Lag values are newRedrawSource's,
+// scripted ones included.
+func redrawWindow() *seeded.Stream { return seeded.FromSource(newRedrawSource()) }
 
 // windowLines runs the inline draw of a module with the given line count on
 // the scripted source and returns how many lines it draws, and the value
@@ -231,7 +224,7 @@ func windowLines(lines int) (n int, redraws [3]int) {
 		if intn(1, 10) == 0 {
 			intn(2, lines)
 		}
-		if src.calls >= lag {
+		if src.calls >= seeded.Lag {
 			return n, counted
 		}
 		n++
@@ -263,7 +256,7 @@ func TestSkewedLinesRedraws(t *testing.T) {
 // up to the write that reaches its next line's endurance.
 func TestWearBlockAllocatesNothing(t *testing.T) {
 	d, lines := wearBenchDevice()
-	traffic := NewTraffic(1)
+	traffic := seeded.New(1)
 	buf := make([]byte, failmap.LineSize)
 	if allocs := testing.AllocsPerRun(20, func() {
 		d.SkewedLines(traffic, lines)
@@ -276,7 +269,7 @@ func TestWearBlockAllocatesNothing(t *testing.T) {
 
 	worn := NewDevice(wearStudyConfig(NoWearLeveling, 64, 42), nil)
 	worn.WearThrough(49, []float64{0.25}, func(int) {})
-	traffic, written := NewTraffic(50), worn.TotalWrites()
+	traffic, written := seeded.New(50), worn.TotalWrites()
 	writes, broken := flatten(worn.wear.writes, worn.wear.slots), flatten(worn.wear.broken, worn.wear.slots)
 	if allocs := testing.AllocsPerRun(1, func() { worn.countWear(traffic, writes, broken) }); allocs != 0 {
 		t.Errorf("counting %d writes allocates %v times", worn.TotalWrites()-written, allocs)
@@ -491,18 +484,21 @@ func FuzzWearThroughMatchesPerWriteLoop(f *testing.F) {
 // WriteRun stopped at an absorbed failure), a tiny buffer, contents, and
 // start-gap ψ = 3 over contents, on 8-page modules; and 48-page ones, two of
 // which redraw a draw before their first target (wear 94 after 6 015
-// writes, wear 51 after 24 600).
+// writes, wear 51 after 24 600). The last five are start-gap without
+// contents, which counts its writes (countGapWear): ψ = 3 and 7, a tiny
+// buffer, 64 pages (whose spare slot is a wear chunk of its own) and 48.
 var wearFuzzSeeds = [][3]byte{
 	{0, 0, 64}, {0, 9, 127}, {1, 3, 64}, {4, 5, 13}, {5, 20, 64}, {6, 4, 100},
 	{7, 5, 127}, {2 + 28, 6, 64}, {28, 7, 64}, {4 + 7 + 28, 8, 64},
 	{0, 94, 0x80 | 64}, {0, 51, 0x80 | 127}, {0, 11, 0x80 | 40},
+	{2, 10, 127}, {3, 12, 127}, {1 + 7, 13, 64}, {2 + 56, 9, 64}, {3, 33, 0x80 | 100},
 }
 
 // BenchmarkSkewedLines is one op = drawing one 512-line block for tab2's
 // template.
 func BenchmarkSkewedLines(b *testing.B) {
 	d, lines := wearBenchDevice()
-	traffic := NewTraffic(1)
+	traffic := seeded.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.SkewedLines(traffic, lines)

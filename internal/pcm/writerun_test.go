@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 )
 
@@ -264,7 +265,7 @@ func TestLockFreeStatusReads(t *testing.T) {
 			}
 		}()
 	}
-	traffic, rng := NewTraffic(9), rand.New(rand.NewSource(9))
+	traffic, rng := seeded.New(9), rand.New(rand.NewSource(9))
 	buf := make([]byte, failmap.LineSize)
 	block := make([]int, 64)
 	for i := 0; i < 400; i++ {
@@ -296,7 +297,7 @@ func TestLockFreeStatusReads(t *testing.T) {
 func wearBenchDevice() (*Device, []int) {
 	d := NewDevice(Config{Size: 512 * failmap.PageSize, Endurance: 1 << 40, Seed: 1}, nil)
 	lines := make([]int, 512)
-	d.SkewedLines(NewTraffic(1), lines)
+	d.SkewedLines(seeded.New(1), lines)
 	return d, lines
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -455,18 +456,21 @@ func (m *poolMemory) findLOSRun(pages int, perfect bool) (int, heap.Addr, bool) 
 	return 0, 0, false
 }
 
-// carve removes [start, start+pages) from LOS extent i.
+// carve removes [start, start+pages) from LOS extent i, splicing what is
+// left of it, none, one or two extents, in place: the list's tail moves
+// within its array, and grows it only when the extent splits in two.
 func (m *poolMemory) carve(i int, start heap.Addr, pages int) {
 	e := m.losExtents[i]
 	end := start + heap.Addr(pages*failmap.PageSize)
-	var repl []extent
+	var buf [2]extent
+	repl := buf[:0]
 	if start > e.base {
 		repl = append(repl, extent{base: e.base, pages: int((start - e.base) / failmap.PageSize)})
 	}
 	if end < e.end() {
 		repl = append(repl, extent{base: end, pages: int((e.end() - end) / failmap.PageSize)})
 	}
-	m.losExtents = append(m.losExtents[:i], append(repl, m.losExtents[i+1:]...)...)
+	m.losExtents = slices.Replace(m.losExtents, i, i+1, repl...)
 }
 
 // release inserts a run into the LOS arena, coalescing with neighbours.

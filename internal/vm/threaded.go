@@ -157,9 +157,11 @@ func newThreaded(v *VM) *threaded {
 	// address space, so total virtual use is bounded by the physical PCM
 	// pool (plus alignment waste and borrowed DRAM); reserve generously
 	// up front and freeze. Space.Ensure panics with a clear message if a
-	// run ever outgrows this. The reservation is only free when the
-	// space adopted a backing that already covers it: a fresh make of
-	// this size is cleared, and so resident, in full.
+	// run ever outgrows this. The reservation costs resident memory only
+	// for the pages the run touches: a backing outside the Go heap is an
+	// anonymous mapping, and one adopted from a finished run is a
+	// reslice. Only a Go-heap backing (race and non-unix builds) is
+	// cleared, and so resident, in full.
 	v.model.S.Reserve(heap.Addr((3*v.kern.PCMPages() + 4096) * failmap.PageSize))
 	t := &threaded{v: v}
 	if v.cfg.PauseBudget > 0 && !v.cfg.WriteThrough {

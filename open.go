@@ -2,11 +2,11 @@ package wearmem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/machine"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 )
@@ -244,7 +244,7 @@ func Open(opts ...Option) (*Runtime, error) {
 	inject := c.inject
 	if inject == nil && c.failureRate > 0 && c.image == nil {
 		inject = failmap.New(c.poolPages * PageSize)
-		failmap.GenerateUniform(inject, c.failureRate, rand.New(rand.NewSource(c.seed)))
+		failmap.GenerateUniform(inject, c.failureRate, seeded.New(c.seed))
 	}
 	if inject != nil && c.clusterPages > 0 {
 		inject = failmap.ClusterHardware(inject, c.clusterPages)
