@@ -98,13 +98,6 @@ type Immix struct {
 	// the stats fields threaded mutators may bump mid-window.
 	markers *casTrace
 	markMu  sync.Mutex
-	// traceBufs are the buffers of the last CAS-claim workers to finish,
-	// which the next ones start from, and nurseryParts those of
-	// traceThreaded's nursery partition: a threaded run collects often, and
-	// growing each collection's buffers from nothing was most of its Go
-	// allocation, which paces Go's own collector.
-	traceBufs    []workerBufs
-	nurseryParts [2][]heap.Addr
 
 	gcstats GCStats
 }

@@ -241,7 +241,6 @@ func (ix *Immix) FinishMark(roots *RootSet) {
 		for _, w := range markers.workers {
 			t.gray = append(t.gray, w.deque...)
 		}
-		markers.recycle()
 		ix.markers = nil
 	}
 	start := ix.clock.Now()

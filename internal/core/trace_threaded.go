@@ -56,12 +56,13 @@ import (
 // traceWorker is one CAS-claim trace worker: a deque of gray objects plus
 // private clock and statistic shards.
 type traceWorker struct {
-	t     *casTrace
-	id    int
-	clock *stats.Clock
+	t       *casTrace
+	id      int
+	clock   *stats.Clock
+	scanbuf []heap.Addr
 
-	mu sync.Mutex // guards deque
-	workerBufs
+	mu    sync.Mutex
+	deque []heap.Addr // owner pushes/pops the end; thieves take the front
 
 	steals uint64
 
@@ -105,21 +106,13 @@ func (w *traceWorker) stealFrom(v *traceWorker) bool {
 		return false
 	}
 	half := (n + 1) / 2
-	w.grab = append(w.grab[:0], v.deque[:half]...)
+	grab := append([]heap.Addr(nil), v.deque[:half]...)
 	v.deque = append(v.deque[:0], v.deque[half:]...)
 	v.mu.Unlock()
 	w.mu.Lock()
-	w.deque = append(w.deque, w.grab...)
+	w.deque = append(w.deque, grab...)
 	w.mu.Unlock()
 	return true
-}
-
-// workerBufs are a worker's buffers, which the next trace's workers start
-// from (Immix.traceBufs).
-type workerBufs struct {
-	scanbuf []heap.Addr
-	deque   []heap.Addr // owner pushes/pops the end; thieves take the front
-	grab    []heap.Addr // what the worker last stole, on its way to deque
 }
 
 // foldStats adds the worker's statistic shards to g.
@@ -153,9 +146,6 @@ func (ix *Immix) newCASTrace(workers int, stw bool) *casTrace {
 	t := &casTrace{ix: ix, stw: stw, workers: make([]*traceWorker, workers), panics: make([]any, workers)}
 	for i := range t.workers {
 		t.workers[i] = &traceWorker{t: t, id: i, clock: stats.NewClock(ix.clock.Costs())}
-		if n := len(ix.traceBufs); n > 0 {
-			t.workers[i].workerBufs, ix.traceBufs = ix.traceBufs[n-1], ix.traceBufs[:n-1]
-		}
 	}
 	return t
 }
@@ -205,14 +195,6 @@ func (t *casTrace) join() {
 	}
 }
 
-// recycle hands the workers' buffers to the next trace's. The caller has
-// joined them and read what their deques still hold.
-func (t *casTrace) recycle() {
-	for _, w := range t.workers {
-		t.ix.traceBufs = append(t.ix.traceBufs, workerBufs{w.scanbuf[:0], w.deque[:0], w.grab[:0]})
-	}
-}
-
 // idle reports whether every worker is simultaneously out of work, or one
 // has died: the survivors then stop, so join can re-raise its panic.
 func (t *casTrace) idle() bool {
@@ -243,7 +225,7 @@ func (ix *Immix) traceThreaded(roots *RootSet, nursery bool, workers int) {
 	// engine marks them live, a deliberate, documented divergence from the
 	// baton engine (which scans their children without retaining the object
 	// itself); both engines agree on everything reachable from roots.
-	rescan, markOnly := ix.nurseryParts[0][:0], ix.nurseryParts[1][:0]
+	var rescan, markOnly []heap.Addr
 	if nursery {
 		for _, obj := range ix.modbuf {
 			if ix.model.Epoch(obj) == ix.epoch {
@@ -273,8 +255,6 @@ func (ix *Immix) traceThreaded(roots *RootSet, nursery bool, workers int) {
 		t.drain(w)
 	})
 	t.join()
-	t.recycle()
-	ix.nurseryParts = [2][]heap.Addr{rescan, markOnly}
 	ix.consumeModbuf()
 }
 

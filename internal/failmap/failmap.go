@@ -216,8 +216,9 @@ func (m *Map) FreeRuns() int {
 }
 
 // Source is what the generators draw from: math/rand's *rand.Rand, or the
-// concrete *seeded.Stream of the same seeded values, which they draw from
-// without an interface call (seeded.Stream.Below).
+// concrete *seeded.Stream of the same seeded values, which GenerateUniform,
+// drawing once per line, draws from without an interface call
+// (seeded.Stream.Below).
 type Source interface{ Float64() float64 }
 
 // GenerateUniform marks each line of m failed independently with probability
@@ -258,18 +259,12 @@ func GenerateClustered(m *Map, p float64, clusterBytes int, rng Source) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("failmap: probability %v out of [0,1]", p))
 	}
-	stream, _ := rng.(*seeded.Stream)
 	linesPerCluster := clusterBytes / LineSize
 	for start := 0; start < m.lines; start += linesPerCluster {
-		var fails bool
-		if stream != nil {
-			fails = stream.Below(1, p) != 0
-		} else {
-			fails = rng.Float64() < p
+		if rng.Float64() >= p {
+			continue
 		}
-		if fails {
-			bitset.SetRange(m.words, start, min(start+linesPerCluster, m.lines))
-		}
+		bitset.SetRange(m.words, start, min(start+linesPerCluster, m.lines))
 	}
 }
 

@@ -186,6 +186,11 @@ func (s *Space) Reserve(limit Addr) {
 // Size returns the highest materialized address.
 func (s *Space) Size() Addr { return Addr(len(s.mem)) }
 
+// slice is the n bytes at address a, in the backing itself. The slice is
+// valid until the next Ensure, Reserve or Release and only while the caller
+// holds the space: growth and the finalizer unmap the backing it points
+// into, and a later access through it is a segmentation fault, not a stale
+// read.
 func (s *Space) slice(a Addr, n int) []byte {
 	if a == 0 || uint64(a)+uint64(n) > uint64(len(s.mem)) {
 		s.fault(a, n)
@@ -258,5 +263,7 @@ func (s *Space) Zero(a Addr, n int) {
 	}
 }
 
-// Bytes exposes n bytes at address a for direct manipulation.
+// Bytes exposes n bytes at address a for direct manipulation. Like slice,
+// the slice is valid only until the next Ensure, Reserve or Release and
+// only while the caller holds the space; use it at once and do not keep it.
 func (s *Space) Bytes(a Addr, n int) []byte { return s.slice(a, n) }

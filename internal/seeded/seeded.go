@@ -7,12 +7,12 @@ package seeded
 import "math/rand"
 
 // math/rand's seeded source is the additive lagged-Fibonacci generator
-// x[n] = x[n−Lag] + x[n−tap] mod 2⁶⁴. Block is how many values a Stream
+// x[n] = x[n−Lag] + x[n−tap] mod 2⁶⁴. block is how many values a Stream
 // makes at a time.
 const (
 	Lag   = 607
 	tap   = 273
-	Block = 2048
+	block = 2048
 )
 
 // Stream is the value stream of rand.New(rand.NewSource(seed)).Int63. The
@@ -24,7 +24,7 @@ const (
 // Int31n and Float64 consume — are the source's; the top bit is not, and
 // Stream does not reproduce the source's Uint64.
 type Stream struct {
-	x [Lag + Block]uint64 // the lag values before the block, then the block
+	x [Lag + block]uint64 // the lag values before the block, then the block
 	i int                 // index in x of the next value; len(x) when the block is spent
 }
 
@@ -44,8 +44,8 @@ func FromSource(src rand.Source) *Stream {
 	for k := Lag - 1; k >= 0; k-- {
 		x[k] = x[k+Lag] - x[k+Lag-tap]
 	}
-	s := &Stream{i: Lag + Block}
-	copy(s.x[Block:], x[:Lag])
+	s := &Stream{i: Lag + block}
+	copy(s.x[block:], x[:Lag])
 	return s
 }
 
@@ -53,11 +53,11 @@ func FromSource(src rand.Source) *Stream {
 // returns where index j of the buffer has moved to.
 func (s *Stream) next(j int) int {
 	x := &s.x
-	copy(x[:Lag], x[Block:])
+	copy(x[:Lag], x[block:])
 	for k := Lag; k < len(x); k++ {
 		x[k] = x[k-Lag] + x[k-tap]
 	}
-	return j - Block
+	return j - block
 }
 
 // Int63 is the stream's next Int63.
