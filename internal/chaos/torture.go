@@ -675,11 +675,22 @@ const (
 
 // tortureAPI is the handle the torture workload mutates through: the VM's
 // plain entry points on the serial campaign, one vm.Mutator per share on a
-// split one.
+// split one. The serial campaign stays on the plain entry points: an
+// attached mutator brings an allocation-site root of its own, every root
+// slot costs the trace a scan, and the pinned campaign records would move.
 type tortureAPI interface {
-	workload.MutAPI
-	Pin(a heap.Addr)
+	New(ty *heap.Type) (heap.Addr, error)
+	NewArray(ty *heap.Type, n int) (heap.Addr, error)
+	ReadRef(obj heap.Addr, off int) heap.Addr
+	WriteRef(obj heap.Addr, off int, val heap.Addr)
+	ReadWord(obj heap.Addr, off int) uint64
+	WriteWord(obj heap.Addr, off int, val uint64)
+	ArrayRef(arr heap.Addr, i int) heap.Addr
+	SetArrayRef(arr heap.Addr, i int, val heap.Addr)
+	ArrayByte(arr heap.Addr, i int) byte
 	SetArrayBytes(arr heap.Addr, i int, src []byte)
+	Pin(a heap.Addr)
+	Work(n int)
 }
 
 // tortureHeap is the torture workload's state: linked chains with

@@ -76,9 +76,10 @@ func HeaderPinned(h uint64) bool { return h&flagPinned != 0 }
 func HeaderBusy(h uint64) bool { return h&FlagClaimBusy != 0 }
 
 // HeaderWithEpoch returns h restamped at epoch e with the busy bit cleared.
-func HeaderWithEpoch(h uint64, e uint16) uint64 {
-	return h&^uint64(0xFFFF<<8)&^uint64(FlagClaimBusy) | uint64(e)<<8
-}
+func HeaderWithEpoch(h uint64, e uint16) uint64 { return withEpoch(h&^FlagClaimBusy, e) }
+
+// withEpoch returns h restamped at epoch e.
+func withEpoch(h uint64, e uint16) uint64 { return h&^uint64(0xFFFF<<8) | uint64(e)<<8 }
 
 // ForwardHeader builds the forwarding header referring to new.
 func ForwardHeader(new Addr) uint64 { return uint64(new)<<8 | flagForwarded }

@@ -149,27 +149,22 @@ func (m *Model) InitObject(a Addr, ty *Type, size, arrayLen int) {
 }
 
 // TypeOf returns the type of the object at a.
-func (m *Model) TypeOf(a Addr) *Type {
-	return m.T.ByIndex(uint16(m.S.Load64(a) >> 24 & 0xFFFF))
-}
+func (m *Model) TypeOf(a Addr) *Type { return m.TypeFromHeader(m.S.Load64(a)) }
 
 // SizeOf returns the total size in bytes of the object at a.
-func (m *Model) SizeOf(a Addr) int { return int(m.S.Load64(a) >> 40) }
+func (m *Model) SizeOf(a Addr) int { return SizeFromHeader(m.S.Load64(a)) }
 
 // ArrayLen returns the element count of the array object at a.
 func (m *Model) ArrayLen(a Addr) int { return int(m.S.Load64(a + ArrayLenOffset)) }
 
 // Epoch returns the object's sticky mark epoch (0 = never marked).
-func (m *Model) Epoch(a Addr) uint16 { return uint16(m.S.Load64(a) >> 8) }
+func (m *Model) Epoch(a Addr) uint16 { return HeaderEpoch(m.S.Load64(a)) }
 
 // SetEpoch stamps the object's mark epoch.
-func (m *Model) SetEpoch(a Addr, e uint16) {
-	h := m.S.Load64(a)
-	m.S.Store64(a, h&^uint64(0xFFFF<<8)|uint64(e)<<8)
-}
+func (m *Model) SetEpoch(a Addr, e uint16) { m.S.Store64(a, withEpoch(m.S.Load64(a), e)) }
 
 // Pinned reports whether the object may not be moved.
-func (m *Model) Pinned(a Addr) bool { return m.S.Load64(a)&flagPinned != 0 }
+func (m *Model) Pinned(a Addr) bool { return HeaderPinned(m.S.Load64(a)) }
 
 // SetPinned sets or clears the pin flag.
 func (m *Model) SetPinned(a Addr, pinned bool) {
@@ -198,19 +193,11 @@ func (m *Model) SetLogged(a Addr, logged bool) {
 }
 
 // Forwarded reports whether the object has been moved, and if so where.
-func (m *Model) Forwarded(a Addr) (Addr, bool) {
-	h := m.S.Load64(a)
-	if h&flagForwarded == 0 {
-		return 0, false
-	}
-	return Addr(h >> 8), true
-}
+func (m *Model) Forwarded(a Addr) (Addr, bool) { return HeaderForwarded(m.S.Load64(a)) }
 
 // Forward installs a forwarding pointer at old referring to new. The copy
 // at new must already carry the object's real header.
-func (m *Model) Forward(old, new Addr) {
-	m.S.Store64(old, uint64(new)<<8|flagForwarded)
-}
+func (m *Model) Forward(old, new Addr) { m.S.Store64(old, ForwardHeader(new)) }
 
 // RefSlots appends the address of every reference slot of the object at a
 // to buf and returns the extended slice, in the same order EachRef visits
@@ -219,29 +206,15 @@ func (m *Model) Forward(old, new Addr) {
 // a buffer the caller reuses across objects and collections. EachRef stays
 // as the reference implementation; TestRefSlotsMatchesEachRef differential-
 // tests the two over randomized type tables.
-func (m *Model) RefSlots(a Addr, buf []Addr) []Addr {
-	ty := m.TypeOf(a)
-	switch ty.Kind {
-	case KindFixed:
-		for _, off := range ty.RefOffsets {
-			buf = append(buf, a+Addr(off))
-		}
-	case KindRefArray:
-		n := m.ArrayLen(a)
-		for i := 0; i < n; i++ {
-			buf = append(buf, a+ArrayHeaderSize+Addr(i*WordSize))
-		}
-	}
-	return buf
-}
+func (m *Model) RefSlots(a Addr, buf []Addr) []Addr { return m.RefSlotsOf(m.TypeOf(a), a, buf) }
 
 // Stamp sets the object's mark epoch and returns its type and total size,
 // decoding the header in a single load where the trace loop previously
 // paid separate TypeOf, SizeOf and SetEpoch header accesses per object.
 func (m *Model) Stamp(a Addr, e uint16) (*Type, int) {
 	h := m.S.Load64(a)
-	m.S.Store64(a, h&^uint64(0xFFFF<<8)|uint64(e)<<8)
-	return m.T.ByIndex(uint16(h >> 24 & 0xFFFF)), int(h >> 40)
+	m.S.Store64(a, withEpoch(h, e))
+	return m.TypeFromHeader(h), SizeFromHeader(h)
 }
 
 // RefCountOf returns the number of reference slots of the object at a when
@@ -277,14 +250,4 @@ func (m *Model) EachRef(a Addr, f func(slot Addr)) {
 }
 
 // RefCount returns the number of reference slots of the object at a.
-func (m *Model) RefCount(a Addr) int {
-	ty := m.TypeOf(a)
-	switch ty.Kind {
-	case KindFixed:
-		return len(ty.RefOffsets)
-	case KindRefArray:
-		return m.ArrayLen(a)
-	default:
-		return 0
-	}
-}
+func (m *Model) RefCount(a Addr) int { return m.RefCountOf(m.TypeOf(a), a) }

@@ -153,8 +153,10 @@ type Kernel struct {
 	table atomic.Pointer[pageTable]
 
 	// reverse maps physical frame -> (region, page index) for interrupt
-	// handling; the paper's reverse address translation.
-	reverse map[int]reversed
+	// handling; the paper's reverse address translation. Frames are dense
+	// (the PCM frames, then DRAM frames as borrowDRAMLocked mints them), so
+	// it is indexed by frame; an unmapped frame's region is nil.
+	reverse []reversed
 
 	handler FailureHandler
 
@@ -201,7 +203,7 @@ func New(cfg Config) *Kernel {
 		bitmaps:      make([]uint64, cfg.PCMPages),
 		taken:        make([]bool, cfg.PCMPages),
 		dramNext:     cfg.PCMPages,
-		reverse:      make(map[int]reversed),
+		reverse:      make([]reversed, cfg.PCMPages),
 		vnext:        failmap.PageSize, // keep virtual page 0 unmapped
 	}
 	k.table.Store(new(pageTable))
@@ -438,16 +440,22 @@ func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int) {
 			frames = append(frames, f)
 			continue
 		}
-		// Borrow DRAM: a one-page space penalty recorded as debt.
-		f := k.dramNext
-		k.dramNext++
-		k.debt++
-		k.borrows++
+		frames = append(frames, k.borrowDRAMLocked())
 		borrowed++
-		k.charge(stats.EvPageBorrow)
-		frames = append(frames, f)
 	}
 	return k.makeRegion(frames), borrowed
+}
+
+// borrowDRAMLocked mints the next DRAM frame for a perfect page the PCM
+// pool cannot supply: a one-page space penalty recorded as debt.
+func (k *Kernel) borrowDRAMLocked() int {
+	f := k.dramNext
+	k.dramNext++
+	k.reverse = append(k.reverse, reversed{})
+	k.debt++
+	k.borrows++
+	k.charge(stats.EvPageBorrow)
+	return f
 }
 
 func (k *Kernel) nextPerfectFrame() (int, bool) {
@@ -494,7 +502,7 @@ func (k *Kernel) makeRegion(frames []int) *Region {
 func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
 	pte := &k.table.Load().pte[r.Base/failmap.PageSize+uint64(page)]
 	if old = int(pte.Load()) - 1; old >= 0 {
-		delete(k.reverse, old)
+		k.reverse[old] = reversed{}
 	}
 	pte.Store(uint64(frame + 1))
 	if frame >= 0 {
@@ -611,10 +619,10 @@ func (k *Kernel) serviceDevice() {
 			// bitmap check.
 			k.bitmaps[frame] |= 1 << uint(lineIn)
 		}
-		rv, mapped := k.reverse[frame]
-		if !mapped {
+		if frame >= len(k.reverse) || k.reverse[frame].region == nil {
 			continue // failure on an unallocated frame: table-only
 		}
+		rv := k.reverse[frame]
 		k.charge(stats.EvReverseXlate)
 		if k.handler == nil && k.remapUnaware {
 			// No runtime handler: the OS hides the failure by redirecting

@@ -104,12 +104,7 @@ func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowe
 	f, ok := k.policy.NextPerfect(k)
 	if !ok {
 		// Borrow DRAM, as for any perfect request.
-		f = k.dramNext
-		k.dramNext++
-		k.debt++
-		k.borrows++
-		borrowed = true
-		k.charge(stats.EvPageBorrow)
+		f, borrowed = k.borrowDRAMLocked(), true
 	} else {
 		k.takeFrameLocked(f)
 	}

@@ -182,13 +182,13 @@ func (k *Kernel) policyPairValidLocked(src, dst int) bool {
 	if src < 0 || dst < 0 || src >= k.pcmPages || dst >= k.pcmPages {
 		return false
 	}
-	if _, mapped := k.reverse[src]; !mapped {
+	if k.reverse[src].region == nil {
 		return false
 	}
 	if k.taken[dst] {
 		return false
 	}
-	if _, dstMapped := k.reverse[dst]; dstMapped {
+	if k.reverse[dst].region != nil {
 		return false
 	}
 	return k.bitmaps[src] == 0 && k.bitmaps[dst] == 0
@@ -219,8 +219,7 @@ func (k *Kernel) PolicyRemapFrame(src, dst int) bool {
 	ok := k.copyFrameLines(src, dst)
 
 	k.mu.Lock()
-	rv2, mapped := k.reverse[src]
-	if !ok || !mapped || rv2 != rv || k.bitmaps[src] != 0 || k.bitmaps[dst] != 0 {
+	if !ok || k.reverse[src] != rv || k.bitmaps[src] != 0 || k.bitmaps[dst] != 0 {
 		// Stale pair or the copy wore dst: undo the claim. dst may re-enter
 		// the released stack twice; nextRelaxedFrame skips taken entries.
 		k.freeFrameLocked(dst)
@@ -277,16 +276,12 @@ func (k *Kernel) copyFrameLines(src, dst int) bool {
 // perfect PCM frame.
 func (k *Kernel) PolicyPromoteFrame(src int) bool {
 	k.mu.Lock()
-	rv, mapped := k.reverse[src]
-	if !mapped || src < 0 || src >= k.pcmPages || k.bitmaps[src] != 0 {
+	if src < 0 || src >= k.pcmPages || k.reverse[src].region == nil || k.bitmaps[src] != 0 {
 		k.mu.Unlock()
 		return false
 	}
-	f := k.dramNext
-	k.dramNext++
-	k.debt++
-	k.borrows++
-	k.charge(stats.EvPageBorrow)
+	rv := k.reverse[src]
+	f := k.borrowDRAMLocked()
 	k.charge(stats.EvSwapIn)
 	k.setFrameLocked(rv.region, rv.page, f)
 	k.freeFrameLocked(src)
@@ -311,7 +306,7 @@ func (k *Kernel) rankFramesLocked(wear []uint64) (hot, cold int) {
 		if k.bitmaps[f] != 0 {
 			continue
 		}
-		if _, mapped := k.reverse[f]; mapped {
+		if k.reverse[f].region != nil {
 			if hot < 0 || wear[f] > wear[hot] {
 				hot = f
 			}

@@ -172,7 +172,7 @@ func TestRankFramesPicksFirstOfTies(t *testing.T) {
 	wear := make([]uint64, 16)
 	hot, cold := 16, 16
 	for f := range wear {
-		_, mapped := k.reverse[f]
+		mapped := k.reverse[f].region != nil
 		switch {
 		case f == 13:
 			wear[f] = 0 // colder than any free frame, but failed

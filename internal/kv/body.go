@@ -28,14 +28,10 @@ type opTimer struct {
 	t0, g0, s0 stats.Cycles
 }
 
-// newOpTimer builds the timer for this mutator, or nil (a no-op) when
-// latency capture is off or the API exposes no clock.
-func newOpTimer(api workload.MutAPI, shard *stats.LatencyShard) *opTimer {
+// newOpTimer builds the timer for mutator m, or nil (a no-op) when latency
+// capture is off.
+func newOpTimer(m *vm.Mutator, shard *stats.LatencyShard) *opTimer {
 	if shard == nil {
-		return nil
-	}
-	m, ok := api.(*vm.Mutator)
-	if !ok {
 		return nil
 	}
 	return &opTimer{shard: shard, clk: m.Clock(), gc: m.GCCycles, addGC: m.Clock() != m.VM().Clock()}
@@ -66,7 +62,7 @@ func (t *opTimer) end() {
 // mutators deterministically, so whole runs are byte-identical. The
 // request stream is math/rand's seeded stream, drawn from seeded.Stream,
 // the concrete copy of it the wear studies use.
-func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators, iterations int, yield func()) error {
+func (s *scenario) body(p *workload.Profile, api *vm.Mutator, mut, mutators, iterations int, yield func()) error {
 	c := s.cfg
 	rng := seeded.New(int64(len(p.Name))*31 + 0x5eed + 7919*int64(mut))
 
@@ -98,10 +94,6 @@ func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators,
 	api.AddRoot(&scratch)
 	defer api.RemoveRoot(&scratch)
 
-	// Per-op safepoint poll on the threaded engine (an atomic load; the
-	// baton engine parks at yield() instead).
-	sp, _ := api.(interface{ Safepoint() })
-
 	// Phase schedule: operation op is in phase op/phaseLen, which rotates
 	// the hot-key region and write-biases every other phase. The phase's
 	// numbers change only at the next boundary.
@@ -115,9 +107,9 @@ func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators,
 	op := 0
 	for it := 0; it < iterations; it++ {
 		for k := 0; k < c.OpsPerIter; k++ {
-			if sp != nil {
-				sp.Safepoint()
-			}
+			// Per-op safepoint poll on the threaded engine (an atomic
+			// load; the baton engine parks at yield() instead).
+			api.Safepoint()
 			if op == boundary {
 				phase := op / phaseLen
 				hotBase = (phase % c.Phases) * (c.Keys / c.Phases)
@@ -160,7 +152,7 @@ func (s *scenario) body(p *workload.Profile, api workload.MutAPI, mut, mutators,
 
 // find walks bucket b's chain for key. Callers hold the stripe when the
 // table is shared.
-func (s *scenario) find(api workload.MutAPI, buckets heap.Addr, b int, key uint64) heap.Addr {
+func (s *scenario) find(api *vm.Mutator, buckets heap.Addr, b int, key uint64) heap.Addr {
 	e := api.ArrayRef(buckets, b)
 	for e != 0 && api.ReadWord(e, entryKey) != key {
 		e = api.ReadRef(e, entryNext)
@@ -170,7 +162,7 @@ func (s *scenario) find(api workload.MutAPI, buckets heap.Addr, b int, key uint6
 
 // get serves one read: chain walk, then a byte per served PCM line of the
 // value. No allocation happens inside the stripe.
-func (s *scenario) get(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool) {
+func (s *scenario) get(api *vm.Mutator, buckets *heap.Addr, n int, key uint64, locked bool) {
 	b := int(key % uint64(n))
 	stripe := &s.locks[b%stripes]
 	if locked {
@@ -196,7 +188,7 @@ func (s *scenario) get(api workload.MutAPI, buckets *heap.Addr, n int, key uint6
 // first with nothing held, the entry — only needed on insert — allocates
 // between the lookup and a re-checked link, with the value parked in the
 // rooted scratch slot across that GC point.
-func (s *scenario) put(api workload.MutAPI, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *seeded.Stream) error {
+func (s *scenario) put(api *vm.Mutator, buckets *heap.Addr, n int, key uint64, locked bool, scratch *heap.Addr, rng *seeded.Stream) error {
 	c := s.cfg
 	vlen := c.ValueMin + rng.Intn(c.ValueMax-c.ValueMin+1)
 	val, err := api.NewArray(s.bytesT, vlen)

@@ -321,7 +321,7 @@ func newProfile(c Config, name string) *workload.Profile {
 		MinHeapBytes: c.minHeapEstimate(),
 	}
 	p.Prepare = s.prepare
-	p.Body = func(api workload.MutAPI, mut, mutators, iterations int, yield func()) error {
+	p.Body = func(api *vm.Mutator, mut, mutators, iterations int, yield func()) error {
 		return s.body(p, api, mut, mutators, iterations, yield)
 	}
 	return p

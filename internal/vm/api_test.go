@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wearmem/internal/heap"
+	"wearmem/internal/kernel"
 )
 
 func TestCollectorKindStrings(t *testing.T) {
@@ -22,7 +23,7 @@ func TestCollectorKindStrings(t *testing.T) {
 }
 
 func TestMustNewPanicsOnOOM(t *testing.T) {
-	tv := makeVM(t, 128<<10, 0, Immix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 128 << 10, Collector: Immix}, kernel.Config{})
 	keep := make([]heap.Addr, 0, 4096)
 	defer func() {
 		if recover() == nil {
@@ -36,7 +37,7 @@ func TestMustNewPanicsOnOOM(t *testing.T) {
 }
 
 func TestArrayAccessors(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: StickyImmix}, kernel.Config{})
 	refs := tv.RegisterType(&heap.Type{Name: "refs", Kind: heap.KindRefArray})
 	arr := tv.MustNewArray(refs, 4)
 	tv.AddRoot(&arr)
@@ -68,7 +69,7 @@ func TestArrayAccessors(t *testing.T) {
 }
 
 func TestMemoryDebugString(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: StickyImmix}, kernel.Config{})
 	tv.MustNew(tv.node)
 	s := tv.MemoryDebug()
 	for _, want := range []string{"budget=", "immixBlocks=", "los="} {
@@ -79,7 +80,7 @@ func TestMemoryDebugString(t *testing.T) {
 }
 
 func TestRemoveRoot(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: StickyImmix}, kernel.Config{})
 	var a heap.Addr
 	tv.AddRoot(&a)
 	a = tv.MustNew(tv.node)

@@ -4,11 +4,14 @@ import (
 	"testing"
 
 	"wearmem/internal/heap"
+	"wearmem/internal/kernel"
 	"wearmem/internal/stats"
 )
 
 func TestDiscontiguousArrayRoundTrip(t *testing.T) {
-	tv := makeVM(t, 2<<20, 0, StickyImmix, true, 0, 1)
+	tv := newTestVM(t, Config{
+		HeapBytes: 2 << 20, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})
 	const n = 3*ArrayletSize + 100 // a partial tail arraylet
 	spine, err := tv.NewDiscontiguousBytes(n)
 	if err != nil {
@@ -33,7 +36,9 @@ func TestDiscontiguousArrayRoundTrip(t *testing.T) {
 }
 
 func TestDiscontiguousArraySurvivesCollection(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, true, 0, 1)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})
 	spine, err := tv.NewDiscontiguousBytes(5000)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +72,9 @@ func TestDiscontiguousArrayCutsPerfectPageDemand(t *testing.T) {
 	// contiguous 64 KB arrays live on borrowed DRAM. Discontiguous arrays
 	// (line-sized arraylets) live in imperfect Immix memory and need far
 	// less perfect memory — the §3.3.3 software alternative.
-	cont := makeVM(t, 4<<20, 0.5, StickyImmix, true, 0, 3)
+	cont := newTestVM(t, Config{
+		HeapBytes: 4 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+	}, withFailures(4<<20, 0.5, 0, 3))
 	contKeep := make([]heap.Addr, 0, 4)
 	for i := 0; i < 4; i++ {
 		a, err := cont.NewArray(cont.blob, 64<<10)
@@ -77,7 +84,9 @@ func TestDiscontiguousArrayCutsPerfectPageDemand(t *testing.T) {
 		contKeep = append(contKeep, a)
 		cont.AddRoot(&contKeep[len(contKeep)-1])
 	}
-	disc := makeVM(t, 4<<20, 0.5, StickyImmix, true, 0, 3)
+	disc := newTestVM(t, Config{
+		HeapBytes: 4 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+	}, withFailures(4<<20, 0.5, 0, 3))
 	discKeep := make([]heap.Addr, 0, 4)
 	for i := 0; i < 4; i++ {
 		a, err := disc.NewDiscontiguousBytes(64 << 10)
@@ -97,7 +106,9 @@ func TestDiscontiguousArrayCutsPerfectPageDemand(t *testing.T) {
 }
 
 func TestDiscontiguousBoundsChecks(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, true, 0, 1)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})
 	spine, err := tv.NewDiscontiguousBytes(100)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +126,9 @@ func TestDiscontiguousBoundsChecks(t *testing.T) {
 }
 
 func TestDiscontiguousZeroLength(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, StickyImmix, true, 0, 1)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})
 	spine, err := tv.NewDiscontiguousBytes(0)
 	if err != nil {
 		t.Fatal(err)

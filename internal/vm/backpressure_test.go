@@ -4,47 +4,11 @@ import (
 	"testing"
 
 	"wearmem/internal/failmap"
-	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/pcm"
 	"wearmem/internal/probe"
 	"wearmem/internal/stats"
 )
-
-// makeDeviceVM builds a write-through VM over a live PCM device so mutator
-// stores reach the failure buffer. The pool is twice the heap so the top of
-// the module stays unmapped scratch for storm injection.
-func makeDeviceVM(t *testing.T, hook probe.Hook) (*testVM, *pcm.Device, *kernel.Kernel) {
-	t.Helper()
-	const heapBytes = 1 << 20
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 4 * heapBytes / failmap.PageSize
-	dev := pcm.NewDevice(pcm.Config{
-		Size:          poolPages * failmap.PageSize,
-		BufferCap:     24,
-		BufferReserve: 4,
-		TrackData:     true,
-	}, clock)
-	kern := kernel.New(kernel.Config{
-		PCMPages: poolPages, Device: dev, Clock: clock, Probe: hook,
-	})
-	v := New(Config{
-		HeapBytes:    heapBytes,
-		Collector:    StickyImmix,
-		FailureAware: true,
-		Kernel:       kern,
-		Clock:        clock,
-		Probe:        hook,
-		WriteThrough: true,
-		StrictRemap:  true,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
-		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv, dev, kern
-}
 
 // TestVMBackpressureDrainResumes is the end-to-end ErrStalled story: the
 // failure buffer is driven to its watermark mid-workload, and the
@@ -52,11 +16,25 @@ func makeDeviceVM(t *testing.T, hook probe.Hook) (*testVM, *pcm.Device, *kernel.
 // byte of mutator state or degrading the runtime.
 func TestVMBackpressureDrainResumes(t *testing.T) {
 	retries := 0
-	tv, dev, kern := makeDeviceVM(t, func(p probe.Point, addr uint64) {
+	hook := func(p probe.Point, addr uint64) {
 		if p == probe.PCMStallRetry {
 			retries++
 		}
-	})
+	}
+	// A write-through VM over a live PCM device, so mutator stores reach the
+	// failure buffer. The pool is four heaps, so the top of the module stays
+	// unmapped scratch for storm injection.
+	const heapBytes = 1 << 20
+	clock := stats.NewClock(stats.DefaultCosts())
+	poolPages := 4 * heapBytes / failmap.PageSize
+	dev := pcm.NewDevice(pcm.Config{
+		Size: poolPages * failmap.PageSize, BufferCap: 24, BufferReserve: 4, TrackData: true,
+	}, clock)
+	tv := newTestVM(t, Config{
+		HeapBytes: heapBytes, Collector: StickyImmix, FailureAware: true,
+		Clock: clock, Probe: hook, WriteThrough: true, StrictRemap: true,
+	}, kernel.Config{PCMPages: poolPages, Device: dev, Probe: hook})
+	kern := tv.Kernel()
 
 	head := tv.buildList(t, 200)
 	tv.AddRoot(&head)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wearmem/internal/heap"
+	"wearmem/internal/kernel"
 )
 
 // adoptParked empties heap's free list (each NewSpace takes one backing
@@ -23,7 +24,7 @@ func adoptParked(t *testing.T) {
 
 func TestCloseReleasesTheSpaceOnce(t *testing.T) {
 	adoptParked(t)
-	tv := makeVM(t, 256<<10, 0, StickyImmix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 256 << 10, Collector: StickyImmix}, kernel.Config{})
 	head := tv.buildList(t, 50)
 	tv.Close()
 	tv.Close()
@@ -54,7 +55,10 @@ func TestCloseAfterFailedThreadedBatch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			adoptParked(t)
-			tv := makeThreadedVM(t, 256<<10, StickyImmix, 2)
+			tv := newTestVM(t, Config{
+				HeapBytes: 256 << 10, Collector: StickyImmix, FailureAware: true, TraceWorkers: 2,
+				Threaded: true,
+			}, kernel.Config{})
 			head := tv.buildList(t, 10)
 			func() {
 				defer func() { recover() }()

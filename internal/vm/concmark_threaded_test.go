@@ -4,35 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
-	"wearmem/internal/stats"
 )
-
-func makeConcMarkVM(t *testing.T, heapBytes, markers int) *testVM {
-	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 4 * heapBytes / failmap.PageSize * 2
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Clock: clock})
-	v := New(Config{
-		HeapBytes:    heapBytes,
-		Collector:    StickyImmix,
-		FailureAware: true,
-		Threaded:     true,
-		TraceWorkers: markers, // one concurrent marker per trace lane
-		PauseBudget:  1000,
-		StrictSATB:   true,
-		Kernel:       kern,
-		Clock:        clock,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
-		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv
-}
 
 // TestThreadedConcurrentMarkChurn runs parallel mutators against 1, 2 and 4
 // concurrent marker goroutines with StrictSATB on: concurrent cycles must
@@ -41,7 +15,10 @@ func makeConcMarkVM(t *testing.T, heapBytes, markers int) *testVM {
 func TestThreadedConcurrentMarkChurn(t *testing.T) {
 	for _, markers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("markers%d", markers), func(t *testing.T) {
-			tv := makeConcMarkVM(t, 1<<20, markers)
+			tv := newTestVM(t, Config{
+				HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: true,
+				TraceWorkers: markers, PauseBudget: 1000, StrictSATB: true,
+			}, kernel.Config{})
 			const muts, nodes, churn = 4, 150, 4000
 			ms := make([]*Mutator, muts)
 			ms[0] = tv.Mutator0()
@@ -108,7 +85,10 @@ func TestThreadedConcurrentMarkChurn(t *testing.T) {
 // any hole into a panic at the final mark; the payload check proves the
 // hidden objects survived.
 func TestThreadedConcurrentSATBHiding(t *testing.T) {
-	tv := makeConcMarkVM(t, 1<<20, 2)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: true,
+		TraceWorkers: 2, PauseBudget: 1000, StrictSATB: true,
+	}, kernel.Config{})
 	const muts, rounds = 2, 300
 	ms := make([]*Mutator, muts)
 	ms[0] = tv.Mutator0()

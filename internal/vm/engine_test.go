@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/probe"
 	"wearmem/internal/sched"
-	"wearmem/internal/stats"
 )
 
 // The engine contract: what both implementations of the engine interface
@@ -22,30 +20,6 @@ var bothEngines = []struct {
 	name     string
 	threaded bool
 }{{"baton", false}, {"threaded", true}}
-
-// makeContractVM builds a failure-aware sticky-Immix runtime on either
-// engine; tweak adjusts the configuration before it boots.
-func makeContractVM(t *testing.T, threaded bool, heapBytes int, tweak func(*Config)) *testVM {
-	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	cfg := Config{
-		HeapBytes:    heapBytes,
-		Collector:    StickyImmix,
-		FailureAware: true,
-		Threaded:     threaded,
-		Kernel:       kernel.New(kernel.Config{PCMPages: 8 * heapBytes / failmap.PageSize, Clock: clock}),
-		Clock:        clock,
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	tv := &testVM{VM: New(cfg)}
-	tv.node = tv.RegisterType(&heap.Type{
-		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = tv.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv
-}
 
 // withMarking turns marking cycles on: a pause budget, which each engine
 // meets its own way — bounded increments on the baton, a concurrent marker
@@ -62,15 +36,16 @@ func TestEngineContractMaskedFailureQueues(t *testing.T) {
 			var tv *testVM
 			var head heap.Addr
 			armed, queued := true, false
-			tv = makeContractVM(t, eng.threaded, 1<<20, func(c *Config) {
-				c.Probe = func(p probe.Point, _ uint64) {
+			tv = newTestVM(t, Config{
+				HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: eng.threaded,
+				Probe: func(p probe.Point, _ uint64) {
 					if p == probe.GCBegin && armed {
 						armed = false
 						tv.HandleFailures([]kernel.LineFailure{{VAddr: uint64(head)}})
 						queued = tv.PendingRecovery() && tv.GCStats().DynamicFailures == 0
 					}
-				}
-			})
+				},
+			}, kernel.Config{})
 			head = tv.buildList(t, 200)
 			tv.AddRoot(&head)
 			tv.Collect(true)
@@ -107,16 +82,18 @@ func TestEngineContractOpenWindowFailureIsHandled(t *testing.T) {
 				var head heap.Addr
 				armed := false
 				inject := func() { tv.HandleFailures([]kernel.LineFailure{{VAddr: uint64(head)}}) }
-				tv = makeContractVM(t, eng.threaded, 1<<20, func(c *Config) {
-					withMarking(c)
-					c.MarkTriggerBytes = 64 << 10
-					c.Probe = func(probe.Point, uint64) {
+				cfg := Config{
+					HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: eng.threaded,
+					MarkTriggerBytes: 64 << 10,
+					Probe: func(probe.Point, uint64) {
 						if armed {
 							armed = false
 							inject()
 						}
-					}
-				})
+					},
+				}
+				withMarking(&cfg)
+				tv = newTestVM(t, cfg, kernel.Config{})
 				const nodes = 5000
 				head = tv.buildList(t, nodes)
 				tv.AddRoot(&head)
@@ -154,13 +131,14 @@ func TestEngineContractOpenWindowFailureIsHandled(t *testing.T) {
 // the threaded engine leaves the world started, so the mutator parked for
 // the collection returns instead of deadlocking.
 func TestEngineContractPanicReleasesTheWorld(t *testing.T) {
-	tv := makeContractVM(t, true, 1<<20, func(c *Config) {
-		c.Probe = func(p probe.Point, _ uint64) {
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: true,
+		Probe: func(p probe.Point, _ uint64) {
 			if p == probe.GCBegin {
 				panic("boom")
 			}
-		}
-	})
+		},
+	}, kernel.Config{})
 	tv.Mutator0()
 	bystander := tv.AttachMutator()
 	var over atomic.Bool
@@ -200,12 +178,12 @@ func TestEngineContractPanicReleasesTheWorld(t *testing.T) {
 // is out of reach, so no cycle's own BeginMark is among them.
 func TestEngineContractOneLadder(t *testing.T) {
 	lastGasp := func(t *testing.T, threaded, marking bool) int {
-		tv := makeContractVM(t, threaded, 256<<10, func(c *Config) {
-			if marking {
-				withMarking(c)
-				c.MarkTriggerBytes = 1 << 30
-			}
-		})
+		cfg := Config{HeapBytes: 256 << 10, Collector: StickyImmix, FailureAware: true, Threaded: threaded}
+		if marking {
+			withMarking(&cfg)
+			cfg.MarkTriggerBytes = 1 << 30
+		}
+		tv := newTestVM(t, cfg, kernel.Config{})
 		var head heap.Addr
 		tv.AddRoot(&head)
 		for {
@@ -249,9 +227,10 @@ func TestMarkersDeriveFromPauseBudget(t *testing.T) {
 		for _, budget := range []int{0, 1000} {
 			for _, through := range []bool{false, true} {
 				for _, lanes := range []int{0, 1, 2, 4} {
-					tv := makeContractVM(t, eng.threaded, 1<<20, func(c *Config) {
-						c.PauseBudget, c.WriteThrough, c.TraceWorkers = budget, through, lanes
-					})
+					tv := newTestVM(t, Config{
+						HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: eng.threaded,
+						PauseBudget: budget, WriteThrough: through, TraceWorkers: lanes,
+					}, kernel.Config{})
 					got, want := 0, 0
 					if th, ok := tv.eng.(*threaded); ok {
 						got = th.markers

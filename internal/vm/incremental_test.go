@@ -4,32 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/stats"
 )
-
-func makeIncrementalVM(t *testing.T, heapBytes, budget int) *testVM {
-	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 4 * heapBytes / failmap.PageSize * 2
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Clock: clock})
-	v := New(Config{
-		HeapBytes:   heapBytes,
-		Collector:   StickyImmix,
-		PauseBudget: budget,
-		StrictSATB:  true,
-		Kernel:      kern,
-		Clock:       clock,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
-		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv
-}
 
 // TestIncrementalMarkChurn churns several heaps' worth of allocation with a
 // tight pause budget and StrictSATB on: incremental cycles must actually
@@ -38,7 +16,9 @@ func makeIncrementalVM(t *testing.T, heapBytes, budget int) *testVM {
 func TestIncrementalMarkChurn(t *testing.T) {
 	for _, budget := range []int{1_000_000, 100_000, 10_000} {
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
-			tv := makeIncrementalVM(t, 1<<20, budget)
+			tv := newTestVM(t, Config{
+				HeapBytes: 1 << 20, Collector: StickyImmix, PauseBudget: budget, StrictSATB: true,
+			}, kernel.Config{})
 			head := tv.buildList(t, 200)
 			tv.AddRoot(&head)
 			for i := 0; i < 30000; i++ {
@@ -68,7 +48,9 @@ func TestIncrementalMarkChurn(t *testing.T) {
 // increment counts are identical across repeats.
 func TestIncrementalMarkDeterministic(t *testing.T) {
 	run := func() (stats.Cycles, int, int) {
-		tv := makeIncrementalVM(t, 1<<20, 50_000)
+		tv := newTestVM(t, Config{
+			HeapBytes: 1 << 20, Collector: StickyImmix, PauseBudget: 50_000, StrictSATB: true,
+		}, kernel.Config{})
 		head := tv.buildList(t, 100)
 		tv.AddRoot(&head)
 		for i := 0; i < 20000; i++ {
@@ -99,7 +81,9 @@ func TestIncrementalMarkDeterministic(t *testing.T) {
 // the cycle to exercise increments before, during and after the victim
 // slots are scanned.
 func TestIncrementalSATBHiding(t *testing.T) {
-	tv := makeIncrementalVM(t, 1<<20, 5_000)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, PauseBudget: 5_000, StrictSATB: true,
+	}, kernel.Config{})
 	const hides = 400
 	type slotPair struct{ from, to heap.Addr }
 	var pairs []slotPair
@@ -152,7 +136,9 @@ func TestIncrementalSATBHiding(t *testing.T) {
 // cycle, let increments run until the destination object is plausibly
 // scanned, then hide and verify the payload after the cycle completes.
 func TestIncrementalHiddenValueSurvives(t *testing.T) {
-	tv := makeIncrementalVM(t, 1<<20, 2_000)
+	tv := newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, PauseBudget: 2_000, StrictSATB: true,
+	}, kernel.Config{})
 	dst := tv.MustNew(tv.node)
 	src := tv.MustNew(tv.node)
 	hidden := tv.MustNew(tv.node)
@@ -190,7 +176,9 @@ func TestIncrementalHiddenValueSurvives(t *testing.T) {
 // referents in place instead), which is the write-storm-cannot-OOM
 // regression the cap exists for.
 func TestIncrementalWriteStormBounded(t *testing.T) {
-	tv := makeIncrementalVM(t, 4<<20, 3_000)
+	tv := newTestVM(t, Config{
+		HeapBytes: 4 << 20, Collector: StickyImmix, PauseBudget: 3_000, StrictSATB: true,
+	}, kernel.Config{})
 	const n = 6000
 	arr := tv.MustNewArray(tv.RefArrayType("nodearr"), n)
 	tv.AddRoot(&arr)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wearmem/internal/core"
+	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/stats"
 )
@@ -52,8 +53,11 @@ func (m *Mutator) Clock() *stats.Clock { return m.clk }
 // is quiescent whenever the caller is executing.
 func (m *Mutator) GCCycles() stats.Cycles { return m.v.GCCycles() }
 
-// Mutator0 returns the primary mutator, backed by the same allocation
-// context as the VM's plain entry points. It attaches on first use.
+// Mutator0 returns the attached mutator on allocation context 0, the
+// context the VM's plain entry points allocate from. It attaches on first
+// use. It is a handle of its own, not the VM's primary mutator: on the
+// threaded engine it charges a private shard, and its allocation-site
+// register is a separate root (DESIGN §10).
 func (v *VM) Mutator0() *Mutator {
 	if len(v.muts) > 0 {
 		return v.muts[0]
@@ -145,47 +149,151 @@ func (m *Mutator) MustNewArray(ty *heap.Type, n int) heap.Addr {
 	return a
 }
 
-// The accessors below share the VM's implementations, parameterized by
-// the mutator's clock (the shared clock on the baton engine, a private
-// shard on the threaded one) and its barrier context, so both engines run
-// the same loads, stores, barriers and write-through machinery.
+// The accessors below are the runtime's one implementation of every load,
+// store and barrier; the VM's plain entry points run them as its primary
+// mutator. Each charges the mutator's clock (the shared clock on the baton
+// engine, a private shard on the threaded one) and barriers on its
+// context, so both engines run the same loads, stores, barriers and
+// write-through machinery.
 
 // ReadRef loads the reference at byte offset off of obj.
-func (m *Mutator) ReadRef(obj heap.Addr, off int) heap.Addr { return m.v.readRef(m.clk, obj, off) }
+func (m *Mutator) ReadRef(obj heap.Addr, off int) heap.Addr {
+	m.clk.Charge1(stats.EvFieldRead)
+	return heap.Addr(m.v.model.S.Load64(obj + heap.Addr(off)))
+}
 
 // WriteRef stores a reference, applying the generational write barrier.
 func (m *Mutator) WriteRef(obj heap.Addr, off int, val heap.Addr) {
-	m.v.writeRef(m.clk, m.mc, obj, off, val)
+	v := m.v
+	m.clk.Charge1(stats.EvFieldWrite)
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	v.barrier(m.mc, obj)
+	v.refStore(m.mc, obj+heap.Addr(off), uint64(val))
+	if v.cfg.WriteThrough {
+		v.writeback(obj + heap.Addr(off))
+	}
 }
 
 // ReadWord loads a scalar word field.
-func (m *Mutator) ReadWord(obj heap.Addr, off int) uint64 { return m.v.readWord(m.clk, obj, off) }
+func (m *Mutator) ReadWord(obj heap.Addr, off int) uint64 {
+	m.clk.Charge1(stats.EvFieldRead)
+	return m.v.model.S.Load64(obj + heap.Addr(off))
+}
 
 // WriteWord stores a scalar word field.
-func (m *Mutator) WriteWord(obj heap.Addr, off int, val uint64) { m.v.writeWord(m.clk, obj, off, val) }
+func (m *Mutator) WriteWord(obj heap.Addr, off int, val uint64) {
+	v := m.v
+	m.clk.Charge1(stats.EvFieldWrite)
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	v.model.S.Store64(obj+heap.Addr(off), val)
+	if v.cfg.WriteThrough {
+		v.writeback(obj + heap.Addr(off))
+	}
+}
 
 // ArrayRef loads element i of a reference array.
-func (m *Mutator) ArrayRef(arr heap.Addr, i int) heap.Addr { return m.v.arrayRef(m.clk, arr, i) }
+func (m *Mutator) ArrayRef(arr heap.Addr, i int) heap.Addr {
+	m.clk.Charge1(stats.EvArrayAccess)
+	m.v.boundsCheck(arr, i)
+	return heap.Addr(m.v.model.S.Load64(arr + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize)))
+}
 
 // SetArrayRef stores element i of a reference array with the barrier.
 func (m *Mutator) SetArrayRef(arr heap.Addr, i int, val heap.Addr) {
-	m.v.setArrayRef(m.clk, m.mc, arr, i, val)
+	v := m.v
+	m.clk.Charge1(stats.EvArrayAccess)
+	v.boundsCheck(arr, i)
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	v.barrier(m.mc, arr)
+	v.refStore(m.mc, arr+heap.ArrayHeaderSize+heap.Addr(i*heap.WordSize), uint64(val))
+	if v.cfg.WriteThrough {
+		v.writeback(arr + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize))
+	}
 }
 
 // ArrayByte loads byte i of a scalar byte array.
-func (m *Mutator) ArrayByte(arr heap.Addr, i int) byte { return m.v.arrayByte(m.clk, arr, i) }
-
-// SetArrayByte stores byte i of a scalar byte array.
-func (m *Mutator) SetArrayByte(arr heap.Addr, i int, b byte) { m.v.setArrayByte(m.clk, arr, i, b) }
-
-// SetArrayBytes stores src into bytes i.. of a scalar byte array: exactly
-// len(src) SetArrayByte calls in order.
-func (m *Mutator) SetArrayBytes(arr heap.Addr, i int, src []byte) {
-	m.v.setArrayBytes(m.clk, arr, i, src)
+func (m *Mutator) ArrayByte(arr heap.Addr, i int) byte {
+	m.clk.Charge1(stats.EvArrayAccess)
+	m.v.boundsCheck(arr, i)
+	return m.v.model.S.Load8(arr + heap.ArrayHeaderSize + heap.Addr(i))
 }
 
-// ArrayLen returns the element count of the array at arr.
-func (m *Mutator) ArrayLen(arr heap.Addr) int { return m.v.ArrayLen(arr) }
+// SetArrayByte stores byte i of a scalar byte array.
+func (m *Mutator) SetArrayByte(arr heap.Addr, i int, b byte) {
+	v := m.v
+	m.clk.Charge1(stats.EvArrayAccess)
+	v.boundsCheck(arr, i)
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	v.model.S.Store8(arr+heap.ArrayHeaderSize+heap.Addr(i), b)
+	if v.cfg.WriteThrough {
+		v.writeback(arr + heap.ArrayHeaderSize + heap.Addr(i))
+	}
+}
+
+// SetArrayBytes stores src into bytes i.. of a scalar byte array: exactly
+// len(src) SetArrayByte calls in order, a device line at a time. The
+// stores a line receives are one step when storeLine can take it; when it
+// cannot, they run one by one through SetArrayByte, so every effect a
+// per-byte store has lands where it would have.
+func (m *Mutator) SetArrayBytes(arr heap.Addr, i int, src []byte) {
+	if len(src) == 0 {
+		return
+	}
+	m.v.boundsCheck(arr, i)
+	m.v.boundsCheck(arr, i+len(src)-1)
+	for len(src) > 0 {
+		addr := arr + heap.ArrayHeaderSize + heap.Addr(i)
+		n := min(len(src), failmap.LineSize-int(addr%failmap.LineSize))
+		if !m.storeLine(addr, src[:n]) {
+			for j, b := range src[:n] {
+				m.SetArrayByte(arr, i+j, b)
+			}
+		}
+		i, src = i+n, src[n:]
+	}
+}
+
+// storeLine stores src, which lies within one device line, at addr as one
+// step and reports whether it could: the bytes land, the len(src) array
+// accesses are one charge and, under write-through, the device applies
+// len(src) writes of the finished line at once (kernel.WriteLineRepeat).
+// When the kernel refuses — a write of the run could fail, stall, level,
+// cluster or be seen by a frame policy — the old bytes go back and nothing
+// is charged. It takes the write-through transaction once for the line.
+func (m *Mutator) storeLine(addr heap.Addr, src []byte) bool {
+	v := m.v
+	if v.wt.Shared() {
+		v.wt.Lock()
+		defer v.wt.Unlock()
+	}
+	dst := v.model.S.Bytes(addr, len(src))
+	var old [failmap.LineSize]byte
+	copy(old[:], dst)
+	copy(dst, src)
+	line := addr &^ heap.Addr(failmap.LineSize-1)
+	if v.cfg.WriteThrough && !v.kern.WriteLineRepeat(uint64(line), v.model.S.Bytes(line, failmap.LineSize), len(src)) {
+		copy(dst, old[:])
+		return false
+	}
+	m.clk.Charge(stats.EvArrayAccess, uint64(len(src)))
+	return true
+}
+
+// ArrayLen returns the element count of the array at arr (no clock charge;
+// it models metadata the compiler would know statically).
+func (m *Mutator) ArrayLen(arr heap.Addr) int { return m.v.model.ArrayLen(arr) }
 
 // AddRoot registers a host-side root slot.
 func (m *Mutator) AddRoot(slot *heap.Addr) { m.v.AddRoot(slot) }

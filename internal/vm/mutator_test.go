@@ -5,32 +5,61 @@ import (
 	"testing"
 
 	"wearmem/internal/heap"
+	"wearmem/internal/kernel"
+	"wearmem/internal/stats"
 )
 
-// Allocation through the primary mutator must behave exactly like the VM's
-// plain entry points: same context, same retry path.
+// Allocation through Mutator0 must behave exactly like the VM's plain entry
+// points: same context, same retry path. The plain entry points run as the
+// VM's own primary mutator, which shares context 0 with Mutator0 but charges
+// the shared clock. On the threaded engine attaching Mutator0 rebinds
+// context 0 to Mutator0's shard, so from then on a plain allocation charges
+// its bytes to that shard while a plain store still charges the shared
+// clock; on the baton engine the two clocks are one.
 func TestMutator0SharesContextWithVM(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, Immix, false, 0, 1)
-	m := tv.Mutator0()
-	if m.ID() != 0 || tv.Mutator0() != m {
-		t.Fatal("Mutator0 is not the stable primary mutator")
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix, Threaded: eng.threaded}, kernel.Config{})
+			m := tv.Mutator0()
+			if m.ID() != 0 || tv.Mutator0() != m {
+				t.Fatal("Mutator0 is not the stable primary mutator")
+			}
+			shard, shared := m.Clock(), tv.Clock()
+			if (shard != shared) != eng.threaded {
+				t.Fatalf("Mutator0 charges a shard of its own: %v, want %v", shard != shared, eng.threaded)
+			}
+			m.Unpark()
+			a := m.MustNew(tv.node)
+			bytes, sharedBytes := shard.Count(stats.EvAllocBytes), shared.Count(stats.EvAllocBytes)
+			b := tv.MustNew(tv.node)
+			if got, want := shard.Count(stats.EvAllocBytes)-bytes, uint64(heap.FixedSize(tv.node)); got != want {
+				t.Fatalf("a plain allocation charged %d bytes to mutator 0's clock, want %d", got, want)
+			}
+			if eng.threaded && shared.Count(stats.EvAllocBytes) != sharedBytes {
+				t.Fatal("a plain allocation charged the shared clock, not mutator 0's shard")
+			}
+			m.WriteWord(a, nodeVal, 7)
+			writes, shardWrites := shared.Count(stats.EvFieldWrite), shard.Count(stats.EvFieldWrite)
+			tv.WriteWord(b, nodeVal, 8)
+			if shared.Count(stats.EvFieldWrite) != writes+1 {
+				t.Fatal("a plain store did not charge the shared clock")
+			}
+			if eng.threaded && shard.Count(stats.EvFieldWrite) != shardWrites {
+				t.Fatal("a plain store charged mutator 0's shard")
+			}
+			if m.ReadWord(a, nodeVal) != 7 || m.ReadWord(b, nodeVal) != 8 {
+				t.Fatal("mutator and VM see different heaps")
+			}
+			m.Park()
+		})
 	}
-	m.Unpark()
-	a := m.MustNew(tv.node)
-	b := tv.MustNew(tv.node)
-	m.WriteWord(a, nodeVal, 7)
-	tv.WriteWord(b, nodeVal, 8)
-	if m.ReadWord(a, nodeVal) != 7 || m.ReadWord(b, nodeVal) != 8 {
-		t.Fatal("mutator and VM see different heaps")
-	}
-	m.Park()
 }
 
 // Attached mutators get consecutive ids paired with their own Immix
 // contexts, and interleaved allocation with collections keeps every
 // mutator's data intact.
 func TestAttachedMutatorsAllocateIndependently(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, Immix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
 	muts := []*Mutator{tv.Mutator0(), tv.AttachMutator(), tv.AttachMutator()}
 	if tv.Mutators() != 3 {
 		t.Fatalf("Mutators() = %d, want 3", tv.Mutators())
@@ -83,7 +112,7 @@ func TestAttachedMutatorsAllocateIndependently(t *testing.T) {
 // stop-the-world protocol and must panic loudly rather than trace a heap
 // someone is still bumping into.
 func TestCollectPanicsOutsideSafepoint(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, Immix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
 	m0, m1 := tv.Mutator0(), tv.AttachMutator()
 	m1.Unpark() // m1 claims to be running...
 	m0.Unpark() // ...and so does m0, which will trigger the collection
@@ -101,7 +130,7 @@ func TestCollectPanicsOutsideSafepoint(t *testing.T) {
 
 // The same collection is fine once every other mutator is parked.
 func TestCollectAllowedAtSafepoint(t *testing.T) {
-	tv := makeVM(t, 1<<20, 0, Immix, false, 0, 1)
+	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
 	m0, m1 := tv.Mutator0(), tv.AttachMutator()
 	m1.Unpark()
 	m1.Park()

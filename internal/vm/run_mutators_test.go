@@ -8,14 +8,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wearmem/internal/kernel"
 )
 
-func makeEngineVM(t *testing.T, threaded bool) *testVM {
-	t.Helper()
+// engineConfig is the runtime these tests drive: failure-aware sticky
+// Immix, with two trace workers on the threaded engine.
+func engineConfig(threaded bool) Config {
+	c := Config{HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true}
 	if threaded {
-		return makeThreadedVM(t, 1<<20, StickyImmix, 2)
+		c.Threaded, c.TraceWorkers = true, 2
 	}
-	return makeVM(t, 1<<20, 0, StickyImmix, true, 0, 1)
+	return c
 }
 
 // TestRunMutatorsBatch holds both engines to the batch contract: every id
@@ -29,7 +33,7 @@ func TestRunMutatorsBatch(t *testing.T) {
 			name = "threaded"
 		}
 		t.Run(name, func(t *testing.T) {
-			tv := makeEngineVM(t, threaded)
+			tv := newTestVM(t, engineConfig(threaded), kernel.Config{})
 			pre := []*Mutator{tv.Mutator0(), tv.AttachMutator()}
 			const k = 4
 			for batch := 0; batch < 2; batch++ {
@@ -89,7 +93,7 @@ func TestRunMutatorsBatch(t *testing.T) {
 func TestRunMutatorsBatonInterleavesDeterministically(t *testing.T) {
 	type turn struct{ id, step int }
 	run := func() []turn {
-		tv := makeEngineVM(t, false)
+		tv := newTestVM(t, engineConfig(false), kernel.Config{})
 		var log []turn
 		err := tv.RunMutators(3, func(m *Mutator, yield func()) error {
 			for step := 0; step < 5; step++ {
@@ -122,7 +126,7 @@ func TestRunMutatorsBatonInterleavesDeterministically(t *testing.T) {
 // collections stops the world over mutators that do nothing but yield, and
 // the batch terminates.
 func TestRunMutatorsThreadedYieldIsSafepoint(t *testing.T) {
-	tv := makeEngineVM(t, true)
+	tv := newTestVM(t, engineConfig(true), kernel.Config{})
 	const collections = 20
 	var done atomic.Bool
 	finished := make(chan error, 1)
@@ -160,7 +164,7 @@ func TestRunMutatorsThreadedYieldIsSafepoint(t *testing.T) {
 // mutator is left marked running, whether it was mid-yield, finished, or
 // never started.
 func TestRunMutatorsBatonErrorLeavesEveryMutatorParked(t *testing.T) {
-	tv := makeEngineVM(t, false)
+	tv := newTestVM(t, engineConfig(false), kernel.Config{})
 	boom := errors.New("boom")
 	const k = 4
 	started := make([]bool, k)

@@ -299,9 +299,7 @@ func (t *threaded) pin(a heap.Addr) {
 // mutator.
 func (t *threaded) attach(m *Mutator) {
 	m.clk = stats.NewClock(t.v.clock.Costs())
-	if m.mc != nil {
-		m.mc.SetClock(m.clk)
-	}
+	m.mc.SetClock(m.clk)
 }
 
 // run makes the bodies RunThreads tasks; yield is the mutator's Safepoint

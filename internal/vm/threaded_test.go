@@ -4,33 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
 	"wearmem/internal/stats"
 )
-
-func makeThreadedVM(t *testing.T, heapBytes int, kind CollectorKind, traceWorkers int) *testVM {
-	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 4 * heapBytes / failmap.PageSize * 2
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Clock: clock})
-	v := New(Config{
-		HeapBytes:    heapBytes,
-		Collector:    kind,
-		FailureAware: true,
-		TraceWorkers: traceWorkers,
-		Threaded:     true,
-		Kernel:       kern,
-		Clock:        clock,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
-		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv
-}
 
 // TestThreadedMutatorsSurviveGC runs real goroutine mutators under enough
 // allocation pressure to force collections (including evacuating full
@@ -39,7 +16,10 @@ func TestThreadedMutatorsSurviveGC(t *testing.T) {
 	for _, kind := range []CollectorKind{Immix, StickyImmix} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/tw%d", kind, workers), func(t *testing.T) {
-				tv := makeThreadedVM(t, 512<<10, kind, workers)
+				tv := newTestVM(t, Config{
+					HeapBytes: 512 << 10, Collector: kind, FailureAware: true,
+					TraceWorkers: workers, Threaded: true,
+				}, kernel.Config{})
 				const muts, nodes, churn = 4, 200, 3000
 				ms := make([]*Mutator, muts)
 				ms[0] = tv.Mutator0()
@@ -131,7 +111,10 @@ func TestThreadedRequiresImmix(t *testing.T) {
 // shared clock by critical path: after RunThreads the shared clock has
 // advanced by at least the largest shard and holds the summed counts.
 func TestThreadedClockMerge(t *testing.T) {
-	tv := makeThreadedVM(t, 512<<10, StickyImmix, 2)
+	tv := newTestVM(t, Config{
+		HeapBytes: 512 << 10, Collector: StickyImmix, FailureAware: true, TraceWorkers: 2,
+		Threaded: true,
+	}, kernel.Config{})
 	const muts = 3
 	ms := make([]*Mutator, muts)
 	ms[0] = tv.Mutator0()
@@ -166,7 +149,9 @@ func TestThreadedClockMerge(t *testing.T) {
 // ErrOutOfMemory (a DNF) rather than deadlocking when the heap is too
 // small for the live set.
 func TestThreadedOOMIsDNF(t *testing.T) {
-	tv := makeThreadedVM(t, 128<<10, Immix, 2)
+	tv := newTestVM(t, Config{
+		HeapBytes: 128 << 10, Collector: Immix, FailureAware: true, TraceWorkers: 2, Threaded: true,
+	}, kernel.Config{})
 	const muts = 2
 	ms := make([]*Mutator, muts)
 	ms[0] = tv.Mutator0()

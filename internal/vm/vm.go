@@ -191,11 +191,11 @@ type VM struct {
 	// mutator goroutine.
 	markTriggerBytes int
 	allocSinceMark   atomic.Int64
-	// newborn models the allocation-site register: the most recent
-	// allocation is a root until the next one replaces it, so a line
-	// failure arriving between the bump and the mutator's first store of
-	// the address still finds the object reachable (and evacuates it).
-	newborn heap.Addr
+	// primary is the mutator the VM's plain entry points run as: id 0,
+	// allocation context 0 (none under mark-sweep) and the shared clock.
+	// It is never attached to the engine; Mutator0 is a separate handle on
+	// the same context, with its own clock and allocation-site register.
+	primary Mutator
 	// degraded is the sticky first unrecoverable runtime error (e.g. a
 	// write stalled beyond the kernel's drain-and-retry budget).
 	degraded error
@@ -273,6 +273,10 @@ func New(cfg Config) *VM {
 	default:
 		panic(fmt.Sprintf("vm: unknown collector %d", cfg.Collector))
 	}
+	v.primary = Mutator{v: v, clk: v.clock}
+	if v.immix != nil {
+		v.primary.mc = v.immix.Context0()
+	}
 	if cfg.FailureAware {
 		cfg.Kernel.RegisterFailureHandler(v)
 	}
@@ -281,7 +285,7 @@ func New(cfg Config) *VM {
 		// between the bump and the first store of the new address; the
 		// statistical-wear harness cannot, and its golden outputs must not
 		// shift by the extra root.
-		v.roots.Add(&v.newborn)
+		v.roots.Add(&v.primary.newborn)
 	}
 	return v
 }
@@ -416,9 +420,9 @@ func (v *VM) allocGuarded(m *Mutator, ty *heap.Type, size, n int) (a heap.Addr, 
 	if !v.threaded {
 		v.busy++
 	}
-	if m != nil && m.mc != nil {
+	if m.mc != nil {
 		a, err = v.immix.AllocOn(m.mc, ty, size, n)
-	} else {
+	} else { // mark-sweep: no per-mutator contexts
 		a, err = v.plan.Alloc(ty, size, n)
 	}
 	if !v.threaded {
@@ -453,21 +457,9 @@ func (v *VM) Collect(full bool) {
 // Pin marks the object immovable.
 func (v *VM) Pin(a heap.Addr) { v.eng.pin(a) }
 
-// New allocates a fixed-size object of the registered type.
-func (v *VM) New(ty *heap.Type) (heap.Addr, error) {
-	return v.allocRetry(nil, ty, heap.FixedSize(ty), 0)
-}
-
-// NewArray allocates an array object of n elements.
-func (v *VM) NewArray(ty *heap.Type, n int) (heap.Addr, error) {
-	return v.allocRetry(nil, ty, heap.ArraySize(ty, n), n)
-}
-
-// allocRetry is the one allocation path. m selects the mutator allocation
-// context; nil uses the plan's primary context (the historical
-// single-mutator path, bit for bit). Allocation is a GC point: the engine's
-// poll comes before the bump, and a failed attempt is the engine's to
-// answer.
+// allocRetry is the one allocation path, on m's allocation context.
+// Allocation is a GC point: the engine's poll comes before the bump, and a
+// failed attempt is the engine's to answer.
 func (v *VM) allocRetry(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, error) {
 	if v.oom.Load() {
 		return 0, ErrOutOfMemory
@@ -479,18 +471,14 @@ func (v *VM) allocRetry(m *Mutator, ty *heap.Type, size, n int) (heap.Addr, erro
 			return 0, err
 		}
 	}
-	newborn := &v.newborn
-	if m != nil {
-		newborn = &m.newborn
-	}
-	*newborn = a
+	m.newborn = a
 	if v.cfg.Probe != nil {
 		v.cfg.Probe(probe.AllocBump, uint64(a))
 	}
 	// The probe may have injected a failure whose recovery collection
 	// evacuated the fresh object; the newborn root was fixed up, the local
 	// was not.
-	return *newborn, nil
+	return m.newborn, nil
 }
 
 // escalate is the collection ladder behind an allocation attempt that
@@ -532,96 +520,64 @@ func (v *VM) escalate(m *Mutator, ty *heap.Type, size, n int, err error) (heap.A
 	return 0, ErrOutOfMemory
 }
 
+// The VM's plain entry points run as the primary mutator: context 0's
+// allocations, the shared clock's charges (see Mutator for each).
+
+// New allocates a fixed-size object of the registered type.
+func (v *VM) New(ty *heap.Type) (heap.Addr, error) { return v.primary.New(ty) }
+
+// NewArray allocates an array object of n elements.
+func (v *VM) NewArray(ty *heap.Type, n int) (heap.Addr, error) { return v.primary.NewArray(ty, n) }
+
 // MustNew allocates or panics with ErrOutOfMemory; workloads treat OOM as
 // a DNF and recover at the harness boundary.
-func (v *VM) MustNew(ty *heap.Type) heap.Addr {
-	a, err := v.New(ty)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
+func (v *VM) MustNew(ty *heap.Type) heap.Addr { return v.primary.MustNew(ty) }
 
 // MustNewArray allocates an array or panics with ErrOutOfMemory.
-func (v *VM) MustNewArray(ty *heap.Type, n int) heap.Addr {
-	a, err := v.NewArray(ty, n)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// The public accessors charge the VM's shared clock (the historical
-// single-mutator path); Mutator accessors route through the same internals
-// with the mutator's clock shard and barrier context, so the two engines
-// share one implementation of every load, store and barrier.
+func (v *VM) MustNewArray(ty *heap.Type, n int) heap.Addr { return v.primary.MustNewArray(ty, n) }
 
 // ReadRef loads the reference at byte offset off of obj.
-func (v *VM) ReadRef(obj heap.Addr, off int) heap.Addr { return v.readRef(v.clock, obj, off) }
+func (v *VM) ReadRef(obj heap.Addr, off int) heap.Addr { return v.primary.ReadRef(obj, off) }
 
 // WriteRef stores a reference, applying the generational write barrier.
-func (v *VM) WriteRef(obj heap.Addr, off int, val heap.Addr) {
-	v.writeRef(v.clock, nil, obj, off, val)
-}
+func (v *VM) WriteRef(obj heap.Addr, off int, val heap.Addr) { v.primary.WriteRef(obj, off, val) }
 
 // ReadWord loads a scalar word field.
-func (v *VM) ReadWord(obj heap.Addr, off int) uint64 { return v.readWord(v.clock, obj, off) }
+func (v *VM) ReadWord(obj heap.Addr, off int) uint64 { return v.primary.ReadWord(obj, off) }
 
 // WriteWord stores a scalar word field.
-func (v *VM) WriteWord(obj heap.Addr, off int, val uint64) { v.writeWord(v.clock, obj, off, val) }
+func (v *VM) WriteWord(obj heap.Addr, off int, val uint64) { v.primary.WriteWord(obj, off, val) }
 
 // ArrayRef loads element i of a reference array.
-func (v *VM) ArrayRef(arr heap.Addr, i int) heap.Addr { return v.arrayRef(v.clock, arr, i) }
+func (v *VM) ArrayRef(arr heap.Addr, i int) heap.Addr { return v.primary.ArrayRef(arr, i) }
 
 // SetArrayRef stores element i of a reference array with the barrier.
-func (v *VM) SetArrayRef(arr heap.Addr, i int, val heap.Addr) {
-	v.setArrayRef(v.clock, nil, arr, i, val)
-}
+func (v *VM) SetArrayRef(arr heap.Addr, i int, val heap.Addr) { v.primary.SetArrayRef(arr, i, val) }
 
 // ArrayByte loads byte i of a scalar byte array.
-func (v *VM) ArrayByte(arr heap.Addr, i int) byte { return v.arrayByte(v.clock, arr, i) }
+func (v *VM) ArrayByte(arr heap.Addr, i int) byte { return v.primary.ArrayByte(arr, i) }
 
 // SetArrayByte stores byte i of a scalar byte array.
-func (v *VM) SetArrayByte(arr heap.Addr, i int, b byte) { v.setArrayByte(v.clock, arr, i, b) }
+func (v *VM) SetArrayByte(arr heap.Addr, i int, b byte) { v.primary.SetArrayByte(arr, i, b) }
 
-// SetArrayBytes stores src into bytes i.. of a scalar byte array: exactly
-// len(src) SetArrayByte calls in order.
-func (v *VM) SetArrayBytes(arr heap.Addr, i int, src []byte) { v.setArrayBytes(v.clock, arr, i, src) }
+// SetArrayBytes stores src into bytes i.. of a scalar byte array.
+func (v *VM) SetArrayBytes(arr heap.Addr, i int, src []byte) { v.primary.SetArrayBytes(arr, i, src) }
 
-// ArrayLen returns the element count of the array at arr (no clock charge;
-// it models metadata the compiler would know statically).
-func (v *VM) ArrayLen(arr heap.Addr) int { return v.model.ArrayLen(arr) }
+// ArrayLen returns the element count of the array at arr.
+func (v *VM) ArrayLen(arr heap.Addr) int { return v.primary.ArrayLen(arr) }
+
+// Work charges n units of application compute to the cost model.
+func (v *VM) Work(n int) { v.primary.Work(n) }
 
 // barrier dispatches the generational write barrier: the baton engine uses
 // the plan's serial barrier, the threaded engine the CAS-claiming
-// per-context barrier (mc nil selects the primary context).
+// barrier of the storing mutator's context.
 func (v *VM) barrier(mc *core.MutatorContext, obj heap.Addr) {
 	if v.threaded {
-		if mc == nil {
-			mc = v.immix.Context0()
-		}
 		v.immix.BarrierOn(mc, obj)
 		return
 	}
 	v.plan.Barrier(obj)
-}
-
-func (v *VM) readRef(clk *stats.Clock, obj heap.Addr, off int) heap.Addr {
-	clk.Charge1(stats.EvFieldRead)
-	return heap.Addr(v.model.S.Load64(obj + heap.Addr(off)))
-}
-
-func (v *VM) writeRef(clk *stats.Clock, mc *core.MutatorContext, obj heap.Addr, off int, val heap.Addr) {
-	clk.Charge1(stats.EvFieldWrite)
-	if v.wt.Shared() {
-		v.wt.Lock()
-		defer v.wt.Unlock()
-	}
-	v.barrier(mc, obj)
-	v.refStore(mc, obj+heap.Addr(off), uint64(val))
-	if v.cfg.WriteThrough {
-		v.writeback(obj + heap.Addr(off))
-	}
 }
 
 // refStore performs a reference-slot store with the deletion half of the
@@ -637,9 +593,6 @@ func (v *VM) refStore(mc *core.MutatorContext, slot heap.Addr, val uint64) {
 		return
 	}
 	if v.threaded {
-		if mc == nil {
-			mc = v.immix.Context0()
-		}
 		old := heap.Addr(v.model.S.AtomicLoad64(slot))
 		v.immix.ShadeOn(mc, old)
 		v.model.S.AtomicStore64(slot, val)
@@ -648,109 +601,6 @@ func (v *VM) refStore(mc *core.MutatorContext, slot heap.Addr, val uint64) {
 	old := heap.Addr(v.model.S.Load64(slot))
 	v.immix.Shade(old)
 	v.model.S.Store64(slot, val)
-}
-
-func (v *VM) readWord(clk *stats.Clock, obj heap.Addr, off int) uint64 {
-	clk.Charge1(stats.EvFieldRead)
-	return v.model.S.Load64(obj + heap.Addr(off))
-}
-
-func (v *VM) writeWord(clk *stats.Clock, obj heap.Addr, off int, val uint64) {
-	clk.Charge1(stats.EvFieldWrite)
-	if v.wt.Shared() {
-		v.wt.Lock()
-		defer v.wt.Unlock()
-	}
-	v.model.S.Store64(obj+heap.Addr(off), val)
-	if v.cfg.WriteThrough {
-		v.writeback(obj + heap.Addr(off))
-	}
-}
-
-func (v *VM) arrayRef(clk *stats.Clock, arr heap.Addr, i int) heap.Addr {
-	clk.Charge1(stats.EvArrayAccess)
-	v.boundsCheck(arr, i)
-	return heap.Addr(v.model.S.Load64(arr + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize)))
-}
-
-func (v *VM) setArrayRef(clk *stats.Clock, mc *core.MutatorContext, arr heap.Addr, i int, val heap.Addr) {
-	clk.Charge1(stats.EvArrayAccess)
-	v.boundsCheck(arr, i)
-	if v.wt.Shared() {
-		v.wt.Lock()
-		defer v.wt.Unlock()
-	}
-	v.barrier(mc, arr)
-	v.refStore(mc, arr+heap.ArrayHeaderSize+heap.Addr(i*heap.WordSize), uint64(val))
-	if v.cfg.WriteThrough {
-		v.writeback(arr + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize))
-	}
-}
-
-func (v *VM) arrayByte(clk *stats.Clock, arr heap.Addr, i int) byte {
-	clk.Charge1(stats.EvArrayAccess)
-	v.boundsCheck(arr, i)
-	return v.model.S.Load8(arr + heap.ArrayHeaderSize + heap.Addr(i))
-}
-
-func (v *VM) setArrayByte(clk *stats.Clock, arr heap.Addr, i int, b byte) {
-	clk.Charge1(stats.EvArrayAccess)
-	v.boundsCheck(arr, i)
-	if v.wt.Shared() {
-		v.wt.Lock()
-		defer v.wt.Unlock()
-	}
-	v.model.S.Store8(arr+heap.ArrayHeaderSize+heap.Addr(i), b)
-	if v.cfg.WriteThrough {
-		v.writeback(arr + heap.ArrayHeaderSize + heap.Addr(i))
-	}
-}
-
-// setArrayBytes is setArrayByte over a range, a device line at a time. The
-// stores a line receives are one step when storeLine can take it; when it
-// cannot, they run one by one through setArrayByte, so every effect a
-// per-byte store has lands where it would have.
-func (v *VM) setArrayBytes(clk *stats.Clock, arr heap.Addr, i int, src []byte) {
-	if len(src) == 0 {
-		return
-	}
-	v.boundsCheck(arr, i)
-	v.boundsCheck(arr, i+len(src)-1)
-	for len(src) > 0 {
-		addr := arr + heap.ArrayHeaderSize + heap.Addr(i)
-		n := min(len(src), failmap.LineSize-int(addr%failmap.LineSize))
-		if !v.storeLine(clk, addr, src[:n]) {
-			for j, b := range src[:n] {
-				v.setArrayByte(clk, arr, i+j, b)
-			}
-		}
-		i, src = i+n, src[n:]
-	}
-}
-
-// storeLine stores src, which lies within one device line, at addr as one
-// step and reports whether it could: the bytes land, the len(src) array
-// accesses are one charge and, under write-through, the device applies
-// len(src) writes of the finished line at once (kernel.WriteLineRepeat).
-// When the kernel refuses — a write of the run could fail, stall, level,
-// cluster or be seen by a frame policy — the old bytes go back and nothing
-// is charged. It takes the write-through transaction once for the line.
-func (v *VM) storeLine(clk *stats.Clock, addr heap.Addr, src []byte) bool {
-	if v.wt.Shared() {
-		v.wt.Lock()
-		defer v.wt.Unlock()
-	}
-	dst := v.model.S.Bytes(addr, len(src))
-	var old [failmap.LineSize]byte
-	copy(old[:], dst)
-	copy(dst, src)
-	line := addr &^ heap.Addr(failmap.LineSize-1)
-	if v.cfg.WriteThrough && !v.kern.WriteLineRepeat(uint64(line), v.model.S.Bytes(line, failmap.LineSize), len(src)) {
-		copy(dst, old[:])
-		return false
-	}
-	clk.Charge(stats.EvArrayAccess, uint64(len(src)))
-	return true
 }
 
 // writeback pushes the line containing addr through the kernel to the PCM
@@ -786,9 +636,6 @@ func (v *VM) boundsCheck(arr heap.Addr, i int) {
 		panic(fmt.Sprintf("vm: index %d out of range [0,%d)", i, n))
 	}
 }
-
-// Work charges n units of application compute to the cost model.
-func (v *VM) Work(n int) { v.clock.Charge(stats.EvMutatorOp, uint64(n)) }
 
 // HandleFailures is the kernel up-call (§3.2.2): the runtime retires the
 // failed lines and relocates affected data. Failures inside the Immix

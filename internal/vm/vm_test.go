@@ -24,33 +24,38 @@ type testVM struct {
 	blob *heap.Type
 }
 
-func makeVM(t *testing.T, heapBytes int, failRate float64, kind CollectorKind, aware bool, clusterPages int, seed int64) *testVM {
+// newTestVM builds a VM from cfg over a kernel from kc and registers the
+// node and blob types. A nil cfg.Clock is a fresh clock, which the kernel
+// shares; a zero kc.PCMPages is a pool of eight heaps.
+func newTestVM(t *testing.T, cfg Config, kc kernel.Config) *testVM {
 	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 4 * heapBytes / failmap.PageSize * 2
-	var inject *failmap.Map
-	if failRate > 0 {
-		inject = failmap.New(poolPages * failmap.PageSize)
-		failmap.GenerateUniform(inject, failRate, rand.New(rand.NewSource(seed)))
-		if clusterPages > 0 {
-			inject = failmap.ClusterHardware(inject, clusterPages)
-		}
+	if cfg.Clock == nil {
+		cfg.Clock = stats.NewClock(stats.DefaultCosts())
 	}
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Inject: inject, Clock: clock})
-	v := New(Config{
-		HeapBytes:    heapBytes,
-		Compensate:   failRate > 0,
-		Collector:    kind,
-		FailureAware: aware,
-		Kernel:       kern,
-		Clock:        clock,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
+	if kc.PCMPages == 0 {
+		kc.PCMPages = 8 * cfg.HeapBytes / failmap.PageSize
+	}
+	kc.Clock = cfg.Clock
+	cfg.Kernel = kernel.New(kc)
+	tv := &testVM{VM: New(cfg)}
+	tv.node = tv.RegisterType(&heap.Type{
 		Name: "node", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
 	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
+	tv.blob = tv.RegisterType(&heap.Type{Name: "blob", Kind: heap.KindScalarArray, ElemSize: 1})
 	return tv
+}
+
+// withFailures is the default pool for heapBytes with rate of its lines
+// failed uniformly from seed, then clustered over clusterPages pages when
+// that is positive.
+func withFailures(heapBytes int, rate float64, clusterPages int, seed int64) kernel.Config {
+	poolPages := 8 * heapBytes / failmap.PageSize
+	inject := failmap.New(poolPages * failmap.PageSize)
+	failmap.GenerateUniform(inject, rate, rand.New(rand.NewSource(seed)))
+	if clusterPages > 0 {
+		inject = failmap.ClusterHardware(inject, clusterPages)
+	}
+	return kernel.Config{PCMPages: poolPages, Inject: inject}
 }
 
 func (tv *testVM) buildList(t *testing.T, n int) heap.Addr {
@@ -87,7 +92,7 @@ func (tv *testVM) checkList(t *testing.T, head heap.Addr, n int) {
 func TestVMEndToEndChurn(t *testing.T) {
 	for _, kind := range []CollectorKind{Immix, StickyImmix, MarkSweep, StickyMarkSweep} {
 		t.Run(kind.String(), func(t *testing.T) {
-			tv := makeVM(t, 1<<20, 0, kind, false, 0, 1)
+			tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: kind}, kernel.Config{})
 			head := tv.buildList(t, 200)
 			tv.AddRoot(&head)
 			// Churn several times the heap size.
@@ -106,7 +111,9 @@ func TestVMEndToEndChurn(t *testing.T) {
 
 func TestVMFailureAwareChurn(t *testing.T) {
 	for _, rate := range []float64{0.10, 0.25, 0.50} {
-		tv := makeVM(t, 1<<20, rate, StickyImmix, true, 2, 42)
+		tv := newTestVM(t, Config{
+			HeapBytes: 1 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+		}, withFailures(1<<20, rate, 2, 42))
 		head := tv.buildList(t, 200)
 		tv.AddRoot(&head)
 		for i := 0; i < 20000; i++ {
@@ -116,26 +123,6 @@ func TestVMFailureAwareChurn(t *testing.T) {
 		}
 		tv.checkList(t, head, 200)
 	}
-}
-
-func makeVMNoComp(t *testing.T, heapBytes int, failRate float64, seed int64) *testVM {
-	t.Helper()
-	clock := stats.NewClock(stats.DefaultCosts())
-	poolPages := 8 * heapBytes / failmap.PageSize
-	inject := failmap.New(poolPages * failmap.PageSize)
-	failmap.GenerateUniform(inject, failRate, rand.New(rand.NewSource(seed)))
-	inject = failmap.ClusterHardware(inject, 2)
-	kern := kernel.New(kernel.Config{PCMPages: poolPages, Inject: inject, Clock: clock})
-	v := New(Config{
-		HeapBytes: heapBytes, Compensate: false,
-		Collector: StickyImmix, FailureAware: true, Kernel: kern, Clock: clock,
-	})
-	tv := &testVM{VM: v}
-	tv.node = v.RegisterType(&heap.Type{
-		Name: "node2", Kind: heap.KindFixed, Size: 24, RefOffsets: []int{nodeNext},
-	})
-	tv.blob = v.RegisterType(&heap.Type{Name: "blob2", Kind: heap.KindScalarArray, ElemSize: 1})
-	return tv
 }
 
 func TestVMCompensationHoldsUsableConstant(t *testing.T) {
@@ -155,20 +142,27 @@ func TestVMCompensationHoldsUsableConstant(t *testing.T) {
 		}
 		return kept
 	}
-	if clean := liveLoad(makeVM(t, 1<<20, 0, StickyImmix, true, 0, 1)); clean != 700 {
+	if clean := liveLoad(newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})); clean != 700 {
 		t.Fatalf("baseline holds %d/700 arrays", clean)
 	}
-	if comp := liveLoad(makeVM(t, 1<<20, 0.5, StickyImmix, true, 2, 1)); comp != 700 {
+	if comp := liveLoad(newTestVM(t, Config{
+		HeapBytes: 1 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+	}, withFailures(1<<20, 0.5, 2, 1))); comp != 700 {
 		t.Fatalf("compensated 50%% holds %d/700 arrays; usable memory not preserved", comp)
 	}
-	if got := liveLoad(makeVMNoComp(t, 1<<20, 0.5, 1)); got >= 700 {
+	if got := liveLoad(newTestVM(t, Config{
+		HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true,
+	}, withFailures(1<<20, 0.5, 2, 1))); got >= 700 {
 		t.Fatalf("uncompensated 50%% holds %d/700 arrays; failures should reduce capacity", got)
 	}
 }
 
 func TestVMOOMIsStickyAndReported(t *testing.T) {
-	tv := makeVM(t, 128<<10, 0, Immix, false, 0, 1) // 4 blocks
-	keep := make([]heap.Addr, 0, 20000)             // preallocated: root slots must not move
+	// 4 blocks; keep is preallocated, since root slots must not move.
+	tv := newTestVM(t, Config{HeapBytes: 128 << 10, Collector: Immix}, kernel.Config{})
+	keep := make([]heap.Addr, 0, 20000)
 	for i := 0; ; i++ {
 		a, err := tv.NewArray(tv.blob, 1024)
 		if err != nil {
@@ -191,7 +185,9 @@ func TestVMOOMIsStickyAndReported(t *testing.T) {
 func TestVMLOSBorrowsPerfectPages(t *testing.T) {
 	// 50% failures without clustering: perfect pages are rare, so LOS
 	// allocations must borrow.
-	tv := makeVM(t, 2<<20, 0.5, StickyImmix, true, 0, 7)
+	tv := newTestVM(t, Config{
+		HeapBytes: 2 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+	}, withFailures(2<<20, 0.5, 0, 7))
 	arrs := make([]heap.Addr, 0, 8)
 	for i := 0; i < 8; i++ {
 		a, err := tv.NewArray(tv.blob, 32<<10)
@@ -208,7 +204,9 @@ func TestVMLOSBorrowsPerfectPages(t *testing.T) {
 
 func TestVMTwoPageClusteringCutsBorrowing(t *testing.T) {
 	demand := func(clusterPages int) int {
-		tv := makeVM(t, 2<<20, 0.25, StickyImmix, true, clusterPages, 7)
+		tv := newTestVM(t, Config{
+			HeapBytes: 2 << 20, Compensate: true, Collector: StickyImmix, FailureAware: true,
+		}, withFailures(2<<20, 0.25, clusterPages, 7))
 		arrs := make([]heap.Addr, 0, 12)
 		for i := 0; i < 12; i++ {
 			a, err := tv.NewArray(tv.blob, 24<<10)
@@ -286,7 +284,9 @@ func TestGCTraceWritesSideChannel(t *testing.T) {
 	var buf bytes.Buffer
 	SetGCTrace(&buf)
 	defer SetGCTrace(nil)
-	tv := makeVM(t, 256<<10, 0, StickyImmix, true, 0, 1)
+	tv := newTestVM(t, Config{
+		HeapBytes: 256 << 10, Collector: StickyImmix, FailureAware: true,
+	}, kernel.Config{})
 	// Churn well past the heap size so allocation must trigger collections.
 	for i := 0; i < 4096; i++ {
 		if _, err := tv.NewArray(tv.blob, 256); err != nil {

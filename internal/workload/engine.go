@@ -65,13 +65,12 @@ type Profile struct {
 
 	// Body, when set, replaces the standard setup/iterate churn engine:
 	// the profile is a scenario (e.g. the KV server) whose behaviour is
-	// this function, run once per mutator with the mutator's API, its
-	// index and the mutator count, its iteration share, and a yield
-	// callback the body must invoke once per iteration (the engines park
-	// at safepoints and fire IterHook there). Scenario profiles still
-	// declare Iterations and MinHeapBytes; the churn-mix fields are
-	// unused.
-	Body func(api MutAPI, mut, mutators, iterations int, yield func()) error
+	// this function, run once per mutator with the mutator, its index and
+	// the mutator count, its iteration share, and a yield callback the
+	// body must invoke once per iteration (the engines park at safepoints
+	// and fire IterHook there). Scenario profiles still declare Iterations
+	// and MinHeapBytes; the churn-mix fields are unused.
+	Body func(api *vm.Mutator, mut, mutators, iterations int, yield func()) error
 
 	// Latency, when set by the harness, returns mutator i's latency
 	// shard; scenario bodies record per-operation latency into it. Nil
@@ -160,30 +159,6 @@ func RegisterTypes(v *vm.VM) *Types {
 	}
 }
 
-// MutAPI is the runtime surface a run drives: one vm.Mutator, whose
-// allocations go through its private Immix context and whose accessors
-// charge its clock — an alias of the shared clock on the baton engine, a
-// private shard on the threaded one. *vm.VM satisfies it too (the torture
-// workload's serial campaign drives the VM's plain entry points); scenario
-// bodies receive a *vm.Mutator and may type-assert for its clock and GC
-// telemetry.
-type MutAPI interface {
-	New(ty *heap.Type) (heap.Addr, error)
-	NewArray(ty *heap.Type, n int) (heap.Addr, error)
-	ReadRef(obj heap.Addr, off int) heap.Addr
-	WriteRef(obj heap.Addr, off int, val heap.Addr)
-	ReadWord(obj heap.Addr, off int) uint64
-	WriteWord(obj heap.Addr, off int, val uint64)
-	ArrayRef(arr heap.Addr, i int) heap.Addr
-	SetArrayRef(arr heap.Addr, i int, val heap.Addr)
-	ArrayByte(arr heap.Addr, i int) byte
-	SetArrayByte(arr heap.Addr, i int, b byte)
-	ArrayLen(arr heap.Addr) int
-	AddRoot(slot *heap.Addr)
-	RemoveRoot(slot *heap.Addr)
-	Work(n int)
-}
-
 // runState is one mutator's slice of a benchmark run: its long-lived
 // structures, its deterministic rng stream, and its churn counter.
 type runState struct {
@@ -197,7 +172,7 @@ type runState struct {
 // setup builds the long-lived structures: the linked list, the rooted live
 // arrays and the survivor registry, or the share of them one mutator of a
 // RunMutators batch owns.
-func (p *Profile) setup(api MutAPI, ty *Types, st *runState, listNodes, arrayBytes, regSlots int) error {
+func (p *Profile) setup(api *vm.Mutator, ty *Types, st *runState, listNodes, arrayBytes, regSlots int) error {
 	api.AddRoot(&st.head)
 	for i := 0; i < listNodes; i++ {
 		a, err := api.New(ty.Node)
@@ -240,7 +215,7 @@ func (p *Profile) setup(api MutAPI, ty *Types, st *runState, listNodes, arrayByt
 // iterate runs one benchmark iteration against the mutator's state. head
 // and registry live in rooted slots: any allocation below may trigger a
 // moving collection, so they are re-read through st at every use.
-func (p *Profile) iterate(api MutAPI, ty *Types, st *runState) error {
+func (p *Profile) iterate(api *vm.Mutator, ty *Types, st *runState) error {
 	rng := st.rng
 	// Churn allocation.
 	allocated := 0
