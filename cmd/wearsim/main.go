@@ -71,6 +71,17 @@ func main() {
 	prof.Register(flag.CommandLine)
 	flag.Parse()
 
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// exit stops the profiles first: os.Exit runs no deferred call.
+	exit := func(code int) {
+		stop()
+		os.Exit(code)
+	}
+
 	if *crash || *torture {
 		configs := chaos.AllConfigs()
 		if *crash {
@@ -80,31 +91,25 @@ func main() {
 			var err error
 			if configs, err = chaos.ParseConfigs(*tortureConfig); err != nil {
 				fmt.Fprintln(os.Stderr, "wearsim:", err)
-				os.Exit(2)
+				exit(2)
 			}
 		}
 		opt := chaos.Options{Seeds: *seeds, SeedBase: *seed, Events: *tortureEvents, Iters: *tortureIters,
 			Break: *tortureBreak, Workers: *parallel, Configs: configs}
 		switch {
 		case *crash:
-			os.Exit(runCrash(opt, *tortureOut, *tortureV))
+			exit(runCrash(opt, *tortureOut, *tortureV))
 		case *tortureSched != "":
-			os.Exit(runReplay(opt, *tortureSched))
+			exit(runReplay(opt, *tortureSched))
 		}
-		os.Exit(runTorture(opt, *tortureOut, *tortureV))
-	}
-
-	stop, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(runTorture(opt, *tortureOut, *tortureV))
 	}
 	defer stop()
 
 	wl := pcm.NoWearLeveling
 	if *leveling && *cluster > 0 {
 		fmt.Fprintln(os.Stderr, "wearsim: -startgap and -cluster are exclusive: a device levels wear or clusters failures, not both")
-		os.Exit(2)
+		exit(2)
 	} else if *leveling {
 		wl = pcm.StartGap
 	}

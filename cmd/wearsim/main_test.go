@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -70,6 +71,22 @@ func TestTortureSweep(t *testing.T) {
 	}
 	if stdout, stderr, status := wearsim(t, replay...); status != 1 || !strings.Contains(stdout, "FAIL") {
 		t.Errorf("reproduction %v: exit %d, stdout %q, stderr %q; want exit 1", replay, status, stdout, stderr)
+	}
+}
+
+// The profiles cover a sweep too: the crash sweep, which ends in os.Exit,
+// still writes both.
+func TestSweepWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-crash", "-seeds", "1", "-torture-config", "S-IX/aware", "-cpuprofile", cpu, "-memprofile", mem}
+	if stdout, stderr, status := wearsim(t, args...); status != 0 {
+		t.Fatalf("wearsim %v: exit %d, stdout %q, stderr %q", args, status, stdout, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
+		}
 	}
 }
 

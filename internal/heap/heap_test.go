@@ -32,13 +32,20 @@ func TestSpaceLoadStore(t *testing.T) {
 	}
 }
 
+// TestSpaceGrowsPreservingContents: growth keeps what was written, and a
+// slice taken before it still points into the space.
 func TestSpaceGrowsPreservingContents(t *testing.T) {
 	s := NewSpace()
 	s.Ensure(64)
 	s.Store64(16, 42)
+	held := s.Bytes(24, 8)
 	s.Ensure(1 << 20)
 	if s.Load64(16) != 42 {
 		t.Fatal("Ensure lost data")
+	}
+	held[0] = 7
+	if s.Load8(24) != 7 {
+		t.Fatal("a slice taken before Ensure no longer points into the space")
 	}
 	if s.Size() != 1<<20 {
 		t.Fatalf("Size = %d", s.Size())

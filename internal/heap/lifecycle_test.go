@@ -41,7 +41,7 @@ func assertZero(t *testing.T, b []byte) {
 
 func TestReleaseZeroesWhatTheTenantMapped(t *testing.T) {
 	emptyFreeList(t)
-	a := NewSpace()
+	a := NewSpaceBelow(16 * 4096)
 	a.Ensure(3 * 4096)
 	for _, at := range []Addr{8, 4096, 3*4096 - 1} { // the last mapped byte included
 		a.Store8(at, 0xAB)
@@ -52,7 +52,7 @@ func TestReleaseZeroesWhatTheTenantMapped(t *testing.T) {
 		t.Fatalf("Parked() = %d after one Release, want 1", Parked())
 	}
 
-	b := NewSpace()
+	b := NewSpaceBelow(16 * 4096)
 	if Parked() != 0 {
 		t.Fatalf("Parked() = %d after adoption, want 0", Parked())
 	}
@@ -62,20 +62,21 @@ func TestReleaseZeroesWhatTheTenantMapped(t *testing.T) {
 	assertZero(t, fullCapacity(b))
 }
 
-// TestReleaseLeavesTheReservedTailAlone: a threaded run reserves far more
-// than it maps. Release must clear the mapped extent only — clearing the
-// reservation is what made every threaded run resident in full.
+// TestReleaseLeavesTheReservedTailAlone: a threaded run makes its whole
+// space addressable but maps far less. Release must clear the mapped extent
+// only — clearing the reservation is what made every threaded run resident
+// in full.
 func TestReleaseLeavesTheReservedTailAlone(t *testing.T) {
 	emptyFreeList(t)
-	s := NewSpace()
-	s.Reserve(1 << 20)
-	if s.mapped != 0 {
-		t.Fatalf("Reserve counted %#x bytes as mapped", s.mapped)
+	s := NewSpaceBelow(1 << 20)
+	s.Reserve()
+	if s.mapped != 0 || len(s.mem) != 1<<20 {
+		t.Fatalf("Reserve left %#x bytes addressable and counted %#x as mapped, want %#x and 0", len(s.mem), s.mapped, 1<<20)
 	}
 	s.Ensure(2 * 4096) // within the reservation: a no-op for len, not for mapped
 	s.Ensure(4096)     // the mark never moves back
-	if s.mapped != 2*4096 || s.Size() != 1<<20 {
-		t.Fatalf("mapped %#x size %#x, want %#x and %#x", s.mapped, s.Size(), 2*4096, 1<<20)
+	if s.mapped != 2*4096 || len(s.mem) != 1<<20 {
+		t.Fatalf("mapped %#x len %#x, want %#x and %#x", s.mapped, len(s.mem), 2*4096, 1<<20)
 	}
 	s.Store8(2*4096-1, 0xCD)
 	// A sentinel above the mark stands in for "never touched": nothing a
@@ -92,17 +93,49 @@ func TestReleaseLeavesTheReservedTailAlone(t *testing.T) {
 	}
 	backing[1<<19] = 0 // restore the free list's all-zero invariant
 
-	// The next reservation of the same size is a reslice of the same array.
-	n := NewSpace()
-	n.Reserve(1 << 20)
+	// The next space of the same limit adopts the same mapping.
+	n := NewSpaceBelow(1 << 20)
+	n.Reserve()
 	if &n.mem[0] != &backing[0] {
-		t.Fatal("reservation within the adopted capacity reallocated")
+		t.Fatal("a space within the adopted capacity mapped a new backing")
 	}
+}
+
+// TestSizeIsTheMappedMark: Size reports what Ensure covered, not what a
+// reservation made addressable, so a census sized by it walks the heap and
+// not the reservation.
+func TestSizeIsTheMappedMark(t *testing.T) {
+	for _, reserve := range []bool{false, true} {
+		s := NewSpaceBelow(1 << 20)
+		if reserve {
+			s.Reserve()
+		}
+		s.Ensure(3 * 4096)
+		if s.Size() != 3*4096 {
+			t.Errorf("reserve=%v: Size() = %#x after Ensure(%#x)", reserve, s.Size(), 3*4096)
+		}
+		s.Release()
+	}
+}
+
+// TestEnsurePastTheLimitPanics: a space never outgrows the backing it was
+// made with; mapping past it is a bug in the caller, not a reason to move
+// the backing.
+func TestEnsurePastTheLimitPanics(t *testing.T) {
+	emptyFreeList(t)
+	s := NewSpaceBelow(16 * 4096)
+	s.Ensure(16 * 4096)
+	defer func() {
+		if p, _ := recover().(string); !strings.Contains(p, "past the space's backing") {
+			t.Fatalf("Ensure past the limit: recovered %q", p)
+		}
+	}()
+	s.Ensure(16*4096 + 1)
 }
 
 func TestReleasedSpaceFaults(t *testing.T) {
 	emptyFreeList(t)
-	s := NewSpace()
+	s := NewSpaceBelow(16 * 4096)
 	s.Ensure(4096)
 	s.Release()
 	s.Release() // harmless, and parks nothing more
@@ -113,18 +146,18 @@ func TestReleasedSpaceFaults(t *testing.T) {
 		t.Fatalf("released space reports size %#x", s.Size())
 	}
 	for name, access := range map[string]func(){
-		"Load64":        func() { s.Load64(8) },
-		"Store64":       func() { s.Store64(8, 1) },
-		"Load8":         func() { s.Load8(8) },
-		"Store8":        func() { s.Store8(8, 1) },
-		"Copy":          func() { s.Copy(8, 16, 8) },
-		"Zero":          func() { s.Zero(8, 8) },
-		"Bytes":         func() { s.Bytes(8, 8) },
-		"AtomicLoad64":  func() { s.AtomicLoad64(8) },
-		"AtomicStore64": func() { s.AtomicStore64(8, 1) },
-		"Cas64":         func() { s.Cas64(8, 0, 1) },
-		"Ensure":        func() { s.Ensure(4096) },
-		"Reserve":       func() { s.Reserve(4096) },
+		"Load64":               func() { s.Load64(8) },
+		"Store64":              func() { s.Store64(8, 1) },
+		"Load8":                func() { s.Load8(8) },
+		"Store8":               func() { s.Store8(8, 1) },
+		"Copy":                 func() { s.Copy(8, 16, 8) },
+		"Zero":                 func() { s.Zero(8, 8) },
+		"Bytes":                func() { s.Bytes(8, 8) },
+		"AtomicLoad64":         func() { s.AtomicLoad64(8) },
+		"AtomicStore64":        func() { s.AtomicStore64(8, 1) },
+		"Cas64":                func() { s.Cas64(8, 0, 1) },
+		"Ensure":               func() { s.Ensure(4096) },
+		"Load64 after Reserve": func() { s.Reserve(); s.Load64(8) },
 	} {
 		func() {
 			defer func() {
@@ -138,48 +171,47 @@ func TestReleasedSpaceFaults(t *testing.T) {
 	}
 }
 
-// TestAdoptionMissGrows: the parked backing is smaller than the next run
-// needs. The run grows as an empty space would and the small backing is
-// unmapped at once — it is not parked a second time.
+// TestAdoptionMissGrows: the parked backing is smaller than the next space's
+// limit. The new space maps a fresh backing of its limit and copies nothing,
+// and the small backing is unmapped at once — it is not parked a second
+// time.
 func TestAdoptionMissGrows(t *testing.T) {
 	emptyFreeList(t)
-	small := NewSpace()
+	small := NewSpaceBelow(4096)
 	small.Ensure(4096)
 	small.Store64(8, 1)
 	small.Release()
 
-	big := NewSpace()
-	big.Ensure(4096)
-	big.Store64(4088, 0x1122334455667788)
 	before := mappings.Load()
-	big.Ensure(64 * 4096)
+	big := NewSpaceBelow(64 * 4096)
 	if Parked() != 0 {
-		t.Fatalf("Parked() = %d after growing past the adopted backing, want 0", Parked())
+		t.Fatalf("Parked() = %d after a miss, want 0", Parked())
 	}
 	if got := mappings.Load(); got != before {
-		t.Fatalf("%d backings mapped after growth, want %d: growth maps one and unmaps the one it copied", got, before)
+		t.Fatalf("%d backings mapped after the miss, want %d: it maps one and unmaps the one it passed over", got, before)
 	}
-	if got := big.Load64(4088); got != 0x1122334455667788 {
-		t.Fatalf("contents lost across growth: %#x", got)
+	if cap(big.mem) != 64*4096 {
+		t.Fatalf("missed adoption mapped %#x bytes, want the limit %#x", cap(big.mem), 64*4096)
 	}
+	big.Ensure(64 * 4096)
 	if big.Load64(8) != 0 {
-		t.Fatal("previous tenant's word visible after growth")
+		t.Fatal("previous tenant's word visible after a miss")
 	}
 	big.Store8(64*4096-1, 0xFF)
 	big.Release()
 	if Parked() != 1 {
-		t.Fatalf("Parked() = %d, want the grown backing alone", Parked())
+		t.Fatalf("Parked() = %d, want the new backing alone", Parked())
 	}
-	assertZero(t, fullCapacity(NewSpace()))
+	assertZero(t, fullCapacity(NewSpaceBelow(4096)))
 }
 
 // TestAdoptsTheLargestBacking: with several parked, a new space takes the
-// largest, which is the one least likely to need growing.
+// largest, which is the one most likely to cover its limit.
 func TestAdoptsTheLargestBacking(t *testing.T) {
 	emptyFreeList(t)
 	var open []*Space
 	for _, pages := range []Addr{2, 16, 4} {
-		s := NewSpace() // all three open at once, so none adopts another's
+		s := NewSpaceBelow(pages * 4096) // all three open at once, so none adopts another's
 		s.Ensure(pages * 4096)
 		open = append(open, s)
 	}
@@ -189,7 +221,7 @@ func TestAdoptsTheLargestBacking(t *testing.T) {
 	if Parked() != 3 {
 		t.Fatalf("Parked() = %d, want 3", Parked())
 	}
-	if got := cap(NewSpace().mem); got != 16*4096 {
+	if got := cap(NewSpaceBelow(4096).mem); got != 16*4096 {
 		t.Fatalf("adopted a backing of %#x bytes, want the largest (%#x)", got, 16*4096)
 	}
 	if Parked() != 2 {
@@ -204,11 +236,11 @@ func TestDroppedSpaceIsUnmapped(t *testing.T) {
 	emptyFreeList(t)
 	before := settledMappings()
 	func() {
-		s := NewSpace()
+		s := NewSpaceBelow(16 * 4096)
 		s.Ensure(16 * 4096)
 		s.Store8(16*4096-1, 1)
 	}()
-	kept := NewSpace()
+	kept := NewSpaceBelow(16 * 4096)
 	kept.Ensure(4096)
 	kept.Release()
 	if got := settledMappings(); got != before+1 {
@@ -245,7 +277,7 @@ func TestBackingLivesWhereTheBuildSays(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s := NewSpace()
+	s := NewSpaceBelow(size)
 	s.Ensure(size)
 	runtime.ReadMemStats(&after)
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)

@@ -5,7 +5,9 @@
 // address space backed by host memory (the paper likewise executes on DRAM
 // and injects faults, §5): an anonymous mapping outside the Go heap where
 // the host has mmap and the race detector is off, a Go byte slice
-// otherwise. Objects carry a one-word header holding flags, a
+// otherwise. The backing is sized once, to the virtual limit the kernel
+// states, and never moves, so a slice into it stays valid for the life of
+// the space. Objects carry a one-word header holding flags, a
 // sticky mark epoch, a type index and the object size; reference fields are
 // located through type descriptors, giving the collectors an exact object
 // map. Address 0 is the nil reference.
@@ -15,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -26,26 +29,23 @@ type Addr uint64
 const WordSize = 8
 
 // Space is the simulated virtual address space. Pages are materialized on
-// demand as the kernel maps regions at increasing virtual addresses.
+// demand as the kernel maps regions at increasing virtual addresses, all
+// below a limit the space is made for.
 //
-// A space has a lifecycle: NewSpace adopts the backing array a finished
-// run parked with Release, so back-to-back simulator runs reuse one
-// allocation instead of each growing, zeroing and copying its own. A space
-// that is never released gives its backing back when the garbage collector
-// finds it unreachable.
+// A space has a lifecycle: NewSpace adopts the backing a finished run
+// parked with Release, so back-to-back simulator runs reuse one mapping
+// instead of each mapping and zeroing its own. A space that is never
+// released gives its backing back when the garbage collector finds it
+// unreachable.
 //
-// The backing is one mapping (mapBacking): len(mem) is what is
-// materialized, cap(mem) the mapping. Where it lies outside the Go heap, a
-// page costs resident memory only once touched, and the space does not
-// count toward the heap size that paces Go's collector — with it inside,
-// every run's peak RSS was about twice what the simulation held.
+// The backing is one mapping (mapBacking) covering the limit, made or
+// adopted once and never moved: len(mem) is what is addressable, cap(mem)
+// the mapping. Where it lies outside the Go heap, a page costs resident
+// memory only once touched, and the space does not count toward the heap
+// size that paces Go's collector — with it inside, every run's peak RSS
+// was about twice what the simulation held.
 type Space struct {
 	mem []byte
-	// frozen forbids further growth: the threaded engine pre-materializes
-	// the space (Reserve) because a reallocate-and-copy under concurrent
-	// mutator loads would tear. Growth past the reservation panics with an
-	// actionable message instead of racing.
-	frozen bool
 	// mapped is the high-water mark of Ensure: nothing above it was ever
 	// mapped, so nothing above it was ever written, and Release clears no
 	// further. Reserve's tail beyond it is zero and stays untouched.
@@ -61,35 +61,43 @@ var mappings atomic.Int64
 
 // parked is the free list of released backings. Every byte of a parked
 // backing's capacity is zero, and its length is zero. A backing enters
-// only through Release and leaves at the next NewSpace, so the list never
-// holds more entries than spaces were open at once — which bounds the
-// memory it retains without a size limit to tune.
+// only through Release and leaves at the next NewSpace, adopted or
+// unmapped, so the list never holds more entries than spaces were open at
+// once — which bounds the memory it retains without a size limit to tune.
 var parked struct {
 	sync.Mutex
 	backings [][]byte
 }
 
-// NewSpace returns an empty address space, backed by the largest parked
-// backing when there is one.
-func NewSpace() *Space {
+// DefaultLimit is the limit of a space made by NewSpace: the heap models
+// tests and benchmarks build by hand. A runtime states its own limit, the
+// kernel's VirtualLimit, to NewSpaceBelow.
+const DefaultLimit Addr = 64 << 20
+
+// NewSpace returns an empty address space for addresses below
+// DefaultLimit.
+func NewSpace() *Space { return NewSpaceBelow(DefaultLimit) }
+
+// NewSpaceBelow returns an empty address space for addresses below limit.
+// It adopts the largest parked backing when that covers limit; otherwise
+// it unmaps that backing and maps limit bytes fresh.
+func NewSpaceBelow(limit Addr) *Space {
 	parked.Lock()
-	defer parked.Unlock()
-	best := -1
-	for i, b := range parked.backings {
-		if best < 0 || cap(b) > cap(parked.backings[best]) {
-			best = i
+	var mem []byte
+	if n := len(parked.backings); n > 0 {
+		slices.SortFunc(parked.backings, func(a, b []byte) int { return cap(a) - cap(b) })
+		mem = parked.backings[n-1]
+		parked.backings = slices.Delete(parked.backings, n-1, n)
+	}
+	parked.Unlock()
+	if uint64(cap(mem)) < uint64(limit) {
+		if cap(mem) > 0 {
+			unmapBacking(mem)
 		}
+		mem = mapBacking(int(limit))[:0]
 	}
-	s := &Space{}
+	s := &Space{mem: mem}
 	runtime.SetFinalizer(s, (*Space).drop)
-	if best < 0 {
-		return s
-	}
-	s.mem = parked.backings[best]
-	last := len(parked.backings) - 1
-	parked.backings[best] = parked.backings[last]
-	parked.backings[last] = nil
-	parked.backings = parked.backings[:last]
 	return s
 }
 
@@ -111,86 +119,52 @@ func Parked() int {
 // Release ends the space's life and parks its backing for the next
 // NewSpace, cleared up to the mapped high-water mark. The caller must be
 // the only goroutine still holding the space. Afterwards every accessor
-// panics; releasing twice is harmless.
+// panics and Size is 0; releasing twice is harmless.
 func (s *Space) Release() {
 	if s.released {
 		return
 	}
-	mem := s.mem
-	s.mem, s.released = nil, true
-	if cap(mem) == 0 {
-		return
-	}
-	clear(mem[:s.mapped])
+	mem, mapped := s.mem, s.mapped
+	s.mem, s.mapped, s.released = nil, 0, true
+	clear(mem[:mapped])
 	parked.Lock()
 	parked.backings = append(parked.backings, mem[:0])
 	parked.Unlock()
 }
 
-// Ensure grows the backing store to cover addresses below limit. Capacity
-// grows geometrically so that the kernel's page-at-a-time virtual growth
-// costs amortized O(1) per byte rather than a full reallocate-and-copy per
-// mapping; the extension is zeroed (fresh mappings read as zero).
+// Ensure maps the addresses below limit, which read as zero until written:
+// the backing beyond len is zero — fresh from mapBacking, or cleared by the
+// Release that parked it — and has not been exposed since. It is a reslice
+// within the backing, which covers the limit the space was made for; a
+// limit past the backing is a bug in the caller.
 func (s *Space) Ensure(limit Addr) {
-	s.grow(limit)
-	if limit > s.mapped {
-		s.mapped = limit
-	}
-}
-
-// grow materializes addresses below limit without counting them as mapped.
-func (s *Space) grow(limit Addr) {
-	if uint64(limit) <= uint64(len(s.mem)) {
-		return
-	}
-	if s.released {
-		panic("heap: use of a released space")
-	}
-	if s.frozen {
-		panic(fmt.Sprintf(
-			"heap: space frozen at %#x but %#x required — raise the threaded engine's virtual reservation",
-			len(s.mem), limit))
-	}
-	if uint64(limit) <= uint64(cap(s.mem)) {
-		// The backing array beyond len is zero — fresh from mapBacking, or
-		// cleared by the Release that parked it — and has not been exposed
-		// since, so reslicing materializes zero pages.
+	if uint64(limit) > uint64(len(s.mem)) {
+		if s.released {
+			panic("heap: use of a released space")
+		}
+		if uint64(limit) > uint64(cap(s.mem)) {
+			panic(fmt.Sprintf("heap: Ensure(%#x) past the space's backing %#x", limit, cap(s.mem)))
+		}
 		s.mem = s.mem[:limit]
-		return
 	}
-	newCap := 2 * uint64(cap(s.mem))
-	if newCap < uint64(limit) {
-		newCap = uint64(limit)
-	}
-	grown := mapBacking(int(newCap))[:limit]
-	copy(grown, s.mem)
-	if cap(s.mem) > 0 {
-		unmapBacking(s.mem)
-	}
-	s.mem = grown
+	s.mapped = max(s.mapped, limit)
 }
 
-// Reserve pre-materializes the space up to limit and freezes it there: any
-// later Ensure beyond the reservation panics instead of reallocating. The
-// threaded engine calls this once at startup so concurrent accessors never
-// observe the backing array move. A reservation that fits an adopted
-// backing is a reslice; one that does not maps the whole reservation, of
-// which only the pages the run touches become resident (on a Go-heap
-// backing, the runtime clears the whole make whenever it hands back a
-// reused span).
-func (s *Space) Reserve(limit Addr) {
-	s.grow(limit)
-	s.frozen = true
-}
+// Reserve makes the whole backing addressable now, so that no later Ensure
+// changes len(mem): the threaded engine's mutators bounds-check against it
+// with no lock while another maps. Only the pages a run touches become
+// resident (on a Go-heap backing, the runtime cleared the whole make when
+// it handed it out).
+func (s *Space) Reserve() { s.mem = s.mem[:cap(s.mem)] }
 
-// Size returns the highest materialized address.
-func (s *Space) Size() Addr { return Addr(len(s.mem)) }
+// Size returns the mapped high-water mark: every address below it was
+// covered by some Ensure.
+func (s *Space) Size() Addr { return s.mapped }
 
 // slice is the n bytes at address a, in the backing itself. The slice is
-// valid until the next Ensure, Reserve or Release and only while the caller
-// holds the space: growth and the finalizer unmap the backing it points
-// into, and a later access through it is a segmentation fault, not a stale
-// read.
+// valid until Release and only while the caller holds the space: the
+// finalizer unmaps the backing it points into, and a later access through
+// it is a segmentation fault, not a stale read.
 func (s *Space) slice(a Addr, n int) []byte {
 	if a == 0 || uint64(a)+uint64(n) > uint64(len(s.mem)) {
 		s.fault(a, n)
@@ -264,6 +238,6 @@ func (s *Space) Zero(a Addr, n int) {
 }
 
 // Bytes exposes n bytes at address a for direct manipulation. Like slice,
-// the slice is valid only until the next Ensure, Reserve or Release and
-// only while the caller holds the space; use it at once and do not keep it.
+// the slice is valid until Release and only while the caller holds the
+// space.
 func (s *Space) Bytes(a Addr, n int) []byte { return s.slice(a, n) }

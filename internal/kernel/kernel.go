@@ -145,12 +145,11 @@ type Kernel struct {
 
 	vnext uint64 // virtual address bump pointer
 
-	// table is the forward page table, published whole so that Translate
-	// walks it without mu. Entries change only in setFrameLocked; makeRegion
-	// grows the table by copy. A reader still holding the previous table
-	// sees translations that were current when its call began — the window
-	// any caller already has between Translate returning and using the frame.
-	table atomic.Pointer[pageTable]
+	// pte is the forward page table: one entry per virtual page below
+	// VirtualLimit, holding the backing frame plus one so that the zero
+	// value is an unmapped page. It is allocated once, at New, so Translate
+	// walks it without mu; entries change only in setFrameLocked.
+	pte []atomic.Uint64
 
 	// reverse maps physical frame -> (region, page index) for interrupt
 	// handling; the paper's reverse address translation. Frames are dense
@@ -172,11 +171,6 @@ type reversed struct {
 	region *Region
 	page   int
 }
-
-// pageTable is the forward page table: one entry per virtual page, indexed
-// by page number, holding the backing frame plus one so that the zero value
-// is an unmapped page.
-type pageTable struct{ pte []atomic.Uint64 }
 
 // New builds a kernel over the configured physical memory.
 func New(cfg Config) *Kernel {
@@ -205,8 +199,8 @@ func New(cfg Config) *Kernel {
 		dramNext:     cfg.PCMPages,
 		reverse:      make([]reversed, cfg.PCMPages),
 		vnext:        failmap.PageSize, // keep virtual page 0 unmapped
+		pte:          make([]atomic.Uint64, 3*cfg.PCMPages+4096),
 	}
-	k.table.Store(new(pageTable))
 	for p := 0; p < cfg.PCMPages; p++ {
 		if cfg.Inject != nil {
 			k.bitmaps[p] = cfg.Inject.PageBitmap(p)
@@ -264,8 +258,17 @@ func (k *Kernel) MappedPages() int {
 }
 
 // PCMPages returns the size of the PCM pool in pages (immutable after
-// construction; used to bound virtual address reservations).
+// construction).
 func (k *Kernel) PCMPages() int { return k.pcmPages }
+
+// VirtualLimit returns the end of the virtual address space the kernel
+// hands out, in bytes: no region reaches past it, and a mapping that would
+// is refused with ErrOutOfMemory. It is fixed at construction, so a runtime
+// can size its address space once. Runtimes never return virtual space, so
+// what they map is bounded by the pool: the limit is 3 × PCMPages + 4096
+// pages, three times the pool for alignment gaps and borrowed DRAM, and
+// 16 MB for the smallest pools' fixed overheads.
+func (k *Kernel) VirtualLimit() uint64 { return uint64(len(k.pte)) * failmap.PageSize }
 
 // FreePCMPages returns the number of PCM frames still available to relaxed
 // requests.
@@ -341,8 +344,9 @@ func (k *Kernel) charge(e stats.Event) {
 	}
 }
 
-// ErrOutOfMemory is returned when the PCM pool cannot satisfy a request.
-var ErrOutOfMemory = errors.New("kernel: out of physical memory")
+// ErrOutOfMemory is returned when the PCM pool cannot satisfy a request,
+// or when the mapping would reach past VirtualLimit.
+var ErrOutOfMemory = errors.New("kernel: out of memory")
 
 // FrameIsDRAM reports whether the frame is loaned DRAM rather than PCM.
 func (k *Kernel) FrameIsDRAM(f int) bool { return f >= k.pcmPages }
@@ -372,6 +376,9 @@ func (k *Kernel) MmapRelaxed(npages int) (*Region, error) {
 	k.charge(stats.EvSyscall)
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	if !k.fitsLocked(npages) {
+		return nil, ErrOutOfMemory
+	}
 	frames := make([]int, 0, npages)
 	for len(frames) < npages {
 		f, ok := k.policy.NextRelaxed(k)
@@ -425,14 +432,18 @@ func (k *Kernel) nextRelaxedFrame() (int, bool) {
 // MmapPerfect requests npages of perfect memory for fussy, page-grained
 // allocators. Perfect PCM frames are used while they last (repaid reserve
 // first); after that DRAM is borrowed and the debt recorded. borrowed
-// reports how many of the returned pages came from DRAM.
-func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int) {
+// reports how many of the returned pages came from DRAM. The one refusal
+// is a mapping past VirtualLimit: DRAM is minted on demand.
+func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int, err error) {
 	if npages <= 0 {
 		panic("kernel: MmapPerfect with non-positive page count")
 	}
 	k.charge(stats.EvSyscall)
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	if !k.fitsLocked(npages) {
+		return nil, 0, ErrOutOfMemory
+	}
 	frames := make([]int, 0, npages)
 	for len(frames) < npages {
 		if f, ok := k.policy.NextPerfect(k); ok {
@@ -443,7 +454,7 @@ func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int) {
 		frames = append(frames, k.borrowDRAMLocked())
 		borrowed++
 	}
-	return k.makeRegion(frames), borrowed
+	return k.makeRegion(frames), borrowed, nil
 }
 
 // borrowDRAMLocked mints the next DRAM frame for a perfect page the PCM
@@ -477,17 +488,16 @@ func (k *Kernel) nextPerfectFrame() (int, bool) {
 	return 0, false
 }
 
+// fitsLocked reports whether npages mapped at the cursor end within
+// VirtualLimit.
+func (k *Kernel) fitsLocked(npages int) bool {
+	return k.vnext+uint64(npages)*failmap.PageSize <= k.VirtualLimit()
+}
+
 func (k *Kernel) makeRegion(frames []int) *Region {
 	r := &Region{Base: k.vnext, Pages: len(frames), k: k}
 	k.vnext += uint64(len(frames)) * failmap.PageSize
 	k.mapped += len(frames)
-	if old, need := k.table.Load().pte, int(k.vnext/failmap.PageSize); need > len(old) {
-		grown := make([]atomic.Uint64, max(need, 2*len(old)))
-		for i := range old {
-			grown[i].Store(old[i].Load())
-		}
-		k.table.Store(&pageTable{pte: grown})
-	}
 	for i, f := range frames {
 		k.setFrameLocked(r, i, f)
 	}
@@ -498,9 +508,8 @@ func (k *Kernel) makeRegion(frames []int) *Region {
 // setFrameLocked is the one writer of a translation: it points virtual page
 // `page` of r at frame, or unmaps it when frame is -1, keeps the reverse map
 // in step and returns the frame the page was on (-1 when it was unmapped).
-// makeRegion grew the table over the region when it mapped it.
 func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
-	pte := &k.table.Load().pte[r.Base/failmap.PageSize+uint64(page)]
+	pte := &k.pte[r.Base/failmap.PageSize+uint64(page)]
 	if old = int(pte.Load()) - 1; old >= 0 {
 		k.reverse[old] = reversed{}
 	}
@@ -514,12 +523,11 @@ func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
 // Translate resolves a virtual address to its physical frame and the byte
 // offset within the page (the forward page-table walk). It takes no lock.
 func (k *Kernel) Translate(vaddr uint64) (frame, offset int, ok bool) {
-	pte := k.table.Load().pte
 	vpn := vaddr / failmap.PageSize
-	if vpn >= uint64(len(pte)) {
+	if vpn >= uint64(len(k.pte)) {
 		return 0, 0, false
 	}
-	e := pte[vpn].Load()
+	e := k.pte[vpn].Load()
 	if e == 0 {
 		return 0, 0, false
 	}

@@ -74,7 +74,7 @@ func TestMmapPerfectPrefersPCMThenBorrows(t *testing.T) {
 	if got := k.PerfectPCMPagesLeft(); got != 5 {
 		t.Fatalf("PerfectPCMPagesLeft = %d, want 5", got)
 	}
-	r, borrowed := k.MmapPerfect(5)
+	r, borrowed := perfect(t, k, 5)
 	if borrowed != 0 {
 		t.Fatalf("borrowed %d while perfect PCM remained", borrowed)
 	}
@@ -82,7 +82,7 @@ func TestMmapPerfectPrefersPCMThenBorrows(t *testing.T) {
 		t.Fatal("perfect mapping contains failures")
 	}
 	// Now the perfect pool is dry: further perfect requests borrow DRAM.
-	_, borrowed = k.MmapPerfect(3)
+	_, borrowed = perfect(t, k, 3)
 	if borrowed != 3 || k.Debt() != 3 || k.Borrows() != 3 {
 		t.Fatalf("borrowed=%d debt=%d borrows=%d, want 3/3/3", borrowed, k.Debt(), k.Borrows())
 	}
@@ -102,7 +102,7 @@ func TestDebitCreditRepayment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, borrowed := k.MmapPerfect(1) // no perfect PCM left: borrows
+	_, borrowed := perfect(t, k, 1) // no perfect PCM left: borrows
 	if borrowed != 1 || k.Debt() != 1 {
 		t.Fatalf("borrowed=%d debt=%d, want 1/1", borrowed, k.Debt())
 	}
@@ -121,7 +121,7 @@ func TestDebitCreditRepayment(t *testing.T) {
 	}
 	// The repaid page was consumed — the space penalty materialized — so a
 	// further perfect request must borrow again.
-	_, borrowed = k.MmapPerfect(1)
+	_, borrowed = perfect(t, k, 1)
 	if borrowed != 1 {
 		t.Fatal("repaid page must not return to the perfect pool")
 	}
@@ -298,12 +298,12 @@ func TestDeviceFailureOnUnmappedFrameIsTableOnly(t *testing.T) {
 		t.Fatal("unmapped failure should not up-call")
 	}
 	// Frame 7 left the perfect pool.
-	r, borrowed := k.MmapPerfect(7)
+	r, borrowed := perfect(t, k, 7)
 	_ = r
 	if borrowed != 0 {
 		t.Fatal("7 perfect frames should remain")
 	}
-	_, borrowed = k.MmapPerfect(1)
+	_, borrowed = perfect(t, k, 1)
 	if borrowed != 1 {
 		t.Fatal("frame 7 should no longer be perfect")
 	}
@@ -486,11 +486,88 @@ func TestWriteLineUnmappedAndDRAM(t *testing.T) {
 	}
 	// Exhaust the 4-frame PCM pool so the next perfect mapping borrows DRAM.
 	k.MmapPerfect(4)
-	r, borrowed := k.MmapPerfect(1)
+	r, borrowed := perfect(t, k, 1)
 	if borrowed != 1 {
 		t.Fatalf("expected a DRAM borrow, got %d", borrowed)
 	}
 	if err := k.WriteLine(r.Base, make([]byte, failmap.LineSize)); err != nil {
 		t.Fatalf("DRAM write-through should absorb silently: %v", err)
+	}
+}
+
+// perfect is MmapPerfect for a test whose mappings stay within
+// VirtualLimit.
+func perfect(t testing.TB, k *Kernel, n int) (*Region, int) {
+	t.Helper()
+	r, borrowed, err := k.MmapPerfect(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, borrowed
+}
+
+// TestMappingPastTheVirtualLimitIsRefused: the kernel hands out virtual
+// space up to VirtualLimit and no further. A relaxed or a perfect mapping
+// that would cross it is refused with ErrOutOfMemory before it takes a
+// frame, repays or records a debt or moves the cursor — even with free
+// frames left and DRAM to borrow — and one that ends exactly at the limit
+// is mapped and translates.
+func TestMappingPastTheVirtualLimitIsRefused(t *testing.T) {
+	const pages = 16
+	inject := failmap.New(pages * failmap.PageSize)
+	for p := 1; p < pages; p++ { // frame 0 is the one perfect frame
+		inject.SetLineFailed(p * failmap.LinesPerPage)
+	}
+	k := New(Config{PCMPages: pages, Inject: inject})
+	limit := k.VirtualLimit()
+	if want := uint64(3*pages+4096) * failmap.PageSize; limit != want {
+		t.Fatalf("VirtualLimit() = %#x, want %#x", limit, want)
+	}
+	// A runtime that maps and releases uses virtual space up, never
+	// reusing it: churn one frame until three pages are left.
+	for k.vnext+3*failmap.PageSize < limit {
+		r, err := k.MmapRelaxed(1)
+		if err != nil {
+			t.Fatalf("churn at %#x: %v", k.vnext, err)
+		}
+		k.Release(r)
+	}
+	if _, borrowed := perfect(t, k, 2); borrowed != 1 {
+		t.Fatalf("borrowed %d pages, want 1 beside the one perfect frame", borrowed)
+	}
+
+	type state struct{ free, debt, borrows, mapped, perfect int }
+	snapshot := func() state {
+		return state{k.FreePCMPages(), k.Debt(), k.Borrows(), k.MappedPages(), k.PerfectPCMPagesLeft()}
+	}
+	before, base := snapshot(), k.vnext
+	if before.free == 0 || before.debt != 1 {
+		t.Fatalf("setup left %+v, want free imperfect frames and one page of debt", before)
+	}
+	if r, err := k.MmapRelaxed(2); !errors.Is(err, ErrOutOfMemory) || r != nil {
+		t.Fatalf("MmapRelaxed(2) with one page of virtual space left = (%v, %v), want ErrOutOfMemory", r, err)
+	}
+	if r, borrowed, err := k.MmapPerfect(2); !errors.Is(err, ErrOutOfMemory) || r != nil || borrowed != 0 {
+		t.Fatalf("MmapPerfect(2) with one page of virtual space left = (%v, %d, %v), want ErrOutOfMemory", r, borrowed, err)
+	}
+	if now := snapshot(); now != before || k.vnext != base {
+		t.Fatalf("refused mappings moved the kernel: %+v at %#x, was %+v at %#x", now, k.vnext, before, base)
+	}
+
+	r, err := k.MmapRelaxed(1)
+	if err != nil {
+		t.Fatalf("a mapping ending at the limit: %v", err)
+	}
+	if r.Base != base || r.Base+uint64(r.Size()) != limit {
+		t.Fatalf("last region [%#x, %#x), want [%#x, %#x)", r.Base, r.Base+uint64(r.Size()), base, limit)
+	}
+	if f, _, ok := k.Translate(limit - 1); !ok || f != r.Frame(0) {
+		t.Fatalf("the last byte below the limit translates to (%d, %v)", f, ok)
+	}
+	if _, err := k.MmapRelaxed(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("MmapRelaxed(1) at the limit: %v", err)
+	}
+	if _, _, err := k.MmapPerfect(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("MmapPerfect(1) at the limit: %v", err)
 	}
 }

@@ -75,7 +75,7 @@ func TestPerfectPagesLeftDifferential(t *testing.T) {
 			}
 			check("MmapRelaxed", step)
 		case 1:
-			r, _ := k.MmapPerfect(1 + rng.Intn(2))
+			r, _ := perfect(t, k, 1+rng.Intn(2))
 			regions = append(regions, r)
 			check("MmapPerfect", step)
 		case 2:
@@ -168,7 +168,7 @@ func TestPolicyRemapFrameMovesMappedPage(t *testing.T) {
 // lowest frame.
 func TestRankFramesPicksFirstOfTies(t *testing.T) {
 	k := tableKernel(16) // frames 1, 5, 9 and 13 hold a failed line
-	r, _ := k.MmapPerfect(4)
+	r, _ := perfect(t, k, 4)
 	wear := make([]uint64, 16)
 	hot, cold := 16, 16
 	for f := range wear {
@@ -243,7 +243,7 @@ func TestRotatePlacementSpreadsAllocations(t *testing.T) {
 
 func TestMigratePlacementPrefersDRAM(t *testing.T) {
 	_, k := policyDevice(t, "migrate")
-	r, borrowed := k.MmapPerfect(3)
+	r, borrowed := perfect(t, k, 3)
 	if borrowed != 3 {
 		t.Fatalf("borrowed %d of 3 perfect pages, want all from DRAM", borrowed)
 	}
@@ -256,7 +256,7 @@ func TestMigratePlacementPrefersDRAM(t *testing.T) {
 	for k.dramUsed() < k.dramBudget() {
 		k.MmapPerfect(1)
 	}
-	r2, borrowed := k.MmapPerfect(1)
+	r2, borrowed := perfect(t, k, 1)
 	if borrowed != 0 || k.FrameIsDRAM(r2.Frame(0)) {
 		t.Fatalf("past budget: borrowed=%d frame=%d, want perfect PCM", borrowed, r2.Frame(0))
 	}

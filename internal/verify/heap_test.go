@@ -290,6 +290,23 @@ func TestHeapReportsWildReference(t *testing.T) {
 	}
 }
 
+// TestHeapBoundsAReservedSpaceByItsMappedMark: on a space whose whole
+// reservation is addressable, as a threaded run's is, a reference past the
+// mapped high-water mark is outside the space, though a load there would
+// not fault.
+func TestHeapBoundsAReservedSpaceByItsMappedMark(t *testing.T) {
+	m := &heap.Model{S: heap.NewSpaceBelow(1 << 20), T: heap.NewTypeTable()}
+	m.S.Reserve()
+	m.S.Ensure(64 << 10)
+	root := heap.Addr(128 << 10)
+	m.S.Load64(root)
+	rep := verify.Heap(verify.Target{Model: m, Roots: &rootSlots{&root}}, verify.Options{})
+	if len(rep.Findings) != 1 || rep.Findings[0].Invariant != "graph" ||
+		!strings.Contains(rep.Findings[0].Detail, "0x20000 from roots points outside the space (size 0x10000)") {
+		t.Fatalf("want one graph finding for the root past the mapped mark, got %v", rep.Findings)
+	}
+}
+
 // rootSlots is a root set of plain slots.
 type rootSlots []*heap.Addr
 

@@ -252,16 +252,16 @@ func (m *poolMemory) mapPage(pg heap.Addr, pageBits uint64, borrowed bool) {
 func (m *poolMemory) mmap(pages int, perfect bool, align uint64) (heap.Addr, error) {
 	m.kern.AlignVirtual(align)
 	var region *kernel.Region
+	var err error
 	if perfect {
-		region, _ = m.kern.MmapPerfect(pages)
+		region, _, err = m.kern.MmapPerfect(pages)
 	} else {
-		var err error
 		region, err = m.kern.MmapRelaxed(pages)
-		if err != nil {
-			// Physical memory exhausted: surface as heap-full so a
-			// collection can recycle slots and extents.
-			return 0, core.ErrHeapFull
-		}
+	}
+	if err != nil {
+		// Physical memory or virtual space exhausted: surface as heap-full
+		// so a collection can recycle slots and extents.
+		return 0, core.ErrHeapFull
 	}
 	base := heap.Addr(region.Base)
 	m.space.Ensure(base + heap.Addr(region.Size()))

@@ -21,7 +21,7 @@ func poolUnderTest(t *testing.T, budgetBytes int, rate float64, compensate bool)
 		failmap.GenerateUniform(inject, rate, rand.New(rand.NewSource(5)))
 	}
 	kern := kernel.New(kernel.Config{PCMPages: poolPages, Inject: inject, Clock: clock})
-	return newPoolMemory(kern, heap.NewSpace(), clock, 32<<10, budgetBytes, true, compensate), kern
+	return newPoolMemory(kern, heap.NewSpaceBelow(heap.Addr(kern.VirtualLimit())), clock, 32<<10, budgetBytes, true, compensate), kern
 }
 
 func TestPoolBlockSlotReuse(t *testing.T) {
@@ -290,5 +290,66 @@ func TestPoolSlotSelectionOrder(t *testing.T) {
 	}
 	if fresh.Base <= d {
 		t.Fatalf("expected fresh mapping above %#x, got %#x", d, fresh.Base)
+	}
+}
+
+// useVirtualSpace maps and releases a page at a time, the way a runtime
+// that never reuses virtual addresses uses them up, until fewer than left
+// bytes of k's virtual space remain.
+func useVirtualSpace(t *testing.T, k *kernel.Kernel, left uint64) {
+	t.Helper()
+	for {
+		r, err := k.MmapRelaxed(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Release(r)
+		if k.VirtualLimit()-(r.Base+uint64(r.Size())) < left {
+			return
+		}
+	}
+}
+
+// TestVirtualLimitIsHeapFull: a kernel whose virtual space is used up
+// refuses the pool's mappings, relaxed and perfect alike, with budget and
+// free frames to spare. The pool reports that as core.ErrHeapFull, and a
+// run on either engine ends as an ordinary DNF, not a panic.
+func TestVirtualLimitIsHeapFull(t *testing.T) {
+	m, kern := poolUnderTest(t, 1<<20, 0, false)
+	useVirtualSpace(t, kern, 32<<10)
+	if _, err := m.AcquireBlock(false); err != core.ErrHeapFull {
+		t.Fatalf("block past the virtual limit: err = %v, want ErrHeapFull", err)
+	}
+	if _, err := m.AcquirePages(2, true); err != core.ErrHeapFull {
+		t.Fatalf("perfect pages past the virtual limit: err = %v, want ErrHeapFull", err)
+	}
+
+	for _, threaded := range []bool{false, true} {
+		tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix, FailureAware: true, Threaded: threaded}, kernel.Config{})
+		useVirtualSpace(t, tv.kern, 4*blockSize)
+		keep := make([]heap.Addr, 0, 1<<10)
+		fill := func(m *Mutator) error {
+			for {
+				a, err := m.NewArray(tv.blob, 1<<10)
+				if err != nil {
+					return err
+				}
+				keep = append(keep, a)
+				m.AddRoot(&keep[len(keep)-1])
+			}
+		}
+		var err error
+		if threaded {
+			tv.RunThreads(func() error { err = fill(tv.Mutator0()); return nil })
+		} else {
+			err = fill(&tv.primary)
+		}
+		if err != ErrOutOfMemory || !tv.OOM() {
+			t.Fatalf("threaded=%v: err = %v, OOM = %v; want the DNF", threaded, err, tv.OOM())
+		}
+		if len(keep) == 0 || tv.mem.budgetBytes < 8*blockSize {
+			t.Fatalf("threaded=%v: %d arrays live, %d bytes of budget left; want the limit, not the budget, to end the run",
+				threaded, len(keep), tv.mem.budgetBytes)
+		}
 	}
 }

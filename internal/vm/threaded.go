@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/sched"
 	"wearmem/internal/stats"
@@ -152,17 +151,11 @@ func newThreaded(v *VM) *threaded {
 	if v.cfg.WriteThrough {
 		v.wt.Share()
 	}
-	// Concurrent mutators bump-allocate into the space lock-free, so it
-	// must never reallocate under them. The pool never returns virtual
-	// address space, so total virtual use is bounded by the physical PCM
-	// pool (plus alignment waste and borrowed DRAM); reserve generously
-	// up front and freeze. Space.Ensure panics with a clear message if a
-	// run ever outgrows this. The reservation costs resident memory only
-	// for the pages the run touches: a backing outside the Go heap is an
-	// anonymous mapping, and one adopted from a finished run is a
-	// reslice. Only a Go-heap backing (race and non-unix builds) is
-	// cleared, and so resident, in full.
-	v.model.S.Reserve(heap.Addr((3*v.kern.PCMPages() + 4096) * failmap.PageSize))
+	// Concurrent mutators access the space with no lock while another maps
+	// a block into it, so its addressable length must not change under
+	// them: make the whole space, sized to the kernel's virtual limit,
+	// addressable now.
+	v.model.S.Reserve()
 	t := &threaded{v: v}
 	if v.cfg.PauseBudget > 0 && !v.cfg.WriteThrough {
 		t.markers = max(v.cfg.TraceWorkers, 1)

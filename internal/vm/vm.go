@@ -228,7 +228,7 @@ func New(cfg Config) *VM {
 	if cfg.PauseBudget > 0 && cfg.Collector != StickyImmix {
 		panic("vm: PauseBudget requires Collector=StickyImmix (the sticky write barrier is the SATB channel)")
 	}
-	space := heap.NewSpace()
+	space := heap.NewSpaceBelow(heap.Addr(cfg.Kernel.VirtualLimit()))
 	model := &heap.Model{S: space, T: heap.NewTypeTable()}
 	mem := newPoolMemory(cfg.Kernel, space, cfg.Clock, blockSize, cfg.HeapBytes, cfg.FailureAware, cfg.Compensate)
 	ccfg := core.Config{
