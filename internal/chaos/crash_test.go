@@ -143,17 +143,13 @@ func TestCrashVerifierCatchesCorruptedRecovery(t *testing.T) {
 	m := failmap.New(8 * failmap.PageSize)
 	m.SetLineFailed(9)   // the genuine failure stays
 	m.SetLineFailed(200) // the corruption
-	if err := kern.RestoreFailureTable(m.EncodeRLE()); err != nil {
-		t.Fatal(err)
-	}
+	target.Pool = kernel.New(kernel.Config{PCMPages: 8, Inject: m})
 	if rep := verify.Recovered(target); rep.Ok() {
 		t.Fatal("corrupted recovered table passed verification")
 	}
 
 	// The dangerous direction: drop the genuine failure (resurrected line).
-	if err := kern.RestoreFailureTable(failmap.New(8 * failmap.PageSize).EncodeRLE()); err != nil {
-		t.Fatal(err)
-	}
+	target.Pool = kernel.New(kernel.Config{PCMPages: 8})
 	rep := verify.Recovered(target)
 	if rep.Ok() {
 		t.Fatal("resurrected failed line passed verification")

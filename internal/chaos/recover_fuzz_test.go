@@ -75,7 +75,7 @@ func recoverImage(t testing.TB, data []byte, policy uint8) (kernel.RecoverStats,
 	}
 	policies := kernel.Policies()
 	k := kernel.New(kernel.Config{PCMPages: dev.Size() / failmap.PageSize, Device: dev, Clock: clock,
-		RemapUnaware: true, Policy: policies[int(policy)%len(policies)]})
+		Policy: policies[int(policy)%len(policies)]})
 	minFrames := 2 * tortureHeapBytes / failmap.PageSize
 	st, err := k.Recover(kernel.RecoverOptions{MinFrames: minFrames})
 	if err == nil && (st.UsableFrames < minFrames || dev.BufferLen() != 0) {

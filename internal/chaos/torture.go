@@ -558,9 +558,8 @@ func runCampaignInner(cfg TortureConfig, camp Campaign, opt Options,
 func bootCampaign(cfg TortureConfig, seed int64, heapBytes int, img *pcm.DeviceImage) (*machine.Machine, error) {
 	return machine.Boot(machine.Spec{
 		Kernel: kernel.Config{
-			PCMPages:     torturePoolBytes / failmap.PageSize,
-			RemapUnaware: true,
-			Policy:       cfg.Policy,
+			PCMPages: torturePoolBytes / failmap.PageSize,
+			Policy:   cfg.Policy,
 		},
 		// A restart (img != nil) restores the device instead and rebuilds
 		// the OS view of it — drain the torn orphans, rescan, scrub, admit —

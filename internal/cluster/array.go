@@ -165,6 +165,3 @@ func (c *MapCache) Touch(idx int) bool {
 	c.order = append(c.order, idx)
 	return false
 }
-
-// Len returns the number of cached region maps.
-func (c *MapCache) Len() int { return len(c.order) }

@@ -89,31 +89,12 @@ func (r *Region) Storage(l int) int {
 	return r.toStorage[l]
 }
 
-// Redirected reports whether logical line l is backed by a different
-// storage line — the per-line redirected bit kept in the error-correction
-// metadata (§3.1.2).
-func (r *Region) Redirected(l int) bool {
-	r.check(l)
-	return r.toStorage[l] != l
-}
-
 // Unavailable reports whether logical line l is unusable by software,
 // either because a failure was surfaced there or because it holds
 // redirection metadata.
 func (r *Region) Unavailable(l int) bool {
 	r.check(l)
 	return r.presented[l]
-}
-
-// UnavailableLines returns how many logical lines software cannot use.
-func (r *Region) UnavailableLines() int {
-	n := 0
-	for _, p := range r.presented {
-		if p {
-			n++
-		}
-	}
-	return n
 }
 
 func (r *Region) check(l int) {

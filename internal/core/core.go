@@ -119,9 +119,6 @@ func (r *RootSet) Remove(slot *heap.Addr) {
 	}
 }
 
-// Len returns the number of registered roots.
-func (r *RootSet) Len() int { return len(r.slots) }
-
 // Each visits every root slot.
 func (r *RootSet) Each(f func(slot *heap.Addr)) {
 	for _, s := range r.slots {

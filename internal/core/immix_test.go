@@ -592,7 +592,7 @@ func TestFalseFailuresWasteMoreAtLargerLines(t *testing.T) {
 	inject := failmap.New(2 << 20)
 	failmap.GenerateUniform(inject, 0.10, rand.New(rand.NewSource(5)))
 	waste := func(lineSize int) int {
-		e := newEnv(t, envOpts{failureAware: true, inject: inject.Clone(), lineSize: lineSize})
+		e := newEnv(t, envOpts{failureAware: true, inject: inject, lineSize: lineSize})
 		// Absorb most of the injected blocks with small allocations (large
 		// ones would go to the LOS and never touch imperfect blocks).
 		for i := 0; i < 3000; i++ {

@@ -58,7 +58,10 @@ func (m *testMem) AcquireBlock(perfect bool) (BlockMem, error) {
 	var fm *failmap.Map
 	if !perfect && m.inject != nil {
 		if m.injectOff+m.blockSize <= m.inject.Size() {
-			fm = m.inject.Slice(m.injectOff, m.blockSize)
+			fm = failmap.New(m.blockSize)
+			for p := 0; p < m.pagesPerBlock(); p++ {
+				fm.CopyPage(p, m.inject, m.injectOff/failmap.PageSize+p)
+			}
 			m.injectOff += m.blockSize
 		}
 	}

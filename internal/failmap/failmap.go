@@ -68,21 +68,11 @@ func (m *Map) SetLineFailed(i int) {
 	bitset.Set(m.words, i)
 }
 
-// ClearLine marks line index i as working again (used when the OS remaps a
-// virtual page onto a different physical frame).
-func (m *Map) ClearLine(i int) {
-	m.check(i)
-	bitset.Clear(m.words, i)
-}
-
 func (m *Map) check(i int) {
 	if i < 0 || i >= m.lines {
 		panic(fmt.Sprintf("failmap: line %d out of range [0,%d)", i, m.lines))
 	}
 }
-
-// OffsetFailed reports whether the line containing byte offset off has failed.
-func (m *Map) OffsetFailed(off int) bool { return m.LineFailed(off / LineSize) }
 
 // AnyFailedIn reports whether any line overlapping the byte range
 // [start, start+length) has failed. length must be positive.
@@ -157,11 +147,6 @@ func (m *Map) PerfectPages() int {
 	return n
 }
 
-// Clone returns an independent copy of the map.
-func (m *Map) Clone() *Map {
-	return &Map{words: append([]uint64(nil), m.words...), lines: m.lines}
-}
-
 // CopyPage copies the failure bitmap of page src in from onto page dst of m.
 // Both maps must cover whole pages at those indices.
 func (m *Map) CopyPage(dst int, from *Map, src int) {
@@ -169,22 +154,6 @@ func (m *Map) CopyPage(dst int, from *Map, src int) {
 		panic("failmap: CopyPage index out of range")
 	}
 	m.words[dst] = from.words[src]
-}
-
-// Slice returns a new map covering bytes [start, start+size) of m. start and
-// size must be line-aligned.
-func (m *Map) Slice(start, size int) *Map {
-	if start%LineSize != 0 || size%LineSize != 0 || start < 0 || start+size > m.Size() {
-		panic("failmap: Slice bounds not line-aligned or out of range")
-	}
-	out := New(size)
-	base, lim := start/LineSize, (start+size)/LineSize
-	for i := bitset.NextSet(m.words, base, lim); i < lim; {
-		end := bitset.NextClear(m.words, i, lim)
-		bitset.SetRange(out.words, i-base, end-base)
-		i = bitset.NextSet(m.words, end, lim)
-	}
-	return out
 }
 
 // nextFreeRun returns the first maximal run [start, end) of working lines

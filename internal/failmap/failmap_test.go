@@ -43,21 +43,11 @@ func TestSetAndQueryLines(t *testing.T) {
 	if !m.LineFailed(0) || !m.LineFailed(65) || m.LineFailed(1) {
 		t.Fatal("line state wrong after SetLineFailed")
 	}
-	if !m.OffsetFailed(10) {
-		t.Fatal("OffsetFailed(10) should be true (line 0 failed)")
-	}
-	if m.OffsetFailed(64) {
-		t.Fatal("OffsetFailed(64) should be false (line 1 ok)")
-	}
 	if m.PageFailedLines(0) != 1 || m.PageFailedLines(1) != 1 {
 		t.Fatal("per-page failed counts wrong")
 	}
 	if m.PagePerfect(0) || m.PagePerfect(1) {
 		t.Fatal("pages with failures must not be perfect")
-	}
-	m.ClearLine(0)
-	if m.LineFailed(0) {
-		t.Fatal("ClearLine did not clear")
 	}
 }
 
@@ -239,14 +229,10 @@ func TestClusteringImprovesAnalysisMetrics(t *testing.T) {
 	}
 }
 
-func TestSliceAndCopyPage(t *testing.T) {
+func TestCopyPage(t *testing.T) {
 	m := New(4 * PageSize)
 	m.SetLineFailed(64)  // page 1 line 0
 	m.SetLineFailed(130) // page 2 line 2
-	s := m.Slice(PageSize, 2*PageSize)
-	if !s.LineFailed(0) || !s.LineFailed(66) || s.FailedLines() != 2 {
-		t.Fatalf("Slice wrong: failed=%d", s.FailedLines())
-	}
 	dst := New(2 * PageSize)
 	dst.CopyPage(1, m, 2)
 	if !dst.LineFailed(64+2) || dst.FailedLines() != 1 {
@@ -370,14 +356,5 @@ func TestDecodeRLEErrors(t *testing.T) {
 	}
 	if _, err := DecodeRLE(append(good, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := New(PageSize)
-	c := m.Clone()
-	c.SetLineFailed(0)
-	if m.LineFailed(0) {
-		t.Fatal("Clone shares storage with original")
 	}
 }

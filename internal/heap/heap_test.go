@@ -177,8 +177,8 @@ func TestRefArrayScanning(t *testing.T) {
 	if len(slots) != 3 || slots[0] != want[0] || slots[2] != want[2] {
 		t.Fatalf("slots = %v, want %v", slots, want)
 	}
-	if m.RefCount(a) != 3 {
-		t.Fatalf("RefCount = %d", m.RefCount(a))
+	if m.RefCountOf(m.TypeOf(a), a) != 3 {
+		t.Fatalf("RefCount = %d", m.RefCountOf(m.TypeOf(a), a))
 	}
 }
 
@@ -189,7 +189,7 @@ func TestScalarArrayHasNoRefs(t *testing.T) {
 	a := Addr(128)
 	m.InitObject(a, bytes, ArraySize(bytes, 100), 100)
 	m.EachRef(a, func(Addr) { t.Fatal("scalar array produced a ref slot") })
-	if m.RefCount(a) != 0 {
+	if m.RefCountOf(m.TypeOf(a), a) != 0 {
 		t.Fatal("RefCount != 0")
 	}
 	// 100 bytes payload rounds to 8-byte alignment.

@@ -217,8 +217,8 @@ func (m *Model) Stamp(a Addr, e uint16) (*Type, int) {
 	return m.TypeFromHeader(h), SizeFromHeader(h)
 }
 
-// RefCountOf returns the number of reference slots of the object at a when
-// its type is already known (the post-Stamp form of RefCount).
+// RefCountOf returns the number of reference slots of the object at a,
+// whose type is ty.
 func (m *Model) RefCountOf(ty *Type, a Addr) int {
 	switch ty.Kind {
 	case KindFixed:
@@ -248,6 +248,3 @@ func (m *Model) EachRef(a Addr, f func(slot Addr)) {
 	case KindScalarArray:
 	}
 }
-
-// RefCount returns the number of reference slots of the object at a.
-func (m *Model) RefCount(a Addr) int { return m.RefCountOf(m.TypeOf(a), a) }

@@ -17,7 +17,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,12 +86,6 @@ type Config struct {
 	Device *pcm.Device
 	// Clock charges system-call and interrupt costs; may be nil.
 	Clock *stats.Clock
-	// RemapUnaware makes the kernel hide device failures on mapped frames
-	// from processes without a registered runtime handler by remapping the
-	// page to a perfect frame (§3.2's "hide line failures from executing
-	// processes"). Off by default: failures on handler-less mapped frames
-	// then only update the failure table, as before.
-	RemapUnaware bool
 	// Policy names the frame policy ("paper", "rotate", "decoder",
 	// "migrate"); empty means the stock "paper" policy. New panics on
 	// unknown names — validate with NewPolicy first.
@@ -116,11 +110,10 @@ type Config struct {
 // holds the baton (the clock itself stays single-owner; pass a nil clock
 // for free-threaded use).
 type Kernel struct {
-	mu           sync.Mutex
-	clock        *stats.Clock
-	device       *pcm.Device
-	probe        probe.Hook
-	remapUnaware bool
+	mu     sync.Mutex
+	clock  *stats.Clock
+	device *pcm.Device
+	probe  probe.Hook
 
 	pcmPages int
 	bitmaps  []uint64 // the OS failure table: failed-line bitmap per PCM frame
@@ -147,9 +140,10 @@ type Kernel struct {
 
 	// pte is the forward page table: one entry per virtual page below
 	// VirtualLimit, holding the backing frame plus one so that the zero
-	// value is an unmapped page. It is allocated once, at New, so Translate
-	// walks it without mu; entries change only in setFrameLocked.
-	pte []atomic.Uint64
+	// value is an unmapped page; borrowDRAMLocked keeps frame numbers below
+	// 2³² − 1 so that fits 32 bits. It is allocated once, at New, so
+	// Translate walks it without mu; entries change only in setFrameLocked.
+	pte []atomic.Uint32
 
 	// reverse maps physical frame -> (region, page index) for interrupt
 	// handling; the paper's reverse address translation. Frames are dense
@@ -188,18 +182,17 @@ func New(cfg Config) *Kernel {
 		panic(err)
 	}
 	k := &Kernel{
-		policy:       policy,
-		clock:        cfg.Clock,
-		device:       cfg.Device,
-		probe:        cfg.Probe,
-		remapUnaware: cfg.RemapUnaware,
-		pcmPages:     cfg.PCMPages,
-		bitmaps:      make([]uint64, cfg.PCMPages),
-		taken:        make([]bool, cfg.PCMPages),
-		dramNext:     cfg.PCMPages,
-		reverse:      make([]reversed, cfg.PCMPages),
-		vnext:        failmap.PageSize, // keep virtual page 0 unmapped
-		pte:          make([]atomic.Uint64, 3*cfg.PCMPages+4096),
+		policy:   policy,
+		clock:    cfg.Clock,
+		device:   cfg.Device,
+		probe:    cfg.Probe,
+		pcmPages: cfg.PCMPages,
+		bitmaps:  make([]uint64, cfg.PCMPages),
+		taken:    make([]bool, cfg.PCMPages),
+		dramNext: cfg.PCMPages,
+		reverse:  make([]reversed, cfg.PCMPages),
+		vnext:    failmap.PageSize, // keep virtual page 0 unmapped
+		pte:      make([]atomic.Uint32, 3*cfg.PCMPages+4096),
 	}
 	for p := 0; p < cfg.PCMPages; p++ {
 		if cfg.Inject != nil {
@@ -247,14 +240,6 @@ func (k *Kernel) Repaid() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.repaid
-}
-
-// MappedPages returns how many pages have been handed out in total
-// (including borrowed DRAM pages).
-func (k *Kernel) MappedPages() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.mapped
 }
 
 // PCMPages returns the size of the PCM pool in pages (immutable after
@@ -461,6 +446,9 @@ func (k *Kernel) MmapPerfect(npages int) (r *Region, borrowed int, err error) {
 // pool cannot supply: a one-page space penalty recorded as debt.
 func (k *Kernel) borrowDRAMLocked() int {
 	f := k.dramNext
+	if uint64(f) >= math.MaxUint32 {
+		panic("kernel: DRAM frame numbers exhausted: the page table stores frame+1 in 32 bits")
+	}
 	k.dramNext++
 	k.reverse = append(k.reverse, reversed{})
 	k.debt++
@@ -513,7 +501,7 @@ func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
 	if old = int(pte.Load()) - 1; old >= 0 {
 		k.reverse[old] = reversed{}
 	}
-	pte.Store(uint64(frame + 1))
+	pte.Store(uint32(frame + 1))
 	if frame >= 0 {
 		k.reverse[frame] = reversed{region: r, page: page}
 	}
@@ -632,7 +620,7 @@ func (k *Kernel) serviceDevice() {
 		}
 		rv := k.reverse[frame]
 		k.charge(stats.EvReverseXlate)
-		if k.handler == nil && k.remapUnaware {
+		if k.handler == nil {
 			// No runtime handler: the OS hides the failure by redirecting
 			// the page to a perfect frame (§3.2). The buffered data is
 			// already preserved in host memory; only the frame changes.
@@ -752,59 +740,4 @@ func (k *Kernel) InjectDynamicFailure(r *Region, page, lineInPage int, data []by
 		k.charge(stats.EvUpcall)
 		handler.HandleFailures([]LineFailure{{VAddr: vaddr, Data: data}})
 	}
-}
-
-// SwapInPlacement chooses a destination frame for swapping a page back in,
-// following §3.2.3: with clustering, any free frame with the same number or
-// fewer failures than the source works (rule 3); otherwise only a frame
-// with a failure superset... the paper notes subset matching has limited
-// efficacy, so without clustering the kernel falls back to a perfect frame
-// (rule 1). Returns the chosen frame and whether a perfect fallback was
-// used.
-func (k *Kernel) SwapInPlacement(srcBitmap uint64, clustered bool) (frame int, perfectFallback bool, err error) {
-	k.charge(stats.EvSwapIn)
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if clustered {
-		need := bits.OnesCount64(srcBitmap)
-		for p := 0; p < k.pcmPages; p++ {
-			if k.taken[p] {
-				continue
-			}
-			if bits.OnesCount64(k.bitmaps[p]) <= need && clusteredAtEdge(k.bitmaps[p]) {
-				k.takeFrameLocked(p)
-				return p, false, nil
-			}
-		}
-	} else {
-		// Exact-superset match: destination failures must be a subset of the
-		// source's so every working source line lands on a working line.
-		for p := 0; p < k.pcmPages; p++ {
-			if k.taken[p] {
-				continue
-			}
-			if k.bitmaps[p]&^srcBitmap == 0 && k.bitmaps[p] != 0 {
-				k.takeFrameLocked(p)
-				return p, false, nil
-			}
-		}
-	}
-	if f, ok := k.nextPerfectFrame(); ok {
-		k.takeFrameLocked(f)
-		return f, true, nil
-	}
-	return 0, false, ErrOutOfMemory
-}
-
-// clusteredAtEdge reports whether a page bitmap has all failures contiguous
-// at one edge (the shape clustering hardware guarantees).
-func clusteredAtEdge(bm uint64) bool {
-	if bm == 0 {
-		return true
-	}
-	// All ones at the bottom: bm == (1<<k)-1; at the top: bm == ^((1<<k)-1).
-	bottom := bm&(bm+1) == 0
-	inv := ^bm
-	top := inv&(inv+1) == 0
-	return bottom || top
 }

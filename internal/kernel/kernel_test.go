@@ -34,8 +34,8 @@ func TestMmapRelaxedPristinePool(t *testing.T) {
 	if fm.FailedLines() != 0 {
 		t.Fatalf("pristine pool returned %d failed lines", fm.FailedLines())
 	}
-	if k.MappedPages() != 4 || k.FreePCMPages() != 12 {
-		t.Fatalf("mapped=%d free=%d", k.MappedPages(), k.FreePCMPages())
+	if k.mapped != 4 || k.FreePCMPages() != 12 {
+		t.Fatalf("mapped=%d free=%d", k.mapped, k.FreePCMPages())
 	}
 }
 
@@ -224,17 +224,13 @@ func TestTranslateManyRegions(t *testing.T) {
 // the PCM pool), and a clean one compresses to a tenth of that and below a
 // 30%-failed one.
 func TestTableSizes(t *testing.T) {
-	compressed := func(k *Kernel) int {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		return k.tableLocked().CompressedSize()
-	}
-	k := New(Config{PCMPages: 256, Inject: injected(256, 0.0, 1)})
-	if raw := len(k.bitmaps) * 8; raw != 256*8 {
+	inject := injected(256, 0.0, 1)
+	k := New(Config{PCMPages: 256, Inject: inject})
+	if raw := len(k.bitmaps) * 8; raw != 256*8 || raw != inject.RawSize() {
 		t.Fatalf("raw size = %d", raw)
 	}
-	clean := compressed(k)
-	dirty := compressed(New(Config{PCMPages: 256, Inject: injected(256, 0.3, 1)}))
+	clean := inject.CompressedSize()
+	dirty := injected(256, 0.3, 1).CompressedSize()
 	if clean >= dirty {
 		t.Fatalf("clean table (%d) should compress smaller than 30%%-failed table (%d)", clean, dirty)
 	}
@@ -288,6 +284,40 @@ func TestDeviceFailureUpcall(t *testing.T) {
 	}
 }
 
+// TestDeviceFailureHiddenFromUnawareProcess: with no failure handler
+// registered, the kernel hides a device failure on a mapped page (§3.2):
+// the page moves to a perfect frame, the page copy is charged as
+// a swap-in, no up-call is made, and the page's failure map stays clean.
+func TestDeviceFailureHiddenFromUnawareProcess(t *testing.T) {
+	clock := stats.NewClock(stats.DefaultCosts())
+	dev := pcm.NewDevice(pcm.Config{
+		Size: 8 * failmap.PageSize, Endurance: 3, TrackData: true,
+	}, clock)
+	k := New(Config{PCMPages: 8, Device: dev, Clock: clock})
+	r, _ := k.MmapRelaxed(2)
+	old := r.Frame(1)
+	for i := 0; i < 3; i++ {
+		dev.Write(old*failmap.LinesPerPage+6, make([]byte, failmap.LineSize))
+	}
+	if dev.FailedLines() != 1 {
+		t.Fatalf("%d device lines failed, want 1", dev.FailedLines())
+	}
+	now := r.Frame(1)
+	if now == old || k.FrameFailedLines(now) != 0 {
+		t.Fatalf("page 1 is on frame %d (failed lines %#x), want a perfect frame other than %d",
+			now, k.FrameFailedLines(now), old)
+	}
+	if k.FrameFailedLines(old) == 0 {
+		t.Fatal("failure table not updated for the retired frame")
+	}
+	if fm := k.MapFailures(r); fm.FailedLines() != 0 {
+		t.Fatalf("the unaware process sees %d failed lines", fm.FailedLines())
+	}
+	if clock.Count(stats.EvSwapIn) != 1 || clock.Count(stats.EvUpcall) != 0 {
+		t.Fatalf("cost events wrong: %v", clock.Snapshot())
+	}
+}
+
 func TestDeviceFailureOnUnmappedFrameIsTableOnly(t *testing.T) {
 	dev := pcm.NewDevice(pcm.Config{Size: 8 * failmap.PageSize, Endurance: 1}, nil)
 	k := New(Config{PCMPages: 8, Device: dev})
@@ -325,59 +355,6 @@ func TestInjectDynamicFailure(t *testing.T) {
 	}
 	if !k.MapFailures(r).LineFailed(failmap.LinesPerPage + 9) {
 		t.Fatal("table not updated")
-	}
-}
-
-func TestSwapInPlacementClustered(t *testing.T) {
-	// Clustered pool: page bitmaps with failures at an edge.
-	inject := failmap.New(4 * failmap.PageSize)
-	// Page 0: 8 failures at bottom; page 1: perfect; page 2: 2 at bottom;
-	// page 3: 20 at bottom.
-	for i := 0; i < 8; i++ {
-		inject.SetLineFailed(i)
-	}
-	inject.SetLineFailed(2 * failmap.LinesPerPage)
-	inject.SetLineFailed(2*failmap.LinesPerPage + 1)
-	for i := 0; i < 20; i++ {
-		inject.SetLineFailed(3*failmap.LinesPerPage + i)
-	}
-	k := New(Config{PCMPages: 4, Inject: inject})
-	// Source page has 8 failures: any free frame with <= 8 clustered
-	// failures qualifies (page 0, 1 or 2; scan order picks 0).
-	srcBitmap := uint64(1<<8) - 1
-	frame, fallback, err := k.SwapInPlacement(srcBitmap, true)
-	if err != nil || fallback {
-		t.Fatalf("frame=%d fallback=%v err=%v", frame, fallback, err)
-	}
-	if frame != 0 {
-		t.Fatalf("frame=%d, want 0 (first fit with <= failures)", frame)
-	}
-	// Source with 1 failure: pages 0,3 have too many, 2 has 2 (>1), so the
-	// perfect page 1 is chosen via the <= rule.
-	frame, fallback, err = k.SwapInPlacement(1, true)
-	if err != nil || fallback || frame != 1 {
-		t.Fatalf("frame=%d fallback=%v err=%v, want perfect page 1", frame, fallback, err)
-	}
-}
-
-func TestSwapInPlacementUnclusteredFallsBack(t *testing.T) {
-	inject := failmap.New(2 * failmap.PageSize)
-	inject.SetLineFailed(10) // page 0 has a failure at line 10
-	k := New(Config{PCMPages: 2, Inject: inject})
-	// Source bitmap with failure at line 20: page 0's failures (line 10)
-	// are not a subset, so the kernel falls back to the perfect page 1.
-	frame, fallback, err := k.SwapInPlacement(1<<20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fallback || frame != 1 {
-		t.Fatalf("frame=%d fallback=%v, want perfect fallback to page 1", frame, fallback)
-	}
-	// Source bitmap that covers line 10: page 0 is a subset match.
-	k2 := New(Config{PCMPages: 2, Inject: inject})
-	frame, fallback, err = k2.SwapInPlacement(1<<10|1<<20, false)
-	if err != nil || fallback || frame != 0 {
-		t.Fatalf("frame=%d fallback=%v err=%v, want subset match on page 0", frame, fallback, err)
 	}
 }
 
@@ -538,7 +515,7 @@ func TestMappingPastTheVirtualLimitIsRefused(t *testing.T) {
 
 	type state struct{ free, debt, borrows, mapped, perfect int }
 	snapshot := func() state {
-		return state{k.FreePCMPages(), k.Debt(), k.Borrows(), k.MappedPages(), k.PerfectPCMPagesLeft()}
+		return state{k.FreePCMPages(), k.Debt(), k.Borrows(), k.mapped, k.PerfectPCMPagesLeft()}
 	}
 	before, base := snapshot(), k.vnext
 	if before.free == 0 || before.debt != 1 {

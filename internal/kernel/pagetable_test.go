@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,8 +156,11 @@ func TestPageTableDifferential(t *testing.T) {
 	if k.FrameFailedLines(a.frames[1]) == 0 {
 		t.Fatalf("frame %d should be imperfect", a.frames[1])
 	}
-	a.frames[1], _ = k.HandleUnawareFailure(a.r, 1)
-	check("HandleUnawareFailure")
+	if _, ok := k.RemapPageAt(a.r.Base + failmap.PageSize); !ok {
+		t.Fatal("RemapPageAt refused a mapped address")
+	}
+	a.frames[1] = a.r.Frame(1)
+	check("RemapPageAt on an imperfect frame")
 
 	old := b.frames[2]
 	if _, ok := k.RemapPageAt(b.r.Base + 2*failmap.PageSize + 100); !ok {
@@ -266,7 +271,7 @@ func TestLockFreeTranslate(t *testing.T) {
 				t.Errorf("PolicyPromoteFrame(%d) refused", src)
 			}
 		case i%3 == 0:
-			k.HandleUnawareFailure(r, p)
+			k.RemapPageAt(r.Base + uint64(p)*failmap.PageSize)
 		case !k.FrameIsDRAM(src):
 			if dst := freePerfectFrame(t, k); !k.PolicyRemapFrame(src, dst) {
 				t.Errorf("PolicyRemapFrame(%d, %d) refused", src, dst)
@@ -381,4 +386,26 @@ func BenchmarkWriteLine(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The page table stores a frame plus one in 32 bits: the last DRAM frame
+// whose entry fits is minted, and the one after it is refused.
+func TestBorrowStopsBeforeFramesOverflow(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a frame number near 2³² does not fit this platform's int")
+	}
+	k := New(Config{PCMPages: 1})
+	last := uint64(math.MaxUint32 - 1)
+	k.dramNext = int(last)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if f := k.borrowDRAMLocked(); uint64(f) != last {
+		t.Fatalf("borrowed frame %d, want %d", f, last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a frame whose entry overflows 32 bits was minted")
+		}
+	}()
+	k.borrowDRAMLocked()
 }

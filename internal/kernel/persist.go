@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -13,52 +12,8 @@ import (
 // down, the OS may save the failed line map to persistent storage and
 // restore it on system initialization. Alternatively, the OS may rebuild
 // the table by eagerly scanning memory or by lazily rediscovering failures
-// at first write."
-
-// SaveFailureTable serializes the OS failure table (RLE-encoded, the same
-// format the tab3 ablation measures).
-func (k *Kernel) SaveFailureTable() []byte {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.tableLocked().EncodeRLE()
-}
-
-// tableLocked returns the failure table as a map of the PCM pool: one page
-// word per table entry.
-func (k *Kernel) tableLocked() *failmap.Map {
-	m := failmap.New(k.pcmPages * failmap.PageSize)
-	for p, bm := range k.bitmaps {
-		m.SetPageBitmap(p, bm)
-	}
-	return m
-}
-
-// RestoreFailureTable loads a saved failure table into a freshly booted
-// kernel (before any mappings). The perfect-page queue is rebuilt.
-func (k *Kernel) RestoreFailureTable(data []byte) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.mapped != 0 {
-		return fmt.Errorf("kernel: restore after mappings exist")
-	}
-	m, err := failmap.DecodeRLE(data)
-	if err != nil {
-		return err
-	}
-	if m.Lines() != k.pcmPages*failmap.LinesPerPage {
-		return fmt.Errorf("kernel: saved table covers %d lines, pool has %d pages", m.Lines(), k.pcmPages)
-	}
-	k.perfectQueue = k.perfectQueue[:0]
-	k.perfectHead = 0
-	for p := 0; p < k.pcmPages; p++ {
-		k.bitmaps[p] = m.PageBitmap(p)
-		if k.bitmaps[p] == 0 {
-			k.perfectQueue = append(k.perfectQueue, p)
-		}
-	}
-	k.rebuildPerfectIndexLocked()
-	return nil
-}
+// at first write." The kernel rebuilds: Recover and RediscoverFailures scan
+// the device, and no table is saved.
 
 // RediscoverFailures models recovery after an abnormal shutdown with no
 // saved table: the OS eagerly scans the device, rediscovering every
@@ -84,22 +39,14 @@ func (k *Kernel) RediscoverFailures() int {
 	return found
 }
 
-// HandleUnawareFailure resolves a failure on a page owned by a process
+// handleUnawareLocked resolves a failure on a page owned by a process
 // without a registered runtime handler: the OS copies the page to a
 // perfect frame and remaps it, preserving the illusion of perfect memory
 // at the cost of a scarce perfect page (§3.2, "hide line failures from
-// executing processes"). It returns the replacement frame.
-func (k *Kernel) HandleUnawareFailure(r *Region, page int) (newFrame int, borrowed bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.handleUnawareLocked(r, page)
-}
-
-// handleUnawareLocked is HandleUnawareFailure with mu already held, for
-// callers inside the interrupt service path.
+// executing processes"). It returns the replacement frame. mu is held.
 func (k *Kernel) handleUnawareLocked(r *Region, page int) (newFrame int, borrowed bool) {
 	if page < 0 || page >= r.Pages {
-		panic("kernel: HandleUnawareFailure page out of range")
+		panic("kernel: handleUnawareLocked page out of range")
 	}
 	f, ok := k.policy.NextPerfect(k)
 	if !ok {

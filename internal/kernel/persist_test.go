@@ -10,47 +10,6 @@ import (
 	"wearmem/internal/stats"
 )
 
-func TestSaveRestoreFailureTable(t *testing.T) {
-	inject := injected(32, 0.2, 3)
-	k1 := New(Config{PCMPages: 32, Inject: inject})
-	data := k1.SaveFailureTable()
-
-	k2 := New(Config{PCMPages: 32})
-	if err := k2.RestoreFailureTable(data); err != nil {
-		t.Fatal(err)
-	}
-	// The restored kernel serves identical failure maps.
-	r1, _ := k1.MmapRelaxed(8)
-	r2, _ := k2.MmapRelaxed(8)
-	if !k1.MapFailures(r1).Equal(k2.MapFailures(r2)) {
-		t.Fatal("restored kernel diverges from the original")
-	}
-	if k1.PerfectPCMPagesLeft() != k2.PerfectPCMPagesLeft() {
-		t.Fatal("perfect pool diverges after restore")
-	}
-}
-
-func TestRestoreRejectsBadInput(t *testing.T) {
-	k := New(Config{PCMPages: 8})
-	if err := k.RestoreFailureTable([]byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	other := New(Config{PCMPages: 4}).SaveFailureTable()
-	if err := k.RestoreFailureTable(other); err == nil {
-		t.Fatal("wrong-size table accepted")
-	}
-	// The decoder takes any line count; the table is whole pages.
-	ragged := failmap.New(8*failmap.PageSize + failmap.LineSize).EncodeRLE()
-	if err := k.RestoreFailureTable(ragged); err == nil {
-		t.Fatal("a table one line past the pool's last page accepted")
-	}
-	k.MmapRelaxed(1)
-	good := New(Config{PCMPages: 8}).SaveFailureTable()
-	if err := k.RestoreFailureTable(good); err == nil {
-		t.Fatal("restore after mapping accepted")
-	}
-}
-
 func TestRediscoverFailuresAfterAbnormalShutdown(t *testing.T) {
 	dev := pcm.NewDevice(pcm.Config{Size: 8 * failmap.PageSize, Endurance: 1}, nil)
 	// Fail three lines directly on the device, draining so the buffer is
@@ -188,8 +147,9 @@ func TestHandleUnawareFailure(t *testing.T) {
 	// A failure-unaware process cannot adapt: the OS replaces frame 0 with
 	// a perfect frame transparently (same virtual address).
 	oldFrame := r.Frame(0)
-	newFrame, borrowed := k.HandleUnawareFailure(r, 0)
-	if borrowed {
+	borrowed, ok := k.RemapPageAt(r.Base)
+	newFrame := r.Frame(0)
+	if !ok || borrowed {
 		t.Fatal("perfect PCM remained; should not borrow")
 	}
 	if newFrame == oldFrame {
@@ -213,8 +173,8 @@ func TestHandleUnawareFailureBorrowsWhenPoolDry(t *testing.T) {
 	inject.SetLineFailed(3)
 	k := New(Config{PCMPages: 1, Inject: inject})
 	r, _ := k.MmapRelaxed(1)
-	_, borrowed := k.HandleUnawareFailure(r, 0)
-	if !borrowed || k.Borrows() != 1 {
+	borrowed, ok := k.RemapPageAt(r.Base)
+	if !ok || !borrowed || k.Borrows() != 1 {
 		t.Fatal("should have borrowed DRAM for the unaware process")
 	}
 }

@@ -118,16 +118,6 @@ func (k *Kernel) persistPolicyLocked() {
 	}
 }
 
-// PersistPolicyState writes the current policy state to the device's OS
-// metadata area now. Remap boundaries persist automatically; a caller
-// planning a shutdown uses this so a clean snapshot carries the freshest
-// state (only tests do today).
-func (k *Kernel) PersistPolicyState() {
-	k.mu.Lock()
-	k.persistPolicyLocked()
-	k.mu.Unlock()
-}
-
 // restorePolicyLocked loads the policy record from the device's OS
 // metadata area, if one exists and matches the configured policy's name.
 // A missing, torn, foreign-format or mismatched record simply means fresh

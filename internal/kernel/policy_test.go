@@ -86,20 +86,25 @@ func TestPerfectPagesLeftDifferential(t *testing.T) {
 			}
 			check("Release", step)
 		case 3:
-			k.SwapInPlacement(uint64(rng.Int63()), rng.Intn(2) == 0)
-			check("SwapInPlacement", step)
+			if len(regions) > 0 {
+				r := regions[rng.Intn(len(regions))]
+				k.RemapPageAt(r.Base + uint64(rng.Intn(r.Pages))*failmap.PageSize)
+			}
+			check("RemapPageAt", step)
 		case 4:
 			k.InjectRandomDynamicFailure(rng)
 			check("InjectRandomDynamicFailure", step)
 		}
 	}
-	// And across a failure-table restore, which rebuilds the queue.
-	k2 := New(Config{PCMPages: 64})
-	if err := k2.RestoreFailureTable(k.SaveFailureTable()); err != nil {
-		t.Fatal(err)
+	// And in a kernel booted over the table the run left, which builds the
+	// queue afresh.
+	table := failmap.New(64 * failmap.PageSize)
+	for f := 0; f < 64; f++ {
+		table.SetPageBitmap(f, k.FrameFailedLines(f))
 	}
+	k2 := New(Config{PCMPages: 64, Inject: table})
 	if got, want := k2.PerfectPCMPagesLeft(), scanPerfectLeft(k2); got != want {
-		t.Fatalf("after restore: counter says %d, scan says %d", got, want)
+		t.Fatalf("after reboot: counter says %d, scan says %d", got, want)
 	}
 }
 
@@ -427,42 +432,6 @@ func TestPolicyStateIgnoredOnPolicyChange(t *testing.T) {
 	}
 	if durableCounter(k2) != 0 {
 		t.Fatal("foreign policy state leaked into the new policy")
-	}
-}
-
-// TestCleanShutdownPersistsPlacementCursor: PersistPolicyState before a
-// planned shutdown carries the rotate policy's cursor across lives.
-func TestCleanShutdownPersistsPlacementCursor(t *testing.T) {
-	_, k := policyDevice(t, "rotate")
-	r, _ := k.MmapRelaxed(5)
-	k.Release(r)
-	k.PersistPolicyState()
-	k.mu.Lock()
-	want := k.policy.(*rotatePolicy).next
-	k.mu.Unlock()
-	if want == 0 {
-		t.Fatal("rotate cursor never advanced")
-	}
-	img := k.Device().Snapshot()
-
-	clock := stats.NewClock(stats.DefaultCosts())
-	dev, err := pcm.NewDeviceFromImage(img, clock, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2 := New(Config{PCMPages: 16, Device: dev, Clock: clock, Policy: "rotate"})
-	st, err := k2.Recover(RecoverOptions{SkipScrub: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.PolicyRestored {
-		t.Fatal("clean-shutdown policy record not restored")
-	}
-	k2.mu.Lock()
-	got := k2.policy.(*rotatePolicy).next
-	k2.mu.Unlock()
-	if got != want {
-		t.Fatalf("restored rotate cursor = %d, want %d", got, want)
 	}
 }
 

@@ -80,7 +80,9 @@ func TestNewbornRootFollowsProbeAndWriteThrough(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if got := m.VM.Roots().Len(); got != tc.roots {
+			got := 0
+			m.VM.Roots().Each(func(*heap.Addr) { got++ })
+			if got != tc.roots {
 				t.Errorf("%d roots after boot, want %d", got, tc.roots)
 			}
 		})

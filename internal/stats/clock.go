@@ -204,9 +204,6 @@ func (c *Clock) Reset() {
 	c.counts = [numEvents]uint64{}
 }
 
-// Cost returns the per-unit cost the clock charges for event e.
-func (c *Clock) Cost(e Event) Cycles { return c.costs[e] }
-
 // Costs returns a copy of the clock's cost table, for deriving worker
 // clocks that charge identically.
 func (c *Clock) Costs() CostTable { return c.costs }

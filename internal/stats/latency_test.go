@@ -144,7 +144,7 @@ func TestStallCyclesWeighting(t *testing.T) {
 	c.Charge(EvLineSkip, 10)
 	c.Charge(EvFailBufStall, 2)
 	c.Charge(EvMutatorOp, 1000) // not a stall event
-	want := 10*c.Cost(EvLineSkip) + 2*c.Cost(EvFailBufStall)
+	want := 10*c.Costs()[EvLineSkip] + 2*c.Costs()[EvFailBufStall]
 	if got := c.StallCycles(); got != want {
 		t.Fatalf("StallCycles %d, want %d", got, want)
 	}

@@ -80,7 +80,7 @@ func TestReportsMatchReferenceOnRealHeaps(t *testing.T) {
 		{"S-MS/unaware", vm.StickyMarkSweep, false, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			kc := kernel.Config{PCMPages: poolPages, RemapUnaware: true}
+			kc := kernel.Config{PCMPages: poolPages}
 			dc := pcm.Config{Endurance: 2048, Variation: 0.25, TrackData: true, Seed: c.seed}
 			vc := vm.Config{
 				HeapBytes: heapBytes, Collector: c.collector, FailureAware: c.aware,

@@ -139,7 +139,7 @@ func TestThreadedClockMerge(t *testing.T) {
 	}
 	// Critical path: at least the slowest mutator's time (300 ops), less
 	// than the serialized sum would require if nothing else charged.
-	minTime := stats.Cycles(300) * tv.Clock().Cost(stats.EvMutatorOp)
+	minTime := stats.Cycles(300) * tv.Clock().Costs()[stats.EvMutatorOp]
 	if tv.Clock().Now() < minTime {
 		t.Fatalf("merged time %d < critical path %d", tv.Clock().Now(), minTime)
 	}
