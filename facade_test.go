@@ -210,7 +210,6 @@ var testOnlyEntryPoints = map[string]string{
 	// Reference implementations tests compare against.
 	"heap.Model.EachRef":      "the reference the collectors' RefSlots walk is held to",
 	"failmap.Map.AnyFailedIn": "the per-range reference core's block line states are held to",
-	"failmap.DecodeRLE":       "the inverse tab3's EncodeRLE sizes are held to (round trip, fuzz)",
 
 	// Test observables.
 	"kernel.Kernel.FreePCMPages": "the pool tests' and the race test's count of frames left",

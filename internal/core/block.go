@@ -42,6 +42,10 @@ type block struct {
 	perfect     bool // no failed lines
 	inRecycle   bool // currently on the recycled list
 	inFree      bool // currently on the local free list
+	// fresh is set while no line has been offered twice since the memory
+	// was mapped fresh (BlockMem.Fresh): every byte the allocator hands out
+	// is still zero. The first sweep, or a failed line coming back, ends it.
+	fresh bool
 }
 
 // failedUnits folds a block's PCM failure map into a bitset over its n
@@ -78,6 +82,7 @@ func newBlock(mem BlockMem, blockSize, lineSize int) *block {
 	w := bitset.Words(n)
 	b := &block{
 		mem:    mem,
+		fresh:  mem.Fresh,
 		lines:  n,
 		words:  w,
 		tail:   bitset.TailMask(n),
@@ -167,10 +172,11 @@ func (b *block) claim(start, end int) {
 }
 
 // markLines stamps the lines overlapped by [addr, addr+size) live at the
-// given epoch. base is the block's base address.
-func (b *block) markLines(base, addr heap.Addr, size, lineSize int, epoch uint16) {
-	first := int(addr-base) / lineSize
-	last := int(addr-base+heap.Addr(size)-1) / lineSize
+// given epoch. base is the block's base address; a line is 1<<lineShift
+// bytes.
+func (b *block) markLines(base, addr heap.Addr, size int, lineShift uint, epoch uint16) {
+	first := int((addr - base) >> lineShift)
+	last := int((addr - base + heap.Addr(size) - 1) >> lineShift)
 	b.stamp(epoch)
 	bitset.SetRange(b.marked, first, last+1)
 }
@@ -211,6 +217,7 @@ func (b *block) sweep(epoch uint16) int {
 	b.freeLines = free
 	b.holes = b.countHoles()
 	b.evacuate = false
+	b.fresh = false
 	return b.freeLines
 }
 

@@ -126,7 +126,7 @@ func BenchmarkSweep(bm *testing.B) {
 	for i := 0; i < b.lines/2; i++ {
 		line := rng.Intn(b.lines)
 		addr := heap.Addr(line * lineSize)
-		b.markLines(0, addr, lineSize, lineSize, epoch)
+		b.markLines(0, addr, lineSize, 6, epoch) // 64-byte lines
 		ref.markLines(0, addr, lineSize, lineSize, epoch)
 	}
 	bm.Run("bitset", func(bm *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -221,7 +222,7 @@ func TestBlockBitsetMatchesReference(t *testing.T) {
 					addr := heap.Addr(line*tc.lineSize + rng.Intn(tc.lineSize))
 					max := tc.blockSize - int(addr)
 					size := 1 + rng.Intn(max)
-					b.markLines(0, addr, size, tc.lineSize, epoch)
+					b.markLines(0, addr, size, uint(bits.TrailingZeros(uint(tc.lineSize))), epoch)
 					ref.markLines(0, addr, size, tc.lineSize, epoch)
 					compareBlocks(t, "markLines", b, ref, epoch)
 				case 6: // dynamic line failure

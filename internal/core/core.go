@@ -24,6 +24,10 @@ import (
 type BlockMem struct {
 	Base heap.Addr
 	Fail *failmap.Map
+	// Fresh marks memory mapped for this request, which reads as zero: the
+	// virtual cursor never moves back, so nothing wrote it before. A reused
+	// slot is not fresh.
+	Fresh bool
 }
 
 // Memory supplies mapped memory to a collector. Implementations enforce
@@ -35,8 +39,9 @@ type Memory interface {
 	// debit-credit penalty).
 	AcquireBlock(perfect bool) (BlockMem, error)
 	// AcquirePages returns n virtually contiguous pages for the large
-	// object space.
-	AcquirePages(n int, perfect bool) (heap.Addr, error)
+	// object space, and whether they were mapped fresh for it (as
+	// BlockMem.Fresh).
+	AcquirePages(n int, perfect bool) (base heap.Addr, fresh bool, err error)
 	// ReleaseBlock returns a completely free block to the global pool.
 	ReleaseBlock(BlockMem)
 	// ReleasePages returns a large object's pages to the global pool.

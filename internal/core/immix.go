@@ -61,14 +61,14 @@ type Immix struct {
 	evacMu sync.Mutex
 
 	epoch      uint16
+	lineShift  uint // log2(cfg.LineSize): fill makes it divide a power-of-two block
 	collecting bool
 	probe      probe.Hook
 	degraded   error       // sticky; set once, never cleared (§ graceful degradation)
 	modbuf     []heap.Addr // logged objects (sticky write barrier)
 	// tr is the plan's own plain-claim tracer: the single lane of a serial
 	// stop-the-world trace and the tracer of every marking cycle's STW
-	// phases and increments. Its gray stack and scan buffer are reused
-	// across collections.
+	// phases and increments. Its gray stack is reused across collections.
 	tr tracer
 
 	// marking is true while a marking window is open: mutators are running
@@ -137,12 +137,13 @@ func NewImmix(cfg Config) *Immix {
 		panic("core: Immix block size must be a power of two")
 	}
 	ix := &Immix{
-		cfg:   cfg,
-		clock: cfg.Clock,
-		model: cfg.Model,
-		mem:   cfg.Mem,
-		epoch: 1,
-		probe: cfg.Probe,
+		cfg:       cfg,
+		clock:     cfg.Clock,
+		model:     cfg.Model,
+		mem:       cfg.Mem,
+		epoch:     1,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		probe:     cfg.Probe,
 	}
 	ix.tr = tracer{ix: ix, clock: cfg.Clock}
 	ix.blocks.init(cfg.BlockSize)
@@ -184,12 +185,15 @@ func (ix *Immix) AllocOn(mc *MutatorContext, ty *heap.Type, size, arrayLen int) 
 		}
 		return a, err
 	}
-	a, err := ix.allocSmall(mc, size)
+	c, err := ix.allocSmall(mc, size)
 	if err != nil {
 		return 0, err
 	}
+	a := c.bump(size)
 	mc.clock.Charge(stats.EvAllocBytes, uint64(size))
-	ix.model.S.Zero(a, size)
+	if !c.b.fresh {
+		ix.model.S.Zero(a, size)
+	}
 	ix.model.InitObject(a, ty, size, arrayLen)
 	if ix.marking.Load() {
 		ix.allocBlack(a, size)
@@ -215,13 +219,15 @@ func (ix *Immix) allocBlack(a heap.Addr, size int) {
 		// acquisition is gated during the window, so the epoch is current.
 		b.markLinesAtomic(b.mem.Base, a, size, ix.cfg.LineSize)
 	} else {
-		b.markLines(b.mem.Base, a, size, ix.cfg.LineSize, ix.epoch)
+		b.markLines(b.mem.Base, a, size, ix.lineShift, ix.epoch)
 	}
 }
 
-func (ix *Immix) allocSmall(mc *MutatorContext, size int) (heap.Addr, error) {
+// allocSmall returns the context whose cursor fits size, refilling it as
+// needed; the caller bumps it, and knows the block the object lands on.
+func (ix *Immix) allocSmall(mc *MutatorContext, size int) (*bumpCtx, error) {
 	if mc.cur.fits(size) {
-		return mc.cur.bump(size), nil
+		return &mc.cur, nil
 	}
 	if size > ix.cfg.LineSize {
 		// Medium object that does not immediately fit the bump cursor:
@@ -230,10 +236,10 @@ func (ix *Immix) allocSmall(mc *MutatorContext, size int) (heap.Addr, error) {
 	}
 	for {
 		if mc.cur.b != nil && ix.advanceHole(mc.clock, &mc.cur, size) {
-			return mc.cur.bump(size), nil
+			return &mc.cur, nil
 		}
 		if err := ix.nextAllocBlock(mc); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 }
@@ -357,18 +363,18 @@ func (ix *Immix) acquireBlock(clk *stats.Clock, perfect bool) (*block, error) {
 	return b, nil
 }
 
-// allocOverflow places a medium object on the overflow block. With
+// allocOverflow finds room for a medium object on the overflow block. With
 // failure-aware Immix the remainder of the overflow block is searched for
 // a fitting hole before resorting to a fresh block, and a perfect block is
 // requested when a fresh imperfect block cannot fit the object (§4.2).
-func (ix *Immix) allocOverflow(mc *MutatorContext, size int) (heap.Addr, error) {
+func (ix *Immix) allocOverflow(mc *MutatorContext, size int) (*bumpCtx, error) {
 	if mc.over.fits(size) {
-		return mc.over.bump(size), nil
+		return &mc.over, nil
 	}
 	if mc.over.b != nil && ix.cfg.FailureAware {
 		mc.clock.Charge1(stats.EvOverflowSearch)
 		if ix.advanceHole(mc.clock, &mc.over, size) {
-			return mc.over.bump(size), nil
+			return &mc.over, nil
 		}
 	}
 	// A fresh overflow block, sourced from the free pool for maximal
@@ -382,18 +388,18 @@ func (ix *Immix) allocOverflow(mc *MutatorContext, size int) (heap.Addr, error) 
 				if err == ErrHeapFull {
 					err = ErrNeedFreeBlock
 				}
-				return 0, err
+				return nil, err
 			}
 		}
 		mc.over.install(b)
 		if ix.advanceHole(mc.clock, &mc.over, size) {
-			return mc.over.bump(size), nil
+			return &mc.over, nil
 		}
 		// The block cannot fit the object contiguously (failed lines).
 		ix.stashRecycled(mc, b)
 		if !ix.cfg.FailureAware {
 			if tries >= 8 {
-				return 0, ErrOutOfMemory
+				return nil, ErrOutOfMemory
 			}
 			continue
 		}
@@ -403,15 +409,15 @@ func (ix *Immix) allocOverflow(mc *MutatorContext, size int) (heap.Addr, error) 
 			if err == ErrHeapFull {
 				err = ErrNeedFreeBlock
 			}
-			return 0, err
+			return nil, err
 		}
 		mc.over.b = pb
 		mc.over.nextLine = 0
 		if !ix.advanceHole(mc.clock, &mc.over, size) {
 			ix.degraded = ErrPerfectBlockUnfit
-			return 0, ErrPerfectBlockUnfit
+			return nil, ErrPerfectBlockUnfit
 		}
-		return mc.over.bump(size), nil
+		return &mc.over, nil
 	}
 }
 
@@ -829,6 +835,7 @@ func (ix *Immix) UnfailPage(vaddr heap.Addr) {
 		if !b.markedAt(l, ix.epoch) {
 			bitset.Set(b.avail, l)
 			b.freeLines++
+			b.fresh = false // the line may already have been handed out
 		}
 	}
 	if b.failedLines == 0 {

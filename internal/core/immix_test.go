@@ -6,6 +6,7 @@ import (
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
+	"wearmem/internal/probe"
 	"wearmem/internal/stats"
 	"wearmem/internal/verify"
 )
@@ -47,8 +48,10 @@ type envOpts struct {
 	headroom     int
 	traceWorkers int // 0 = serial trace
 	threaded     bool
-	pauseWork    int // > 0: bounded marking increments (needs generational)
-	concMark     int // > 0: concurrent markers (needs generational + threaded)
+	pauseWork    int                           // > 0: bounded marking increments (needs generational)
+	marking      bool                          // collect by one marking cycle even with no pauseWork
+	probe        func(*stats.Clock) probe.Hook // the plan's probe, given its clock
+	concMark     int                           // > 0: concurrent markers (needs generational + threaded)
 	modbufCap    int
 }
 
@@ -76,6 +79,9 @@ func newEnv(t *testing.T, o envOpts) *testEnv {
 			}
 			return 2
 		}(),
+	}
+	if o.probe != nil {
+		cfg.Probe = o.probe(clock)
 	}
 	mem := newTestMem(space, 32<<10, budget, o.inject)
 	cfg.Mem = mem

@@ -38,13 +38,15 @@ func newLOS(mem Memory, model *heap.Model, clock *stats.Clock, perfect bool) *lo
 // exhausted.
 func (l *los) alloc(ty *heap.Type, size, arrayLen int) (heap.Addr, error) {
 	pages := (size + failmap.PageSize - 1) / failmap.PageSize
-	base, err := l.mem.AcquirePages(pages, l.perfect)
+	base, fresh, err := l.mem.AcquirePages(pages, l.perfect)
 	if err != nil {
 		return 0, err
 	}
 	l.clock.Charge1(stats.EvLOSAlloc)
 	l.clock.Charge(stats.EvAllocBytes, uint64(size))
-	l.model.S.Zero(base, pages*failmap.PageSize)
+	if !fresh {
+		l.model.S.Zero(base, pages*failmap.PageSize)
+	}
 	l.model.InitObject(base, ty, size, arrayLen)
 	l.mu.Lock()
 	l.objects[base] = pages

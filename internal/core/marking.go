@@ -319,17 +319,20 @@ func (ix *Immix) Shade(old heap.Addr) {
 	if old == 0 || !ix.marking.Load() {
 		return
 	}
-	if fwd, ok := ix.model.Forwarded(old); ok {
+	s := ix.model.S
+	h := s.Load64(old)
+	if fwd, ok := heap.HeaderForwarded(h); ok {
 		old = fwd
+		h = s.Load64(old)
 	}
-	if ix.model.Epoch(old) == ix.epoch {
+	if heap.HeaderEpoch(h) == ix.epoch {
 		return // already black this cycle
 	}
 	if len(ix.satb) >= ix.cfg.ModbufCap {
 		// Cap hit: blacken the referent in place instead of growing the
 		// buffer. Each object blackens at most once per cycle, so a
 		// pure-write storm costs O(distinct objects), never an OOM.
-		ix.tr.markInPlace(old, ix.blockOf(old))
+		ix.tr.markInPlace(old, h, ix.blockOf(old))
 		ix.gcstats.ForcedModbufDrains++
 		return
 	}

@@ -65,12 +65,12 @@ func (m *testMem) AcquireBlock(perfect bool) (BlockMem, error) {
 			m.injectOff += m.blockSize
 		}
 	}
-	return BlockMem{Base: base, Fail: fm}, nil
+	return BlockMem{Base: base, Fail: fm, Fresh: true}, nil
 }
 
-func (m *testMem) AcquirePages(n int, perfect bool) (heap.Addr, error) {
+func (m *testMem) AcquirePages(n int, perfect bool) (heap.Addr, bool, error) {
 	if !m.take(n) {
-		return 0, ErrHeapFull
+		return 0, false, ErrHeapFull
 	}
 	// Page allocations stay block-aligned so they never collide with the
 	// block table.
@@ -78,13 +78,14 @@ func (m *testMem) AcquirePages(n int, perfect bool) (heap.Addr, error) {
 	size := heap.Addr((n*failmap.PageSize + m.blockSize - 1) / m.blockSize * m.blockSize)
 	m.next += size
 	m.space.Ensure(m.next)
-	return base, nil
+	return base, true, nil
 }
 
 func (m *testMem) ReleaseBlock(b BlockMem) {
 	if b.Fail != nil && b.Fail.FailedLines() == b.Fail.Lines() {
 		return // dead memory is not reused
 	}
+	b.Fresh = false
 	m.pool = append(m.pool, b)
 }
 

@@ -31,10 +31,9 @@ import (
 const traceQuantum = 64
 
 type tracer struct {
-	ix      *Immix
-	clock   *stats.Clock
-	gray    []heap.Addr // mark stack
-	scanbuf []heap.Addr // per-object ref-slot buffer, reused across scans
+	ix    *Immix
+	clock *stats.Clock
+	gray  []heap.Addr // mark stack
 	// evacuate lets mark move objects out of defragmentation candidates.
 	// Marking cycles turn it off: mutators hold addresses across increments.
 	evacuate bool
@@ -155,26 +154,42 @@ func (t *tracer) drain() {
 	}
 }
 
-// scan visits obj's reference slots from index from through the
-// closure-free RefSlots walker (differential-tested against
-// heap.Model.EachRef), marking children and rewriting slots whose referents
-// moved. It returns -1 when the scan completed, or the slot index to resume
-// from when the deadline interrupted it.
+// scan visits obj's reference slots from index from — a fixed type's
+// RefOffsets or a reference array's elements, walked in place — marking
+// children and rewriting slots whose referents moved. It returns -1 when
+// the scan completed, or the slot index to resume from when the deadline
+// interrupted it.
+//
+// With no deadline armed and no probe listening, nothing can observe the
+// clock between two slots, so the object's EvObjectScan charges are one
+// Charge; otherwise each slot charges before it is visited, so a deadline
+// interrupts and a probe reads the clock exactly where per-slot charging
+// puts them.
 func (t *tracer) scan(obj heap.Addr, from int) int {
-	s, clock, deadline := t.ix.model.S, t.clock, t.deadline
-	slots := t.ix.model.RefSlots(obj, t.scanbuf[:0])
-	t.scanbuf = slots[:0]
-	for i := from; i < len(slots); i++ {
-		if deadline != 0 && clock.Now() >= deadline {
-			return i
+	m, clock, deadline := t.ix.model, t.clock, t.deadline
+	ty := m.TypeOf(obj)
+	n := m.RefCountOf(ty, obj)
+	batch := deadline == 0 && t.ix.probe == nil
+	if batch && n > from {
+		clock.Charge(stats.EvObjectScan, uint64(n-from))
+	}
+	for i := from; i < n; i++ {
+		if !batch {
+			if deadline != 0 && clock.Now() >= deadline {
+				return i
+			}
+			clock.Charge1(stats.EvObjectScan)
 		}
-		clock.Charge1(stats.EvObjectScan)
-		child := heap.Addr(s.Load64(slots[i]))
+		slot := obj + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize)
+		if ty.Kind == heap.KindFixed {
+			slot = obj + heap.Addr(ty.RefOffsets[i])
+		}
+		child := heap.Addr(m.S.Load64(slot))
 		if child == 0 {
 			continue
 		}
 		if moved := t.mark(child); moved != child {
-			s.Store64(slots[i], uint64(moved))
+			m.S.Store64(slot, uint64(moved))
 		}
 	}
 	return -1
@@ -182,13 +197,18 @@ func (t *tracer) scan(obj heap.Addr, from int) int {
 
 // mark marks the object at a — evacuating it when it sits on a
 // defragmentation candidate and the tracer may move objects, in place
-// otherwise — and returns its current address.
+// otherwise — and returns its current address. Forwarding, epoch, pin and
+// size come from one load of the header; it is loaded again only after a
+// GCTraceMark probe, whose listener may have rewritten it.
 func (t *tracer) mark(a heap.Addr) heap.Addr {
 	ix := t.ix
-	if fwd, ok := ix.model.Forwarded(a); ok {
+	s := ix.model.S
+	h := s.Load64(a)
+	if fwd, ok := heap.HeaderForwarded(h); ok {
 		a = fwd
+		h = s.Load64(a)
 	}
-	if ix.model.Epoch(a) == ix.epoch {
+	if heap.HeaderEpoch(h) == ix.epoch {
 		return a // already marked (or old, during a nursery pass)
 	}
 	b := ix.blockOf(a)
@@ -197,17 +217,18 @@ func (t *tracer) mark(a heap.Addr) heap.Addr {
 		if !ix.los.contains(a) {
 			panic(fmt.Sprintf("core: reference %#x outside managed space", a))
 		}
-	} else if b.evacuate && t.evacuate && !ix.model.Pinned(a) {
+	} else if b.evacuate && t.evacuate && !heap.HeaderPinned(h) {
 		// Opportunistic: when no space can be found the object is marked in
 		// place instead.
-		if to, ok := t.evacuateObject(a); ok {
+		if to, ok := t.evacuateObject(a, heap.SizeFromHeader(h)); ok {
 			return to
 		}
 	}
 	if ix.probe != nil {
 		ix.probe(probe.GCTraceMark, uint64(a))
+		h = s.Load64(a)
 	}
-	t.markInPlace(a, b)
+	t.markInPlace(a, h, b)
 	return a
 }
 
@@ -215,15 +236,16 @@ func (t *tracer) mark(a heap.Addr) heap.Addr {
 // pushes it gray when it has reference slots. It fires no probe: the SATB
 // barrier blackens through it at the buffer cap, and marking work the
 // write barrier performs must not give fault-injection hooks a re-entry
-// point mid-store.
-func (t *tracer) markInPlace(a heap.Addr, b *block) {
+// point mid-store. h is the object's header as last loaded.
+func (t *tracer) markInPlace(a heap.Addr, h uint64, b *block) {
 	ix := t.ix
-	ty, size := ix.model.Stamp(a, ix.epoch)
+	ix.model.S.Store64(a, heap.HeaderWithEpoch(h, ix.epoch))
+	ty, size := ix.model.TypeFromHeader(h), heap.SizeFromHeader(h)
 	t.clock.Charge1(stats.EvObjectMark)
 	ix.gcstats.ObjectsMarked++
 	ix.gcstats.BytesMarkedLive += uint64(size)
 	if b != nil {
-		b.markLines(b.mem.Base, a, size, ix.cfg.LineSize, ix.epoch)
+		b.markLines(b.mem.Base, a, size, ix.lineShift, ix.epoch)
 	}
 	if ix.model.RefCountOf(ty, a) > 0 {
 		t.gray = append(t.gray, a)
@@ -232,9 +254,8 @@ func (t *tracer) markInPlace(a heap.Addr, b *block) {
 
 // evacuateObject copies a live object out of a defragmentation candidate,
 // reporting false when no destination space is left.
-func (t *tracer) evacuateObject(a heap.Addr) (heap.Addr, bool) {
+func (t *tracer) evacuateObject(a heap.Addr, size int) (heap.Addr, bool) {
 	ix := t.ix
-	size := ix.model.SizeOf(a)
 	to, ok := ix.gcAlloc(size, true)
 	if !ok {
 		return 0, false
@@ -246,7 +267,7 @@ func (t *tracer) evacuateObject(a heap.Addr) (heap.Addr, bool) {
 	ix.model.Forward(a, to)
 	ty, _ := ix.model.Stamp(to, ix.epoch)
 	nb := ix.blockOf(to)
-	nb.markLines(nb.mem.Base, to, size, ix.cfg.LineSize, ix.epoch)
+	nb.markLines(nb.mem.Base, to, size, ix.lineShift, ix.epoch)
 	t.clock.Charge(stats.EvBytesCopied, uint64(size))
 	t.clock.Charge1(stats.EvObjectMark)
 	ix.gcstats.ObjectsMarked++

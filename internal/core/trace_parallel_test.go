@@ -36,7 +36,7 @@ func runTraceWorkload(t *testing.T, o envOpts) *testEnv {
 		e.setRef(arr, int(heap.ArrayHeaderSize)+i*int(heap.WordSize), h)
 	}
 	switch ix, _ := e.plan.(*Immix); {
-	case o.pauseWork > 0:
+	case o.pauseWork > 0 || o.marking:
 		ix.BeginMark(e.roots, 0)
 		for !ix.MarkIncrement(o.pauseWork) {
 		}

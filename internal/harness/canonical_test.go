@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wearmem/internal/failmap"
+	"wearmem/internal/seeded"
 	"wearmem/internal/vm"
 )
 
@@ -98,7 +99,7 @@ func TestCanonicalRunsWhatExecuteRuns(t *testing.T) {
 			if raw.HeapMult == 0 {
 				raw.HeapMult = 2 // the documented default, which no layer below canonical applies
 			}
-			got, want := simulate(raw), simulate(canon)
+			got, want := simulate(raw, new(drawnMaps)), simulate(canon, new(drawnMaps))
 			if (got.WallNS > 0) != (want.WallNS > 0) {
 				t.Errorf("%s[%d]: one run recorded wall time and the other did not", c.name, i)
 			}
@@ -189,5 +190,36 @@ func TestQuickSuiteCensus(t *testing.T) {
 	}
 	if len(raw) != 375 || len(canon) != 311 {
 		t.Errorf("the pass names %d raw and %d canonical configurations, want 375 and 311", len(raw), len(canon))
+	}
+}
+
+// A runner draws each failure map once, at the largest pool a
+// configuration asked for, and hands smaller pools its prefix: both
+// generators draw in line order, so the prefix must be a fresh draw at the
+// smaller size. Pools come in rising and falling order (a redraw, then
+// prefixes), with clusters that end past a pool's last line, and the
+// uniform and clustered maps of one seed and rate never stand in for each
+// other.
+func TestDrawnMapPrefixIsAFreshDraw(t *testing.T) {
+	pools := []int{3, 64, 65, 1000, 1024, 1, 700, 1025, 2}
+	var maps drawnMaps
+	for _, seed := range []int64{1, 7, 42} {
+		for _, gran := range []int{0, 4 * failmap.PageSize, 2048} {
+			for _, pages := range pools {
+				rc := RunConfig{Seed: seed, FailureRate: 0.1, ClusterGran: gran}
+				want := failmap.New(pages * failmap.PageSize)
+				if gran > 0 {
+					failmap.GenerateClustered(want, rc.FailureRate, gran, seeded.New(seed+1))
+				} else {
+					failmap.GenerateUniform(want, rc.FailureRate, seeded.New(seed+1))
+				}
+				if got := maps.generate(rc, pages); !got.Equal(want) {
+					t.Fatalf("seed %d, granularity %d, %d pages: the runner's map differs from a fresh draw", seed, gran, pages)
+				}
+			}
+		}
+	}
+	if len(maps.drawn) != 9 {
+		t.Fatalf("the runner kept %d maps, want one per seed and granularity (9)", len(maps.drawn))
 	}
 }

@@ -105,7 +105,7 @@ func TestLiveHashPinned(t *testing.T) {
 		res := execute(RunConfig{
 			Bench: tc.bench, HeapMult: 2, Collector: vm.StickyImmix, FailureAware: true,
 			FailureRate: 0.10, Seed: 42, Iterations: tc.iters,
-		})
+		}, new(drawnMaps))
 		if res.DNF || res.LiveObjects != tc.objects || res.LiveBytes != tc.bytes || res.LiveHash != tc.hash {
 			t.Errorf("%s: DNF=%v census %d/%d/%#x, pinned %d/%d/%#x", tc.bench,
 				res.DNF, res.LiveObjects, res.LiveBytes, res.LiveHash, tc.objects, tc.bytes, tc.hash)

@@ -226,7 +226,7 @@ func TestKVClimbsTheWholeLadder(t *testing.T) {
 		res := execute(RunConfig{
 			Bench: "kv", HeapMult: 2, Collector: vm.StickyImmix, FailureAware: true,
 			FailureRate: 0.10, ClusterPages: 2, Mutators: 4, Iterations: 2000, Seed: seed,
-		})
+		}, new(drawnMaps))
 		if res.DNF {
 			t.Errorf("seed %d: kv did not finish (%s)", seed, res.Panic)
 		}

@@ -51,19 +51,19 @@ func TestRecycledSpaceDoesNotChangeResults(t *testing.T) {
 			larger.Bench, larger.HeapMult = "eclipse", 4
 
 			adoptParked()
-			fresh := execute(rc)
+			fresh := execute(rc, new(drawnMaps))
 			if fresh.DNF || fresh.Collections < 2 || fresh.LiveHash == 0 {
 				t.Fatalf("fresh run is no test of the heap: %+v", fresh)
 			}
 			for _, before := range []RunConfig{smaller, larger} {
 				adoptParked()
-				if res := execute(before); res.DNF {
+				if res := execute(before, new(drawnMaps)); res.DNF {
 					t.Fatalf("%s before the run under test: DNF %s", before.Bench, res.Panic)
 				}
 				if heap.Parked() != 1 {
 					t.Fatalf("Parked() = %d after %s, want its one backing", heap.Parked(), before.Bench)
 				}
-				got := execute(rc)
+				got := execute(rc, new(drawnMaps))
 				if tc.whole {
 					if !reflect.DeepEqual(got, fresh) {
 						t.Errorf("after %s: result differs from the fresh run\n got %+v\nwant %+v", before.Bench, got, fresh)
@@ -101,8 +101,8 @@ func TestRecycledSpacesParallel(t *testing.T) {
 	var most atomic.Int64
 	old := executeFn
 	t.Cleanup(func() { executeFn = old })
-	executeFn = func(rc RunConfig) Result {
-		res := old(rc)
+	executeFn = func(rc RunConfig, maps *drawnMaps) Result {
+		res := old(rc, maps)
 		for n := int64(heap.Parked()); ; {
 			if m := most.Load(); n <= m || most.CompareAndSwap(m, n) {
 				return res
@@ -151,11 +151,11 @@ func TestRecyclingSurvivesPanickingRun(t *testing.T) {
 			next.Bench = "pmd"
 
 			adoptParked()
-			fresh := execute(next)
+			fresh := execute(next, new(drawnMaps))
 			adoptParked()
 
 			vm.SetGCTrace(&panicAfter{lines: 2})
-			res := safeExecute(crash)
+			res := safeExecute(crash, new(drawnMaps))
 			vm.SetGCTrace(nil)
 			if !res.DNF || !strings.Contains(res.Panic, "synthetic crash") {
 				t.Fatalf("run did not crash where planted: %+v", res)
@@ -163,7 +163,7 @@ func TestRecyclingSurvivesPanickingRun(t *testing.T) {
 			if heap.Parked() != tc.parked {
 				t.Fatalf("Parked() = %d after the crashed run, want %d", heap.Parked(), tc.parked)
 			}
-			if got := safeExecute(next); !reflect.DeepEqual(got, fresh) {
+			if got := safeExecute(next, new(drawnMaps)); !reflect.DeepEqual(got, fresh) {
 				t.Errorf("run after the crash differs from its fresh value\n got %+v\nwant %+v", got, fresh)
 			}
 			if heap.Parked() != 1 {

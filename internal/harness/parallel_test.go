@@ -20,7 +20,7 @@ func stubExecute(t *testing.T, gate chan struct{}, count *int32) {
 	t.Helper()
 	old := executeFn
 	t.Cleanup(func() { executeFn = old })
-	executeFn = func(rc RunConfig) Result {
+	executeFn = func(rc RunConfig, _ *drawnMaps) Result {
 		atomic.AddInt32(count, 1)
 		if gate != nil {
 			<-gate
@@ -205,7 +205,7 @@ func TestParallelJSONByteIdentical(t *testing.T) {
 func TestPrefetchRecoversPanickingConfiguration(t *testing.T) {
 	old := executeFn
 	t.Cleanup(func() { executeFn = old })
-	executeFn = func(rc RunConfig) Result {
+	executeFn = func(rc RunConfig, _ *drawnMaps) Result {
 		if rc.Bench == "xalan" {
 			panic("synthetic crash in " + rc.Bench)
 		}

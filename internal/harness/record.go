@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
+	"strconv"
 
 	"wearmem/internal/stats"
 )
@@ -39,33 +39,43 @@ func newRecord(rc RunConfig, res Result) RunRecord {
 func canonicalKey(rc RunConfig) string { return canonicalKeyOf(rc) }
 
 // canonicalKeyOf implements canonicalKey over any struct (separated so the
-// unsupported-kind panic is testable without widening RunConfig).
+// unsupported-kind panic is testable without widening RunConfig). Each
+// field appends "Name=value|" to one buffer, the value as fmt's %v spells
+// it: a Stringer's String, else strconv's form of its kind.
 func canonicalKeyOf(rc any) string {
 	v := reflect.ValueOf(rc)
-	t := v.Type()
-	var sb strings.Builder
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if f.Name == "Inject" {
+	key := make([]byte, 0, 320)
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		key = append(append(key, f.Name...), '=')
+		switch k := f.Type.Kind(); {
+		case f.Name == "Inject":
 			// The template's content is identified by InjectName (required
 			// by its doc contract); a presence marker still participates so
 			// an unnamed template cannot alias the no-template config.
-			fmt.Fprintf(&sb, "Inject=%v|", !v.Field(i).IsNil())
-			continue
-		}
-		switch f.Type.Kind() {
-		case reflect.String, reflect.Bool,
-			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-			fmt.Fprintf(&sb, "%s=%v|", f.Name, v.Field(i).Interface())
+			key = strconv.AppendBool(key, !fv.IsNil())
+		case f.Type.Implements(stringerType):
+			key = append(key, fv.Interface().(fmt.Stringer).String()...)
+		case k == reflect.String:
+			key = append(key, fv.String()...)
+		case k == reflect.Bool:
+			key = strconv.AppendBool(key, fv.Bool())
+		case fv.CanInt():
+			key = strconv.AppendInt(key, fv.Int(), 10)
+		case fv.CanUint() && k != reflect.Uintptr:
+			key = strconv.AppendUint(key, fv.Uint(), 10)
+		case fv.CanFloat():
+			key = strconv.AppendFloat(key, fv.Float(), 'g', -1, f.Type.Bits())
 		default:
 			panic(fmt.Sprintf("harness: RunConfig field %s has kind %v with no canonical encoding; teach canonicalKey about it",
-				f.Name, f.Type.Kind()))
+				f.Name, k))
 		}
+		key = append(key, '|')
 	}
-	return sb.String()
+	return string(key)
 }
+
+var stringerType = reflect.TypeFor[fmt.Stringer]()
 
 // Record executes (or recalls) one configuration and returns its
 // structured record.

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -38,6 +42,75 @@ func TestKeyCoversEveryField(t *testing.T) {
 		}
 		if canonicalKey(rc) == base {
 			t.Errorf("changing field %s does not change the canonical key", f.Name)
+		}
+	}
+}
+
+// fmtKey is the canonical key as it was built before it appended with
+// strconv: one fmt.Fprintf per field.
+func fmtKey(rc any) string {
+	v := reflect.ValueOf(rc)
+	t := v.Type()
+	var sb strings.Builder
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Name == "Inject" {
+			fmt.Fprintf(&sb, "Inject=%v|", !v.Field(i).IsNil())
+			continue
+		}
+		fmt.Fprintf(&sb, "%s=%v|", f.Name, v.Field(i).Interface())
+	}
+	return sb.String()
+}
+
+// The key spells every field kind it accepts, a Stringer and Inject
+// included, byte for byte as fmt's %v did, so no memo key or run record
+// changed when it moved to strconv.
+func TestKeyMatchesFmt(t *testing.T) {
+	type kinds struct {
+		S      string
+		B      bool
+		I      int
+		I8     int8
+		I16    int16
+		I32    int32
+		I64    int64
+		U      uint
+		U8     uint8
+		U16    uint16
+		U32    uint32
+		U64    uint64
+		F32    float32
+		F64    float64
+		C      vm.CollectorKind
+		Inject *failmap.Map
+	}
+	floats := []float64{0, math.Copysign(0, -1), 0.1, 1.0 / 3, 0.25, 2, 100, 123456789, 1e20, 1e21, 1e-4, 1e-5,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		f := floats[i%len(floats)]
+		if i >= 2*len(floats) {
+			f = math.Float64frombits(rng.Uint64())
+		}
+		k := kinds{
+			S: string([]rune{rune(rng.Intn(0x2ff)), 'x', rune(rng.Intn(128))}), B: i%2 == 1,
+			I: int(rng.Int63()) - int(rng.Int63()), I8: int8(rng.Int()), I16: int16(rng.Int()), I32: int32(rng.Int()),
+			I64: int64(rng.Uint64()), U: uint(rng.Uint64()), U8: uint8(rng.Int()), U16: uint16(rng.Int()),
+			U32: uint32(rng.Int()), U64: rng.Uint64(), F32: float32(f), F64: f, C: vm.CollectorKind(i % 6),
+		}
+		if i%3 == 0 {
+			k.Inject = failmap.New(failmap.PageSize)
+		}
+		if got, want := canonicalKeyOf(k), fmtKey(k); got != want {
+			t.Fatalf("key %q, fmt spelled it %q", got, want)
+		}
+	}
+	for _, rc := range []RunConfig{{}, {Bench: "pmd", HeapMult: 1.5, Collector: vm.StickyImmix, LineSize: 128,
+		FailureAware: true, FailureRate: 0.1, ClusterPages: 2, ClusterGran: 4096, Seed: -3, Mutators: 4,
+		Inject: failmap.New(failmap.PageSize), InjectName: "tpl", Engine: "threaded", Policy: "rotate"}} {
+		if got, want := canonicalKey(rc), fmtKey(rc); got != want {
+			t.Fatalf("key %q, fmt spelled it %q", got, want)
 		}
 	}
 }

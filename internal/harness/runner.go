@@ -254,6 +254,51 @@ type Runner struct {
 	planning    bool
 	planned     []RunConfig
 	plannedKeys map[string]bool
+
+	maps drawnMaps
+}
+
+// drawnMaps keeps the largest failure map a runner has generated for each
+// seed, rate and cluster granularity. Both generators draw in line order,
+// so a smaller pool's map is a prefix of a larger one's, and each map is
+// drawn once per runner however many heap sizes and collectors share it.
+// It lives and dies with its runner: a new runner draws every map again.
+type drawnMaps struct {
+	mu    sync.Mutex
+	drawn map[drawKey]*failmap.Map
+}
+
+type drawKey struct {
+	seed, gran int64
+	rate       float64
+}
+
+// generate returns rc's generated failure map over poolPages pages: a copy
+// of the prefix of the largest map drawn for rc's seed, rate and cluster
+// granularity, drawn now when that is too small.
+func (d *drawnMaps) generate(rc RunConfig, poolPages int) *failmap.Map {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	k := drawKey{rc.Seed, int64(rc.ClusterGran), rc.FailureRate}
+	m := d.drawn[k]
+	if m == nil || m.Pages() < poolPages {
+		m = failmap.New(poolPages * failmap.PageSize)
+		rng := seeded.New(rc.Seed + 1)
+		if rc.ClusterGran > 0 {
+			failmap.GenerateClustered(m, rc.FailureRate, rc.ClusterGran, rng)
+		} else {
+			failmap.GenerateUniform(m, rc.FailureRate, rng)
+		}
+		if d.drawn == nil {
+			d.drawn = make(map[drawKey]*failmap.Map)
+		}
+		d.drawn[k] = m
+	}
+	out := failmap.New(poolPages * failmap.PageSize)
+	for p := range poolPages {
+		out.CopyPage(p, m, p)
+	}
+	return out
 }
 
 // flight is one memo entry: done closes when res is valid, making
@@ -317,7 +362,7 @@ func (r *Runner) Run(rc RunConfig) Result {
 	f := &flight{done: make(chan struct{})}
 	r.cache[k] = f
 	r.mu.Unlock()
-	f.res = safeExecute(rc)
+	f.res = safeExecute(rc, &r.maps)
 	close(f.done)
 	return f.res
 }
@@ -325,7 +370,7 @@ func (r *Runner) Run(rc RunConfig) Result {
 // safeExecute converts a panicking execution into a failed (DNF) Result
 // carrying the panic message and stack, so the sweep continues and the
 // crash is visible in the run records instead of killing the process.
-func safeExecute(rc RunConfig) (res Result) {
+func safeExecute(rc RunConfig, maps *drawnMaps) (res Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = Result{
@@ -335,7 +380,7 @@ func safeExecute(rc RunConfig) (res Result) {
 			}
 		}
 	}()
-	return executeFn(rc)
+	return executeFn(rc, maps)
 }
 
 // Prefetch executes the given configurations across the runner's worker
@@ -401,12 +446,13 @@ func (r *Runner) Collect(body func() *Report) *Report {
 // executeFn indirects execute so tests can count executions.
 var executeFn = execute
 
-// execute runs rc's canonical form, the program the memo keys it by.
-func execute(rc RunConfig) Result { return simulate(rc.canonical()) }
+// execute runs rc's canonical form, the program the memo keys it by,
+// taking its failure map from maps.
+func execute(rc RunConfig, maps *drawnMaps) Result { return simulate(rc.canonical(), maps) }
 
 // simulate runs rc exactly as given. HeapMult has no default below
 // canonical, so a zero heap multiple panics here.
-func simulate(rc RunConfig) Result {
+func simulate(rc RunConfig, maps *drawnMaps) Result {
 	p := workload.ByName(rc.Bench)
 	if p == nil {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", rc.Bench))
@@ -425,13 +471,7 @@ func simulate(rc RunConfig) Result {
 	case rc.Inject != nil:
 		inject = tile(rc.Inject, poolPages)
 	case rc.FailureRate > 0:
-		inject = failmap.New(poolPages * failmap.PageSize)
-		rng := seeded.New(rc.Seed + 1)
-		if rc.ClusterGran > 0 {
-			failmap.GenerateClustered(inject, rc.FailureRate, rc.ClusterGran, rng)
-		} else {
-			failmap.GenerateUniform(inject, rc.FailureRate, rng)
-		}
+		inject = maps.generate(rc, poolPages)
 		if rc.ClusterPages > 0 {
 			inject = failmap.ClusterHardware(inject, rc.ClusterPages)
 		}

@@ -128,11 +128,11 @@ func TestObjectHeaderRoundTrip(t *testing.T) {
 	}
 	m.SetPinned(a, true)
 	m.SetLogged(a, true)
-	if !m.Pinned(a) || !m.Logged(a) || m.Epoch(a) != 77 {
+	if !HeaderPinned(m.S.Load64(a)) || !m.Logged(a) || m.Epoch(a) != 77 {
 		t.Fatal("flag setters wrong")
 	}
 	m.SetPinned(a, false)
-	if m.Pinned(a) || !m.Logged(a) {
+	if HeaderPinned(m.S.Load64(a)) || !m.Logged(a) {
 		t.Fatal("clearing pin clobbered logged")
 	}
 }
@@ -224,7 +224,7 @@ func TestHeaderFieldIndependence(t *testing.T) {
 		m.SetEpoch(a, epoch)
 		m.SetPinned(a, pin)
 		m.SetLogged(a, logged)
-		return m.Epoch(a) == epoch && m.Pinned(a) == pin &&
+		return m.Epoch(a) == epoch && HeaderPinned(m.S.Load64(a)) == pin &&
 			m.Logged(a) == logged && m.SizeOf(a) == 16 && m.TypeOf(a) == ty
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -163,9 +163,6 @@ func (m *Model) Epoch(a Addr) uint16 { return HeaderEpoch(m.S.Load64(a)) }
 // SetEpoch stamps the object's mark epoch.
 func (m *Model) SetEpoch(a Addr, e uint16) { m.S.Store64(a, withEpoch(m.S.Load64(a), e)) }
 
-// Pinned reports whether the object may not be moved.
-func (m *Model) Pinned(a Addr) bool { return HeaderPinned(m.S.Load64(a)) }
-
 // SetPinned sets or clears the pin flag.
 func (m *Model) SetPinned(a Addr, pinned bool) {
 	h := m.S.Load64(a)

@@ -19,10 +19,12 @@ const (
 // generator's whole state is its last 607 outputs: New takes the first 607
 // Int63 values of math/rand's own seeded source, solves the recurrence back
 // to the 607 before them, and continues from there a block at a time, one
-// loop of adds with no wrap-around. A carry only flows upward, so the low
-// 63 bits of every value — all of what Int63 returns, and so all of what
-// Int31n and Float64 consume — are the source's; the top bit is not, and
-// Stream does not reproduce the source's Uint64.
+// loop of adds with no wrap-around. From a rand.Source64 — every seeded
+// source is one — it takes whole Uint64 values, so every value is the
+// source's and Uint64 is the source's too. From another source it takes
+// Int63 values: a carry only flows upward, so the low 63 bits of every
+// value — all of what Int63 returns, and so all of what Int31n and Float64
+// consume — are still the source's, but the top bit is not.
 type Stream struct {
 	x [Lag + block]uint64 // the lag values before the block, then the block
 	i int                 // index in x of the next value; len(x) when the block is spent
@@ -32,14 +34,19 @@ type Stream struct {
 func New(seed int64) *Stream { return FromSource(rand.NewSource(seed)) }
 
 // FromSource returns the stream whose first Lag values are src's next
-// Int63 values; from a seeded source at its start, that is the source's
-// whole stream. It solves the recurrence back to the Lag values before them
-// and leaves those at the end of the buffer, where the first draw makes the
+// values; from a seeded source at its start, that is the source's whole
+// stream. It solves the recurrence back to the Lag values before them and
+// leaves those at the end of the buffer, where the first draw makes the
 // first block from them.
 func FromSource(src rand.Source) *Stream {
 	var x [2 * Lag]uint64
+	src64, _ := src.(rand.Source64)
 	for k := Lag; k < len(x); k++ {
-		x[k] = uint64(src.Int63())
+		if src64 != nil {
+			x[k] = src64.Uint64()
+		} else {
+			x[k] = uint64(src.Int63())
+		}
 	}
 	for k := Lag - 1; k >= 0; k-- {
 		x[k] = x[k+Lag] - x[k+Lag-tap]
@@ -61,13 +68,17 @@ func (s *Stream) next(j int) int {
 }
 
 // Int63 is the stream's next Int63.
-func (s *Stream) Int63() int64 {
+func (s *Stream) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// Uint64 is math/rand's Rand.Uint64 on a stream New made: the next raw
+// value.
+func (s *Stream) Uint64() uint64 {
 	if s.i == len(s.x) {
 		s.i = s.next(s.i)
 	}
 	v := s.x[s.i]
 	s.i++
-	return int64(v << 1 >> 1)
+	return v
 }
 
 // Float64 is math/rand's Rand.Float64 on this stream: the next Int63 over

@@ -78,3 +78,34 @@ func TestBelowRedraws(t *testing.T) {
 		}
 	}
 }
+
+// TestUint64IsMathRand: a stream New made draws math/rand's Uint64 — top
+// bit included — at several seeds, across block refills, and interleaved
+// with the other draws, which stay math/rand's too.
+func TestUint64IsMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		got, ref := New(seed), rand.New(rand.NewSource(seed))
+		top := 0
+		for k := 0; k < 3*block; k++ {
+			switch k % 5 {
+			case 3:
+				if g, r := got.Float64(), ref.Float64(); g != r {
+					t.Fatalf("seed %d, draw %d: Float64 %v, math/rand %v", seed, k, g, r)
+				}
+			case 4:
+				if g, r := got.Intn(1000), ref.Intn(1000); g != r {
+					t.Fatalf("seed %d, draw %d: Intn %d, math/rand %d", seed, k, g, r)
+				}
+			default:
+				g, r := got.Uint64(), ref.Uint64()
+				if g != r {
+					t.Fatalf("seed %d, draw %d: Uint64 %#x, math/rand %#x", seed, k, g, r)
+				}
+				top += int(g >> 63)
+			}
+		}
+		if top == 0 {
+			t.Fatalf("seed %d: no draw had its top bit set", seed)
+		}
+	}
+}

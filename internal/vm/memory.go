@@ -330,7 +330,7 @@ func (m *poolMemory) AcquireBlock(perfect bool) (core.BlockMem, error) {
 		return core.BlockMem{}, err
 	}
 	m.budgetBytes -= m.blockCost(base)
-	return core.BlockMem{Base: base, Fail: m.blockFailMap(base)}, nil
+	return core.BlockMem{Base: base, Fail: m.blockFailMap(base), Fresh: true}, nil
 }
 
 // takeSlot removes blockSlots[i]: the last entry pops in O(1), interior
@@ -400,23 +400,23 @@ func (m *poolMemory) retire(base heap.Addr) {
 	}
 }
 
-func (m *poolMemory) AcquirePages(n int, perfect bool) (heap.Addr, error) {
+func (m *poolMemory) AcquirePages(n int, perfect bool) (heap.Addr, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.budgetBytes < n*failmap.PageSize {
-		return 0, core.ErrHeapFull
+		return 0, false, core.ErrHeapFull
 	}
 	if i, start, ok := m.findLOSRun(n, perfect); ok {
 		m.carve(i, start, n)
 		m.budgetBytes -= m.pagesCost(start, n)
-		return start, nil
+		return start, false, nil
 	}
 	base, err := m.mmap(n, perfect, failmap.PageSize)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	m.budgetBytes -= m.pagesCost(base, n)
-	return base, nil
+	return base, true, nil
 }
 
 func (m *poolMemory) ReleasePages(base heap.Addr, n int) {

@@ -82,7 +82,7 @@ func TestPoolCompensatedBlockCost(t *testing.T) {
 
 func TestPoolLOSExtentCoalescing(t *testing.T) {
 	m, _ := poolUnderTest(t, 1<<20, 0, false)
-	a, err := m.AcquirePages(4, false)
+	a, _, err := m.AcquirePages(4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPoolLOSExtentCoalescing(t *testing.T) {
 	if m.PoolExtents() != 1 {
 		t.Fatalf("extents = %d after adjacent releases, want 1", m.PoolExtents())
 	}
-	b, err := m.AcquirePages(4, false)
+	b, _, err := m.AcquirePages(4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPoolLOSDoesNotFragmentBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		blocks = append(blocks, b)
-		p, err := m.AcquirePages(3, false)
+		p, _, err := m.AcquirePages(3, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestPoolBorrowedPagesCostDouble(t *testing.T) {
 	// the debit-credit space penalty) and the penalty lifts on release.
 	m, kern := poolUnderTest(t, 1<<20, 0.5, true)
 	before := m.FreeBudgetPages()
-	p, err := m.AcquirePages(2, true)
+	p, _, err := m.AcquirePages(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPoolBorrowedPagesCostDouble(t *testing.T) {
 		t.Fatalf("allowance after release = %d, want %d (loan returned)", got, before)
 	}
 	// Reusing the loaned pages from the pool charges double again.
-	q, err := m.AcquirePages(2, true)
+	q, _, err := m.AcquirePages(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestVirtualLimitIsHeapFull(t *testing.T) {
 	if _, err := m.AcquireBlock(false); err != core.ErrHeapFull {
 		t.Fatalf("block past the virtual limit: err = %v, want ErrHeapFull", err)
 	}
-	if _, err := m.AcquirePages(2, true); err != core.ErrHeapFull {
+	if _, _, err := m.AcquirePages(2, true); err != core.ErrHeapFull {
 		t.Fatalf("perfect pages past the virtual limit: err = %v, want ErrHeapFull", err)
 	}
 

@@ -2,9 +2,9 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
+	"wearmem/internal/seeded"
 	"wearmem/internal/vm"
 )
 
@@ -15,7 +15,7 @@ func TestPickSizeDistribution(t *testing.T) {
 	for _, p := range Suite() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
+			rng := seeded.New(42)
 			const draws = 20000
 			var small, medium, large int
 			for i := 0; i < draws; i++ {
@@ -51,7 +51,7 @@ func TestPickSizeDistribution(t *testing.T) {
 
 func TestPickSizeRanges(t *testing.T) {
 	p := Pmd()
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	for i := 0; i < 5000; i++ {
 		size, kind := p.pickSize(rng)
 		if kind == 0 {

@@ -16,10 +16,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
+	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 )
@@ -166,7 +166,7 @@ type runState struct {
 	liveArrays []heap.Addr
 	registry   heap.Addr
 	churn      int
-	rng        *rand.Rand
+	rng        *seeded.Stream
 }
 
 // setup builds the long-lived structures: the linked list, the rooted live
@@ -276,7 +276,7 @@ func (p *Profile) iterate(api *vm.Mutator, ty *Types, st *runState) error {
 
 // pickSize draws an allocation size from the benchmark's mix. kind 0 means
 // a node object, 1 a byte array.
-func (p *Profile) pickSize(rng *rand.Rand) (size, kind int) {
+func (p *Profile) pickSize(rng *seeded.Stream) (size, kind int) {
 	r := rng.Float64()
 	switch {
 	case r < p.SmallFrac:
@@ -291,7 +291,7 @@ func (p *Profile) pickSize(rng *rand.Rand) (size, kind int) {
 	}
 }
 
-func uniform(rng *rand.Rand, bounds [2]int) int {
+func uniform(rng *seeded.Stream, bounds [2]int) int {
 	if bounds[1] <= bounds[0] {
 		return bounds[0]
 	}

@@ -1,9 +1,9 @@
 package workload
 
 import (
-	"math/rand"
 	"sync"
 
+	"wearmem/internal/seeded"
 	"wearmem/internal/vm"
 )
 
@@ -84,7 +84,7 @@ func (p *Profile) RunMutators(v *vm.VM, iterations, mutators int) error {
 	ty := RegisterTypes(v)
 	return v.RunMutators(mutators, func(m *vm.Mutator, yield func()) error {
 		i := m.ID()
-		st := &runState{rng: rand.New(rand.NewSource(int64(len(p.Name)) + 12345 + mutatorSeedStride*int64(i)))}
+		st := &runState{rng: seeded.New(int64(len(p.Name)) + 12345 + mutatorSeedStride*int64(i))}
 		err := p.setup(m, ty, st, Share(p.LiveListNodes, mutators, i),
 			Share(p.LiveArrayBytes, mutators, i), Share(p.RegistrySlots, mutators, i))
 		if err != nil {

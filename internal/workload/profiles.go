@@ -33,14 +33,21 @@ func SuiteWithBuggyLusearch() []*Profile {
 	return append(Suite(), Lusearch())
 }
 
+// builtins maps each member of SuiteWithBuggyLusearch to its constructor.
+var builtins = map[string]func() *Profile{
+	"avrora": Avrora, "bloat": Bloat, "chart": Chart, "eclipse": Eclipse,
+	"fop": Fop, "hsqldb": Hsqldb, "jython": Jython, "luindex": Luindex,
+	"lusearch": Lusearch, "lusearch-fix": LusearchFix, "pmd": Pmd,
+	"sunflow": Sunflow, "xalan": Xalan,
+}
+
 // ByName returns the named benchmark — a built-in suite member or a
 // registered extra (scenario) profile — or nil. Every call constructs a
-// fresh instance: run state (IterHook, Latency) is mutated per execution.
+// fresh instance of that one profile: run state (IterHook, Latency) is
+// mutated per execution.
 func ByName(name string) *Profile {
-	for _, p := range SuiteWithBuggyLusearch() {
-		if p.Name == name {
-			return p
-		}
+	if mk := builtins[name]; mk != nil {
+		return mk()
 	}
 	return byExtraName(name)
 }

@@ -23,10 +23,8 @@ func RegisterExtra(name string, mk func() *Profile) {
 	if name == "" || mk == nil {
 		panic("workload: RegisterExtra needs a name and a constructor")
 	}
-	for _, p := range SuiteWithBuggyLusearch() {
-		if p.Name == name {
-			panic(fmt.Sprintf("workload: extra %q collides with the built-in suite", name))
-		}
+	if builtins[name] != nil {
+		panic(fmt.Sprintf("workload: extra %q collides with the built-in suite", name))
 	}
 	p := mk()
 	if p == nil || p.Name != name {

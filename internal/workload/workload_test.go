@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wearmem/internal/failmap"
@@ -65,6 +66,24 @@ func TestSuiteNamesUnique(t *testing.T) {
 	}
 	if ByName("pmd") == nil || ByName("nope") != nil {
 		t.Fatal("ByName lookup broken")
+	}
+}
+
+// ByName's table names each suite member by the name its constructor
+// gives it, and no other profile.
+func TestByNameTableMatchesSuite(t *testing.T) {
+	suite := SuiteWithBuggyLusearch()
+	if len(builtins) != len(suite) {
+		t.Fatalf("ByName knows %d built-in profiles, the suite has %d", len(builtins), len(suite))
+	}
+	for _, p := range suite {
+		got := ByName(p.Name)
+		if got == nil || !reflect.DeepEqual(got, p) {
+			t.Errorf("ByName(%q) = %+v, want the suite's %+v", p.Name, got, p)
+		}
+		if got == ByName(p.Name) {
+			t.Errorf("ByName(%q) returned one instance twice", p.Name)
+		}
 	}
 }
 
