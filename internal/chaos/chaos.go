@@ -266,40 +266,29 @@ func (in *Injector) powerGone() bool {
 	return len(in.cuts) > 0 && in.fired == len(in.cuts)
 }
 
-// Hook is the probe.Hook of this campaign.
+// Hook is the probe.Hook of this campaign: it counts the firing and
+// performs the events it matched, in schedule order. Firings nested inside
+// an action only count (matchOnly), so every action is atomic.
 func (in *Injector) Hook(p probe.Point, addr uint64) {
-	if p >= probe.NumPoints {
-		return
-	}
-	in.counts[p]++
-	if in.depth > 0 {
-		return // actions are atomic: nested firings only advance the counters
-	}
-	n := in.counts[p]
-	for i := range in.pending {
-		e := &in.pending[i]
-		if e.done || e.Point != p || e.Nth != n {
-			continue
-		}
-		e.done = true
+	for _, e := range in.matchOnly(p) {
 		in.depth++
-		effect := in.perform(e.Event, addr)
+		effect := in.perform(e, addr)
 		in.depth--
-		in.Log = append(in.Log, Fired{Event: e.Event, Addr: addr, Effect: effect})
+		in.Log = append(in.Log, Fired{Event: e, Addr: addr, Effect: effect})
 	}
 }
 
 // matchOnly counts one probe firing and returns the events it matched
-// without performing them — the threaded engine's deferred-injection path.
-// The caller serializes access (probes fire from many goroutines there) and
-// performs the matches at the next mutator-quiescent instant.
+// without performing them. Hook performs them at once; the threaded
+// engine's deferred-injection path serializes access (probes fire from many
+// goroutines there) and performs them at the next mutator-quiescent instant.
 func (in *Injector) matchOnly(p probe.Point) []Event {
 	if p >= probe.NumPoints {
 		return nil
 	}
 	in.counts[p]++
 	if in.depth > 0 {
-		return nil // mirror Hook: firings nested inside an action only count
+		return nil // firings nested inside an action only count
 	}
 	n := in.counts[p]
 	var out []Event

@@ -672,26 +672,6 @@ const (
 	wlMaxDepth = 12
 )
 
-// tortureAPI is the handle the torture workload mutates through: the VM's
-// plain entry points on the serial campaign, one vm.Mutator per share on a
-// split one. The serial campaign stays on the plain entry points: an
-// attached mutator brings an allocation-site root of its own, every root
-// slot costs the trace a scan, and the pinned campaign records would move.
-type tortureAPI interface {
-	New(ty *heap.Type) (heap.Addr, error)
-	NewArray(ty *heap.Type, n int) (heap.Addr, error)
-	ReadRef(obj heap.Addr, off int) heap.Addr
-	WriteRef(obj heap.Addr, off int, val heap.Addr)
-	ReadWord(obj heap.Addr, off int) uint64
-	WriteWord(obj heap.Addr, off int, val uint64)
-	ArrayRef(arr heap.Addr, i int) heap.Addr
-	SetArrayRef(arr heap.Addr, i int, val heap.Addr)
-	ArrayByte(arr heap.Addr, i int) byte
-	SetArrayBytes(arr heap.Addr, i int, src []byte)
-	Pin(a heap.Addr)
-	Work(n int)
-}
-
 // tortureHeap is the torture workload's state: linked chains with
 // host-side mirrors and pattern-stamped byte arrays in a rooted reference
 // array. A split campaign partitions chains and slots round-robin; each
@@ -716,8 +696,9 @@ type tortureHeap struct {
 // objects for overflow allocation, large objects for the LOS, occasional
 // pins, and periodic explicit collections, every iteration cross-checking
 // one chain and one slot against the host mirrors; divergence is a campaign
-// failure. The serial campaign runs it on the VM's plain entry points. A
-// split campaign (cfg.Mutators > 1, or the threaded engine) runs one share
+// failure. The serial campaign runs it on mutator 0, the VM's primary,
+// outside any batch: a baton batch of one would cost a coroutine round trip
+// per iteration for nothing. A split campaign (cfg.Mutators > 1, or the threaded engine) runs one share
 // per mutator through vm.RunMutators — deterministic baton turns or real
 // goroutines — each with its own rng stream and private Immix context, so
 // injections land on whichever mutator is running when the probe fires,
@@ -737,16 +718,10 @@ func (r *campaignRun) workload() {
 	if k < 1 {
 		k = 1
 	}
-	split := k > 1 || r.cfg.Threaded
-	if split {
-		// The mutators' allocation-site registers are roots, and the trace
-		// visits roots in registration order: attaching before the workload
-		// roots is part of what a pinned campaign record depends on.
-		v.Mutator0()
-		for v.Mutators() < k {
-			v.AttachMutator()
-		}
-	}
+	// The mutators' allocation-site registers are roots, and the trace
+	// visits roots in registration order: attaching before the workload
+	// roots is part of what a pinned campaign record depends on.
+	m0 := v.Attach(k)[0]
 	for i := range h.heads {
 		v.AddRoot(&h.heads[i])
 	}
@@ -758,7 +733,7 @@ func (r *campaignRun) workload() {
 	h.arr = arr
 	v.AddRoot(&h.arr)
 
-	if split {
+	if k > 1 || r.cfg.Threaded {
 		err := v.RunMutators(k, func(m *vm.Mutator, yield func()) error {
 			h.mutate(m, m.ID(), k, yield)
 			return nil
@@ -767,7 +742,7 @@ func (r *campaignRun) workload() {
 			r.fail("mutators: %v", err)
 		}
 	} else {
-		h.mutate(v, 0, 1, func() {})
+		h.mutate(m0, 0, 1, func() {})
 	}
 
 	if r.failed() {
@@ -779,10 +754,10 @@ func (r *campaignRun) workload() {
 	}
 	v.Collect(true)
 	for c := 0; c < wlChains && !r.failed(); c++ {
-		h.checkChain(v, c)
+		h.checkChain(m0, c)
 	}
 	for s := 0; s < wlArrSlots && !r.failed(); s++ {
-		h.checkSlot(v, s)
+		h.checkSlot(m0, s)
 	}
 	if !r.failed() {
 		if err := v.Degraded(); err != nil {
@@ -791,9 +766,9 @@ func (r *campaignRun) workload() {
 	}
 }
 
-// mutate runs share mi of k of the campaign's iterations through api,
+// mutate runs share mi of k of the campaign's iterations on mutator m,
 // calling yield at the top of each.
-func (h *tortureHeap) mutate(api tortureAPI, mi, k int, yield func()) {
+func (h *tortureHeap) mutate(m *vm.Mutator, mi, k int, yield func()) {
 	r, v := h.r, h.r.v
 	var chains, slots []int
 	for c := mi; c < wlChains; c += k {
@@ -812,41 +787,41 @@ func (h *tortureHeap) mutate(api tortureAPI, mi, k int, yield func()) {
 			h.heads[c] = 0 // whole chain becomes garbage
 			h.mirrors[c] = nil
 		}
-		a, err := api.New(h.node)
+		a, err := m.New(h.node)
 		if err != nil {
 			r.fail("mutator %d iter %d alloc node: %v", mi, i, err)
 			break
 		}
 		val := rng.Uint64()
-		api.WriteRef(a, wlNodeNext, h.heads[c])
-		api.WriteWord(a, wlNodeVal, val)
+		m.WriteRef(a, wlNodeNext, h.heads[c])
+		m.WriteWord(a, wlNodeVal, val)
 		h.heads[c] = a
 		h.mirrors[c] = append([]uint64{val}, h.mirrors[c]...)
 
 		switch {
 		case i%41 == 40: // large object space
-			h.fillSlot(api, slots[rng.Intn(len(slots))], buf[:12000], i, rng)
+			h.fillSlot(m, slots[rng.Intn(len(slots))], buf[:12000], i, rng)
 		case i%23 == 22: // medium: overflow allocation on Immix
-			h.fillSlot(api, slots[rng.Intn(len(slots))], buf[:600], i, rng)
+			h.fillSlot(m, slots[rng.Intn(len(slots))], buf[:600], i, rng)
 		}
 		if r.failed() {
 			break
 		}
 		if i%97 == 96 {
-			api.Pin(h.heads[c])
+			m.Pin(h.heads[c])
 		}
 		if i%113 == 112 {
 			v.Collect(i%226 == 225)
 		}
-		if !h.checkChain(api, chains[rng.Intn(len(chains))]) ||
-			!h.checkSlot(api, slots[rng.Intn(len(slots))]) {
+		if !h.checkChain(m, chains[rng.Intn(len(chains))]) ||
+			!h.checkSlot(m, slots[rng.Intn(len(slots))]) {
 			break
 		}
-		api.Work(5)
+		m.Work(5)
 	}
 }
 
-func (h *tortureHeap) checkChain(api tortureAPI, c int) bool {
+func (h *tortureHeap) checkChain(m *vm.Mutator, c int) bool {
 	r := h.r
 	a := h.heads[c]
 	for i, want := range h.mirrors[c] {
@@ -854,11 +829,11 @@ func (h *tortureHeap) checkChain(api tortureAPI, c int) bool {
 			r.fail("chain %d truncated at %d/%d", c, i, len(h.mirrors[c]))
 			return false
 		}
-		if got := api.ReadWord(a, wlNodeVal); got != want {
+		if got := m.ReadWord(a, wlNodeVal); got != want {
 			r.fail("chain %d node %d: got %#x want %#x", c, i, got, want)
 			return false
 		}
-		a = api.ReadRef(a, wlNodeNext)
+		a = m.ReadRef(a, wlNodeNext)
 	}
 	if a != 0 {
 		r.fail("chain %d longer than its mirror (%d)", c, len(h.mirrors[c]))
@@ -867,18 +842,18 @@ func (h *tortureHeap) checkChain(api tortureAPI, c int) bool {
 	return true
 }
 
-func (h *tortureHeap) checkSlot(api tortureAPI, s int) bool {
+func (h *tortureHeap) checkSlot(m *vm.Mutator, s int) bool {
 	r, v := h.r, h.r.v
 	if h.arrLen[s] == 0 {
 		return true
 	}
-	ba := api.ArrayRef(h.arr, s)
+	ba := m.ArrayRef(h.arr, s)
 	if ba == 0 {
 		r.fail("array slot %d lost its blob", s)
 		return false
 	}
 	for _, i := range []int{0, h.arrLen[s] / 2, h.arrLen[s] - 1} {
-		if got, want := api.ArrayByte(ba, i), h.arrPat[s]+byte(i); got != want {
+		if got, want := m.ArrayByte(ba, i), h.arrPat[s]+byte(i); got != want {
 			// An intact but older blob here means a lost update, not memory
 			// corruption; the provenance tells the two apart.
 			md := v.Model()
@@ -911,10 +886,10 @@ func (h *tortureHeap) checkSlot(api tortureAPI, s int) bool {
 // across the allocation would silently write the new blob into the dead
 // old copy ("objects only move at allocation points" means exactly this
 // re-read).
-func (h *tortureHeap) fillSlot(api tortureAPI, s int, buf []byte, iter int, rng *rand.Rand) {
+func (h *tortureHeap) fillSlot(m *vm.Mutator, s int, buf []byte, iter int, rng *rand.Rand) {
 	h.arrFillIter[s], h.arrFillGC[s] = iter, h.r.v.GCStats().Collections
 	n := len(buf)
-	ba, err := api.NewArray(h.blob, n)
+	ba, err := m.NewArray(h.blob, n)
 	if err != nil {
 		h.r.fail("alloc blob[%d]: %v", n, err)
 		return
@@ -923,8 +898,8 @@ func (h *tortureHeap) fillSlot(api tortureAPI, s int, buf []byte, iter int, rng 
 	for i := range buf {
 		buf[i] = pat + byte(i)
 	}
-	api.SetArrayBytes(ba, 0, buf)
-	api.SetArrayRef(h.arr, s, ba)
+	m.SetArrayBytes(ba, 0, buf)
+	m.SetArrayRef(h.arr, s, ba)
 	h.arrLen[s] = n
 	h.arrPat[s] = pat
 }

@@ -16,16 +16,16 @@ import (
 // A context is not safe for concurrent use by multiple goroutines. On the
 // baton engine at most one mutator runs at a time; on the threaded engine
 // each context is owned by exactly one goroutine, charges its own clock
-// shard (SetClock) and logs barrier entries into its own modbuf, so the
-// allocation and barrier fast paths stay lock-free.
+// shard for the batch (SetClock) and logs barrier entries into its own
+// modbuf, so the allocation and barrier fast paths stay lock-free.
 type MutatorContext struct {
 	id       int
 	cur      bumpCtx  // small-object bump allocator
 	over     bumpCtx  // overflow allocator for medium objects
 	recycled []*block // blocks this context probed and kept for later holes
-	// clock receives the context's allocator charges. On the baton engine it
-	// aliases the shared Immix clock (bit-for-bit the historical behaviour);
-	// on the threaded engine it is a private shard merged at run end.
+	// clock receives the context's allocator charges: the shared Immix
+	// clock, except inside a threaded batch, where it is the owning
+	// mutator's private shard, merged when the batch joins.
 	clock *stats.Clock
 	// modbuf holds this context's logged objects (threaded barrier); folded
 	// into the shared buffer at each stop-the-world collection.
@@ -39,9 +39,9 @@ type MutatorContext struct {
 // ID returns the context's attach index (0 for the primary context).
 func (mc *MutatorContext) ID() int { return mc.id }
 
-// SetClock redirects the context's allocator charges to a private shard
-// (threaded engine). The shard must use the same cost table as the plan's
-// clock.
+// SetClock redirects the context's allocator charges: to a private shard
+// for a threaded batch, back to the plan's clock at its join. The shard
+// must use the same cost table as the plan's clock.
 func (mc *MutatorContext) SetClock(c *stats.Clock) { mc.clock = c }
 
 // NewMutatorContext attaches and returns a fresh allocation context.

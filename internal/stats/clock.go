@@ -196,14 +196,6 @@ func (c *Clock) Count(e Event) uint64 {
 	return n
 }
 
-// Reset zeroes the clock and all counters, keeping the cost table.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-	c.counts = [numEvents]uint64{}
-}
-
 // Costs returns a copy of the clock's cost table, for deriving worker
 // clocks that charge identically.
 func (c *Clock) Costs() CostTable { return c.costs }

@@ -28,15 +28,27 @@ func TestClockChargeAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	c := NewClock(DefaultCosts())
-	c.Charge(EvAllocBytes, 12345)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Now() after Reset = %d, want 0", c.Now())
+// A threaded batch's join folds each mutator shard into the shared clock:
+// Merge adds the shard's counts and leaves time alone, Advance moves time
+// by the critical path and records no event.
+func TestClockMergeThenAdvance(t *testing.T) {
+	c, shard := NewClock(DefaultCosts()), NewClock(DefaultCosts())
+	c.Charge(EvAllocBytes, 100)
+	shard.Charge(EvAllocBytes, 12345)
+	before := c.Now()
+	c.Merge(shard)
+	if c.Now() != before {
+		t.Fatalf("Merge moved time %d -> %d", before, c.Now())
 	}
-	if c.Count(EvAllocBytes) != 0 {
-		t.Fatalf("Count after Reset = %d, want 0", c.Count(EvAllocBytes))
+	if got := c.Count(EvAllocBytes); got != 12445 {
+		t.Fatalf("Count after Merge = %d, want 12445", got)
+	}
+	c.Advance(shard.Now())
+	if got, want := c.Now(), before+shard.Now(); got != want {
+		t.Fatalf("Now() after Advance = %d, want %d", got, want)
+	}
+	if got := c.Count(EvAllocBytes); got != 12445 {
+		t.Fatalf("Advance recorded events: Count = %d, want 12445", got)
 	}
 }
 

@@ -20,11 +20,7 @@ func TestThreadedConcurrentMarkChurn(t *testing.T) {
 				TraceWorkers: markers, PauseBudget: 1000, StrictSATB: true,
 			}, kernel.Config{})
 			const muts, nodes, churn = 4, 150, 4000
-			ms := make([]*Mutator, muts)
-			ms[0] = tv.Mutator0()
-			for i := 1; i < muts; i++ {
-				ms[i] = tv.AttachMutator()
-			}
+			ms := tv.Attach(muts)
 			heads := make([]heap.Addr, muts)
 			tasks := make([]func() error, muts)
 			for i := 0; i < muts; i++ {
@@ -90,9 +86,7 @@ func TestThreadedConcurrentSATBHiding(t *testing.T) {
 		TraceWorkers: 2, PauseBudget: 1000, StrictSATB: true,
 	}, kernel.Config{})
 	const muts, rounds = 2, 300
-	ms := make([]*Mutator, muts)
-	ms[0] = tv.Mutator0()
-	ms[1] = tv.AttachMutator()
+	ms := tv.Attach(muts)
 	type cell struct{ from, to, hidden heap.Addr }
 	cells := make([]cell, muts)
 	tasks := make([]func() error, muts)

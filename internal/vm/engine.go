@@ -41,8 +41,6 @@ type engine interface {
 	// pin marks an object immovable against whatever else may be touching
 	// its header.
 	pin(a heap.Addr)
-	// attach gives a new mutator the clock its accessors charge.
-	attach(m *Mutator)
 	// run executes body on mutators 0..k-1 (see RunMutators).
 	run(k int, body func(m *Mutator, yield func()) error) error
 }
@@ -122,8 +120,6 @@ func (b *baton) assertExclusive() {
 func (b *baton) masked() bool { return b.v.busy > 0 }
 
 func (b *baton) pin(a heap.Addr) { b.v.plan.Pin(a) }
-
-func (b *baton) attach(m *Mutator) { m.clk = b.v.clock }
 
 // run gives the bodies deterministic round-robin turns: each is Unparked
 // while it holds the baton, and yield parks the mutator at a safepoint,

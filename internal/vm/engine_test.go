@@ -139,8 +139,7 @@ func TestEngineContractPanicReleasesTheWorld(t *testing.T) {
 			}
 		},
 	}, kernel.Config{})
-	tv.Mutator0()
-	bystander := tv.AttachMutator()
+	bystander := tv.Attach(2)[1]
 	var over atomic.Bool
 	done := make(chan any, 1)
 	go func() {

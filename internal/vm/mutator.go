@@ -24,15 +24,15 @@ type Mutator struct {
 	id     int
 	mc     *core.MutatorContext // nil for mark-sweep plans
 	parked bool
-	// clk is the clock this mutator's accessors charge. On the baton
-	// engine it aliases the VM's shared clock (byte-identical accounting);
-	// on the threaded engine it is a private unshared shard, merged into
-	// the shared clock by critical path when RunThreads joins.
+	// clk is the clock this mutator's accessors charge: the VM's shared
+	// clock, except inside a threaded batch, where it is a private
+	// unshared shard merged into the shared clock by critical path when
+	// the batch joins.
 	clk *stats.Clock
-	// newborn is this mutator's allocation-site register, a root under
-	// the same instrumentation guard as the VM's own (a failure landing
-	// between the bump and the first store must find the object
-	// reachable even when the allocating mutator is descheduled).
+	// newborn is this mutator's allocation-site register, a root in
+	// instrumented or write-through runtimes (a failure landing between
+	// the bump and the first store must find the object reachable even
+	// when the allocating mutator is descheduled).
 	newborn heap.Addr
 }
 
@@ -43,8 +43,8 @@ func (m *Mutator) ID() int { return m.id }
 func (m *Mutator) VM() *VM { return m.v }
 
 // Clock returns the clock this mutator's accessors charge: the VM's
-// shared clock on the baton engine, the mutator's private shard on the
-// threaded one. Latency probes read deltas of it around operations.
+// shared clock, or the mutator's private shard while it runs in a threaded
+// batch. Latency probes read deltas of it around operations.
 func (m *Mutator) Clock() *stats.Clock { return m.clk }
 
 // GCCycles returns the total simulated cycles spent in collections so
@@ -53,52 +53,43 @@ func (m *Mutator) Clock() *stats.Clock { return m.clk }
 // is quiescent whenever the caller is executing.
 func (m *Mutator) GCCycles() stats.Cycles { return m.v.GCCycles() }
 
-// Mutator0 returns the attached mutator on allocation context 0, the
-// context the VM's plain entry points allocate from. It attaches on first
-// use. It is a handle of its own, not the VM's primary mutator: on the
-// threaded engine it charges a private shard, and its allocation-site
-// register is a separate root (DESIGN §10).
+// Mutator0 returns the VM's primary mutator — id 0, allocation context 0,
+// the handle the plain entry points run as — and attaches it on first use.
+// Its allocation-site register has been a root since New.
 func (v *VM) Mutator0() *Mutator {
-	if len(v.muts) > 0 {
-		return v.muts[0]
+	if len(v.muts) == 0 {
+		v.muts = append(v.muts, &v.primary)
 	}
-	m := &Mutator{v: v, parked: true}
-	if v.immix != nil {
-		m.mc = v.immix.Context0()
-	}
-	v.attach(m)
-	return m
+	return &v.primary
 }
 
-// AttachMutator adds a mutator with a fresh allocation context. The
-// primary mutator is attached first implicitly, so ids always line up
-// with the collector's context ids.
-func (v *VM) AttachMutator() *Mutator {
+// Attach attaches mutator 0, then mutators with fresh allocation contexts
+// until k exist, and returns the first k. Ids line up with the collector's
+// context ids, and each new mutator's allocation-site register joins the
+// roots in attach order under the same instrumentation guard as the
+// primary's: only instrumented or write-through runtimes can observe the
+// window it protects, and the statistical-wear harness outputs must not
+// shift.
+func (v *VM) Attach(k int) []*Mutator {
 	v.Mutator0()
-	m := &Mutator{v: v, id: len(v.muts), parked: true}
-	if v.immix != nil {
-		m.mc = v.immix.NewMutatorContext()
-		if m.mc.ID() != m.id {
-			panic(fmt.Sprintf("vm: mutator %d paired with context %d", m.id, m.mc.ID()))
+	for len(v.muts) < k {
+		m := &Mutator{v: v, id: len(v.muts), parked: true, clk: v.clock}
+		if v.immix != nil {
+			m.mc = v.immix.NewMutatorContext()
+			if m.mc.ID() != m.id {
+				panic(fmt.Sprintf("vm: mutator %d paired with context %d", m.id, m.mc.ID()))
+			}
 		}
+		if v.cfg.Probe != nil || v.cfg.WriteThrough {
+			v.roots.Add(&m.newborn)
+		}
+		v.muts = append(v.muts, m)
 	}
-	v.attach(m)
-	return m
-}
-
-func (v *VM) attach(m *Mutator) {
-	v.eng.attach(m)
-	if v.cfg.Probe != nil || v.cfg.WriteThrough {
-		// Same guard as the VM's own newborn root: only instrumented or
-		// write-through runtimes can observe the window it protects, and
-		// the statistical-wear harness outputs must not shift.
-		v.roots.Add(&m.newborn)
-	}
-	v.muts = append(v.muts, m)
+	return v.muts[:k:k]
 }
 
 // Mutators returns the number of attached mutators (0 before Mutator0 or
-// AttachMutator is first used).
+// Attach is first used).
 func (v *VM) Mutators() int { return len(v.muts) }
 
 // RunMutators runs body once on each of a batch of k mutators and returns
@@ -107,16 +98,11 @@ func (v *VM) Mutators() int { return len(v.muts) }
 // over; on the threaded engine they are RunThreads tasks on real goroutines
 // and yield is the mutator's Safepoint poll. A body calls yield wherever
 // another mutator's collection may stop it — typically once per iteration.
-// Mutators attached earlier (Mutator0, AttachMutator) are reused, the
-// missing ones attached, so body sees ids 0..k-1.
+// Mutators attached earlier are reused, the missing ones attached (Attach),
+// so body sees ids 0..k-1.
 func (v *VM) RunMutators(k int, body func(m *Mutator, yield func()) error) error {
-	if k < 1 {
-		k = 1
-	}
-	v.Mutator0()
-	for len(v.muts) < k {
-		v.AttachMutator()
-	}
+	k = max(k, 1)
+	v.Attach(k)
 	return v.eng.run(k, body)
 }
 
@@ -151,10 +137,10 @@ func (m *Mutator) MustNewArray(ty *heap.Type, n int) heap.Addr {
 
 // The accessors below are the runtime's one implementation of every load,
 // store and barrier; the VM's plain entry points run them as its primary
-// mutator. Each charges the mutator's clock (the shared clock on the baton
-// engine, a private shard on the threaded one) and barriers on its
-// context, so both engines run the same loads, stores, barriers and
-// write-through machinery.
+// mutator. Each charges the mutator's clock (a private shard inside a
+// threaded batch, the shared clock otherwise) and barriers on its context,
+// so both engines run the same loads, stores, barriers and write-through
+// machinery.
 
 // ReadRef loads the reference at byte offset off of obj.
 func (m *Mutator) ReadRef(obj heap.Addr, off int) heap.Addr {

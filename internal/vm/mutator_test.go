@@ -9,48 +9,97 @@ import (
 	"wearmem/internal/stats"
 )
 
-// Allocation through Mutator0 must behave exactly like the VM's plain entry
-// points: same context, same retry path. The plain entry points run as the
-// VM's own primary mutator, which shares context 0 with Mutator0 but charges
-// the shared clock. On the threaded engine attaching Mutator0 rebinds
-// context 0 to Mutator0's shard, so from then on a plain allocation charges
-// its bytes to that shard while a plain store still charges the shared
-// clock; on the baton engine the two clocks are one.
-func TestMutator0SharesContextWithVM(t *testing.T) {
+// Mutator0 is the VM's primary mutator, and every mutator follows one clock
+// rule: outside a batch it charges the shared clock; inside a threaded
+// batch it charges a private shard, which the join merges into the shared
+// clock before pointing the mutator and its context back at it. Attaching
+// mutator 0 registers no second allocation-site register.
+func TestRunMutatorsOneHandleOneClock(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix, Threaded: eng.threaded}, kernel.Config{})
+			tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix, WriteThrough: true, Threaded: eng.threaded}, kernel.Config{})
+			roots := func() (n int) {
+				tv.Roots().Each(func(*heap.Addr) { n++ })
+				return n
+			}
+			before := roots()
 			m := tv.Mutator0()
-			if m.ID() != 0 || tv.Mutator0() != m {
-				t.Fatal("Mutator0 is not the stable primary mutator")
+			if m != &tv.primary || m.ID() != 0 || tv.Mutator0() != m || tv.Attach(1)[0] != m || tv.Mutators() != 1 {
+				t.Fatal("Mutator0 is not the VM's primary mutator")
 			}
-			shard, shared := m.Clock(), tv.Clock()
-			if (shard != shared) != eng.threaded {
-				t.Fatalf("Mutator0 charges a shard of its own: %v, want %v", shard != shared, eng.threaded)
+			if roots() != before {
+				t.Fatalf("attaching mutator 0 registered %d roots", roots()-before)
 			}
-			m.Unpark()
-			a := m.MustNew(tv.node)
-			bytes, sharedBytes := shard.Count(stats.EvAllocBytes), shared.Count(stats.EvAllocBytes)
-			b := tv.MustNew(tv.node)
-			if got, want := shard.Count(stats.EvAllocBytes)-bytes, uint64(heap.FixedSize(tv.node)); got != want {
-				t.Fatalf("a plain allocation charged %d bytes to mutator 0's clock, want %d", got, want)
+			m1 := tv.Attach(2)[1]
+			if roots() != before+1 {
+				t.Fatalf("attaching mutator 1 registered %d roots, want 1", roots()-before)
 			}
-			if eng.threaded && shared.Count(stats.EvAllocBytes) != sharedBytes {
-				t.Fatal("a plain allocation charged the shared clock, not mutator 0's shard")
+			shared := tv.Clock()
+			node := uint64(heap.FixedSize(tv.node))
+			// Outside a batch, plain and mutator-0 calls charge the shared clock.
+			outside := func() {
+				for _, mm := range []*Mutator{m, m1} {
+					if mm.Clock() != shared {
+						t.Fatalf("mutator %d charges a shard outside a batch", mm.ID())
+					}
+				}
+				m.Unpark()
+				defer m.Park()
+				bytes, writes := shared.Count(stats.EvAllocBytes), shared.Count(stats.EvFieldWrite)
+				a := m.MustNew(tv.node)
+				b := tv.MustNew(tv.node)
+				m.WriteWord(a, nodeVal, 7)
+				tv.WriteWord(b, nodeVal, 8)
+				if got := shared.Count(stats.EvAllocBytes) - bytes; got != 2*node {
+					t.Fatalf("two allocations charged %d bytes to the shared clock, want %d", got, 2*node)
+				}
+				if got := shared.Count(stats.EvFieldWrite) - writes; got != 2 {
+					t.Fatalf("two stores charged %d writes to the shared clock, want 2", got)
+				}
 			}
-			m.WriteWord(a, nodeVal, 7)
-			writes, shardWrites := shared.Count(stats.EvFieldWrite), shard.Count(stats.EvFieldWrite)
-			tv.WriteWord(b, nodeVal, 8)
-			if shared.Count(stats.EvFieldWrite) != writes+1 {
-				t.Fatal("a plain store did not charge the shared clock")
+			outside()
+			// Inside a batch, mutator 0 (the plain entry points included)
+			// charges its clock: a shard on the threaded engine.
+			bytes, writes := shared.Count(stats.EvAllocBytes), shared.Count(stats.EvFieldWrite)
+			err := tv.RunMutators(2, func(mm *Mutator, yield func()) error {
+				if mm.ID() != 0 {
+					return nil
+				}
+				clk := mm.Clock()
+				if (clk != shared) != eng.threaded {
+					t.Errorf("mutator 0 charges a shard in a batch: %v, want %v", clk != shared, eng.threaded)
+				}
+				if mm != m {
+					t.Error("the batch's mutator 0 is not the primary")
+				}
+				shardBytes, shardWrites := clk.Count(stats.EvAllocBytes), clk.Count(stats.EvFieldWrite)
+				a := mm.MustNew(tv.node)
+				b := tv.MustNew(tv.node)
+				mm.WriteWord(a, nodeVal, 7)
+				tv.WriteWord(b, nodeVal, 8)
+				if got := clk.Count(stats.EvAllocBytes) - shardBytes; got != 2*node {
+					t.Errorf("two allocations charged %d bytes to mutator 0's clock, want %d", got, 2*node)
+				}
+				if got := clk.Count(stats.EvFieldWrite) - shardWrites; got != 2 {
+					t.Errorf("two stores charged %d writes to mutator 0's clock, want 2", got)
+				}
+				if eng.threaded && (shared.Count(stats.EvAllocBytes) != bytes || shared.Count(stats.EvFieldWrite) != writes) {
+					t.Error("mutator 0 charged the shared clock inside a threaded batch")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if eng.threaded && shard.Count(stats.EvFieldWrite) != shardWrites {
-				t.Fatal("a plain store charged mutator 0's shard")
+			// The join brought the counts to the shared clock...
+			if got := shared.Count(stats.EvAllocBytes) - bytes; got != 2*node {
+				t.Fatalf("the batch's allocations reached the shared clock as %d bytes, want %d", got, 2*node)
 			}
-			if m.ReadWord(a, nodeVal) != 7 || m.ReadWord(b, nodeVal) != 8 {
-				t.Fatal("mutator and VM see different heaps")
+			if got := shared.Count(stats.EvFieldWrite) - writes; got != 2 {
+				t.Fatalf("the batch's stores reached the shared clock as %d writes, want 2", got)
 			}
-			m.Park()
+			// ...and put every mutator and its context back on it.
+			outside()
 		})
 	}
 }
@@ -60,7 +109,7 @@ func TestMutator0SharesContextWithVM(t *testing.T) {
 // mutator's data intact.
 func TestAttachedMutatorsAllocateIndependently(t *testing.T) {
 	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
-	muts := []*Mutator{tv.Mutator0(), tv.AttachMutator(), tv.AttachMutator()}
+	muts := tv.Attach(3)
 	if tv.Mutators() != 3 {
 		t.Fatalf("Mutators() = %d, want 3", tv.Mutators())
 	}
@@ -113,7 +162,8 @@ func TestAttachedMutatorsAllocateIndependently(t *testing.T) {
 // someone is still bumping into.
 func TestCollectPanicsOutsideSafepoint(t *testing.T) {
 	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
-	m0, m1 := tv.Mutator0(), tv.AttachMutator()
+	ms := tv.Attach(2)
+	m0, m1 := ms[0], ms[1]
 	m1.Unpark() // m1 claims to be running...
 	m0.Unpark() // ...and so does m0, which will trigger the collection
 	defer func() {
@@ -131,7 +181,8 @@ func TestCollectPanicsOutsideSafepoint(t *testing.T) {
 // The same collection is fine once every other mutator is parked.
 func TestCollectAllowedAtSafepoint(t *testing.T) {
 	tv := newTestVM(t, Config{HeapBytes: 1 << 20, Collector: Immix}, kernel.Config{})
-	m0, m1 := tv.Mutator0(), tv.AttachMutator()
+	ms := tv.Attach(2)
+	m0, m1 := ms[0], ms[1]
 	m1.Unpark()
 	m1.Park()
 	m0.Unpark()

@@ -34,7 +34,7 @@ func TestRunMutatorsBatch(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			tv := newTestVM(t, engineConfig(threaded), kernel.Config{})
-			pre := []*Mutator{tv.Mutator0(), tv.AttachMutator()}
+			pre := tv.Attach(2)
 			const k = 4
 			for batch := 0; batch < 2; batch++ {
 				var mu sync.Mutex

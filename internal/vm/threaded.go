@@ -286,15 +286,6 @@ func (t *threaded) pin(a heap.Addr) {
 	t.v.model.SetPinnedAtomic(a)
 }
 
-// attach gives the mutator a private shard, which keeps the hot accessor
-// path lock-free; the Immix context charges the same shard so
-// allocation-time costs (line skips, overflow searches) land on the owning
-// mutator.
-func (t *threaded) attach(m *Mutator) {
-	m.clk = stats.NewClock(t.v.clock.Costs())
-	m.mc.SetClock(m.clk)
-}
-
 // run makes the bodies RunThreads tasks; yield is the mutator's Safepoint
 // poll.
 func (t *threaded) run(k int, body func(m *Mutator, yield func()) error) error {
@@ -309,10 +300,13 @@ func (t *threaded) run(k int, body func(m *Mutator, yield func()) error) error {
 // RunThreads executes the task functions on genuinely parallel goroutines
 // with the world rendezvous armed. It is the threaded counterpart of the
 // baton scheduler loop: each task typically drives one attached Mutator.
-// After the tasks join, the mutators' private clock shards are merged into
-// the shared clock — counts summed, simulated time advanced by the longest
-// shard (the critical path) — and any failure batches still queued are
-// handled with no tasks left to stop.
+// For the batch every attached mutator charges a private clock shard,
+// which keeps the hot accessor path lock-free; its Immix context charges
+// the same shard, so allocation-time costs (line skips, overflow searches)
+// land on the owning mutator. After the tasks join, the shards are merged
+// into the shared clock — counts summed, simulated time advanced by the
+// longest shard (the critical path) — and any failure batches still queued
+// are handled with no tasks left to stop.
 func (v *VM) RunThreads(fns ...func() error) error {
 	t, ok := v.eng.(*threaded)
 	if !ok {
@@ -325,6 +319,10 @@ func (t *threaded) runThreads(fns []func() error) error {
 	v := t.v
 	t.unjoined = true
 	t.world.setTotal(len(fns))
+	for _, m := range v.muts {
+		m.clk = stats.NewClock(v.clock.Costs())
+		m.mc.SetClock(m.clk)
+	}
 	wrapped := make([]func() error, len(fns))
 	for i, fn := range fns {
 		wrapped[i] = func() error {
@@ -345,16 +343,19 @@ func (t *threaded) runThreads(fns []func() error) error {
 }
 
 // mergeMutatorClocks folds every mutator's private shard into the shared
-// clock: counts summed for a complete activity breakdown, time advanced by
-// the slowest shard — parallel mutator work costs its critical path.
+// clock — counts summed for a complete activity breakdown, time advanced by
+// the slowest shard: parallel mutator work costs its critical path — and
+// points the mutator and its context back at the shared clock.
 func (t *threaded) mergeMutatorClocks() {
 	var crit stats.Cycles
 	for _, m := range t.v.muts {
-		if now := m.clk.Now(); now > crit {
-			crit = now
+		if m.clk == t.v.clock {
+			continue // attached during the batch: it charged the shared clock
 		}
+		crit = max(crit, m.clk.Now())
 		t.v.clock.Merge(m.clk)
-		m.clk.Reset()
+		m.clk = t.v.clock
+		m.mc.SetClock(t.v.clock)
 	}
 	t.v.clock.Advance(crit)
 }

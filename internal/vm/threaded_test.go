@@ -21,11 +21,7 @@ func TestThreadedMutatorsSurviveGC(t *testing.T) {
 					TraceWorkers: workers, Threaded: true,
 				}, kernel.Config{})
 				const muts, nodes, churn = 4, 200, 3000
-				ms := make([]*Mutator, muts)
-				ms[0] = tv.Mutator0()
-				for i := 1; i < muts; i++ {
-					ms[i] = tv.AttachMutator()
-				}
+				ms := tv.Attach(muts)
 				heads := make([]heap.Addr, muts)
 				tasks := make([]func() error, muts)
 				for i := 0; i < muts; i++ {
@@ -116,11 +112,7 @@ func TestThreadedClockMerge(t *testing.T) {
 		Threaded: true,
 	}, kernel.Config{})
 	const muts = 3
-	ms := make([]*Mutator, muts)
-	ms[0] = tv.Mutator0()
-	for i := 1; i < muts; i++ {
-		ms[i] = tv.AttachMutator()
-	}
+	ms := tv.Attach(muts)
 	tasks := make([]func() error, muts)
 	for i := 0; i < muts; i++ {
 		m := ms[i]
@@ -153,9 +145,7 @@ func TestThreadedOOMIsDNF(t *testing.T) {
 		HeapBytes: 128 << 10, Collector: Immix, FailureAware: true, TraceWorkers: 2, Threaded: true,
 	}, kernel.Config{})
 	const muts = 2
-	ms := make([]*Mutator, muts)
-	ms[0] = tv.Mutator0()
-	ms[1] = tv.AttachMutator()
+	ms := tv.Attach(muts)
 	roots := make([][]heap.Addr, muts)
 	errs := make([]error, muts)
 	tasks := make([]func() error, muts)

@@ -182,7 +182,7 @@ type VM struct {
 	failMu, rootsMu sched.Lock
 	pendingFails    []kernel.LineFailure
 	inRecovery      bool
-	// muts holds the attached mutators (Mutator0 plus AttachMutator).
+	// muts holds the attached mutators, the primary first (Attach).
 	muts []*Mutator
 	// markTriggerBytes is the allocation volume between incremental/
 	// concurrent mark cycles (a quarter of the heap, the classic "start
@@ -191,10 +191,9 @@ type VM struct {
 	// mutator goroutine.
 	markTriggerBytes int
 	allocSinceMark   atomic.Int64
-	// primary is the mutator the VM's plain entry points run as: id 0,
-	// allocation context 0 (none under mark-sweep) and the shared clock.
-	// It is never attached to the engine; Mutator0 is a separate handle on
-	// the same context, with its own clock and allocation-site register.
+	// primary is mutator 0, the one the VM's plain entry points run as:
+	// allocation context 0 (none under mark-sweep). Mutator0 returns it and
+	// attaches it; it starts parked, as every attached mutator does.
 	primary Mutator
 	// degraded is the sticky first unrecoverable runtime error (e.g. a
 	// write stalled beyond the kernel's drain-and-retry budget).
@@ -273,7 +272,7 @@ func New(cfg Config) *VM {
 	default:
 		panic(fmt.Sprintf("vm: unknown collector %d", cfg.Collector))
 	}
-	v.primary = Mutator{v: v, clk: v.clock}
+	v.primary = Mutator{v: v, clk: v.clock, parked: true}
 	if v.immix != nil {
 		v.primary.mc = v.immix.Context0()
 	}
@@ -520,8 +519,8 @@ func (v *VM) escalate(m *Mutator, ty *heap.Type, size, n int, err error) (heap.A
 	return 0, ErrOutOfMemory
 }
 
-// The VM's plain entry points run as the primary mutator: context 0's
-// allocations, the shared clock's charges (see Mutator for each).
+// The VM's plain entry points run as the primary mutator, Mutator0: context
+// 0's allocations, charged to its clock (see Mutator for each).
 
 // New allocates a fixed-size object of the registered type.
 func (v *VM) New(ty *heap.Type) (heap.Addr, error) { return v.primary.New(ty) }

@@ -64,10 +64,7 @@ func (p *Profile) RunMutators(v *vm.VM, iterations, mutators int) error {
 		// the callback. The mutators attach before Prepare registers the
 		// scenario's roots: the trace visits roots in registration order,
 		// so that order is part of what a same-seed run reproduces.
-		v.Mutator0()
-		for v.Mutators() < mutators {
-			v.AttachMutator()
-		}
+		v.Attach(mutators)
 		if p.Prepare != nil {
 			if err := p.Prepare(v); err != nil {
 				return err

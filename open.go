@@ -313,17 +313,14 @@ func MustOpen(opts ...Option) *Runtime {
 	return rt
 }
 
-// Mutators returns the runtime's mutator handles — index 0 is the VM's
-// own context, the rest are attached on first call. Drive them by hand
+// Mutators returns the runtime's mutator handles, attached on first call —
+// index 0 is the VM's primary mutator, the one its plain entry points run
+// as. Drive them by hand
 // with Park/Unpark, as examples/multimutator does; for registered
 // benchmarks prefer RunBenchmark, which manages its own contexts.
 func (rt *Runtime) Mutators() []*Mutator {
 	if rt.muts == nil {
-		rt.muts = make([]*Mutator, rt.nMutators)
-		rt.muts[0] = rt.VM.Mutator0()
-		for i := 1; i < rt.nMutators; i++ {
-			rt.muts[i] = rt.VM.AttachMutator()
-		}
+		rt.muts = rt.VM.Attach(rt.nMutators)
 	}
 	return rt.muts
 }

@@ -189,11 +189,12 @@ func ExperimentByID(id string) *Experiment { return harness.ByID(id) }
 
 // Multi-mutator runtime (internal/vm, internal/sched, internal/workload).
 //
-// A VM hands out mutators — Mutator0 shares the VM's own allocation
-// context, AttachMutator adds one with a private Immix context — and the
-// deterministic baton scheduler interleaves them: a mutator unparks when
-// it receives the baton, allocates, parks at a safepoint and yields. Same
-// seed, same schedule, byte-identical runs at any mutator count.
+// A VM hands out mutators — Mutator0 is the VM's primary mutator, the one
+// its plain entry points run as; Attach adds mutators with private Immix
+// contexts up to a count — and the deterministic baton scheduler
+// interleaves them: a mutator unparks when it receives the baton,
+// allocates, parks at a safepoint and yields. Same seed, same schedule,
+// byte-identical runs at any mutator count.
 type (
 	// Mutator is one mutator thread's view of a VM: private allocation
 	// context, shared heap, loads/stores/barriers on the VM's paths.
