@@ -68,9 +68,9 @@ digest:
 		./.digest-wearbench -exp mutscale -quick -seed 42 2>/dev/null; \
 	check 06316f6f2765f7b0a89f5fad52c9f94bc8cfb718f7620b2ae21834254f07e206 pausecurve \
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
-	check afe01c111aecb2251812eaee1b6be0ca73796b45b9fa1cf766c5c224619f5807 latency \
+	check 133bbd4ae6bb1bd580f911ebca96ef3a2e74fca0fcb4c385b689e47bb82a9de0 latency \
 		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
-	check 1f48c7f6182edb7950da42935a5631c2053a85870cacb0d089efa16d28c012e3 policyzoo \
+	check 7d6f3537d05ee400e303cc9564dd12de3c8e497c1796dbe88a88715ddd133e81 policyzoo \
 		sh -c "./.digest-wearbench -exp policyzoo -quick -seed 42 2>/dev/null | sed '/(threaded engine/,\$$d'"; \
 	check 48deb820dfcfa1ff1a0e52e624de973e3df1f031f2a15f26b373134a4e67a97f restart \
 		sh -c "./.digest-wearbench -exp restart -quick -seed 42 2>/dev/null | sed '/(threaded engine/,\$$d'"; \

@@ -21,7 +21,7 @@ func TestTortureRecordsPinned(t *testing.T) {
 		want  string
 	}{
 		{"*/*", "e20ada68f63757d87870068a49b571de9c6e119e2117f35f9bdab6600a7cdbb1"},
-		{"*/*/m4", "98d26abd540e50325ed9b9ac2a428d4f437262b514221ae2297b2014ac54a85c"},
+		{"*/*/m4", "74e0d9a57ec3d7007a787f3737bb5406cf45ddc0a169511fc7d8d3634443804d"},
 		{"S-IX/*/inc10000", "8da3c91a5b5bfbeb8ceeb2d205bd163bd2c830c0a0d814ac512958414757650e"},
 	}
 	for _, sw := range sweeps {
