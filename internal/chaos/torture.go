@@ -698,12 +698,12 @@ type tortureHeap struct {
 // one chain and one slot against the host mirrors; divergence is a campaign
 // failure. The serial campaign runs it on mutator 0, the VM's primary,
 // outside any batch: a baton batch of one would cost a coroutine round trip
-// per iteration for nothing. A split campaign (cfg.Mutators > 1, or the threaded engine) runs one share
-// per mutator through vm.RunMutators — deterministic baton turns or real
-// goroutines — each with its own rng stream and private Immix context, so
-// injections land on whichever mutator is running when the probe fires,
-// including one that is only traversing: the hole-tolerance property under
-// test.
+// per iteration for nothing. A split campaign (cfg.Mutators > 1, or the
+// threaded engine) runs one share per mutator through vm.RunMutators —
+// deterministic baton turns or real goroutines — each with its own rng
+// stream and private Immix context, so injections land on whichever mutator
+// is running when the probe fires, including one that is only traversing:
+// the hole-tolerance property under test.
 func (r *campaignRun) workload() {
 	v := r.v
 	h := &tortureHeap{

@@ -315,9 +315,9 @@ func MustOpen(opts ...Option) *Runtime {
 
 // Mutators returns the runtime's mutator handles, attached on first call —
 // index 0 is the VM's primary mutator, the one its plain entry points run
-// as. Drive them by hand
-// with Park/Unpark, as examples/multimutator does; for registered
-// benchmarks prefer RunBenchmark, which manages its own contexts.
+// as. Drive them by hand with Park/Unpark, as examples/multimutator does;
+// for registered benchmarks prefer RunBenchmark, which manages its own
+// contexts.
 func (rt *Runtime) Mutators() []*Mutator {
 	if rt.muts == nil {
 		rt.muts = rt.VM.Attach(rt.nMutators)
