@@ -68,8 +68,8 @@ digest:
 		./.digest-wearbench -exp mutscale -quick -seed 42 2>/dev/null; \
 	check 06316f6f2765f7b0a89f5fad52c9f94bc8cfb718f7620b2ae21834254f07e206 pausecurve \
 		sh -c "./.digest-wearbench -exp pausecurve -quick -seed 42 2>/dev/null | sed '/(concurrent marking)/,\$$d'"; \
-	check 133bbd4ae6bb1bd580f911ebca96ef3a2e74fca0fcb4c385b689e47bb82a9de0 latency \
-		./.digest-wearbench -latency -quick -engine baton -seed 42 2>/dev/null; \
+	check b296c2064247212b3f0446082bd61aa983c8164232b1f895b8125df944dd930d latency \
+		sh -c "./.digest-wearbench -exp kvlat -quick -seed 42 2>/dev/null | sed '/threaded engine/,\$$d'"; \
 	check 7d6f3537d05ee400e303cc9564dd12de3c8e497c1796dbe88a88715ddd133e81 policyzoo \
 		sh -c "./.digest-wearbench -exp policyzoo -quick -seed 42 2>/dev/null | sed '/(threaded engine/,\$$d'"; \
 	check 48deb820dfcfa1ff1a0e52e624de973e3df1f031f2a15f26b373134a4e67a97f restart \

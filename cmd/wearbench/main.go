@@ -14,8 +14,8 @@
 //	wearbench -calibrate            re-derive benchmark minimum heaps
 //	wearbench -bench pmd -mult 2 -rate 0.25 -cluster 2
 //	                                run a single configuration and dump stats
-//	wearbench -latency              KV request-latency quantiles across failure
-//	                                regimes on both engines (-engine to pick one)
+//	wearbench -exp kvlat            KV request-latency quantiles across failure
+//	                                regimes on both engines
 package main
 
 import (
@@ -99,8 +99,6 @@ func main() {
 			stop() // os.Exit runs no deferred call
 			os.Exit(status)
 		}
-	case rc.Latency:
-		runLatency(rc, *quick, *parallel, em, *outDir, *csvDir)
 	case *exp == "all":
 		// One runner for every experiment: the normalization baselines the
 		// figures share memoize once instead of once per figure.
@@ -175,37 +173,6 @@ func persist(rep *harness.Report, dir string) {
 	if err := jem.Emit(f, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
-}
-
-// runLatency is the wear-aware KV server latency mode: the kv scenario
-// swept across failure regimes (healthy, static, dynamic, write-through
-// with failure-buffer backpressure), reporting request-latency quantiles
-// with GC-pause and allocation-stall attribution. With no -engine both
-// engines run; the baton table is byte-identical across same-seed repeats.
-func runLatency(rc harness.RunConfig, quick bool, parallel int, em harness.Emitter, outDir, csvDir string) {
-	engines := []string{"", "threaded"}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engines = []string{rc.Engine}
-		}
-	})
-	o := harness.Options{Quick: quick, Seed: rc.Seed}
-	r := harness.NewRunner()
-	r.Workers = parallel
-	rep := r.Collect(func() *harness.Report {
-		var tables []harness.Table
-		for _, engine := range engines {
-			tables = append(tables, harness.LatencyStudy(r, o, engine, rc.Mutators, rc.Iterations))
-		}
-		return &harness.Report{
-			ID:     "latency",
-			Title:  "Wear-aware KV server tail latency across failure regimes",
-			Tables: tables,
-		}
-	})
-	emit(em, rep)
-	writeCSVs(rep, csvDir)
-	persist(rep, outDir)
 }
 
 // runExplain diffs two configurations' counter snapshots and ranks the

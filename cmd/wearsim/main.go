@@ -33,13 +33,13 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"wearmem/internal/chaos"
 	"wearmem/internal/failmap"
 	"wearmem/internal/harness/cliconfig"
 	_ "wearmem/internal/kv" // registers the kv scenario -torture-config names can carry
 	"wearmem/internal/pcm"
+	"wearmem/internal/sched"
 	"wearmem/internal/seeded"
 	"wearmem/internal/stats"
 )
@@ -512,39 +512,19 @@ func hammer(dev *pcm.Device, traffic *seeded.Stream, buf []byte, n int) (stalled
 // given index is identical at any worker count; only the wall-clock
 // depends on -parallel.
 func wearPopulation(cfg pcm.Config, n, writes, workers int) []popResult {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	out := make([]popResult, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, failmap.LineSize)
-			for i := range idx {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)
-				dev := pcm.NewDevice(c, nil)
-				hammer(dev, seeded.New(c.Seed), buf, writes)
-				m := dev.FailMap()
-				out[i] = popResult{
-					failed:       dev.FailedLines(),
-					rate:         dev.FailureRate(),
-					perfectPages: m.PerfectPages(),
-					longestRun:   m.LongestFreeRun(),
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	sched.ForEach(n, workers, func(i int) {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)
+		dev := pcm.NewDevice(c, nil)
+		hammer(dev, seeded.New(c.Seed), make([]byte, failmap.LineSize), writes)
+		m := dev.FailMap()
+		out[i] = popResult{
+			failed:       dev.FailedLines(),
+			rate:         dev.FailureRate(),
+			perfectPages: m.PerfectPages(),
+			longestRun:   m.LongestFreeRun(),
+		}
+	})
 	return out
 }

@@ -2,8 +2,11 @@ package wearmem
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -73,10 +76,10 @@ type goFile struct {
 	imports map[string]string // local name → import path
 }
 
-// parseModule parses every Go file of the module once: the root package,
-// internal/, cmd/, examples/ and bench/. The entry-point rules below are
-// walks over its result.
-func parseModule(t *testing.T) []goFile {
+// parseModule parses every Go file of the module that builds for the host
+// once: the root package, internal/, cmd/, examples/ and bench/. The
+// entry-point rules below are walks over its result.
+func parseModule(t *testing.T) (*token.FileSet, []goFile) {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files []goFile
@@ -93,6 +96,9 @@ func parseModule(t *testing.T) []goFile {
 			}
 			if !strings.HasSuffix(path, ".go") {
 				return nil
+			}
+			if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+				return err
 			}
 			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -115,7 +121,7 @@ func parseModule(t *testing.T) []goFile {
 			t.Fatal(err)
 		}
 	}
-	return files
+	return fset, files
 }
 
 // pkgDir is the directory of a module file, "." for the root package.
@@ -124,6 +130,14 @@ func (g goFile) pkgDir() string {
 		return g.path[:i]
 	}
 	return "."
+}
+
+// importPath is the import path of a module file's package.
+func (g goFile) importPath() string {
+	if dir := g.pkgDir(); dir != "." {
+		return "wearmem/" + dir
+	}
+	return "wearmem"
 }
 
 // qualified adds to named every N the file selects as pkg.N, where pkg
@@ -144,7 +158,7 @@ func (g goFile) qualified(path string, named map[string]bool) {
 // An entry point nothing calls is surface to document and keep compiling
 // with no evidence that it works; delete it instead.
 func TestFacadeEntryPointsReached(t *testing.T) {
-	files := parseModule(t)
+	_, files := parseModule(t)
 	named := map[string]bool{}
 	for _, g := range files {
 		switch {
@@ -227,49 +241,45 @@ var testOnlyEntryPoints = map[string]string{
 }
 
 // Every exported func and method declared in a non-test file under
-// internal/ must be named by a non-test file of the module: a call, a
-// method value, or a reference from another package, a command, an
-// example or bench/. A package-level func counts as named by pkg.F through
-// its import or by F inside its own package; a method by any selector .M
-// whose left side is not an imported package. An entry point only tests
-// reach is code kept compiling with no program depending on it: delete it,
-// or record why it stays in testOnlyEntryPoints.
+// internal/ must be reached by a non-test file of the module: a call, a
+// method value or expression, or a reference from another package, a
+// command, an example or bench/. The module's non-test files are
+// type-checked, so each name resolves to the func or method it denotes: a
+// method of one type is not reached through a same-named method of
+// another. A method also counts as reached when its receiver implements an
+// interface whose same-named method a non-test file selects. An entry
+// point only tests reach is code kept compiling with no program depending
+// on it: delete it, or record why it stays in testOnlyEntryPoints.
 func TestInternalEntryPointsReached(t *testing.T) {
-	files := parseModule(t)
-	funcs := map[string]bool{}   // import path + "." + name, for package-level funcs
-	methods := map[string]bool{} // selected names, for methods
-	for _, g := range files {
-		if g.test {
+	fset, files := parseModule(t)
+	info := typeCheck(t, fset, files)
+	reached := map[*types.Func]bool{}
+	selected := map[string][]*types.Interface{} // interface methods selected, by name
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || reached[fn.Origin()] {
 			continue
 		}
-		self := "wearmem"
-		if dir := g.pkgDir(); dir != "." {
-			self += "/" + dir
-		}
-		// A declaration does not name itself, and x.N names N only as a
-		// qualified func or a method.
-		skip := map[*ast.Ident]bool{}
-		for _, decl := range g.ast.Decls {
-			if d, ok := decl.(*ast.FuncDecl); ok {
-				skip[d.Name] = true
+		fn = fn.Origin()
+		reached[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				selected[fn.Name()] = append(selected[fn.Name()], iface)
 			}
 		}
-		ast.Inspect(g.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && g.imports[x.Name] != "" {
-					funcs[g.imports[x.Name]+"."+n.Sel.Name] = true
-				} else {
-					methods[n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					funcs[self+"."+n.Name] = true
-				}
+	}
+	// The method set of *T holds T's methods too, so *T answers for both.
+	implemented := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, iface := range selected[fn.Name()] {
+			if types.Implements(types.NewPointer(recv), iface) {
+				return true
 			}
-			return true
-		})
+		}
+		return false
 	}
 	var unreached []string
 	seen := map[string]bool{}
@@ -283,15 +293,16 @@ func TestInternalEntryPointsReached(t *testing.T) {
 			if !ok || !d.Name.IsExported() {
 				continue
 			}
-			key, reached := pkg+"."+d.Name.Name, funcs["wearmem/"+g.pkgDir()+"."+d.Name.Name]
+			fn := info.Defs[d.Name].(*types.Func)
+			key, ok := pkg+"."+d.Name.Name, reached[fn]
 			if d.Recv != nil {
-				key, reached = pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name, methods[d.Name.Name]
+				key, ok = pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name, ok || implemented(fn)
 			}
 			seen[key] = true
 			switch _, listed := testOnlyEntryPoints[key]; {
-			case listed && reached:
-				t.Errorf("%s is named by a program now: drop it from testOnlyEntryPoints", key)
-			case !listed && !reached:
+			case listed && ok:
+				t.Errorf("%s is reached by a program now: drop it from testOnlyEntryPoints", key)
+			case !listed && !ok:
 				unreached = append(unreached, key)
 			}
 		}
@@ -303,9 +314,63 @@ func TestInternalEntryPointsReached(t *testing.T) {
 	}
 	if len(unreached) > 0 {
 		sort.Strings(unreached)
-		t.Errorf("%d internal/ entry points only tests name: %s",
+		t.Errorf("%d internal/ entry points only tests reach: %s",
 			len(unreached), strings.Join(unreached, ", "))
 	}
+}
+
+// typeCheck type-checks every non-test package of the module, each once:
+// the standard library from its source, module packages from their parsed
+// files. The returned Info holds what each identifier of those files
+// defines and denotes.
+func typeCheck(t *testing.T, fset *token.FileSet, files []goFile) *types.Info {
+	t.Helper()
+	m := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	for _, g := range files {
+		if !g.test {
+			m.files[g.importPath()] = append(m.files[g.importPath()], g.ast)
+		}
+	}
+	for path := range m.files {
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.info
+}
+
+// moduleImporter imports a module package by type-checking its non-test
+// files into one shared Info, and any other package from the standard
+// library's source.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
 }
 
 // recvName is the type name of a method receiver, T for T or *T (no

@@ -285,17 +285,7 @@ type job struct {
 // results in job order.
 func sweep[R any](jobs []job, workers int, one func(job) R) []R {
 	out := make([]R, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			out[i] = one(j)
-		}()
-	}
-	wg.Wait()
+	sched.ForEach(len(jobs), workers, func(i int) { out[i] = one(jobs[i]) })
 	return out
 }
 

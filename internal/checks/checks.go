@@ -183,11 +183,6 @@ type Outcome struct {
 	Skipped string
 }
 
-// Ok reports whether every check passed (a machine-class skip passes).
-func (o *Outcome) Ok() bool {
-	return o.Skipped != "" || !slices.ContainsFunc(o.Results, func(r Result) bool { return !r.Ok() })
-}
-
 // Evaluate runs every check of the spec against the report. A check that
 // selects no cells fails — a gate that silently matches nothing is drift,
 // not a pass.

@@ -73,13 +73,6 @@ func NewRegion(index, regionPages int) *Region {
 	return r
 }
 
-// Lines returns the number of lines in the region.
-func (r *Region) Lines() int { return r.lines }
-
-// Installed reports whether the redirection map has been installed (at
-// least one failure has occurred).
-func (r *Region) Installed() bool { return r.installed }
-
 // pushTop reports whether this region clusters failures at its top.
 func (r *Region) pushTop() bool { return r.index%2 == 0 }
 

@@ -26,10 +26,10 @@ func TestMetaLines(t *testing.T) {
 
 func TestRegionIdentityBeforeFailure(t *testing.T) {
 	r := NewRegion(0, 1)
-	if r.Installed() {
+	if r.installed {
 		t.Fatal("fresh region should have no map installed")
 	}
-	for i := 0; i < r.Lines(); i++ {
+	for i := 0; i < r.lines; i++ {
 		if r.Storage(i) != i || r.Unavailable(i) {
 			t.Fatalf("line %d not identity-mapped in fresh region", i)
 		}
@@ -46,7 +46,7 @@ func TestFirstFailureInstallsMetadataEven(t *testing.T) {
 	if surfaced[0] != 0 || surfaced[1] != 1 {
 		t.Fatalf("surfaced %v, want [0 1]", surfaced)
 	}
-	if !r.Installed() {
+	if !r.installed {
 		t.Fatal("map should be installed after first failure")
 	}
 	// The broken storage (line 30's original cells) now backs logical 1.
@@ -68,7 +68,7 @@ func TestFirstFailureInstallsMetadataEven(t *testing.T) {
 func TestOddRegionClustersAtBottom(t *testing.T) {
 	r := NewRegion(1, 1) // odd region: cluster at bottom
 	surfaced := r.Fail(10)
-	last := r.Lines() - 1
+	last := r.lines - 1
 	if surfaced[0] != last || surfaced[1] != last-1 {
 		t.Fatalf("surfaced %v, want [%d %d]", surfaced, last, last-1)
 	}
@@ -86,7 +86,7 @@ func TestFailuresAccumulateContiguously(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fails := 0
 	for fails < 40 {
-		l := rng.Intn(r.Lines())
+		l := rng.Intn(r.lines)
 		if r.Unavailable(l) {
 			continue
 		}
@@ -102,7 +102,7 @@ func TestFailuresAccumulateContiguously(t *testing.T) {
 			t.Fatalf("line %d should be unavailable", i)
 		}
 	}
-	for i := 42; i < r.Lines(); i++ {
+	for i := 42; i < r.lines; i++ {
 		if r.Unavailable(i) {
 			t.Fatalf("line %d should be available", i)
 		}
@@ -126,7 +126,7 @@ func TestPermutationProperty(t *testing.T) {
 		r := NewRegion(int(n)%2, 2)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n)%100; i++ {
-			l := rng.Intn(r.Lines())
+			l := rng.Intn(r.lines)
 			if r.Unavailable(l) {
 				continue
 			}

@@ -92,8 +92,6 @@ type Collector interface {
 	Collect(full bool, roots *RootSet)
 	// Stats returns collection statistics.
 	Stats() *GCStats
-	// Model returns the object model the plan allocates into.
-	Model() *heap.Model
 	// Degraded returns nil while the plan is healthy, or the sticky error
 	// that forced it into degraded operation (e.g. ErrEpochExhausted).
 	// A degraded plan still serves reads and allocations on a best-effort

@@ -152,9 +152,6 @@ func NewImmix(cfg Config) *Immix {
 	return ix
 }
 
-// Model returns the plan's object model.
-func (ix *Immix) Model() *heap.Model { return ix.model }
-
 // Stats returns the plan's collection statistics.
 func (ix *Immix) Stats() *GCStats { return &ix.gcstats }
 

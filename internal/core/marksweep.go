@@ -129,9 +129,6 @@ func NewMarkSweep(cfg Config) *MarkSweep {
 	return ms
 }
 
-// Model returns the plan's object model.
-func (ms *MarkSweep) Model() *heap.Model { return ms.model }
-
 // Stats returns the plan's collection statistics.
 func (ms *MarkSweep) Stats() *GCStats { return &ms.gcstats }
 
@@ -377,9 +374,6 @@ func (ms *MarkSweep) sweep(nursery bool) int {
 	ms.los.sweep(ms.epoch, !nursery)
 	return freed
 }
-
-// LiveLOSObjects reports the number of live large objects.
-func (ms *MarkSweep) LiveLOSObjects() int { return ms.los.count() }
 
 // blockOf returns the mark-sweep block containing a, or nil (diagnostic
 // helper; the hot paths never need address lookup because mark-sweep does

@@ -114,12 +114,12 @@ func TestMarkSweepLOSRoundTrip(t *testing.T) {
 	big := e.alloc(e.blob, heap.ArraySize(e.blob, 64<<10), 64<<10)
 	e.addRoot(&big)
 	e.plan.Collect(true, e.roots)
-	if ms.LiveLOSObjects() != 1 {
+	if ms.los.count() != 1 {
 		t.Fatal("large object lost")
 	}
 	e.roots.Remove(&big)
 	e.plan.Collect(true, e.roots)
-	if ms.LiveLOSObjects() != 0 {
+	if ms.los.count() != 0 {
 		t.Fatal("dead large object kept")
 	}
 }

@@ -17,7 +17,7 @@ import (
 func kvLat(o Options, r *Runner) *Report {
 	return &Report{
 		Title:  "Wear-aware KV server tail latency (implementation study)",
-		Tables: bothEngines(func(engine string) Table { return LatencyStudy(r, o, engine, 0, 0) }),
+		Tables: bothEngines(func(engine string) Table { return kvLatTable(r, o, engine) }),
 	}
 }
 
@@ -35,18 +35,10 @@ func (o Options) kvLatIterations() int {
 }
 
 // kvConfig is the KV studies' healthy-device configuration on one engine
-// ("" = baton, "threaded"), with per-operation latency capture. Fewer than
-// two mutators or zero iterations ask for the studies' own: kvMutators and
-// kvLatIterations.
-func (o Options) kvConfig(engine string, mutators, iters int) RunConfig {
+// ("" = baton, "threaded"), with per-operation latency capture.
+func (o Options) kvConfig(engine string) RunConfig {
 	rc := o.base().bench(kv.MustRegister(kv.Config{}))
-	rc.Engine, rc.Mutators, rc.Iterations, rc.Latency = engine, mutators, iters, true
-	if mutators <= 1 {
-		rc.Mutators = kvMutators
-	}
-	if iters == 0 {
-		rc.Iterations = o.kvLatIterations()
-	}
+	rc.Engine, rc.Mutators, rc.Iterations, rc.Latency = engine, kvMutators, o.kvLatIterations(), true
 	return rc
 }
 
@@ -97,13 +89,11 @@ func kvLatRegimes() []kvRegime {
 	}
 }
 
-// LatencyStudy sweeps the failure regimes of the kv scenario for one engine
-// ("" = baton, "threaded") and renders the request-latency quantile table
-// the kvlat experiment and `wearbench -latency` both report. Fewer than two
-// mutators or zero iterations ask for the study's defaults. On the baton
-// engine the table is byte-identical across same-seed repeats.
-func LatencyStudy(r *Runner, o Options, engine string, mutators, iters int) Table {
-	healthy := o.kvConfig(engine, mutators, iters)
+// kvLatTable sweeps the failure regimes of the kv scenario for one engine
+// ("" = baton, "threaded") and renders the request-latency quantile table.
+// On the baton engine the table is byte-identical across same-seed repeats.
+func kvLatTable(r *Runner, o Options, engine string) Table {
+	healthy := o.kvConfig(engine)
 	t := Table{
 		Title: fmt.Sprintf("KV request latency, %s engine, %d mutators, 2x heap (cycles)",
 			engineName(engine), healthy.Mutators),

@@ -128,7 +128,9 @@ func TestWriteThroughReachesTheDevice(t *testing.T) {
 	// the flag off (the healthy row differs from both by failure awareness
 	// alone, so it cannot tell).
 	reg := kvLatRegimes()[3]
-	through := reg.apply(Options{Seed: 42}.kvConfig("", 4, 60))
+	healthy := Options{Seed: 42}.kvConfig("")
+	healthy.Iterations = 60
+	through := reg.apply(healthy)
 	dry := through
 	dry.WriteThrough = false
 	if reg.label != "write-through" || !through.WriteThrough {

@@ -40,7 +40,7 @@ func pauseCurveTable(r *Runner, o Options, engine string) Table {
 			"max pause", "mark p99", "final p99", "kv p999", "kv max"},
 	}
 	for _, b := range pauseCurveBudgets() {
-		rc := o.kvConfig(engine, 0, 0)
+		rc := o.kvConfig(engine)
 		rc.PauseBudget = b
 		t.Rows = append(t.Rows, pauseCurveRow(b, r.Run(rc)))
 	}

@@ -387,32 +387,7 @@ func safeExecute(rc RunConfig, maps *drawnMaps) (res Result) {
 // pool and blocks until all are memoized. Duplicate configurations (and
 // configurations already in flight) execute only once.
 func (r *Runner) Prefetch(cfgs []RunConfig) {
-	n := r.workers()
-	if n > len(cfgs) {
-		n = len(cfgs)
-	}
-	if n <= 1 {
-		for _, rc := range cfgs {
-			r.Run(rc)
-		}
-		return
-	}
-	ch := make(chan RunConfig)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rc := range ch {
-				r.Run(rc)
-			}
-		}()
-	}
-	for _, rc := range cfgs {
-		ch <- rc
-	}
-	close(ch)
-	wg.Wait()
+	sched.ForEach(len(cfgs), r.workers(), func(i int) { r.Run(cfgs[i]) })
 }
 
 // Collect runs an experiment body with parallel execution while keeping

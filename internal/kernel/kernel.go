@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,15 +41,12 @@ type Region struct {
 func (r *Region) Size() int { return r.Pages * failmap.PageSize }
 
 // Frame returns the physical frame behind virtual page i of the region,
-// read from the kernel's page table. The region must still be mapped.
+// read from the kernel's page table (a region is never unmapped).
 func (r *Region) Frame(i int) int {
 	if i < 0 || i >= r.Pages {
 		panic(fmt.Sprintf("kernel: page %d outside the %d-page region at %#x", i, r.Pages, r.Base))
 	}
-	f, _, ok := r.k.Translate(r.Base + uint64(i)*failmap.PageSize)
-	if !ok {
-		panic(fmt.Sprintf("kernel: Frame of released region at %#x", r.Base))
-	}
+	f, _, _ := r.k.Translate(r.Base + uint64(i)*failmap.PageSize)
 	return f
 }
 
@@ -494,17 +490,15 @@ func (k *Kernel) makeRegion(frames []int) *Region {
 }
 
 // setFrameLocked is the one writer of a translation: it points virtual page
-// `page` of r at frame, or unmaps it when frame is -1, keeps the reverse map
-// in step and returns the frame the page was on (-1 when it was unmapped).
+// `page` of r at frame, keeps the reverse map in step and returns the frame
+// the page was on (-1 when it was unmapped).
 func (k *Kernel) setFrameLocked(r *Region, page, frame int) (old int) {
 	pte := &k.pte[r.Base/failmap.PageSize+uint64(page)]
 	if old = int(pte.Load()) - 1; old >= 0 {
 		k.reverse[old] = reversed{}
 	}
 	pte.Store(uint32(frame + 1))
-	if frame >= 0 {
-		k.reverse[frame] = reversed{region: r, page: page}
-	}
+	k.reverse[frame] = reversed{region: r, page: page}
 	return old
 }
 
@@ -530,28 +524,6 @@ func (k *Kernel) pageAtLocked(vaddr uint64) reversed {
 		return reversed{}
 	}
 	return k.reverse[frame]
-}
-
-// Release unmaps a region and returns its PCM frames to the pool (used by
-// runtimes that shrink). DRAM frames simply vanish. The region must not be
-// used again: its addresses no longer translate.
-func (k *Kernel) Release(r *Region) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	i := slices.Index(k.regions, r)
-	if i < 0 {
-		panic(fmt.Sprintf("kernel: Release of unmapped region at %#x", r.Base))
-	}
-	k.regions = slices.Delete(k.regions, i, i+1)
-	for p := 0; p < r.Pages; p++ {
-		f := k.setFrameLocked(r, p, -1)
-		if f >= k.pcmPages {
-			continue
-		}
-		k.freeFrameLocked(f)
-		k.released = append(k.released, f)
-	}
-	k.mapped -= r.Pages
 }
 
 // MapFailures is the map-failures system call: the failure map of a mapped

@@ -3,7 +3,6 @@ package kernel
 import (
 	"math"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,8 +44,8 @@ func freePerfectFrame(t *testing.T, k *Kernel) int {
 // translation against a shadow kept by the test: frames snapshotted when a
 // region is mapped, then updated only from what each call reports. After
 // every step the page table, Region.Frame and the reverse map must agree
-// with the shadow, and everything the script never mapped, skipped over or
-// released must not translate.
+// with the shadow, and everything the script never mapped or skipped over
+// must not translate.
 func TestPageTableDifferential(t *testing.T) {
 	k := tableKernel(1024)
 	type mapping struct {
@@ -133,12 +132,13 @@ func TestPageTableDifferential(t *testing.T) {
 			unmapped = append(unmapped, v, v+failmap.PageSize-1)
 		}
 	}
-	release := func(step string, m *mapping) {
-		for i := 0; i < m.r.Pages; i++ {
-			unmapped = append(unmapped, m.r.Base+uint64(i*failmap.PageSize))
+	remapAll := func(step string, m *mapping) {
+		for i := range m.frames {
+			if _, ok := k.RemapPageAt(m.r.Base + uint64(i*failmap.PageSize)); !ok {
+				t.Fatalf("%s: RemapPageAt refused page %d", step, i)
+			}
+			m.frames[i] = m.r.Frame(i)
 		}
-		k.Release(m.r)
-		live = slices.DeleteFunc(live, func(l *mapping) bool { return l == m })
 		check(step)
 	}
 
@@ -195,10 +195,10 @@ func TestPageTableDifferential(t *testing.T) {
 	}
 	d := mapped("perfect d with DRAM", pr)
 
-	release("release b", b)
-	release("release d", d)
+	remapAll("remap b", b)
+	remapAll("remap d", d)
 	relaxed("relaxed e on recycled frames", 4)
-	release("release big", big)
+	remapAll("remap big", big)
 	relaxed("relaxed f", 40)
 
 	line := make([]byte, failmap.LineSize)
@@ -338,21 +338,19 @@ func BenchmarkTranslate(b *testing.B) {
 }
 
 // BenchmarkTranslateParallel walks the table from every P while one goroutine
-// keeps mapping and releasing a block.
+// keeps remapping a page.
 func BenchmarkTranslateParallel(b *testing.B) {
 	k, base, span := translateBenchKernel(b)
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
-		for {
+		for i := uint64(0); ; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(50 * time.Microsecond): // the writer is the rare side
 			}
-			if r, err := k.MmapRelaxed(8); err == nil {
-				k.Release(r)
-			}
+			k.RemapPageAt(base + i*failmap.PageSize%span)
 		}
 	}()
 	b.ResetTimer()

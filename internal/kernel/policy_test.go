@@ -68,7 +68,7 @@ func TestPerfectPagesLeftDifferential(t *testing.T) {
 	}
 	check("boot", -1)
 	for step := 0; step < 600; step++ {
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			if r, err := k.MmapRelaxed(1 + rng.Intn(3)); err == nil {
 				regions = append(regions, r)
@@ -80,18 +80,11 @@ func TestPerfectPagesLeftDifferential(t *testing.T) {
 			check("MmapPerfect", step)
 		case 2:
 			if len(regions) > 0 {
-				i := rng.Intn(len(regions))
-				k.Release(regions[i])
-				regions = append(regions[:i], regions[i+1:]...)
-			}
-			check("Release", step)
-		case 3:
-			if len(regions) > 0 {
 				r := regions[rng.Intn(len(regions))]
 				k.RemapPageAt(r.Base + uint64(rng.Intn(r.Pages))*failmap.PageSize)
 			}
 			check("RemapPageAt", step)
-		case 4:
+		case 3:
 			k.InjectRandomDynamicFailure(rng)
 			check("InjectRandomDynamicFailure", step)
 		}
@@ -224,13 +217,13 @@ func TestPolicyPromoteFrameAccountsAsBorrow(t *testing.T) {
 
 func TestRotatePlacementSpreadsAllocations(t *testing.T) {
 	_, k := policyDevice(t, "rotate")
-	// A released region no longer translates: read the frames while mapped.
+	// Remapping a's pages releases their frames.
 	a, _ := k.MmapRelaxed(2)
 	a0, a1 := a.Frame(0), a.Frame(1)
-	k.Release(a)
+	k.RemapPageAt(a.Base)
+	k.RemapPageAt(a.Base + failmap.PageSize)
 	b, _ := k.MmapRelaxed(2)
 	b0, b1 := b.Frame(0), b.Frame(1)
-	k.Release(b)
 	// Released frames are reused first, like the stock policy.
 	if b0 != a1 || b1 != a0 {
 		t.Fatalf("released frames not reused: %d,%d then %d,%d", a0, a1, b0, b1)

@@ -22,10 +22,10 @@ func (h *lockedHandler) HandleFailures(fs []LineFailure) {
 }
 
 // TestConcurrentFailureInterrupts hammers the kernel and the device from
-// genuinely concurrent goroutines — writers wearing lines out, a
-// fault injector, accessor readers, and a mapper — with nil clocks (the
-// clock stays baton-owned and is excluded from the free-threaded
-// contract). Run under -race this checks the explicit locking of the
+// genuinely concurrent goroutines — writers wearing lines out, a fault
+// injector, accessor readers, and a mapper that remaps what it maps — with
+// nil clocks (the clock stays baton-owned and is excluded from the
+// free-threaded contract). Run under -race this checks the explicit locking of the
 // failure table, the failure buffer, and the up-call path: a failure
 // interrupt must be safe to land on any mutator's write.
 func TestConcurrentFailureInterrupts(t *testing.T) {
@@ -83,7 +83,7 @@ func TestConcurrentFailureInterrupts(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
 			if reg, err := k.MmapRelaxed(1); err == nil {
-				k.Release(reg)
+				k.RemapPageAt(reg.Base)
 			}
 		}
 	}()

@@ -112,7 +112,7 @@ func (m *model) storage(line int) int {
 	}
 	idx, off := m.region(line)
 	r := m.regions[idx]
-	if r == nil || !r.Installed() {
+	if r == nil { // a region exists once its first failure installed the map
 		return line
 	}
 	hit := slices.Contains(m.cache, idx)

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 )
 
 // Yielder is the handle a task uses to cooperate. Calling Yield parks the
@@ -180,4 +182,30 @@ func Parallel(fns ...func() error) error {
 		}
 	}
 	return nil
+}
+
+// ForEach calls f(i) for every i in [0, n) on at most workers goroutines at
+// a time and returns once every call has. With workers ≤ 1 it calls f in
+// index order on the caller's goroutine. It is the bounded worker pool of
+// independent jobs (harness runs, torture campaigns, device populations),
+// not an execution engine: f must not depend on which goroutine runs it.
+func ForEach(n, workers int, f func(i int)) {
+	if workers <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

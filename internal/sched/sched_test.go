@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -249,5 +251,37 @@ func BenchmarkSwitch(b *testing.B) {
 	b.ResetTimer()
 	if err := Run(task, task); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// ForEach calls every index once with at most workers calls in flight, and
+// with one worker or fewer calls them in index order.
+func TestForEach(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{0, 1, 3, 64} {
+		var calls [n]atomic.Int32
+		var running, peak atomic.Int32
+		var order []int
+		ForEach(n, workers, func(i int) {
+			r := running.Add(1)
+			for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+			}
+			calls[i].Add(1)
+			if workers <= 1 {
+				order = append(order, i)
+			}
+			running.Add(-1)
+		})
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Errorf("workers=%d: index %d called %d times", workers, i, c)
+			}
+		}
+		if p := int(peak.Load()); p > max(workers, 1) {
+			t.Errorf("workers=%d: %d calls in flight at once", workers, p)
+		}
+		if workers <= 1 && !slices.IsSorted(order) {
+			t.Errorf("workers=%d: serial calls out of order: %v", workers, order)
+		}
 	}
 }

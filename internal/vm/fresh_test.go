@@ -46,7 +46,7 @@ func TestReusedMemoryReadsZero(t *testing.T) {
 					t.Fatalf("allocation %d (%d bytes at %#x, %d collections) holds old bytes",
 						i, n, a, tv.GCStats().Collections)
 				}
-				tv.SetArrayBytes(a, 0, pattern[:n])
+				tv.Mutator0().SetArrayBytes(a, 0, pattern[:n])
 				if i%7 == 0 {
 					live[i%len(live)] = a
 				}

@@ -58,10 +58,16 @@ type poolMemory struct {
 	budgetBytes int // remaining allowance: heap bytes - bytes in use - penalties
 	compensate  bool
 
-	// pages is the dense per-page metadata table (failed-line bitmaps,
-	// borrowed flags, precomputed block-slot costs), replacing the per-page
-	// maps the pool used to key by virtual page base.
-	pages pageTable
+	// The page table, indexed by virtual page number and grown to the
+	// highest mapped block slot: each page's failed-line bitmap (0 =
+	// perfect) and loan state, and each block slot's budget charge (the sum
+	// of its pages' costs), precomputed at mapping time and kept in step by
+	// NoteFailure/NoteRemap so acquire and release charge in O(1). Virtual
+	// space is bounded by the kernel's VirtualLimit and never reused, so
+	// the table is never trimmed.
+	pageBits []uint64
+	borrowed []uint64 // bitset: page is backed by loaned DRAM
+	slotCost []int32
 
 	// blockSlots are free block-arena slots (virtual bases of previously
 	// mapped blocks). Entries of 0 are tombstones left by interior removals
@@ -72,11 +78,6 @@ type poolMemory struct {
 	slotHoles  int // tombstone count in blockSlots
 	// losExtents are free LOS-arena page runs, sorted and coalesced.
 	losExtents []extent
-
-	// retiredBlocks counts slots permanently retired by full wear-out;
-	// their page metadata is released (see retire) and their budget charge
-	// stays deducted, modeling the heap shrinking as memory dies.
-	retiredBlocks int
 }
 
 type extent struct {
@@ -86,87 +87,8 @@ type extent struct {
 
 func (e extent) end() heap.Addr { return e.base + heap.Addr(e.pages*failmap.PageSize) }
 
-// pageTable holds per-page metadata for the simulated virtual address space
-// in dense page-indexed chunks: the failed-line bitmap and borrowed (loaned
-// DRAM) state that were previously map lookups on every cost computation,
-// plus the precomputed budget cost of each block slot so acquire/release
-// charge in O(1) instead of popcounting every page bitmap. Chunks whose
-// mapped pages have all been retired are freed, so long wear-out runs that
-// burn through address space do not grow metadata unboundedly.
-type pageTable struct {
-	chunkShift uint // log2(pages per chunk)
-	ppb        int  // pages per block
-	chunks     []*pageChunk
-}
-
-type pageChunk struct {
-	bits     []uint64 // per-page failed-line bitmap (0 = perfect)
-	cost     []int32  // per-block-slot budget charge (sum of its page costs)
-	borrowed []uint64 // bitset: page is backed by loaned DRAM
-	mapped   []uint64 // bitset: page has been mapped and not retired
-	live     int      // mapped pages; the chunk is freed when it drops to 0
-}
-
-// defaultChunkPages is 2 MB of address space per chunk at 4 KB pages.
-const defaultChunkPages = 512
-
-func (t *pageTable) init(pagesPerBlock int) {
-	chunkPages := defaultChunkPages
-	for chunkPages < pagesPerBlock {
-		chunkPages *= 2
-	}
-	t.chunkShift = uint(bits.TrailingZeros64(uint64(chunkPages)))
-	t.ppb = pagesPerBlock
-}
-
-func (t *pageTable) chunkPages() int { return 1 << t.chunkShift }
-
-// split resolves a page address into its chunk index and in-chunk page
-// index.
-func (t *pageTable) split(pg heap.Addr) (ci, pi int) {
-	idx := int(uint64(pg) / failmap.PageSize)
-	return idx >> t.chunkShift, idx & (t.chunkPages() - 1)
-}
-
-func (t *pageTable) chunk(ci int) *pageChunk {
-	if ci < len(t.chunks) {
-		return t.chunks[ci]
-	}
-	return nil
-}
-
-func (t *pageTable) ensure(ci int) *pageChunk {
-	for ci >= len(t.chunks) {
-		t.chunks = append(t.chunks, nil)
-	}
-	c := t.chunks[ci]
-	if c == nil {
-		n := t.chunkPages()
-		c = &pageChunk{
-			bits:     make([]uint64, n),
-			cost:     make([]int32, n/t.ppb),
-			borrowed: make([]uint64, bitset.Words(n)),
-			mapped:   make([]uint64, bitset.Words(n)),
-		}
-		t.chunks[ci] = c
-	}
-	return c
-}
-
-// liveChunks reports the chunks still holding metadata (regression hook:
-// retiring blocks must release their address ranges' metadata).
-func (t *pageTable) liveChunks() int {
-	n := 0
-	for _, c := range t.chunks {
-		if c != nil {
-			n++
-		}
-	}
-	return n
-}
-
 func newPoolMemory(kern *kernel.Kernel, space *heap.Space, clock *stats.Clock, blockSize, budgetBytes int, aware, compensate bool) *poolMemory {
-	m := &poolMemory{
+	return &poolMemory{
 		kern:        kern,
 		space:       space,
 		clock:       clock,
@@ -175,8 +97,6 @@ func newPoolMemory(kern *kernel.Kernel, space *heap.Space, clock *stats.Clock, b
 		budgetBytes: budgetBytes,
 		compensate:  compensate,
 	}
-	m.pages.init(m.pagesPerBlock())
-	return m
 }
 
 func (m *poolMemory) pagesPerBlock() int { return m.blockSize / failmap.PageSize }
@@ -194,34 +114,21 @@ func (m *poolMemory) costOf(pageBits uint64, borrowed bool) int {
 	return failmap.PageSize - bits.OnesCount64(pageBits)*failmap.LineSize
 }
 
-// pageFailBits returns the failed-line bitmap of the page (0 for perfect,
-// unmapped, or retired pages — matching the old map's zero value).
-func (m *poolMemory) pageFailBits(pg heap.Addr) uint64 {
-	ci, pi := m.pages.split(pg)
-	if c := m.pages.chunk(ci); c != nil {
-		return c.bits[pi]
-	}
-	return 0
-}
+// vpn is the virtual page number of an address, its page table index.
+func vpn(a heap.Addr) int { return int(a / failmap.PageSize) }
+
+// pageFailBits returns the failed-line bitmap of a mapped page.
+func (m *poolMemory) pageFailBits(pg heap.Addr) uint64 { return m.pageBits[vpn(pg)] }
 
 // pageCost is the budget charge for one in-use page.
 func (m *poolMemory) pageCost(pg heap.Addr) int {
-	ci, pi := m.pages.split(pg)
-	if c := m.pages.chunk(ci); c != nil {
-		return m.costOf(c.bits[pi], bitset.Get(c.borrowed, pi))
-	}
-	return m.costOf(0, false)
+	p := vpn(pg)
+	return m.costOf(m.pageBits[p], bitset.Get(m.borrowed, p))
 }
 
-// blockCost is the budget charge for a block slot, precomputed at mapping
-// time and maintained incrementally by NoteFailure/NoteRemap so acquire and
-// release are O(1) instead of popcounting every page.
+// blockCost is the budget charge for a mapped block slot.
 func (m *poolMemory) blockCost(base heap.Addr) int {
-	ci, pi := m.pages.split(base)
-	if c := m.pages.chunk(ci); c != nil {
-		return int(c.cost[pi/m.pages.ppb])
-	}
-	return m.pagesCost(base, m.pagesPerBlock())
+	return int(m.slotCost[vpn(base)/m.pagesPerBlock()])
 }
 
 // pagesCost is the budget charge for an n-page run.
@@ -233,18 +140,20 @@ func (m *poolMemory) pagesCost(base heap.Addr, n int) int {
 	return c
 }
 
-// mapPage records a freshly mapped page's metadata and folds its cost into
-// its block slot's precomputed charge.
+// mapPage records a freshly mapped page's metadata, growing the page table
+// to the page's block slot, and folds its cost into the slot's charge.
 func (m *poolMemory) mapPage(pg heap.Addr, pageBits uint64, borrowed bool) {
-	ci, pi := m.pages.split(pg)
-	c := m.pages.ensure(ci)
-	bitset.Set(c.mapped, pi)
-	if borrowed {
-		bitset.Set(c.borrowed, pi)
+	p, ppb := vpn(pg), m.pagesPerBlock()
+	if n := (p/ppb + 1) * ppb; n > len(m.pageBits) {
+		m.pageBits = slices.Grow(m.pageBits, n-len(m.pageBits))[:n]
+		m.slotCost = slices.Grow(m.slotCost, n/ppb-len(m.slotCost))[:n/ppb]
+		m.borrowed = slices.Grow(m.borrowed, bitset.Words(n)-len(m.borrowed))[:bitset.Words(n)]
 	}
-	c.bits[pi] = pageBits
-	c.live++
-	c.cost[pi/m.pages.ppb] += int32(m.costOf(pageBits, borrowed))
+	if borrowed {
+		bitset.Set(m.borrowed, p)
+	}
+	m.pageBits[p] = pageBits
+	m.slotCost[p/ppb] += int32(m.costOf(pageBits, borrowed))
 }
 
 // mmap maps fresh memory from the kernel and records page metadata. The
@@ -369,35 +278,11 @@ func (m *poolMemory) ReleaseBlock(b core.BlockMem) {
 		// memory. The budget charge stays deducted — under compensation a
 		// fully failed block charged (near) zero to begin with, and in
 		// uncompensated runs the lost allowance is the §6.2 heap shrinkage
-		// under study — but the slot's page metadata is released: retired
-		// virtual addresses are never reused, and long wear-out runs would
-		// otherwise grow the metadata tables unboundedly.
-		m.retire(b.Base)
+		// under study.
 		return
 	}
 	m.budgetBytes += m.blockCost(b.Base)
 	m.blockSlots = append(m.blockSlots, b.Base)
-}
-
-// retire drops the page metadata of a permanently dead block slot, freeing
-// any chunk whose mapped pages are all gone.
-func (m *poolMemory) retire(base heap.Addr) {
-	m.retiredBlocks++
-	for p := 0; p < m.pagesPerBlock(); p++ {
-		ci, pi := m.pages.split(base + heap.Addr(p*failmap.PageSize))
-		c := m.pages.chunk(ci)
-		if c == nil || !bitset.Get(c.mapped, pi) {
-			continue
-		}
-		bitset.Clear(c.mapped, pi)
-		bitset.Clear(c.borrowed, pi)
-		c.bits[pi] = 0
-		c.cost[pi/m.pages.ppb] = 0
-		c.live--
-		if c.live == 0 {
-			m.pages.chunks[ci] = nil
-		}
-	}
 }
 
 func (m *poolMemory) AcquirePages(n int, perfect bool) (heap.Addr, bool, error) {
@@ -496,18 +381,17 @@ func (m *poolMemory) release(base heap.Addr, pages int) {
 func (m *poolMemory) NoteFailure(vaddr heap.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ci, pi := m.pages.split(vaddr &^ (failmap.PageSize - 1))
-	c := m.pages.chunk(ci)
-	if c == nil || !bitset.Get(c.mapped, pi) {
+	p := vpn(vaddr)
+	if p >= len(m.pageBits) {
 		return
 	}
 	line := uint(vaddr%failmap.PageSize) / failmap.LineSize
-	if c.bits[pi]&(1<<line) != 0 {
+	if m.pageBits[p]&(1<<line) != 0 {
 		return
 	}
-	c.bits[pi] |= 1 << line
-	if m.compensate && !bitset.Get(c.borrowed, pi) {
-		c.cost[pi/m.pages.ppb] -= failmap.LineSize
+	m.pageBits[p] |= 1 << line
+	if m.compensate && !bitset.Get(m.borrowed, p) {
+		m.slotCost[p/m.pagesPerBlock()] -= failmap.LineSize
 	}
 }
 
@@ -516,17 +400,14 @@ func (m *poolMemory) NoteFailure(vaddr heap.Addr) {
 func (m *poolMemory) NoteRemap(vaddr heap.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ci, pi := m.pages.split(vaddr &^ (failmap.PageSize - 1))
-	c := m.pages.chunk(ci)
-	if c == nil || !bitset.Get(c.mapped, pi) {
+	p := vpn(vaddr)
+	if p >= len(m.pageBits) || m.pageBits[p] == 0 {
 		return
 	}
-	if c.bits[pi] != 0 {
-		if m.compensate && !bitset.Get(c.borrowed, pi) {
-			c.cost[pi/m.pages.ppb] += int32(bits.OnesCount64(c.bits[pi]) * failmap.LineSize)
-		}
-		c.bits[pi] = 0
+	if m.compensate && !bitset.Get(m.borrowed, p) {
+		m.slotCost[p/m.pagesPerBlock()] += int32(bits.OnesCount64(m.pageBits[p]) * failmap.LineSize)
 	}
+	m.pageBits[p] = 0
 }
 
 // FreeBudgetPages reports the remaining allowance in whole pages.

@@ -208,14 +208,14 @@ func fullyFailed(size int) *failmap.Map {
 	return fm
 }
 
-func TestPoolRetiredBlockMetadataReclaimed(t *testing.T) {
-	// Retire far more blocks than one metadata chunk covers: the pool must
-	// release the dead ranges' page metadata rather than grow it without
-	// bound (the budget charge stays deducted — that shrinkage is the
-	// wear-out effect under study).
-	m, _ := poolUnderTest(t, 16<<20, 0, false)
-	const retired = 256 // 2048 pages = several metadata chunks
-	dead := fullyFailed(32 << 10)
+// A block whose every line failed is retired, not recycled: it never
+// re-enters the pool and its charge stays deducted (that shrinkage is the
+// wear-out effect under study). A block mapped after mass retirement is
+// fresh and charged a whole clean block.
+func TestPoolRetiredBlocksStayOut(t *testing.T) {
+	const heapBytes, retired = 16 << 20, 256 // 2048 pages of retired blocks
+	m, _ := poolUnderTest(t, heapBytes, 0, true)
+	dead := fullyFailed(blockSize)
 	for i := 0; i < retired; i++ {
 		b, err := m.AcquireBlock(false)
 		if err != nil {
@@ -224,21 +224,22 @@ func TestPoolRetiredBlockMetadataReclaimed(t *testing.T) {
 		b.Fail = dead
 		m.ReleaseBlock(b)
 	}
-	if m.retiredBlocks != retired {
-		t.Fatalf("retiredBlocks = %d, want %d", m.retiredBlocks, retired)
-	}
 	if m.PoolPages() != 0 {
 		t.Fatalf("retired blocks re-entered the pool: PoolPages = %d", m.PoolPages())
 	}
-	if got := m.pages.liveChunks(); got != 0 {
-		t.Fatalf("page metadata leaked: %d live chunks after retiring every mapping, want 0", got)
+	left := (heapBytes - retired*blockSize) / failmap.PageSize
+	if got := m.FreeBudgetPages(); got != left {
+		t.Fatalf("budget after retirement = %d pages, want %d", got, left)
 	}
-	// Fresh mappings after mass retirement still get metadata.
-	if _, err := m.AcquireBlock(false); err != nil {
+	b, err := m.AcquireBlock(false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.pages.liveChunks(); got != 1 {
-		t.Fatalf("live chunks after one fresh block = %d, want 1", got)
+	if !b.Fresh || b.Fail != nil {
+		t.Fatalf("block after mass retirement: fresh=%v, failure map %v; want a fresh clean block", b.Fresh, b.Fail)
+	}
+	if got := left - m.FreeBudgetPages(); got != blockSize/failmap.PageSize {
+		t.Fatalf("fresh block charged %d pages, want %d", got, blockSize/failmap.PageSize)
 	}
 }
 
@@ -293,9 +294,10 @@ func TestPoolSlotSelectionOrder(t *testing.T) {
 	}
 }
 
-// useVirtualSpace maps and releases a page at a time, the way a runtime
-// that never reuses virtual addresses uses them up, until fewer than left
-// bytes of k's virtual space remain.
+// useVirtualSpace walks k's virtual cursor up, the way a runtime that
+// never reuses virtual addresses uses them up, until fewer than left bytes
+// of k's virtual space remain: it maps a page, then skips to the widest
+// power-of-two boundary that still leaves left bytes, a few frames in all.
 func useVirtualSpace(t *testing.T, k *kernel.Kernel, left uint64) {
 	t.Helper()
 	for {
@@ -303,10 +305,15 @@ func useVirtualSpace(t *testing.T, k *kernel.Kernel, left uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.Release(r)
-		if k.VirtualLimit()-(r.Base+uint64(r.Size())) < left {
+		end := r.Base + uint64(r.Size())
+		if k.VirtualLimit()-end < left {
 			return
 		}
+		align := uint64(failmap.PageSize)
+		for (end+2*align-1)&^(2*align-1) <= k.VirtualLimit()-left {
+			align *= 2
+		}
+		k.AlignVirtual(align)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 
 // engineLeaves is the closed list of functions that may read the cached
 // VM.threaded bool (see the engine doc comment for why each is a branch and
-// not a method): the store and allocation leaves, the per-operation poll,
-// the accessor and the constructor. Everything else goes through v.eng.
+// not a method): the store and allocation leaves, the per-operation poll
+// and the constructor. Everything else goes through v.eng.
 var engineLeaves = map[string]bool{
 	"VM.barrier": true, "VM.refStore": true, "VM.writeback": true, "VM.allocGuarded": true,
-	"Mutator.Safepoint": true, "VM.Threaded": true, "New": true,
+	"Mutator.Safepoint": true, "New": true,
 }
 
 // engineState is what belongs to one engine and must not drift back onto

@@ -100,18 +100,15 @@ func (tw *bytesTwin) wearTo(i int, total uint64) {
 }
 
 // fill runs the case's fills, through SetArrayBytes when batched and
-// through a SetArrayByte loop otherwise: on the VM's own entry points on
-// the baton engine, on a mutator inside RunMutators on the threaded one.
+// through a SetArrayByte loop otherwise: on mutator 0 directly on the
+// baton engine, inside RunMutators on the threaded one.
 func (tw *bytesTwin) fill(c bytesCase, batched bool) {
 	n := c.n
 	if n == 0 {
 		n = c.blobLen - c.start
 	}
 	src := make([]byte, n)
-	store := func(api interface {
-		SetArrayByte(heap.Addr, int, byte)
-		SetArrayBytes(heap.Addr, int, []byte)
-	}) {
+	store := func(api *Mutator) {
 		for f := range max(c.fills, 1) {
 			for j := range src {
 				src[j] = byte(31*f + 7*j)
@@ -125,8 +122,8 @@ func (tw *bytesTwin) fill(c bytesCase, batched bool) {
 			}
 		}
 	}
-	if !tw.tv.Threaded() {
-		store(tw.tv.VM)
+	if !tw.tv.threaded {
+		store(tw.tv.Mutator0())
 		return
 	}
 	if err := tw.tv.RunMutators(1, func(m *Mutator, _ func()) error { store(m); return nil }); err != nil {
@@ -235,7 +232,8 @@ func (tw *bytesTwin) heapBytes(c bytesCase) []byte {
 func TestSetArrayBytesAllocatesNothing(t *testing.T) {
 	tw := newBytesTwin(t, bytesCase{blobLen: 12000}, false)
 	src := make([]byte, 12000)
-	if n := testing.AllocsPerRun(20, func() { tw.tv.SetArrayBytes(tw.blob, 0, src) }); n != 0 {
+	m := tw.tv.Mutator0()
+	if n := testing.AllocsPerRun(20, func() { m.SetArrayBytes(tw.blob, 0, src) }); n != 0 {
 		t.Fatalf("a 12000-byte fill allocated %v times", n)
 	}
 }

@@ -322,9 +322,6 @@ func (v *VM) GCCycles() stats.Cycles { return v.plan.Stats().TotalGCCycles }
 // DNF at this heap size.
 func (v *VM) OOM() bool { return v.oom.Load() }
 
-// Threaded reports whether the VM runs the threaded execution engine.
-func (v *VM) Threaded() bool { return v.threaded }
-
 // Roots exposes the root set (verifiers walk the heap from it).
 func (v *VM) Roots() *core.RootSet { return v.roots }
 
@@ -558,15 +555,6 @@ func (v *VM) ArrayByte(arr heap.Addr, i int) byte { return v.primary.ArrayByte(a
 
 // SetArrayByte stores byte i of a scalar byte array.
 func (v *VM) SetArrayByte(arr heap.Addr, i int, b byte) { v.primary.SetArrayByte(arr, i, b) }
-
-// SetArrayBytes stores src into bytes i.. of a scalar byte array.
-func (v *VM) SetArrayBytes(arr heap.Addr, i int, src []byte) { v.primary.SetArrayBytes(arr, i, src) }
-
-// ArrayLen returns the element count of the array at arr.
-func (v *VM) ArrayLen(arr heap.Addr) int { return v.primary.ArrayLen(arr) }
-
-// Work charges n units of application compute to the cost model.
-func (v *VM) Work(n int) { v.primary.Work(n) }
 
 // barrier dispatches the generational write barrier: the baton engine uses
 // the plan's serial barrier, the threaded engine the CAS-claiming
