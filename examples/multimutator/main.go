@@ -64,7 +64,7 @@ func main() {
 		}
 		pageOff := int(uint64(a)-r.Base) / wearmem.PageSize
 		lineOff := (int(uint64(a)-r.Base) % wearmem.PageSize) / wearmem.LineSize
-		kern.InjectDynamicFailure(r, pageOff, lineOff, nil)
+		kern.InjectDynamicFailure(r, pageOff, lineOff)
 		injected = true
 		fmt.Printf("injected: line failure under reader node %d (vaddr %#x)\n", chainLen/2, uint64(a))
 	}

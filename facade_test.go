@@ -207,13 +207,15 @@ func TestFacadeEntryPointsReached(t *testing.T) {
 	}
 }
 
-// testOnlyEntryPoints are the exported internal/ funcs and methods that
-// stay although only tests name them, keyed as TestInternalEntryPointsReached
-// reports them. Each is one of four kinds: a method the standard library
-// calls through an interface, a reference implementation tests compare
-// against, a test observable several packages' tests read, or an arraylet
-// entry point awaiting the keep-or-delete measurement.
-var testOnlyEntryPoints = map[string]string{
+// testOnly lists what under internal/ stays although no program reaches
+// it, keyed as TestInternalEntryPointsReached reports it: pkg.Func,
+// pkg.Type.Method, pkg.Name for a package-level const, var or type, and
+// pkg.Type.Field for a field. Each is one of six kinds: a method the
+// standard library calls through an interface, a reference implementation
+// tests compare against, a test observable several packages' tests read,
+// a negative control, state a test reads as evidence, or an arraylet entry
+// point awaiting the keep-or-delete measurement.
+var testOnly = map[string]string{
 	// Called by the standard library through an interface.
 	"sched.Panic.Unwrap":         "errors.Is and errors.As unwrap a mutator panic",
 	"harness.Cell.MarshalJSON":   "encoding/json writes a report cell",
@@ -233,6 +235,16 @@ var testOnlyEntryPoints = map[string]string{
 	"failmap.Map.SetLineFailed":  "builds injected maps in core, kernel, vm, verify and chaos tests",
 	"pcm.Device.WriteCount":      "per-line wear that pcm and vm tests read",
 
+	// Negative controls: tests cripple a checker with these and prove it
+	// then misses a planted bug.
+	"verify.Options.SkipGraph":      "TestHeapPlantedFindings: each graph finding goes with the walk",
+	"verify.Options.SkipBuffer":     "TestHeapPlantedFindings: each buffer finding goes with the check",
+	"chaos.Options.SkipKernelTable": "TestBreakSilentTaint: a crippled campaign verifier misses a silent taint",
+
+	// State tests read as evidence.
+	"kernel.RecoverStats.PolicyRestored": "the policy tests and FuzzRecoverImage read it as proof policy state came back",
+	"heap.offHeap":                       "which backing the build chose, read by the heap tests",
+
 	// Arraylets (§3.3.3), pending the measured keep-or-delete of ROADMAP
 	// item 2; bench/ already names their cost, stats.EvArrayletHop.
 	"vm.VM.NewDiscontiguousBytes": "arraylet allocation",
@@ -240,83 +252,262 @@ var testOnlyEntryPoints = map[string]string{
 	"vm.VM.SetDiscontiguousByte":  "arraylet element write",
 }
 
-// Every exported func and method declared in a non-test file under
-// internal/ must be reached by a non-test file of the module: a call, a
-// method value or expression, or a reference from another package, a
-// command, an example or bench/. The module's non-test files are
-// type-checked, so each name resolves to the func or method it denotes: a
-// method of one type is not reached through a same-named method of
-// another. A method also counts as reached when its receiver implements an
-// interface whose same-named method a non-test file selects. An entry
-// point only tests reach is code kept compiling with no program depending
-// on it: delete it, or record why it stays in testOnlyEntryPoints.
+// Everything declared in a non-test file under internal/ must be reached by
+// a non-test file of the module — a command, an example, bench/ or the
+// runtime itself:
+//   - a func or method must be called, taken as a value or referenced; a
+//     method also counts as reached when its receiver implements an
+//     interface whose same-named method a non-test file selects;
+//   - a package-level const, var or type must be used;
+//   - a struct field a non-test file writes (a keyed composite literal or
+//     a plain assignment; an inc/dec or op= reads the field as well) must
+//     be read; a field with a json tag is exempt, encoding/json reads it;
+//   - an exported field of an exported struct that a non-test file reads
+//     must be set: by a keyed or positional literal, an assignment, &x.F, a
+//     method call on x.F, or encoding/json decoding a value that holds it.
+//
+// The module's non-test files are type-checked, so each name resolves to
+// the object it denotes: a method of one type is not reached through a
+// same-named method of another. What only tests reach is code and state
+// kept compiling with no program depending on it: delete it, or record why
+// it stays in testOnly.
 func TestInternalEntryPointsReached(t *testing.T) {
 	fset, files := parseModule(t)
 	info := typeCheck(t, fset, files)
-	reached := map[*types.Func]bool{}
-	selected := map[string][]*types.Interface{} // interface methods selected, by name
-	for _, obj := range info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok || reached[fn.Origin()] {
-			continue
-		}
-		fn = fn.Origin()
-		reached[fn] = true
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
-				selected[fn.Name()] = append(selected[fn.Name()], iface)
-			}
-		}
-	}
-	// The method set of *T holds T's methods too, so *T answers for both.
-	implemented := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		for _, iface := range selected[fn.Name()] {
-			if types.Implements(types.NewPointer(recv), iface) {
-				return true
-			}
-		}
-		return false
-	}
-	var unreached []string
+	u := usesOf(info, files)
+	broken := map[string]string{} // key → the clause it breaks
 	seen := map[string]bool{}
+	check := func(key string, ok bool, clause string) {
+		seen[key] = true
+		switch _, listed := testOnly[key]; {
+		case listed && ok:
+			t.Errorf("%s is reached by a program now: drop it from testOnly", key)
+		case !listed && !ok:
+			broken[key] = clause
+		}
+	}
 	for _, g := range files {
 		if g.test || !strings.HasPrefix(g.path, "internal/") {
 			continue
 		}
 		pkg := strings.TrimPrefix(g.pkgDir(), "internal/")
 		for _, decl := range g.ast.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || !d.Name.IsExported() {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.Name == "init" {
+					continue
+				}
+				fn := info.Defs[d.Name].(*types.Func)
+				if d.Recv == nil {
+					check(pkg+"."+d.Name.Name, u.used[fn], "only tests reach it")
+				} else {
+					check(pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name,
+						u.used[fn] || u.implemented(fn), "only tests reach it")
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.Name != "_" {
+								check(pkg+"."+n.Name, u.used[info.Defs[n]], "only tests use it")
+							}
+						}
+					case *ast.TypeSpec:
+						check(pkg+"."+s.Name.Name, u.used[info.Defs[s.Name]], "only tests use it")
+						st, ok := s.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, f := range st.Fields.List {
+							json := f.Tag != nil && strings.Contains(f.Tag.Value, `json:`)
+							for _, n := range f.Names {
+								if n.Name == "_" {
+									continue
+								}
+								v, key := info.Defs[n], pkg+"."+s.Name.Name+"."+n.Name
+								switch {
+								case u.written[v] && !u.read[v] && !json:
+									check(key, false, "written, never read")
+								case s.Name.IsExported() && n.IsExported() && u.read[v] && !u.set[v]:
+									check(key, false, "read, never set")
+								default:
+									check(key, true, "")
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range testOnly {
+		if !seen[key] {
+			t.Errorf("testOnly lists %s, which no internal/ file declares", key)
+		}
+	}
+	if len(broken) > 0 {
+		keys := make([]string, 0, len(broken))
+		for key := range broken {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			t.Errorf("%s: %s", key, broken[key])
+		}
+		t.Errorf("%d internal/ declarations only tests reach", len(broken))
+	}
+}
+
+// usage is what the module's non-test files do with each object.
+type usage struct {
+	used     map[types.Object]bool // named anywhere but its declaration
+	written  map[types.Object]bool // fields: a keyed literal, a plain assignment
+	read     map[types.Object]bool // fields: any other use
+	set      map[types.Object]bool // fields: written, or the other ways a value lands
+	selected map[string][]*types.Interface
+}
+
+// usesOf classifies every use of an object in the module's non-test files.
+func usesOf(info *types.Info, files []goFile) *usage {
+	u := &usage{used: map[types.Object]bool{}, written: map[types.Object]bool{},
+		read: map[types.Object]bool{}, set: map[types.Object]bool{},
+		selected: map[string][]*types.Interface{}}
+	writes := map[*ast.Ident]bool{} // field names in a write position
+	sets := map[*ast.Ident]bool{}   // field names set some other way
+	setAll := func(typ types.Type) {
+		if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		if st, ok := typ.Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				u.set[st.Field(i).Origin()] = true
+			}
+		}
+	}
+	decoded := map[types.Type]bool{}
+	var decode func(types.Type)
+	decode = func(typ types.Type) {
+		if decoded[typ] {
+			return
+		}
+		decoded[typ] = true
+		switch x := typ.Underlying().(type) {
+		case *types.Pointer:
+			decode(x.Elem())
+		case *types.Slice:
+			decode(x.Elem())
+		case *types.Array:
+			decode(x.Elem())
+		case *types.Map:
+			decode(x.Elem())
+		case *types.Struct:
+			for i := range x.NumFields() {
+				if f := x.Field(i); f.Exported() {
+					u.set[f.Origin()] = true
+					decode(f.Type())
+				}
+			}
+		}
+	}
+	sel := func(x ast.Expr) *ast.Ident {
+		if s, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			return s.Sel
+		}
+		return nil
+	}
+	for _, g := range files {
+		if g.test {
+			continue
+		}
+		ast.Inspect(g.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				keyed := false
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						keyed = true
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+				if !keyed && len(n.Elts) > 0 {
+					setAll(info.TypeOf(n))
+				}
+			case *ast.AssignStmt:
+				// x.F op= v reads x.F as well as setting it.
+				plain := n.Tok == token.ASSIGN || n.Tok == token.DEFINE
+				for _, x := range n.Lhs {
+					if id := sel(x); id != nil {
+						writes[id], sets[id] = plain, true
+					}
+				}
+			case *ast.IncDecStmt:
+				if id := sel(n.X); id != nil {
+					sets[id] = true // and reads it, like op=
+				}
+			case *ast.UnaryExpr:
+				if id := sel(n.X); id != nil && n.Op == token.AND {
+					sets[id] = true
+				}
+			case *ast.CallExpr:
+				if fn, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					if id := sel(fn.X); id != nil {
+						sets[id] = true
+					}
+					if callee, ok := info.Uses[fn.Sel].(*types.Func); ok && callee.Pkg() != nil &&
+						callee.Pkg().Path() == "encoding/json" && (callee.Name() == "Unmarshal" || callee.Name() == "Decode") {
+						decode(info.TypeOf(n.Args[len(n.Args)-1]))
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			fn := o.Origin()
+			u.used[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					u.selected[fn.Name()] = append(u.selected[fn.Name()], iface)
+				}
+			}
+		case *types.Var:
+			if !o.IsField() {
+				u.used[o] = true
 				continue
 			}
-			fn := info.Defs[d.Name].(*types.Func)
-			key, ok := pkg+"."+d.Name.Name, reached[fn]
-			if d.Recv != nil {
-				key, ok = pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name, ok || implemented(fn)
+			f := o.Origin()
+			if writes[id] {
+				u.written[f], u.set[f] = true, true
+			} else {
+				u.read[f] = true
+				u.set[f] = u.set[f] || sets[id]
 			}
-			seen[key] = true
-			switch _, listed := testOnlyEntryPoints[key]; {
-			case listed && ok:
-				t.Errorf("%s is reached by a program now: drop it from testOnlyEntryPoints", key)
-			case !listed && !ok:
-				unreached = append(unreached, key)
-			}
+		default:
+			u.used[obj] = true
 		}
 	}
-	for key := range testOnlyEntryPoints {
-		if !seen[key] {
-			t.Errorf("testOnlyEntryPoints lists %s, which no internal/ file declares", key)
+	return u
+}
+
+// implemented reports whether a method's receiver implements an interface
+// whose same-named method a non-test file selects. The method set of *T
+// holds T's methods too, so *T answers for both.
+func (u *usage) implemented(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	for _, iface := range u.selected[fn.Name()] {
+		if types.Implements(types.NewPointer(recv), iface) {
+			return true
 		}
 	}
-	if len(unreached) > 0 {
-		sort.Strings(unreached)
-		t.Errorf("%d internal/ entry points only tests reach: %s",
-			len(unreached), strings.Join(unreached, ", "))
-	}
+	return false
 }
 
 // typeCheck type-checks every non-test package of the module, each once:
@@ -330,7 +521,8 @@ func typeCheck(t *testing.T, fset *token.FileSet, files []goFile) *types.Info {
 		std:   importer.ForCompiler(fset, "source", nil),
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}},
 	}
 	for _, g := range files {
 		if !g.test {

@@ -204,7 +204,6 @@ func (c Campaign) Schedule() []string {
 // Fired records one event that actually triggered, with what it did.
 type Fired struct {
 	Event  Event
-	Addr   uint64
 	Effect string
 }
 
@@ -274,7 +273,7 @@ func (in *Injector) Hook(p probe.Point, addr uint64) {
 		in.depth++
 		effect := in.perform(e, addr)
 		in.depth--
-		in.Log = append(in.Log, Fired{Event: e, Addr: addr, Effect: effect})
+		in.Log = append(in.Log, Fired{Event: e, Effect: effect})
 	}
 }
 

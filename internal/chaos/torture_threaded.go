@@ -53,7 +53,7 @@ func (r *campaignRun) threadedHook() probe.Hook {
 			effect := r.in.perform(d.e, d.addr)
 			mu.Lock()
 			r.in.depth--
-			r.in.Log = append(r.in.Log, Fired{Event: d.e, Addr: d.addr, Effect: effect})
+			r.in.Log = append(r.in.Log, Fired{Event: d.e, Effect: effect})
 			mu.Unlock()
 		}
 		if r.in.powerGone() {

@@ -39,9 +39,7 @@ type block struct {
 	failedLines int  // permanently failed lines
 	holes       int  // maximal runs of available lines after the last sweep
 	evacuate    bool // defragmentation candidate for the current collection
-	perfect     bool // no failed lines
 	inRecycle   bool // currently on the recycled list
-	inFree      bool // currently on the local free list
 	// fresh is set while no line has been offered twice since the memory
 	// was mapped fresh (BlockMem.Fresh): every byte the allocator hands out
 	// is still zero. The first sweep, or a failed line coming back, ends it.
@@ -90,7 +88,6 @@ func newBlock(mem BlockMem, blockSize, lineSize int) *block {
 		avail:  make([]uint64, w),
 	}
 	b.failed, b.failedLines = failedUnits(mem.Fail, lineSize, n)
-	b.perfect = b.failedLines == 0
 	b.freeLines = n - b.failedLines
 	bitset.SetRange(b.avail, 0, n)
 	for i, f := range b.failed {
@@ -263,6 +260,5 @@ func (b *block) failLine(line int) (wasLive bool) {
 		bitset.Clear(b.avail, line)
 		b.freeLines--
 	}
-	b.perfect = false
 	return wasLive
 }

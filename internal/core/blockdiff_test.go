@@ -27,7 +27,6 @@ type refBlock struct {
 	freeLines   int
 	failedLines int
 	holes       int
-	perfect     bool
 }
 
 func newRefBlock(mem BlockMem, blockSize, lineSize int) *refBlock {
@@ -37,13 +36,11 @@ func newRefBlock(mem BlockMem, blockSize, lineSize int) *refBlock {
 		lineEpoch: make([]uint16, n),
 		failed:    make([]bool, n),
 		avail:     make([]bool, n),
-		perfect:   true,
 	}
 	for i := 0; i < n; i++ {
 		if mem.Fail != nil && mem.Fail.AnyFailedIn(i*lineSize, lineSize) {
 			b.failed[i] = true
 			b.failedLines++
-			b.perfect = false
 		} else {
 			b.avail[i] = true
 			b.freeLines++
@@ -140,7 +137,6 @@ func (b *refBlock) failLine(line int) (wasLive bool) {
 		b.avail[line] = false
 		b.freeLines--
 	}
-	b.perfect = false
 	return wasLive
 }
 
@@ -151,9 +147,6 @@ func compareBlocks(t *testing.T, tag string, b *block, ref *refBlock, epoch uint
 	if b.freeLines != ref.freeLines || b.failedLines != ref.failedLines {
 		t.Fatalf("%s: counts free=%d/%d failed=%d/%d",
 			tag, b.freeLines, ref.freeLines, b.failedLines, ref.failedLines)
-	}
-	if b.perfect != ref.perfect {
-		t.Fatalf("%s: perfect=%v ref=%v", tag, b.perfect, ref.perfect)
 	}
 	if b.usable() != ref.usable() {
 		t.Fatalf("%s: usable=%v ref=%v", tag, b.usable(), ref.usable())
@@ -319,12 +312,13 @@ func TestNewBlockVisitsOnlyFailedLines(t *testing.T) {
 func TestNewMSBlockVisitsOnlyFailedLines(t *testing.T) {
 	const blockSize = 32 << 10
 	for class, cs := range sizeClasses {
+		cells := blockSize / cs
 		for _, rate := range []float64{0, 0.01, 0.1, 0.5, 1} {
 			rng := rand.New(rand.NewSource(int64(cs) + int64(rate*100)))
 			mem := BlockMem{Fail: failMapAt(blockSize, rate, rng)}
 			b := newMSBlock(mem, blockSize, class)
 			usableN := 0
-			for i := 0; i < blockSize/cs; i++ {
+			for i := 0; i < cells; i++ {
 				want := !mem.Fail.AnyFailedIn(i*cs, cs)
 				if want {
 					usableN++
@@ -333,15 +327,15 @@ func TestNewMSBlockVisitsOnlyFailedLines(t *testing.T) {
 					t.Fatalf("class %d rate %v: cell %d usable=%v, per-cell AnyFailedIn says %v", cs, rate, i, got, want)
 				}
 			}
-			if b.usableN != usableN || b.freeN != usableN || b.cells != blockSize/cs {
+			if b.usableN != usableN || b.freeN != usableN {
 				t.Fatalf("class %d rate %v: usableN=%d freeN=%d, want %d", cs, rate, b.usableN, b.freeN, usableN)
 			}
-			if tail := b.usable[b.words-1] &^ bitset.TailMask(b.cells); tail != 0 {
+			if tail := b.usable[b.words-1] &^ bitset.TailMask(cells); tail != 0 {
 				t.Fatalf("class %d rate %v: usable bits %#x past the last cell", cs, rate, tail)
 			}
 		}
-		if b := newMSBlock(BlockMem{}, blockSize, class); b.usableN != b.cells || bitset.Count(b.usable, 0, 64*b.words) != b.cells {
-			t.Fatalf("class %d without a map: %d of %d cells usable", cs, b.usableN, b.cells)
+		if b := newMSBlock(BlockMem{}, blockSize, class); b.usableN != cells || bitset.Count(b.usable, 0, 64*b.words) != cells {
+			t.Fatalf("class %d without a map: %d of %d cells usable", cs, b.usableN, cells)
 		}
 	}
 }

@@ -148,9 +148,6 @@ type GCStats struct {
 	// whether by the opportunistic defragmentation policy or by a dynamic
 	// line failure.
 	BlocksDefragmented int
-	// LastGCCycles is the simulated duration of the most recent
-	// collection, the paper's §4.2 failure-handling cost estimate.
-	LastGCCycles stats.Cycles
 	// MaxGCCycles is the worst observed collection duration.
 	MaxGCCycles stats.Cycles
 	// TotalGCCycles accumulates time spent collecting.
@@ -208,7 +205,6 @@ type GCStats struct {
 // worst *pause* rather than the worst cycle — exactly the quantity a pause
 // budget bounds.
 func (g *GCStats) recordPause(c stats.Cycles) {
-	g.LastGCCycles = c
 	g.TotalGCCycles += c
 	if c > g.MaxGCCycles {
 		g.MaxGCCycles = c

@@ -324,7 +324,6 @@ func (ix *Immix) popFree(forGC bool) *block {
 	for len(ix.free) > reserve {
 		b := ix.free[len(ix.free)-1]
 		ix.free = ix.free[:len(ix.free)-1]
-		b.inFree = false
 		if b.freeLines > 0 {
 			return b
 		}
@@ -719,7 +718,6 @@ func (ix *Immix) sweep(nursery bool, workers int) int {
 		case avail == 0:
 			// Fully occupied: off the lists until something dies.
 		case avail == b.lines-b.failedLines && !stuck:
-			b.inFree = true
 			ix.free = append(ix.free, b)
 		default:
 			b.inRecycle = true
@@ -733,7 +731,6 @@ func (ix *Immix) sweep(nursery bool, workers int) int {
 	for len(ix.free) > ix.cfg.HeadroomBlocks {
 		b := ix.free[len(ix.free)-1]
 		ix.free = ix.free[:len(ix.free)-1]
-		b.inFree = false
 		releases = append(releases, b)
 	}
 	for _, b := range releases {
@@ -754,7 +751,6 @@ func (ix *Immix) sweepBlock(clk *stats.Clock, b *block) int {
 	before := b.freeLines
 	avail := b.sweep(ix.epoch)
 	b.inRecycle = false
-	b.inFree = false
 	if avail > before {
 		return (avail - before) * ix.cfg.LineSize
 	}
@@ -834,9 +830,6 @@ func (ix *Immix) UnfailPage(vaddr heap.Addr) {
 			b.freeLines++
 			b.fresh = false // the line may already have been handed out
 		}
-	}
-	if b.failedLines == 0 {
-		b.perfect = true
 	}
 }
 

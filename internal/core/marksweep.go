@@ -25,7 +25,6 @@ type msBlock struct {
 	mem       BlockMem
 	class     int
 	cellSize  int
-	cells     int
 	words     int
 	allocated []uint64
 	usable    []uint64 // cleared for cells overlapping failed lines
@@ -41,7 +40,6 @@ func newMSBlock(mem BlockMem, blockSize, class int) *msBlock {
 		mem:       mem,
 		class:     class,
 		cellSize:  cs,
-		cells:     n,
 		words:     bitset.Words(n),
 		allocated: make([]uint64, bitset.Words(n)),
 	}
@@ -373,16 +371,4 @@ func (ms *MarkSweep) sweep(nursery bool) int {
 	ms.deadpool = ms.deadpool[:0]
 	ms.los.sweep(ms.epoch, !nursery)
 	return freed
-}
-
-// blockOf returns the mark-sweep block containing a, or nil (diagnostic
-// helper; the hot paths never need address lookup because mark-sweep does
-// not move or span-check objects).
-func (ms *MarkSweep) blockOf(a heap.Addr) *msBlock {
-	for base, b := range ms.blockTable {
-		if a >= base && a < base+heap.Addr(ms.cfg.BlockSize) {
-			return b
-		}
-	}
-	return nil
 }

@@ -75,7 +75,12 @@ func TestMarkSweepSkipsFailedCells(t *testing.T) {
 	ms := e.plan.(*MarkSweep)
 	for i := 0; i < 4000; i++ {
 		a := e.alloc(e.blob, heap.ArraySize(e.blob, 100), 100)
-		b := ms.blockOf(a)
+		var b *msBlock
+		for base, mb := range ms.blockTable {
+			if a >= base && a < base+heap.Addr(ms.cfg.BlockSize) {
+				b = mb
+			}
+		}
 		if b == nil || b.mem.Fail == nil {
 			continue
 		}

@@ -461,7 +461,6 @@ func (ix *Immix) ensureEvacHeadroom() {
 			return
 		}
 		ix.mu.Lock()
-		b.inFree = true
 		ix.free = append(ix.free, b)
 		ix.mu.Unlock()
 	}

@@ -2,25 +2,32 @@ package core
 
 import "wearmem/internal/verify"
 
-// BlockViews converts the Immix line states into the plain-data form the
-// production heap verifier consumes (the same classification InspectBlocks
-// renders). core depends on verify — not the reverse — so the in-package
-// collector tests and the torture harness drive one shared checker.
+// BlockViews renders every Immix block's line states, address-ordered, in
+// the plain-data form the production heap verifier consumes: the view
+// Fig. 2 draws, one verify glyph a line. core depends on verify — not the
+// reverse — so the in-package collector tests and the torture harness
+// drive one shared checker.
 func (ix *Immix) BlockViews() []verify.BlockView {
-	infos := ix.InspectBlocks()
-	out := make([]verify.BlockView, len(infos))
-	for i, info := range infos {
+	out := make([]verify.BlockView, len(ix.blocks.all))
+	for i, b := range ix.blocks.all {
 		v := verify.BlockView{
-			Base:      info.Base,
+			Base:      uint64(b.mem.Base),
 			LineSize:  ix.cfg.LineSize,
-			FreeLines: info.FreeLines,
-			Failed:    info.Failed,
-			Holes:     info.Holes,
-			Evacuate:  info.Evacuate,
-			States:    make([]byte, len(info.States)),
+			FreeLines: b.freeLines,
+			Failed:    b.failedLines,
+			States:    make([]byte, b.lines),
 		}
-		for l, s := range info.States {
-			v.States[l] = byte(s)
+		for l := range v.States {
+			switch {
+			case b.failedAt(l):
+				v.States[l] = verify.LineFailed
+			case b.availAt(l):
+				v.States[l] = verify.LineFree
+			case b.markedAt(l, ix.epoch):
+				v.States[l] = verify.LineLive
+			default:
+				v.States[l] = verify.LineClaimed
+			}
 		}
 		out[i] = v
 	}

@@ -50,22 +50,14 @@ func (r *Region) Frame(i int) int {
 	return f
 }
 
-// LineFailure describes one dynamic failure delivered to the runtime
-// handler: the virtual address of the failed line and the data the program
-// intended to write, preserved by the failure buffer.
-type LineFailure struct {
-	VAddr uint64
-	Data  []byte
-	// Fake marks clustering-metadata reservations rather than data loss.
-	Fake bool
-}
-
 // FailureHandler is the runtime up-call registered via
-// RegisterFailureHandler (§3.2.2). The handler must relocate affected data
-// before returning; the kernel revokes access and updates its failure table
-// before the call.
+// RegisterFailureHandler (§3.2.2), passed the virtual address of each
+// failed line. The handler must relocate affected data before returning;
+// the kernel revokes access and updates its failure table before the call.
+// The data a failed write meant to store stays in the device's failure
+// buffer, which forwards reads of it until it drains (§3.1.1).
 type FailureHandler interface {
-	HandleFailures(fails []LineFailure)
+	HandleFailures(vaddrs []uint64)
 }
 
 // Config parametrizes a Kernel.
@@ -563,7 +555,7 @@ func (k *Kernel) Device() *pcm.Device { return k.device }
 // reverse-translates the physical line to a virtual address, revokes access
 // (updating its failure table), and accumulates the up-call batch. Failures
 // on unmapped frames only update the table. The batch is delivered in one
-// up-call, passing the preserved data (§3.2.2).
+// up-call (§3.2.2).
 //
 // The table and reverse-map updates happen under mu; the up-call is
 // delivered after the lock is released, because the handler typically
@@ -573,7 +565,7 @@ func (k *Kernel) serviceDevice() {
 		return
 	}
 	k.mu.Lock()
-	var batch []LineFailure
+	var batch []uint64
 	for {
 		rec, ok := k.device.Drain()
 		if !ok {
@@ -600,14 +592,14 @@ func (k *Kernel) serviceDevice() {
 			continue
 		}
 		vaddr := rv.region.Base + uint64(rv.page)*failmap.PageSize + uint64(lineIn)*failmap.LineSize
-		batch = append(batch, LineFailure{VAddr: vaddr, Data: rec.Data, Fake: rec.Fake})
+		batch = append(batch, vaddr)
 	}
 	handler := k.handler
 	k.mu.Unlock()
 	if len(batch) > 0 && handler != nil {
 		k.charge(stats.EvUpcall)
 		if k.probe != nil {
-			k.probe(probe.OSUpcall, batch[0].VAddr)
+			k.probe(probe.OSUpcall, batch[0])
 		}
 		handler.HandleFailures(batch)
 	}
@@ -618,8 +610,9 @@ func (k *Kernel) serviceDevice() {
 // the device's failure and watermark interrupts.
 func (k *Kernel) ServiceDevice() { k.serviceDevice() }
 
-// writeRetryBudget bounds the drain-and-retry rounds WriteLine performs
-// when the device refuses writes at the failure-buffer watermark.
+// writeRetryBudget bounds the drain-and-retry rounds WriteLine and the
+// recovery scrub perform when the device refuses writes at the
+// failure-buffer watermark.
 const writeRetryBudget = 8
 
 // ErrWriteStalled reports that a line write could not complete because the
@@ -694,7 +687,7 @@ func (k *Kernel) WriteLineRepeat(vaddr uint64, data []byte, n int) bool {
 // delivers the up-call, modelling a dynamic failure without a device (used
 // by experiments that inject failures at chosen instants, mirroring §5's
 // fault-injection module).
-func (k *Kernel) InjectDynamicFailure(r *Region, page, lineInPage int, data []byte) {
+func (k *Kernel) InjectDynamicFailure(r *Region, page, lineInPage int) {
 	if page < 0 || page >= r.Pages || lineInPage < 0 || lineInPage >= failmap.LinesPerPage {
 		panic("kernel: InjectDynamicFailure out of range")
 	}
@@ -710,6 +703,6 @@ func (k *Kernel) InjectDynamicFailure(r *Region, page, lineInPage int, data []by
 	vaddr := r.Base + uint64(page)*failmap.PageSize + uint64(lineInPage)*failmap.LineSize
 	if handler != nil {
 		k.charge(stats.EvUpcall)
-		handler.HandleFailures([]LineFailure{{VAddr: vaddr, Data: data}})
+		handler.HandleFailures([]uint64{vaddr})
 	}
 }

@@ -179,11 +179,11 @@ func TestTableSizes(t *testing.T) {
 }
 
 type recordingHandler struct {
-	fails []LineFailure
+	fails []uint64
 }
 
-func (h *recordingHandler) HandleFailures(fs []LineFailure) {
-	h.fails = append(h.fails, fs...)
+func (h *recordingHandler) HandleFailures(vaddrs []uint64) {
+	h.fails = append(h.fails, vaddrs...)
 }
 
 func TestDeviceFailureUpcall(t *testing.T) {
@@ -199,7 +199,6 @@ func TestDeviceFailureUpcall(t *testing.T) {
 	// Wear out line 70 of the device: it belongs to frame 1 == virtual
 	// page 1 of the region.
 	data := make([]byte, failmap.LineSize)
-	data[0] = 0xEE
 	for i := 0; i < 3; i++ {
 		dev.Write(70, data)
 	}
@@ -207,11 +206,8 @@ func TestDeviceFailureUpcall(t *testing.T) {
 		t.Fatalf("handler got %d failures, want 1", len(h.fails))
 	}
 	want := r.Base + 1*failmap.PageSize + uint64(70%64)*failmap.LineSize
-	if h.fails[0].VAddr != want {
-		t.Fatalf("VAddr = %#x, want %#x", h.fails[0].VAddr, want)
-	}
-	if h.fails[0].Data[0] != 0xEE {
-		t.Fatal("parked data not delivered")
+	if h.fails[0] != want {
+		t.Fatalf("vaddr = %#x, want %#x", h.fails[0], want)
 	}
 	// The OS table now records the failure; MapFailures sees it.
 	fm := k.MapFailures(r)
@@ -283,14 +279,13 @@ func TestInjectDynamicFailure(t *testing.T) {
 	h := &recordingHandler{}
 	k.RegisterFailureHandler(h)
 	r, _ := k.MmapRelaxed(2)
-	data := make([]byte, failmap.LineSize)
-	k.InjectDynamicFailure(r, 1, 9, data)
+	k.InjectDynamicFailure(r, 1, 9)
 	if len(h.fails) != 1 {
 		t.Fatal("no up-call")
 	}
 	want := r.Base + failmap.PageSize + 9*failmap.LineSize
-	if h.fails[0].VAddr != want {
-		t.Fatalf("VAddr = %#x, want %#x", h.fails[0].VAddr, want)
+	if h.fails[0] != want {
+		t.Fatalf("vaddr = %#x, want %#x", h.fails[0], want)
 	}
 	if !k.MapFailures(r).LineFailed(failmap.LinesPerPage + 9) {
 		t.Fatal("table not updated")

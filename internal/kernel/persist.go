@@ -122,6 +122,6 @@ func (k *Kernel) InjectRandomDynamicFailure(rng *rand.Rand) bool {
 	if !found {
 		return false
 	}
-	k.InjectDynamicFailure(r, page, line, make([]byte, failmap.LineSize))
+	k.InjectDynamicFailure(r, page, line)
 	return true
 }

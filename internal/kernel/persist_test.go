@@ -197,10 +197,10 @@ func TestInjectRandomDynamicFailure(t *testing.T) {
 		t.Fatalf("handler saw %d failures, want 10", len(h.fails))
 	}
 	seen := map[uint64]bool{}
-	for _, f := range h.fails {
-		if seen[f.VAddr] {
+	for _, vaddr := range h.fails {
+		if seen[vaddr] {
 			t.Fatal("duplicate failure address")
 		}
-		seen[f.VAddr] = true
+		seen[vaddr] = true
 	}
 }

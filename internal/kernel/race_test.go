@@ -15,9 +15,9 @@ type lockedHandler struct {
 	fails int
 }
 
-func (h *lockedHandler) HandleFailures(fs []LineFailure) {
+func (h *lockedHandler) HandleFailures(vaddrs []uint64) {
 	h.mu.Lock()
-	h.fails += len(fs)
+	h.fails += len(vaddrs)
 	h.mu.Unlock()
 }
 

@@ -37,12 +37,6 @@ type RecoverOptions struct {
 	// the device is past usability and Recover returns ErrDeviceWornOut.
 	// Zero skips the admission check.
 	MinFrames int
-	// MaxRetries bounds the drain-and-retry rounds when a scrub write
-	// stalls at the failure-buffer watermark (default 8).
-	MaxRetries int
-	// SkipScrub disables the scrub pass (a clean shutdown has no torn
-	// cells, so a quiescent snapshot-and-restore needs no refresh).
-	SkipScrub bool
 }
 
 // RecoverStats reports what one recovery pass did.
@@ -87,9 +81,6 @@ func (k *Kernel) Recover(opt RecoverOptions) (RecoverStats, error) {
 	if k.device == nil {
 		return st, errors.New("kernel: Recover without a device")
 	}
-	if opt.MaxRetries <= 0 {
-		opt.MaxRetries = writeRetryBudget
-	}
 	k.mu.Lock()
 	mapped := k.mapped
 	k.mu.Unlock()
@@ -115,10 +106,8 @@ func (k *Kernel) Recover(opt RecoverOptions) (RecoverStats, error) {
 	// that exhausts a worn line's endurance fails it right here — recovery
 	// itself wears the device — and the resulting buffer entries drain
 	// through the normal interrupt path (table-only, nothing is mapped).
-	if !opt.SkipScrub {
-		if err := k.scrub(&st, opt.MaxRetries); err != nil {
-			return st, err
-		}
+	if err := k.scrub(&st); err != nil {
+		return st, err
 	}
 
 	// Admit: rebuild the perfect-page queue from the recovered table and
@@ -153,10 +142,10 @@ func (k *Kernel) Recover(opt RecoverOptions) (RecoverStats, error) {
 
 // scrub rewrites the working lines of every frame that carries failures,
 // reading each line back and writing it in place. Stalls at the failure
-// buffer's watermark drain and retry up to maxRetries rounds per line; a
-// line that stays stalled through the whole ladder means failures are
-// arriving faster than the OS can retire them — the device is worn out.
-func (k *Kernel) scrub(st *RecoverStats, maxRetries int) error {
+// buffer's watermark drain and retry up to writeRetryBudget rounds per
+// line; a line that stays stalled through the whole ladder means failures
+// are arriving faster than the OS can retire them — the device is worn out.
+func (k *Kernel) scrub(st *RecoverStats) error {
 	buf := make([]byte, failmap.LineSize)
 	for p := 0; p < k.pcmPages; p++ {
 		k.mu.Lock()
@@ -175,7 +164,7 @@ func (k *Kernel) scrub(st *RecoverStats, maxRetries int) error {
 			line := p*failmap.LinesPerPage + l
 			k.device.Read(line, buf)
 			wrote := false
-			for attempt := 0; attempt <= maxRetries; attempt++ {
+			for attempt := 0; attempt <= writeRetryBudget; attempt++ {
 				err := k.device.Write(line, buf)
 				if err == nil {
 					wrote = true

@@ -122,9 +122,6 @@ func HeapReference(t Target, opt Options) *Report {
 	if t.Device != nil && !opt.SkipBuffer {
 		checkBuffer(t.Device, rep)
 	}
-	if t.Contexts != nil {
-		checkMutators(t.Contexts, rep)
-	}
 	if t.Policy != nil {
 		checkPolicy(t.Policy, rep)
 	}

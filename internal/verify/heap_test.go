@@ -66,6 +66,8 @@ type planted struct {
 	policy *policyStub
 	t      verify.Target
 	opt    verify.Options
+	// contexts are two mutators' allocation contexts, for Mutators.
+	contexts []verify.ContextView
 }
 
 func (p *planted) view() *verify.BlockView { return &p.t.Views[0] }
@@ -86,10 +88,10 @@ func newPlanted() *planted {
 		Model: p.m, Roots: p.roots, Epoch: 2,
 		Views:  []verify.BlockView{{Base: 0, LineSize: 256, FreeLines: 14, States: states}},
 		Kernel: p.kern, Device: p.dev, Policy: p.policy,
-		Contexts: []verify.ContextView{
-			{ID: 0, BlockSize: 0x8000, CurBlock: 0x10000, CurCursor: 0x10100, CurLimit: 0x10200},
-			{ID: 1, BlockSize: 0x8000, CurBlock: 0x18000, CurCursor: 0x18100, CurLimit: 0x18200},
-		},
+	}
+	p.contexts = []verify.ContextView{
+		{ID: 0, BlockSize: 0x8000, CurBlock: 0x10000, CurCursor: 0x10100, CurLimit: 0x10200},
+		{ID: 1, BlockSize: 0x8000, CurBlock: 0x18000, CurCursor: 0x18100, CurLimit: 0x18200},
 	}
 	return p
 }
@@ -132,8 +134,11 @@ func finds(rep *verify.Report, invariant, detail string) bool {
 func TestHeapCleanPlantedTarget(t *testing.T) {
 	p := newPlanted()
 	rep := heapBoth(t, p.t, p.opt)
-	if !rep.Ok() || rep.Objects != 3 || rep.Checks != 7 {
+	if !rep.Ok() || rep.Objects != 3 || rep.Checks != 6 {
 		t.Fatalf("clean target: %d objects, %d checks, %v", rep.Objects, rep.Checks, rep.Err())
+	}
+	if rep := verify.Mutators(p.contexts); !rep.Ok() || rep.Checks != 1 {
+		t.Fatalf("clean contexts: %d checks, %v", rep.Checks, rep.Err())
 	}
 }
 
@@ -141,13 +146,14 @@ func TestHeapCleanPlantedTarget(t *testing.T) {
 // can record: each case plants one corruption, and the report must carry
 // the finding, equal HeapReference's, and lose the finding once the check
 // that owns it is off — its Skip option, or, for the families no option
-// turns off, the target field that enables them.
+// turns off, the target field that enables them. The mutator cases plant
+// into the contexts Mutators checks, which a caller runs or does not, so
+// they have no off switch.
 func TestHeapPlantedFindings(t *testing.T) {
 	skipGraph := func(_ *verify.Target, o *verify.Options) { o.SkipGraph = true }
 	noViews := func(t *verify.Target, _ *verify.Options) { t.Views = nil }
 	skipKernel := func(_ *verify.Target, o *verify.Options) { o.SkipKernelTable = true }
 	skipBuffer := func(_ *verify.Target, o *verify.Options) { o.SkipBuffer = true }
-	noContexts := func(t *verify.Target, _ *verify.Options) { t.Contexts = nil }
 	noPolicy := func(t *verify.Target, _ *verify.Options) { t.Policy = nil }
 	refsSlot := func(p *planted, i int) heap.Addr { return p.refs + heap.ArrayHeaderSize + heap.Addr(i*heap.WordSize) }
 
@@ -228,16 +234,16 @@ func TestHeapPlantedFindings(t *testing.T) {
 		{"buffered line still available", "buffer", "buffered line 9 is still available to software",
 			func(p *planted) { p.dev.unavailable[9] = false }, skipBuffer},
 		{"cursor beyond its limit", "mutator", "context 0 cur cursor 0x10300 beyond its limit 0x10200",
-			func(p *planted) { p.t.Contexts[0].CurCursor = 0x10300 }, noContexts},
+			func(p *planted) { p.contexts[0].CurCursor = 0x10300 }, nil},
 		{"hole outside its block", "mutator", "context 0 cur hole [0x10100,0x18100) outside its block 0x10000",
-			func(p *planted) { p.t.Contexts[0].CurLimit = 0x18100 }, noContexts},
+			func(p *planted) { p.contexts[0].CurLimit = 0x18100 }, nil},
 		{"shared block", "mutator", "contexts 0 (cur) and 1 (over) both own block 0x10000",
 			func(p *planted) {
-				c := &p.t.Contexts[1]
+				c := &p.contexts[1]
 				c.OverBlock, c.OverCursor, c.OverLimit = 0x10000, 0x10400, 0x10500
-			}, noContexts},
+			}, nil},
 		{"overlapping holes", "mutator", "context 0 cur hole [0x10100,0x10200) overlaps context 1 cur hole [0x10180,0x10280)",
-			func(p *planted) { p.t.Contexts[1].CurCursor, p.t.Contexts[1].CurLimit = 0x10180, 0x10280 }, noContexts},
+			func(p *planted) { p.contexts[1].CurCursor, p.contexts[1].CurLimit = 0x10180, 0x10280 }, nil},
 		{"unnamed policies", "policy", "kernel reports an unnamed policy",
 			func(p *planted) { p.policy.name = "" }, noPolicy},
 		{"negative debt", "policy", "DRAM debt is negative (-1)",
@@ -265,6 +271,12 @@ func TestHeapPlantedFindings(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := newPlanted()
 			c.plant(p)
+			if c.off == nil {
+				if rep := verify.Mutators(p.contexts); !finds(rep, c.invariant, c.detail) {
+					t.Fatalf("no %s finding %q in %v", c.invariant, c.detail, rep.Findings)
+				}
+				return
+			}
 			if rep := heapBoth(t, p.t, p.opt); !finds(rep, c.invariant, c.detail) {
 				t.Fatalf("no %s finding %q in %v", c.invariant, c.detail, rep.Findings)
 			}

@@ -1,6 +1,6 @@
 // Package verify promotes the shadow-test heap invariants into
 // production-usable checkers, callable after any collection (§4.3's
-// correctness claim made executable). It validates five invariant families
+// correctness claim made executable). It validates six invariant families
 // against a live runtime:
 //
 //   - reachable-graph integrity: every object reachable from the roots has
@@ -18,9 +18,9 @@
 //   - failure-buffer drain accounting: buffered = pushed - invalidated -
 //     drained, the stall flag matches the watermark, and every buffered
 //     line is actually unavailable;
-//   - per-mutator ownership: no two allocation contexts own the same
-//     block, and no context's bump cursor lies inside another context's
-//     claimed lines;
+//   - per-mutator ownership, checked apart by Mutators: no two allocation
+//     contexts own the same block, and no context's bump cursor lies
+//     inside another context's claimed lines;
 //   - policy accounting: the kernel's frame policy has a name, the DRAM
 //     borrow ledger balances (debt = borrows - repaid), and the stock
 //     policy has performed no migrations.
@@ -125,23 +125,27 @@ type Roots interface {
 	Each(f func(slot *heap.Addr))
 }
 
-// Line-state glyphs, matching the core inspector's rendering.
+// Line-state glyphs, one byte a line of a BlockView: the rendering of the
+// Immix space Fig. 2 draws.
 const (
-	LineFree    = '.'
-	LineLive    = '#'
+	// LineFree is available for allocation.
+	LineFree = '.'
+	// LineLive was marked at the current epoch.
+	LineLive = '#'
+	// LineClaimed is neither free nor marked: claimed by an allocation
+	// context and possibly holding young objects.
 	LineClaimed = '+'
-	LineFailed  = 'X'
+	// LineFailed is permanently retired.
+	LineFailed = 'X'
 )
 
 // BlockView is one Immix block's line states as plain data
-// (core.(*Immix).BlockViews converts).
+// (core.(*Immix).BlockViews builds it).
 type BlockView struct {
 	Base      uint64
 	LineSize  int
 	FreeLines int
 	Failed    int
-	Holes     int
-	Evacuate  bool
 	States    []byte
 }
 
@@ -212,8 +216,6 @@ type Target struct {
 	Kernel FrameSource
 	// Device enables the failure-buffer accounting check.
 	Device BufferSource
-	// Contexts enables the per-mutator ownership checks.
-	Contexts []ContextView
 	// Policy enables the frame-policy accounting check.
 	Policy PolicySource
 }
@@ -238,9 +240,6 @@ func Heap(t Target, opt Options) *Report {
 	}
 	if t.Device != nil && !opt.SkipBuffer {
 		checkBuffer(t.Device, rep)
-	}
-	if t.Contexts != nil {
-		checkMutators(t.Contexts, rep)
 	}
 	if t.Policy != nil {
 		checkPolicy(t.Policy, rep)

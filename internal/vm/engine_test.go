@@ -41,7 +41,7 @@ func TestEngineContractMaskedFailureQueues(t *testing.T) {
 				Probe: func(p probe.Point, _ uint64) {
 					if p == probe.GCBegin && armed {
 						armed = false
-						tv.HandleFailures([]kernel.LineFailure{{VAddr: uint64(head)}})
+						tv.HandleFailures([]uint64{uint64(head)})
 						queued = tv.PendingRecovery() && tv.GCStats().DynamicFailures == 0
 					}
 				},
@@ -81,7 +81,7 @@ func TestEngineContractOpenWindowFailureIsHandled(t *testing.T) {
 				var tv *testVM
 				var head heap.Addr
 				armed := false
-				inject := func() { tv.HandleFailures([]kernel.LineFailure{{VAddr: uint64(head)}}) }
+				inject := func() { tv.HandleFailures([]uint64{uint64(head)}) }
 				cfg := Config{
 					HeapBytes: 1 << 20, Collector: StickyImmix, FailureAware: true, Threaded: eng.threaded,
 					MarkTriggerBytes: 64 << 10,

@@ -11,7 +11,6 @@ import (
 	"wearmem/internal/failmap"
 	"wearmem/internal/heap"
 	"wearmem/internal/kernel"
-	"wearmem/internal/stats"
 )
 
 // poolMemory implements core.Memory over the OS model.
@@ -47,7 +46,6 @@ type poolMemory struct {
 
 	kern      *kernel.Kernel
 	space     *heap.Space
-	clock     *stats.Clock
 	blockSize int
 	// aware selects the failure-aware protocol: only a failure-aware
 	// runtime issues the map-failures system call after imperfect
@@ -87,11 +85,10 @@ type extent struct {
 
 func (e extent) end() heap.Addr { return e.base + heap.Addr(e.pages*failmap.PageSize) }
 
-func newPoolMemory(kern *kernel.Kernel, space *heap.Space, clock *stats.Clock, blockSize, budgetBytes int, aware, compensate bool) *poolMemory {
+func newPoolMemory(kern *kernel.Kernel, space *heap.Space, blockSize, budgetBytes int, aware, compensate bool) *poolMemory {
 	return &poolMemory{
 		kern:        kern,
 		space:       space,
-		clock:       clock,
 		blockSize:   blockSize,
 		aware:       aware,
 		budgetBytes: budgetBytes,

@@ -21,7 +21,7 @@ func poolUnderTest(t *testing.T, budgetBytes int, rate float64, compensate bool)
 		failmap.GenerateUniform(inject, rate, rand.New(rand.NewSource(5)))
 	}
 	kern := kernel.New(kernel.Config{PCMPages: poolPages, Inject: inject, Clock: clock})
-	return newPoolMemory(kern, heap.NewSpaceBelow(heap.Addr(kern.VirtualLimit())), clock, 32<<10, budgetBytes, true, compensate), kern
+	return newPoolMemory(kern, heap.NewSpaceBelow(heap.Addr(kern.VirtualLimit())), 32<<10, budgetBytes, true, compensate), kern
 }
 
 func TestPoolBlockSlotReuse(t *testing.T) {

@@ -36,7 +36,7 @@ func TestPinnedObjectDynamicFailureRemapsPage(t *testing.T) {
 	_ = frame
 	region := regionOf(t, kern, uint64(pinned))
 	kern.InjectDynamicFailure(region, int((uint64(pinned)-region.Base)/failmap.PageSize),
-		off/failmap.LineSize, make([]byte, failmap.LineSize))
+		off/failmap.LineSize)
 
 	if pinned != before {
 		t.Fatal("pinned object moved")

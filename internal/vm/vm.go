@@ -180,7 +180,7 @@ type VM struct {
 	// only reads roots while the world is stopped). Both stay unshared on
 	// the baton engine.
 	failMu, rootsMu sched.Lock
-	pendingFails    []kernel.LineFailure
+	pendingFails    []uint64
 	inRecovery      bool
 	// muts holds the attached mutators, the primary first (Attach).
 	muts []*Mutator
@@ -229,7 +229,7 @@ func New(cfg Config) *VM {
 	}
 	space := heap.NewSpaceBelow(heap.Addr(cfg.Kernel.VirtualLimit()))
 	model := &heap.Model{S: space, T: heap.NewTypeTable()}
-	mem := newPoolMemory(cfg.Kernel, space, cfg.Clock, blockSize, cfg.HeapBytes, cfg.FailureAware, cfg.Compensate)
+	mem := newPoolMemory(cfg.Kernel, space, blockSize, cfg.HeapBytes, cfg.FailureAware, cfg.Compensate)
 	ccfg := core.Config{
 		BlockSize:    blockSize,
 		LineSize:     cfg.LineSize,
@@ -630,7 +630,7 @@ func (v *VM) boundsCheck(arr heap.Addr, i int) {
 // defragmenting collection that evacuates the objects (§4.2). Failures on
 // large-object pages (and any failure the collector cannot vacate) fall
 // back to OS page replacement.
-func (v *VM) HandleFailures(fails []kernel.LineFailure) {
+func (v *VM) HandleFailures(vaddrs []uint64) {
 	if v.eng.masked() {
 		// The failure interrupted the runtime where re-entering the
 		// collector would corrupt its in-flight state, so — like an
@@ -638,24 +638,24 @@ func (v *VM) HandleFailures(fails []kernel.LineFailure) {
 		// safepoint. The data stays readable through the failure buffer
 		// meanwhile.
 		v.failMu.Lock()
-		v.pendingFails = append(v.pendingFails, fails...)
+		v.pendingFails = append(v.pendingFails, vaddrs...)
 		v.failMu.Unlock()
 		return
 	}
-	v.handleFailuresNow(fails)
+	v.handleFailuresNow(vaddrs)
 }
 
-func (v *VM) handleFailuresNow(fails []kernel.LineFailure) {
+func (v *VM) handleFailuresNow(vaddrs []uint64) {
 	v.inRecovery = true
 	defer func() { v.inRecovery = false }()
 	needCollect := false
 	var immixFails []heap.Addr
-	for _, f := range fails {
-		v.mem.NoteFailure(heap.Addr(f.VAddr))
+	for _, vaddr := range vaddrs {
+		v.mem.NoteFailure(heap.Addr(vaddr))
 		if v.immix != nil {
-			if need, handled := v.immix.HandleLineFailure(heap.Addr(f.VAddr)); handled {
+			if need, handled := v.immix.HandleLineFailure(heap.Addr(vaddr)); handled {
 				needCollect = needCollect || need
-				immixFails = append(immixFails, heap.Addr(f.VAddr))
+				immixFails = append(immixFails, heap.Addr(vaddr))
 				continue
 			}
 		}
@@ -666,8 +666,8 @@ func (v *VM) handleFailuresNow(fails []kernel.LineFailure) {
 			// Perform (and charge) the actual page replacement through the
 			// kernel instead of the modelled flat charge, keeping the OS
 			// failure table consistent for the torture verifier.
-			if _, ok := v.kern.RemapPageAt(f.VAddr); ok {
-				v.mem.NoteRemap(heap.Addr(f.VAddr))
+			if _, ok := v.kern.RemapPageAt(vaddr); ok {
+				v.mem.NoteRemap(heap.Addr(vaddr))
 				continue
 			}
 		}
