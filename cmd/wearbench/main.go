@@ -14,6 +14,8 @@
 //	wearbench -calibrate            re-derive benchmark minimum heaps
 //	wearbench -bench pmd -mult 2 -rate 0.25 -cluster 2
 //	                                run a single configuration and dump stats
+//	wearbench -exp fig7 -seeds 5    each cell over seeds 1, 1001 ... 4001:
+//	                                mean ± 95% CI and DNF count
 //	wearbench -exp kvlat            KV request-latency quantiles across failure
 //	                                regimes on both engines
 package main
@@ -49,7 +51,7 @@ func main() {
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent configurations")
 		calibrate = flag.Bool("calibrate", false, "binary-search benchmark minimum heaps")
 		explain   = flag.String("explain", "", `diff two configurations: "k=v,... vs k=v,..." over the -bench/-mult/... base ("base" = no overrides)`)
-		trials    = flag.Int("trials", 1, "failure-map seeds to aggregate (mean and 95% CI)")
+		seeds     = flag.Int("seeds", 1, "failure-map seeds, 1000 apart from -seed: each cell is their mean, ± 95% CI and DNF count")
 
 		rc   harness.RunConfig
 		prof cliconfig.Profiling
@@ -68,6 +70,10 @@ func main() {
 		os.Exit(2)
 	}
 	flag.Usage = usage
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "-seeds %d: want at least 1\n", *seeds)
+		os.Exit(2)
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -94,15 +100,17 @@ func main() {
 		runCalibration()
 	case *explain != "":
 		runExplain(*explain, rc, *quick, *parallel, em, *outDir)
+	case rc.Bench != "" && *seeds > 1:
+		emit(em, harness.Single(rc).Run(harness.Options{Seed: rc.Seed, Seeds: *seeds, Parallel: *parallel}))
 	case rc.Bench != "":
-		if status := runSingle(rc, *trials, *parallel); status != 0 {
+		if status := runSingle(rc, *parallel); status != 0 {
 			stop() // os.Exit runs no deferred call
 			os.Exit(status)
 		}
 	case *exp == "all":
 		// One runner for every experiment: the normalization baselines the
 		// figures share memoize once instead of once per figure.
-		opt := harness.Options{Quick: *quick, Seed: rc.Seed,
+		opt := harness.Options{Quick: *quick, Seed: rc.Seed, Seeds: *seeds,
 			Parallel: *parallel, Runner: harness.NewRunner()}
 		total := time.Now()
 		for _, e := range harness.All() {
@@ -123,7 +131,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		rep := e.Run(harness.Options{Quick: *quick, Seed: rc.Seed, Parallel: *parallel})
+		rep := e.Run(harness.Options{Quick: *quick, Seed: rc.Seed, Seeds: *seeds, Parallel: *parallel})
 		fmt.Fprintf(os.Stderr, "# %-7s %6.2fs wall (%d workers)\n",
 			e.ID, time.Since(start).Seconds(), *parallel)
 		emit(em, rep)
@@ -232,22 +240,13 @@ func writeCSVs(rep *harness.Report, dir string) {
 
 // runSingle runs one configuration and dumps its statistics. It returns the
 // exit status: 1 when the run crashed instead of finishing.
-func runSingle(rc harness.RunConfig, trials, parallel int) int {
+func runSingle(rc harness.RunConfig, parallel int) int {
 	r := harness.NewRunner()
 	r.Workers = parallel
 	base := rc
 	base.FailureAware = false
 	base.FailureRate = 0
 	base.ClusterPages = 0
-	if trials > 1 {
-		tr := r.RunTrials(rc, trials)
-		fmt.Printf("%s over %d seeds: mean %.0f cycles ± %.0f (95%% CI), %d DNF\n",
-			rc.Bench, tr.N, tr.MeanCycles, tr.CI95Cycles, tr.DNFs)
-		if mean, ci, dnfs := r.NormalizedTrials(rc, base, trials); dnfs < trials {
-			fmt.Printf("normalized vs unmodified %s: %.3f ± %.3f (%d DNF)\n", rc.Collector, mean, ci, dnfs)
-		}
-		return 0
-	}
 	res := r.Run(rc)
 	if res.Panic != "" {
 		fmt.Fprintf(os.Stderr, "%s: run crashed: %s\n", rc.Bench, res.Panic)

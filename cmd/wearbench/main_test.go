@@ -76,6 +76,8 @@ func TestOutOfRangeKnobsExitTwo(t *testing.T) {
 		{"-placement", []string{"-bench", "pmd", "-placement", "rotate"}},
 		{"-remap", []string{"-bench", "pmd", "-remap", "rotate"}},
 		{"placement=rotate", []string{"-explain", "placement=rotate vs base"}},
+		{"-seeds", []string{"-exp", "fig4", "-quick", "-seeds", "0"}},
+		{"-seeds", []string{"-bench", "pmd", "-seeds", "-1"}},
 	} {
 		stdout, stderr, status := wearbench(t, c.args...)
 		if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.knob) {

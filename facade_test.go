@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -242,6 +243,10 @@ var testOnly = map[string]string{
 	"chaos.Options.SkipKernelTable": "TestBreakSilentTaint: a crippled campaign verifier misses a silent taint",
 
 	// State tests read as evidence.
+	"core.GCStats.ObjectsMarked":         "trace_parallel_test.go's evidence that serial and parallel traces mark the same objects",
+	"core.GCStats.BytesMarkedLive":       "trace_parallel_test.go's evidence that serial and parallel traces mark the same bytes",
+	"verify.Report.Objects":              "the verifier tests' evidence that a walk covered the planted heap",
+	"verify.Report.Checks":               "the verifier tests' evidence that each check family ran",
 	"kernel.RecoverStats.PolicyRestored": "the policy tests and FuzzRecoverImage read it as proof policy state came back",
 	"heap.offHeap":                       "which backing the build chose, read by the heap tests",
 
@@ -259,9 +264,10 @@ var testOnly = map[string]string{
 //     method also counts as reached when its receiver implements an
 //     interface whose same-named method a non-test file selects;
 //   - a package-level const, var or type must be used;
-//   - a struct field a non-test file writes (a keyed composite literal or
-//     a plain assignment; an inc/dec or op= reads the field as well) must
-//     be read; a field with a json tag is exempt, encoding/json reads it;
+//   - a struct field a non-test file writes (a keyed composite literal, an
+//     assignment, op= or inc/dec: a counter only ever bumped is not read)
+//     must be read; a field with a json tag is exempt, encoding/json reads
+//     it;
 //   - an exported field of an exported struct that a non-test file reads
 //     must be set: by a keyed or positional literal, an assignment, &x.F, a
 //     method call on x.F, or encoding/json decoding a value that holds it.
@@ -273,18 +279,84 @@ var testOnly = map[string]string{
 // it stays in testOnly.
 func TestInternalEntryPointsReached(t *testing.T) {
 	fset, files := parseModule(t)
-	info := typeCheck(t, fset, files)
-	u := usesOf(info, files)
+	found := internalFindings(typeCheck(t, fset, files), files)
 	broken := map[string]string{} // key → the clause it breaks
-	seen := map[string]bool{}
-	check := func(key string, ok bool, clause string) {
-		seen[key] = true
+	for key, clause := range found {
 		switch _, listed := testOnly[key]; {
-		case listed && ok:
+		case listed && clause == "":
 			t.Errorf("%s is reached by a program now: drop it from testOnly", key)
-		case !listed && !ok:
+		case !listed && clause != "":
 			broken[key] = clause
 		}
+	}
+	for key := range testOnly {
+		if _, ok := found[key]; !ok {
+			t.Errorf("testOnly lists %s, which no internal/ file declares", key)
+		}
+	}
+	if len(broken) > 0 {
+		keys := make([]string, 0, len(broken))
+		for key := range broken {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			t.Errorf("%s: %s", key, broken[key])
+		}
+		t.Errorf("%d internal/ declarations only tests reach", len(broken))
+	}
+}
+
+// A counter the runtime only bumps breaks the written-never-read clause,
+// by its name, whether ++ or op= bumps it; a counter bumped and read does
+// not.
+func TestBumpOnlyFieldIsUnread(t *testing.T) {
+	const src = `package core
+
+type GCStats struct {
+	Collections, NurseryGCs int
+	BytesMarked             uint64
+}
+
+var stats GCStats
+
+func init() {
+	stats.Collections++
+	stats.NurseryGCs++
+	stats.BytesMarked += 64
+	_ = stats.Collections
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/core/gc.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []goFile{{path: "internal/core/gc.go", ast: f}}
+	var broken []string
+	for key, clause := range internalFindings(typeCheck(t, fset, files), files) {
+		if clause != "" {
+			broken = append(broken, key+": "+clause)
+		}
+	}
+	sort.Strings(broken)
+	want := []string{"core.GCStats.BytesMarked: written, never read", "core.GCStats.NurseryGCs: written, never read"}
+	if !slices.Equal(broken, want) {
+		t.Errorf("findings %q, want %q", broken, want)
+	}
+}
+
+// internalFindings judges every declaration of a non-test file under
+// internal/ by the clauses above: each key, as testOnly spells it, maps to
+// the clause it breaks, or to "" when it breaks none.
+func internalFindings(info *types.Info, files []goFile) map[string]string {
+	u := usesOf(info, files)
+	found := map[string]string{}
+	check := func(key string, ok bool, clause string) {
+		if ok {
+			clause = ""
+		}
+		found[key] = clause
 	}
 	for _, g := range files {
 		if g.test || !strings.HasPrefix(g.path, "internal/") {
@@ -341,28 +413,13 @@ func TestInternalEntryPointsReached(t *testing.T) {
 			}
 		}
 	}
-	for key := range testOnly {
-		if !seen[key] {
-			t.Errorf("testOnly lists %s, which no internal/ file declares", key)
-		}
-	}
-	if len(broken) > 0 {
-		keys := make([]string, 0, len(broken))
-		for key := range broken {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			t.Errorf("%s: %s", key, broken[key])
-		}
-		t.Errorf("%d internal/ declarations only tests reach", len(broken))
-	}
+	return found
 }
 
 // usage is what the module's non-test files do with each object.
 type usage struct {
 	used     map[types.Object]bool // named anywhere but its declaration
-	written  map[types.Object]bool // fields: a keyed literal, a plain assignment
+	written  map[types.Object]bool // fields: a keyed literal, an assignment, an inc/dec
 	read     map[types.Object]bool // fields: any other use
 	set      map[types.Object]bool // fields: written, or the other ways a value lands
 	selected map[string][]*types.Interface
@@ -436,16 +493,15 @@ func usesOf(info *types.Info, files []goFile) *usage {
 					setAll(info.TypeOf(n))
 				}
 			case *ast.AssignStmt:
-				// x.F op= v reads x.F as well as setting it.
-				plain := n.Tok == token.ASSIGN || n.Tok == token.DEFINE
+				// x.F op= v only bumps x.F: what it reads, it writes back.
 				for _, x := range n.Lhs {
 					if id := sel(x); id != nil {
-						writes[id], sets[id] = plain, true
+						writes[id] = true
 					}
 				}
 			case *ast.IncDecStmt:
 				if id := sel(n.X); id != nil {
-					sets[id] = true // and reads it, like op=
+					writes[id] = true
 				}
 			case *ast.UnaryExpr:
 				if id := sel(n.X); id != nil && n.Op == token.AND {

@@ -133,7 +133,6 @@ func (r *RootSet) Each(f func(slot *heap.Addr)) {
 type GCStats struct {
 	Collections      int
 	FullCollections  int
-	NurseryGCs       int
 	ObjectsMarked    uint64
 	BytesMarkedLive  uint64
 	BytesEvacuated   uint64

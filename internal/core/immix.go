@@ -561,9 +561,7 @@ func (ix *Immix) Collect(full bool, roots *RootSet) {
 		ix.selectDefragCandidates()
 	}
 	ix.gcstats.Collections++
-	if nursery {
-		ix.gcstats.NurseryGCs++
-	} else {
+	if !nursery {
 		ix.gcstats.FullCollections++
 	}
 

@@ -26,7 +26,6 @@ type los struct {
 	mu sync.RWMutex
 
 	objects map[heap.Addr]int // object base -> page count
-	pages   int               // pages currently held
 }
 
 func newLOS(mem Memory, model *heap.Model, clock *stats.Clock, perfect bool) *los {
@@ -50,7 +49,6 @@ func (l *los) alloc(ty *heap.Type, size, arrayLen int) (heap.Addr, error) {
 	l.model.InitObject(base, ty, size, arrayLen)
 	l.mu.Lock()
 	l.objects[base] = pages
-	l.pages += pages
 	l.mu.Unlock()
 	return base, nil
 }
@@ -88,7 +86,6 @@ func (l *los) sweep(epoch uint16, full bool) {
 		}
 		pages := l.objects[base]
 		delete(l.objects, base)
-		l.pages -= pages
 		l.mem.ReleasePages(base, pages)
 	}
 }

@@ -59,8 +59,8 @@ func TestLOSSweepFullVsNursery(t *testing.T) {
 	if l.contains(old) {
 		t.Fatal("full sweep kept a stale object")
 	}
-	if l.count() != 0 || l.pages != 0 {
-		t.Fatalf("LOS not empty: count=%d pages=%d", l.count(), l.pages)
+	if l.count() != 0 {
+		t.Fatalf("LOS not empty: count=%d", l.count())
 	}
 }
 

@@ -237,9 +237,7 @@ func (ms *MarkSweep) Collect(full bool, roots *RootSet) {
 		ms.epoch++
 	}
 	ms.gcstats.Collections++
-	if nursery {
-		ms.gcstats.NurseryGCs++
-	} else {
+	if !nursery {
 		ms.gcstats.FullCollections++
 	}
 

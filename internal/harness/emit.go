@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"wearmem/internal/stats"
 )
 
 // Emitter renders a report to a writer. Emitters are pluggable backends
@@ -18,7 +16,7 @@ type Emitter interface {
 }
 
 // Formats lists the selectable emitter names.
-func Formats() []string { return []string{"text", "csv", "json", "prom"} }
+func Formats() []string { return []string{"text", "csv", "json"} }
 
 // EmitterFor returns the emitter for a format name from Formats.
 func EmitterFor(format string) (Emitter, error) {
@@ -29,8 +27,6 @@ func EmitterFor(format string) (Emitter, error) {
 		return csvEmitter{}, nil
 	case "json":
 		return jsonEmitter{}, nil
-	case "prom":
-		return promEmitter{}, nil
 	}
 	return nil, fmt.Errorf("harness: unknown format %q (have %s)", format, strings.Join(Formats(), ", "))
 }
@@ -73,64 +69,4 @@ func (jsonEmitter) Emit(w io.Writer, rep *Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// promEmitter renders number cells as Prometheus exposition-format gauges,
-// one sample per cell, labelled by experiment, table, row and column. DNF
-// cells are omitted (an absent sample, like the paper's truncated curves).
-type promEmitter struct{}
-
-func (promEmitter) Emit(w io.Writer, rep *Report) error {
-	fmt.Fprintln(w, "# TYPE wearmem_cell gauge")
-	fmt.Fprintf(w, "# HELP wearmem_cell Typed table cells of experiment %s: %s\n", rep.ID, rep.Title)
-	for ti := range rep.Tables {
-		t := &rep.Tables[ti]
-		for _, row := range t.Rows {
-			if len(row) == 0 {
-				continue
-			}
-			for ci, c := range row {
-				if c.Kind != CellNumber || ci >= len(t.Columns) {
-					continue
-				}
-				fmt.Fprintf(w, "wearmem_cell{experiment=%q,table=\"%d\",row=%q,column=%q} %v\n",
-					rep.ID, ti, promLabel(row[0].Text), promLabel(t.Columns[ci]), c.Num)
-			}
-		}
-	}
-	for _, rec := range rep.Runs {
-		fmt.Fprintf(w, "wearmem_run_cycles{key=%q} %d\n", promLabel(rec.Key), rec.Result.Cycles)
-		if lr := rec.Result.Latency; lr != nil {
-			promLatency(w, rec.Key, "overall", lr.Overall)
-			promLatency(w, rec.Key, "gc_pause", lr.GCPause)
-			promLatency(w, rec.Key, "alloc_stall", lr.AllocStall)
-		}
-	}
-	return nil
-}
-
-// promLatency renders one latency class of a run's quantile report as
-// gauges labelled by run key, class and statistic.
-func promLatency(w io.Writer, key, class string, q stats.QuantileSummary) {
-	for _, s := range []struct {
-		stat string
-		v    float64
-	}{
-		{"ops", float64(q.Ops)},
-		{"mean", float64(q.Mean)},
-		{"p50", float64(q.P50)},
-		{"p90", float64(q.P90)},
-		{"p99", float64(q.P99)},
-		{"p999", float64(q.P999)},
-		{"max", float64(q.Max)},
-	} {
-		fmt.Fprintf(w, "wearmem_run_latency_cycles{key=%q,class=%q,stat=%q} %v\n",
-			promLabel(key), class, s.stat, s.v)
-	}
-}
-
-// promLabel strips characters that would break exposition-format label
-// values.
-func promLabel(s string) string {
-	return strings.NewReplacer("\"", "'", "\\", "/", "\n", " ").Replace(s)
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,7 +141,9 @@ func TestJSONCellValues(t *testing.T) {
 // decoded report gives the same bytes, and empty lists stay arrays.
 func TestJSONRoundTrip(t *testing.T) {
 	empty := &Report{ID: "empty", Tables: []Table{{Title: "no rows"}}}
-	for _, rep := range []*Report{sampleReport(), empty} {
+	merged := &Report{ID: "merged", Tables: []Table{{Columns: []string{"norm"},
+		Rows: [][]Cell{{mergeCell([]Cell{Number(1.5, "%.3f"), DNF(), Number(1.25, "%.3f")})}}}}}
+	for _, rep := range []*Report{sampleReport(), empty, merged} {
 		var first, second bytes.Buffer
 		if err := (jsonEmitter{}).Emit(&first, rep); err != nil {
 			t.Fatal(err)
@@ -162,6 +165,15 @@ func TestJSONRoundTrip(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("empty report JSON missing %q:\n%s", want, &buf)
 		}
+	}
+	buf.Reset()
+	(jsonEmitter{}).Emit(&buf, merged)
+	var back Report
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if c := back.Tables[0].Rows[0][0]; !slices.Equal(c.Samples, []float64{1.5, 1.25}) || c.DNFs != 1 {
+		t.Errorf("merged cell decoded as %+v; want samples [1.5 1.25] and 1 DNF", c)
 	}
 	for _, bad := range []string{`{"kind": "number", "text": "1"}`, `{"kind": "label", "text": "a", "value": 1}`, `{"kind": "bogus"}`} {
 		var c Cell

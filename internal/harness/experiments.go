@@ -17,6 +17,10 @@ type Options struct {
 	// experiment finishes in seconds (unit tests, testing.B wrappers).
 	Quick bool
 	Seed  int64
+	// Seeds is how many failure-map seeds the experiment runs at, Seed and
+	// then seedStride apart; each report cell is merged over them
+	// (mergeSeeds). 0 and 1 both mean Seed alone.
+	Seeds int
 	// Parallel is the number of workers used to execute independent
 	// configurations (0 = GOMAXPROCS, 1 = serial).
 	Parallel int
@@ -92,20 +96,26 @@ type Experiment struct {
 	body func(Options, *Runner) *Report
 }
 
-// Run executes the experiment: it resolves the runner, lets Collect plan,
-// prefetch and assemble the body (so the report is byte-identical at any
-// worker count), and stamps the report with the registry's ID.
+// Run executes the experiment once per seed: it resolves the runner, lets
+// Collect plan, prefetch and assemble the body (so the report is
+// byte-identical at any worker count), merges the seeds' reports and
+// stamps the result with the registry's ID.
 func (e Experiment) Run(o Options) *Report {
-	var rep *Report
-	if e.uses == noRunner {
-		rep = e.body(o, nil)
-	} else {
-		if e.uses == ownRunner {
-			o.Runner = nil
-		}
-		r := o.runner()
-		rep = r.Collect(func() *Report { return e.body(o, r) })
+	if e.uses == ownRunner {
+		o.Runner = nil
 	}
+	reps := make([]*Report, max(o.Seeds, 1))
+	for i := range reps {
+		oi := o
+		oi.Seed += int64(i) * seedStride
+		if e.uses == noRunner {
+			reps[i] = e.body(oi, nil)
+		} else {
+			r := oi.runner()
+			reps[i] = r.Collect(func() *Report { return e.body(oi, r) })
+		}
+	}
+	rep := mergeSeeds(reps)
 	rep.ID = e.ID
 	return rep
 }

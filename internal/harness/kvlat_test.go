@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -203,28 +202,5 @@ func TestLatencyJSONByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if found != 3 {
 		t.Fatalf("%d run records carry latency reports, want 3", found)
-	}
-}
-
-// The prom emitter renders latency gauges for every class and statistic
-// of a latency-bearing run record.
-func TestPromEmitterLatencyGauges(t *testing.T) {
-	r := NewRunner()
-	rep := r.Collect(func() *Report {
-		r.Run(kvLatTestConfig(1))
-		return &Report{ID: "kvlat-test", Title: "prom latency"}
-	})
-	var buf bytes.Buffer
-	if err := (promEmitter{}).Emit(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, class := range []string{"overall", "gc_pause", "alloc_stall"} {
-		for _, stat := range []string{"ops", "mean", "p50", "p90", "p99", "p999", "max"} {
-			want := fmt.Sprintf("class=%q,stat=%q", class, stat)
-			if !bytes.Contains([]byte(out), []byte(want)) {
-				t.Errorf("prom output missing latency gauge %s", want)
-			}
-		}
 	}
 }

@@ -109,8 +109,8 @@ func TestRecycledSpacesParallel(t *testing.T) {
 			}
 		}
 	}
-	serial := renderExperiment("fig9b", 1)
-	parallel := renderExperiment("fig9b", workers)
+	serial := renderExperiment("fig9b", 1, 1)
+	parallel := renderExperiment("fig9b", 1, workers)
 	if serial != parallel {
 		t.Errorf("-parallel %d report differs from -parallel 1 with recycled spaces", workers)
 	}

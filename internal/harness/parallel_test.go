@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -109,12 +110,13 @@ func TestCollectAssemblyFullyCached(t *testing.T) {
 	}
 }
 
-// renderExperiment runs one experiment at the given worker count with a
-// fresh runner and returns the rendered report text.
-func renderExperiment(id string, workers int) string {
+// renderExperiment runs one experiment over the given number of seeds at
+// the given worker count with a fresh runner and returns the rendered
+// report text.
+func renderExperiment(id string, seeds, workers int) string {
 	r := NewRunner()
 	r.QuickDivisor = 40
-	o := Options{Quick: true, Seed: 7, Parallel: workers, Runner: r}
+	o := Options{Quick: true, Seed: 7, Seeds: seeds, Parallel: workers, Runner: r}
 	var buf bytes.Buffer
 	ByID(id).Run(o).Render(&buf)
 	return buf.String()
@@ -126,26 +128,34 @@ func renderExperiment(id string, workers int) string {
 // covers the geoOver grids, fig9b the direct-Run/DNF path, tab6 the mixed
 // Run/Normalized assembly); set WEARMEM_FULL_DETERMINISM=1 (make
 // determinism) to sweep every experiment in harness.All(), which runs the
-// whole suite twice (~2.5 min single-core).
+// whole suite twice (~2.5 min single-core). fig9b also runs over three
+// seeds, whose merge must not depend on the worker count either.
 func TestParallelReportsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments twice")
 	}
-	ids := []string{"fig3", "fig9b", "tab6"}
+	type run struct {
+		id    string
+		seeds int
+	}
+	runs := []run{{"fig3", 1}, {"fig9b", 1}, {"tab6", 1}, {"fig9b", 3}}
 	if os.Getenv("WEARMEM_FULL_DETERMINISM") != "" {
-		ids = ids[:0]
+		runs = runs[:0]
 		for _, e := range All() {
-			ids = append(ids, e.ID)
+			runs = append(runs, run{e.ID, 1})
 		}
 	}
-	for _, id := range ids {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			serial := renderExperiment(id, 1)
-			parallel := renderExperiment(id, 8)
+	for _, c := range runs {
+		name := c.id
+		if c.seeds > 1 {
+			name = fmt.Sprintf("%s-seeds%d", c.id, c.seeds)
+		}
+		t.Run(name, func(t *testing.T) {
+			serial := renderExperiment(c.id, c.seeds, 1)
+			parallel := renderExperiment(c.id, c.seeds, 8)
 			if serial != parallel {
 				t.Errorf("%s: -parallel 8 report differs from -parallel 1\n--- serial ---\n%s\n--- parallel ---\n%s",
-					id, serial, parallel)
+					c.id, serial, parallel)
 			}
 		})
 	}

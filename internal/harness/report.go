@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // CellKind classifies a table value so machine-readable emitters can
@@ -40,25 +41,33 @@ func (k CellKind) String() string {
 
 // Cell is one typed table value. Text carries the exact paper-style
 // rendering used by the text and CSV emitters; Num carries the underlying
-// number for machine-readable emitters when Kind is CellNumber.
+// number for machine-readable emitters when Kind is CellNumber. A number
+// merged over several seeds (mergeSeeds) also carries the value of each
+// seed that finished, and how many did not.
 type Cell struct {
-	Text string
-	Num  float64
-	Kind CellKind
+	Text    string
+	Num     float64
+	Kind    CellKind
+	Samples []float64
+	DNFs    int
+
+	format string // the fmt verb Number rendered Num with
 }
 
 // cellWire is a cell on disk: its kind by name, its text, and a value for
 // a number cell only (DNF renders as a missing value, matching the paper's
-// truncated curves).
+// truncated curves), then a merged number's samples and DNF count.
 type cellWire struct {
-	Kind  string   `json:"kind"`
-	Text  string   `json:"text,omitempty"`
-	Value *float64 `json:"value,omitempty"`
+	Kind    string    `json:"kind"`
+	Text    string    `json:"text,omitempty"`
+	Value   *float64  `json:"value,omitempty"`
+	Samples []float64 `json:"samples,omitempty"`
+	DNFs    int       `json:"dnfs,omitempty"`
 }
 
 // MarshalJSON writes the cell as its kind, text and number.
 func (c Cell) MarshalJSON() ([]byte, error) {
-	w := cellWire{Kind: c.Kind.String(), Text: c.Text}
+	w := cellWire{Kind: c.Kind.String(), Text: c.Text, Samples: c.Samples, DNFs: c.DNFs}
 	if c.Kind == CellNumber {
 		w.Value = &c.Num
 	}
@@ -75,7 +84,7 @@ func (c *Cell) UnmarshalJSON(data []byte) error {
 	if k < 0 || (w.Value != nil) != (k == CellNumber) {
 		return fmt.Errorf("harness: %s is not a label, number, dnf or empty cell with a value on a number only", data)
 	}
-	*c = Cell{Text: w.Text, Kind: k}
+	*c = Cell{Text: w.Text, Kind: k, Samples: w.Samples, DNFs: w.DNFs}
 	if w.Value != nil {
 		c.Num = *w.Value
 	}
@@ -93,13 +102,11 @@ func Textf(format string, args ...any) Cell {
 // Number returns a numeric cell rendered with the given fmt verb
 // (e.g. "%.3f", "%.0f%%").
 func Number(v float64, format string) Cell {
-	return Cell{Text: fmt.Sprintf(format, v), Num: v, Kind: CellNumber}
+	return Cell{Text: fmt.Sprintf(format, v), Num: v, Kind: CellNumber, format: format}
 }
 
 // Int returns a numeric cell for an integer count.
-func Int(n int) Cell {
-	return Cell{Text: fmt.Sprintf("%d", n), Num: float64(n), Kind: CellNumber}
-}
+func Int(n int) Cell { return Number(float64(n), "%.0f") }
 
 // DNF returns a did-not-finish cell.
 func DNF() Cell { return Cell{Text: "DNF", Kind: CellDNF} }
@@ -192,12 +199,12 @@ func (t *Table) render(w io.Writer) {
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell.Text) > widths[i] {
-				widths[i] = len(cell.Text)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell.Text))
 			}
 		}
 	}
@@ -226,11 +233,9 @@ func (t *Table) render(w io.Writer) {
 	}
 }
 
+// pad widens s to w columns, counting runes: a "±" or "Δ" is one column.
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }
 
 // CSV writes the table as comma-separated values.

@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"wearmem/internal/failmap"
 	"wearmem/internal/pcm"
@@ -54,8 +53,6 @@ type RecoverStats struct {
 	// UsableFrames is how many PCM frames still have at least one working
 	// line after recovery.
 	UsableFrames int
-	// WorkingLines is the total working-line count across the pool.
-	WorkingLines int
 	// PolicyRestored reports whether durable policy state was found in the
 	// device's OS metadata area and loaded (it is absent for the stateless
 	// stock policy, or when the configured policy differs from the one
@@ -122,7 +119,6 @@ func (k *Kernel) Recover(opt RecoverOptions) (RecoverStats, error) {
 		if k.bitmaps[p] != ^uint64(0) {
 			st.UsableFrames++
 		}
-		st.WorkingLines += failmap.LinesPerPage - bits.OnesCount64(k.bitmaps[p])
 	}
 	k.rebuildPerfectIndexLocked()
 

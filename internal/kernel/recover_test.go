@@ -74,9 +74,6 @@ func TestRecoverWornOut(t *testing.T) {
 	if st.UsableFrames != 1 {
 		t.Fatalf("usable frames = %d, want 1", st.UsableFrames)
 	}
-	if st.WorkingLines != failmap.LinesPerPage {
-		t.Fatalf("working lines = %d, want %d", st.WorkingLines, failmap.LinesPerPage)
-	}
 }
 
 // TestRecoverScrubWearsDevice: scrub writes are real writes — on a device
