@@ -66,16 +66,14 @@ func TestSeedsMergeCellByCell(t *testing.T) {
 	}
 }
 
-// Single's cycles over five seeds are a mean with a narrow but non-zero
-// spread (the paper reports 1-2% intervals), and its time normalized to
-// the run without failures at each seed is a plausible overhead.
-func TestSingleMeansOverSeeds(t *testing.T) {
+// Single's cycles over five trials (seeds) are a mean with a narrow but
+// non-zero spread: the paper reports 1-2% intervals.
+func TestRunTrialsAggregates(t *testing.T) {
 	r := NewRunner()
 	r.QuickDivisor = 20
 	rc := RunConfig{Bench: "sunflow", HeapMult: 2, Collector: vm.StickyImmix,
 		FailureAware: true, FailureRate: 0.25, ClusterPages: 2}
-	row := Single(rc).Run(Options{Seed: 1, Seeds: 5, Runner: r}).Tables[0].Rows[0]
-	cycles, norm := row[1], row[2]
+	cycles := Single(rc).Run(Options{Seed: 1, Seeds: 5, Runner: r}).Tables[0].Rows[0][1]
 	if len(cycles.Samples) != 5 || cycles.DNFs != 0 || cycles.Num <= 0 {
 		t.Fatalf("cycles %+v, want a mean over 5 finished seeds", cycles)
 	}
@@ -85,8 +83,26 @@ func TestSingleMeansOverSeeds(t *testing.T) {
 	if spread := max(slices.Max(cycles.Samples)-cycles.Num, cycles.Num-slices.Min(cycles.Samples)); spread > 0.15*cycles.Num {
 		t.Fatalf("samples %v spread implausibly wide around %.0f", cycles.Samples, cycles.Num)
 	}
-	if norm.Num < 0.9 || norm.Num > 1.6 || len(norm.Samples) != 5 {
-		t.Fatalf("normalized %+v implausible", norm)
+}
+
+// Single's time normalized to the run without failures at each seed,
+// over four trials, is a plausible overhead with every seed finished.
+func TestNormalizedTrials(t *testing.T) {
+	r := NewRunner()
+	r.QuickDivisor = 20
+	rc := RunConfig{Bench: "sunflow", HeapMult: 2, Collector: vm.StickyImmix,
+		FailureAware: true, FailureRate: 0.25, ClusterPages: 2}
+	norm := Single(rc).Run(Options{Seed: 1, Seeds: 4, Runner: r}).Tables[0].Rows[0][2]
+	if norm.DNFs != 0 || len(norm.Samples) != 4 {
+		t.Fatalf("normalized %+v, want a mean over 4 finished seeds", norm)
+	}
+	if norm.Num < 0.9 || norm.Num > 1.6 {
+		t.Fatalf("normalized mean %v implausible", norm.Num)
+	}
+	for _, v := range norm.Samples {
+		if v <= 0 {
+			t.Fatalf("normalized samples %v: a non-positive ratio", norm.Samples)
+		}
 	}
 }
 
