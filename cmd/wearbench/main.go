@@ -13,7 +13,8 @@
 //	                                diff two configurations' counter snapshots
 //	wearbench -calibrate            re-derive benchmark minimum heaps
 //	wearbench -bench pmd -mult 2 -rate 0.25 -cluster 2
-//	                                run a single configuration and dump stats
+//	                                one configuration as a one-row report:
+//	                                cycles, normalized, collections, borrows
 //	wearbench -exp fig7 -seeds 5    each cell over seeds 1, 1001 ... 4001:
 //	                                mean ± 95% CI and DNF count
 //	wearbench -exp kvlat            KV request-latency quantiles across failure
@@ -35,7 +36,6 @@ import (
 	"wearmem/internal/harness/cliconfig"
 	"wearmem/internal/kernel"
 	"wearmem/internal/machine"
-	"wearmem/internal/stats"
 	"wearmem/internal/vm"
 	"wearmem/internal/workload"
 )
@@ -74,6 +74,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-seeds %d: want at least 1\n", *seeds)
 		os.Exit(2)
 	}
+	if *seeds > 1 && *explain != "" {
+		fmt.Fprintf(os.Stderr, "-seeds %d: -explain diffs one seed\n", *seeds)
+		os.Exit(2)
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -87,7 +91,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	crashed := false
+	output := func(rep *harness.Report) { crashed = emit(em, rep, *csvDir, *outDir) || crashed }
 
+	var exps []harness.Experiment
 	switch {
 	case *list:
 		for _, e := range harness.All() {
@@ -99,65 +106,67 @@ func main() {
 	case *calibrate:
 		runCalibration()
 	case *explain != "":
-		runExplain(*explain, rc, *quick, *parallel, em, *outDir)
-	case rc.Bench != "" && *seeds > 1:
-		emit(em, harness.Single(rc).Run(harness.Options{Seed: rc.Seed, Seeds: *seeds, Parallel: *parallel}))
+		output(runExplain(*explain, rc, *quick, *parallel))
 	case rc.Bench != "":
-		if status := runSingle(rc, *parallel); status != 0 {
-			stop() // os.Exit runs no deferred call
-			os.Exit(status)
-		}
+		exps = []harness.Experiment{harness.Single(rc)}
 	case *exp == "all":
-		// One runner for every experiment: the normalization baselines the
-		// figures share memoize once instead of once per figure.
-		opt := harness.Options{Quick: *quick, Seed: rc.Seed, Seeds: *seeds,
-			Parallel: *parallel, Runner: harness.NewRunner()}
-		total := time.Now()
-		for _, e := range harness.All() {
-			start := time.Now()
-			rep := e.Run(opt)
-			fmt.Fprintf(os.Stderr, "# %-7s %6.2fs wall (%d workers)\n",
-				e.ID, time.Since(start).Seconds(), *parallel)
-			emit(em, rep)
-			writeCSVs(rep, *csvDir)
-			persist(rep, *outDir)
-			fmt.Println()
-		}
-		fmt.Fprintf(os.Stderr, "# total   %6.2fs wall\n", time.Since(total).Seconds())
+		exps = harness.All()
 	case *exp != "":
 		e := harness.ByID(*exp)
 		if e == nil {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
 			os.Exit(2)
 		}
-		start := time.Now()
-		rep := e.Run(harness.Options{Quick: *quick, Seed: rc.Seed, Seeds: *seeds, Parallel: *parallel})
-		fmt.Fprintf(os.Stderr, "# %-7s %6.2fs wall (%d workers)\n",
-			e.ID, time.Since(start).Seconds(), *parallel)
-		emit(em, rep)
-		writeCSVs(rep, *csvDir)
-		persist(rep, *outDir)
+		exps = []harness.Experiment{*e}
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	// One runner for every experiment: the normalization baselines the
+	// figures share memoize once instead of once per figure.
+	opt := harness.Options{Quick: *quick, Seed: rc.Seed, Seeds: *seeds,
+		Parallel: *parallel, Runner: harness.NewRunner()}
+	total := time.Now()
+	for _, e := range exps {
+		start := time.Now()
+		rep := e.Run(opt)
+		fmt.Fprintf(os.Stderr, "# %-7s %6.2fs wall (%d workers)\n",
+			e.ID, time.Since(start).Seconds(), *parallel)
+		output(rep)
+		if len(exps) > 1 {
+			fmt.Println()
+		}
+	}
+	if len(exps) > 1 {
+		fmt.Fprintf(os.Stderr, "# total   %6.2fs wall\n", time.Since(total).Seconds())
+	}
+	if crashed {
+		stop() // os.Exit runs no deferred call
+		os.Exit(1)
 	}
 }
 
 // emit stamps honest host metadata on the report (cores, GOMAXPROCS, Go
 // version — the JSON emitter carries it; text output ignores it, keeping
-// pinned reports host-independent) and renders it to stdout.
-func emit(em harness.Emitter, rep *harness.Report) {
-	stampMachine(rep)
+// pinned reports host-independent), renders it to stdout and writes its
+// CSVs and JSON document where asked. It prints the panic of every run that
+// crashed instead of finishing to stderr, and reports whether one did.
+func emit(em harness.Emitter, rep *harness.Report, csvDir, outDir string) (crashed bool) {
+	hm := harness.HostMachine()
+	rep.Machine = &hm
 	if err := em.Emit(os.Stdout, rep); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
-}
-
-func stampMachine(rep *harness.Report) {
-	if rep.Machine == nil {
-		hm := harness.HostMachine()
-		rep.Machine = &hm
+	writeCSVs(rep, csvDir)
+	persist(rep, outDir)
+	for _, run := range rep.Runs {
+		if run.Result.Panic != "" {
+			fmt.Fprintf(os.Stderr, "%s seed %d: run crashed: %s\n", run.Config.Bench, run.Config.Seed, run.Result.Panic)
+			crashed = true
+		}
 	}
+	return crashed
 }
 
 // persist writes the report's schema-versioned JSON document (tables plus
@@ -166,7 +175,6 @@ func persist(rep *harness.Report, dir string) {
 	if dir == "" {
 		return
 	}
-	stampMachine(rep)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return
@@ -188,8 +196,7 @@ func persist(rep *harness.Report, dir string) {
 // comma-separated key=value override list applied to the base configuration
 // assembled from the single-run flags ("base" or an empty side keeps the
 // base unchanged).
-func runExplain(spec string, base harness.RunConfig, quick bool, parallel int,
-	em harness.Emitter, outDir string) {
+func runExplain(spec string, base harness.RunConfig, quick bool, parallel int) *harness.Report {
 	if base.Bench == "" {
 		base.Bench = "pmd"
 	}
@@ -213,9 +220,7 @@ func runExplain(spec string, base harness.RunConfig, quick bool, parallel int,
 	if quick {
 		r.QuickDivisor = 10
 	}
-	rep := r.Explain(a, b)
-	emit(em, rep)
-	persist(rep, outDir)
+	return r.Explain(a, b)
 }
 
 // writeCSVs dumps each of the report's tables as <dir>/<id>_<n>.csv.
@@ -236,62 +241,6 @@ func writeCSVs(rep *harness.Report, dir string) {
 		t.CSV(f)
 		f.Close()
 	}
-}
-
-// runSingle runs one configuration and dumps its statistics. It returns the
-// exit status: 1 when the run crashed instead of finishing.
-func runSingle(rc harness.RunConfig, parallel int) int {
-	r := harness.NewRunner()
-	r.Workers = parallel
-	base := rc
-	base.FailureAware = false
-	base.FailureRate = 0
-	base.ClusterPages = 0
-	res := r.Run(rc)
-	if res.Panic != "" {
-		fmt.Fprintf(os.Stderr, "%s: run crashed: %s\n", rc.Bench, res.Panic)
-		return 1
-	}
-	if res.DNF {
-		fmt.Printf("%s: DNF (out of memory at %.2fx min heap)\n", rc.Bench, rc.HeapMult)
-		return 0
-	}
-	fmt.Printf("%s @ %.2fx heap (%d bytes), %s, line %d, failures %.0f%%, cluster %dp\n",
-		rc.Bench, rc.HeapMult, res.Heap, rc.Collector, rc.LineSize, rc.FailureRate*100, rc.ClusterPages)
-	fmt.Printf("  time:        %d cycles\n", res.Cycles)
-	fmt.Printf("  collections: %d (%d full)\n", res.Collections, res.FullGCs)
-	fmt.Printf("  avg GC:      %d cycles, max %d\n", res.AvgFullGC, res.MaxGC)
-	fmt.Printf("  borrows:     %d perfect pages\n", res.Borrows)
-	if res.ParallelTraces > 0 {
-		fmt.Printf("  par trace:   %d traces, work %d / crit %d cycles (%.2fx), %d steals\n",
-			res.ParallelTraces, res.TraceWorkCycles, res.TraceCritCycles,
-			float64(res.TraceWorkCycles)/float64(res.TraceCritCycles), res.TraceSteals)
-	}
-	if res.WallNS > 0 {
-		fmt.Printf("  wall:        %.1f ms (gc %.1f ms: trace %.1f, sweep %.1f)\n",
-			float64(res.WallNS)/1e6, float64(res.WallGCNS)/1e6,
-			float64(res.WallTraceNS)/1e6, float64(res.WallSweepNS)/1e6)
-	}
-	if lr := res.Latency; lr != nil {
-		// A latency run that recorded no operations has no cycles to take a
-		// share of.
-		share := func(part stats.Cycles) float64 {
-			if lr.TotalCycles == 0 {
-				return 0
-			}
-			return 100 * float64(part) / float64(lr.TotalCycles)
-		}
-		fmt.Printf("  latency:     %d ops, p50 %d, p99 %d, p999 %d, max %d cycles\n",
-			lr.Ops, lr.Overall.P50, lr.Overall.P99, lr.Overall.P999, lr.Overall.Max)
-		fmt.Printf("    gc pause:    %d ops affected, p99 %d cycles (%.1f%% of cycles)\n",
-			lr.GCPause.Ops, lr.GCPause.P99, share(lr.GCPauseCycles))
-		fmt.Printf("    alloc stall: %d ops affected, p99 %d cycles (%.1f%% of cycles)\n",
-			lr.AllocStall.Ops, lr.AllocStall.P99, share(lr.AllocStallCycles))
-	}
-	if n := r.Normalized(rc, base); n > 0 {
-		fmt.Printf("  normalized:  %.3f vs unmodified %s\n", n, rc.Collector)
-	}
-	return 0
 }
 
 func runCalibration() {

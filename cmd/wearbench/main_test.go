@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
+
+	"wearmem/internal/harness"
+	"wearmem/internal/workload"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed with
@@ -37,9 +42,10 @@ func wearbench(t *testing.T, args ...string) (stdout, stderr string, status int)
 	return out.String(), errOut.String(), status
 }
 
-// The goldens were captured from the commit before the knob table and the
-// experiment registry replaced the flag struct and the exported wrappers:
-// the listing and a single run's statistics must not have moved.
+// The listing was captured from the commit before the knob table and the
+// experiment registry replaced the flag struct and the exported wrappers,
+// and must not have moved. The single run's report is harness.Single's one
+// row; its numbers are the ones the statistics dump it replaced printed.
 func TestGoldens(t *testing.T) {
 	for golden, args := range map[string][]string{
 		"testdata/list.golden":   {"-list"},
@@ -78,6 +84,8 @@ func TestOutOfRangeKnobsExitTwo(t *testing.T) {
 		{"placement=rotate", []string{"-explain", "placement=rotate vs base"}},
 		{"-seeds", []string{"-exp", "fig4", "-quick", "-seeds", "0"}},
 		{"-seeds", []string{"-bench", "pmd", "-seeds", "-1"}},
+		// -explain diffs one seed; more used to be dropped without a word.
+		{"-seeds", []string{"-explain", "rate=0.1 vs base", "-bench", "pmd", "-quick", "-seeds", "3"}},
 	} {
 		stdout, stderr, status := wearbench(t, c.args...)
 		if status != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.knob) {
@@ -87,13 +95,45 @@ func TestOutOfRangeKnobsExitTwo(t *testing.T) {
 	}
 }
 
+// -quick divides -bench's default iterations as it does every
+// experiment's, at one seed and at several.
+func TestQuickAppliesToBench(t *testing.T) {
+	iters := strconv.Itoa(max(workload.ByName("pmd").Iterations/10, 50))
+	cycles := func(args ...string) string {
+		args = append([]string{"-format", "json", "-bench", "pmd", "-seed", "1"}, args...)
+		stdout, stderr, status := wearbench(t, args...)
+		var rep harness.Report
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatalf("wearbench %v: exit %d, stderr %q, stdout not a report: %v", args, status, stderr, err)
+		}
+		return rep.Tables[0].Rows[0][1].Text
+	}
+	for _, seeds := range []string{"1", "2"} {
+		quick, full := cycles("-seeds", seeds, "-quick"), cycles("-seeds", seeds)
+		if want := cycles("-seeds", seeds, "-iters", iters); quick != want || quick == full {
+			t.Errorf("-seeds %s: -quick %s cycles, -iters %s %s, neither %s; want the first two equal and the third apart",
+				seeds, quick, iters, want, full)
+		}
+	}
+}
+
 // A run that crashes is not a run that ran out of memory: the panic is
-// shown and the exit status is 1.
+// shown and the exit status is 1, at any seed count and in any format.
 func TestCrashIsNotOutOfMemory(t *testing.T) {
 	// Bounded-pause marking on a collector without the sticky write barrier
 	// panics in vm.New, inside the harness's execute.
-	stdout, stderr, status := wearbench(t, "-bench", "pmd", "-iters", "50", "-collector", "IX", "-pause-budget", "1000")
-	if status != 1 || !strings.Contains(stderr, "PauseBudget") || strings.Contains(stdout+stderr, "out of memory") {
-		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and the panic message", status, stdout, stderr)
+	crash := []string{"-bench", "pmd", "-iters", "50", "-collector", "IX", "-pause-budget", "1000"}
+	for _, extra := range [][]string{nil, {"-seeds", "2"}, {"-format", "json"}} {
+		args := append(append([]string{}, crash...), extra...)
+		stdout, stderr, status := wearbench(t, args...)
+		if status != 1 || !strings.Contains(stderr, "PauseBudget") || strings.Contains(stdout+stderr, "out of memory") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and the panic message", extra, status, stdout, stderr)
+		}
+		if extra != nil && extra[1] == "json" {
+			var rep harness.Report
+			if err := json.Unmarshal([]byte(stdout), &rep); err != nil || len(rep.Runs) != 1 || rep.Runs[0].Result.Panic == "" {
+				t.Errorf("-format json: stdout %q; want the report, its run record carrying the panic", stdout)
+			}
+		}
 	}
 }

@@ -15,12 +15,15 @@ func coreScaleConfig(o Options, n int) RunConfig {
 	return rc
 }
 
+// ms renders a host duration in milliseconds.
+func ms(ns int64) Cell { return Number(float64(ns)/1e6, "%.1f") }
+
 // wallMS renders a run's host wall-clock time in milliseconds.
 func wallMS(res Result) Cell {
 	if res.DNF {
 		return DNF()
 	}
-	return Number(float64(res.WallNS)/1e6, "%.1f")
+	return ms(res.WallNS)
 }
 
 // coreScale is the real-parallelism scaling study: the threaded engine
@@ -92,7 +95,6 @@ func coreScaleGC(o Options, r *Runner, n int) Table {
 		Title:   fmt.Sprintf("GC wall phases at n=%d (threaded)", n),
 		Columns: []string{"benchmark", "GCs", "gc wall (ms)", "trace (ms)", "sweep (ms)", "sim trace speedup"},
 	}
-	ms := func(ns int64) Cell { return Number(float64(ns)/1e6, "%.1f") }
 	for _, b := range o.benches() {
 		res := r.Run(coreScaleConfig(o, n).bench(b))
 		if res.DNF {

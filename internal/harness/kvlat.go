@@ -97,8 +97,7 @@ func kvLatTable(r *Runner, o Options, engine string) Table {
 	t := Table{
 		Title: fmt.Sprintf("KV request latency, %s engine, %d mutators, 2x heap (cycles)",
 			engineName(engine), healthy.Mutators),
-		Columns: []string{"regime", "ops", "p50", "p99", "p999", "max",
-			"gc ops", "gc p99", "stall ops", "stall p99", "gc share", "stall share"},
+		Columns: append([]string{"regime"}, latencyColumns...),
 	}
 	for _, reg := range kvLatRegimes() {
 		t.Rows = append(t.Rows, kvLatRow(reg.label, r.Run(reg.apply(healthy))))
@@ -109,10 +108,14 @@ func kvLatTable(r *Runner, o Options, engine string) Table {
 	return t
 }
 
+// latencyColumns head the cells kvLatRow renders after its label.
+var latencyColumns = []string{"ops", "p50", "p99", "p999", "max",
+	"gc ops", "gc p99", "stall ops", "stall p99", "gc share", "stall share"}
+
 // kvLatRow renders one regime's latency digest.
 func kvLatRow(label string, res Result) []Cell {
 	if res.DNF {
-		return padRow([]Cell{Text(label)}, 12, DNF())
+		return padRow([]Cell{Text(label)}, 1+len(latencyColumns), DNF())
 	}
 	lr := latencyOf(res.Latency)
 	share := func(part stats.Cycles) Cell {

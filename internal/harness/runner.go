@@ -150,6 +150,16 @@ func (rc RunConfig) canonical() RunConfig {
 	return rc
 }
 
+// traceLanes is the parallel trace lane count rc runs with: one lane per
+// mutator unless the configuration names a count; a lone mutator keeps the
+// serial trace (DESIGN §16).
+func (rc RunConfig) traceLanes() int {
+	if rc.TraceWorkers == 0 && rc.Mutators > 1 {
+		return rc.Mutators
+	}
+	return rc.TraceWorkers
+}
+
 // Result summarizes one run.
 type Result struct {
 	Cycles      stats.Cycles `json:"cycles"`
@@ -452,13 +462,6 @@ func simulate(rc RunConfig, maps *drawnMaps) Result {
 		}
 	}
 
-	// One lane per mutator unless the configuration names a count; a lone
-	// mutator keeps the serial trace (DESIGN §16).
-	traceWorkers := rc.TraceWorkers
-	if traceWorkers == 0 && rc.Mutators > 1 {
-		traceWorkers = rc.Mutators
-	}
-
 	// GOMAXPROCS is process-global: pinning it here is only meaningful
 	// (and only safe) when the runner executes serially, which corescale
 	// guarantees by using Workers = 1.
@@ -477,7 +480,7 @@ func simulate(rc RunConfig, maps *drawnMaps) Result {
 			Collector:    rc.Collector,
 			LineSize:     rc.LineSize,
 			FailureAware: rc.FailureAware,
-			TraceWorkers: traceWorkers,
+			TraceWorkers: rc.traceLanes(),
 			Threaded:     rc.Engine == "threaded",
 			WallClock:    rc.RecordWall,
 			PauseBudget:  rc.PauseBudget,

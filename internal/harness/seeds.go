@@ -94,8 +94,11 @@ func mergeCell(cs []Cell) Cell {
 }
 
 // Single is a one-row experiment over one configuration at Options.Seed:
-// its cycles, and its cycles normalized to the same run without failures
-// or clustering at the same seed.
+// its cycles, its cycles normalized to the same run without failures or
+// clustering at the same seed, its heap, collections and borrows. Three
+// column groups join when the configuration asks for them: the parallel
+// trace lanes, host wall-clock time (RecordWall) and the per-operation
+// latency digest (Latency). A run that did not finish is DNF throughout.
 func Single(rc RunConfig) Experiment {
 	title := fmt.Sprintf("%s @ %.2fx heap, %s, line %d, failures %.0f%%, cluster %dp",
 		rc.Bench, rc.HeapMult, rc.Collector, rc.LineSize, rc.FailureRate*100, rc.ClusterPages)
@@ -105,13 +108,29 @@ func Single(rc RunConfig) Experiment {
 			rc.Seed = o.Seed
 			base := rc
 			base.FailureAware, base.FailureRate, base.ClusterPages = false, 0, 0
-			cycles := DNF()
-			if res := r.Run(rc); !res.DNF {
-				cycles = Number(float64(res.Cycles), "%.0f")
+			res := r.Run(rc)
+			t := Table{Columns: []string{"benchmark", "cycles", "normalized to unmodified " + rc.Collector.String(),
+				"heap bytes", "collections", "full", "avg GC", "max GC", "borrows"}}
+			row := []Cell{Text(rc.Bench), cycleCell(res.Cycles), fnum(r.Normalized(rc, base)),
+				Int(res.Heap), Int(res.Collections), Int(res.FullGCs),
+				cycleCell(res.AvgFullGC), cycleCell(res.MaxGC), Int(res.Borrows)}
+			if rc.traceLanes() > 1 {
+				t.Columns = append(t.Columns, "traces", "trace work", "trace crit", "speedup", "steals")
+				row = append(row, Int(res.ParallelTraces), cycleCell(res.TraceWorkCycles),
+					cycleCell(res.TraceCritCycles), traceSpeedup(res), Int(int(res.TraceSteals)))
 			}
-			return &Report{Title: title, Tables: []Table{{
-				Columns: []string{"benchmark", "cycles", "normalized to unmodified " + rc.Collector.String()},
-				Rows:    [][]Cell{{Text(rc.Bench), cycles, fnum(r.Normalized(rc, base))}},
-			}}}
+			if rc.RecordWall {
+				t.Columns = append(t.Columns, "wall ms", "gc ms", "trace ms", "sweep ms")
+				row = append(row, ms(res.WallNS), ms(res.WallGCNS), ms(res.WallTraceNS), ms(res.WallSweepNS))
+			}
+			if rc.Latency {
+				t.Columns = append(t.Columns, latencyColumns...)
+				row = append(row, kvLatRow(rc.Bench, res)[1:]...)
+			}
+			if res.DNF {
+				row = padRow(row[:1], len(t.Columns), DNF())
+			}
+			t.Rows = [][]Cell{row}
+			return &Report{Title: title, Tables: []Table{t}}
 		}}
 }
